@@ -125,6 +125,43 @@ class SkillDelta:
         )
 
 
+@dataclass(frozen=True)
+class ProposalIndex:
+    """Round-scoped views of one frozen library, shared by every proposal of
+    a round and by its consolidation.
+
+    All of them read the same library under the same cluster threshold, so
+    building them once per round instead of once per trace changes nothing
+    but the cost.
+    """
+
+    keys: Mapping[str, str]  # non-pruned skill id -> cluster key
+    active: tuple[Skill, ...]  # non-pruned skills, by id
+    latents_at: Mapping[tuple[str, str], tuple[LatentSkill, ...]]  # realized catalog by pair
+
+    def latents(self, pair: tuple[str, str]) -> tuple[LatentSkill, ...]:
+        """The pair's latent procedures with `realized_by` resolved, in catalog order."""
+        return self.latents_at.get(pair, ())
+
+
+def proposal_index(
+    scenario: Scenario, library: Mapping[str, Skill], config: EngineConfig
+) -> ProposalIndex:
+    """Build the proposal index of one frozen library, once per round."""
+    latents_at: dict[tuple[str, str], list[LatentSkill]] = {}
+    for latent in realized_catalog(scenario, library):
+        latents_at.setdefault(latent.applicability, []).append(latent)
+    return ProposalIndex(
+        keys=cluster_key_map(library, config.cluster_threshold),
+        active=tuple(
+            s
+            for s in sorted(library.values(), key=lambda s: s.id)
+            if s.status is not SkillStatus.PRUNED
+        ),
+        latents_at={pair: tuple(latents) for pair, latents in latents_at.items()},
+    )
+
+
 def _edit_from_skill(tag: BoundedTag, skill: Skill) -> SkillEdit:
     return SkillEdit(
         tag=tag,
@@ -136,18 +173,14 @@ def _edit_from_skill(tag: BoundedTag, skill: Skill) -> SkillEdit:
     )
 
 
-def _nearest_cluster(
-    draft: Skill, library: Mapping[str, Skill], keys: Mapping[str, str], threshold: float
-) -> str:
+def _nearest_cluster(draft: Skill, index: ProposalIndex, threshold: float) -> str:
     best_id, best_sim = None, 0.0
-    for skill in sorted(library.values(), key=lambda s: s.id):
-        if skill.status is SkillStatus.PRUNED:
-            continue
+    for skill in index.active:
         sim = skill_similarity(draft, skill)
         if sim > best_sim:
             best_id, best_sim = skill.id, sim
     if best_id is not None and best_sim >= threshold:
-        return keys[best_id]
+        return index.keys[best_id]
     return f"new:{draft.id}"
 
 
@@ -167,8 +200,7 @@ def _pick_implicated(
 
 
 def _repair_latent(
-    scenario: Scenario,
-    library: Mapping[str, Skill],
+    index: ProposalIndex,
     pair: tuple[str, str],
     cause: CauseLabel,
     cards: Sequence[PolicyCard],
@@ -180,8 +212,8 @@ def _repair_latent(
     """
     unrealized = [
         l
-        for l in realized_catalog(scenario, library)
-        if l.applicability == pair and l.repairs_cause == cause and l.realized_by is None
+        for l in index.latents(pair)
+        if l.repairs_cause == cause and l.realized_by is None
     ]
     by_id = {l.id: l for l in unrealized}
     for card in cards:
@@ -302,17 +334,23 @@ def propose(
     library: Mapping[str, Skill],
     round_index: int,
     config: EngineConfig,
+    *,
+    index: ProposalIndex | None = None,
 ) -> Proposal | None:
     """Convert one retained trace into at most one local proposal.
 
     Successes can yield a motif draft realizing an undiscovered latent
     procedure (unless a pooled skill already took part, whose counters carry
     the evidence).  Failures yield a repair only when locally diagnosable;
-    structural handoffs and unknown causes yield nothing.
+    structural handoffs and unknown causes yield nothing.  `index` must have
+    been built from the same scenario, library and config; without one, an
+    index for this call is built.
     """
+    if index is None:
+        index = proposal_index(scenario, library, config)
     trace = retained.trace
     task_id = trace.task_type.id
-    keys = cluster_key_map(library, config.cluster_threshold)
+    keys = index.keys
 
     if trace.outcome == 1:
         if any(
@@ -321,11 +359,10 @@ def propose(
             for sid in used_skills(sl)
         ):
             return None
-        catalog = realized_catalog(scenario, library)
         for sl in trace.slices:
             pair = (task_id, sl.phase)
             undiscovered = sorted(
-                (l for l in catalog if l.applicability == pair and l.realized_by is None),
+                (l for l in index.latents(pair) if l.realized_by is None),
                 key=lambda l: l.id,
             )
             if not undiscovered:
@@ -335,9 +372,7 @@ def propose(
             return Proposal(
                 kind="success-motif",
                 source_trace=trace.episode_id,
-                target_cluster=_nearest_cluster(
-                    draft, library, keys, config.cluster_threshold
-                ),
+                target_cluster=_nearest_cluster(draft, index, config.cluster_threshold),
                 task_type=task_id,
                 drafts=(draft,),
             )
@@ -350,7 +385,7 @@ def propose(
     failing = trace.slices[-1]
     pair = (task_id, failing.phase)
     cause = diagnosis.cause
-    latent = _repair_latent(scenario, library, pair, cause, cards)
+    latent = _repair_latent(index, pair, cause, cards)
 
     candidates = sorted(used_skills(failing)) or sorted(failing.selected)
     implicated = _pick_implicated(candidates, library, pair)
@@ -364,10 +399,7 @@ def propose(
 
     if diagnosis.tag is BoundedTag.TIGHTEN_RETRIEVAL and latent is None:
         # target the interfering usage rather than the pair-matching skill
-        catalog = realized_catalog(scenario, library)
-        realized_here = {
-            l.realized_by for l in catalog if l.applicability == pair and l.realized_by
-        }
+        realized_here = {l.realized_by for l in index.latents(pair) if l.realized_by}
         noisy = [sid for sid in candidates if sid not in realized_here]
         implicated = _pick_implicated(noisy, library, pair) or implicated
 
@@ -449,6 +481,7 @@ def skill_evolve(
     *,
     last_round_drop: bool = False,
     last_round_edits: frozenset[str] = frozenset(),
+    cluster_keys: Mapping[str, str] | None = None,
 ) -> SkillDelta:
     """Consolidate proposals into at most one action per implicated cluster.
 
@@ -457,9 +490,14 @@ def skill_evolve(
     in the pool instead of refined; clusters whose members all show enough
     low-utility evidence are pruned.  After a round-level performance drop,
     the previous round's edits are demoted to the pool first and their
-    clusters are off limits for further actions.
+    clusters are off limits for further actions.  `cluster_keys`, when
+    given, is `cluster_key_map(library, config.cluster_threshold)`.
     """
-    keys = cluster_key_map(library, config.cluster_threshold)
+    keys = (
+        cluster_keys
+        if cluster_keys is not None
+        else cluster_key_map(library, config.cluster_threshold)
+    )
     clusters = {
         key: tuple(sid for sid, k in keys.items() if k == key)
         for key in set(keys.values())

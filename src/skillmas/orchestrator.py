@@ -17,9 +17,11 @@ from typing import Mapping, Sequence
 from .config import EngineConfig
 from .evolution import (
     Proposal,
+    ProposalIndex,
     apply_skill_delta,
     diagnose,
     promote_pool,
+    proposal_index,
     propose,
     retrieve_policy_cards,
     skill_evolve,
@@ -30,10 +32,16 @@ from .model import (
     EpisodeTrace,
     RoundState,
     SkillStatus,
+    StateError,
     validate_state,
 )
 from .numfmt import q12
-from .restructure import apply_restructure, build_artifacts, decide_restructure
+from .restructure import (
+    apply_restructure,
+    build_artifacts,
+    decide_restructure,
+    evidence_holds,
+)
 from .retention import retain
 from .streams import derive_seed
 from .utility import learn
@@ -208,12 +216,17 @@ def collect_proposals(
     state: RoundState,
     scenario: Scenario,
     config: EngineConfig,
+    *,
+    index: ProposalIndex | None = None,
 ) -> list[Proposal]:
     """At most one local proposal per retained trace.
 
     Failures go through diagnosis and policy-card retrieval first; successes
-    go straight to motif extraction.
+    go straight to motif extraction.  Every proposal reads one index built
+    from the round's frozen library.
     """
+    if index is None:
+        index = proposal_index(scenario, state.library, config)
     proposals: list[Proposal] = []
     for rt in retained:
         if rt.trace.outcome == 0:
@@ -221,13 +234,18 @@ def collect_proposals(
             cards = retrieve_policy_cards(
                 state.policy_index, rt.trace.task_type.id, diagnosis.cause
             )
-            proposal = propose(
-                rt, diagnosis, cards, scenario, state.library, state.round_index, config
-            )
         else:
-            proposal = propose(
-                rt, None, (), scenario, state.library, state.round_index, config
-            )
+            diagnosis, cards = None, ()
+        proposal = propose(
+            rt,
+            diagnosis,
+            cards,
+            scenario,
+            state.library,
+            state.round_index,
+            config,
+            index=index,
+        )
         if proposal is not None:
             proposals.append(proposal)
     return proposals
@@ -276,7 +294,8 @@ def run_round(
         prior_failure_counts=prior_failure_counts,
     )
 
-    proposals = collect_proposals(retained, state, scenario, config)
+    index = proposal_index(scenario, state.library, config)
+    proposals = collect_proposals(retained, state, scenario, config, index=index)
 
     delta = skill_evolve(
         proposals,
@@ -286,6 +305,7 @@ def run_round(
         config,
         last_round_drop=last_round_drop,
         last_round_edits=last_round_edits,
+        cluster_keys=index.keys,
     )
     library2, executors2, pool2 = apply_skill_delta(
         state.library, state.executors, pool_counted, delta
@@ -302,6 +322,12 @@ def run_round(
         round_index=state.round_index,
         library=library2,
     )
+    if not evidence_holds(decision):
+        raise StateError(
+            f"round {state.round_index}: restructuring decision {decision.action!r} "
+            f"does not hold on its evidence "
+            f"(predicate {decision.evidence.get('predicate', decision.action)!r})"
+        )
     library3, executors3, pool3, ownership_log = apply_restructure(
         library2, executors2, pool2, q_skill_plus, decision, config
     )

@@ -9,6 +9,7 @@ nothing.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
@@ -129,6 +130,36 @@ def select_skills(
     return chosen
 
 
+@dataclass(frozen=True)
+class Route:
+    """The routing candidates of one (task, phase) pair under a fixed state."""
+
+    task_id: str
+    phase: str
+    eligible: tuple[str, ...]  # covering executors, sorted by id
+    greedy: str | None  # highest executor utility, smallest id on ties
+
+    def draw(self, rng: random.Random, epsilon: float) -> str:
+        """Greedy with epsilon exploration; no draw when nothing is eligible."""
+        if not self.eligible:
+            raise RoutingError(f"no executor covers ({self.task_id}, {self.phase})")
+        if rng.random() < epsilon:
+            return self.eligible[rng.randrange(len(self.eligible))]
+        return self.greedy  # type: ignore[return-value]
+
+
+def executor_route(
+    q_exec: UtilityTable, state: RoundState, task_id: str, phase: str
+) -> Route:
+    eligible = tuple(
+        sorted(e.id for e in state.executors.values() if e.covers((task_id, phase)))
+    )
+    greedy = min(
+        eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid), default=None
+    )
+    return Route(task_id, phase, eligible, greedy)
+
+
 def select_executor(
     q_exec: UtilityTable,
     state: RoundState,
@@ -138,11 +169,4 @@ def select_executor(
     epsilon: float,
 ) -> str:
     """Route one phase: greedy on executor utility with epsilon exploration."""
-    eligible = sorted(
-        e.id for e in state.executors.values() if e.covers((task_id, phase))
-    )
-    if not eligible:
-        raise RoutingError(f"no executor covers ({task_id}, {phase})")
-    if rng.random() < epsilon:
-        return eligible[rng.randrange(len(eligible))]
-    return min(eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid))
+    return executor_route(q_exec, state, task_id, phase).draw(rng, epsilon)

@@ -10,6 +10,8 @@ both one-sided failure modes of coupled adaptation are expressible.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -31,7 +33,8 @@ from .model import (
 )
 from .numfmt import q12
 from .streams import substream
-from .utility import RoutingError, select_executor, select_skills
+from .utility import Route, RoutingError, executor_route, select_skills
+from .utility import select_executor  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,6 @@ class Scenario:
 
     def universe(self) -> frozenset[Pair]:
         return frozenset(pair for task in self.task_types for pair in task.pairs())
-
-    def task(self, task_id: str) -> TaskType:
-        for task in self.task_types:
-            if task.id == task_id:
-                return task
-        raise KeyError(task_id)
 
 
 def logistic(x: float) -> float:
@@ -254,6 +251,113 @@ def _observe_cause(
     return CauseObservation(CauseLabel.UNKNOWN, False)
 
 
+@dataclass(frozen=True)
+class PhaseSlot:
+    """What one executor does at one (task, phase) pair under a fixed state."""
+
+    slice: ExecutorSlice
+    used: frozenset[str]  # invoked or pattern-supported
+    success_prob: float
+
+
+def _phase_slot(
+    scenario: Scenario,
+    state: RoundState,
+    pair: Pair,
+    executor: Executor,
+    config: EngineConfig,
+) -> PhaseSlot:
+    """Retrieve skills for one routed phase, invoke the phase-matching ones,
+    and evaluate the ground-truth success probability of the result."""
+    task_id, phase = pair
+    selected = frozenset(
+        select_skills(state.q_skill, state, task_id, phase, executor, config.top_k)
+    )
+    invoked = frozenset(sid for sid in selected if state.library[sid].applies_to(pair))
+    realized_actions = frozenset(
+        step for sid in invoked for step in state.library[sid].steps
+    )
+    pattern_supported = frozenset(
+        sid
+        for sid in selected - invoked
+        if set(state.library[sid].steps) <= realized_actions
+    )
+    used = invoked | pattern_supported
+    p = ground_truth_success_prob(
+        scenario, state.library, task_id, phase, executor, sorted(used)
+    )
+    return PhaseSlot(
+        ExecutorSlice(executor.id, phase, selected, invoked, pattern_supported),
+        used,
+        p,
+    )
+
+
+class ExecutionTable:
+    """Round-scoped routing and candidate table for one frozen state.
+
+    Every entry is a pure function of (state, scenario, config), which stay
+    fixed while a batch executes, so an episode only makes its RNG draws and
+    looks the rest up.  Routes, phase slots and deficits are filled on first
+    use, so the order in which entries are filled cannot change any result.
+    The table lives for one `exec_round` (or one `sample_episode` call made
+    without one) and is never shared between states.
+    """
+
+    def __init__(self, state: RoundState, scenario: Scenario, config: EngineConfig):
+        self.state = state
+        self.scenario = scenario
+        self.config = config
+        self.epsilon = (
+            config.routing_noise
+            if config.routing_noise is not None
+            else scenario.routing_noise
+        )
+        self.tasks = scenario.task_types
+        self.total_weight = sum(scenario.task_weights[t.id] for t in self.tasks)
+        self.cumulative_weights = tuple(
+            itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
+        )
+        self._routes: dict[Pair, Route] = {}
+        self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
+        self._deficits: dict[tuple[Pair, str], tuple[CauseLabel, float] | None] = {}
+
+    def draw_task(self, rng: random.Random) -> TaskType:
+        """The sampling-weighted task draw of `_weighted_choice`, by bisection."""
+        mark = rng.random() * self.total_weight
+        index = bisect.bisect_right(self.cumulative_weights, mark)
+        return self.tasks[index] if index < len(self.tasks) else self.tasks[-1]
+
+    def route(self, pair: Pair) -> Route:
+        route = self._routes.get(pair)
+        if route is None:
+            route = executor_route(self.state.q_exec, self.state, *pair)
+            self._routes[pair] = route
+        return route
+
+    def slot(self, pair: Pair, executor_id: str) -> PhaseSlot:
+        key = (pair, executor_id)
+        slot = self._slots.get(key)
+        if slot is None:
+            executor = self.state.executors[executor_id]
+            slot = _phase_slot(self.scenario, self.state, pair, executor, self.config)
+            self._slots[key] = slot
+        return slot
+
+    def deficit(self, pair: Pair, executor_id: str) -> tuple[CauseLabel, float] | None:
+        key = (pair, executor_id)
+        if key not in self._deficits:
+            self._deficits[key] = _dominant_deficit(
+                self.scenario,
+                self.state.library,
+                self.state.executors[executor_id],
+                pair[0],
+                pair[1],
+                self.slot(pair, executor_id).used,
+            )
+        return self._deficits[key]
+
+
 def sample_episode(
     scenario: Scenario,
     state: RoundState,
@@ -262,6 +366,7 @@ def sample_episode(
     *,
     episode_id: str,
     config: EngineConfig,
+    table: ExecutionTable | None = None,
 ) -> EpisodeTrace:
     """Run one episode against the ground truth with the current state fixed.
 
@@ -269,13 +374,11 @@ def sample_episode(
     the phase-matching ones, and draws a Bernoulli success.  The episode
     succeeds only if every phase does.  On failure the dominant deficit is
     emitted as a cause observation, confidently with the scenario's
-    observation probability.
+    observation probability.  `table` must have been built from the same
+    state, scenario and config; without one, a table for this call is built.
     """
-    epsilon = (
-        config.routing_noise
-        if config.routing_noise is not None
-        else scenario.routing_noise
-    )
+    if table is None:
+        table = ExecutionTable(state, scenario, config)
     total = len(task_type.phases)
     slices: list[ExecutorSlice] = []
     completed = 0
@@ -284,44 +387,16 @@ def sample_episode(
     for phase in task_type.phases:
         pair = (task_type.id, phase)
         try:
-            executor_id = select_executor(
-                state.q_exec, state, task_type.id, phase, rng, epsilon
-            )
+            executor_id = table.route(pair).draw(rng, table.epsilon)
         except RoutingError:
             observation = CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True)
             break
-        executor = state.executors[executor_id]
-
-        selected = frozenset(
-            select_skills(
-                state.q_skill, state, task_type.id, phase, executor, config.top_k
-            )
-        )
-        invoked = frozenset(
-            sid for sid in selected if state.library[sid].applies_to(pair)
-        )
-        realized_actions = frozenset(
-            step for sid in invoked for step in state.library[sid].steps
-        )
-        pattern_supported = frozenset(
-            sid
-            for sid in selected - invoked
-            if set(state.library[sid].steps) <= realized_actions
-        )
-        used = invoked | pattern_supported
-        slices.append(
-            ExecutorSlice(executor_id, phase, selected, invoked, pattern_supported)
-        )
-
-        p = ground_truth_success_prob(
-            scenario, state.library, task_type.id, phase, executor, sorted(used)
-        )
-        if rng.random() < p:
+        slot = table.slot(pair, executor_id)
+        slices.append(slot.slice)
+        if rng.random() < slot.success_prob:
             completed += 1
             continue
-        deficit = _dominant_deficit(
-            scenario, state.library, executor, task_type.id, phase, used
-        )
+        deficit = table.deficit(pair, executor_id)
         observation = _observe_cause(deficit, rng, scenario.cause_confidence)
         break
 
@@ -339,6 +414,7 @@ def sample_episode(
 def _weighted_choice(
     rng: random.Random, tasks: Sequence[TaskType], weights: Mapping[str, float]
 ) -> TaskType:
+    """Linear-scan reference for `ExecutionTable.draw_task`."""
     total = sum(weights[t.id] for t in tasks)
     mark = rng.random() * total
     acc = 0.0
@@ -366,18 +442,19 @@ def exec_round(
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
+    table = ExecutionTable(state, scenario, config)
     traces = []
     for i in range(n_episodes):
         rng = substream(seed, "episode", i)
-        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
         traces.append(
             sample_episode(
                 scenario,
                 state,
-                task,
+                table.draw_task(rng),
                 rng,
                 episode_id=f"{id_prefix}e{i:05d}",
                 config=config,
+                table=table,
             )
         )
     return tuple(traces)

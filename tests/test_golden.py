@@ -1,0 +1,116 @@
+"""Golden artifact hashes: the engine's output must not move by a byte.
+
+Every value below was recorded from the engine before any speed work on the
+round pipeline.  A change that is meant to be a pure optimisation must leave
+all of them unchanged; a change that alters behaviour on purpose must say so
+and re-record them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from skillmas import load_preset, run_experiment
+from skillmas.cli import main
+from skillmas.presets import PRESETS
+from skillmas.store import parse_scenario
+
+SEEDS = (1, 7, 11)
+ROUNDS = 8
+
+REPORT_SHA256 = {
+    ("calibration", 1): "e7f481f7254e64cc7e177d2f457deeed6d6228943114fb71b3b4f08f4147a31b",
+    ("calibration", 7): "cfb30810727a3281324bcf11ce395b8645e4ad95661850a235246c07d8850c5f",
+    ("calibration", 11): "e8818e0465cba97ad51dca0b97c334a5c1670a24e35c9be20f4bb0442ede40c6",
+    ("favorable", 1): "fb524eae243c2f5506e173e3e749236dfd121fcd6efe018df3b89d968f888b3e",
+    ("favorable", 7): "35f7749144ddf1728ae7cd731298e8419a6374505afd0fad08bc6d2a9d0137ef",
+    ("favorable", 11): "a40dfbb3cfb30927668a6a6abc21d93c38ee4d303f272467d3fa01732f8bb833",
+    ("hostile", 1): "212795e0c83a4a938b25da07bf07e6f530c799e3b86c1fd47e87a4d4613fe85e",
+    ("hostile", 7): "c9138cad4ff1818239ed08bfc2660590424a04f92711b6c295e10239bf9e32d1",
+    ("hostile", 11): "4fed511c866a13b3bc4d3a5c675b55643aef822244c6092a253f72081f635b8a",
+    ("mismatch", 1): "5817711dabe9b1094e9d1b063bcd1e1228d45acf12da9bb293724a33f48c54cf",
+    ("mismatch", 7): "677142a0efe06079f9221a7b817087e606c4a1d9e8fae1ab1f08bce1a21ccb03",
+    ("mismatch", 11): "d9e11450ef46e2388a6c1accf36f4372498a66e30b9f535b2a2e742d5c7dc45b",
+    ("tiny", 1): "748dc383458ff9c4ba57ed0c2f0c2178a8a30cf9d52ce4f648dde84f5bd76fc7",
+    ("tiny", 7): "fd189a33bda917a8784d32544cdbda7df29e710bf41f294d5049f386ce74c93b",
+    ("tiny", 11): "50d84eeb60da909f22f8cb519a430860143ed83b73d4e19ab67fa9b671f7a99e",
+}
+
+# generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the
+# library ends at 27 entries, 13 of them pruned
+WIDE_SHA256 = "d50f566c37c38d780cd0633ec5453c90fda8e568a6e00ff7e3565411f91e1531"
+
+# `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
+RUN_DIR_SHA256 = "def5c1889c818ff49ccba22b149ccb8dd0abae674433ccb546fa9fada6101b0d"
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dir_digest(path) -> str:
+    """SHA-256 over every file of a directory tree, by relative path."""
+    digest = hashlib.sha256()
+    for file in sorted(p for p in path.rglob("*") if p.is_file()):
+        digest.update(file.relative_to(path).as_posix().encode("utf-8") + b"\0")
+        digest.update(file.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def wide_text(n_families: int, episodes: int) -> str:
+    """N single-phase families with one latent each, one worker covering all
+    of them at capacity 3, so pruned tombstones pile up in the library."""
+    causes = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
+    families = [f"f{i}" for i in range(n_families)]
+    return "\n".join(
+        [
+            "[tasks]",
+            *(f"{f} = handle | 1.0" for f in families),
+            "[difficulty]",
+            *(f"{f}/handle = -1.1" for f in families),
+            "[latent]",
+            *(
+                f"lat-{f} = {f}/handle 2.4 {causes[i % 3]}"
+                for i, f in enumerate(families)
+            ),
+            "[penalties]",
+            "interference = 0.25",
+            "overload = 0.6",
+            "routing-noise = 0.1",
+            "cause-confidence = 0.9",
+            "[seed-state]",
+            "executor manager = * capacity=1 manager",
+            "executor worker = "
+            + ",".join(f"{f}/handle" for f in families)
+            + " capacity=3",
+            "[thresholds]",
+            f"episodes-per-round = {episodes}",
+        ]
+    ) + "\n"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_preset_report_hash(preset, seed):
+    pack = load_preset(preset)
+    result = run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config)
+    assert sha256_text(result.report.to_json()) == REPORT_SHA256[(preset, seed)]
+
+
+def test_wide_report_hash():
+    pack = parse_scenario(wide_text(24, 100), name="wide24")
+    result = run_experiment(pack.scenario, pack.seed_state, 7, 10, pack.config)
+    assert sha256_text(result.report.to_json()) == WIDE_SHA256
+
+
+def test_run_directory_digest(tmp_path):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
+         "--episodes", "200", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    assert dir_digest(out) == RUN_DIR_SHA256
