@@ -9,14 +9,13 @@ promise.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from pathlib import Path
 
 from .config import EngineConfig, config_from_mapping
-from .model import StateError
+from .model import RoundState, StateError, validate_state
 from .orchestrator import (
     ExperimentResult,
     canonical_json,
@@ -34,12 +33,14 @@ from .store import (
     ScenarioPack,
     StoreError,
     deserialize_state,
+    encode_trace_log,
     load_scenario,
     read_trace_log,
     serialize_state,
-    trace_to_record,
+    trace_to_record,  # noqa: F401  perfbench/tracing.py wraps it under this name
 )
 from .streams import derive_seed
+from .world import Scenario
 
 
 class UsageError(Exception):
@@ -107,14 +108,9 @@ def run_artifacts(
     )
     for index, state in enumerate(result.states):
         artifacts[_snapshot_name(index)] = serialize_state(state)
-    log = io.StringIO()
-    for batch in result.traces_by_round:
-        for trace in batch:
-            log.write(
-                json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-    artifacts["traces.jsonl"] = log.getvalue()
+    artifacts["traces.jsonl"] = encode_trace_log(
+        trace for batch in result.traces_by_round for trace in batch
+    )
     return artifacts, result
 
 
@@ -157,6 +153,20 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     return pack, manifest["seed"], manifest["rounds"], config
 
 
+def _load_snapshot(path: Path, scenario: Scenario) -> RoundState:
+    """Read a state snapshot and validate it against the scenario's universe."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"snapshot {path} does not exist") from None
+    try:
+        state = deserialize_state(text)
+        validate_state(state, scenario.universe())
+    except (StoreError, StateError) as exc:
+        raise UsageError(f"snapshot {path}: {exc}") from None
+    return state
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.rounds < 1:
         raise UsageError("--rounds must be at least 1")
@@ -177,10 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("--episodes must be at least 1")
     pack = _load_pack(args.scenario)
     config = _load_config(pack, args)
-    try:
-        state = deserialize_state(Path(args.state).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"snapshot {args.state} does not exist") from None
+    state = _load_snapshot(Path(args.state), pack.scenario)
     traces = evaluate_state(
         state, pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
     )
@@ -213,12 +220,8 @@ def cmd_transplant(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
     checkpoint = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
-    final_state = deserialize_state(
-        (run_dir / checkpoint["snapshot"]).read_text(encoding="utf-8")
-    )
-    seed_state = deserialize_state(
-        (run_dir / _snapshot_name(0)).read_text(encoding="utf-8")
-    )
+    final_state = _load_snapshot(run_dir / checkpoint["snapshot"], pack.scenario)
+    seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
     table = evaluate_transplants(
         pack.scenario, final_state, seed_state, seed, args.episodes, config
     )

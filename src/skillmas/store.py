@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import EngineConfig, config_from_mapping
 from .model import (
@@ -386,18 +386,19 @@ def serialize_state(state: RoundState) -> str:
             f"capacity={e.capacity} boundary={_join_pairs(e.boundary)} "
             f"owns={_join(e.owned_skills)}"
         )
-    for (key, task_id), (value, count) in state.q_skill.sorted_entries():
-        lines.append(f"qskill {key} {task_id} {fmt(value)} {count}")
-    for (key, task_id), (value, count) in state.q_exec.sorted_entries():
-        lines.append(f"qexec {key} {task_id} {fmt(value)} {count}")
+    for kind, table in (("qskill", state.q_skill), ("qexec", state.q_exec)):
+        for (key, task_id), (value, count) in table.sorted_entries():
+            lines.append(
+                f"{kind} {_check_token(key)} {_check_token(task_id)} {fmt(value)} {count}"
+            )
     for sid in sorted(state.pool):
         uses, successes = state.pool[sid]
-        lines.append(f"pool {sid} {uses} {successes}")
+        lines.append(f"pool {_check_token(sid)} {uses} {successes}")
     for card in sorted(state.policy_index, key=lambda c: c.id):
-        template = card.template_skill or "-"
+        template = _check_token(card.template_skill) if card.template_skill else "-"
         lines.append(
-            f"card {_check_token(card.id)} {card.task_type} {card.cause.value} "
-            f"{card.recommended_tag.value} {template}"
+            f"card {_check_token(card.id)} {_check_token(card.task_type)} "
+            f"{card.cause.value} {card.recommended_tag.value} {template}"
         )
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -533,6 +534,16 @@ def deserialize_state(text: str) -> RoundState:
 
 # ---------------------------------------------------------------------------
 # trace logs
+#
+# One codec: `encode_trace_log` is the only writer and `read_trace_log` the
+# only reader.  A log of thousands of records holds a handful of distinct
+# tasks, executor slices and causes, so the writer encodes each repeated
+# fragment once per call and the reader builds each distinct value once per
+# call.  Neither keeps anything between calls, and the bytes are exactly
+# `json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))`
+# per line: replay and the golden digests compare them.
+
+_FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
@@ -558,30 +569,114 @@ def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
     }
 
 
-def trace_from_record(record: Mapping[str, object]) -> EpisodeTrace:
-    task = record["task"]
-    obs = record["cause"]
-    return EpisodeTrace(
-        episode_id=record["episode"],  # type: ignore[arg-type]
-        task_type=TaskType(task["id"], tuple(task["phases"])),  # type: ignore[index]
-        slices=tuple(
-            ExecutorSlice(
-                executor=sl["executor"],
-                phase=sl["phase"],
-                selected=frozenset(sl["selected"]),
-                invoked=frozenset(sl["invoked"]),
-                pattern_supported=frozenset(sl["pattern"]),
-            )
-            for sl in record["slices"]  # type: ignore[union-attr]
-        ),
-        outcome=record["outcome"],  # type: ignore[arg-type]
-        progress=record["progress"],  # type: ignore[arg-type]
-        latent_cause_observation=(
-            CauseObservation(CauseLabel(obs["label"]), obs["confident"])  # type: ignore[index]
-            if obs
-            else None
-        ),
-    )
+def _scalar_key(value: object) -> tuple[type, str]:
+    """Memo key of a JSON scalar: True, 1 and 1.0 compare equal, as do 0.0
+    and -0.0, but each encodes differently, so key on the type and repr."""
+    return (type(value), repr(value))
+
+
+def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
+    """Render traces as JSON lines, one `trace_to_record` per line.
+
+    A line is assembled in sorted-key order from three fragments: the head
+    (cause, outcome, progress), keyed by value, the episode id, encoded per
+    line, and the tail (slices and task), keyed by the identity of the slice
+    and task objects, which the engine and `read_trace_log` share.  Keying on
+    identity is exact whatever the field types; each tail entry holds its
+    trace so that no id is reused while the call runs.
+    """
+    encode = _FRAGMENT.encode
+    heads: dict[tuple[object, ...], tuple[str, str]] = {}
+    tails: dict[tuple[int, ...], tuple[EpisodeTrace, str]] = {}
+    lines: list[str] = []
+    for trace in traces:
+        obs = trace.latent_cause_observation
+        head_key = (
+            None if obs is None else (obs.cause, _scalar_key(obs.confident)),
+            _scalar_key(trace.outcome),
+            _scalar_key(trace.progress),
+        )
+        tail_key = (id(trace.task_type), *map(id, trace.slices))
+        head = heads.get(head_key)
+        tail = tails.get(tail_key)
+        if head is None or tail is None:
+            record = trace_to_record(trace)
+            if head is None:
+                head = heads[head_key] = (
+                    '{"cause":' + encode(record["cause"]) + ',"episode":',
+                    ',"outcome":' + encode(record["outcome"])
+                    + ',"progress":' + encode(record["progress"]) + ',"slices":',
+                )
+            if tail is None:
+                tail = tails[tail_key] = (
+                    trace,
+                    encode(record["slices"]) + ',"task":' + encode(record["task"]) + "}\n",
+                )
+        lines.append(head[0] + encode(trace.episode_id) + head[1] + tail[1])
+    return "".join(lines)
+
+
+def _require_strings(*values: object) -> None:
+    if not all(isinstance(v, str) for v in values):
+        raise TypeError(f"ids must be strings, got {values!r}")
+
+
+def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
+    """A record -> trace function sharing one TaskType, ExecutorSlice and
+    CauseObservation per distinct decoded value for as long as it is kept.
+
+    Each value is built and validated on its first occurrence only.  Ids must
+    be strings: a str never equals a non-str, so keys built from validated
+    ids cannot confuse values that compare equal but differ in type.  The
+    writer sorts every id list, so equal values decode under equal keys.  The
+    EpisodeTrace itself is built, and its invariants checked, for every record.
+    """
+    tasks: dict[tuple[Any, ...], TaskType] = {}
+    slices: dict[tuple[Any, ...], ExecutorSlice] = {}
+    causes: dict[tuple[Any, ...], CauseObservation] = {}
+
+    def decode(record: Mapping[str, Any]) -> EpisodeTrace:
+        task = record["task"]
+        key = (task["id"], *task["phases"])
+        task_type = tasks.get(key)
+        if task_type is None:
+            _require_strings(*key)
+            task_type = tasks[key] = TaskType(key[0], key[1:])
+        shared = []
+        for sl in record["slices"]:
+            executor, phase = sl["executor"], sl["phase"]
+            selected, invoked, pattern = sl["selected"], sl["invoked"], sl["pattern"]
+            key = (executor, phase, tuple(selected), tuple(invoked), tuple(pattern))
+            value = slices.get(key)
+            if value is None:
+                _require_strings(executor, phase, *selected, *invoked, *pattern)
+                value = slices[key] = ExecutorSlice(
+                    executor=executor,
+                    phase=phase,
+                    selected=frozenset(selected),
+                    invoked=frozenset(invoked),
+                    pattern_supported=frozenset(pattern),
+                )
+            shared.append(value)
+        obs = record["cause"]
+        cause = None
+        if obs is not None:
+            key = (obs["label"], _scalar_key(obs["confident"]))
+            cause = causes.get(key)
+            if cause is None:
+                cause = causes[key] = CauseObservation(
+                    CauseLabel(obs["label"]), obs["confident"]
+                )
+        return EpisodeTrace(
+            episode_id=record["episode"],
+            task_type=task_type,
+            slices=tuple(shared),
+            outcome=record["outcome"],
+            progress=record["progress"],
+            latent_cause_observation=cause,
+        )
+
+    return decode
 
 
 def _last_episode_id(path: Path) -> str | None:
@@ -589,49 +684,56 @@ def _last_episode_id(path: Path) -> str | None:
         return None
     last = None
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             if line.strip():
-                last = line
+                last = (lineno, line)
     if last is None:
         return None
-    return json.loads(last)["episode"]
+    lineno, line = last
+    try:
+        return json.loads(line)["episode"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"{path} line {lineno}: unreadable last record: {exc!r}") from None
 
 
 def append_trace_log(traces: Sequence[EpisodeTrace], path: str | Path) -> None:
     """Append one JSON record per episode; episode ids must stay increasing."""
     path = Path(path)
     previous = _last_episode_id(path)
+    for trace in traces:
+        if previous is not None and trace.episode_id <= previous:
+            raise StoreError(f"episode {trace.episode_id!r} does not follow {previous!r}")
+        previous = trace.episode_id
     with path.open("a", encoding="utf-8") as handle:
-        for trace in traces:
-            if previous is not None and trace.episode_id <= previous:
-                raise StoreError(
-                    f"episode {trace.episode_id!r} does not follow {previous!r}"
-                )
-            handle.write(
-                json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            previous = trace.episode_id
+        handle.write(encode_trace_log(traces))
 
 
 def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
-    """Read a trace log back; out-of-order episode ids are an integrity error."""
+    """Read a trace log back; a malformed record or an out-of-order episode
+    id is a StoreError naming the file and the 1-based line."""
     path = Path(path)
     if not path.exists():
         raise StoreError(f"trace log {path} does not exist")
+    decode = _trace_decoder()
     traces = []
     previous: str | None = None
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            trace = decode(json.loads(line))
+            in_order = previous is None or trace.episode_id > previous
         except json.JSONDecodeError as exc:
-            raise StoreError(f"trace log line {lineno} is not valid JSON: {exc}") from None
-        trace = trace_from_record(record)
-        if previous is not None and trace.episode_id <= previous:
+            raise StoreError(f"{path} line {lineno}: not valid JSON: {exc}") from None
+        except KeyError as exc:
             raise StoreError(
-                f"trace log line {lineno}: episode {trace.episode_id!r} "
+                f"{path} line {lineno}: trace record lacks {exc.args[0]!r}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"{path} line {lineno}: bad trace record: {exc}") from None
+        if not in_order:
+            raise StoreError(
+                f"{path} line {lineno}: episode {trace.episode_id!r} "
                 f"out of order after {previous!r}"
             )
         traces.append(trace)

@@ -1,0 +1,243 @@
+"""The trace-log codec against the record schema.
+
+`encode_trace_log` encodes repeated fragments once per call and
+`read_trace_log` shares one object per distinct decoded value.  Neither may
+move a byte: every line must be what `json.dumps(trace_to_record(trace))`
+gives, whatever the sharing, escapes or scalar types of the traces.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skillmas.cli import main
+from skillmas.model import CauseLabel, CauseObservation, EpisodeTrace, ExecutorSlice, TaskType
+from skillmas.store import (
+    StoreError,
+    append_trace_log,
+    encode_trace_log,
+    read_trace_log,
+    trace_to_record,
+)
+
+# ids that need JSON escapes or are not ASCII, next to plain ones
+ID_TEXT = st.one_of(
+    st.sampled_from(["a", "b", "sk-1", 'q"t', "back\\slash", "tab\tnl\n", "é", "日本", " "]),
+    st.text(min_size=1, max_size=6),
+)
+# scalars that compare equal but encode differently
+CONFIDENT = st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0])
+FAILED_PROGRESS = st.sampled_from([0.0, -0.0, 0, False, 0.5, 0.333333333333, 1.0, 1, True])
+SUCCESS = st.sampled_from([(1, 1.0), (1, 1), (True, 1.0), (1, True), (True, True)])
+FAILURE = st.sampled_from([0, False])
+# mostly two labels, so causes that differ only in `confident` meet often
+LABEL = st.sampled_from([CauseLabel.UNKNOWN, CauseLabel.SKILL_CONFLICT]) | st.sampled_from(
+    list(CauseLabel)
+)
+
+
+def record_line(trace: EpisodeTrace) -> str:
+    return json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def skill_ids(draw, string_ids: bool) -> list:
+    if string_ids or draw(st.booleans()):
+        return draw(st.lists(ID_TEXT, min_size=2, max_size=4, unique=True))
+    # frozenset({1}) == frozenset({True}), yet they encode as [1] and [true]
+    return draw(st.lists(st.sampled_from([0, 1, True, False, 1.0]), min_size=2, max_size=2, unique=True))
+
+
+def retyped(value):
+    """An equal value of another type where JSON tells them apart."""
+    if isinstance(value, bool) or isinstance(value, float):
+        return int(value)
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    return value
+
+
+@st.composite
+def slice_pool(draw, phase: str, string_ids: bool) -> list[ExecutorSlice]:
+    """A slice of one phase plus one variant per field that differs from it
+    in that field only, so a memo key that misses a field joins two of them,
+    and one that is equal to it but encodes differently (or identically, for
+    string ids) through the types of its skill ids."""
+    ids = draw(skill_ids(string_ids))
+    first = frozenset(ids[:1])
+    subsets = st.sampled_from([frozenset(), first])
+    base = ExecutorSlice(
+        draw(st.sampled_from(["w", 'q"x']) | ID_TEXT), phase, frozenset(ids[:-1]),
+        draw(subsets), draw(subsets),
+    )
+    return [
+        base,
+        dataclasses.replace(base, executor=base.executor + "2"),
+        dataclasses.replace(base, selected=frozenset(ids)),
+        dataclasses.replace(base, invoked=first - base.invoked),
+        dataclasses.replace(base, pattern_supported=first - base.pattern_supported),
+        ExecutorSlice(
+            base.executor, phase,
+            *(frozenset(map(retyped, values))
+              for values in (base.selected, base.invoked, base.pattern_supported)),
+        ),
+    ]
+
+
+@st.composite
+def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
+    """Traces drawn from a small pool of shared tasks and slices, some of
+    them replaced by equal but distinct copies; episode ids increase."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        phases = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
+        tasks.append(TaskType(draw(ID_TEXT), tuple(phases)))
+    pools = {
+        (task, phase): draw(slice_pool(phase, string_ids))
+        for task in tasks
+        for phase in task.phases
+    }
+    count = draw(st.integers(0, 25))
+    episode_ids = sorted(set(draw(st.lists(ID_TEXT, min_size=count, max_size=count))))
+    traces = []
+    for episode_id in episode_ids:
+        task = draw(st.sampled_from(tasks))
+        if draw(st.booleans()):
+            task = dataclasses.replace(task)  # equal, not shared
+        attempted = draw(st.integers(0, len(task.phases)))
+        slices = []
+        for phase in task.phases[:attempted]:
+            sl = draw(st.sampled_from(pools[(task, phase)]))
+            slices.append(dataclasses.replace(sl) if draw(st.booleans()) else sl)
+        if attempted == len(task.phases) and draw(st.booleans()):
+            outcome, progress = draw(SUCCESS)
+            cause = None
+        else:
+            outcome, progress = draw(FAILURE), draw(FAILED_PROGRESS)
+            cause = draw(st.none() | st.builds(CauseObservation, LABEL, CONFIDENT))
+        traces.append(EpisodeTrace(episode_id, task, tuple(slices), outcome, progress, cause))
+    return traces
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_batches(string_ids=False))
+def test_writer_lines_equal_the_record_schema(traces):
+    text = encode_trace_log(traces)
+    assert text.split("\n") == [record_line(t) for t in traces] + [""]
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_batches())
+def test_reader_round_trips_the_writer(traces):
+    text = encode_trace_log(traces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.jsonl"
+        append_trace_log(traces, path)
+        assert path.read_text(encoding="utf-8") == text
+        decoded = read_trace_log(path)
+    assert decoded == tuple(traces)
+    # equal is not enough: True and 1 must come back as they went out
+    assert encode_trace_log(decoded) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_batches())
+def test_equal_decoded_values_are_one_object(traces):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traces.jsonl"
+        append_trace_log(traces, path)
+        decoded = read_trace_log(path)
+    seen: dict[object, object] = {}
+    for trace in decoded:
+        for value in (trace.task_type, *trace.slices):
+            assert seen.setdefault(value, value) is value
+        obs = trace.latent_cause_observation
+        if obs is not None:
+            key = (obs.cause, type(obs.confident), repr(obs.confident))
+            assert seen.setdefault(key, obs) is obs
+
+
+# ---------------------------------------------------------------------------
+# malformed records: `skillmas report` names the file and the line
+
+
+@pytest.fixture
+def run_dir(tmp_path):
+    out = tmp_path / "run"
+    code = main(["run", "--scenario", "preset:tiny", "--seed", "42", "--rounds", "3",
+                 "--out", str(out), "--quiet"])
+    assert code == 0
+    return out
+
+
+def _drop_task(record):
+    del record["task"]
+
+
+def _slices_not_a_list(record):
+    record["slices"] = 5
+
+
+def _unknown_cause(record):
+    record["outcome"], record["progress"] = 0, 0.0
+    record["cause"] = {"label": "bogus", "confident": True}
+
+
+def _invoked_not_selected(record):
+    record["slices"][0]["invoked"] = ["not-selected"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_drop_task, "lacks 'task'"),  # KeyError
+        (_slices_not_a_list, "not iterable"),  # TypeError
+        (_unknown_cause, "bogus"),  # ValueError
+        (_invoked_not_selected, "invoked skills must be a subset of selected"),  # StateError
+        (None, "not valid JSON"),  # JSONDecodeError
+    ],
+    ids=["KeyError", "TypeError", "ValueError", "StateError", "JSONDecodeError"],
+)
+def test_report_names_file_and_line_of_a_bad_record(run_dir, capsys, corrupt, detail):
+    path = run_dir / "traces.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # the third line, and one whose first phase was routed
+    lineno = next(i for i, line in enumerate(lines, 1) if i >= 3 and json.loads(line)["slices"])
+    if corrupt is None:
+        lines[lineno - 1] = lines[lineno - 1][:-7]
+    else:
+        record = json.loads(lines[lineno - 1])
+        corrupt(record)
+        lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line {lineno}:" in err
+    assert detail in err
+
+
+def test_reader_rejects_ids_that_are_not_strings(tmp_path):
+    # frozenset({1}) == frozenset({True}): keys over such ids could share one
+    # slice between [1] and [true], so the reader takes strings only
+    task = TaskType("t", ("p",))
+    trace = EpisodeTrace("e1", task, (ExecutorSlice("w", "p", frozenset({"s"}), frozenset(), frozenset()),), 0, 0.0)
+    record = trace_to_record(trace)
+    record["slices"][0]["selected"] = [1]
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(StoreError, match=r"line 1: bad trace record: ids must be strings"):
+        read_trace_log(path)
+
+
+def test_append_names_the_line_of_an_unreadable_last_record(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    path.write_text('{"episode":"e1"}\n{"episode":\n\n', encoding="utf-8")
+    with pytest.raises(StoreError, match=r"traces.jsonl line 2: unreadable last record"):
+        append_trace_log([], path)
