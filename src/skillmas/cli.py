@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -233,6 +234,15 @@ def cmd_transplant(args: argparse.Namespace) -> int:
     return 0
 
 
+_ROUND_EPISODE = re.compile(r"r([0-9]+)e[0-9]+")
+
+
+def _round_of(episode_id: str) -> int | None:
+    """The round of a run's episode id `r<round>e<index>`, at any width."""
+    match = _ROUND_EPISODE.fullmatch(episode_id)
+    return int(match.group(1)) if match else None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     trajectory_path = run_dir / "trajectory.json"
@@ -242,10 +252,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     checkpoint_round = trajectory["checkpoint"]["round"]
 
     traces = read_trace_log(run_dir / "traces.jsonl")
-    seed_traces = [t for t in traces if t.episode_id.startswith("r0000")]
-    best_traces = [
-        t for t in traces if t.episode_id.startswith(f"r{checkpoint_round:04d}")
-    ]
+    seed_traces = [t for t in traces if _round_of(t.episode_id) == 0]
+    best_traces = [t for t in traces if _round_of(t.episode_id) == checkpoint_round]
 
     lines = [f"{'R':>2}  {'Success':<16} {'Skills':>6}  {'Executors':>9}  Event"]
     for row in trajectory["rounds"]:

@@ -700,16 +700,27 @@ def update_pool_counters(
     library: Mapping[str, Skill],
     traces: Sequence,
 ) -> dict[str, tuple[int, int]]:
-    """Advance usage/success counters for pooled skills that saw real use."""
+    """Advance usage/success counters for pooled skills that saw real use.
+
+    Which pooled skills a trace used depends only on its slices, so the
+    sorted set is derived once per tuple of slice identities.
+    """
     new_pool = dict(pool)
+    # slice ids -> (slices, pooled skills used); the value holds the slices,
+    # so no id in a key is reused while the call runs
+    pooled_by_shape: dict[tuple[int, ...], tuple] = {}
     for trace in traces:
-        used_all: set[str] = set()
-        for sl in trace.slices:
-            used_all.update(used_skills(sl))
-        for sid in sorted(used_all):
-            if sid in new_pool:
-                uses, successes = new_pool[sid]
-                new_pool[sid] = (uses + 1, successes + trace.outcome)
+        shape = tuple(map(id, trace.slices))
+        entry = pooled_by_shape.get(shape)
+        if entry is None:
+            used_all = {sid for sl in trace.slices for sid in used_skills(sl)}
+            entry = pooled_by_shape[shape] = (
+                trace.slices,
+                tuple(sid for sid in sorted(used_all) if sid in pool),
+            )
+        for sid in entry[1]:
+            uses, successes = new_pool[sid]
+            new_pool[sid] = (uses + 1, successes + trace.outcome)
     return new_pool
 
 

@@ -223,30 +223,51 @@ def collect_proposals(
 
     Failures go through diagnosis and policy-card retrieval first; successes
     go straight to motif extraction.  Every proposal reads one index built
-    from the round's frozen library.
+    from the round's frozen library.  Diagnosis, retrieval and proposal read
+    only a trace's task id, failure flag, cause observation and slices, so
+    they run once per distinct shape; a later trace of the same shape gets
+    the same proposal with its own `source_trace`.
     """
     if index is None:
         index = proposal_index(scenario, state.library, config)
+    # shape -> (slices, proposal or None); the value holds the slices, so no
+    # id in a key is reused while the call runs
+    by_shape: dict[tuple, tuple] = {}
     proposals: list[Proposal] = []
     for rt in retained:
-        if rt.trace.outcome == 0:
-            diagnosis = diagnose(rt)
-            cards = retrieve_policy_cards(
-                state.policy_index, rt.trace.task_type.id, diagnosis.cause
-            )
-        else:
-            diagnosis, cards = None, ()
-        proposal = propose(
-            rt,
-            diagnosis,
-            cards,
-            scenario,
-            state.library,
-            state.round_index,
-            config,
-            index=index,
+        trace = rt.trace
+        failed = trace.outcome == 0
+        obs = trace.latent_cause_observation
+        shape = (
+            trace.task_type.id,
+            failed,
+            (obs.cause, bool(obs.confident)) if obs is not None else None,
+            tuple(map(id, trace.slices)),
         )
+        entry = by_shape.get(shape)
+        if entry is None:
+            if failed:
+                diagnosis = diagnose(rt)
+                cards = retrieve_policy_cards(
+                    state.policy_index, trace.task_type.id, diagnosis.cause
+                )
+            else:
+                diagnosis, cards = None, ()
+            proposal = propose(
+                rt,
+                diagnosis,
+                cards,
+                scenario,
+                state.library,
+                state.round_index,
+                config,
+                index=index,
+            )
+            entry = by_shape[shape] = (trace.slices, proposal)
+        proposal = entry[1]
         if proposal is not None:
+            if proposal.source_trace != trace.episode_id:
+                proposal = dataclasses.replace(proposal, source_trace=trace.episode_id)
             proposals.append(proposal)
     return proposals
 

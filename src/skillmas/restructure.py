@@ -105,6 +105,7 @@ def build_artifacts(
     repair leaves unaddressed.
     """
     addressed = skill_delta.source_traces(("create", "refine"))
+    tokens_of: dict[str, frozenset[str]] = {}  # executor id -> owned-skill tokens
     failures: dict[str, list[RetainedTrace]] = {}
     for rt in retained:
         if rt.trace.outcome == 0:
@@ -136,11 +137,10 @@ def build_artifacts(
         ]
         gap = q12(max(confident) - min(confident)) if len(confident) >= 2 else 0.0
 
-        token_sets = {
-            eid: _executor_tokens(executors[eid], library)
-            for eid in implicated_ids
-            if eid in executors
-        }
+        for eid in implicated_ids:
+            if eid in executors and eid not in tokens_of:
+                tokens_of[eid] = _executor_tokens(executors[eid], library)
+        token_sets = {eid: tokens_of[eid] for eid in implicated_ids if eid in executors}
         overlap = 0.0
         for a, b in itertools.combinations(sorted(token_sets), 2):
             overlap = max(overlap, _token_overlap(token_sets[a], token_sets[b]))

@@ -66,8 +66,7 @@ def retain(
 
     exec_table = q_exec_prior if q_exec_prior is not None else q_exec_plus
 
-    retained: list[RetainedTrace] = []
-    for trace in traces:
+    def label(trace: EpisodeTrace) -> frozenset[RetentionCategory]:
         categories: set[RetentionCategory] = set()
         task_id = trace.task_type.id
 
@@ -94,7 +93,26 @@ def retain(
 
         if any(sl.selected - used_skills(sl) for sl in trace.slices):
             categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
+        return frozenset(categories)
 
-        if categories:
-            retained.append(RetainedTrace(trace, frozenset(categories)))
+    # The labels read only the task id, the failure flag, the observed
+    # cause, the near-miss flag and the slices; the failure counts and the
+    # tables stay fixed during the call.  Each value holds its trace's
+    # slices, so no id in a key is reused while the call runs.
+    labels: dict[tuple, tuple] = {}
+    retained: list[RetainedTrace] = []
+    for trace in traces:
+        failed = trace.outcome == 0
+        shape = (
+            trace.task_type.id,
+            failed,
+            _observed_cause(trace),
+            failed and trace.progress >= config.near_miss_progress,
+            tuple(map(id, trace.slices)),
+        )
+        entry = labels.get(shape)
+        if entry is None:
+            entry = labels[shape] = (trace.slices, label(trace))
+        if entry[1]:
+            retained.append(RetainedTrace(trace, entry[1]))
     return retained

@@ -29,6 +29,7 @@ from .model import (
     SkillStatus,
     TaskType,
     UtilityTable,
+    episode_order,
     validate_state,
 )
 from .numfmt import fmt
@@ -679,6 +680,39 @@ def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
     return decode
 
 
+class _LogOrder:
+    """The order check of one trace log's episode ids.
+
+    The ids increase throughout, in `episode_order` (the engine's ids past
+    any fixed width, 'e100000' after 'e99999') or as plain strings (how
+    hand-written ids sort); fixed-width ids satisfy both.  Plain-string
+    order is checked first.  Only once it breaks are `episode_order` keys
+    computed, for the ids admitted so far, which `earlier` yields then, and
+    for every later one; the check itself keeps no copy of the ids.
+    """
+
+    def __init__(self, earlier: Callable[[], Iterable[str]]) -> None:
+        self.earlier = earlier
+        self.previous: str | None = None  # while plain-string order holds
+        self.last_key: tuple | None = None  # once it broke
+
+    def admit(self, episode_id: str) -> bool:
+        """Whether the log stays in order with `episode_id` appended."""
+        if self.last_key is None:
+            if self.previous is None or episode_id > self.previous:
+                self.previous = episode_id
+                return True
+            keys = [episode_order(i) for i in self.earlier()]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                return False
+            self.last_key = keys[-1]
+        key = episode_order(episode_id)
+        if not key > self.last_key:
+            return False
+        self.last_key = key
+        return True
+
+
 def _last_episode_id(path: Path) -> str | None:
     if not path.exists() or path.stat().st_size == 0:
         return None
@@ -697,32 +731,41 @@ def _last_episode_id(path: Path) -> str | None:
 
 
 def append_trace_log(traces: Sequence[EpisodeTrace], path: str | Path) -> None:
-    """Append one JSON record per episode; episode ids must stay increasing."""
+    """Append one JSON record per episode; episode ids must keep increasing
+    (see `_LogOrder`)."""
     path = Path(path)
     previous = _last_episode_id(path)
+    admitted: list[str] = []
+    order = _LogOrder(lambda: admitted)
+    if previous is not None:
+        order.admit(previous)
+        admitted.append(previous)
     for trace in traces:
-        if previous is not None and trace.episode_id <= previous:
+        if not order.admit(trace.episode_id):
             raise StoreError(f"episode {trace.episode_id!r} does not follow {previous!r}")
+        admitted.append(trace.episode_id)
         previous = trace.episode_id
     with path.open("a", encoding="utf-8") as handle:
         handle.write(encode_trace_log(traces))
 
 
 def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
-    """Read a trace log back; a malformed record or an out-of-order episode
-    id is a StoreError naming the file and the 1-based line."""
+    """Read a trace log back; a malformed record or an episode id out of
+    order (see `_LogOrder`) is a StoreError naming the file and the 1-based
+    line."""
     path = Path(path)
     if not path.exists():
         raise StoreError(f"trace log {path} does not exist")
     decode = _trace_decoder()
-    traces = []
+    traces: list[EpisodeTrace] = []
+    order = _LogOrder(lambda: (t.episode_id for t in traces))
     previous: str | None = None
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             trace = decode(json.loads(line))
-            in_order = previous is None or trace.episode_id > previous
+            in_order = order.admit(trace.episode_id)
         except json.JSONDecodeError as exc:
             raise StoreError(f"{path} line {lineno}: not valid JSON: {exc}") from None
         except KeyError as exc:

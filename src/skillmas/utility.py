@@ -20,6 +20,7 @@ from .model import (
     SkillStatus,
     StateError,
     UtilityTable,
+    episode_sorted,
 )
 from .numfmt import q12
 
@@ -57,39 +58,60 @@ def learn(
 ) -> tuple[UtilityTable, UtilityTable]:
     """Fold a round's traces into fresh skill and executor utility tables.
 
-    Traces are processed in episode-id order.  Entries never touched stay
+    Traces are processed in `episode_order`.  Entries never touched stay
     bit-identical; touched entries move toward the episode outcome at the
     count-based rate, which makes each value the exact running mean of the
-    outcomes applied to it.
+    outcomes applied to it.  The membership checks and the ordered credit
+    keys depend only on a trace's task and slices, so they are derived once
+    per (task id, slice identities) and applied per trace in order.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
 
     s_entries = dict(q_skill.entries)
     a_entries = dict(q_exec.entries)
-    for trace in sorted(traces, key=lambda t: t.episode_id):
-        task_id = trace.task_type.id
+    # (task id, *slice ids) -> (slices, skill keys, executor keys); the value
+    # holds the slices, so no id in a key is reused while the call runs
+    credit: dict[tuple, tuple] = {}
+    for trace in episode_sorted(traces):
+        shape = (trace.task_type.id, *map(id, trace.slices))
+        keys = credit.get(shape)
+        if keys is None:
+            keys = credit[shape] = _credit_keys(trace, skill_ids, executor_ids)
         outcome = trace.outcome
-
-        used_by: dict[str, set[str]] = {}
-        for sl in trace.slices:
-            if executor_ids is not None and sl.executor not in executor_ids:
-                raise StateError(f"trace {trace.episode_id} routes unknown executor {sl.executor!r}")
-            if skill_ids is not None and not sl.selected <= skill_ids:
-                unknown = sorted(sl.selected - skill_ids)
-                raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
-            used_by.setdefault(sl.executor, set()).update(used_skills(sl))
-
-        for executor_id in trace.executors():
-            for skill_id in sorted(used_by[executor_id]):
-                key = (skill_id, task_id)
-                s_entries[key] = mc_update(s_entries.get(key), outcome)
-
-        for executor_id in trace.executors():
-            key = (executor_id, task_id)
+        for key in keys[1]:
+            s_entries[key] = mc_update(s_entries.get(key), outcome)
+        for key in keys[2]:
             a_entries[key] = mc_update(a_entries.get(key), outcome)
 
     return UtilityTable(s_entries), UtilityTable(a_entries)
+
+
+def _credit_keys(
+    trace: EpisodeTrace,
+    skill_ids: frozenset[str] | None,
+    executor_ids: frozenset[str] | None,
+) -> tuple:
+    """The trace's slices with its skill and executor credit keys, in update
+    order: executors by first appearance, each one's used skills by id."""
+    task_id = trace.task_type.id
+    used_by: dict[str, frozenset[str]] = {}
+    for sl in trace.slices:
+        if executor_ids is not None and sl.executor not in executor_ids:
+            raise StateError(f"trace {trace.episode_id} routes unknown executor {sl.executor!r}")
+        if skill_ids is not None and not sl.selected <= skill_ids:
+            unknown = sorted(sl.selected - skill_ids)
+            raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
+        used = used_by.get(sl.executor)
+        used_by[sl.executor] = used_skills(sl) if used is None else used | used_skills(sl)
+    skill_keys = []
+    for used in used_by.values():
+        for skill_id in sorted(used):
+            skill_keys.append((skill_id, task_id))
+    executor_keys = []
+    for executor_id in used_by:
+        executor_keys.append((executor_id, task_id))
+    return trace.slices, skill_keys, executor_keys
 
 
 def select_skills(

@@ -32,7 +32,8 @@ from .model import (
     TaskType,
 )
 from .numfmt import q12
-from .streams import substream
+from .streams import seed_deriver
+from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .utility import Route, RoutingError, executor_route, select_skills
 from .utility import select_executor  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -438,14 +439,18 @@ def exec_round(
 
     Execution is read-only over the state.  Episode i draws from its own
     stream derived from (seed, i), so the batch is reproducible and safe to
-    parallelize; results merge in episode-id order either way.
+    parallelize; results merge in episode-id order either way.  One
+    generator serves the batch: reseeding it puts it in the state of
+    `substream(seed, "episode", i)`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     table = ExecutionTable(state, scenario, config)
+    episode_seed = seed_deriver(seed, "episode")
+    rng = random.Random()
     traces = []
     for i in range(n_episodes):
-        rng = substream(seed, "episode", i)
+        rng.seed(episode_seed(i))
         traces.append(
             sample_episode(
                 scenario,

@@ -1,0 +1,94 @@
+"""Golden artifact hashes at benchmark scale.
+
+`tests/test_golden.py` pins small runs; these pin the traffic the benchmark
+measures: the 96-family wide world at 400 episodes x 10 rounds and a
+`skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds.
+Every value was recorded from the engine before the per-shape memoization
+of the round stages.  A pure optimisation must leave them unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from skillmas import parse_scenario, run_experiment
+from skillmas.cli import main
+
+# the benchmark's wide world (perfbench/scenarios.py), N = 96, 400 episodes
+# x 10 rounds, by engine seed
+WIDE96_SHA256 = {
+    7000: "e4ae11952d0f969e993aa0cde91d8f69a47a267a12f42620bffe18779157bc15",
+    7003: "7da82f4d42d134267ef37ed91414c5471f03fc2a93bda2a17f5df294b8a714f9",
+}
+
+# `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
+RUN_DIR_SHA256 = "bb9277a3d3e0df5f6f444290233c4f22757ac343a50f0aa44530b237b97b308b"
+
+WIDE_CAUSES = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dir_digest(path) -> str:
+    """SHA-256 over every file of a directory tree, by relative path."""
+    digest = hashlib.sha256()
+    for file in sorted(p for p in path.rglob("*") if p.is_file()):
+        digest.update(file.relative_to(path).as_posix().encode("utf-8") + b"\0")
+        digest.update(file.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def wide_scenario(n_families: int, episodes_per_round: int) -> str:
+    """The benchmark's wide world, line for line: N single-phase families
+    `t{i}/handle` with one latent each, one worker covering all of them."""
+    families = [f"t{i}" for i in range(n_families)]
+    lines = [
+        f"# Wide world: {n_families} single-phase families, one latent each.",
+        "[tasks]",
+        *(f"{t} = handle | 1.0" for t in families),
+        "",
+        "[difficulty]",
+        *(f"{t}/handle = -1.1" for t in families),
+        "",
+        "[latent]",
+        *(
+            f"ls-{t} = {t}/handle 2.4 {WIDE_CAUSES[i % len(WIDE_CAUSES)]}"
+            for i, t in enumerate(families)
+        ),
+        "",
+        "[penalties]",
+        "interference     = 0.25",
+        "overload         = 0.6",
+        "routing-noise    = 0.1",
+        "cause-confidence = 0.9",
+        "",
+        "[seed-state]",
+        "executor manager  = * capacity=1 manager",
+        "executor worker-a = " + ",".join(f"{t}/handle" for t in families) + " capacity=3",
+        "",
+        "[thresholds]",
+        f"episodes-per-round = {episodes_per_round}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE96_SHA256))
+def test_wide96_report_hash(seed):
+    pack = parse_scenario(wide_scenario(96, 400), name="wide96")
+    result = run_experiment(pack.scenario, pack.seed_state, seed, 10, pack.config)
+    assert sha256_text(result.report.to_json()) == WIDE96_SHA256[seed]
+
+
+def test_mismatch2k_run_directory_digest(tmp_path):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed=7001", "--rounds", "8",
+         "--episodes", "2000", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    assert dir_digest(out) == RUN_DIR_SHA256
