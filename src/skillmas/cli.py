@@ -15,12 +15,11 @@ import re
 import sys
 from pathlib import Path
 
-from .config import EngineConfig, config_from_mapping
+from .config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
 from .orchestrator import (
     ExperimentResult,
     canonical_json,
-    evaluate_state,
     evaluate_transplants,
     render_breakdown,
     render_comparison,
@@ -36,12 +35,13 @@ from .store import (
     deserialize_state,
     encode_trace_log,
     load_scenario,
+    parse_scenario,
     read_trace_log,
     serialize_state,
     trace_to_record,  # noqa: F401  perfbench/tracing.py wraps it under this name
 )
 from .streams import derive_seed
-from .world import Scenario
+from .world import Scenario, exec_round
 
 
 class UsageError(Exception):
@@ -97,9 +97,10 @@ def run_artifacts(
 ) -> tuple[dict[str, str], ExperimentResult]:
     """Produce every run artifact as path -> text; shared by run and replay."""
     result = run_experiment(pack.scenario, pack.seed_state, seed, rounds, config)
+    trajectory = result.report.to_dict()
     artifacts: dict[str, str] = {}
-    artifacts["trajectory.json"] = result.report.to_json()
-    artifacts["trajectory.txt"] = render_trajectory(result.report)
+    artifacts["trajectory.json"] = canonical_json(trajectory)
+    artifacts["trajectory.txt"] = render_trajectory(trajectory)
     artifacts["checkpoint.json"] = canonical_json(
         {
             "round": result.report.checkpoint_round,
@@ -141,16 +142,49 @@ def _write_run_dir(
     return result
 
 
+def _read_json_object(path: Path, required: tuple[str, ...]) -> dict:
+    """A JSON object from a run directory, holding at least `required`."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise UsageError(f"{path}: file does not exist") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise UsageError(f"{path}: expected a JSON object")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise UsageError(f"{path}: missing key {missing[0]!r}")
+    return payload
+
+
 def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     manifest_path = run_dir / "run.json"
     if not manifest_path.exists():
         raise UsageError(f"{run_dir} is not a run directory (missing run.json)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    scenario_text = (run_dir / manifest["scenario"]).read_text(encoding="utf-8")
-    from .store import parse_scenario
-
-    pack = parse_scenario(scenario_text, name=manifest.get("scenario_name", "scenario"))
-    config = config_from_mapping(manifest["config"])
+    manifest = _read_json_object(
+        manifest_path, ("scenario", "seed", "rounds", "config")
+    )
+    scenario_path = run_dir / manifest["scenario"]
+    try:
+        scenario_text = scenario_path.read_text(encoding="utf-8")
+        pack = parse_scenario(
+            scenario_text, name=manifest.get("scenario_name", "scenario")
+        )
+    except (OSError, ScenarioError) as exc:
+        raise UsageError(f"{scenario_path}: {exc}") from None
+    if not isinstance(manifest["config"], dict):
+        raise UsageError(f"{manifest_path}: config is not a JSON object")
+    # manifests written before a threshold was retired still carry it
+    stored = {
+        key: value
+        for key, value in manifest["config"].items()
+        if key.replace("-", "_") not in RETIRED_THRESHOLDS
+    }
+    try:
+        config = config_from_mapping(stored)
+    except ValueError as exc:
+        raise UsageError(f"{manifest_path}: {exc}") from None
     return pack, manifest["seed"], manifest["rounds"], config
 
 
@@ -178,7 +212,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else _default_out(pack.scenario.name, args.seed)
     result = _write_run_dir(out, pack, args.seed, args.rounds, config)
     if not args.quiet:
-        print(render_trajectory(result.report), end="")
+        print(render_trajectory(result.report.to_dict()), end="")
         print(f"run directory: {out}")
     return 0
 
@@ -189,8 +223,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pack = _load_pack(args.scenario)
     config = _load_config(pack, args)
     state = _load_snapshot(Path(args.state), pack.scenario)
-    traces = evaluate_state(
-        state, pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
+    traces = exec_round(
+        state,
+        pack.scenario,
+        args.episodes,
+        derive_seed(args.seed, "eval"),
+        config,
+        id_prefix="v",
     )
     rows = task_family_breakdown(traces)
     successes = sum(t.outcome for t in traces)
@@ -220,7 +259,7 @@ def cmd_transplant(args: argparse.Namespace) -> int:
         raise UsageError("--episodes must be at least 1")
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
-    checkpoint = json.loads((run_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    checkpoint = _read_json_object(run_dir / "checkpoint.json", ("snapshot",))
     final_state = _load_snapshot(run_dir / checkpoint["snapshot"], pack.scenario)
     seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
     table = evaluate_transplants(
@@ -245,28 +284,16 @@ def _round_of(episode_id: str) -> int | None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
-    trajectory_path = run_dir / "trajectory.json"
-    if not trajectory_path.exists():
-        raise UsageError(f"{run_dir} has no trajectory.json")
-    trajectory = json.loads(trajectory_path.read_text(encoding="utf-8"))
+    trajectory = _read_json_object(
+        run_dir / "trajectory.json", ("scenario", "seed", "rounds", "checkpoint")
+    )
     checkpoint_round = trajectory["checkpoint"]["round"]
 
     traces = read_trace_log(run_dir / "traces.jsonl")
     seed_traces = [t for t in traces if _round_of(t.episode_id) == 0]
     best_traces = [t for t in traces if _round_of(t.episode_id) == checkpoint_round]
 
-    lines = [f"{'R':>2}  {'Success':<16} {'Skills':>6}  {'Executors':>9}  Event"]
-    for row in trajectory["rounds"]:
-        event = row["restructure"].get("action", "keep")
-        marker = " *" if row["round"] == checkpoint_round else ""
-        success = f"{row['successes']}/{row['episodes']}"
-        rate = 100.0 * row["successes"] / row["episodes"] if row["episodes"] else 0.0
-        lines.append(
-            f"{row['round']:>2}  {success + f' ({rate:.1f}%)':<16} "
-            f"{row['active_skills']:>6}  {row['active_executors']:>9}  {event}{marker}"
-        )
-    print("\n".join(lines))
-    print()
+    print(render_trajectory(trajectory))
     if best_traces:
         rows = task_family_breakdown(best_traces, baseline=seed_traces)
         print(render_breakdown(rows), end="")
@@ -352,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ScenarioError, StoreError, StateError) as exc:
+    except (UsageError, ScenarioError, StoreError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,6 @@ class EngineConfig:
 
     # Restructuring
     mass_threshold: int = 3
-    gap_threshold: float = 0.2
     overlap_threshold: float = 0.5
     min_count: int = 5
     merge_gap: float = 0.1
@@ -52,6 +51,11 @@ class EngineConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(EngineConfig)}
+
+# Thresholds earlier releases carried but no rule reads any more.  Run
+# manifests written by those releases still hold them (see cli._load_run_dir);
+# new configuration naming one is rejected.
+RETIRED_THRESHOLDS = frozenset({"gap_threshold"})
 
 
 def _coerce(name: str, raw: Any) -> Any:
@@ -80,6 +84,8 @@ def config_from_mapping(
     overrides: dict[str, Any] = {}
     for key, raw in values.items():
         name = key.replace("-", "_")
+        if name in RETIRED_THRESHOLDS:
+            raise ValueError(f"threshold {key!r} is retired: no rule reads it")
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown threshold {key!r}")
         overrides[name] = _coerce(name, raw)

@@ -109,14 +109,6 @@ class SkillAction:
 class SkillDelta:
     actions: tuple[SkillAction, ...] = ()
 
-    def edited_skill_ids(self) -> frozenset[str]:
-        """Skills created or rewritten this round (the penalty rule's targets)."""
-        ids: set[str] = set()
-        for action in self.actions:
-            if action.action in ("create", "refine", "hold-in-pool"):
-                ids.update(action.skills)
-        return frozenset(ids)
-
     def source_traces(self, actions: tuple[str, ...] = ("create", "refine")) -> frozenset[str]:
         return frozenset(
             a.source_trace

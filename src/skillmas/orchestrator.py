@@ -12,7 +12,7 @@ import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .config import EngineConfig
 from .evolution import (
@@ -307,11 +307,9 @@ def run_round(
 
     retained = retain(
         traces,
-        q_skill_plus,
-        q_exec_plus,
+        state.q_exec,
         config,
         state.library,
-        q_exec_prior=state.q_exec,
         prior_failure_counts=prior_failure_counts,
     )
 
@@ -332,9 +330,7 @@ def run_round(
         state.library, state.executors, pool_counted, delta
     )
 
-    artifacts = build_artifacts(
-        retained, state.library, state.executors, q_exec_plus, delta, config
-    )
+    artifacts = build_artifacts(retained, q_exec_plus, delta)
     decision = decide_restructure(
         artifacts,
         state.executors,
@@ -508,19 +504,6 @@ def transplant_variants(
     }
 
 
-def evaluate_state(
-    state: RoundState,
-    scenario: Scenario,
-    episodes: int,
-    seed: int,
-    config: EngineConfig,
-    *,
-    id_prefix: str = "v",
-) -> tuple[EpisodeTrace, ...]:
-    """Frozen evaluation: fresh episodes, no adaptation, state untouched."""
-    return exec_round(state, scenario, episodes, seed, config, id_prefix=id_prefix)
-
-
 def transplant_stress_test(
     scenario: Scenario,
     seed_state: RoundState,
@@ -553,8 +536,8 @@ def evaluate_transplants(
     eval_seed = derive_seed(seed, "transplant-eval")
     rows = []
     for label in TRANSPLANT_ROWS:
-        traces = evaluate_state(
-            variants[label], scenario, eval_episodes, eval_seed, config
+        traces = exec_round(
+            variants[label], scenario, eval_episodes, eval_seed, config, id_prefix="v"
         )
         rows.append(
             ComparisonRow(label, sum(t.outcome for t in traces), eval_episodes)
@@ -611,21 +594,24 @@ def _ratio(successes: int, attempts: int) -> str:
     return f"{successes}/{attempts} ({pct:.1f}%)"
 
 
-def render_trajectory(report: TrajectoryReport) -> str:
+def render_trajectory(report: Mapping[str, Any]) -> str:
+    """The trajectory table of a canonical report dict: `TrajectoryReport.to_dict()`
+    or a parsed `trajectory.json`."""
+    checkpoint_round = report["checkpoint"]["round"]
     lines = [
-        f"Scenario {report.scenario}, seed {report.seed}",
+        f"Scenario {report['scenario']}, seed {report['seed']}",
         f"{'R':>2}  {'Success':<16} {'Skills':>6}  {'Executors':>9}  Event",
     ]
-    for r in report.rounds:
-        event = r.restructure.get("action", "keep")
+    for r in report["rounds"]:
+        event = r["restructure"].get("action", "keep")
         if event == "add":
-            event = f"+ executor {', '.join(r.restructure.get('subjects', []))}"
-        marker = " *" if r.round_index == report.checkpoint_round else ""
+            event = f"+ executor {', '.join(r['restructure'].get('subjects', []))}"
+        marker = " *" if r["round"] == checkpoint_round else ""
         lines.append(
-            f"{r.round_index:>2}  {_ratio(r.successes, r.episodes):<16} "
-            f"{r.active_skills:>6}  {r.active_executors:>9}  {event}{marker}"
+            f"{r['round']:>2}  {_ratio(r['successes'], r['episodes']):<16} "
+            f"{r['active_skills']:>6}  {r['active_executors']:>9}  {event}{marker}"
         )
-    lines.append(f"Checkpoint: round {report.checkpoint_round}")
+    lines.append(f"Checkpoint: round {checkpoint_round}")
     return "\n".join(lines) + "\n"
 
 

@@ -42,9 +42,6 @@ class DiagnosticArtifact:
     task_type: str
     failure_mass: int
     implicated_executors: tuple[ExecutorEvidence, ...]
-    utility_gap: float
-    overlap: float
-    pending_actions: tuple[str, ...]
     failing_pairs: tuple[Pair, ...]
     handoff_present: bool
 
@@ -92,11 +89,8 @@ def _failing_pair(trace) -> Pair | None:
 
 def build_artifacts(
     retained: Sequence[RetainedTrace],
-    library: Mapping[str, Skill],
-    executors: Mapping[str, Executor],
     q_exec_plus: UtilityTable,
     skill_delta: SkillDelta,
-    config: EngineConfig,
 ) -> list[DiagnosticArtifact]:
     """One artifact per task family holding retained failures.
 
@@ -105,7 +99,6 @@ def build_artifacts(
     repair leaves unaddressed.
     """
     addressed = skill_delta.source_traces(("create", "refine"))
-    tokens_of: dict[str, frozenset[str]] = {}  # executor id -> owned-skill tokens
     failures: dict[str, list[RetainedTrace]] = {}
     for rt in retained:
         if rt.trace.outcome == 0:
@@ -132,24 +125,6 @@ def build_artifacts(
             for eid in implicated_ids
         )
 
-        confident = [
-            e.value for e in implicated if e.count >= config.min_count
-        ]
-        gap = q12(max(confident) - min(confident)) if len(confident) >= 2 else 0.0
-
-        for eid in implicated_ids:
-            if eid in executors and eid not in tokens_of:
-                tokens_of[eid] = _executor_tokens(executors[eid], library)
-        token_sets = {eid: tokens_of[eid] for eid in implicated_ids if eid in executors}
-        overlap = 0.0
-        for a, b in itertools.combinations(sorted(token_sets), 2):
-            overlap = max(overlap, _token_overlap(token_sets[a], token_sets[b]))
-
-        pending = tuple(
-            f"{a.action}:{','.join(a.skills)}"
-            for a in skill_delta.actions
-            if a.task_type == task_id
-        )
         failing_pairs = tuple(
             sorted({p for rt in family if (p := _failing_pair(rt.trace)) is not None})
         )
@@ -161,9 +136,6 @@ def build_artifacts(
                 task_type=task_id,
                 failure_mass=mass,
                 implicated_executors=implicated,
-                utility_gap=gap,
-                overlap=q12(overlap),
-                pending_actions=pending,
                 failing_pairs=failing_pairs,
                 handoff_present=handoff,
             )

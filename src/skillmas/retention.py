@@ -37,12 +37,10 @@ def _observed_cause(trace: EpisodeTrace) -> CauseLabel:
 
 def retain(
     traces: Sequence[EpisodeTrace],
-    q_skill_plus: UtilityTable,
-    q_exec_plus: UtilityTable,
+    q_exec_prior: UtilityTable,
     config: EngineConfig,
     library: Mapping[str, Skill],
     *,
-    q_exec_prior: UtilityTable | None = None,
     prior_failure_counts: Mapping[tuple[str, CauseLabel], int] | None = None,
 ) -> list[RetainedTrace]:
     """Label and keep the traces worth adapting on.
@@ -53,8 +51,8 @@ def retain(
     (c) reusable successes, either exercising a pooled skill or succeeding
     where the routed executor's pre-round estimate was still weak;
     (d) retrieval/execution mismatches, any slice that selected more than it
-    used.  `q_exec_prior` should be the pre-learning executor table; without
-    it rule (c) falls back to the post-learning one.
+    used.  `q_exec_prior` is the pre-round executor table, so rule (c) reads
+    the estimate the router acted on.
     """
     failure_keys: Counter[tuple[str, CauseLabel]] = Counter()
     for trace in traces:
@@ -63,8 +61,6 @@ def retain(
     if prior_failure_counts:
         for key, count in prior_failure_counts.items():
             failure_keys[key] += count
-
-    exec_table = q_exec_prior if q_exec_prior is not None else q_exec_plus
 
     def label(trace: EpisodeTrace) -> frozenset[RetentionCategory]:
         categories: set[RetentionCategory] = set()
@@ -84,8 +80,8 @@ def retain(
                 if sid in library
             )
             weak_executor = any(
-                exec_table.count(eid, task_id) >= 1
-                and exec_table.value(eid, task_id) < config.low_estimate
+                q_exec_prior.count(eid, task_id) >= 1
+                and q_exec_prior.value(eid, task_id) < config.low_estimate
                 for eid in trace.executors()
             )
             if pooled_used or weak_executor:

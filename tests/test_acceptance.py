@@ -24,7 +24,6 @@ from skillmas.model import (
 )
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
-    evaluate_state,
     run_experiment,
     run_round,
     transplant_stress_test,
@@ -301,8 +300,9 @@ def test_empirical_rate_calibration():
     start = time.monotonic()
     pack = load_preset("calibration")
     n = 1000
-    traces = evaluate_state(
-        pack.seed_state, pack.scenario, n, derive_seed(7, "calibration"), pack.config
+    traces = exec_round(
+        pack.seed_state, pack.scenario, n, derive_seed(7, "calibration"), pack.config,
+        id_prefix="v",
     )
     successes = sum(t.outcome for t in traces)
     expected = 0.8 ** 2

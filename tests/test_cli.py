@@ -167,3 +167,79 @@ class TestEvalTransplantReport:
 
     def test_report_without_run_dir_is_usage_error(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2
+
+    def test_report_begins_with_the_trajectory_table(self, tmp_path, capsys):
+        # rounds 2 and 3 of this run add executors, which both renderings
+        # must label the same way
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", "preset:mismatch", "--seed", "7",
+                     "--rounds", "4", "--episodes", "200", "--out", str(out),
+                     "--quiet"]) == 0
+        table = (out / "trajectory.txt").read_text(encoding="utf-8")
+        assert "+ executor" in table
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(table)
+
+
+def _rewrite_json(path, edit):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+
+
+class TestRunDirValidation:
+    """Malformed run-directory files are usage errors that name the file."""
+
+    def assert_usage_error(self, argv, path, capsys, *fragments):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_unknown_config_key_in_manifest(self, run_dir, capsys):
+        manifest = run_dir / "run.json"
+        _rewrite_json(manifest, lambda m: {**m, "config": {**m["config"], "wibble": 1}})
+        self.assert_usage_error(["replay", "--run", str(run_dir)], manifest, capsys,
+                                "wibble")
+
+    def test_empty_manifest(self, run_dir, capsys):
+        manifest = run_dir / "run.json"
+        manifest.write_text("{}", encoding="utf-8")
+        self.assert_usage_error(["transplant", "--run", str(run_dir)], manifest,
+                                capsys, "'scenario'")
+
+    def test_empty_checkpoint(self, run_dir, capsys):
+        checkpoint = run_dir / "checkpoint.json"
+        checkpoint.write_text("{}", encoding="utf-8")
+        self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
+                                capsys, "'snapshot'")
+
+    def test_truncated_trajectory(self, run_dir, capsys):
+        trajectory = run_dir / "trajectory.json"
+        text = trajectory.read_text(encoding="utf-8")
+        trajectory.write_text(text[: len(text) // 2], encoding="utf-8")
+        self.assert_usage_error(["report", "--run", str(run_dir)], trajectory,
+                                capsys, "invalid JSON")
+
+
+class TestRetiredThreshold:
+    def test_manifest_from_an_earlier_release_still_works(self, run_dir, capsys):
+        # earlier releases wrote every threshold, the retired one included
+        _rewrite_json(
+            run_dir / "run.json",
+            lambda m: {**m, "config": {**m["config"], "gap_threshold": 0.2}},
+        )
+        assert main(["replay", "--run", str(run_dir)]) == 0
+        assert "replay clean" in capsys.readouterr().out
+        assert main(["report", "--run", str(run_dir)]) == 0
+        assert main(["transplant", "--run", str(run_dir), "--episodes", "12"]) == 0
+
+    def test_config_override_naming_it_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gap_threshold": 0.2}), encoding="utf-8")
+        code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "x"), "--config", str(cfg), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'gap_threshold'" in err and "retired" in err

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from skillmas.config import EngineConfig, config_from_mapping
+import skillmas
+from skillmas.config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
 
 
 def test_defaults_match_documented_thresholds():
@@ -16,7 +21,7 @@ def test_defaults_match_documented_thresholds():
     assert (config.promote_min_uses, config.promote_min_ratio) == (3, 0.6)
     assert (config.pool_prune_min_uses, config.pool_prune_max_ratio) == (5, 0.3)
     assert (config.prune_min_count, config.prune_max_utility) == (5, 0.3)
-    assert (config.mass_threshold, config.gap_threshold) == (3, 0.2)
+    assert config.mass_threshold == 3
     assert (config.overlap_threshold, config.min_count) == (0.5, 5)
 
 
@@ -36,6 +41,30 @@ def test_bool_coercion_from_text():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown threshold"):
         config_from_mapping({"wibble": 1})
+
+
+@pytest.mark.parametrize("key", ["gap_threshold", "gap-threshold"])
+def test_retired_key_rejected(key):
+    with pytest.raises(ValueError, match="retired"):
+        config_from_mapping({key: 0.2})
+
+
+def test_retired_keys_are_not_fields():
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert RETIRED_THRESHOLDS and not RETIRED_THRESHOLDS & fields
+
+
+def test_every_threshold_is_read_by_the_engine():
+    # a knob no rule reads is configuration that silently does nothing
+    read: set[str] = set()
+    for path in Path(skillmas.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    fields = [f.name for f in dataclasses.fields(EngineConfig)]
+    assert [name for name in fields if name not in read] == []
 
 
 def test_overrides_layer_over_base():

@@ -149,6 +149,8 @@ def test_report_picks_the_checkpoint_round_not_its_prefix(tmp_path, capsys):
     run.mkdir()
     checkpoint = 1000
     trajectory = {
+        "scenario": "episode-order",
+        "seed": 0,
         "rounds": [row(0, 0, 2), row(checkpoint, 2, 2)],
         "checkpoint": {"round": checkpoint, "successes": 2},
     }

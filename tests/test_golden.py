@@ -43,7 +43,7 @@ REPORT_SHA256 = {
 WIDE_SHA256 = "d50f566c37c38d780cd0633ec5453c90fda8e568a6e00ff7e3565411f91e1531"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "def5c1889c818ff49ccba22b149ccb8dd0abae674433ccb546fa9fada6101b0d"
+RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
 
 
 def sha256_text(text: str) -> str:

@@ -24,7 +24,7 @@ WIDE96_SHA256 = {
 }
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "bb9277a3d3e0df5f6f444290233c4f22757ac343a50f0aa44530b237b97b308b"
+RUN_DIR_SHA256 = "f2f12bb2048f386d04325be86f1ce82ebe79bc7cd0a103a4cea02e5d64bd0b88"
 
 WIDE_CAUSES = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
 

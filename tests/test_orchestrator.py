@@ -16,12 +16,11 @@ from skillmas.orchestrator import (
     task_family_breakdown,
     transplant_stress_test,
     transplant_variants,
-    evaluate_state,
 )
 from skillmas.presets import load_preset
 from skillmas.store import serialize_state
 from skillmas.streams import derive_seed
-from skillmas.world import Scenario
+from skillmas.world import Scenario, exec_round
 
 from conftest import make_state
 
@@ -130,8 +129,9 @@ class TestRunExperiment:
         checkpoint = result.report.rounds[result.report.checkpoint_round]
         recorded_rate = checkpoint.successes / checkpoint.episodes
         n = 400
-        traces = evaluate_state(
-            result.checkpoint_state, pack.scenario, n, derive_seed(99, "fresh"), config
+        traces = exec_round(
+            result.checkpoint_state, pack.scenario, n, derive_seed(99, "fresh"), config,
+            id_prefix="v",
         )
         fresh = sum(t.outcome for t in traces)
         sigma = math.sqrt(n * recorded_rate * (1 - recorded_rate)) + math.sqrt(
@@ -144,8 +144,6 @@ class TestProposalBound:
     def test_at_most_one_proposal_per_retained_trace(self):
         from skillmas.orchestrator import collect_proposals
         from skillmas.retention import retain
-        from skillmas.utility import learn
-        from skillmas.world import exec_round
 
         pack = load_preset("mismatch")
         state = pack.seed_state
@@ -154,9 +152,7 @@ class TestProposalBound:
                 state, pack.scenario, 40, derive_seed(5, "round", round_index),
                 pack.config, id_prefix=f"r{round_index:04d}",
             )
-            q_s, q_e = learn(state.q_skill, state.q_exec, traces)
-            retained = retain(traces, q_s, q_e, pack.config, state.library,
-                              q_exec_prior=state.q_exec)
+            retained = retain(traces, state.q_exec, pack.config, state.library)
             proposals = collect_proposals(retained, state, pack.scenario, pack.config)
             assert len(proposals) <= len(retained)
             sources = [p.source_trace for p in proposals]
@@ -260,7 +256,7 @@ class TestBreakdown:
     def test_all_success_single_family(self):
         scenario = quiet_scenario()
         state = make_state([])
-        traces = evaluate_state(state, scenario, 10, 3, EngineConfig())
+        traces = exec_round(state, scenario, 10, 3, EngineConfig(), id_prefix="v")
         rows = task_family_breakdown(traces)
         assert len(rows) == 1
         assert rows[0].successes == rows[0].attempts == 10
@@ -268,7 +264,7 @@ class TestBreakdown:
     def test_gain_column_from_two_runs(self):
         scenario = quiet_scenario()
         state = make_state([])
-        best = evaluate_state(state, scenario, 18, 3, EngineConfig())
+        best = exec_round(state, scenario, 18, 3, EngineConfig(), id_prefix="v")
         seed_run = [t for t in best[:18]]
         # shape check on the rendered row format
         rows = task_family_breakdown(best, baseline=seed_run)
@@ -295,9 +291,7 @@ class TestBreakdown:
 
     def test_empty_family_omitted(self):
         pack = load_preset("mismatch")
-        traces = evaluate_state(
-            pack.seed_state, pack.scenario, 5, 1, pack.config
-        )
+        traces = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config, id_prefix="v")
         rows = task_family_breakdown(traces)
         seen = {t.task_type.id for t in traces}
         assert {r.task_type for r in rows} == seen
@@ -307,7 +301,7 @@ class TestRendering:
     def test_trajectory_table_renders(self):
         pack = load_preset("tiny")
         result = run_experiment(pack.scenario, pack.seed_state, 42, 3, pack.config)
-        text = render_trajectory(result.report)
+        text = render_trajectory(result.report.to_dict())
         assert "Skills" in text and "Executors" in text
         assert text.count("\n") >= 4
 

@@ -45,53 +45,29 @@ def retained_failure(episode_id, cause=CauseLabel.MISSING_PRECONDITION,
 
 class TestBuildArtifacts:
     def test_no_failures_no_artifacts(self):
-        state = make_state([])
-        out = build_artifacts([], state.library, state.executors, UtilityTable(),
-                              SkillDelta(), CONFIG)
+        out = build_artifacts([], UtilityTable(), SkillDelta())
         assert out == []
 
     def test_pending_repair_reduces_mass(self):
-        state = make_state([])
         failures = [retained_failure(f"e{i}") for i in range(4)]
         delta = SkillDelta(
             (SkillAction(cluster="c", action="refine", skills=("sk",),
                          source_trace="e0", task_type="t1"),)
         )
-        out = build_artifacts(failures, state.library, state.executors,
-                              UtilityTable(), delta, CONFIG)
+        out = build_artifacts(failures, UtilityTable(), delta)
         assert len(out) == 1
         assert out[0].failure_mass == 3
 
-    def test_utility_gap_needs_confident_entries(self):
-        state = make_state([])
-        failures = [
-            retained_failure("e0", executor="worker"),
-            retained_failure("e1", executor="manager"),
-        ]
-        q = UtilityTable({("worker", "t1"): (0.8, 10), ("manager", "t1"): (0.55, 7)})
-        out = build_artifacts(failures, state.library, state.executors, q,
-                              SkillDelta(), CONFIG)
-        assert out[0].utility_gap == pytest.approx(0.25)
-
-        thin = UtilityTable({("worker", "t1"): (0.8, 10), ("manager", "t1"): (0.55, 2)})
-        out = build_artifacts(failures, state.library, state.executors, thin,
-                              SkillDelta(), CONFIG)
-        assert out[0].utility_gap == 0.0
-
     def test_handoff_flag_from_diagnoses(self):
-        state = make_state([])
         failures = [retained_failure("e0", cause=CauseLabel.BAD_EXECUTOR_ASSIGNMENT),
                     retained_failure("e1")]
-        out = build_artifacts(failures, state.library, state.executors,
-                              UtilityTable(), SkillDelta(), CONFIG)
+        out = build_artifacts(failures, UtilityTable(), SkillDelta())
         assert out[0].handoff_present
 
     def test_deterministic_task_order(self):
         t2 = TaskType("t0", ("p1",))
-        state = make_state([])
         failures = [retained_failure("e0"), retained_failure("e1", task=t2)]
-        out = build_artifacts(failures, state.library, state.executors,
-                              UtilityTable(), SkillDelta(), CONFIG)
+        out = build_artifacts(failures, UtilityTable(), SkillDelta())
         assert [a.task_type for a in out] == ["t0", "t1"]
 
 
@@ -101,9 +77,6 @@ def artifact(mass=4, executors=(("worker", 0.3, 8),), handoff=True,
         task_type=task,
         failure_mass=mass,
         implicated_executors=tuple(ExecutorEvidence(*e) for e in executors),
-        utility_gap=0.0,
-        overlap=0.0,
-        pending_actions=(),
         failing_pairs=tuple(pairs),
         handoff_present=handoff,
     )
@@ -353,9 +326,7 @@ class TestEvidence:
             0, 0.5, CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True),
         )
         rt = RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
-        state = make_state([])
-        out = build_artifacts([rt], state.library, state.executors, UtilityTable(),
-                              SkillDelta(), CONFIG)
+        out = build_artifacts([rt], UtilityTable(), SkillDelta())
         assert out[0].failing_pairs == (("t1", "p2"),)
         assert out[0].handoff_present
 

@@ -48,11 +48,9 @@ LIBRARY = {"s1": make_skill("s1"), "pooled": make_skill("pooled", status=SkillSt
 def run_retain(traces, config=None, q_exec_prior=None, prior_counts=None):
     return retain(
         traces,
-        UtilityTable(),
-        UtilityTable(),
+        UtilityTable() if q_exec_prior is None else q_exec_prior,
         config or EngineConfig(),
         LIBRARY,
-        q_exec_prior=q_exec_prior,
         prior_failure_counts=prior_counts,
     )
 

@@ -296,8 +296,8 @@ def test_task_draw_matches_weighted_choice(weights, seed):
 def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
     traces = exec_round(state, scenario, n_episodes, world_seed, config, id_prefix="r0000")
-    q_skill, q_exec = learn(state.q_skill, state.q_exec, traces)
-    retained = retain(traces, q_skill, q_exec, config, state.library, q_exec_prior=state.q_exec)
+    q_skill, _ = learn(state.q_skill, state.q_exec, traces)
+    retained = retain(traces, state.q_exec, config, state.library)
 
     index = proposal_index(scenario, state.library, config)
     assert index.keys == cluster_key_map(state.library, config.cluster_threshold)

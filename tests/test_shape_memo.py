@@ -1,8 +1,9 @@
 """Per-shape round stages against per-trace reference loops.
 
-`learn`, `update_pool_counters`, `retain`, `collect_proposals` and
-`build_artifacts` derive what depends only on a trace's shape once per
-distinct shape.  The loops below are the per-trace rules they replace; on
+`learn`, `update_pool_counters`, `retain` and `collect_proposals` derive
+what depends only on a trace's shape once per distinct shape, and
+`build_artifacts` reads their output.  The loops below are the per-trace
+rules they replace; on
 random worlds both must agree exactly, on traces that share slice objects
 (as executed), carry equal but distinct ones (as decoded from a log, or
 copied), succeed with `outcome=True`, and fail with causes observed with
@@ -12,7 +13,6 @@ copied), succeed with `outcome=True`, and fail with causes observed with
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from collections import Counter
 
@@ -41,9 +41,7 @@ from skillmas.orchestrator import collect_proposals
 from skillmas.restructure import (
     DiagnosticArtifact,
     ExecutorEvidence,
-    _executor_tokens,
     _failing_pair,
-    _token_overlap,
     build_artifacts,
 )
 from skillmas.retention import RetainedTrace, RetentionCategory, retain
@@ -99,15 +97,13 @@ def observed_cause(trace):
     return obs.cause if obs is not None else CauseLabel.UNKNOWN
 
 
-def reference_retain(traces, q_exec_plus, config, library, *, q_exec_prior=None,
-                     prior_failure_counts=None):
+def reference_retain(traces, q_exec_prior, config, library, *, prior_failure_counts=None):
     failure_keys = Counter()
     for trace in traces:
         if trace.outcome == 0:
             failure_keys[(trace.task_type.id, observed_cause(trace))] += 1
     for key, count in (prior_failure_counts or {}).items():
         failure_keys[key] += count
-    exec_table = q_exec_prior if q_exec_prior is not None else q_exec_plus
     retained = []
     for trace in traces:
         categories = set()
@@ -125,8 +121,8 @@ def reference_retain(traces, q_exec_plus, config, library, *, q_exec_prior=None,
                 if sid in library
             )
             weak_executor = any(
-                exec_table.count(eid, task_id) >= 1
-                and exec_table.value(eid, task_id) < config.low_estimate
+                q_exec_prior.count(eid, task_id) >= 1
+                and q_exec_prior.value(eid, task_id) < config.low_estimate
                 for eid in trace.executors()
             )
             if pooled_used or weak_executor:
@@ -154,7 +150,7 @@ def reference_proposals(retained, state, scenario, config, index):
     return proposals
 
 
-def reference_artifacts(retained, library, executors, q_exec_plus, skill_delta, config):
+def reference_artifacts(retained, q_exec_plus, skill_delta):
     addressed = skill_delta.source_traces(("create", "refine"))
     failures = {}
     for rt in retained:
@@ -168,27 +164,11 @@ def reference_artifacts(retained, library, executors, q_exec_plus, skill_delta, 
             ExecutorEvidence(eid, q12(q_exec_plus.value(eid, task_id)), q_exec_plus.count(eid, task_id))
             for eid in implicated_ids
         )
-        confident = [e.value for e in implicated if e.count >= config.min_count]
-        token_sets = {
-            eid: _executor_tokens(executors[eid], library)
-            for eid in implicated_ids
-            if eid in executors
-        }
-        overlap = 0.0
-        for a, b in itertools.combinations(sorted(token_sets), 2):
-            overlap = max(overlap, _token_overlap(token_sets[a], token_sets[b]))
         artifacts.append(
             DiagnosticArtifact(
                 task_type=task_id,
                 failure_mass=sum(1 for rt in family if rt.trace.episode_id not in addressed),
                 implicated_executors=implicated,
-                utility_gap=q12(max(confident) - min(confident)) if len(confident) >= 2 else 0.0,
-                overlap=q12(overlap),
-                pending_actions=tuple(
-                    f"{a.action}:{','.join(a.skills)}"
-                    for a in skill_delta.actions
-                    if a.task_type == task_id
-                ),
                 failing_pairs=tuple(
                     sorted({p for rt in family if (p := _failing_pair(rt.trace)) is not None})
                 ),
@@ -296,13 +276,9 @@ def test_round_stages_match_per_trace_references(tmp_path_factory, world_seed, n
         {(t.id, c): rng.randint(0, 2) for t in scenario.task_types for c in CauseLabel}
         if rng.random() < 0.5 else None
     )
-    retained = retain(
-        traces, q_skill, q_exec, config, state.library,
-        q_exec_prior=state.q_exec, prior_failure_counts=prior,
-    )
+    retained = retain(traces, state.q_exec, config, state.library, prior_failure_counts=prior)
     want_retained = reference_retain(
-        traces, q_exec, config, state.library,
-        q_exec_prior=state.q_exec, prior_failure_counts=prior,
+        traces, state.q_exec, config, state.library, prior_failure_counts=prior
     )
     assert [(id(rt.trace), rt.categories) for rt in retained] == [
         (id(rt.trace), rt.categories) for rt in want_retained
@@ -329,9 +305,7 @@ def test_round_stages_match_per_trace_references(tmp_path_factory, world_seed, n
     assert sources == sorted(set(sources), key=retained_ids.index)  # each its own trace
 
     delta = skill_evolve(proposals, state.library, state.policy_index, q_skill, config)
-    assert build_artifacts(
-        retained, state.library, state.executors, q_exec, delta, config
-    ) == reference_artifacts(retained, state.library, state.executors, q_exec, delta, config)
+    assert build_artifacts(retained, q_exec, delta) == reference_artifacts(retained, q_exec, delta)
 
 
 @settings(max_examples=40, deadline=None)
