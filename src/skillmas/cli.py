@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from pathlib import Path
+from typing import Any
 
 from .config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
@@ -21,6 +21,7 @@ from .orchestrator import (
     ExperimentResult,
     canonical_json,
     evaluate_transplants,
+    family_rows,
     render_breakdown,
     render_comparison,
     render_trajectory,
@@ -36,7 +37,6 @@ from .store import (
     encode_trace_log,
     load_scenario,
     parse_scenario,
-    read_trace_log,
     serialize_state,
     trace_to_record,  # noqa: F401  perfbench/tracing.py wraps it under this name
 )
@@ -142,8 +142,35 @@ def _write_run_dir(
     return result
 
 
-def _read_json_object(path: Path, required: tuple[str, ...]) -> dict:
-    """A JSON object from a run directory, holding at least `required`."""
+_JSON_TYPES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    type(None): "null",
+}
+
+
+def _typed(path: Path, payload: dict, key: str, kind: type, where: str = "") -> Any:
+    """`payload[key]`, present and of JSON type `kind`; an integer is never a
+    bool.  Errors name the key by its path in the file, `where` + `key`."""
+    name = where + key
+    if key not in payload:
+        raise UsageError(f"{path}: missing key {name!r}")
+    value = payload[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise UsageError(
+            f"{path}: {name!r} must be {_JSON_TYPES[kind]}, "
+            f"not {_JSON_TYPES[type(value)]}"
+        )
+    return value
+
+
+def _read_json_object(path: Path, required: dict[str, type]) -> dict:
+    """A JSON object from a run directory, holding at least the keys of
+    `required`, each of its JSON type."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -152,10 +179,57 @@ def _read_json_object(path: Path, required: tuple[str, ...]) -> dict:
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    missing = [key for key in required if key not in payload]
-    if missing:
-        raise UsageError(f"{path}: missing key {missing[0]!r}")
+    for key, kind in required.items():
+        _typed(path, payload, key, kind)
     return payload
+
+
+_ROW_COUNTS = ("round", "episodes", "successes", "active_skills", "active_executors")
+
+
+def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, int]]]]:
+    """`trajectory.json` with every value `report` reads checked, and each
+    round's per-family counts (task id -> (successes, attempts)) by round."""
+    trajectory = _read_json_object(
+        path, {"scenario": str, "seed": int, "rounds": list, "checkpoint": dict}
+    )
+    checkpoint_round = _typed(path, trajectory["checkpoint"], "round", int, "checkpoint.")
+    per_round: dict[int, dict[str, tuple[int, int]]] = {}
+    for index, row in enumerate(trajectory["rounds"]):
+        where = f"rounds[{index}]."
+        if not isinstance(row, dict):
+            raise UsageError(f"{path}: 'rounds[{index}]' must be an object")
+        for key in _ROW_COUNTS:
+            _typed(path, row, key, int, where)
+        restructure = _typed(path, row, "restructure", dict, where)
+        if "action" in restructure:
+            _typed(path, restructure, "action", str, where + "restructure.")
+        subjects = restructure.get("subjects", [])
+        if not isinstance(subjects, list) or not all(isinstance(s, str) for s in subjects):
+            raise UsageError(
+                f"{path}: '{where}restructure.subjects' must be a list of strings"
+            )
+        counts = {}
+        for task_id, entry in _typed(path, row, "per_family", dict, where).items():
+            at = f"{where}per_family[{json.dumps(task_id)}]"
+            if not isinstance(entry, dict):
+                raise UsageError(f"{path}: {at!r} must be an object")
+            successes = _typed(path, entry, "successes", int, at + ".")
+            attempts = _typed(path, entry, "attempts", int, at + ".")
+            if not 0 <= successes <= attempts:
+                raise UsageError(
+                    f"{path}: {at!r} needs 0 <= successes <= attempts, "
+                    f"not {successes}/{attempts}"
+                )
+            counts[task_id] = (successes, attempts)
+        if row["round"] in per_round:
+            raise UsageError(f"{path}: '{where}round' {row['round']} appears twice")
+        per_round[row["round"]] = counts
+    if checkpoint_round not in per_round:
+        raise UsageError(
+            f"{path}: 'checkpoint.round' {checkpoint_round} is not one of the rounds"
+        )
+    return trajectory, per_round
 
 
 def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
@@ -163,8 +237,12 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     if not manifest_path.exists():
         raise UsageError(f"{run_dir} is not a run directory (missing run.json)")
     manifest = _read_json_object(
-        manifest_path, ("scenario", "seed", "rounds", "config")
+        manifest_path, {"scenario": str, "seed": int, "rounds": int, "config": dict}
     )
+    if manifest["rounds"] < 1:
+        raise UsageError(f"{manifest_path}: 'rounds' must be at least 1")
+    if "scenario_name" in manifest:
+        _typed(manifest_path, manifest, "scenario_name", str)
     scenario_path = run_dir / manifest["scenario"]
     try:
         scenario_text = scenario_path.read_text(encoding="utf-8")
@@ -173,8 +251,6 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
         )
     except (OSError, ScenarioError) as exc:
         raise UsageError(f"{scenario_path}: {exc}") from None
-    if not isinstance(manifest["config"], dict):
-        raise UsageError(f"{manifest_path}: config is not a JSON object")
     # manifests written before a threshold was retired still carry it
     stored = {
         key: value
@@ -259,7 +335,7 @@ def cmd_transplant(args: argparse.Namespace) -> int:
         raise UsageError("--episodes must be at least 1")
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
-    checkpoint = _read_json_object(run_dir / "checkpoint.json", ("snapshot",))
+    checkpoint = _read_json_object(run_dir / "checkpoint.json", {"snapshot": str})
     final_state = _load_snapshot(run_dir / checkpoint["snapshot"], pack.scenario)
     seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
     table = evaluate_transplants(
@@ -273,30 +349,12 @@ def cmd_transplant(args: argparse.Namespace) -> int:
     return 0
 
 
-_ROUND_EPISODE = re.compile(r"r([0-9]+)e[0-9]+")
-
-
-def _round_of(episode_id: str) -> int | None:
-    """The round of a run's episode id `r<round>e<index>`, at any width."""
-    match = _ROUND_EPISODE.fullmatch(episode_id)
-    return int(match.group(1)) if match else None
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    run_dir = Path(args.run)
-    trajectory = _read_json_object(
-        run_dir / "trajectory.json", ("scenario", "seed", "rounds", "checkpoint")
-    )
-    checkpoint_round = trajectory["checkpoint"]["round"]
-
-    traces = read_trace_log(run_dir / "traces.jsonl")
-    seed_traces = [t for t in traces if _round_of(t.episode_id) == 0]
-    best_traces = [t for t in traces if _round_of(t.episode_id) == checkpoint_round]
-
+    trajectory, per_round = _read_trajectory(Path(args.run) / "trajectory.json")
+    best = per_round[trajectory["checkpoint"]["round"]]
     print(render_trajectory(trajectory))
-    if best_traces:
-        rows = task_family_breakdown(best_traces, baseline=seed_traces)
-        print(render_breakdown(rows), end="")
+    if best:
+        print(render_breakdown(family_rows(best, baseline=per_round.get(0, {}))), end="")
     return 0
 
 

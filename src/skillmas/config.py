@@ -71,8 +71,15 @@ def _coerce(name: str, raw: Any) -> Any:
         if kind == "int":
             return int(text)
         return float(text)
-    if kind == "int" and isinstance(raw, bool):
-        raise ValueError(f"{name} expects an integer")
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if kind == "bool":
+        ok, expected = isinstance(raw, bool), "a boolean"
+    elif kind == "int":
+        ok, expected = number and isinstance(raw, int), "an integer"
+    else:  # "float", or "float | None"
+        ok, expected = number or (raw is None and "None" in kind), "a number"
+    if not ok:
+        raise ValueError(f"{name} expects {expected}, not {raw!r}")
     return raw
 
 

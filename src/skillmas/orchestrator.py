@@ -12,7 +12,7 @@ import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .config import EngineConfig
 from .evolution import (
@@ -364,11 +364,6 @@ def run_round(
     )
     validate_state(next_state, scenario.universe())
 
-    per_family: dict[str, tuple[int, int]] = {}
-    for trace in traces:
-        s, a = per_family.get(trace.task_type.id, (0, 0))
-        per_family[trace.task_type.id] = (s + trace.outcome, a + 1)
-
     retained_summary: dict[str, list[str]] = {}
     for rt in retained:
         for category in sorted(c.value for c in rt.categories):
@@ -378,7 +373,7 @@ def run_round(
         round_index=state.round_index,
         episodes=len(traces),
         successes=sum(t.outcome for t in traces),
-        per_family=per_family,
+        per_family=family_tally(traces),
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
@@ -560,6 +555,32 @@ class FamilyRow:
         return self.successes - self.baseline_successes
 
 
+def family_tally(traces: Iterable[EpisodeTrace]) -> dict[str, tuple[int, int]]:
+    """Task id -> (successes, attempts) over a batch of traces."""
+    counts: dict[str, tuple[int, int]] = {}
+    for t in traces:
+        s, a = counts.get(t.task_type.id, (0, 0))
+        counts[t.task_type.id] = (s + t.outcome, a + 1)
+    return counts
+
+
+def family_rows(
+    counts: Mapping[str, tuple[int, int]],
+    baseline: Mapping[str, tuple[int, int]] | None = None,
+) -> list[FamilyRow]:
+    """One row per family of `counts` (task id -> (successes, attempts)), in
+    task-id order, with the baseline's counts (0/0 where absent) when given."""
+    rows = []
+    for task_id in sorted(counts):
+        s, a = counts[task_id]
+        if baseline is not None:
+            bs, ba = baseline.get(task_id, (0, 0))
+            rows.append(FamilyRow(task_id, s, a, bs, ba))
+        else:
+            rows.append(FamilyRow(task_id, s, a))
+    return rows
+
+
 def task_family_breakdown(
     traces: Sequence[EpisodeTrace],
     baseline: Sequence[EpisodeTrace] | None = None,
@@ -568,25 +589,8 @@ def task_family_breakdown(
     is supplied.  Families absent from both runs are omitted."""
     if not traces:
         raise ValueError("breakdown needs a non-empty trace set")
-
-    def tally(batch: Sequence[EpisodeTrace]) -> dict[str, tuple[int, int]]:
-        counts: dict[str, tuple[int, int]] = {}
-        for t in batch:
-            s, a = counts.get(t.task_type.id, (0, 0))
-            counts[t.task_type.id] = (s + t.outcome, a + 1)
-        return counts
-
-    current = tally(traces)
-    base = tally(baseline) if baseline is not None else None
-    rows = []
-    for task_id in sorted(current):
-        s, a = current[task_id]
-        if base is not None:
-            bs, ba = base.get(task_id, (0, 0))
-            rows.append(FamilyRow(task_id, s, a, bs, ba))
-        else:
-            rows.append(FamilyRow(task_id, s, a))
-    return rows
+    base = family_tally(baseline) if baseline is not None else None
+    return family_rows(family_tally(traces), base)
 
 
 def _ratio(successes: int, attempts: int) -> str:

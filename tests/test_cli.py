@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from skillmas.cli import main
+from skillmas.orchestrator import render_breakdown, render_trajectory, task_family_breakdown
 from skillmas.presets import PRESETS
+from skillmas.store import read_trace_log
 
 
 @pytest.fixture
@@ -182,6 +185,48 @@ class TestEvalTransplantReport:
         assert capsys.readouterr().out.startswith(table)
 
 
+def _reference_report(run_dir) -> str:
+    """`report` as a tally of the decoded trace log: the checkpoint round's
+    traces against round 0's, each found by its episode id `r<round>e<index>`."""
+    trajectory = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
+    by_round: dict[int, list] = {}
+    for trace in read_trace_log(run_dir / "traces.jsonl"):
+        match = re.fullmatch(r"r([0-9]+)e[0-9]+", trace.episode_id)
+        by_round.setdefault(int(match.group(1)), []).append(trace)
+    best = by_round[trajectory["checkpoint"]["round"]]
+    rows = task_family_breakdown(best, baseline=by_round[0])
+    return render_trajectory(trajectory) + "\n" + render_breakdown(rows)
+
+
+class TestReportFromTrajectory:
+    """`report` builds its tables from trajectory.json alone."""
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_a_tally_of_the_trace_log(self, tmp_path, capsys, preset, seed):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", f"preset:{preset}", "--seed", str(seed),
+                     "--rounds", "4", "--episodes", "200", "--out", str(out),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        assert capsys.readouterr().out == _reference_report(out)
+
+    def test_does_not_read_the_trace_log(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
+                     "--episodes", "200", "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 0
+        before = capsys.readouterr().out
+        (out / "traces.jsonl").unlink()
+        assert main(["report", "--run", str(out)]) == 0
+        assert capsys.readouterr().out == before
+        # the log is replay's to verify
+        assert main(["replay", "--run", str(out)]) == 1
+        assert "traces.jsonl" in capsys.readouterr().out
+
+
 def _rewrite_json(path, edit):
     payload = json.loads(path.read_text(encoding="utf-8"))
     path.write_text(json.dumps(edit(payload)), encoding="utf-8")
@@ -221,6 +266,124 @@ class TestRunDirValidation:
         trajectory.write_text(text[: len(text) // 2], encoding="utf-8")
         self.assert_usage_error(["report", "--run", str(run_dir)], trajectory,
                                 capsys, "invalid JSON")
+
+
+def _set(*path):
+    """An edit that sets the value at `path` (keys and indexes) to `path[-1]`."""
+    *keys, last, value = path
+
+    def edit(payload):
+        target = payload
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return payload
+
+    return edit
+
+
+def _first_family(edit_entry):
+    def edit(payload):
+        per_family = payload["rounds"][0]["per_family"]
+        edit_entry(per_family[sorted(per_family)[0]])
+        return payload
+
+    return edit
+
+
+# (file, command, edit, fragments the error must hold): one case per key
+BAD_VALUES = {
+    "run.seed": ("run.json", "replay", _set("seed", "42"), ["'seed'", "an integer"]),
+    "run.seed-bool": ("run.json", "replay", _set("seed", True), ["'seed'", "boolean"]),
+    "run.rounds": ("run.json", "replay", _set("rounds", "3"), ["'rounds'", "an integer"]),
+    "run.rounds-zero": ("run.json", "replay", _set("rounds", 0), ["'rounds'", "at least 1"]),
+    "run.scenario": ("run.json", "transplant", _set("scenario", 1), ["'scenario'", "a string"]),
+    "run.scenario_name": ("run.json", "replay", _set("scenario_name", ["x"]),
+                          ["'scenario_name'", "a string"]),
+    "run.config": ("run.json", "replay", _set("config", []), ["'config'", "an object"]),
+    "run.config-value": ("run.json", "replay", _set("config", "top_k", [3]),
+                         ["top_k", "an integer"]),
+    "checkpoint.snapshot": ("checkpoint.json", "transplant", _set("snapshot", 3),
+                            ["'snapshot'", "a string"]),
+    "trajectory.scenario": ("trajectory.json", "report", _set("scenario", None),
+                            ["'scenario'", "a string"]),
+    "trajectory.seed": ("trajectory.json", "report", _set("seed", 4.0),
+                        ["'seed'", "an integer"]),
+    "trajectory.checkpoint": ("trajectory.json", "report", _set("checkpoint", [1]),
+                              ["'checkpoint'", "an object, not a list"]),
+    "trajectory.checkpoint.round": ("trajectory.json", "report",
+                                    _set("checkpoint", "round", "1"),
+                                    ["'checkpoint.round'", "an integer"]),
+    "trajectory.checkpoint.round-absent": ("trajectory.json", "report",
+                                           _set("checkpoint", "round", 7),
+                                           ["'checkpoint.round' 7", "not one of the rounds"]),
+    "trajectory.rounds": ("trajectory.json", "report", _set("rounds", {}),
+                          ["'rounds'", "a list"]),
+    "trajectory.rounds[i]": ("trajectory.json", "report", _set("rounds", 1, 5),
+                             ["'rounds[1]'", "an object"]),
+    "trajectory.rounds[i].round": ("trajectory.json", "report", _set("rounds", 1, "round", 0.5),
+                                   ["'rounds[1].round'", "an integer"]),
+    "trajectory.rounds[i].round-repeated": ("trajectory.json", "report",
+                                            _set("rounds", 2, "round", 1),
+                                            ["'rounds[2].round' 1", "twice"]),
+    "trajectory.rounds[i].episodes": ("trajectory.json", "report",
+                                      _set("rounds", 0, "episodes", "40"),
+                                      ["'rounds[0].episodes'", "an integer"]),
+    "trajectory.rounds[i].successes": ("trajectory.json", "report",
+                                       _set("rounds", 0, "successes", None),
+                                       ["'rounds[0].successes'", "an integer"]),
+    "trajectory.rounds[i].active_skills": ("trajectory.json", "report",
+                                           _set("rounds", 0, "active_skills", False),
+                                           ["'rounds[0].active_skills'", "boolean"]),
+    "trajectory.rounds[i].active_executors": ("trajectory.json", "report",
+                                              _set("rounds", 0, "active_executors", [2]),
+                                              ["'rounds[0].active_executors'", "an integer"]),
+    "trajectory.rounds[i].restructure": ("trajectory.json", "report",
+                                         _set("rounds", 0, "restructure", "keep"),
+                                         ["'rounds[0].restructure'", "an object"]),
+    "trajectory.rounds[i].restructure.action": ("trajectory.json", "report",
+                                                _set("rounds", 0, "restructure", "action", 1),
+                                                ["'rounds[0].restructure.action'", "a string"]),
+    "trajectory.rounds[i].restructure.subjects": ("trajectory.json", "report",
+                                                  _set("rounds", 0, "restructure",
+                                                       "subjects", [1]),
+                                                  ["'rounds[0].restructure.subjects'",
+                                                   "list of strings"]),
+    "trajectory.rounds[i].per_family": ("trajectory.json", "report",
+                                        _set("rounds", 0, "per_family", []),
+                                        ["'rounds[0].per_family'", "an object"]),
+    "trajectory.rounds[i].per_family[id]": ("trajectory.json", "report",
+                                            _set("rounds", 0, "per_family", {"x": 3}),
+                                            ["'rounds[0].per_family[\"x\"]'", "an object"]),
+    "trajectory.per_family.successes": ("trajectory.json", "report",
+                                        _first_family(lambda e: e.update(successes="1")),
+                                        ["'rounds[0].per_family[", "].successes'",
+                                         "an integer"]),
+    "trajectory.per_family.attempts": ("trajectory.json", "report",
+                                       _first_family(lambda e: e.pop("attempts")),
+                                       ["missing key 'rounds[0].per_family[", "].attempts'"]),
+    "trajectory.per_family.successes>attempts": ("trajectory.json", "report",
+                                                 _first_family(lambda e: e.update(
+                                                     successes=e["attempts"] + 1)),
+                                                 ["'rounds[0].per_family[",
+                                                  "0 <= successes <= attempts"]),
+    "trajectory.per_family.successes<0": ("trajectory.json", "report",
+                                          _first_family(lambda e: e.update(successes=-1)),
+                                          ["'rounds[0].per_family[",
+                                           "0 <= successes <= attempts"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_run_dir_value_is_usage_error(run_dir, capsys, case):
+    name, command, edit, fragments = BAD_VALUES[case]
+    path = run_dir / name
+    _rewrite_json(path, edit)
+    assert main([command, "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    for fragment in fragments:
+        assert fragment in err
 
 
 class TestRetiredThreshold:

@@ -38,6 +38,31 @@ def test_bool_coercion_from_text():
         config_from_mapping({"cross-round-repeats": "maybe"})
 
 
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ({"top_k": [3]}, "top_k expects an integer"),
+        ({"top_k": 3.0}, "top_k expects an integer"),
+        ({"episodes_per_round": True}, "episodes_per_round expects an integer"),
+        ({"merge_gap": None}, "merge_gap expects a number"),
+        ({"routing_noise": {}}, "routing_noise expects a number"),
+        ({"cross_round_repeats": 1}, "cross_round_repeats expects a boolean"),
+    ],
+)
+def test_values_of_the_wrong_type_rejected(values, expected):
+    # JSON overrides and stored manifests carry typed values, not text
+    with pytest.raises(ValueError, match=expected):
+        config_from_mapping(values)
+
+
+def test_typed_values_accepted():
+    config = config_from_mapping(
+        {"top_k": 5, "merge_gap": 1, "routing_noise": None, "cross_round_repeats": True}
+    )
+    assert (config.top_k, config.merge_gap) == (5, 1)
+    assert config.routing_noise is None and config.cross_round_repeats
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown threshold"):
         config_from_mapping({"wibble": 1})

@@ -133,11 +133,12 @@ def test_log_in_string_order_still_reads(tmp_path):
     assert [t.episode_id for t in read_trace_log(path)] == ids
 
 
-def row(round_index: int, successes: int, episodes: int) -> dict:
+def row(round_index: int, successes: int, episodes: int, family: str = "t") -> dict:
     return {
         "round": round_index,
         "episodes": episodes,
         "successes": successes,
+        "per_family": {family: {"successes": successes, "attempts": episodes}},
         "active_skills": 1,
         "active_executors": 2,
         "restructure": {"action": "keep"},
@@ -151,20 +152,15 @@ def test_report_picks_the_checkpoint_round_not_its_prefix(tmp_path, capsys):
     trajectory = {
         "scenario": "episode-order",
         "seed": 0,
-        "rounds": [row(0, 0, 2), row(checkpoint, 2, 2)],
+        "rounds": [
+            row(0, 0, 2),
+            row(checkpoint, 2, 2),
+            # round 10000 shares the 'r1000' id prefix with the checkpoint round
+            row(10000, 0, 1, family="other"),
+        ],
         "checkpoint": {"round": checkpoint, "successes": 2},
     }
     (run / "trajectory.json").write_text(json.dumps(trajectory), encoding="utf-8")
-    other = TaskType("other", ("p",))
-    traces = [
-        trace("r0000e00000", 0),
-        trace("r0000e00001", 0),
-        trace("r1000e00000", 1),
-        trace("r1000e00001", 1),
-        # round 10000 shares the 'r1000' prefix with the checkpoint round
-        EpisodeTrace("r10000e00000", other, (SLICE,), 0, 0.0),
-    ]
-    append_trace_log(traces, run / "traces.jsonl")
     assert main(["report", "--run", str(run)]) == 0
     out = capsys.readouterr().out
     breakdown = out.split("\n\n", 1)[1]

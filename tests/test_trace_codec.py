@@ -204,7 +204,9 @@ def _invoked_not_selected(record):
     ],
     ids=["KeyError", "TypeError", "ValueError", "StateError", "JSONDecodeError"],
 )
-def test_report_names_file_and_line_of_a_bad_record(run_dir, capsys, corrupt, detail):
+def test_report_names_file_and_line_of_a_bad_record(run_dir, corrupt, detail):
+    # the log of a real run directory, read by the store's reader (`report`
+    # reads trajectory.json only; `replay` diffs the log line by line)
     path = run_dir / "traces.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
     # the third line, and one whose first phase was routed
@@ -216,9 +218,9 @@ def test_report_names_file_and_line_of_a_bad_record(run_dir, capsys, corrupt, de
         corrupt(record)
         lines[lineno - 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["report", "--run", str(run_dir)]) == 2
-    err = capsys.readouterr().err
+    with pytest.raises(StoreError) as excinfo:
+        read_trace_log(path)
+    err = str(excinfo.value)
     assert f"{path} line {lineno}:" in err
     assert detail in err
 
