@@ -38,7 +38,6 @@ from .store import (
     load_scenario,
     parse_scenario,
     serialize_state,
-    trace_to_record,  # noqa: F401  perfbench/tracing.py wraps it under this name
 )
 from .streams import derive_seed
 from .world import Scenario, exec_round

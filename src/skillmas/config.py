@@ -57,6 +57,15 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(EngineConfig)}
 # new configuration naming one is rejected.
 RETIRED_THRESHOLDS = frozenset({"gap_threshold"})
 
+# thresholds outside these ranges would fail mid-run or be silently wrong
+_RANGES = {
+    "episodes_per_round": (lambda v: v >= 1, "at least 1"),
+    "top_k": (lambda v: v >= 1, "at least 1"),
+    "default_capacity": (lambda v: v >= 1, "at least 1"),
+    "cluster_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "routing_noise": (lambda v: v is None or 0 <= v <= 1, "null or in [0, 1]"),
+}
+
 
 def _coerce(name: str, raw: Any) -> Any:
     kind = _FIELD_TYPES[name]
@@ -95,5 +104,7 @@ def config_from_mapping(
             raise ValueError(f"threshold {key!r} is retired: no rule reads it")
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown threshold {key!r}")
-        overrides[name] = _coerce(name, raw)
+        value = overrides[name] = _coerce(name, raw)
+        if name in _RANGES and not _RANGES[name][0](value):
+            raise ValueError(f"{name} must be {_RANGES[name][1]}, not {raw!r}")
     return config.replace(**overrides)

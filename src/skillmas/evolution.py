@@ -25,6 +25,7 @@ from .model import (
     TAG_BY_CAUSE,
     UtilityTable,
     cluster_key_map,
+    place_skill,
     skill_similarity,
 )
 from .retention import RetainedTrace
@@ -79,6 +80,17 @@ class SkillEdit:
     applicability: frozenset[tuple[str, str]]
 
 
+def apply_edit(skill: Skill, edit: SkillEdit) -> Skill:
+    """The skill with the edit's token sets in place of its own."""
+    return dataclasses.replace(
+        skill,
+        steps=edit.steps,
+        guards=edit.guards,
+        checks=edit.checks,
+        applicability=edit.applicability,
+    )
+
+
 @dataclass(frozen=True)
 class Proposal:
     """At most one per retained trace: a success motif or a failure repair."""
@@ -109,11 +121,12 @@ class SkillAction:
 class SkillDelta:
     actions: tuple[SkillAction, ...] = ()
 
-    def source_traces(self, actions: tuple[str, ...] = ("create", "refine")) -> frozenset[str]:
+    def source_traces(self) -> frozenset[str]:
+        """Traces whose proposals became a create or refine."""
         return frozenset(
             a.source_trace
             for a in self.actions
-            if a.action in actions and a.source_trace
+            if a.action in ("create", "refine") and a.source_trace
         )
 
 
@@ -151,17 +164,6 @@ def proposal_index(
             if s.status is not SkillStatus.PRUNED
         ),
         latents_at={pair: tuple(latents) for pair, latents in latents_at.items()},
-    )
-
-
-def _edit_from_skill(tag: BoundedTag, skill: Skill) -> SkillEdit:
-    return SkillEdit(
-        tag=tag,
-        target=skill.id,
-        steps=skill.steps,
-        guards=skill.guards,
-        checks=skill.checks,
-        applicability=skill.applicability,
     )
 
 
@@ -630,20 +632,6 @@ def apply_skill_delta(
     lib = dict(library)
     execs = dict(executors)
     new_pool = dict(pool)
-
-    def give(owner_id: str, skill_id: str) -> None:
-        owner = execs[owner_id]
-        execs[owner_id] = dataclasses.replace(
-            owner, owned_skills=owner.owned_skills | {skill_id}
-        )
-
-    def take(owner_id: str, skill_id: str) -> None:
-        owner = execs.get(owner_id)
-        if owner is not None and skill_id in owner.owned_skills:
-            execs[owner_id] = dataclasses.replace(
-                owner, owned_skills=owner.owned_skills - {skill_id}
-            )
-
     for action in delta.actions:
         if action.action == "create":
             for draft in action.new_skills:
@@ -651,38 +639,22 @@ def apply_skill_delta(
                     raise StateError(f"skill id {draft.id!r} would be reused")
                 if draft.owner not in execs:
                     raise StateError(f"draft {draft.id!r} owned by unknown executor")
-                lib[draft.id] = draft
-                give(draft.owner, draft.id)
+                place_skill(lib, execs, draft)
                 new_pool[draft.id] = (0, 0)
         elif action.action == "refine":
             edit = action.edit
             assert edit is not None
-            skill = lib[edit.target]
-            lib[edit.target] = dataclasses.replace(
-                skill,
-                steps=edit.steps,
-                guards=edit.guards,
-                checks=edit.checks,
-                applicability=edit.applicability,
-            )
+            lib[edit.target] = apply_edit(lib[edit.target], edit)
         elif action.action == "hold-in-pool":
             for sid in action.skills:
                 skill = lib[sid]
                 if action.edit is not None and action.edit.target == sid:
-                    skill = dataclasses.replace(
-                        skill,
-                        steps=action.edit.steps,
-                        guards=action.edit.guards,
-                        checks=action.edit.checks,
-                        applicability=action.edit.applicability,
-                    )
+                    skill = apply_edit(skill, action.edit)
                 lib[sid] = dataclasses.replace(skill, status=SkillStatus.POOLED)
                 new_pool[sid] = (0, 0)
         elif action.action == "prune":
             for sid in action.skills:
-                skill = lib[sid]
-                lib[sid] = dataclasses.replace(skill, status=SkillStatus.PRUNED)
-                take(skill.owner, sid)
+                place_skill(lib, execs, dataclasses.replace(lib[sid], status=SkillStatus.PRUNED))
                 new_pool.pop(sid, None)
     return lib, execs, new_pool
 
@@ -740,12 +712,7 @@ def promote_pool(
             del new_pool[sid]
             outcomes.append((sid, "validated"))
         elif uses >= config.pool_prune_min_uses and successes / uses < config.pool_prune_max_ratio:
-            lib[sid] = dataclasses.replace(skill, status=SkillStatus.PRUNED)
-            owner = execs.get(skill.owner)
-            if owner is not None and sid in owner.owned_skills:
-                execs[skill.owner] = dataclasses.replace(
-                    owner, owned_skills=owner.owned_skills - {sid}
-                )
+            place_skill(lib, execs, dataclasses.replace(skill, status=SkillStatus.PRUNED))
             del new_pool[sid]
             outcomes.append((sid, "pruned"))
     return lib, new_pool, execs, outcomes

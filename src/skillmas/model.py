@@ -8,6 +8,7 @@ the sequential round update.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -295,6 +296,39 @@ class RoundState:
 
     def active_skill_count(self) -> int:
         return sum(1 for s in self.library.values() if s.status != SkillStatus.PRUNED)
+
+
+def active_owned(executor: Executor, library: Mapping[str, Skill]) -> list[Skill]:
+    """The executor's owned skills that are in the library and not pruned."""
+    return [
+        skill
+        for sid in executor.owned_skills
+        if (skill := library.get(sid)) is not None and skill.status is not SkillStatus.PRUNED
+    ]
+
+
+def place_skill(
+    library: dict[str, Skill], executors: dict[str, Executor], skill: Skill
+) -> None:
+    """Store `skill` in a round's fresh library and keep ownership in step.
+
+    The skill leaves the owned set of whoever owns its previous version and,
+    unless it is pruned, joins its owner's owned set.  Both dicts are edited
+    in place; the owner must be in `executors`.
+    """
+    old = library.get(skill.id)
+    library[skill.id] = skill
+    if old is not None:
+        holder = executors.get(old.owner)
+        if holder is not None and skill.id in holder.owned_skills:
+            executors[old.owner] = dataclasses.replace(
+                holder, owned_skills=holder.owned_skills - {skill.id}
+            )
+    if skill.status is not SkillStatus.PRUNED:
+        owner = executors[skill.owner]
+        executors[skill.owner] = dataclasses.replace(
+            owner, owned_skills=owner.owned_skills | {skill.id}
+        )
 
 
 def validate_state(state: RoundState, universe: frozenset[Pair] | None = None) -> None:

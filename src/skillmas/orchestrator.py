@@ -33,6 +33,7 @@ from .model import (
     RoundState,
     SkillStatus,
     StateError,
+    place_skill,
     validate_state,
 )
 from .numfmt import q12
@@ -460,18 +461,12 @@ def _reowned(
         for eid, e in mas_source.executors.items()
     }
     library = {}
-    for sid, skill in library_source.library.items():
-        if skill.status is SkillStatus.PRUNED:
-            library[sid] = skill
-            continue
-        if reown_all_to_manager or skill.owner not in executors:
-            owner = manager_id
-        else:
-            owner = skill.owner
-        library[sid] = dataclasses.replace(skill, owner=owner)
-        executors[owner] = dataclasses.replace(
-            executors[owner], owned_skills=executors[owner].owned_skills | {sid}
-        )
+    for skill in library_source.library.values():
+        if skill.status is not SkillStatus.PRUNED and (
+            reown_all_to_manager or skill.owner not in executors
+        ):
+            skill = dataclasses.replace(skill, owner=manager_id)
+        place_skill(library, executors, skill)
     return RoundState(
         round_index=0,
         library=library,

@@ -22,6 +22,8 @@ from .model import (
     SkillStatus,
     StateError,
     UtilityTable,
+    active_owned,
+    place_skill,
     skill_similarity,
 )
 from .numfmt import q12
@@ -60,12 +62,7 @@ class RestructureDecision:
 
 
 def _executor_tokens(executor: Executor, library: Mapping[str, Skill]) -> frozenset[str]:
-    tokens: set[str] = set()
-    for sid in executor.owned_skills:
-        skill = library.get(sid)
-        if skill is not None and skill.status is not SkillStatus.PRUNED:
-            tokens.update(skill.tokens())
-    return frozenset(tokens)
+    return frozenset(t for skill in active_owned(executor, library) for t in skill.tokens())
 
 
 def _token_overlap(a: frozenset[str], b: frozenset[str]) -> float:
@@ -98,7 +95,7 @@ def build_artifacts(
     create or refine this round, so restructuring only sees what skill
     repair leaves unaddressed.
     """
-    addressed = skill_delta.source_traces(("create", "refine"))
+    addressed = skill_delta.source_traces()
     failures: dict[str, list[RetainedTrace]] = {}
     for rt in retained:
         if rt.trace.outcome == 0:
@@ -255,12 +252,8 @@ def decide_restructure(
         executor = executors[eid]
         if executor.is_manager:
             continue
-        owned_active = sum(
-            1
-            for sid in executor.owned_skills
-            if sid in library and library[sid].status is not SkillStatus.PRUNED
-        )
-        if owned_active <= executor.capacity:
+        owned_active = active_owned(executor, library)
+        if len(owned_active) <= executor.capacity:
             continue
         families = sorted({p[0] for p in executor.boundary})
         for task_id in families:
@@ -275,13 +268,7 @@ def decide_restructure(
             if not new_boundary:
                 continue
             transferred = tuple(
-                sorted(
-                    sid
-                    for sid in executor.owned_skills
-                    if sid in library
-                    and library[sid].status is not SkillStatus.PRUNED
-                    and not (library[sid].applicability & new_boundary)
-                )
+                sorted(s.id for s in owned_active if not s.applicability & new_boundary)
             )
             return RestructureDecision(
                 action="modify",
@@ -291,7 +278,7 @@ def decide_restructure(
                 evidence={
                     "predicate": "modify",
                     "executor": eid,
-                    "owned_skills": owned_active,
+                    "owned_skills": len(owned_active),
                     "capacity": executor.capacity,
                     "weak_family": task_id,
                     "utility": q12(entry[0]),
@@ -357,17 +344,8 @@ def apply_restructure(
     manager_id = next(eid for eid, e in execs.items() if e.is_manager)
 
     def reassign(skill_id: str, new_owner: str) -> None:
-        skill = lib[skill_id]
-        old_owner = execs.get(skill.owner)
-        if old_owner is not None and skill_id in old_owner.owned_skills:
-            execs[skill.owner] = dataclasses.replace(
-                old_owner, owned_skills=old_owner.owned_skills - {skill_id}
-            )
-        lib[skill_id] = dataclasses.replace(skill, owner=new_owner)
-        target = execs[new_owner]
-        execs[new_owner] = dataclasses.replace(
-            target, owned_skills=target.owned_skills | {skill_id}
-        )
+        place_skill(lib, execs, dataclasses.replace(lib[skill_id], owner=new_owner))
+        log.append(f"transferred {skill_id} to {new_owner}")
 
     if decision.action == "keep":
         return lib, execs, new_pool, log
@@ -385,7 +363,6 @@ def apply_restructure(
         )
         for sid in decision.transferred_skills:
             reassign(sid, new_id)
-            log.append(f"transferred {sid} to {new_id}")
 
     elif decision.action == "merge-remove":
         survivor_id, removed_id = sorted(decision.subjects)
@@ -394,13 +371,10 @@ def apply_restructure(
         survivor = execs[survivor_id]
         removed = execs.pop(removed_id)
         execs[survivor_id] = dataclasses.replace(
-            survivor,
-            boundary=survivor.boundary | removed.boundary,
-            owned_skills=survivor.owned_skills | removed.owned_skills,
+            survivor, boundary=survivor.boundary | removed.boundary
         )
         for sid in sorted(removed.owned_skills):
-            lib[sid] = dataclasses.replace(lib[sid], owner=survivor_id)
-            log.append(f"transferred {sid} to {survivor_id}")
+            reassign(sid, survivor_id)
 
         # consolidate near-duplicates down to the higher-utility copy
         owned = sorted(
@@ -421,15 +395,10 @@ def apply_restructure(
             keep_id, drop_id = a_id, b_id
             if (best_utility(b_id), a_id) > (best_utility(a_id), b_id):
                 keep_id, drop_id = b_id, a_id
-            lib[drop_id] = dataclasses.replace(lib[drop_id], status=SkillStatus.PRUNED)
+            place_skill(lib, execs, dataclasses.replace(lib[drop_id], status=SkillStatus.PRUNED))
             new_pool.pop(drop_id, None)
             dropped.add(drop_id)
             log.append(f"consolidated {drop_id} into {keep_id}")
-        if dropped:
-            survivor = execs[survivor_id]
-            execs[survivor_id] = dataclasses.replace(
-                survivor, owned_skills=survivor.owned_skills - dropped
-            )
 
     elif decision.action == "modify":
         eid = decision.subjects[0]
@@ -440,7 +409,6 @@ def apply_restructure(
         execs[eid] = dataclasses.replace(executor, boundary=decision.new_boundary)
         for sid in decision.transferred_skills:
             reassign(sid, manager_id)
-            log.append(f"transferred {sid} to {manager_id}")
     else:
         raise StateError(f"unknown restructuring action {decision.action!r}")
 

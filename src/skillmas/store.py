@@ -680,92 +680,39 @@ def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
     return decode
 
 
-class _LogOrder:
-    """The order check of one trace log's episode ids.
-
-    The ids increase throughout, in `episode_order` (the engine's ids past
-    any fixed width, 'e100000' after 'e99999') or as plain strings (how
-    hand-written ids sort); fixed-width ids satisfy both.  Plain-string
-    order is checked first.  Only once it breaks are `episode_order` keys
-    computed, for the ids admitted so far, which `earlier` yields then, and
-    for every later one; the check itself keeps no copy of the ids.
-    """
-
-    def __init__(self, earlier: Callable[[], Iterable[str]]) -> None:
-        self.earlier = earlier
-        self.previous: str | None = None  # while plain-string order holds
-        self.last_key: tuple | None = None  # once it broke
-
-    def admit(self, episode_id: str) -> bool:
-        """Whether the log stays in order with `episode_id` appended."""
-        if self.last_key is None:
-            if self.previous is None or episode_id > self.previous:
-                self.previous = episode_id
-                return True
-            keys = [episode_order(i) for i in self.earlier()]
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                return False
-            self.last_key = keys[-1]
-        key = episode_order(episode_id)
-        if not key > self.last_key:
-            return False
-        self.last_key = key
-        return True
-
-
-def _last_episode_id(path: Path) -> str | None:
-    if not path.exists() or path.stat().st_size == 0:
-        return None
-    last = None
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if line.strip():
-                last = (lineno, line)
-    if last is None:
-        return None
-    lineno, line = last
-    try:
-        return json.loads(line)["episode"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"{path} line {lineno}: unreadable last record: {exc!r}") from None
-
-
-def append_trace_log(traces: Sequence[EpisodeTrace], path: str | Path) -> None:
-    """Append one JSON record per episode; episode ids must keep increasing
-    (see `_LogOrder`)."""
-    path = Path(path)
-    previous = _last_episode_id(path)
-    admitted: list[str] = []
-    order = _LogOrder(lambda: admitted)
-    if previous is not None:
-        order.admit(previous)
-        admitted.append(previous)
-    for trace in traces:
-        if not order.admit(trace.episode_id):
-            raise StoreError(f"episode {trace.episode_id!r} does not follow {previous!r}")
-        admitted.append(trace.episode_id)
-        previous = trace.episode_id
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(encode_trace_log(traces))
-
-
 def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
     """Read a trace log back; a malformed record or an episode id out of
-    order (see `_LogOrder`) is a StoreError naming the file and the 1-based
-    line."""
+    order is a StoreError naming the file and the 1-based line.
+
+    The ids must increase throughout, in `episode_order` (the engine's ids
+    past any fixed width, 'e100000' after 'e99999') or as plain strings (how
+    hand-written ids sort); fixed-width ids satisfy both.  Plain-string order
+    is checked first.  Only once it breaks are `episode_order` keys computed,
+    for the ids read so far and for every later one.
+    """
     path = Path(path)
     if not path.exists():
         raise StoreError(f"trace log {path} does not exist")
     decode = _trace_decoder()
     traces: list[EpisodeTrace] = []
-    order = _LogOrder(lambda: (t.episode_id for t in traces))
     previous: str | None = None
+    last_key: tuple | None = None  # once plain-string order broke
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             trace = decode(json.loads(line))
-            in_order = order.admit(trace.episode_id)
+            if last_key is None and (previous is None or trace.episode_id > previous):
+                in_order = True
+            else:
+                keys = (
+                    [episode_order(t.episode_id) for t in traces]
+                    if last_key is None
+                    else [last_key]
+                )
+                keys.append(episode_order(trace.episode_id))
+                in_order = all(a < b for a, b in zip(keys, keys[1:]))
+                last_key = keys[-1]
         except json.JSONDecodeError as exc:
             raise StoreError(f"{path} line {lineno}: not valid JSON: {exc}") from None
         except KeyError as exc:

@@ -180,15 +180,3 @@ def executor_route(
         eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid), default=None
     )
     return Route(task_id, phase, eligible, greedy)
-
-
-def select_executor(
-    q_exec: UtilityTable,
-    state: RoundState,
-    task_id: str,
-    phase: str,
-    rng: random.Random,
-    epsilon: float,
-) -> str:
-    """Route one phase: greedy on executor utility with epsilon exploration."""
-    return executor_route(q_exec, state, task_id, phase).draw(rng, epsilon)

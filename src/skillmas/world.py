@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -30,12 +30,11 @@ from .model import (
     SkillStatus,
     StateError,
     TaskType,
+    active_owned,
 )
 from .numfmt import q12
 from .streams import seed_deriver
-from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .utility import Route, RoutingError, executor_route, select_skills
-from .utility import select_executor  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,41 @@ def _matching_latents(
     return tuple(l for l in scenario.latent_catalog if l.applicability == pair)
 
 
+class SuccessTerms(NamedTuple):
+    """The terms of the success model at one routed phase."""
+
+    realized: list[LatentSkill]  # the pair's latents some used skill realizes
+    absent: list[LatentSkill]  # the pair's other latents, both in catalog order
+    mismatched: int  # used skills that realize none of the pair's latents
+    excess: int  # the executor's active owned skills beyond its capacity
+
+
+def success_terms(
+    scenario: Scenario,
+    library: Mapping[str, Skill],
+    pair: Pair,
+    executor: Executor,
+    used_skill_ids: Iterable[str],
+) -> SuccessTerms:
+    """The terms that both the success probability and the dominant deficit read."""
+    used = []
+    for skill_id in used_skill_ids:
+        skill = library.get(skill_id)
+        if skill is None:
+            raise StateError(f"used skill {skill_id!r} is not in the library")
+        used.append(skill)
+    realized: list[LatentSkill] = []
+    absent: list[LatentSkill] = []
+    matching: set[str] = set()
+    for latent in _matching_latents(scenario, pair):
+        realizers = [s.id for s in used if realizes(s, latent)]
+        (realized if realizers else absent).append(latent)
+        matching.update(realizers)
+    mismatched = sum(1 for s in used if s.id not in matching)
+    excess = max(0, len(active_owned(executor, library)) - executor.capacity)
+    return SuccessTerms(realized, absent, mismatched, excess)
+
+
 def ground_truth_success_prob(
     scenario: Scenario,
     library: Mapping[str, Skill],
@@ -164,29 +198,12 @@ def ground_truth_success_prob(
     pair = (task_id, phase)
     if not executor.covers(pair):
         raise RoutingError(f"executor {executor.id!r} routed outside its boundary {pair}")
-    used = []
-    for skill_id in used_skill_ids:
-        skill = library.get(skill_id)
-        if skill is None:
-            raise StateError(f"used skill {skill_id!r} is not in the library")
-        used.append(skill)
-
+    terms = success_terms(scenario, library, pair, executor, used_skill_ids)
     logit = scenario.base_difficulty.get(pair, 0.0)
-    matching: set[str] = set()
-    for latent in _matching_latents(scenario, pair):
-        realizers = [s.id for s in used if realizes(s, latent)]
-        if realizers:
-            logit += latent.effect
-            matching.update(realizers)
-    mismatched = sum(1 for s in used if s.id not in matching)
-    logit -= scenario.interference_weight * mismatched
-
-    owned_active = sum(
-        1
-        for sid in executor.owned_skills
-        if sid in library and library[sid].status is not SkillStatus.PRUNED
-    )
-    logit -= scenario.overload_weight * max(0, owned_active - executor.capacity)
+    for latent in terms.realized:
+        logit += latent.effect
+    logit -= scenario.interference_weight * terms.mismatched
+    logit -= scenario.overload_weight * terms.excess
     return logistic(logit)
 
 
@@ -203,38 +220,22 @@ def _dominant_deficit(
     Priority on exact ties: absent latent procedure, then interference,
     then overload.
     """
-    pair = (task_id, phase)
-    used = [library[sid] for sid in sorted(used_ids)]
-
-    absent = [
-        latent
-        for latent in _matching_latents(scenario, pair)
-        if not any(realizes(s, latent) for s in used)
-    ]
+    terms = success_terms(scenario, library, (task_id, phase), executor, used_ids)
     candidates: list[tuple[float, int, CauseLabel]] = []
-    if absent:
-        top = max(absent, key=lambda l: (l.effect, l.id))
+    if terms.absent:
+        top = max(terms.absent, key=lambda l: (l.effect, l.id))
         candidates.append((top.effect, 0, top.repairs_cause))
 
-    matching: set[str] = set()
-    for latent in _matching_latents(scenario, pair):
-        matching.update(s.id for s in used if realizes(s, latent))
-    mismatched = sum(1 for s in used if s.id not in matching)
-    interference = scenario.interference_weight * mismatched
+    interference = scenario.interference_weight * terms.mismatched
     if interference > 0:
         cause = (
             CauseLabel.SKILL_CONFLICT
-            if mismatched >= 2
+            if terms.mismatched >= 2
             else CauseLabel.MISLEADING_RETRIEVAL
         )
         candidates.append((interference, 1, cause))
 
-    owned_active = sum(
-        1
-        for sid in executor.owned_skills
-        if sid in library and library[sid].status is not SkillStatus.PRUNED
-    )
-    overload = scenario.overload_weight * max(0, owned_active - executor.capacity)
+    overload = scenario.overload_weight * terms.excess
     if overload > 0:
         candidates.append((overload, 2, CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
 

@@ -89,6 +89,37 @@ class TestRun:
         assert code == 2
         assert "line 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("episodes_per_round", 0),
+            ("top_k", -1),
+            ("default_capacity", 0),
+            ("cluster_threshold", 0),
+            ("routing_noise", 1.5),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
+        # a scenario's [thresholds] line and a --config override alike
+        scn = tmp_path / "bad.scn"
+        scn.write_text(
+            "[tasks]\nt1 = p1 | 1.0\n"
+            "[seed-state]\nexecutor m = * manager\n"
+            f"[thresholds]\ntop-k = 3\n{key.replace('_', '-')} = {value}\n"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 7" in err and key in err
+        code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "y"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {key} must be")
+
     def test_default_out_respects_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKILLMAS_OUT", str(tmp_path / "env-runs"))
         code = main(["run", "--scenario", "preset:tiny", "--seed", "3",
@@ -303,6 +334,16 @@ BAD_VALUES = {
     "run.config": ("run.json", "replay", _set("config", []), ["'config'", "an object"]),
     "run.config-value": ("run.json", "replay", _set("config", "top_k", [3]),
                          ["top_k", "an integer"]),
+    "run.config-episodes": ("run.json", "replay", _set("config", "episodes_per_round", 0),
+                            ["episodes_per_round", "at least 1"]),
+    "run.config-top_k": ("run.json", "replay", _set("config", "top_k", -1),
+                         ["top_k", "at least 1"]),
+    "run.config-capacity": ("run.json", "replay", _set("config", "default_capacity", 0),
+                            ["default_capacity", "at least 1"]),
+    "run.config-cluster": ("run.json", "replay", _set("config", "cluster_threshold", 0),
+                           ["cluster_threshold", "in (0, 1]"]),
+    "run.config-noise": ("run.json", "replay", _set("config", "routing_noise", 1.5),
+                         ["routing_noise", "in [0, 1]"]),
     "checkpoint.snapshot": ("checkpoint.json", "transplant", _set("snapshot", 3),
                             ["'snapshot'", "a string"]),
     "trajectory.scenario": ("trajectory.json", "report", _set("scenario", None),

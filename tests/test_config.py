@@ -47,12 +47,29 @@ def test_bool_coercion_from_text():
         ({"merge_gap": None}, "merge_gap expects a number"),
         ({"routing_noise": {}}, "routing_noise expects a number"),
         ({"cross_round_repeats": 1}, "cross_round_repeats expects a boolean"),
+        ({"episodes_per_round": 0}, "episodes_per_round must be at least 1"),
+        ({"top_k": -1}, "top_k must be at least 1"),
+        ({"default_capacity": 0}, "default_capacity must be at least 1"),
+        ({"cluster_threshold": 0}, r"cluster_threshold must be in \(0, 1\]"),
+        ({"cluster_threshold": 1.5}, r"cluster_threshold must be in \(0, 1\]"),
+        ({"routing_noise": 1.5}, r"routing_noise must be null or in \[0, 1\]"),
+        ({"routing_noise": -0.1}, r"routing_noise must be null or in \[0, 1\]"),
+        ({"top-k": "0"}, "top_k must be at least 1"),
     ],
 )
 def test_values_of_the_wrong_type_rejected(values, expected):
-    # JSON overrides and stored manifests carry typed values, not text
+    # JSON overrides and stored manifests carry typed values, not text, and
+    # each value must lie in its threshold's range
     with pytest.raises(ValueError, match=expected):
         config_from_mapping(values)
+
+
+def test_range_edges_accepted():
+    config = config_from_mapping(
+        {"top_k": 1, "cluster_threshold": 1, "routing_noise": 1.0, "default_capacity": 1}
+    )
+    assert (config.top_k, config.cluster_threshold, config.routing_noise) == (1, 1, 1.0)
+    assert config_from_mapping({"routing_noise": 0}).routing_noise == 0
 
 
 def test_typed_values_accepted():

@@ -24,7 +24,7 @@ from skillmas.model import (
     episode_order,
     episode_sorted,
 )
-from skillmas.store import StoreError, append_trace_log, read_trace_log
+from skillmas.store import StoreError, encode_trace_log, read_trace_log
 from skillmas.utility import learn, mc_update
 
 TASK = TaskType("t", ("p",))
@@ -109,15 +109,12 @@ def test_learn_names_the_first_offender_in_generation_order():
 def test_log_reads_past_the_width_in_generation_order(tmp_path):
     path = tmp_path / "traces.jsonl"
     traces = [trace(i, o) for i, o in zip(ACROSS, OUTCOMES)]
-    append_trace_log(traces[:4], path)  # ends at e99999
-    append_trace_log(traces[4:], path)  # continues at e100000
+    path.write_text(encode_trace_log(traces), encoding="utf-8")  # e99999, then e100000
     decoded = read_trace_log(path)
     assert [t.episode_id for t in decoded] == ACROSS
     q_skill, _ = learn(UtilityTable(), UtilityTable(), decoded)
     assert q_skill.get("s", "t") == fold(OUTCOMES)
 
-    with pytest.raises(StoreError, match="does not follow"):
-        append_trace_log(traces[4:5], path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[3], lines[4] = lines[4], lines[3]  # e100000 before e99999
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -129,7 +126,7 @@ def test_log_in_string_order_still_reads(tmp_path):
     # hand-written ids sorted as plain strings are a valid log too
     path = tmp_path / "traces.jsonl"
     ids = ["a10", "a9", "b"]
-    append_trace_log([trace(i) for i in ids], path)
+    path.write_text(encode_trace_log([trace(i) for i in ids]), encoding="utf-8")
     assert [t.episode_id for t in read_trace_log(path)] == ids
 
 

@@ -1,7 +1,9 @@
 """Golden artifact hashes: the engine's output must not move by a byte.
 
 Every value below was recorded from the engine before any speed work on the
-round pipeline.  A change that is meant to be a pure optimisation must leave
+round pipeline, except OWNERSHIP_SHA256 and TRANSPLANT_SHA256, recorded
+before each rule that edits skill ownership got a single implementation.
+A change that is meant to be a pure optimisation must leave
 all of them unchanged; a change that alters behaviour on purpose must say so
 and re-record them.
 """
@@ -14,8 +16,9 @@ import pytest
 
 from skillmas import load_preset, run_experiment
 from skillmas.cli import main
+from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
 from skillmas.presets import PRESETS
-from skillmas.store import parse_scenario
+from skillmas.store import parse_scenario, serialize_state
 
 SEEDS = (1, 7, 11)
 ROUNDS = 8
@@ -45,6 +48,27 @@ WIDE_SHA256 = "d50f566c37c38d780cd0633ec5453c90fda8e568a6e00ff7e3565411f91e1531"
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
 RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
 
+# runs whose rounds fire `modify` (the goldens above fire only keep and add),
+# by (scenario, seed, rounds): the report, one digest over `serialize_state`
+# of every state X_0 .. X_R, and one over the four transplant variants of
+# the checkpoint.  mismatch seed 5 modifies at rounds 5 and 6, wide24 seed 4
+# at round 5.
+OWNERSHIP_SHA256 = {
+    ("mismatch", 5, 8): (
+        "5d201397b19cf3f5d492ddf2c11059babf08d1f4712a548608fd8833509f6d56",
+        "b7c51acc4ee82e531d311f701b09614d1d5ec344490e413b31a6d2959e918882",
+        "0ffa9a56e2d50b77f78b58f08c1e0bbbac6baf1af8fbfcfe6511cc3fe260a891",
+    ),
+    ("wide24", 4, 10): (
+        "63ea691b8b111bebd84a08629033691a2cd659cdd8143c8117e088ba328c5e00",
+        "813ef72ef95e614fe48d1e6934d2819369544304a326d861dad584663b3aab05",
+        "97c6bffa10a7108a654d8f732f433fb0e9d41b52f29d4743e2b16f653031a129",
+    ),
+}
+
+# `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
+TRANSPLANT_SHA256 = "0627094a9e19038f8cb3a1bf90220ffeb6398624b249312a169e7f1eef6d3bb2"
+
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -57,6 +81,14 @@ def dir_digest(path) -> str:
         digest.update(file.relative_to(path).as_posix().encode("utf-8") + b"\0")
         digest.update(file.read_bytes())
         digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def states_digest(states) -> str:
+    """SHA-256 over the snapshots of a sequence of states, in order."""
+    digest = hashlib.sha256()
+    for state in states:
+        digest.update(serialize_state(state).encode("utf-8") + b"\0")
     return digest.hexdigest()
 
 
@@ -106,6 +138,23 @@ def test_wide_report_hash():
     assert sha256_text(result.report.to_json()) == WIDE_SHA256
 
 
+@pytest.mark.parametrize("scenario, seed, rounds", sorted(OWNERSHIP_SHA256))
+def test_ownership_edits_hash(scenario, seed, rounds):
+    if scenario == "wide24":
+        pack = parse_scenario(wide_text(24, 100), name="wide24")
+    else:
+        pack = load_preset(scenario)
+    result = run_experiment(pack.scenario, pack.seed_state, seed, rounds, pack.config)
+    actions = [r.restructure["action"] for r in result.report.rounds]
+    assert "modify" in actions
+    variants = transplant_variants(result.checkpoint_state, result.seed_state)
+    assert (
+        sha256_text(result.report.to_json()),
+        states_digest(result.states),
+        states_digest(variants[label] for label in TRANSPLANT_ROWS),
+    ) == OWNERSHIP_SHA256[(scenario, seed, rounds)]
+
+
 def test_run_directory_digest(tmp_path):
     out = tmp_path / "run"
     code = main(
@@ -114,3 +163,15 @@ def test_run_directory_digest(tmp_path):
     )
     assert code == 0
     assert dir_digest(out) == RUN_DIR_SHA256
+
+
+def test_transplant_digest(tmp_path):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
+         "--episodes", "200", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    assert main(["transplant", "--run", str(out), "--episodes", "200"]) == 0
+    transplant = (out / "transplant.json").read_bytes()
+    assert hashlib.sha256(transplant).hexdigest() == TRANSPLANT_SHA256

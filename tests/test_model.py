@@ -12,7 +12,9 @@ from skillmas.model import (
     StateError,
     TaskType,
     UtilityTable,
+    active_owned,
     cluster_skills,
+    place_skill,
     skill_similarity,
     validate_state,
 )
@@ -184,6 +186,33 @@ class TestStateValidation:
         state = make_state([], q_skill=UtilityTable({("a", "t1"): (1.5, 1)}))
         with pytest.raises(StateError, match="out of"):
             validate_state(state)
+
+
+class TestOwnershipEdits:
+    def test_place_skill_keeps_owned_sets_in_step(self):
+        import dataclasses
+
+        a = make_skill("a", owner="worker")
+        state = make_state([a])
+        lib, execs = dict(state.library), dict(state.executors)
+        b = make_skill("b", owner="manager")
+        place_skill(lib, execs, b)  # a new skill joins its owner
+        assert execs["manager"].owned_skills == {"b"}
+        place_skill(lib, execs, dataclasses.replace(a, owner="manager"))  # a move
+        assert (execs["manager"].owned_skills, execs["worker"].owned_skills) == (
+            {"a", "b"}, frozenset()
+        )
+        pruned = dataclasses.replace(lib["b"], status=SkillStatus.PRUNED)
+        place_skill(lib, execs, pruned)  # a prune leaves the owned set
+        assert lib["b"] is pruned and execs["manager"].owned_skills == {"a"}
+        validate_state(RoundState(1, lib, execs, UtilityTable(), UtilityTable(), {}))
+        # the inputs were fresh copies: the state itself is untouched
+        assert state.executors["worker"].owned_skills == {"a"}
+
+    def test_active_owned_skips_pruned_and_unknown(self):
+        skills = [make_skill("a"), make_skill("p", status=SkillStatus.PRUNED)]
+        worker = Executor("worker", frozenset({("t1", "p1")}), frozenset({"a", "p", "gone"}))
+        assert [s.id for s in active_owned(worker, {s.id: s for s in skills})] == ["a"]
 
 
 class TestDomainInvariants:

@@ -44,7 +44,7 @@ from skillmas.restructure import RestructureDecision
 from skillmas.retention import retain
 from skillmas.store import serialize_state
 from skillmas.streams import substream
-from skillmas.utility import RoutingError, learn, select_executor, select_skills
+from skillmas.utility import RoutingError, executor_route, learn, select_skills
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
@@ -77,8 +77,8 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config):
     for phase in task_type.phases:
         pair = (task_type.id, phase)
         try:
-            executor_id = select_executor(
-                state.q_exec, state, task_type.id, phase, rng, epsilon
+            executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
+                rng, epsilon
             )
         except RoutingError:
             observation = CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True)

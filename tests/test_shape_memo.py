@@ -151,7 +151,7 @@ def reference_proposals(retained, state, scenario, config, index):
 
 
 def reference_artifacts(retained, q_exec_plus, skill_delta):
-    addressed = skill_delta.source_traces(("create", "refine"))
+    addressed = skill_delta.source_traces()
     failures = {}
     for rt in retained:
         if rt.trace.outcome == 0:

@@ -17,8 +17,8 @@ from skillmas.presets import PRESETS, load_preset
 from skillmas.store import (
     ScenarioError,
     StoreError,
-    append_trace_log,
     deserialize_state,
+    encode_trace_log,
     load_scenario,
     parse_scenario,
     read_trace_log,
@@ -132,7 +132,7 @@ class TestTraceLog:
         scenario, state = random_scenario(random.Random(11))
         traces = exec_round(state, scenario, 70, 4, EngineConfig())
         path = tmp_path / "traces.jsonl"
-        append_trace_log(traces, path)
+        path.write_text(encode_trace_log(traces), encoding="utf-8")
         assert read_trace_log(path) == traces
 
     def test_empty_file_empty_set(self, tmp_path):
@@ -143,19 +143,19 @@ class TestTraceLog:
     def test_append_only_monotonic(self, tmp_path):
         scenario, state = random_scenario(random.Random(2))
         traces = exec_round(state, scenario, 5, 4, EngineConfig(), id_prefix="a")
-        path = tmp_path / "traces.jsonl"
-        append_trace_log(traces, path)
-        with pytest.raises(StoreError, match="does not follow"):
-            append_trace_log(traces, path)
         more = exec_round(state, scenario, 5, 5, EngineConfig(), id_prefix="b")
-        append_trace_log(more, path)
+        path = tmp_path / "traces.jsonl"
+        path.write_text(encode_trace_log(traces + more), encoding="utf-8")
         assert len(read_trace_log(path)) == 10
+        path.write_text(encode_trace_log(more + traces), encoding="utf-8")
+        with pytest.raises(StoreError, match="line 6: episode 'ae00000' out of order"):
+            read_trace_log(path)
 
     def test_out_of_order_read_is_integrity_error(self, tmp_path):
         scenario, state = random_scenario(random.Random(2))
         traces = exec_round(state, scenario, 3, 4, EngineConfig())
         path = tmp_path / "traces.jsonl"
-        append_trace_log(traces, path)
+        path.write_text(encode_trace_log(traces), encoding="utf-8")
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n")
         with pytest.raises(StoreError, match="out of order"):

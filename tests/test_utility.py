@@ -16,8 +16,8 @@ from skillmas.model import (
     UtilityTable,
 )
 from skillmas.utility import (
+    executor_route,
     learn,
-    select_executor,
     select_skills,
     step_size,
     used_skills,
@@ -207,7 +207,7 @@ class TestSelectExecutor:
         )
         for epsilon in (0.0, 0.5, 1.0):
             assert (
-                select_executor(state.q_exec, state, "t2", "p1", rng, epsilon)
+                executor_route(state.q_exec, state, "t2", "p1").draw(rng, epsilon)
                 in ("manager", "narrow")
             )
         only = make_state(
@@ -215,7 +215,7 @@ class TestSelectExecutor:
             executors=[Executor("manager", frozenset({("t1", "p1"), ("t1", "p2")}),
                                 is_manager=True)],
         )
-        assert select_executor(only.q_exec, only, "t1", "p1", rng, 1.0) == "manager"
+        assert executor_route(only.q_exec, only, "t1", "p1").draw(rng, 1.0) == "manager"
 
     def test_greedy_tracks_utility_gap(self):
         state = make_state(
@@ -224,14 +224,14 @@ class TestSelectExecutor:
         )
         rng = random.Random(1)
         for _ in range(50):
-            assert select_executor(state.q_exec, state, "t1", "p1", rng, 0.0) == "worker"
+            assert executor_route(state.q_exec, state, "t1", "p1").draw(rng, 0.0) == "worker"
 
     def test_full_noise_is_uniform_within_three_sigma(self):
         state = make_state([])
         rng = random.Random(12345)
         n = 10_000
         picks = sum(
-            select_executor(state.q_exec, state, "t1", "p1", rng, 1.0) == "manager"
+            executor_route(state.q_exec, state, "t1", "p1").draw(rng, 1.0) == "manager"
             for _ in range(n)
         )
         sigma = math.sqrt(n * 0.25)
