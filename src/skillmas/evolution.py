@@ -30,7 +30,7 @@ from .model import (
 )
 from .retention import RetainedTrace
 from .utility import used_skills
-from .world import LatentSkill, Scenario, motif_skill, realized_catalog
+from .world import LatentSkill, Scenario, latents_by_pair, motif_skill, realized_catalog
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,6 @@ def proposal_index(
     scenario: Scenario, library: Mapping[str, Skill], config: EngineConfig
 ) -> ProposalIndex:
     """Build the proposal index of one frozen library, once per round."""
-    latents_at: dict[tuple[str, str], list[LatentSkill]] = {}
-    for latent in realized_catalog(scenario, library):
-        latents_at.setdefault(latent.applicability, []).append(latent)
     return ProposalIndex(
         keys=cluster_key_map(library, config.cluster_threshold),
         active=tuple(
@@ -163,7 +160,7 @@ def proposal_index(
             for s in sorted(library.values(), key=lambda s: s.id)
             if s.status is not SkillStatus.PRUNED
         ),
-        latents_at={pair: tuple(latents) for pair, latents in latents_at.items()},
+        latents_at=latents_by_pair(realized_catalog(scenario, library)),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,15 +75,16 @@ TAG_BY_CAUSE: dict[CauseLabel, BoundedTag] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskType:
     id: str
     phases: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.phases:
+        phases = self.phases
+        if not phases:
             raise StateError(f"task type {self.id!r} has no phases")
-        if len(set(self.phases)) != len(self.phases):
+        if len(phases) > 1 and len(set(phases)) != len(phases):
             raise StateError(f"task type {self.id!r} repeats a phase id")
 
     def pairs(self) -> tuple[Pair, ...]:
@@ -182,7 +184,7 @@ class CauseObservation:
     confident: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutorSlice:
     """The executor-local portion of one episode phase."""
 
@@ -193,12 +195,14 @@ class ExecutorSlice:
     pattern_supported: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.invoked <= self.selected:
+        selected = self.selected
+        if not self.invoked <= selected:
             raise StateError("invoked skills must be a subset of selected")
-        if not self.pattern_supported <= self.selected:
+        if not self.pattern_supported <= selected:
             raise StateError("pattern-supported skills must be a subset of selected")
 
 
+_PHASE = operator.attrgetter("phase")
 _DIGIT_RUNS = re.compile(r"([0-9]+)")
 
 
@@ -235,7 +239,7 @@ def episode_sorted(traces: Iterable[EpisodeTrace]) -> list[EpisodeTrace]:
     return sorted(traces, key=lambda t: episode_order(t.episode_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeTrace:
     """One verified episode: routing, skill usage, and a binary outcome."""
 
@@ -247,14 +251,15 @@ class EpisodeTrace:
     latent_cause_observation: CauseObservation | None = None
 
     def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
+        outcome = self.outcome
+        if outcome not in (0, 1):
             raise StateError("outcome must be binary")
-        if self.outcome == 1 and self.progress != 1.0:
+        if outcome == 1 and self.progress != 1.0:
             raise StateError("a successful episode must have progress 1.0")
-        if self.latent_cause_observation is not None and self.outcome == 1:
+        if self.latent_cause_observation is not None and outcome == 1:
             raise StateError("cause observations accompany failures only")
-        attempted = tuple(sl.phase for sl in self.slices)
-        if attempted != self.task_type.phases[: len(attempted)]:
+        slices = self.slices
+        if tuple(map(_PHASE, slices)) != self.task_type.phases[: len(slices)]:
             raise StateError("slices must cover the attempted phases in order")
 
     def executors(self) -> tuple[str, ...]:

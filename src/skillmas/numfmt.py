@@ -10,11 +10,14 @@ byte-stable across platforms and replays.
 from __future__ import annotations
 
 
+_FORMAT = "%.12g"
+
+
 def fmt(value: float) -> str:
     """Render a float at 12 significant digits."""
-    return "%.12g" % value
+    return _FORMAT % value
 
 
 def q12(value: float) -> float:
-    """Quantize to the nearest 12-significant-digit decimal."""
-    return float(fmt(value))
+    """Quantize to the nearest 12-significant-digit decimal (`fmt`, parsed back)."""
+    return float(_FORMAT % value)

@@ -195,7 +195,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             weight = float(weight_text)
         except ValueError:
             raise ScenarioError(f"bad weight {weight_text.strip()!r}", lineno) from None
-        if any(t.id == key for t in tasks):
+        if key in weights:
             raise ScenarioError(f"duplicate task {key!r}", lineno)
         tasks.append(TaskType(key, phases))
         weights[key] = weight
@@ -209,14 +209,20 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         pair = _parse_pair(key, lineno)
         if pair not in universe:
             raise ScenarioError(f"difficulty for unknown pair {key!r}", lineno)
+        if pair in difficulty:
+            raise ScenarioError(f"duplicate difficulty for {key!r}", lineno)
         try:
             difficulty[pair] = float(value)
         except ValueError:
             raise ScenarioError(f"bad difficulty {value!r}", lineno) from None
 
     latents: list[LatentSkill] = []
+    latent_ids: set[str] = set()
     for lineno, entry in sections["latent"]:
         key, value = _split_kv(entry, lineno)
+        if key in latent_ids:
+            raise ScenarioError(f"duplicate latent {key!r}", lineno)
+        latent_ids.add(key)
         parts = value.split()
         if len(parts) != 3:
             raise ScenarioError("latent needs '<task/phase> <effect> <cause>'", lineno)
@@ -239,10 +245,14 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         "routing-noise": 0.1,
         "cause-confidence": 0.9,
     }
+    given_penalties: set[str] = set()
     for lineno, entry in sections["penalties"]:
         key, value = _split_kv(entry, lineno)
         if key not in penalties:
             raise ScenarioError(f"unknown penalty {key!r}", lineno)
+        if key in given_penalties:
+            raise ScenarioError(f"duplicate penalty {key!r}", lineno)
+        given_penalties.add(key)
         try:
             penalties[key] = float(value)
         except ValueError:
@@ -263,20 +273,24 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
     executors: dict[str, Executor] = {}
     skills: dict[str, Skill] = {}
     cards: list[PolicyCard] = []
+    entry_ids: set[tuple[str, str]] = set()
     for lineno, entry in sections["seed-state"]:
         kind, rest = (entry.split(None, 1) + [""])[:2]
+        if kind not in ("executor", "skill", "card"):
+            raise ScenarioError(f"unknown seed-state entry {kind!r}", lineno)
+        ident, body = _split_kv(rest, lineno)
+        if (kind, ident) in entry_ids:
+            raise ScenarioError(f"duplicate {kind} {ident!r}", lineno)
+        entry_ids.add((kind, ident))
         if kind == "executor":
-            ident, body = _split_kv(rest, lineno)
             boundary, capacity, manager = _parse_executor_line(body, lineno, universe)
             executors[ident] = Executor(
                 id=ident, boundary=boundary, capacity=capacity, is_manager=manager
             )
         elif kind == "skill":
-            ident, body = _split_kv(rest, lineno)
             fields = _parse_skill_line(body, lineno)
             skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
-        elif kind == "card":
-            ident, body = _split_kv(rest, lineno)
+        else:
             parts = body.split()
             if len(parts) not in (3, 4):
                 raise ScenarioError(
@@ -296,8 +310,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                     template_skill=parts[3] if len(parts) == 4 else None,
                 )
             )
-        else:
-            raise ScenarioError(f"unknown seed-state entry {kind!r}", lineno)
 
     owned: dict[str, set[str]] = {eid: set() for eid in executors}
     for skill in skills.values():

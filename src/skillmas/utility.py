@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .model import (
     EpisodeTrace,
     Executor,
     ExecutorSlice,
     RoundState,
+    Skill,
     SkillStatus,
     StateError,
     UtilityTable,
@@ -78,10 +79,11 @@ def learn(
         keys = credit.get(shape)
         if keys is None:
             keys = credit[shape] = _credit_keys(trace, skill_ids, executor_ids)
+        _, skill_keys, executor_keys = keys
         outcome = trace.outcome
-        for key in keys[1]:
+        for key in skill_keys:
             s_entries[key] = mc_update(s_entries.get(key), outcome)
-        for key in keys[2]:
+        for key in executor_keys:
             a_entries[key] = mc_update(a_entries.get(key), outcome)
 
     return UtilityTable(s_entries), UtilityTable(a_entries)
@@ -94,7 +96,6 @@ def _credit_keys(
 ) -> tuple:
     """The trace's slices with its skill and executor credit keys, in update
     order: executors by first appearance, each one's used skills by id."""
-    task_id = trace.task_type.id
     used_by: dict[str, frozenset[str]] = {}
     for sl in trace.slices:
         if executor_ids is not None and sl.executor not in executor_ids:
@@ -104,14 +105,57 @@ def _credit_keys(
             raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
         used = used_by.get(sl.executor)
         used_by[sl.executor] = used_skills(sl) if used is None else used | used_skills(sl)
+    task_id = trace.task_type.id
     skill_keys = []
-    for used in used_by.values():
+    executor_keys = []
+    for executor_id, used in used_by.items():
         for skill_id in sorted(used):
             skill_keys.append((skill_id, task_id))
-    executor_keys = []
-    for executor_id in used_by:
         executor_keys.append((executor_id, task_id))
     return trace.slices, skill_keys, executor_keys
+
+
+def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:
+    """The non-pruned skills applicable to each task id, in library order.
+
+    One pass over the library; a skill appears once under every task id
+    its applicability names.
+    """
+    by_task: dict[str, list[Skill]] = {}
+    for skill in library.values():
+        if skill.status is not SkillStatus.PRUNED:
+            for task_id in {pair[0] for pair in skill.applicability}:
+                by_task.setdefault(task_id, []).append(skill)
+    return by_task
+
+
+def rank_skills(
+    q_skill: UtilityTable,
+    candidates: Iterable[Skill],
+    owners: Container[str],
+    task_id: str,
+    k: int,
+) -> list[str]:
+    """Retrieval over one task's candidates: the top k by utility, then one
+    pooled exposure.
+
+    Only candidates owned by one of `owners` compete.  Ranking is by skill
+    utility (unseen entries rank at the 0.5 prior) with lexicographic
+    tie-breaks.  At most one pooled skill is appended beyond the top k so
+    the validation pool keeps accumulating usage evidence.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    ranked = sorted(
+        (s for s in candidates if s.owner in owners),
+        key=lambda s: (-q_skill.value(s.id, task_id), s.id),
+    )
+    chosen = [s.id for s in ranked[:k]]
+    for s in ranked:
+        if s.status is SkillStatus.POOLED and s.id not in chosen:
+            chosen.append(s.id)  # one pooled exposure per phase
+            break
+    return chosen
 
 
 def select_skills(
@@ -127,29 +171,13 @@ def select_skills(
     Candidates are the non-pruned skills applicable to the task type and
     owned by the routed executor or the manager; retrieval is task-wide, and
     only skills whose applicability covers the exact phase end up invoked.
-    Ranking is by skill utility (unseen entries rank at the 0.5 prior) with
-    lexicographic tie-breaks.  At most one applicable pooled skill is
-    appended beyond the top k so the validation pool keeps accumulating
-    usage evidence.
+    This is the per-call form of what `ExecutionTable` fills from its
+    round-scoped index; both rank through `rank_skills`.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     executor_id = executor.id if isinstance(executor, Executor) else executor
     owners = {executor_id, state.manager_id()}
-    candidates = [
-        s
-        for s in state.library.values()
-        if s.status is not SkillStatus.PRUNED
-        and s.owner in owners
-        and s.applies_to_task(task_id)
-    ]
-    candidates.sort(key=lambda s: (-q_skill.value(s.id, task_id), s.id))
-    chosen = [s.id for s in candidates[:k]]
-    for s in candidates:
-        if s.status is SkillStatus.POOLED and s.id not in chosen:
-            chosen.append(s.id)  # one pooled exposure per phase
-            break
-    return chosen
+    candidates = skills_by_task(state.library).get(task_id, ())
+    return rank_skills(q_skill, candidates, owners, task_id, k)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ both one-sided failure modes of coupled adaptation are expressible.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -34,7 +35,7 @@ from .model import (
 )
 from .numfmt import q12
 from .streams import seed_deriver
-from .utility import Route, RoutingError, executor_route, select_skills
+from .utility import Route, RoutingError, executor_route, rank_skills, skills_by_task
 
 
 @dataclass(frozen=True)
@@ -127,31 +128,63 @@ def realized_catalog(
     """The latent catalog with `realized_by` resolved against a library.
 
     Realization is derived, not stored: the lexicographically smallest
-    non-pruned realizing skill wins, so the view is deterministic.
+    non-pruned realizing skill wins, so the view is deterministic.  A
+    latent's realizers carry its id as a step, so only the skills indexed
+    under that step token are checked.
     """
-    resolved = []
-    for latent in scenario.latent_catalog:
-        match = min(
-            (s.id for s in library.values() if realizes(s, latent)),
-            default=None,
+    by_step: dict[str, list[Skill]] = {}
+    for skill in library.values():
+        if skill.status is not SkillStatus.PRUNED:
+            for step in set(skill.steps):
+                by_step.setdefault(step, []).append(skill)
+    return tuple(
+        replace(
+            latent,
+            realized_by=min(
+                (s.id for s in by_step.get(latent.id, ()) if realizes(s, latent)),
+                default=None,
+            ),
         )
-        resolved.append(replace(latent, realized_by=match))
-    return tuple(resolved)
+        for latent in scenario.latent_catalog
+    )
 
 
-def _matching_latents(
-    scenario: Scenario, pair: Pair
-) -> tuple[LatentSkill, ...]:
-    return tuple(l for l in scenario.latent_catalog if l.applicability == pair)
+def latents_by_pair(
+    catalog: Iterable[LatentSkill],
+) -> dict[Pair, tuple[LatentSkill, ...]]:
+    """Each pair's latent procedures, in catalog order."""
+    by_pair: dict[Pair, list[LatentSkill]] = {}
+    for latent in catalog:
+        by_pair.setdefault(latent.applicability, []).append(latent)
+    return {pair: tuple(latents) for pair, latents in by_pair.items()}
+
+
+def overload_excess(executor: Executor, library: Mapping[str, Skill]) -> int:
+    """The executor's active owned skills beyond its capacity."""
+    return max(0, len(active_owned(executor, library)) - executor.capacity)
 
 
 class SuccessTerms(NamedTuple):
     """The terms of the success model at one routed phase."""
 
-    realized: list[LatentSkill]  # the pair's latents some used skill realizes
-    absent: list[LatentSkill]  # the pair's other latents, both in catalog order
+    realized: tuple[LatentSkill, ...]  # the pair's latents some used skill realizes
+    absent: tuple[LatentSkill, ...]  # the pair's other latents, both in catalog order
     mismatched: int  # used skills that realize none of the pair's latents
     excess: int  # the executor's active owned skills beyond its capacity
+
+
+def _terms(
+    latents: Sequence[LatentSkill], used: Sequence[Skill], excess: int
+) -> SuccessTerms:
+    realized: list[LatentSkill] = []
+    absent: list[LatentSkill] = []
+    matching: set[str] = set()
+    for latent in latents:
+        realizers = [s.id for s in used if realizes(s, latent)]
+        (realized if realizers else absent).append(latent)
+        matching.update(realizers)
+    mismatched = sum(1 for s in used if s.id not in matching)
+    return SuccessTerms(tuple(realized), tuple(absent), mismatched, excess)
 
 
 def success_terms(
@@ -168,16 +201,27 @@ def success_terms(
         if skill is None:
             raise StateError(f"used skill {skill_id!r} is not in the library")
         used.append(skill)
-    realized: list[LatentSkill] = []
-    absent: list[LatentSkill] = []
-    matching: set[str] = set()
-    for latent in _matching_latents(scenario, pair):
-        realizers = [s.id for s in used if realizes(s, latent)]
-        (realized if realizers else absent).append(latent)
-        matching.update(realizers)
-    mismatched = sum(1 for s in used if s.id not in matching)
-    excess = max(0, len(active_owned(executor, library)) - executor.capacity)
-    return SuccessTerms(realized, absent, mismatched, excess)
+    latents = latents_by_pair(scenario.latent_catalog).get(pair, ())
+    return _terms(latents, used, overload_excess(executor, library))
+
+
+def _check_routed(executor: Executor, pair: Pair) -> None:
+    if not executor.covers(pair):
+        raise RoutingError(f"executor {executor.id!r} routed outside its boundary {pair}")
+
+
+def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
+    """logit = base difficulty
+          + effects of latent procedures realized by some used skill
+          - interference * (# used skills matching no latent here)
+          - overload * max(0, owned skills - capacity)
+    """
+    logit = scenario.base_difficulty.get(pair, 0.0)
+    for latent in terms.realized:
+        logit += latent.effect
+    logit -= scenario.interference_weight * terms.mismatched
+    logit -= scenario.overload_weight * terms.excess
+    return logistic(logit)
 
 
 def ground_truth_success_prob(
@@ -188,39 +232,22 @@ def ground_truth_success_prob(
     executor: Executor,
     used_skill_ids: Iterable[str],
 ) -> float:
-    """Phase success probability under the additive-logit ground truth.
-
-    logit = base difficulty
-          + effects of latent procedures realized by some used skill
-          - interference * (# used skills matching no latent here)
-          - overload * max(0, owned skills - capacity)
-    """
+    """Phase success probability under the additive-logit ground truth
+    (`_success_prob`), recomputing its terms from the library."""
     pair = (task_id, phase)
-    if not executor.covers(pair):
-        raise RoutingError(f"executor {executor.id!r} routed outside its boundary {pair}")
+    _check_routed(executor, pair)
     terms = success_terms(scenario, library, pair, executor, used_skill_ids)
-    logit = scenario.base_difficulty.get(pair, 0.0)
-    for latent in terms.realized:
-        logit += latent.effect
-    logit -= scenario.interference_weight * terms.mismatched
-    logit -= scenario.overload_weight * terms.excess
-    return logistic(logit)
+    return _success_prob(scenario, pair, terms)
 
 
-def _dominant_deficit(
-    scenario: Scenario,
-    library: Mapping[str, Skill],
-    executor: Executor,
-    task_id: str,
-    phase: str,
-    used_ids: frozenset[str],
+def _deficit(
+    scenario: Scenario, terms: SuccessTerms
 ) -> tuple[CauseLabel, float] | None:
     """The largest unmet term of the success model, with its magnitude.
 
     Priority on exact ties: absent latent procedure, then interference,
     then overload.
     """
-    terms = success_terms(scenario, library, (task_id, phase), executor, used_ids)
     candidates: list[tuple[float, int, CauseLabel]] = []
     if terms.absent:
         top = max(terms.absent, key=lambda l: (l.effect, l.id))
@@ -245,6 +272,19 @@ def _dominant_deficit(
     return cause, magnitude
 
 
+def _dominant_deficit(
+    scenario: Scenario,
+    library: Mapping[str, Skill],
+    executor: Executor,
+    task_id: str,
+    phase: str,
+    used_ids: frozenset[str],
+) -> tuple[CauseLabel, float] | None:
+    """`_deficit` with its terms recomputed from the library."""
+    terms = success_terms(scenario, library, (task_id, phase), executor, used_ids)
+    return _deficit(scenario, terms)
+
+
 def _observe_cause(
     deficit: tuple[CauseLabel, float] | None, rng: random.Random, confidence: float
 ) -> CauseObservation:
@@ -258,41 +298,8 @@ class PhaseSlot:
     """What one executor does at one (task, phase) pair under a fixed state."""
 
     slice: ExecutorSlice
-    used: frozenset[str]  # invoked or pattern-supported
+    terms: SuccessTerms  # of the slice's invoked and pattern-supported skills
     success_prob: float
-
-
-def _phase_slot(
-    scenario: Scenario,
-    state: RoundState,
-    pair: Pair,
-    executor: Executor,
-    config: EngineConfig,
-) -> PhaseSlot:
-    """Retrieve skills for one routed phase, invoke the phase-matching ones,
-    and evaluate the ground-truth success probability of the result."""
-    task_id, phase = pair
-    selected = frozenset(
-        select_skills(state.q_skill, state, task_id, phase, executor, config.top_k)
-    )
-    invoked = frozenset(sid for sid in selected if state.library[sid].applies_to(pair))
-    realized_actions = frozenset(
-        step for sid in invoked for step in state.library[sid].steps
-    )
-    pattern_supported = frozenset(
-        sid
-        for sid in selected - invoked
-        if set(state.library[sid].steps) <= realized_actions
-    )
-    used = invoked | pattern_supported
-    p = ground_truth_success_prob(
-        scenario, state.library, task_id, phase, executor, sorted(used)
-    )
-    return PhaseSlot(
-        ExecutorSlice(executor.id, phase, selected, invoked, pattern_supported),
-        used,
-        p,
-    )
 
 
 class ExecutionTable:
@@ -302,6 +309,10 @@ class ExecutionTable:
     fixed while a batch executes, so an episode only makes its RNG draws and
     looks the rest up.  Routes, phase slots and deficits are filled on first
     use, so the order in which entries are filled cannot change any result.
+    Slots read indexes built on first use, once per table (each task's
+    candidate skills, each pair's latents, each executor's overload excess,
+    the manager id), and apply the rules that `select_skills`,
+    `ground_truth_success_prob` and `_dominant_deficit` apply per call.
     The table lives for one `exec_round` (or one `sample_episode` call made
     without one) and is never shared between states.
     """
@@ -323,6 +334,19 @@ class ExecutionTable:
         self._routes: dict[Pair, Route] = {}
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._deficits: dict[tuple[Pair, str], tuple[CauseLabel, float] | None] = {}
+        self._excess: dict[str, int] = {}
+
+    @functools.cached_property
+    def _candidates(self) -> dict[str, list[Skill]]:
+        return skills_by_task(self.state.library)
+
+    @functools.cached_property
+    def _latents(self) -> dict[Pair, tuple[LatentSkill, ...]]:
+        return latents_by_pair(self.scenario.latent_catalog)
+
+    @functools.cached_property
+    def _manager_id(self) -> str:
+        return self.state.manager_id()
 
     def draw_task(self, rng: random.Random) -> TaskType:
         """The sampling-weighted task draw of `_weighted_choice`, by bisection."""
@@ -341,22 +365,46 @@ class ExecutionTable:
         key = (pair, executor_id)
         slot = self._slots.get(key)
         if slot is None:
-            executor = self.state.executors[executor_id]
-            slot = _phase_slot(self.scenario, self.state, pair, executor, self.config)
-            self._slots[key] = slot
+            slot = self._slots[key] = self._fill(pair, self.state.executors[executor_id])
         return slot
+
+    def _fill(self, pair: Pair, executor: Executor) -> PhaseSlot:
+        """Retrieve skills for one routed phase, invoke the phase-matching ones,
+        and evaluate the ground-truth success probability of the result."""
+        task_id, phase = pair
+        library = self.state.library
+        selected = frozenset(
+            rank_skills(
+                self.state.q_skill,
+                self._candidates.get(task_id, ()),
+                {executor.id, self._manager_id},
+                task_id,
+                self.config.top_k,
+            )
+        )
+        invoked = frozenset(sid for sid in selected if library[sid].applies_to(pair))
+        realized_actions = frozenset(step for sid in invoked for step in library[sid].steps)
+        pattern_supported = frozenset(
+            sid for sid in selected - invoked if set(library[sid].steps) <= realized_actions
+        )
+        used = invoked | pattern_supported
+        _check_routed(executor, pair)
+        excess = self._excess.get(executor.id)
+        if excess is None:
+            excess = self._excess[executor.id] = overload_excess(executor, library)
+        terms = _terms(
+            self._latents.get(pair, ()), [library[sid] for sid in sorted(used)], excess
+        )
+        return PhaseSlot(
+            ExecutorSlice(executor.id, phase, selected, invoked, pattern_supported),
+            terms,
+            _success_prob(self.scenario, pair, terms),
+        )
 
     def deficit(self, pair: Pair, executor_id: str) -> tuple[CauseLabel, float] | None:
         key = (pair, executor_id)
         if key not in self._deficits:
-            self._deficits[key] = _dominant_deficit(
-                self.scenario,
-                self.state.library,
-                self.state.executors[executor_id],
-                pair[0],
-                pair[1],
-                self.slot(pair, executor_id).used,
-            )
+            self._deficits[key] = _deficit(self.scenario, self.slot(pair, executor_id).terms)
         return self._deficits[key]
 
 

@@ -8,7 +8,9 @@ per-phase loop below is that reference.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,13 +40,19 @@ from skillmas.model import (
     cluster_key_map,
 )
 from skillmas.numfmt import q12
-from skillmas.orchestrator import collect_proposals, run_round
+from skillmas.orchestrator import collect_proposals, run_experiment, run_round
 from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision
 from skillmas.retention import retain
-from skillmas.store import serialize_state
+from skillmas.store import parse_scenario, serialize_state
 from skillmas.streams import substream
-from skillmas.utility import RoutingError, executor_route, learn, select_skills
+from skillmas.utility import (
+    RoutingError,
+    executor_route,
+    learn,
+    select_skills,
+    used_skills,
+)
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
@@ -57,6 +65,8 @@ from skillmas.world import (
     realized_catalog,
     sample_episode,
 )
+
+from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
 STATUSES = list(SkillStatus)
@@ -130,7 +140,9 @@ def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix):
 def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig]:
     """A random world and state with pruned tombstones, pooled skills,
     several executors, and pairs that no worker (sometimes no executor at
-    all) covers."""
+    all) covers.  Skills may apply to pairs of several tasks and repeat a
+    latent marker step, pairs may have several latents, and executors may
+    still list pruned skills and ids absent from the library as owned."""
     tasks = [
         TaskType(f"task{t}", tuple(f"p{i}" for i in range(rng.randint(1, 3))))
         for t in range(rng.randint(1, 4))
@@ -169,10 +181,15 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
     library = {}
     for s in range(rng.randint(0, 10)):
         sid = f"sk{s:02d}"
+        steps = rng.sample(tokens, rng.randint(1, min(3, len(tokens))))
+        if latents and rng.random() < 0.3:
+            marker = rng.choice(latents).id
+            steps.insert(rng.randrange(len(steps) + 1), marker)
+            steps.append(marker)
         library[sid] = Skill(
             id=sid,
             applicability=frozenset(rng.sample(universe, rng.randint(1, min(3, len(universe))))),
-            steps=tuple(rng.sample(tokens, rng.randint(1, min(3, len(tokens))))),
+            steps=tuple(steps),
             guards=frozenset(rng.sample(["g0", "g1", "g2"], rng.randint(0, 2))),
             status=rng.choice(STATUSES),
             owner=rng.choice(owners),
@@ -184,8 +201,10 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
             frozenset(
                 sid
                 for sid, skill in library.items()
-                if skill.owner == eid and skill.status is not SkillStatus.PRUNED
-            ),
+                if skill.owner == eid
+                and (skill.status is not SkillStatus.PRUNED or rng.random() < 0.5)
+            )
+            | {f"gone{g}" for g in range(rng.choice((0, 0, 1, 2)))},
             capacity=rng.randint(1, 4),
             is_manager=eid == "manager",
         )
@@ -289,6 +308,126 @@ def test_task_draw_matches_weighted_choice(weights, seed):
     a, b = random.Random(seed), random.Random(seed)
     for _ in range(50):
         assert table.draw_task(a) == _weighted_choice(b, tasks, scenario.task_weights)
+
+
+def reference_realized_catalog(scenario, library):
+    """`realized_catalog` by checking every library skill against every latent."""
+    return tuple(
+        dataclasses.replace(
+            latent,
+            realized_by=min(
+                (
+                    s.id
+                    for s in library.values()
+                    if s.status is not SkillStatus.PRUNED
+                    and latent.id in s.steps
+                    and latent.applicability in s.applicability
+                ),
+                default=None,
+            ),
+        )
+        for latent in scenario.latent_catalog
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_step_indexed_catalog_matches_linear_scan(world_seed):
+    scenario, state, _ = random_world(random.Random(world_seed))
+    assert realized_catalog(scenario, state.library) == reference_realized_catalog(
+        scenario, state.library
+    )
+
+
+def test_random_world_covers_the_index_cases():
+    """`random_world` produces every case the round indexes must get right."""
+    seen = Counter()
+    for world_seed in range(300):
+        scenario, state, _ = random_world(random.Random(world_seed))
+        latent_ids = {l.id for l in scenario.latent_catalog}
+        for executor in state.executors.values():
+            for sid in executor.owned_skills:
+                skill = state.library.get(sid)
+                if skill is None:
+                    seen["owns an absent id"] += 1
+                elif skill.status is SkillStatus.PRUNED:
+                    seen["owns a pruned skill"] += 1
+        for skill in state.library.values():
+            if len({task for task, _ in skill.applicability}) > 1:
+                seen["skill spans several tasks"] += 1
+            if any(skill.steps.count(l) > 1 for l in latent_ids):
+                seen["steps repeat a latent marker"] += 1
+        pairs = Counter(l.applicability for l in scenario.latent_catalog)
+        if any(n > 1 for n in pairs.values()):
+            seen["pair with several latents"] += 1
+    assert set(seen) == {
+        "owns an absent id",
+        "owns a pruned skill",
+        "skill spans several tasks",
+        "steps repeat a latent marker",
+        "pair with several latents",
+    }
+
+
+class CountingLibrary(dict):
+    """A library that counts how often it is iterated."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_slot_fills_scan_the_library_a_constant_number_of_times():
+    """Filling a table's slots and resolving the catalog read the library
+    through round indexes, not once per (pair, executor) slot."""
+    pack = parse_scenario(wide_text(96, 200), name="wide96")
+    state = run_experiment(pack.scenario, pack.seed_state, 3, 10, pack.config).final_state
+    assert sum(s.status is SkillStatus.PRUNED for s in state.library.values()) >= 20
+    library = CountingLibrary(state.library)
+    counted = dataclasses.replace(state, library=library)
+    table = ExecutionTable(counted, pack.scenario, pack.config)
+    assert library.scans == 0  # indexes are built on first use
+
+    keys = [
+        (pair, executor_id)
+        for pair in sorted(pack.scenario.universe())
+        for executor_id in table.route(pair).eligible
+    ]
+    scans_after = []
+    for pair, executor_id in keys:
+        table.slot(pair, executor_id)
+        table.deficit(pair, executor_id)
+        scans_after.append(library.scans)
+    assert len(keys) >= 2 * 96
+    assert scans_after[0] == scans_after[-1] == 1
+
+    realized_catalog(pack.scenario, library)
+    assert library.scans == 2
+
+    for pair, executor_id in keys[:: len(keys) // 7]:
+        slot = table.slot(pair, executor_id)
+        reference_ids = select_skills(
+            state.q_skill, state, *pair, executor_id, pack.config.top_k
+        )
+        assert slot.slice.selected == frozenset(reference_ids)
+        executor = state.executors[executor_id]
+        used = used_skills(slot.slice)
+        assert slot.success_prob == ground_truth_success_prob(
+            pack.scenario, state.library, *pair, executor, sorted(used)
+        )
+        assert table.deficit(pair, executor_id) == _dominant_deficit(
+            pack.scenario, state.library, executor, *pair, used
+        )
 
 
 @settings(max_examples=150, deadline=None)

@@ -214,6 +214,52 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="unknown threshold"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "section, first, repeat, message",
+        [
+            ("tasks", "t1 = p1 | 1.0", "t1 = p1 p2 | 2.0", "duplicate task 't1'"),
+            ("difficulty", "t1/p1 = -1.0", "t1/p1 = 2.0", "duplicate difficulty for 't1/p1'"),
+            (
+                "latent",
+                "ls = t1/p1 2.0 missing-precondition",
+                "ls = t1/p1 1.0 skill-conflict",
+                "duplicate latent 'ls'",
+            ),
+            ("penalties", "overload = 0.5", "overload = 0.1", "duplicate penalty 'overload'"),
+            ("seed-state", "executor w = t1/p1", "executor w = t1/p1", "duplicate executor 'w'"),
+            (
+                "seed-state",
+                "skill s = owner=m applies=t1/p1 steps=go",
+                "skill s = owner=m applies=t1/p1 steps=look",
+                "duplicate skill 's'",
+            ),
+            (
+                "seed-state",
+                "card c = t1 skill-conflict split-skill",
+                "card c = t1 skill-conflict add-guard",
+                "duplicate card 'c'",
+            ),
+        ],
+    )
+    def test_repeated_entry_rejected_at_its_line(self, section, first, repeat, message):
+        body = {
+            "tasks": ["t1 = p1 | 1.0"],
+            "difficulty": [],
+            "latent": [],
+            "penalties": [],
+            "seed-state": ["executor m = * manager"],
+            "thresholds": [],
+        }
+        if section == "tasks":
+            body["tasks"] = []
+        body[section] += [first, repeat]
+        lines = [line for name, entries in body.items() for line in (f"[{name}]", *entries)]
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(text)
+        assert err.value.line == lines.index(repeat, lines.index(first) + 1) + 1
+        parse_scenario(text.replace(repeat + "\n", ""))  # the first entry alone is fine
+
     def test_seed_skills_and_cards_materialize(self):
         pack = load_preset("favorable")
         state = pack.seed_state
