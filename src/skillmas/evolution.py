@@ -664,18 +664,17 @@ def update_pool_counters(
     """Advance usage/success counters for pooled skills that saw real use.
 
     Which pooled skills a trace used depends only on its slices, so the
-    sorted set is derived once per tuple of slice identities.
+    sorted set is derived once per slices object.
     """
     new_pool = dict(pool)
-    # slice ids -> (slices, pooled skills used); the value holds the slices,
+    # id(slices) -> (slices, pooled skills used); the value holds the slices,
     # so no id in a key is reused while the call runs
-    pooled_by_shape: dict[tuple[int, ...], tuple] = {}
+    pooled_by_shape: dict[int, tuple] = {}
     for trace in traces:
-        shape = tuple(map(id, trace.slices))
-        entry = pooled_by_shape.get(shape)
+        entry = pooled_by_shape.get(id(trace.slices))
         if entry is None:
             used_all = {sid for sl in trace.slices for sid in used_skills(sl)}
-            entry = pooled_by_shape[shape] = (
+            entry = pooled_by_shape[id(trace.slices)] = (
                 trace.slices,
                 tuple(sid for sid in sorted(used_all) if sid in pool),
             )

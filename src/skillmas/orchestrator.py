@@ -243,7 +243,7 @@ def collect_proposals(
             trace.task_type.id,
             failed,
             (obs.cause, bool(obs.confident)) if obs is not None else None,
-            tuple(map(id, trace.slices)),
+            id(trace.slices),
         )
         entry = by_shape.get(shape)
         if entry is None:

@@ -104,7 +104,7 @@ def retain(
             failed,
             _observed_cause(trace),
             failed and trace.progress >= config.near_miss_progress,
-            tuple(map(id, trace.slices)),
+            id(trace.slices),
         )
         entry = labels.get(shape)
         if entry is None:

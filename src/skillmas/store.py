@@ -344,8 +344,13 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         raise ScenarioError(f"seed state invalid: {exc}", 1) from None
 
     config = EngineConfig()
+    given_thresholds: set[str] = set()
     for lineno, entry in sections["thresholds"]:
         key, value = _split_kv(entry, lineno)
+        name = key.replace("-", "_")
+        if name in given_thresholds:
+            raise ScenarioError(f"duplicate threshold {key!r}", lineno)
+        given_thresholds.add(name)
         try:
             config = config_from_mapping({key: value}, base=config)
         except ValueError as exc:
@@ -593,14 +598,14 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
 
     A line is assembled in sorted-key order from three fragments: the head
     (cause, outcome, progress), keyed by value, the episode id, encoded per
-    line, and the tail (slices and task), keyed by the identity of the slice
-    and task objects, which the engine and `read_trace_log` share.  Keying on
-    identity is exact whatever the field types; each tail entry holds its
-    trace so that no id is reused while the call runs.
+    line, and the tail (slices and task), keyed by the identity of the task
+    object and of the slices tuple, which the engine and `read_trace_log`
+    share.  Keying on identity is exact whatever the field types; each tail
+    entry holds its trace so that no id is reused while the call runs.
     """
     encode = _FRAGMENT.encode
     heads: dict[tuple[object, ...], tuple[str, str]] = {}
-    tails: dict[tuple[int, ...], tuple[EpisodeTrace, str]] = {}
+    tails: dict[tuple[int, int], tuple[EpisodeTrace, str]] = {}
     lines: list[str] = []
     for trace in traces:
         obs = trace.latent_cause_observation
@@ -609,7 +614,7 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
             _scalar_key(trace.outcome),
             _scalar_key(trace.progress),
         )
-        tail_key = (id(trace.task_type), *map(id, trace.slices))
+        tail_key = (id(trace.task_type), id(trace.slices))
         head = heads.get(head_key)
         tail = tails.get(tail_key)
         if head is None or tail is None:
@@ -635,8 +640,9 @@ def _require_strings(*values: object) -> None:
 
 
 def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
-    """A record -> trace function sharing one TaskType, ExecutorSlice and
-    CauseObservation per distinct decoded value for as long as it is kept.
+    """A record -> trace function sharing one TaskType, ExecutorSlice,
+    slices tuple and CauseObservation per distinct decoded value for as long
+    as it is kept, so decoded traces hit the round stages' shape memos.
 
     Each value is built and validated on its first occurrence only.  Ids must
     be strings: a str never equals a non-str, so keys built from validated
@@ -646,6 +652,8 @@ def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
     """
     tasks: dict[tuple[Any, ...], TaskType] = {}
     slices: dict[tuple[Any, ...], ExecutorSlice] = {}
+    # slice ids -> slices tuple; `slices` holds every slice, so no id is reused
+    paths: dict[tuple[int, ...], tuple[ExecutorSlice, ...]] = {}
     causes: dict[tuple[Any, ...], CauseObservation] = {}
 
     def decode(record: Mapping[str, Any]) -> EpisodeTrace:
@@ -671,6 +679,10 @@ def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
                     pattern_supported=frozenset(pattern),
                 )
             shared.append(value)
+        path_key = tuple(map(id, shared))
+        path = paths.get(path_key)
+        if path is None:
+            path = paths[path_key] = tuple(shared)
         obs = record["cause"]
         cause = None
         if obs is not None:
@@ -683,7 +695,7 @@ def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
         return EpisodeTrace(
             episode_id=record["episode"],
             task_type=task_type,
-            slices=tuple(shared),
+            slices=path,
             outcome=record["outcome"],
             progress=record["progress"],
             latent_cause_observation=cause,

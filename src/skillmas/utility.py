@@ -64,18 +64,18 @@ def learn(
     count-based rate, which makes each value the exact running mean of the
     outcomes applied to it.  The membership checks and the ordered credit
     keys depend only on a trace's task and slices, so they are derived once
-    per (task id, slice identities) and applied per trace in order.
+    per (task id, slices object) and applied per trace in order.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
 
     s_entries = dict(q_skill.entries)
     a_entries = dict(q_exec.entries)
-    # (task id, *slice ids) -> (slices, skill keys, executor keys); the value
+    # (task id, id(slices)) -> (slices, skill keys, executor keys); the value
     # holds the slices, so no id in a key is reused while the call runs
-    credit: dict[tuple, tuple] = {}
+    credit: dict[tuple[str, int], tuple] = {}
     for trace in episode_sorted(traces):
-        shape = (trace.task_type.id, *map(id, trace.slices))
+        shape = (trace.task_type.id, id(trace.slices))
         keys = credit.get(shape)
         if keys is None:
             keys = credit[shape] = _credit_keys(trace, skill_ids, executor_ids)

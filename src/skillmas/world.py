@@ -285,12 +285,22 @@ def _dominant_deficit(
     return _deficit(scenario, terms)
 
 
+# one shared observation per (label, confident): traces only read them
+_OBSERVATIONS = {
+    (cause, confident): CauseObservation(cause, confident)
+    for cause in CauseLabel
+    for confident in (True, False)
+}
+_UNOBSERVED = _OBSERVATIONS[CauseLabel.UNKNOWN, False]
+_MISROUTED = _OBSERVATIONS[CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True]
+
+
 def _observe_cause(
     deficit: tuple[CauseLabel, float] | None, rng: random.Random, confidence: float
 ) -> CauseObservation:
     if deficit is not None and rng.random() < confidence:
-        return CauseObservation(deficit[0], True)
-    return CauseObservation(CauseLabel.UNKNOWN, False)
+        return _OBSERVATIONS[deficit[0], True]
+    return _UNOBSERVED
 
 
 @dataclass(frozen=True)
@@ -307,12 +317,19 @@ class ExecutionTable:
 
     Every entry is a pure function of (state, scenario, config), which stay
     fixed while a batch executes, so an episode only makes its RNG draws and
-    looks the rest up.  Routes, phase slots and deficits are filled on first
-    use, so the order in which entries are filled cannot change any result.
+    looks the rest up.  A task's routes, phase slots and deficits are filled
+    on first use, so the order in which entries are filled cannot change any
+    result.
     Slots read indexes built on first use, once per table (each task's
     candidate skills, each pair's latents, each executor's overload excess,
     the manager id), and apply the rules that `select_skills`,
     `ground_truth_success_prob` and `_dominant_deficit` apply per call.
+
+    Outcome paths are interned: per task object the table keeps its phases'
+    routes, its progress values `q12(c / n)` for c = 0..n, and the root of a
+    trie whose steps are keyed by the drawn executor id.  A step holds the
+    phase slot, the slices tuple of the path so far and the next phase's
+    steps, so episodes that take the same path share one `slices` object.
     The table lives for one `exec_round` (or one `sample_episode` call made
     without one) and is never shared between states.
     """
@@ -331,10 +348,12 @@ class ExecutionTable:
         self.cumulative_weights = tuple(
             itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
         )
-        self._routes: dict[Pair, Route] = {}
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._deficits: dict[tuple[Pair, str], tuple[CauseLabel, float] | None] = {}
         self._excess: dict[str, int] = {}
+        # id(task) -> (((pair, route), ...), progress values, trie root, task);
+        # the value holds the task, so no id in a key is reused
+        self._paths: dict[int, tuple] = {}
 
     @functools.cached_property
     def _candidates(self) -> dict[str, list[Skill]]:
@@ -354,12 +373,21 @@ class ExecutionTable:
         index = bisect.bisect_right(self.cumulative_weights, mark)
         return self.tasks[index] if index < len(self.tasks) else self.tasks[-1]
 
+    def paths(self, task_type: TaskType) -> tuple:
+        """The task's ((pair, route), ...), progress values, trie root and itself."""
+        entry = self._paths.get(id(task_type))
+        if entry is None:
+            n = len(task_type.phases)
+            entry = self._paths[id(task_type)] = (
+                tuple((pair, self.route(pair)) for pair in task_type.pairs()),
+                tuple(q12(c / n) for c in range(n + 1)),
+                {},
+                task_type,
+            )
+        return entry
+
     def route(self, pair: Pair) -> Route:
-        route = self._routes.get(pair)
-        if route is None:
-            route = executor_route(self.state.q_exec, self.state, *pair)
-            self._routes[pair] = route
-        return route
+        return executor_route(self.state.q_exec, self.state, *pair)
 
     def slot(self, pair: Pair, executor_id: str) -> PhaseSlot:
         key = (pair, executor_id)
@@ -429,36 +457,27 @@ def sample_episode(
     """
     if table is None:
         table = ExecutionTable(state, scenario, config)
-    total = len(task_type.phases)
-    slices: list[ExecutorSlice] = []
-    completed = 0
-    observation: CauseObservation | None = None
-
-    for phase in task_type.phases:
-        pair = (task_type.id, phase)
+    phases, progress, steps, _ = table.paths(task_type)
+    slices: tuple[ExecutorSlice, ...] = ()
+    for completed, (pair, route) in enumerate(phases):
         try:
-            executor_id = table.route(pair).draw(rng, table.epsilon)
+            executor_id = route.draw(rng, table.epsilon)
         except RoutingError:
-            observation = CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True)
+            observation = _MISROUTED
             break
-        slot = table.slot(pair, executor_id)
-        slices.append(slot.slice)
+        step = steps.get(executor_id)
+        if step is None:
+            slot = table.slot(pair, executor_id)
+            step = steps[executor_id] = (slot, (*slices, slot.slice), {})
+        slot, slices, steps = step
         if rng.random() < slot.success_prob:
-            completed += 1
             continue
         deficit = table.deficit(pair, executor_id)
         observation = _observe_cause(deficit, rng, scenario.cause_confidence)
         break
-
-    outcome = 1 if completed == total else 0
-    return EpisodeTrace(
-        episode_id=episode_id,
-        task_type=task_type,
-        slices=tuple(slices),
-        outcome=outcome,
-        progress=q12(completed / total),
-        latent_cause_observation=observation if outcome == 0 else None,
-    )
+    else:
+        return EpisodeTrace(episode_id, task_type, slices, 1, progress[-1])
+    return EpisodeTrace(episode_id, task_type, slices, 0, progress[completed], observation)
 
 
 def _weighted_choice(

@@ -89,6 +89,20 @@ class TestRun:
         assert code == 2
         assert "line 7" in capsys.readouterr().err
 
+    def test_repeated_threshold_names_file_and_line(self, tmp_path, capsys):
+        scn = tmp_path / "twice.scn"
+        scn.write_text(
+            "[tasks]\nt1 = p1 | 1.0\n"
+            "[seed-state]\nexecutor m = * manager\n"
+            "[thresholds]\ntop-k = 3\nepisodes-per-round = 5\ntop-k = 2\n"
+        )
+        code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}: line 8: duplicate threshold 'top-k'")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -105,7 +119,7 @@ class TestRun:
         scn.write_text(
             "[tasks]\nt1 = p1 | 1.0\n"
             "[seed-state]\nexecutor m = * manager\n"
-            f"[thresholds]\ntop-k = 3\n{key.replace('_', '-')} = {value}\n"
+            f"[thresholds]\nrepeat-multiplicity = 2\n{key.replace('_', '-')} = {value}\n"
         )
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))

@@ -1,10 +1,11 @@
 """Golden artifact hashes at benchmark scale.
 
 `tests/test_golden.py` pins small runs; these pin the traffic the benchmark
-measures: the 96-family wide world at 400 episodes x 10 rounds and a
-`skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds.
-Every value was recorded from the engine before the per-shape memoization
-of the round stages.  A pure optimisation must leave them unchanged.
+measures: the 96-family wide world at 400 episodes x 10 rounds, a
+`skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds,
+and the transplant audit of that directory.  The first two were recorded
+from the engine before the per-shape memoization of the round stages.  A
+pure optimisation must leave every value unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ WIDE96_SHA256 = {
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
 RUN_DIR_SHA256 = "f2f12bb2048f386d04325be86f1ce82ebe79bc7cd0a103a4cea02e5d64bd0b88"
+
+# `skillmas transplant --episodes 2000` on that run directory: its stdout,
+# a NUL byte, then `transplant.json` (recorded before outcome paths were
+# interned in the execution table)
+TRANSPLANT_SHA256 = "63996bc7c3f073f5aef33f10fdf486b6965d781d112452f0555b93c4455a44a8"
 
 WIDE_CAUSES = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
 
@@ -92,3 +98,18 @@ def test_mismatch2k_run_directory_digest(tmp_path):
     )
     assert code == 0
     assert dir_digest(out) == RUN_DIR_SHA256
+
+
+def test_mismatch2k_transplant_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed=7001", "--rounds", "8",
+         "--episodes", "2000", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["transplant", "--run", str(out), "--episodes", "2000"]) == 0
+    stdout = capsys.readouterr().out
+    digest = hashlib.sha256(stdout.encode("utf-8") + b"\0")
+    digest.update((out / "transplant.json").read_bytes())
+    assert digest.hexdigest() == TRANSPLANT_SHA256

@@ -1,0 +1,143 @@
+"""Interned outcome paths against a fresh table per episode.
+
+`exec_round` walks one `ExecutionTable` path trie for the whole batch, so
+episodes that take the same path share one `slices` tuple and every failure
+shares one `CauseObservation` per value.  The round stages and the trace-log
+writer key their memos on those objects; none of that may change a trace or
+a byte of the log.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from skillmas.model import EpisodeTrace
+from skillmas.numfmt import q12
+from skillmas.store import encode_trace_log, read_trace_log
+from skillmas.streams import substream
+from skillmas.world import ExecutionTable, _weighted_choice, exec_round, sample_episode
+
+from test_round_index import random_world
+
+FIELDS = [f.name for f in dataclasses.fields(EpisodeTrace)]
+
+
+def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix):
+    """Each episode on its own stream and its own table."""
+    traces = []
+    for i in range(n_episodes):
+        rng = substream(seed, "episode", i)
+        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
+        traces.append(
+            sample_episode(
+                scenario, state, task, rng, episode_id=f"{id_prefix}e{i:05d}", config=config
+            )
+        )
+    return traces
+
+
+def executed(world_seed, n_episodes):
+    scenario, state, config = random_world(random.Random(world_seed))
+    seed = world_seed ^ 0x9A7
+    traces = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0002")
+    return scenario, state, config, seed, traces
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+def test_interned_round_matches_fresh_tables_field_by_field(world_seed, n_episodes):
+    scenario, state, config, seed, traces = executed(world_seed, n_episodes)
+    want = fresh_table_round(state, scenario, n_episodes, seed, config, "r0002")
+    for got, ref in zip(traces, want, strict=True):
+        for name in FIELDS:
+            assert getattr(got, name) == getattr(ref, name), name
+        assert repr(got.progress) == repr(ref.progress)
+        assert type(got.outcome) is type(ref.outcome)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+def test_same_path_shares_one_slices_object(world_seed, n_episodes):
+    _, _, _, _, traces = executed(world_seed, n_episodes)
+    by_path = {}
+    by_cause = {}
+    for trace in traces:
+        by_path.setdefault((trace.task_type.id, trace.slices), set()).add(id(trace.slices))
+        obs = trace.latent_cause_observation
+        if obs is not None:
+            by_cause.setdefault(obs, set()).add(id(obs))
+    assert all(len(ids) == 1 for ids in by_path.values())
+    assert all(len(ids) == 1 for ids in by_cause.values())
+    # distinct non-empty paths are distinct objects
+    nonempty = {slices: ids for (_, slices), ids in by_path.items() if slices}
+    assert len({i for ids in nonempty.values() for i in ids}) == len(nonempty)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stored_progress_values_are_quantized_fractions(world_seed):
+    scenario, state, config = random_world(random.Random(world_seed))
+    table = ExecutionTable(state, scenario, config)
+    for task in scenario.task_types:
+        phases, progress, _, _ = table.paths(task)
+        n = len(task.phases)
+        assert [pair for pair, _ in phases] == list(task.pairs())
+        assert [repr(p) for p in progress] == [repr(q12(c / n)) for c in range(n + 1)]
+        assert table.paths(task)[1] is progress
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+def test_log_bytes_do_not_depend_on_sharing(tmp_path_factory, world_seed, n_episodes):
+    _, _, _, _, traces = executed(world_seed, n_episodes)
+    rng = random.Random(world_seed)
+    copies = []
+    for trace in traces:
+        slices = trace.slices
+        if rng.random() < 0.5:
+            slices = tuple(dataclasses.replace(sl) for sl in slices)
+        else:
+            slices = tuple([*slices])
+        copies.append(dataclasses.replace(trace, slices=slices))
+    text = encode_trace_log(traces)
+    assert encode_trace_log(copies) == text
+
+    path = tmp_path_factory.mktemp("log") / "traces.jsonl"
+    path.write_text(text, encoding="utf-8")
+    decoded = read_trace_log(path)
+    assert list(decoded) == list(traces)
+    assert encode_trace_log(decoded) == text
+    # the decoder shares one slices tuple per distinct slice sequence
+    by_value = {}
+    for trace in decoded:
+        by_value.setdefault(trace.slices, set()).add(id(trace.slices))
+    assert all(len(ids) == 1 for ids in by_value.values())
+
+
+def test_random_worlds_cover_the_path_cases():
+    """Multi-phase successes, failures after a routed prefix, and routing
+    failures both at the first phase and after one."""
+    seen = set()
+    for world_seed in range(300):
+        _, _, _, _, traces = executed(world_seed, 60)
+        for trace in traces:
+            n = len(trace.task_type.phases)
+            routed = len(trace.slices)
+            if trace.outcome == 1:
+                if n > 1:
+                    seen.add("multi-phase success")
+            elif routed == round(trace.progress * n):  # no slice for the failing phase
+                seen.add("routing failure after a prefix" if routed else "routing failure")
+            elif routed > 1:
+                seen.add("failure after a prefix")
+        if len(seen) == 4:
+            break
+    assert seen == {
+        "multi-phase success",
+        "routing failure",
+        "routing failure after a prefix",
+        "failure after a prefix",
+    }

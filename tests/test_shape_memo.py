@@ -227,7 +227,7 @@ def varied_batch(state, scenario, config, seed, n_episodes, tmp_path):
 
 
 def proposal_shapes(retained):
-    """Distinct (task id, failed, cause observation, slice identities)."""
+    """Distinct (task id, failed, cause observation, slices object)."""
     shapes = set()
     for rt in retained:
         obs = rt.trace.latent_cause_observation
@@ -235,7 +235,7 @@ def proposal_shapes(retained):
             rt.trace.task_type.id,
             rt.trace.outcome == 0,
             (obs.cause, bool(obs.confident)) if obs is not None else None,
-            tuple(map(id, rt.trace.slices)),
+            id(rt.trace.slices),
         ))
     return len(shapes)
 

@@ -239,6 +239,8 @@ class TestScenarioFiles:
                 "card c = t1 skill-conflict add-guard",
                 "duplicate card 'c'",
             ),
+            ("thresholds", "top-k = 3", "top-k = 1", "duplicate threshold 'top-k'"),
+            ("thresholds", "top-k = 3", "top_k = 3", "duplicate threshold 'top_k'"),
         ],
     )
     def test_repeated_entry_rejected_at_its_line(self, section, first, repeat, message):
