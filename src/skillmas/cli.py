@@ -67,12 +67,7 @@ def _load_config(
     config = pack.config
     override_path = getattr(args, "config", None)
     if override_path:
-        try:
-            overrides = json.loads(Path(override_path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise UsageError(f"config file {override_path} does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{override_path}: invalid JSON: {exc}") from None
+        overrides = _read_json_object(Path(override_path), {})
         try:
             config = config_from_mapping(overrides, base=config)
         except ValueError as exc:
@@ -168,8 +163,8 @@ def _typed(path: Path, payload: dict, key: str, kind: type, where: str = "") -> 
 
 
 def _read_json_object(path: Path, required: dict[str, type]) -> dict:
-    """A JSON object from a run directory, holding at least the keys of
-    `required`, each of its JSON type."""
+    """A JSON object from a run directory or `--config`, holding at least the
+    keys of `required`, each of its JSON type."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:

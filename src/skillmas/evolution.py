@@ -321,24 +321,19 @@ def propose(
     retained: RetainedTrace,
     diagnosis: Diagnosis | None,
     cards: Sequence[PolicyCard],
-    scenario: Scenario,
     library: Mapping[str, Skill],
     round_index: int,
     config: EngineConfig,
-    *,
-    index: ProposalIndex | None = None,
+    index: ProposalIndex,
 ) -> Proposal | None:
     """Convert one retained trace into at most one local proposal.
 
     Successes can yield a motif draft realizing an undiscovered latent
     procedure (unless a pooled skill already took part, whose counters carry
     the evidence).  Failures yield a repair only when locally diagnosable;
-    structural handoffs and unknown causes yield nothing.  `index` must have
-    been built from the same scenario, library and config; without one, an
-    index for this call is built.
+    structural handoffs and unknown causes yield nothing.  `index` is the
+    `proposal_index` of `library` under `config`.
     """
-    if index is None:
-        index = proposal_index(scenario, library, config)
     trace = retained.trace
     task_id = trace.task_type.id
     keys = index.keys
@@ -472,7 +467,7 @@ def skill_evolve(
     *,
     last_round_drop: bool = False,
     last_round_edits: frozenset[str] = frozenset(),
-    cluster_keys: Mapping[str, str] | None = None,
+    cluster_keys: Mapping[str, str],
 ) -> SkillDelta:
     """Consolidate proposals into at most one action per implicated cluster.
 
@@ -481,17 +476,12 @@ def skill_evolve(
     in the pool instead of refined; clusters whose members all show enough
     low-utility evidence are pruned.  After a round-level performance drop,
     the previous round's edits are demoted to the pool first and their
-    clusters are off limits for further actions.  `cluster_keys`, when
-    given, is `cluster_key_map(library, config.cluster_threshold)`.
+    clusters are off limits for further actions.  `cluster_keys` is
+    `cluster_key_map(library, config.cluster_threshold)`.
     """
-    keys = (
-        cluster_keys
-        if cluster_keys is not None
-        else cluster_key_map(library, config.cluster_threshold)
-    )
     clusters = {
-        key: tuple(sid for sid, k in keys.items() if k == key)
-        for key in set(keys.values())
+        key: tuple(sid for sid, k in cluster_keys.items() if k == key)
+        for key in set(cluster_keys.values())
     }
 
     actions: list[SkillAction] = []
@@ -506,7 +496,7 @@ def skill_evolve(
         )
         by_cluster: dict[str, list[str]] = {}
         for sid in demotable:
-            by_cluster.setdefault(keys[sid], []).append(sid)
+            by_cluster.setdefault(cluster_keys[sid], []).append(sid)
         for key in sorted(by_cluster):
             actions.append(
                 SkillAction(
@@ -526,21 +516,18 @@ def skill_evolve(
         if key in claimed:
             continue
         group = sorted(grouped[key], key=lambda p: p.source_trace)
-        candidates: list[tuple[str, SkillAction]] = []
+        candidates: list[SkillAction] = []
 
         member_ids = clusters.get(key, ())
         if member_ids and _cluster_prunable(member_ids, library, q_skill, config):
             candidates.append(
-                (
-                    "prune",
-                    SkillAction(
-                        cluster=key,
-                        action="prune",
-                        skills=tuple(member_ids),
-                        source_trace=group[0].source_trace,
-                        task_type=group[0].task_type,
-                        note="all members below the utility floor",
-                    ),
+                SkillAction(
+                    cluster=key,
+                    action="prune",
+                    skills=tuple(member_ids),
+                    source_trace=group[0].source_trace,
+                    task_type=group[0].task_type,
+                    note="all members below the utility floor",
                 )
             )
 
@@ -554,32 +541,26 @@ def skill_evolve(
                 )
                 if not fresh:
                     candidates.append(
-                        (
-                            "no-op",
-                            SkillAction(
-                                cluster=key,
-                                action="no-op",
-                                skills=tuple(d.id for d in proposal.drafts),
-                                source_trace=proposal.source_trace,
-                                task_type=proposal.task_type,
-                                cause=cause,
-                                note="duplicate of an existing validated skill or template",
-                            ),
+                        SkillAction(
+                            cluster=key,
+                            action="no-op",
+                            skills=tuple(d.id for d in proposal.drafts),
+                            source_trace=proposal.source_trace,
+                            task_type=proposal.task_type,
+                            cause=cause,
+                            note="duplicate of an existing validated skill or template",
                         )
                     )
                 else:
                     candidates.append(
-                        (
-                            "create",
-                            SkillAction(
-                                cluster=key,
-                                action="create",
-                                skills=tuple(d.id for d in fresh),
-                                source_trace=proposal.source_trace,
-                                task_type=proposal.task_type,
-                                cause=cause,
-                                new_skills=fresh,
-                            ),
+                        SkillAction(
+                            cluster=key,
+                            action="create",
+                            skills=tuple(d.id for d in fresh),
+                            source_trace=proposal.source_trace,
+                            task_type=proposal.task_type,
+                            cause=cause,
+                            new_skills=fresh,
                         )
                     )
             elif proposal.edit is not None:
@@ -588,26 +569,23 @@ def skill_evolve(
                     continue
                 heavy = _token_change_is_heavy(target, proposal.edit)
                 candidates.append(
-                    (
-                        "hold-in-pool" if heavy else "refine",
-                        SkillAction(
-                            cluster=key,
-                            action="hold-in-pool" if heavy else "refine",
-                            skills=(target.id,),
-                            source_trace=proposal.source_trace,
-                            task_type=proposal.task_type,
-                            cause=cause,
-                            note="rewrite beyond half the tokens" if heavy else "",
-                            edit=proposal.edit,
-                        ),
+                    SkillAction(
+                        cluster=key,
+                        action="hold-in-pool" if heavy else "refine",
+                        skills=(target.id,),
+                        source_trace=proposal.source_trace,
+                        task_type=proposal.task_type,
+                        cause=cause,
+                        note="rewrite beyond half the tokens" if heavy else "",
+                        edit=proposal.edit,
                     )
                 )
 
         if not candidates:
             continue
-        distinct = {name for name, _ in candidates}
-        candidates.sort(key=lambda c: (_ACTION_PRIORITY[c[0]], c[1].source_trace or ""))
-        chosen = candidates[0][1]
+        distinct = {a.action for a in candidates}
+        candidates.sort(key=lambda a: (_ACTION_PRIORITY[a.action], a.source_trace or ""))
+        chosen = candidates[0]
         if len(distinct) > 1:
             note = f"conflicting candidates {sorted(distinct)}; kept {chosen.action}"
             chosen = dataclasses.replace(

@@ -43,7 +43,7 @@ from .restructure import (
     decide_restructure,
     evidence_holds,
 )
-from .retention import retain
+from .retention import failure_counts, retain
 from .streams import derive_seed
 from .utility import learn
 from .world import Scenario, exec_round
@@ -171,9 +171,6 @@ class ComparisonTable:
             ],
         }
 
-    def by_label(self) -> dict[str, ComparisonRow]:
-        return {r.label: r for r in self.rows}
-
 
 def canonical_json(payload: object) -> str:
     """Deterministic JSON rendering used for every persisted report."""
@@ -215,22 +212,19 @@ def _summarize_decision(decision, log: list[str]) -> dict[str, object]:
 def collect_proposals(
     retained: Sequence,
     state: RoundState,
-    scenario: Scenario,
     config: EngineConfig,
-    *,
-    index: ProposalIndex | None = None,
+    index: ProposalIndex,
 ) -> list[Proposal]:
     """At most one local proposal per retained trace.
 
     Failures go through diagnosis and policy-card retrieval first; successes
-    go straight to motif extraction.  Every proposal reads one index built
-    from the round's frozen library.  Diagnosis, retrieval and proposal read
-    only a trace's task id, failure flag, cause observation and slices, so
-    they run once per distinct shape; a later trace of the same shape gets
-    the same proposal with its own `source_trace`.
+    go straight to motif extraction.  Every proposal reads `index`, the
+    `proposal_index` of the round's frozen library.  Diagnosis, retrieval
+    and proposal read only a trace's task id, failure flag, cause
+    observation and slices, so they run once per distinct shape; a later
+    trace of the same shape gets the same proposal with its own
+    `source_trace`.
     """
-    if index is None:
-        index = proposal_index(scenario, state.library, config)
     # shape -> (slices, proposal or None); the value holds the slices, so no
     # id in a key is reused while the call runs
     by_shape: dict[tuple, tuple] = {}
@@ -255,14 +249,7 @@ def collect_proposals(
             else:
                 diagnosis, cards = None, ()
             proposal = propose(
-                rt,
-                diagnosis,
-                cards,
-                scenario,
-                state.library,
-                state.round_index,
-                config,
-                index=index,
+                rt, diagnosis, cards, state.library, state.round_index, config, index
             )
             entry = by_shape[shape] = (trace.slices, proposal)
         proposal = entry[1]
@@ -315,7 +302,7 @@ def run_round(
     )
 
     index = proposal_index(scenario, state.library, config)
-    proposals = collect_proposals(retained, state, scenario, config, index=index)
+    proposals = collect_proposals(retained, state, config, index)
 
     delta = skill_evolve(
         proposals,
@@ -435,11 +422,7 @@ def run_experiment(
             )
         )
         if config.cross_round_repeats:
-            for trace in traces:
-                if trace.outcome == 0:
-                    obs = trace.latent_cause_observation
-                    cause = obs.cause if obs else CauseLabel.UNKNOWN
-                    failure_history[(trace.task_type.id, cause)] += 1
+            failure_history.update(failure_counts(traces))
 
     best = max(range(rounds), key=lambda r: (reports[r].successes, -r))
     report = TrajectoryReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
 from .model import CauseLabel, EpisodeTrace, Skill, SkillStatus, UtilityTable
@@ -35,6 +35,15 @@ def _observed_cause(trace: EpisodeTrace) -> CauseLabel:
     return obs.cause if obs is not None else CauseLabel.UNKNOWN
 
 
+def failure_counts(traces: Iterable[EpisodeTrace]) -> Counter[tuple[str, CauseLabel]]:
+    """Failed traces per (task id, observed cause)."""
+    return Counter(
+        (trace.task_type.id, _observed_cause(trace))
+        for trace in traces
+        if trace.outcome == 0
+    )
+
+
 def retain(
     traces: Sequence[EpisodeTrace],
     q_exec_prior: UtilityTable,
@@ -54,10 +63,7 @@ def retain(
     used.  `q_exec_prior` is the pre-round executor table, so rule (c) reads
     the estimate the router acted on.
     """
-    failure_keys: Counter[tuple[str, CauseLabel]] = Counter()
-    for trace in traces:
-        if trace.outcome == 0:
-            failure_keys[(trace.task_type.id, _observed_cause(trace))] += 1
+    failure_keys = failure_counts(traces)
     if prior_failure_counts:
         for key, count in prior_failure_counts.items():
             failure_keys[key] += count

@@ -3,7 +3,8 @@
 Scenario files are a line-oriented sectioned text format so parse errors can
 point at the offending line.  Snapshots are a versioned record stream with
 records sorted by id; serialize/deserialize is an exact round trip.  Trace
-logs are append-only JSON lines with a monotonic episode-id check.
+logs are JSON lines, written once per run directory and read back with a
+monotonic episode-id check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .config import EngineConfig, config_from_mapping
 from .model import (
@@ -468,7 +469,7 @@ def deserialize_state(text: str) -> RoundState:
             f"snapshot version mismatch: file v{version}, supported v{SNAPSHOT_VERSION}"
         )
 
-    round_index: int | None = None
+    round_number: int | None = None
     library: dict[str, Skill] = {}
     executors: dict[str, Executor] = {}
     s_entries: dict[tuple[str, str], tuple[float, int]] = {}
@@ -485,7 +486,7 @@ def deserialize_state(text: str) -> RoundState:
         kind, *rest = line.split()
         try:
             if kind == "round":
-                round_index = int(rest[0])
+                round_number = int(rest[0])
             elif kind == "skill":
                 sid = rest[0]
                 opts = _opts(rest[1:], offset)
@@ -537,10 +538,10 @@ def deserialize_state(text: str) -> RoundState:
         except (KeyError, ValueError, IndexError) as exc:
             raise StoreError(f"malformed {kind} record: {exc}", offset=offset) from None
 
-    if not ended or round_index is None:
+    if not ended or round_number is None:
         raise StoreError("truncated snapshot stream: no end marker", offset=offset)
     return RoundState(
-        round_index=round_index,
+        round_index=round_number,
         library=library,
         executors=executors,
         q_skill=UtilityTable(s_entries),
@@ -556,10 +557,10 @@ def deserialize_state(text: str) -> RoundState:
 # One codec: `encode_trace_log` is the only writer and `read_trace_log` the
 # only reader.  A log of thousands of records holds a handful of distinct
 # tasks, executor slices and causes, so the writer encodes each repeated
-# fragment once per call and the reader builds each distinct value once per
-# call.  Neither keeps anything between calls, and the bytes are exactly
-# `json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))`
-# per line: replay and the golden digests compare them.
+# fragment once per call and keeps nothing between calls; the bytes are
+# exactly `json.dumps(trace_to_record(trace), sort_keys=True,
+# separators=(",", ":"))` per line: replay and the golden digests compare
+# them.  The reader decodes each record on its own with `record_to_trace`.
 
 _FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -639,69 +640,42 @@ def _require_strings(*values: object) -> None:
         raise TypeError(f"ids must be strings, got {values!r}")
 
 
-def _trace_decoder() -> Callable[[Mapping[str, Any]], EpisodeTrace]:
-    """A record -> trace function sharing one TaskType, ExecutorSlice,
-    slices tuple and CauseObservation per distinct decoded value for as long
-    as it is kept, so decoded traces hit the round stages' shape memos.
+def record_to_trace(record: Mapping[str, Any]) -> EpisodeTrace:
+    """The trace of one `trace_to_record` record.
 
-    Each value is built and validated on its first occurrence only.  Ids must
-    be strings: a str never equals a non-str, so keys built from validated
-    ids cannot confuse values that compare equal but differ in type.  The
-    writer sorts every id list, so equal values decode under equal keys.  The
-    EpisodeTrace itself is built, and its invariants checked, for every record.
+    Ids must be strings: [1] and [true] encode differently but decode to
+    equal frozensets, so the reader takes strings only.
     """
-    tasks: dict[tuple[Any, ...], TaskType] = {}
-    slices: dict[tuple[Any, ...], ExecutorSlice] = {}
-    # slice ids -> slices tuple; `slices` holds every slice, so no id is reused
-    paths: dict[tuple[int, ...], tuple[ExecutorSlice, ...]] = {}
-    causes: dict[tuple[Any, ...], CauseObservation] = {}
-
-    def decode(record: Mapping[str, Any]) -> EpisodeTrace:
-        task = record["task"]
-        key = (task["id"], *task["phases"])
-        task_type = tasks.get(key)
-        if task_type is None:
-            _require_strings(*key)
-            task_type = tasks[key] = TaskType(key[0], key[1:])
-        shared = []
-        for sl in record["slices"]:
-            executor, phase = sl["executor"], sl["phase"]
-            selected, invoked, pattern = sl["selected"], sl["invoked"], sl["pattern"]
-            key = (executor, phase, tuple(selected), tuple(invoked), tuple(pattern))
-            value = slices.get(key)
-            if value is None:
-                _require_strings(executor, phase, *selected, *invoked, *pattern)
-                value = slices[key] = ExecutorSlice(
-                    executor=executor,
-                    phase=phase,
-                    selected=frozenset(selected),
-                    invoked=frozenset(invoked),
-                    pattern_supported=frozenset(pattern),
-                )
-            shared.append(value)
-        path_key = tuple(map(id, shared))
-        path = paths.get(path_key)
-        if path is None:
-            path = paths[path_key] = tuple(shared)
-        obs = record["cause"]
-        cause = None
-        if obs is not None:
-            key = (obs["label"], _scalar_key(obs["confident"]))
-            cause = causes.get(key)
-            if cause is None:
-                cause = causes[key] = CauseObservation(
-                    CauseLabel(obs["label"]), obs["confident"]
-                )
-        return EpisodeTrace(
-            episode_id=record["episode"],
-            task_type=task_type,
-            slices=path,
-            outcome=record["outcome"],
-            progress=record["progress"],
-            latent_cause_observation=cause,
+    task = record["task"]
+    task_id, phases = task["id"], tuple(task["phases"])
+    _require_strings(task_id, *phases)
+    task_type = TaskType(task_id, phases)
+    slices = []
+    for sl in record["slices"]:
+        executor, phase = sl["executor"], sl["phase"]
+        selected, invoked, pattern = sl["selected"], sl["invoked"], sl["pattern"]
+        _require_strings(executor, phase, *selected, *invoked, *pattern)
+        slices.append(
+            ExecutorSlice(
+                executor=executor,
+                phase=phase,
+                selected=frozenset(selected),
+                invoked=frozenset(invoked),
+                pattern_supported=frozenset(pattern),
+            )
         )
-
-    return decode
+    obs = record["cause"]
+    cause = None
+    if obs is not None:
+        cause = CauseObservation(CauseLabel(obs["label"]), obs["confident"])
+    return EpisodeTrace(
+        episode_id=record["episode"],
+        task_type=task_type,
+        slices=tuple(slices),
+        outcome=record["outcome"],
+        progress=record["progress"],
+        latent_cause_observation=cause,
+    )
 
 
 def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
@@ -717,7 +691,6 @@ def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
     path = Path(path)
     if not path.exists():
         raise StoreError(f"trace log {path} does not exist")
-    decode = _trace_decoder()
     traces: list[EpisodeTrace] = []
     previous: str | None = None
     last_key: tuple | None = None  # once plain-string order broke
@@ -725,7 +698,7 @@ def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
         if not line.strip():
             continue
         try:
-            trace = decode(json.loads(line))
+            trace = record_to_trace(json.loads(line))
             if last_key is None and (previous is None or trace.episode_id > previous):
                 in_order = True
             else:

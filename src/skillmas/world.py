@@ -330,8 +330,7 @@ class ExecutionTable:
     trie whose steps are keyed by the drawn executor id.  A step holds the
     phase slot, the slices tuple of the path so far and the next phase's
     steps, so episodes that take the same path share one `slices` object.
-    The table lives for one `exec_round` (or one `sample_episode` call made
-    without one) and is never shared between states.
+    The table lives for one `exec_round` and is never shared between states.
     """
 
     def __init__(self, state: RoundState, scenario: Scenario, config: EngineConfig):
@@ -437,26 +436,16 @@ class ExecutionTable:
 
 
 def sample_episode(
-    scenario: Scenario,
-    state: RoundState,
-    task_type: TaskType,
-    rng: random.Random,
-    *,
-    episode_id: str,
-    config: EngineConfig,
-    table: ExecutionTable | None = None,
+    table: ExecutionTable, task_type: TaskType, rng: random.Random, episode_id: str
 ) -> EpisodeTrace:
-    """Run one episode against the ground truth with the current state fixed.
+    """Run one episode against the ground truth with the table's state fixed.
 
     Phases run in order; each routes an executor, retrieves skills, invokes
     the phase-matching ones, and draws a Bernoulli success.  The episode
     succeeds only if every phase does.  On failure the dominant deficit is
     emitted as a cause observation, confidently with the scenario's
-    observation probability.  `table` must have been built from the same
-    state, scenario and config; without one, a table for this call is built.
+    observation probability.
     """
-    if table is None:
-        table = ExecutionTable(state, scenario, config)
     phases, progress, steps, _ = table.paths(task_type)
     slices: tuple[ExecutorSlice, ...] = ()
     for completed, (pair, route) in enumerate(phases):
@@ -473,7 +462,7 @@ def sample_episode(
         if rng.random() < slot.success_prob:
             continue
         deficit = table.deficit(pair, executor_id)
-        observation = _observe_cause(deficit, rng, scenario.cause_confidence)
+        observation = _observe_cause(deficit, rng, table.scenario.cause_confidence)
         break
     else:
         return EpisodeTrace(episode_id, task_type, slices, 1, progress[-1])
@@ -519,15 +508,5 @@ def exec_round(
     traces = []
     for i in range(n_episodes):
         rng.seed(episode_seed(i))
-        traces.append(
-            sample_episode(
-                scenario,
-                state,
-                table.draw_task(rng),
-                rng,
-                episode_id=f"{id_prefix}e{i:05d}",
-                config=config,
-                table=table,
-            )
-        )
+        traces.append(sample_episode(table, table.draw_task(rng), rng, f"{id_prefix}e{i:05d}"))
     return tuple(traces)

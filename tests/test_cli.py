@@ -134,6 +134,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: {key} must be")
 
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (b"[1, 2]", "expected a JSON object"),
+            (b'"x"', "expected a JSON object"),
+            (b'{"top_k": "\xff"}', "invalid JSON"),
+            (b'{"top_k": 3', "invalid JSON"),
+            (None, "file does not exist"),
+        ],
+        ids=["list", "string", "non-utf8", "truncated", "missing"],
+    )
+    def test_config_file_not_an_object_is_usage_error(self, tmp_path, capsys, content, detail):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and detail in err
+        assert not (tmp_path / "x").exists()
+
     def test_default_out_respects_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKILLMAS_OUT", str(tmp_path / "env-runs"))
         code = main(["run", "--scenario", "preset:tiny", "--seed", "3",

@@ -10,6 +10,7 @@ from skillmas.evolution import (
     apply_skill_delta,
     diagnose,
     promote_pool,
+    proposal_index,
     propose,
     retrieve_policy_cards,
     skill_evolve,
@@ -25,6 +26,7 @@ from skillmas.model import (
     SkillStatus,
     TaskType,
     UtilityTable,
+    cluster_key_map,
 )
 from skillmas.retention import RetainedTrace, RetentionCategory
 from skillmas.world import LatentSkill, Scenario, motif_skill, realized_catalog
@@ -41,6 +43,20 @@ def scenario_with(latents=()):
         task_weights={"t1": 1.0},
         base_difficulty={},
         latent_catalog=tuple(latents),
+    )
+
+
+def propose_on(rt, diagnosis, cards, scenario, library, round_index, config):
+    """`propose` with the round's proposal index built from its arguments."""
+    index = proposal_index(scenario, library, config)
+    return propose(rt, diagnosis, cards, library, round_index, config, index)
+
+
+def evolve(proposals, library, policy_index, q_skill, config, **kwargs):
+    """`skill_evolve` with the library's cluster keys."""
+    keys = cluster_key_map(library, config.cluster_threshold)
+    return skill_evolve(
+        proposals, library, policy_index, q_skill, config, cluster_keys=keys, **kwargs
     )
 
 
@@ -129,13 +145,13 @@ class TestPropose:
     def test_non_diagnosable_failure_yields_nothing(self):
         rt = retained_failure(CauseLabel.MISSING_PRECONDITION, confident=False)
         library = {"sk": make_skill("sk")}
-        out = propose(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
+        out = propose_on(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
         assert out is None
 
     def test_handoff_yields_nothing(self):
         rt = retained_failure(CauseLabel.BAD_EXECUTOR_ASSIGNMENT)
         library = {"sk": make_skill("sk")}
-        out = propose(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
+        out = propose_on(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
         assert out is None
 
     def test_add_guard_repair_realizes_matching_latent(self):
@@ -145,7 +161,7 @@ class TestPropose:
         rt = retained_failure(CauseLabel.MISSING_PRECONDITION)
         card = PolicyCard("pc", CauseLabel.MISSING_PRECONDITION, "t1",
                           BoundedTag.ADD_GUARD, template_skill="lat-a")
-        out = propose(rt, diagnose(rt), (card,), scenario, library, 1, EngineConfig())
+        out = propose_on(rt, diagnose(rt), (card,), scenario, library, 1, EngineConfig())
         assert out is not None and out.edit is not None
         assert out.edit.tag is BoundedTag.ADD_GUARD
         # the guard token carries the latent whose repairs_cause matched
@@ -161,7 +177,7 @@ class TestPropose:
         scenario = scenario_with([latent])
         library = {"sk": make_skill("sk", pairs=(("t1", "p1"),))}
         rt = retained_success()
-        out = propose(rt, None, (), scenario, library, 2, EngineConfig())
+        out = propose_on(rt, None, (), scenario, library, 2, EngineConfig())
         assert out is not None and out.kind == "success-motif"
         draft = out.drafts[0]
         assert draft.applicability == frozenset({("t1", "p1")})
@@ -175,20 +191,20 @@ class TestPropose:
         scenario = scenario_with([latent])
         library = {"sk": make_skill("sk", status=SkillStatus.POOLED)}
         rt = retained_success()
-        assert propose(rt, None, (), scenario, library, 0, EngineConfig()) is None
+        assert propose_on(rt, None, (), scenario, library, 0, EngineConfig()) is None
 
     def test_success_with_realized_latent_yields_nothing(self):
         latent = LatentSkill("lat-d", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
         scenario = scenario_with([latent])
         realizer = make_skill("sk", pairs=(("t1", "p1"),), steps=("lat-d",))
         rt = retained_success()
-        assert propose(rt, None, (), scenario, {"sk": realizer}, 0, EngineConfig()) is None
+        assert propose_on(rt, None, (), scenario, {"sk": realizer}, 0, EngineConfig()) is None
 
     def test_split_partitions_applicability(self):
         wide = make_skill("wide", pairs=(("t1", "p1"), ("t1", "p2")))
         rt = retained_failure(CauseLabel.SKILL_CONFLICT, selected=("wide",),
                               invoked=("wide",))
-        out = propose(rt, diagnose(rt), (), scenario_with(), {"wide": wide}, 3,
+        out = propose_on(rt, diagnose(rt), (), scenario_with(), {"wide": wide}, 3,
                       EngineConfig())
         assert out is not None
         assert len(out.drafts) == 2
@@ -201,7 +217,7 @@ class TestPropose:
         noisy = make_skill("noisy", pairs=(("t1", "p1"), ("t1", "p2")))
         rt = retained_failure(CauseLabel.MISLEADING_RETRIEVAL, selected=("noisy",),
                               invoked=("noisy",))
-        out = propose(rt, diagnose(rt), (), scenario_with(), {"noisy": noisy}, 0,
+        out = propose_on(rt, diagnose(rt), (), scenario_with(), {"noisy": noisy}, 0,
                       EngineConfig())
         assert out is not None and out.edit is not None
         assert out.edit.applicability == frozenset({("t1", "p2")})
@@ -209,7 +225,7 @@ class TestPropose:
 
 class TestSkillEvolve:
     def test_no_proposals_empty_delta(self):
-        delta = skill_evolve((), {}, (), UtilityTable(), EngineConfig())
+        delta = evolve((), {}, (), UtilityTable(), EngineConfig())
         assert delta == SkillDelta(())
 
     def test_duplicate_create_becomes_no_op(self):
@@ -225,7 +241,7 @@ class TestSkillEvolve:
             kind="success-motif", source_trace="e0", target_cluster="existing",
             task_type="t1", drafts=(draft,),
         )
-        delta = skill_evolve(
+        delta = evolve(
             (proposal,), {"existing": existing}, (), UtilityTable(), EngineConfig()
         )
         assert [a.action for a in delta.actions] == ["no-op"]
@@ -243,7 +259,7 @@ class TestSkillEvolve:
             kind="success-motif", source_trace="e0", target_cluster="old",
             task_type="t1", drafts=(draft,),
         )
-        delta = skill_evolve((proposal,), {"old": existing}, (), UtilityTable(),
+        delta = evolve((proposal,), {"old": existing}, (), UtilityTable(),
                              EngineConfig())
         assert [a.action for a in delta.actions] == ["no-op"]
 
@@ -256,7 +272,7 @@ class TestSkillEvolve:
             kind="success-motif", source_trace="e0", target_cluster=f"new:{draft.id}",
             task_type="t1", drafts=(draft,),
         )
-        delta = skill_evolve((proposal,), {}, (card,), UtilityTable(), EngineConfig())
+        delta = evolve((proposal,), {}, (card,), UtilityTable(), EngineConfig())
         assert [a.action for a in delta.actions] == ["no-op"]
 
     def test_low_utility_cluster_pruned(self):
@@ -276,7 +292,7 @@ class TestSkillEvolve:
             edit=SkillEdit(BoundedTag.ADD_GUARD, "bad", bad.steps,
                            bad.guards | {"require:x"}, bad.checks, bad.applicability),
         )
-        delta = skill_evolve((proposal,), {"bad": bad}, (), q, EngineConfig())
+        delta = evolve((proposal,), {"bad": bad}, (), q, EngineConfig())
         assert [a.action for a in delta.actions] == ["prune"]
         assert "conflicting candidates" in delta.actions[0].note
 
@@ -292,7 +308,7 @@ class TestSkillEvolve:
             kind="failure-repair", source_trace="e0", target_cluster="sk",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=edit,
         )
-        delta = skill_evolve((proposal,), {"sk": skill}, (), UtilityTable(),
+        delta = evolve((proposal,), {"sk": skill}, (), UtilityTable(),
                              EngineConfig())
         assert [a.action for a in delta.actions] == ["hold-in-pool"]
 
@@ -307,7 +323,7 @@ class TestSkillEvolve:
                      task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=light)
             for i in range(4)
         ]
-        delta = skill_evolve(proposals, {"sk": skill}, (), UtilityTable(),
+        delta = evolve(proposals, {"sk": skill}, (), UtilityTable(),
                              EngineConfig())
         assert len(delta.actions) == 1
         clusters = [a.cluster for a in delta.actions]
@@ -315,7 +331,7 @@ class TestSkillEvolve:
 
     def test_demotion_after_drop_claims_cluster(self):
         edited = make_skill("sk", status=SkillStatus.VALIDATED)
-        delta = skill_evolve(
+        delta = evolve(
             (), {"sk": edited}, (), UtilityTable(), EngineConfig(),
             last_round_drop=True, last_round_edits=frozenset({"sk"}),
         )

@@ -2,7 +2,8 @@
 
 Every value below was recorded from the engine before any speed work on the
 round pipeline, except OWNERSHIP_SHA256 and TRANSPLANT_SHA256, recorded
-before each rule that edits skill ownership got a single implementation.
+before each rule that edits skill ownership got a single implementation, and
+EVAL_SHA256, recorded before `sample_episode` took only an execution table.
 A change that is meant to be a pure optimisation must leave
 all of them unchanged; a change that alters behaviour on purpose must say so
 and re-record them.
@@ -68,6 +69,11 @@ OWNERSHIP_SHA256 = {
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
 TRANSPLANT_SHA256 = "0627094a9e19038f8cb3a1bf90220ffeb6398624b249312a169e7f1eef6d3bb2"
+
+# `skillmas eval --scenario preset:mismatch --state snapshots/state_r004.txt
+# --episodes 500 --seed 7` on the RUN_DIR_SHA256 directory: its stdout, a NUL
+# byte, then the `--out` JSON
+EVAL_SHA256 = "31bfb3c944ea5ff23e347b3edae8d188fc38b967c32235375cbe1b8ab2dcd73d"
 
 
 def sha256_text(text: str) -> str:
@@ -175,3 +181,23 @@ def test_transplant_digest(tmp_path):
     assert main(["transplant", "--run", str(out), "--episodes", "200"]) == 0
     transplant = (out / "transplant.json").read_bytes()
     assert hashlib.sha256(transplant).hexdigest() == TRANSPLANT_SHA256
+
+
+def test_eval_digest(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
+         "--episodes", "200", "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    capsys.readouterr()
+    result = tmp_path / "eval.json"
+    code = main(
+        ["eval", "--scenario", "preset:mismatch",
+         "--state", str(out / "snapshots" / "state_r004.txt"),
+         "--episodes", "500", "--seed", "7", "--out", str(result)]
+    )
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
+    digest.update(result.read_bytes())
+    assert digest.hexdigest() == EVAL_SHA256

@@ -142,6 +142,7 @@ class TestRunExperiment:
 
 class TestProposalBound:
     def test_at_most_one_proposal_per_retained_trace(self):
+        from skillmas.evolution import proposal_index
         from skillmas.orchestrator import collect_proposals
         from skillmas.retention import retain
 
@@ -153,7 +154,8 @@ class TestProposalBound:
                 pack.config, id_prefix=f"r{round_index:04d}",
             )
             retained = retain(traces, state.q_exec, pack.config, state.library)
-            proposals = collect_proposals(retained, state, pack.scenario, pack.config)
+            index = proposal_index(pack.scenario, state.library, pack.config)
+            proposals = collect_proposals(retained, state, pack.config, index)
             assert len(proposals) <= len(retained)
             sources = [p.source_trace for p in proposals]
             assert len(sources) == len(set(sources))

@@ -21,7 +21,6 @@ from skillmas.evolution import (
     proposal_index,
     propose,
     retrieve_policy_cards,
-    skill_evolve,
 )
 from skillmas.model import (
     BoundedTag,
@@ -49,7 +48,6 @@ from skillmas.streams import substream
 from skillmas.utility import (
     RoutingError,
     executor_route,
-    learn,
     select_skills,
     used_skills,
 )
@@ -272,12 +270,11 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-def test_sample_episode_without_table_matches_reference(world_seed, episode_seed):
+def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_seed):
     scenario, state, config = random_world(random.Random(world_seed))
     task = random.Random(episode_seed).choice(scenario.task_types)
-    got = sample_episode(
-        scenario, state, task, random.Random(episode_seed), episode_id="e0", config=config
-    )
+    table = ExecutionTable(state, scenario, config)
+    got = sample_episode(table, task, random.Random(episode_seed), "e0")
     want = reference_episode(
         scenario, state, task, random.Random(episode_seed), "e0", config
     )
@@ -435,7 +432,6 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
 def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
     traces = exec_round(state, scenario, n_episodes, world_seed, config, id_prefix="r0000")
-    q_skill, _ = learn(state.q_skill, state.q_exec, traces)
     retained = retain(traces, state.q_exec, config, state.library)
 
     index = proposal_index(scenario, state.library, config)
@@ -449,8 +445,7 @@ def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episode
         if s.status is not SkillStatus.PRUNED
     )
 
-    shared = collect_proposals(retained, state, scenario, config, index=index)
-    assert collect_proposals(retained, state, scenario, config) == shared
+    shared = collect_proposals(retained, state, config, index)
 
     per_trace = []
     for rt in retained:
@@ -462,23 +457,12 @@ def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episode
         else:
             diagnosis, cards = None, ()
         proposal = propose(
-            rt, diagnosis, cards, scenario, state.library, state.round_index, config
+            rt, diagnosis, cards, state.library, state.round_index, config,
+            proposal_index(scenario, state.library, config),
         )
         if proposal is not None:
             per_trace.append(proposal)
     assert shared == per_trace
-
-    for drop in (False, True):
-        edits = frozenset(sorted(state.library)[:3])
-        with_keys = skill_evolve(
-            shared, state.library, state.policy_index, q_skill, config,
-            last_round_drop=drop, last_round_edits=edits, cluster_keys=index.keys,
-        )
-        without = skill_evolve(
-            shared, state.library, state.policy_index, q_skill, config,
-            last_round_drop=drop, last_round_edits=edits,
-        )
-        assert with_keys == without
 
 
 def test_round_aborts_when_decision_evidence_fails(monkeypatch):

@@ -134,7 +134,7 @@ def reference_retain(traces, q_exec_prior, config, library, *, prior_failure_cou
     return retained
 
 
-def reference_proposals(retained, state, scenario, config, index):
+def reference_proposals(retained, state, config, index):
     proposals = []
     for rt in retained:
         if rt.trace.outcome == 0:
@@ -142,9 +142,7 @@ def reference_proposals(retained, state, scenario, config, index):
             cards = retrieve_policy_cards(state.policy_index, rt.trace.task_type.id, diagnosis.cause)
         else:
             diagnosis, cards = None, ()
-        proposal = propose(
-            rt, diagnosis, cards, scenario, state.library, state.round_index, config, index=index
-        )
+        proposal = propose(rt, diagnosis, cards, state.library, state.round_index, config, index)
         if proposal is not None:
             proposals.append(proposal)
     return proposals
@@ -294,17 +292,19 @@ def test_round_stages_match_per_trace_references(tmp_path_factory, world_seed, n
     orchestrator_propose = orchestrator.propose
     orchestrator.propose = counted
     try:
-        proposals = collect_proposals(retained, state, scenario, config, index=index)
+        proposals = collect_proposals(retained, state, config, index)
     finally:
         orchestrator.propose = orchestrator_propose
-    want_proposals = reference_proposals(retained, state, scenario, config, index)
+    want_proposals = reference_proposals(retained, state, config, index)
     assert proposals == want_proposals
     assert len(calls) == proposal_shapes(retained)  # once per distinct shape
     retained_ids = [rt.trace.episode_id for rt in retained]
     sources = [p.source_trace for p in proposals]
     assert sources == sorted(set(sources), key=retained_ids.index)  # each its own trace
 
-    delta = skill_evolve(proposals, state.library, state.policy_index, q_skill, config)
+    delta = skill_evolve(
+        proposals, state.library, state.policy_index, q_skill, config, cluster_keys=index.keys
+    )
     assert build_artifacts(retained, q_exec, delta) == reference_artifacts(retained, q_exec, delta)
 
 

@@ -1,9 +1,9 @@
 """The trace-log codec against the record schema.
 
 `encode_trace_log` encodes repeated fragments once per call and
-`read_trace_log` shares one object per distinct decoded value.  Neither may
-move a byte: every line must be what `json.dumps(trace_to_record(trace))`
-gives, whatever the sharing, escapes or scalar types of the traces.
+`read_trace_log` decodes each record on its own.  Neither may move a byte:
+every line must be what `json.dumps(trace_to_record(trace))` gives, whatever
+the sharing, escapes or scalar types of the traces.
 """
 
 from __future__ import annotations
@@ -144,23 +144,6 @@ def test_reader_round_trips_the_writer(traces):
     assert encode_trace_log(decoded) == text
 
 
-@settings(max_examples=60, deadline=None)
-@given(trace_batches())
-def test_equal_decoded_values_are_one_object(traces):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "traces.jsonl"
-        path.write_text(encode_trace_log(traces), encoding="utf-8")
-        decoded = read_trace_log(path)
-    seen: dict[object, object] = {}
-    for trace in decoded:
-        for value in (trace.task_type, *trace.slices):
-            assert seen.setdefault(value, value) is value
-        obs = trace.latent_cause_observation
-        if obs is not None:
-            key = (obs.cause, type(obs.confident), repr(obs.confident))
-            assert seen.setdefault(key, obs) is obs
-
-
 # ---------------------------------------------------------------------------
 # malformed records: `skillmas report` names the file and the line
 
@@ -224,8 +207,8 @@ def test_report_names_file_and_line_of_a_bad_record(run_dir, corrupt, detail):
 
 
 def test_reader_rejects_ids_that_are_not_strings(tmp_path):
-    # frozenset({1}) == frozenset({True}): keys over such ids could share one
-    # slice between [1] and [true], so the reader takes strings only
+    # frozenset({1}) == frozenset({True}): a decoded [1] could not tell the
+    # writer whether to encode [1] or [true], so the reader takes strings only
     task = TaskType("t", ("p",))
     trace = EpisodeTrace("e1", task, (ExecutorSlice("w", "p", frozenset({"s"}), frozenset(), frozenset()),), 0, 0.0)
     record = trace_to_record(trace)

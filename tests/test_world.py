@@ -11,6 +11,7 @@ from skillmas.model import CauseLabel, Executor, SkillStatus, TaskType
 from skillmas.store import serialize_state, trace_to_record
 from skillmas.utility import RoutingError
 from skillmas.world import (
+    ExecutionTable,
     LatentSkill,
     Scenario,
     exec_round,
@@ -147,10 +148,8 @@ class TestSampleEpisode:
     def test_certain_world_succeeds(self):
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
-        trace = sample_episode(
-            scenario, state, scenario.task_types[0], random.Random(0),
-            episode_id="e0", config=EngineConfig(),
-        )
+        table = ExecutionTable(state, scenario, EngineConfig())
+        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
         assert trace.outcome == 1
         assert trace.progress == 1.0
         assert trace.latent_cause_observation is None
@@ -158,10 +157,8 @@ class TestSampleEpisode:
     def test_impossible_first_phase(self):
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
-        trace = sample_episode(
-            scenario, state, scenario.task_types[0], random.Random(0),
-            episode_id="e0", config=EngineConfig(),
-        )
+        table = ExecutionTable(state, scenario, EngineConfig())
+        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
         assert trace.outcome == 0
         assert trace.progress == 0.0
         assert len(trace.slices) == 1  # the failing phase was attempted
@@ -196,10 +193,8 @@ class TestSampleEpisode:
             pool={},
         )
         scenario = make_scenario(base={("t1", "p1"): 50.0})
-        trace = sample_episode(
-            scenario, state, scenario.task_types[0], random.Random(0),
-            episode_id="e0", config=EngineConfig(),
-        )
+        table = ExecutionTable(state, scenario, EngineConfig())
+        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
         assert trace.outcome == 0
         obs = trace.latent_cause_observation
         assert obs is not None
@@ -232,9 +227,8 @@ class TestExecRound:
         def one(i):
             rng = substream(77, "episode", i)
             task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
-            return sample_episode(
-                scenario, state, task, rng, episode_id=f"e{i:05d}", config=config
-            )
+            table = ExecutionTable(state, scenario, config)
+            return sample_episode(table, task, rng, f"e{i:05d}")
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
