@@ -162,14 +162,28 @@ def _typed(path: Path, payload: dict, key: str, kind: type, where: str = "") -> 
     return value
 
 
+def _read_text(path: Path, kind: str, label: str | None = None) -> str:
+    """A file's UTF-8 text.  A file that cannot be read, or is not UTF-8, is
+    a usage error naming it by `label` (its path by default)."""
+    name = label or str(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"{name}: file does not exist") from None
+    except OSError as exc:
+        raise UsageError(f"{name}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{name}: invalid {kind}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _read_json_object(path: Path, required: dict[str, type]) -> dict:
     """A JSON object from a run directory or `--config`, holding at least the
     keys of `required`, each of its JSON type."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageError(f"{path}: file does not exist") from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        payload = json.loads(_read_text(path, "JSON"))
+    except ValueError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"{path}: expected a JSON object")
@@ -238,12 +252,12 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     if "scenario_name" in manifest:
         _typed(manifest_path, manifest, "scenario_name", str)
     scenario_path = run_dir / manifest["scenario"]
+    scenario_text = _read_text(scenario_path, "scenario")
     try:
-        scenario_text = scenario_path.read_text(encoding="utf-8")
         pack = parse_scenario(
             scenario_text, name=manifest.get("scenario_name", "scenario")
         )
-    except (OSError, ScenarioError) as exc:
+    except ScenarioError as exc:
         raise UsageError(f"{scenario_path}: {exc}") from None
     # manifests written before a threshold was retired still carry it
     stored = {
@@ -260,10 +274,7 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
 
 def _load_snapshot(path: Path, scenario: Scenario) -> RoundState:
     """Read a state snapshot and validate it against the scenario's universe."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise UsageError(f"snapshot {path} does not exist") from None
+    text = _read_text(path, "snapshot", label=f"snapshot {path}")
     try:
         state = deserialize_state(text)
         validate_state(state, scenario.universe())

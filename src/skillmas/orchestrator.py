@@ -46,7 +46,7 @@ from .restructure import (
 from .retention import failure_counts, retain
 from .streams import derive_seed
 from .utility import learn
-from .world import Scenario, exec_round
+from .world import Scenario, exec_round, exec_shared
 
 TRANSPLANT_ROWS = (
     "Full",
@@ -505,17 +505,29 @@ def evaluate_transplants(
     eval_episodes: int,
     config: EngineConfig,
 ) -> ComparisonTable:
+    """Each transplant variant's successes over one fresh evaluation batch.
+
+    The variants run on the same episode streams, each stream seeded once
+    for all four (`exec_shared`); successes are counted as episodes finish.
+    """
     variants = transplant_variants(final_state, seed_state)
-    eval_seed = derive_seed(seed, "transplant-eval")
-    rows = []
-    for label in TRANSPLANT_ROWS:
-        traces = exec_round(
-            variants[label], scenario, eval_episodes, eval_seed, config, id_prefix="v"
+    successes = [0] * len(TRANSPLANT_ROWS)
+    for traces in exec_shared(
+        [variants[label] for label in TRANSPLANT_ROWS],
+        scenario,
+        eval_episodes,
+        derive_seed(seed, "transplant-eval"),
+        config,
+        id_prefix="v",
+    ):
+        for k, trace in enumerate(traces):
+            successes[k] += trace.outcome
+    return ComparisonTable(
+        tuple(
+            ComparisonRow(label, count, eval_episodes)
+            for label, count in zip(TRANSPLANT_ROWS, successes)
         )
-        rows.append(
-            ComparisonRow(label, sum(t.outcome for t in traces), eval_episodes)
-        )
-    return ComparisonTable(tuple(rows))
+    )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import copysign
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -563,6 +564,7 @@ def deserialize_state(text: str) -> RoundState:
 # them.  The reader decodes each record on its own with `record_to_trace`.
 
 _FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii  # what `_FRAGMENT.encode` does to a str
 
 
 def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
@@ -588,21 +590,18 @@ def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
     }
 
 
-def _scalar_key(value: object) -> tuple[type, str]:
-    """Memo key of a JSON scalar: True, 1 and 1.0 compare equal, as do 0.0
-    and -0.0, but each encodes differently, so key on the type and repr."""
-    return (type(value), repr(value))
-
-
 def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
     """Render traces as JSON lines, one `trace_to_record` per line.
 
     A line is assembled in sorted-key order from three fragments: the head
     (cause, outcome, progress), keyed by value, the episode id, encoded per
-    line, and the tail (slices and task), keyed by the identity of the task
-    object and of the slices tuple, which the engine and `read_trace_log`
-    share.  Keying on identity is exact whatever the field types; each tail
-    entry holds its trace so that no id is reused while the call runs.
+    line as `JSONEncoder.encode` encodes a string, and the tail (slices and
+    task), keyed by the identity of the task object and of the slices
+    tuple, which the engine and `read_trace_log` share.  True, 1 and 1.0
+    compare equal, as do 0.0 and -0.0, but each encodes differently, so the
+    head key holds each scalar's type and, for a float, its sign.  Keying
+    on identity is exact whatever the field types; each tail entry holds
+    its trace so that no id is reused while the call runs.
     """
     encode = _FRAGMENT.encode
     heads: dict[tuple[object, ...], tuple[str, str]] = {}
@@ -610,10 +609,19 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
     lines: list[str] = []
     for trace in traces:
         obs = trace.latent_cause_observation
+        outcome = trace.outcome
+        progress = trace.progress
+        confident = None if obs is None else obs.confident
         head_key = (
-            None if obs is None else (obs.cause, _scalar_key(obs.confident)),
-            _scalar_key(trace.outcome),
-            _scalar_key(trace.progress),
+            None if obs is None else obs.cause,
+            confident.__class__,
+            confident,
+            isinstance(confident, float) and copysign(1.0, confident),
+            outcome.__class__,
+            outcome,
+            progress.__class__,
+            progress,
+            isinstance(progress, float) and copysign(1.0, progress),
         )
         tail_key = (id(trace.task_type), id(trace.slices))
         head = heads.get(head_key)
@@ -631,7 +639,13 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
                     trace,
                     encode(record["slices"]) + ',"task":' + encode(record["task"]) + "}\n",
                 )
-        lines.append(head[0] + encode(trace.episode_id) + head[1] + tail[1])
+        episode_id = trace.episode_id
+        lines.append(
+            head[0]
+            + (_encode_str(episode_id) if isinstance(episode_id, str) else encode(episode_id))
+            + head[1]
+            + tail[1]
+        )
     return "".join(lines)
 
 

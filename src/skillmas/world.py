@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -34,7 +34,7 @@ from .model import (
     active_owned,
 )
 from .numfmt import q12
-from .streams import seed_deriver
+from .streams import StreamTape, check_stream_tape, episode_streams
 from .utility import Route, RoutingError, executor_route, rank_skills, skills_by_task
 
 
@@ -444,7 +444,9 @@ def sample_episode(
     the phase-matching ones, and draws a Bernoulli success.  The episode
     succeeds only if every phase does.  On failure the dominant deficit is
     emitted as a cause observation, confidently with the scenario's
-    observation probability.
+    observation probability.  `rng` is a `random.Random` or a
+    `streams.TapeCursor`: the episode only calls `random()` and
+    `randrange(n)`, here and in `Route.draw`.
     """
     phases, progress, steps, _ = table.paths(task_type)
     slices: tuple[ExecutorSlice, ...] = ()
@@ -496,17 +498,56 @@ def exec_round(
 
     Execution is read-only over the state.  Episode i draws from its own
     stream derived from (seed, i), so the batch is reproducible and safe to
-    parallelize; results merge in episode-id order either way.  One
-    generator serves the batch: reseeding it puts it in the state of
-    `substream(seed, "episode", i)`.
+    parallelize; results merge in episode-id order either way.  Episode i
+    reads its stream straight from `episode_streams(seed)(i)`, the state of
+    `substream(seed, "episode", i)`; `exec_shared` serves several states
+    the same streams.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     table = ExecutionTable(state, scenario, config)
-    episode_seed = seed_deriver(seed, "episode")
-    rng = random.Random()
+    stream = episode_streams(seed)
     traces = []
     for i in range(n_episodes):
-        rng.seed(episode_seed(i))
+        rng = stream(i)
         traces.append(sample_episode(table, table.draw_task(rng), rng, f"{id_prefix}e{i:05d}"))
     return tuple(traces)
+
+
+def exec_shared(
+    states: Sequence[RoundState],
+    scenario: Scenario,
+    n_episodes: int,
+    seed: int,
+    config: EngineConfig,
+    *,
+    id_prefix: str = "",
+) -> Iterator[tuple[EpisodeTrace, ...]]:
+    """Execute one batch against several frozen states on the same streams.
+
+    Yields episode i's traces, one per state in order, each equal to trace
+    i of `exec_round(state, scenario, n_episodes, seed, config, ...)`.
+    Episode i's generator is seeded once: its leading words go onto one
+    `StreamTape`, and each state's episode reads them through its own
+    cursor.  Nothing is kept from one episode to the next.
+    """
+    if n_episodes < 1:
+        raise ValueError("a round needs at least one episode")
+    check_stream_tape()
+    tables = [ExecutionTable(state, scenario, config) for state in states]
+    # an episode draws at most: the task (2 words), per phase the exploration
+    # and routing draws (2 + 1) and the success draw (2), and a cause draw
+    # (2); a randrange rejection reads past the tape, which then extends
+    longest = max(len(task.phases) for task in scenario.task_types)
+    tape = StreamTape(4 + 5 * longest)
+    cursors = [(table, tape.cursor()) for table in tables]
+    stream = episode_streams(seed)
+    for i in range(n_episodes):
+        tape.load(stream(i))
+        episode_id = f"{id_prefix}e{i:05d}"
+        yield tuple(
+            [
+                sample_episode(table, table.draw_task(cursor), cursor, episode_id)
+                for table, cursor in cursors
+            ]
+        )

@@ -1,6 +1,6 @@
 """The reseeded batch stream against the reference derivation.
 
-`exec_round` hashes the `(seed, "episode")` prefix once and reseeds one
+`episode_streams` hashes the `(seed, "episode")` prefix once and reseeds one
 generator per episode; both must reproduce `derive_seed` and a fresh
 `substream` exactly, whatever the generator drew before.
 """
@@ -11,7 +11,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from skillmas.streams import derive_seed, seed_deriver, substream
+from skillmas.streams import derive_seed, episode_streams, seed_deriver, substream
 
 PARTS = st.one_of(
     st.integers(-(2**70), 2**70),
@@ -66,3 +66,25 @@ def test_reseeded_generator_equals_fresh_substream(seed, indexes, earlier):
                 rng.getrandbits(17)
         rng.seed(derive(i))
         assert draws(rng) == draws(substream(seed, "episode", i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(INDEXES, min_size=1, max_size=6),
+    st.lists(st.sampled_from(["random", "randrange", "getrandbits"]), max_size=5),
+)
+def test_episode_stream_state_equals_fresh_substream(seed, indexes, earlier):
+    # reseeding skips `random.Random.seed`, which also clears the gauss
+    # cache; no episode draws gauss, so the whole state must still match
+    stream = episode_streams(seed)
+    for i in indexes:
+        rng = stream(i)
+        assert rng.getstate() == substream(seed, "episode", i).getstate()
+        for name in earlier:  # leave state behind for the next reseed
+            if name == "random":
+                rng.random()
+            elif name == "randrange":
+                rng.randrange(3)
+            else:
+                rng.getrandbits(17)

@@ -483,3 +483,56 @@ class TestRetiredThreshold:
         assert code == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and "'gap_threshold'" in err and "retired" in err
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _checkpoint_snapshot(run_dir):
+    return run_dir / json.loads((run_dir / "checkpoint.json").read_text())["snapshot"]
+
+
+# (file to break, how, argv, how the error names the file, what it says)
+UNREADABLE = {
+    "transplant-snapshot-non-utf8": (
+        _checkpoint_snapshot, _non_utf8, lambda run, path: ["transplant", "--run", run],
+        "snapshot {}: ", "not UTF-8"),
+    "transplant-snapshot-directory": (
+        _checkpoint_snapshot, _directory, lambda run, path: ["transplant", "--run", run],
+        "snapshot {}: ", "Is a directory"),
+    "transplant-checkpoint-directory": (
+        lambda run_dir: run_dir / "checkpoint.json", _directory,
+        lambda run, path: ["transplant", "--run", run], "{}: ", "Is a directory"),
+    "report-trajectory-directory": (
+        lambda run_dir: run_dir / "trajectory.json", _directory,
+        lambda run, path: ["report", "--run", run], "{}: ", "Is a directory"),
+    "replay-scenario-non-utf8": (
+        lambda run_dir: run_dir / "scenario.scn", _non_utf8,
+        lambda run, path: ["replay", "--run", run], "{}: ", "not UTF-8"),
+    "eval-state-directory": (
+        _checkpoint_snapshot, _directory,
+        lambda run, path: ["eval", "--scenario", "preset:tiny", "--state", path, "--seed", "1"],
+        "snapshot {}: ", "Is a directory"),
+    "run-config-directory": (
+        lambda run_dir: run_dir / "cfg.json", lambda path: path.mkdir(),
+        lambda run, path: ["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds",
+                           "1", "--config", path, "--out", run + "-x", "--quiet"],
+        "{}: ", "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_is_usage_error_naming_the_file(run_dir, capsys, case):
+    locate, damage, argv, named, detail = UNREADABLE[case]
+    path = locate(run_dir)
+    damage(path)
+    assert main(argv(str(run_dir), str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + named.format(path))
+    assert detail in err

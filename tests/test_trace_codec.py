@@ -31,7 +31,8 @@ ID_TEXT = st.one_of(
     st.text(min_size=1, max_size=6),
 )
 # scalars that compare equal but encode differently
-CONFIDENT = st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0])
+CONFIDENT_VALUES = [True, False, 1, 0, 1.0, 0.0, -0.0]
+CONFIDENT = st.sampled_from(CONFIDENT_VALUES)
 FAILED_PROGRESS = st.sampled_from([0.0, -0.0, 0, False, 0.5, 0.333333333333, 1.0, 1, True])
 SUCCESS = st.sampled_from([(1, 1.0), (1, 1), (True, 1.0), (1, True), (True, True)])
 FAILURE = st.sampled_from([0, False])
@@ -142,6 +143,23 @@ def test_reader_round_trips_the_writer(traces):
     assert decoded == tuple(traces)
     # equal is not enough: True and 1 must come back as they went out
     assert encode_trace_log(decoded) == text
+
+
+def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
+    # every head value next to its equal twins, all sharing one task and one
+    # slices tuple, so only the head key can tell the lines apart
+    task = TaskType("t", ("p",))
+    slices = (ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset()),)
+    heads = [(outcome, progress, None) for outcome, progress in
+             [(1, 1.0), (1, 1), (True, 1.0), (1, True), (True, True)]]
+    causes = [None] + [CauseObservation(CauseLabel.UNKNOWN, c) for c in CONFIDENT_VALUES]
+    heads += [(outcome, progress, cause) for outcome in (0, False)
+              for progress in (0.0, -0.0, 0, False, 0.5) for cause in causes]
+    traces = [
+        EpisodeTrace(f"e{k:03d}\u00e9", task, slices, outcome, progress, cause)
+        for k, (outcome, progress, cause) in enumerate(heads * 2)
+    ]
+    assert encode_trace_log(traces).split("\n") == [record_line(t) for t in traces] + [""]
 
 
 # ---------------------------------------------------------------------------
