@@ -22,11 +22,11 @@ from .orchestrator import (
     canonical_json,
     evaluate_transplants,
     family_rows,
+    family_tally,
     render_breakdown,
     render_comparison,
     render_trajectory,
     run_experiment,
-    task_family_breakdown,
 )
 from .presets import load_preset
 from .store import (
@@ -35,12 +35,11 @@ from .store import (
     StoreError,
     deserialize_state,
     encode_trace_log,
-    load_scenario,
     parse_scenario,
     serialize_state,
 )
 from .streams import derive_seed
-from .world import Scenario, exec_round
+from .world import Scenario, exec_shared
 
 
 class UsageError(Exception):
@@ -53,12 +52,11 @@ def _load_pack(source: str) -> ScenarioPack:
             return load_preset(source.split(":", 1)[1])
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from None
+    path = Path(source)
     try:
-        return load_scenario(source)
+        return parse_scenario(_read_text(path, "scenario"), name=path.stem)
     except ScenarioError as exc:
         raise UsageError(f"{source}: {exc}") from None
-    except StoreError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _load_config(
@@ -113,8 +111,13 @@ def run_artifacts(
 def _write_run_dir(
     out: Path, pack: ScenarioPack, seed: int, rounds: int, config: EngineConfig
 ) -> ExperimentResult:
+    try:
+        (out / "snapshots").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"{out}: cannot create the run directory: {exc.strerror or exc}"
+        ) from None
     artifacts, result = run_artifacts(pack, seed, rounds, config)
-    (out / "snapshots").mkdir(parents=True, exist_ok=True)
     (out / "scenario.scn").write_text(pack.text, encoding="utf-8")
     (out / "run.json").write_text(
         canonical_json(
@@ -304,25 +307,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pack = _load_pack(args.scenario)
     config = _load_config(pack, args)
     state = _load_snapshot(Path(args.state), pack.scenario)
-    traces = exec_round(
-        state,
-        pack.scenario,
-        args.episodes,
-        derive_seed(args.seed, "eval"),
-        config,
-        id_prefix="v",
+    counts = family_tally(
+        (task, success)
+        for task, (success,) in exec_shared(
+            [state], pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
+        )
     )
-    rows = task_family_breakdown(traces)
-    successes = sum(t.outcome for t in traces)
+    rows = family_rows(counts)
+    successes = sum(s for s, _ in counts.values())
     print(render_breakdown(rows), end="")
-    print(f"total: {successes}/{len(traces)}")
+    print(f"total: {successes}/{args.episodes}")
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(
             canonical_json(
                 {
-                    "episodes": len(traces),
+                    "episodes": args.episodes,
                     "successes": successes,
                     "per_family": {
                         r.task_type: {"successes": r.successes, "attempts": r.attempts}
@@ -368,11 +369,20 @@ def cmd_replay(args: argparse.Namespace) -> int:
     pack, seed, rounds, config = _load_run_dir(run_dir)
     artifacts, _ = run_artifacts(pack, seed, rounds, config)
     for rel in sorted(artifacts):
-        target = run_dir / rel
-        if not target.exists():
+        try:
+            stored = (run_dir / rel).read_text(encoding="utf-8")
+        except FileNotFoundError:
             print(f"replay divergence: {rel} is missing from the run directory")
             return 1
-        stored = target.read_text(encoding="utf-8")
+        except OSError as exc:
+            print(f"replay divergence in {rel}: cannot read: {exc.strerror or exc}")
+            return 1
+        except UnicodeDecodeError as exc:
+            print(
+                f"replay divergence in {rel}: not UTF-8 "
+                f"({exc.reason} at byte {exc.start})"
+            )
+            return 1
         expected = artifacts[rel]
         if stored != expected:
             stored_lines = stored.splitlines()

@@ -33,6 +33,7 @@ from .model import (
     RoundState,
     SkillStatus,
     StateError,
+    TaskType,
     place_skill,
     validate_state,
 )
@@ -361,7 +362,7 @@ def run_round(
         round_index=state.round_index,
         episodes=len(traces),
         successes=sum(t.outcome for t in traces),
-        per_family=family_tally(traces),
+        per_family=family_tally((t.task_type, t.outcome) for t in traces),
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
@@ -508,20 +509,20 @@ def evaluate_transplants(
     """Each transplant variant's successes over one fresh evaluation batch.
 
     The variants run on the same episode streams, each stream seeded once
-    for all four (`exec_shared`); successes are counted as episodes finish.
+    for all four (`exec_shared`), which walks each episode to its outcome
+    and builds no trace; successes are counted as episodes finish.
     """
     variants = transplant_variants(final_state, seed_state)
     successes = [0] * len(TRANSPLANT_ROWS)
-    for traces in exec_shared(
+    for _, flags in exec_shared(
         [variants[label] for label in TRANSPLANT_ROWS],
         scenario,
         eval_episodes,
         derive_seed(seed, "transplant-eval"),
         config,
-        id_prefix="v",
     ):
-        for k, trace in enumerate(traces):
-            successes[k] += trace.outcome
+        for k, flag in enumerate(flags):
+            successes[k] += flag
     return ComparisonTable(
         tuple(
             ComparisonRow(label, count, eval_episodes)
@@ -545,12 +546,12 @@ class FamilyRow:
         return self.successes - self.baseline_successes
 
 
-def family_tally(traces: Iterable[EpisodeTrace]) -> dict[str, tuple[int, int]]:
-    """Task id -> (successes, attempts) over a batch of traces."""
+def family_tally(outcomes: Iterable[tuple[TaskType, int]]) -> dict[str, tuple[int, int]]:
+    """Task id -> (successes, attempts) over a batch's (task, outcome) pairs."""
     counts: dict[str, tuple[int, int]] = {}
-    for t in traces:
-        s, a = counts.get(t.task_type.id, (0, 0))
-        counts[t.task_type.id] = (s + t.outcome, a + 1)
+    for task, outcome in outcomes:
+        s, a = counts.get(task.id, (0, 0))
+        counts[task.id] = (s + outcome, a + 1)
     return counts
 
 
@@ -579,8 +580,10 @@ def task_family_breakdown(
     is supplied.  Families absent from both runs are omitted."""
     if not traces:
         raise ValueError("breakdown needs a non-empty trace set")
-    base = family_tally(baseline) if baseline is not None else None
-    return family_rows(family_tally(traces), base)
+    base = None
+    if baseline is not None:
+        base = family_tally((t.task_type, t.outcome) for t in baseline)
+    return family_rows(family_tally((t.task_type, t.outcome) for t in traces), base)
 
 
 def _ratio(successes: int, attempts: int) -> str:

@@ -435,17 +435,19 @@ class ExecutionTable:
         return self._deficits[key]
 
 
-def sample_episode(
-    table: ExecutionTable, task_type: TaskType, rng: random.Random, episode_id: str
-) -> EpisodeTrace:
-    """Run one episode against the ground truth with the table's state fixed.
+def walk_episode(
+    table: ExecutionTable, task_type: TaskType, rng: random.Random
+) -> tuple[tuple[ExecutorSlice, ...], float, tuple[Pair, str | None] | None]:
+    """Make one episode's routing and success draws, up to its outcome.
 
-    Phases run in order; each routes an executor, retrieves skills, invokes
-    the phase-matching ones, and draws a Bernoulli success.  The episode
-    succeeds only if every phase does.  On failure the dominant deficit is
-    emitted as a cause observation, confidently with the scenario's
-    observation probability.  `rng` is a `random.Random` or a
-    `streams.TapeCursor`: the episode only calls `random()` and
+    Phases run in order; each routes an executor (greedy, or with the
+    table's exploration rate one drawn at random) and draws a Bernoulli
+    success with the slot's probability.  The walk stops at the first phase
+    that fails and returns the slices of the phases it routed, the progress
+    `q12(completed / phases)`, and how the episode ended: None when every
+    phase succeeded, else the (pair, executor id) that failed, the executor
+    None when no executor covers the pair.  `rng` is a `random.Random` or a
+    `streams.TapeCursor`: the walk only calls `random()` and
     `randrange(n)`, here and in `Route.draw`.
     """
     phases, progress, steps, _ = table.paths(task_type)
@@ -454,8 +456,7 @@ def sample_episode(
         try:
             executor_id = route.draw(rng, table.epsilon)
         except RoutingError:
-            observation = _MISROUTED
-            break
+            return slices, progress[completed], (pair, None)
         step = steps.get(executor_id)
         if step is None:
             slot = table.slot(pair, executor_id)
@@ -463,12 +464,33 @@ def sample_episode(
         slot, slices, steps = step
         if rng.random() < slot.success_prob:
             continue
-        deficit = table.deficit(pair, executor_id)
-        observation = _observe_cause(deficit, rng, table.scenario.cause_confidence)
-        break
+        return slices, progress[completed], (pair, executor_id)
+    return slices, progress[-1], None
+
+
+def sample_episode(
+    table: ExecutionTable, task_type: TaskType, rng: random.Random, episode_id: str
+) -> EpisodeTrace:
+    """Run one episode against the ground truth with the table's state fixed.
+
+    `walk_episode` makes the routing and success draws.  On failure the
+    episode then draws its last value: the failing slot's dominant deficit
+    is observed as the cause, confidently with the scenario's observation
+    probability; an episode that could not be routed observes a bad
+    executor assignment without a draw.  The trace goes through
+    `EpisodeTrace`'s checks.
+    """
+    slices, progress, failed = walk_episode(table, task_type, rng)
+    if failed is None:
+        return EpisodeTrace(episode_id, task_type, slices, 1, progress)
+    pair, executor_id = failed
+    if executor_id is None:
+        observation = _MISROUTED
     else:
-        return EpisodeTrace(episode_id, task_type, slices, 1, progress[-1])
-    return EpisodeTrace(episode_id, task_type, slices, 0, progress[completed], observation)
+        observation = _observe_cause(
+            table.deficit(pair, executor_id), rng, table.scenario.cause_confidence
+        )
+    return EpisodeTrace(episode_id, task_type, slices, 0, progress, observation)
 
 
 def _weighted_choice(
@@ -494,14 +516,15 @@ def exec_round(
     *,
     id_prefix: str = "",
 ) -> tuple[EpisodeTrace, ...]:
-    """Execute a batch of episodes with the state held fixed.
+    """Execute a batch of episodes with the state held fixed, one trace each.
 
     Execution is read-only over the state.  Episode i draws from its own
     stream derived from (seed, i), so the batch is reproducible and safe to
     parallelize; results merge in episode-id order either way.  Episode i
     reads its stream straight from `episode_streams(seed)(i)`, the state of
-    `substream(seed, "episode", i)`; `exec_shared` serves several states
-    the same streams.
+    `substream(seed, "episode", i)`.  Adaptation runs its rounds here, since
+    learning reads every trace; frozen evaluation only counts outcomes and
+    runs `exec_shared`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
@@ -520,34 +543,38 @@ def exec_shared(
     n_episodes: int,
     seed: int,
     config: EngineConfig,
-    *,
-    id_prefix: str = "",
-) -> Iterator[tuple[EpisodeTrace, ...]]:
-    """Execute one batch against several frozen states on the same streams.
+) -> Iterator[tuple[TaskType, tuple[bool, ...]]]:
+    """Count outcomes of one batch against several frozen states on the same
+    streams.
 
-    Yields episode i's traces, one per state in order, each equal to trace
-    i of `exec_round(state, scenario, n_episodes, seed, config, ...)`.
-    Episode i's generator is seeded once: its leading words go onto one
-    `StreamTape`, and each state's episode reads them through its own
-    cursor.  Nothing is kept from one episode to the next.
+    Yields episode i's task and one success flag per state in order, each
+    equal to the task and outcome of trace i of `exec_round(state,
+    scenario, n_episodes, seed, config)`.  Episode i's generator is seeded
+    once: its leading words go onto one `StreamTape`.  The states share the
+    scenario, so the task is drawn once; then each state's `walk_episode`
+    reads on from there through its own cursor.  No trace is built and no
+    cause is observed, so no episode id is formatted either.  Nothing is
+    kept from one episode to the next.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     check_stream_tape()
     tables = [ExecutionTable(state, scenario, config) for state in states]
-    # an episode draws at most: the task (2 words), per phase the exploration
-    # and routing draws (2 + 1) and the success draw (2), and a cause draw
-    # (2); a randrange rejection reads past the tape, which then extends
+    # an episode's walk draws at most: the task (2 words), then per phase the
+    # exploration and routing draws (2 + 1) and the success draw (2); a
+    # randrange rejection reads past the tape, which then extends
     longest = max(len(task.phases) for task in scenario.task_types)
-    tape = StreamTape(4 + 5 * longest)
-    cursors = [(table, tape.cursor()) for table in tables]
+    tape = StreamTape(2 + 5 * longest)
+    lead = tape.cursor()
+    walkers = [(table, tape.cursor()) for table in tables]
+    draw_task = tables[0].draw_task
     stream = episode_streams(seed)
     for i in range(n_episodes):
         tape.load(stream(i))
-        episode_id = f"{id_prefix}e{i:05d}"
-        yield tuple(
-            [
-                sample_episode(table, table.draw_task(cursor), cursor, episode_id)
-                for table, cursor in cursors
-            ]
-        )
+        task = draw_task(lead)
+        start = lead.pos
+        flags = []
+        for table, cursor in walkers:
+            cursor.pos = start
+            flags.append(walk_episode(table, task, cursor)[2] is None)
+        yield task, tuple(flags)

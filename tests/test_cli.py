@@ -156,6 +156,36 @@ class TestRun:
         assert err.startswith(f"error: {cfg}: ") and detail in err
         assert not (tmp_path / "x").exists()
 
+    def test_out_naming_an_existing_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot create the run directory")
+        assert out.read_text() == "not a directory\n"
+
+    def test_non_utf8_scenario_file_is_usage_error(self, tmp_path, capsys):
+        scn = tmp_path / "latin.scn"
+        scn.write_bytes(PRESETS["tiny"].encode("utf-8") + b"# caf\xe9\n")
+        code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}: invalid scenario: not UTF-8")
+        assert not (tmp_path / "x").exists()
+
+    def test_scenario_directory_is_usage_error(self, tmp_path, capsys):
+        scn = tmp_path / "world.scn"
+        scn.mkdir()
+        code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}: cannot read")
+        assert not (tmp_path / "x").exists()
+
     def test_default_out_respects_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SKILLMAS_OUT", str(tmp_path / "env-runs"))
         code = main(["run", "--scenario", "preset:tiny", "--seed", "3",
@@ -190,6 +220,21 @@ class TestReplay:
         (run_dir / "trajectory.txt").unlink()
         assert main(["replay", "--run", str(run_dir)]) == 1
         assert "missing" in capsys.readouterr().out
+
+    def test_non_utf8_artifact_is_a_divergence(self, run_dir, capsys):
+        with (run_dir / "trajectory.txt").open("ab") as handle:
+            handle.write(b"\xff")
+        assert main(["replay", "--run", str(run_dir)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("replay divergence in trajectory.txt: not UTF-8")
+
+    def test_unreadable_artifact_is_a_divergence(self, run_dir, capsys):
+        log = run_dir / "traces.jsonl"
+        log.unlink()
+        log.mkdir()
+        assert main(["replay", "--run", str(run_dir)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("replay divergence in traces.jsonl: cannot read")
 
     def test_byte_identical_across_runs(self, tmp_path):
         outs = []

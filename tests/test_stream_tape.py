@@ -1,9 +1,10 @@
 """Shared episode streams: one seeded generator, one tape, several readers.
 
-`exec_shared` seeds each episode's generator once and lets every frozen
-state read the stream through its own `TapeCursor`.  A cursor must draw
-exactly what `random.Random` draws, whatever the other cursors have read,
-and every state's traces must equal those of `exec_round` on that state.
+`exec_shared` seeds each episode's generator once, draws the task once, and
+lets every frozen state walk the stream to its outcome through its own
+`TapeCursor`.  A cursor must draw exactly what `random.Random` draws,
+whatever the other cursors have read, and every state's tasks and success
+flags must equal the tasks and outcomes of `exec_round` on that state.
 """
 
 from __future__ import annotations
@@ -13,12 +14,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skillmas.config import EngineConfig
 from skillmas.model import StateError
-from skillmas.orchestrator import TRANSPLANT_ROWS, run_experiment, transplant_variants
+from skillmas.orchestrator import (
+    TRANSPLANT_ROWS,
+    evaluate_transplants,
+    run_experiment,
+    transplant_variants,
+)
 from skillmas.presets import PRESETS, load_preset
 from skillmas.store import parse_scenario
-from skillmas.streams import StreamTape, TapeCursor, check_stream_tape, episode_streams, substream
+from skillmas.streams import (
+    StreamTape,
+    TapeCursor,
+    check_stream_tape,
+    derive_seed,
+    episode_streams,
+    substream,
+)
 from skillmas.world import exec_round, exec_shared
+
+from conftest import random_scenario
 
 # n = 1, n = 2**k + 1 (about half the tries rejected) and the largest n
 SIZES = st.sampled_from([1, 2, 3, 5, 17, 2**16 + 1, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
@@ -165,14 +181,37 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
     monkeypatch.setattr(
         StreamTape, "extend", lambda tape, length: (extended.append(length), extend(tape, length))
     )
-    shared = list(exec_shared(states, pack.scenario, 300, 9001, pack.config, id_prefix="v"))
-    assert len(shared) == 300 and all(len(traces) == len(states) for traces in shared)
+    shared = list(exec_shared(states, pack.scenario, 300, 9001, pack.config))
+    assert len(shared) == 300 and all(len(flags) == len(states) for _, flags in shared)
     for k, state in enumerate(states):
-        alone = exec_round(state, pack.scenario, 300, 9001, pack.config, id_prefix="v")
-        got = [traces[k] for traces in shared]
-        assert got == list(alone)
-        assert [repr(t.progress) for t in got] == [repr(t.progress) for t in alone]
+        alone = exec_round(state, pack.scenario, 300, 9001, pack.config)
+        assert [(task, flags[k]) for task, flags in shared] == [
+            (t.task_type, t.outcome == 1) for t in alone
+        ]
     if name == "noisy":
         assert extended  # rejections ran past the tape
-        assert any(len(set(t.executors())) > 1 for traces in shared for t in traces)
+        alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
+        assert any(len(set(t.executors())) > 1 for t in alone)
+        assert any(not flags[0] for _, flags in shared)
 
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 40))
+def test_transplant_counts_are_exec_round_sums(world_seed, seed, episodes):
+    scenario, seed_state = random_scenario(random.Random(world_seed))
+    config = EngineConfig(episodes_per_round=12)
+    result = run_experiment(scenario, seed_state, seed, 2, config)
+    table = evaluate_transplants(
+        scenario, result.checkpoint_state, seed_state, seed, episodes, config
+    )
+    variants = transplant_variants(result.checkpoint_state, seed_state)
+    eval_seed = derive_seed(seed, "transplant-eval")
+    assert [(row.label, row.successes, row.episodes) for row in table.rows] == [
+        (
+            label,
+            sum(t.outcome for t in exec_round(variants[label], scenario, episodes, eval_seed, config)),
+            episodes,
+        )
+        for label in TRANSPLANT_ROWS
+    ]
+    assert all(type(row.successes) is int for row in table.rows)

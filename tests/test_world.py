@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skillmas.config import EngineConfig
 from skillmas.model import CauseLabel, Executor, SkillStatus, TaskType
+from skillmas.numfmt import q12
 from skillmas.store import serialize_state, trace_to_record
 from skillmas.utility import RoutingError
 from skillmas.world import (
@@ -20,6 +21,7 @@ from skillmas.world import (
     motif_skill,
     realized_catalog,
     sample_episode,
+    walk_episode,
 )
 
 from conftest import make_skill, make_state, random_scenario
@@ -200,6 +202,44 @@ class TestSampleEpisode:
         assert obs is not None
         assert obs.cause is CauseLabel.BAD_EXECUTOR_ASSIGNMENT
         assert obs.confident
+        # the walk names the pair it could not route, after the routed phases
+        slices, progress, failed = walk_episode(
+            table, scenario.task_types[0], random.Random(0)
+        )
+        assert failed == (("t1", "p2"), None)
+        assert slices is trace.slices and [sl.phase for sl in slices] == ["p1"]
+        assert progress == trace.progress == 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+    def test_trace_is_the_walk_plus_one_observation_draw(self, world_seed, episode_seed):
+        scenario, state = random_scenario(random.Random(world_seed))
+        table = ExecutionTable(state, scenario, EngineConfig())
+        for i in range(30):
+            task = scenario.task_types[i % len(scenario.task_types)]
+            sampled, walked = random.Random(episode_seed + i), random.Random(episode_seed + i)
+            trace = sample_episode(table, task, sampled, "e0")
+            slices, progress, failed = walk_episode(table, task, walked)
+            assert trace.slices is slices and trace.progress == progress
+            assert trace.outcome == (failed is None)
+            # phases completed: those routed, less the one that failed
+            completed = len(slices) - (failed is not None and failed[1] is not None)
+            assert progress == q12(completed / len(task.phases))
+            if failed is None:
+                assert trace.latent_cause_observation is None
+            else:
+                pair, executor_id = failed
+                assert executor_id == slices[-1].executor
+                assert pair == (task.id, slices[-1].phase)
+                deficit = table.deficit(pair, executor_id)
+                # the observation is drawn only when a deficit exists
+                if deficit is not None and walked.random() < scenario.cause_confidence:
+                    expected = (deficit[0], True)
+                else:
+                    expected = (CauseLabel.UNKNOWN, False)
+                obs = trace.latent_cause_observation
+                assert (obs.cause, obs.confident) == expected
+            assert sampled.getstate() == walked.getstate()
 
     def test_containment_invariants(self):
         for seed in range(5):
