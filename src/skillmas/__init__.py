@@ -29,7 +29,7 @@ from .orchestrator import (
     transplant_stress_test,
 )
 from .presets import load_preset
-from .store import ScenarioPack, load_scenario, parse_scenario
+from .store import ScenarioPack, parse_scenario
 from .world import LatentSkill, Scenario, exec_round, sample_episode
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "cluster_skills",
     "exec_round",
     "load_preset",
-    "load_scenario",
     "parse_scenario",
     "run_experiment",
     "run_round",

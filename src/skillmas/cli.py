@@ -53,10 +53,16 @@ def _load_pack(source: str) -> ScenarioPack:
         except KeyError as exc:
             raise UsageError(str(exc.args[0])) from None
     path = Path(source)
+    return _read_scenario(path, path.stem)
+
+
+def _read_scenario(path: Path, name: str, named_by: Path | None = None) -> ScenarioPack:
+    """The one reader of scenario files: `run --scenario` and a run's `scenario.scn`."""
+    text = _read_text(path, "scenario", named_by=named_by)
     try:
-        return parse_scenario(_read_text(path, "scenario"), name=path.stem)
+        return parse_scenario(text, name=name)
     except ScenarioError as exc:
-        raise UsageError(f"{source}: {exc}") from None
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_config(
@@ -108,6 +114,16 @@ def run_artifacts(
     return artifacts, result
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one file of the CLI's output as UTF-8, creating its directory.
+    A path that cannot be written is a usage error naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _write_run_dir(
     out: Path, pack: ScenarioPack, seed: int, rounds: int, config: EngineConfig
 ) -> ExperimentResult:
@@ -118,8 +134,9 @@ def _write_run_dir(
             f"{out}: cannot create the run directory: {exc.strerror or exc}"
         ) from None
     artifacts, result = run_artifacts(pack, seed, rounds, config)
-    (out / "scenario.scn").write_text(pack.text, encoding="utf-8")
-    (out / "run.json").write_text(
+    _write_text(out / "scenario.scn", pack.text)
+    _write_text(
+        out / "run.json",
         canonical_json(
             {
                 "format": 1,
@@ -130,12 +147,9 @@ def _write_run_dir(
                 "config": config.to_dict(),
             }
         ),
-        encoding="utf-8",
     )
     for rel, content in sorted(artifacts.items()):
-        target = out / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(content, encoding="utf-8")
+        _write_text(out / rel, content)
     return result
 
 
@@ -165,14 +179,18 @@ def _typed(path: Path, payload: dict, key: str, kind: type, where: str = "") -> 
     return value
 
 
-def _read_text(path: Path, kind: str, label: str | None = None) -> str:
+def _read_text(
+    path: Path, kind: str, label: str | None = None, named_by: Path | None = None
+) -> str:
     """A file's UTF-8 text.  A file that cannot be read, or is not UTF-8, is
-    a usage error naming it by `label` (its path by default)."""
+    a usage error naming it by `label` (its path by default); a missing one
+    also names the file `named_by` that gave its path."""
     name = label or str(path)
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise UsageError(f"{name}: file does not exist") from None
+        source = f" (named by {named_by})" if named_by else ""
+        raise UsageError(f"{name}: file does not exist{source}") from None
     except OSError as exc:
         raise UsageError(f"{name}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -245,8 +263,6 @@ def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, i
 
 def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     manifest_path = run_dir / "run.json"
-    if not manifest_path.exists():
-        raise UsageError(f"{run_dir} is not a run directory (missing run.json)")
     manifest = _read_json_object(
         manifest_path, {"scenario": str, "seed": int, "rounds": int, "config": dict}
     )
@@ -254,14 +270,9 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
         raise UsageError(f"{manifest_path}: 'rounds' must be at least 1")
     if "scenario_name" in manifest:
         _typed(manifest_path, manifest, "scenario_name", str)
-    scenario_path = run_dir / manifest["scenario"]
-    scenario_text = _read_text(scenario_path, "scenario")
-    try:
-        pack = parse_scenario(
-            scenario_text, name=manifest.get("scenario_name", "scenario")
-        )
-    except ScenarioError as exc:
-        raise UsageError(f"{scenario_path}: {exc}") from None
+    pack = _read_scenario(
+        run_dir / manifest["scenario"], manifest.get("scenario_name", "scenario"), manifest_path
+    )
     # manifests written before a threshold was retired still carry it
     stored = {
         key: value
@@ -275,9 +286,11 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     return pack, manifest["seed"], manifest["rounds"], config
 
 
-def _load_snapshot(path: Path, scenario: Scenario) -> RoundState:
+def _load_snapshot(
+    path: Path, scenario: Scenario, named_by: Path | None = None
+) -> RoundState:
     """Read a state snapshot and validate it against the scenario's universe."""
-    text = _read_text(path, "snapshot", label=f"snapshot {path}")
+    text = _read_text(path, "snapshot", f"snapshot {path}", named_by)
     try:
         state = deserialize_state(text)
         validate_state(state, scenario.universe())
@@ -318,9 +331,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(render_breakdown(rows), end="")
     print(f"total: {successes}/{args.episodes}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
+        _write_text(
+            Path(args.out),
             canonical_json(
                 {
                     "episodes": args.episodes,
@@ -331,7 +343,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     },
                 }
             ),
-            encoding="utf-8",
         )
     return 0
 
@@ -341,17 +352,18 @@ def cmd_transplant(args: argparse.Namespace) -> int:
         raise UsageError("--episodes must be at least 1")
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
-    checkpoint = _read_json_object(run_dir / "checkpoint.json", {"snapshot": str})
-    final_state = _load_snapshot(run_dir / checkpoint["snapshot"], pack.scenario)
+    checkpoint_path = run_dir / "checkpoint.json"
+    checkpoint = _read_json_object(checkpoint_path, {"snapshot": str})
+    final_state = _load_snapshot(
+        run_dir / checkpoint["snapshot"], pack.scenario, checkpoint_path
+    )
     seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
     table = evaluate_transplants(
         pack.scenario, final_state, seed_state, seed, args.episodes, config
     )
     print(render_comparison(table), end="")
-    (run_dir / "transplant.json").write_text(
-        canonical_json(table.to_dict()), encoding="utf-8"
-    )
-    (run_dir / "transplant.txt").write_text(render_comparison(table), encoding="utf-8")
+    _write_text(run_dir / "transplant.json", canonical_json(table.to_dict()))
+    _write_text(run_dir / "transplant.txt", render_comparison(table))
     return 0
 
 

@@ -477,7 +477,9 @@ def skill_evolve(
     low-utility evidence are pruned.  After a round-level performance drop,
     the previous round's edits are demoted to the pool first and their
     clusters are off limits for further actions.  `cluster_keys` is
-    `cluster_key_map(library, config.cluster_threshold)`.
+    `cluster_key_map(library, config.cluster_threshold)`.  Proposals keep
+    the order given (`collect_proposals` emits them in trace order), and a
+    cluster keeps the first of its highest-priority candidates.
     """
     clusters = {
         key: tuple(sid for sid, k in cluster_keys.items() if k == key)
@@ -515,7 +517,7 @@ def skill_evolve(
     for key in sorted(grouped):
         if key in claimed:
             continue
-        group = sorted(grouped[key], key=lambda p: p.source_trace)
+        group = grouped[key]
         candidates: list[SkillAction] = []
 
         member_ids = clusters.get(key, ())
@@ -584,7 +586,7 @@ def skill_evolve(
         if not candidates:
             continue
         distinct = {a.action for a in candidates}
-        candidates.sort(key=lambda a: (_ACTION_PRIORITY[a.action], a.source_trace or ""))
+        candidates.sort(key=lambda a: _ACTION_PRIORITY[a.action])
         chosen = candidates[0]
         if len(distinct) > 1:
             note = f"conflicting candidates {sorted(distinct)}; kept {chosen.action}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -203,40 +202,6 @@ class ExecutorSlice:
 
 
 _PHASE = operator.attrgetter("phase")
-_DIGIT_RUNS = re.compile(r"([0-9]+)")
-
-
-def episode_order(episode_id: str) -> tuple[tuple[str | int, ...], str]:
-    """Sort key of episode ids: digit runs compare as integers, ties by the string.
-
-    Ids grow past any fixed width ('r0000e100000' follows 'r0000e99999',
-    round 10000 follows round 9999), and every fixed-width id orders as it
-    does as a string.
-    """
-    parts: list = _DIGIT_RUNS.split(episode_id)
-    parts[1::2] = map(int, parts[1::2])
-    return tuple(parts), episode_id
-
-
-# UTF-8 bytes -> digit/other layout; no multi-byte sequence holds an ASCII digit
-_LAYOUT = bytes(0x30 if 0x30 <= b <= 0x39 else 0x61 for b in range(256))
-
-
-def episode_sorted(traces: Iterable[EpisodeTrace]) -> list[EpisodeTrace]:
-    """Traces in `episode_order`.
-
-    Ids that increase as strings and share one digit layout (a fixed-width
-    id scheme, such as a round's episode ids) are already in that order:
-    their digit runs align, so each run compares as an integer exactly as
-    it compares as a string.  Only other inputs are sorted by key.
-    """
-    traces = list(traces)
-    ids = [t.episode_id for t in traces]
-    if all(map(str.__lt__, ids, ids[1:])) and (
-        len({i.encode("utf-8").translate(_LAYOUT) for i in ids}) <= 1
-    ):
-        return traces
-    return sorted(traces, key=lambda t: episode_order(t.episode_id))
 
 
 @dataclass(frozen=True, slots=True)

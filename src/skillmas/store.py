@@ -3,27 +3,26 @@
 Scenario files are a line-oriented sectioned text format so parse errors can
 point at the offending line.  Snapshots are a versioned record stream with
 records sorted by id; serialize/deserialize is an exact round trip.  Trace
-logs are JSON lines, written once per run directory and read back with a
-monotonic episode-id check.
+logs are JSON lines, written once per run directory in the order the traces
+were generated.  Nothing in the engine reads a log back: `replay` compares
+its bytes, and the counts `report` shows come from `trajectory.json`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from math import copysign
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .config import EngineConfig, config_from_mapping
 from .model import (
     BoundedTag,
     CauseLabel,
-    CauseObservation,
     EpisodeTrace,
     Executor,
-    ExecutorSlice,
     Pair,
     PolicyCard,
     RoundState,
@@ -31,7 +30,6 @@ from .model import (
     SkillStatus,
     TaskType,
     UtilityTable,
-    episode_order,
     validate_state,
 )
 from .numfmt import fmt
@@ -75,12 +73,32 @@ class ScenarioPack:
 # scenario files
 
 
+@contextmanager
+def _at_line(line: int):
+    """A ValueError raised while building one line's object (a StateError
+    included) becomes a ScenarioError at that line."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc), line) from None
+
+
+def _ids(line: int, *texts: str) -> None:
+    """Every id ends up in snapshots, so each must be a snapshot token."""
+    for text in texts:
+        if not _TOKEN.fullmatch(text):
+            raise ScenarioError(f"id {text!r} may hold only letters, digits and _.:+-", line)
+
+
 def _parse_pair(text: str, line: int) -> Pair:
     if text.count("/") != 1:
         raise ScenarioError(f"expected task/phase, got {text!r}", line)
     task, phase = text.split("/")
     if not task or not phase:
         raise ScenarioError(f"expected task/phase, got {text!r}", line)
+    _ids(line, task, phase)
     return (task, phase)
 
 
@@ -137,15 +155,19 @@ def _parse_skill_line(body: str, line: int) -> dict[str, object]:
             raise ScenarioError(f"expected key=value, got {part!r}", line)
         key, value = match.group(1), match.group(2)
         if key == "owner":
+            _ids(line, value)
             fields["owner"] = value
         elif key == "applies":
             fields["applicability"] = _parse_pairs(value, line)
         elif key == "steps":
             fields["steps"] = tuple(t for t in value.split(",") if t)
+            _ids(line, *fields["steps"])
         elif key == "guards":
             fields["guards"] = frozenset(t for t in value.split(",") if t and t != "-")
+            _ids(line, *fields["guards"])
         elif key == "checks":
             fields["checks"] = frozenset(t for t in value.split(",") if t and t != "-")
+            _ids(line, *fields["checks"])
         elif key == "status":
             try:
                 fields["status"] = SkillStatus(value)
@@ -193,13 +215,15 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         phases = tuple(phases_text.split())
         if not phases:
             raise ScenarioError(f"task {key!r} has no phases", lineno)
+        _ids(lineno, key, *phases)
         try:
             weight = float(weight_text)
         except ValueError:
             raise ScenarioError(f"bad weight {weight_text.strip()!r}", lineno) from None
         if key in weights:
             raise ScenarioError(f"duplicate task {key!r}", lineno)
-        tasks.append(TaskType(key, phases))
+        with _at_line(lineno):
+            tasks.append(TaskType(key, phases))
         weights[key] = weight
     if not tasks:
         raise ScenarioError("scenario defines no tasks", 1)
@@ -224,6 +248,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         key, value = _split_kv(entry, lineno)
         if key in latent_ids:
             raise ScenarioError(f"duplicate latent {key!r}", lineno)
+        _ids(lineno, key)
         latent_ids.add(key)
         parts = value.split()
         if len(parts) != 3:
@@ -239,7 +264,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             cause = CauseLabel(parts[2])
         except ValueError:
             raise ScenarioError(f"unknown cause {parts[2]!r}", lineno) from None
-        latents.append(LatentSkill(key, pair, effect, cause))
+        with _at_line(lineno):
+            latents.append(LatentSkill(key, pair, effect, cause))
 
     penalties = {
         "interference": 0.0,
@@ -260,17 +286,18 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         except ValueError:
             raise ScenarioError(f"bad penalty value {value!r}", lineno) from None
 
-    scenario = Scenario(
-        name=name,
-        task_types=tuple(tasks),
-        task_weights=weights,
-        base_difficulty=difficulty,
-        latent_catalog=tuple(latents),
-        interference_weight=penalties["interference"],
-        overload_weight=penalties["overload"],
-        routing_noise=penalties["routing-noise"],
-        cause_confidence=penalties["cause-confidence"],
-    )
+    with _at_line(1):  # the world's checks span sections
+        scenario = Scenario(
+            name=name,
+            task_types=tuple(tasks),
+            task_weights=weights,
+            base_difficulty=difficulty,
+            latent_catalog=tuple(latents),
+            interference_weight=penalties["interference"],
+            overload_weight=penalties["overload"],
+            routing_noise=penalties["routing-noise"],
+            cause_confidence=penalties["cause-confidence"],
+        )
 
     executors: dict[str, Executor] = {}
     skills: dict[str, Skill] = {}
@@ -281,28 +308,30 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if kind not in ("executor", "skill", "card"):
             raise ScenarioError(f"unknown seed-state entry {kind!r}", lineno)
         ident, body = _split_kv(rest, lineno)
+        _ids(lineno, ident)
         if (kind, ident) in entry_ids:
             raise ScenarioError(f"duplicate {kind} {ident!r}", lineno)
         entry_ids.add((kind, ident))
         if kind == "executor":
-            boundary, capacity, manager = _parse_executor_line(body, lineno, universe)
-            executors[ident] = Executor(
-                id=ident, boundary=boundary, capacity=capacity, is_manager=manager
-            )
+            with _at_line(lineno):
+                boundary, capacity, manager = _parse_executor_line(body, lineno, universe)
+                executors[ident] = Executor(
+                    id=ident, boundary=boundary, capacity=capacity, is_manager=manager
+                )
         elif kind == "skill":
             fields = _parse_skill_line(body, lineno)
-            skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
+            with _at_line(lineno):
+                skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
         else:
             parts = body.split()
             if len(parts) not in (3, 4):
                 raise ScenarioError(
                     "card needs '<task> <cause> <tag> [template]'", lineno
                 )
-            try:
+            _ids(lineno, parts[0], *parts[3:])
+            with _at_line(lineno):
                 cause = CauseLabel(parts[1])
                 tag = BoundedTag(parts[2])
-            except ValueError as exc:
-                raise ScenarioError(str(exc), lineno) from None
             cards.append(
                 PolicyCard(
                     id=ident,
@@ -353,19 +382,10 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if name in given_thresholds:
             raise ScenarioError(f"duplicate threshold {key!r}", lineno)
         given_thresholds.add(name)
-        try:
+        with _at_line(lineno):
             config = config_from_mapping({key: value}, base=config)
-        except ValueError as exc:
-            raise ScenarioError(str(exc), lineno) from None
 
     return ScenarioPack(scenario=scenario, seed_state=seed_state, config=config, text=text)
-
-
-def load_scenario(path: str | Path) -> ScenarioPack:
-    path = Path(path)
-    if not path.exists():
-        raise StoreError(f"scenario file {path} does not exist")
-    return parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +575,12 @@ def deserialize_state(text: str) -> RoundState:
 # ---------------------------------------------------------------------------
 # trace logs
 #
-# One codec: `encode_trace_log` is the only writer and `read_trace_log` the
-# only reader.  A log of thousands of records holds a handful of distinct
-# tasks, executor slices and causes, so the writer encodes each repeated
-# fragment once per call and keeps nothing between calls; the bytes are
-# exactly `json.dumps(trace_to_record(trace), sort_keys=True,
-# separators=(",", ":"))` per line: replay and the golden digests compare
-# them.  The reader decodes each record on its own with `record_to_trace`.
+# The log is write-only: `encode_trace_log` is its only code.  A log of
+# thousands of records holds a handful of distinct tasks, executor slices
+# and causes, so the writer encodes each repeated fragment once per call and
+# keeps nothing between calls; the bytes are exactly
+# `json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))`
+# per line: replay and the golden digests compare them.
 
 _FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode_str = json.encoder.encode_basestring_ascii  # what `_FRAGMENT.encode` does to a str
@@ -591,17 +610,18 @@ def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
 
 
 def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
-    """Render traces as JSON lines, one `trace_to_record` per line.
+    """Render traces as JSON lines, one `trace_to_record` per line, in the
+    order given.
 
     A line is assembled in sorted-key order from three fragments: the head
     (cause, outcome, progress), keyed by value, the episode id, encoded per
     line as `JSONEncoder.encode` encodes a string, and the tail (slices and
     task), keyed by the identity of the task object and of the slices
-    tuple, which the engine and `read_trace_log` share.  True, 1 and 1.0
-    compare equal, as do 0.0 and -0.0, but each encodes differently, so the
-    head key holds each scalar's type and, for a float, its sign.  Keying
-    on identity is exact whatever the field types; each tail entry holds
-    its trace so that no id is reused while the call runs.
+    tuple, which the engine's traces share.  True, 1 and 1.0 compare
+    equal, as do 0.0 and -0.0, but each encodes differently, so the head
+    key holds each scalar's type and, for a float, its sign.  Keying on
+    identity is exact whatever the field types; each tail entry holds its
+    trace so that no id is reused while the call runs.
     """
     encode = _FRAGMENT.encode
     heads: dict[tuple[object, ...], tuple[str, str]] = {}
@@ -647,96 +667,3 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
             + tail[1]
         )
     return "".join(lines)
-
-
-def _require_strings(*values: object) -> None:
-    if not all(isinstance(v, str) for v in values):
-        raise TypeError(f"ids must be strings, got {values!r}")
-
-
-def record_to_trace(record: Mapping[str, Any]) -> EpisodeTrace:
-    """The trace of one `trace_to_record` record.
-
-    Ids must be strings: [1] and [true] encode differently but decode to
-    equal frozensets, so the reader takes strings only.
-    """
-    task = record["task"]
-    task_id, phases = task["id"], tuple(task["phases"])
-    _require_strings(task_id, *phases)
-    task_type = TaskType(task_id, phases)
-    slices = []
-    for sl in record["slices"]:
-        executor, phase = sl["executor"], sl["phase"]
-        selected, invoked, pattern = sl["selected"], sl["invoked"], sl["pattern"]
-        _require_strings(executor, phase, *selected, *invoked, *pattern)
-        slices.append(
-            ExecutorSlice(
-                executor=executor,
-                phase=phase,
-                selected=frozenset(selected),
-                invoked=frozenset(invoked),
-                pattern_supported=frozenset(pattern),
-            )
-        )
-    obs = record["cause"]
-    cause = None
-    if obs is not None:
-        cause = CauseObservation(CauseLabel(obs["label"]), obs["confident"])
-    return EpisodeTrace(
-        episode_id=record["episode"],
-        task_type=task_type,
-        slices=tuple(slices),
-        outcome=record["outcome"],
-        progress=record["progress"],
-        latent_cause_observation=cause,
-    )
-
-
-def read_trace_log(path: str | Path) -> tuple[EpisodeTrace, ...]:
-    """Read a trace log back; a malformed record or an episode id out of
-    order is a StoreError naming the file and the 1-based line.
-
-    The ids must increase throughout, in `episode_order` (the engine's ids
-    past any fixed width, 'e100000' after 'e99999') or as plain strings (how
-    hand-written ids sort); fixed-width ids satisfy both.  Plain-string order
-    is checked first.  Only once it breaks are `episode_order` keys computed,
-    for the ids read so far and for every later one.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise StoreError(f"trace log {path} does not exist")
-    traces: list[EpisodeTrace] = []
-    previous: str | None = None
-    last_key: tuple | None = None  # once plain-string order broke
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            trace = record_to_trace(json.loads(line))
-            if last_key is None and (previous is None or trace.episode_id > previous):
-                in_order = True
-            else:
-                keys = (
-                    [episode_order(t.episode_id) for t in traces]
-                    if last_key is None
-                    else [last_key]
-                )
-                keys.append(episode_order(trace.episode_id))
-                in_order = all(a < b for a, b in zip(keys, keys[1:]))
-                last_key = keys[-1]
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{path} line {lineno}: not valid JSON: {exc}") from None
-        except KeyError as exc:
-            raise StoreError(
-                f"{path} line {lineno}: trace record lacks {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"{path} line {lineno}: bad trace record: {exc}") from None
-        if not in_order:
-            raise StoreError(
-                f"{path} line {lineno}: episode {trace.episode_id!r} "
-                f"out of order after {previous!r}"
-            )
-        traces.append(trace)
-        previous = trace.episode_id
-    return tuple(traces)

@@ -21,7 +21,6 @@ from .model import (
     SkillStatus,
     StateError,
     UtilityTable,
-    episode_sorted,
 )
 from .numfmt import q12
 
@@ -59,7 +58,8 @@ def learn(
 ) -> tuple[UtilityTable, UtilityTable]:
     """Fold a round's traces into fresh skill and executor utility tables.
 
-    Traces are processed in `episode_order`.  Entries never touched stay
+    Traces are folded in the order given, which is generation order for
+    `exec_round`'s batch: episode i at index i.  Entries never touched stay
     bit-identical; touched entries move toward the episode outcome at the
     count-based rate, which makes each value the exact running mean of the
     outcomes applied to it.  The membership checks and the ordered credit
@@ -74,7 +74,7 @@ def learn(
     # (task id, id(slices)) -> (slices, skill keys, executor keys); the value
     # holds the slices, so no id in a key is reused while the call runs
     credit: dict[tuple[str, int], tuple] = {}
-    for trace in episode_sorted(traces):
+    for trace in traces:
         shape = (trace.task_type.id, id(trace.slices))
         keys = credit.get(shape)
         if keys is None:

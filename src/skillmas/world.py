@@ -520,7 +520,8 @@ def exec_round(
 
     Execution is read-only over the state.  Episode i draws from its own
     stream derived from (seed, i), so the batch is reproducible and safe to
-    parallelize; results merge in episode-id order either way.  Episode i
+    parallelize.  Trace i of the result is episode i: the batch's order is
+    generation order, and every later stage reads it in that order.  Episode i
     reads its stream straight from `episode_streams(seed)(i)`, the state of
     `substream(seed, "episode", i)`.  Adaptation runs its rounds here, since
     learning reads every trace; frozen evaluation only counts outcomes and

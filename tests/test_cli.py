@@ -6,9 +6,8 @@ import re
 import pytest
 
 from skillmas.cli import main
-from skillmas.orchestrator import render_breakdown, render_trajectory, task_family_breakdown
+from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
-from skillmas.store import read_trace_log
 
 
 @pytest.fixture
@@ -298,15 +297,19 @@ class TestEvalTransplantReport:
 
 
 def _reference_report(run_dir) -> str:
-    """`report` as a tally of the decoded trace log: the checkpoint round's
-    traces against round 0's, each found by its episode id `r<round>e<index>`."""
+    """`report` as a tally of the trace log's JSON lines: the checkpoint
+    round's records against round 0's, each found by its episode id
+    `r<round>e<index>`."""
     trajectory = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
-    by_round: dict[int, list] = {}
-    for trace in read_trace_log(run_dir / "traces.jsonl"):
-        match = re.fullmatch(r"r([0-9]+)e[0-9]+", trace.episode_id)
-        by_round.setdefault(int(match.group(1)), []).append(trace)
+    by_round: dict[int, dict[str, tuple[int, int]]] = {}
+    for line in (run_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        match = re.fullmatch(r"r([0-9]+)e[0-9]+", record["episode"])
+        counts = by_round.setdefault(int(match.group(1)), {})
+        s, a = counts.get(record["task"]["id"], (0, 0))
+        counts[record["task"]["id"]] = (s + record["outcome"], a + 1)
     best = by_round[trajectory["checkpoint"]["round"]]
-    rows = task_family_breakdown(best, baseline=by_round[0])
+    rows = family_rows(best, baseline=by_round[0])
     return render_trajectory(trajectory) + "\n" + render_breakdown(rows)
 
 
@@ -581,3 +584,39 @@ def test_unreadable_input_is_usage_error_naming_the_file(run_dir, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: " + named.format(path))
     assert detail in err
+
+
+def _eval_argv(run_dir, out):
+    snapshot = run_dir / "snapshots" / "state_r003.txt"
+    return ["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
+            "--episodes", "5", "--seed", "1", "--out", str(out)]
+
+
+def _eval_out_directory(run_dir):
+    out = run_dir.parent / "eval-out"
+    out.mkdir()
+    return out, _eval_argv(run_dir, out)
+
+
+def _eval_out_under_a_file(run_dir):
+    plain = run_dir.parent / "plain"
+    plain.write_text("a file\n")
+    out = plain / "x.json"
+    return out, _eval_argv(run_dir, out)
+
+
+def _transplant_json_directory(run_dir):
+    out = run_dir / "transplant.json"
+    out.mkdir()
+    return out, ["transplant", "--run", str(run_dir), "--episodes", "5"]
+
+
+@pytest.mark.parametrize(
+    "spoil", [_eval_out_directory, _eval_out_under_a_file, _transplant_json_directory],
+    ids=["eval-out-directory", "eval-out-under-a-file", "transplant-json-directory"],
+)
+def test_unwritable_output_is_usage_error_naming_the_path(run_dir, capsys, spoil):
+    out, argv = spoil(run_dir)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")

@@ -1,31 +1,37 @@
-"""Episode order past fixed-width ids.
+"""Generation order is batch order, past fixed-width ids too.
 
 Episode ids are `r{round:04d}e{index:05d}`; past 10^5 episodes or 10^4
 rounds they grow wider, and plain string order no longer follows generation
-order.  `episode_order` compares digit runs as integers, and every stage that
-orders episodes uses it.
+order.  No stage orders episodes by id: `exec_round` lists episode i at
+index i, and `learn`, `collect_proposals`, `skill_evolve` and the trace-log
+writer keep the order they are given.
 """
 
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillmas.cli import main
+from skillmas.config import EngineConfig
+from skillmas.evolution import Proposal, skill_evolve
 from skillmas.model import (
     EpisodeTrace,
     ExecutorSlice,
+    SkillStatus,
     StateError,
     TaskType,
     UtilityTable,
-    episode_order,
-    episode_sorted,
+    cluster_key_map,
 )
-from skillmas.store import StoreError, encode_trace_log, read_trace_log
+from skillmas.presets import load_preset
+from skillmas.store import encode_trace_log
 from skillmas.utility import learn, mc_update
+from skillmas.world import exec_round
+
+from conftest import make_skill
 
 TASK = TaskType("t", ("p",))
 SLICE = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
@@ -47,44 +53,19 @@ def fold(outcomes) -> tuple[float, int]:
     return entry
 
 
-def test_digit_runs_compare_as_integers():
-    assert episode_order("r0000e99999") < episode_order("r0000e100000")
-    assert episode_order("r9999e00000") < episode_order("r10000e00000")
-    assert episode_order("r1000e00001") < episode_order("r10000e00000")
-    # equal integers fall back to the string
-    assert episode_order("e007") < episode_order("e7")
-    assert episode_order("e7") != episode_order("e007")
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 9999), st.integers(0, 99999), st.integers(0, 9999), st.integers(0, 99999))
 def test_fixed_width_ids_order_as_strings(r1, i1, r2, i2):
+    # why dropping the id sorts moved no byte: below the width, string order
+    # of a run's ids is generation order
     a, b = f"r{r1:04d}e{i1:05d}", f"r{r2:04d}e{i2:05d}"
-    assert (episode_order(a) < episode_order(b)) == (a < b)
-    assert (episode_order(f"ve{i1:05d}") < episode_order(f"ve{i2:05d}")) == (i1 < i2)
-
-
-ID_PARTS = st.sampled_from(["r", "e", "v", "-", "é", "日", "0", "00", "7", "9", "10", "99999", "100000"])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(ID_PARTS, min_size=1, max_size=5).map("".join), max_size=12, unique=True),
-       st.randoms(use_true_random=False), st.booleans())
-def test_episode_sorted_is_sorted_by_key(ids, rnd, presort):
-    if presort:
-        ids = sorted(ids)  # string order, the input that takes the unsorted path most
-    else:
-        rnd.shuffle(ids)
-    traces = [trace(i) for i in ids]
-    got = episode_sorted(traces)
-    want = sorted(traces, key=lambda t: episode_order(t.episode_id))
-    assert [id(t) for t in got] == [id(t) for t in want]
+    assert (a < b) == ((r1, i1) < (r2, i2))
 
 
 def test_fixed_width_batch_keeps_its_order():
-    traces = [trace(f"r0003e{i:05d}") for i in range(50)]
-    assert episode_sorted(traces) == traces
-    assert episode_sorted(list(reversed(traces))) == traces
+    pack = load_preset("tiny")
+    traces = exec_round(pack.seed_state, pack.scenario, 50, 3, pack.config, id_prefix="r0003")
+    assert [t.episode_id for t in traces] == [f"r0003e{i:05d}" for i in range(50)]
 
 
 def test_learn_credits_in_generation_order_past_the_width():
@@ -92,42 +73,58 @@ def test_learn_credits_in_generation_order_past_the_width():
     in_string_order = [t.outcome for t in sorted(traces, key=lambda t: t.episode_id)]
     assert fold(OUTCOMES) != fold(in_string_order)  # the order is observable
 
-    shuffled = traces[:]
-    random.Random(5).shuffle(shuffled)
-    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), shuffled)
+    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)
     assert q_skill.get("s", "t") == fold(OUTCOMES)
     assert q_exec.get("w", "t") == fold(OUTCOMES)
 
 
+def test_learn_folds_in_the_order_given():
+    # the ids would sort the other way; the batch's order is what counts
+    outcomes = OUTCOMES[::-1]
+    traces = [trace(f"x{9 - k}", o) for k, o in enumerate(outcomes)]
+    assert fold(outcomes) != fold(OUTCOMES)
+    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)
+    assert q_skill.get("s", "t") == fold(outcomes)
+    assert q_exec.get("w", "t") == fold(outcomes)
+
+
 def test_learn_names_the_first_offender_in_generation_order():
     unknown = ExecutorSlice("w", "p", frozenset({"x"}), frozenset({"x"}), frozenset())
-    traces = [trace("r0000e100000", sl=unknown), trace("r0000e99999", sl=unknown)]
+    traces = [trace("r0000e99999", sl=unknown), trace("r0000e100000", sl=unknown)]
     with pytest.raises(StateError, match=r"trace r0000e99999 references unknown skills \['x'\]"):
         learn(UtilityTable(), UtilityTable(), traces, known_skills={"s"})
 
 
-def test_log_reads_past_the_width_in_generation_order(tmp_path):
-    path = tmp_path / "traces.jsonl"
+def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
+    # one cluster, two create proposals in generation order: the first wins
+    drafts = [
+        make_skill(f"d{k}", steps=(f"step-{k}", "do"), status=SkillStatus.POOLED)
+        for k in range(2)
+    ]
+    proposals = [
+        Proposal(kind="success-motif", source_trace=source, target_cluster="new:d",
+                 task_type="t1", drafts=(draft,))
+        for source, draft in zip(("r0000e99999", "r0000e100000"), drafts)
+    ]
+    config = EngineConfig()
+    delta = skill_evolve(
+        proposals, {}, (), UtilityTable(), config,
+        cluster_keys=cluster_key_map({}, config.cluster_threshold),
+    )
+    (action,) = delta.actions
+    assert action.action == "create"
+    assert action.source_trace == "r0000e99999"
+    assert action.skills == ("d0",)
+
+
+def test_log_reads_past_the_width_in_generation_order():
+    # each line carries what a per-(task, cause) failure count needs
     traces = [trace(i, o) for i, o in zip(ACROSS, OUTCOMES)]
-    path.write_text(encode_trace_log(traces), encoding="utf-8")  # e99999, then e100000
-    decoded = read_trace_log(path)
-    assert [t.episode_id for t in decoded] == ACROSS
-    q_skill, _ = learn(UtilityTable(), UtilityTable(), decoded)
-    assert q_skill.get("s", "t") == fold(OUTCOMES)
-
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[3], lines[4] = lines[4], lines[3]  # e100000 before e99999
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(StoreError, match=r"line 5: episode 'r0000e99999' out of order"):
-        read_trace_log(path)
-
-
-def test_log_in_string_order_still_reads(tmp_path):
-    # hand-written ids sorted as plain strings are a valid log too
-    path = tmp_path / "traces.jsonl"
-    ids = ["a10", "a9", "b"]
-    path.write_text(encode_trace_log([trace(i) for i in ids]), encoding="utf-8")
-    assert [t.episode_id for t in read_trace_log(path)] == ids
+    records = [json.loads(line) for line in encode_trace_log(traces).splitlines()]
+    assert [r["episode"] for r in records] == ACROSS
+    assert [(r["task"]["id"], r["outcome"], r["cause"]) for r in records] == [
+        ("t", o, None) for o in OUTCOMES
+    ]
 
 
 def row(round_index: int, successes: int, episodes: int, family: str = "t") -> dict:

@@ -5,9 +5,9 @@ what depends only on a trace's shape once per distinct shape, and
 `build_artifacts` reads their output.  The loops below are the per-trace
 rules they replace; on
 random worlds both must agree exactly, on traces that share slice objects
-(as executed), carry equal but distinct ones (as decoded from a log, or
-copied), succeed with `outcome=True`, and fail with causes observed with
-`confident` as 1 or `True`.
+(as executed), carry equal but distinct tasks and slices (copies that
+share no object with the engine's), succeed with `outcome=True`, and fail
+with causes observed with `confident` as 1 or `True`.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ from skillmas.model import (
     BoundedTag,
     CauseLabel,
     CauseObservation,
+    ExecutorSlice,
     SkillStatus,
     StateError,
+    TaskType,
     UtilityTable,
 )
 from skillmas.numfmt import q12
@@ -45,7 +47,6 @@ from skillmas.restructure import (
     build_artifacts,
 )
 from skillmas.retention import RetainedTrace, RetentionCategory, retain
-from skillmas.store import encode_trace_log, read_trace_log
 from skillmas.utility import learn, mc_update, used_skills
 from skillmas.world import exec_round
 
@@ -184,19 +185,35 @@ CONFIDENT = (True, 1, False, 0)
 PROGRESS = (0.0, 0.25, 0.5, q12(1 / 3), 0.75)
 
 
-def varied_batch(state, scenario, config, seed, n_episodes, tmp_path):
-    """Executed traces (shared slices) interleaved with decoded and copied
+def fresh_copy(trace):
+    """An equal trace that shares no task, slice, skill set or cause object
+    with `trace`."""
+    obs = trace.latent_cause_observation
+    return dataclasses.replace(
+        trace,
+        task_type=TaskType(trace.task_type.id, tuple([*trace.task_type.phases])),
+        slices=tuple(
+            ExecutorSlice(
+                sl.executor, sl.phase, frozenset([*sl.selected]), frozenset([*sl.invoked]),
+                frozenset([*sl.pattern_supported]),
+            )
+            for sl in trace.slices
+        ),
+        latent_cause_observation=None if obs is None else CauseObservation(obs.cause, obs.confident),
+    )
+
+
+def varied_batch(state, scenario, config, seed, n_episodes):
+    """Executed traces (shared slices) interleaved with fresh and copied
     variants (equal but distinct slices), `True` outcomes, and failures whose
     cause, `confident` flag and progress vary over the same slices."""
     rng = random.Random(seed)
     executed = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0000")
-    path = tmp_path / f"traces-{seed}.jsonl"
-    path.write_text(encode_trace_log(executed), encoding="utf-8")
-    decoded = read_trace_log(path)
 
     labels = [CauseLabel.UNKNOWN, CauseLabel.MISSING_PRECONDITION, CauseLabel.SKILL_CONFLICT]
     batch = []
-    for trace, twin in zip(executed, decoded):
+    for trace in executed:
+        twin = fresh_copy(trace)
         batch.append(trace)
         for _ in range(rng.randint(0, 2)):
             base = rng.choice((trace, twin))
@@ -243,19 +260,16 @@ def proposal_shapes(retained):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(10, 80))
-def test_round_stages_match_per_trace_references(tmp_path_factory, world_seed, n_episodes):
-    tmp_path = tmp_path_factory.mktemp("shape")
+def test_round_stages_match_per_trace_references(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
     rng = random.Random(world_seed ^ 0xABC)
     config = config.replace(
         repeat_multiplicity=rng.randint(1, 4), near_miss_progress=rng.choice((0.0, 0.3, 0.5))
     )
-    traces = varied_batch(state, scenario, config, world_seed, n_episodes, tmp_path)
-    shuffled = traces[:]
-    rng.shuffle(shuffled)
+    traces = varied_batch(state, scenario, config, world_seed, n_episodes)
 
     q_skill, q_exec = learn(
-        state.q_skill, state.q_exec, shuffled,
+        state.q_skill, state.q_exec, traces,
         known_skills=state.library, known_executors=state.executors,
     )
     want_skill, want_exec = reference_learn(
@@ -310,10 +324,9 @@ def test_round_stages_match_per_trace_references(tmp_path_factory, world_seed, n
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(10, 60), st.data())
-def test_unknown_ids_name_the_first_offender(tmp_path_factory, world_seed, n_episodes, data):
-    tmp_path = tmp_path_factory.mktemp("unknown")
+def test_unknown_ids_name_the_first_offender(world_seed, n_episodes, data):
     scenario, state, config = random_world(random.Random(world_seed))
-    traces = varied_batch(state, scenario, config, world_seed, n_episodes, tmp_path)
+    traces = varied_batch(state, scenario, config, world_seed, n_episodes)
     used = sorted({sid for t in traces for sl in t.slices for sid in sl.selected})
     routed = sorted({sl.executor for t in traces for sl in t.slices})
     if not used or not routed:
@@ -322,10 +335,9 @@ def test_unknown_ids_name_the_first_offender(tmp_path_factory, world_seed, n_epi
     dropped_executor = data.draw(st.sampled_from(routed + [None]))
     known_skills = set(state.library) - {dropped_skill}
     known_executors = set(state.executors) - {dropped_executor}
-    shuffled = data.draw(st.permutations(traces))
 
     with pytest.raises(StateError) as got:
-        learn(state.q_skill, state.q_exec, shuffled,
+        learn(state.q_skill, state.q_exec, traces,
               known_skills=known_skills, known_executors=known_executors)
     with pytest.raises(StateError) as want:
         reference_learn(state.q_skill, state.q_exec, traces,

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from skillmas.cli import main
 from skillmas.model import (
     BoundedTag,
     CauseLabel,
@@ -19,10 +21,9 @@ from skillmas.store import (
     StoreError,
     deserialize_state,
     encode_trace_log,
-    load_scenario,
     parse_scenario,
-    read_trace_log,
     serialize_state,
+    trace_to_record,
 )
 from skillmas.world import exec_round
 from skillmas.config import EngineConfig
@@ -128,38 +129,25 @@ class TestSnapshots:
 
 
 class TestTraceLog:
-    def test_write_read_seventy(self, tmp_path):
+    """The log is write-only: one `trace_to_record` line per trace, in the
+    order given."""
+
+    def test_write_read_seventy(self):
         scenario, state = random_scenario(random.Random(11))
         traces = exec_round(state, scenario, 70, 4, EngineConfig())
-        path = tmp_path / "traces.jsonl"
-        path.write_text(encode_trace_log(traces), encoding="utf-8")
-        assert read_trace_log(path) == traces
+        lines = encode_trace_log(traces).splitlines()
+        assert [json.loads(line) for line in lines] == [trace_to_record(t) for t in traces]
 
-    def test_empty_file_empty_set(self, tmp_path):
-        path = tmp_path / "traces.jsonl"
-        path.write_text("")
-        assert read_trace_log(path) == ()
+    def test_empty_file_empty_set(self):
+        assert encode_trace_log(()) == ""
 
-    def test_append_only_monotonic(self, tmp_path):
+    def test_append_only_monotonic(self):
+        # a later batch's lines follow an earlier one's, whatever the ids
         scenario, state = random_scenario(random.Random(2))
         traces = exec_round(state, scenario, 5, 4, EngineConfig(), id_prefix="a")
         more = exec_round(state, scenario, 5, 5, EngineConfig(), id_prefix="b")
-        path = tmp_path / "traces.jsonl"
-        path.write_text(encode_trace_log(traces + more), encoding="utf-8")
-        assert len(read_trace_log(path)) == 10
-        path.write_text(encode_trace_log(more + traces), encoding="utf-8")
-        with pytest.raises(StoreError, match="line 6: episode 'ae00000' out of order"):
-            read_trace_log(path)
-
-    def test_out_of_order_read_is_integrity_error(self, tmp_path):
-        scenario, state = random_scenario(random.Random(2))
-        traces = exec_round(state, scenario, 3, 4, EngineConfig())
-        path = tmp_path / "traces.jsonl"
-        path.write_text(encode_trace_log(traces), encoding="utf-8")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n")
-        with pytest.raises(StoreError, match="out of order"):
-            read_trace_log(path)
+        assert encode_trace_log(traces + more) == encode_trace_log(traces) + encode_trace_log(more)
+        assert encode_trace_log(more + traces) == encode_trace_log(more) + encode_trace_log(traces)
 
 
 class TestScenarioFiles:
@@ -169,15 +157,46 @@ class TestScenarioFiles:
             assert pack.scenario.name == name
             assert pack.seed_state.round_index == 0
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(StoreError, match="does not exist"):
-            load_scenario(tmp_path / "nope.scn")
+    def test_missing_file(self, tmp_path, capsys):
+        # scenario files are read by the CLI, `parse_scenario` takes text
+        path = tmp_path / "nope.scn"
+        code = main(["run", "--scenario", str(path), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "run"), "--quiet"])
+        assert code == 2
+        assert f"{path}: file does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_error_carries_line_number(self):
         text = "[tasks]\nt1 = p1 | 1.0\n[difficulty]\nt1/p9 = 0.0\n"
         with pytest.raises(ScenarioError, match="line 4") as err:
             parse_scenario(text)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "body, line, detail",
+        [
+            ("[tasks]\nt|1 = p1 | 1.0\n", 2, "id 't|1'"),
+            ("[tasks]\nt1 = p1 p1 | 1.0\n", 2, "repeats a phase"),
+            ("[tasks]\nt1 = p1 | 1.0\n[latent]\nl! = t1/p1 2.0 unknown\n", 4, "id 'l!'"),
+            ("[tasks]\nt1 = p1 | 1.0\n[latent]\nl = t1/p1 -2.0 unknown\n", 4, "positive effect"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * capacity=4x manager\n", 4,
+             "invalid literal"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * capacity=0 manager\n", 4,
+             "capacity < 1"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "skill s = owner=m applies=t1/p1 steps=a,b\xe9\n", 5, "id 'b\xe9'"),
+            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 1,
+             "routing noise must be in [0, 1)"),
+        ],
+        ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
+             "capacity-zero", "skill-step", "routing-noise"],
+    )
+    def test_bad_entry_names_its_line(self, body, line, detail):
+        # every id ends up in snapshots, and every object's own checks run at parse
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(body)
+        assert err.value.line == line
+        assert detail in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
