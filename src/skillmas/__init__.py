@@ -13,6 +13,7 @@ from .model import (
     Skill,
     SkillStatus,
     TaskType,
+    TraceShape,
     UtilityTable,
     cluster_skills,
     skill_similarity,
@@ -53,6 +54,7 @@ __all__ = [
     "Skill",
     "SkillStatus",
     "TaskType",
+    "TraceShape",
     "TrajectoryReport",
     "UtilityTable",
     "cluster_skills",

@@ -268,10 +268,14 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     )
     if manifest["rounds"] < 1:
         raise UsageError(f"{manifest_path}: 'rounds' must be at least 1")
+    if manifest["scenario"] != "scenario.scn":
+        raise UsageError(
+            f"{manifest_path}: 'scenario' must be 'scenario.scn', not {manifest['scenario']!r}"
+        )
     if "scenario_name" in manifest:
         _typed(manifest_path, manifest, "scenario_name", str)
     pack = _read_scenario(
-        run_dir / manifest["scenario"], manifest.get("scenario_name", "scenario"), manifest_path
+        run_dir / "scenario.scn", manifest.get("scenario_name", "scenario"), manifest_path
     )
     # manifests written before a threshold was retired still carry it
     stored = {
@@ -353,10 +357,18 @@ def cmd_transplant(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
     checkpoint_path = run_dir / "checkpoint.json"
-    checkpoint = _read_json_object(checkpoint_path, {"snapshot": str})
-    final_state = _load_snapshot(
-        run_dir / checkpoint["snapshot"], pack.scenario, checkpoint_path
-    )
+    checkpoint = _read_json_object(checkpoint_path, {"snapshot": str, "round": int})
+    if not 0 <= checkpoint["round"] <= rounds:
+        raise UsageError(
+            f"{checkpoint_path}: 'round' must lie in [0, {rounds}], not {checkpoint['round']}"
+        )
+    snapshot = _snapshot_name(checkpoint["round"])
+    if checkpoint["snapshot"] != snapshot:
+        raise UsageError(
+            f"{checkpoint_path}: 'snapshot' must be {snapshot!r} for round "
+            f"{checkpoint['round']}, not {checkpoint['snapshot']!r}"
+        )
+    final_state = _load_snapshot(run_dir / snapshot, pack.scenario, checkpoint_path)
     seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
     table = evaluate_transplants(
         pack.scenario, final_state, seed_state, seed, args.episodes, config

@@ -9,6 +9,7 @@ or prunes them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,6 +24,7 @@ from .model import (
     SkillStatus,
     StateError,
     TAG_BY_CAUSE,
+    TraceShape,
     UtilityTable,
     cluster_key_map,
     place_skill,
@@ -48,10 +50,10 @@ class Diagnosis:
 
 def diagnose(retained: RetainedTrace) -> Diagnosis:
     """Map a retained failure to (cause, uniqueness, bounded tag)."""
-    trace = retained.trace
-    if trace.outcome != 0:
+    shape = retained.trace.shape
+    if shape.outcome != 0:
         raise ValueError("diagnosis applies to failure traces only")
-    obs = trace.latent_cause_observation
+    obs = shape.latent_cause_observation
     cause = obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN
     unique = bool(obs is not None and obs.confident)
     return Diagnosis(cause=cause, unique=unique, tag=TAG_BY_CAUSE[cause])
@@ -292,7 +294,7 @@ def _split_proposal(
             kind="failure-repair",
             source_trace=retained.trace.episode_id,
             target_cluster=keys[rep.id],
-            task_type=retained.trace.task_type.id,
+            task_type=retained.trace.shape.task_type.id,
             cause=cause,
             drafts=tuple(drafts),
         )
@@ -311,7 +313,7 @@ def _split_proposal(
         kind="failure-repair",
         source_trace=retained.trace.episode_id,
         target_cluster=keys[rep.id],
-        task_type=retained.trace.task_type.id,
+        task_type=retained.trace.shape.task_type.id,
         cause=cause,
         edit=edit,
     )
@@ -334,18 +336,18 @@ def propose(
     structural handoffs and unknown causes yield nothing.  `index` is the
     `proposal_index` of `library` under `config`.
     """
-    trace = retained.trace
-    task_id = trace.task_type.id
+    shape = retained.trace.shape
+    task_id = shape.task_type.id
     keys = index.keys
 
-    if trace.outcome == 1:
+    if shape.outcome == 1:
         if any(
             sid in library and library[sid].status is SkillStatus.POOLED
-            for sl in trace.slices
+            for sl in shape.slices
             for sid in used_skills(sl)
         ):
             return None
-        for sl in trace.slices:
+        for sl in shape.slices:
             pair = (task_id, sl.phase)
             undiscovered = sorted(
                 (l for l in index.latents(pair) if l.realized_by is None),
@@ -357,7 +359,7 @@ def propose(
             draft = motif_skill(latent, f"{latent.id}-r{round_index}", sl.executor)
             return Proposal(
                 kind="success-motif",
-                source_trace=trace.episode_id,
+                source_trace=retained.trace.episode_id,
                 target_cluster=_nearest_cluster(draft, index, config.cluster_threshold),
                 task_type=task_id,
                 drafts=(draft,),
@@ -366,9 +368,9 @@ def propose(
 
     if diagnosis is None or not diagnosis.locally_diagnosable:
         return None
-    if not trace.slices:
+    if not shape.slices:
         return None
-    failing = trace.slices[-1]
+    failing = shape.slices[-1]
     pair = (task_id, failing.phase)
     cause = diagnosis.cause
     latent = _repair_latent(index, pair, cause, cards)
@@ -394,7 +396,7 @@ def propose(
         return None
     return Proposal(
         kind="failure-repair",
-        source_trace=trace.episode_id,
+        source_trace=retained.trace.episode_id,
         target_cluster=keys[implicated.id],
         task_type=task_id,
         cause=cause,
@@ -643,24 +645,20 @@ def update_pool_counters(
 ) -> dict[str, tuple[int, int]]:
     """Advance usage/success counters for pooled skills that saw real use.
 
-    Which pooled skills a trace used depends only on its slices, so the
-    sorted set is derived once per slices object.
+    Which pooled skills a trace used depends only on its shape, so the
+    sorted set is derived once per shape.
     """
+
+    @functools.cache
+    def pooled(shape: TraceShape) -> tuple[str, ...]:
+        used_all = {sid for sl in shape.slices for sid in used_skills(sl)}
+        return tuple(sid for sid in sorted(used_all) if sid in pool)
+
     new_pool = dict(pool)
-    # id(slices) -> (slices, pooled skills used); the value holds the slices,
-    # so no id in a key is reused while the call runs
-    pooled_by_shape: dict[int, tuple] = {}
     for trace in traces:
-        entry = pooled_by_shape.get(id(trace.slices))
-        if entry is None:
-            used_all = {sid for sl in trace.slices for sid in used_skills(sl)}
-            entry = pooled_by_shape[id(trace.slices)] = (
-                trace.slices,
-                tuple(sid for sid in sorted(used_all) if sid in pool),
-            )
-        for sid in entry[1]:
+        for sid in pooled(trace.shape):
             uses, successes = new_pool[sid]
-            new_pool[sid] = (uses + 1, successes + trace.outcome)
+            new_pool[sid] = (uses + 1, successes + trace.shape.outcome)
     return new_pool
 
 

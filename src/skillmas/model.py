@@ -204,11 +204,15 @@ class ExecutorSlice:
 _PHASE = operator.attrgetter("phase")
 
 
-@dataclass(frozen=True, slots=True)
-class EpisodeTrace:
-    """One verified episode: routing, skill usage, and a binary outcome."""
+@dataclass(frozen=True, slots=True, eq=False)
+class TraceShape:
+    """Everything an episode's trace records apart from its id.
 
-    episode_id: str
+    Shapes compare and hash by identity: the execution table interns one
+    shape per outcome path, so traces that took the same path share one
+    shape object, and every per-shape stage keys its memo on it.
+    """
+
     task_type: TaskType
     slices: tuple[ExecutorSlice, ...]
     outcome: int
@@ -233,6 +237,14 @@ class EpisodeTrace:
         for sl in self.slices:
             seen.setdefault(sl.executor, None)
         return tuple(seen)
+
+
+@dataclass(frozen=True, slots=True)
+class EpisodeTrace:
+    """One verified episode: its id and the shape of its outcome path."""
+
+    episode_id: str
+    shape: TraceShape
 
 
 @dataclass(frozen=True)

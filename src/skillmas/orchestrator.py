@@ -34,6 +34,7 @@ from .model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     place_skill,
     validate_state,
 )
@@ -221,39 +222,28 @@ def collect_proposals(
     Failures go through diagnosis and policy-card retrieval first; successes
     go straight to motif extraction.  Every proposal reads `index`, the
     `proposal_index` of the round's frozen library.  Diagnosis, retrieval
-    and proposal read only a trace's task id, failure flag, cause
-    observation and slices, so they run once per distinct shape; a later
-    trace of the same shape gets the same proposal with its own
+    and proposal read only a trace's shape, so they run once per shape; a
+    later trace of the same shape gets the same proposal with its own
     `source_trace`.
     """
-    # shape -> (slices, proposal or None); the value holds the slices, so no
-    # id in a key is reused while the call runs
-    by_shape: dict[tuple, tuple] = {}
+    by_shape: dict[TraceShape, Proposal | None] = {}
     proposals: list[Proposal] = []
     for rt in retained:
         trace = rt.trace
-        failed = trace.outcome == 0
-        obs = trace.latent_cause_observation
-        shape = (
-            trace.task_type.id,
-            failed,
-            (obs.cause, bool(obs.confident)) if obs is not None else None,
-            id(trace.slices),
-        )
-        entry = by_shape.get(shape)
-        if entry is None:
-            if failed:
+        shape = trace.shape
+        if shape in by_shape:
+            proposal = by_shape[shape]
+        else:
+            if shape.outcome == 0:
                 diagnosis = diagnose(rt)
                 cards = retrieve_policy_cards(
-                    state.policy_index, trace.task_type.id, diagnosis.cause
+                    state.policy_index, shape.task_type.id, diagnosis.cause
                 )
             else:
                 diagnosis, cards = None, ()
-            proposal = propose(
+            proposal = by_shape[shape] = propose(
                 rt, diagnosis, cards, state.library, state.round_index, config, index
             )
-            entry = by_shape[shape] = (trace.slices, proposal)
-        proposal = entry[1]
         if proposal is not None:
             if proposal.source_trace != trace.episode_id:
                 proposal = dataclasses.replace(proposal, source_trace=trace.episode_id)
@@ -361,8 +351,8 @@ def run_round(
     report = RoundReport(
         round_index=state.round_index,
         episodes=len(traces),
-        successes=sum(t.outcome for t in traces),
-        per_family=family_tally((t.task_type, t.outcome) for t in traces),
+        successes=sum(t.shape.outcome for t in traces),
+        per_family=family_tally((t.shape.task_type, t.shape.outcome) for t in traces),
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
@@ -582,8 +572,10 @@ def task_family_breakdown(
         raise ValueError("breakdown needs a non-empty trace set")
     base = None
     if baseline is not None:
-        base = family_tally((t.task_type, t.outcome) for t in baseline)
-    return family_rows(family_tally((t.task_type, t.outcome) for t in traces), base)
+        base = family_tally((t.shape.task_type, t.shape.outcome) for t in baseline)
+    return family_rows(
+        family_tally((t.shape.task_type, t.shape.outcome) for t in traces), base
+    )
 
 
 def _ratio(successes: int, attempts: int) -> str:

@@ -21,6 +21,7 @@ from .model import (
     Skill,
     SkillStatus,
     StateError,
+    TraceShape,
     UtilityTable,
     active_owned,
     place_skill,
@@ -72,15 +73,15 @@ def _token_overlap(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(union)
 
 
-def _failing_pair(trace) -> Pair | None:
-    phases = trace.task_type.phases
-    completed = round(trace.progress * len(phases))
-    if completed == len(trace.slices):
+def _failing_pair(shape: TraceShape) -> Pair | None:
+    phases = shape.task_type.phases
+    completed = round(shape.progress * len(phases))
+    if completed == len(shape.slices):
         # every attempted phase succeeded: the next one could not be routed
-        index = len(trace.slices)
-        return (trace.task_type.id, phases[index]) if index < len(phases) else None
-    if trace.slices:
-        return (trace.task_type.id, trace.slices[-1].phase)
+        index = len(shape.slices)
+        return (shape.task_type.id, phases[index]) if index < len(phases) else None
+    if shape.slices:
+        return (shape.task_type.id, shape.slices[-1].phase)
     return None
 
 
@@ -98,8 +99,8 @@ def build_artifacts(
     addressed = skill_delta.source_traces()
     failures: dict[str, list[RetainedTrace]] = {}
     for rt in retained:
-        if rt.trace.outcome == 0:
-            failures.setdefault(rt.trace.task_type.id, []).append(rt)
+        if rt.trace.shape.outcome == 0:
+            failures.setdefault(rt.trace.shape.task_type.id, []).append(rt)
 
     artifacts = []
     for task_id in sorted(failures):
@@ -108,9 +109,9 @@ def build_artifacts(
 
         implicated_ids = sorted(
             {
-                rt.trace.slices[-1].executor
+                rt.trace.shape.slices[-1].executor
                 for rt in family
-                if rt.trace.slices
+                if rt.trace.shape.slices
             }
         )
         implicated = tuple(
@@ -123,7 +124,7 @@ def build_artifacts(
         )
 
         failing_pairs = tuple(
-            sorted({p for rt in family if (p := _failing_pair(rt.trace)) is not None})
+            sorted({p for rt in family if (p := _failing_pair(rt.trace.shape)) is not None})
         )
         handoff = any(
             diagnose(rt).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family

@@ -7,13 +7,14 @@ subset of the input by identity.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
-from .model import CauseLabel, EpisodeTrace, Skill, SkillStatus, UtilityTable
+from .model import CauseLabel, EpisodeTrace, Skill, SkillStatus, TraceShape, UtilityTable
 from .utility import used_skills
 
 
@@ -30,17 +31,17 @@ class RetainedTrace:
     categories: frozenset[RetentionCategory]
 
 
-def _observed_cause(trace: EpisodeTrace) -> CauseLabel:
-    obs = trace.latent_cause_observation
+def _observed_cause(shape: TraceShape) -> CauseLabel:
+    obs = shape.latent_cause_observation
     return obs.cause if obs is not None else CauseLabel.UNKNOWN
 
 
 def failure_counts(traces: Iterable[EpisodeTrace]) -> Counter[tuple[str, CauseLabel]]:
     """Failed traces per (task id, observed cause)."""
     return Counter(
-        (trace.task_type.id, _observed_cause(trace))
+        (trace.shape.task_type.id, _observed_cause(trace.shape))
         for trace in traces
-        if trace.outcome == 0
+        if trace.shape.outcome == 0
     )
 
 
@@ -68,53 +69,40 @@ def retain(
         for key, count in prior_failure_counts.items():
             failure_keys[key] += count
 
-    def label(trace: EpisodeTrace) -> frozenset[RetentionCategory]:
+    # The labels read only the trace's shape, which hashes by identity; the
+    # failure counts and the tables stay fixed during the call.
+    @functools.cache
+    def label(shape: TraceShape) -> frozenset[RetentionCategory]:
         categories: set[RetentionCategory] = set()
-        task_id = trace.task_type.id
+        task_id = shape.task_type.id
 
-        if trace.outcome == 0:
-            key = (task_id, _observed_cause(trace))
+        if shape.outcome == 0:
+            key = (task_id, _observed_cause(shape))
             if failure_keys[key] >= config.repeat_multiplicity:
                 categories.add(RetentionCategory.REPEATED_FAILURE)
-            if trace.progress >= config.near_miss_progress:
+            if shape.progress >= config.near_miss_progress:
                 categories.add(RetentionCategory.NEAR_MISS)
         else:
             pooled_used = any(
                 library[sid].status is SkillStatus.POOLED
-                for sl in trace.slices
+                for sl in shape.slices
                 for sid in used_skills(sl)
                 if sid in library
             )
             weak_executor = any(
                 q_exec_prior.count(eid, task_id) >= 1
                 and q_exec_prior.value(eid, task_id) < config.low_estimate
-                for eid in trace.executors()
+                for eid in shape.executors()
             )
             if pooled_used or weak_executor:
                 categories.add(RetentionCategory.REUSABLE_SUCCESS)
 
-        if any(sl.selected - used_skills(sl) for sl in trace.slices):
+        if any(sl.selected - used_skills(sl) for sl in shape.slices):
             categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
         return frozenset(categories)
 
-    # The labels read only the task id, the failure flag, the observed
-    # cause, the near-miss flag and the slices; the failure counts and the
-    # tables stay fixed during the call.  Each value holds its trace's
-    # slices, so no id in a key is reused while the call runs.
-    labels: dict[tuple, tuple] = {}
-    retained: list[RetainedTrace] = []
-    for trace in traces:
-        failed = trace.outcome == 0
-        shape = (
-            trace.task_type.id,
-            failed,
-            _observed_cause(trace),
-            failed and trace.progress >= config.near_miss_progress,
-            id(trace.slices),
-        )
-        entry = labels.get(shape)
-        if entry is None:
-            entry = labels[shape] = (trace.slices, label(trace))
-        if entry[1]:
-            retained.append(RetainedTrace(trace, entry[1]))
-    return retained
+    return [
+        RetainedTrace(trace, categories)
+        for trace in traces
+        if (categories := label(trace.shape))
+    ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from math import copysign
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +28,7 @@ from .model import (
     Skill,
     SkillStatus,
     TaskType,
+    TraceShape,
     UtilityTable,
     validate_state,
 )
@@ -576,9 +576,9 @@ def deserialize_state(text: str) -> RoundState:
 # trace logs
 #
 # The log is write-only: `encode_trace_log` is its only code.  A log of
-# thousands of records holds a handful of distinct tasks, executor slices
-# and causes, so the writer encodes each repeated fragment once per call and
-# keeps nothing between calls; the bytes are exactly
+# thousands of records holds a few dozen distinct trace shapes, so the
+# writer encodes each shape once per call and keeps nothing between calls;
+# the bytes are exactly
 # `json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))`
 # per line: replay and the golden digests compare them.
 
@@ -587,12 +587,13 @@ _encode_str = json.encoder.encode_basestring_ascii  # what `_FRAGMENT.encode` do
 
 
 def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
-    obs = trace.latent_cause_observation
+    shape = trace.shape
+    obs = shape.latent_cause_observation
     return {
         "episode": trace.episode_id,
-        "task": {"id": trace.task_type.id, "phases": list(trace.task_type.phases)},
-        "outcome": trace.outcome,
-        "progress": trace.progress,
+        "task": {"id": shape.task_type.id, "phases": list(shape.task_type.phases)},
+        "outcome": shape.outcome,
+        "progress": shape.progress,
         "cause": (
             {"label": obs.cause.value, "confident": obs.confident} if obs else None
         ),
@@ -604,7 +605,7 @@ def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
                 "invoked": sorted(sl.invoked),
                 "pattern": sorted(sl.pattern_supported),
             }
-            for sl in trace.slices
+            for sl in shape.slices
         ],
     }
 
@@ -613,57 +614,27 @@ def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
     """Render traces as JSON lines, one `trace_to_record` per line, in the
     order given.
 
-    A line is assembled in sorted-key order from three fragments: the head
-    (cause, outcome, progress), keyed by value, the episode id, encoded per
-    line as `JSONEncoder.encode` encodes a string, and the tail (slices and
-    task), keyed by the identity of the task object and of the slices
-    tuple, which the engine's traces share.  True, 1 and 1.0 compare
-    equal, as do 0.0 and -0.0, but each encodes differently, so the head
-    key holds each scalar's type and, for a float, its sign.  Keying on
-    identity is exact whatever the field types; each tail entry holds its
-    trace so that no id is reused while the call runs.
+    A line is the episode id, encoded as `JSONEncoder.encode` encodes a
+    string, between two fragments that depend only on the trace's shape:
+    its record with a null id, split at the id.  An encoded string holds no
+    unescaped quote and the cause has no "episode" key, so the first match
+    is the id.  Each shape's fragments are encoded once, from its own
+    values, so `True` and `1` still encode apart.
     """
     encode = _FRAGMENT.encode
-    heads: dict[tuple[object, ...], tuple[str, str]] = {}
-    tails: dict[tuple[int, int], tuple[EpisodeTrace, str]] = {}
+    fragments: dict[TraceShape, tuple[str, str]] = {}
     lines: list[str] = []
     for trace in traces:
-        obs = trace.latent_cause_observation
-        outcome = trace.outcome
-        progress = trace.progress
-        confident = None if obs is None else obs.confident
-        head_key = (
-            None if obs is None else obs.cause,
-            confident.__class__,
-            confident,
-            isinstance(confident, float) and copysign(1.0, confident),
-            outcome.__class__,
-            outcome,
-            progress.__class__,
-            progress,
-            isinstance(progress, float) and copysign(1.0, progress),
-        )
-        tail_key = (id(trace.task_type), id(trace.slices))
-        head = heads.get(head_key)
-        tail = tails.get(tail_key)
-        if head is None or tail is None:
+        around = fragments.get(trace.shape)
+        if around is None:
             record = trace_to_record(trace)
-            if head is None:
-                head = heads[head_key] = (
-                    '{"cause":' + encode(record["cause"]) + ',"episode":',
-                    ',"outcome":' + encode(record["outcome"])
-                    + ',"progress":' + encode(record["progress"]) + ',"slices":',
-                )
-            if tail is None:
-                tail = tails[tail_key] = (
-                    trace,
-                    encode(record["slices"]) + ',"task":' + encode(record["task"]) + "}\n",
-                )
+            record["episode"] = None
+            head, _, tail = encode(record).partition(',"episode":null')
+            around = fragments[trace.shape] = (head + ',"episode":', tail + "\n")
         episode_id = trace.episode_id
         lines.append(
-            head[0]
+            around[0]
             + (_encode_str(episode_id) if isinstance(episode_id, str) else encode(episode_id))
-            + head[1]
-            + tail[1]
+            + around[1]
         )
     return "".join(lines)

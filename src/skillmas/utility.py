@@ -20,6 +20,7 @@ from .model import (
     Skill,
     SkillStatus,
     StateError,
+    TraceShape,
     UtilityTable,
 )
 from .numfmt import q12
@@ -63,24 +64,22 @@ def learn(
     bit-identical; touched entries move toward the episode outcome at the
     count-based rate, which makes each value the exact running mean of the
     outcomes applied to it.  The membership checks and the ordered credit
-    keys depend only on a trace's task and slices, so they are derived once
-    per (task id, slices object) and applied per trace in order.
+    keys depend only on a trace's shape, so they are derived once per shape
+    and applied per trace in order.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
 
     s_entries = dict(q_skill.entries)
     a_entries = dict(q_exec.entries)
-    # (task id, id(slices)) -> (slices, skill keys, executor keys); the value
-    # holds the slices, so no id in a key is reused while the call runs
-    credit: dict[tuple[str, int], tuple] = {}
+    credit: dict[TraceShape, tuple[list, list]] = {}
     for trace in traces:
-        shape = (trace.task_type.id, id(trace.slices))
+        shape = trace.shape
         keys = credit.get(shape)
         if keys is None:
             keys = credit[shape] = _credit_keys(trace, skill_ids, executor_ids)
-        _, skill_keys, executor_keys = keys
-        outcome = trace.outcome
+        skill_keys, executor_keys = keys
+        outcome = shape.outcome
         for key in skill_keys:
             s_entries[key] = mc_update(s_entries.get(key), outcome)
         for key in executor_keys:
@@ -93,11 +92,11 @@ def _credit_keys(
     trace: EpisodeTrace,
     skill_ids: frozenset[str] | None,
     executor_ids: frozenset[str] | None,
-) -> tuple:
-    """The trace's slices with its skill and executor credit keys, in update
-    order: executors by first appearance, each one's used skills by id."""
+) -> tuple[list, list]:
+    """The trace's skill and executor credit keys, in update order:
+    executors by first appearance, each one's used skills by id."""
     used_by: dict[str, frozenset[str]] = {}
-    for sl in trace.slices:
+    for sl in trace.shape.slices:
         if executor_ids is not None and sl.executor not in executor_ids:
             raise StateError(f"trace {trace.episode_id} routes unknown executor {sl.executor!r}")
         if skill_ids is not None and not sl.selected <= skill_ids:
@@ -105,14 +104,14 @@ def _credit_keys(
             raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
         used = used_by.get(sl.executor)
         used_by[sl.executor] = used_skills(sl) if used is None else used | used_skills(sl)
-    task_id = trace.task_type.id
+    task_id = trace.shape.task_type.id
     skill_keys = []
     executor_keys = []
     for executor_id, used in used_by.items():
         for skill_id in sorted(used):
             skill_keys.append((skill_id, task_id))
         executor_keys.append((executor_id, task_id))
-    return trace.slices, skill_keys, executor_keys
+    return skill_keys, executor_keys
 
 
 def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:

@@ -31,6 +31,7 @@ from .model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     active_owned,
 )
 from .numfmt import q12
@@ -330,6 +331,9 @@ class ExecutionTable:
     trie whose steps are keyed by the drawn executor id.  A step holds the
     phase slot, the slices tuple of the path so far and the next phase's
     steps, so episodes that take the same path share one `slices` object.
+    Trace shapes are interned too, one per (task, slices object, progress,
+    cause observation), so each distinct shape is checked once per table
+    and episodes that end the same way share one shape object.
     The table lives for one `exec_round` and is never shared between states.
     """
 
@@ -353,6 +357,9 @@ class ExecutionTable:
         # id(task) -> (((pair, route), ...), progress values, trie root, task);
         # the value holds the task, so no id in a key is reused
         self._paths: dict[int, tuple] = {}
+        # (id(task), id(slices), progress, id(observation)) -> shape; the
+        # shape holds all three objects, so no id in a key is reused
+        self.shapes: dict[tuple, TraceShape] = {}
 
     @functools.cached_property
     def _candidates(self) -> dict[str, list[Skill]]:
@@ -477,20 +484,23 @@ def sample_episode(
     episode then draws its last value: the failing slot's dominant deficit
     is observed as the cause, confidently with the scenario's observation
     probability; an episode that could not be routed observes a bad
-    executor assignment without a draw.  The trace goes through
-    `EpisodeTrace`'s checks.
+    executor assignment without a draw.  The trace carries the table's
+    shape for that ending (a success when nothing was observed), which went
+    through `TraceShape`'s checks when the table first met it.
     """
     slices, progress, failed = walk_episode(table, task_type, rng)
     if failed is None:
-        return EpisodeTrace(episode_id, task_type, slices, 1, progress)
-    pair, executor_id = failed
-    if executor_id is None:
+        observation = None
+    elif failed[1] is None:  # no executor covers the pair
         observation = _MISROUTED
     else:
-        observation = _observe_cause(
-            table.deficit(pair, executor_id), rng, table.scenario.cause_confidence
-        )
-    return EpisodeTrace(episode_id, task_type, slices, 0, progress, observation)
+        observation = _observe_cause(table.deficit(*failed), rng, table.scenario.cause_confidence)
+    key = (id(task_type), id(slices), progress, id(observation))
+    shape = table.shapes.get(key)
+    if shape is None:
+        outcome = 1 if observation is None else 0
+        shape = table.shapes[key] = TraceShape(task_type, slices, outcome, progress, observation)
+    return EpisodeTrace(episode_id, shape)
 
 
 def _weighted_choice(

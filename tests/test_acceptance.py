@@ -19,6 +19,7 @@ from skillmas.model import (
     EpisodeTrace,
     ExecutorSlice,
     TaskType,
+    TraceShape,
     UtilityTable,
     validate_state,
 )
@@ -40,7 +41,7 @@ from conftest import random_scenario
 def _entry_trace(episode_id: str, outcome: int) -> EpisodeTrace:
     task = TaskType("t", ("p",))
     sl = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
-    return EpisodeTrace(episode_id, task, (sl,), outcome, float(outcome))
+    return EpisodeTrace(episode_id, TraceShape(task, (sl,), outcome, float(outcome)))
 
 
 def test_running_mean_identity():
@@ -73,10 +74,11 @@ def test_credit_gating():
         allowed_skill_keys = set()
         allowed_exec_keys = set()
         for trace in traces:
-            for sl in trace.slices:
+            task_id = trace.shape.task_type.id
+            for sl in trace.shape.slices:
                 for sid in used_skills(sl):
-                    allowed_skill_keys.add((sid, trace.task_type.id))
-                allowed_exec_keys.add((sl.executor, trace.task_type.id))
+                    allowed_skill_keys.add((sid, task_id))
+                allowed_exec_keys.add((sl.executor, task_id))
 
         changed_skills = {
             k for k, v in q_skill.entries.items() if state.q_skill.entries.get(k) != v
@@ -304,7 +306,7 @@ def test_empirical_rate_calibration():
         pack.seed_state, pack.scenario, n, derive_seed(7, "calibration"), pack.config,
         id_prefix="v",
     )
-    successes = sum(t.outcome for t in traces)
+    successes = sum(t.shape.outcome for t in traces)
     expected = 0.8 ** 2
     sigma = math.sqrt(n * expected * (1 - expected))
     assert abs(successes - n * expected) <= 3 * sigma, (

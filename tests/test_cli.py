@@ -375,6 +375,37 @@ class TestRunDirValidation:
         self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
                                 capsys, "'snapshot'")
 
+    def test_checkpoint_may_not_name_a_snapshot_outside_the_run(self, run_dir, capsys):
+        # a valid state, but not the one the run wrote for its checkpoint round
+        outside = run_dir.parent / "outside_state.txt"
+        outside.write_text(
+            (run_dir / "snapshots" / "state_r000.txt").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        checkpoint = run_dir / "checkpoint.json"
+        _rewrite_json(checkpoint, _set("snapshot", "../outside_state.txt"))
+        self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
+                                capsys, "'snapshot'", "snapshots/state_r", "../outside_state.txt")
+        assert not (run_dir / "transplant.json").exists()
+
+    @pytest.mark.parametrize("round_index", [-1, 4])
+    def test_checkpoint_round_outside_the_run(self, run_dir, capsys, round_index):
+        checkpoint = run_dir / "checkpoint.json"
+        _rewrite_json(checkpoint, lambda c: {
+            **c, "round": round_index, "snapshot": f"snapshots/state_r{round_index:03d}.txt",
+        })
+        self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
+                                capsys, "'round'", "[0, 3]")
+
+    @pytest.mark.parametrize("command", ["transplant", "replay"])
+    def test_manifest_may_not_name_a_scenario_outside_the_run(self, run_dir, capsys, command):
+        other = run_dir.parent / "other.scn"
+        other.write_text((run_dir / "scenario.scn").read_text(encoding="utf-8"), encoding="utf-8")
+        manifest = run_dir / "run.json"
+        _rewrite_json(manifest, _set("scenario", "../other.scn"))
+        self.assert_usage_error([command, "--run", str(run_dir)], manifest,
+                                capsys, "'scenario'", "'scenario.scn'", "../other.scn")
+
     def test_truncated_trajectory(self, run_dir, capsys):
         trajectory = run_dir / "trajectory.json"
         text = trajectory.read_text(encoding="utf-8")

@@ -23,6 +23,7 @@ from skillmas.model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     UtilityTable,
     cluster_key_map,
 )
@@ -43,7 +44,7 @@ OUTCOMES = [0, 0, 0, 1, 0, 0, 1, 1]
 
 
 def trace(episode_id: str, outcome: int = 0, sl: ExecutorSlice = SLICE) -> EpisodeTrace:
-    return EpisodeTrace(episode_id, TASK, (sl,), outcome, float(outcome))
+    return EpisodeTrace(episode_id, TraceShape(TASK, (sl,), outcome, float(outcome)))
 
 
 def fold(outcomes) -> tuple[float, int]:
@@ -70,7 +71,7 @@ def test_fixed_width_batch_keeps_its_order():
 
 def test_learn_credits_in_generation_order_past_the_width():
     traces = [trace(i, o) for i, o in zip(ACROSS, OUTCOMES)]
-    in_string_order = [t.outcome for t in sorted(traces, key=lambda t: t.episode_id)]
+    in_string_order = [t.shape.outcome for t in sorted(traces, key=lambda t: t.episode_id)]
     assert fold(OUTCOMES) != fold(in_string_order)  # the order is observable
 
     q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)

@@ -25,6 +25,7 @@ from skillmas.model import (
     PolicyCard,
     SkillStatus,
     TaskType,
+    TraceShape,
     UtilityTable,
     cluster_key_map,
 )
@@ -67,7 +68,7 @@ def retained_failure(cause, confident=True, selected=("sk",), invoked=("sk",),
         ExecutorSlice(executor, phase, frozenset(selected), frozenset(invoked),
                       frozenset()),
     )
-    trace = EpisodeTrace(episode_id, TASK, slices, 0, 0.0, obs)
+    trace = EpisodeTrace(episode_id, TraceShape(TASK, slices, 0, 0.0, obs))
     return RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
 
 
@@ -77,7 +78,7 @@ def retained_success(selected=("sk",), invoked=("sk",), phase="p1",
         ExecutorSlice(executor, phase, frozenset(selected), frozenset(invoked),
                       frozenset()),
     )
-    trace = EpisodeTrace(episode_id, TASK, slices, 1, 1.0)
+    trace = EpisodeTrace(episode_id, TraceShape(TASK, slices, 1, 1.0))
     return RetainedTrace(trace, frozenset({RetentionCategory.REUSABLE_SUCCESS}))
 
 
@@ -387,18 +388,18 @@ class TestPoolLifecycle:
     def test_counters_respect_used_gating(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)
         library = {"pk": pooled, "other": make_skill("other")}
-        selected_only = EpisodeTrace(
-            "e0", TASK,
+        selected_only = EpisodeTrace("e0", TraceShape(
+            TASK,
             (ExecutorSlice("w", "p1", frozenset({"pk", "other"}),
                            frozenset({"other"}), frozenset()),),
             1, 1.0,
-        )
-        used = EpisodeTrace(
-            "e1", TASK,
+        ))
+        used = EpisodeTrace("e1", TraceShape(
+            TASK,
             (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset({"pk"}),
                            frozenset()),),
             1, 1.0,
-        )
+        ))
         pool = update_pool_counters({"pk": (0, 0)}, library, [selected_only, used])
         assert pool["pk"] == (1, 1)
 

@@ -241,8 +241,8 @@ class TestDomainInvariants:
             ExecutorSlice("e", "p", frozenset(), frozenset({"s"}), frozenset())
 
     def test_trace_outcome_progress_link(self):
-        from skillmas.model import EpisodeTrace
+        from skillmas.model import TraceShape
 
         task = TaskType("t1", ("p1",))
         with pytest.raises(StateError):
-            EpisodeTrace("e1", task, (), 1, 0.5)
+            TraceShape(task, (), 1, 0.5)

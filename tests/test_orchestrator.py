@@ -133,7 +133,7 @@ class TestRunExperiment:
             result.checkpoint_state, pack.scenario, n, derive_seed(99, "fresh"), config,
             id_prefix="v",
         )
-        fresh = sum(t.outcome for t in traces)
+        fresh = sum(t.shape.outcome for t in traces)
         sigma = math.sqrt(n * recorded_rate * (1 - recorded_rate)) + math.sqrt(
             checkpoint.episodes * recorded_rate * (1 - recorded_rate)
         ) * (n / checkpoint.episodes)
@@ -295,7 +295,7 @@ class TestBreakdown:
         pack = load_preset("mismatch")
         traces = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config, id_prefix="v")
         rows = task_family_breakdown(traces)
-        seen = {t.task_type.id for t in traces}
+        seen = {t.shape.task_type.id for t in traces}
         assert {r.task_type for r in rows} == seen
 
 

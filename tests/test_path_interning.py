@@ -1,28 +1,30 @@
-"""Interned outcome paths against a fresh table per episode.
+"""Interned outcome paths and trace shapes against a fresh table per episode.
 
 `exec_round` walks one `ExecutionTable` path trie for the whole batch, so
-episodes that take the same path share one `slices` tuple and every failure
-shares one `CauseObservation` per value.  The round stages and the trace-log
-writer key their memos on those objects; none of that may change a trace or
-a byte of the log.
+episodes that take the same path share one `slices` tuple, every failure
+shares one `CauseObservation` per value, and episodes that end the same way
+share one `TraceShape`.  The round stages and the trace-log writer key their
+memos on the shape; none of that may change a trace or a byte of the log.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from skillmas.model import EpisodeTrace
+from skillmas.model import TraceShape
 from skillmas.numfmt import q12
-from skillmas.store import encode_trace_log
+from skillmas.presets import load_preset
+from skillmas.store import encode_trace_log, trace_to_record
 from skillmas.streams import substream
 from skillmas.world import ExecutionTable, _weighted_choice, exec_round, sample_episode
 
 from test_round_index import random_world
 
-FIELDS = [f.name for f in dataclasses.fields(EpisodeTrace)]
+FIELDS = [f.name for f in dataclasses.fields(TraceShape)]
 
 
 def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix):
@@ -49,10 +51,11 @@ def test_interned_round_matches_fresh_tables_field_by_field(world_seed, n_episod
     scenario, state, config, seed, traces = executed(world_seed, n_episodes)
     want = fresh_table_round(state, scenario, n_episodes, seed, config, "r0002")
     for got, ref in zip(traces, want, strict=True):
+        assert got.episode_id == ref.episode_id
         for name in FIELDS:
-            assert getattr(got, name) == getattr(ref, name), name
-        assert repr(got.progress) == repr(ref.progress)
-        assert type(got.outcome) is type(ref.outcome)
+            assert getattr(got.shape, name) == getattr(ref.shape, name), name
+        assert repr(got.shape.progress) == repr(ref.shape.progress)
+        assert type(got.shape.outcome) is type(ref.shape.outcome)
 
 
 @settings(max_examples=150, deadline=None)
@@ -62,8 +65,9 @@ def test_same_path_shares_one_slices_object(world_seed, n_episodes):
     by_path = {}
     by_cause = {}
     for trace in traces:
-        by_path.setdefault((trace.task_type.id, trace.slices), set()).add(id(trace.slices))
-        obs = trace.latent_cause_observation
+        shape = trace.shape
+        by_path.setdefault((shape.task_type.id, shape.slices), set()).add(id(shape.slices))
+        obs = shape.latent_cause_observation
         if obs is not None:
             by_cause.setdefault(obs, set()).add(id(obs))
     assert all(len(ids) == 1 for ids in by_path.values())
@@ -93,12 +97,14 @@ def test_log_bytes_do_not_depend_on_sharing(world_seed, n_episodes):
     rng = random.Random(world_seed)
     copies = []
     for trace in traces:
-        slices = trace.slices
+        slices = trace.shape.slices
         if rng.random() < 0.5:
             slices = tuple(dataclasses.replace(sl) for sl in slices)
         else:
             slices = tuple([*slices])
-        copies.append(dataclasses.replace(trace, slices=slices))
+        copies.append(
+            dataclasses.replace(trace, shape=dataclasses.replace(trace.shape, slices=slices))
+        )
     assert encode_trace_log(copies) == encode_trace_log(traces)
 
 
@@ -109,12 +115,13 @@ def test_random_worlds_cover_the_path_cases():
     for world_seed in range(300):
         _, _, _, _, traces = executed(world_seed, 60)
         for trace in traces:
-            n = len(trace.task_type.phases)
-            routed = len(trace.slices)
-            if trace.outcome == 1:
+            shape = trace.shape
+            n = len(shape.task_type.phases)
+            routed = len(shape.slices)
+            if shape.outcome == 1:
                 if n > 1:
                     seen.add("multi-phase success")
-            elif routed == round(trace.progress * n):  # no slice for the failing phase
+            elif routed == round(shape.progress * n):  # no slice for the failing phase
                 seen.add("routing failure after a prefix" if routed else "routing failure")
             elif routed > 1:
                 seen.add("failure after a prefix")
@@ -126,3 +133,30 @@ def test_random_worlds_cover_the_path_cases():
         "routing failure after a prefix",
         "failure after a prefix",
     }
+
+
+def shape_record(trace):
+    """The trace's log record without its episode id, as canonical JSON."""
+    record = trace_to_record(trace)
+    del record["episode"]
+    return json.dumps(record, sort_keys=True)
+
+
+def test_equal_records_share_one_shape_in_a_mismatch_round():
+    pack = load_preset("mismatch")
+    traces = exec_round(pack.seed_state, pack.scenario, 2000, 7001, pack.config)
+    shapes_by_record = {}
+    for trace in traces:
+        shapes_by_record.setdefault(shape_record(trace), set()).add(id(trace.shape))
+    assert all(len(ids) == 1 for ids in shapes_by_record.values())
+    # and no two shapes encode alike
+    assert len({id(t.shape) for t in traces}) == len(shapes_by_record)
+    assert len(shapes_by_record) < 100  # a few dozen outcomes in 2000 episodes
+
+
+def test_each_round_interns_its_own_shapes():
+    pack = load_preset("mismatch")
+    first = exec_round(pack.seed_state, pack.scenario, 200, 11, pack.config)
+    second = exec_round(pack.seed_state, pack.scenario, 200, 11, pack.config)
+    assert [trace_to_record(t) for t in first] == [trace_to_record(t) for t in second]
+    assert {id(t.shape) for t in first}.isdisjoint(id(t.shape) for t in second)

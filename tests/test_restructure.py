@@ -13,6 +13,7 @@ from skillmas.model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     UtilityTable,
     validate_state,
 )
@@ -35,11 +36,11 @@ CONFIG = EngineConfig()
 
 def retained_failure(episode_id, cause=CauseLabel.MISSING_PRECONDITION,
                      executor="worker", phase="p1", task=TASK, confident=True):
-    trace = EpisodeTrace(
-        episode_id, task,
+    trace = EpisodeTrace(episode_id, TraceShape(
+        task,
         (ExecutorSlice(executor, phase, frozenset(), frozenset(), frozenset()),),
         0, 0.0, CauseObservation(cause, confident),
-    )
+    ))
     return RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
 
 
@@ -320,11 +321,11 @@ class TestEvidence:
     def test_routing_void_points_at_unattempted_phase(self):
         # every attempted phase succeeded but the next one had no executor:
         # the failing region is the unroutable phase, not the last slice
-        trace = EpisodeTrace(
-            "e0", TASK,
+        trace = EpisodeTrace("e0", TraceShape(
+            TASK,
             (ExecutorSlice("worker", "p1", frozenset(), frozenset(), frozenset()),),
             0, 0.5, CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True),
-        )
+        ))
         rt = RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
         out = build_artifacts([rt], UtilityTable(), SkillDelta())
         assert out[0].failing_pairs == (("t1", "p2"),)

@@ -12,6 +12,7 @@ from skillmas.model import (
     ExecutorSlice,
     SkillStatus,
     TaskType,
+    TraceShape,
     UtilityTable,
 )
 from skillmas.retention import RetentionCategory, retain
@@ -39,7 +40,7 @@ def trace(
     if progress is None:
         progress = 1.0 if outcome else 0.0
     obs = CauseObservation(cause, confident) if cause is not None else None
-    return EpisodeTrace(episode_id, TASK, slices, outcome, progress, obs)
+    return EpisodeTrace(episode_id, TraceShape(TASK, slices, outcome, progress, obs))
 
 
 LIBRARY = {"s1": make_skill("s1"), "pooled": make_skill("pooled", status=SkillStatus.POOLED)}

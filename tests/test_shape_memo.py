@@ -1,13 +1,13 @@
 """Per-shape round stages against per-trace reference loops.
 
 `learn`, `update_pool_counters`, `retain` and `collect_proposals` derive
-what depends only on a trace's shape once per distinct shape, and
+what depends only on a trace's `TraceShape` once per shape object, and
 `build_artifacts` reads their output.  The loops below are the per-trace
-rules they replace; on
-random worlds both must agree exactly, on traces that share slice objects
-(as executed), carry equal but distinct tasks and slices (copies that
-share no object with the engine's), succeed with `outcome=True`, and fail
-with causes observed with `confident` as 1 or `True`.
+rules they replace; on random worlds both must agree exactly, on traces
+that share shape objects (as executed), carry fresh shapes equal to an
+executed one (sharing its field objects, or copies that share no object
+with the engine's), succeed with `outcome=True`, and fail with causes
+observed with `confident` as 1 or `True`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from skillmas.model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     UtilityTable,
 )
 from skillmas.numfmt import q12
@@ -61,22 +62,23 @@ def reference_learn(q_skill, q_exec, traces, *, known_skills=None, known_executo
     s_entries = dict(q_skill.entries)
     a_entries = dict(q_exec.entries)
     for trace in traces:  # already in generation order
-        task_id = trace.task_type.id
+        shape = trace.shape
+        task_id = shape.task_type.id
         used_by = {}
-        for sl in trace.slices:
+        for sl in shape.slices:
             if executor_ids is not None and sl.executor not in executor_ids:
                 raise StateError(f"trace {trace.episode_id} routes unknown executor {sl.executor!r}")
             if skill_ids is not None and not sl.selected <= skill_ids:
                 unknown = sorted(sl.selected - skill_ids)
                 raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
             used_by.setdefault(sl.executor, set()).update(used_skills(sl))
-        for executor_id in trace.executors():
+        for executor_id in shape.executors():
             for skill_id in sorted(used_by[executor_id]):
                 key = (skill_id, task_id)
-                s_entries[key] = mc_update(s_entries.get(key), trace.outcome)
-        for executor_id in trace.executors():
+                s_entries[key] = mc_update(s_entries.get(key), shape.outcome)
+        for executor_id in shape.executors():
             key = (executor_id, task_id)
-            a_entries[key] = mc_update(a_entries.get(key), trace.outcome)
+            a_entries[key] = mc_update(a_entries.get(key), shape.outcome)
     return UtilityTable(s_entries), UtilityTable(a_entries)
 
 
@@ -84,51 +86,52 @@ def reference_pool_counters(pool, traces):
     new_pool = dict(pool)
     for trace in traces:
         used_all = set()
-        for sl in trace.slices:
+        for sl in trace.shape.slices:
             used_all.update(used_skills(sl))
         for sid in sorted(used_all):
             if sid in new_pool:
                 uses, successes = new_pool[sid]
-                new_pool[sid] = (uses + 1, successes + trace.outcome)
+                new_pool[sid] = (uses + 1, successes + trace.shape.outcome)
     return new_pool
 
 
-def observed_cause(trace):
-    obs = trace.latent_cause_observation
+def observed_cause(shape):
+    obs = shape.latent_cause_observation
     return obs.cause if obs is not None else CauseLabel.UNKNOWN
 
 
 def reference_retain(traces, q_exec_prior, config, library, *, prior_failure_counts=None):
     failure_keys = Counter()
     for trace in traces:
-        if trace.outcome == 0:
-            failure_keys[(trace.task_type.id, observed_cause(trace))] += 1
+        if trace.shape.outcome == 0:
+            failure_keys[(trace.shape.task_type.id, observed_cause(trace.shape))] += 1
     for key, count in (prior_failure_counts or {}).items():
         failure_keys[key] += count
     retained = []
     for trace in traces:
+        shape = trace.shape
         categories = set()
-        task_id = trace.task_type.id
-        if trace.outcome == 0:
-            if failure_keys[(task_id, observed_cause(trace))] >= config.repeat_multiplicity:
+        task_id = shape.task_type.id
+        if shape.outcome == 0:
+            if failure_keys[(task_id, observed_cause(shape))] >= config.repeat_multiplicity:
                 categories.add(RetentionCategory.REPEATED_FAILURE)
-            if trace.progress >= config.near_miss_progress:
+            if shape.progress >= config.near_miss_progress:
                 categories.add(RetentionCategory.NEAR_MISS)
         else:
             pooled_used = any(
                 library[sid].status is SkillStatus.POOLED
-                for sl in trace.slices
+                for sl in shape.slices
                 for sid in used_skills(sl)
                 if sid in library
             )
             weak_executor = any(
                 q_exec_prior.count(eid, task_id) >= 1
                 and q_exec_prior.value(eid, task_id) < config.low_estimate
-                for eid in trace.executors()
+                for eid in shape.executors()
             )
             if pooled_used or weak_executor:
                 categories.add(RetentionCategory.REUSABLE_SUCCESS)
-        if any(sl.selected - used_skills(sl) for sl in trace.slices):
+        if any(sl.selected - used_skills(sl) for sl in shape.slices):
             categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
         if categories:
             retained.append(RetainedTrace(trace, frozenset(categories)))
@@ -138,9 +141,11 @@ def reference_retain(traces, q_exec_prior, config, library, *, prior_failure_cou
 def reference_proposals(retained, state, config, index):
     proposals = []
     for rt in retained:
-        if rt.trace.outcome == 0:
+        if rt.trace.shape.outcome == 0:
             diagnosis = diagnose(rt)
-            cards = retrieve_policy_cards(state.policy_index, rt.trace.task_type.id, diagnosis.cause)
+            cards = retrieve_policy_cards(
+                state.policy_index, rt.trace.shape.task_type.id, diagnosis.cause
+            )
         else:
             diagnosis, cards = None, ()
         proposal = propose(rt, diagnosis, cards, state.library, state.round_index, config, index)
@@ -153,12 +158,14 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
     addressed = skill_delta.source_traces()
     failures = {}
     for rt in retained:
-        if rt.trace.outcome == 0:
-            failures.setdefault(rt.trace.task_type.id, []).append(rt)
+        if rt.trace.shape.outcome == 0:
+            failures.setdefault(rt.trace.shape.task_type.id, []).append(rt)
     artifacts = []
     for task_id in sorted(failures):
         family = failures[task_id]
-        implicated_ids = sorted({rt.trace.slices[-1].executor for rt in family if rt.trace.slices})
+        implicated_ids = sorted(
+            {rt.trace.shape.slices[-1].executor for rt in family if rt.trace.shape.slices}
+        )
         implicated = tuple(
             ExecutorEvidence(eid, q12(q_exec_plus.value(eid, task_id)), q_exec_plus.count(eid, task_id))
             for eid in implicated_ids
@@ -169,7 +176,7 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
                 failure_mass=sum(1 for rt in family if rt.trace.episode_id not in addressed),
                 implicated_executors=implicated,
                 failing_pairs=tuple(
-                    sorted({p for rt in family if (p := _failing_pair(rt.trace)) is not None})
+                    sorted({p for rt in family if (p := _failing_pair(rt.trace.shape)) is not None})
                 ),
                 handoff_present=any(
                     diagnose(rt).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
@@ -186,27 +193,30 @@ PROGRESS = (0.0, 0.25, 0.5, q12(1 / 3), 0.75)
 
 
 def fresh_copy(trace):
-    """An equal trace that shares no task, slice, skill set or cause object
-    with `trace`."""
-    obs = trace.latent_cause_observation
-    return dataclasses.replace(
-        trace,
-        task_type=TaskType(trace.task_type.id, tuple([*trace.task_type.phases])),
-        slices=tuple(
+    """An equal trace whose shape shares no task, slice, skill set or cause
+    object with `trace`'s."""
+    shape = trace.shape
+    obs = shape.latent_cause_observation
+    return dataclasses.replace(trace, shape=TraceShape(
+        TaskType(shape.task_type.id, tuple([*shape.task_type.phases])),
+        tuple(
             ExecutorSlice(
                 sl.executor, sl.phase, frozenset([*sl.selected]), frozenset([*sl.invoked]),
                 frozenset([*sl.pattern_supported]),
             )
-            for sl in trace.slices
+            for sl in shape.slices
         ),
-        latent_cause_observation=None if obs is None else CauseObservation(obs.cause, obs.confident),
-    )
+        shape.outcome,
+        shape.progress,
+        None if obs is None else CauseObservation(obs.cause, obs.confident),
+    ))
 
 
 def varied_batch(state, scenario, config, seed, n_episodes):
-    """Executed traces (shared slices) interleaved with fresh and copied
-    variants (equal but distinct slices), `True` outcomes, and failures whose
-    cause, `confident` flag and progress vary over the same slices."""
+    """Executed traces (shared shapes) interleaved with repeats of an
+    executed or copied shape, fresh shapes equal to one (same field objects,
+    or equal but distinct slices), `True` outcomes, and failures whose cause,
+    `confident` flag and progress vary over the same slices."""
     rng = random.Random(seed)
     executed = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0000")
 
@@ -217,42 +227,36 @@ def varied_batch(state, scenario, config, seed, n_episodes):
         batch.append(trace)
         for _ in range(rng.randint(0, 2)):
             base = rng.choice((trace, twin))
-            slices = base.slices
+            if rng.random() < 0.25:
+                batch.append(base)  # the same shape object again
+                continue
+            slices = base.shape.slices
             if rng.random() < 0.3:
                 slices = tuple(dataclasses.replace(sl) for sl in slices)
-            variant = dataclasses.replace(base, slices=slices)
-            if variant.outcome == 1:
+            shape = dataclasses.replace(base.shape, slices=slices)  # fresh, equal
+            if shape.outcome == 1:
                 if rng.random() < 0.5:
-                    variant = dataclasses.replace(variant, outcome=True)
-            else:
-                obs = variant.latent_cause_observation
+                    shape = dataclasses.replace(shape, outcome=True)
+            elif rng.random() < 0.7:
+                obs = shape.latent_cause_observation
                 cause = obs.cause if obs is not None and rng.random() < 0.5 else rng.choice(labels)
-                variant = dataclasses.replace(
-                    variant,
+                shape = dataclasses.replace(
+                    shape,
                     progress=rng.choice(PROGRESS),
                     latent_cause_observation=(
                         None if rng.random() < 0.1
                         else CauseObservation(cause, rng.choice(CONFIDENT))
                     ),
                 )
-            batch.append(variant)
+            batch.append(dataclasses.replace(base, shape=shape))
     return [
         dataclasses.replace(t, episode_id=f"r0000e{i:05d}") for i, t in enumerate(batch)
     ]
 
 
 def proposal_shapes(retained):
-    """Distinct (task id, failed, cause observation, slices object)."""
-    shapes = set()
-    for rt in retained:
-        obs = rt.trace.latent_cause_observation
-        shapes.add((
-            rt.trace.task_type.id,
-            rt.trace.outcome == 0,
-            (obs.cause, bool(obs.confident)) if obs is not None else None,
-            id(rt.trace.slices),
-        ))
-    return len(shapes)
+    """Distinct shape objects; shapes hash by identity."""
+    return len({rt.trace.shape for rt in retained})
 
 
 # -------------------------------------------------------------------- tests
@@ -327,8 +331,8 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
 def test_unknown_ids_name_the_first_offender(world_seed, n_episodes, data):
     scenario, state, config = random_world(random.Random(world_seed))
     traces = varied_batch(state, scenario, config, world_seed, n_episodes)
-    used = sorted({sid for t in traces for sl in t.slices for sid in sl.selected})
-    routed = sorted({sl.executor for t in traces for sl in t.slices})
+    used = sorted({sid for t in traces for sl in t.shape.slices for sid in sl.selected})
+    routed = sorted({sl.executor for t in traces for sl in t.shape.slices})
     if not used or not routed:
         return
     dropped_skill = data.draw(st.sampled_from(used))

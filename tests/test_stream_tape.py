@@ -186,12 +186,12 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
     for k, state in enumerate(states):
         alone = exec_round(state, pack.scenario, 300, 9001, pack.config)
         assert [(task, flags[k]) for task, flags in shared] == [
-            (t.task_type, t.outcome == 1) for t in alone
+            (t.shape.task_type, t.shape.outcome == 1) for t in alone
         ]
     if name == "noisy":
         assert extended  # rejections ran past the tape
         alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
-        assert any(len(set(t.executors())) > 1 for t in alone)
+        assert any(len(set(t.shape.executors())) > 1 for t in alone)
         assert any(not flags[0] for _, flags in shared)
 
 
@@ -209,7 +209,10 @@ def test_transplant_counts_are_exec_round_sums(world_seed, seed, episodes):
     assert [(row.label, row.successes, row.episodes) for row in table.rows] == [
         (
             label,
-            sum(t.outcome for t in exec_round(variants[label], scenario, episodes, eval_seed, config)),
+            sum(
+                t.shape.outcome
+                for t in exec_round(variants[label], scenario, episodes, eval_seed, config)
+            ),
             episodes,
         )
         for label in TRANSPLANT_ROWS

@@ -1,6 +1,6 @@
 """The trace-log writer against the record schema.
 
-`encode_trace_log` encodes repeated fragments once per call.  That may not
+`encode_trace_log` encodes each trace shape once per call.  That may not
 move a byte: every line must be what `json.dumps(trace_to_record(trace))`
 gives, whatever the sharing, escapes or scalar types of the traces.  The log
 is write-only; `replay` reports a line that differs by file and line.
@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillmas.cli import main
-from skillmas.model import CauseLabel, CauseObservation, EpisodeTrace, ExecutorSlice, TaskType
+from skillmas.model import (
+    CauseLabel,
+    CauseObservation,
+    EpisodeTrace,
+    ExecutorSlice,
+    TaskType,
+    TraceShape,
+)
 from skillmas.store import encode_trace_log, trace_to_record
 
 # ids that need JSON escapes or are not ASCII, next to plain ones
@@ -86,7 +93,8 @@ def slice_pool(draw, phase: str, string_ids: bool) -> list[ExecutorSlice]:
 @st.composite
 def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
     """Traces drawn from a small pool of shared tasks and slices, some of
-    them replaced by equal but distinct copies; episode ids increase."""
+    them replaced by equal but distinct copies, and some sharing an earlier
+    trace's shape; episode ids increase."""
     tasks = []
     for _ in range(draw(st.integers(1, 3))):
         phases = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
@@ -100,6 +108,9 @@ def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
     episode_ids = sorted(set(draw(st.lists(ID_TEXT, min_size=count, max_size=count))))
     traces = []
     for episode_id in episode_ids:
+        if traces and draw(st.booleans()):
+            traces.append(EpisodeTrace(episode_id, draw(st.sampled_from(traces)).shape))
+            continue
         task = draw(st.sampled_from(tasks))
         if draw(st.booleans()):
             task = dataclasses.replace(task)  # equal, not shared
@@ -114,7 +125,8 @@ def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
         else:
             outcome, progress = draw(FAILURE), draw(FAILED_PROGRESS)
             cause = draw(st.none() | st.builds(CauseObservation, LABEL, CONFIDENT))
-        traces.append(EpisodeTrace(episode_id, task, tuple(slices), outcome, progress, cause))
+        shape = TraceShape(task, tuple(slices), outcome, progress, cause)
+        traces.append(EpisodeTrace(episode_id, shape))
     return traces
 
 
@@ -126,8 +138,9 @@ def test_writer_lines_equal_the_record_schema(traces):
 
 
 def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
-    # every head value next to its equal twins, all sharing one task and one
-    # slices tuple, so only the head key can tell the lines apart
+    # every outcome, progress and cause next to its equal twins, all sharing
+    # one task and one slices tuple, each in its own shape, which the batch
+    # then repeats
     task = TaskType("t", ("p",))
     slices = (ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset()),)
     heads = [(outcome, progress, None) for outcome, progress in
@@ -135,10 +148,8 @@ def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
     causes = [None] + [CauseObservation(CauseLabel.UNKNOWN, c) for c in CONFIDENT_VALUES]
     heads += [(outcome, progress, cause) for outcome in (0, False)
               for progress in (0.0, -0.0, 0, False, 0.5) for cause in causes]
-    traces = [
-        EpisodeTrace(f"e{k:03d}\u00e9", task, slices, outcome, progress, cause)
-        for k, (outcome, progress, cause) in enumerate(heads * 2)
-    ]
+    shapes = [TraceShape(task, slices, *head) for head in heads]
+    traces = [EpisodeTrace(f"e{k:03d}\u00e9", shape) for k, shape in enumerate(shapes * 2)]
     assert encode_trace_log(traces).split("\n") == [record_line(t) for t in traces] + [""]
 
 

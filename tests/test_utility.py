@@ -13,6 +13,7 @@ from skillmas.model import (
     SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     UtilityTable,
 )
 from skillmas.utility import (
@@ -30,7 +31,7 @@ TASK = TaskType("t1", ("p1",))
 
 def make_trace(episode_id, slices, outcome, task=TASK):
     progress = 1.0 if outcome == 1 else 0.0
-    return EpisodeTrace(episode_id, task, tuple(slices), outcome, progress)
+    return EpisodeTrace(episode_id, TraceShape(task, tuple(slices), outcome, progress))
 
 
 def sl(executor, selected, invoked, pattern=(), phase="p1"):
