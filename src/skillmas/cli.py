@@ -362,6 +362,13 @@ def cmd_transplant(args: argparse.Namespace) -> int:
         raise UsageError(
             f"{checkpoint_path}: 'round' must lie in [0, {rounds}], not {checkpoint['round']}"
         )
+    trajectory_path = run_dir / "trajectory.json"
+    trajectory, _ = _read_trajectory(trajectory_path)
+    if checkpoint["round"] != trajectory["checkpoint"]["round"]:
+        raise UsageError(
+            f"{checkpoint_path}: 'round' {checkpoint['round']} disagrees with "
+            f"{trajectory_path}: 'checkpoint.round' {trajectory['checkpoint']['round']}"
+        )
     snapshot = _snapshot_name(checkpoint["round"])
     if checkpoint["snapshot"] != snapshot:
         raise UsageError(

@@ -43,6 +43,12 @@ class EngineConfig:
     weak_executor_utility: float = 0.5
     default_capacity: int = 4
 
+    def __post_init__(self) -> None:
+        for name, (ok, expected) in _RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {expected}, not {value!r}")
+
     def replace(self, **overrides: Any) -> "EngineConfig":
         return dataclasses.replace(self, **overrides)
 
@@ -104,7 +110,5 @@ def config_from_mapping(
             raise ValueError(f"threshold {key!r} is retired: no rule reads it")
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown threshold {key!r}")
-        value = overrides[name] = _coerce(name, raw)
-        if name in _RANGES and not _RANGES[name][0](value):
-            raise ValueError(f"{name} must be {_RANGES[name][1]}, not {raw!r}")
+        overrides[name] = _coerce(name, raw)
     return config.replace(**overrides)

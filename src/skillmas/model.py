@@ -313,18 +313,18 @@ def place_skill(
         )
 
 
-def validate_state(state: RoundState, universe: frozenset[Pair] | None = None) -> None:
+def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
     """Check the structural invariants; raise StateError listing every violation.
 
-    When `universe` (the scenario's full (task, phase) space) is given, the
-    manager's boundary must cover it.
+    The manager's boundary must cover `universe`, the scenario's full
+    (task, phase) space, so every pair an episode reaches can be routed.
     """
     problems: list[str] = []
 
     managers = [e.id for e in state.executors.values() if e.is_manager]
     if len(managers) != 1:
         problems.append(f"expected exactly one manager, found {managers!r}")
-    elif universe is not None:
+    else:
         manager = state.executors[managers[0]]
         missing = sorted(universe - manager.boundary)
         if missing:

@@ -21,7 +21,6 @@ from .model import (
     Skill,
     SkillStatus,
     StateError,
-    TraceShape,
     UtilityTable,
     active_owned,
     place_skill,
@@ -73,18 +72,6 @@ def _token_overlap(a: frozenset[str], b: frozenset[str]) -> float:
     return len(a & b) / len(union)
 
 
-def _failing_pair(shape: TraceShape) -> Pair | None:
-    phases = shape.task_type.phases
-    completed = round(shape.progress * len(phases))
-    if completed == len(shape.slices):
-        # every attempted phase succeeded: the next one could not be routed
-        index = len(shape.slices)
-        return (shape.task_type.id, phases[index]) if index < len(phases) else None
-    if shape.slices:
-        return (shape.task_type.id, shape.slices[-1].phase)
-    return None
-
-
 def build_artifacts(
     retained: Sequence[RetainedTrace],
     q_exec_plus: UtilityTable,
@@ -107,13 +94,9 @@ def build_artifacts(
         family = failures[task_id]
         mass = sum(1 for rt in family if rt.trace.episode_id not in addressed)
 
-        implicated_ids = sorted(
-            {
-                rt.trace.shape.slices[-1].executor
-                for rt in family
-                if rt.trace.shape.slices
-            }
-        )
+        # a failure ends at its last routed phase
+        last = [rt.trace.shape.slices[-1] for rt in family if rt.trace.shape.slices]
+        implicated_ids = sorted({sl.executor for sl in last})
         implicated = tuple(
             ExecutorEvidence(
                 id=eid,
@@ -123,9 +106,7 @@ def build_artifacts(
             for eid in implicated_ids
         )
 
-        failing_pairs = tuple(
-            sorted({p for rt in family if (p := _failing_pair(rt.trace.shape)) is not None})
-        )
+        failing_pairs = tuple(sorted({(task_id, sl.phase) for sl in last}))
         handoff = any(
             diagnose(rt).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
         )
@@ -147,8 +128,8 @@ def decide_restructure(
     q_exec_plus: UtilityTable,
     config: EngineConfig,
     *,
-    round_index: int = 0,
-    library: Mapping[str, Skill] | None = None,
+    round_index: int,
+    library: Mapping[str, Skill],
 ) -> RestructureDecision:
     """Evaluate the restructuring predicates in fixed priority.
 
@@ -160,8 +141,6 @@ def decide_restructure(
     (3) modify an over-capacity executor with a demonstrably weak family by
     narrowing its boundary; otherwise (4) keep.
     """
-    library = library or {}
-
     # (1) add
     for artifact in artifacts:
         if artifact.failure_mass < config.mass_threshold:

@@ -26,10 +26,6 @@ from .model import (
 from .numfmt import q12
 
 
-class RoutingError(RuntimeError):
-    """No executor is eligible for a (task, phase) pair."""
-
-
 def used_skills(sl: ExecutorSlice) -> frozenset[str]:
     """Skills that actually participated in the slice: invoked or pattern-supported."""
     return sl.invoked | sl.pattern_supported
@@ -181,29 +177,31 @@ def select_skills(
 
 @dataclass(frozen=True)
 class Route:
-    """The routing candidates of one (task, phase) pair under a fixed state."""
+    """The routing candidates of one (task, phase) pair under a fixed state.
 
-    task_id: str
-    phase: str
+    `executor_route` builds a route only for a pair some executor covers, so
+    `eligible` is never empty.
+    """
+
     eligible: tuple[str, ...]  # covering executors, sorted by id
-    greedy: str | None  # highest executor utility, smallest id on ties
+    greedy: str  # highest executor utility, smallest id on ties
 
     def draw(self, rng: random.Random, epsilon: float) -> str:
-        """Greedy with epsilon exploration; no draw when nothing is eligible."""
-        if not self.eligible:
-            raise RoutingError(f"no executor covers ({self.task_id}, {self.phase})")
+        """Greedy with epsilon exploration."""
         if rng.random() < epsilon:
             return self.eligible[rng.randrange(len(self.eligible))]
-        return self.greedy  # type: ignore[return-value]
+        return self.greedy
 
 
 def executor_route(
     q_exec: UtilityTable, state: RoundState, task_id: str, phase: str
 ) -> Route:
+    """The pair's route; a pair that no executor covers is a `StateError`,
+    which `validate_state` rules out for the scenario's universe."""
     eligible = tuple(
         sorted(e.id for e in state.executors.values() if e.covers((task_id, phase)))
     )
-    greedy = min(
-        eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid), default=None
-    )
-    return Route(task_id, phase, eligible, greedy)
+    if not eligible:
+        raise StateError(f"no executor covers ({task_id}, {phase})")
+    greedy = min(eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid))
+    return Route(eligible, greedy)

@@ -36,7 +36,7 @@ from .model import (
 )
 from .numfmt import q12
 from .streams import StreamTape, check_stream_tape, episode_streams
-from .utility import Route, RoutingError, executor_route, rank_skills, skills_by_task
+from .utility import Route, executor_route, rank_skills, skills_by_task
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,6 @@ def success_terms(
     return _terms(latents, used, overload_excess(executor, library))
 
 
-def _check_routed(executor: Executor, pair: Pair) -> None:
-    if not executor.covers(pair):
-        raise RoutingError(f"executor {executor.id!r} routed outside its boundary {pair}")
-
-
 def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
     """logit = base difficulty
           + effects of latent procedures realized by some used skill
@@ -236,7 +231,8 @@ def ground_truth_success_prob(
     """Phase success probability under the additive-logit ground truth
     (`_success_prob`), recomputing its terms from the library."""
     pair = (task_id, phase)
-    _check_routed(executor, pair)
+    if not executor.covers(pair):
+        raise StateError(f"executor {executor.id!r} routed outside its boundary {pair}")
     terms = success_terms(scenario, library, pair, executor, used_skill_ids)
     return _success_prob(scenario, pair, terms)
 
@@ -293,7 +289,6 @@ _OBSERVATIONS = {
     for confident in (True, False)
 }
 _UNOBSERVED = _OBSERVATIONS[CauseLabel.UNKNOWN, False]
-_MISROUTED = _OBSERVATIONS[CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True]
 
 
 def _observe_cause(
@@ -309,8 +304,9 @@ class PhaseSlot:
     """What one executor does at one (task, phase) pair under a fixed state."""
 
     slice: ExecutorSlice
-    terms: SuccessTerms  # of the slice's invoked and pattern-supported skills
     success_prob: float
+    # the dominant deficit of the slice's invoked and pattern-supported skills
+    deficit: tuple[CauseLabel, float] | None
 
 
 class ExecutionTable:
@@ -318,9 +314,9 @@ class ExecutionTable:
 
     Every entry is a pure function of (state, scenario, config), which stay
     fixed while a batch executes, so an episode only makes its RNG draws and
-    looks the rest up.  A task's routes, phase slots and deficits are filled
-    on first use, so the order in which entries are filled cannot change any
-    result.
+    looks the rest up.  A task's routes and phase slots, each with its success
+    probability and dominant deficit, are filled on first use, so the order
+    in which entries are filled cannot change any result.
     Slots read indexes built on first use, once per table (each task's
     candidate skills, each pair's latents, each executor's overload excess,
     the manager id), and apply the rules that `select_skills`,
@@ -352,7 +348,6 @@ class ExecutionTable:
             itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
         )
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
-        self._deficits: dict[tuple[Pair, str], tuple[CauseLabel, float] | None] = {}
         self._excess: dict[str, int] = {}
         # id(task) -> (((pair, route), ...), progress values, trie root, task);
         # the value holds the task, so no id in a key is reused
@@ -422,7 +417,6 @@ class ExecutionTable:
             sid for sid in selected - invoked if set(library[sid].steps) <= realized_actions
         )
         used = invoked | pattern_supported
-        _check_routed(executor, pair)
         excess = self._excess.get(executor.id)
         if excess is None:
             excess = self._excess[executor.id] = overload_excess(executor, library)
@@ -431,39 +425,29 @@ class ExecutionTable:
         )
         return PhaseSlot(
             ExecutorSlice(executor.id, phase, selected, invoked, pattern_supported),
-            terms,
             _success_prob(self.scenario, pair, terms),
+            _deficit(self.scenario, terms),
         )
-
-    def deficit(self, pair: Pair, executor_id: str) -> tuple[CauseLabel, float] | None:
-        key = (pair, executor_id)
-        if key not in self._deficits:
-            self._deficits[key] = _deficit(self.scenario, self.slot(pair, executor_id).terms)
-        return self._deficits[key]
 
 
 def walk_episode(
     table: ExecutionTable, task_type: TaskType, rng: random.Random
-) -> tuple[tuple[ExecutorSlice, ...], float, tuple[Pair, str | None] | None]:
+) -> tuple[tuple[ExecutorSlice, ...], float, PhaseSlot | None]:
     """Make one episode's routing and success draws, up to its outcome.
 
     Phases run in order; each routes an executor (greedy, or with the
     table's exploration rate one drawn at random) and draws a Bernoulli
     success with the slot's probability.  The walk stops at the first phase
     that fails and returns the slices of the phases it routed, the progress
-    `q12(completed / phases)`, and how the episode ended: None when every
-    phase succeeded, else the (pair, executor id) that failed, the executor
-    None when no executor covers the pair.  `rng` is a `random.Random` or a
-    `streams.TapeCursor`: the walk only calls `random()` and
-    `randrange(n)`, here and in `Route.draw`.
+    `q12(completed / phases)`, and the slot that failed, or None when every
+    phase succeeded.  `rng` is a `random.Random` or a `streams.TapeCursor`:
+    the walk only calls `random()` and `randrange(n)`, here and in
+    `Route.draw`.
     """
     phases, progress, steps, _ = table.paths(task_type)
     slices: tuple[ExecutorSlice, ...] = ()
     for completed, (pair, route) in enumerate(phases):
-        try:
-            executor_id = route.draw(rng, table.epsilon)
-        except RoutingError:
-            return slices, progress[completed], (pair, None)
+        executor_id = route.draw(rng, table.epsilon)
         step = steps.get(executor_id)
         if step is None:
             slot = table.slot(pair, executor_id)
@@ -471,7 +455,7 @@ def walk_episode(
         slot, slices, steps = step
         if rng.random() < slot.success_prob:
             continue
-        return slices, progress[completed], (pair, executor_id)
+        return slices, progress[completed], slot
     return slices, progress[-1], None
 
 
@@ -483,18 +467,15 @@ def sample_episode(
     `walk_episode` makes the routing and success draws.  On failure the
     episode then draws its last value: the failing slot's dominant deficit
     is observed as the cause, confidently with the scenario's observation
-    probability; an episode that could not be routed observes a bad
-    executor assignment without a draw.  The trace carries the table's
-    shape for that ending (a success when nothing was observed), which went
-    through `TraceShape`'s checks when the table first met it.
+    probability.  The trace carries the table's shape for that ending (a
+    success when nothing was observed), which went through `TraceShape`'s
+    checks when the table first met it.
     """
     slices, progress, failed = walk_episode(table, task_type, rng)
     if failed is None:
         observation = None
-    elif failed[1] is None:  # no executor covers the pair
-        observation = _MISROUTED
     else:
-        observation = _observe_cause(table.deficit(*failed), rng, table.scenario.cause_confidence)
+        observation = _observe_cause(failed.deficit, rng, table.scenario.cause_confidence)
     key = (id(task_type), id(slices), progress, id(observation))
     shape = table.shapes.get(key)
     if shape is None:

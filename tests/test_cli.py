@@ -397,6 +397,20 @@ class TestRunDirValidation:
         self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
                                 capsys, "'round'", "[0, 3]")
 
+    def test_checkpoint_must_agree_with_the_trajectory(self, run_dir, capsys):
+        # a consistent round and snapshot, but not the run's checkpoint round
+        trajectory = run_dir / "trajectory.json"
+        best = json.loads(trajectory.read_text(encoding="utf-8"))["checkpoint"]["round"]
+        other = 0 if best else 1
+        checkpoint = run_dir / "checkpoint.json"
+        _rewrite_json(checkpoint, lambda c: {
+            **c, "round": other, "snapshot": f"snapshots/state_r{other:03d}.txt",
+        })
+        self.assert_usage_error(["transplant", "--run", str(run_dir)], checkpoint,
+                                capsys, f"'round' {other}", str(trajectory),
+                                f"'checkpoint.round' {best}")
+        assert not (run_dir / "transplant.json").exists()
+
     @pytest.mark.parametrize("command", ["transplant", "replay"])
     def test_manifest_may_not_name_a_scenario_outside_the_run(self, run_dir, capsys, command):
         other = run_dir.parent / "other.scn"

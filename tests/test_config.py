@@ -64,6 +64,24 @@ def test_values_of_the_wrong_type_rejected(values, expected):
         config_from_mapping(values)
 
 
+@pytest.mark.parametrize(
+    "name, value, expected",
+    [
+        ("episodes_per_round", 0, "episodes_per_round must be at least 1"),
+        ("top_k", 0, "top_k must be at least 1"),
+        ("default_capacity", 0, "default_capacity must be at least 1"),
+        ("cluster_threshold", 0.0, r"cluster_threshold must be in \(0, 1\]"),
+        ("routing_noise", 1.5, r"routing_noise must be null or in \[0, 1\]"),
+    ],
+)
+def test_direct_construction_checks_ranges(name, value, expected):
+    # a config built in code, not read from a file, holds the same ranges
+    with pytest.raises(ValueError, match=expected):
+        EngineConfig(**{name: value})
+    with pytest.raises(ValueError, match=expected):
+        EngineConfig().replace(**{name: value})
+
+
 def test_range_edges_accepted():
     config = config_from_mapping(
         {"top_k": 1, "cluster_threshold": 1, "routing_noise": 1.0, "default_capacity": 1}

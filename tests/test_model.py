@@ -131,15 +131,18 @@ class TestClustering:
         assert clusters == brute_force_single_linkage(skills, 0.5)
 
 
+UNIVERSE = frozenset({("t1", "p1"), ("t1", "p2")})  # make_state's default task
+
+
 class TestStateValidation:
     def test_valid_state_passes(self):
         state = make_state([make_skill("a")])
-        validate_state(state, frozenset({("t1", "p1"), ("t1", "p2")}))
+        validate_state(state, UNIVERSE)
 
     def test_orphan_owner_rejected(self):
         state = make_state([make_skill("a", owner="ghost")])
         with pytest.raises(StateError, match="orphan owner"):
-            validate_state(state)
+            validate_state(state, UNIVERSE)
 
     def test_duplicate_ownership_rejected(self):
         skill = make_skill("a", owner="worker")
@@ -156,12 +159,12 @@ class TestStateValidation:
             pool={},
         )
         with pytest.raises(StateError, match="owned by both"):
-            validate_state(state)
+            validate_state(state, universe)
 
     def test_pooled_skill_missing_from_pool_rejected(self):
         state = make_state([make_skill("a", status=SkillStatus.POOLED)])
         with pytest.raises(StateError, match="absent from pool"):
-            validate_state(state)
+            validate_state(state, UNIVERSE)
 
     def test_missing_manager_rejected(self):
         universe = frozenset({("t1", "p1")})
@@ -174,7 +177,7 @@ class TestStateValidation:
             pool={},
         )
         with pytest.raises(StateError, match="manager"):
-            validate_state(state)
+            validate_state(state, universe)
 
     def test_manager_coverage_checked_against_universe(self):
         state = make_state([], tasks=(TaskType("t1", ("p1",)),))
@@ -185,7 +188,7 @@ class TestStateValidation:
     def test_utility_out_of_range_rejected(self):
         state = make_state([], q_skill=UtilityTable({("a", "t1"): (1.5, 1)}))
         with pytest.raises(StateError, match="out of"):
-            validate_state(state)
+            validate_state(state, UNIVERSE)
 
 
 class TestOwnershipEdits:
@@ -205,7 +208,7 @@ class TestOwnershipEdits:
         pruned = dataclasses.replace(lib["b"], status=SkillStatus.PRUNED)
         place_skill(lib, execs, pruned)  # a prune leaves the owned set
         assert lib["b"] is pruned and execs["manager"].owned_skills == {"a"}
-        validate_state(RoundState(1, lib, execs, UtilityTable(), UtilityTable(), {}))
+        validate_state(RoundState(1, lib, execs, UtilityTable(), UtilityTable(), {}), UNIVERSE)
         # the inputs were fresh copies: the state itself is untouched
         assert state.executors["worker"].owned_skills == {"a"}
 

@@ -72,9 +72,8 @@ def test_same_path_shares_one_slices_object(world_seed, n_episodes):
             by_cause.setdefault(obs, set()).add(id(obs))
     assert all(len(ids) == 1 for ids in by_path.values())
     assert all(len(ids) == 1 for ids in by_cause.values())
-    # distinct non-empty paths are distinct objects
-    nonempty = {slices: ids for (_, slices), ids in by_path.items() if slices}
-    assert len({i for ids in nonempty.values() for i in ids}) == len(nonempty)
+    # distinct paths are distinct objects
+    assert len({i for ids in by_path.values() for i in ids}) == len(by_path)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,30 +108,20 @@ def test_log_bytes_do_not_depend_on_sharing(world_seed, n_episodes):
 
 
 def test_random_worlds_cover_the_path_cases():
-    """Multi-phase successes, failures after a routed prefix, and routing
-    failures both at the first phase and after one."""
+    """Multi-phase successes and failures after a routed prefix."""
     seen = set()
     for world_seed in range(300):
         _, _, _, _, traces = executed(world_seed, 60)
         for trace in traces:
             shape = trace.shape
-            n = len(shape.task_type.phases)
-            routed = len(shape.slices)
             if shape.outcome == 1:
-                if n > 1:
+                if len(shape.task_type.phases) > 1:
                     seen.add("multi-phase success")
-            elif routed == round(shape.progress * n):  # no slice for the failing phase
-                seen.add("routing failure after a prefix" if routed else "routing failure")
-            elif routed > 1:
+            elif len(shape.slices) > 1:
                 seen.add("failure after a prefix")
-        if len(seen) == 4:
+        if len(seen) == 2:
             break
-    assert seen == {
-        "multi-phase success",
-        "routing failure",
-        "routing failure after a prefix",
-        "failure after a prefix",
-    }
+    assert seen == {"multi-phase success", "failure after a prefix"}
 
 
 def shape_record(trace):

@@ -86,14 +86,17 @@ def artifact(mass=4, executors=(("worker", 0.3, 8),), handoff=True,
 class TestDecide:
     def test_empty_artifacts_keep(self):
         state = make_state([])
-        decision = decide_restructure([], state.executors, UtilityTable(), CONFIG)
+        decision = decide_restructure(
+            [], state.executors, UtilityTable(), CONFIG, round_index=0, library=state.library
+        )
         assert decision.action == "keep"
         assert decision.evidence == {}
 
     def test_add_specialist_predicate(self):
         state = make_state([])
         decision = decide_restructure(
-            [artifact()], state.executors, UtilityTable(), CONFIG, round_index=3,
+            [artifact()], state.executors, UtilityTable(), CONFIG,
+            round_index=3, library=state.library,
         )
         assert decision.action == "add"
         assert decision.subjects == ("exec-t1-r3",)
@@ -103,7 +106,8 @@ class TestDecide:
     def test_add_requires_handoff(self):
         state = make_state([])
         decision = decide_restructure(
-            [artifact(handoff=False)], state.executors, UtilityTable(), CONFIG
+            [artifact(handoff=False)], state.executors, UtilityTable(), CONFIG,
+            round_index=0, library=state.library,
         )
         assert decision.action == "keep"
 
@@ -112,7 +116,10 @@ class TestDecide:
         strong = artifact(executors=(("worker", 0.3, 8), ("manager", 0.7, 9)))
         thin = artifact(executors=(("worker", 0.3, 2),))
         for art in (strong, thin):
-            decision = decide_restructure([art], state.executors, UtilityTable(), CONFIG)
+            decision = decide_restructure(
+                [art], state.executors, UtilityTable(), CONFIG,
+                round_index=0, library=state.library,
+            )
             assert decision.action == "keep"
 
     def test_merge_remove_predicate(self):
@@ -129,7 +136,7 @@ class TestDecide:
         )
         q = UtilityTable({("wa", "t1"): (0.62, 9), ("wb", "t1"): (0.57, 7)})
         decision = decide_restructure([], state.executors, q, CONFIG,
-                                      library=state.library)
+                                      round_index=0, library=state.library)
         assert decision.action == "merge-remove"
         assert decision.subjects == ("wa", "wb")
         assert evidence_holds(decision)
@@ -148,7 +155,7 @@ class TestDecide:
         )
         q = UtilityTable({("wa", "t1"): (0.9, 9), ("wb", "t1"): (0.5, 7)})
         decision = decide_restructure([], state.executors, q, CONFIG,
-                                      library=state.library)
+                                      round_index=0, library=state.library)
         assert decision.action == "keep"
 
     def test_modify_predicate(self):
@@ -164,7 +171,7 @@ class TestDecide:
         )
         q = UtilityTable({("worker", "t1"): (0.2, 6)})
         decision = decide_restructure([], state.executors, q, CONFIG,
-                                      library=state.library)
+                                      round_index=0, library=state.library)
         assert decision.action == "modify"
         assert decision.subjects == ("worker",)
         assert decision.new_boundary == frozenset({("t2", "p1")})
@@ -186,7 +193,7 @@ class TestDecide:
         q = UtilityTable({("wa", "t1"): (0.45, 9), ("wb", "t1"): (0.44, 7)})
         decision = decide_restructure(
             [artifact(executors=(("wa", 0.45, 9), ("wb", 0.44, 7)))],
-            state.executors, q, CONFIG, library=state.library,
+            state.executors, q, CONFIG, round_index=0, library=state.library,
         )
         assert decision.action == "add"
 
@@ -318,23 +325,11 @@ class TestEvidence:
         with pytest.raises(StateError):
             RestructureDecision(action="add", subjects=("x",))
 
-    def test_routing_void_points_at_unattempted_phase(self):
-        # every attempted phase succeeded but the next one had no executor:
-        # the failing region is the unroutable phase, not the last slice
-        trace = EpisodeTrace("e0", TraceShape(
-            TASK,
-            (ExecutorSlice("worker", "p1", frozenset(), frozenset(), frozenset()),),
-            0, 0.5, CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True),
-        ))
-        rt = RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
-        out = build_artifacts([rt], UtilityTable(), SkillDelta())
-        assert out[0].failing_pairs == (("t1", "p2"),)
-        assert out[0].handoff_present
-
     def test_add_and_merge_evidence_reevaluation(self):
         state = make_state([])
         decision = decide_restructure(
-            [artifact()], state.executors, UtilityTable(), CONFIG
+            [artifact()], state.executors, UtilityTable(), CONFIG,
+            round_index=0, library=state.library,
         )
         assert evidence_holds(decision)
         weakened = RestructureDecision(

@@ -25,7 +25,6 @@ from skillmas.evolution import (
 from skillmas.model import (
     BoundedTag,
     CauseLabel,
-    CauseObservation,
     EpisodeTrace,
     Executor,
     ExecutorSlice,
@@ -46,12 +45,7 @@ from skillmas.restructure import RestructureDecision
 from skillmas.retention import retain
 from skillmas.store import parse_scenario, serialize_state, trace_to_record
 from skillmas.streams import substream
-from skillmas.utility import (
-    RoutingError,
-    executor_route,
-    select_skills,
-    used_skills,
-)
+from skillmas.utility import executor_route, select_skills, used_skills
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
@@ -85,13 +79,9 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config):
     observation = None
     for phase in task_type.phases:
         pair = (task_type.id, phase)
-        try:
-            executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
-                rng, epsilon
-            )
-        except RoutingError:
-            observation = CauseObservation(CauseLabel.BAD_EXECUTOR_ASSIGNMENT, True)
-            break
+        executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
+            rng, epsilon
+        )
         executor = state.executors[executor_id]
         selected = frozenset(
             select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)
@@ -146,10 +136,10 @@ def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix):
 
 def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig]:
     """A random world and state with pruned tombstones, pooled skills,
-    several executors, and pairs that no worker (sometimes no executor at
-    all) covers.  Skills may apply to pairs of several tasks and repeat a
-    latent marker step, pairs may have several latents, and executors may
-    still list pruned skills and ids absent from the library as owned."""
+    several executors, and pairs that only the manager covers.  Skills may
+    apply to pairs of several tasks and repeat a latent marker step, pairs
+    may have several latents, and executors may still list pruned skills and
+    ids absent from the library as owned."""
     tasks = [
         TaskType(f"task{t}", tuple(f"p{i}" for i in range(rng.randint(1, 3))))
         for t in range(rng.randint(1, 4))
@@ -172,10 +162,7 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
         cause_confidence=rng.uniform(0.5, 1.0),
     )
 
-    manager_boundary = (
-        universe if rng.random() < 0.7 else rng.sample(universe, rng.randint(1, len(universe)))
-    )
-    boundaries = {"manager": frozenset(manager_boundary)}
+    boundaries = {"manager": frozenset(universe)}
     for w in range(rng.randint(1, 3)):
         boundaries[f"worker{w}"] = frozenset(
             rng.sample(universe, rng.randint(1, len(universe)))
@@ -366,7 +353,11 @@ def test_random_world_covers_the_index_cases():
         pairs = Counter(l.applicability for l in scenario.latent_catalog)
         if any(n > 1 for n in pairs.values()):
             seen["pair with several latents"] += 1
+        workers = [e for e in state.executors.values() if not e.is_manager]
+        if any(not any(w.covers(pair) for w in workers) for pair in scenario.universe()):
+            seen["pair only the manager covers"] += 1
     assert set(seen) == {
+        "pair only the manager covers",
         "owns an absent id",
         "owns a pruned skill",
         "skill spans several tasks",
@@ -412,7 +403,6 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
     scans_after = []
     for pair, executor_id in keys:
         table.slot(pair, executor_id)
-        table.deficit(pair, executor_id)
         scans_after.append(library.scans)
     assert len(keys) >= 2 * 96
     assert scans_after[0] == scans_after[-1] == 1
@@ -431,7 +421,7 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
         assert slot.success_prob == ground_truth_success_prob(
             pack.scenario, state.library, *pair, executor, sorted(used)
         )
-        assert table.deficit(pair, executor_id) == _dominant_deficit(
+        assert slot.deficit == _dominant_deficit(
             pack.scenario, state.library, executor, *pair, used
         )
 

@@ -44,7 +44,6 @@ from skillmas.orchestrator import collect_proposals
 from skillmas.restructure import (
     DiagnosticArtifact,
     ExecutorEvidence,
-    _failing_pair,
     build_artifacts,
 )
 from skillmas.retention import RetainedTrace, RetentionCategory, retain
@@ -163,9 +162,8 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
     artifacts = []
     for task_id in sorted(failures):
         family = failures[task_id]
-        implicated_ids = sorted(
-            {rt.trace.shape.slices[-1].executor for rt in family if rt.trace.shape.slices}
-        )
+        last = [rt.trace.shape.slices[-1] for rt in family if rt.trace.shape.slices]
+        implicated_ids = sorted({sl.executor for sl in last})
         implicated = tuple(
             ExecutorEvidence(eid, q12(q_exec_plus.value(eid, task_id)), q_exec_plus.count(eid, task_id))
             for eid in implicated_ids
@@ -175,9 +173,7 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
                 task_type=task_id,
                 failure_mass=sum(1 for rt in family if rt.trace.episode_id not in addressed),
                 implicated_executors=implicated,
-                failing_pairs=tuple(
-                    sorted({p for rt in family if (p := _failing_pair(rt.trace.shape)) is not None})
-                ),
+                failing_pairs=tuple(sorted({(task_id, sl.phase) for sl in last})),
                 handoff_present=any(
                     diagnose(rt).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
                 ),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillmas.config import EngineConfig
-from skillmas.model import CauseLabel, Executor, SkillStatus, TaskType
+from skillmas.model import CauseLabel, Executor, SkillStatus, StateError, TaskType
 from skillmas.numfmt import q12
 from skillmas.store import serialize_state, trace_to_record
-from skillmas.utility import RoutingError
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
     exec_round,
+    exec_shared,
     ground_truth_success_prob,
     logistic,
     motif_skill,
@@ -91,7 +92,7 @@ class TestGroundTruth:
     def test_boundary_violation_is_routing_error(self):
         scenario = make_scenario()
         executor = Executor("e1", frozenset({("t1", "p1")}))
-        with pytest.raises(RoutingError):
+        with pytest.raises(StateError, match="outside its boundary"):
             ground_truth_success_prob(scenario, {}, "t1", "p2", executor, [])
 
     @given(st.data())
@@ -176,38 +177,18 @@ class TestSampleEpisode:
         blob_b = json.dumps([trace_to_record(t) for t in second], sort_keys=True)
         assert blob_a == blob_b
 
-    def test_no_eligible_executor_fails_with_bad_assignment(self):
-        scenario = make_scenario()
-        state = make_state([])
+    def test_no_eligible_executor_is_a_state_error(self):
         # bypass validation: shrink every boundary away from p2
-        broken = {
-            eid: Executor(eid, frozenset({("t1", "p1")}), e.owned_skills, e.capacity, e.is_manager)
-            for eid, e in state.executors.items()
-        }
         state = make_state([])
-        state = type(state)(
-            round_index=0,
-            library={},
-            executors=broken,
-            q_skill=state.q_skill,
-            q_exec=state.q_exec,
-            pool={},
-        )
-        scenario = make_scenario(base={("t1", "p1"): 50.0})
-        table = ExecutionTable(state, scenario, EngineConfig())
-        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
-        assert trace.shape.outcome == 0
-        obs = trace.shape.latent_cause_observation
-        assert obs is not None
-        assert obs.cause is CauseLabel.BAD_EXECUTOR_ASSIGNMENT
-        assert obs.confident
-        # the walk names the pair it could not route, after the routed phases
-        slices, progress, failed = walk_episode(
-            table, scenario.task_types[0], random.Random(0)
-        )
-        assert failed == (("t1", "p2"), None)
-        assert slices is trace.shape.slices and [sl.phase for sl in slices] == ["p1"]
-        assert progress == trace.shape.progress == 0.5
+        state = dataclasses.replace(state, executors={
+            eid: dataclasses.replace(e, boundary=frozenset({("t1", "p1")}))
+            for eid, e in state.executors.items()
+        })
+        scenario = make_scenario()
+        with pytest.raises(StateError, match=r"no executor covers \(t1, p2\)"):
+            exec_round(state, scenario, 5, 0, EngineConfig())
+        with pytest.raises(StateError, match=r"no executor covers \(t1, p2\)"):
+            list(exec_shared([make_state([]), state], scenario, 5, 0, EngineConfig()))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 2**32 - 1))
@@ -223,15 +204,14 @@ class TestSampleEpisode:
             assert shape.slices is slices and shape.progress == progress
             assert shape.outcome == (failed is None)
             # phases completed: those routed, less the one that failed
-            completed = len(slices) - (failed is not None and failed[1] is not None)
+            completed = len(slices) - (failed is not None)
             assert progress == q12(completed / len(task.phases))
             if failed is None:
                 assert shape.latent_cause_observation is None
             else:
-                pair, executor_id = failed
-                assert executor_id == slices[-1].executor
-                assert pair == (task.id, slices[-1].phase)
-                deficit = table.deficit(pair, executor_id)
+                assert failed.slice is slices[-1]
+                assert failed is table.slot((task.id, slices[-1].phase), slices[-1].executor)
+                deficit = failed.deficit
                 # the observation is drawn only when a deficit exists
                 if deficit is not None and walked.random() < scenario.cause_confidence:
                     expected = (deficit[0], True)
