@@ -49,6 +49,11 @@ WIDE_SHA256 = "d50f566c37c38d780cd0633ec5453c90fda8e568a6e00ff7e3565411f91e1531"
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
 RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
 
+# the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
+# failures count towards repeats, so rounds 1-3 retain 136/130/97
+# repeated failures where the default run retains 135/129/96
+CROSS_ROUND_RUN_DIR_SHA256 = "96c89410a58e25d59ef4ed350fbfbfd9f542a21abc6ddcf4fc39e7ad60915628"
+
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
 # of every state X_0 .. X_R, and one over the four transplant variants of
@@ -169,6 +174,20 @@ def test_run_directory_digest(tmp_path):
     )
     assert code == 0
     assert dir_digest(out) == RUN_DIR_SHA256
+
+
+def test_cross_round_run_directory_digest(tmp_path, capsys):
+    config = tmp_path / "cross-round.json"
+    config.write_text('{"cross-round-repeats": true}\n')
+    out = tmp_path / "run"
+    code = main(
+        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
+         "--episodes", "200", "--config", str(config), "--out", str(out), "--quiet"]
+    )
+    assert code == 0
+    assert dir_digest(out) == CROSS_ROUND_RUN_DIR_SHA256
+    assert main(["replay", "--run", str(out)]) == 0
+    assert "replay clean" in capsys.readouterr().out
 
 
 def test_transplant_digest(tmp_path):
