@@ -9,24 +9,26 @@ promise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator, NoReturn
 
 from .config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
 from .orchestrator import (
-    ExperimentResult,
     canonical_json,
     evaluate_transplants,
+    experiment_rounds,
     family_rows,
     family_tally,
     render_breakdown,
     render_comparison,
     render_trajectory,
-    run_experiment,
+    trajectory_report,
 )
 from .presets import load_preset
 from .store import (
@@ -90,50 +92,76 @@ def _snapshot_name(round_index: int) -> str:
     return f"snapshots/state_r{round_index:03d}.txt"
 
 
-def run_artifacts(
+TRACE_LOG = "traces.jsonl"
+
+
+def artifact_pieces(
     pack: ScenarioPack, seed: int, rounds: int, config: EngineConfig
-) -> tuple[dict[str, str], ExperimentResult]:
-    """Produce every run artifact as path -> text; shared by run and replay."""
-    result = run_experiment(pack.scenario, pack.seed_state, seed, rounds, config)
-    trajectory = result.report.to_dict()
-    artifacts: dict[str, str] = {}
-    artifacts["trajectory.json"] = canonical_json(trajectory)
-    artifacts["trajectory.txt"] = render_trajectory(trajectory)
-    artifacts["checkpoint.json"] = canonical_json(
+) -> Iterator[tuple[str, str]]:
+    """Every run artifact as (path in the run directory, text), round by
+    round as the rounds end; shared by run and replay.
+
+    Each piece is a whole file except the trace log's: each round's lines
+    are one piece, and the log is their concatenation.  Every piece ends
+    with a newline.  The order is `snapshots/state_r000.txt`, then per
+    round its log lines and the snapshot of the state it produced, then
+    `trajectory.json`, `trajectory.txt` and `checkpoint.json`.
+    """
+    yield _snapshot_name(0), serialize_state(pack.seed_state)
+    reports = []
+    for state, report, traces in experiment_rounds(
+        pack.scenario, pack.seed_state, seed, rounds, config
+    ):
+        reports.append(report)
+        yield TRACE_LOG, encode_trace_log(traces)
+        del traces  # the next round runs without this one's traces
+        yield _snapshot_name(state.round_index), serialize_state(state)
+    report = trajectory_report(pack.scenario, seed, reports)
+    trajectory = report.to_dict()
+    yield "trajectory.json", canonical_json(trajectory)
+    yield "trajectory.txt", render_trajectory(trajectory)
+    yield "checkpoint.json", canonical_json(
         {
-            "round": result.report.checkpoint_round,
-            "successes": result.report.rounds[result.report.checkpoint_round].successes,
-            "snapshot": _snapshot_name(result.report.checkpoint_round),
+            "round": report.checkpoint_round,
+            "successes": report.rounds[report.checkpoint_round].successes,
+            "snapshot": _snapshot_name(report.checkpoint_round),
         }
     )
-    for index, state in enumerate(result.states):
-        artifacts[_snapshot_name(index)] = serialize_state(state)
-    artifacts["traces.jsonl"] = encode_trace_log(
-        trace for batch in result.traces_by_round for trace in batch
-    )
-    return artifacts, result
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write one file of the CLI's output as UTF-8, creating its directory.
-    A path that cannot be written is a usage error naming it."""
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Every `OSError` inside is a usage error naming `path`: the one
+    error mapping of the CLI's writes."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        yield
     except OSError as exc:
         raise UsageError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one file of the CLI's output as UTF-8, creating its directory."""
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
 def _write_run_dir(
     out: Path, pack: ScenarioPack, seed: int, rounds: int, config: EngineConfig
-) -> ExperimentResult:
+) -> str:
+    """Run the experiment into `out`, writing each artifact as the round
+    that produces it ends; returns the trajectory table.
+
+    The trajectory files of an earlier run are removed first and written
+    last, so a run that stops early leaves its completed rounds' snapshots
+    and log lines and no trajectory.
+    """
     try:
         (out / "snapshots").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(
             f"{out}: cannot create the run directory: {exc.strerror or exc}"
         ) from None
-    artifacts, result = run_artifacts(pack, seed, rounds, config)
     _write_text(out / "scenario.scn", pack.text)
     _write_text(
         out / "run.json",
@@ -148,9 +176,20 @@ def _write_run_dir(
             }
         ),
     )
-    for rel, content in sorted(artifacts.items()):
-        _write_text(out / rel, content)
-    return result
+    for name in ("trajectory.json", "trajectory.txt", "checkpoint.json"):
+        with _writing(out / name):
+            (out / name).unlink(missing_ok=True)
+    log_path = out / TRACE_LOG
+    with _writing(log_path), log_path.open("w", encoding="utf-8") as log:
+        for rel, text in artifact_pieces(pack, seed, rounds, config):
+            if rel == TRACE_LOG:
+                log.write(text)
+                log.flush()  # a run that stops later keeps this round's lines
+            else:
+                _write_text(out / rel, text)
+            if rel == "trajectory.txt":
+                table = text
+    return table
 
 
 _JSON_TYPES = {
@@ -311,9 +350,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     pack = _load_pack(args.scenario)
     config = _load_config(pack, args, episodes_override=True)
     out = Path(args.out) if args.out else _default_out(pack.scenario.name, args.seed)
-    result = _write_run_dir(out, pack, args.seed, args.rounds, config)
+    table = _write_run_dir(out, pack, args.seed, args.rounds, config)
     if not args.quiet:
-        print(render_trajectory(result.report.to_dict()), end="")
+        print(table, end="")
         print(f"run directory: {out}")
     return 0
 
@@ -395,45 +434,117 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Divergence(Exception):
+    """A run directory differs from its re-execution; the message says where."""
+
+
+@contextmanager
+def _reading(rel: str) -> Iterator[None]:
+    """Every `OSError` inside is a replay divergence naming the artifact."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise _Divergence(
+            f"replay divergence: {rel} is missing from the run directory"
+        ) from None
+    except OSError as exc:
+        raise _Divergence(
+            f"replay divergence in {rel}: cannot read: {exc.strerror or exc}"
+        ) from None
+
+
+class _StoredArtifact:
+    """A stored file of a run directory, compared with its regenerated text
+    piece by piece, each piece at the byte offset where the last one ended."""
+
+    def __init__(self, run_dir: Path, rel: str) -> None:
+        self.rel = rel
+        self.handle = (run_dir / rel).open("rb")
+        self.at = 0  # bytes matched
+        self.lines = 0  # lines matched
+
+    def close(self) -> None:
+        self.handle.close()
+
+    def compare(self, text: str, later: Iterable[str] = ()) -> None:
+        """The next piece; `later` yields the file's pieces after it, drawn
+        only to count the expected lines of a file whose length differs."""
+        want = text.encode("utf-8")
+        if self.handle.read(len(want)) != want:
+            self._diverge(itertools.chain([text], later))
+        self.at += len(want)
+        self.lines += len(text.splitlines())  # the piece ends a line
+
+    def finish(self) -> None:
+        """After the file's last piece: nothing may follow it."""
+        if self.handle.read(1):
+            self._diverge(())
+
+    def _stored_lines(self) -> Iterator[str]:
+        """The stored lines from the first unmatched byte on, as
+        `str.splitlines` splits them."""
+        at = self.handle.seek(self.at)
+        while raw := self.handle.readline():
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _Divergence(
+                    f"replay divergence in {self.rel}: not UTF-8 "
+                    f"({exc.reason} at byte {at + exc.start})"
+                ) from None
+            at += len(raw)
+            yield from text.splitlines()
+
+    def _diverge(self, expected: Iterable[str]) -> NoReturn:
+        """Report the first line from the matched prefix on where the stored
+        and the expected text differ, or else their line counts."""
+        stored = self._stored_lines()
+        wanted = (line for text in expected for line in text.splitlines())
+        number = self.lines
+        for got, want in itertools.zip_longest(stored, wanted):
+            if got is None or want is None:
+                stored_count = number + (got is not None) + sum(1 for _ in stored)
+                expected_count = number + (want is not None) + sum(1 for _ in wanted)
+                break
+            number += 1
+            if got != want:
+                raise _Divergence(
+                    f"replay divergence in {self.rel} at line {number}:\n"
+                    f"  stored:   {got}\n"
+                    f"  expected: {want}"
+                )
+        else:
+            stored_count = expected_count = number
+        raise _Divergence(
+            f"replay divergence in {self.rel}: length mismatch "
+            f"({stored_count} stored vs {expected_count} expected lines)"
+        )
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
-    artifacts, _ = run_artifacts(pack, seed, rounds, config)
-    for rel in sorted(artifacts):
-        try:
-            stored = (run_dir / rel).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            print(f"replay divergence: {rel} is missing from the run directory")
-            return 1
-        except OSError as exc:
-            print(f"replay divergence in {rel}: cannot read: {exc.strerror or exc}")
-            return 1
-        except UnicodeDecodeError as exc:
-            print(
-                f"replay divergence in {rel}: not UTF-8 "
-                f"({exc.reason} at byte {exc.start})"
-            )
-            return 1
-        expected = artifacts[rel]
-        if stored != expected:
-            stored_lines = stored.splitlines()
-            expected_lines = expected.splitlines()
-            for number, (got, want) in enumerate(
-                zip(stored_lines, expected_lines), start=1
-            ):
-                if got != want:
-                    print(
-                        f"replay divergence in {rel} at line {number}:\n"
-                        f"  stored:   {got}\n"
-                        f"  expected: {want}"
-                    )
-                    return 1
-            print(
-                f"replay divergence in {rel}: length mismatch "
-                f"({len(stored_lines)} stored vs {len(expected_lines)} expected lines)"
-            )
-            return 1
-    print(f"replay clean: {len(artifacts)} artifacts match")
+    pieces = artifact_pieces(pack, seed, rounds, config)
+    compared: set[str] = set()
+    try:
+        with ExitStack() as stack:
+            log = None
+            for rel, text in pieces:
+                compared.add(rel)
+                with _reading(rel):
+                    if rel == TRACE_LOG:
+                        log = log or stack.enter_context(closing(_StoredArtifact(run_dir, rel)))
+                        log.compare(text, (t for r, t in pieces if r == TRACE_LOG))
+                        continue
+                    with closing(_StoredArtifact(run_dir, rel)) as stored:
+                        stored.compare(text)
+                        stored.finish()
+            with _reading(TRACE_LOG):
+                log.finish()  # every run has a round, so a log
+    except _Divergence as divergence:
+        print(divergence)
+        return 1
+    print(f"replay clean: {len(compared)} artifacts match")
     return 0
 
 

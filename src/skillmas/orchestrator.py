@@ -12,7 +12,7 @@ import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .config import EngineConfig
 from .evolution import (
@@ -129,7 +129,6 @@ class ExperimentResult:
 
     report: TrajectoryReport
     states: tuple[RoundState, ...]
-    traces_by_round: tuple[tuple[EpisodeTrace, ...], ...]
 
     @property
     def seed_state(self) -> RoundState:
@@ -365,35 +364,35 @@ def run_round(
     return next_state, report, traces
 
 
-def run_experiment(
+def experiment_rounds(
     scenario: Scenario,
     seed_state: RoundState,
     seed: int,
     rounds: int,
     config: EngineConfig,
-) -> ExperimentResult:
-    """Chain rounds from the scenario's seed state.
+) -> Iterator[tuple[RoundState, RoundReport, tuple[EpisodeTrace, ...]]]:
+    """Chain rounds from the scenario's seed state, yielding each round's
+    `run_round` result, (next state, report, traces), as the round ends.
 
-    The checkpoint is the round with the highest success count, earliest on
-    ties.  A round-level success drop arms the demotion penalty for the next
-    round's consolidation.
+    A round-level success drop arms the demotion penalty for the next
+    round's consolidation.  The chainer keeps no round's traces: with
+    `cross_round_repeats` on, it keeps only their per-(task, cause) failure
+    counts.
     """
     if rounds < 1:
         raise ValueError("an experiment needs at least one round")
     validate_state(seed_state, scenario.universe())
 
-    states = [seed_state]
-    reports: list[RoundReport] = []
-    all_traces: list[tuple[EpisodeTrace, ...]] = []
-    edits_by_round: list[frozenset[str]] = []
+    state = seed_state
+    successes: list[int] = []
+    last_edits: frozenset[str] = frozenset()
     failure_history: Counter[tuple[str, CauseLabel]] = Counter()
 
     for r in range(rounds):
-        drop = r >= 2 and reports[r - 1].successes < reports[r - 2].successes
-        last_edits = edits_by_round[r - 1] if r >= 1 else frozenset()
+        drop = r >= 2 and successes[r - 1] < successes[r - 2]
         prior = dict(failure_history) if config.cross_round_repeats and r > 0 else None
-        next_state, report, traces = run_round(
-            states[r],
+        state, report, traces = run_round(
+            state,
             scenario,
             config,
             derive_seed(seed, "round", r),
@@ -401,28 +400,50 @@ def run_experiment(
             last_round_edits=last_edits,
             prior_failure_counts=prior,
         )
-        states.append(next_state)
-        reports.append(report)
-        all_traces.append(traces)
-        edits_by_round.append(
-            frozenset(
-                sid
-                for action in report.skill_actions
-                if action["action"] in ("create", "refine", "hold-in-pool")
-                for sid in action["skills"]  # type: ignore[union-attr]
-            )
+        successes.append(report.successes)
+        last_edits = frozenset(
+            sid
+            for action in report.skill_actions
+            if action["action"] in ("create", "refine", "hold-in-pool")
+            for sid in action["skills"]  # type: ignore[union-attr]
         )
         if config.cross_round_repeats:
             failure_history.update(failure_counts(traces))
+        yield state, report, traces
+        del traces  # the next round runs without this one's traces
 
-    best = max(range(rounds), key=lambda r: (reports[r].successes, -r))
-    report = TrajectoryReport(
+
+def trajectory_report(
+    scenario: Scenario, seed: int, reports: Sequence[RoundReport]
+) -> TrajectoryReport:
+    """The trajectory of a run's round reports.  The checkpoint is the
+    round with the highest success count, earliest on ties."""
+    best = max(range(len(reports)), key=lambda r: (reports[r].successes, -r))
+    return TrajectoryReport(
         scenario=scenario.name,
         seed=seed,
         rounds=tuple(reports),
         checkpoint_round=best,
     )
-    return ExperimentResult(report, tuple(states), tuple(all_traces))
+
+
+def run_experiment(
+    scenario: Scenario,
+    seed_state: RoundState,
+    seed: int,
+    rounds: int,
+    config: EngineConfig,
+) -> ExperimentResult:
+    """Chain rounds from the scenario's seed state (`experiment_rounds`),
+    keeping every state and report but no trace."""
+    states = [seed_state]
+    reports: list[RoundReport] = []
+    for next_state, report, _ in experiment_rounds(
+        scenario, seed_state, seed, rounds, config
+    ):
+        states.append(next_state)
+        reports.append(report)
+    return ExperimentResult(trajectory_report(scenario, seed, reports), tuple(states))
 
 
 def _reowned(

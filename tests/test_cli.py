@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
+from skillmas import orchestrator
 from skillmas.cli import main
+from skillmas.model import StateError
 from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
 
@@ -192,6 +195,56 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "env-runs" / "tiny-3" / "trajectory.json").exists()
 
+    def test_interrupted_run_leaves_its_completed_rounds(self, tmp_path, monkeypatch, capsys):
+        def run(seed, rounds, out):
+            return main(["run", "--scenario", "preset:tiny", "--seed", str(seed),
+                         "--rounds", str(rounds), "--out", str(out), "--quiet"])
+
+        out, clean = tmp_path / "run", tmp_path / "clean"
+        assert run(5, 4, out) == 0  # a complete run of another seed
+        assert run(42, 2, clean) == 0
+        validate = orchestrator.validate_state
+
+        def fail_round_2(state, universe):
+            if state.round_index == 3:
+                raise StateError("round 2 fails")
+            validate(state, universe)
+
+        monkeypatch.setattr(orchestrator, "validate_state", fail_round_2)
+        assert run(42, 4, out) == 2
+        monkeypatch.undo()
+        for name in ("trajectory.json", "trajectory.txt", "checkpoint.json"):
+            assert not (out / name).exists()
+        for rel in ("snapshots/state_r000.txt", "snapshots/state_r001.txt",
+                    "snapshots/state_r002.txt", "traces.jsonl"):
+            assert (out / rel).read_bytes() == (clean / rel).read_bytes(), rel
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 2
+        assert "trajectory.json" in capsys.readouterr().err
+        # replay stops at the log, whose length it gives in whole-file lines
+        lines = len((clean / "traces.jsonl").read_text().splitlines())
+        assert main(["replay", "--run", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            f"replay divergence in traces.jsonl: length mismatch "
+            f"({lines} stored vs {2 * lines} expected lines)\n"
+        )
+
+    def test_peak_memory_holds_one_round(self, tmp_path):
+        def peak(rounds):
+            argv = ["run", "--scenario", "preset:mismatch", "--seed", "3", "--rounds",
+                    str(rounds), "--episodes", "200", "--out", str(tmp_path / f"r{rounds}"),
+                    "--quiet"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call set-up, such as the preset's parse, is not a round's
+        # the trajectory and the library still grow with the rounds: 1.4x here
+        assert peak(8) < 1.6 * peak(2)
+
 
 class TestReplay:
     def test_untouched_run_replays_clean(self, run_dir, capsys):
@@ -234,6 +287,21 @@ class TestReplay:
         assert main(["replay", "--run", str(run_dir)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("replay divergence in traces.jsonl: cannot read")
+
+    def test_line_ends_are_compared_byte_for_byte(self, run_dir, capsys):
+        table = run_dir / "trajectory.txt"
+        table.write_bytes(table.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["replay", "--run", str(run_dir)]) == 1
+        assert capsys.readouterr().out.startswith("replay divergence in trajectory.txt")
+
+    def test_first_divergence_is_in_the_earliest_round(self, run_dir, capsys):
+        with (run_dir / "snapshots" / "state_r003.txt").open("a") as handle:
+            handle.write("junk\n")
+        log = run_dir / "traces.jsonl"
+        first, rest = log.read_text().split("\n", 1)
+        log.write_text(first.replace('"episode":"', '"episode":"x', 1) + "\n" + rest)
+        assert main(["replay", "--run", str(run_dir)]) == 1
+        assert capsys.readouterr().out.startswith("replay divergence in traces.jsonl at line 1:")
 
     def test_byte_identical_across_runs(self, tmp_path):
         outs = []
@@ -656,9 +724,23 @@ def _transplant_json_directory(run_dir):
     return out, ["transplant", "--run", str(run_dir), "--episodes", "5"]
 
 
+def _run_over_a_directory(rel):
+    """Re-run into the `run_dir` fixture's directory with `rel` a directory."""
+    def spoil(run_dir):
+        out = run_dir / rel
+        _directory(out)
+        return out, ["run", "--scenario", "preset:tiny", "--seed", "42", "--rounds", "3",
+                     "--out", str(run_dir), "--quiet"]
+    return spoil
+
+
 @pytest.mark.parametrize(
-    "spoil", [_eval_out_directory, _eval_out_under_a_file, _transplant_json_directory],
-    ids=["eval-out-directory", "eval-out-under-a-file", "transplant-json-directory"],
+    "spoil",
+    [_eval_out_directory, _eval_out_under_a_file, _transplant_json_directory,
+     _run_over_a_directory("traces.jsonl"), _run_over_a_directory("snapshots/state_r001.txt"),
+     _run_over_a_directory("trajectory.json")],
+    ids=["eval-out-directory", "eval-out-under-a-file", "transplant-json-directory",
+         "run-log-directory", "run-snapshot-directory", "run-trajectory-directory"],
 )
 def test_unwritable_output_is_usage_error_naming_the_path(run_dir, capsys, spoil):
     out, argv = spoil(run_dir)
