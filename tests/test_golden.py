@@ -3,7 +3,8 @@
 Every value below was recorded from the engine before any speed work on the
 round pipeline, except OWNERSHIP_SHA256 and TRANSPLANT_SHA256, recorded
 before each rule that edits skill ownership got a single implementation, and
-EVAL_SHA256, recorded before `sample_episode` took only an execution table.
+EVAL_SHA256, recorded before `sample_episode` took only an execution table,
+and MERGE_SHA256, recorded before the per-call references left the engine.
 A change that is meant to be a pure optimisation must leave
 all of them unchanged; a change that alters behaviour on purpose must say so
 and re-record them.
@@ -12,10 +13,12 @@ and re-record them.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
-from skillmas import load_preset, run_experiment
+from conftest import random_scenario
+from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
 from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
 from skillmas.presets import PRESETS
@@ -71,6 +74,16 @@ OWNERSHIP_SHA256 = {
         "97c6bffa10a7108a654d8f732f433fb0e9d41b52f29d4743e2b16f653031a129",
     ),
 }
+
+# a run whose round 6 fires `merge-remove` (no preset or wide world does):
+# `conftest.random_scenario(random.Random(136))`, engine seed 136, 60 episodes
+# x 8 rounds.  `worker0` absorbs `worker1` with skill overlap 0.6 and utility
+# gaps 0.074 and 0.067 against a merge gap of 0.1.  The report, then one
+# digest over `serialize_state` of every state X_0 .. X_8.
+MERGE_SHA256 = (
+    "3e1667ec262c2ca5d4135c60076d875d7269803ae2e53baa00b4c6f0ebd8bbe2",
+    "a6ebbdc06c0b6c71c41a6cf01e666b31cee42e82b6db25c9b9a35c12645043ef",
+)
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
 TRANSPLANT_SHA256 = "0627094a9e19038f8cb3a1bf90220ffeb6398624b249312a169e7f1eef6d3bb2"
@@ -164,6 +177,19 @@ def test_ownership_edits_hash(scenario, seed, rounds):
         states_digest(result.states),
         states_digest(variants[label] for label in TRANSPLANT_ROWS),
     ) == OWNERSHIP_SHA256[(scenario, seed, rounds)]
+
+
+def test_merge_remove_hash():
+    scenario, seed_state = random_scenario(random.Random(136))
+    result = run_experiment(scenario, seed_state, 136, 8, EngineConfig(episodes_per_round=60))
+    actions = [r.restructure["action"] for r in result.report.rounds]
+    assert actions == ["keep", "add", "keep", "keep", "keep", "keep", "merge-remove", "keep"]
+    merge = result.report.rounds[6].restructure["evidence"]
+    assert (merge["survivor"], merge["removed"]) == ("worker0", "worker1")
+    assert (
+        sha256_text(result.report.to_json()),
+        states_digest(result.states),
+    ) == MERGE_SHA256
 
 
 def test_run_directory_digest(tmp_path):
