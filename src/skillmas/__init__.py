@@ -26,7 +26,6 @@ from .orchestrator import (
     TrajectoryReport,
     run_experiment,
     run_round,
-    task_family_breakdown,
     transplant_stress_test,
 )
 from .presets import load_preset
@@ -65,7 +64,6 @@ __all__ = [
     "run_round",
     "sample_episode",
     "skill_similarity",
-    "task_family_breakdown",
     "transplant_stress_test",
     "validate_state",
     "__version__",

@@ -9,13 +9,13 @@ promise.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
+import re
 import sys
 from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NoReturn
+from typing import Any, Iterator, NoReturn
 
 from .config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
@@ -93,6 +93,7 @@ def _snapshot_name(round_index: int) -> str:
 
 
 TRACE_LOG = "traces.jsonl"
+_SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 
 
 def artifact_pieces(
@@ -152,9 +153,10 @@ def _write_run_dir(
     """Run the experiment into `out`, writing each artifact as the round
     that produces it ends; returns the trajectory table.
 
-    The trajectory files of an earlier run are removed first and written
-    last, so a run that stops early leaves its completed rounds' snapshots
-    and log lines and no trajectory.
+    What an earlier run left is removed first: its snapshots, trajectory
+    files and `transplant.*` files.  The trajectory files are written last,
+    so a run that stops early leaves its completed rounds' snapshots and log
+    lines and no trajectory.
     """
     try:
         (out / "snapshots").mkdir(parents=True, exist_ok=True)
@@ -176,9 +178,16 @@ def _write_run_dir(
             }
         ),
     )
-    for name in ("trajectory.json", "trajectory.txt", "checkpoint.json"):
-        with _writing(out / name):
-            (out / name).unlink(missing_ok=True)
+    stale = [
+        out / name
+        for name in ("trajectory.json", "trajectory.txt", "checkpoint.json",
+                     "transplant.json", "transplant.txt")
+    ]
+    with _writing(out / "snapshots"):
+        stale += (p for p in (out / "snapshots").iterdir() if _SNAPSHOT.fullmatch(p.name))
+    for path in stale:
+        with _writing(path):
+            path.unlink(missing_ok=True)
     log_path = out / TRACE_LOG
     with _writing(log_path), log_path.open("w", encoding="utf-8") as log:
         for rel, text in artifact_pieces(pack, seed, rounds, config):
@@ -461,64 +470,51 @@ class _StoredArtifact:
         self.rel = rel
         self.handle = (run_dir / rel).open("rb")
         self.at = 0  # bytes matched
-        self.lines = 0  # lines matched
 
     def close(self) -> None:
         self.handle.close()
 
-    def compare(self, text: str, later: Iterable[str] = ()) -> None:
-        """The next piece; `later` yields the file's pieces after it, drawn
-        only to count the expected lines of a file whose length differs."""
+    def compare(self, text: str) -> None:
+        """The next piece."""
         want = text.encode("utf-8")
-        if self.handle.read(len(want)) != want:
-            self._diverge(itertools.chain([text], later))
+        got = self.handle.read(len(want))
+        if got != want:
+            self._diverge(got, want)
         self.at += len(want)
-        self.lines += len(text.splitlines())  # the piece ends a line
 
     def finish(self) -> None:
         """After the file's last piece: nothing may follow it."""
-        if self.handle.read(1):
-            self._diverge(())
+        if got := self.handle.read(1):
+            self._diverge(got, b"")
 
-    def _stored_lines(self) -> Iterator[str]:
-        """The stored lines from the first unmatched byte on, as
-        `str.splitlines` splits them."""
-        at = self.handle.seek(self.at)
-        while raw := self.handle.readline():
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _Divergence(
-                    f"replay divergence in {self.rel}: not UTF-8 "
-                    f"({exc.reason} at byte {at + exc.start})"
-                ) from None
-            at += len(raw)
-            yield from text.splitlines()
-
-    def _diverge(self, expected: Iterable[str]) -> NoReturn:
-        """Report the first line from the matched prefix on where the stored
-        and the expected text differ, or else their line counts."""
-        stored = self._stored_lines()
-        wanted = (line for text in expected for line in text.splitlines())
-        number = self.lines
-        for got, want in itertools.zip_longest(stored, wanted):
-            if got is None or want is None:
-                stored_count = number + (got is not None) + sum(1 for _ in stored)
-                expected_count = number + (want is not None) + sum(1 for _ in wanted)
-                break
-            number += 1
-            if got != want:
-                raise _Divergence(
-                    f"replay divergence in {self.rel} at line {number}:\n"
-                    f"  stored:   {got}\n"
-                    f"  expected: {want}"
-                )
-        else:
-            stored_count = expected_count = number
-        raise _Divergence(
-            f"replay divergence in {self.rel}: length mismatch "
-            f"({stored_count} stored vs {expected_count} expected lines)"
+    def _diverge(self, got: bytes, want: bytes) -> NoReturn:
+        """Report the first byte where the stored bytes `got` and the expected
+        bytes `want`, both read from the matched prefix on, differ (a file
+        that ends early differs at its length), with each side's line that
+        holds it."""
+        offset = next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
         )
+        byte = self.at + offset
+        self.handle.seek(0)
+        head = self.handle.read(byte)  # the same on both sides
+        line = head.count(b"\n") + 1
+        start = head[head.rfind(b"\n") + 1 :]
+        stored = self.handle.readline()
+        expected = b"".join(want[offset:].partition(b"\n")[:2])
+        raise _Divergence(
+            f"replay divergence in {self.rel} at line {line}: byte {byte}\n"
+            f"  stored:   {_shown_line(start, stored)}\n"
+            f"  expected: {_shown_line(start, expected)}"
+        )
+
+
+def _shown_line(start: bytes, rest: bytes) -> str:
+    """A line whose bytes before the divergence are `start` and from it on
+    `rest`; no `rest` means the file ends there."""
+    if not rest:
+        return "(end of file)"
+    return repr((start + rest).decode("utf-8", "backslashreplace"))
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -534,7 +530,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 with _reading(rel):
                     if rel == TRACE_LOG:
                         log = log or stack.enter_context(closing(_StoredArtifact(run_dir, rel)))
-                        log.compare(text, (t for r, t in pieces if r == TRACE_LOG))
+                        log.compare(text)
                         continue
                     with closing(_StoredArtifact(run_dir, rel)) as stored:
                         stored.compare(text)

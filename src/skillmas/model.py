@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Pair = tuple[str, str]
 """A (task type id, phase id) coordinate in the routing space."""
@@ -116,9 +116,6 @@ class Skill:
     def tokens(self) -> frozenset[str]:
         """Step and guard tokens, the basis of skill similarity."""
         return frozenset(self.steps) | self.guards
-
-    def applies_to_task(self, task_id: str) -> bool:
-        return any(pair[0] == task_id for pair in self.applicability)
 
     def applies_to(self, pair: Pair) -> bool:
         return pair in self.applicability
@@ -388,26 +385,18 @@ def skill_similarity(a: Skill, b: Skill) -> float:
 
 
 def cluster_skills(
-    library: Mapping[str, Skill] | Iterable[Skill],
-    task_type: str | None,
-    threshold: float = 0.5,
+    library: Mapping[str, Skill], threshold: float = 0.5
 ) -> list[tuple[str, ...]]:
-    """Single-linkage clusters of non-pruned skills under skill_similarity.
+    """Single-linkage clusters of the library's non-pruned skills under
+    skill_similarity.
 
-    With a task type, clustering is restricted to skills applicable to it;
-    with None it spans the whole library.  Clusters and their members are
-    in lexicographic id order, so the result is order-independent.
+    Clusters and their members are in lexicographic id order, so the result
+    is order-independent.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("clustering threshold must be in (0, 1]")
-    skills = library.values() if isinstance(library, Mapping) else library
     members = sorted(
-        (
-            s
-            for s in skills
-            if s.status is not SkillStatus.PRUNED
-            and (task_type is None or s.applies_to_task(task_type))
-        ),
+        (s for s in library.values() if s.status is not SkillStatus.PRUNED),
         key=lambda s: s.id,
     )
     parent = {s.id: s.id for s in members}
@@ -440,6 +429,6 @@ def cluster_key_map(
     """
     return {
         skill_id: cluster[0]
-        for cluster in cluster_skills(library, None, threshold)
+        for cluster in cluster_skills(library, threshold)
         for skill_id in cluster
     }

@@ -583,22 +583,6 @@ def family_rows(
     return rows
 
 
-def task_family_breakdown(
-    traces: Sequence[EpisodeTrace],
-    baseline: Sequence[EpisodeTrace] | None = None,
-) -> list[FamilyRow]:
-    """Per-task-family success counts, with a gain column when a baseline run
-    is supplied.  Families absent from both runs are omitted."""
-    if not traces:
-        raise ValueError("breakdown needs a non-empty trace set")
-    base = None
-    if baseline is not None:
-        base = family_tally((t.shape.task_type, t.shape.outcome) for t in baseline)
-    return family_rows(
-        family_tally((t.shape.task_type, t.shape.outcome) for t in traces), base
-    )
-
-
 def _ratio(successes: int, attempts: int) -> str:
     pct = 100.0 * successes / attempts if attempts else 0.0
     return f"{successes}/{attempts} ({pct:.1f}%)"

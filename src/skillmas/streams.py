@@ -47,26 +47,18 @@ def seed_deriver(*prefix: int | str) -> Callable[[int | str], int]:
     return derive
 
 
-def substream(*parts: int | str) -> random.Random:
-    """A fresh generator seeded from the label path.
-
-    Reseeding one generator with `rng.seed(derive_seed(*parts))` gives the
-    same state, `gauss` cache included, without building a new object.
-    """
-    return random.Random(derive_seed(*parts))
-
-
 _seed_mt = _random.Random.seed  # the C seeding, without `random.Random.seed`
 
 
 def episode_streams(seed: int) -> Callable[[int], random.Random]:
-    """`i -> substream(seed, "episode", i)`, through one reseeded generator.
+    """`i -> random.Random(derive_seed(seed, "episode", i))`, through one
+    reseeded generator.
 
     The `(seed, "episode")` prefix is hashed once.  Reseeding calls the C
     seeding directly: `random.Random.seed` only adds clearing the `gauss`
     cache, and no episode draws `gauss`, so `getstate()` equals that of a
-    fresh substream.  Each call reseeds the generator the previous call
-    returned.
+    freshly seeded generator.  Each call reseeds the generator the previous
+    call returned.
     """
     derive = seed_deriver(seed, "episode")
     rng = random.Random()

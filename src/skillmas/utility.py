@@ -14,7 +14,6 @@ from typing import Container, Iterable, Mapping, Sequence
 
 from .model import (
     EpisodeTrace,
-    Executor,
     ExecutorSlice,
     RoundState,
     Skill,
@@ -151,28 +150,6 @@ def rank_skills(
             chosen.append(s.id)  # one pooled exposure per phase
             break
     return chosen
-
-
-def select_skills(
-    q_skill: UtilityTable,
-    state: RoundState,
-    task_id: str,
-    phase: str,
-    executor: Executor | str,
-    k: int,
-) -> list[str]:
-    """Task-conditioned skill retrieval for one phase.
-
-    Candidates are the non-pruned skills applicable to the task type and
-    owned by the routed executor or the manager; retrieval is task-wide, and
-    only skills whose applicability covers the exact phase end up invoked.
-    This is the per-call form of what `ExecutionTable` fills from its
-    round-scoped index; both rank through `rank_skills`.
-    """
-    executor_id = executor.id if isinstance(executor, Executor) else executor
-    owners = {executor_id, state.manager_id()}
-    candidates = skills_by_task(state.library).get(task_id, ())
-    return rank_skills(q_skill, candidates, owners, task_id, k)
 
 
 @dataclass(frozen=True)

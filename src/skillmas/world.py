@@ -188,24 +188,6 @@ def _terms(
     return SuccessTerms(tuple(realized), tuple(absent), mismatched, excess)
 
 
-def success_terms(
-    scenario: Scenario,
-    library: Mapping[str, Skill],
-    pair: Pair,
-    executor: Executor,
-    used_skill_ids: Iterable[str],
-) -> SuccessTerms:
-    """The terms that both the success probability and the dominant deficit read."""
-    used = []
-    for skill_id in used_skill_ids:
-        skill = library.get(skill_id)
-        if skill is None:
-            raise StateError(f"used skill {skill_id!r} is not in the library")
-        used.append(skill)
-    latents = latents_by_pair(scenario.latent_catalog).get(pair, ())
-    return _terms(latents, used, overload_excess(executor, library))
-
-
 def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
     """logit = base difficulty
           + effects of latent procedures realized by some used skill
@@ -218,23 +200,6 @@ def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
     logit -= scenario.interference_weight * terms.mismatched
     logit -= scenario.overload_weight * terms.excess
     return logistic(logit)
-
-
-def ground_truth_success_prob(
-    scenario: Scenario,
-    library: Mapping[str, Skill],
-    task_id: str,
-    phase: str,
-    executor: Executor,
-    used_skill_ids: Iterable[str],
-) -> float:
-    """Phase success probability under the additive-logit ground truth
-    (`_success_prob`), recomputing its terms from the library."""
-    pair = (task_id, phase)
-    if not executor.covers(pair):
-        raise StateError(f"executor {executor.id!r} routed outside its boundary {pair}")
-    terms = success_terms(scenario, library, pair, executor, used_skill_ids)
-    return _success_prob(scenario, pair, terms)
 
 
 def _deficit(
@@ -267,19 +232,6 @@ def _deficit(
         return None
     magnitude, _, cause = max(candidates, key=lambda c: (c[0], -c[1]))
     return cause, magnitude
-
-
-def _dominant_deficit(
-    scenario: Scenario,
-    library: Mapping[str, Skill],
-    executor: Executor,
-    task_id: str,
-    phase: str,
-    used_ids: frozenset[str],
-) -> tuple[CauseLabel, float] | None:
-    """`_deficit` with its terms recomputed from the library."""
-    terms = success_terms(scenario, library, (task_id, phase), executor, used_ids)
-    return _deficit(scenario, terms)
 
 
 # one shared observation per (label, confident): traces only read them
@@ -319,8 +271,9 @@ class ExecutionTable:
     in which entries are filled cannot change any result.
     Slots read indexes built on first use, once per table (each task's
     candidate skills, each pair's latents, each executor's overload excess,
-    the manager id), and apply the rules that `select_skills`,
-    `ground_truth_success_prob` and `_dominant_deficit` apply per call.
+    the manager id): a slot ranks its skills through `rank_skills`, and
+    `_success_prob` and `_deficit` read the one `SuccessTerms` of its used
+    skills.
 
     Outcome paths are interned: per task object the table keeps its phases'
     routes, its progress values `q12(c / n)` for c = 0..n, and the root of a
@@ -369,7 +322,8 @@ class ExecutionTable:
         return self.state.manager_id()
 
     def draw_task(self, rng: random.Random) -> TaskType:
-        """The sampling-weighted task draw of `_weighted_choice`, by bisection."""
+        """A task drawn with probability proportional to its sampling weight,
+        by bisection over the cumulative weights."""
         mark = rng.random() * self.total_weight
         index = bisect.bisect_right(self.cumulative_weights, mark)
         return self.tasks[index] if index < len(self.tasks) else self.tasks[-1]
@@ -484,20 +438,6 @@ def sample_episode(
     return EpisodeTrace(episode_id, shape)
 
 
-def _weighted_choice(
-    rng: random.Random, tasks: Sequence[TaskType], weights: Mapping[str, float]
-) -> TaskType:
-    """Linear-scan reference for `ExecutionTable.draw_task`."""
-    total = sum(weights[t.id] for t in tasks)
-    mark = rng.random() * total
-    acc = 0.0
-    for task in tasks:
-        acc += weights[task.id]
-        if mark < acc:
-            return task
-    return tasks[-1]
-
-
 def exec_round(
     state: RoundState,
     scenario: Scenario,
@@ -513,10 +453,10 @@ def exec_round(
     stream derived from (seed, i), so the batch is reproducible and safe to
     parallelize.  Trace i of the result is episode i: the batch's order is
     generation order, and every later stage reads it in that order.  Episode i
-    reads its stream straight from `episode_streams(seed)(i)`, the state of
-    `substream(seed, "episode", i)`.  Adaptation runs its rounds here, since
-    learning reads every trace; frozen evaluation only counts outcomes and
-    runs `exec_shared`.
+    reads its stream straight from `episode_streams(seed)(i)`, a generator
+    seeded with `derive_seed(seed, "episode", i)`.  Adaptation runs its
+    rounds here, since learning reads every trace; frozen evaluation only
+    counts outcomes and runs `exec_shared`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")

@@ -11,7 +11,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from skillmas.streams import derive_seed, episode_streams, seed_deriver, substream
+from skillmas.streams import derive_seed, episode_streams, seed_deriver
+
+from reference import substream
 
 PARTS = st.one_of(
     st.integers(-(2**70), 2**70),

@@ -12,6 +12,8 @@ from skillmas.model import StateError
 from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
 
+from test_golden import dir_digest
+
 
 @pytest.fixture
 def run_dir(tmp_path):
@@ -195,11 +197,15 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "env-runs" / "tiny-3" / "trajectory.json").exists()
 
-    def test_interrupted_run_leaves_its_completed_rounds(self, tmp_path, monkeypatch, capsys):
-        def run(seed, rounds, out):
-            return main(["run", "--scenario", "preset:tiny", "--seed", str(seed),
-                         "--rounds", str(rounds), "--out", str(out), "--quiet"])
+    @staticmethod
+    def tiny_run(seed, rounds, out):
+        return main(["run", "--scenario", "preset:tiny", "--seed", str(seed),
+                     "--rounds", str(rounds), "--out", str(out), "--quiet"])
 
+    def interrupted_run(self, tmp_path, monkeypatch):
+        """A 4-round seed-42 tiny run into a used directory that fails after
+        its second round, and a clean 2-round run of the same seed."""
+        run = self.tiny_run
         out, clean = tmp_path / "run", tmp_path / "clean"
         assert run(5, 4, out) == 0  # a complete run of another seed
         assert run(42, 2, clean) == 0
@@ -213,6 +219,10 @@ class TestRun:
         monkeypatch.setattr(orchestrator, "validate_state", fail_round_2)
         assert run(42, 4, out) == 2
         monkeypatch.undo()
+        return out, clean
+
+    def test_interrupted_run_leaves_its_completed_rounds(self, tmp_path, monkeypatch, capsys):
+        out, clean = self.interrupted_run(tmp_path, monkeypatch)
         for name in ("trajectory.json", "trajectory.txt", "checkpoint.json"):
             assert not (out / name).exists()
         for rel in ("snapshots/state_r000.txt", "snapshots/state_r001.txt",
@@ -221,13 +231,44 @@ class TestRun:
         capsys.readouterr()
         assert main(["report", "--run", str(out)]) == 2
         assert "trajectory.json" in capsys.readouterr().err
-        # replay stops at the log, whose length it gives in whole-file lines
-        lines = len((clean / "traces.jsonl").read_text().splitlines())
+        # replay stops where the log ends: at round 3's first line
+        full = tmp_path / "full"
+        assert self.tiny_run(42, 4, full) == 0
+        stored = (clean / "traces.jsonl").read_bytes()
+        lines = stored.count(b"\n")
+        expected = (full / "traces.jsonl").read_bytes().splitlines(keepends=True)[lines]
+        capsys.readouterr()
         assert main(["replay", "--run", str(out)]) == 1
         assert capsys.readouterr().out == (
-            f"replay divergence in traces.jsonl: length mismatch "
-            f"({lines} stored vs {2 * lines} expected lines)\n"
+            f"replay divergence in traces.jsonl at line {lines + 1}: byte {len(stored)}\n"
+            f"  stored:   (end of file)\n"
+            f"  expected: {expected.decode()!r}\n"
         )
+
+    def test_replay_stops_at_the_round_where_the_log_ends(self, tmp_path, monkeypatch, capsys):
+        out, _ = self.interrupted_run(tmp_path, monkeypatch)
+        calls = []
+        run_round = orchestrator.run_round
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].round_index)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "run_round", counted)
+        capsys.readouterr()
+        assert main(["replay", "--run", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("replay divergence in traces.jsonl")
+        assert len(calls) == 3  # rounds 1 and 2 match; round 3 finds the log's end
+
+    def test_rerun_keeps_nothing_of_the_earlier_run(self, tmp_path):
+        run = self.tiny_run
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run(3, 4, out) == 0
+        assert main(["transplant", "--run", str(out), "--episodes", "20"]) == 0
+        assert (out / "transplant.json").exists()
+        assert run(5, 2, out) == 0
+        assert run(5, 2, fresh) == 0
+        assert dir_digest(out) == dir_digest(fresh)
 
     def test_peak_memory_holds_one_round(self, tmp_path):
         def peak(rounds):
@@ -274,11 +315,17 @@ class TestReplay:
         assert "missing" in capsys.readouterr().out
 
     def test_non_utf8_artifact_is_a_divergence(self, run_dir, capsys):
-        with (run_dir / "trajectory.txt").open("ab") as handle:
+        table = run_dir / "trajectory.txt"
+        data = table.read_bytes()
+        with table.open("ab") as handle:
             handle.write(b"\xff")
+        line = data.count(b"\n") + 1
         assert main(["replay", "--run", str(run_dir)]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("replay divergence in trajectory.txt: not UTF-8")
+        assert capsys.readouterr().out == (
+            f"replay divergence in trajectory.txt at line {line}: byte {len(data)}\n"
+            f"  stored:   '\\\\xff'\n"
+            f"  expected: (end of file)\n"
+        )
 
     def test_unreadable_artifact_is_a_divergence(self, run_dir, capsys):
         log = run_dir / "traces.jsonl"

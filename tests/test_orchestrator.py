@@ -8,12 +8,13 @@ from skillmas.config import EngineConfig
 from skillmas.model import TaskType
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
+    family_rows,
+    family_tally,
     render_breakdown,
     render_comparison,
     render_trajectory,
     run_experiment,
     run_round,
-    task_family_breakdown,
     transplant_stress_test,
     transplant_variants,
 )
@@ -254,12 +255,16 @@ class TestTransplant:
         assert all(0 <= row.successes <= 15 for row in table.rows)
 
 
+def tally(traces):
+    return family_tally((t.shape.task_type, t.shape.outcome) for t in traces)
+
+
 class TestBreakdown:
     def test_all_success_single_family(self):
         scenario = quiet_scenario()
         state = make_state([])
         traces = exec_round(state, scenario, 10, 3, EngineConfig(), id_prefix="v")
-        rows = task_family_breakdown(traces)
+        rows = family_rows(tally(traces))
         assert len(rows) == 1
         assert rows[0].successes == rows[0].attempts == 10
 
@@ -269,7 +274,7 @@ class TestBreakdown:
         best = exec_round(state, scenario, 18, 3, EngineConfig(), id_prefix="v")
         seed_run = [t for t in best[:18]]
         # shape check on the rendered row format
-        rows = task_family_breakdown(best, baseline=seed_run)
+        rows = family_rows(tally(best), baseline=tally(seed_run))
         text = render_breakdown(rows)
         assert "18/18 (100.0%)" in text
         assert "+0" in text
@@ -287,14 +292,10 @@ class TestBreakdown:
         assert row.gain == 12
         assert f"{row.gain:+d}" == "+12"
 
-    def test_empty_trace_set_rejected(self):
-        with pytest.raises(ValueError):
-            task_family_breakdown([])
-
     def test_empty_family_omitted(self):
         pack = load_preset("mismatch")
         traces = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config, id_prefix="v")
-        rows = task_family_breakdown(traces)
+        rows = family_rows(tally(traces))
         seen = {t.shape.task_type.id for t in traces}
         assert {r.task_type for r in rows} == seen
 

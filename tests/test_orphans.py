@@ -2,8 +2,8 @@
 
 A module-level function that no other `src/` code names, and that is not
 exported, is test-only code: it keeps working only as long as its tests
-run it, and it tends to grow back after each deletion.  The exceptions are
-the per-call references that tests compare the indexed engine against.
+run it, and it tends to grow back after each deletion.  A reference that
+tests compare the engine against lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -12,15 +12,6 @@ import ast
 from pathlib import Path
 
 import skillmas
-
-# per-call references that tests compare the indexed engine against
-REFERENCES = {
-    "substream",
-    "select_skills",
-    "ground_truth_success_prob",
-    "_dominant_deficit",
-    "_weighted_choice",
-}
 
 
 def orphans() -> set[str]:
@@ -48,12 +39,6 @@ def orphans() -> set[str]:
 
 
 def test_every_function_has_a_caller_in_src():
-    exempt = set(skillmas.__all__) | REFERENCES
-    unexplained = sorted(o for o in orphans() if o.split(".")[1] not in exempt)
+    unexplained = sorted(o for o in orphans() if o.split(".")[1] not in skillmas.__all__)
     assert unexplained == []
 
-
-def test_every_reference_is_an_orphan():
-    # a listed name that the engine calls again, or that is gone, leaves the list
-    listed = {o.split(".")[1] for o in orphans()} & REFERENCES
-    assert listed == REFERENCES

@@ -19,9 +19,9 @@ from skillmas.model import TraceShape
 from skillmas.numfmt import q12
 from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log, trace_to_record
-from skillmas.streams import substream
-from skillmas.world import ExecutionTable, _weighted_choice, exec_round, sample_episode
+from skillmas.world import ExecutionTable, exec_round, sample_episode
 
+from reference import _weighted_choice, substream
 from test_round_index import random_world
 
 FIELDS = [f.name for f in dataclasses.fields(TraceShape)]

@@ -2,11 +2,13 @@
 produces it; what it reports must be what a comparison of the whole stored
 file with the whole expected file reports.
 
-The reference below decodes the whole stored file, compares it with the
-whole expected text, and on a difference reports the first differing line
-(`str.splitlines`, 1-based) or else both line counts.  A run directory with
-one damaged file is replayed, and its report must equal the reference's on
-that file, whose expected text is the undamaged copy.
+The reference below compares the whole stored file with the whole expected
+file as bytes.  It reports the first byte B where they differ (the shorter
+file's length when one is a prefix of the other), the 1-based line L that
+holds it, and each file's line L with its line end, or "(end of file)" for
+a file that has no byte B.  A run directory with one damaged file is
+replayed, and its report must equal the reference's on that file, whose
+expected bytes are the undamaged copy.
 """
 
 from __future__ import annotations
@@ -20,23 +22,27 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from skillmas.cli import main
 
 
-def reference_report(rel: str, stored: bytes, expected: str) -> str:
-    try:
-        text = stored.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return f"replay divergence in {rel}: not UTF-8 ({exc.reason} at byte {exc.start})\n"
-    assert text != expected, "the damage left the file as it was"
-    stored_lines, expected_lines = text.splitlines(), expected.splitlines()
-    for number, (got, want) in enumerate(zip(stored_lines, expected_lines), start=1):
+def reference_report(rel: str, stored: bytes, expected: bytes) -> str:
+    assert stored != expected, "the damage left the file as it was"
+    byte = min(len(stored), len(expected))
+    for i, (got, want) in enumerate(zip(stored, expected)):
         if got != want:
-            return (
-                f"replay divergence in {rel} at line {number}:\n"
-                f"  stored:   {got}\n"
-                f"  expected: {want}\n"
-            )
+            byte = i
+            break
+
+    def shown(data: bytes) -> str:
+        if byte >= len(data):
+            return "(end of file)"
+        start = data.rfind(b"\n", 0, byte) + 1
+        end = data.find(b"\n", byte)
+        held = data[start:] if end < 0 else data[start : end + 1]
+        return repr(held.decode("utf-8", "backslashreplace"))
+
+    line = stored[:byte].count(b"\n") + 1
     return (
-        f"replay divergence in {rel}: length mismatch "
-        f"({len(stored_lines)} stored vs {len(expected_lines)} expected lines)\n"
+        f"replay divergence in {rel} at line {line}: byte {byte}\n"
+        f"  stored:   {shown(stored)}\n"
+        f"  expected: {shown(expected)}\n"
     )
 
 
@@ -102,4 +108,4 @@ def test_report_equals_the_whole_file_comparison(
     (run_dir / rel).write_bytes(stored)
     capsys.readouterr()
     assert main(["replay", "--run", str(run_dir)]) == 1
-    assert capsys.readouterr().out == reference_report(rel, stored, expected.decode("utf-8"))
+    assert capsys.readouterr().out == reference_report(rel, stored, expected)

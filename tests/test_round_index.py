@@ -44,21 +44,24 @@ from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision
 from skillmas.retention import retain
 from skillmas.store import parse_scenario, serialize_state, trace_to_record
-from skillmas.streams import substream
-from skillmas.utility import executor_route, select_skills, used_skills
+from skillmas.utility import executor_route, used_skills
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
-    _dominant_deficit,
     _observe_cause,
-    _weighted_choice,
     exec_round,
-    ground_truth_success_prob,
     realized_catalog,
     sample_episode,
 )
 
+from reference import (
+    _dominant_deficit,
+    _weighted_choice,
+    ground_truth_success_prob,
+    select_skills,
+    substream,
+)
 from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]

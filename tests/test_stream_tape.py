@@ -30,11 +30,11 @@ from skillmas.streams import (
     check_stream_tape,
     derive_seed,
     episode_streams,
-    substream,
 )
 from skillmas.world import exec_round, exec_shared
 
 from conftest import random_scenario
+from reference import substream
 
 # n = 1, n = 2**k + 1 (about half the tries rejected) and the largest n
 SIZES = st.sampled_from([1, 2, 3, 5, 17, 2**16 + 1, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 from skillmas.numfmt import fmt, q12
-from skillmas.streams import derive_seed, substream
+from skillmas.streams import derive_seed
+
+from reference import substream
 
 
 def test_derived_seeds_are_stable():

