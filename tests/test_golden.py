@@ -13,6 +13,7 @@ and re-record them.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -246,3 +247,58 @@ def test_eval_digest(tmp_path, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
     digest.update(result.read_bytes())
     assert digest.hexdigest() == EVAL_SHA256
+
+
+def scenario_text(scenario, state, episodes_per_round):
+    """A scenario document that parses back to (scenario, state); floats by `repr`."""
+    lines = ["[tasks]"]
+    lines += [
+        f"{t.id} = {' '.join(t.phases)} | {scenario.task_weights[t.id]!r}"
+        for t in scenario.task_types
+    ]
+    lines.append("[difficulty]")
+    lines += [f"{t}/{p} = {v!r}" for (t, p), v in scenario.base_difficulty.items()]
+    lines.append("[latent]")
+    lines += [
+        f"{l.id} = {l.applicability[0]}/{l.applicability[1]} {l.effect!r} {l.repairs_cause.value}"
+        for l in scenario.latent_catalog
+    ]
+    lines += [
+        "[penalties]",
+        f"interference = {scenario.interference_weight!r}",
+        f"overload = {scenario.overload_weight!r}",
+        f"routing-noise = {scenario.routing_noise!r}",
+        f"cause-confidence = {scenario.cause_confidence!r}",
+        "[seed-state]",
+    ]
+    for e in state.executors.values():
+        boundary = ",".join(f"{t}/{p}" for t, p in sorted(e.boundary))
+        manager = " manager" if e.is_manager else ""
+        lines.append(f"executor {e.id} = {boundary} capacity={e.capacity}{manager}")
+    for s in state.library.values():
+        applies = ",".join(f"{t}/{p}" for t, p in sorted(s.applicability))
+        guards = f" guards={','.join(sorted(s.guards))}" if s.guards else ""
+        lines.append(
+            f"skill {s.id} = owner={s.owner} applies={applies} "
+            f"steps={','.join(s.steps)}{guards} status={s.status.value}"
+        )
+    lines += ["[thresholds]", f"episodes-per-round = {episodes_per_round}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_merge_remove_run_directory(tmp_path, capsys):
+    # the MERGE_SHA256 world as a scenario file named like the generator's world
+    scenario, seed_state = random_scenario(random.Random(136))
+    path = tmp_path / "fuzz.scn"
+    path.write_text(scenario_text(scenario, seed_state, 60), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(path), "--seed", "136", "--rounds", "8",
+                 "--out", str(out), "--quiet"]) == 0
+    trajectory = (out / "trajectory.json").read_bytes()
+    assert hashlib.sha256(trajectory).hexdigest() == MERGE_SHA256[0]
+    merge = json.loads(trajectory)["rounds"][6]["restructure"]
+    assert merge["action"] == "merge-remove"
+    assert (merge["evidence"]["survivor"], merge["evidence"]["removed"]) == ("worker0", "worker1")
+    capsys.readouterr()
+    assert main(["replay", "--run", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("replay clean: 13 artifacts match")
