@@ -27,12 +27,14 @@ from .model import (
     TraceShape,
     UtilityTable,
     cluster_key_map,
+    jaccard,
     place_skill,
     skill_similarity,
 )
 from .retention import RetainedTrace
 from .utility import used_skills
-from .world import LatentSkill, Scenario, latents_by_pair, motif_skill, realized_catalog
+from .world import LatentSkill, Scenario, latents_by_pair, realized_catalog
+from .world import motif_skill, motif_tokens
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ def apply_edit(skill: Skill, edit: SkillEdit) -> Skill:
 class Proposal:
     """At most one per retained trace: a success motif or a failure repair."""
 
-    kind: str  # "success-motif" | "failure-repair"
     source_trace: str
     target_cluster: str
     task_type: str
@@ -291,7 +292,6 @@ def _split_proposal(
                 )
             )
         return Proposal(
-            kind="failure-repair",
             source_trace=retained.trace.episode_id,
             target_cluster=keys[rep.id],
             task_type=retained.trace.shape.task_type.id,
@@ -310,7 +310,6 @@ def _split_proposal(
         rep.applicability,
     )
     return Proposal(
-        kind="failure-repair",
         source_trace=retained.trace.episode_id,
         target_cluster=keys[rep.id],
         task_type=retained.trace.shape.task_type.id,
@@ -358,7 +357,6 @@ def propose(
             latent = undiscovered[0]
             draft = motif_skill(latent, f"{latent.id}-r{round_index}", sl.executor)
             return Proposal(
-                kind="success-motif",
                 source_trace=retained.trace.episode_id,
                 target_cluster=_nearest_cluster(draft, index, config.cluster_threshold),
                 task_type=task_id,
@@ -367,8 +365,6 @@ def propose(
         return None
 
     if diagnosis is None or not diagnosis.locally_diagnosable:
-        return None
-    if not shape.slices:
         return None
     failing = shape.slices[-1]
     pair = (task_id, failing.phase)
@@ -395,7 +391,6 @@ def propose(
     if edit is None:
         return None
     return Proposal(
-        kind="failure-repair",
         source_trace=retained.trace.episode_id,
         target_cluster=keys[implicated.id],
         task_type=task_id,
@@ -419,25 +414,17 @@ def _is_duplicate(
     policy_index: Sequence[PolicyCard],
     threshold: float,
 ) -> bool:
-    for skill in library.values():
-        if skill.status is SkillStatus.VALIDATED:
-            if skill_similarity(draft, skill) >= threshold:
-                return True
-    for card in policy_index:
-        if card.template_skill:
-            template = motif_skill(
-                LatentSkill(
-                    card.template_skill,
-                    next(iter(draft.applicability)),
-                    1.0,
-                    card.cause,
-                ),
-                card.template_skill,
-                "template",
-            )
-            if skill_similarity(draft, template) >= threshold:
-                return True
-    return False
+    """A validated skill or a policy card's template is near the draft."""
+    tokens = draft.tokens()
+    return any(
+        jaccard(tokens, skill.tokens()) >= threshold
+        for skill in library.values()
+        if skill.status is SkillStatus.VALIDATED
+    ) or any(
+        jaccard(tokens, motif_tokens(card.template_skill)) >= threshold
+        for card in policy_index
+        if card.template_skill
+    )
 
 
 def _cluster_prunable(
@@ -639,9 +626,7 @@ def apply_skill_delta(
 
 
 def update_pool_counters(
-    pool: Mapping[str, tuple[int, int]],
-    library: Mapping[str, Skill],
-    traces: Sequence,
+    pool: Mapping[str, tuple[int, int]], traces: Sequence
 ) -> dict[str, tuple[int, int]]:
     """Advance usage/success counters for pooled skills that saw real use.
 

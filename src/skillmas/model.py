@@ -225,6 +225,8 @@ class TraceShape:
         if self.latent_cause_observation is not None and outcome == 1:
             raise StateError("cause observations accompany failures only")
         slices = self.slices
+        if not slices:
+            raise StateError("a trace routes at least its first phase")
         if tuple(map(_PHASE, slices)) != self.task_type.phases[: len(slices)]:
             raise StateError("slices must cover the attempted phases in order")
 
@@ -373,15 +375,17 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
         raise StateError("; ".join(problems))
 
 
+def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    """Jaccard similarity of two token sets; 0.0 when both are empty."""
+    union = a | b
+    return len(a & b) / len(union) if union else 0.0
+
+
 def skill_similarity(a: Skill, b: Skill) -> float:
     """Jaccard similarity over the union of step and guard tokens."""
     if a.status is SkillStatus.PRUNED or b.status is SkillStatus.PRUNED:
         raise ValueError("similarity is undefined for pruned skills")
-    ta, tb = a.tokens(), b.tokens()
-    union = ta | tb
-    if not union:
-        return 1.0
-    return len(ta & tb) / len(union)
+    return jaccard(a.tokens(), b.tokens())
 
 
 def cluster_skills(

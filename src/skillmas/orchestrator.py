@@ -281,7 +281,7 @@ def run_round(
         known_skills=state.library,
         known_executors=state.executors,
     )
-    pool_counted = update_pool_counters(state.pool, state.library, traces)
+    pool_counted = update_pool_counters(state.pool, traces)
 
     retained = retain(
         traces,

@@ -23,6 +23,7 @@ from .model import (
     StateError,
     UtilityTable,
     active_owned,
+    jaccard,
     place_skill,
     skill_similarity,
 )
@@ -65,13 +66,6 @@ def _executor_tokens(executor: Executor, library: Mapping[str, Skill]) -> frozen
     return frozenset(t for skill in active_owned(executor, library) for t in skill.tokens())
 
 
-def _token_overlap(a: frozenset[str], b: frozenset[str]) -> float:
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
-
-
 def build_artifacts(
     retained: Sequence[RetainedTrace],
     q_exec_plus: UtilityTable,
@@ -95,7 +89,7 @@ def build_artifacts(
         mass = sum(1 for rt in family if rt.trace.episode_id not in addressed)
 
         # a failure ends at its last routed phase
-        last = [rt.trace.shape.slices[-1] for rt in family if rt.trace.shape.slices]
+        last = [rt.trace.shape.slices[-1] for rt in family]
         implicated_ids = sorted({sl.executor for sl in last})
         implicated = tuple(
             ExecutorEvidence(
@@ -122,6 +116,35 @@ def build_artifacts(
     return artifacts
 
 
+def _fires(ev: Mapping[str, object]) -> bool:
+    """The one test of a restructuring predicate, on the values it records."""
+    predicate = ev["predicate"]
+    if predicate == "add":
+        return (
+            ev["failure_mass"] >= ev["mass_threshold"]
+            and bool(ev["handoff_present"])
+            and bool(ev["executors"])
+            and all(
+                e["count"] >= ev["min_count"] and e["value"] < ev["weak_utility"]
+                for e in ev["executors"]
+            )
+        )
+    if predicate == "merge-remove":
+        gaps = ev["utility_gaps"].values()
+        return (
+            ev["skill_overlap"] >= ev["overlap_threshold"]
+            and bool(gaps)
+            and all(gap < ev["merge_gap"] for gap in gaps)
+        )
+    if predicate == "modify":
+        return (
+            ev["owned_skills"] > ev["capacity"]
+            and ev["count"] >= ev["min_count"]
+            and ev["utility"] < ev["weak_utility"]
+        )
+    return False
+
+
 def decide_restructure(
     artifacts: Sequence[DiagnosticArtifact],
     executors: Mapping[str, Executor],
@@ -139,23 +162,28 @@ def decide_restructure(
     non-manager executors with overlapping boundaries, near-identical skill
     content, and indistinguishable utility on every shared family;
     (3) modify an over-capacity executor with a demonstrably weak family by
-    narrowing its boundary; otherwise (4) keep.
+    narrowing its boundary; otherwise (4) keep.  Each candidate's evidence
+    is built as it would be recorded, and `_fires` decides on it, so every
+    decision re-evaluates true on its own evidence.
     """
     # (1) add
     for artifact in artifacts:
-        if artifact.failure_mass < config.mass_threshold:
-            continue
-        if not artifact.implicated_executors or not artifact.handoff_present:
-            continue
-        if not all(
-            e.count >= config.min_count and e.value < config.weak_executor_utility
-            for e in artifact.implicated_executors
-        ):
-            continue
-        if not artifact.failing_pairs:
+        evidence = {
+            "predicate": "add",
+            "task_type": artifact.task_type,
+            "failure_mass": artifact.failure_mass,
+            "mass_threshold": config.mass_threshold,
+            "executors": [
+                {"id": e.id, "value": e.value, "count": e.count}
+                for e in artifact.implicated_executors
+            ],
+            "weak_utility": config.weak_executor_utility,
+            "min_count": config.min_count,
+            "handoff_present": artifact.handoff_present,
+        }
+        if not _fires(evidence):
             continue
         boundary = frozenset(artifact.failing_pairs)
-        new_id = f"exec-{artifact.task_type}-r{round_index}"
         transferred = tuple(
             sorted(
                 s.id
@@ -165,22 +193,10 @@ def decide_restructure(
         )
         return RestructureDecision(
             action="add",
-            subjects=(new_id,),
+            subjects=(f"exec-{artifact.task_type}-r{round_index}",),
             new_boundary=boundary,
             transferred_skills=transferred,
-            evidence={
-                "predicate": "add",
-                "task_type": artifact.task_type,
-                "failure_mass": artifact.failure_mass,
-                "mass_threshold": config.mass_threshold,
-                "executors": [
-                    {"id": e.id, "value": e.value, "count": e.count}
-                    for e in artifact.implicated_executors
-                ],
-                "weak_utility": config.weak_executor_utility,
-                "min_count": config.min_count,
-                "handoff_present": True,
-            },
+            evidence=evidence,
         )
 
     # (2) merge-remove
@@ -189,42 +205,32 @@ def decide_restructure(
         a, b = executors[a_id], executors[b_id]
         if not a.boundary & b.boundary:
             continue
-        overlap = _token_overlap(
-            _executor_tokens(a, library), _executor_tokens(b, library)
-        )
-        if overlap < config.overlap_threshold:
-            continue
         shared_families = sorted(
             {p[0] for p in a.boundary} & {p[0] for p in b.boundary}
         )
-        gaps = {}
-        comparable = True
-        for task_id in shared_families:
-            ea, eb = q_exec_plus.get(a_id, task_id), q_exec_plus.get(b_id, task_id)
-            if (
-                ea is None
-                or eb is None
-                or ea[1] < config.min_count
-                or eb[1] < config.min_count
-            ):
-                comparable = False
-                break
-            gaps[task_id] = q12(abs(ea[0] - eb[0]))
-        if not comparable or not gaps:
+        entries = [
+            (task_id, q_exec_plus.get(a_id, task_id), q_exec_plus.get(b_id, task_id))
+            for task_id in shared_families
+        ]
+        if not all(
+            ea is not None and eb is not None and min(ea[1], eb[1]) >= config.min_count
+            for _, ea, eb in entries
+        ):
             continue
-        if all(gap < config.merge_gap for gap in gaps.values()):
+        evidence = {
+            "predicate": "merge-remove",
+            "survivor": a_id,
+            "removed": b_id,
+            "skill_overlap": q12(
+                jaccard(_executor_tokens(a, library), _executor_tokens(b, library))
+            ),
+            "overlap_threshold": config.overlap_threshold,
+            "utility_gaps": {t: q12(abs(ea[0] - eb[0])) for t, ea, eb in entries},
+            "merge_gap": config.merge_gap,
+        }
+        if _fires(evidence):
             return RestructureDecision(
-                action="merge-remove",
-                subjects=(a_id, b_id),
-                evidence={
-                    "predicate": "merge-remove",
-                    "survivor": a_id,
-                    "removed": b_id,
-                    "skill_overlap": q12(overlap),
-                    "overlap_threshold": config.overlap_threshold,
-                    "utility_gaps": gaps,
-                    "merge_gap": config.merge_gap,
-                },
+                action="merge-remove", subjects=(a_id, b_id), evidence=evidence
             )
 
     # (3) modify
@@ -233,18 +239,24 @@ def decide_restructure(
         if executor.is_manager:
             continue
         owned_active = active_owned(executor, library)
-        if len(owned_active) <= executor.capacity:
-            continue
-        families = sorted({p[0] for p in executor.boundary})
-        for task_id in families:
+        for task_id in sorted({p[0] for p in executor.boundary}):
             entry = q_exec_plus.get(eid, task_id)
-            if entry is None or entry[1] < config.min_count:
+            if entry is None:
                 continue
-            if entry[0] >= config.weak_executor_utility:
+            evidence = {
+                "predicate": "modify",
+                "executor": eid,
+                "owned_skills": len(owned_active),
+                "capacity": executor.capacity,
+                "weak_family": task_id,
+                "utility": q12(entry[0]),
+                "count": entry[1],
+                "weak_utility": config.weak_executor_utility,
+                "min_count": config.min_count,
+            }
+            if not _fires(evidence):
                 continue
-            new_boundary = frozenset(
-                p for p in executor.boundary if p[0] != task_id
-            )
+            new_boundary = frozenset(p for p in executor.boundary if p[0] != task_id)
             if not new_boundary:
                 continue
             transferred = tuple(
@@ -255,17 +267,7 @@ def decide_restructure(
                 subjects=(eid,),
                 new_boundary=new_boundary,
                 transferred_skills=transferred,
-                evidence={
-                    "predicate": "modify",
-                    "executor": eid,
-                    "owned_skills": len(owned_active),
-                    "capacity": executor.capacity,
-                    "weak_family": task_id,
-                    "utility": q12(entry[0]),
-                    "count": entry[1],
-                    "weak_utility": config.weak_executor_utility,
-                    "min_count": config.min_count,
-                },
+                evidence=evidence,
             )
 
     return RestructureDecision(action="keep")
@@ -276,28 +278,7 @@ def evidence_holds(decision: RestructureDecision) -> bool:
     ev = decision.evidence
     if decision.action == "keep":
         return not ev
-    predicate = ev.get("predicate")
-    if predicate == "add":
-        return (
-            ev["failure_mass"] >= ev["mass_threshold"]
-            and bool(ev["handoff_present"])
-            and bool(ev["executors"])
-            and all(
-                e["count"] >= ev["min_count"] and e["value"] < ev["weak_utility"]
-                for e in ev["executors"]
-            )
-        )
-    if predicate == "merge-remove":
-        return ev["skill_overlap"] >= ev["overlap_threshold"] and bool(
-            ev["utility_gaps"]
-        ) and all(gap < ev["merge_gap"] for gap in ev["utility_gaps"].values())
-    if predicate == "modify":
-        return (
-            ev["owned_skills"] > ev["capacity"]
-            and ev["count"] >= ev["min_count"]
-            and ev["utility"] < ev["weak_utility"]
-        )
-    return False
+    return ev.get("predicate") == decision.action and _fires(ev)
 
 
 def apply_restructure(

@@ -460,14 +460,27 @@ def _split_set(text: str) -> frozenset[str]:
     return frozenset() if text == "-" else frozenset(text.split(","))
 
 
-def _opts(parts: Sequence[str], offset: int) -> dict[str, str]:
-    values = {}
+def _opts(parts: Sequence[str], keys: Sequence[str], offset: int) -> dict[str, str]:
+    """The record's options, which must be exactly `keys`, each given once."""
+    values: dict[str, str] = {}
     for part in parts:
         if "=" not in part:
             raise StoreError(f"expected key=value, got {part!r}", offset=offset)
         key, value = part.split("=", 1)
+        if key not in keys:
+            raise StoreError(f"unknown key {key!r}", offset=offset)
+        if key in values:
+            raise StoreError(f"key {key!r} given twice", offset=offset)
         values[key] = value
     return values
+
+
+# how many leading fields identify a record of each kind; the writer
+# writes each record once, so the reader refuses a second one
+_KEY_FIELDS = {"round": 0, "skill": 1, "executor": 1, "pool": 1, "card": 1,
+               "qskill": 2, "qexec": 2}
+_SKILL_KEYS = ("owner", "status", "applies", "steps", "guards", "checks")
+_EXECUTOR_KEYS = ("manager", "capacity", "boundary", "owns")
 
 
 def deserialize_state(text: str) -> RoundState:
@@ -498,6 +511,7 @@ def deserialize_state(text: str) -> RoundState:
     pool: dict[str, tuple[int, int]] = {}
     cards: list[PolicyCard] = []
     ended = False
+    seen: set[tuple[str, ...]] = set()
 
     for offset, line in lines[1:]:
         if not line:
@@ -505,12 +519,18 @@ def deserialize_state(text: str) -> RoundState:
         if ended:
             raise StoreError("content after end marker", offset=offset)
         kind, *rest = line.split()
+        if kind in _KEY_FIELDS:
+            record = (kind, *rest[: _KEY_FIELDS[kind]])
+            if record in seen:
+                raise StoreError(f"duplicate {' '.join(record)} record", offset=offset)
+            seen.add(record)
         try:
             if kind == "round":
-                round_number = int(rest[0])
+                (round_text,) = rest
+                round_number = int(round_text)
             elif kind == "skill":
                 sid = rest[0]
-                opts = _opts(rest[1:], offset)
+                opts = _opts(rest[1:], _SKILL_KEYS, offset)
                 library[sid] = Skill(
                     id=sid,
                     applicability=_split_pairs(opts["applies"], offset),
@@ -522,7 +542,7 @@ def deserialize_state(text: str) -> RoundState:
                 )
             elif kind == "executor":
                 eid = rest[0]
-                opts = _opts(rest[1:], offset)
+                opts = _opts(rest[1:], _EXECUTOR_KEYS, offset)
                 executors[eid] = Executor(
                     id=eid,
                     boundary=_split_pairs(opts["boundary"], offset),

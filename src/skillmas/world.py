@@ -100,6 +100,11 @@ def motif_steps(latent_id: str) -> tuple[str, ...]:
     return (latent_id, f"{latent_id}:verify")
 
 
+def motif_tokens(latent_id: str) -> frozenset[str]:
+    """The step and guard tokens of every `motif_skill` draft of a latent id."""
+    return frozenset(motif_steps(latent_id)) | {f"{latent_id}:guard"}
+
+
 def motif_skill(latent: LatentSkill, skill_id: str, owner: str) -> Skill:
     """The canonical draft realizing a latent procedure."""
     return Skill(

@@ -103,7 +103,7 @@ def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
         for k in range(2)
     ]
     proposals = [
-        Proposal(kind="success-motif", source_trace=source, target_cluster="new:d",
+        Proposal(source_trace=source, target_cluster="new:d",
                  task_type="t1", drafts=(draft,))
         for source, draft in zip(("r0000e99999", "r0000e100000"), drafts)
     ]

@@ -179,7 +179,7 @@ class TestPropose:
         library = {"sk": make_skill("sk", pairs=(("t1", "p1"),))}
         rt = retained_success()
         out = propose_on(rt, None, (), scenario, library, 2, EngineConfig())
-        assert out is not None and out.kind == "success-motif"
+        assert out is not None and out.edit is None and len(out.drafts) == 1
         draft = out.drafts[0]
         assert draft.applicability == frozenset({("t1", "p1")})
         assert draft.status is SkillStatus.POOLED
@@ -239,7 +239,7 @@ class TestSkillEvolve:
         )
         draft = motif_skill(latent, "lat-e-r1", "worker")
         proposal = Proposal(
-            kind="success-motif", source_trace="e0", target_cluster="existing",
+            source_trace="e0", target_cluster="existing",
             task_type="t1", drafts=(draft,),
         )
         delta = evolve(
@@ -257,7 +257,7 @@ class TestSkillEvolve:
                            status=SkillStatus.POOLED)
         assert 0.8 <= skill_similarity(existing, draft) < 1.0
         proposal = Proposal(
-            kind="success-motif", source_trace="e0", target_cluster="old",
+            source_trace="e0", target_cluster="old",
             task_type="t1", drafts=(draft,),
         )
         delta = evolve((proposal,), {"old": existing}, (), UtilityTable(),
@@ -270,7 +270,7 @@ class TestSkillEvolve:
                           BoundedTag.ADD_GUARD, template_skill="lat-f")
         draft = motif_skill(latent, "lat-f-r0", "worker")
         proposal = Proposal(
-            kind="success-motif", source_trace="e0", target_cluster=f"new:{draft.id}",
+            source_trace="e0", target_cluster=f"new:{draft.id}",
             task_type="t1", drafts=(draft,),
         )
         delta = evolve((proposal,), {}, (card,), UtilityTable(), EngineConfig())
@@ -280,7 +280,7 @@ class TestSkillEvolve:
         bad = make_skill("bad")
         q = UtilityTable({("bad", "t1"): (0.1, 8)})
         proposal = Proposal(
-            kind="failure-repair", source_trace="e0", target_cluster="bad",
+            source_trace="e0", target_cluster="bad",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,
             edit=None,
         )
@@ -288,7 +288,7 @@ class TestSkillEvolve:
         from skillmas.evolution import SkillEdit
 
         proposal = Proposal(
-            kind="failure-repair", source_trace="e0", target_cluster="bad",
+            source_trace="e0", target_cluster="bad",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,
             edit=SkillEdit(BoundedTag.ADD_GUARD, "bad", bad.steps,
                            bad.guards | {"require:x"}, bad.checks, bad.applicability),
@@ -306,7 +306,7 @@ class TestSkillEvolve:
             frozenset({"g1", "g2"}), frozenset(), skill.applicability,
         )
         proposal = Proposal(
-            kind="failure-repair", source_trace="e0", target_cluster="sk",
+            source_trace="e0", target_cluster="sk",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=edit,
         )
         delta = evolve((proposal,), {"sk": skill}, (), UtilityTable(),
@@ -320,7 +320,7 @@ class TestSkillEvolve:
         light = SkillEdit(BoundedTag.ADD_GUARD, "sk", skill.steps,
                           frozenset({"require:x"}), frozenset(), skill.applicability)
         proposals = [
-            Proposal(kind="failure-repair", source_trace=f"e{i}", target_cluster="sk",
+            Proposal(source_trace=f"e{i}", target_cluster="sk",
                      task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=light)
             for i in range(4)
         ]
@@ -400,7 +400,7 @@ class TestPoolLifecycle:
                            frozenset()),),
             1, 1.0,
         ))
-        pool = update_pool_counters({"pk": (0, 0)}, library, [selected_only, used])
+        pool = update_pool_counters({"pk": (0, 0)}, [selected_only, used])
         assert pool["pk"] == (1, 1)
 
     def test_promotion_at_threshold(self):

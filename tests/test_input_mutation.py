@@ -104,7 +104,7 @@ def damaged_path(ws: Path, kind: str, snapshot: str) -> Path:
     return ws / "run" / (snapshot if kind == "snapshot" else kind)
 
 
-def check(ws: Path, kind: str, command: str, mutation, rng, snapshot, capsys) -> None:
+def check(ws: Path, kind: str, command: str, mutation, rng, snapshot, capsys) -> int:
     path = damaged_path(ws, kind, snapshot)
     mutation(path, rng)
     capsys.readouterr()
@@ -127,6 +127,7 @@ def check(ws: Path, kind: str, command: str, mutation, rng, snapshot, capsys) ->
         assert code == 0, (code, out, err)
         # a damaged artifact can never replay clean
         assert not (command == "replay" and kind in CHECKED), out
+    return code
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -148,3 +149,25 @@ def test_damage_anywhere_is_refused_by_name(pristine, tmp_path_factory, capsys, 
     ws = tmp_path_factory.mktemp("ws") / "ws"
     shutil.copytree(base, ws)
     check(ws, *case, MUTATIONS[name], rng, snapshot, capsys)
+
+
+def duplicate_record(at: int):
+    """The mutation that writes snapshot line `at` twice."""
+    def duplicate(path: Path, rng: random.Random) -> None:
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[: at + 1] + lines[at:]))
+    return duplicate
+
+
+@pytest.mark.parametrize("command", READERS["snapshot"])
+def test_duplicated_snapshot_record_is_refused_by_name(pristine, tmp_path, capsys, command):
+    base, snapshot = pristine
+    ws = tmp_path / "ws"
+    shutil.copytree(base, ws)
+    path = damaged_path(ws, "snapshot", snapshot)
+    intact = path.read_bytes()
+    # every record between the header and the end marker
+    for at in range(1, len(intact.splitlines()) - 1):
+        path.write_bytes(intact)
+        code = check(ws, "snapshot", command, duplicate_record(at), None, snapshot, capsys)
+        assert code == (1 if command == "replay" else 2), at

@@ -15,6 +15,7 @@ from skillmas.model import (
     active_owned,
     cluster_skills,
     place_skill,
+    jaccard,
     skill_similarity,
     validate_state,
 )
@@ -58,6 +59,10 @@ class TestSimilarity:
         a = make_skill("a", steps=("g", "t", "p"), guards=("open",))
         b = make_skill("b", steps=("g", "t"), guards=("open",))
         assert skill_similarity(a, b) == 0.75
+
+    def test_empty_token_sets_share_nothing(self):
+        # two executors without active skills do not overlap
+        assert jaccard(frozenset(), frozenset()) == 0.0
 
     def test_pruned_rejected(self):
         a = make_skill("a", status=SkillStatus.PRUNED)
@@ -244,3 +249,9 @@ class TestDomainInvariants:
         task = TaskType("t1", ("p1",))
         with pytest.raises(StateError):
             TraceShape(task, (), 1, 0.5)
+
+    def test_trace_routes_its_first_phase(self):
+        from skillmas.model import TraceShape
+
+        with pytest.raises(StateError, match="at least its first phase"):
+            TraceShape(TaskType("t1", ("p1",)), (), 0, 0.0)

@@ -3,7 +3,8 @@
 A module-level function that no other `src/` code names, and that is not
 exported, is test-only code: it keeps working only as long as its tests
 run it, and it tends to grow back after each deletion.  A reference that
-tests compare the engine against lives in `tests/reference.py`.
+tests compare the engine against lives in `tests/reference.py`.  Likewise,
+a parameter that its function never reads is an input that changes nothing.
 """
 
 from __future__ import annotations
@@ -42,3 +43,35 @@ def test_every_function_has_a_caller_in_src():
     unexplained = sorted(o for o in orphans() if o.split(".")[1] not in skillmas.__all__)
     assert unexplained == []
 
+
+
+def unread_parameters() -> list[str]:
+    """Parameters of `src/skillmas` functions and methods that their body
+    never names, as `module.function(parameter)`; `self`, `cls` and
+    `_`-prefixed names are exempt."""
+    unread = []
+    for path in sorted(Path(skillmas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.stem}.{node.name}({p.arg})"
+                for p in params
+                if p is not None
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+                and p.arg not in read
+            ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skillmas.config import EngineConfig
 from skillmas.evolution import SkillAction, SkillDelta
@@ -371,3 +372,118 @@ class TestEvidence:
             evidence={**decision.evidence, "utility": 0.9},
         )
         assert not evidence_holds(broken)
+
+
+def one_third_world(overlap_threshold):
+    """Two workers whose skill tokens overlap in exactly 1/3: {x, y} and {y, z}."""
+    universe = frozenset(TASK.pairs())
+    state = make_state(
+        [make_skill("sa", steps=("x", "y"), owner="wa"),
+         make_skill("sb", steps=("y", "z"), owner="wb")],
+        executors=[
+            Executor("manager", universe, frozenset(), is_manager=True),
+            Executor("wa", universe, frozenset({"sa"})),
+            Executor("wb", universe, frozenset({"sb"})),
+        ],
+    )
+    q = UtilityTable({("wa", "t1"): (0.6, 9), ("wb", "t1"): (0.58, 9)})
+    return [], state.executors, q, EngineConfig(overlap_threshold=overlap_threshold), state.library
+
+
+class TestOnePredicate:
+    def test_overlap_is_decided_on_its_recorded_value(self):
+        # 1/3 is above 0.3333333333333, but the recorded overlap, 0.333333333333, is not
+        artifacts, executors, q, config, library = one_third_world(0.3333333333333)
+        decision = decide_restructure(artifacts, executors, q, config,
+                                      round_index=0, library=library)
+        assert decision.action == "keep"
+        artifacts, executors, q, config, library = one_third_world(0.33)
+        decision = decide_restructure(artifacts, executors, q, config,
+                                      round_index=0, library=library)
+        assert decision.action == "merge-remove"
+        assert decision.evidence["skill_overlap"] == 0.333333333333
+        assert evidence_holds(decision)
+
+    @pytest.mark.parametrize("action", ["add", "merge-remove", "modify"])
+    def test_evidence_must_be_for_the_action_taken(self, action):
+        modify_evidence = {
+            "predicate": "modify", "executor": "w", "owned_skills": 5,
+            "capacity": 2, "weak_family": "t1", "utility": 0.3, "count": 6,
+            "weak_utility": 0.5, "min_count": 5,
+        }
+        decision = RestructureDecision(action=action, subjects=("w",),
+                                       evidence=modify_evidence)
+        assert evidence_holds(decision) == (action == "modify")
+
+
+RATIO = st.sampled_from([0.0, 0.25, 0.3, 1 / 3, 0.4, 0.5, 2 / 3, 1.0])
+THRESHOLD = RATIO | st.sampled_from([0.3333333333333, 0.333333333333, 0.05, 0.0999999999999])
+PAIRS = [(t, p) for t in ("t0", "t1") for p in ("p0", "p1")]
+
+
+@st.composite
+def restructure_inputs(draw):
+    """A manager and up to three workers over two families, their skills,
+    an executor utility table, diagnostic artifacts and thresholds."""
+    workers = [f"w{i}" for i in range(draw(st.integers(1, 3)))]
+    everyone = ["manager", *workers]
+    library = {}
+    for i in range(draw(st.integers(0, 8))):
+        owner = draw(st.sampled_from(everyone))
+        library[f"s{i}"] = make_skill(
+            f"s{i}",
+            pairs=draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4, unique=True)),
+            steps=draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3)),
+            guards=draw(st.lists(st.sampled_from("gh"), max_size=2)),
+            status=draw(st.sampled_from(list(SkillStatus))),
+            owner=owner,
+        )
+    executors = {}
+    for eid in everyone:
+        boundary = frozenset(PAIRS) if eid == "manager" else frozenset(
+            draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4, unique=True))
+        )
+        owned = frozenset(
+            s.id for s in library.values()
+            if s.owner == eid and s.status is not SkillStatus.PRUNED
+        )
+        executors[eid] = Executor(eid, boundary, owned, capacity=draw(st.integers(1, 4)),
+                                  is_manager=eid == "manager")
+    q = UtilityTable({
+        (eid, task): (draw(RATIO), draw(st.integers(0, 9)))
+        for eid in everyone for task in ("t0", "t1") if draw(st.integers(0, 3))
+    })
+    artifacts = [
+        DiagnosticArtifact(
+            task_type=task,
+            failure_mass=draw(st.integers(0, 6)),
+            implicated_executors=tuple(
+                ExecutorEvidence(eid, draw(RATIO), draw(st.integers(0, 9)))
+                for eid in draw(st.lists(st.sampled_from(everyone), min_size=1,
+                                         max_size=2, unique=True))
+            ),
+            failing_pairs=tuple(sorted(draw(st.lists(
+                st.sampled_from([(task, "p0"), (task, "p1")]), min_size=1, unique=True
+            )))),
+            handoff_present=draw(st.booleans()),
+        )
+        for task in draw(st.lists(st.sampled_from(["t0", "t1"]), unique=True))
+    ]
+    config = EngineConfig(
+        mass_threshold=draw(st.integers(1, 5)),
+        overlap_threshold=draw(THRESHOLD),
+        min_count=draw(st.integers(1, 6)),
+        merge_gap=draw(THRESHOLD),
+        weak_executor_utility=draw(THRESHOLD),
+    )
+    return artifacts, executors, q, config, library
+
+
+@settings(max_examples=300, deadline=None)
+@given(restructure_inputs())
+@example(one_third_world(0.3333333333333))
+def test_every_decision_holds_on_its_own_evidence(inputs):
+    artifacts, executors, q, config, library = inputs
+    decision = decide_restructure(artifacts, executors, q, config,
+                                  round_index=1, library=library)
+    assert evidence_holds(decision)

@@ -280,7 +280,7 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
     assert repr(q_skill.sorted_entries()) == repr(want_skill.sorted_entries())
     assert repr(q_exec.sorted_entries()) == repr(want_exec.sorted_entries())
 
-    pool = update_pool_counters(state.pool, state.library, traces)
+    pool = update_pool_counters(state.pool, traces)
     want_pool = reference_pool_counters(state.pool, traces)
     assert pool == want_pool and repr(sorted(pool.items())) == repr(sorted(want_pool.items()))
 

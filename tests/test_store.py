@@ -28,6 +28,7 @@ from skillmas.store import (
 from skillmas.world import exec_round
 from skillmas.config import EngineConfig
 from skillmas.numfmt import q12
+from skillmas.orchestrator import run_experiment
 
 from conftest import make_skill, make_state, random_scenario
 
@@ -126,6 +127,49 @@ class TestSnapshots:
                 text = serialize_state(state)
                 assert deserialize_state(text) == state
                 assert serialize_state(deserialize_state(text)) == text
+
+
+def _repeat(kind):
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        return lines[: at + 1] + lines[at:], at + 1
+    return damage
+
+
+def _append(kind, text):
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        return lines[:at] + [lines[at] + text] + lines[at + 1 :], at
+    return damage
+
+
+# damage the writer never writes: (damaged lines, index of the refused line)
+SNAPSHOT_DAMAGE = {
+    "second round": lambda lines: (lines[:2] + ["round 9"] + lines[2:], 2),
+    "round with two numbers": lambda lines: (lines[:1] + [lines[1] + " 7"] + lines[2:], 1),
+    **{f"repeated {kind}": _repeat(kind)
+       for kind in ("skill", "executor", "qskill", "qexec", "pool", "card")},
+    "unknown skill key": _append("skill", " color=red"),
+    "unknown executor key": _append("executor", " color=red"),
+    "skill key given twice": _append("skill", " status=pruned"),
+    "executor key given twice": _append("executor", " manager=0"),
+}
+
+
+@pytest.fixture(scope="module")
+def evolved_snapshot():
+    """favorable seed 1 after one round: a snapshot holding every record kind."""
+    pack = load_preset("favorable")
+    state = run_experiment(pack.scenario, pack.seed_state, 1, 1, pack.config).states[1]
+    return serialize_state(state).splitlines()
+
+
+@pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
+def test_snapshot_reader_refuses_what_the_writer_never_writes(evolved_snapshot, damage):
+    lines, at = SNAPSHOT_DAMAGE[damage](evolved_snapshot)
+    with pytest.raises(StoreError) as err:
+        deserialize_state("\n".join(lines) + "\n")
+    assert err.value.offset == sum(len(line) + 1 for line in lines[:at])
 
 
 class TestTraceLog:

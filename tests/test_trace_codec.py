@@ -114,7 +114,7 @@ def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
         task = draw(st.sampled_from(tasks))
         if draw(st.booleans()):
             task = dataclasses.replace(task)  # equal, not shared
-        attempted = draw(st.integers(0, len(task.phases)))
+        attempted = draw(st.integers(1, len(task.phases)))  # every trace routes a phase
         slices = []
         for phase in task.phases[:attempted]:
             sl = draw(st.sampled_from(pools[(task, phase)]))

@@ -19,6 +19,7 @@ from skillmas.world import (
     exec_shared,
     logistic,
     motif_skill,
+    motif_tokens,
     realized_catalog,
     sample_episode,
     walk_episode,
@@ -145,6 +146,7 @@ class TestRealization:
         latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
         draft = motif_skill(latent, "lat-r0", "worker")
         assert realizes(draft, latent)
+        assert draft.tokens() == motif_tokens("lat")
 
 
 class TestSampleEpisode:
