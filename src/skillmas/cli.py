@@ -339,15 +339,21 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
 
 
 def _load_snapshot(
-    path: Path, scenario: Scenario, named_by: Path | None = None
+    path: Path, scenario: Scenario, round_index: int | None = None,
+    named_by: Path | None = None,
 ) -> RoundState:
-    """Read a state snapshot and validate it against the scenario's universe."""
+    """Read a state snapshot and validate it against the scenario's universe
+    and, when given, the round its name in a run directory gives."""
     text = _read_text(path, "snapshot", f"snapshot {path}", named_by)
     try:
         state = deserialize_state(text)
         validate_state(state, scenario.universe())
     except (StoreError, StateError) as exc:
         raise UsageError(f"snapshot {path}: {exc}") from None
+    if round_index is not None and state.round_index != round_index:
+        raise UsageError(
+            f"snapshot {path}: holds round {state.round_index}, not round {round_index}"
+        )
     return state
 
 
@@ -423,8 +429,10 @@ def cmd_transplant(args: argparse.Namespace) -> int:
             f"{checkpoint_path}: 'snapshot' must be {snapshot!r} for round "
             f"{checkpoint['round']}, not {checkpoint['snapshot']!r}"
         )
-    final_state = _load_snapshot(run_dir / snapshot, pack.scenario, checkpoint_path)
-    seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario)
+    final_state = _load_snapshot(
+        run_dir / snapshot, pack.scenario, checkpoint["round"], checkpoint_path
+    )
+    seed_state = _load_snapshot(run_dir / _snapshot_name(0), pack.scenario, 0)
     table = evaluate_transplants(
         pack.scenario, final_state, seed_state, seed, args.episodes, config
     )

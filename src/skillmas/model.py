@@ -319,6 +319,8 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
     (task, phase) space, so every pair an episode reaches can be routed.
     """
     problems: list[str] = []
+    if state.round_index < 0:
+        problems.append(f"round {state.round_index} is negative")
 
     managers = [e.id for e in state.executors.values() if e.is_manager]
     if len(managers) != 1:

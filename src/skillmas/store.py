@@ -2,7 +2,10 @@
 
 Scenario files are a line-oriented sectioned text format so parse errors can
 point at the offending line.  Snapshots are a versioned record stream with
-records sorted by id; serialize/deserialize is an exact round trip.  Trace
+records sorted by id, and `serialize_state` is the one definition of their
+format: a snapshot is read only as the writer writes it.  The reader builds
+a state from the records and refuses the first line that differs from the
+writer's line for that state, at its byte offset.  Trace
 logs are JSON lines, written once per run directory in the order the traces
 were generated.  Nothing in the engine reads a log back: `replay` compares
 its bytes, and the counts `report` shows come from `trajectory.json`.
@@ -14,7 +17,7 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .config import EngineConfig, config_from_mapping
 from .model import (
@@ -38,7 +41,8 @@ from .world import LatentSkill, Scenario
 SNAPSHOT_VERSION = 1
 SNAPSHOT_HEADER = "skillmas-state"
 
-_TOKEN = re.compile(r"^[A-Za-z0-9_.:+-]+$")
+# a lone "-" is how a snapshot writes an empty set, so it is no id
+_TOKEN = re.compile(r"^(?!-$)[A-Za-z0-9_.:+-]+$")
 
 
 class StoreError(ValueError):
@@ -89,7 +93,9 @@ def _ids(line: int, *texts: str) -> None:
     """Every id ends up in snapshots, so each must be a snapshot token."""
     for text in texts:
         if not _TOKEN.fullmatch(text):
-            raise ScenarioError(f"id {text!r} may hold only letters, digits and _.:+-", line)
+            raise ScenarioError(
+                f"id {text!r} must be letters, digits and _.:+-, and not a lone '-'", line
+            )
 
 
 def _parse_pair(text: str, line: int) -> Pair:
@@ -404,192 +410,154 @@ def _join(values: Iterable[str]) -> str:
 
 
 def _join_pairs(pairs: Iterable[Pair]) -> str:
-    items = sorted(f"{t}/{p}" for t, p in pairs)
+    items = sorted(f"{_check_token(t)}/{_check_token(p)}" for t, p in pairs)
     return ",".join(items) if items else "-"
 
 
-def serialize_state(state: RoundState) -> str:
-    """Render a round state as a sorted, versioned record stream."""
-    lines = [f"{SNAPSHOT_HEADER} v{SNAPSHOT_VERSION}", f"round {state.round_index}"]
+def _records(state: RoundState) -> Iterator[str]:
+    """The snapshot of `state`, one record (a line without its end) at a
+    time: the one definition of the format, read back by the reader too."""
+    yield f"{SNAPSHOT_HEADER} v{SNAPSHOT_VERSION}"
+    yield f"round {state.round_index}"
     for sid in sorted(state.library):
         s = state.library[sid]
         steps = ",".join(_check_token(t) for t in s.steps)
-        lines.append(
+        yield (
             f"skill {_check_token(sid)} owner={_check_token(s.owner)} "
             f"status={s.status.value} applies={_join_pairs(s.applicability)} "
             f"steps={steps} guards={_join(s.guards)} checks={_join(s.checks)}"
         )
     for eid in sorted(state.executors):
         e = state.executors[eid]
-        lines.append(
+        yield (
             f"executor {_check_token(eid)} manager={int(e.is_manager)} "
             f"capacity={e.capacity} boundary={_join_pairs(e.boundary)} "
             f"owns={_join(e.owned_skills)}"
         )
     for kind, table in (("qskill", state.q_skill), ("qexec", state.q_exec)):
         for (key, task_id), (value, count) in table.sorted_entries():
-            lines.append(
-                f"{kind} {_check_token(key)} {_check_token(task_id)} {fmt(value)} {count}"
-            )
+            yield f"{kind} {_check_token(key)} {_check_token(task_id)} {fmt(value)} {count}"
     for sid in sorted(state.pool):
         uses, successes = state.pool[sid]
-        lines.append(f"pool {_check_token(sid)} {uses} {successes}")
+        yield f"pool {_check_token(sid)} {uses} {successes}"
     for card in sorted(state.policy_index, key=lambda c: c.id):
         template = _check_token(card.template_skill) if card.template_skill else "-"
-        lines.append(
+        yield (
             f"card {_check_token(card.id)} {_check_token(card.task_type)} "
             f"{card.cause.value} {card.recommended_tag.value} {template}"
         )
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    yield "end"
 
 
-def _split_pairs(text: str, offset: int) -> frozenset[Pair]:
-    if text == "-":
-        return frozenset()
-    pairs = set()
-    for part in text.split(","):
-        if part.count("/") != 1:
-            raise StoreError(f"bad pair {part!r}", offset=offset)
-        t, p = part.split("/")
-        pairs.add((t, p))
-    return frozenset(pairs)
+def serialize_state(state: RoundState) -> str:
+    """Render a round state as a sorted, versioned record stream."""
+    return "\n".join(_records(state)) + "\n"
 
 
 def _split_set(text: str) -> frozenset[str]:
     return frozenset() if text == "-" else frozenset(text.split(","))
 
 
-def _opts(parts: Sequence[str], keys: Sequence[str], offset: int) -> dict[str, str]:
-    """The record's options, which must be exactly `keys`, each given once."""
-    values: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise StoreError(f"expected key=value, got {part!r}", offset=offset)
-        key, value = part.split("=", 1)
-        if key not in keys:
-            raise StoreError(f"unknown key {key!r}", offset=offset)
-        if key in values:
-            raise StoreError(f"key {key!r} given twice", offset=offset)
-        values[key] = value
-    return values
-
-
-# how many leading fields identify a record of each kind; the writer
-# writes each record once, so the reader refuses a second one
-_KEY_FIELDS = {"round": 0, "skill": 1, "executor": 1, "pool": 1, "card": 1,
-               "qskill": 2, "qexec": 2}
-_SKILL_KEYS = ("owner", "status", "applies", "steps", "guards", "checks")
-_EXECUTOR_KEYS = ("manager", "capacity", "boundary", "owns")
+def _split_pairs(text: str) -> frozenset[Pair]:
+    return frozenset(part.partition("/")[::2] for part in _split_set(text))
 
 
 def deserialize_state(text: str) -> RoundState:
-    """Parse a snapshot; any malformation raises with the byte offset."""
-    offset = 0
+    """Read a snapshot only as `serialize_state` writes it.
+
+    The records are parsed just far enough to build a state (the first of
+    a repeated record wins), and then each line must equal the writer's
+    line for that state.  Any error carries the byte offset of its line.
+    """
     lines = []
+    offset = 0
     for raw in text.splitlines(keepends=True):
-        lines.append((offset, raw.rstrip("\n")))
+        lines.append((offset, raw))
         offset += len(raw.encode("utf-8"))
 
     if not lines:
         raise StoreError("empty snapshot stream", offset=0)
-    first_offset, header = lines[0]
-    parts = header.split()
+    parts = lines[0][1].split()
     if len(parts) != 2 or parts[0] != SNAPSHOT_HEADER or not parts[1].startswith("v"):
-        raise StoreError(f"not a state snapshot: {header!r}", offset=first_offset)
+        raise StoreError(f"not a state snapshot: {lines[0][1]!r}", offset=0)
     version = parts[1][1:]
     if version != str(SNAPSHOT_VERSION):
         raise StoreError(
             f"snapshot version mismatch: file v{version}, supported v{SNAPSHOT_VERSION}"
         )
 
-    round_number: int | None = None
+    rounds: list[int] = []
     library: dict[str, Skill] = {}
     executors: dict[str, Executor] = {}
-    s_entries: dict[tuple[str, str], tuple[float, int]] = {}
-    a_entries: dict[tuple[str, str], tuple[float, int]] = {}
+    tables: dict[str, dict[tuple[str, str], tuple[float, int]]] = {"qskill": {}, "qexec": {}}
     pool: dict[str, tuple[int, int]] = {}
-    cards: list[PolicyCard] = []
-    ended = False
-    seen: set[tuple[str, ...]] = set()
-
-    for offset, line in lines[1:]:
-        if not line:
-            continue
-        if ended:
-            raise StoreError("content after end marker", offset=offset)
-        kind, *rest = line.split()
-        if kind in _KEY_FIELDS:
-            record = (kind, *rest[: _KEY_FIELDS[kind]])
-            if record in seen:
-                raise StoreError(f"duplicate {' '.join(record)} record", offset=offset)
-            seen.add(record)
+    cards: dict[str, PolicyCard] = {}
+    for at, line in lines[1:]:
+        kind, *rest = line.split() or [""]
+        if kind == "end":
+            break
         try:
             if kind == "round":
-                (round_text,) = rest
-                round_number = int(round_text)
+                rounds.append(int(rest[0]))
             elif kind == "skill":
-                sid = rest[0]
-                opts = _opts(rest[1:], _SKILL_KEYS, offset)
-                library[sid] = Skill(
-                    id=sid,
-                    applicability=_split_pairs(opts["applies"], offset),
+                opts = dict(part.partition("=")[::2] for part in rest[1:])
+                library.setdefault(rest[0], Skill(
+                    id=rest[0],
+                    applicability=_split_pairs(opts["applies"]),
                     steps=tuple(opts["steps"].split(",")),
                     guards=_split_set(opts["guards"]),
                     checks=_split_set(opts["checks"]),
                     status=SkillStatus(opts["status"]),
                     owner=opts["owner"],
-                )
+                ))
             elif kind == "executor":
-                eid = rest[0]
-                opts = _opts(rest[1:], _EXECUTOR_KEYS, offset)
-                executors[eid] = Executor(
-                    id=eid,
-                    boundary=_split_pairs(opts["boundary"], offset),
+                opts = dict(part.partition("=")[::2] for part in rest[1:])
+                executors.setdefault(rest[0], Executor(
+                    id=rest[0],
+                    boundary=_split_pairs(opts["boundary"]),
                     owned_skills=_split_set(opts["owns"]),
                     capacity=int(opts["capacity"]),
                     is_manager=bool(int(opts["manager"])),
-                )
-            elif kind == "qskill":
+                ))
+            elif kind in tables:
                 key, task_id, value, count = rest
-                s_entries[(key, task_id)] = (float(value), int(count))
-            elif kind == "qexec":
-                key, task_id, value, count = rest
-                a_entries[(key, task_id)] = (float(value), int(count))
+                tables[kind].setdefault((key, task_id), (float(value), int(count)))
             elif kind == "pool":
                 sid, uses, successes = rest
-                pool[sid] = (int(uses), int(successes))
+                pool.setdefault(sid, (int(uses), int(successes)))
             elif kind == "card":
                 ident, task_id, cause, tag, template = rest
-                cards.append(
-                    PolicyCard(
-                        id=ident,
-                        task_type=task_id,
-                        cause=CauseLabel(cause),
-                        recommended_tag=BoundedTag(tag),
-                        template_skill=None if template == "-" else template,
-                    )
-                )
-            elif kind == "end":
-                ended = True
-            else:
-                raise StoreError(f"unknown record {kind!r}", offset=offset)
-        except StoreError:
-            raise
+                cards.setdefault(ident, PolicyCard(
+                    id=ident,
+                    task_type=task_id,
+                    cause=CauseLabel(cause),
+                    recommended_tag=BoundedTag(tag),
+                    template_skill=None if template == "-" else template,
+                ))
         except (KeyError, ValueError, IndexError) as exc:
-            raise StoreError(f"malformed {kind} record: {exc}", offset=offset) from None
-
-    if not ended or round_number is None:
+            raise StoreError(f"malformed {kind} record: {exc}", offset=at) from None
+    else:
         raise StoreError("truncated snapshot stream: no end marker", offset=offset)
-    return RoundState(
-        round_index=round_number,
+
+    state = RoundState(
+        round_index=rounds[0] if rounds else 0,  # a missing round differs at line 1
         library=library,
         executors=executors,
-        q_skill=UtilityTable(s_entries),
-        q_exec=UtilityTable(a_entries),
+        q_skill=UtilityTable(tables["qskill"]),
+        q_exec=UtilityTable(tables["qexec"]),
         pool=pool,
-        policy_index=tuple(cards),
+        policy_index=tuple(cards.values()),
     )
+    written = _records(state)
+    for at, line in lines:
+        try:
+            record = next(written, None)
+        except StoreError as exc:  # a token the writer refuses
+            raise StoreError(str(exc), offset=at) from None
+        if record is None or line != record + "\n":
+            expected = "nothing" if record is None else repr(record + "\n")
+            raise StoreError(f"read {line!r} where the writer writes {expected}", offset=at)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Snapshots are checked on both sides: every id written passes the token
 check, and every snapshot `eval` or `transplant` loads is validated against
-the scenario before it runs."""
+the scenario (and, in a run directory, the round its name gives) before it
+runs."""
 
 from __future__ import annotations
+
+import shutil
 
 import pytest
 
@@ -87,3 +90,39 @@ def test_every_snapshot_id_is_token_checked(field):
     state = make_state([skill], q_skill=q_skill, q_exec=q_exec, pool=pool, cards=(card,))
     with pytest.raises(StoreError, match="'has space' is not snapshot-safe"):
         serialize_state(state)
+
+
+@pytest.mark.parametrize("where", ["skill id", "step", "guard", "card template"])
+def test_a_lone_dash_is_no_token(where):
+    # "-" is how a snapshot writes an empty set: as an id it would read back
+    # as no set member, or as a card with no template
+    skill = make_skill("-" if where == "skill id" else "sk",
+                       steps=("-",) if where == "step" else ("a",),
+                       guards=("-",) if where == "guard" else ())
+    template = "-" if where == "card template" else "lat"
+    card = PolicyCard("pc", CauseLabel.UNKNOWN, "t1", BoundedTag.NONE, template)
+    with pytest.raises(StoreError, match="'-' is not snapshot-safe"):
+        serialize_state(make_state([skill], cards=(card,)))
+
+
+def test_eval_rejects_a_negative_round(run_dir, capsys):
+    snapshot = run_dir / "snapshots" / "state_r000.txt"
+    text = snapshot.read_text(encoding="utf-8")
+    snapshot.write_text(text.replace("\nround 0\n", "\nround -3\n"), encoding="utf-8")
+    code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
+                 "--episodes", "5", "--seed", "1"])
+    assert code == 2
+    assert f"snapshot {snapshot}: round -3 is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("held, named", [(0, 2), (2, 0)],
+                         ids=["seed over checkpoint", "checkpoint over seed"])
+def test_transplant_checks_each_snapshot_round_against_its_name(run_dir, capsys, held, named):
+    # preset:tiny seed 42 over 3 rounds checkpoints round 2
+    snapshots = run_dir / "snapshots"
+    target = snapshots / f"state_r00{named}.txt"
+    shutil.copyfile(snapshots / f"state_r00{held}.txt", target)
+    assert main(["transplant", "--run", str(run_dir), "--episodes", "5"]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot {target}: holds round {held}, not round {named}" in err
+    assert not (run_dir / "transplant.json").exists()

@@ -143,7 +143,26 @@ def _append(kind, text):
     return damage
 
 
-# damage the writer never writes: (damaged lines, index of the refused line)
+def _field(kind, index, text):
+    """Set field `index` of the first record of `kind` to `text`."""
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        fields = lines[at].split(" ")
+        fields[index] = text
+        return lines[:at] + [" ".join(fields)] + lines[at + 1 :], at
+    return damage
+
+
+def _swap_first(kind):
+    def damage(lines):
+        at = next(i for i, line in enumerate(lines) if line.split()[0] == kind)
+        assert lines[at + 1].split()[0] == kind
+        return lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :], at
+    return damage
+
+
+# damage the writer never writes: (damaged lines, index of the refused line,
+# and optionally the text's last line end in place of "\n")
 SNAPSHOT_DAMAGE = {
     "second round": lambda lines: (lines[:2] + ["round 9"] + lines[2:], 2),
     "round with two numbers": lambda lines: (lines[:1] + [lines[1] + " 7"] + lines[2:], 1),
@@ -153,6 +172,17 @@ SNAPSHOT_DAMAGE = {
     "unknown executor key": _append("executor", " color=red"),
     "skill key given twice": _append("skill", " status=pruned"),
     "executor key given twice": _append("executor", " manager=0"),
+    "manager=2": _field("executor", 2, "manager=2"),
+    "capacity=010": _field("executor", 3, "capacity=010"),
+    "round 01": _field("round", 1, "01"),
+    "guards=a,-": _field("skill", 6, "guards=a,-"),
+    "utility 0.50": _field("qskill", 3, "0.50"),
+    "blank line": lambda lines: (lines[:2] + [""] + lines[2:], 2),
+    "CRLF line ends": lambda lines: ([line + "\r" for line in lines], 0),
+    "no final newline": lambda lines: (lines, len(lines) - 1, ""),
+    "skill records swapped": _swap_first("skill"),
+    "unsafe token": _field("skill", 1, "a!"),
+    "pair a/b/c": _field("executor", 4, "boundary=a/b/c"),
 }
 
 
@@ -166,9 +196,9 @@ def evolved_snapshot():
 
 @pytest.mark.parametrize("damage", sorted(SNAPSHOT_DAMAGE))
 def test_snapshot_reader_refuses_what_the_writer_never_writes(evolved_snapshot, damage):
-    lines, at = SNAPSHOT_DAMAGE[damage](evolved_snapshot)
+    lines, at, *last_end = SNAPSHOT_DAMAGE[damage](evolved_snapshot)
     with pytest.raises(StoreError) as err:
-        deserialize_state("\n".join(lines) + "\n")
+        deserialize_state("\n".join(lines) + (last_end[0] if last_end else "\n"))
     assert err.value.offset == sum(len(line) + 1 for line in lines[:at])
 
 
@@ -231,9 +261,17 @@ class TestScenarioFiles:
              "skill s = owner=m applies=t1/p1 steps=a,b\xe9\n", 5, "id 'b\xe9'"),
             ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 1,
              "routing noise must be in [0, 1)"),
+            # a lone "-" is how snapshots write an empty set
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "skill - = owner=m applies=t1/p1 steps=go\n", 5, "id '-'"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "skill s = owner=m applies=t1/p1 steps=go,-\n", 5, "id '-'"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "card pc = t1 unknown none -\n", 5, "id '-'"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
-             "capacity-zero", "skill-step", "routing-noise"],
+             "capacity-zero", "skill-step", "routing-noise", "skill-id-dash", "step-dash",
+             "card-template-dash"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse
