@@ -147,3 +147,42 @@ def random_scenario(rng: random.Random, name: str = "fuzz") -> tuple[Scenario, R
 @pytest.fixture
 def config() -> EngineConfig:
     return EngineConfig()
+
+
+# every phase covered by four or five executors and explored 90% of the
+# time: randrange(4) rejects half its tries, so frozen walks read past an
+# episode's leading words
+NOISY = """\
+[tasks]
+assay = prep run check | 1.0
+build = frame wire | 2.0
+
+[difficulty]
+assay/prep  = 0.6
+assay/run   = -0.4
+assay/check = 0.9
+build/frame = 0.2
+build/wire  = -0.8
+
+[latent]
+ls-run  = assay/run 2.0 missing-precondition
+ls-wire = build/wire 1.6 wrong-action-order
+
+[penalties]
+interference     = 0.3
+overload         = 0.4
+routing-noise    = 0.9
+cause-confidence = 0.7
+
+[seed-state]
+executor manager = * capacity=4 manager
+executor w1 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=3
+executor w2 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=2
+executor w3 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=2
+executor w4 = assay/run,build/wire capacity=1
+skill sk-go = owner=w1 applies=assay/run,build/wire steps=go,look checks=ok
+
+[thresholds]
+episodes-per-round = 60
+"""
+

@@ -4,7 +4,8 @@ Every value below was recorded from the engine before any speed work on the
 round pipeline, except OWNERSHIP_SHA256 and TRANSPLANT_SHA256, recorded
 before each rule that edits skill ownership got a single implementation, and
 EVAL_SHA256, recorded before `sample_episode` took only an execution table,
-and MERGE_SHA256, recorded before the per-call references left the engine.
+MERGE_SHA256, recorded before the per-call references left the engine, and
+NOISY_SHA256, recorded before frozen evaluation dropped its tape cursors.
 A change that is meant to be a pure optimisation must leave
 all of them unchanged; a change that alters behaviour on purpose must say so
 and re-record them.
@@ -18,12 +19,15 @@ import random
 
 import pytest
 
-from conftest import random_scenario
+from conftest import NOISY, random_scenario
+from reference import _weighted_choice
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
 from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
 from skillmas.presets import PRESETS
 from skillmas.store import parse_scenario, serialize_state
+from skillmas.streams import derive_seed
+from skillmas.world import ExecutionTable, walk_episode
 
 SEEDS = (1, 7, 11)
 ROUNDS = 8
@@ -93,6 +97,16 @@ TRANSPLANT_SHA256 = "0627094a9e19038f8cb3a1bf90220ffeb6398624b249312a169e7f1eef6
 # --episodes 500 --seed 7` on the RUN_DIR_SHA256 directory: its stdout, a NUL
 # byte, then the `--out` JSON
 EVAL_SHA256 = "31bfb3c944ea5ff23e347b3edae8d188fc38b967c32235375cbe1b8ab2dcd73d"
+
+# conftest's NOISY world saved as `noisy.scn` and run with `--seed 11 --rounds
+# 3`, then `skillmas transplant --episodes 300` on that directory and `skillmas
+# eval --state snapshots/state_r003.txt --episodes 300 --seed 11`: each
+# command's stdout, a NUL byte, then its JSON.  Frozen walks there read past
+# an episode's leading 2 + 5 x (most phases) words.
+NOISY_SHA256 = {
+    "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
+    "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",
+}
 
 
 def sha256_text(text: str) -> str:
@@ -247,6 +261,57 @@ def test_eval_digest(tmp_path, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
     digest.update(result.read_bytes())
     assert digest.hexdigest() == EVAL_SHA256
+
+
+class WordCounter(random.Random):
+    """A generator that counts the 32-bit words its draws read."""
+
+    words = 0
+
+    def random(self):
+        self.words += 2
+        return super().random()
+
+    def getrandbits(self, k):  # one try of `randrange`, k <= 32
+        self.words += 1
+        return super().getrandbits(k)
+
+
+def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
+    scenario_path = tmp_path / "noisy.scn"
+    scenario_path.write_text(NOISY, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["run", "--scenario", str(scenario_path), "--seed", "11", "--rounds", "3",
+                 "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["transplant", "--run", str(out), "--episodes", "300"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
+    digest.update((out / "transplant.json").read_bytes())
+    assert digest.hexdigest() == NOISY_SHA256["transplant"]
+    result = tmp_path / "eval.json"
+    assert main(["eval", "--scenario", str(scenario_path),
+                 "--state", str(out / "snapshots" / "state_r003.txt"),
+                 "--episodes", "300", "--seed", "11", "--out", str(result)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
+    digest.update(result.read_bytes())
+    assert digest.hexdigest() == NOISY_SHA256["eval"]
+
+    # both commands' walks, on `random.Random` alone, read past the leading words
+    pack = parse_scenario(NOISY, name="noisy")
+    run = run_experiment(pack.scenario, pack.seed_state, 11, 3, pack.config)
+    variants = transplant_variants(run.checkpoint_state, pack.seed_state)
+    frozen = [(variants[label], derive_seed(11, "transplant-eval")) for label in TRANSPLANT_ROWS]
+    frozen.append((run.states[3], derive_seed(11, "eval")))
+    lead = 2 + 5 * max(len(task.phases) for task in pack.scenario.task_types)
+    for state, eval_seed in frozen:
+        table = ExecutionTable(state, pack.scenario, pack.config)
+        read = []
+        for i in range(300):
+            rng = WordCounter(derive_seed(eval_seed, "episode", i))
+            task = _weighted_choice(rng, pack.scenario.task_types, pack.scenario.task_weights)
+            walk_episode(table, task, rng)
+            read.append(rng.words)
+        assert max(read) > lead
 
 
 def scenario_text(scenario, state, episodes_per_round):

@@ -33,7 +33,7 @@ from skillmas.streams import (
 )
 from skillmas.world import exec_round, exec_shared
 
-from conftest import random_scenario
+from conftest import NOISY, random_scenario
 from reference import substream
 
 # n = 1, n = 2**k + 1 (about half the tries rejected) and the largest n
@@ -126,42 +126,6 @@ def test_exec_shared_checks_the_tape_before_it_executes(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # `exec_shared` against `exec_round`, state by state
-
-# every phase covered by four or five executors and explored 90% of the
-# time: randrange(4) rejects half its tries, so episodes read past the tape
-NOISY = """\
-[tasks]
-assay = prep run check | 1.0
-build = frame wire | 2.0
-
-[difficulty]
-assay/prep  = 0.6
-assay/run   = -0.4
-assay/check = 0.9
-build/frame = 0.2
-build/wire  = -0.8
-
-[latent]
-ls-run  = assay/run 2.0 missing-precondition
-ls-wire = build/wire 1.6 wrong-action-order
-
-[penalties]
-interference     = 0.3
-overload         = 0.4
-routing-noise    = 0.9
-cause-confidence = 0.7
-
-[seed-state]
-executor manager = * capacity=4 manager
-executor w1 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=3
-executor w2 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=2
-executor w3 = assay/prep,assay/run,assay/check,build/frame,build/wire capacity=2
-executor w4 = assay/run,build/wire capacity=1
-skill sk-go = owner=w1 applies=assay/run,build/wire steps=go,look checks=ok
-
-[thresholds]
-episodes-per-round = 60
-"""
 
 WORLDS = dict(PRESETS) | {"noisy": NOISY}
 
