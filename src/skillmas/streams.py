@@ -6,9 +6,15 @@ state, so every episode owns an independent stream reproducible from
 round therefore produce identical trace sets.
 
 `episode_streams` reseeds one generator per episode.  When several readers
-consume the same episode stream, a `StreamTape` holds the stream's 32-bit
-words and each reader draws from it through its own `TapeCursor`, whose
-`random()` and `randrange(n)` reproduce `random.Random` bit for bit.
+consume the same episode stream, they read one plain list of its 32-bit
+words (`stream_words`) through two word rules, each defined once here:
+`word_random` takes 53 bits from two words, and `word_randrange(n)` takes
+the top `n.bit_length()` bits of one word per try, rejecting values >= n.
+Each computes exactly what `random.Random` computes from those words.  A
+rule that reads past the list extends it from the same generator, so the
+list always holds a prefix of the stream, whatever each reader has read.
+`probed_word_rules` checks the rules against `random.Random` before handing
+them out.
 """
 
 from __future__ import annotations
@@ -73,110 +79,72 @@ def episode_streams(seed: int) -> Callable[[int], random.Random]:
 _TWO_M53 = 1.0 / 9007199254740992.0  # 2 ** -53
 
 
-class StreamTape:
-    """The leading 32-bit words of one generator's stream, shared by cursors.
-
-    `load(rng)` takes the generator's next `width` words in one
-    `getrandbits` call and rewinds every cursor.  A cursor that reads past
-    the end extends the one word list in place from the same generator, so
-    each cursor sees the stream's words in stream order, whatever the other
-    cursors have read.
-    """
-
-    __slots__ = ("words", "_bits", "_bytes", "_unpack", "_rng", "_cursors")
-
-    def __init__(self, width: int):
-        if width < 1:
-            raise ValueError("a tape holds at least one word")
-        self.words: list[int] = []
-        self._bits = 32 * width
-        self._bytes = 4 * width
-        self._unpack = struct.Struct(f"<{width}I").unpack
-        self._rng: random.Random | None = None
-        self._cursors: list[TapeCursor] = []
-
-    def cursor(self) -> TapeCursor:
-        cursor = TapeCursor(self)
-        self._cursors.append(cursor)
-        return cursor
-
-    def _next_words(self) -> tuple[int, ...]:
-        # getrandbits fills its result from the least significant word up
-        return self._unpack(self._rng.getrandbits(self._bits).to_bytes(self._bytes, "little"))
-
-    def load(self, rng: random.Random) -> None:
-        self._rng = rng
-        self.words[:] = self._next_words()
-        for cursor in self._cursors:
-            cursor.pos = 0
-
-    def extend(self, length: int) -> None:
-        """Draw further words from the generator until the tape holds `length`."""
-        while len(self.words) < length:
-            self.words.extend(self._next_words())
+def stream_words(count: int) -> Callable[[random.Random], list[int]]:
+    """`rng -> ` a list of the generator's next `count` 32-bit words, in
+    stream order."""
+    unpack = struct.Struct(f"<{count}I").unpack
+    bits, size = 32 * count, 4 * count
+    # getrandbits fills its result from the least significant word up
+    return lambda rng: list(unpack(rng.getrandbits(bits).to_bytes(size, "little")))
 
 
-class TapeCursor:
-    """One reader's position on a `StreamTape`, drawing like `random.Random`."""
-
-    __slots__ = ("tape", "words", "pos")
-
-    def __init__(self, tape: StreamTape):
-        self.tape = tape
-        self.words = tape.words
-        self.pos = 0
-
-    def random(self) -> float:
-        """`random.Random.random`: 53 bits from the tops of two words."""
-        pos = self.pos
-        words = self.words
-        end = pos + 2
-        if end > len(words):
-            self.tape.extend(end)
-        self.pos = end
-        return ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
-
-    def randrange(self, n: int) -> int:
-        """`random.Random.randrange(n)` for 0 < n < 2**32: the top
-        `n.bit_length()` bits of one word per try, rejecting values >= n."""
-        if not 0 < n <= 0xFFFFFFFF:
-            raise ValueError(f"a tape cursor draws randrange(n) for 0 < n < 2**32, not {n}")
-        shift = 32 - n.bit_length()
-        words = self.words
-        pos = self.pos
-        while True:
-            if pos >= len(words):
-                self.tape.extend(pos + 1)
-            value = words[pos] >> shift
-            pos += 1
-            if value < n:
-                self.pos = pos
-                return value
+def _extend(words: list[int], end: int, rng: random.Random) -> None:
+    """Append the stream's next words to `words` until it holds `end`."""
+    words += stream_words(end - len(words))(rng)
 
 
-_PROBE_SEED = derive_seed("stream-tape", "probe")
+def word_random(words: list[int], pos: int, rng: random.Random) -> float:
+    """`random.Random.random()` read from `words[pos:pos + 2]`: 53 bits from
+    the tops of two words."""
+    if pos + 2 > len(words):
+        _extend(words, pos + 2, rng)
+    return ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
+
+
+def word_randrange(words: list[int], pos: int, n: int, rng: random.Random) -> tuple[int, int]:
+    """`random.Random.randrange(n)` read from `words[pos:]`, for 0 < n < 2**32,
+    and the position after the last word read: the top `n.bit_length()` bits
+    of one word per try, rejecting values >= n."""
+    if not 0 < n <= 0xFFFFFFFF:
+        raise ValueError(f"word_randrange draws for 0 < n < 2**32, not {n}")
+    shift = 32 - n.bit_length()
+    while True:
+        if pos >= len(words):
+            _extend(words, pos + 1, rng)
+        value = words[pos] >> shift
+        pos += 1
+        if value < n:
+            return value, pos
+
+
+_PROBE_SEED = derive_seed("word-rules", "probe")
 # random(), randrange(1), and randrange(2**k + 1), which rejects almost half
-# its tries; 24 draws read far past a two-word tape
+# its tries; 24 draws read far past a two-word list
 _PROBE_DRAWS = ("random", 1, 17, "random", 2**31 + 1, 3) * 4
 
 
-def _draw(source: random.Random | TapeCursor, draw: str | int) -> float | int:
-    return source.random() if draw == "random" else source.randrange(draw)
+def probed_word_rules() -> tuple[Callable, Callable, Callable]:
+    """`(stream_words, word_random, word_randrange)`, once two readers of one
+    two-word list, one after the other as `exec_shared`'s states read, have
+    each drawn with them what a fresh `random.Random` on the same seed draws.
 
-
-def check_stream_tape() -> None:
-    """Raise `StateError` unless two cursors reading one tape at different
-    paces each draw what a fresh `random.Random` on the same seed draws."""
-    tape = StreamTape(2)
-    cursors = (tape.cursor(), tape.cursor())
-    tape.load(random.Random(_PROBE_SEED))
-    drawn: tuple[list[float | int], ...] = ([], [])
-    for k in range(3 * len(_PROBE_DRAWS)):
-        reader = 1 if k % 3 == 2 else 0  # the first reads two draws per one of the second
-        values = drawn[reader]
-        if len(values) < len(_PROBE_DRAWS):
-            values.append(_draw(cursors[reader], _PROBE_DRAWS[len(values)]))
+    Raises `StateError` when they diverge.  A caller that reads only through
+    the returned functions reads exactly what was probed.
+    """
+    load, draw_random, draw_randrange = rules = stream_words, word_random, word_randrange
     ref = random.Random(_PROBE_SEED)
-    expected = [_draw(ref, draw) for draw in _PROBE_DRAWS]
-    if drawn[0] != expected or drawn[1] != expected:
-        raise StateError("stream tape draws diverge from random.Random")
+    expected = [ref.random() if draw == "random" else ref.randrange(draw) for draw in _PROBE_DRAWS]
+    rng = random.Random(_PROBE_SEED)
+    words = load(2)(rng)
+    for _ in range(2):  # the first reader extends the list, the second reads it
+        pos, drawn = 0, []
+        for draw in _PROBE_DRAWS:
+            if draw == "random":
+                drawn.append(draw_random(words, pos, rng))
+                pos += 2
+            else:
+                value, pos = draw_randrange(words, pos, draw, rng)
+                drawn.append(value)
+        if drawn != expected:
+            raise StateError("word rules diverge from random.Random")
+    return rules

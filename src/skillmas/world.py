@@ -35,7 +35,7 @@ from .model import (
     active_owned,
 )
 from .numfmt import q12
-from .streams import StreamTape, check_stream_tape, episode_streams
+from .streams import episode_streams, probed_word_rules
 from .utility import Route, executor_route, rank_skills, skills_by_task
 
 
@@ -326,11 +326,11 @@ class ExecutionTable:
     def _manager_id(self) -> str:
         return self.state.manager_id()
 
-    def draw_task(self, rng: random.Random) -> TaskType:
-        """A task drawn with probability proportional to its sampling weight,
-        by bisection over the cumulative weights."""
-        mark = rng.random() * self.total_weight
-        index = bisect.bisect_right(self.cumulative_weights, mark)
+    def task_at(self, u: float) -> TaskType:
+        """The task a uniform draw `u` in [0, 1) picks, each with probability
+        proportional to its sampling weight, by bisection over the
+        cumulative weights."""
+        index = bisect.bisect_right(self.cumulative_weights, u * self.total_weight)
         return self.tasks[index] if index < len(self.tasks) else self.tasks[-1]
 
     def paths(self, task_type: TaskType) -> tuple:
@@ -345,6 +345,14 @@ class ExecutionTable:
                 task_type,
             )
         return entry
+
+    def add_step(self, steps: dict, pair: Pair, executor_id: str, slices: tuple) -> tuple:
+        """The trie step routing `pair` to `executor_id` after the path
+        `slices`, added to `steps`: the slot, the path's slices then the
+        slot's, and the next phase's steps."""
+        slot = self.slot(pair, executor_id)
+        step = steps[executor_id] = (slot, (*slices, slot.slice), {})
+        return step
 
     def route(self, pair: Pair) -> Route:
         return executor_route(self.state.q_exec, self.state, *pair)
@@ -399,9 +407,8 @@ def walk_episode(
     success with the slot's probability.  The walk stops at the first phase
     that fails and returns the slices of the phases it routed, the progress
     `q12(completed / phases)`, and the slot that failed, or None when every
-    phase succeeded.  `rng` is a `random.Random` or a `streams.TapeCursor`:
-    the walk only calls `random()` and `randrange(n)`, here and in
-    `Route.draw`.
+    phase succeeded.  `exec_shared` makes the same draws in its own loop,
+    on an episode's stream words.
     """
     phases, progress, steps, _ = table.paths(task_type)
     slices: tuple[ExecutorSlice, ...] = ()
@@ -409,8 +416,7 @@ def walk_episode(
         executor_id = route.draw(rng, table.epsilon)
         step = steps.get(executor_id)
         if step is None:
-            slot = table.slot(pair, executor_id)
-            step = steps[executor_id] = (slot, (*slices, slot.slice), {})
+            step = table.add_step(steps, pair, executor_id, slices)
         slot, slices, steps = step
         if rng.random() < slot.success_prob:
             continue
@@ -470,7 +476,8 @@ def exec_round(
     traces = []
     for i in range(n_episodes):
         rng = stream(i)
-        traces.append(sample_episode(table, table.draw_task(rng), rng, f"{id_prefix}e{i:05d}"))
+        task = table.task_at(rng.random())
+        traces.append(sample_episode(table, task, rng, f"{id_prefix}e{i:05d}"))
     return tuple(traces)
 
 
@@ -487,31 +494,55 @@ def exec_shared(
     Yields episode i's task and one success flag per state in order, each
     equal to the task and outcome of trace i of `exec_round(state,
     scenario, n_episodes, seed, config)`.  Episode i's generator is seeded
-    once: its leading words go onto one `StreamTape`.  The states share the
-    scenario, so the task is drawn once; then each state's `walk_episode`
-    reads on from there through its own cursor.  No trace is built and no
-    cause is observed, so no episode id is formatted either.  Nothing is
-    kept from one episode to the next.
+    once, and its leading words are taken as one list.  The task is drawn
+    once, from words 0-1, since the states share the scenario; then one loop
+    walks each state to its outcome, making `walk_episode`'s draws by
+    reading the list by index through the word rules of `streams`; a trie
+    miss grows through `ExecutionTable.add_step`, as in `walk_episode`.  No
+    trace is built and no cause is observed.  The rules are probed against
+    `random.Random` before the first episode (`StateError` if they diverge).
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
-    check_stream_tape()
+    if not states:
+        raise ValueError("frozen evaluation needs at least one state")
+    words_of, draw_random, draw_randrange = probed_word_rules()
     tables = [ExecutionTable(state, scenario, config) for state in states]
-    # an episode's walk draws at most: the task (2 words), then per phase the
-    # exploration and routing draws (2 + 1) and the success draw (2); a
-    # randrange rejection reads past the tape, which then extends
-    longest = max(len(task.phases) for task in scenario.task_types)
-    tape = StreamTape(2 + 5 * longest)
-    lead = tape.cursor()
-    walkers = [(table, tape.cursor()) for table in tables]
-    draw_task = tables[0].draw_task
+    task_at = tables[0].task_at
+    # id(task) -> per state (table, epsilon, ((pair, route), ...), trie root)
+    plans: dict[int, list[tuple]] = {}
+    # what an episode reads without a randrange rejection: the task (2 words),
+    # then per phase the exploration and routing draws (2 + 1) and success (2)
+    load = words_of(2 + 5 * max(len(task.phases) for task in scenario.task_types))
     stream = episode_streams(seed)
     for i in range(n_episodes):
-        tape.load(stream(i))
-        task = draw_task(lead)
-        start = lead.pos
+        rng = stream(i)
+        words = load(rng)
+        task = task_at(draw_random(words, 0, rng))
+        plan = plans.get(id(task))
+        if plan is None:
+            plan = plans[id(task)] = [
+                (table, table.epsilon, *table.paths(task)[::2]) for table in tables
+            ]
         flags = []
-        for table, cursor in walkers:
-            cursor.pos = start
-            flags.append(walk_episode(table, task, cursor)[2] is None)
+        for table, epsilon, phases, steps in plan:
+            pos = 2
+            slices: tuple[ExecutorSlice, ...] = ()
+            for pair, route in phases:
+                if draw_random(words, pos, rng) < epsilon:
+                    index, pos = draw_randrange(words, pos + 2, len(route.eligible), rng)
+                    executor_id = route.eligible[index]
+                else:
+                    executor_id = route.greedy
+                    pos += 2
+                step = steps.get(executor_id)
+                if step is None:
+                    step = table.add_step(steps, pair, executor_id, slices)
+                slot, slices, steps = step
+                if not draw_random(words, pos, rng) < slot.success_prob:
+                    flags.append(False)
+                    break
+                pos += 2
+            else:
+                flags.append(True)
         yield task, tuple(flags)

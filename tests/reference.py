@@ -117,7 +117,7 @@ def _dominant_deficit(
 def _weighted_choice(
     rng: random.Random, tasks: Sequence[TaskType], weights: Mapping[str, float]
 ) -> TaskType:
-    """Linear-scan reference for `ExecutionTable.draw_task`."""
+    """Linear-scan reference for `ExecutionTable.task_at(rng.random())`."""
     total = sum(weights[t.id] for t in tasks)
     mark = rng.random() * total
     acc = 0.0

@@ -303,7 +303,7 @@ def test_task_draw_matches_weighted_choice(weights, seed):
     table = ExecutionTable(load_preset("tiny").seed_state, scenario, EngineConfig())
     a, b = random.Random(seed), random.Random(seed)
     for _ in range(50):
-        assert table.draw_task(a) == _weighted_choice(b, tasks, scenario.task_weights)
+        assert table.task_at(a.random()) == _weighted_choice(b, tasks, scenario.task_weights)
 
 
 def reference_realized_catalog(scenario, library):

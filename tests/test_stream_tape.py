@@ -1,10 +1,12 @@
-"""Shared episode streams: one seeded generator, one tape, several readers.
+"""Shared episode streams: one seeded generator, one word list, several readers.
 
-`exec_shared` seeds each episode's generator once, draws the task once, and
-lets every frozen state walk the stream to its outcome through its own
-`TapeCursor`.  A cursor must draw exactly what `random.Random` draws,
-whatever the other cursors have read, and every state's tasks and success
-flags must equal the tasks and outcomes of `exec_round` on that state.
+`exec_shared` seeds each episode's generator once, takes the stream's
+leading 32-bit words as one list (the episode's tape), draws the task once,
+and walks every frozen state to its outcome by reading that list by index
+through the word rules `streams.word_random` and `streams.word_randrange`.
+A reader must draw exactly what `random.Random` draws, whatever the other
+readers have read, and every state's tasks and success flags must equal the
+tasks and outcomes of `exec_round` on that state.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skillmas.streams as streams
 from skillmas.config import EngineConfig
-from skillmas.model import StateError
+from skillmas.model import EpisodeTrace, StateError, TraceShape
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
     evaluate_transplants,
@@ -25,11 +28,12 @@ from skillmas.orchestrator import (
 from skillmas.presets import PRESETS, load_preset
 from skillmas.store import parse_scenario
 from skillmas.streams import (
-    StreamTape,
-    TapeCursor,
-    check_stream_tape,
     derive_seed,
     episode_streams,
+    probed_word_rules,
+    stream_words,
+    word_random,
+    word_randrange,
 )
 from skillmas.world import exec_round, exec_shared
 
@@ -45,9 +49,29 @@ def draw(source, op):
     return source.random() if op == "random" else source.randrange(op)
 
 
+class Reader:
+    """One reader's position on a word list, drawing through the word rules."""
+
+    def __init__(self, words, rng):
+        self.words, self.rng, self.pos = words, rng, 0
+
+    def random(self):
+        value = word_random(self.words, self.pos, self.rng)
+        self.pos += 2
+        return value
+
+    def randrange(self, n):
+        value, self.pos = word_randrange(self.words, self.pos, n, self.rng)
+        return value
+
+
 def replayed(seed, ops):
     ref = random.Random(seed)
     return [draw(ref, op) for op in ops]
+
+
+def stream_prefix(seed, length):
+    return stream_words(length)(random.Random(seed))
 
 
 @settings(max_examples=300, deadline=None)
@@ -56,18 +80,18 @@ def replayed(seed, ops):
     st.integers(1, 9),
     st.lists(st.tuples(st.integers(0, 3), DRAWS), max_size=150),
 )
-def test_cursors_reading_at_any_pace_each_equal_a_fresh_generator(seed, width, schedule):
-    tape = StreamTape(width)
-    cursors = [tape.cursor() for _ in range(4)]
-    tape.load(random.Random(seed))
-    ops: list[list] = [[] for _ in cursors]
-    drawn: list[list] = [[] for _ in cursors]
+def test_readers_at_any_pace_each_equal_a_fresh_generator(seed, width, schedule):
+    rng = random.Random(seed)
+    words = stream_words(width)(rng)
+    readers = [Reader(words, rng) for _ in range(4)]
+    ops: list[list] = [[] for _ in readers]
+    drawn: list[list] = [[] for _ in readers]
     for reader, op in schedule:
         ops[reader].append(op)
-        drawn[reader].append(draw(cursors[reader], op))
+        drawn[reader].append(draw(readers[reader], op))
     for reader_ops, values in zip(ops, drawn):
         assert values == replayed(seed, reader_ops)
-    assert all(cursor.words is tape.words for cursor in cursors)
+    assert words == stream_prefix(seed, len(words))
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,12 +100,13 @@ def test_cursors_reading_at_any_pace_each_equal_a_fresh_generator(seed, width, s
     st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
     st.lists(DRAWS, max_size=40),
 )
-def test_each_load_rewinds_every_cursor_onto_the_episode_stream(seed, indexes, ops):
+def test_each_episode_list_reads_as_its_stream(seed, indexes, ops):
     stream = episode_streams(seed)
-    tape = StreamTape(3)
-    first, second = tape.cursor(), tape.cursor()
+    load = stream_words(3)
     for i in indexes:
-        tape.load(stream(i))
+        rng = stream(i)
+        words = load(rng)
+        first, second = Reader(words, rng), Reader(words, rng)
         ahead = [draw(first, op) for op in ops]
         behind = [draw(second, op) for op in ops[: len(ops) // 2]]
         ref = substream(seed, "episode", i)
@@ -89,39 +114,82 @@ def test_each_load_rewinds_every_cursor_onto_the_episode_stream(seed, indexes, o
         assert behind == ahead[: len(behind)]
 
 
-def test_reads_far_past_the_tape_extend_one_word_list():
+def test_reads_far_past_the_tape_extend_one_word_list(monkeypatch):
     seed = 20260501
-    tape = StreamTape(2)
-    fast, slow = tape.cursor(), tape.cursor()
-    tape.load(random.Random(seed))
+    extended = []
+    monkeypatch.setattr(
+        streams, "_extend", lambda words, end, rng: (extended.append(end), extend_words(words, end, rng))
+    )
+    rng = random.Random(seed)
+    words = stream_words(2)(rng)
+    fast, slow = Reader(words, rng), Reader(words, rng)
     ops = [2**31 + 1, "random", 17] * 100
     assert [draw(fast, op) for op in ops] == replayed(seed, ops)
-    assert len(tape.words) > 300  # about one rejection per two tries
+    assert len(words) > 300 and len(extended) > 100  # about one rejection per two tries
     assert [draw(slow, op) for op in ops] == replayed(seed, ops)
+    assert slow.words is words and words == stream_prefix(seed, len(words))
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**32])
 def test_randrange_outside_one_word_is_refused(n):
-    tape = StreamTape(1)
-    cursor = tape.cursor()
-    tape.load(random.Random(1))
+    rng = random.Random(1)
+    words = stream_words(1)(rng)
     with pytest.raises(ValueError):
-        cursor.randrange(n)
+        word_randrange(words, 0, n, rng)
+    assert words == stream_prefix(1, 1)
+
+
+def _halved(words, pos, rng):
+    return word_random(words, pos, rng) / 2
+
+
+extend_words = streams._extend
+
+
+def _first_try(words, pos, n, rng):  # keeps a rejected value's remainder
+    if pos >= len(words):
+        extend_words(words, pos + 1, rng)
+    return words[pos] % n, pos + 1
+
+
+def _reversed(count):
+    load = stream_words(count)
+    return lambda rng: load(rng)[::-1]
+
+
+def _skipping(words, end, rng):  # drops one word of the stream
+    rng.getrandbits(32)
+    extend_words(words, end, rng)
+
+BROKEN_RULES = [
+    ("word_random", _halved),
+    ("word_randrange", _first_try),
+    ("stream_words", _reversed),
+    ("_extend", _skipping),
+]
 
 
 def test_probe_refuses_a_tape_that_diverges(monkeypatch):
-    check_stream_tape()
-    random_draw = TapeCursor.random
-    monkeypatch.setattr(TapeCursor, "random", lambda self: random_draw(self) / 2)
-    with pytest.raises(StateError, match="diverge"):
-        check_stream_tape()
+    # the probe hands out the very functions it checked
+    assert probed_word_rules() == (stream_words, word_random, word_randrange)
+    for name, broken in BROKEN_RULES:
+        with monkeypatch.context() as patch:
+            patch.setattr(streams, name, broken)
+            with pytest.raises(StateError, match="diverge"):
+                probed_word_rules()
 
 
 def test_exec_shared_checks_the_tape_before_it_executes(monkeypatch):
     pack = load_preset("tiny")
-    monkeypatch.setattr(TapeCursor, "randrange", lambda self, n: 0)
-    with pytest.raises(StateError, match="diverge"):
-        next(exec_shared([pack.seed_state], pack.scenario, 3, 1, pack.config))
+    seeded = []
+    seed_mt = streams._seed_mt
+    monkeypatch.setattr(streams, "_seed_mt", lambda rng, s: (seeded.append(s), seed_mt(rng, s)))
+    for name, broken in BROKEN_RULES:
+        with monkeypatch.context() as patch:
+            patch.setattr(streams, name, broken)
+            with pytest.raises(StateError, match="diverge"):
+                next(exec_shared([pack.seed_state], pack.scenario, 3, 1, pack.config))
+    assert seeded == []  # refused before its first episode
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +209,12 @@ def frozen_states(text, name):
 def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
     pack, states = frozen_states(WORLDS[name], name)
     extended = []
-    extend = StreamTape.extend
     monkeypatch.setattr(
-        StreamTape, "extend", lambda tape, length: (extended.append(length), extend(tape, length))
+        streams, "_extend", lambda words, end, rng: (extended.append(end), extend_words(words, end, rng))
     )
+    probed_word_rules()
+    probe_extensions = len(extended)  # the probe reads past its two words
+    extended.clear()
     shared = list(exec_shared(states, pack.scenario, 300, 9001, pack.config))
     assert len(shared) == 300 and all(len(flags) == len(states) for _, flags in shared)
     for k, state in enumerate(states):
@@ -153,7 +223,7 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
             (t.shape.task_type, t.shape.outcome == 1) for t in alone
         ]
     if name == "noisy":
-        assert extended  # rejections ran past the tape
+        assert len(extended) > probe_extensions  # rejections ran past the leading words
         alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
         assert any(len(set(t.shape.executors())) > 1 for t in alone)
         assert any(not flags[0] for _, flags in shared)
@@ -182,3 +252,40 @@ def test_transplant_counts_are_exec_round_sums(world_seed, seed, episodes):
         for label in TRANSPLANT_ROWS
     ]
     assert all(type(row.successes) is int for row in table.rows)
+
+
+# ---------------------------------------------------------------------------
+# what `exec_shared` does per call and per episode
+
+
+def test_exec_shared_refuses_an_empty_state_list():
+    pack = load_preset("tiny")
+    with pytest.raises(ValueError, match="at least one state"):
+        next(exec_shared([], pack.scenario, 3, 1, pack.config))
+    with pytest.raises(ValueError, match="at least one episode"):
+        next(exec_shared([pack.seed_state], pack.scenario, 0, 1, pack.config))
+
+
+@pytest.mark.parametrize("n_states", [1, 4])
+def test_exec_shared_reseeds_once_per_episode(n_states, monkeypatch):
+    pack, states = frozen_states(NOISY, "noisy")
+    seeded = []
+    seed_mt = streams._seed_mt
+    monkeypatch.setattr(streams, "_seed_mt", lambda rng, s: (seeded.append(s), seed_mt(rng, s)))
+    shared = list(exec_shared(states[:n_states], pack.scenario, 50, 9001, pack.config))
+    derive = streams.seed_deriver(9001, "episode")
+    assert len(shared) == 50 and seeded == [derive(i) for i in range(50)]
+
+
+def test_exec_shared_builds_no_trace(monkeypatch):
+    pack, states = frozen_states(NOISY, "noisy")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(EpisodeTrace, "__init__", refuse)
+    monkeypatch.setattr(TraceShape, "__init__", refuse)
+    shared = list(exec_shared(states, pack.scenario, 100, 9001, pack.config))
+    assert len(shared) == 100 and any(not all(flags) for _, flags in shared)
+    with pytest.raises(AssertionError, match="built a"):
+        exec_round(states[0], pack.scenario, 100, 9001, pack.config)
