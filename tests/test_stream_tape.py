@@ -44,6 +44,8 @@ from reference import substream
 SIZES = st.sampled_from([1, 2, 3, 5, 17, 2**16 + 1, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
 DRAWS = st.just("random") | SIZES
 
+extend_words = streams._extend  # the list extension, before any test patches it
+
 
 def draw(source, op):
     return source.random() if op == "random" else source.randrange(op)
@@ -143,9 +145,6 @@ def _halved(words, pos, rng):
     return word_random(words, pos, rng) / 2
 
 
-extend_words = streams._extend
-
-
 def _first_try(words, pos, n, rng):  # keeps a rejected value's remainder
     if pos >= len(words):
         extend_words(words, pos + 1, rng)
@@ -160,6 +159,7 @@ def _reversed(count):
 def _skipping(words, end, rng):  # drops one word of the stream
     rng.getrandbits(32)
     extend_words(words, end, rng)
+
 
 BROKEN_RULES = [
     ("word_random", _halved),
