@@ -1,37 +1,77 @@
-"""Per-call references for the engine's round-scoped indexes.
+"""Per-call and per-episode references for the engine.
 
 The engine builds each rule's inputs once per round (`world.ExecutionTable`,
 `streams.episode_streams`) and applies the rule through one shared function.
-Each function here rebuilds those inputs for a single call and applies the
-same rule, so a test can compare the indexed engine against it call by call.
-No engine code calls them.
+Each function in the first part rebuilds those inputs for a single call and
+applies the same rule, so a test can compare the indexed engine against it
+call by call.
+
+The second part is a whole round, episode by episode: every stage reads a
+list of `Episode` records, which compare by value, in generation order, and
+`reference_run_round` chains the stages as `orchestrator.run_round` does.
+`episodes_of` is the one function that reads the engine's batch.  No engine
+code calls any of them.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from skillmas.config import EngineConfig
+from skillmas.evolution import (
+    Diagnosis,
+    apply_skill_delta,
+    promote_pool,
+    proposal_index,
+    propose,
+    retrieve_policy_cards,
+    skill_evolve,
+)
 from skillmas.model import (
+    TAG_BY_CAUSE,
+    BoundedTag,
     CauseLabel,
+    CauseObservation,
+    EpisodeTrace,
     Executor,
+    ExecutorSlice,
     Pair,
     RoundState,
     Skill,
+    SkillStatus,
     StateError,
     TaskType,
+    TraceShape,
     UtilityTable,
+    validate_state,
 )
+from skillmas.numfmt import q12
+from skillmas.orchestrator import RoundReport, _summarize_action, _summarize_decision
+from skillmas.restructure import (
+    DiagnosticArtifact,
+    ExecutorEvidence,
+    apply_restructure,
+    decide_restructure,
+    evidence_holds,
+)
+from skillmas.retention import RetainedTrace, RetentionCategory
 from skillmas.streams import derive_seed
-from skillmas.utility import rank_skills, skills_by_task
+from skillmas.utility import executor_route, mc_update, rank_skills, skills_by_task, used_skills
 from skillmas.world import (
+    ExecutionTable,
     Scenario,
     SuccessTerms,
     _deficit,
+    _observe_cause,
     _success_prob,
     _terms,
     latents_by_pair,
     overload_excess,
+    sample_episode,
 )
 
 
@@ -126,3 +166,411 @@ def _weighted_choice(
         if mark < acc:
             return task
     return tasks[-1]
+
+
+# ------------------------------------------------------------------ a round
+
+
+@dataclass(frozen=True)
+class Episode:
+    """One episode as its trace-log line records it; compares by value."""
+
+    episode_id: str
+    task_type: TaskType
+    slices: tuple[ExecutorSlice, ...]
+    outcome: int
+    progress: float
+    cause: CauseObservation | None = None
+
+    def executors(self) -> list[str]:
+        """Routed executors in first-appearance order."""
+        return list(dict.fromkeys(sl.executor for sl in self.slices))
+
+    def shape(self) -> TraceShape:
+        """A fresh engine shape with the episode's fields."""
+        return TraceShape(self.task_type, self.slices, self.outcome, self.progress, self.cause)
+
+
+@dataclass(frozen=True)
+class RetainedEpisode:
+    episode: Episode
+    categories: frozenset[RetentionCategory]
+
+
+def _episode(episode_id: str, shape: TraceShape) -> Episode:
+    return Episode(
+        episode_id,
+        shape.task_type,
+        shape.slices,
+        shape.outcome,
+        shape.progress,
+        shape.latent_cause_observation,
+    )
+
+
+def episodes_of(traces: Iterable[EpisodeTrace]) -> list[Episode]:
+    """The engine's traces as records, in generation order."""
+    return [_episode(t.episode_id, t.shape) for t in traces]
+
+
+def record(e: Episode) -> dict[str, object]:
+    """The episode's trace-log record."""
+    cause = e.cause
+    return {
+        "episode": e.episode_id,
+        "task": {"id": e.task_type.id, "phases": list(e.task_type.phases)},
+        "outcome": e.outcome,
+        "progress": e.progress,
+        "cause": {"label": cause.cause.value, "confident": cause.confident} if cause else None,
+        "slices": [
+            {
+                "executor": sl.executor,
+                "phase": sl.phase,
+                "selected": sorted(sl.selected),
+                "invoked": sorted(sl.invoked),
+                "pattern": sorted(sl.pattern_supported),
+            }
+            for sl in e.slices
+        ],
+    }
+
+
+def reference_log(episodes: Iterable[Episode]) -> str:
+    """The trace log of `episodes`: one canonical JSON record per line."""
+    return "".join(
+        json.dumps(record(e), sort_keys=True, separators=(",", ":")) + "\n" for e in episodes
+    )
+
+
+def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Episode:
+    """One episode with every routing, retrieval and ground-truth value
+    recomputed at each phase."""
+    epsilon = (
+        config.routing_noise
+        if config.routing_noise is not None
+        else scenario.routing_noise
+    )
+    slices = []
+    completed = 0
+    observation = None
+    for phase in task_type.phases:
+        pair = (task_type.id, phase)
+        executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
+            rng, epsilon
+        )
+        executor = state.executors[executor_id]
+        selected = frozenset(
+            select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)
+        )
+        invoked = frozenset(s for s in selected if state.library[s].applies_to(pair))
+        actions = frozenset(step for s in invoked for step in state.library[s].steps)
+        supported = frozenset(
+            s for s in selected - invoked if set(state.library[s].steps) <= actions
+        )
+        used = invoked | supported
+        slices.append(ExecutorSlice(executor_id, phase, selected, invoked, supported))
+        p = ground_truth_success_prob(
+            scenario, state.library, task_type.id, phase, executor, sorted(used)
+        )
+        if rng.random() < p:
+            completed += 1
+            continue
+        deficit = _dominant_deficit(
+            scenario, state.library, executor, task_type.id, phase, used
+        )
+        observation = _observe_cause(deficit, rng, scenario.cause_confidence)
+        break
+    outcome = 1 if completed == len(task_type.phases) else 0
+    return Episode(
+        episode_id,
+        task_type,
+        tuple(slices),
+        outcome,
+        q12(completed / len(task_type.phases)),
+        observation if outcome == 0 else None,
+    )
+
+
+def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix) -> list[Episode]:
+    """Episode i on its own fresh stream, every value recomputed."""
+    episodes = []
+    for i in range(n_episodes):
+        rng = substream(seed, "episode", i)
+        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
+        episodes.append(
+            reference_episode(scenario, state, task, rng, f"{id_prefix}e{i:05d}", config)
+        )
+    return episodes
+
+
+def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> list[Episode]:
+    """Each episode on its own stream and its own execution table, so no
+    episode shares a path or a shape with another."""
+    episodes = []
+    for i in range(n_episodes):
+        rng = substream(seed, "episode", i)
+        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
+        table = ExecutionTable(state, scenario, config)
+        trace = sample_episode(table, task, rng, f"{id_prefix}e{i:05d}")
+        episodes.append(_episode(trace.episode_id, trace.shape))
+    return episodes
+
+
+def reference_learn(q_skill, q_exec, episodes, *, known_skills=None, known_executors=None):
+    skill_ids = frozenset(known_skills) if known_skills is not None else None
+    executor_ids = frozenset(known_executors) if known_executors is not None else None
+    s_entries = dict(q_skill.entries)
+    a_entries = dict(q_exec.entries)
+    for e in episodes:  # already in generation order
+        task_id = e.task_type.id
+        used_by = {}
+        for sl in e.slices:
+            if executor_ids is not None and sl.executor not in executor_ids:
+                raise StateError(f"trace {e.episode_id} routes unknown executor {sl.executor!r}")
+            if skill_ids is not None and not sl.selected <= skill_ids:
+                unknown = sorted(sl.selected - skill_ids)
+                raise StateError(f"trace {e.episode_id} references unknown skills {unknown}")
+            used_by.setdefault(sl.executor, set()).update(used_skills(sl))
+        for executor_id in e.executors():
+            for skill_id in sorted(used_by[executor_id]):
+                key = (skill_id, task_id)
+                s_entries[key] = mc_update(s_entries.get(key), e.outcome)
+        for executor_id in e.executors():
+            key = (executor_id, task_id)
+            a_entries[key] = mc_update(a_entries.get(key), e.outcome)
+    return UtilityTable(s_entries), UtilityTable(a_entries)
+
+
+def reference_pool_counters(pool, episodes):
+    new_pool = dict(pool)
+    for e in episodes:
+        used_all = set()
+        for sl in e.slices:
+            used_all.update(used_skills(sl))
+        for sid in sorted(used_all):
+            if sid in new_pool:
+                uses, successes = new_pool[sid]
+                new_pool[sid] = (uses + 1, successes + e.outcome)
+    return new_pool
+
+
+def observed_cause(e: Episode) -> CauseLabel:
+    return e.cause.cause if e.cause is not None else CauseLabel.UNKNOWN
+
+
+def reference_failure_counts(episodes) -> Counter:
+    """Failed episodes per (task id, observed cause)."""
+    return Counter((e.task_type.id, observed_cause(e)) for e in episodes if e.outcome == 0)
+
+
+def reference_retain(episodes, q_exec_prior, config, library, *, prior_failure_counts=None):
+    failure_keys = reference_failure_counts(episodes)
+    for key, count in (prior_failure_counts or {}).items():
+        failure_keys[key] += count
+    retained = []
+    for e in episodes:
+        categories = set()
+        task_id = e.task_type.id
+        if e.outcome == 0:
+            if failure_keys[(task_id, observed_cause(e))] >= config.repeat_multiplicity:
+                categories.add(RetentionCategory.REPEATED_FAILURE)
+            if e.progress >= config.near_miss_progress:
+                categories.add(RetentionCategory.NEAR_MISS)
+        else:
+            pooled_used = any(
+                library[sid].status is SkillStatus.POOLED
+                for sl in e.slices
+                for sid in used_skills(sl)
+                if sid in library
+            )
+            weak_executor = any(
+                q_exec_prior.count(eid, task_id) >= 1
+                and q_exec_prior.value(eid, task_id) < config.low_estimate
+                for eid in e.executors()
+            )
+            if pooled_used or weak_executor:
+                categories.add(RetentionCategory.REUSABLE_SUCCESS)
+        if any(sl.selected - used_skills(sl) for sl in e.slices):
+            categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
+        if categories:
+            retained.append(RetainedEpisode(e, frozenset(categories)))
+    return retained
+
+
+def reference_diagnosis(e: Episode) -> Diagnosis:
+    """A failure's cause, uniqueness and tag: the cause counts only when
+    observed confidently."""
+    confident = e.cause is not None and bool(e.cause.confident)
+    cause = e.cause.cause if confident else CauseLabel.UNKNOWN
+    return Diagnosis(cause, confident, TAG_BY_CAUSE[cause])
+
+
+def _propose(kept: RetainedEpisode, diagnosis, cards, state, config, index):
+    """The engine's proposal rule on one retained episode."""
+    e = kept.episode
+    retained = RetainedTrace(EpisodeTrace(e.episode_id, e.shape()), kept.categories)
+    return propose(retained, diagnosis, cards, state.library, state.round_index, config, index)
+
+
+def reference_proposals(retained, state, config, index):
+    proposals = []
+    for kept in retained:
+        e = kept.episode
+        if e.outcome == 0:
+            diagnosis = reference_diagnosis(e)
+            cards = retrieve_policy_cards(state.policy_index, e.task_type.id, diagnosis.cause)
+        else:
+            diagnosis, cards = None, ()
+        proposal = _propose(kept, diagnosis, cards, state, config, index)
+        if proposal is not None:
+            proposals.append(proposal)
+    return proposals
+
+
+def reference_artifacts(retained, q_exec_plus, skill_delta):
+    addressed = skill_delta.source_traces()
+    failures = {}
+    for kept in retained:
+        if kept.episode.outcome == 0:
+            failures.setdefault(kept.episode.task_type.id, []).append(kept.episode)
+    artifacts = []
+    for task_id in sorted(failures):
+        family = failures[task_id]
+        last = [e.slices[-1] for e in family]
+        implicated = tuple(
+            ExecutorEvidence(eid, q12(q_exec_plus.value(eid, task_id)), q_exec_plus.count(eid, task_id))
+            for eid in sorted({sl.executor for sl in last})
+        )
+        artifacts.append(
+            DiagnosticArtifact(
+                task_type=task_id,
+                failure_mass=sum(1 for e in family if e.episode_id not in addressed),
+                implicated_executors=implicated,
+                failing_pairs=tuple(sorted({(task_id, sl.phase) for sl in last})),
+                handoff_present=any(
+                    reference_diagnosis(e).tag is BoundedTag.HANDOFF_TO_STRUCTURE for e in family
+                ),
+            )
+        )
+    return artifacts
+
+
+def reference_run_round(
+    state: RoundState,
+    scenario: Scenario,
+    config: EngineConfig,
+    seed: int,
+    *,
+    last_round_drop: bool = False,
+    last_round_edits: frozenset[str] = frozenset(),
+    prior_failure_counts: Mapping[tuple[str, CauseLabel], int] | None = None,
+) -> tuple[RoundState, RoundReport, list[Episode]]:
+    """`run_round` with every per-episode stage replaced by its reference;
+    the stages that read no episode are the engine's."""
+    episodes = reference_exec_round(
+        state, scenario, config.episodes_per_round, seed, config, f"r{state.round_index:04d}"
+    )
+    q_skill_plus, q_exec_plus = reference_learn(
+        state.q_skill,
+        state.q_exec,
+        episodes,
+        known_skills=state.library,
+        known_executors=state.executors,
+    )
+    pool_counted = reference_pool_counters(state.pool, episodes)
+    retained = reference_retain(
+        episodes, state.q_exec, config, state.library, prior_failure_counts=prior_failure_counts
+    )
+    index = proposal_index(scenario, state.library, config)
+    delta = skill_evolve(
+        reference_proposals(retained, state, config, index),
+        state.library,
+        state.policy_index,
+        q_skill_plus,
+        config,
+        last_round_drop=last_round_drop,
+        last_round_edits=last_round_edits,
+        cluster_keys=index.keys,
+    )
+    library2, executors2, pool2 = apply_skill_delta(
+        state.library, state.executors, pool_counted, delta
+    )
+    decision = decide_restructure(
+        reference_artifacts(retained, q_exec_plus, delta),
+        state.executors,
+        q_exec_plus,
+        config,
+        round_index=state.round_index,
+        library=library2,
+    )
+    if not evidence_holds(decision):
+        raise StateError(f"round {state.round_index}: {decision.action!r} fails its evidence")
+    library3, executors3, pool3, ownership_log = apply_restructure(
+        library2, executors2, pool2, q_skill_plus, decision, config
+    )
+    library4, pool4, executors4, promotions = promote_pool(library3, pool3, executors3, config)
+    next_state = RoundState(
+        round_index=state.round_index + 1,
+        library=library4,
+        executors=executors4,
+        q_skill=q_skill_plus,
+        q_exec=q_exec_plus,
+        pool=pool4,
+        policy_index=state.policy_index,
+    )
+    validate_state(next_state, scenario.universe())
+
+    retained_ids: dict[str, list[str]] = {}
+    for kept in retained:
+        for category in sorted(c.value for c in kept.categories):
+            retained_ids.setdefault(category, []).append(kept.episode.episode_id)
+    per_family: dict[str, tuple[int, int]] = {}
+    for e in episodes:
+        s, a = per_family.get(e.task_type.id, (0, 0))
+        per_family[e.task_type.id] = (s + e.outcome, a + 1)
+    report = RoundReport(
+        round_index=state.round_index,
+        episodes=len(episodes),
+        successes=sum(e.outcome for e in episodes),
+        per_family=per_family,
+        active_skills=state.active_skill_count(),
+        active_executors=len(state.executors),
+        pool_size=len(state.pool),
+        retained=retained_ids,
+        skill_actions=tuple(_summarize_action(a) for a in delta.actions),
+        restructure=_summarize_decision(decision, ownership_log),
+        promotions=tuple(promotions),
+        last_round_drop=last_round_drop,
+    )
+    return next_state, report, episodes
+
+
+def reference_rounds(scenario, seed_state, seed, rounds, config):
+    """Chain `reference_run_round` as `experiment_rounds` chains `run_round`:
+    a success drop arms the next round's demotion, and with
+    `cross_round_repeats` earlier rounds' failure counts are folded in."""
+    state = seed_state
+    successes: list[int] = []
+    last_edits: frozenset[str] = frozenset()
+    history: Counter = Counter()
+    for r in range(rounds):
+        drop = r >= 2 and successes[r - 1] < successes[r - 2]
+        prior = dict(history) if config.cross_round_repeats and r > 0 else None
+        state, report, episodes = reference_run_round(
+            state,
+            scenario,
+            config,
+            derive_seed(seed, "round", r),
+            last_round_drop=drop,
+            last_round_edits=last_edits,
+            prior_failure_counts=prior,
+        )
+        successes.append(report.successes)
+        last_edits = frozenset(
+            sid
+            for action in report.skill_actions
+            if action["action"] in ("create", "refine", "hold-in-pool")
+            for sid in action["skills"]
+        )
+        history.update(reference_failure_counts(episodes))
+        yield state, report, episodes

@@ -15,27 +15,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from skillmas.model import TraceShape
 from skillmas.numfmt import q12
 from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log, trace_to_record
-from skillmas.world import ExecutionTable, exec_round, sample_episode
+from skillmas.world import ExecutionTable, exec_round
 
-from reference import _weighted_choice, substream
+from reference import Episode, episodes_of, fresh_table_round
 from test_round_index import random_world
 
-FIELDS = [f.name for f in dataclasses.fields(TraceShape)]
-
-
-def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix):
-    """Each episode on its own stream and its own table."""
-    traces = []
-    for i in range(n_episodes):
-        rng = substream(seed, "episode", i)
-        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
-        table = ExecutionTable(state, scenario, config)
-        traces.append(sample_episode(table, task, rng, f"{id_prefix}e{i:05d}"))
-    return traces
+FIELDS = [f.name for f in dataclasses.fields(Episode)]
 
 
 def executed(world_seed, n_episodes):
@@ -50,12 +38,11 @@ def executed(world_seed, n_episodes):
 def test_interned_round_matches_fresh_tables_field_by_field(world_seed, n_episodes):
     scenario, state, config, seed, traces = executed(world_seed, n_episodes)
     want = fresh_table_round(state, scenario, n_episodes, seed, config, "r0002")
-    for got, ref in zip(traces, want, strict=True):
-        assert got.episode_id == ref.episode_id
+    for got, ref in zip(episodes_of(traces), want, strict=True):
         for name in FIELDS:
-            assert getattr(got.shape, name) == getattr(ref.shape, name), name
-        assert repr(got.shape.progress) == repr(ref.shape.progress)
-        assert type(got.shape.outcome) is type(ref.shape.outcome)
+            assert getattr(got, name) == getattr(ref, name), name
+        assert repr(got.progress) == repr(ref.progress)
+        assert type(got.outcome) is type(ref.outcome)
 
 
 @settings(max_examples=150, deadline=None)

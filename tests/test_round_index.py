@@ -25,31 +25,26 @@ from skillmas.evolution import (
 from skillmas.model import (
     BoundedTag,
     CauseLabel,
-    EpisodeTrace,
     Executor,
-    ExecutorSlice,
     PolicyCard,
     RoundState,
     Skill,
     SkillStatus,
     StateError,
     TaskType,
-    TraceShape,
     UtilityTable,
     cluster_key_map,
 )
-from skillmas.numfmt import q12
 from skillmas.orchestrator import collect_proposals, run_experiment, run_round
 from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision
 from skillmas.retention import retain
-from skillmas.store import parse_scenario, serialize_state, trace_to_record
-from skillmas.utility import executor_route, used_skills
+from skillmas.store import parse_scenario, serialize_state
+from skillmas.utility import used_skills
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
-    _observe_cause,
     exec_round,
     realized_catalog,
     sample_episode,
@@ -58,83 +53,17 @@ from skillmas.world import (
 from reference import (
     _dominant_deficit,
     _weighted_choice,
+    episodes_of,
     ground_truth_success_prob,
+    reference_episode,
+    reference_exec_round,
     select_skills,
-    substream,
 )
 from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
 STATUSES = list(SkillStatus)
 UTILITIES = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so greedy picks tie
-
-
-def reference_episode(scenario, state, task_type, rng, episode_id, config):
-    """One episode with every routing, retrieval and ground-truth value
-    recomputed at each phase."""
-    epsilon = (
-        config.routing_noise
-        if config.routing_noise is not None
-        else scenario.routing_noise
-    )
-    slices = []
-    completed = 0
-    observation = None
-    for phase in task_type.phases:
-        pair = (task_type.id, phase)
-        executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
-            rng, epsilon
-        )
-        executor = state.executors[executor_id]
-        selected = frozenset(
-            select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)
-        )
-        invoked = frozenset(s for s in selected if state.library[s].applies_to(pair))
-        actions = frozenset(step for s in invoked for step in state.library[s].steps)
-        supported = frozenset(
-            s for s in selected - invoked if set(state.library[s].steps) <= actions
-        )
-        used = invoked | supported
-        slices.append(ExecutorSlice(executor_id, phase, selected, invoked, supported))
-        p = ground_truth_success_prob(
-            scenario, state.library, task_type.id, phase, executor, sorted(used)
-        )
-        if rng.random() < p:
-            completed += 1
-            continue
-        deficit = _dominant_deficit(
-            scenario, state.library, executor, task_type.id, phase, used
-        )
-        observation = _observe_cause(deficit, rng, scenario.cause_confidence)
-        break
-    outcome = 1 if completed == len(task_type.phases) else 0
-    return EpisodeTrace(
-        episode_id,
-        TraceShape(
-            task_type=task_type,
-            slices=tuple(slices),
-            outcome=outcome,
-            progress=q12(completed / len(task_type.phases)),
-            latent_cause_observation=observation if outcome == 0 else None,
-        ),
-    )
-
-
-def records(traces):
-    """The traces' log records: shapes compare by identity, so traces
-    from different tables compare by value only through their records."""
-    return [trace_to_record(t) for t in traces]
-
-
-def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix):
-    traces = []
-    for i in range(n_episodes):
-        rng = substream(seed, "episode", i)
-        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
-        traces.append(
-            reference_episode(scenario, state, task, rng, f"{id_prefix}e{i:05d}", config)
-        )
-    return tuple(traces)
 
 
 def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig]:
@@ -264,7 +193,7 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
     seed = world_seed ^ 0x5EED
     indexed = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0001")
     reference = reference_exec_round(state, scenario, n_episodes, seed, config, "r0001")
-    assert records(indexed) == records(reference)
+    assert episodes_of(indexed) == reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,7 +206,7 @@ def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_s
     want = reference_episode(
         scenario, state, task, random.Random(episode_seed), "e0", config
     )
-    assert records([got]) == records([want])
+    assert episodes_of([got]) == [want]
 
 
 @settings(max_examples=100, deadline=None)
