@@ -2,10 +2,10 @@
 
 from .config import EngineConfig
 from .model import (
+    Batch,
     BoundedTag,
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     Executor,
     ExecutorSlice,
     PolicyCard,
@@ -35,12 +35,12 @@ from .world import LatentSkill, Scenario, exec_round, sample_episode
 __version__ = "0.1.0"
 
 __all__ = [
+    "Batch",
     "BoundedTag",
     "CauseLabel",
     "CauseObservation",
     "ComparisonTable",
     "EngineConfig",
-    "EpisodeTrace",
     "Executor",
     "ExecutorSlice",
     "ExperimentResult",

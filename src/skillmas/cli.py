@@ -110,12 +110,12 @@ def artifact_pieces(
     """
     yield _snapshot_name(0), serialize_state(pack.seed_state)
     reports = []
-    for state, report, traces in experiment_rounds(
+    for state, report, batch in experiment_rounds(
         pack.scenario, pack.seed_state, seed, rounds, config
     ):
         reports.append(report)
-        yield TRACE_LOG, encode_trace_log(traces)
-        del traces  # the next round runs without this one's traces
+        yield TRACE_LOG, encode_trace_log(batch)
+        del batch  # the next round runs without this one's batch
         yield _snapshot_name(state.round_index), serialize_state(state)
     report = trajectory_report(pack.scenario, seed, reports)
     trajectory = report.to_dict()
@@ -379,7 +379,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(pack, args)
     state = _load_snapshot(Path(args.state), pack.scenario)
     counts = family_tally(
-        (task, success)
+        (task, success, 1)
         for task, (success,) in exec_shared(
             [state], pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
         )

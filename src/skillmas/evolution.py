@@ -1,6 +1,6 @@
-"""Bounded skill evolution: diagnosis, per-trace proposals, consolidation, pool lifecycle.
+"""Bounded skill evolution: diagnosis, per-shape proposals, consolidation, pool lifecycle.
 
-Each retained trace yields at most one proposal; consolidation applies at
+Each retained shape yields at most one proposal; consolidation applies at
 most one action per implicated skill cluster per round; new or heavily
 rewritten skills sit in the validation pool until usage evidence promotes
 or prunes them.
@@ -9,9 +9,8 @@ or prunes them.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -31,7 +30,7 @@ from .model import (
     place_skill,
     skill_similarity,
 )
-from .retention import RetainedTrace
+from .retention import RetainedShape
 from .utility import used_skills
 from .world import LatentSkill, Scenario, latents_by_pair, realized_catalog
 from .world import motif_skill, motif_tokens
@@ -50,9 +49,8 @@ class Diagnosis:
         return self.unique and self.tag in REPAIR_TAGS
 
 
-def diagnose(retained: RetainedTrace) -> Diagnosis:
-    """Map a retained failure to (cause, uniqueness, bounded tag)."""
-    shape = retained.trace.shape
+def diagnose(shape: TraceShape) -> Diagnosis:
+    """Map a failure's shape to (cause, uniqueness, bounded tag)."""
     if shape.outcome != 0:
         raise ValueError("diagnosis applies to failure traces only")
     obs = shape.latent_cause_observation
@@ -97,7 +95,8 @@ def apply_edit(skill: Skill, edit: SkillEdit) -> Skill:
 
 @dataclass(frozen=True)
 class Proposal:
-    """At most one per retained trace: a success motif or a failure repair."""
+    """At most one per retained shape, whose first episode is the source:
+    a success motif or a failure repair."""
 
     source_trace: str
     target_cluster: str
@@ -139,7 +138,7 @@ class ProposalIndex:
     a round and by its consolidation.
 
     All of them read the same library under the same cluster threshold, so
-    building them once per round instead of once per trace changes nothing
+    building them once per round instead of once per shape changes nothing
     but the cost.
     """
 
@@ -262,7 +261,7 @@ def _repair_edit(
 
 
 def _split_proposal(
-    retained: RetainedTrace,
+    retained: RetainedShape,
     rep: Skill,
     latent: LatentSkill | None,
     pair: tuple[str, str],
@@ -292,9 +291,9 @@ def _split_proposal(
                 )
             )
         return Proposal(
-            source_trace=retained.trace.episode_id,
+            source_trace=retained.source,
             target_cluster=keys[rep.id],
-            task_type=retained.trace.shape.task_type.id,
+            task_type=retained.shape.task_type.id,
             cause=cause,
             drafts=tuple(drafts),
         )
@@ -310,16 +309,16 @@ def _split_proposal(
         rep.applicability,
     )
     return Proposal(
-        source_trace=retained.trace.episode_id,
+        source_trace=retained.source,
         target_cluster=keys[rep.id],
-        task_type=retained.trace.shape.task_type.id,
+        task_type=retained.shape.task_type.id,
         cause=cause,
         edit=edit,
     )
 
 
 def propose(
-    retained: RetainedTrace,
+    retained: RetainedShape,
     diagnosis: Diagnosis | None,
     cards: Sequence[PolicyCard],
     library: Mapping[str, Skill],
@@ -327,7 +326,7 @@ def propose(
     config: EngineConfig,
     index: ProposalIndex,
 ) -> Proposal | None:
-    """Convert one retained trace into at most one local proposal.
+    """Convert one retained shape into at most one local proposal.
 
     Successes can yield a motif draft realizing an undiscovered latent
     procedure (unless a pooled skill already took part, whose counters carry
@@ -335,7 +334,7 @@ def propose(
     structural handoffs and unknown causes yield nothing.  `index` is the
     `proposal_index` of `library` under `config`.
     """
-    shape = retained.trace.shape
+    shape = retained.shape
     task_id = shape.task_type.id
     keys = index.keys
 
@@ -357,7 +356,7 @@ def propose(
             latent = undiscovered[0]
             draft = motif_skill(latent, f"{latent.id}-r{round_index}", sl.executor)
             return Proposal(
-                source_trace=retained.trace.episode_id,
+                source_trace=retained.source,
                 target_cluster=_nearest_cluster(draft, index, config.cluster_threshold),
                 task_type=task_id,
                 drafts=(draft,),
@@ -391,7 +390,7 @@ def propose(
     if edit is None:
         return None
     return Proposal(
-        source_trace=retained.trace.episode_id,
+        source_trace=retained.source,
         target_cluster=keys[implicated.id],
         task_type=task_id,
         cause=cause,
@@ -467,8 +466,9 @@ def skill_evolve(
     the previous round's edits are demoted to the pool first and their
     clusters are off limits for further actions.  `cluster_keys` is
     `cluster_key_map(library, config.cluster_threshold)`.  Proposals keep
-    the order given (`collect_proposals` emits them in trace order), and a
-    cluster keeps the first of its highest-priority candidates.
+    the order given (`collect_proposals` emits them in table order, the
+    order of each shape's first episode), and a cluster keeps the first of
+    its highest-priority candidates.
     """
     clusters = {
         key: tuple(sid for sid, k in cluster_keys.items() if k == key)
@@ -626,24 +626,16 @@ def apply_skill_delta(
 
 
 def update_pool_counters(
-    pool: Mapping[str, tuple[int, int]], traces: Sequence
+    pool: Mapping[str, tuple[int, int]], tally: Iterable[tuple[TraceShape, int]]
 ) -> dict[str, tuple[int, int]]:
-    """Advance usage/success counters for pooled skills that saw real use.
-
-    Which pooled skills a trace used depends only on its shape, so the
-    sorted set is derived once per shape.
-    """
-
-    @functools.cache
-    def pooled(shape: TraceShape) -> tuple[str, ...]:
-        used_all = {sid for sl in shape.slices for sid in used_skills(sl)}
-        return tuple(sid for sid in sorted(used_all) if sid in pool)
-
+    """Advance usage/success counters for pooled skills that saw real use,
+    over a batch's (shape, count) pairs: each episode of a shape uses the
+    shape's skills once."""
     new_pool = dict(pool)
-    for trace in traces:
-        for sid in pooled(trace.shape):
+    for shape, count in tally:
+        for sid in {sid for sl in shape.slices for sid in used_skills(sl)} & pool.keys():
             uses, successes = new_pool[sid]
-            new_pool[sid] = (uses + 1, successes + trace.shape.outcome)
+            new_pool[sid] = (uses + count, successes + shape.outcome * count)
     return new_pool
 
 

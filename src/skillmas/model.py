@@ -1,4 +1,4 @@
-"""Domain model: tasks, skills, executors, utility tables, traces, round state.
+"""Domain model: tasks, skills, executors, utility tables, batches, round state.
 
 Everything here is an immutable value.  The orchestrator builds new
 RoundState instances rather than mutating, so a state can be shared
@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import operator
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -206,8 +208,8 @@ class TraceShape:
     """Everything an episode's trace records apart from its id.
 
     Shapes compare and hash by identity: the execution table interns one
-    shape per outcome path, so traces that took the same path share one
-    shape object, and every per-shape stage keys its memo on it.
+    shape per outcome path, so episodes that took the same path share one
+    shape object, which a round's `Batch` lists once.
     """
 
     task_type: TaskType
@@ -239,11 +241,37 @@ class TraceShape:
 
 
 @dataclass(frozen=True, slots=True)
-class EpisodeTrace:
-    """One verified episode: its id and the shape of its outcome path."""
+class Batch:
+    """One round's verified episodes: a table of their distinct shapes, in
+    order of first appearance, and episode i's position in that table at
+    `index[i]`, in generation order.
 
-    episode_id: str
-    shape: TraceShape
+    `index` is an `array` of typecode "L", which holds at least 2**32
+    values.  Episode ids are not stored: `episode_id` formats one where it
+    is written.
+    """
+
+    round_index: int
+    shapes: tuple[TraceShape, ...]
+    index: array
+
+    def episode_id(self, i: int) -> str:
+        """The id of episode i, the one format of an episode id."""
+        return f"r{self.round_index:04d}e{i:05d}"
+
+    def tally(self) -> list[tuple[TraceShape, int]]:
+        """Each shape with its number of episodes, in table order."""
+        counts = Counter(self.index)
+        return [(shape, counts[k]) for k, shape in enumerate(self.shapes)]
+
+    def firsts(self) -> list[int]:
+        """Each shape's first episode, in table order."""
+        firsts: list[int] = []
+        i = 0
+        for k in range(len(self.shapes)):
+            i = self.index.index(k, i)
+            firsts.append(i)
+        return firsts
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,12 @@ from .evolution import (
     update_pool_counters,
 )
 from .model import (
+    Batch,
     CauseLabel,
-    EpisodeTrace,
     RoundState,
     SkillStatus,
     StateError,
     TaskType,
-    TraceShape,
     place_skill,
     validate_state,
 )
@@ -45,7 +44,7 @@ from .restructure import (
     decide_restructure,
     evidence_holds,
 )
-from .retention import failure_counts, retain
+from .retention import RetainedShape, failure_counts, retain
 from .streams import derive_seed
 from .utility import learn
 from .world import Scenario, exec_round, exec_shared
@@ -211,41 +210,27 @@ def _summarize_decision(decision, log: list[str]) -> dict[str, object]:
 
 
 def collect_proposals(
-    retained: Sequence,
+    retained: Sequence[RetainedShape],
     state: RoundState,
     config: EngineConfig,
     index: ProposalIndex,
 ) -> list[Proposal]:
-    """At most one local proposal per retained trace.
+    """At most one local proposal per retained shape, in the order given.
 
     Failures go through diagnosis and policy-card retrieval first; successes
     go straight to motif extraction.  Every proposal reads `index`, the
-    `proposal_index` of the round's frozen library.  Diagnosis, retrieval
-    and proposal read only a trace's shape, so they run once per shape; a
-    later trace of the same shape gets the same proposal with its own
-    `source_trace`.
+    `proposal_index` of the round's frozen library.
     """
-    by_shape: dict[TraceShape, Proposal | None] = {}
     proposals: list[Proposal] = []
     for rt in retained:
-        trace = rt.trace
-        shape = trace.shape
-        if shape in by_shape:
-            proposal = by_shape[shape]
+        shape = rt.shape
+        if shape.outcome == 0:
+            diagnosis = diagnose(shape)
+            cards = retrieve_policy_cards(state.policy_index, shape.task_type.id, diagnosis.cause)
         else:
-            if shape.outcome == 0:
-                diagnosis = diagnose(rt)
-                cards = retrieve_policy_cards(
-                    state.policy_index, shape.task_type.id, diagnosis.cause
-                )
-            else:
-                diagnosis, cards = None, ()
-            proposal = by_shape[shape] = propose(
-                rt, diagnosis, cards, state.library, state.round_index, config, index
-            )
+            diagnosis, cards = None, ()
+        proposal = propose(rt, diagnosis, cards, state.library, state.round_index, config, index)
         if proposal is not None:
-            if proposal.source_trace != trace.episode_id:
-                proposal = dataclasses.replace(proposal, source_trace=trace.episode_id)
             proposals.append(proposal)
     return proposals
 
@@ -259,37 +244,38 @@ def run_round(
     last_round_drop: bool = False,
     last_round_edits: frozenset[str] = frozenset(),
     prior_failure_counts: Mapping[tuple[str, CauseLabel], int] | None = None,
-) -> tuple[RoundState, RoundReport, tuple[EpisodeTrace, ...]]:
-    """One adaptation round; returns the next state, its report, and the traces.
+) -> tuple[RoundState, RoundReport, Batch]:
+    """One adaptation round; returns the next state, its report, and the batch.
 
     The update is all-or-nothing: every stage builds fresh values, so an
-    error anywhere leaves the caller's state exactly as passed in.
+    error anywhere leaves the caller's state exactly as passed in.  `learn`
+    and the `retained` lists read the batch in generation order, the other
+    stages its (shape, count) tally.
     """
-    traces = exec_round(
-        state,
-        scenario,
-        config.episodes_per_round,
-        seed,
-        config,
-        id_prefix=f"r{state.round_index:04d}",
-    )
+    batch = exec_round(state, scenario, config.episodes_per_round, seed, config)
+    tally = batch.tally()
 
     q_skill_plus, q_exec_plus = learn(
         state.q_skill,
         state.q_exec,
-        traces,
+        batch,
         known_skills=state.library,
         known_executors=state.executors,
     )
-    pool_counted = update_pool_counters(state.pool, traces)
+    pool_counted = update_pool_counters(state.pool, tally)
 
-    retained = retain(
-        traces,
+    labels = retain(
+        tally,
         state.q_exec,
         config,
         state.library,
         prior_failure_counts=prior_failure_counts,
     )
+    retained = [
+        RetainedShape(shape, count, batch.episode_id(first))
+        for (shape, count), first, categories in zip(tally, batch.firsts(), labels)
+        if categories
+    ]
 
     index = proposal_index(scenario, state.library, config)
     proposals = collect_proposals(retained, state, config, index)
@@ -342,16 +328,17 @@ def run_round(
     )
     validate_state(next_state, scenario.universe())
 
+    names = [sorted(c.value for c in categories) for categories in labels]
     retained_summary: dict[str, list[str]] = {}
-    for rt in retained:
-        for category in sorted(c.value for c in rt.categories):
-            retained_summary.setdefault(category, []).append(rt.trace.episode_id)
+    for i, k in enumerate(batch.index):
+        for category in names[k]:
+            retained_summary.setdefault(category, []).append(batch.episode_id(i))
 
     report = RoundReport(
         round_index=state.round_index,
-        episodes=len(traces),
-        successes=sum(t.shape.outcome for t in traces),
-        per_family=family_tally((t.shape.task_type, t.shape.outcome) for t in traces),
+        episodes=len(batch.index),
+        successes=sum(shape.outcome * count for shape, count in tally),
+        per_family=family_tally((shape.task_type, shape.outcome, count) for shape, count in tally),
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
@@ -361,7 +348,7 @@ def run_round(
         promotions=tuple(promotions),
         last_round_drop=last_round_drop,
     )
-    return next_state, report, traces
+    return next_state, report, batch
 
 
 def experiment_rounds(
@@ -370,12 +357,12 @@ def experiment_rounds(
     seed: int,
     rounds: int,
     config: EngineConfig,
-) -> Iterator[tuple[RoundState, RoundReport, tuple[EpisodeTrace, ...]]]:
+) -> Iterator[tuple[RoundState, RoundReport, Batch]]:
     """Chain rounds from the scenario's seed state, yielding each round's
-    `run_round` result, (next state, report, traces), as the round ends.
+    `run_round` result, (next state, report, batch), as the round ends.
 
     A round-level success drop arms the demotion penalty for the next
-    round's consolidation.  The chainer keeps no round's traces: with
+    round's consolidation.  The chainer keeps no round's batch: with
     `cross_round_repeats` on, it keeps only their per-(task, cause) failure
     counts.
     """
@@ -391,7 +378,7 @@ def experiment_rounds(
     for r in range(rounds):
         drop = r >= 2 and successes[r - 1] < successes[r - 2]
         prior = dict(failure_history) if config.cross_round_repeats and r > 0 else None
-        state, report, traces = run_round(
+        state, report, batch = run_round(
             state,
             scenario,
             config,
@@ -408,9 +395,9 @@ def experiment_rounds(
             for sid in action["skills"]  # type: ignore[union-attr]
         )
         if config.cross_round_repeats:
-            failure_history.update(failure_counts(traces))
-        yield state, report, traces
-        del traces  # the next round runs without this one's traces
+            failure_history.update(failure_counts(batch.tally()))
+        yield state, report, batch
+        del batch  # the next round runs without this one's batch
 
 
 def trajectory_report(
@@ -435,7 +422,7 @@ def run_experiment(
     config: EngineConfig,
 ) -> ExperimentResult:
     """Chain rounds from the scenario's seed state (`experiment_rounds`),
-    keeping every state and report but no trace."""
+    keeping every state and report but no batch."""
     states = [seed_state]
     reports: list[RoundReport] = []
     for next_state, report, _ in experiment_rounds(
@@ -521,7 +508,7 @@ def evaluate_transplants(
 
     The variants run on the same episode streams, each stream seeded once
     for all four (`exec_shared`), which walks each episode to its outcome
-    and builds no trace; successes are counted as episodes finish.
+    and looks up no shape; successes are counted as episodes finish.
     """
     variants = transplant_variants(final_state, seed_state)
     successes = [0] * len(TRANSPLANT_ROWS)
@@ -557,12 +544,12 @@ class FamilyRow:
         return self.successes - self.baseline_successes
 
 
-def family_tally(outcomes: Iterable[tuple[TaskType, int]]) -> dict[str, tuple[int, int]]:
-    """Task id -> (successes, attempts) over a batch's (task, outcome) pairs."""
+def family_tally(outcomes: Iterable[tuple[TaskType, int, int]]) -> dict[str, tuple[int, int]]:
+    """Task id -> (successes, attempts) over (task, outcome, episodes) triples."""
     counts: dict[str, tuple[int, int]] = {}
-    for task, outcome in outcomes:
+    for task, outcome, episodes in outcomes:
         s, a = counts.get(task.id, (0, 0))
-        counts[task.id] = (s + outcome, a + 1)
+        counts[task.id] = (s + outcome * episodes, a + episodes)
     return counts
 
 

@@ -28,7 +28,7 @@ from .model import (
     skill_similarity,
 )
 from .numfmt import q12
-from .retention import RetainedTrace
+from .retention import RetainedShape
 
 
 @dataclass(frozen=True)
@@ -67,29 +67,30 @@ def _executor_tokens(executor: Executor, library: Mapping[str, Skill]) -> frozen
 
 
 def build_artifacts(
-    retained: Sequence[RetainedTrace],
+    retained: Sequence[RetainedShape],
     q_exec_plus: UtilityTable,
     skill_delta: SkillDelta,
 ) -> list[DiagnosticArtifact]:
     """One artifact per task family holding retained failures.
 
-    Failure mass excludes failures whose proposals already became a pending
-    create or refine this round, so restructuring only sees what skill
-    repair leaves unaddressed.
+    Failure mass counts a retained failure shape's episodes, less the first
+    when its proposal already became a pending create or refine this round
+    (a proposal's source is its shape's first episode), so restructuring
+    only sees what skill repair leaves unaddressed.
     """
     addressed = skill_delta.source_traces()
-    failures: dict[str, list[RetainedTrace]] = {}
+    failures: dict[str, list[RetainedShape]] = {}
     for rt in retained:
-        if rt.trace.shape.outcome == 0:
-            failures.setdefault(rt.trace.shape.task_type.id, []).append(rt)
+        if rt.shape.outcome == 0:
+            failures.setdefault(rt.shape.task_type.id, []).append(rt)
 
     artifacts = []
     for task_id in sorted(failures):
         family = failures[task_id]
-        mass = sum(1 for rt in family if rt.trace.episode_id not in addressed)
+        mass = sum(rt.count - (rt.source in addressed) for rt in family)
 
         # a failure ends at its last routed phase
-        last = [rt.trace.shape.slices[-1] for rt in family]
+        last = [rt.shape.slices[-1] for rt in family]
         implicated_ids = sorted({sl.executor for sl in last})
         implicated = tuple(
             ExecutorEvidence(
@@ -102,7 +103,7 @@ def build_artifacts(
 
         failing_pairs = tuple(sorted({(task_id, sl.phase) for sl in last}))
         handoff = any(
-            diagnose(rt).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
+            diagnose(rt.shape).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
         )
         artifacts.append(
             DiagnosticArtifact(

@@ -1,20 +1,19 @@
-"""Evidence retention: filter a round's traces into the adaptation-relevant subset.
+"""Evidence retention: label the shapes of a round's batch worth adapting on.
 
-The filter is a fixed rule set, not a learned controller.  A trace can carry
-several category labels but appears at most once, and the output is always a
-subset of the input by identity.
+The filter is a fixed rule set, not a learned controller.  A shape can carry
+several category labels, which read only the shape, the round's failure
+counts and the pre-round tables: a shape is wholly retained or not at all.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
-from .model import CauseLabel, EpisodeTrace, Skill, SkillStatus, TraceShape, UtilityTable
+from .model import CauseLabel, Skill, SkillStatus, TraceShape, UtilityTable
 from .utility import used_skills
 
 
@@ -26,9 +25,12 @@ class RetentionCategory(str, Enum):
 
 
 @dataclass(frozen=True)
-class RetainedTrace:
-    trace: EpisodeTrace
-    categories: frozenset[RetentionCategory]
+class RetainedShape:
+    """A retained shape with its number of episodes and the id of its first."""
+
+    shape: TraceShape
+    count: int
+    source: str
 
 
 def _observed_cause(shape: TraceShape) -> CauseLabel:
@@ -36,24 +38,25 @@ def _observed_cause(shape: TraceShape) -> CauseLabel:
     return obs.cause if obs is not None else CauseLabel.UNKNOWN
 
 
-def failure_counts(traces: Iterable[EpisodeTrace]) -> Counter[tuple[str, CauseLabel]]:
-    """Failed traces per (task id, observed cause)."""
-    return Counter(
-        (trace.shape.task_type.id, _observed_cause(trace.shape))
-        for trace in traces
-        if trace.shape.outcome == 0
-    )
+def failure_counts(tally: Iterable[tuple[TraceShape, int]]) -> Counter[tuple[str, CauseLabel]]:
+    """Failed episodes per (task id, observed cause), over (shape, count) pairs."""
+    counts: Counter[tuple[str, CauseLabel]] = Counter()
+    for shape, count in tally:
+        if shape.outcome == 0:
+            counts[shape.task_type.id, _observed_cause(shape)] += count
+    return counts
 
 
 def retain(
-    traces: Sequence[EpisodeTrace],
+    tally: Sequence[tuple[TraceShape, int]],
     q_exec_prior: UtilityTable,
     config: EngineConfig,
     library: Mapping[str, Skill],
     *,
     prior_failure_counts: Mapping[tuple[str, CauseLabel], int] | None = None,
-) -> list[RetainedTrace]:
-    """Label and keep the traces worth adapting on.
+) -> list[frozenset[RetentionCategory]]:
+    """Label the shapes worth adapting on: one label set per (shape, count)
+    pair of a batch's tally, in its order, empty for a shape not retained.
 
     Rules: (a) repeated failures sharing a (task type, observed cause) key at
     the configured multiplicity — within the round by default, with
@@ -64,14 +67,11 @@ def retain(
     used.  `q_exec_prior` is the pre-round executor table, so rule (c) reads
     the estimate the router acted on.
     """
-    failure_keys = failure_counts(traces)
+    failure_keys = failure_counts(tally)
     if prior_failure_counts:
         for key, count in prior_failure_counts.items():
             failure_keys[key] += count
 
-    # The labels read only the trace's shape, which hashes by identity; the
-    # failure counts and the tables stay fixed during the call.
-    @functools.cache
     def label(shape: TraceShape) -> frozenset[RetentionCategory]:
         categories: set[RetentionCategory] = set()
         task_id = shape.task_type.id
@@ -101,8 +101,4 @@ def retain(
             categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
         return frozenset(categories)
 
-    return [
-        RetainedTrace(trace, categories)
-        for trace in traces
-        if (categories := label(trace.shape))
-    ]
+    return [label(shape) for shape, _ in tally]

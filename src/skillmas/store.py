@@ -5,10 +5,11 @@ point at the offending line.  Snapshots are a versioned record stream with
 records sorted by id, and `serialize_state` is the one definition of their
 format: a snapshot is read only as the writer writes it.  The reader builds
 a state from the records and refuses the first line that differs from the
-writer's line for that state, at its byte offset.  Trace
-logs are JSON lines, written once per run directory in the order the traces
-were generated.  Nothing in the engine reads a log back: `replay` compares
-its bytes, and the counts `report` shows come from `trajectory.json`.
+writer's line for that state, at its byte offset.  Trace logs are JSON
+lines, one per episode, written once per run directory in the order the
+episodes were generated.  Nothing in the engine reads a log back: `replay`
+compares its bytes, and the counts `report` shows come from
+`trajectory.json`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Iterable, Iterator
 
 from .config import EngineConfig, config_from_mapping
 from .model import (
+    Batch,
     BoundedTag,
     CauseLabel,
-    EpisodeTrace,
     Executor,
     Pair,
     PolicyCard,
@@ -563,22 +564,21 @@ def deserialize_state(text: str) -> RoundState:
 # ---------------------------------------------------------------------------
 # trace logs
 #
-# The log is write-only: `encode_trace_log` is its only code.  A log of
-# thousands of records holds a few dozen distinct trace shapes, so the
+# The log is write-only: `encode_trace_log` is its only code.  A batch of
+# thousands of episodes holds a few dozen distinct trace shapes, so the
 # writer encodes each shape once per call and keeps nothing between calls;
 # the bytes are exactly
-# `json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))`
+# `json.dumps(trace_to_record(episode_id, shape), sort_keys=True, separators=(",", ":"))`
 # per line: replay and the golden digests compare them.
 
 _FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _encode_str = json.encoder.encode_basestring_ascii  # what `_FRAGMENT.encode` does to a str
 
 
-def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
-    shape = trace.shape
+def trace_to_record(episode_id: str | None, shape: TraceShape) -> dict[str, object]:
     obs = shape.latent_cause_observation
     return {
-        "episode": trace.episode_id,
+        "episode": episode_id,
         "task": {"id": shape.task_type.id, "phases": list(shape.task_type.phases)},
         "outcome": shape.outcome,
         "progress": shape.progress,
@@ -598,31 +598,24 @@ def trace_to_record(trace: EpisodeTrace) -> dict[str, object]:
     }
 
 
-def encode_trace_log(traces: Iterable[EpisodeTrace]) -> str:
-    """Render traces as JSON lines, one `trace_to_record` per line, in the
-    order given.
+def encode_trace_log(batch: Batch) -> str:
+    """Render a batch as JSON lines, one `trace_to_record` per episode, in
+    generation order.
 
     A line is the episode id, encoded as `JSONEncoder.encode` encodes a
-    string, between two fragments that depend only on the trace's shape:
+    string, between two fragments that depend only on the episode's shape:
     its record with a null id, split at the id.  An encoded string holds no
     unescaped quote and the cause has no "episode" key, so the first match
     is the id.  Each shape's fragments are encoded once, from its own
     values, so `True` and `1` still encode apart.
     """
-    encode = _FRAGMENT.encode
-    fragments: dict[TraceShape, tuple[str, str]] = {}
-    lines: list[str] = []
-    for trace in traces:
-        around = fragments.get(trace.shape)
-        if around is None:
-            record = trace_to_record(trace)
-            record["episode"] = None
-            head, _, tail = encode(record).partition(',"episode":null')
-            around = fragments[trace.shape] = (head + ',"episode":', tail + "\n")
-        episode_id = trace.episode_id
-        lines.append(
-            around[0]
-            + (_encode_str(episode_id) if isinstance(episode_id, str) else encode(episode_id))
-            + around[1]
+    fragments = []
+    for shape in batch.shapes:
+        head, _, tail = _FRAGMENT.encode(trace_to_record(None, shape)).partition(
+            ',"episode":null'
         )
-    return "".join(lines)
+        fragments.append((head + ',"episode":', tail + "\n"))
+    return "".join(
+        fragments[k][0] + _encode_str(batch.episode_id(i)) + fragments[k][1]
+        for i, k in enumerate(batch.index)
+    )

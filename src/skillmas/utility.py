@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping
 
 from .model import (
-    EpisodeTrace,
+    Batch,
     ExecutorSlice,
     RoundState,
     Skill,
     SkillStatus,
     StateError,
-    TraceShape,
     UtilityTable,
 )
 from .numfmt import q12
@@ -47,34 +46,30 @@ def mc_update(entry: tuple[float, int] | None, outcome: int) -> tuple[float, int
 def learn(
     q_skill: UtilityTable,
     q_exec: UtilityTable,
-    traces: Sequence[EpisodeTrace],
+    batch: Batch,
     *,
     known_skills: Iterable[str] | None = None,
     known_executors: Iterable[str] | None = None,
 ) -> tuple[UtilityTable, UtilityTable]:
-    """Fold a round's traces into fresh skill and executor utility tables.
+    """Fold a round's batch into fresh skill and executor utility tables.
 
-    Traces are folded in the order given, which is generation order for
-    `exec_round`'s batch: episode i at index i.  Entries never touched stay
-    bit-identical; touched entries move toward the episode outcome at the
-    count-based rate, which makes each value the exact running mean of the
-    outcomes applied to it.  The membership checks and the ordered credit
-    keys depend only on a trace's shape, so they are derived once per shape
-    and applied per trace in order.
+    Episodes are folded in generation order, the order of `batch.index`.
+    Entries never touched stay bit-identical; touched entries move toward
+    the episode outcome at the count-based rate, which makes each value the
+    exact running mean of the outcomes applied to it.  The membership
+    checks and the ordered credit keys depend only on a shape, so they are
+    derived once per table entry, in table order: the first shape with an
+    unknown id is the shape of the first episode that has one, and the
+    error names that episode.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
+    credit = [_credit_keys(batch, k, skill_ids, executor_ids) for k in range(len(batch.shapes))]
 
     s_entries = dict(q_skill.entries)
     a_entries = dict(q_exec.entries)
-    credit: dict[TraceShape, tuple[list, list]] = {}
-    for trace in traces:
-        shape = trace.shape
-        keys = credit.get(shape)
-        if keys is None:
-            keys = credit[shape] = _credit_keys(trace, skill_ids, executor_ids)
-        skill_keys, executor_keys = keys
-        outcome = shape.outcome
+    for k in batch.index:
+        skill_keys, executor_keys, outcome = credit[k]
         for key in skill_keys:
             s_entries[key] = mc_update(s_entries.get(key), outcome)
         for key in executor_keys:
@@ -84,29 +79,34 @@ def learn(
 
 
 def _credit_keys(
-    trace: EpisodeTrace,
+    batch: Batch,
+    k: int,
     skill_ids: frozenset[str] | None,
     executor_ids: frozenset[str] | None,
-) -> tuple[list, list]:
-    """The trace's skill and executor credit keys, in update order:
-    executors by first appearance, each one's used skills by id."""
+) -> tuple[list, list, int]:
+    """Table entry k's skill and executor credit keys, in update order
+    (executors by first appearance, each one's used skills by id), and its
+    outcome."""
+    shape = batch.shapes[k]
     used_by: dict[str, frozenset[str]] = {}
-    for sl in trace.shape.slices:
+    for sl in shape.slices:
+        problem = None
         if executor_ids is not None and sl.executor not in executor_ids:
-            raise StateError(f"trace {trace.episode_id} routes unknown executor {sl.executor!r}")
-        if skill_ids is not None and not sl.selected <= skill_ids:
-            unknown = sorted(sl.selected - skill_ids)
-            raise StateError(f"trace {trace.episode_id} references unknown skills {unknown}")
+            problem = f"routes unknown executor {sl.executor!r}"
+        elif skill_ids is not None and not sl.selected <= skill_ids:
+            problem = f"references unknown skills {sorted(sl.selected - skill_ids)}"
+        if problem is not None:
+            raise StateError(f"trace {batch.episode_id(batch.index.index(k))} {problem}")
         used = used_by.get(sl.executor)
         used_by[sl.executor] = used_skills(sl) if used is None else used | used_skills(sl)
-    task_id = trace.shape.task_type.id
+    task_id = shape.task_type.id
     skill_keys = []
     executor_keys = []
     for executor_id, used in used_by.items():
         for skill_id in sorted(used):
             skill_keys.append((skill_id, task_id))
         executor_keys.append((executor_id, task_id))
-    return skill_keys, executor_keys
+    return skill_keys, executor_keys, shape.outcome
 
 
 def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:

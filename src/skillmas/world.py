@@ -15,14 +15,15 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
+    Batch,
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     Executor,
     ExecutorSlice,
     Pair,
@@ -239,7 +240,7 @@ def _deficit(
     return cause, magnitude
 
 
-# one shared observation per (label, confident): traces only read them
+# one shared observation per (label, confident): shapes only read them
 _OBSERVATIONS = {
     (cause, confident): CauseObservation(cause, confident)
     for cause in CauseLabel
@@ -425,14 +426,14 @@ def walk_episode(
 
 
 def sample_episode(
-    table: ExecutionTable, task_type: TaskType, rng: random.Random, episode_id: str
-) -> EpisodeTrace:
+    table: ExecutionTable, task_type: TaskType, rng: random.Random
+) -> TraceShape:
     """Run one episode against the ground truth with the table's state fixed.
 
     `walk_episode` makes the routing and success draws.  On failure the
     episode then draws its last value: the failing slot's dominant deficit
     is observed as the cause, confidently with the scenario's observation
-    probability.  The trace carries the table's shape for that ending (a
+    probability.  The result is the table's shape for that ending (a
     success when nothing was observed), which went through `TraceShape`'s
     checks when the table first met it.
     """
@@ -446,7 +447,7 @@ def sample_episode(
     if shape is None:
         outcome = 1 if observation is None else 0
         shape = table.shapes[key] = TraceShape(task_type, slices, outcome, progress, observation)
-    return EpisodeTrace(episode_id, shape)
+    return shape
 
 
 def exec_round(
@@ -455,30 +456,30 @@ def exec_round(
     n_episodes: int,
     seed: int,
     config: EngineConfig,
-    *,
-    id_prefix: str = "",
-) -> tuple[EpisodeTrace, ...]:
-    """Execute a batch of episodes with the state held fixed, one trace each.
+) -> Batch:
+    """Execute a batch of episodes with the state held fixed.
 
     Execution is read-only over the state.  Episode i draws from its own
     stream derived from (seed, i), so the batch is reproducible and safe to
-    parallelize.  Trace i of the result is episode i: the batch's order is
-    generation order, and every later stage reads it in that order.  Episode i
-    reads its stream straight from `episode_streams(seed)(i)`, a generator
-    seeded with `derive_seed(seed, "episode", i)`.  Adaptation runs its
-    rounds here, since learning reads every trace; frozen evaluation only
-    counts outcomes and runs `exec_shared`.
+    parallelize.  Episode i reads its stream straight from
+    `episode_streams(seed)(i)`, a generator seeded with
+    `derive_seed(seed, "episode", i)`.  The batch is round
+    `state.round_index`'s: each shape the table interned, once, in order of
+    first appearance, and episode i's position among them at `index[i]`.
+    Adaptation runs its rounds here, since learning reads every episode;
+    frozen evaluation only counts outcomes and runs `exec_shared`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     table = ExecutionTable(state, scenario, config)
     stream = episode_streams(seed)
-    traces = []
+    position: dict[TraceShape, int] = {}
+    index = array("L")
     for i in range(n_episodes):
         rng = stream(i)
-        task = table.task_at(rng.random())
-        traces.append(sample_episode(table, task, rng, f"{id_prefix}e{i:05d}"))
-    return tuple(traces)
+        shape = sample_episode(table, table.task_at(rng.random()), rng)
+        index.append(position.setdefault(shape, len(position)))
+    return Batch(state.round_index, tuple(position), index)
 
 
 def exec_shared(
@@ -492,14 +493,14 @@ def exec_shared(
     streams.
 
     Yields episode i's task and one success flag per state in order, each
-    equal to the task and outcome of trace i of `exec_round(state,
+    equal to the task and outcome of episode i of `exec_round(state,
     scenario, n_episodes, seed, config)`.  Episode i's generator is seeded
     once, and its leading words are taken as one list.  The task is drawn
     once, from words 0-1, since the states share the scenario; then one loop
     walks each state to its outcome, making `walk_episode`'s draws by
     reading the list by index through the word rules of `streams`; a trie
     miss grows through `ExecutionTable.add_step`, as in `walk_episode`.  No
-    trace is built and no cause is observed.  The rules are probed against
+    shape is looked up and no cause is observed.  The rules are probed against
     `random.Random` before the first episode (`StateError` if they diverge).
     """
     if n_episodes < 1:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from skillmas.config import EngineConfig
 from skillmas.model import (
+    Batch,
     CauseLabel,
     Executor,
     RoundState,
@@ -14,6 +16,7 @@ from skillmas.model import (
     TaskType,
     UtilityTable,
 )
+from skillmas.retention import RetainedShape
 from skillmas.world import LatentSkill, Scenario
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
@@ -68,6 +71,24 @@ def make_state(
         pool=dict(pool or {}),
         policy_index=tuple(cards),
     )
+
+
+def batch_of(shapes, round_index: int = 0) -> Batch:
+    """The batch whose episode i has `shapes[i]`, tabled by identity in
+    order of first appearance, as `exec_round` tables them."""
+    position = {}
+    index = array("L", [position.setdefault(shape, len(position)) for shape in shapes])
+    return Batch(round_index, tuple(position), index)
+
+
+def retained_shapes(batch: Batch, labels) -> list[RetainedShape]:
+    """The retained table entries of `batch`, given `retain`'s labels of its
+    tally, as `run_round` builds them."""
+    return [
+        RetainedShape(shape, count, batch.episode_id(first))
+        for (shape, count), first, categories in zip(batch.tally(), batch.firsts(), labels)
+        if categories
+    ]
 
 
 def random_scenario(rng: random.Random, name: str = "fuzz") -> tuple[Scenario, RoundState]:

@@ -9,8 +9,9 @@ call by call.
 The second part is a whole round, episode by episode: every stage reads a
 list of `Episode` records, which compare by value, in generation order, and
 `reference_run_round` chains the stages as `orchestrator.run_round` does.
-`episodes_of` is the one function that reads the engine's batch.  No engine
-code calls any of them.
+`episodes_of` is the one function that reads the engine's batch, and
+`_propose` the one that hands the engine's proposal rule a record.  No
+engine code calls any of them.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from skillmas.evolution import (
 )
 from skillmas.model import (
     TAG_BY_CAUSE,
+    Batch,
     BoundedTag,
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     Executor,
     ExecutorSlice,
     Pair,
@@ -58,7 +59,7 @@ from skillmas.restructure import (
     decide_restructure,
     evidence_holds,
 )
-from skillmas.retention import RetainedTrace, RetentionCategory
+from skillmas.retention import RetainedShape, RetentionCategory
 from skillmas.streams import derive_seed
 from skillmas.utility import executor_route, mc_update, rank_skills, skills_by_task, used_skills
 from skillmas.world import (
@@ -197,7 +198,7 @@ class RetainedEpisode:
     categories: frozenset[RetentionCategory]
 
 
-def _episode(episode_id: str, shape: TraceShape) -> Episode:
+def episode_of(episode_id: str, shape: TraceShape) -> Episode:
     return Episode(
         episode_id,
         shape.task_type,
@@ -208,9 +209,9 @@ def _episode(episode_id: str, shape: TraceShape) -> Episode:
     )
 
 
-def episodes_of(traces: Iterable[EpisodeTrace]) -> list[Episode]:
-    """The engine's traces as records, in generation order."""
-    return [_episode(t.episode_id, t.shape) for t in traces]
+def episodes_of(batch: Batch) -> list[Episode]:
+    """The engine's batch as records, in generation order."""
+    return [episode_of(batch.episode_id(i), batch.shapes[k]) for i, k in enumerate(batch.index)]
 
 
 def record(e: Episode) -> dict[str, object]:
@@ -311,8 +312,7 @@ def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> l
         rng = substream(seed, "episode", i)
         task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
         table = ExecutionTable(state, scenario, config)
-        trace = sample_episode(table, task, rng, f"{id_prefix}e{i:05d}")
-        episodes.append(_episode(trace.episode_id, trace.shape))
+        episodes.append(episode_of(f"{id_prefix}e{i:05d}", sample_episode(table, task, rng)))
     return episodes
 
 
@@ -408,7 +408,7 @@ def reference_diagnosis(e: Episode) -> Diagnosis:
 def _propose(kept: RetainedEpisode, diagnosis, cards, state, config, index):
     """The engine's proposal rule on one retained episode."""
     e = kept.episode
-    retained = RetainedTrace(EpisodeTrace(e.episode_id, e.shape()), kept.categories)
+    retained = RetainedShape(e.shape(), 1, e.episode_id)
     return propose(retained, diagnosis, cards, state.library, state.round_index, config, index)
 
 

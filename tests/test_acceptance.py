@@ -10,13 +10,14 @@ import math
 import random
 import statistics
 import time
+from array import array
 
 import pytest
 
 from skillmas.cli import main
 from skillmas.config import EngineConfig
 from skillmas.model import (
-    EpisodeTrace,
+    Batch,
     ExecutorSlice,
     TaskType,
     TraceShape,
@@ -38,10 +39,12 @@ from skillmas.world import exec_round
 from conftest import random_scenario
 
 
-def _entry_trace(episode_id: str, outcome: int) -> EpisodeTrace:
+def _entry_shapes() -> tuple[TraceShape, TraceShape]:
+    """The shapes of one (task, slice) that fail and that succeed, so that
+    an outcome is its shape's position."""
     task = TaskType("t", ("p",))
     sl = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
-    return EpisodeTrace(episode_id, TraceShape(task, (sl,), outcome, float(outcome)))
+    return tuple(TraceShape(task, (sl,), outcome, float(outcome)) for outcome in (0, 1))
 
 
 def test_running_mean_identity():
@@ -50,8 +53,8 @@ def test_running_mean_identity():
     rng = random.Random(20240)
     for case in range(1000):
         outcomes = [rng.randint(0, 1) for _ in range(rng.randint(1, 100))]
-        traces = [_entry_trace(f"e{i:03d}", o) for i, o in enumerate(outcomes)]
-        q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)
+        batch = Batch(0, _entry_shapes(), array("L", outcomes))
+        q_skill, q_exec = learn(UtilityTable(), UtilityTable(), batch)
         mean = sum(outcomes) / len(outcomes)
         for table, key in ((q_skill, "s"), (q_exec, "w")):
             value, count = table.get(key, "t")
@@ -68,14 +71,14 @@ def test_credit_gating():
     config = EngineConfig(episodes_per_round=15)
     for case in range(200):
         scenario, state = random_scenario(random.Random(case))
-        traces = exec_round(state, scenario, 15, case, config)
-        q_skill, q_exec = learn(state.q_skill, state.q_exec, traces)
+        batch = exec_round(state, scenario, 15, case, config)
+        q_skill, q_exec = learn(state.q_skill, state.q_exec, batch)
 
         allowed_skill_keys = set()
         allowed_exec_keys = set()
-        for trace in traces:
-            task_id = trace.shape.task_type.id
-            for sl in trace.shape.slices:
+        for shape in batch.shapes:
+            task_id = shape.task_type.id
+            for sl in shape.slices:
                 for sid in used_skills(sl):
                     allowed_skill_keys.add((sid, task_id))
                 allowed_exec_keys.add((sl.executor, task_id))
@@ -110,7 +113,7 @@ def invariant_sweep():
                 len(previous_successes) >= 2
                 and previous_successes[-1] < previous_successes[-2]
             )
-            next_state, report, traces = run_round(
+            next_state, report, batch = run_round(
                 state,
                 scenario,
                 config,
@@ -125,8 +128,8 @@ def invariant_sweep():
                 for value, count in table.entries.values():
                     assert 0.0 <= value <= 1.0 and count >= 0
 
-            # retained evidence is a subset of the round's traces
-            trace_ids = {t.episode_id for t in traces}
+            # retained evidence is a subset of the round's episodes
+            trace_ids = {batch.episode_id(i) for i in range(len(batch.index))}
             retained_ids = {
                 eid for ids in report.retained.values() for eid in ids
             }
@@ -302,11 +305,10 @@ def test_empirical_rate_calibration():
     start = time.monotonic()
     pack = load_preset("calibration")
     n = 1000
-    traces = exec_round(
-        pack.seed_state, pack.scenario, n, derive_seed(7, "calibration"), pack.config,
-        id_prefix="v",
+    batch = exec_round(
+        pack.seed_state, pack.scenario, n, derive_seed(7, "calibration"), pack.config
     )
-    successes = sum(t.shape.outcome for t in traces)
+    successes = sum(shape.outcome * count for shape, count in batch.tally())
     expected = 0.8 ** 2
     sigma = math.sqrt(n * expected * (1 - expected))
     assert abs(successes - n * expected) <= 3 * sigma, (

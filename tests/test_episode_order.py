@@ -2,14 +2,18 @@
 
 Episode ids are `r{round:04d}e{index:05d}`; past 10^5 episodes or 10^4
 rounds they grow wider, and plain string order no longer follows generation
-order.  No stage orders episodes by id: `exec_round` lists episode i at
-index i, and `learn`, `collect_proposals`, `skill_evolve` and the trace-log
-writer keep the order they are given.
+order.  No stage orders episodes by id: a batch holds episode i's shape at
+`index[i]`, `learn`, the report's `retained` lists and the trace-log writer
+read that sequence, and `collect_proposals` and `skill_evolve` keep the
+order they are given.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,7 @@ from skillmas.cli import main
 from skillmas.config import EngineConfig
 from skillmas.evolution import Proposal, skill_evolve
 from skillmas.model import (
-    EpisodeTrace,
+    Batch,
     ExecutorSlice,
     SkillStatus,
     StateError,
@@ -27,24 +31,39 @@ from skillmas.model import (
     UtilityTable,
     cluster_key_map,
 )
+from skillmas.orchestrator import run_round
 from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log
 from skillmas.utility import learn, mc_update
 from skillmas.world import exec_round
 
-from conftest import make_skill
+from conftest import batch_of, make_skill
 
 TASK = TaskType("t", ("p",))
 SLICE = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
+PAD = TraceShape(
+    TaskType("pad", ("p",)),
+    (ExecutorSlice("v", "p", frozenset({"q"}), frozenset({"q"}), frozenset()),),
+    1,
+    1.0,
+)
 
 # generation order across the 10^5 boundary, and outcomes whose running
 # mean rounds differently when folded in plain string order
-ACROSS = [f"r0000e{i:05d}" for i in range(99996, 100004)]
+ACROSS = range(99996, 100004)
 OUTCOMES = [0, 0, 0, 1, 0, 0, 1, 1]
 
 
-def trace(episode_id: str, outcome: int = 0, sl: ExecutorSlice = SLICE) -> EpisodeTrace:
-    return EpisodeTrace(episode_id, TraceShape(TASK, (sl,), outcome, float(outcome)))
+def shape(outcome: int = 0, sl: ExecutorSlice = SLICE) -> TraceShape:
+    return TraceShape(TASK, (sl,), outcome, float(outcome))
+
+
+def across_batch() -> Batch:
+    """Episodes 99996..100003 of task t with OUTCOMES, after episodes of
+    another task that credit nothing of t's."""
+    failed, succeeded = shape(0), shape(1)
+    index = [0] * ACROSS[0] + [1 + outcome for outcome in OUTCOMES]
+    return Batch(0, (PAD, failed, succeeded), array("L", index))
 
 
 def fold(outcomes) -> tuple[float, int]:
@@ -65,35 +84,50 @@ def test_fixed_width_ids_order_as_strings(r1, i1, r2, i2):
 
 def test_fixed_width_batch_keeps_its_order():
     pack = load_preset("tiny")
-    traces = exec_round(pack.seed_state, pack.scenario, 50, 3, pack.config, id_prefix="r0003")
-    assert [t.episode_id for t in traces] == [f"r0003e{i:05d}" for i in range(50)]
+    state = dataclasses.replace(pack.seed_state, round_index=3)
+    batch = exec_round(state, pack.scenario, 50, 3, pack.config)
+    assert len(batch.index) == 50
+    assert [batch.episode_id(i) for i in range(50)] == [f"r0003e{i:05d}" for i in range(50)]
+
+
+def test_batch_index_holds_every_32_bit_position():
+    pack = load_preset("tiny")
+    batch = exec_round(pack.seed_state, pack.scenario, 5, 3, pack.config)
+    assert array(batch.index.typecode, [2**32 - 1])[0] == 2**32 - 1
 
 
 def test_learn_credits_in_generation_order_past_the_width():
-    traces = [trace(i, o) for i, o in zip(ACROSS, OUTCOMES)]
-    in_string_order = [t.shape.outcome for t in sorted(traces, key=lambda t: t.episode_id)]
+    ids = {i: f"r0000e{i:05d}" for i in ACROSS}
+    by_id = dict(zip(ids.values(), OUTCOMES))
+    in_string_order = [by_id[i] for i in sorted(by_id)]
     assert fold(OUTCOMES) != fold(in_string_order)  # the order is observable
 
-    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)
+    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), across_batch())
     assert q_skill.get("s", "t") == fold(OUTCOMES)
     assert q_exec.get("w", "t") == fold(OUTCOMES)
 
 
 def test_learn_folds_in_the_order_given():
-    # the ids would sort the other way; the batch's order is what counts
+    # the table lists the first outcome's shape first; the index order is
+    # what counts
     outcomes = OUTCOMES[::-1]
-    traces = [trace(f"x{9 - k}", o) for k, o in enumerate(outcomes)]
+    failed, succeeded = shape(0), shape(1)
+    batch = batch_of([succeeded if o else failed for o in outcomes])
     assert fold(outcomes) != fold(OUTCOMES)
-    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), traces)
+    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), batch)
     assert q_skill.get("s", "t") == fold(outcomes)
     assert q_exec.get("w", "t") == fold(outcomes)
 
 
 def test_learn_names_the_first_offender_in_generation_order():
     unknown = ExecutorSlice("w", "p", frozenset({"x"}), frozenset({"x"}), frozenset())
-    traces = [trace("r0000e99999", sl=unknown), trace("r0000e100000", sl=unknown)]
+    batch = Batch(
+        0,
+        (shape(), shape(sl=unknown), shape(sl=unknown)),
+        array("L", [0] * 99999 + [1, 2]),
+    )
     with pytest.raises(StateError, match=r"trace r0000e99999 references unknown skills \['x'\]"):
-        learn(UtilityTable(), UtilityTable(), traces, known_skills={"s"})
+        learn(UtilityTable(), UtilityTable(), batch, known_skills={"s"})
 
 
 def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
@@ -120,12 +154,29 @@ def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
 
 def test_log_reads_past_the_width_in_generation_order():
     # each line carries what a per-(task, cause) failure count needs
-    traces = [trace(i, o) for i, o in zip(ACROSS, OUTCOMES)]
-    records = [json.loads(line) for line in encode_trace_log(traces).splitlines()]
-    assert [r["episode"] for r in records] == ACROSS
+    batch = across_batch()
+    text = encode_trace_log(batch)
+    ids = re.findall(r'"episode":"([^"]*)"', text)
+    assert ids == [f"r0000e{i:05d}" for i in range(len(batch.index))]
+    records = [json.loads(line) for line in text.splitlines()[ACROSS[0]:]]
+    assert [r["episode"] for r in records] == ids[ACROSS[0]:]
     assert [(r["task"]["id"], r["outcome"], r["cause"]) for r in records] == [
         ("t", o, None) for o in OUTCOMES
     ]
+
+
+def test_retained_lists_stay_in_generation_order_past_the_width():
+    pack = load_preset("tiny")
+    config = pack.config.replace(episodes_per_round=ACROSS[-1] + 1)
+    _, report, batch = run_round(pack.seed_state, pack.scenario, config, seed=5)
+    assert report.retained
+    for ids in report.retained.values():
+        positions = [int(i[len("r0000e"):]) for i in ids]
+        assert all(i == f"r0000e{p:05d}" for i, p in zip(ids, positions))
+        assert positions == sorted(set(positions))  # generation order, each once
+        assert positions[0] < 100_000 <= positions[-1]  # across the width
+        assert sorted(ids) != ids  # where string order differs
+    assert len(batch.index) == ACROSS[-1] + 1
 
 
 def row(round_index: int, successes: int, episodes: int, family: str = "t") -> dict:

@@ -20,7 +20,6 @@ from skillmas.model import (
     BoundedTag,
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     ExecutorSlice,
     PolicyCard,
     SkillStatus,
@@ -29,7 +28,7 @@ from skillmas.model import (
     UtilityTable,
     cluster_key_map,
 )
-from skillmas.retention import RetainedTrace, RetentionCategory
+from skillmas.retention import RetainedShape
 from skillmas.world import LatentSkill, Scenario, motif_skill, realized_catalog
 
 from conftest import make_skill, make_state
@@ -61,15 +60,18 @@ def evolve(proposals, library, policy_index, q_skill, config, **kwargs):
     )
 
 
-def retained_failure(cause, confident=True, selected=("sk",), invoked=("sk",),
-                     phase="p1", episode_id="e0", executor="worker"):
+def failure_shape(cause, confident=True, selected=("sk",), invoked=("sk",),
+                  phase="p1", executor="worker"):
     obs = CauseObservation(cause, confident)
     slices = (
         ExecutorSlice(executor, phase, frozenset(selected), frozenset(invoked),
                       frozenset()),
     )
-    trace = EpisodeTrace(episode_id, TraceShape(TASK, slices, 0, 0.0, obs))
-    return RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
+    return TraceShape(TASK, slices, 0, 0.0, obs)
+
+
+def retained_failure(cause, episode_id="e0", **kwargs):
+    return RetainedShape(failure_shape(cause, **kwargs), 1, episode_id)
 
 
 def retained_success(selected=("sk",), invoked=("sk",), phase="p1",
@@ -78,30 +80,29 @@ def retained_success(selected=("sk",), invoked=("sk",), phase="p1",
         ExecutorSlice(executor, phase, frozenset(selected), frozenset(invoked),
                       frozenset()),
     )
-    trace = EpisodeTrace(episode_id, TraceShape(TASK, slices, 1, 1.0))
-    return RetainedTrace(trace, frozenset({RetentionCategory.REUSABLE_SUCCESS}))
+    return RetainedShape(TraceShape(TASK, slices, 1, 1.0), 1, episode_id)
 
 
 class TestDiagnose:
     def test_confident_missing_precondition(self):
-        d = diagnose(retained_failure(CauseLabel.MISSING_PRECONDITION))
+        d = diagnose(failure_shape(CauseLabel.MISSING_PRECONDITION))
         assert d == Diagnosis(CauseLabel.MISSING_PRECONDITION, True, BoundedTag.ADD_GUARD)
         assert d.locally_diagnosable
 
     def test_unconfident_observation_is_unknown(self):
-        d = diagnose(retained_failure(CauseLabel.MISSING_PRECONDITION, confident=False))
+        d = diagnose(failure_shape(CauseLabel.MISSING_PRECONDITION, confident=False))
         assert d == Diagnosis(CauseLabel.UNKNOWN, False, BoundedTag.NONE)
         assert not d.locally_diagnosable
 
     def test_bad_assignment_hands_off_to_structure(self):
-        d = diagnose(retained_failure(CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
+        d = diagnose(failure_shape(CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
         assert d.tag is BoundedTag.HANDOFF_TO_STRUCTURE
         assert d.unique
         assert not d.locally_diagnosable  # excluded from local repair
 
     def test_success_trace_is_contract_violation(self):
         with pytest.raises(ValueError):
-            diagnose(retained_success())
+            diagnose(retained_success().shape)
 
     def test_full_tag_table(self):
         expected = {
@@ -112,7 +113,7 @@ class TestDiagnose:
             CauseLabel.BAD_EXECUTOR_ASSIGNMENT: BoundedTag.HANDOFF_TO_STRUCTURE,
         }
         for cause, tag in expected.items():
-            assert diagnose(retained_failure(cause)).tag is tag
+            assert diagnose(failure_shape(cause)).tag is tag
 
 
 class TestPolicyCards:
@@ -146,13 +147,13 @@ class TestPropose:
     def test_non_diagnosable_failure_yields_nothing(self):
         rt = retained_failure(CauseLabel.MISSING_PRECONDITION, confident=False)
         library = {"sk": make_skill("sk")}
-        out = propose_on(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), library, 0, EngineConfig())
         assert out is None
 
     def test_handoff_yields_nothing(self):
         rt = retained_failure(CauseLabel.BAD_EXECUTOR_ASSIGNMENT)
         library = {"sk": make_skill("sk")}
-        out = propose_on(rt, diagnose(rt), (), scenario_with(), library, 0, EngineConfig())
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), library, 0, EngineConfig())
         assert out is None
 
     def test_add_guard_repair_realizes_matching_latent(self):
@@ -162,7 +163,7 @@ class TestPropose:
         rt = retained_failure(CauseLabel.MISSING_PRECONDITION)
         card = PolicyCard("pc", CauseLabel.MISSING_PRECONDITION, "t1",
                           BoundedTag.ADD_GUARD, template_skill="lat-a")
-        out = propose_on(rt, diagnose(rt), (card,), scenario, library, 1, EngineConfig())
+        out = propose_on(rt, diagnose(rt.shape), (card,), scenario, library, 1, EngineConfig())
         assert out is not None and out.edit is not None
         assert out.edit.tag is BoundedTag.ADD_GUARD
         # the guard token carries the latent whose repairs_cause matched
@@ -205,7 +206,7 @@ class TestPropose:
         wide = make_skill("wide", pairs=(("t1", "p1"), ("t1", "p2")))
         rt = retained_failure(CauseLabel.SKILL_CONFLICT, selected=("wide",),
                               invoked=("wide",))
-        out = propose_on(rt, diagnose(rt), (), scenario_with(), {"wide": wide}, 3,
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), {"wide": wide}, 3,
                       EngineConfig())
         assert out is not None
         assert len(out.drafts) == 2
@@ -218,7 +219,7 @@ class TestPropose:
         noisy = make_skill("noisy", pairs=(("t1", "p1"), ("t1", "p2")))
         rt = retained_failure(CauseLabel.MISLEADING_RETRIEVAL, selected=("noisy",),
                               invoked=("noisy",))
-        out = propose_on(rt, diagnose(rt), (), scenario_with(), {"noisy": noisy}, 0,
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), {"noisy": noisy}, 0,
                       EngineConfig())
         assert out is not None and out.edit is not None
         assert out.edit.applicability == frozenset({("t1", "p2")})
@@ -388,20 +389,36 @@ class TestPoolLifecycle:
     def test_counters_respect_used_gating(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)
         library = {"pk": pooled, "other": make_skill("other")}
-        selected_only = EpisodeTrace("e0", TraceShape(
+        selected_only = TraceShape(
             TASK,
             (ExecutorSlice("w", "p1", frozenset({"pk", "other"}),
                            frozenset({"other"}), frozenset()),),
             1, 1.0,
-        ))
-        used = EpisodeTrace("e1", TraceShape(
+        )
+        used = TraceShape(
             TASK,
             (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset({"pk"}),
                            frozenset()),),
             1, 1.0,
-        ))
-        pool = update_pool_counters({"pk": (0, 0)}, [selected_only, used])
+        )
+        pool = update_pool_counters({"pk": (0, 0)}, [(selected_only, 1), (used, 1)])
         assert pool["pk"] == (1, 1)
+
+    def test_counters_count_every_episode_of_a_shape(self):
+        used = TraceShape(
+            TASK,
+            (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset({"pk"}),
+                           frozenset()),),
+            1, 1.0,
+        )
+        failed = TraceShape(
+            TASK,
+            (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset({"pk"}),
+                           frozenset()),),
+            0, 0.0,
+        )
+        pool = update_pool_counters({"pk": (2, 1), "idle": (1, 0)}, [(used, 3), (failed, 2)])
+        assert pool == {"pk": (7, 4), "idle": (1, 0)}
 
     def test_promotion_at_threshold(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)

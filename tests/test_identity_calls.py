@@ -1,10 +1,11 @@
 """Only `world` keys anything on `id()`.
 
-The execution table interns one `TraceShape` per outcome path, and every
-per-shape stage keys its memo on that object, which hashes by identity.  A
-stage that builds its own key from `id()` of a trace's fields has to pick
-the fields by hand and keep them alive while the key is in use; that is the
-decision the interned shape makes once.
+The execution table interns one `TraceShape` per outcome path, and a
+round's `Batch` lists each interned shape once, with one table index per
+episode, so no stage needs a key of its own.  A stage that built one from
+`id()` of a shape's fields would have to pick the fields by hand and keep
+them alive while the key is in use; that is the decision the interned
+shape makes once.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from skillmas.store import serialize_state
 from skillmas.streams import derive_seed
 from skillmas.world import Scenario, exec_round
 
-from conftest import make_state
+from conftest import make_state, retained_shapes
 
 
 def quiet_scenario():
@@ -43,7 +43,7 @@ class TestRunRound:
         scenario = quiet_scenario()
         state = make_state([])
         config = EngineConfig(episodes_per_round=10)
-        next_state, report, traces = run_round(state, scenario, config, seed=5)
+        next_state, report, _ = run_round(state, scenario, config, seed=5)
         assert report.successes == 10
         assert next_state.round_index == state.round_index + 1
         # structural state untouched: library, executors, pool, policy index
@@ -130,11 +130,10 @@ class TestRunExperiment:
         checkpoint = result.report.rounds[result.report.checkpoint_round]
         recorded_rate = checkpoint.successes / checkpoint.episodes
         n = 400
-        traces = exec_round(
-            result.checkpoint_state, pack.scenario, n, derive_seed(99, "fresh"), config,
-            id_prefix="v",
+        batch = exec_round(
+            result.checkpoint_state, pack.scenario, n, derive_seed(99, "fresh"), config
         )
-        fresh = sum(t.shape.outcome for t in traces)
+        fresh = sum(shape.outcome * count for shape, count in batch.tally())
         sigma = math.sqrt(n * recorded_rate * (1 - recorded_rate)) + math.sqrt(
             checkpoint.episodes * recorded_rate * (1 - recorded_rate)
         ) * (n / checkpoint.episodes)
@@ -150,18 +149,28 @@ class TestProposalBound:
         pack = load_preset("mismatch")
         state = pack.seed_state
         for round_index in range(3):
-            traces = exec_round(
-                state, pack.scenario, 40, derive_seed(5, "round", round_index),
-                pack.config, id_prefix=f"r{round_index:04d}",
+            batch = exec_round(
+                state, pack.scenario, 40, derive_seed(5, "round", round_index), pack.config
             )
-            retained = retain(traces, state.q_exec, pack.config, state.library)
+            labels = retain(batch.tally(), state.q_exec, pack.config, state.library)
+            retained = retained_shapes(batch, labels)
             index = proposal_index(pack.scenario, state.library, pack.config)
             proposals = collect_proposals(retained, state, pack.config, index)
             assert len(proposals) <= len(retained)
             sources = [p.source_trace for p in proposals]
             assert len(sources) == len(set(sources))
-            retained_ids = {rt.trace.episode_id for rt in retained}
-            assert set(sources) <= retained_ids
+            # each source is the first episode of a retained shape
+            firsts = {
+                batch.episode_id(batch.index.index(batch.shapes.index(rt.shape)))
+                for rt in retained
+            }
+            assert set(sources) <= firsts
+            retained_ids = {
+                batch.episode_id(i)
+                for i, k in enumerate(batch.index)
+                if labels[k]
+            }
+            assert firsts <= retained_ids
             state, _, _ = run_round(
                 state, pack.scenario, pack.config, derive_seed(5, "round", round_index)
             )
@@ -255,26 +264,27 @@ class TestTransplant:
         assert all(0 <= row.successes <= 15 for row in table.rows)
 
 
-def tally(traces):
-    return family_tally((t.shape.task_type, t.shape.outcome) for t in traces)
+def tally(batch):
+    return family_tally(
+        (shape.task_type, shape.outcome, count) for shape, count in batch.tally()
+    )
 
 
 class TestBreakdown:
     def test_all_success_single_family(self):
         scenario = quiet_scenario()
         state = make_state([])
-        traces = exec_round(state, scenario, 10, 3, EngineConfig(), id_prefix="v")
-        rows = family_rows(tally(traces))
+        batch = exec_round(state, scenario, 10, 3, EngineConfig())
+        rows = family_rows(tally(batch))
         assert len(rows) == 1
         assert rows[0].successes == rows[0].attempts == 10
 
     def test_gain_column_from_two_runs(self):
         scenario = quiet_scenario()
         state = make_state([])
-        best = exec_round(state, scenario, 18, 3, EngineConfig(), id_prefix="v")
-        seed_run = [t for t in best[:18]]
+        best = exec_round(state, scenario, 18, 3, EngineConfig())
         # shape check on the rendered row format
-        rows = family_rows(tally(best), baseline=tally(seed_run))
+        rows = family_rows(tally(best), baseline=tally(best))
         text = render_breakdown(rows)
         assert "18/18 (100.0%)" in text
         assert "+0" in text
@@ -294,9 +304,9 @@ class TestBreakdown:
 
     def test_empty_family_omitted(self):
         pack = load_preset("mismatch")
-        traces = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config, id_prefix="v")
-        rows = family_rows(tally(traces))
-        seen = {t.shape.task_type.id for t in traces}
+        batch = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config)
+        rows = family_rows(tally(batch))
+        seen = {shape.task_type.id for shape in batch.shapes}
         assert {r.task_type for r in rows} == seen
 
 

@@ -3,8 +3,8 @@
 `exec_round` walks one `ExecutionTable` path trie for the whole batch, so
 episodes that take the same path share one `slices` tuple, every failure
 shares one `CauseObservation` per value, and episodes that end the same way
-share one `TraceShape`.  The round stages and the trace-log writer key their
-memos on the shape; none of that may change a trace or a byte of the log.
+share one `TraceShape`, which the batch's table lists once.  None of that
+may change an episode or a byte of the log.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log, trace_to_record
 from skillmas.world import ExecutionTable, exec_round
 
+from conftest import batch_of
 from reference import Episode, episodes_of, fresh_table_round
 from test_round_index import random_world
 
@@ -29,16 +30,18 @@ FIELDS = [f.name for f in dataclasses.fields(Episode)]
 def executed(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
     seed = world_seed ^ 0x9A7
-    traces = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0002")
-    return scenario, state, config, seed, traces
+    batch = exec_round(
+        dataclasses.replace(state, round_index=2), scenario, n_episodes, seed, config
+    )
+    return scenario, state, config, seed, batch
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
 def test_interned_round_matches_fresh_tables_field_by_field(world_seed, n_episodes):
-    scenario, state, config, seed, traces = executed(world_seed, n_episodes)
+    scenario, state, config, seed, batch = executed(world_seed, n_episodes)
     want = fresh_table_round(state, scenario, n_episodes, seed, config, "r0002")
-    for got, ref in zip(episodes_of(traces), want, strict=True):
+    for got, ref in zip(episodes_of(batch), want, strict=True):
         for name in FIELDS:
             assert getattr(got, name) == getattr(ref, name), name
         assert repr(got.progress) == repr(ref.progress)
@@ -48,11 +51,10 @@ def test_interned_round_matches_fresh_tables_field_by_field(world_seed, n_episod
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
 def test_same_path_shares_one_slices_object(world_seed, n_episodes):
-    _, _, _, _, traces = executed(world_seed, n_episodes)
+    _, _, _, _, batch = executed(world_seed, n_episodes)
     by_path = {}
     by_cause = {}
-    for trace in traces:
-        shape = trace.shape
+    for shape in batch.shapes:
         by_path.setdefault((shape.task_type.id, shape.slices), set()).add(id(shape.slices))
         obs = shape.latent_cause_observation
         if obs is not None:
@@ -79,28 +81,28 @@ def test_stored_progress_values_are_quantized_fractions(world_seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
 def test_log_bytes_do_not_depend_on_sharing(world_seed, n_episodes):
-    _, _, _, _, traces = executed(world_seed, n_episodes)
+    _, _, _, _, batch = executed(world_seed, n_episodes)
     rng = random.Random(world_seed)
     copies = []
-    for trace in traces:
-        slices = trace.shape.slices
+    for k in batch.index:  # one shape per episode, none shared
+        shape = batch.shapes[k]
+        slices = shape.slices
         if rng.random() < 0.5:
             slices = tuple(dataclasses.replace(sl) for sl in slices)
         else:
             slices = tuple([*slices])
-        copies.append(
-            dataclasses.replace(trace, shape=dataclasses.replace(trace.shape, slices=slices))
-        )
-    assert encode_trace_log(copies) == encode_trace_log(traces)
+        copies.append(dataclasses.replace(shape, slices=slices))
+    unshared = batch_of(copies, round_index=batch.round_index)
+    assert len(unshared.shapes) == len(batch.index)
+    assert encode_trace_log(unshared) == encode_trace_log(batch)
 
 
 def test_random_worlds_cover_the_path_cases():
     """Multi-phase successes and failures after a routed prefix."""
     seen = set()
     for world_seed in range(300):
-        _, _, _, _, traces = executed(world_seed, 60)
-        for trace in traces:
-            shape = trace.shape
+        _, _, _, _, batch = executed(world_seed, 60)
+        for shape in batch.shapes:
             if shape.outcome == 1:
                 if len(shape.task_type.phases) > 1:
                     seen.add("multi-phase success")
@@ -111,22 +113,24 @@ def test_random_worlds_cover_the_path_cases():
     assert seen == {"multi-phase success", "failure after a prefix"}
 
 
-def shape_record(trace):
-    """The trace's log record without its episode id, as canonical JSON."""
-    record = trace_to_record(trace)
+def shape_record(shape):
+    """The shape's log record without an episode id, as canonical JSON."""
+    record = trace_to_record(None, shape)
     del record["episode"]
     return json.dumps(record, sort_keys=True)
 
 
 def test_equal_records_share_one_shape_in_a_mismatch_round():
     pack = load_preset("mismatch")
-    traces = exec_round(pack.seed_state, pack.scenario, 2000, 7001, pack.config)
+    batch = exec_round(pack.seed_state, pack.scenario, 2000, 7001, pack.config)
     shapes_by_record = {}
-    for trace in traces:
-        shapes_by_record.setdefault(shape_record(trace), set()).add(id(trace.shape))
+    for k in batch.index:
+        shape = batch.shapes[k]
+        shapes_by_record.setdefault(shape_record(shape), set()).add(id(shape))
     assert all(len(ids) == 1 for ids in shapes_by_record.values())
-    # and no two shapes encode alike
-    assert len({id(t.shape) for t in traces}) == len(shapes_by_record)
+    # and no two shapes encode alike, each listed once
+    assert len({id(shape) for shape in batch.shapes}) == len(batch.shapes)
+    assert len(batch.shapes) == len(shapes_by_record)
     assert len(shapes_by_record) < 100  # a few dozen outcomes in 2000 episodes
 
 
@@ -134,5 +138,5 @@ def test_each_round_interns_its_own_shapes():
     pack = load_preset("mismatch")
     first = exec_round(pack.seed_state, pack.scenario, 200, 11, pack.config)
     second = exec_round(pack.seed_state, pack.scenario, 200, 11, pack.config)
-    assert [trace_to_record(t) for t in first] == [trace_to_record(t) for t in second]
-    assert {id(t.shape) for t in first}.isdisjoint(id(t.shape) for t in second)
+    assert encode_trace_log(first) == encode_trace_log(second)
+    assert {id(shape) for shape in first.shapes}.isdisjoint(id(shape) for shape in second.shapes)

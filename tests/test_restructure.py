@@ -8,7 +8,6 @@ from skillmas.evolution import SkillAction, SkillDelta
 from skillmas.model import (
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     Executor,
     ExecutorSlice,
     SkillStatus,
@@ -27,7 +26,7 @@ from skillmas.restructure import (
     decide_restructure,
     evidence_holds,
 )
-from skillmas.retention import RetainedTrace, RetentionCategory
+from skillmas.retention import RetainedShape
 
 from conftest import make_skill, make_state
 
@@ -36,13 +35,13 @@ CONFIG = EngineConfig()
 
 
 def retained_failure(episode_id, cause=CauseLabel.MISSING_PRECONDITION,
-                     executor="worker", phase="p1", task=TASK, confident=True):
-    trace = EpisodeTrace(episode_id, TraceShape(
+                     executor="worker", phase="p1", task=TASK, confident=True, count=1):
+    shape = TraceShape(
         task,
         (ExecutorSlice(executor, phase, frozenset(), frozenset(), frozenset()),),
         0, 0.0, CauseObservation(cause, confident),
-    ))
-    return RetainedTrace(trace, frozenset({RetentionCategory.REPEATED_FAILURE}))
+    )
+    return RetainedShape(shape, count, episode_id)
 
 
 class TestBuildArtifacts:
@@ -59,6 +58,16 @@ class TestBuildArtifacts:
         out = build_artifacts(failures, UtilityTable(), delta)
         assert len(out) == 1
         assert out[0].failure_mass == 3
+
+    def test_mass_counts_every_episode_of_a_shape(self):
+        failures = [retained_failure("e0", count=4), retained_failure("e4", count=2)]
+        delta = SkillDelta(
+            (SkillAction(cluster="c", action="refine", skills=("sk",),
+                         source_trace="e0", task_type="t1"),)
+        )
+        out = build_artifacts(failures, UtilityTable(), delta)
+        # the addressed source is the first of its shape's four episodes
+        assert out[0].failure_mass == 5
 
     def test_handoff_flag_from_diagnoses(self):
         failures = [retained_failure("e0", cause=CauseLabel.BAD_EXECUTOR_ASSIGNMENT),

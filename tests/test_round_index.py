@@ -53,12 +53,14 @@ from skillmas.world import (
 from reference import (
     _dominant_deficit,
     _weighted_choice,
+    episode_of,
     episodes_of,
     ground_truth_success_prob,
     reference_episode,
     reference_exec_round,
     select_skills,
 )
+from conftest import retained_shapes
 from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
@@ -191,7 +193,9 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
 def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
     seed = world_seed ^ 0x5EED
-    indexed = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0001")
+    indexed = exec_round(
+        dataclasses.replace(state, round_index=1), scenario, n_episodes, seed, config
+    )
     reference = reference_exec_round(state, scenario, n_episodes, seed, config, "r0001")
     assert episodes_of(indexed) == reference
 
@@ -202,11 +206,11 @@ def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_s
     scenario, state, config = random_world(random.Random(world_seed))
     task = random.Random(episode_seed).choice(scenario.task_types)
     table = ExecutionTable(state, scenario, config)
-    got = sample_episode(table, task, random.Random(episode_seed), "e0")
+    got = sample_episode(table, task, random.Random(episode_seed))
     want = reference_episode(
         scenario, state, task, random.Random(episode_seed), "e0", config
     )
-    assert episodes_of([got]) == [want]
+    assert episode_of("e0", got) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,8 +366,10 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
 @given(st.integers(0, 2**32 - 1), st.integers(20, 120))
 def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episodes):
     scenario, state, config = random_world(random.Random(world_seed))
-    traces = exec_round(state, scenario, n_episodes, world_seed, config, id_prefix="r0000")
-    retained = retain(traces, state.q_exec, config, state.library)
+    batch = exec_round(state, scenario, n_episodes, world_seed, config)
+    retained = retained_shapes(
+        batch, retain(batch.tally(), state.q_exec, config, state.library)
+    )
 
     index = proposal_index(scenario, state.library, config)
     assert index.keys == cluster_key_map(state.library, config.cluster_threshold)
@@ -378,12 +384,12 @@ def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episode
 
     shared = collect_proposals(retained, state, config, index)
 
-    per_trace = []
+    per_shape = []
     for rt in retained:
-        if rt.trace.shape.outcome == 0:
-            diagnosis = diagnose(rt)
+        if rt.shape.outcome == 0:
+            diagnosis = diagnose(rt.shape)
             cards = retrieve_policy_cards(
-                state.policy_index, rt.trace.shape.task_type.id, diagnosis.cause
+                state.policy_index, rt.shape.task_type.id, diagnosis.cause
             )
         else:
             diagnosis, cards = None, ()
@@ -392,8 +398,8 @@ def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episode
             proposal_index(scenario, state.library, config),
         )
         if proposal is not None:
-            per_trace.append(proposal)
-    assert shared == per_trace
+            per_shape.append(proposal)
+    assert shared == per_shape
 
 
 def test_round_aborts_when_decision_evidence_fails(monkeypatch):

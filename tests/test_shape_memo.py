@@ -1,15 +1,17 @@
-"""Per-shape round stages against per-trace reference loops.
+"""Per-shape round stages against the per-episode references.
 
-`learn`, `update_pool_counters`, `retain` and `collect_proposals` derive
-what depends only on a trace's `TraceShape` once per shape object, and
-`build_artifacts` reads their output.  The per-episode references in
-`reference.py` are the rules they replace; on random worlds both must agree exactly, on traces
-that share shape objects (as executed), carry fresh shapes equal to an
-executed one (sharing its field objects, or copies that share no object
-with the engine's), succeed with `outcome=True`, and fail with causes
-observed with `confident` as 1 or `True`.
+`learn`, `update_pool_counters`, `retain` and `collect_proposals` read a
+batch's shape table once per entry, with no memo, and `build_artifacts`
+reads their output.  The per-episode references in `reference.py` are the
+rules they replace; on random worlds both must agree exactly, on batches
+whose episodes share shape objects (as executed), carry fresh shapes equal
+to an executed one (sharing its field objects, or copies that share no
+object with the engine's), succeed with `outcome=True`, and fail with
+causes observed with `confident` as 1 or `True`.  The engine proposes once
+per retained shape, the reference once per retained episode: the proposals
+of each shape's first episode are the engine's, and both lists consolidate
+into one `SkillDelta`.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -35,6 +37,7 @@ from skillmas.retention import retain
 from skillmas.utility import learn
 from skillmas.world import exec_round
 
+from conftest import batch_of, retained_shapes
 from reference import (
     episodes_of,
     reference_artifacts,
@@ -45,18 +48,17 @@ from reference import (
 )
 from test_round_index import random_world
 
-# ------------------------------------------------------------------- traces
+# ------------------------------------------------------------------- batches
 
 CONFIDENT = (True, 1, False, 0)
 PROGRESS = (0.0, 0.25, 0.5, q12(1 / 3), 0.75)
 
 
-def fresh_copy(trace):
-    """An equal trace whose shape shares no task, slice, skill set or cause
-    object with `trace`'s."""
-    shape = trace.shape
+def fresh_copy(shape):
+    """An equal shape that shares no task, slice, skill set or cause object
+    with `shape`."""
     obs = shape.latent_cause_observation
-    return dataclasses.replace(trace, shape=TraceShape(
+    return TraceShape(
         TaskType(shape.task_type.id, tuple([*shape.task_type.phases])),
         tuple(
             ExecutorSlice(
@@ -68,54 +70,48 @@ def fresh_copy(trace):
         shape.outcome,
         shape.progress,
         None if obs is None else CauseObservation(obs.cause, obs.confident),
-    ))
+    )
 
 
 def varied_batch(state, scenario, config, seed, n_episodes):
-    """Executed traces (shared shapes) interleaved with repeats of an
+    """Executed episodes (shared shapes) interleaved with repeats of an
     executed or copied shape, fresh shapes equal to one (same field objects,
     or equal but distinct slices), `True` outcomes, and failures whose cause,
     `confident` flag and progress vary over the same slices."""
     rng = random.Random(seed)
-    executed = exec_round(state, scenario, n_episodes, seed, config, id_prefix="r0000")
+    executed = exec_round(state, scenario, n_episodes, seed, config)
 
     labels = [CauseLabel.UNKNOWN, CauseLabel.MISSING_PRECONDITION, CauseLabel.SKILL_CONFLICT]
-    batch = []
-    for trace in executed:
-        twin = fresh_copy(trace)
-        batch.append(trace)
+    shapes = []
+    for k in executed.index:
+        shape = executed.shapes[k]
+        twin = fresh_copy(shape)
+        shapes.append(shape)
         for _ in range(rng.randint(0, 2)):
-            base = rng.choice((trace, twin))
+            base = rng.choice((shape, twin))
             if rng.random() < 0.25:
-                batch.append(base)  # the same shape object again
+                shapes.append(base)  # the same shape object again
                 continue
-            slices = base.shape.slices
+            slices = base.slices
             if rng.random() < 0.3:
                 slices = tuple(dataclasses.replace(sl) for sl in slices)
-            shape = dataclasses.replace(base.shape, slices=slices)  # fresh, equal
-            if shape.outcome == 1:
+            varied = dataclasses.replace(base, slices=slices)  # fresh, equal
+            if varied.outcome == 1:
                 if rng.random() < 0.5:
-                    shape = dataclasses.replace(shape, outcome=True)
+                    varied = dataclasses.replace(varied, outcome=True)
             elif rng.random() < 0.7:
-                obs = shape.latent_cause_observation
+                obs = varied.latent_cause_observation
                 cause = obs.cause if obs is not None and rng.random() < 0.5 else rng.choice(labels)
-                shape = dataclasses.replace(
-                    shape,
+                varied = dataclasses.replace(
+                    varied,
                     progress=rng.choice(PROGRESS),
                     latent_cause_observation=(
                         None if rng.random() < 0.1
                         else CauseObservation(cause, rng.choice(CONFIDENT))
                     ),
                 )
-            batch.append(dataclasses.replace(base, shape=shape))
-    return [
-        dataclasses.replace(t, episode_id=f"r0000e{i:05d}") for i, t in enumerate(batch)
-    ]
-
-
-def proposal_shapes(retained):
-    """Distinct shape objects; shapes hash by identity."""
-    return len({rt.trace.shape for rt in retained})
+            shapes.append(varied)
+    return batch_of(shapes)
 
 
 # -------------------------------------------------------------------- tests
@@ -129,13 +125,14 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
     config = config.replace(
         repeat_multiplicity=rng.randint(1, 4), near_miss_progress=rng.choice((0.0, 0.3, 0.5))
     )
-    traces = varied_batch(state, scenario, config, world_seed, n_episodes)
+    batch = varied_batch(state, scenario, config, world_seed, n_episodes)
+    episodes = episodes_of(batch)
+    tally = batch.tally()
 
     q_skill, q_exec = learn(
-        state.q_skill, state.q_exec, traces,
+        state.q_skill, state.q_exec, batch,
         known_skills=state.library, known_executors=state.executors,
     )
-    episodes = episodes_of(traces)
     want_skill, want_exec = reference_learn(
         state.q_skill, state.q_exec, episodes,
         known_skills=state.library, known_executors=state.executors,
@@ -144,7 +141,7 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
     assert repr(q_skill.sorted_entries()) == repr(want_skill.sorted_entries())
     assert repr(q_exec.sorted_entries()) == repr(want_exec.sorted_entries())
 
-    pool = update_pool_counters(state.pool, traces)
+    pool = update_pool_counters(state.pool, tally)
     want_pool = reference_pool_counters(state.pool, episodes)
     assert pool == want_pool and repr(sorted(pool.items())) == repr(sorted(want_pool.items()))
 
@@ -152,13 +149,14 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
         {(t.id, c): rng.randint(0, 2) for t in scenario.task_types for c in CauseLabel}
         if rng.random() < 0.5 else None
     )
-    retained = retain(traces, state.q_exec, config, state.library, prior_failure_counts=prior)
+    labels = retain(tally, state.q_exec, config, state.library, prior_failure_counts=prior)
     want_retained = reference_retain(
         episodes, state.q_exec, config, state.library, prior_failure_counts=prior
     )
-    assert [(rt.trace.episode_id, rt.categories) for rt in retained] == [
-        (kept.episode.episode_id, kept.categories) for kept in want_retained
-    ]
+    assert [
+        (batch.episode_id(i), labels[k]) for i, k in enumerate(batch.index) if labels[k]
+    ] == [(kept.episode.episode_id, kept.categories) for kept in want_retained]
+    retained = retained_shapes(batch, labels)
 
     index = proposal_index(scenario, state.library, config)
     calls = []
@@ -173,26 +171,31 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
         proposals = collect_proposals(retained, state, config, index)
     finally:
         orchestrator.propose = orchestrator_propose
+    assert calls == retained  # once per retained shape, in table order
     want_proposals = reference_proposals(want_retained, state, config, index)
-    assert proposals == want_proposals
-    assert len(calls) == proposal_shapes(retained)  # once per distinct shape
-    retained_ids = [rt.trace.episode_id for rt in retained]
-    sources = [p.source_trace for p in proposals]
-    assert sources == sorted(set(sources), key=retained_ids.index)  # each its own trace
+    firsts = {batch.episode_id(i) for i in batch.firsts()}
+    assert proposals == [p for p in want_proposals if p.source_trace in firsts]
 
     delta = skill_evolve(
         proposals, state.library, state.policy_index, q_skill, config, cluster_keys=index.keys
     )
-    assert build_artifacts(retained, q_exec, delta) == reference_artifacts(want_retained, q_exec, delta)
+    want_delta = skill_evolve(
+        want_proposals, state.library, state.policy_index, q_skill, config,
+        cluster_keys=index.keys,
+    )
+    assert delta == want_delta
+    assert build_artifacts(retained, q_exec, delta) == reference_artifacts(
+        want_retained, q_exec, want_delta
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(10, 60), st.data())
 def test_unknown_ids_name_the_first_offender(world_seed, n_episodes, data):
     scenario, state, config = random_world(random.Random(world_seed))
-    traces = varied_batch(state, scenario, config, world_seed, n_episodes)
-    used = sorted({sid for t in traces for sl in t.shape.slices for sid in sl.selected})
-    routed = sorted({sl.executor for t in traces for sl in t.shape.slices})
+    batch = varied_batch(state, scenario, config, world_seed, n_episodes)
+    used = sorted({sid for shape in batch.shapes for sl in shape.slices for sid in sl.selected})
+    routed = sorted({sl.executor for shape in batch.shapes for sl in shape.slices})
     if not used or not routed:
         return
     dropped_skill = data.draw(st.sampled_from(used))
@@ -201,9 +204,9 @@ def test_unknown_ids_name_the_first_offender(world_seed, n_episodes, data):
     known_executors = set(state.executors) - {dropped_executor}
 
     with pytest.raises(StateError) as got:
-        learn(state.q_skill, state.q_exec, traces,
+        learn(state.q_skill, state.q_exec, batch,
               known_skills=known_skills, known_executors=known_executors)
     with pytest.raises(StateError) as want:
-        reference_learn(state.q_skill, state.q_exec, episodes_of(traces),
+        reference_learn(state.q_skill, state.q_exec, episodes_of(batch),
                         known_skills=known_skills, known_executors=known_executors)
     assert str(got.value) == str(want.value)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from array import array
 
 import pytest
 
 from skillmas.cli import main
 from skillmas.model import (
+    Batch,
     BoundedTag,
     CauseLabel,
     Executor,
@@ -203,25 +206,29 @@ def test_snapshot_reader_refuses_what_the_writer_never_writes(evolved_snapshot, 
 
 
 class TestTraceLog:
-    """The log is write-only: one `trace_to_record` line per trace, in the
-    order given."""
+    """The log is write-only: one `trace_to_record` line per episode, in
+    generation order."""
 
     def test_write_read_seventy(self):
         scenario, state = random_scenario(random.Random(11))
-        traces = exec_round(state, scenario, 70, 4, EngineConfig())
-        lines = encode_trace_log(traces).splitlines()
-        assert [json.loads(line) for line in lines] == [trace_to_record(t) for t in traces]
+        batch = exec_round(state, scenario, 70, 4, EngineConfig())
+        lines = encode_trace_log(batch).splitlines()
+        assert [json.loads(line) for line in lines] == [
+            trace_to_record(batch.episode_id(i), batch.shapes[k])
+            for i, k in enumerate(batch.index)
+        ]
 
     def test_empty_file_empty_set(self):
-        assert encode_trace_log(()) == ""
+        assert encode_trace_log(Batch(0, (), array("L"))) == ""
 
     def test_append_only_monotonic(self):
-        # a later batch's lines follow an earlier one's, whatever the ids
+        # a batch's lines are the same whichever batch was encoded before
         scenario, state = random_scenario(random.Random(2))
-        traces = exec_round(state, scenario, 5, 4, EngineConfig(), id_prefix="a")
-        more = exec_round(state, scenario, 5, 5, EngineConfig(), id_prefix="b")
-        assert encode_trace_log(traces + more) == encode_trace_log(traces) + encode_trace_log(more)
-        assert encode_trace_log(more + traces) == encode_trace_log(more) + encode_trace_log(traces)
+        first = exec_round(state, scenario, 5, 4, EngineConfig())
+        later = exec_round(dataclasses.replace(state, round_index=1), scenario, 5, 5, EngineConfig())
+        alone = encode_trace_log(later)
+        assert encode_trace_log(first) + encode_trace_log(later) == encode_trace_log(first) + alone
+        assert encode_trace_log(later) + encode_trace_log(first) == alone + encode_trace_log(first)
 
 
 class TestScenarioFiles:

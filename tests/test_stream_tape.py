@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import skillmas.streams as streams
 from skillmas.config import EngineConfig
-from skillmas.model import EpisodeTrace, StateError, TraceShape
+from skillmas.model import StateError, TraceShape
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
     evaluate_transplants,
@@ -220,12 +220,12 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
     for k, state in enumerate(states):
         alone = exec_round(state, pack.scenario, 300, 9001, pack.config)
         assert [(task, flags[k]) for task, flags in shared] == [
-            (t.shape.task_type, t.shape.outcome == 1) for t in alone
+            (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
         ]
     if name == "noisy":
         assert len(extended) > probe_extensions  # rejections ran past the leading words
         alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
-        assert any(len(set(t.shape.executors())) > 1 for t in alone)
+        assert any(len(set(shape.executors())) > 1 for shape in alone.shapes)
         assert any(not flags[0] for _, flags in shared)
 
 
@@ -244,8 +244,10 @@ def test_transplant_counts_are_exec_round_sums(world_seed, seed, episodes):
         (
             label,
             sum(
-                t.shape.outcome
-                for t in exec_round(variants[label], scenario, episodes, eval_seed, config)
+                shape.outcome * count
+                for shape, count in exec_round(
+                    variants[label], scenario, episodes, eval_seed, config
+                ).tally()
             ),
             episodes,
         )
@@ -283,7 +285,6 @@ def test_exec_shared_builds_no_trace(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"built a {type(self).__name__}")
 
-    monkeypatch.setattr(EpisodeTrace, "__init__", refuse)
     monkeypatch.setattr(TraceShape, "__init__", refuse)
     shared = list(exec_shared(states, pack.scenario, 100, 9001, pack.config))
     assert len(shared) == 100 and any(not all(flags) for _, flags in shared)

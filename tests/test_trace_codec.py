@@ -1,8 +1,9 @@
 """The trace-log writer against the record schema.
 
-`encode_trace_log` encodes each trace shape once per call.  That may not
-move a byte: every line must be what `json.dumps(trace_to_record(trace))`
-gives, whatever the sharing, escapes or scalar types of the traces.  The log
+`encode_trace_log` encodes each shape of a batch once per call.  That may
+not move a byte: every line must be what
+`json.dumps(trace_to_record(episode_id, shape))` gives, whatever the
+sharing, escapes or scalar types of the shapes.  The log
 is write-only; `replay` reports a line that differs by file and line.
 """
 
@@ -18,12 +19,13 @@ from skillmas.cli import main
 from skillmas.model import (
     CauseLabel,
     CauseObservation,
-    EpisodeTrace,
     ExecutorSlice,
     TaskType,
     TraceShape,
 )
 from skillmas.store import encode_trace_log, trace_to_record
+
+from conftest import batch_of
 
 # ids that need JSON escapes or are not ASCII, next to plain ones
 ID_TEXT = st.one_of(
@@ -42,8 +44,16 @@ LABEL = st.sampled_from([CauseLabel.UNKNOWN, CauseLabel.SKILL_CONFLICT]) | st.sa
 )
 
 
-def record_line(trace: EpisodeTrace) -> str:
-    return json.dumps(trace_to_record(trace), sort_keys=True, separators=(",", ":"))
+def record_lines(batch) -> list[str]:
+    """Each episode's `trace_to_record` line, in generation order."""
+    return [
+        json.dumps(
+            trace_to_record(batch.episode_id(i), batch.shapes[k]),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for i, k in enumerate(batch.index)
+    ]
 
 
 @st.composite
@@ -91,10 +101,11 @@ def slice_pool(draw, phase: str, string_ids: bool) -> list[ExecutorSlice]:
 
 
 @st.composite
-def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
-    """Traces drawn from a small pool of shared tasks and slices, some of
-    them replaced by equal but distinct copies, and some sharing an earlier
-    trace's shape; episode ids increase."""
+def trace_batches(draw, string_ids: bool = True):
+    """A batch of shapes drawn from a small pool of shared tasks and slices,
+    some of them replaced by equal but distinct copies, and some episodes
+    sharing an earlier episode's shape; its round index may be wider than
+    four digits."""
     tasks = []
     for _ in range(draw(st.integers(1, 3))):
         phases = draw(st.lists(ID_TEXT, min_size=1, max_size=3, unique=True))
@@ -104,12 +115,10 @@ def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
         for task in tasks
         for phase in task.phases
     }
-    count = draw(st.integers(0, 25))
-    episode_ids = sorted(set(draw(st.lists(ID_TEXT, min_size=count, max_size=count))))
-    traces = []
-    for episode_id in episode_ids:
-        if traces and draw(st.booleans()):
-            traces.append(EpisodeTrace(episode_id, draw(st.sampled_from(traces)).shape))
+    shapes = []
+    for _ in range(draw(st.integers(0, 25))):
+        if shapes and draw(st.booleans()):
+            shapes.append(draw(st.sampled_from(shapes)))
             continue
         task = draw(st.sampled_from(tasks))
         if draw(st.booleans()):
@@ -125,16 +134,15 @@ def trace_batches(draw, string_ids: bool = True) -> list[EpisodeTrace]:
         else:
             outcome, progress = draw(FAILURE), draw(FAILED_PROGRESS)
             cause = draw(st.none() | st.builds(CauseObservation, LABEL, CONFIDENT))
-        shape = TraceShape(task, tuple(slices), outcome, progress, cause)
-        traces.append(EpisodeTrace(episode_id, shape))
-    return traces
+        shapes.append(TraceShape(task, tuple(slices), outcome, progress, cause))
+    return batch_of(shapes, round_index=draw(st.integers(0, 12_000)))
 
 
 @settings(max_examples=120, deadline=None)
 @given(trace_batches(string_ids=False))
-def test_writer_lines_equal_the_record_schema(traces):
-    text = encode_trace_log(traces)
-    assert text.split("\n") == [record_line(t) for t in traces] + [""]
+def test_writer_lines_equal_the_record_schema(batch):
+    text = encode_trace_log(batch)
+    assert text.split("\n") == record_lines(batch) + [""]
 
 
 def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
@@ -149,8 +157,9 @@ def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
     heads += [(outcome, progress, cause) for outcome in (0, False)
               for progress in (0.0, -0.0, 0, False, 0.5) for cause in causes]
     shapes = [TraceShape(task, slices, *head) for head in heads]
-    traces = [EpisodeTrace(f"e{k:03d}\u00e9", shape) for k, shape in enumerate(shapes * 2)]
-    assert encode_trace_log(traces).split("\n") == [record_line(t) for t in traces] + [""]
+    batch = batch_of(shapes * 2)
+    assert len(batch.shapes) == len(shapes)
+    assert encode_trace_log(batch).split("\n") == record_lines(batch) + [""]
 
 
 # ---------------------------------------------------------------------------

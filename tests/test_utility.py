@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillmas.model import (
-    EpisodeTrace,
     Executor,
     ExecutorSlice,
     SkillStatus,
@@ -23,15 +22,15 @@ from skillmas.utility import (
     used_skills,
 )
 
-from conftest import make_skill, make_state
+from conftest import batch_of, make_skill, make_state
 from reference import select_skills
 
 TASK = TaskType("t1", ("p1",))
 
 
-def make_trace(episode_id, slices, outcome, task=TASK):
+def make_shape(slices, outcome, task=TASK):
     progress = 1.0 if outcome == 1 else 0.0
-    return EpisodeTrace(episode_id, TraceShape(task, tuple(slices), outcome, progress))
+    return TraceShape(task, tuple(slices), outcome, progress)
 
 
 def sl(executor, selected, invoked, pattern=(), phase="p1"):
@@ -68,60 +67,62 @@ class TestStepSize:
 
 class TestLearn:
     def test_fresh_entry_takes_first_outcome(self):
-        traces = [make_trace("e0", [sl("w", {"s1"}, {"s1"})], 1)]
-        q_s, q_a = learn(UtilityTable(), UtilityTable(), traces)
+        batch = batch_of([make_shape([sl("w", {"s1"}, {"s1"})], 1)])
+        q_s, q_a = learn(UtilityTable(), UtilityTable(), batch)
         assert q_s.get("s1", "t1") == (1.0, 1)
         assert q_a.get("w", "t1") == (1.0, 1)
 
     def test_sequence_matches_arithmetic_mean(self):
         # oracle: running mean of [1, 0, 1] is 2/3
         q_s, q_a = UtilityTable(), UtilityTable()
-        for i, outcome in enumerate([1, 0, 1]):
-            traces = [make_trace(f"e{i}", [sl("w", {"s1"}, {"s1"})], outcome)]
-            q_s, q_a = learn(q_s, q_a, traces)
+        for outcome in [1, 0, 1]:
+            batch = batch_of([make_shape([sl("w", {"s1"}, {"s1"})], outcome)])
+            q_s, q_a = learn(q_s, q_a, batch)
         value, count = q_s.get("s1", "t1")
         assert count == 3
         assert abs(value - (2 / 3)) < 1e-9
 
     def test_selected_but_unused_untouched(self):
         prior = UtilityTable({("s2", "t1"): (0.25, 4)})
-        traces = [make_trace("e0", [sl("w", {"s1", "s2"}, {"s1"})], 1)]
-        q_s, _ = learn(prior, UtilityTable(), traces)
+        batch = batch_of([make_shape([sl("w", {"s1", "s2"}, {"s1"})], 1)])
+        q_s, _ = learn(prior, UtilityTable(), batch)
         assert q_s.get("s2", "t1") == (0.25, 4)
         assert q_s.get("s1", "t1") == (1.0, 1)
 
     def test_executor_credit_only_for_slice_holders(self):
         prior = UtilityTable({("idle", "t1"): (0.9, 2)})
-        traces = [make_trace("e0", [sl("w", {"s1"}, {"s1"})], 0)]
-        _, q_a = learn(UtilityTable(), prior, traces)
+        batch = batch_of([make_shape([sl("w", {"s1"}, {"s1"})], 0)])
+        _, q_a = learn(UtilityTable(), prior, batch)
         assert q_a.get("idle", "t1") == (0.9, 2)
         assert q_a.get("w", "t1") == (0.0, 1)
 
     def test_unknown_ids_hard_error(self):
-        traces = [make_trace("e0", [sl("w", {"ghost"}, {"ghost"})], 1)]
+        batch = batch_of([make_shape([sl("w", {"ghost"}, {"ghost"})], 1)])
         with pytest.raises(StateError):
-            learn(UtilityTable(), UtilityTable(), traces, known_skills=["s1"],
+            learn(UtilityTable(), UtilityTable(), batch, known_skills=["s1"],
                   known_executors=["w"])
         with pytest.raises(StateError):
-            learn(UtilityTable(), UtilityTable(), traces, known_skills=["ghost"],
+            learn(UtilityTable(), UtilityTable(), batch, known_skills=["ghost"],
                   known_executors=["other"])
 
     def test_processes_in_episode_id_order(self):
-        unordered = [
-            make_trace("e1", [sl("w", {"s1"}, {"s1"})], 0),
-            make_trace("e0", [sl("w", {"s1"}, {"s1"})], 1),
-        ]
-        q_s, _ = learn(UtilityTable(), UtilityTable(), unordered)
-        # e0 (outcome 1) first, then e1 (outcome 0): mean 0.5, count 2
+        batch = batch_of(
+            [
+                make_shape([sl("w", {"s1"}, {"s1"})], 0),
+                make_shape([sl("w", {"s1"}, {"s1"})], 1),
+            ]
+        )
+        q_s, _ = learn(UtilityTable(), UtilityTable(), batch)
+        # episode 0 (outcome 0) first, then episode 1 (outcome 1): mean 0.5, count 2
         assert q_s.get("s1", "t1") == (0.5, 2)
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=60))
     @settings(max_examples=50)
     def test_running_mean_identity(self, outcomes):
         q_s, q_a = UtilityTable(), UtilityTable()
-        for i, outcome in enumerate(outcomes):
+        for outcome in outcomes:
             q_s, q_a = learn(
-                q_s, q_a, [make_trace(f"e{i:03d}", [sl("w", {"s1"}, {"s1"})], outcome)]
+                q_s, q_a, batch_of([make_shape([sl("w", {"s1"}, {"s1"})], outcome)])
             )
         value, count = q_s.get("s1", "t1")
         assert count == len(outcomes)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from skillmas.config import EngineConfig
 from skillmas.model import CauseLabel, Executor, SkillStatus, StateError, TaskType
 from skillmas.numfmt import q12
-from skillmas.store import serialize_state, trace_to_record
+from skillmas.store import encode_trace_log, serialize_state, trace_to_record
 from skillmas.world import (
     ExecutionTable,
     LatentSkill,
@@ -154,30 +154,26 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
-        assert trace.shape.outcome == 1
-        assert trace.shape.progress == 1.0
-        assert trace.shape.latent_cause_observation is None
+        shape = sample_episode(table, scenario.task_types[0], random.Random(0))
+        assert shape.outcome == 1
+        assert shape.progress == 1.0
+        assert shape.latent_cause_observation is None
 
     def test_impossible_first_phase(self):
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        trace = sample_episode(table, scenario.task_types[0], random.Random(0), "e0")
-        assert trace.shape.outcome == 0
-        assert trace.shape.progress == 0.0
-        assert len(trace.shape.slices) == 1  # the failing phase was attempted
+        shape = sample_episode(table, scenario.task_types[0], random.Random(0))
+        assert shape.outcome == 0
+        assert shape.progress == 0.0
+        assert len(shape.slices) == 1  # the failing phase was attempted
 
     def test_fixed_seed_reproduces_trace_bytes(self):
         scenario, state = random_scenario(random.Random(7))
         config = EngineConfig(episodes_per_round=10)
         first = exec_round(state, scenario, 10, 42, config)
         second = exec_round(state, scenario, 10, 42, config)
-        import json
-
-        blob_a = json.dumps([trace_to_record(t) for t in first], sort_keys=True)
-        blob_b = json.dumps([trace_to_record(t) for t in second], sort_keys=True)
-        assert blob_a == blob_b
+        assert encode_trace_log(first) == encode_trace_log(second)
 
     def test_no_eligible_executor_is_a_state_error(self):
         # bypass validation: shrink every boundary away from p2
@@ -200,9 +196,8 @@ class TestSampleEpisode:
         for i in range(30):
             task = scenario.task_types[i % len(scenario.task_types)]
             sampled, walked = random.Random(episode_seed + i), random.Random(episode_seed + i)
-            trace = sample_episode(table, task, sampled, "e0")
+            shape = sample_episode(table, task, sampled)
             slices, progress, failed = walk_episode(table, task, walked)
-            shape = trace.shape
             assert shape.slices is slices and shape.progress == progress
             assert shape.outcome == (failed is None)
             # phases completed: those routed, less the one that failed
@@ -226,9 +221,9 @@ class TestSampleEpisode:
     def test_containment_invariants(self):
         for seed in range(5):
             scenario, state = random_scenario(random.Random(seed))
-            traces = exec_round(state, scenario, 15, seed, EngineConfig())
-            for trace in traces:
-                for sl in trace.shape.slices:
+            batch = exec_round(state, scenario, 15, seed, EngineConfig())
+            for shape in batch.shapes:
+                for sl in shape.slices:
                     assert sl.invoked <= sl.selected
                     assert sl.pattern_supported <= sl.selected
 
@@ -249,26 +244,29 @@ class TestExecRound:
             rng = substream(77, "episode", i)
             task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
             table = ExecutionTable(state, scenario, config)
-            return sample_episode(table, task, rng, f"e{i:05d}")
+            return sample_episode(table, task, rng)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
         # each episode ran on its own table, so only the records compare
-        assert [trace_to_record(t) for t in reversed(parallel)] == [
-            trace_to_record(t) for t in serial
-        ]
+        assert [
+            trace_to_record(serial.episode_id(i), shape)
+            for i, shape in enumerate(reversed(parallel))
+        ] == [trace_to_record(serial.episode_id(i), serial.shapes[k])
+              for i, k in enumerate(serial.index)]
 
     def test_single_episode(self):
         scenario, state = random_scenario(random.Random(1))
-        assert len(exec_round(state, scenario, 1, 0, EngineConfig())) == 1
+        batch = exec_round(state, scenario, 1, 0, EngineConfig())
+        assert len(batch.index) == len(batch.shapes) == 1
 
     def test_single_task_type_everywhere(self):
         scenario = make_scenario()
         state = make_state([])
-        traces = exec_round(state, scenario, 70, 3, EngineConfig())
-        assert len(traces) == 70
-        assert all(t.shape.task_type.id == "t1" for t in traces)
-        ids = [t.episode_id for t in traces]
+        batch = exec_round(state, scenario, 70, 3, EngineConfig())
+        assert len(batch.index) == 70
+        assert all(shape.task_type.id == "t1" for shape in batch.shapes)
+        ids = [batch.episode_id(i) for i in range(70)]
         assert ids == sorted(ids)
 
     def test_state_not_mutated(self):
@@ -286,8 +284,8 @@ class TestExecRound:
         )
         state = make_state([])
         n = 1000
-        traces = exec_round(state, scenario, n, 2024, EngineConfig())
-        successes = sum(t.shape.outcome for t in traces)
+        batch = exec_round(state, scenario, n, 2024, EngineConfig())
+        successes = sum(shape.outcome * count for shape, count in batch.tally())
         expected = p * p
         sigma = math.sqrt(n * expected * (1 - expected))
         assert abs(successes - n * expected) <= 3 * sigma
