@@ -8,7 +8,6 @@ nothing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping
 
@@ -162,12 +161,6 @@ class Route:
 
     eligible: tuple[str, ...]  # covering executors, sorted by id
     greedy: str  # highest executor utility, smallest id on ties
-
-    def draw(self, rng: random.Random, epsilon: float) -> str:
-        """Greedy with epsilon exploration."""
-        if rng.random() < epsilon:
-            return self.eligible[rng.randrange(len(self.eligible))]
-        return self.greedy
 
 
 def executor_route(

@@ -14,10 +14,9 @@ import bisect
 import functools
 import itertools
 import math
-import random
 from array import array
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -36,7 +35,7 @@ from .model import (
     active_owned,
 )
 from .numfmt import q12
-from .streams import episode_streams, probed_word_rules
+from .streams import episode_blocks, word_random, word_randrange
 from .utility import Route, executor_route, rank_skills, skills_by_task
 
 
@@ -249,14 +248,6 @@ _OBSERVATIONS = {
 _UNOBSERVED = _OBSERVATIONS[CauseLabel.UNKNOWN, False]
 
 
-def _observe_cause(
-    deficit: tuple[CauseLabel, float] | None, rng: random.Random, confidence: float
-) -> CauseObservation:
-    if deficit is not None and rng.random() < confidence:
-        return _OBSERVATIONS[deficit[0], True]
-    return _UNOBSERVED
-
-
 @dataclass(frozen=True)
 class PhaseSlot:
     """What one executor does at one (task, phase) pair under a fixed state."""
@@ -398,50 +389,68 @@ class ExecutionTable:
         )
 
 
+Blocks = Callable[[int, int], list[int]]  # (episode, block) -> sixteen words
+
+
 def walk_episode(
-    table: ExecutionTable, task_type: TaskType, rng: random.Random
-) -> tuple[tuple[ExecutorSlice, ...], float, PhaseSlot | None]:
+    table: ExecutionTable, task_type: TaskType, words: list[int], blocks: Blocks, episode: int
+) -> tuple[tuple[ExecutorSlice, ...], float, PhaseSlot | None, int]:
     """Make one episode's routing and success draws, up to its outcome.
 
-    Phases run in order; each routes an executor (greedy, or with the
-    table's exploration rate one drawn at random) and draws a Bernoulli
-    success with the slot's probability.  The walk stops at the first phase
+    `words` is episode `episode`'s stream from `blocks`, whose words 0-1
+    drew the task; the walk reads on from word 2 through the word rules of
+    `streams`.  Phases run in order; each routes an executor (greedy, or
+    with the table's exploration rate one drawn at random) and draws a
+    Bernoulli success with the slot's probability.  A trie miss grows
+    through `ExecutionTable.add_step`.  The walk stops at the first phase
     that fails and returns the slices of the phases it routed, the progress
-    `q12(completed / phases)`, and the slot that failed, or None when every
-    phase succeeded.  `exec_shared` makes the same draws in its own loop,
-    on an episode's stream words.
+    `q12(completed / phases)`, the slot that failed, or None when every
+    phase succeeded, and the position after the last word it read.
     """
     phases, progress, steps, _ = table.paths(task_type)
+    epsilon = table.epsilon
     slices: tuple[ExecutorSlice, ...] = ()
+    pos = 2
     for completed, (pair, route) in enumerate(phases):
-        executor_id = route.draw(rng, table.epsilon)
+        if word_random(words, pos, blocks, episode) < epsilon:
+            index, pos = word_randrange(words, pos + 2, len(route.eligible), blocks, episode)
+            executor_id = route.eligible[index]
+        else:
+            executor_id = route.greedy
+            pos += 2
         step = steps.get(executor_id)
         if step is None:
             step = table.add_step(steps, pair, executor_id, slices)
         slot, slices, steps = step
-        if rng.random() < slot.success_prob:
-            continue
-        return slices, progress[completed], slot
-    return slices, progress[-1], None
+        if not word_random(words, pos, blocks, episode) < slot.success_prob:
+            return slices, progress[completed], slot, pos + 2
+        pos += 2
+    return slices, progress[-1], None, pos
 
 
-def sample_episode(
-    table: ExecutionTable, task_type: TaskType, rng: random.Random
-) -> TraceShape:
-    """Run one episode against the ground truth with the table's state fixed.
+def sample_episode(table: ExecutionTable, blocks: Blocks, episode: int) -> TraceShape:
+    """Run episode `episode` against the ground truth with the table's state
+    fixed, on its stream from `blocks`.
 
-    `walk_episode` makes the routing and success draws.  On failure the
-    episode then draws its last value: the failing slot's dominant deficit
-    is observed as the cause, confidently with the scenario's observation
-    probability.  The result is the table's shape for that ending (a
-    success when nothing was observed), which went through `TraceShape`'s
-    checks when the table first met it.
+    Words 0-1 draw the task and `walk_episode` makes the routing and success
+    draws.  On failure the episode then draws its last value: the failing
+    slot's dominant deficit is observed as the cause, confidently with the
+    scenario's observation probability; with no deficit nothing is drawn.
+    The result is the table's shape for that ending (a success when nothing
+    was observed), which went through `TraceShape`'s checks when the table
+    first met it.
     """
-    slices, progress, failed = walk_episode(table, task_type, rng)
+    words = blocks(episode, 0)
+    task_type = table.task_at(word_random(words, 0, blocks, episode))
+    slices, progress, failed, pos = walk_episode(table, task_type, words, blocks, episode)
     if failed is None:
         observation = None
+    elif failed.deficit is not None and (
+        word_random(words, pos, blocks, episode) < table.scenario.cause_confidence
+    ):
+        observation = _OBSERVATIONS[failed.deficit[0], True]
     else:
-        observation = _observe_cause(failed.deficit, rng, table.scenario.cause_confidence)
+        observation = _UNOBSERVED
     key = (id(task_type), id(slices), progress, id(observation))
     shape = table.shapes.get(key)
     if shape is None:
@@ -459,25 +468,22 @@ def exec_round(
 ) -> Batch:
     """Execute a batch of episodes with the state held fixed.
 
-    Execution is read-only over the state.  Episode i draws from its own
-    stream derived from (seed, i), so the batch is reproducible and safe to
-    parallelize.  Episode i reads its stream straight from
-    `episode_streams(seed)(i)`, a generator seeded with
-    `derive_seed(seed, "episode", i)`.  The batch is round
-    `state.round_index`'s: each shape the table interned, once, in order of
-    first appearance, and episode i's position among them at `index[i]`.
-    Adaptation runs its rounds here, since learning reads every episode;
-    frozen evaluation only counts outcomes and runs `exec_shared`.
+    Execution is read-only over the state.  Episode i reads its own stream,
+    `episode_blocks(seed)` at i, so the batch is reproducible and safe to
+    parallelize.  The batch is round `state.round_index`'s: each shape the
+    table interned, once, in order of first appearance, and episode i's
+    position among them at `index[i]`.  Adaptation runs its rounds here,
+    since learning reads every episode; frozen evaluation only counts
+    outcomes and runs `exec_shared`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     table = ExecutionTable(state, scenario, config)
-    stream = episode_streams(seed)
+    blocks = episode_blocks(seed)
     position: dict[TraceShape, int] = {}
     index = array("L")
     for i in range(n_episodes):
-        rng = stream(i)
-        shape = sample_episode(table, table.task_at(rng.random()), rng)
+        shape = sample_episode(table, blocks, i)
         index.append(position.setdefault(shape, len(position)))
     return Batch(state.round_index, tuple(position), index)
 
@@ -494,56 +500,19 @@ def exec_shared(
 
     Yields episode i's task and one success flag per state in order, each
     equal to the task and outcome of episode i of `exec_round(state,
-    scenario, n_episodes, seed, config)`.  Episode i's generator is seeded
-    once, and its leading words are taken as one list.  The task is drawn
-    once, from words 0-1, since the states share the scenario; then one loop
-    walks each state to its outcome, making `walk_episode`'s draws by
-    reading the list by index through the word rules of `streams`; a trie
-    miss grows through `ExecutionTable.add_step`, as in `walk_episode`.  No
-    shape is looked up and no cause is observed.  The rules are probed against
-    `random.Random` before the first episode (`StateError` if they diverge).
+    scenario, n_episodes, seed, config)`.  Episode i's first block is
+    derived once; the task is drawn once, from words 0-1, since the states
+    share the scenario; then `walk_episode` walks each state to its outcome
+    on the one word list.  No shape is looked up and no cause is observed.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     if not states:
         raise ValueError("frozen evaluation needs at least one state")
-    words_of, draw_random, draw_randrange = probed_word_rules()
     tables = [ExecutionTable(state, scenario, config) for state in states]
     task_at = tables[0].task_at
-    # id(task) -> per state (table, epsilon, ((pair, route), ...), trie root)
-    plans: dict[int, list[tuple]] = {}
-    # what an episode reads without a randrange rejection: the task (2 words),
-    # then per phase the exploration and routing draws (2 + 1) and success (2)
-    load = words_of(2 + 5 * max(len(task.phases) for task in scenario.task_types))
-    stream = episode_streams(seed)
+    blocks = episode_blocks(seed)
     for i in range(n_episodes):
-        rng = stream(i)
-        words = load(rng)
-        task = task_at(draw_random(words, 0, rng))
-        plan = plans.get(id(task))
-        if plan is None:
-            plan = plans[id(task)] = [
-                (table, table.epsilon, *table.paths(task)[::2]) for table in tables
-            ]
-        flags = []
-        for table, epsilon, phases, steps in plan:
-            pos = 2
-            slices: tuple[ExecutorSlice, ...] = ()
-            for pair, route in phases:
-                if draw_random(words, pos, rng) < epsilon:
-                    index, pos = draw_randrange(words, pos + 2, len(route.eligible), rng)
-                    executor_id = route.eligible[index]
-                else:
-                    executor_id = route.greedy
-                    pos += 2
-                step = steps.get(executor_id)
-                if step is None:
-                    step = table.add_step(steps, pair, executor_id, slices)
-                slot, slices, steps = step
-                if not draw_random(words, pos, rng) < slot.success_prob:
-                    flags.append(False)
-                    break
-                pos += 2
-            else:
-                flags.append(True)
-        yield task, tuple(flags)
+        words = blocks(i, 0)
+        task = task_at(word_random(words, 0, blocks, i))
+        yield task, tuple([walk_episode(t, task, words, blocks, i)[2] is None for t in tables])

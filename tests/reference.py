@@ -1,7 +1,7 @@
 """Per-call and per-episode references for the engine.
 
 The engine builds each rule's inputs once per round (`world.ExecutionTable`,
-`streams.episode_streams`) and applies the rule through one shared function.
+`streams.episode_blocks`) and applies the rule through one shared function.
 Each function in the first part rebuilds those inputs for a single call and
 applies the same rule, so a test can compare the indexed engine against it
 call by call.
@@ -60,14 +60,22 @@ from skillmas.restructure import (
     evidence_holds,
 )
 from skillmas.retention import RetainedShape, RetentionCategory
-from skillmas.streams import derive_seed
-from skillmas.utility import executor_route, mc_update, rank_skills, skills_by_task, used_skills
+from skillmas.streams import derive_seed, episode_blocks
+from skillmas.utility import (
+    Route,
+    executor_route,
+    mc_update,
+    rank_skills,
+    skills_by_task,
+    used_skills,
+)
 from skillmas.world import (
+    _OBSERVATIONS,
+    _UNOBSERVED,
     ExecutionTable,
     Scenario,
     SuccessTerms,
     _deficit,
-    _observe_cause,
     _success_prob,
     _terms,
     latents_by_pair,
@@ -76,13 +84,74 @@ from skillmas.world import (
 )
 
 
-def substream(*parts: int | str) -> random.Random:
-    """A fresh generator seeded from the label path.
+def mt_blocks(seed: int):
+    """`(i, b) -> ` block b of episode i's stream on the Mersenne Twister:
+    the 32-bit words 16b to 16b + 15 of `random.Random(derive_seed(seed,
+    "episode", i))`."""
 
-    Reseeding one generator with `rng.seed(derive_seed(*parts))` gives the
-    same state, `gauss` cache included, without building a new object.
+    def block(episode: int, index: int) -> list[int]:
+        rng = random.Random(derive_seed(seed, "episode", episode))
+        words = [rng.getrandbits(32) for _ in range(16 * (index + 1))]
+        return words[16 * index :]
+
+    return block
+
+
+class WordStream:
+    """One reader of episode `episode`'s words from `blocks`, fetched a
+    block at a time as the reads reach them.
+
+    It draws as `random.Random` draws from its own 32-bit outputs:
+    `random()` from the tops of two words, `randrange(n)` from the top
+    `n.bit_length()` bits of one word per try, rejecting values >= n.
     """
-    return random.Random(derive_seed(*parts))
+
+    def __init__(self, blocks, episode: int):
+        self.blocks, self.episode = blocks, episode
+        self.words: list[int] = []
+        self.read = 0
+
+    def word(self) -> int:
+        if self.read == len(self.words):
+            self.words += self.blocks(self.episode, len(self.words) // 16)
+        self.read += 1
+        return self.words[self.read - 1]
+
+    def random(self) -> float:
+        high, low = self.word() >> 5, self.word() >> 6
+        return (high * 67108864.0 + low) / 9007199254740992.0
+
+    def randrange(self, n: int) -> int:
+        bits = n.bit_length()
+        while True:
+            value = self.word() >> (32 - bits)
+            if value < n:
+                return value
+
+
+def reference_blocks(seed: int):
+    """`(i, b) -> ` block b of episode i's stream, as the engine derives it."""
+    return mt_blocks(seed)
+
+
+def episode_stream(seed: int, episode: int) -> WordStream:
+    """Episode `episode` of the batch seeded `seed`, as a reader."""
+    return WordStream(reference_blocks(seed), episode)
+
+
+def route_draw(route: Route, rng, epsilon: float) -> str:
+    """Greedy with epsilon exploration: the routing draw of one phase."""
+    if rng.random() < epsilon:
+        return route.eligible[rng.randrange(len(route.eligible))]
+    return route.greedy
+
+
+def observe_cause(deficit: tuple[CauseLabel, float] | None, rng, confidence: float):
+    """A failure's cause observation: a deficit is observed confidently
+    with probability `confidence`; with no deficit nothing is drawn."""
+    if deficit is not None and rng.random() < confidence:
+        return _OBSERVATIONS[deficit[0], True]
+    return _UNOBSERVED
 
 
 def select_skills(
@@ -256,8 +325,8 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Ep
     observation = None
     for phase in task_type.phases:
         pair = (task_type.id, phase)
-        executor_id = executor_route(state.q_exec, state, task_type.id, phase).draw(
-            rng, epsilon
+        executor_id = route_draw(
+            executor_route(state.q_exec, state, task_type.id, phase), rng, epsilon
         )
         executor = state.executors[executor_id]
         selected = frozenset(
@@ -279,7 +348,7 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Ep
         deficit = _dominant_deficit(
             scenario, state.library, executor, task_type.id, phase, used
         )
-        observation = _observe_cause(deficit, rng, scenario.cause_confidence)
+        observation = observe_cause(deficit, rng, scenario.cause_confidence)
         break
     outcome = 1 if completed == len(task_type.phases) else 0
     return Episode(
@@ -296,7 +365,7 @@ def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix) -
     """Episode i on its own fresh stream, every value recomputed."""
     episodes = []
     for i in range(n_episodes):
-        rng = substream(seed, "episode", i)
+        rng = episode_stream(seed, i)
         task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
         episodes.append(
             reference_episode(scenario, state, task, rng, f"{id_prefix}e{i:05d}", config)
@@ -307,13 +376,14 @@ def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix) -
 def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> list[Episode]:
     """Each episode on its own stream and its own execution table, so no
     episode shares a path or a shape with another."""
-    episodes = []
-    for i in range(n_episodes):
-        rng = substream(seed, "episode", i)
-        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
-        table = ExecutionTable(state, scenario, config)
-        episodes.append(episode_of(f"{id_prefix}e{i:05d}", sample_episode(table, task, rng)))
-    return episodes
+    blocks = episode_blocks(seed)
+    return [
+        episode_of(
+            f"{id_prefix}e{i:05d}",
+            sample_episode(ExecutionTable(state, scenario, config), blocks, i),
+        )
+        for i in range(n_episodes)
+    ]
 
 
 def reference_learn(q_skill, q_exec, episodes, *, known_skills=None, known_executors=None):

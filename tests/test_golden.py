@@ -20,13 +20,12 @@ import random
 import pytest
 
 from conftest import NOISY, random_scenario
-from reference import _weighted_choice
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
 from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
 from skillmas.presets import PRESETS
 from skillmas.store import parse_scenario, serialize_state
-from skillmas.streams import derive_seed
+from skillmas.streams import derive_seed, episode_blocks, word_random
 from skillmas.world import ExecutionTable, walk_episode
 
 SEEDS = (1, 7, 11)
@@ -102,7 +101,7 @@ EVAL_SHA256 = "31bfb3c944ea5ff23e347b3edae8d188fc38b967c32235375cbe1b8ab2dcd73d"
 # 3`, then `skillmas transplant --episodes 300` on that directory and `skillmas
 # eval --state snapshots/state_r003.txt --episodes 300 --seed 11`: each
 # command's stdout, a NUL byte, then its JSON.  Frozen walks there read past
-# an episode's leading 2 + 5 x (most phases) words.
+# an episode's first block of 16 words.
 NOISY_SHA256 = {
     "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
     "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",
@@ -263,20 +262,6 @@ def test_eval_digest(tmp_path, capsys):
     assert digest.hexdigest() == EVAL_SHA256
 
 
-class WordCounter(random.Random):
-    """A generator that counts the 32-bit words its draws read."""
-
-    words = 0
-
-    def random(self):
-        self.words += 2
-        return super().random()
-
-    def getrandbits(self, k):  # one try of `randrange`, k <= 32
-        self.words += 1
-        return super().getrandbits(k)
-
-
 def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
     scenario_path = tmp_path / "noisy.scn"
     scenario_path.write_text(NOISY, encoding="utf-8")
@@ -296,22 +281,21 @@ def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
     digest.update(result.read_bytes())
     assert digest.hexdigest() == NOISY_SHA256["eval"]
 
-    # both commands' walks, on `random.Random` alone, read past the leading words
+    # both commands' walks read past an episode's first block of 16 words
     pack = parse_scenario(NOISY, name="noisy")
     run = run_experiment(pack.scenario, pack.seed_state, 11, 3, pack.config)
     variants = transplant_variants(run.checkpoint_state, pack.seed_state)
     frozen = [(variants[label], derive_seed(11, "transplant-eval")) for label in TRANSPLANT_ROWS]
     frozen.append((run.states[3], derive_seed(11, "eval")))
-    lead = 2 + 5 * max(len(task.phases) for task in pack.scenario.task_types)
     for state, eval_seed in frozen:
         table = ExecutionTable(state, pack.scenario, pack.config)
+        blocks = episode_blocks(eval_seed)
         read = []
         for i in range(300):
-            rng = WordCounter(derive_seed(eval_seed, "episode", i))
-            task = _weighted_choice(rng, pack.scenario.task_types, pack.scenario.task_weights)
-            walk_episode(table, task, rng)
-            read.append(rng.words)
-        assert max(read) > lead
+            words = blocks(i, 0)
+            task = table.task_at(word_random(words, 0, blocks, i))
+            read.append(walk_episode(table, task, words, blocks, i)[3])
+        assert max(read) > 16
 
 
 def scenario_text(scenario, state, episodes_per_round):

@@ -49,11 +49,13 @@ from skillmas.world import (
     realized_catalog,
     sample_episode,
 )
+from skillmas.streams import episode_blocks
 
 from reference import (
     _dominant_deficit,
     _weighted_choice,
     episode_of,
+    episode_stream,
     episodes_of,
     ground_truth_success_prob,
     reference_episode,
@@ -204,12 +206,11 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_seed):
     scenario, state, config = random_world(random.Random(world_seed))
-    task = random.Random(episode_seed).choice(scenario.task_types)
     table = ExecutionTable(state, scenario, config)
-    got = sample_episode(table, task, random.Random(episode_seed))
-    want = reference_episode(
-        scenario, state, task, random.Random(episode_seed), "e0", config
-    )
+    got = sample_episode(table, episode_blocks(episode_seed), 3)
+    rng = episode_stream(episode_seed, 3)
+    task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
+    want = reference_episode(scenario, state, task, rng, "e0", config)
     assert episode_of("e0", got) == want
 
 

@@ -1,12 +1,13 @@
-"""Shared episode streams: one seeded generator, one word list, several readers.
+"""Shared episode streams: one word list, several readers.
 
-`exec_shared` seeds each episode's generator once, takes the stream's
-leading 32-bit words as one list (the episode's tape), draws the task once,
-and walks every frozen state to its outcome by reading that list by index
-through the word rules `streams.word_random` and `streams.word_randrange`.
-A reader must draw exactly what `random.Random` draws, whatever the other
-readers have read, and every state's tasks and success flags must equal the
-tasks and outcomes of `exec_round` on that state.
+`exec_shared` derives each episode's first block of 16 words once (the
+episode's tape), draws the task once, and walks every frozen state to its
+outcome by reading that list by index through the word rules
+`streams.word_random` and `streams.word_randrange`.  A read past the list
+appends the episode's next block.  A reader must draw what an independent
+reader of the same words draws, whatever the other readers have read, and
+every state's tasks and success flags must equal the tasks and outcomes of
+`exec_round` on that state.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import skillmas.streams as streams
+import skillmas.world as world
 from skillmas.config import EngineConfig
-from skillmas.model import StateError, TraceShape
+from skillmas.model import TraceShape
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
     evaluate_transplants,
@@ -27,24 +28,16 @@ from skillmas.orchestrator import (
 )
 from skillmas.presets import PRESETS, load_preset
 from skillmas.store import parse_scenario
-from skillmas.streams import (
-    derive_seed,
-    episode_streams,
-    probed_word_rules,
-    stream_words,
-    word_random,
-    word_randrange,
-)
+from skillmas.streams import derive_seed, episode_blocks, word_random, word_randrange
 from skillmas.world import exec_round, exec_shared
 
 from conftest import NOISY, random_scenario
-from reference import substream
+from reference import episode_stream, mt_blocks, reference_blocks
 
 # n = 1, n = 2**k + 1 (about half the tries rejected) and the largest n
 SIZES = st.sampled_from([1, 2, 3, 5, 17, 2**16 + 1, 2**31 + 1, 2**32 - 1]) | st.integers(1, 2**32 - 1)
 DRAWS = st.just("random") | SIZES
-
-extend_words = streams._extend  # the list extension, before any test patches it
+WORD = st.integers(0, 2**32 - 1)
 
 
 def draw(source, op):
@@ -52,48 +45,50 @@ def draw(source, op):
 
 
 class Reader:
-    """One reader's position on a word list, drawing through the word rules."""
+    """One reader's position on an episode's word list, drawing through the
+    word rules."""
 
-    def __init__(self, words, rng):
-        self.words, self.rng, self.pos = words, rng, 0
+    def __init__(self, words, blocks, episode):
+        self.words, self.blocks, self.episode, self.pos = words, blocks, episode, 0
 
     def random(self):
-        value = word_random(self.words, self.pos, self.rng)
+        value = word_random(self.words, self.pos, self.blocks, self.episode)
         self.pos += 2
         return value
 
     def randrange(self, n):
-        value, self.pos = word_randrange(self.words, self.pos, n, self.rng)
+        value, self.pos = word_randrange(self.words, self.pos, n, self.blocks, self.episode)
         return value
 
 
-def replayed(seed, ops):
-    ref = random.Random(seed)
+def replayed(seed, episode, ops):
+    ref = random.Random(derive_seed(seed, "episode", episode))
     return [draw(ref, op) for op in ops]
 
 
-def stream_prefix(seed, length):
-    return stream_words(length)(random.Random(seed))
+def stream_prefix(blocks, episode, length):
+    return [w for b in range(-(-length // 16)) for w in blocks(episode, b)][:length]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**64 - 1),
-    st.integers(1, 9),
+    st.integers(0, 10**6),
     st.lists(st.tuples(st.integers(0, 3), DRAWS), max_size=150),
 )
-def test_readers_at_any_pace_each_equal_a_fresh_generator(seed, width, schedule):
-    rng = random.Random(seed)
-    words = stream_words(width)(rng)
-    readers = [Reader(words, rng) for _ in range(4)]
+def test_readers_at_any_pace_each_equal_a_fresh_generator(seed, episode, schedule):
+    # on Mersenne Twister words the rules draw what `random.Random` draws
+    blocks = mt_blocks(seed)
+    words = blocks(episode, 0)
+    readers = [Reader(words, blocks, episode) for _ in range(4)]
     ops: list[list] = [[] for _ in readers]
     drawn: list[list] = [[] for _ in readers]
     for reader, op in schedule:
         ops[reader].append(op)
         drawn[reader].append(draw(readers[reader], op))
     for reader_ops, values in zip(ops, drawn):
-        assert values == replayed(seed, reader_ops)
-    assert words == stream_prefix(seed, len(words))
+        assert values == replayed(seed, episode, reader_ops)
+    assert words == stream_prefix(blocks, episode, len(words))
 
 
 @settings(max_examples=100, deadline=None)
@@ -103,99 +98,90 @@ def test_readers_at_any_pace_each_equal_a_fresh_generator(seed, width, schedule)
     st.lists(DRAWS, max_size=40),
 )
 def test_each_episode_list_reads_as_its_stream(seed, indexes, ops):
-    stream = episode_streams(seed)
-    load = stream_words(3)
+    blocks = episode_blocks(seed)
     for i in indexes:
-        rng = stream(i)
-        words = load(rng)
-        first, second = Reader(words, rng), Reader(words, rng)
+        words = blocks(i, 0)
+        first, second = Reader(words, blocks, i), Reader(words, blocks, i)
         ahead = [draw(first, op) for op in ops]
         behind = [draw(second, op) for op in ops[: len(ops) // 2]]
-        ref = substream(seed, "episode", i)
+        ref = episode_stream(seed, i)
         assert ahead == [draw(ref, op) for op in ops]
         assert behind == ahead[: len(behind)]
+        assert words == stream_prefix(reference_blocks(seed), i, len(words))
 
 
-def test_reads_far_past_the_tape_extend_one_word_list(monkeypatch):
-    seed = 20260501
-    extended = []
-    monkeypatch.setattr(
-        streams, "_extend", lambda words, end, rng: (extended.append(end), extend_words(words, end, rng))
-    )
-    rng = random.Random(seed)
-    words = stream_words(2)(rng)
-    fast, slow = Reader(words, rng), Reader(words, rng)
+def test_reads_far_past_the_tape_extend_one_word_list():
+    seed, episode = 20260501, 3
+    fetched = []
+
+    def blocks(i, b):
+        fetched.append((i, b))
+        return mt_blocks(seed)(i, b)
+
+    words = blocks(episode, 0)
+    fast, slow = Reader(words, blocks, episode), Reader(words, blocks, episode)
     ops = [2**31 + 1, "random", 17] * 100
-    assert [draw(fast, op) for op in ops] == replayed(seed, ops)
-    assert len(words) > 300 and len(extended) > 100  # about one rejection per two tries
-    assert [draw(slow, op) for op in ops] == replayed(seed, ops)
-    assert slow.words is words and words == stream_prefix(seed, len(words))
+    assert [draw(fast, op) for op in ops] == replayed(seed, episode, ops)
+    assert len(words) > 300  # about one rejection per two tries
+    assert [draw(slow, op) for op in ops] == replayed(seed, episode, ops)
+    # each block appended once, in order, whichever reader reached it
+    assert slow.words is words and fetched == [(episode, b) for b in range(len(words) // 16)]
 
 
 @pytest.mark.parametrize("n", [0, -1, 2**32])
 def test_randrange_outside_one_word_is_refused(n):
-    rng = random.Random(1)
-    words = stream_words(1)(rng)
+    blocks = episode_blocks(1)
+    words = blocks(0, 0)
     with pytest.raises(ValueError):
-        word_randrange(words, 0, n, rng)
-    assert words == stream_prefix(1, 1)
+        word_randrange(words, 0, n, blocks, 0)
+    assert words == blocks(0, 0)
 
 
-def _halved(words, pos, rng):
-    return word_random(words, pos, rng) / 2
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2, 2**32 - 1]) | st.integers(0, 31).map(lambda k: 2**k + 1),
+    st.lists(st.lists(WORD, min_size=16, max_size=16), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.integers(0, 96),
+)
+def test_randrange_takes_the_first_top_bits_below_n(n, stream, held, pos):
+    # try the top n.bit_length() bits of each word from `pos` on, past the
+    # blocks the list holds too, and return the first value below n
+    held = min(held, len(stream))
+    words = [w for block in stream[:held] for w in block]
+    pos = min(pos, len(words))
+    flat = [w for block in stream for w in block]
+    shift = 32 - n.bit_length()
+    accepted = [k for k in range(pos, len(flat)) if flat[k] >> shift < n]
 
+    def blocks(episode, b):
+        return list(stream[b])  # an IndexError past the end of the stream
 
-def _first_try(words, pos, n, rng):  # keeps a rejected value's remainder
-    if pos >= len(words):
-        extend_words(words, pos + 1, rng)
-    return words[pos] % n, pos + 1
-
-
-def _reversed(count):
-    load = stream_words(count)
-    return lambda rng: load(rng)[::-1]
-
-
-def _skipping(words, end, rng):  # drops one word of the stream
-    rng.getrandbits(32)
-    extend_words(words, end, rng)
-
-
-BROKEN_RULES = [
-    ("word_random", _halved),
-    ("word_randrange", _first_try),
-    ("stream_words", _reversed),
-    ("_extend", _skipping),
-]
-
-
-def test_probe_refuses_a_tape_that_diverges(monkeypatch):
-    # the probe hands out the very functions it checked
-    assert probed_word_rules() == (stream_words, word_random, word_randrange)
-    for name, broken in BROKEN_RULES:
-        with monkeypatch.context() as patch:
-            patch.setattr(streams, name, broken)
-            with pytest.raises(StateError, match="diverge"):
-                probed_word_rules()
-
-
-def test_exec_shared_checks_the_tape_before_it_executes(monkeypatch):
-    pack = load_preset("tiny")
-    seeded = []
-    seed_mt = streams._seed_mt
-    monkeypatch.setattr(streams, "_seed_mt", lambda rng, s: (seeded.append(s), seed_mt(rng, s)))
-    for name, broken in BROKEN_RULES:
-        with monkeypatch.context() as patch:
-            patch.setattr(streams, name, broken)
-            with pytest.raises(StateError, match="diverge"):
-                next(exec_shared([pack.seed_state], pack.scenario, 3, 1, pack.config))
-    assert seeded == []  # refused before its first episode
+    if not accepted:
+        with pytest.raises(IndexError):
+            word_randrange(words, pos, n, blocks, 0)
+        return
+    k = accepted[0]
+    assert word_randrange(words, pos, n, blocks, 0) == (flat[k] >> shift, k + 1)
+    assert words == flat[: 16 * max(held, k // 16 + 1)]
 
 
 # ---------------------------------------------------------------------------
 # `exec_shared` against `exec_round`, state by state
 
 WORLDS = dict(PRESETS) | {"noisy": NOISY}
+
+
+def counted_blocks(monkeypatch) -> list:
+    """Record every (episode, block) the engine derives from here on."""
+    fetched = []
+
+    def counting(seed):
+        blocks = episode_blocks(seed)
+        return lambda i, b: (fetched.append((i, b)), blocks(i, b))[1]
+
+    monkeypatch.setattr(world, "episode_blocks", counting)
+    return fetched
 
 
 def frozen_states(text, name):
@@ -208,14 +194,9 @@ def frozen_states(text, name):
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
     pack, states = frozen_states(WORLDS[name], name)
-    extended = []
-    monkeypatch.setattr(
-        streams, "_extend", lambda words, end, rng: (extended.append(end), extend_words(words, end, rng))
-    )
-    probed_word_rules()
-    probe_extensions = len(extended)  # the probe reads past its two words
-    extended.clear()
+    fetched = counted_blocks(monkeypatch)
     shared = list(exec_shared(states, pack.scenario, 300, 9001, pack.config))
+    extended = [b for _, b in fetched if b > 0]
     assert len(shared) == 300 and all(len(flags) == len(states) for _, flags in shared)
     for k, state in enumerate(states):
         alone = exec_round(state, pack.scenario, 300, 9001, pack.config)
@@ -223,7 +204,7 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
             (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
         ]
     if name == "noisy":
-        assert len(extended) > probe_extensions  # rejections ran past the leading words
+        assert extended  # walks ran past an episode's first block
         alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
         assert any(len(set(shape.executors())) > 1 for shape in alone.shapes)
         assert any(not flags[0] for _, flags in shared)
@@ -269,14 +250,16 @@ def test_exec_shared_refuses_an_empty_state_list():
 
 
 @pytest.mark.parametrize("n_states", [1, 4])
-def test_exec_shared_reseeds_once_per_episode(n_states, monkeypatch):
+def test_exec_shared_derives_each_block_once(n_states, monkeypatch):
     pack, states = frozen_states(NOISY, "noisy")
-    seeded = []
-    seed_mt = streams._seed_mt
-    monkeypatch.setattr(streams, "_seed_mt", lambda rng, s: (seeded.append(s), seed_mt(rng, s)))
+    fetched = counted_blocks(monkeypatch)
     shared = list(exec_shared(states[:n_states], pack.scenario, 50, 9001, pack.config))
-    derive = streams.seed_deriver(9001, "episode")
-    assert len(shared) == 50 and seeded == [derive(i) for i in range(50)]
+    # every state reads one list per episode: no block is derived twice
+    assert len(shared) == 50 and len(set(fetched)) == len(fetched)
+    assert [i for i, b in fetched if b == 0] == list(range(50))
+    # episode by episode, each block after the one before it
+    assert [i for i, _ in fetched] == sorted(i for i, _ in fetched)
+    assert all(fetched.index((i, b - 1)) < k for k, (i, b) in enumerate(fetched) if b > 0)
 
 
 def test_exec_shared_builds_no_trace(monkeypatch):

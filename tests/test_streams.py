@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 from skillmas.numfmt import fmt, q12
-from skillmas.streams import derive_seed
-
-from reference import substream
+from skillmas.streams import derive_seed, episode_blocks
 
 
 def test_derived_seeds_are_stable():
@@ -19,10 +17,10 @@ def test_label_paths_do_not_collide_on_concatenation():
 
 
 def test_substreams_reproduce():
-    a = [substream(7, "episode", i).random() for i in range(5)]
-    b = [substream(7, "episode", i).random() for i in range(5)]
+    a = [episode_blocks(7)(i, 0) for i in range(5)]
+    b = [episode_blocks(7)(i, 0) for i in reversed(range(5))][::-1]
     assert a == b
-    assert len(set(a)) == 5
+    assert len({tuple(words) for words in a}) == 5
 
 
 def test_q12_fixed_point_round_trip():

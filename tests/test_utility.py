@@ -23,7 +23,7 @@ from skillmas.utility import (
 )
 
 from conftest import batch_of, make_skill, make_state
-from reference import select_skills
+from reference import route_draw, select_skills
 
 TASK = TaskType("t1", ("p1",))
 
@@ -209,7 +209,7 @@ class TestSelectExecutor:
         )
         for epsilon in (0.0, 0.5, 1.0):
             assert (
-                executor_route(state.q_exec, state, "t2", "p1").draw(rng, epsilon)
+                route_draw(executor_route(state.q_exec, state, "t2", "p1"), rng, epsilon)
                 in ("manager", "narrow")
             )
         only = make_state(
@@ -217,7 +217,7 @@ class TestSelectExecutor:
             executors=[Executor("manager", frozenset({("t1", "p1"), ("t1", "p2")}),
                                 is_manager=True)],
         )
-        assert executor_route(only.q_exec, only, "t1", "p1").draw(rng, 1.0) == "manager"
+        assert route_draw(executor_route(only.q_exec, only, "t1", "p1"), rng, 1.0) == "manager"
 
     def test_greedy_tracks_utility_gap(self):
         state = make_state(
@@ -226,14 +226,14 @@ class TestSelectExecutor:
         )
         rng = random.Random(1)
         for _ in range(50):
-            assert executor_route(state.q_exec, state, "t1", "p1").draw(rng, 0.0) == "worker"
+            assert route_draw(executor_route(state.q_exec, state, "t1", "p1"), rng, 0.0) == "worker"
 
     def test_full_noise_is_uniform_within_three_sigma(self):
         state = make_state([])
         rng = random.Random(12345)
         n = 10_000
         picks = sum(
-            executor_route(state.q_exec, state, "t1", "p1").draw(rng, 1.0) == "manager"
+            route_draw(executor_route(state.q_exec, state, "t1", "p1"), rng, 1.0) == "manager"
             for _ in range(n)
         )
         sigma = math.sqrt(n * 0.25)

@@ -24,6 +24,7 @@ from skillmas.world import (
     sample_episode,
     walk_episode,
 )
+from skillmas.streams import episode_blocks, word_random
 
 from conftest import make_skill, make_state, random_scenario
 from reference import ground_truth_success_prob
@@ -154,7 +155,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = sample_episode(table, scenario.task_types[0], random.Random(0))
+        shape = sample_episode(table, episode_blocks(0), 0)
         assert shape.outcome == 1
         assert shape.progress == 1.0
         assert shape.latent_cause_observation is None
@@ -163,7 +164,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = sample_episode(table, scenario.task_types[0], random.Random(0))
+        shape = sample_episode(table, episode_blocks(0), 0)
         assert shape.outcome == 0
         assert shape.progress == 0.0
         assert len(shape.slices) == 1  # the failing phase was attempted
@@ -193,11 +194,13 @@ class TestSampleEpisode:
     def test_trace_is_the_walk_plus_one_observation_draw(self, world_seed, episode_seed):
         scenario, state = random_scenario(random.Random(world_seed))
         table = ExecutionTable(state, scenario, EngineConfig())
+        blocks = episode_blocks(episode_seed)
         for i in range(30):
-            task = scenario.task_types[i % len(scenario.task_types)]
-            sampled, walked = random.Random(episode_seed + i), random.Random(episode_seed + i)
-            shape = sample_episode(table, task, sampled)
-            slices, progress, failed = walk_episode(table, task, walked)
+            shape = sample_episode(table, blocks, i)
+            words = blocks(i, 0)
+            task = table.task_at(word_random(words, 0, blocks, i))
+            slices, progress, failed, pos = walk_episode(table, task, words, blocks, i)
+            assert shape.task_type is task
             assert shape.slices is slices and shape.progress == progress
             assert shape.outcome == (failed is None)
             # phases completed: those routed, less the one that failed
@@ -209,14 +212,14 @@ class TestSampleEpisode:
                 assert failed.slice is slices[-1]
                 assert failed is table.slot((task.id, slices[-1].phase), slices[-1].executor)
                 deficit = failed.deficit
-                # the observation is drawn only when a deficit exists
-                if deficit is not None and walked.random() < scenario.cause_confidence:
+                # the observation is drawn, after the walk's words, only
+                # when a deficit exists
+                if deficit is not None and word_random(words, pos, blocks, i) < scenario.cause_confidence:
                     expected = (deficit[0], True)
                 else:
                     expected = (CauseLabel.UNKNOWN, False)
                 obs = shape.latent_cause_observation
                 assert (obs.cause, obs.confident) == expected
-            assert sampled.getstate() == walked.getstate()
 
     def test_containment_invariants(self):
         for seed in range(5):
@@ -234,17 +237,13 @@ class TestExecRound:
         # thread pool sampling episodes out of order reproduces the serial batch
         from concurrent.futures import ThreadPoolExecutor
 
-        from reference import _weighted_choice, substream
-
         scenario, state = random_scenario(random.Random(3))
         config = EngineConfig()
         serial = exec_round(state, scenario, 24, 77, config)
 
         def one(i):
-            rng = substream(77, "episode", i)
-            task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
             table = ExecutionTable(state, scenario, config)
-            return sample_episode(table, task, rng)
+            return sample_episode(table, episode_blocks(77), i)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
