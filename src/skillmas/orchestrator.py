@@ -9,6 +9,7 @@ Any failure aborts the round with the input state untouched.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -172,9 +173,19 @@ class ComparisonTable:
         }
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def canonical_json(payload: object) -> str:
-    """Deterministic JSON rendering used for every persisted report."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering used for every persisted report: the
+    text of `json.dumps(payload, sort_keys=True, indent=2)` and a newline.
+
+    The indenting encoder yields one small string per token.  They are
+    joined a thousand at a time, so the tokens alive at once take a few
+    kilobytes rather than several times the text.
+    """
+    tokens = _CANONICAL.iterencode(payload)
+    return "".join(iter(lambda: "".join(itertools.islice(tokens, 1000)), "")) + "\n"
 
 
 def _summarize_action(action) -> dict[str, object]:
