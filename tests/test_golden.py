@@ -19,7 +19,9 @@ import random
 
 import pytest
 
+import skillmas.world as world
 from conftest import NOISY, random_scenario
+from reference import mt_blocks
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
 from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
@@ -162,12 +164,16 @@ def wide_text(n_families: int, episodes: int) -> str:
     ) + "\n"
 
 
+def report_digest(preset, seed) -> str:
+    pack = load_preset(preset)
+    result = run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config)
+    return sha256_text(result.report.to_json())
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preset_report_hash(preset, seed):
-    pack = load_preset(preset)
-    result = run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config)
-    assert sha256_text(result.report.to_json()) == REPORT_SHA256[(preset, seed)]
+    assert report_digest(preset, seed) == REPORT_SHA256[(preset, seed)]
 
 
 def test_wide_report_hash():
@@ -206,13 +212,17 @@ def test_merge_remove_hash():
     ) == MERGE_SHA256
 
 
-def test_run_directory_digest(tmp_path):
-    out = tmp_path / "run"
+def run_mismatch(out) -> None:
     code = main(
         ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
          "--episodes", "200", "--out", str(out), "--quiet"]
     )
     assert code == 0
+
+
+def test_run_directory_digest(tmp_path):
+    out = tmp_path / "run"
+    run_mismatch(out)
     assert dir_digest(out) == RUN_DIR_SHA256
 
 
@@ -232,11 +242,7 @@ def test_cross_round_run_directory_digest(tmp_path, capsys):
 
 def test_transplant_digest(tmp_path):
     out = tmp_path / "run"
-    code = main(
-        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
-         "--episodes", "200", "--out", str(out), "--quiet"]
-    )
-    assert code == 0
+    run_mismatch(out)
     assert main(["transplant", "--run", str(out), "--episodes", "200"]) == 0
     transplant = (out / "transplant.json").read_bytes()
     assert hashlib.sha256(transplant).hexdigest() == TRANSPLANT_SHA256
@@ -244,11 +250,7 @@ def test_transplant_digest(tmp_path):
 
 def test_eval_digest(tmp_path, capsys):
     out = tmp_path / "run"
-    code = main(
-        ["run", "--scenario", "preset:mismatch", "--seed", "7", "--rounds", "4",
-         "--episodes", "200", "--out", str(out), "--quiet"]
-    )
-    assert code == 0
+    run_mismatch(out)
     capsys.readouterr()
     result = tmp_path / "eval.json"
     code = main(
@@ -262,7 +264,8 @@ def test_eval_digest(tmp_path, capsys):
     assert digest.hexdigest() == EVAL_SHA256
 
 
-def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
+def noisy_digests(tmp_path, capsys) -> dict[str, str]:
+    """NOISY_SHA256's two digests, of `transplant` and of `eval`."""
     scenario_path = tmp_path / "noisy.scn"
     scenario_path.write_text(NOISY, encoding="utf-8")
     out = tmp_path / "run"
@@ -270,16 +273,19 @@ def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
                  "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
     assert main(["transplant", "--run", str(out), "--episodes", "300"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
-    digest.update((out / "transplant.json").read_bytes())
-    assert digest.hexdigest() == NOISY_SHA256["transplant"]
+    transplant = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
+    transplant.update((out / "transplant.json").read_bytes())
     result = tmp_path / "eval.json"
     assert main(["eval", "--scenario", str(scenario_path),
                  "--state", str(out / "snapshots" / "state_r003.txt"),
                  "--episodes", "300", "--seed", "11", "--out", str(result)]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
-    digest.update(result.read_bytes())
-    assert digest.hexdigest() == NOISY_SHA256["eval"]
+    evaluated = hashlib.sha256(capsys.readouterr().out.encode("utf-8") + b"\0")
+    evaluated.update(result.read_bytes())
+    return {"transplant": transplant.hexdigest(), "eval": evaluated.hexdigest()}
+
+
+def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
+    assert noisy_digests(tmp_path, capsys) == NOISY_SHA256
 
     # both commands' walks read past an episode's first block of 16 words
     pack = parse_scenario(NOISY, name="noisy")
@@ -351,3 +357,53 @@ def test_merge_remove_run_directory(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--run", str(out)]) == 0
     assert capsys.readouterr().out.startswith("replay clean: 13 artifacts match")
+
+
+# ---------------------------------------------------------------------------
+# The stream is the only behaviour change: with the Mersenne Twister words
+# that episode streams read before they were BLAKE2b blocks
+# (`reference.mt_blocks`), the engine reproduces the goldens recorded then.
+
+MT_REPORT_SHA256 = {
+    ("calibration", 1): "e7f481f7254e64cc7e177d2f457deeed6d6228943114fb71b3b4f08f4147a31b",
+    ("calibration", 7): "cfb30810727a3281324bcf11ce395b8645e4ad95661850a235246c07d8850c5f",
+    ("calibration", 11): "e8818e0465cba97ad51dca0b97c334a5c1670a24e35c9be20f4bb0442ede40c6",
+    ("favorable", 1): "fb524eae243c2f5506e173e3e749236dfd121fcd6efe018df3b89d968f888b3e",
+    ("favorable", 7): "35f7749144ddf1728ae7cd731298e8419a6374505afd0fad08bc6d2a9d0137ef",
+    ("favorable", 11): "a40dfbb3cfb30927668a6a6abc21d93c38ee4d303f272467d3fa01732f8bb833",
+    ("hostile", 1): "212795e0c83a4a938b25da07bf07e6f530c799e3b86c1fd47e87a4d4613fe85e",
+    ("hostile", 7): "c9138cad4ff1818239ed08bfc2660590424a04f92711b6c295e10239bf9e32d1",
+    ("hostile", 11): "4fed511c866a13b3bc4d3a5c675b55643aef822244c6092a253f72081f635b8a",
+    ("mismatch", 1): "5817711dabe9b1094e9d1b063bcd1e1228d45acf12da9bb293724a33f48c54cf",
+    ("mismatch", 7): "677142a0efe06079f9221a7b817087e606c4a1d9e8fae1ab1f08bce1a21ccb03",
+    ("mismatch", 11): "d9e11450ef46e2388a6c1accf36f4372498a66e30b9f535b2a2e742d5c7dc45b",
+    ("tiny", 1): "748dc383458ff9c4ba57ed0c2f0c2178a8a30cf9d52ce4f648dde84f5bd76fc7",
+    ("tiny", 7): "fd189a33bda917a8784d32544cdbda7df29e710bf41f294d5049f386ce74c93b",
+    ("tiny", 11): "50d84eeb60da909f22f8cb519a430860143ed83b73d4e19ab67fa9b671f7a99e",
+}
+MT_RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
+MT_NOISY_SHA256 = {
+    "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
+    "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",
+}
+
+
+@pytest.fixture
+def mt_words(monkeypatch):
+    monkeypatch.setattr(world, "episode_blocks", mt_blocks)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mt_words_reproduce_the_report_hash(preset, seed, mt_words):
+    assert report_digest(preset, seed) == MT_REPORT_SHA256[(preset, seed)]
+
+
+def test_mt_words_reproduce_the_run_directory_digest(tmp_path, mt_words):
+    out = tmp_path / "run"
+    run_mismatch(out)
+    assert dir_digest(out) == MT_RUN_DIR_SHA256
+
+
+def test_mt_words_reproduce_the_noisy_digests(tmp_path, capsys, mt_words):
+    assert noisy_digests(tmp_path, capsys) == MT_NOISY_SHA256
