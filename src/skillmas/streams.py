@@ -16,9 +16,7 @@ stream, whatever each reader has read.
 
 from __future__ import annotations
 
-import _random
 import hashlib
-import random
 import struct
 from typing import Callable
 
@@ -30,40 +28,26 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def seed_deriver(*prefix: int | str) -> Callable[[int | str], int]:
-    """`part -> derive_seed(*prefix, part)`, with the prefix hashed once.
-
-    SHA-256 consumes its input in order, so a copy of the prefix state fed
-    the last part yields exactly the digest of the joined label path.
-    """
-    head = hashlib.sha256(
-        ("\x1f".join(str(p) for p in prefix) + "\x1f" if prefix else "").encode("utf-8")
-    )
-
-    def derive(part: int | str) -> int:
-        digest = head.copy()
-        digest.update(str(part).encode("utf-8"))
-        return int.from_bytes(digest.digest()[:8], "big")
-
-    return derive
-
-
-_seed_mt = _random.Random.seed  # the C seeding, without `random.Random.seed`
 _BLOCK = struct.Struct("<16I")
+_COUNTER = struct.Struct("<QQ")
 
 
 def episode_blocks(seed: int) -> Callable[[int, int], list[int]]:
-    """`(i, b) -> ` block b of episode i's stream: the 32-bit words 16b to
-    16b + 15 of `random.Random(derive_seed(seed, "episode", i))`."""
-    derive = seed_deriver(seed, "episode")
-    rng = random.Random()
+    """`(i, b) -> ` block b of episode i's stream: the BLAKE2b-512 digest of
+    the label path `(seed, "episode")`, a separator, then i and b as two
+    little-endian 64-bit integers, read as sixteen little-endian 32-bit words.
+
+    The prefix is hashed once: BLAKE2b consumes its input in order, so a copy
+    of the prefix state fed the counters yields the digest of the whole
+    message.  A block depends on nothing but (seed, i, b).
+    """
+    head = hashlib.blake2b(f"{seed}\x1fepisode\x1f".encode("utf-8"))
+    counter, unpack = _COUNTER.pack, _BLOCK.unpack
 
     def block(episode: int, index: int) -> list[int]:
-        _seed_mt(rng, derive(episode))
-        if index:
-            rng.getrandbits(512 * index)
-        # getrandbits fills its result from the least significant word up
-        return list(_BLOCK.unpack(rng.getrandbits(512).to_bytes(64, "little")))
+        digest = head.copy()
+        digest.update(counter(episode, index))
+        return list(unpack(digest.digest()))
 
     return block
 

@@ -16,6 +16,7 @@ engine code calls any of them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -130,8 +131,20 @@ class WordStream:
 
 
 def reference_blocks(seed: int):
-    """`(i, b) -> ` block b of episode i's stream, as the engine derives it."""
-    return mt_blocks(seed)
+    """`(i, b) -> ` block b of episode i's stream, as the engine derives it:
+    the BLAKE2b-512 digest of the whole message, label path, separator and
+    both counters, cut into sixteen little-endian 32-bit words."""
+
+    def block(episode: int, index: int) -> list[int]:
+        message = (
+            f"{seed}\x1fepisode\x1f".encode("utf-8")
+            + episode.to_bytes(8, "little")
+            + index.to_bytes(8, "little")
+        )
+        digest = hashlib.blake2b(message).digest()
+        return [int.from_bytes(digest[k : k + 4], "little") for k in range(0, 64, 4)]
+
+    return block
 
 
 def episode_stream(seed: int, episode: int) -> WordStream:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import skillmas
 from skillmas.numfmt import fmt, q12
 from skillmas.streams import derive_seed, episode_blocks
 
@@ -35,3 +39,16 @@ def test_fmt_examples():
     assert fmt(0.5) == "0.5"
     assert fmt(2 / 3) == "0.666666666667"
     assert fmt(1.0) == "1"
+
+
+def test_no_engine_module_imports_random():
+    # episode streams are hash blocks: no engine code reads a generator
+    imported = set()
+    for path in Path(skillmas.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+                imported |= {(path.name, name.split(".")[0]) for name in names}
+    assert imported and not {(f, m) for f, m in imported if m in ("random", "_random")}
