@@ -17,7 +17,7 @@ from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 from typing import Any, Iterator, NoReturn
 
-from .config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
+from .config import EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
 from .orchestrator import (
     canonical_json,
@@ -93,6 +93,9 @@ def _snapshot_name(round_index: int) -> str:
 
 
 TRACE_LOG = "traces.jsonl"
+# `run.json`'s format; 2 since episode streams are BLAKE2b blocks.  A run
+# directory of any other format drew its episodes from other streams.
+RUN_FORMAT = 2
 _SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 
 
@@ -169,7 +172,7 @@ def _write_run_dir(
         out / "run.json",
         canonical_json(
             {
-                "format": 1,
+                "format": RUN_FORMAT,
                 "scenario": "scenario.scn",
                 "scenario_name": pack.scenario.name,
                 "seed": seed,
@@ -314,6 +317,13 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     manifest = _read_json_object(
         manifest_path, {"scenario": str, "seed": int, "rounds": int, "config": dict}
     )
+    found = manifest.get("format")
+    if found != RUN_FORMAT or type(found) is not int:
+        raise UsageError(
+            f"{manifest_path}: run directory format "
+            f"{'missing' if found is None else json.dumps(found)}, not {RUN_FORMAT}: "
+            "written by another release, it does not replay here"
+        )
     if manifest["rounds"] < 1:
         raise UsageError(f"{manifest_path}: 'rounds' must be at least 1")
     if manifest["scenario"] != "scenario.scn":
@@ -325,14 +335,8 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     pack = _read_scenario(
         run_dir / "scenario.scn", manifest.get("scenario_name", "scenario"), manifest_path
     )
-    # manifests written before a threshold was retired still carry it
-    stored = {
-        key: value
-        for key, value in manifest["config"].items()
-        if key.replace("-", "_") not in RETIRED_THRESHOLDS
-    }
     try:
-        config = config_from_mapping(stored)
+        config = config_from_mapping(manifest["config"])
     except ValueError as exc:
         raise UsageError(f"{manifest_path}: {exc}") from None
     return pack, manifest["seed"], manifest["rounds"], config

@@ -58,11 +58,6 @@ class EngineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(EngineConfig)}
 
-# Thresholds earlier releases carried but no rule reads any more.  Run
-# manifests written by those releases still hold them (see cli._load_run_dir);
-# new configuration naming one is rejected.
-RETIRED_THRESHOLDS = frozenset({"gap_threshold"})
-
 # thresholds outside these ranges would fail mid-run or be silently wrong
 _RANGES = {
     "episodes_per_round": (lambda v: v >= 1, "at least 1"),
@@ -106,8 +101,6 @@ def config_from_mapping(
     overrides: dict[str, Any] = {}
     for key, raw in values.items():
         name = key.replace("-", "_")
-        if name in RETIRED_THRESHOLDS:
-            raise ValueError(f"threshold {key!r} is retired: no rule reads it")
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown threshold {key!r}")
         overrides[name] = _coerce(name, raw)

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from skillmas import orchestrator
-from skillmas.cli import main
+from skillmas.cli import RUN_FORMAT, main
 from skillmas.model import StateError
 from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
@@ -672,16 +672,15 @@ def test_bad_run_dir_value_is_usage_error(run_dir, capsys, case):
 
 
 class TestRetiredThreshold:
-    def test_manifest_from_an_earlier_release_still_works(self, run_dir, capsys):
-        # earlier releases wrote every threshold, the retired one included
-        _rewrite_json(
-            run_dir / "run.json",
-            lambda m: {**m, "config": {**m["config"], "gap_threshold": 0.2}},
-        )
-        assert main(["replay", "--run", str(run_dir)]) == 0
-        assert "replay clean" in capsys.readouterr().out
-        assert main(["report", "--run", str(run_dir)]) == 0
-        assert main(["transplant", "--run", str(run_dir), "--episodes", "12"]) == 0
+    def test_manifest_naming_it_is_refused(self, run_dir, capsys):
+        # format 2 dropped the shim for manifests written while it existed
+        path = run_dir / "run.json"
+        _rewrite_json(path, lambda m: {**m, "config": {**m["config"], "gap_threshold": 0.2}})
+        for command in (["replay"], ["transplant", "--episodes", "12"]):
+            assert main([command[0], "--run", str(run_dir), *command[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+            assert "unknown threshold 'gap_threshold'" in err
 
     def test_config_override_naming_it_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -690,7 +689,31 @@ class TestRetiredThreshold:
                      "--out", str(tmp_path / "x"), "--config", str(cfg), "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert str(cfg) in err and "'gap_threshold'" in err and "retired" in err
+        assert str(cfg) in err and "unknown threshold 'gap_threshold'" in err
+
+
+class TestRunFormat:
+    """`run.json` carries format 2; a directory of any other format, or of
+    none, drew its episodes from other streams and is a usage error."""
+
+    def test_new_directories_carry_format_2(self, run_dir):
+        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 2
+
+    @pytest.mark.parametrize(
+        "found, shown", [(1, "format 1,"), (3, "format 3,"), ("2", 'format "2",'),
+                         (2.0, "format 2.0,"), (None, "format missing,")]
+    )
+    @pytest.mark.parametrize("command", ["replay", "transplant"])
+    def test_other_formats_are_refused(self, run_dir, capsys, command, found, shown):
+        path = run_dir / "run.json"
+        if found is None:
+            _rewrite_json(path, lambda m: {k: v for k, v in m.items() if k != "format"})
+        else:
+            _rewrite_json(path, lambda m: {**m, "format": found})
+        assert main([command, "--run", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: run directory format ")
+        assert shown in err and "not 2" in err
 
 
 def _non_utf8(path):

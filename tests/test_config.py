@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import skillmas
-from skillmas.config import RETIRED_THRESHOLDS, EngineConfig, config_from_mapping
+from skillmas.config import EngineConfig, config_from_mapping
 
 
 def test_defaults_match_documented_thresholds():
@@ -105,13 +105,9 @@ def test_unknown_key_rejected():
 
 @pytest.mark.parametrize("key", ["gap_threshold", "gap-threshold"])
 def test_retired_key_rejected(key):
-    with pytest.raises(ValueError, match="retired"):
+    # a threshold no rule reads any more is just an unknown key
+    with pytest.raises(ValueError, match="unknown threshold"):
         config_from_mapping({key: 0.2})
-
-
-def test_retired_keys_are_not_fields():
-    fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    assert RETIRED_THRESHOLDS and not RETIRED_THRESHOLDS & fields
 
 
 def test_every_threshold_is_read_by_the_engine():
