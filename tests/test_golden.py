@@ -1,11 +1,8 @@
 """Golden artifact hashes: the engine's output must not move by a byte.
 
-Every value below was recorded from the engine before any speed work on the
-round pipeline, except OWNERSHIP_SHA256 and TRANSPLANT_SHA256, recorded
-before each rule that edits skill ownership got a single implementation, and
-EVAL_SHA256, recorded before `sample_episode` took only an execution table,
-MERGE_SHA256, recorded before the per-call references left the engine, and
-NOISY_SHA256, recorded before frozen evaluation dropped its tape cursors.
+Every value below was recorded when episode streams became BLAKE2b blocks.
+The values recorded before, on Mersenne Twister streams, stay at the end of
+the file as MT_* constants, checked with that stream patched back in.
 A change that is meant to be a pure optimisation must leave
 all of them unchanged; a change that alters behaviour on purpose must say so
 and re-record them.
@@ -34,70 +31,72 @@ SEEDS = (1, 7, 11)
 ROUNDS = 8
 
 REPORT_SHA256 = {
-    ("calibration", 1): "e7f481f7254e64cc7e177d2f457deeed6d6228943114fb71b3b4f08f4147a31b",
-    ("calibration", 7): "cfb30810727a3281324bcf11ce395b8645e4ad95661850a235246c07d8850c5f",
-    ("calibration", 11): "e8818e0465cba97ad51dca0b97c334a5c1670a24e35c9be20f4bb0442ede40c6",
-    ("favorable", 1): "fb524eae243c2f5506e173e3e749236dfd121fcd6efe018df3b89d968f888b3e",
-    ("favorable", 7): "35f7749144ddf1728ae7cd731298e8419a6374505afd0fad08bc6d2a9d0137ef",
-    ("favorable", 11): "a40dfbb3cfb30927668a6a6abc21d93c38ee4d303f272467d3fa01732f8bb833",
-    ("hostile", 1): "212795e0c83a4a938b25da07bf07e6f530c799e3b86c1fd47e87a4d4613fe85e",
-    ("hostile", 7): "c9138cad4ff1818239ed08bfc2660590424a04f92711b6c295e10239bf9e32d1",
-    ("hostile", 11): "4fed511c866a13b3bc4d3a5c675b55643aef822244c6092a253f72081f635b8a",
-    ("mismatch", 1): "5817711dabe9b1094e9d1b063bcd1e1228d45acf12da9bb293724a33f48c54cf",
-    ("mismatch", 7): "677142a0efe06079f9221a7b817087e606c4a1d9e8fae1ab1f08bce1a21ccb03",
-    ("mismatch", 11): "d9e11450ef46e2388a6c1accf36f4372498a66e30b9f535b2a2e742d5c7dc45b",
-    ("tiny", 1): "748dc383458ff9c4ba57ed0c2f0c2178a8a30cf9d52ce4f648dde84f5bd76fc7",
-    ("tiny", 7): "fd189a33bda917a8784d32544cdbda7df29e710bf41f294d5049f386ce74c93b",
-    ("tiny", 11): "50d84eeb60da909f22f8cb519a430860143ed83b73d4e19ab67fa9b671f7a99e",
+    ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
+    ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
+    ("calibration", 11): "400802de637f00d1ee04e5de8c6d5da97378c6c58690487384760ac58334ba2d",
+    ("favorable", 1): "fe400cd4987769865bcc991183c4be72b71ea82074378b6906783140fb85327d",
+    ("favorable", 7): "0df3cebd9f7424181a9520d5477cdfbc133cb8e92d72c3e964fc06ae371cf7b8",
+    ("favorable", 11): "e3edce2103993b9a973b210ccfccba990f43b76ab9ec9a0d0042968008a9f38e",
+    ("hostile", 1): "4d204138013769db253f341325e2fcb6fa6a89f18978bd5fa6dd067b9b23f6b0",
+    ("hostile", 7): "bf757e9d1b672dc098b78c14e68fec0ae44cd05f995b7bf06f89e8f403e27920",
+    ("hostile", 11): "f22d8369231f6ece85055fed63ec05ef5386ade1b6d68ee70aaa847c2b9ead4a",
+    ("mismatch", 1): "c7ec1503969a052623cbcd91cf3c6e5808ad7fc4a7d39f858076d0582fd9e01c",
+    ("mismatch", 7): "55168098c98392a2d6f391f293562ea2c5d6e91ede92f368c5df846e935a90c3",
+    ("mismatch", 11): "fbd93b1bb8f99294bac6822aed7c1bb2c5236edf66749317de144d56488c3270",
+    ("tiny", 1): "7f296d5c622987fb9d89de4070de0136491366ac07f8cb61c2a8408bee311225",
+    ("tiny", 7): "47d13fa3675bfd813b45ddb371571814de218b4a9ff127d7e002a868a187a36f",
+    ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
 }
 
 # generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the
-# library ends at 27 entries, 13 of them pruned
-WIDE_SHA256 = "d50f566c37c38d780cd0633ec5453c90fda8e568a6e00ff7e3565411f91e1531"
+# library ends at 33 entries, 19 of them pruned
+WIDE_SHA256 = "d79137d6ed6e7d07d348666549695bc015d2bb332b8fb1f0a4f6c76ad1c789e1"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
+RUN_DIR_SHA256 = "f746ecd968c33064a0c8f2a28db81a493220f739448ba04c28924b666a28e4ee"
 
 # the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
-# failures count towards repeats, so rounds 1-3 retain 136/130/97
-# repeated failures where the default run retains 135/129/96
-CROSS_ROUND_RUN_DIR_SHA256 = "96c89410a58e25d59ef4ed350fbfbfd9f542a21abc6ddcf4fc39e7ad60915628"
+# failures count towards repeats, so rounds 1 and 3 retain 147 and 129
+# repeated failures where the default run retains 146 and 128
+CROSS_ROUND_RUN_DIR_SHA256 = "980fb511e7c66b2b1ac679c633ad5b86e813bf12dd006e148e88598a1ec45ee2"
 
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
 # of every state X_0 .. X_R, and one over the four transplant variants of
-# the checkpoint.  mismatch seed 5 modifies at rounds 5 and 6, wide24 seed 4
-# at round 5.
+# the checkpoint.  mismatch seed 32 modifies at round 5 and wide24 seed 27
+# at round 7: of seeds 1 up, the first of each that modifies before its last
+# round (wide24 seeds 7 and 21 modify only at round 9).
 OWNERSHIP_SHA256 = {
-    ("mismatch", 5, 8): (
-        "5d201397b19cf3f5d492ddf2c11059babf08d1f4712a548608fd8833509f6d56",
-        "b7c51acc4ee82e531d311f701b09614d1d5ec344490e413b31a6d2959e918882",
-        "0ffa9a56e2d50b77f78b58f08c1e0bbbac6baf1af8fbfcfe6511cc3fe260a891",
+    ("mismatch", 32, 8): (
+        "b1395c4e3332a9c6f9c974e3087c219e828cd1ba028fa6ecf8c939be6a7659da",
+        "f16716fabf9d3cb069cb0a41853729d8c11e4b1afb5286068adfc69e03af9d09",
+        "6bac0a04ce269677bcdae1696da4c59fc65c11032f278f76813dac6ed4334d6a",
     ),
-    ("wide24", 4, 10): (
-        "63ea691b8b111bebd84a08629033691a2cd659cdd8143c8117e088ba328c5e00",
-        "813ef72ef95e614fe48d1e6934d2819369544304a326d861dad584663b3aab05",
-        "97c6bffa10a7108a654d8f732f433fb0e9d41b52f29d4743e2b16f653031a129",
+    ("wide24", 27, 10): (
+        "3d96732ca2d0993d8dfd59fbe006abfcdb98ba44f5511223c282c19a70ae2de1",
+        "2aa357dd848a29809844e922aa59770f3fb4e2c02a113bfc987251cf2e4b390b",
+        "8514178fdda1a99753c0658b6f236005e03cee0f9a2a1a2301d96f42dc47eb65",
     ),
 }
 
-# a run whose round 6 fires `merge-remove` (no preset or wide world does):
-# `conftest.random_scenario(random.Random(136))`, engine seed 136, 60 episodes
-# x 8 rounds.  `worker0` absorbs `worker1` with skill overlap 0.6 and utility
-# gaps 0.074 and 0.067 against a merge gap of 0.1.  The report, then one
-# digest over `serialize_state` of every state X_0 .. X_8.
+# a run whose round 1 fires `merge-remove` (no preset or wide world does):
+# `conftest.random_scenario(random.Random(171))`, engine seed 171, 60 episodes
+# x 8 rounds, the first of random worlds 0-299 run that way to merge.
+# `worker0` absorbs `worker1` with skill overlap 0.5, exactly the overlap
+# threshold, and utility gap 0.098 against a merge gap of 0.1.  The report,
+# then one digest over `serialize_state` of every state X_0 .. X_8.
 MERGE_SHA256 = (
-    "3e1667ec262c2ca5d4135c60076d875d7269803ae2e53baa00b4c6f0ebd8bbe2",
-    "a6ebbdc06c0b6c71c41a6cf01e666b31cee42e82b6db25c9b9a35c12645043ef",
+    "108afedfba69208898539586541e23560b0c1e5d8a2745d9bd58db8049293032",
+    "76d9692bbfcce80ebc80bd8099f599d9d62ecf84900ba04ec3c90c0678a29398",
 )
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
-TRANSPLANT_SHA256 = "0627094a9e19038f8cb3a1bf90220ffeb6398624b249312a169e7f1eef6d3bb2"
+TRANSPLANT_SHA256 = "96b30d451110b4e38451fe802b63e5b2a0f4d55f6e297ded850f6e5d9629b18c"
 
 # `skillmas eval --scenario preset:mismatch --state snapshots/state_r004.txt
 # --episodes 500 --seed 7` on the RUN_DIR_SHA256 directory: its stdout, a NUL
 # byte, then the `--out` JSON
-EVAL_SHA256 = "31bfb3c944ea5ff23e347b3edae8d188fc38b967c32235375cbe1b8ab2dcd73d"
+EVAL_SHA256 = "d721bb8c19c9a3038a7880dd0071d898ee7204aa6775a9bf4b3567a8faa79b59"
 
 # conftest's NOISY world saved as `noisy.scn` and run with `--seed 11 --rounds
 # 3`, then `skillmas transplant --episodes 300` on that directory and `skillmas
@@ -105,8 +104,8 @@ EVAL_SHA256 = "31bfb3c944ea5ff23e347b3edae8d188fc38b967c32235375cbe1b8ab2dcd73d"
 # command's stdout, a NUL byte, then its JSON.  Frozen walks there read past
 # an episode's first block of 16 words.
 NOISY_SHA256 = {
-    "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
-    "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",
+    "transplant": "cbe009e447f5d8d02af69fd1299aa77ddd1f53da50223d79d5f8b0b8ebc339b5",
+    "eval": "5be742d7ed3e7a3865dabf02beec69a62ff8cb72a0af5c45ff3e67a77d5b5ca2",
 }
 
 
@@ -200,11 +199,11 @@ def test_ownership_edits_hash(scenario, seed, rounds):
 
 
 def test_merge_remove_hash():
-    scenario, seed_state = random_scenario(random.Random(136))
-    result = run_experiment(scenario, seed_state, 136, 8, EngineConfig(episodes_per_round=60))
+    scenario, seed_state = random_scenario(random.Random(171))
+    result = run_experiment(scenario, seed_state, 171, 8, EngineConfig(episodes_per_round=60))
     actions = [r.restructure["action"] for r in result.report.rounds]
-    assert actions == ["keep", "add", "keep", "keep", "keep", "keep", "merge-remove", "keep"]
-    merge = result.report.rounds[6].restructure["evidence"]
+    assert actions == ["keep", "merge-remove", "keep", "keep", "keep", "keep", "keep", "keep"]
+    merge = result.report.rounds[1].restructure["evidence"]
     assert (merge["survivor"], merge["removed"]) == ("worker0", "worker1")
     assert (
         sha256_text(result.report.to_json()),
@@ -343,15 +342,15 @@ def scenario_text(scenario, state, episodes_per_round):
 
 def test_merge_remove_run_directory(tmp_path, capsys):
     # the MERGE_SHA256 world as a scenario file named like the generator's world
-    scenario, seed_state = random_scenario(random.Random(136))
+    scenario, seed_state = random_scenario(random.Random(171))
     path = tmp_path / "fuzz.scn"
     path.write_text(scenario_text(scenario, seed_state, 60), encoding="utf-8")
     out = tmp_path / "run"
-    assert main(["run", "--scenario", str(path), "--seed", "136", "--rounds", "8",
+    assert main(["run", "--scenario", str(path), "--seed", "171", "--rounds", "8",
                  "--out", str(out), "--quiet"]) == 0
     trajectory = (out / "trajectory.json").read_bytes()
     assert hashlib.sha256(trajectory).hexdigest() == MERGE_SHA256[0]
-    merge = json.loads(trajectory)["rounds"][6]["restructure"]
+    merge = json.loads(trajectory)["rounds"][1]["restructure"]
     assert merge["action"] == "merge-remove"
     assert (merge["evidence"]["survivor"], merge["evidence"]["removed"]) == ("worker0", "worker1")
     capsys.readouterr()

@@ -3,9 +3,9 @@
 `tests/test_golden.py` pins small runs; these pin the traffic the benchmark
 measures: the 96-family wide world at 400 episodes x 10 rounds, a
 `skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds,
-and the transplant audit of that directory.  The first two were recorded
-from the engine before the per-shape memoization of the round stages.  A
-pure optimisation must leave every value unchanged.
+and the transplant audit of that directory.  All were recorded when
+episode streams became BLAKE2b blocks.  A pure optimisation must leave
+every value unchanged.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from skillmas.cli import main
 # the benchmark's wide world (perfbench/scenarios.py), N = 96, 400 episodes
 # x 10 rounds, by engine seed
 WIDE96_SHA256 = {
-    7000: "e4ae11952d0f969e993aa0cde91d8f69a47a267a12f42620bffe18779157bc15",
-    7003: "7da82f4d42d134267ef37ed91414c5471f03fc2a93bda2a17f5df294b8a714f9",
+    7000: "c7d8cc575148f91d66cc389ac91545d40db99769a0cbfb81e5e646d4c77d0690",
+    7003: "c1f7cc518865957ad9460cc10b7dba40422f8808896ac3ea757844ef5bc9019b",
 }
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "f2f12bb2048f386d04325be86f1ce82ebe79bc7cd0a103a4cea02e5d64bd0b88"
+RUN_DIR_SHA256 = "7fa864279b91b787bd6c0a05da26b23a6c17ac9b9f95729d6808b642eab9984b"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
-# a NUL byte, then `transplant.json` (recorded before outcome paths were
-# interned in the execution table)
-TRANSPLANT_SHA256 = "63996bc7c3f073f5aef33f10fdf486b6965d781d112452f0555b93c4455a44a8"
+# a NUL byte, then `transplant.json`
+TRANSPLANT_SHA256 = "bdd2045ce0235437476576fbe3540f1c068eaa74407de20dbba5443e9cffa665"
 
 WIDE_CAUSES = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
 
