@@ -1,17 +1,20 @@
-"""Deterministic RNG stream derivation.
+"""Deterministic stream derivation.
 
 Streams are derived by hashing a label path, never by sharing generator
 state, so every episode owns an independent stream reproducible from
 (seed, round, episode index) alone.  Parallel and serial execution of a
 round therefore produce identical trace sets.
 
-Episode i's stream is a list of 32-bit words made of blocks of sixteen:
-`episode_blocks(seed)(i, b)` is block b.  Readers read the list by index
-through two word rules, each defined once here: `word_random` takes 53 bits
-from two words, and `word_randrange(n)` takes the top `n.bit_length()` bits
-of one word per try, rejecting values >= n.  A rule that reads past the
-list appends the next block, so the list always holds a prefix of the
-stream, whatever each reader has read.
+Episode streams are counter-based, after Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3" (SC 2011): episode i's stream is a list of
+32-bit words in blocks of sixteen, and block b, `episode_blocks(seed)(i,
+b)`, is one BLAKE2b digest of (seed, i, b), a pure function of the three.
+Readers read the list by index through two word rules, each defined once
+here: `word_random` takes 53 bits from two words, and `word_randrange(n)`
+takes the top `n.bit_length()` bits of one word per try, rejecting values
+>= n.  A rule that reads past the list appends the episode's next block,
+so the list always holds a prefix of the stream, whatever each reader has
+read.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ def derive_seed(*parts: int | str) -> int:
 
 _BLOCK = struct.Struct("<16I")
 _COUNTER = struct.Struct("<QQ")
+Blocks = Callable[[int, int], list[int]]  # (episode, block) -> sixteen words
 
 
-def episode_blocks(seed: int) -> Callable[[int, int], list[int]]:
+def episode_blocks(seed: int) -> Blocks:
     """`(i, b) -> ` block b of episode i's stream: the BLAKE2b-512 digest of
     the label path `(seed, "episode")`, a separator, then i and b as two
     little-endian 64-bit integers, read as sixteen little-endian 32-bit words.
@@ -55,9 +59,7 @@ def episode_blocks(seed: int) -> Callable[[int, int], list[int]]:
 _TWO_M53 = 1.0 / 9007199254740992.0  # 2 ** -53
 
 
-def word_random(
-    words: list[int], pos: int, blocks: Callable[[int, int], list[int]], episode: int
-) -> float:
+def word_random(words: list[int], pos: int, blocks: Blocks, episode: int) -> float:
     """A float in [0, 1) from `words[pos:pos + 2]`, episode `episode`'s words
     from `blocks`: 53 bits from the tops of two words."""
     while pos + 2 > len(words):
@@ -66,7 +68,7 @@ def word_random(
 
 
 def word_randrange(
-    words: list[int], pos: int, n: int, blocks: Callable[[int, int], list[int]], episode: int
+    words: list[int], pos: int, n: int, blocks: Blocks, episode: int
 ) -> tuple[int, int]:
     """An int in [0, n) from `words[pos:]`, for 0 < n < 2**32, and the position
     after the last word read: the top `n.bit_length()` bits of one word per

@@ -16,7 +16,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -35,7 +35,7 @@ from .model import (
     active_owned,
 )
 from .numfmt import q12
-from .streams import episode_blocks, word_random, word_randrange
+from .streams import Blocks, episode_blocks, word_random, word_randrange
 from .utility import Route, executor_route, rank_skills, skills_by_task
 
 
@@ -262,8 +262,8 @@ class ExecutionTable:
     """Round-scoped routing and candidate table for one frozen state.
 
     Every entry is a pure function of (state, scenario, config), which stay
-    fixed while a batch executes, so an episode only makes its RNG draws and
-    looks the rest up.  A task's routes and phase slots, each with its success
+    fixed while a batch executes, so an episode only reads its stream words
+    and looks the rest up.  A task's routes and phase slots, each with its success
     probability and dominant deficit, are filled on first use, so the order
     in which entries are filled cannot change any result.
     Slots read indexes built on first use, once per table (each task's
@@ -387,9 +387,6 @@ class ExecutionTable:
             _success_prob(self.scenario, pair, terms),
             _deficit(self.scenario, terms),
         )
-
-
-Blocks = Callable[[int, int], list[int]]  # (episode, block) -> sixteen words
 
 
 def walk_episode(
