@@ -93,9 +93,10 @@ def _snapshot_name(round_index: int) -> str:
 
 
 TRACE_LOG = "traces.jsonl"
-# `run.json`'s format; 2 since episode streams are BLAKE2b blocks.  A run
-# directory of any other format drew its episodes from other streams.
-RUN_FORMAT = 2
+# `run.json`'s format; 3 since utility entries are exact counts (2 since
+# episode streams are BLAKE2b blocks).  A run directory of any other format
+# replays to other bytes.
+RUN_FORMAT = 3
 _SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 
 

@@ -9,6 +9,7 @@ the sequential round update.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 from array import array
@@ -16,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
+
+from .numfmt import q12
 
 Pair = tuple[str, str]
 """A (task type id, phase id) coordinate in the routing space."""
@@ -145,14 +148,19 @@ class Executor:
 
 @dataclass(frozen=True)
 class UtilityTable:
-    """Empirical success estimates keyed by (skill or executor id, task id).
+    """Verified outcomes keyed by (skill or executor id, task id).
 
-    Each entry carries the number of verified updates applied to it; with
-    the count-based step size the value is exactly the running mean of the
-    binary outcomes fed to the entry.
+    Every outcome is 0 or 1, so an entry is exactly its (successes,
+    attempts) counts.  Its value, the mean outcome `q12(successes /
+    attempts)`, is computed where it is read.
     """
 
-    entries: dict[tuple[str, str], tuple[float, int]] = field(default_factory=dict)
+    counts: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
+
+    @functools.cached_property
+    def entries(self) -> dict[tuple[str, str], tuple[float, int]]:
+        """The read view: each key's (value, attempts)."""
+        return {key: (q12(s / n), n) for key, (s, n) in self.counts.items()}
 
     def get(self, key: str, task_id: str) -> tuple[float, int] | None:
         return self.entries.get((key, task_id))
@@ -162,18 +170,21 @@ class UtilityTable:
         return entry[0] if entry is not None else default
 
     def count(self, key: str, task_id: str) -> int:
-        entry = self.entries.get((key, task_id))
+        entry = self.counts.get((key, task_id))
         return entry[1] if entry is not None else 0
 
-    def sorted_entries(self) -> list[tuple[tuple[str, str], tuple[float, int]]]:
-        return sorted(self.entries.items())
+    @staticmethod
+    def check_counts(key: str, task_id: str, successes: int, attempts: int) -> None:
+        """The one rule for an entry: 0 <= successes <= attempts, attempts >= 1."""
+        if not 0 <= successes <= attempts or attempts < 1:
+            raise StateError(
+                f"utility ({key},{task_id}) counts {successes}/{attempts} out of range: "
+                "need 0 <= successes <= attempts and attempts >= 1"
+            )
 
     def check(self) -> None:
-        for (key, task_id), (value, count) in self.entries.items():
-            if not 0.0 <= value <= 1.0:
-                raise StateError(f"utility ({key},{task_id}) out of [0,1]: {value}")
-            if count < 0:
-                raise StateError(f"utility ({key},{task_id}) has negative count")
+        for (key, task_id), (successes, attempts) in self.counts.items():
+            self.check_counts(key, task_id, successes, attempts)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ def build_artifacts(
         implicated = tuple(
             ExecutorEvidence(
                 id=eid,
-                value=q12(q_exec_plus.value(eid, task_id)),
+                value=q_exec_plus.value(eid, task_id),
                 count=q_exec_plus.count(eid, task_id),
             )
             for eid in implicated_ids
@@ -250,7 +250,7 @@ def decide_restructure(
                 "owned_skills": len(owned_active),
                 "capacity": executor.capacity,
                 "weak_family": task_id,
-                "utility": q12(entry[0]),
+                "utility": entry[0],
                 "count": entry[1],
                 "weak_utility": config.weak_executor_utility,
                 "min_count": config.min_count,

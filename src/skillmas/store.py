@@ -36,10 +36,9 @@ from .model import (
     UtilityTable,
     validate_state,
 )
-from .numfmt import fmt
 from .world import LatentSkill, Scenario
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 SNAPSHOT_HEADER = "skillmas-state"
 
 # a lone "-" is how a snapshot writes an empty set, so it is no id
@@ -436,8 +435,8 @@ def _records(state: RoundState) -> Iterator[str]:
             f"owns={_join(e.owned_skills)}"
         )
     for kind, table in (("qskill", state.q_skill), ("qexec", state.q_exec)):
-        for (key, task_id), (value, count) in table.sorted_entries():
-            yield f"{kind} {_check_token(key)} {_check_token(task_id)} {fmt(value)} {count}"
+        for (key, task_id), (successes, attempts) in sorted(table.counts.items()):
+            yield f"{kind} {_check_token(key)} {_check_token(task_id)} {successes} {attempts}"
     for sid in sorted(state.pool):
         uses, successes = state.pool[sid]
         yield f"pool {_check_token(sid)} {uses} {successes}"
@@ -484,13 +483,14 @@ def deserialize_state(text: str) -> RoundState:
     version = parts[1][1:]
     if version != str(SNAPSHOT_VERSION):
         raise StoreError(
-            f"snapshot version mismatch: file v{version}, supported v{SNAPSHOT_VERSION}"
+            f"snapshot version mismatch: file v{version}, supported v{SNAPSHOT_VERSION}",
+            offset=0,
         )
 
     rounds: list[int] = []
     library: dict[str, Skill] = {}
     executors: dict[str, Executor] = {}
-    tables: dict[str, dict[tuple[str, str], tuple[float, int]]] = {"qskill": {}, "qexec": {}}
+    tables: dict[str, dict[tuple[str, str], tuple[int, int]]] = {"qskill": {}, "qexec": {}}
     pool: dict[str, tuple[int, int]] = {}
     cards: dict[str, PolicyCard] = {}
     for at, line in lines[1:]:
@@ -521,8 +521,10 @@ def deserialize_state(text: str) -> RoundState:
                     is_manager=bool(int(opts["manager"])),
                 ))
             elif kind in tables:
-                key, task_id, value, count = rest
-                tables[kind].setdefault((key, task_id), (float(value), int(count)))
+                key, task_id, successes, attempts = rest
+                entry = (int(successes), int(attempts))
+                UtilityTable.check_counts(key, task_id, *entry)
+                tables[kind].setdefault((key, task_id), entry)
             elif kind == "pool":
                 sid, uses, successes = rest
                 pool.setdefault(sid, (int(uses), int(successes)))

@@ -1,9 +1,9 @@
 """Utility learning: trace-grounded credit assignment and utility-driven selection.
 
-Credit is conservative: a skill earns an update only when it was invoked or
-pattern-supported in an executor slice, and an executor earns an update only
-when it actually holds a slice in the episode.  Merely retrieved skills get
-nothing.
+Credit is conservative: a skill earns an attempt only when it was invoked or
+pattern-supported in an executor slice, and an executor earns an attempt
+only when it actually holds a slice in the episode.  Merely retrieved skills
+get nothing.  Credit adds exact (successes, attempts) counts.
 """
 
 from __future__ import annotations
@@ -20,26 +20,11 @@ from .model import (
     StateError,
     UtilityTable,
 )
-from .numfmt import q12
 
 
 def used_skills(sl: ExecutorSlice) -> frozenset[str]:
     """Skills that actually participated in the slice: invoked or pattern-supported."""
     return sl.invoked | sl.pattern_supported
-
-
-def step_size(count: int) -> float:
-    """Count-based update rate 1/(1+N); unseen entries get a full overwrite."""
-    if count < 0:
-        raise ValueError("update count cannot be negative")
-    return 1.0 / (1.0 + count)
-
-
-def mc_update(entry: tuple[float, int] | None, outcome: int) -> tuple[float, int]:
-    """One Monte Carlo update of a (value, count) entry toward a binary outcome."""
-    value, count = entry if entry is not None else (0.0, 0)
-    alpha = step_size(count)
-    return q12(value + alpha * (outcome - value)), count + 1
 
 
 def learn(
@@ -50,31 +35,31 @@ def learn(
     known_skills: Iterable[str] | None = None,
     known_executors: Iterable[str] | None = None,
 ) -> tuple[UtilityTable, UtilityTable]:
-    """Fold a round's batch into fresh skill and executor utility tables.
+    """Add a round's batch to fresh skill and executor utility tables.
 
-    Episodes are folded in generation order, the order of `batch.index`.
-    Entries never touched stay bit-identical; touched entries move toward
-    the episode outcome at the count-based rate, which makes each value the
-    exact running mean of the outcomes applied to it.  The membership
-    checks and the ordered credit keys depend only on a shape, so they are
-    derived once per table entry, in table order: the first shape with an
-    unknown id is the shape of the first episode that has one, and the
-    error names that episode.
+    Each credit key of a table entry seen k times gains (outcome x k, k),
+    so the result depends only on `batch.tally()`, not on the episodes'
+    order.  A key is credited once per executor that used it: a skill used
+    in two executors' slices of one episode gains two attempts.  Entries
+    never touched stay as they were.  The membership checks run once per
+    table entry, in table order: the first shape with an unknown id is the
+    shape of the first episode that has one, and the error names that
+    episode.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
-    credit = [_credit_keys(batch, k, skill_ids, executor_ids) for k in range(len(batch.shapes))]
-
-    s_entries = dict(q_skill.entries)
-    a_entries = dict(q_exec.entries)
-    for k in batch.index:
-        skill_keys, executor_keys, outcome = credit[k]
-        for key in skill_keys:
-            s_entries[key] = mc_update(s_entries.get(key), outcome)
-        for key in executor_keys:
-            a_entries[key] = mc_update(a_entries.get(key), outcome)
-
-    return UtilityTable(s_entries), UtilityTable(a_entries)
+    s_counts = dict(q_skill.counts)
+    a_counts = dict(q_exec.counts)
+    for k, (shape, seen) in enumerate(batch.tally()):
+        if not seen:
+            continue
+        won = shape.outcome * seen
+        skill_keys, executor_keys = _credit_keys(batch, k, skill_ids, executor_ids)
+        for counts, keys in ((s_counts, skill_keys), (a_counts, executor_keys)):
+            for key in keys:
+                successes, attempts = counts.get(key, (0, 0))
+                counts[key] = (successes + won, attempts + seen)
+    return UtilityTable(s_counts), UtilityTable(a_counts)
 
 
 def _credit_keys(
@@ -82,10 +67,9 @@ def _credit_keys(
     k: int,
     skill_ids: frozenset[str] | None,
     executor_ids: frozenset[str] | None,
-) -> tuple[list, list, int]:
-    """Table entry k's skill and executor credit keys, in update order
-    (executors by first appearance, each one's used skills by id), and its
-    outcome."""
+) -> tuple[list, list]:
+    """Table entry k's skill and executor credit keys (executors by first
+    appearance, each one's used skills by id)."""
     shape = batch.shapes[k]
     used_by: dict[str, frozenset[str]] = {}
     for sl in shape.slices:
@@ -96,16 +80,10 @@ def _credit_keys(
             problem = f"references unknown skills {sorted(sl.selected - skill_ids)}"
         if problem is not None:
             raise StateError(f"trace {batch.episode_id(batch.index.index(k))} {problem}")
-        used = used_by.get(sl.executor)
-        used_by[sl.executor] = used_skills(sl) if used is None else used | used_skills(sl)
+        used_by[sl.executor] = used_by.get(sl.executor, frozenset()) | used_skills(sl)
     task_id = shape.task_type.id
-    skill_keys = []
-    executor_keys = []
-    for executor_id, used in used_by.items():
-        for skill_id in sorted(used):
-            skill_keys.append((skill_id, task_id))
-        executor_keys.append((executor_id, task_id))
-    return skill_keys, executor_keys, shape.outcome
+    skill_keys = [(sid, task_id) for used in used_by.values() for sid in sorted(used)]
+    return skill_keys, [(eid, task_id) for eid in used_by]
 
 
 def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:

@@ -65,7 +65,6 @@ from skillmas.streams import derive_seed, episode_blocks
 from skillmas.utility import (
     Route,
     executor_route,
-    mc_update,
     rank_skills,
     skills_by_task,
     used_skills,
@@ -400,10 +399,17 @@ def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> l
 
 
 def reference_learn(q_skill, q_exec, episodes, *, known_skills=None, known_executors=None):
+    """Add each episode's (outcome, 1) to every key it credits, once per
+    executor that used the key, one episode at a time."""
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
-    s_entries = dict(q_skill.entries)
-    a_entries = dict(q_exec.entries)
+    s_counts = dict(q_skill.counts)
+    a_counts = dict(q_exec.counts)
+
+    def credit(counts, key, outcome):
+        successes, attempts = counts.get(key, (0, 0))
+        counts[key] = (successes + outcome, attempts + 1)
+
     for e in episodes:  # already in generation order
         task_id = e.task_type.id
         used_by = {}
@@ -415,13 +421,10 @@ def reference_learn(q_skill, q_exec, episodes, *, known_skills=None, known_execu
                 raise StateError(f"trace {e.episode_id} references unknown skills {unknown}")
             used_by.setdefault(sl.executor, set()).update(used_skills(sl))
         for executor_id in e.executors():
-            for skill_id in sorted(used_by[executor_id]):
-                key = (skill_id, task_id)
-                s_entries[key] = mc_update(s_entries.get(key), e.outcome)
-        for executor_id in e.executors():
-            key = (executor_id, task_id)
-            a_entries[key] = mc_update(a_entries.get(key), e.outcome)
-    return UtilityTable(s_entries), UtilityTable(a_entries)
+            for skill_id in used_by[executor_id]:
+                credit(s_counts, (skill_id, task_id), e.outcome)
+            credit(a_counts, (executor_id, task_id), e.outcome)
+    return UtilityTable(s_counts), UtilityTable(a_counts)
 
 
 def reference_pool_counters(pool, episodes):
@@ -521,7 +524,7 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
         family = failures[task_id]
         last = [e.slices[-1] for e in family]
         implicated = tuple(
-            ExecutorEvidence(eid, q12(q_exec_plus.value(eid, task_id)), q_exec_plus.count(eid, task_id))
+            ExecutorEvidence(eid, q_exec_plus.value(eid, task_id), q_exec_plus.count(eid, task_id))
             for eid in sorted({sl.executor for sl in last})
         )
         artifacts.append(

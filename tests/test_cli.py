@@ -693,15 +693,17 @@ class TestRetiredThreshold:
 
 
 class TestRunFormat:
-    """`run.json` carries format 2; a directory of any other format, or of
-    none, drew its episodes from other streams and is a usage error."""
+    """`run.json` carries format 3; a directory of any other format, or of
+    none, replays to other bytes (format 2 wrote utility entries as floats,
+    format 1 drew other episode streams) and is a usage error."""
 
-    def test_new_directories_carry_format_2(self, run_dir):
-        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 2
+    def test_new_directories_carry_format_3(self, run_dir):
+        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 3
 
     @pytest.mark.parametrize(
-        "found, shown", [(1, "format 1,"), (3, "format 3,"), ("2", 'format "2",'),
-                         (2.0, "format 2.0,"), (None, "format missing,")]
+        "found, shown", [(1, "format 1,"), (2, "format 2,"), ("2", 'format "2",'),
+                         (2.0, "format 2.0,"), ("3", 'format "3",'), (3.0, "format 3.0,"),
+                         (None, "format missing,")]
     )
     @pytest.mark.parametrize("command", ["replay", "transplant"])
     def test_other_formats_are_refused(self, run_dir, capsys, command, found, shown):
@@ -713,7 +715,7 @@ class TestRunFormat:
         assert main([command, "--run", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: run directory format ")
-        assert shown in err and "not 2" in err
+        assert shown in err and "not 3" in err
 
 
 def _non_utf8(path):

@@ -3,9 +3,10 @@
 Episode ids are `r{round:04d}e{index:05d}`; past 10^5 episodes or 10^4
 rounds they grow wider, and plain string order no longer follows generation
 order.  No stage orders episodes by id: a batch holds episode i's shape at
-`index[i]`, `learn`, the report's `retained` lists and the trace-log writer
-read that sequence, and `collect_proposals` and `skill_evolve` keep the
-order they are given.
+`index[i]`, the report's `retained` lists and the trace-log writer read that
+sequence, and `collect_proposals` and `skill_evolve` keep the order they
+are given.  `learn` reads only the batch's tally, so its result does not
+depend on the order at all.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from skillmas.model import (
 from skillmas.orchestrator import run_round
 from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log
-from skillmas.utility import learn, mc_update
+from skillmas.utility import learn
 from skillmas.world import exec_round
 
 from conftest import batch_of, make_skill
+from reference import episodes_of, reference_learn
 
 TASK = TaskType("t", ("p",))
 SLICE = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
@@ -48,8 +50,7 @@ PAD = TraceShape(
     1.0,
 )
 
-# generation order across the 10^5 boundary, and outcomes whose running
-# mean rounds differently when folded in plain string order
+# generation order across the 10^5 boundary, with mixed outcomes
 ACROSS = range(99996, 100004)
 OUTCOMES = [0, 0, 0, 1, 0, 0, 1, 1]
 
@@ -64,13 +65,6 @@ def across_batch() -> Batch:
     failed, succeeded = shape(0), shape(1)
     index = [0] * ACROSS[0] + [1 + outcome for outcome in OUTCOMES]
     return Batch(0, (PAD, failed, succeeded), array("L", index))
-
-
-def fold(outcomes) -> tuple[float, int]:
-    entry = None
-    for outcome in outcomes:
-        entry = mc_update(entry, outcome)
-    return entry
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,27 +90,67 @@ def test_batch_index_holds_every_32_bit_position():
     assert array(batch.index.typecode, [2**32 - 1])[0] == 2**32 - 1
 
 
-def test_learn_credits_in_generation_order_past_the_width():
-    ids = {i: f"r0000e{i:05d}" for i in ACROSS}
-    by_id = dict(zip(ids.values(), OUTCOMES))
-    in_string_order = [by_id[i] for i in sorted(by_id)]
-    assert fold(OUTCOMES) != fold(in_string_order)  # the order is observable
+TASKS = (TaskType("t", ("p", "q")), TaskType("u", ("p",)))
+PRIOR = UtilityTable({("a", "t"): (2, 5), ("w", "t"): (1, 3), ("v", "u"): (4, 4)})
 
+
+@st.composite
+def trace_shapes(draw) -> TraceShape:
+    """A shape over two tasks, two executors and three skills, so that one
+    skill can be used in two executors' slices of one episode."""
+    task = draw(st.sampled_from(TASKS))
+    ids = st.frozensets(st.sampled_from("abc"))
+    slices = []
+    for phase in task.phases[: draw(st.integers(1, len(task.phases)))]:
+        selected = draw(ids)
+        executor = draw(st.sampled_from("wv"))
+        invoked, pattern = selected & draw(ids), selected & draw(ids)
+        slices.append(ExecutorSlice(executor, phase, selected, invoked, pattern))
+    outcome = draw(st.integers(0, 1))
+    return TraceShape(task, tuple(slices), outcome, float(outcome))
+
+
+# each episode's shape, drawn from a few shapes so that shapes repeat
+EPISODES = st.lists(trace_shapes(), min_size=1, max_size=5).flatmap(
+    lambda table: st.lists(st.sampled_from(table), min_size=1, max_size=40)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EPISODES, st.data())
+def test_learn_is_independent_of_episode_order(episodes, data):
+    batch = batch_of(episodes)
+    permuted = data.draw(st.permutations(list(batch.index)))
+    shuffled = Batch(0, batch.shapes, array("L", permuted))
+    assert learn(PRIOR, PRIOR, shuffled) == learn(PRIOR, PRIOR, batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EPISODES, st.data())
+def test_learn_over_halves_equals_learn_over_the_batch(episodes, data):
+    cut = data.draw(st.integers(1, len(episodes)))
+    first, second = batch_of(episodes[:cut]), batch_of(episodes[cut:])
+    assert learn(*learn(PRIOR, PRIOR, first), second) == learn(PRIOR, PRIOR, batch_of(episodes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(EPISODES, st.sampled_from([None, "ab", "abc"]), st.sampled_from([None, "w", "wv"]))
+def test_learn_matches_the_per_episode_reference(episodes, known_skills, known_executors):
+    batch = batch_of(episodes)
+    known = {"known_skills": known_skills, "known_executors": known_executors}
+    try:
+        want = reference_learn(PRIOR, PRIOR, episodes_of(batch), **known)
+    except StateError as exc:
+        with pytest.raises(StateError, match=re.escape(str(exc))):
+            learn(PRIOR, PRIOR, batch, **known)
+    else:
+        assert learn(PRIOR, PRIOR, batch, **known) == want
+
+
+def test_learn_counts_exactly_past_the_width():
     q_skill, q_exec = learn(UtilityTable(), UtilityTable(), across_batch())
-    assert q_skill.get("s", "t") == fold(OUTCOMES)
-    assert q_exec.get("w", "t") == fold(OUTCOMES)
-
-
-def test_learn_folds_in_the_order_given():
-    # the table lists the first outcome's shape first; the index order is
-    # what counts
-    outcomes = OUTCOMES[::-1]
-    failed, succeeded = shape(0), shape(1)
-    batch = batch_of([succeeded if o else failed for o in outcomes])
-    assert fold(outcomes) != fold(OUTCOMES)
-    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), batch)
-    assert q_skill.get("s", "t") == fold(outcomes)
-    assert q_exec.get("w", "t") == fold(outcomes)
+    counts = (sum(OUTCOMES), len(OUTCOMES))
+    assert q_skill.counts[("s", "t")] == q_exec.counts[("w", "t")] == counts
 
 
 def test_learn_names_the_first_offender_in_generation_order():

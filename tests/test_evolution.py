@@ -279,7 +279,7 @@ class TestSkillEvolve:
 
     def test_low_utility_cluster_pruned(self):
         bad = make_skill("bad")
-        q = UtilityTable({("bad", "t1"): (0.1, 8)})
+        q = UtilityTable({("bad", "t1"): (1, 8)})
         proposal = Proposal(
             source_trace="e0", target_cluster="bad",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,

@@ -186,9 +186,15 @@ class TestStateValidation:
             validate_state(state, frozenset({("t1", "p1"), ("t9", "p9")}))
 
     def test_utility_out_of_range_rejected(self):
-        state = make_state([], q_skill=UtilityTable({("a", "t1"): (1.5, 1)}))
+        state = make_state([], q_skill=UtilityTable({("a", "t1"): (2, 1)}))
         with pytest.raises(StateError, match="out of"):
             validate_state(state, UNIVERSE)
+
+    @pytest.mark.parametrize("counts", [(-1, 3), (0, 0), (0, -1), (4, 3)])
+    def test_utility_counts_rule(self, counts):
+        with pytest.raises(StateError, match=r"counts .* out of range"):
+            UtilityTable({("a", "t1"): counts}).check()
+        UtilityTable({("a", "t1"): (counts[1], counts[1]) if counts[1] > 0 else (0, 1)}).check()
 
 
 class TestOwnershipEdits:

@@ -144,7 +144,7 @@ class TestDecide:
                 Executor("wb", universe, frozenset({"twin-b"})),
             ],
         )
-        q = UtilityTable({("wa", "t1"): (0.62, 9), ("wb", "t1"): (0.57, 7)})
+        q = UtilityTable({("wa", "t1"): (5, 9), ("wb", "t1"): (4, 7)})
         decision = decide_restructure([], state.executors, q, CONFIG,
                                       round_index=0, library=state.library)
         assert decision.action == "merge-remove"
@@ -163,7 +163,7 @@ class TestDecide:
                 Executor("wb", universe, frozenset({"twin-b"})),
             ],
         )
-        q = UtilityTable({("wa", "t1"): (0.9, 9), ("wb", "t1"): (0.5, 7)})
+        q = UtilityTable({("wa", "t1"): (8, 9), ("wb", "t1"): (3, 7)})
         decision = decide_restructure([], state.executors, q, CONFIG,
                                       round_index=0, library=state.library)
         assert decision.action == "keep"
@@ -179,7 +179,7 @@ class TestDecide:
                          frozenset(s.id for s in skills), capacity=2),
             ],
         )
-        q = UtilityTable({("worker", "t1"): (0.2, 6)})
+        q = UtilityTable({("worker", "t1"): (1, 6)})
         decision = decide_restructure([], state.executors, q, CONFIG,
                                       round_index=0, library=state.library)
         assert decision.action == "modify"
@@ -200,7 +200,7 @@ class TestDecide:
                 Executor("wb", universe, frozenset({"twin-b"})),
             ],
         )
-        q = UtilityTable({("wa", "t1"): (0.45, 9), ("wb", "t1"): (0.44, 7)})
+        q = UtilityTable({("wa", "t1"): (4, 9), ("wb", "t1"): (3, 7)})
         decision = decide_restructure(
             [artifact(executors=(("wa", 0.45, 9), ("wb", 0.44, 7)))],
             state.executors, q, CONFIG, round_index=0, library=state.library,
@@ -259,7 +259,7 @@ class TestApply:
                 Executor("wa", universe, frozenset({"s1"})),
                 Executor("wb", universe, frozenset({"s2"})),
             ],
-            q_skill=UtilityTable({("s1", "t1"): (0.8, 5), ("s2", "t1"): (0.6, 5)}),
+            q_skill=UtilityTable({("s1", "t1"): (4, 5), ("s2", "t1"): (3, 5)}),
         )
         decision = RestructureDecision(
             action="merge-remove", subjects=("wa", "wb"),
@@ -395,7 +395,7 @@ def one_third_world(overlap_threshold):
             Executor("wb", universe, frozenset({"sb"})),
         ],
     )
-    q = UtilityTable({("wa", "t1"): (0.6, 9), ("wb", "t1"): (0.58, 9)})
+    q = UtilityTable({("wa", "t1"): (6, 10), ("wb", "t1"): (11, 19)})
     return [], state.executors, q, EngineConfig(overlap_threshold=overlap_threshold), state.library
 
 
@@ -458,9 +458,11 @@ def restructure_inputs(draw):
         )
         executors[eid] = Executor(eid, boundary, owned, capacity=draw(st.integers(1, 4)),
                                   is_manager=eid == "manager")
+    attempts = st.integers(1, 9)
     q = UtilityTable({
-        (eid, task): (draw(RATIO), draw(st.integers(0, 9)))
+        (eid, task): (draw(st.integers(0, n)), n)
         for eid in everyone for task in ("t0", "t1") if draw(st.integers(0, 3))
+        for n in [draw(attempts)]
     })
     artifacts = [
         DiagnosticArtifact(

@@ -111,7 +111,7 @@ class TestRetainRules:
         assert RetentionCategory.REUSABLE_SUCCESS in labels[0]
 
     def test_success_on_weak_prior_executor(self):
-        prior = UtilityTable({("w", "t1"): (0.2, 4)})
+        prior = UtilityTable({("w", "t1"): (1, 4)})
         labels = run_retain([shape(1)], q_exec_prior=prior)
         assert len(labels) == 1
         assert RetentionCategory.REUSABLE_SUCCESS in labels[0]

@@ -67,7 +67,8 @@ from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
 STATUSES = list(SkillStatus)
-UTILITIES = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so greedy picks tie
+# successes as quarters of the attempts, rounded down: few values, so greedy picks tie
+QUARTERS = range(5)
 
 
 def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig]:
@@ -143,18 +144,20 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
     task_ids = [t.id for t in tasks]
     q_skill = UtilityTable(
         {
-            (sid, tid): (rng.choice(UTILITIES), rng.randint(1, 9))
+            (sid, tid): (quarters * n // 4, n)
             for sid in library
             for tid in task_ids
             if rng.random() < 0.5
+            for quarters, n in [(rng.choice(QUARTERS), rng.randint(1, 9))]
         }
     )
     q_exec = UtilityTable(
         {
-            (eid, tid): (rng.choice(UTILITIES), rng.randint(1, 9))
+            (eid, tid): (quarters * n // 4, n)
             for eid in executors
             for tid in task_ids
             if rng.random() < 0.6
+            for quarters, n in [(rng.choice(QUARTERS), rng.randint(1, 9))]
         }
     )
     pool = {

@@ -138,8 +138,7 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
         known_skills=state.library, known_executors=state.executors,
     )
     assert q_skill == want_skill and q_exec == want_exec
-    assert repr(q_skill.sorted_entries()) == repr(want_skill.sorted_entries())
-    assert repr(q_exec.sorted_entries()) == repr(want_exec.sorted_entries())
+    assert q_skill.entries == want_skill.entries and q_exec.entries == want_exec.entries
 
     pool = update_pool_counters(state.pool, tally)
     want_pool = reference_pool_counters(state.pool, episodes)

@@ -62,25 +62,56 @@ def test_eval_names_the_snapshot_of_a_parse_error(run_dir, capsys):
     assert f"snapshot {snapshot}:" in err and "truncated" in err
 
 
+def test_eval_names_the_format_of_a_v1_snapshot(run_dir, capsys):
+    snapshot = run_dir / "snapshots" / "state_r001.txt"
+    text = snapshot.read_text(encoding="utf-8")
+    assert text.startswith("skillmas-state v2\n")
+    snapshot.write_text(text.replace("v2", "v1", 1), encoding="utf-8")
+    code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
+                 "--episodes", "5", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"snapshot {snapshot}: snapshot version mismatch: file v1, supported v2" in err
+    assert "(byte offset 0)" in err
+
+
+def test_eval_refuses_a_count_at_its_byte_offset(run_dir, capsys):
+    snapshot = run_dir / "snapshots" / "state_r001.txt"
+    text = snapshot.read_text(encoding="utf-8")
+    at = text.index("\nqexec ") + 1
+    end = text.index("\n", at)
+    kind, key, task_id, _, attempts = text[at:end].split()
+    snapshot.write_text(
+        f"{text[:at]}{kind} {key} {task_id} {int(attempts) + 1} {attempts}{text[end:]}",
+        encoding="utf-8",
+    )
+    code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
+                 "--episodes", "5", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"snapshot {snapshot}: malformed qexec record" in err
+    assert f"(byte offset {len(text[:at].encode('utf-8'))})" in err
+
+
 @pytest.mark.parametrize(
     "field",
     ["qskill key", "qskill task", "qexec key", "qexec task", "pool", "card task", "card template"],
 )
 def test_every_snapshot_id_is_token_checked(field):
     skill = make_skill("sk")
-    q_skill = UtilityTable({("sk", "t1"): (0.5, 1)})
-    q_exec = UtilityTable({("worker", "t1"): (0.5, 1)})
+    q_skill = UtilityTable({("sk", "t1"): (1, 2)})
+    q_exec = UtilityTable({("worker", "t1"): (1, 2)})
     pool = {}
     card = PolicyCard("pc", CauseLabel.UNKNOWN, "t1", BoundedTag.NONE, "lat")
     bad = "has space"
     if field == "qskill key":
-        q_skill = UtilityTable({(bad, "t1"): (0.5, 1)})
+        q_skill = UtilityTable({(bad, "t1"): (1, 2)})
     elif field == "qskill task":
-        q_skill = UtilityTable({("sk", bad): (0.5, 1)})
+        q_skill = UtilityTable({("sk", bad): (1, 2)})
     elif field == "qexec key":
-        q_exec = UtilityTable({(bad, "t1"): (0.5, 1)})
+        q_exec = UtilityTable({(bad, "t1"): (1, 2)})
     elif field == "qexec task":
-        q_exec = UtilityTable({("worker", bad): (0.5, 1)})
+        q_exec = UtilityTable({("worker", bad): (1, 2)})
     elif field == "pool":
         pool = {bad: (0, 0)}
     elif field == "card task":

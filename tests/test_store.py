@@ -16,6 +16,7 @@ from skillmas.model import (
     PolicyCard,
     RoundState,
     SkillStatus,
+    StateError,
     UtilityTable,
 )
 from skillmas.presets import PRESETS, load_preset
@@ -30,7 +31,6 @@ from skillmas.store import (
 )
 from skillmas.world import exec_round
 from skillmas.config import EngineConfig
-from skillmas.numfmt import q12
 from skillmas.orchestrator import run_experiment
 
 from conftest import make_skill, make_state, random_scenario
@@ -67,9 +67,9 @@ class TestSnapshots:
             "extra-a": Executor("extra-a", frozenset({("t1", "p1")}), frozenset()),
             "extra-b": Executor("extra-b", frozenset({("t1", "p2")}), frozenset()),
         }
-        # the engine quantizes utility values at update time; mirror that here
-        q_skill = UtilityTable({("sk00", "t1"): (q12(2 / 3), 3), ("sk01", "t1"): (0.25, 4)})
-        q_exec = UtilityTable({("worker", "t1"): (q12(4 / 7), 7)})
+        # utility entries are (successes, attempts) counts
+        q_skill = UtilityTable({("sk00", "t1"): (2, 3), ("sk01", "t1"): (1, 4)})
+        q_exec = UtilityTable({("worker", "t1"): (4, 7)})
         state = RoundState(
             round_index=5,
             library={s.id: s for s in skills},
@@ -84,7 +84,7 @@ class TestSnapshots:
             ),
         )
         text = serialize_state(state)
-        # values quantized at update time round-trip exactly
+        assert "\nqexec worker t1 4 7\n" in text
         restored = deserialize_state(text)
         assert restored == state
         assert serialize_state(restored) == text
@@ -97,9 +97,21 @@ class TestSnapshots:
 
     def test_version_mismatch_refused(self):
         state = make_state([])
-        text = serialize_state(state).replace("v1", "v2", 1)
-        with pytest.raises(StoreError, match="version mismatch.*v2.*v1"):
+        text = serialize_state(state).replace("v2", "v3", 1)
+        with pytest.raises(StoreError, match="version mismatch.*v3.*v2") as err:
             deserialize_state(text)
+        assert err.value.offset == 0
+
+    def test_a_v1_snapshot_is_refused_as_v1(self):
+        # a snapshot as format v1 wrote it, with utility values as floats
+        text = (
+            "skillmas-state v1\nround 1\n"
+            "executor manager manager=1 capacity=4 boundary=t1/p1 owns=-\n"
+            "qexec manager t1 0.265306122449 49\nend\n"
+        )
+        with pytest.raises(StoreError, match=r"file v1, supported v2 \(byte offset 0\)") as err:
+            deserialize_state(text)
+        assert err.value.offset == 0
 
     def test_truncated_stream_rejected_atomically(self):
         state = make_state([make_skill("sk")])
@@ -180,6 +192,13 @@ SNAPSHOT_DAMAGE = {
     "round 01": _field("round", 1, "01"),
     "guards=a,-": _field("skill", 6, "guards=a,-"),
     "utility 0.50": _field("qskill", 3, "0.50"),
+    "attempts 07": _field("qexec", 4, "07"),
+    **{f"{kind} {name}": _field(kind, index, text)
+       for kind in ("qskill", "qexec")
+       for name, index, text in (("successes above attempts", 3, "99"),
+                                 ("negative successes", 3, "-1"),
+                                 ("attempts 0", 4, "0"),
+                                 ("negative attempts", 4, "-2"))},
     "blank line": lambda lines: (lines[:2] + [""] + lines[2:], 2),
     "CRLF line ends": lambda lines: ([line + "\r" for line in lines], 0),
     "no final newline": lambda lines: (lines, len(lines) - 1, ""),
@@ -187,6 +206,21 @@ SNAPSHOT_DAMAGE = {
     "unsafe token": _field("skill", 1, "a!"),
     "pair a/b/c": _field("executor", 4, "boundary=a/b/c"),
 }
+
+
+@pytest.mark.parametrize("successes, attempts", [(99, 5), (-1, 5), (0, 0), (0, -2)])
+def test_count_errors_follow_the_table_rule(evolved_snapshot, successes, attempts):
+    # the reader refuses a count at its line by the rule `UtilityTable.check` applies
+    at = next(i for i, line in enumerate(evolved_snapshot) if line.startswith("qexec "))
+    kind, key, task_id, _, _ = evolved_snapshot[at].split()
+    lines = list(evolved_snapshot)
+    lines[at] = f"{kind} {key} {task_id} {successes} {attempts}"
+    with pytest.raises(StateError) as rule:
+        UtilityTable({(key, task_id): (successes, attempts)}).check()
+    with pytest.raises(StoreError) as err:
+        deserialize_state("\n".join(lines) + "\n")
+    assert str(rule.value) in str(err.value)
+    assert err.value.offset == sum(len(line) + 1 for line in lines[:at])
 
 
 @pytest.fixture(scope="module")

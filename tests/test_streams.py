@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import skillmas
-from skillmas.numfmt import fmt, q12
+from skillmas.numfmt import q12
 from skillmas.streams import derive_seed, episode_blocks
 
 
@@ -30,15 +30,17 @@ def test_substreams_reproduce():
 def test_q12_fixed_point_round_trip():
     for value in (0.0, 1.0, 0.5, 2 / 3, 1 / 7, 0.123456789012345, 1e-9):
         quantized = q12(value)
-        assert float(fmt(quantized)) == quantized
-        assert fmt(q12(quantized)) == fmt(quantized)
+        assert float(repr(quantized)) == quantized
+        assert q12(quantized) == quantized
         assert abs(quantized - value) <= max(1e-12, abs(value) * 5e-12)
 
 
 def test_fmt_examples():
-    assert fmt(0.5) == "0.5"
-    assert fmt(2 / 3) == "0.666666666667"
-    assert fmt(1.0) == "1"
+    # a quantized value is written (json, repr) as its 12-digit decimal
+    assert repr(q12(0.5)) == "0.5"
+    assert repr(q12(2 / 3)) == "0.666666666667"
+    assert repr(q12(13 / 49)) == "0.265306122449"
+    assert repr(q12(1.0)) == "1.0"
 
 
 def test_no_engine_module_imports_random():

@@ -18,7 +18,6 @@ from skillmas.model import (
 from skillmas.utility import (
     executor_route,
     learn,
-    step_size,
     used_skills,
 )
 
@@ -50,21 +49,6 @@ class TestUsedSkills:
         assert used_skills(sl("e", {"s1", "s2", "s3"}, {"s1"}, {"s2"})) == {"s1", "s2"}
 
 
-class TestStepSize:
-    def test_unseen_entry_full_overwrite(self):
-        assert step_size(0) == 1.0
-
-    def test_second_update(self):
-        assert step_size(1) == 0.5
-
-    def test_tenth_update(self):
-        assert step_size(9) == pytest.approx(0.1)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            step_size(-1)
-
-
 class TestLearn:
     def test_fresh_entry_takes_first_outcome(self):
         batch = batch_of([make_shape([sl("w", {"s1"}, {"s1"})], 1)])
@@ -83,17 +67,17 @@ class TestLearn:
         assert abs(value - (2 / 3)) < 1e-9
 
     def test_selected_but_unused_untouched(self):
-        prior = UtilityTable({("s2", "t1"): (0.25, 4)})
+        prior = UtilityTable({("s2", "t1"): (1, 4)})
         batch = batch_of([make_shape([sl("w", {"s1", "s2"}, {"s1"})], 1)])
         q_s, _ = learn(prior, UtilityTable(), batch)
         assert q_s.get("s2", "t1") == (0.25, 4)
         assert q_s.get("s1", "t1") == (1.0, 1)
 
     def test_executor_credit_only_for_slice_holders(self):
-        prior = UtilityTable({("idle", "t1"): (0.9, 2)})
+        prior = UtilityTable({("idle", "t1"): (1, 2)})
         batch = batch_of([make_shape([sl("w", {"s1"}, {"s1"})], 0)])
         _, q_a = learn(UtilityTable(), prior, batch)
-        assert q_a.get("idle", "t1") == (0.9, 2)
+        assert q_a.get("idle", "t1") == (0.5, 2)
         assert q_a.get("w", "t1") == (0.0, 1)
 
     def test_unknown_ids_hard_error(self):
@@ -105,16 +89,22 @@ class TestLearn:
             learn(UtilityTable(), UtilityTable(), batch, known_skills=["ghost"],
                   known_executors=["other"])
 
-    def test_processes_in_episode_id_order(self):
-        batch = batch_of(
-            [
-                make_shape([sl("w", {"s1"}, {"s1"})], 0),
-                make_shape([sl("w", {"s1"}, {"s1"})], 1),
-            ]
+    def test_skill_used_by_two_executors_is_credited_twice(self):
+        task = TaskType("t1", ("p1", "p2"))
+        shape = make_shape(
+            [sl("w", {"s1"}, {"s1"}), sl("v", {"s1"}, set(), {"s1"}, phase="p2")], 1, task
         )
-        q_s, _ = learn(UtilityTable(), UtilityTable(), batch)
-        # episode 0 (outcome 0) first, then episode 1 (outcome 1): mean 0.5, count 2
-        assert q_s.get("s1", "t1") == (0.5, 2)
+        q_s, q_a = learn(UtilityTable(), UtilityTable(), batch_of([shape] * 3))
+        assert q_s.counts == {("s1", "t1"): (6, 6)}
+        assert q_a.counts == {("w", "t1"): (3, 3), ("v", "t1"): (3, 3)}
+
+    def test_entries_are_exact_counts(self):
+        batch = batch_of(
+            [make_shape([sl("w", {"s1"}, {"s1"})], o) for o in (1, 0, 0, 1, 1, 0, 1)]
+        )
+        q_s, _ = learn(UtilityTable({("s1", "t1"): (6, 42)}), UtilityTable(), batch)
+        assert q_s.counts[("s1", "t1")] == (10, 49)
+        assert q_s.get("s1", "t1") == (0.204081632653, 49)
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=60))
     @settings(max_examples=50)
@@ -139,7 +129,7 @@ class TestSelectSkills:
     def test_argmax_by_utility(self):
         state = make_state(
             [make_skill("hi"), make_skill("lo")],
-            q_skill=UtilityTable({("hi", "t1"): (0.9, 3), ("lo", "t1"): (0.4, 3)}),
+            q_skill=UtilityTable({("hi", "t1"): (9, 10), ("lo", "t1"): (2, 5)}),
         )
         assert select_skills(state.q_skill, state, "t1", "p1", "worker", 1) == ["hi"]
 
@@ -174,7 +164,7 @@ class TestSelectSkills:
         state = make_state(
             [make_skill("a"), make_skill("b"), pooled],
             q_skill=UtilityTable(
-                {("a", "t1"): (0.9, 3), ("b", "t1"): (0.8, 3), ("zz-pooled", "t1"): (0.1, 3)}
+                {("a", "t1"): (9, 10), ("b", "t1"): (4, 5), ("zz-pooled", "t1"): (1, 10)}
             ),
             pool={"zz-pooled": (3, 0)},
         )
@@ -187,7 +177,7 @@ class TestSelectSkills:
         ]
         state = make_state(
             [make_skill("a")] + pooled,
-            q_skill=UtilityTable({("a", "t1"): (0.9, 3)}),
+            q_skill=UtilityTable({("a", "t1"): (9, 10)}),
             pool={s.id: (0, 0) for s in pooled},
         )
         chosen = select_skills(state.q_skill, state, "t1", "p1", "worker", 1)
@@ -222,7 +212,7 @@ class TestSelectExecutor:
     def test_greedy_tracks_utility_gap(self):
         state = make_state(
             [],
-            q_exec=UtilityTable({("manager", "t1"): (0.3, 5), ("worker", "t1"): (0.8, 5)}),
+            q_exec=UtilityTable({("manager", "t1"): (3, 10), ("worker", "t1"): (4, 5)}),
         )
         rng = random.Random(1)
         for _ in range(50):
