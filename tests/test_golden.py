@@ -1,11 +1,12 @@
 """Golden artifact hashes: the engine's output must not move by a byte.
 
-Every value below was recorded when episode streams became BLAKE2b blocks.
-The values recorded before, on Mersenne Twister streams, stay at the end of
-the file as MT_* constants, checked with that stream patched back in.
-A change that is meant to be a pure optimisation must leave
-all of them unchanged; a change that alters behaviour on purpose must say so
-and re-record them.
+Every value below was first recorded when episode streams became BLAKE2b
+blocks, and re-recorded where it moved when utility entries became exact
+(successes, attempts) counts.  The MT_* constants at the end of the file
+pin the engine on the Mersenne Twister streams that episodes read before,
+patched back in.  A change that is meant to be a pure optimisation must
+leave all of them unchanged; a change that alters behaviour on purpose must
+say so and re-record them.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ REPORT_SHA256 = {
     ("hostile", 1): "4d204138013769db253f341325e2fcb6fa6a89f18978bd5fa6dd067b9b23f6b0",
     ("hostile", 7): "bf757e9d1b672dc098b78c14e68fec0ae44cd05f995b7bf06f89e8f403e27920",
     ("hostile", 11): "f22d8369231f6ece85055fed63ec05ef5386ade1b6d68ee70aaa847c2b9ead4a",
-    ("mismatch", 1): "c7ec1503969a052623cbcd91cf3c6e5808ad7fc4a7d39f858076d0582fd9e01c",
-    ("mismatch", 7): "55168098c98392a2d6f391f293562ea2c5d6e91ede92f368c5df846e935a90c3",
-    ("mismatch", 11): "fbd93b1bb8f99294bac6822aed7c1bb2c5236edf66749317de144d56488c3270",
+    ("mismatch", 1): "3160415b131076feed8642f0c800330d0d07e98751e6c3f2ac0b3039c276c454",
+    ("mismatch", 7): "364b453fe4fb9506ad96d0da0ee5a1ede5bf913c0baa2f30a75d39a40df2b940",
+    ("mismatch", 11): "86bc3c0baee3b1ecf10f54e68c27c00dada8336ed1f912301315e1008f666f6f",
     ("tiny", 1): "7f296d5c622987fb9d89de4070de0136491366ac07f8cb61c2a8408bee311225",
     ("tiny", 7): "47d13fa3675bfd813b45ddb371571814de218b4a9ff127d7e002a868a187a36f",
     ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
@@ -50,32 +51,33 @@ REPORT_SHA256 = {
 
 # generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the
 # library ends at 33 entries, 19 of them pruned
-WIDE_SHA256 = "d79137d6ed6e7d07d348666549695bc015d2bb332b8fb1f0a4f6c76ad1c789e1"
+WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "f746ecd968c33064a0c8f2a28db81a493220f739448ba04c28924b666a28e4ee"
+RUN_DIR_SHA256 = "e5efa15b11d3afab6ba34a7859eca5e355d1858e9935aa974cea6387d6a62053"
 
 # the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
 # failures count towards repeats, so rounds 1 and 3 retain 147 and 129
 # repeated failures where the default run retains 146 and 128
-CROSS_ROUND_RUN_DIR_SHA256 = "980fb511e7c66b2b1ac679c633ad5b86e813bf12dd006e148e88598a1ec45ee2"
+CROSS_ROUND_RUN_DIR_SHA256 = "c89dd4468f036a9d07e514a273921ad3d80cf49c8f304260a06d1addc7dfa6f8"
 
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
 # of every state X_0 .. X_R, and one over the four transplant variants of
 # the checkpoint.  mismatch seed 32 modifies at round 5 and wide24 seed 27
-# at round 7: of seeds 1 up, the first of each that modifies before its last
-# round (wide24 seeds 7 and 21 modify only at round 9).
+# at round 7: of seeds 1 up, the first of each that modified before its last
+# round when first recorded (wide24 seeds 7 and 21 modify only at round 9;
+# since utility entries are exact counts, seed 14 modifies at round 6 too).
 OWNERSHIP_SHA256 = {
     ("mismatch", 32, 8): (
-        "b1395c4e3332a9c6f9c974e3087c219e828cd1ba028fa6ecf8c939be6a7659da",
-        "f16716fabf9d3cb069cb0a41853729d8c11e4b1afb5286068adfc69e03af9d09",
-        "6bac0a04ce269677bcdae1696da4c59fc65c11032f278f76813dac6ed4334d6a",
+        "e3f6b5fc1bdf67da3868b57c9bcf3b43fbf343306c5c89394bc149674cc9e368",
+        "a459672c5f3807f340b25852f695c7971b37c8ead11be81fb2b666919ed1dcfe",
+        "f0a68ba19301e64830182acf8b0ca403060ca38d06e263731571e8ffbb084b2b",
     ),
     ("wide24", 27, 10): (
-        "3d96732ca2d0993d8dfd59fbe006abfcdb98ba44f5511223c282c19a70ae2de1",
-        "2aa357dd848a29809844e922aa59770f3fb4e2c02a113bfc987251cf2e4b390b",
-        "8514178fdda1a99753c0658b6f236005e03cee0f9a2a1a2301d96f42dc47eb65",
+        "9ca4d70970bcf8fd05a3239f698dcb3f775e592e5159cbfbebedfe0c7642712a",
+        "0ed951b12becb6be5b7227286a79c01d52509d9759afa95fc811bd81696dffcc",
+        "a690b02a3f38dce7f69297f9dcff134b6d5d42879ed4fcf95aa2a19a6771ec00",
     ),
 }
 
@@ -87,7 +89,7 @@ OWNERSHIP_SHA256 = {
 # then one digest over `serialize_state` of every state X_0 .. X_8.
 MERGE_SHA256 = (
     "108afedfba69208898539586541e23560b0c1e5d8a2745d9bd58db8049293032",
-    "76d9692bbfcce80ebc80bd8099f599d9d62ecf84900ba04ec3c90c0678a29398",
+    "7eb502372841be2395b1c0d0276051de02e0547c391a535f27d2c312d89dca70",
 )
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
@@ -359,28 +361,30 @@ def test_merge_remove_run_directory(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The stream is the only behaviour change: with the Mersenne Twister words
-# that episode streams read before they were BLAKE2b blocks
-# (`reference.mt_blocks`), the engine reproduces the goldens recorded then.
+# The engine on the Mersenne Twister words that episode streams read before
+# they were BLAKE2b blocks (`reference.mt_blocks`).  When the streams changed,
+# these reproduced the goldens recorded on Mersenne Twister streams, so the
+# stream was the only behaviour change then; they were re-recorded where they
+# moved when utility entries became exact counts.
 
 MT_REPORT_SHA256 = {
     ("calibration", 1): "e7f481f7254e64cc7e177d2f457deeed6d6228943114fb71b3b4f08f4147a31b",
     ("calibration", 7): "cfb30810727a3281324bcf11ce395b8645e4ad95661850a235246c07d8850c5f",
     ("calibration", 11): "e8818e0465cba97ad51dca0b97c334a5c1670a24e35c9be20f4bb0442ede40c6",
     ("favorable", 1): "fb524eae243c2f5506e173e3e749236dfd121fcd6efe018df3b89d968f888b3e",
-    ("favorable", 7): "35f7749144ddf1728ae7cd731298e8419a6374505afd0fad08bc6d2a9d0137ef",
+    ("favorable", 7): "f3f8aa3b55b04fd76c8a3837ab3a4f37dbeb9364412f78b6cd7b4389defce007",
     ("favorable", 11): "a40dfbb3cfb30927668a6a6abc21d93c38ee4d303f272467d3fa01732f8bb833",
     ("hostile", 1): "212795e0c83a4a938b25da07bf07e6f530c799e3b86c1fd47e87a4d4613fe85e",
     ("hostile", 7): "c9138cad4ff1818239ed08bfc2660590424a04f92711b6c295e10239bf9e32d1",
     ("hostile", 11): "4fed511c866a13b3bc4d3a5c675b55643aef822244c6092a253f72081f635b8a",
-    ("mismatch", 1): "5817711dabe9b1094e9d1b063bcd1e1228d45acf12da9bb293724a33f48c54cf",
+    ("mismatch", 1): "c5b29792ed626624fff4cc7d811f4e58cf64f452dab3bd29f198db8f77b33877",
     ("mismatch", 7): "677142a0efe06079f9221a7b817087e606c4a1d9e8fae1ab1f08bce1a21ccb03",
     ("mismatch", 11): "d9e11450ef46e2388a6c1accf36f4372498a66e30b9f535b2a2e742d5c7dc45b",
     ("tiny", 1): "748dc383458ff9c4ba57ed0c2f0c2178a8a30cf9d52ce4f648dde84f5bd76fc7",
     ("tiny", 7): "fd189a33bda917a8784d32544cdbda7df29e710bf41f294d5049f386ce74c93b",
     ("tiny", 11): "50d84eeb60da909f22f8cb519a430860143ed83b73d4e19ab67fa9b671f7a99e",
 }
-MT_RUN_DIR_SHA256 = "5f6099c49ac01d81b4b0313f40e6e15d378af6064e4ad751567eb991ddefff40"
+MT_RUN_DIR_SHA256 = "7e34a19461f822bbf25fe93e94be42ae34eb0037eee9de151aea449f9134098e"
 MT_NOISY_SHA256 = {
     "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
     "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",
@@ -401,11 +405,6 @@ def test_mt_words_reproduce_the_report_hash(preset, seed, mt_words):
 def test_mt_words_reproduce_the_run_directory_digest(tmp_path, mt_words):
     out = tmp_path / "run"
     run_mismatch(out)
-    # the one other byte that moved: run.json's format went from 1 to 2
-    manifest = out / "run.json"
-    text = manifest.read_text(encoding="utf-8")
-    assert text.count('"format": 2,') == 1
-    manifest.write_text(text.replace('"format": 2,', '"format": 1,'), encoding="utf-8")
     assert dir_digest(out) == MT_RUN_DIR_SHA256
 
 

@@ -4,8 +4,10 @@
 measures: the 96-family wide world at 400 episodes x 10 rounds, a
 `skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds,
 and the transplant audit of that directory.  All were recorded when
-episode streams became BLAKE2b blocks.  A pure optimisation must leave
-every value unchanged.
+episode streams became BLAKE2b blocks; the wide96 reports and the run
+directory were re-recorded when utility entries became exact counts (the
+transplant audit did not move).  A pure optimisation must leave every value
+unchanged.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from skillmas.cli import main
 # the benchmark's wide world (perfbench/scenarios.py), N = 96, 400 episodes
 # x 10 rounds, by engine seed
 WIDE96_SHA256 = {
-    7000: "c7d8cc575148f91d66cc389ac91545d40db99769a0cbfb81e5e646d4c77d0690",
-    7003: "c1f7cc518865957ad9460cc10b7dba40422f8808896ac3ea757844ef5bc9019b",
+    7000: "5317f39a6bb2b48130df2bbef146cafb27853f59276d306a19e5b320e2ef04f1",
+    7003: "adf3b626979e07895bf9553794011b3c61e1d76cf536f97af6a5666daed64c6a",
 }
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "7fa864279b91b787bd6c0a05da26b23a6c17ac9b9f95729d6808b642eab9984b"
+RUN_DIR_SHA256 = "dd557b926f45fe6117018ff81abe359c5be18842f900084a39bc131469498418"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
 # a NUL byte, then `transplant.json`
