@@ -159,14 +159,16 @@ class UtilityTable:
 
     @functools.cached_property
     def entries(self) -> dict[tuple[str, str], tuple[float, int]]:
-        """The read view: each key's (value, attempts)."""
-        return {key: (q12(s / n), n) for key, (s, n) in self.counts.items()}
+        """The read view: each key's `get`, built on first use."""
+        return {key: self.get(*key) for key in self.counts}
 
     def get(self, key: str, task_id: str) -> tuple[float, int] | None:
-        return self.entries.get((key, task_id))
+        """The entry's (value, attempts), or None when it has no attempt."""
+        entry = self.counts.get((key, task_id))
+        return None if entry is None else (q12(entry[0] / entry[1]), entry[1])
 
     def value(self, key: str, task_id: str, default: float = 0.5) -> float:
-        entry = self.entries.get((key, task_id))
+        entry = self.get(key, task_id)
         return entry[0] if entry is not None else default
 
     def count(self, key: str, task_id: str) -> int:

@@ -2,14 +2,15 @@
 
 Scenario files are a line-oriented sectioned text format so parse errors can
 point at the offending line.  Snapshots are a versioned record stream with
-records sorted by id, and `serialize_state` is the one definition of their
-format: a snapshot is read only as the writer writes it.  The reader builds
-a state from the records and refuses the first line that differs from the
-writer's line for that state, at its byte offset.  Trace logs are JSON
-lines, one per episode, written once per run directory in the order the
-episodes were generated.  Nothing in the engine reads a log back: `replay`
-compares its bytes, and the counts `report` shows come from
-`trajectory.json`.
+records sorted by id and no floats (a utility entry is its successes and
+attempts), and `serialize_state` is the one definition of their format: a
+snapshot is read only as the writer writes it.  The reader builds a state
+from the records and refuses the first line that differs from the writer's
+line for that state, or a count that `UtilityTable.check` refuses, at its
+byte offset.  Trace logs are JSON lines, one per episode, written once per
+run directory in the order the episodes were generated.  Nothing in the
+engine reads a log back: `replay` compares its bytes, and the counts
+`report` shows come from `trajectory.json`.
 """
 
 from __future__ import annotations

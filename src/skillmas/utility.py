@@ -51,7 +51,7 @@ def learn(
     s_counts = dict(q_skill.counts)
     a_counts = dict(q_exec.counts)
     for k, (shape, seen) in enumerate(batch.tally()):
-        if not seen:
+        if not seen:  # a table entry that no episode takes credits nothing
             continue
         won = shape.outcome * seen
         skill_keys, executor_keys = _credit_keys(batch, k, skill_ids, executor_ids)
