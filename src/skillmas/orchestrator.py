@@ -259,9 +259,9 @@ def run_round(
     """One adaptation round; returns the next state, its report, and the batch.
 
     The update is all-or-nothing: every stage builds fresh values, so an
-    error anywhere leaves the caller's state exactly as passed in.  `learn`
-    and the `retained` lists read the batch in generation order, the other
-    stages its (shape, count) tally.
+    error anywhere leaves the caller's state exactly as passed in.  The
+    `retained` lists read the batch in generation order, the stages its
+    (shape, count) tally.
     """
     batch = exec_round(state, scenario, config.episodes_per_round, seed, config)
     tally = batch.tally()

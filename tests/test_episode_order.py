@@ -162,12 +162,6 @@ def test_learn_matches_the_per_episode_reference(episodes, known_skills, known_e
         assert learn(PRIOR, PRIOR, batch, **known) == want
 
 
-def test_learn_counts_exactly_past_the_width():
-    q_skill, q_exec = learn(UtilityTable(), UtilityTable(), across_batch())
-    counts = (sum(OUTCOMES), len(OUTCOMES))
-    assert q_skill.counts[("s", "t")] == q_exec.counts[("w", "t")] == counts
-
-
 def test_learn_names_the_first_offender_in_generation_order():
     unknown = ExecutorSlice("w", "p", frozenset({"x"}), frozenset({"x"}), frozenset())
     batch = Batch(

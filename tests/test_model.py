@@ -190,12 +190,6 @@ class TestStateValidation:
         with pytest.raises(StateError, match="out of"):
             validate_state(state, UNIVERSE)
 
-    @pytest.mark.parametrize("counts", [(-1, 3), (0, 0), (0, -1), (4, 3)])
-    def test_utility_counts_rule(self, counts):
-        with pytest.raises(StateError, match=r"counts .* out of range"):
-            UtilityTable({("a", "t1"): counts}).check()
-        UtilityTable({("a", "t1"): (counts[1], counts[1]) if counts[1] > 0 else (0, 1)}).check()
-
 
 class TestOwnershipEdits:
     def test_place_skill_keeps_owned_sets_in_step(self):

@@ -75,24 +75,6 @@ def test_eval_names_the_format_of_a_v1_snapshot(run_dir, capsys):
     assert "(byte offset 0)" in err
 
 
-def test_eval_refuses_a_count_at_its_byte_offset(run_dir, capsys):
-    snapshot = run_dir / "snapshots" / "state_r001.txt"
-    text = snapshot.read_text(encoding="utf-8")
-    at = text.index("\nqexec ") + 1
-    end = text.index("\n", at)
-    kind, key, task_id, _, attempts = text[at:end].split()
-    snapshot.write_text(
-        f"{text[:at]}{kind} {key} {task_id} {int(attempts) + 1} {attempts}{text[end:]}",
-        encoding="utf-8",
-    )
-    code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
-                 "--episodes", "5", "--seed", "1"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"snapshot {snapshot}: malformed qexec record" in err
-    assert f"(byte offset {len(text[:at].encode('utf-8'))})" in err
-
-
 @pytest.mark.parametrize(
     "field",
     ["qskill key", "qskill task", "qexec key", "qexec task", "pool", "card task", "card template"],

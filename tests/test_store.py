@@ -193,12 +193,6 @@ SNAPSHOT_DAMAGE = {
     "guards=a,-": _field("skill", 6, "guards=a,-"),
     "utility 0.50": _field("qskill", 3, "0.50"),
     "attempts 07": _field("qexec", 4, "07"),
-    **{f"{kind} {name}": _field(kind, index, text)
-       for kind in ("qskill", "qexec")
-       for name, index, text in (("successes above attempts", 3, "99"),
-                                 ("negative successes", 3, "-1"),
-                                 ("attempts 0", 4, "0"),
-                                 ("negative attempts", 4, "-2"))},
     "blank line": lambda lines: (lines[:2] + [""] + lines[2:], 2),
     "CRLF line ends": lambda lines: ([line + "\r" for line in lines], 0),
     "no final newline": lambda lines: (lines, len(lines) - 1, ""),

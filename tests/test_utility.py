@@ -98,14 +98,6 @@ class TestLearn:
         assert q_s.counts == {("s1", "t1"): (6, 6)}
         assert q_a.counts == {("w", "t1"): (3, 3), ("v", "t1"): (3, 3)}
 
-    def test_entries_are_exact_counts(self):
-        batch = batch_of(
-            [make_shape([sl("w", {"s1"}, {"s1"})], o) for o in (1, 0, 0, 1, 1, 0, 1)]
-        )
-        q_s, _ = learn(UtilityTable({("s1", "t1"): (6, 42)}), UtilityTable(), batch)
-        assert q_s.counts[("s1", "t1")] == (10, 49)
-        assert q_s.get("s1", "t1") == (0.204081632653, 49)
-
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=60))
     @settings(max_examples=50)
     def test_running_mean_identity(self, outcomes):
