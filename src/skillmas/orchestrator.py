@@ -260,8 +260,8 @@ def run_round(
 
     The update is all-or-nothing: every stage builds fresh values, so an
     error anywhere leaves the caller's state exactly as passed in.  The
-    `retained` lists read the batch in generation order, the stages its
-    (shape, count) tally.
+    `retained` lists read the batch in generation order; every stage reads
+    its (shape, count) tally.
     """
     batch = exec_round(state, scenario, config.episodes_per_round, seed, config)
     tally = batch.tally()
