@@ -20,6 +20,7 @@ from typing import Any, Iterator, NoReturn
 from .config import EngineConfig, config_from_mapping
 from .model import RoundState, StateError, validate_state
 from .orchestrator import (
+    TRAJECTORY_FORMAT,
     canonical_json,
     evaluate_transplants,
     experiment_rounds,
@@ -93,10 +94,10 @@ def _snapshot_name(round_index: int) -> str:
 
 
 TRACE_LOG = "traces.jsonl"
-# `run.json`'s format; 3 since utility entries are exact counts (2 since
-# episode streams are BLAKE2b blocks).  A run directory of any other format
-# replays to other bytes.
-RUN_FORMAT = 3
+# `run.json`'s format: 4 since the log holds shape tables (3: utility entries
+# as exact counts, 2: BLAKE2b episode streams).  A run directory of any other
+# format replays to other bytes.
+RUN_FORMAT = 4
 _SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 
 
@@ -251,6 +252,14 @@ def _read_text(
         ) from None
 
 
+def _check_format(path: Path, payload: dict, kind: str, want: int) -> None:
+    """A usage error unless `payload`'s `format` is the integer `want`."""
+    found = payload.get("format")
+    if found != want or type(found) is not int:
+        shown = "missing" if found is None else json.dumps(found)
+        raise UsageError(f"{path}: {kind} format {shown}, not {want}: written by another release")
+
+
 def _read_json_object(path: Path, required: dict[str, type]) -> dict:
     """A JSON object from a run directory or `--config`, holding at least the
     keys of `required`, each of its JSON type."""
@@ -274,6 +283,7 @@ def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, i
     trajectory = _read_json_object(
         path, {"scenario": str, "seed": int, "rounds": list, "checkpoint": dict}
     )
+    _check_format(path, trajectory, "trajectory", TRAJECTORY_FORMAT)
     checkpoint_round = _typed(path, trajectory["checkpoint"], "round", int, "checkpoint.")
     per_round: dict[int, dict[str, tuple[int, int]]] = {}
     for index, row in enumerate(trajectory["rounds"]):
@@ -318,13 +328,7 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
     manifest = _read_json_object(
         manifest_path, {"scenario": str, "seed": int, "rounds": int, "config": dict}
     )
-    found = manifest.get("format")
-    if found != RUN_FORMAT or type(found) is not int:
-        raise UsageError(
-            f"{manifest_path}: run directory format "
-            f"{'missing' if found is None else json.dumps(found)}, not {RUN_FORMAT}: "
-            "written by another release, it does not replay here"
-        )
+    _check_format(manifest_path, manifest, "run directory", RUN_FORMAT)
     if manifest["rounds"] < 1:
         raise UsageError(f"{manifest_path}: 'rounds' must be at least 1")
     if manifest["scenario"] != "scenario.scn":

@@ -56,6 +56,8 @@ TRANSPLANT_ROWS = (
     "Specialized-MAS/seed-skills",
     "Seed",
 )
+# `trajectory.json`'s format; 2 since `retained` lists shape-table entries
+TRAJECTORY_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,8 @@ class RoundReport:
     active_skills: int
     active_executors: int
     pool_size: int
-    retained: dict[str, list[str]]  # category -> episode ids
+    retained_entries: dict[str, list[int]]  # category -> ascending table entries
+    batch_index: Sequence[int]  # the batch's index: episode i's table entry
     skill_actions: tuple[dict[str, object], ...]
     restructure: dict[str, object]
     promotions: tuple[tuple[str, str], ...]
@@ -78,6 +81,16 @@ class RoundReport:
     @property
     def success_rate(self) -> float:
         return q12(self.successes / self.episodes) if self.episodes else 0.0
+
+    @property
+    def retained(self) -> dict[str, list[str]]:
+        """Each category's episode ids in generation order, formatted as they
+        are read: `Batch.episode_id` reads only `round_index`."""
+        carried = {c: set(entries) for c, entries in self.retained_entries.items()}
+        return {
+            category: [Batch.episode_id(self, i) for i, k in enumerate(self.batch_index) if k in ks]
+            for category, ks in carried.items()
+        }
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -92,7 +105,7 @@ class RoundReport:
             "active_skills": self.active_skills,
             "active_executors": self.active_executors,
             "pool_size": self.pool_size,
-            "retained": {k: v for k, v in sorted(self.retained.items())},
+            "retained": dict(sorted(self.retained_entries.items())),
             "skill_actions": list(self.skill_actions),
             "restructure": self.restructure,
             "promotions": [list(p) for p in self.promotions],
@@ -109,7 +122,7 @@ class TrajectoryReport:
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "format": 1,
+            "format": TRAJECTORY_FORMAT,
             "scenario": self.scenario,
             "seed": self.seed,
             "rounds": [r.to_dict() for r in self.rounds],
@@ -180,12 +193,12 @@ def canonical_json(payload: object) -> str:
     """Deterministic JSON rendering used for every persisted report: the
     text of `json.dumps(payload, sort_keys=True, indent=2)` and a newline.
 
-    The indenting encoder yields one small string per token.  They are
-    joined a thousand at a time, so the tokens alive at once take a few
-    kilobytes rather than several times the text.
+    The indenting encoder yields one small string per token, about 55
+    bytes each.  They are joined a hundred at a time, so the tokens alive
+    at once take a few kilobytes rather than several times the text.
     """
     tokens = _CANONICAL.iterencode(payload)
-    return "".join(iter(lambda: "".join(itertools.islice(tokens, 1000)), "")) + "\n"
+    return "".join(iter(lambda: "".join(itertools.islice(tokens, 100)), "")) + "\n"
 
 
 def _summarize_action(action) -> dict[str, object]:
@@ -259,9 +272,9 @@ def run_round(
     """One adaptation round; returns the next state, its report, and the batch.
 
     The update is all-or-nothing: every stage builds fresh values, so an
-    error anywhere leaves the caller's state exactly as passed in.  The
-    `retained` lists read the batch in generation order; every stage reads
-    its (shape, count) tally.
+    error anywhere leaves the caller's state exactly as passed in.  Every
+    stage reads the batch's (shape, count) tally; the report keeps each
+    retention category's table entries and the batch's index.
     """
     batch = exec_round(state, scenario, config.episodes_per_round, seed, config)
     tally = batch.tally()
@@ -339,11 +352,10 @@ def run_round(
     )
     validate_state(next_state, scenario.universe())
 
-    names = [sorted(c.value for c in categories) for categories in labels]
-    retained_summary: dict[str, list[str]] = {}
-    for i, k in enumerate(batch.index):
-        for category in names[k]:
-            retained_summary.setdefault(category, []).append(batch.episode_id(i))
+    entries: dict[str, list[int]] = {}
+    for k, categories in enumerate(labels):
+        for category in categories:
+            entries.setdefault(category.value, []).append(k)
 
     report = RoundReport(
         round_index=state.round_index,
@@ -353,7 +365,8 @@ def run_round(
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
-        retained=retained_summary,
+        retained_entries=entries,
+        batch_index=batch.index,
         skill_actions=tuple(_summarize_action(a) for a in delta.actions),
         restructure=_summarize_decision(decision, ownership_log),
         promotions=tuple(promotions),

@@ -7,10 +7,12 @@ attempts), and `serialize_state` is the one definition of their format: a
 snapshot is read only as the writer writes it.  The reader builds a state
 from the records and refuses the first line that differs from the writer's
 line for that state, or a count that `UtilityTable.check` refuses, at its
-byte offset.  Trace logs are JSON lines, one per episode, written once per
-run directory in the order the episodes were generated.  Nothing in the
-engine reads a log back: `replay` compares its bytes, and the counts
-`report` shows come from `trajectory.json`.
+byte offset.  A trace log holds each round's batch as it is held: one JSON
+line per entry of the round's shape table, then one line of the episodes'
+entries in generation order, so each outcome path is written once per
+round and each episode is one number.  Nothing in the engine reads a log
+back: `replay` compares its bytes, and the counts `report` shows come from
+`trajectory.json`.
 """
 
 from __future__ import annotations
@@ -566,28 +568,17 @@ def deserialize_state(text: str) -> RoundState:
 
 # ---------------------------------------------------------------------------
 # trace logs
-#
-# The log is write-only: `encode_trace_log` is its only code.  A batch of
-# thousands of episodes holds a few dozen distinct trace shapes, so the
-# writer encodes each shape once per call and keeps nothing between calls;
-# the bytes are exactly
-# `json.dumps(trace_to_record(episode_id, shape), sort_keys=True, separators=(",", ":"))`
-# per line: replay and the golden digests compare them.
 
-_FRAGMENT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_encode_str = json.encoder.encode_basestring_ascii  # what `_FRAGMENT.encode` does to a str
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def trace_to_record(episode_id: str | None, shape: TraceShape) -> dict[str, object]:
+def trace_to_record(shape: TraceShape) -> dict[str, object]:
     obs = shape.latent_cause_observation
     return {
-        "episode": episode_id,
         "task": {"id": shape.task_type.id, "phases": list(shape.task_type.phases)},
         "outcome": shape.outcome,
         "progress": shape.progress,
-        "cause": (
-            {"label": obs.cause.value, "confident": obs.confident} if obs else None
-        ),
+        "cause": {"label": obs.cause.value, "confident": obs.confident} if obs else None,
         "slices": [
             {
                 "executor": sl.executor,
@@ -602,23 +593,12 @@ def trace_to_record(episode_id: str | None, shape: TraceShape) -> dict[str, obje
 
 
 def encode_trace_log(batch: Batch) -> str:
-    """Render a batch as JSON lines, one `trace_to_record` per episode, in
-    generation order.
-
-    A line is the episode id, encoded as `JSONEncoder.encode` encodes a
-    string, between two fragments that depend only on the episode's shape:
-    its record with a null id, split at the id.  An encoded string holds no
-    unescaped quote and the cause has no "episode" key, so the first match
-    is the id.  Each shape's fragments are encoded once, from its own
-    values, so `True` and `1` still encode apart.
-    """
-    fragments = []
-    for shape in batch.shapes:
-        head, _, tail = _FRAGMENT.encode(trace_to_record(None, shape)).partition(
-            ',"episode":null'
-        )
-        fragments.append((head + ',"episode":', tail + "\n"))
-    return "".join(
-        fragments[k][0] + _encode_str(batch.episode_id(i)) + fragments[k][1]
-        for i, k in enumerate(batch.index)
-    )
+    """A batch as JSON lines, as it is held: per entry k of its shape table,
+    the shape's `trace_to_record` plus `"round"` and `"shape": k`; then the
+    line `{"index": [...], "round": ...}` that gives episode i's entry."""
+    lines = [
+        _ENCODER.encode({**trace_to_record(shape), "round": batch.round_index, "shape": k})
+        for k, shape in enumerate(batch.shapes)
+    ]
+    lines.append(_ENCODER.encode({"index": batch.index.tolist(), "round": batch.round_index}))
+    return "\n".join(lines) + "\n"

@@ -19,9 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import shutil
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from skillmas.config import EngineConfig
 from skillmas.evolution import (
@@ -52,7 +54,12 @@ from skillmas.model import (
     validate_state,
 )
 from skillmas.numfmt import q12
-from skillmas.orchestrator import RoundReport, _summarize_action, _summarize_decision
+from skillmas.orchestrator import (
+    RoundReport,
+    TrajectoryReport,
+    _summarize_action,
+    _summarize_decision,
+)
 from skillmas.restructure import (
     DiagnosticArtifact,
     ExecutorEvidence,
@@ -317,11 +324,112 @@ def record(e: Episode) -> dict[str, object]:
     }
 
 
+def _line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def reference_log(episodes: Iterable[Episode]) -> str:
-    """The trace log of `episodes`: one canonical JSON record per line."""
+    """The per-episode trace log of `episodes`: one canonical JSON record
+    per line, the log's format before it held shape tables."""
+    return "".join(_line(record(e)) for e in episodes)
+
+
+# ------------------------------------------------ the per-episode format
+#
+# Until the trace log held shape tables, a run directory spelt every
+# episode out: one log line per episode (`reference_log`), `retained` as
+# lists of episode ids in `trajectory.json` format 1, and `run.json` format
+# 3.  These functions rebuild those bytes from the new artifacts alone, so
+# tests can check them against the digests recorded then.
+
+
+def episode_id(round_index: int, i: int) -> str:
+    """Episode i's id in the per-episode format."""
+    return f"r{round_index:04d}e{i:05d}"
+
+
+def log_rounds(text: str) -> Iterator[tuple[int, list[dict], list[int]]]:
+    """Each round of a shape-table trace log as (round, its table's records
+    without "round" and "shape", its index), checking that each round's
+    entries are numbered 0, 1, ... and that its index line closes it."""
+    table: list[dict] = []
+    rounds: set[int] = set()
+    for line in text.splitlines():
+        record = json.loads(line)
+        round_index = record.pop("round")
+        if "index" in record:
+            index = record.pop("index")
+            assert not record and rounds <= {round_index}
+            # the table lists its entries in order of first appearance
+            assert list(dict.fromkeys(index)) == list(range(len(table)))
+            yield round_index, table, index
+            table, rounds = [], set()
+        else:
+            assert record.pop("shape") == len(table)
+            table.append(record)
+            rounds.add(round_index)
+    assert not table, "a table without its index line"
+
+
+def expand_log(text: str) -> str:
+    """A shape-table trace log in the per-episode format: episode i's line
+    is its table entry's record with the episode's id."""
     return "".join(
-        json.dumps(record(e), sort_keys=True, separators=(",", ":")) + "\n" for e in episodes
+        _line({**table[k], "episode": episode_id(round_index, i)})
+        for round_index, table, index in log_rounds(text)
+        for i, k in enumerate(index)
     )
+
+
+def expand_retained(
+    round_index: int, entries: Mapping[str, Sequence[int]], index: Sequence[int]
+) -> dict[str, list[str]]:
+    """`retained`'s table entries per category as the per-episode format's
+    id lists: the ids of the episodes whose entry carries the category, in
+    generation order."""
+    carried = {category: set(ks) for category, ks in entries.items()}
+    return {
+        category: [episode_id(round_index, i) for i, k in enumerate(index) if k in ks]
+        for category, ks in sorted(carried.items())
+    }
+
+
+def _pretty(payload: object) -> str:
+    """`orchestrator.canonical_json`'s text, by its definition."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def expand_report(report: TrajectoryReport) -> str:
+    """A trajectory report's JSON in the per-episode format: format 1, with
+    each round's `retained` re-expanded from its entries and the batch's
+    index that the report keeps."""
+    payload = report.to_dict()
+    assert payload["format"] == 2
+    payload["format"] = 1
+    for row, r in zip(payload["rounds"], report.rounds, strict=True):
+        row["retained"] = expand_retained(r.round_index, row["retained"], r.batch_index)
+    return _pretty(payload)
+
+
+def expand_run_dir(run_dir: Path, out: Path) -> None:
+    """Copy a run directory to `out` in the per-episode format, from its
+    files alone: the log re-expanded, each round's `retained` re-expanded
+    through that round's index line, `trajectory.json` format 1 and
+    `run.json` format 3; every other file as it is."""
+    shutil.copytree(run_dir, out)
+    log = (run_dir / "traces.jsonl").read_text(encoding="utf-8")
+    (out / "traces.jsonl").write_text(expand_log(log), encoding="utf-8")
+    indexes = {round_index: index for round_index, _, index in log_rounds(log)}
+    trajectory = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
+    assert trajectory["format"] == 2
+    trajectory["format"] = 1
+    for row in trajectory["rounds"]:
+        row["retained"] = expand_retained(row["round"], row["retained"], indexes[row["round"]])
+    (out / "trajectory.json").write_text(_pretty(trajectory), encoding="utf-8")
+    manifest = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    assert manifest["format"] == 4
+    manifest["format"] = 3
+    (out / "run.json").write_text(_pretty(manifest), encoding="utf-8")
 
 
 def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Episode:
@@ -550,9 +658,11 @@ def reference_run_round(
     last_round_drop: bool = False,
     last_round_edits: frozenset[str] = frozenset(),
     prior_failure_counts: Mapping[tuple[str, CauseLabel], int] | None = None,
-) -> tuple[RoundState, RoundReport, list[Episode]]:
+) -> tuple[RoundState, dict, list[Episode]]:
     """`run_round` with every per-episode stage replaced by its reference;
-    the stages that read no episode are the engine's."""
+    the stages that read no episode are the engine's.  The report is a
+    round's row in the per-episode format: its `retained` lists are the
+    reference's own episode ids."""
     episodes = reference_exec_round(
         state, scenario, config.episodes_per_round, seed, config, f"r{state.round_index:04d}"
     )
@@ -622,13 +732,16 @@ def reference_run_round(
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
-        retained=retained_ids,
+        retained_entries={},
+        batch_index=(),
         skill_actions=tuple(_summarize_action(a) for a in delta.actions),
         restructure=_summarize_decision(decision, ownership_log),
         promotions=tuple(promotions),
         last_round_drop=last_round_drop,
     )
-    return next_state, report, episodes
+    row = report.to_dict()
+    row["retained"] = dict(sorted(retained_ids.items()))
+    return next_state, row, episodes
 
 
 def reference_rounds(scenario, seed_state, seed, rounds, config):
@@ -651,10 +764,10 @@ def reference_rounds(scenario, seed_state, seed, rounds, config):
             last_round_edits=last_edits,
             prior_failure_counts=prior,
         )
-        successes.append(report.successes)
+        successes.append(report["successes"])
         last_edits = frozenset(
             sid
-            for action in report.skill_actions
+            for action in report["skill_actions"]
             if action["action"] in ("create", "refine", "hold-in-pool")
             for sid in action["skills"]
         )

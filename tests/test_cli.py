@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import json
-import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -346,7 +346,8 @@ class TestReplay:
             handle.write("junk\n")
         log = run_dir / "traces.jsonl"
         first, rest = log.read_text().split("\n", 1)
-        log.write_text(first.replace('"episode":"', '"episode":"x', 1) + "\n" + rest)
+        assert '"round":0,"shape":0,' in first  # round 0's first table entry
+        log.write_text(first.replace('"shape":0,', '"shape":9,', 1) + "\n" + rest)
         assert main(["replay", "--run", str(run_dir)]) == 1
         assert capsys.readouterr().out.startswith("replay divergence in traces.jsonl at line 1:")
 
@@ -412,17 +413,22 @@ class TestEvalTransplantReport:
 
 
 def _reference_report(run_dir) -> str:
-    """`report` as a tally of the trace log's JSON lines: the checkpoint
-    round's records against round 0's, each found by its episode id
-    `r<round>e<index>`."""
+    """`report` as a tally of the trace log's JSON lines: per round, each
+    shape record counted as often as the round's index line names it; the
+    checkpoint round's counts against round 0's."""
     trajectory = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
+    tables: dict[int, dict[int, dict]] = {}
     by_round: dict[int, dict[str, tuple[int, int]]] = {}
     for line in (run_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
-        match = re.fullmatch(r"r([0-9]+)e[0-9]+", record["episode"])
-        counts = by_round.setdefault(int(match.group(1)), {})
-        s, a = counts.get(record["task"]["id"], (0, 0))
-        counts[record["task"]["id"]] = (s + record["outcome"], a + 1)
+        if "index" not in record:
+            tables.setdefault(record["round"], {})[record["shape"]] = record
+            continue
+        counts = by_round.setdefault(record["round"], {})
+        for k, n in Counter(record["index"]).items():
+            shape = tables[record["round"]][k]
+            s, a = counts.get(shape["task"]["id"], (0, 0))
+            counts[shape["task"]["id"]] = (s + shape["outcome"] * n, a + n)
     best = by_round[trajectory["checkpoint"]["round"]]
     rows = family_rows(best, baseline=by_round[0])
     return render_trajectory(trajectory) + "\n" + render_breakdown(rows)
@@ -693,16 +699,20 @@ class TestRetiredThreshold:
 
 
 class TestRunFormat:
-    """`run.json` carries format 3; a directory of any other format, or of
-    none, replays to other bytes (format 2 wrote utility entries as floats,
-    format 1 drew other episode streams) and is a usage error."""
+    """`run.json` carries format 4 and `trajectory.json` format 2; a file of
+    any other format, or of none, is a usage error that names the file and
+    the format it found.  A format-3 run directory wrote a line per episode
+    (format 2 wrote utility entries as floats, format 1 drew other episode
+    streams), so it replays to other bytes."""
 
-    def test_new_directories_carry_format_3(self, run_dir):
-        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 3
+    def test_new_directories_carry_format_4(self, run_dir):
+        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 4
+        assert json.loads((run_dir / "trajectory.json").read_text())["format"] == 2
 
     @pytest.mark.parametrize(
         "found, shown", [(1, "format 1,"), (2, "format 2,"), ("2", 'format "2",'),
-                         (2.0, "format 2.0,"), ("3", 'format "3",'), (3.0, "format 3.0,"),
+                         (2.0, "format 2.0,"), (3, "format 3,"), ("3", 'format "3",'),
+                         (3.0, "format 3.0,"), ("4", 'format "4",'), (4.0, "format 4.0,"),
                          (None, "format missing,")]
     )
     @pytest.mark.parametrize("command", ["replay", "transplant"])
@@ -715,7 +725,24 @@ class TestRunFormat:
         assert main([command, "--run", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: run directory format ")
-        assert shown in err and "not 3" in err
+        assert shown in err and "not 4" in err
+
+    @pytest.mark.parametrize(
+        "found, shown", [(1, "format 1,"), ("2", 'format "2",'), (2.0, "format 2.0,"),
+                         (None, "format missing,")]
+    )
+    @pytest.mark.parametrize("command", ["report", "transplant"])
+    def test_other_trajectory_formats_are_refused(self, run_dir, capsys, command, found, shown):
+        # a format-1 trajectory listed retained episode ids, not table entries
+        path = run_dir / "trajectory.json"
+        if found is None:
+            _rewrite_json(path, lambda t: {k: v for k, v in t.items() if k != "format"})
+        else:
+            _rewrite_json(path, lambda t: {**t, "format": found})
+        assert main([command, "--run", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: trajectory format ")
+        assert shown in err and "not 2" in err
 
 
 def _non_utf8(path):

@@ -3,8 +3,8 @@
 Episode ids are `r{round:04d}e{index:05d}`; past 10^5 episodes or 10^4
 rounds they grow wider, and plain string order no longer follows generation
 order.  No stage orders episodes by id: a batch holds episode i's shape at
-`index[i]`, the report's `retained` lists and the trace-log writer read that
-sequence, and `collect_proposals` and `skill_evolve` keep the order they
+`index[i]`, the report's `retained` ids and the trace log's index line read
+that sequence, and `collect_proposals` and `skill_evolve` keep the order they
 are given.  `learn` reads only the batch's tally, so its result does not
 depend on the order at all.
 """
@@ -39,7 +39,7 @@ from skillmas.utility import learn
 from skillmas.world import exec_round
 
 from conftest import batch_of, make_skill
-from reference import episodes_of, reference_learn
+from reference import episodes_of, expand_log, reference_learn
 
 TASK = TaskType("t", ("p",))
 SLICE = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
@@ -196,16 +196,21 @@ def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
 
 
 def test_log_reads_past_the_width_in_generation_order():
-    # each line carries what a per-(task, cause) failure count needs
+    # the index line lists each episode's table entry in generation order,
+    # and each entry's line carries what a per-(task, cause) failure count
+    # needs
     batch = across_batch()
     text = encode_trace_log(batch)
-    ids = re.findall(r'"episode":"([^"]*)"', text)
+    *table, index = [json.loads(line) for line in text.splitlines()]
+    assert index == {"index": list(batch.index), "round": 0}
+    assert [
+        (table[k]["task"]["id"], table[k]["outcome"], table[k]["cause"])
+        for k in index["index"][ACROSS[0]:]
+    ] == [("t", o, None) for o in OUTCOMES]
+    # re-expanded, the ids run on past the width in the same order
+    ids = re.findall(r'"episode":"([^"]*)"', expand_log(text))
     assert ids == [f"r0000e{i:05d}" for i in range(len(batch.index))]
-    records = [json.loads(line) for line in text.splitlines()[ACROSS[0]:]]
-    assert [r["episode"] for r in records] == ids[ACROSS[0]:]
-    assert [(r["task"]["id"], r["outcome"], r["cause"]) for r in records] == [
-        ("t", o, None) for o in OUTCOMES
-    ]
+    assert ids[99_999:100_001] == ["r0000e99999", "r0000e100000"]
 
 
 def test_retained_lists_stay_in_generation_order_past_the_width():
@@ -239,6 +244,7 @@ def test_report_picks_the_checkpoint_round_not_its_prefix(tmp_path, capsys):
     run.mkdir()
     checkpoint = 1000
     trajectory = {
+        "format": 2,
         "scenario": "episode-order",
         "seed": 0,
         "rounds": [

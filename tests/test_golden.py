@@ -19,7 +19,7 @@ import pytest
 
 import skillmas.world as world
 from conftest import NOISY, random_scenario
-from reference import mt_blocks
+from reference import expand_report, expand_run_dir, mt_blocks
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
 from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
@@ -90,6 +90,35 @@ OWNERSHIP_SHA256 = {
 MERGE_SHA256 = (
     "108afedfba69208898539586541e23560b0c1e5d8a2745d9bd58db8049293032",
     "7eb502372841be2395b1c0d0276051de02e0547c391a535f27d2c312d89dca70",
+)
+
+# The per-episode format of the artifacts above, before the trace log held
+# shape tables: a log line per episode, `retained` as episode-id lists in
+# `trajectory.json` format 1, and `run.json` format 3.  These are the values
+# REPORT_SHA256, WIDE_SHA256, RUN_DIR_SHA256 and CROSS_ROUND_RUN_DIR_SHA256
+# had then; `reference.expand_report` and `reference.expand_run_dir` rebuild
+# those bytes from the new artifacts, so no information moved.
+PER_EPISODE_REPORT_SHA256 = {
+    ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
+    ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
+    ("calibration", 11): "400802de637f00d1ee04e5de8c6d5da97378c6c58690487384760ac58334ba2d",
+    ("favorable", 1): "fe400cd4987769865bcc991183c4be72b71ea82074378b6906783140fb85327d",
+    ("favorable", 7): "0df3cebd9f7424181a9520d5477cdfbc133cb8e92d72c3e964fc06ae371cf7b8",
+    ("favorable", 11): "e3edce2103993b9a973b210ccfccba990f43b76ab9ec9a0d0042968008a9f38e",
+    ("hostile", 1): "4d204138013769db253f341325e2fcb6fa6a89f18978bd5fa6dd067b9b23f6b0",
+    ("hostile", 7): "bf757e9d1b672dc098b78c14e68fec0ae44cd05f995b7bf06f89e8f403e27920",
+    ("hostile", 11): "f22d8369231f6ece85055fed63ec05ef5386ade1b6d68ee70aaa847c2b9ead4a",
+    ("mismatch", 1): "3160415b131076feed8642f0c800330d0d07e98751e6c3f2ac0b3039c276c454",
+    ("mismatch", 7): "364b453fe4fb9506ad96d0da0ee5a1ede5bf913c0baa2f30a75d39a40df2b940",
+    ("mismatch", 11): "86bc3c0baee3b1ecf10f54e68c27c00dada8336ed1f912301315e1008f666f6f",
+    ("tiny", 1): "7f296d5c622987fb9d89de4070de0136491366ac07f8cb61c2a8408bee311225",
+    ("tiny", 7): "47d13fa3675bfd813b45ddb371571814de218b4a9ff127d7e002a868a187a36f",
+    ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
+}
+PER_EPISODE_WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
+PER_EPISODE_RUN_DIR_SHA256 = "e5efa15b11d3afab6ba34a7859eca5e355d1858e9935aa974cea6387d6a62053"
+PER_EPISODE_CROSS_ROUND_RUN_DIR_SHA256 = (
+    "c89dd4468f036a9d07e514a273921ad3d80cf49c8f304260a06d1addc7dfa6f8"
 )
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
@@ -165,21 +194,27 @@ def wide_text(n_families: int, episodes: int) -> str:
     ) + "\n"
 
 
-def report_digest(preset, seed) -> str:
+def preset_report(preset, seed):
     pack = load_preset(preset)
-    result = run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config)
-    return sha256_text(result.report.to_json())
+    return run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config).report
+
+
+def report_digest(preset, seed) -> str:
+    return sha256_text(preset_report(preset, seed).to_json())
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preset_report_hash(preset, seed):
-    assert report_digest(preset, seed) == REPORT_SHA256[(preset, seed)]
+    report = preset_report(preset, seed)
+    assert sha256_text(expand_report(report)) == PER_EPISODE_REPORT_SHA256[(preset, seed)]
+    assert sha256_text(report.to_json()) == REPORT_SHA256[(preset, seed)]
 
 
 def test_wide_report_hash():
     pack = parse_scenario(wide_text(24, 100), name="wide24")
     result = run_experiment(pack.scenario, pack.seed_state, 7, 10, pack.config)
+    assert sha256_text(expand_report(result.report)) == PER_EPISODE_WIDE_SHA256
     assert sha256_text(result.report.to_json()) == WIDE_SHA256
 
 
@@ -224,6 +259,8 @@ def run_mismatch(out) -> None:
 def test_run_directory_digest(tmp_path):
     out = tmp_path / "run"
     run_mismatch(out)
+    expand_run_dir(out, tmp_path / "per-episode")
+    assert dir_digest(tmp_path / "per-episode") == PER_EPISODE_RUN_DIR_SHA256
     assert dir_digest(out) == RUN_DIR_SHA256
 
 
@@ -236,6 +273,8 @@ def test_cross_round_run_directory_digest(tmp_path, capsys):
          "--episodes", "200", "--config", str(config), "--out", str(out), "--quiet"]
     )
     assert code == 0
+    expand_run_dir(out, tmp_path / "per-episode")
+    assert dir_digest(tmp_path / "per-episode") == PER_EPISODE_CROSS_ROUND_RUN_DIR_SHA256
     assert dir_digest(out) == CROSS_ROUND_RUN_DIR_SHA256
     assert main(["replay", "--run", str(out)]) == 0
     assert "replay clean" in capsys.readouterr().out

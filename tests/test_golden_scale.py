@@ -19,6 +19,8 @@ import pytest
 from skillmas import parse_scenario, run_experiment
 from skillmas.cli import main
 
+from reference import expand_run_dir
+
 # the benchmark's wide world (perfbench/scenarios.py), N = 96, 400 episodes
 # x 10 rounds, by engine seed
 WIDE96_SHA256 = {
@@ -28,6 +30,12 @@ WIDE96_SHA256 = {
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
 RUN_DIR_SHA256 = "dd557b926f45fe6117018ff81abe359c5be18842f900084a39bc131469498418"
+
+# that run directory in the per-episode format, before the trace log held
+# shape tables (a log line per episode, `retained` as episode-id lists,
+# `run.json` format 3), rebuilt by `reference.expand_run_dir`: the value
+# RUN_DIR_SHA256 had then
+PER_EPISODE_RUN_DIR_SHA256 = "dd557b926f45fe6117018ff81abe359c5be18842f900084a39bc131469498418"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
 # a NUL byte, then `transplant.json`
@@ -98,6 +106,8 @@ def test_mismatch2k_run_directory_digest(tmp_path):
          "--episodes", "2000", "--out", str(out), "--quiet"]
     )
     assert code == 0
+    expand_run_dir(out, tmp_path / "per-episode")
+    assert dir_digest(tmp_path / "per-episode") == PER_EPISODE_RUN_DIR_SHA256
     assert dir_digest(out) == RUN_DIR_SHA256
 
 

@@ -4,7 +4,7 @@
 episodes that take the same path share one `slices` tuple, every failure
 shares one `CauseObservation` per value, and episodes that end the same way
 share one `TraceShape`, which the batch's table lists once.  None of that
-may change an episode or a byte of the log.
+may change an episode or a byte of the log re-expanded per episode.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from skillmas.store import encode_trace_log, trace_to_record
 from skillmas.world import ExecutionTable, exec_round
 
 from conftest import batch_of
-from reference import Episode, episodes_of, fresh_table_round
+from reference import Episode, episodes_of, expand_log, fresh_table_round
 from test_round_index import random_world
 
 FIELDS = [f.name for f in dataclasses.fields(Episode)]
@@ -94,7 +94,7 @@ def test_log_bytes_do_not_depend_on_sharing(world_seed, n_episodes):
         copies.append(dataclasses.replace(shape, slices=slices))
     unshared = batch_of(copies, round_index=batch.round_index)
     assert len(unshared.shapes) == len(batch.index)
-    assert encode_trace_log(unshared) == encode_trace_log(batch)
+    assert expand_log(encode_trace_log(unshared)) == expand_log(encode_trace_log(batch))
 
 
 def test_random_worlds_cover_the_path_cases():
@@ -114,10 +114,8 @@ def test_random_worlds_cover_the_path_cases():
 
 
 def shape_record(shape):
-    """The shape's log record without an episode id, as canonical JSON."""
-    record = trace_to_record(None, shape)
-    del record["episode"]
-    return json.dumps(record, sort_keys=True)
+    """The shape's log record, as canonical JSON."""
+    return json.dumps(trace_to_record(shape), sort_keys=True)
 
 
 def test_equal_records_share_one_shape_in_a_mismatch_round():

@@ -3,8 +3,10 @@
 `reference.reference_run_round` runs every stage that reads episodes
 episode by episode, on records that compare by value.  Chained over several
 rounds on random worlds, with and without cross-round repeats, every round
-of `experiment_rounds` must give the reference's report JSON, snapshot
-bytes and trace-log bytes.
+of `experiment_rounds` must give the reference's snapshot bytes, and its
+report and trace log re-expanded to the per-episode format must give the
+reference's report JSON and log bytes; the report's `retained` ids must be
+the reference's own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from skillmas.model import SkillStatus
 from skillmas.orchestrator import canonical_json, experiment_rounds
 from skillmas.store import encode_trace_log, serialize_state
 
-from reference import observed_cause, reference_failure_counts, reference_log, reference_rounds
+from reference import (
+    expand_log,
+    expand_retained,
+    observed_cause,
+    reference_failure_counts,
+    reference_log,
+    reference_rounds,
+)
 from test_round_index import random_world
 
 ROUNDS = 5
@@ -67,12 +76,15 @@ def chained_rounds(world_seed: int, repeats: bool):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_chained_rounds_match_the_reference_round(world_seed, repeats):
-    for (state, report, traces), (want_state, want_report, episodes) in chained_rounds(
+    for (state, report, traces), (want_state, want_row, episodes) in chained_rounds(
         world_seed, repeats
     ):
-        assert canonical_json(report.to_dict()) == canonical_json(want_report.to_dict())
+        row = report.to_dict()
+        row["retained"] = expand_retained(report.round_index, row["retained"], report.batch_index)
+        assert canonical_json(row) == canonical_json(want_row)
+        assert report.retained == want_row["retained"]
         assert serialize_state(state) == serialize_state(want_state)
-        assert encode_trace_log(traces) == reference_log(episodes)
+        assert expand_log(encode_trace_log(traces)) == reference_log(episodes)
 
 
 def test_chained_worlds_cover_the_round_cases():
@@ -83,16 +95,16 @@ def test_chained_worlds_cover_the_round_cases():
     for world_seed in range(40):
         for repeats in (False, True):
             multiplicity = chained_world(world_seed, repeats)[2].repeat_multiplicity
-            for _, (_, report, episodes) in chained_rounds(world_seed, repeats):
-                seen[report.restructure["action"]] += 1
-                for action in report.skill_actions:
+            for _, (_, row, episodes) in chained_rounds(world_seed, repeats):
+                seen[row["restructure"]["action"]] += 1
+                for action in row["skill_actions"]:
                     seen[action["action"]] += 1
-                seen["drop"] += report.last_round_drop
+                seen["drop"] += row["last_round_drop"]
                 in_round = reference_failure_counts(episodes)
                 by_id = {e.episode_id: e for e in episodes}
                 seen["cross-round repeat"] += any(
                     in_round[by_id[i].task_type.id, observed_cause(by_id[i])] < multiplicity
-                    for i in report.retained.get("repeated-failure", ())
+                    for i in row["retained"].get("repeated-failure", ())
                 )
     assert set(seen) == {
         "keep", "add", "merge-remove", "modify",

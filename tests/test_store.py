@@ -234,20 +234,23 @@ def test_snapshot_reader_refuses_what_the_writer_never_writes(evolved_snapshot, 
 
 
 class TestTraceLog:
-    """The log is write-only: one `trace_to_record` line per episode, in
-    generation order."""
+    """The log is write-only: per round, one `trace_to_record` line per
+    shape-table entry, then the index in generation order."""
 
     def test_write_read_seventy(self):
         scenario, state = random_scenario(random.Random(11))
-        batch = exec_round(state, scenario, 70, 4, EngineConfig())
-        lines = encode_trace_log(batch).splitlines()
-        assert [json.loads(line) for line in lines] == [
-            trace_to_record(batch.episode_id(i), batch.shapes[k])
-            for i, k in enumerate(batch.index)
+        batch = exec_round(dataclasses.replace(state, round_index=3), scenario, 70, 4,
+                           EngineConfig())
+        *table, index = [json.loads(line) for line in encode_trace_log(batch).splitlines()]
+        assert table == [
+            {**trace_to_record(shape), "round": 3, "shape": k}
+            for k, shape in enumerate(batch.shapes)
         ]
+        assert index == {"index": list(batch.index), "round": 3}
+        assert len(table) < len(index["index"]) == 70
 
     def test_empty_file_empty_set(self):
-        assert encode_trace_log(Batch(0, (), array("L"))) == ""
+        assert encode_trace_log(Batch(0, (), array("L"))) == '{"index":[],"round":0}\n'
 
     def test_append_only_monotonic(self):
         # a batch's lines are the same whichever batch was encoded before

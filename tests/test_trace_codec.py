@@ -1,10 +1,10 @@
-"""The trace-log writer against the record schema.
+"""The trace-log writer against the per-episode record schema.
 
-`encode_trace_log` encodes each shape of a batch once per call.  That may
-not move a byte: every line must be what
-`json.dumps(trace_to_record(episode_id, shape))` gives, whatever the
-sharing, escapes or scalar types of the shapes.  The log
-is write-only; `replay` reports a line that differs by file and line.
+`encode_trace_log` writes a batch as its shape table and its index.  That
+may not lose a bit: re-expanded (`reference.expand_log`), the log must be
+the per-episode log `reference.reference_log` writes, one record per
+episode, whatever the sharing, escapes or scalar types of the shapes.  The
+log is write-only; `replay` reports a line that differs by file and line.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from skillmas.model import (
     TaskType,
     TraceShape,
 )
-from skillmas.store import encode_trace_log, trace_to_record
+from skillmas.store import encode_trace_log
 
 from conftest import batch_of
+from reference import episodes_of, expand_log, reference_log
 
 # ids that need JSON escapes or are not ASCII, next to plain ones
 ID_TEXT = st.one_of(
@@ -44,16 +45,9 @@ LABEL = st.sampled_from([CauseLabel.UNKNOWN, CauseLabel.SKILL_CONFLICT]) | st.sa
 )
 
 
-def record_lines(batch) -> list[str]:
-    """Each episode's `trace_to_record` line, in generation order."""
-    return [
-        json.dumps(
-            trace_to_record(batch.episode_id(i), batch.shapes[k]),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for i, k in enumerate(batch.index)
-    ]
+def record_lines(batch) -> str:
+    """Each episode's per-episode log line, in generation order."""
+    return reference_log(episodes_of(batch))
 
 
 @st.composite
@@ -142,7 +136,8 @@ def trace_batches(draw, string_ids: bool = True):
 @given(trace_batches(string_ids=False))
 def test_writer_lines_equal_the_record_schema(batch):
     text = encode_trace_log(batch)
-    assert text.split("\n") == record_lines(batch) + [""]
+    assert len(text.splitlines()) == len(batch.shapes) + 1
+    assert expand_log(text) == record_lines(batch)
 
 
 def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
@@ -159,7 +154,7 @@ def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
     shapes = [TraceShape(task, slices, *head) for head in heads]
     batch = batch_of(shapes * 2)
     assert len(batch.shapes) == len(shapes)
-    assert encode_trace_log(batch).split("\n") == record_lines(batch) + [""]
+    assert expand_log(encode_trace_log(batch)) == record_lines(batch)
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,9 @@ class TestExecRound:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
         # each episode ran on its own table, so only the records compare
-        assert [
-            trace_to_record(serial.episode_id(i), shape)
-            for i, shape in enumerate(reversed(parallel))
-        ] == [trace_to_record(serial.episode_id(i), serial.shapes[k])
-              for i, k in enumerate(serial.index)]
+        assert [trace_to_record(shape) for shape in reversed(parallel)] == [
+            trace_to_record(serial.shapes[k]) for k in serial.index
+        ]
 
     def test_single_episode(self):
         scenario, state = random_scenario(random.Random(1))
