@@ -2,7 +2,8 @@
 
 Every value below was first recorded when episode streams became BLAKE2b
 blocks, and re-recorded where it moved when utility entries became exact
-(successes, attempts) counts.  The MT_* constants at the end of the file
+(successes, attempts) counts and when the trace log became per-round shape
+tables.  The MT_* constants at the end of the file
 pin the engine on the Mersenne Twister streams that episodes read before,
 patched back in.  A change that is meant to be a pure optimisation must
 leave all of them unchanged; a change that alters behaviour on purpose must
@@ -32,34 +33,34 @@ SEEDS = (1, 7, 11)
 ROUNDS = 8
 
 REPORT_SHA256 = {
-    ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
-    ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
-    ("calibration", 11): "400802de637f00d1ee04e5de8c6d5da97378c6c58690487384760ac58334ba2d",
-    ("favorable", 1): "fe400cd4987769865bcc991183c4be72b71ea82074378b6906783140fb85327d",
-    ("favorable", 7): "0df3cebd9f7424181a9520d5477cdfbc133cb8e92d72c3e964fc06ae371cf7b8",
-    ("favorable", 11): "e3edce2103993b9a973b210ccfccba990f43b76ab9ec9a0d0042968008a9f38e",
-    ("hostile", 1): "4d204138013769db253f341325e2fcb6fa6a89f18978bd5fa6dd067b9b23f6b0",
-    ("hostile", 7): "bf757e9d1b672dc098b78c14e68fec0ae44cd05f995b7bf06f89e8f403e27920",
-    ("hostile", 11): "f22d8369231f6ece85055fed63ec05ef5386ade1b6d68ee70aaa847c2b9ead4a",
-    ("mismatch", 1): "3160415b131076feed8642f0c800330d0d07e98751e6c3f2ac0b3039c276c454",
-    ("mismatch", 7): "364b453fe4fb9506ad96d0da0ee5a1ede5bf913c0baa2f30a75d39a40df2b940",
-    ("mismatch", 11): "86bc3c0baee3b1ecf10f54e68c27c00dada8336ed1f912301315e1008f666f6f",
-    ("tiny", 1): "7f296d5c622987fb9d89de4070de0136491366ac07f8cb61c2a8408bee311225",
-    ("tiny", 7): "47d13fa3675bfd813b45ddb371571814de218b4a9ff127d7e002a868a187a36f",
-    ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
+    ("calibration", 1): "72600b9b879b20bdcc48266cb2b36ea8d600d7299c240489ab1e2201152ef791",
+    ("calibration", 7): "867011cacf016e4447cb8ab42e0497bac9ea0b90aee822db6cb5ac2f896bf3fe",
+    ("calibration", 11): "7a238c39947c2479b2201651b35f62b10ebd35303b9a5807ecace644efb1049f",
+    ("favorable", 1): "ef5c1e3bf110cbb055eed11ff64d586a003227fbf4eeb434370ac50c94eb0757",
+    ("favorable", 7): "1c900ec2130f41eb6c1afde987a0c56c0013ad30280b7a51b02173bafd3f3c68",
+    ("favorable", 11): "fcb1e19c76e90fa2cd53993323185ef0c891128ef634c4b7e1ba66bd983e256f",
+    ("hostile", 1): "ed28b68fef474941431df3e644f852d2b690916924588bd296d642140d3ce748",
+    ("hostile", 7): "6e27ecb9e6ecbbdbaaf05ee9bfbfe32e8a4364329ca8bbd4a5921a1abbf8baa9",
+    ("hostile", 11): "08bdef5e37e797ccb1d0ed9bb353818744b48370ebb4df8ad3900c62dd77f08b",
+    ("mismatch", 1): "5c1e6879548419f36cc4fa5f5938240dd2e5f33bcfb080e0805c42cb5e137349",
+    ("mismatch", 7): "e7f92435d1124c3181dfa651f97644e5f8a2a6b74e04756b1c1c3797b87dbde7",
+    ("mismatch", 11): "257f0ab4287bfa5fd750c7a3004f0ae00014781e29a7ff0f51e43b38ba90864e",
+    ("tiny", 1): "6783de81d13c4f12191e9438d484042780b1f273fba54cab2224c232c367413b",
+    ("tiny", 7): "c7d1b4dfa0d37afd58f4b7230b9fc01f8c9fcbca3bfeff62b510a056e06a403b",
+    ("tiny", 11): "4a77d9bdce59b9fd44384fb6d09ac49d7a480424768f922b15285bd67fd74731",
 }
 
 # generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the
 # library ends at 33 entries, 19 of them pruned
-WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
+WIDE_SHA256 = "c88aca36672e983c22309fc83dd589cf5489356fdacbe07ea16eec74c52e0826"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "e5efa15b11d3afab6ba34a7859eca5e355d1858e9935aa974cea6387d6a62053"
+RUN_DIR_SHA256 = "a4dfe37f8db90efa6eeb7844802f782303673124f201029b7a85d339ca692a78"
 
 # the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
 # failures count towards repeats, so rounds 1 and 3 retain 147 and 129
 # repeated failures where the default run retains 146 and 128
-CROSS_ROUND_RUN_DIR_SHA256 = "c89dd4468f036a9d07e514a273921ad3d80cf49c8f304260a06d1addc7dfa6f8"
+CROSS_ROUND_RUN_DIR_SHA256 = "1861dbbd7ce8cb51193ae778f39026afbf546df9c561fd8e7b80fce79723d2f9"
 
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
@@ -70,12 +71,12 @@ CROSS_ROUND_RUN_DIR_SHA256 = "c89dd4468f036a9d07e514a273921ad3d80cf49c8f304260a0
 # since utility entries are exact counts, seed 14 modifies at round 6 too).
 OWNERSHIP_SHA256 = {
     ("mismatch", 32, 8): (
-        "e3f6b5fc1bdf67da3868b57c9bcf3b43fbf343306c5c89394bc149674cc9e368",
+        "a0d922479f5850d0cfd132e773ca5b6f4ceb464e74d5a6420991e82167a3f8d2",
         "a459672c5f3807f340b25852f695c7971b37c8ead11be81fb2b666919ed1dcfe",
         "f0a68ba19301e64830182acf8b0ca403060ca38d06e263731571e8ffbb084b2b",
     ),
     ("wide24", 27, 10): (
-        "9ca4d70970bcf8fd05a3239f698dcb3f775e592e5159cbfbebedfe0c7642712a",
+        "0dbb314d261ec19179d9ecd7717db52a73da01594c22c7ee9d046a0043b313b0",
         "0ed951b12becb6be5b7227286a79c01d52509d9759afa95fc811bd81696dffcc",
         "a690b02a3f38dce7f69297f9dcff134b6d5d42879ed4fcf95aa2a19a6771ec00",
     ),
@@ -88,7 +89,7 @@ OWNERSHIP_SHA256 = {
 # threshold, and utility gap 0.098 against a merge gap of 0.1.  The report,
 # then one digest over `serialize_state` of every state X_0 .. X_8.
 MERGE_SHA256 = (
-    "108afedfba69208898539586541e23560b0c1e5d8a2745d9bd58db8049293032",
+    "73ef10489034bb6902dc44a5a91459a6de6ccd1e2727026b5a846d34b58845d1",
     "7eb502372841be2395b1c0d0276051de02e0547c391a535f27d2c312d89dca70",
 )
 
@@ -404,26 +405,27 @@ def test_merge_remove_run_directory(tmp_path, capsys):
 # they were BLAKE2b blocks (`reference.mt_blocks`).  When the streams changed,
 # these reproduced the goldens recorded on Mersenne Twister streams, so the
 # stream was the only behaviour change then; they were re-recorded where they
-# moved when utility entries became exact counts.
+# moved when utility entries became exact counts and when the trace log
+# became per-round shape tables.
 
 MT_REPORT_SHA256 = {
-    ("calibration", 1): "e7f481f7254e64cc7e177d2f457deeed6d6228943114fb71b3b4f08f4147a31b",
-    ("calibration", 7): "cfb30810727a3281324bcf11ce395b8645e4ad95661850a235246c07d8850c5f",
-    ("calibration", 11): "e8818e0465cba97ad51dca0b97c334a5c1670a24e35c9be20f4bb0442ede40c6",
-    ("favorable", 1): "fb524eae243c2f5506e173e3e749236dfd121fcd6efe018df3b89d968f888b3e",
-    ("favorable", 7): "f3f8aa3b55b04fd76c8a3837ab3a4f37dbeb9364412f78b6cd7b4389defce007",
-    ("favorable", 11): "a40dfbb3cfb30927668a6a6abc21d93c38ee4d303f272467d3fa01732f8bb833",
-    ("hostile", 1): "212795e0c83a4a938b25da07bf07e6f530c799e3b86c1fd47e87a4d4613fe85e",
-    ("hostile", 7): "c9138cad4ff1818239ed08bfc2660590424a04f92711b6c295e10239bf9e32d1",
-    ("hostile", 11): "4fed511c866a13b3bc4d3a5c675b55643aef822244c6092a253f72081f635b8a",
-    ("mismatch", 1): "c5b29792ed626624fff4cc7d811f4e58cf64f452dab3bd29f198db8f77b33877",
-    ("mismatch", 7): "677142a0efe06079f9221a7b817087e606c4a1d9e8fae1ab1f08bce1a21ccb03",
-    ("mismatch", 11): "d9e11450ef46e2388a6c1accf36f4372498a66e30b9f535b2a2e742d5c7dc45b",
-    ("tiny", 1): "748dc383458ff9c4ba57ed0c2f0c2178a8a30cf9d52ce4f648dde84f5bd76fc7",
-    ("tiny", 7): "fd189a33bda917a8784d32544cdbda7df29e710bf41f294d5049f386ce74c93b",
-    ("tiny", 11): "50d84eeb60da909f22f8cb519a430860143ed83b73d4e19ab67fa9b671f7a99e",
+    ("calibration", 1): "90bee2d8365856de869188665adbc51c8fd0cf610bd775ce781760568e43b612",
+    ("calibration", 7): "2b0f9fa10961c11fce1968bca761b01dadf49fd27d97f4e43440e8b00a28a317",
+    ("calibration", 11): "9ace823b28cc59eb39a2737b05b394d07b999cf5a63e053dcfd24eeb348660d2",
+    ("favorable", 1): "fe41090a50bab6c29f7d62c51b8a16dbc3c43c63a021200d3e2b4c4aff85fdec",
+    ("favorable", 7): "f9f03449ec4843ee326fd2d8fdf2bf76dc38478c4ba654cfe8cd03b7ebbd67dc",
+    ("favorable", 11): "dba36399972bf64d021c4f9ce7a5f7a7b6e4ae3c3571897bafaec9929ed949c8",
+    ("hostile", 1): "e773ecbaaa6f9215cc5ecdef3d48cc101b70a04efb72d7ac1bd82280f5ce6b72",
+    ("hostile", 7): "b03d48d7964ca233f06902d7cceed3079fab82b8135fcc8ce751b01c9c17fa90",
+    ("hostile", 11): "85f8e08cc5c046aba81840bdbcb9acce4e4c5a8e4c409d2c8344426f9303c1b6",
+    ("mismatch", 1): "7a467a8dda8dddf5c276c74436eaf341ee392d56d9903896fa131fcffdf7f932",
+    ("mismatch", 7): "ec05bc86100d6de7738afee90e9d8cebee4f6a6f9cf78db7c90a5839867b55c5",
+    ("mismatch", 11): "c5efd26eb56dddda7f981991bacf42a97b4f698eac50e3948c8dd87b84516062",
+    ("tiny", 1): "947774e63e58a4d846bc59cff3f3417fa4ac1aeefd089f72e109149b123b2f95",
+    ("tiny", 7): "9d0c7ead53d0e0c5a1846852dc62d0430dd076beeee4947a9fcc985babefebe9",
+    ("tiny", 11): "8afd5fe94fe39911026f4e389857f8d13288e699be5ca2037a58298cbda17b95",
 }
-MT_RUN_DIR_SHA256 = "7e34a19461f822bbf25fe93e94be42ae34eb0037eee9de151aea449f9134098e"
+MT_RUN_DIR_SHA256 = "3a6084a2f250885ac122a79a8d90ba3192c54db70eb4d7a5d496d40e1f95c6f7"
 MT_NOISY_SHA256 = {
     "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
     "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",

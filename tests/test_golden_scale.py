@@ -5,8 +5,9 @@ measures: the 96-family wide world at 400 episodes x 10 rounds, a
 `skillmas run` directory of preset:mismatch at 2000 episodes x 8 rounds,
 and the transplant audit of that directory.  All were recorded when
 episode streams became BLAKE2b blocks; the wide96 reports and the run
-directory were re-recorded when utility entries became exact counts (the
-transplant audit did not move).  A pure optimisation must leave every value
+directory were re-recorded when utility entries became exact counts and
+when the trace log became per-round shape tables (the transplant audit did
+not move).  A pure optimisation must leave every value
 unchanged.
 """
 
@@ -24,12 +25,12 @@ from reference import expand_run_dir
 # the benchmark's wide world (perfbench/scenarios.py), N = 96, 400 episodes
 # x 10 rounds, by engine seed
 WIDE96_SHA256 = {
-    7000: "5317f39a6bb2b48130df2bbef146cafb27853f59276d306a19e5b320e2ef04f1",
-    7003: "adf3b626979e07895bf9553794011b3c61e1d76cf536f97af6a5666daed64c6a",
+    7000: "20d0687cab4b0c07ca10236341421d129fb4b22ef7fffa444cb011b39dde6eca",
+    7003: "493fc814c1100fd40488c48edd6079f0e9775907e98810e94ac440360d3be1ed",
 }
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "dd557b926f45fe6117018ff81abe359c5be18842f900084a39bc131469498418"
+RUN_DIR_SHA256 = "c62523e84bfa5bee66d1661934994da65e535808929f6ad74d9e7fd9ecd51108"
 
 # that run directory in the per-episode format, before the trace log held
 # shape tables (a log line per episode, `retained` as episode-id lists,
