@@ -12,6 +12,7 @@ from skillmas.model import StateError
 from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
 
+from reference import log_rounds
 from test_golden import dir_digest
 
 
@@ -413,22 +414,17 @@ class TestEvalTransplantReport:
 
 
 def _reference_report(run_dir) -> str:
-    """`report` as a tally of the trace log's JSON lines: per round, each
-    shape record counted as often as the round's index line names it; the
+    """`report` as a tally of the trace log: per round, each table entry's
+    record counted as often as the round's index line names it; the
     checkpoint round's counts against round 0's."""
     trajectory = json.loads((run_dir / "trajectory.json").read_text(encoding="utf-8"))
-    tables: dict[int, dict[int, dict]] = {}
     by_round: dict[int, dict[str, tuple[int, int]]] = {}
-    for line in (run_dir / "traces.jsonl").read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        if "index" not in record:
-            tables.setdefault(record["round"], {})[record["shape"]] = record
-            continue
-        counts = by_round.setdefault(record["round"], {})
-        for k, n in Counter(record["index"]).items():
-            shape = tables[record["round"]][k]
-            s, a = counts.get(shape["task"]["id"], (0, 0))
-            counts[shape["task"]["id"]] = (s + shape["outcome"] * n, a + n)
+    log = (run_dir / "traces.jsonl").read_text(encoding="utf-8")
+    for round_index, table, index in log_rounds(log):
+        counts = by_round.setdefault(round_index, {})
+        for k, n in Counter(index).items():
+            s, a = counts.get(table[k]["task"]["id"], (0, 0))
+            counts[table[k]["task"]["id"]] = (s + table[k]["outcome"] * n, a + n)
     best = by_round[trajectory["checkpoint"]["round"]]
     rows = family_rows(best, baseline=by_round[0])
     return render_trajectory(trajectory) + "\n" + render_breakdown(rows)

@@ -198,8 +198,10 @@ def test_report_names_file_and_line_of_a_bad_record(run_dir, capsys, corrupt):
     # the log of a real run directory; `replay` diffs it line by line
     path = run_dir / "traces.jsonl"
     lines = path.read_text(encoding="utf-8").splitlines()
-    # the third line, and one whose first phase was routed
-    lineno = next(i for i, line in enumerate(lines, 1) if i >= 3 and json.loads(line)["slices"])
+    # the third line or later, a table entry whose first phase was routed
+    lineno = next(
+        i for i, line in enumerate(lines, 1) if i >= 3 and json.loads(line).get("slices")
+    )
     if corrupt is None:
         lines[lineno - 1] = lines[lineno - 1][:-7]
     else:
