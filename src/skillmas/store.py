@@ -578,7 +578,9 @@ def trace_to_record(shape: TraceShape) -> dict[str, object]:
         "task": {"id": shape.task_type.id, "phases": list(shape.task_type.phases)},
         "outcome": shape.outcome,
         "progress": shape.progress,
-        "cause": {"label": obs.cause.value, "confident": obs.confident} if obs else None,
+        "cause": (
+            {"label": obs.cause.value, "confident": obs.confident} if obs else None
+        ),
         "slices": [
             {
                 "executor": sl.executor,

@@ -755,7 +755,7 @@ def reference_rounds(scenario, seed_state, seed, rounds, config):
     for r in range(rounds):
         drop = r >= 2 and successes[r - 1] < successes[r - 2]
         prior = dict(history) if config.cross_round_repeats and r > 0 else None
-        state, report, episodes = reference_run_round(
+        state, row, episodes = reference_run_round(
             state,
             scenario,
             config,
@@ -764,12 +764,12 @@ def reference_rounds(scenario, seed_state, seed, rounds, config):
             last_round_edits=last_edits,
             prior_failure_counts=prior,
         )
-        successes.append(report["successes"])
+        successes.append(row["successes"])
         last_edits = frozenset(
             sid
-            for action in report["skill_actions"]
+            for action in row["skill_actions"]
             if action["action"] in ("create", "refine", "hold-in-pool")
             for sid in action["skills"]
         )
         history.update(reference_failure_counts(episodes))
-        yield state, report, episodes
+        yield state, row, episodes
