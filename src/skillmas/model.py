@@ -261,12 +261,17 @@ class Batch:
 
     `index` is an `array` of typecode "L", which holds at least 2**32
     values.  Episode ids are not stored: `episode_id` formats one where it
-    is written.
+    is written.  `counts` holds each shape's number of episodes, counted once.
     """
 
     round_index: int
     shapes: tuple[TraceShape, ...]
     index: array
+    counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        counts = Counter(self.index)
+        object.__setattr__(self, "counts", tuple(counts[k] for k in range(len(self.shapes))))
 
     def episode_id(self, i: int) -> str:
         """The id of episode i, the one format of an episode id."""
@@ -274,8 +279,7 @@ class Batch:
 
     def tally(self) -> list[tuple[TraceShape, int]]:
         """Each shape with its number of episodes, in table order."""
-        counts = Counter(self.index)
-        return [(shape, counts[k]) for k, shape in enumerate(self.shapes)]
+        return list(zip(self.shapes, self.counts))
 
     def firsts(self) -> list[int]:
         """Each shape's first episode, in table order."""

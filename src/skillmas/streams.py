@@ -12,9 +12,11 @@ b)`, is one BLAKE2b digest of (seed, i, b), a pure function of the three.
 Readers read the list by index through two word rules, each defined once
 here: `word_random` takes 53 bits from two words, and `word_randrange(n)`
 takes the top `n.bit_length()` bits of one word per try, rejecting values
->= n.  A rule that reads past the list appends the episode's next block,
-so the list always holds a prefix of the stream, whatever each reader has
-read.
+>= n.  `world`'s task draws and episode walk read `word_random`'s rule in
+place while both words are in the list (tests pin them to it) and call it
+past the list.  A rule that reads past the list appends the episode's next
+block, so the list always holds a prefix of the stream, whatever each
+reader has read.
 """
 
 from __future__ import annotations

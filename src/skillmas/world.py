@@ -10,11 +10,11 @@ both one-sided failure modes of coupled adaptation are expressible.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -35,7 +35,7 @@ from .model import (
     active_owned,
 )
 from .numfmt import q12
-from .streams import Blocks, episode_blocks, word_random, word_randrange
+from .streams import _TWO_M53, Blocks, episode_blocks, word_random, word_randrange
 from .utility import Route, executor_route, rank_skills, skills_by_task
 
 
@@ -272,14 +272,14 @@ class ExecutionTable:
     `_success_prob` and `_deficit` read the one `SuccessTerms` of its used
     skills.
 
-    Outcome paths are interned: per task object the table keeps its phases'
-    routes, its progress values `q12(c / n)` for c = 0..n, and the root of a
-    trie whose steps are keyed by the drawn executor id.  A step holds the
-    phase slot, the slices tuple of the path so far and the next phase's
-    steps, so episodes that take the same path share one `slices` object.
-    Trace shapes are interned too, one per (task, slices object, progress,
-    cause observation), so each distinct shape is checked once per table
-    and episodes that end the same way share one shape object.
+    Outcome paths are interned.  At each bisection position of the task
+    draw, `roots` holds (task, ((pair, route), ...), progress values
+    `q12(c / n)` for c = 0..n, first trie steps).  A step, keyed by the drawn
+    executor id, is (slot, the path's slices, next steps, ends), where ends
+    are the positions in `shapes` of the shapes that end there: success,
+    failure observed, unobserved.  So an episode ends at its shape with a
+    list lookup.  `shapes` lists each shape once, in order of first
+    appearance (the batch's table), checked once, when it is added.
     The table lives for one `exec_round` and is never shared between states.
     """
 
@@ -299,12 +299,9 @@ class ExecutionTable:
         )
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._excess: dict[str, int] = {}
-        # id(task) -> (((pair, route), ...), progress values, trie root, task);
-        # the value holds the task, so no id in a key is reused
-        self._paths: dict[int, tuple] = {}
-        # (id(task), id(slices), progress, id(observation)) -> shape; the
-        # shape holds all three objects, so no id in a key is reused
-        self.shapes: dict[tuple, TraceShape] = {}
+        # a draw rounding up to the total weight reaches position len(tasks)
+        self.roots: list[tuple | None] = [None] * (len(self.tasks) + 1)
+        self.shapes: list[TraceShape] = []
 
     @functools.cached_property
     def _candidates(self) -> dict[str, list[Skill]]:
@@ -318,33 +315,25 @@ class ExecutionTable:
     def _manager_id(self) -> str:
         return self.state.manager_id()
 
-    def task_at(self, u: float) -> TaskType:
-        """The task a uniform draw `u` in [0, 1) picks, each with probability
-        proportional to its sampling weight, by bisection over the
-        cumulative weights."""
-        index = bisect.bisect_right(self.cumulative_weights, u * self.total_weight)
-        return self.tasks[index] if index < len(self.tasks) else self.tasks[-1]
-
-    def paths(self, task_type: TaskType) -> tuple:
-        """The task's ((pair, route), ...), progress values, trie root and itself."""
-        entry = self._paths.get(id(task_type))
-        if entry is None:
-            n = len(task_type.phases)
-            entry = self._paths[id(task_type)] = (
-                tuple((pair, self.route(pair)) for pair in task_type.pairs()),
+    def task_at(self, u: float) -> tuple:
+        """The root of the task a uniform draw `u` in [0, 1) picks, each with
+        probability proportional to its sampling weight, by bisection over
+        the cumulative weights.  Positions of one task share its root, built
+        on first use."""
+        position = bisect_right(self.cumulative_weights, u * self.total_weight)
+        root = self.roots[position]
+        if root is None:
+            task = self.tasks[min(position, len(self.tasks) - 1)]
+            n = len(task.phases)
+            root = self.roots[position] = next(
+                (r for r in self.roots if r is not None and r[0] is task), None
+            ) or (
+                task,
+                tuple((pair, self.route(pair)) for pair in task.pairs()),
                 tuple(q12(c / n) for c in range(n + 1)),
                 {},
-                task_type,
             )
-        return entry
-
-    def add_step(self, steps: dict, pair: Pair, executor_id: str, slices: tuple) -> tuple:
-        """The trie step routing `pair` to `executor_id` after the path
-        `slices`, added to `steps`: the slot, the path's slices then the
-        slot's, and the next phase's steps."""
-        slot = self.slot(pair, executor_id)
-        step = steps[executor_id] = (slot, (*slices, slot.slice), {})
-        return step
+        return root
 
     def route(self, pair: Pair) -> Route:
         return executor_route(self.state.q_exec, self.state, *pair)
@@ -390,26 +379,30 @@ class ExecutionTable:
 
 
 def walk_episode(
-    table: ExecutionTable, task_type: TaskType, words: list[int], blocks: Blocks, episode: int
-) -> tuple[tuple[ExecutorSlice, ...], float, PhaseSlot | None, int]:
+    table: ExecutionTable, root: tuple, words: list[int], blocks: Blocks, episode: int
+) -> tuple[tuple, PhaseSlot | None, int, int]:
     """Make one episode's routing and success draws, up to its outcome.
 
     `words` is episode `episode`'s stream from `blocks`, whose words 0-1
-    drew the task; the walk reads on from word 2 through the word rules of
-    `streams`.  Phases run in order; each routes an executor (greedy, or
-    with the table's exploration rate one drawn at random) and draws a
-    Bernoulli success with the slot's probability.  A trie miss grows
-    through `ExecutionTable.add_step`.  The walk stops at the first phase
-    that fails and returns the slices of the phases it routed, the progress
-    `q12(completed / phases)`, the slot that failed, or None when every
-    phase succeeded, and the position after the last word it read.
+    drew the task of `root`.  Phases run in order; each routes an executor
+    (greedy, or with the table's exploration rate one drawn at random) and
+    draws a Bernoulli success with the slot's probability.  A draw whose two
+    words are in the list reads them in place by `word_random`'s rule; past
+    it, `word_random` and the executor draw's `word_randrange` append the
+    next block.  The walk stops at the first phase that fails and returns
+    the last step, the slot that failed (None when every phase succeeded),
+    the number of phases completed and the position after the last word read.
     """
-    phases, progress, steps, _ = table.paths(task_type)
     epsilon = table.epsilon
+    _, phases, _, steps = root
     slices: tuple[ExecutorSlice, ...] = ()
     pos = 2
-    for completed, (pair, route) in enumerate(phases):
-        if word_random(words, pos, blocks, episode) < epsilon:
+    for pair, route in phases:
+        if pos + 2 <= len(words):
+            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
+        else:
+            u = word_random(words, pos, blocks, episode)
+        if u < epsilon:
             index, pos = word_randrange(words, pos + 2, len(route.eligible), blocks, episode)
             executor_id = route.eligible[index]
         else:
@@ -417,43 +410,59 @@ def walk_episode(
             pos += 2
         step = steps.get(executor_id)
         if step is None:
-            step = table.add_step(steps, pair, executor_id, slices)
-        slot, slices, steps = step
-        if not word_random(words, pos, blocks, episode) < slot.success_prob:
-            return slices, progress[completed], slot, pos + 2
+            slot = table.slot(pair, executor_id)
+            step = steps[executor_id] = (slot, (*slices, slot.slice), {}, [None] * 3)
+        slot, slices, steps, _ = step
+        if pos + 2 <= len(words):
+            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
+        else:
+            u = word_random(words, pos, blocks, episode)
         pos += 2
-    return slices, progress[-1], None, pos
+        if not u < slot.success_prob:
+            return step, slot, len(slices) - 1, pos
+    return step, None, len(slices), pos
 
 
-def sample_episode(table: ExecutionTable, blocks: Blocks, episode: int) -> TraceShape:
-    """Run episode `episode` against the ground truth with the table's state
-    fixed, on its stream from `blocks`.
+def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: Iterable[int]) -> array:
+    """Run `episodes` against the ground truth with the table's state fixed,
+    each on its stream from `blocks`; returns their positions in `table.shapes`.
 
     Words 0-1 draw the task and `walk_episode` makes the routing and success
     draws.  On failure the episode then draws its last value: the failing
     slot's dominant deficit is observed as the cause, confidently with the
     scenario's observation probability; with no deficit nothing is drawn.
-    The result is the table's shape for that ending (a success when nothing
-    was observed), which went through `TraceShape`'s checks when the table
-    first met it.
+    The episode's shape is the one its last trie step holds for that ending.
     """
-    words = blocks(episode, 0)
-    task_type = table.task_at(word_random(words, 0, blocks, episode))
-    slices, progress, failed, pos = walk_episode(table, task_type, words, blocks, episode)
-    if failed is None:
-        observation = None
-    elif failed.deficit is not None and (
-        word_random(words, pos, blocks, episode) < table.scenario.cause_confidence
-    ):
-        observation = _OBSERVATIONS[failed.deficit[0], True]
-    else:
-        observation = _UNOBSERVED
-    key = (id(task_type), id(slices), progress, id(observation))
-    shape = table.shapes.get(key)
-    if shape is None:
-        outcome = 1 if observation is None else 0
-        shape = table.shapes[key] = TraceShape(task_type, slices, outcome, progress, observation)
-    return shape
+    roots, task_at, shapes = table.roots, table.task_at, table.shapes
+    cumulative, total = table.cumulative_weights, table.total_weight
+    confidence = table.scenario.cause_confidence
+    index = array("L")
+    for i in episodes:
+        words = blocks(i, 0)
+        u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
+        root = roots[bisect_right(cumulative, u * total)] or task_at(u)
+        step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
+        if failed is None:
+            end = 0
+        elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
+            end = 1
+        else:
+            end = 2
+        _, slices, _, ends = step
+        k = ends[end]
+        if k is None:
+            k = ends[end] = len(shapes)
+            cause = None if end == 0 else _UNOBSERVED if end == 2 else (
+                _OBSERVATIONS[failed.deficit[0], True]  # type: ignore[union-attr]
+            )
+            shapes.append(TraceShape(root[0], slices, int(end == 0), root[2][completed], cause))
+        index.append(k)
+    return index
+
+
+def sample_episode(table: ExecutionTable, blocks: Blocks, episode: int) -> TraceShape:
+    """Run episode `episode` through `end_episodes`; its entry of `table.shapes`."""
+    return table.shapes[end_episodes(table, blocks, (episode,))[0]]
 
 
 def exec_round(
@@ -467,22 +476,17 @@ def exec_round(
 
     Execution is read-only over the state.  Episode i reads its own stream,
     `episode_blocks(seed)` at i, so the batch is reproducible and safe to
-    parallelize.  The batch is round `state.round_index`'s: each shape the
-    table interned, once, in order of first appearance, and episode i's
-    position among them at `index[i]`.  Adaptation runs its rounds here,
-    since learning reads every episode; frozen evaluation only counts
-    outcomes and runs `exec_shared`.
+    parallelize.  The batch is round `state.round_index`'s: the table's
+    shapes, in order of first appearance, and episode i's position among
+    them at `index[i]`.  Adaptation runs its rounds here, since learning
+    reads every episode; frozen evaluation only counts outcomes and runs
+    `exec_shared`.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
     table = ExecutionTable(state, scenario, config)
-    blocks = episode_blocks(seed)
-    position: dict[TraceShape, int] = {}
-    index = array("L")
-    for i in range(n_episodes):
-        shape = sample_episode(table, blocks, i)
-        index.append(position.setdefault(shape, len(position)))
-    return Batch(state.round_index, tuple(position), index)
+    index = end_episodes(table, episode_blocks(seed), range(n_episodes))
+    return Batch(state.round_index, tuple(table.shapes), index)
 
 
 def exec_shared(
@@ -507,9 +511,14 @@ def exec_shared(
     if not states:
         raise ValueError("frozen evaluation needs at least one state")
     tables = [ExecutionTable(state, scenario, config) for state in states]
-    task_at = tables[0].task_at
+    cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
     blocks = episode_blocks(seed)
     for i in range(n_episodes):
         words = blocks(i, 0)
-        task = task_at(word_random(words, 0, blocks, i))
-        yield task, tuple([walk_episode(t, task, words, blocks, i)[2] is None for t in tables])
+        u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
+        position = bisect_right(cumulative, u * total)
+        flags = [
+            walk_episode(t, t.roots[position] or t.task_at(u), words, blocks, i)[1] is None
+            for t in tables
+        ]
+        yield tables[0].roots[position][0], tuple(flags)  # type: ignore[index]

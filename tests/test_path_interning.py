@@ -70,12 +70,16 @@ def test_same_path_shares_one_slices_object(world_seed, n_episodes):
 def test_stored_progress_values_are_quantized_fractions(world_seed):
     scenario, state, config = random_world(random.Random(world_seed))
     table = ExecutionTable(state, scenario, config)
-    for task in scenario.task_types:
-        phases, progress, _, _ = table.paths(task)
+    for k, task in enumerate(scenario.task_types):
+        # the middle of the task's share of the draw
+        weight = scenario.task_weights[task.id]
+        u = (table.cumulative_weights[k] - weight / 2) / table.total_weight
+        root_task, phases, progress, _ = table.task_at(u)
+        assert root_task is task
         n = len(task.phases)
         assert [pair for pair, _ in phases] == list(task.pairs())
         assert [repr(p) for p in progress] == [repr(q12(c / n)) for c in range(n + 1)]
-        assert table.paths(task)[1] is progress
+        assert table.task_at(u)[2] is progress
 
 
 @settings(max_examples=100, deadline=None)

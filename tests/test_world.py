@@ -198,8 +198,9 @@ class TestSampleEpisode:
         for i in range(30):
             shape = sample_episode(table, blocks, i)
             words = blocks(i, 0)
-            task = table.task_at(word_random(words, 0, blocks, i))
-            slices, progress, failed, pos = walk_episode(table, task, words, blocks, i)
+            root = table.task_at(word_random(words, 0, blocks, i))
+            step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
+            task, slices, progress = root[0], step[1], root[2][completed]
             assert shape.task_type is task
             assert shape.slices is slices and shape.progress == progress
             assert shape.outcome == (failed is None)
