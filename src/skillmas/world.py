@@ -387,11 +387,11 @@ def walk_episode(
     drew the task of `root`.  Phases run in order; each routes an executor
     (greedy, or with the table's exploration rate one drawn at random) and
     draws a Bernoulli success with the slot's probability.  A draw whose two
-    words are in the list reads them in place by `word_random`'s rule; past
-    it, `word_random` and the executor draw's `word_randrange` append the
-    next block.  The walk stops at the first phase that fails and returns
-    the last step, the slot that failed (None when every phase succeeded),
-    the number of phases completed and the position after the last word read.
+    words are in the list reads them in place by `word_random`'s rule, and
+    calls `word_random` past it; an executor draw calls `word_randrange`.
+    The walk stops at the first phase that fails and returns the last step,
+    the slot that failed (None when every phase succeeded), the number of
+    phases completed and the position after the last word read.
     """
     epsilon = table.epsilon
     _, phases, _, steps = root
