@@ -275,10 +275,10 @@ class ExecutionTable:
     Outcome paths are interned.  At each bisection position of the task
     draw, `roots` holds (task, ((pair, route), ...), progress values
     `q12(c / n)` for c = 0..n, first trie steps).  A step, keyed by the drawn
-    executor id, is (slot, the path's slices, next steps, ends), where ends
-    are the positions in `shapes` of the shapes that end there: success,
-    failure observed, unobserved.  So an episode ends at its shape with a
-    list lookup.  `shapes` lists each shape once, in order of first
+    executor id, is the list [slot, the path's slices, next steps, then the
+    positions in `shapes` of the shapes that end there: success, failure
+    observed, unobserved].  So an episode ends at its shape with a list
+    lookup.  `shapes` lists each shape once, in order of first
     appearance (the batch's table), checked once, when it is added.
     The table lives for one `exec_round` and is never shared between states.
     """
@@ -411,8 +411,8 @@ def walk_episode(
         step = steps.get(executor_id)
         if step is None:
             slot = table.slot(pair, executor_id)
-            step = steps[executor_id] = (slot, (*slices, slot.slice), {}, [None] * 3)
-        slot, slices, steps, _ = step
+            step = steps[executor_id] = [slot, (*slices, slot.slice), {}, None, None, None]
+        slot, slices, steps, _, _, _ = step
         if pos + 2 <= len(words):
             u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
         else:
@@ -443,19 +443,18 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: Iterable[int])
         root = roots[bisect_right(cumulative, u * total)] or task_at(u)
         step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
         if failed is None:
-            end = 0
+            end = 3
         elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
-            end = 1
+            end = 4
         else:
-            end = 2
-        _, slices, _, ends = step
-        k = ends[end]
+            end = 5
+        k = step[end]
         if k is None:
-            k = ends[end] = len(shapes)
-            cause = None if end == 0 else _UNOBSERVED if end == 2 else (
+            k = step[end] = len(shapes)
+            cause = None if end == 3 else _UNOBSERVED if end == 5 else (
                 _OBSERVATIONS[failed.deficit[0], True]  # type: ignore[union-attr]
             )
-            shapes.append(TraceShape(root[0], slices, int(end == 0), root[2][completed], cause))
+            shapes.append(TraceShape(root[0], step[1], int(end == 3), root[2][completed], cause))
         index.append(k)
     return index
 
