@@ -35,8 +35,9 @@ from skillmas.world import (
     sample_episode,
 )
 
+import reference
 from conftest import NOISY, make_state
-from reference import WordStream, _weighted_choice, episodes_of, reference_episode
+from reference import episodes_of, reference_blocks, reference_exec_round
 from test_round_index import random_world
 from test_stream_tape import counted_blocks
 
@@ -136,11 +137,12 @@ def boundary_blocks(rejects: int, fetched: list):
     """`episode_blocks` whose first block of every episode makes the first
     routing draw explore and `word_randrange` reject `rejects` words from
     word 4 on, then accept index 0 while still in the block.  The reads and
-    the next success draw run past word 15.  Each (episode, block) derived
-    is appended to `fetched`."""
+    the next success draw run past word 15.  The other words are
+    `reference_blocks`'.  Each (episode, block) derived is appended to
+    `fetched`."""
 
     def make(seed):
-        real = episode_blocks(seed)
+        real = reference_blocks(seed)
 
         def block(episode, index):
             fetched.append((episode, index))
@@ -157,16 +159,6 @@ def boundary_blocks(rejects: int, fetched: list):
     return make
 
 
-def reference_round(state, scenario, blocks, n_episodes, config, id_prefix):
-    """Each episode on its own reader of `blocks`, every value recomputed."""
-    episodes = []
-    for i in range(n_episodes):
-        rng = WordStream(blocks, i)
-        task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
-        episodes.append(reference_episode(scenario, state, task, rng, f"{id_prefix}e{i:05d}", config))
-    return episodes
-
-
 @pytest.mark.parametrize("rejects", [10, 11, 12])
 @pytest.mark.parametrize("world_seed", range(6))
 def test_reads_past_the_first_block_match_the_reference(rejects, world_seed, monkeypatch):
@@ -175,29 +167,24 @@ def test_reads_past_the_first_block_match_the_reference(rejects, world_seed, mon
     state = dataclasses.replace(state, round_index=1)
     fetched: list = []
     make = boundary_blocks(rejects, fetched)
+    # the engine and the per-episode reference read the same streams
     monkeypatch.setattr(world, "episode_blocks", make)
+    monkeypatch.setattr(reference, "reference_blocks", make)
     n = 40
     batch = exec_round(state, scenario, n, 5, config)
     # every episode read into its second block
     assert {i for i, b in fetched if b == 1} == set(range(n))
-    reference = reference_round(state, scenario, make(5), n, config, "r0001")
-    assert episodes_of(batch) == reference
+    assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, config, "r0001")
+    if world_seed == 0:  # a world whose walks go on past the block to later phases
+        assert any(len(shape.slices) > 1 for shape in batch.shapes)
 
     states = [state, dataclasses.replace(state, q_exec=UtilityTable())]
     shared = list(exec_shared(states, scenario, n, 5, config))
     for k, frozen in enumerate(states):
-        want = reference_round(frozen, scenario, make(5), n, config, "r0001")
+        want = reference_exec_round(frozen, scenario, n, 5, config, "r0001")
         assert [(task, flags[k]) for task, flags in shared] == [
             (e.task_type, e.outcome == 1) for e in want
         ]
-
-
-def test_boundary_worlds_are_multi_phase():
-    assert any(
-        len(task.phases) > 1
-        for world_seed in range(6)
-        for task in random_world(random.Random(world_seed))[0].task_types
-    )
 
 
 @pytest.mark.parametrize("name", ["mismatch", "noisy"])
