@@ -94,10 +94,10 @@ def _snapshot_name(round_index: int) -> str:
 
 
 TRACE_LOG = "traces.jsonl"
-# `run.json`'s format: 4 since the log holds shape tables (3: utility entries
-# as exact counts, 2: BLAKE2b episode streams).  A run directory of any other
-# format replays to other bytes.
-RUN_FORMAT = 4
+# `run.json`'s format: 5 since a pruned skill leaves the snapshots (4: the
+# log holds shape tables, 3: utility entries as exact counts, 2: BLAKE2b
+# episode streams).  A run directory of any other format replays to other bytes.
+RUN_FORMAT = 5
 _SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 
 

@@ -26,6 +26,7 @@ from .model import (
     TraceShape,
     UtilityTable,
     cluster_key_map,
+    drop_skill,
     jaccard,
     place_skill,
     skill_similarity,
@@ -142,8 +143,8 @@ class ProposalIndex:
     but the cost.
     """
 
-    keys: Mapping[str, str]  # non-pruned skill id -> cluster key
-    active: tuple[Skill, ...]  # non-pruned skills, by id
+    keys: Mapping[str, str]  # skill id -> cluster key
+    active: tuple[Skill, ...]  # the library's skills, by id
     latents_at: Mapping[tuple[str, str], tuple[LatentSkill, ...]]  # realized catalog by pair
 
     def latents(self, pair: tuple[str, str]) -> tuple[LatentSkill, ...]:
@@ -157,11 +158,7 @@ def proposal_index(
     """Build the proposal index of one frozen library, once per round."""
     return ProposalIndex(
         keys=cluster_key_map(library, config.cluster_threshold),
-        active=tuple(
-            s
-            for s in sorted(library.values(), key=lambda s: s.id)
-            if s.status is not SkillStatus.PRUNED
-        ),
+        active=tuple(sorted(library.values(), key=lambda s: s.id)),
         latents_at=latents_by_pair(realized_catalog(scenario, library)),
     )
 
@@ -181,11 +178,7 @@ def _pick_implicated(
     candidates: Sequence[str], library: Mapping[str, Skill], pair: tuple[str, str]
 ) -> Skill | None:
     """Lexicographically smallest usable skill, preferring exact-pair coverage."""
-    usable = [
-        library[sid]
-        for sid in sorted(candidates)
-        if sid in library and library[sid].status is not SkillStatus.PRUNED
-    ]
+    usable = [library[sid] for sid in sorted(candidates) if sid in library]
     for skill in usable:
         if skill.applies_to(pair):
             return skill
@@ -556,7 +549,7 @@ def skill_evolve(
                     )
             elif proposal.edit is not None:
                 target = library.get(proposal.edit.target)
-                if target is None or target.status is SkillStatus.PRUNED:
+                if target is None:
                     continue
                 heavy = _token_change_is_heavy(target, proposal.edit)
                 candidates.append(
@@ -620,7 +613,7 @@ def apply_skill_delta(
                 new_pool[sid] = (0, 0)
         elif action.action == "prune":
             for sid in action.skills:
-                place_skill(lib, execs, dataclasses.replace(lib[sid], status=SkillStatus.PRUNED))
+                drop_skill(lib, execs, sid)
                 new_pool.pop(sid, None)
     return lib, execs, new_pool
 
@@ -657,13 +650,12 @@ def promote_pool(
     outcomes: list[tuple[str, str]] = []
     for sid in sorted(pool):
         uses, successes = pool[sid]
-        skill = lib[sid]
         if uses >= config.promote_min_uses and successes / uses >= config.promote_min_ratio:
-            lib[sid] = dataclasses.replace(skill, status=SkillStatus.VALIDATED)
+            lib[sid] = dataclasses.replace(lib[sid], status=SkillStatus.VALIDATED)
             del new_pool[sid]
             outcomes.append((sid, "validated"))
         elif uses >= config.pool_prune_min_uses and successes / uses < config.pool_prune_max_ratio:
-            place_skill(lib, execs, dataclasses.replace(skill, status=SkillStatus.PRUNED))
+            drop_skill(lib, execs, sid)
             del new_pool[sid]
             outcomes.append((sid, "pruned"))
     return lib, new_pool, execs, outcomes

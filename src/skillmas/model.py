@@ -32,7 +32,6 @@ class SkillStatus(str, Enum):
     SEEDED = "seeded"
     POOLED = "pooled"
     VALIDATED = "validated"
-    PRUNED = "pruned"
 
 
 class CauseLabel(str, Enum):
@@ -321,16 +320,26 @@ class RoundState:
         raise StateError("no manager executor present")
 
     def active_skill_count(self) -> int:
-        return sum(1 for s in self.library.values() if s.status != SkillStatus.PRUNED)
+        return len(self.library)
 
 
 def active_owned(executor: Executor, library: Mapping[str, Skill]) -> list[Skill]:
-    """The executor's owned skills that are in the library and not pruned."""
-    return [
-        skill
-        for sid in executor.owned_skills
-        if (skill := library.get(sid)) is not None and skill.status is not SkillStatus.PRUNED
-    ]
+    """The executor's owned skills that are in the library."""
+    return [skill for sid in executor.owned_skills if (skill := library.get(sid)) is not None]
+
+
+def drop_skill(
+    library: dict[str, Skill], executors: dict[str, Executor], skill_id: str
+) -> None:
+    """Delete a skill from a round's fresh library and from the owned set of
+    whoever holds it: a pruned skill leaves no trace.  Both dicts are edited
+    in place."""
+    old = library.pop(skill_id)
+    holder = executors.get(old.owner)
+    if holder is not None and skill_id in holder.owned_skills:
+        executors[old.owner] = dataclasses.replace(
+            holder, owned_skills=holder.owned_skills - {skill_id}
+        )
 
 
 def place_skill(
@@ -338,23 +347,17 @@ def place_skill(
 ) -> None:
     """Store `skill` in a round's fresh library and keep ownership in step.
 
-    The skill leaves the owned set of whoever owns its previous version and,
-    unless it is pruned, joins its owner's owned set.  Both dicts are edited
-    in place; the owner must be in `executors`.
+    Its previous version, if any, is dropped first (`drop_skill`), and the
+    skill joins its owner's owned set.  Both dicts are edited in place; the
+    owner must be in `executors`.
     """
-    old = library.get(skill.id)
+    if skill.id in library:
+        drop_skill(library, executors, skill.id)
     library[skill.id] = skill
-    if old is not None:
-        holder = executors.get(old.owner)
-        if holder is not None and skill.id in holder.owned_skills:
-            executors[old.owner] = dataclasses.replace(
-                holder, owned_skills=holder.owned_skills - {skill.id}
-            )
-    if skill.status is not SkillStatus.PRUNED:
-        owner = executors[skill.owner]
-        executors[skill.owner] = dataclasses.replace(
-            owner, owned_skills=owner.owned_skills | {skill.id}
-        )
+    owner = executors[skill.owner]
+    executors[skill.owner] = dataclasses.replace(
+        owner, owned_skills=owner.owned_skills | {skill.id}
+    )
 
 
 def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
@@ -385,15 +388,10 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
                     f"and {executor.id!r}"
                 )
             owner_of[skill_id] = executor.id
-            skill = state.library.get(skill_id)
-            if skill is None:
+            if skill_id not in state.library:
                 problems.append(f"{executor.id!r} owns unknown skill {skill_id!r}")
-            elif skill.status is SkillStatus.PRUNED:
-                problems.append(f"{executor.id!r} owns pruned skill {skill_id!r}")
 
     for skill in state.library.values():
-        if skill.status is SkillStatus.PRUNED:
-            continue
         if skill.owner not in state.executors:
             problems.append(f"skill {skill.id!r} has orphan owner {skill.owner!r}")
         elif owner_of.get(skill.id) != skill.owner:
@@ -407,6 +405,10 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
             problems.append(f"pool references unknown skill {skill_id!r}")
         elif skill.status is not SkillStatus.POOLED:
             problems.append(f"pool entry {skill_id!r} is not pooled")
+
+    for skill_id, task_id in state.q_skill.counts:
+        if skill_id not in state.library:
+            problems.append(f"utility ({skill_id},{task_id}) references unknown skill {skill_id!r}")
 
     for skill_id, (uses, successes) in state.pool.items():
         if uses < 0 or successes < 0 or successes > uses:
@@ -430,26 +432,20 @@ def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
 
 def skill_similarity(a: Skill, b: Skill) -> float:
     """Jaccard similarity over the union of step and guard tokens."""
-    if a.status is SkillStatus.PRUNED or b.status is SkillStatus.PRUNED:
-        raise ValueError("similarity is undefined for pruned skills")
     return jaccard(a.tokens(), b.tokens())
 
 
 def cluster_skills(
     library: Mapping[str, Skill], threshold: float = 0.5
 ) -> list[tuple[str, ...]]:
-    """Single-linkage clusters of the library's non-pruned skills under
-    skill_similarity.
+    """Single-linkage clusters of the library's skills under skill_similarity.
 
     Clusters and their members are in lexicographic id order, so the result
     is order-independent.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("clustering threshold must be in (0, 1]")
-    members = sorted(
-        (s for s in library.values() if s.status is not SkillStatus.PRUNED),
-        key=lambda s: s.id,
-    )
+    members = sorted(library.values(), key=lambda s: s.id)
     parent = {s.id: s.id for s in members}
 
     def find(x: str) -> str:
@@ -473,7 +469,7 @@ def cluster_skills(
 def cluster_key_map(
     library: Mapping[str, Skill], threshold: float = 0.5
 ) -> dict[str, str]:
-    """Map each non-pruned skill id to its library-wide cluster key.
+    """Map each skill id to its library-wide cluster key.
 
     The key is the lexicographically smallest member id, so keys are stable
     under insertion order.

@@ -32,9 +32,9 @@ from .model import (
     Batch,
     CauseLabel,
     RoundState,
-    SkillStatus,
     StateError,
     TaskType,
+    UtilityTable,
     place_skill,
     validate_state,
 )
@@ -72,7 +72,6 @@ class RoundReport:
     active_executors: int
     pool_size: int
     retained_entries: dict[str, list[int]]  # category -> ascending table entries
-    batch_index: Sequence[int]  # the batch's index: episode i's table entry
     skill_actions: tuple[dict[str, object], ...]
     restructure: dict[str, object]
     promotions: tuple[tuple[str, str], ...]
@@ -81,16 +80,6 @@ class RoundReport:
     @property
     def success_rate(self) -> float:
         return q12(self.successes / self.episodes) if self.episodes else 0.0
-
-    @property
-    def retained(self) -> dict[str, list[str]]:
-        """Each category's episode ids in generation order, formatted as they
-        are read: `Batch.episode_id` reads only `round_index`."""
-        carried = {c: set(entries) for c, entries in self.retained_entries.items()}
-        return {
-            category: [Batch.episode_id(self, i) for i, k in enumerate(self.batch_index) if k in ks]
-            for category, ks in carried.items()
-        }
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -274,7 +263,8 @@ def run_round(
     The update is all-or-nothing: every stage builds fresh values, so an
     error anywhere leaves the caller's state exactly as passed in.  Every
     stage reads the batch's (shape, count) tally; the report keeps each
-    retention category's table entries and the batch's index.
+    retention category's table entries.  The next state keeps no utility
+    entry of a skill that a stage dropped.
     """
     batch = exec_round(state, scenario, config.episodes_per_round, seed, config)
     tally = batch.tally()
@@ -345,7 +335,9 @@ def run_round(
         round_index=state.round_index + 1,
         library=library4,
         executors=executors4,
-        q_skill=q_skill_plus,
+        q_skill=UtilityTable(
+            {key: entry for key, entry in q_skill_plus.counts.items() if key[0] in library4}
+        ),
         q_exec=q_exec_plus,
         pool=pool4,
         policy_index=state.policy_index,
@@ -366,7 +358,6 @@ def run_round(
         active_executors=len(state.executors),
         pool_size=len(state.pool),
         retained_entries=entries,
-        batch_index=batch.index,
         skill_actions=tuple(_summarize_action(a) for a in delta.actions),
         restructure=_summarize_decision(decision, ownership_log),
         promotions=tuple(promotions),
@@ -468,9 +459,7 @@ def _reowned(
     }
     library = {}
     for skill in library_source.library.values():
-        if skill.status is not SkillStatus.PRUNED and (
-            reown_all_to_manager or skill.owner not in executors
-        ):
+        if reown_all_to_manager or skill.owner not in executors:
             skill = dataclasses.replace(skill, owner=manager_id)
         place_skill(library, executors, skill)
     return RoundState(

@@ -23,6 +23,7 @@ from .model import (
     StateError,
     UtilityTable,
     active_owned,
+    drop_skill,
     jaccard,
     place_skill,
     skill_similarity,
@@ -339,11 +340,7 @@ def apply_restructure(
             reassign(sid, survivor_id)
 
         # consolidate near-duplicates down to the higher-utility copy
-        owned = sorted(
-            sid
-            for sid in execs[survivor_id].owned_skills
-            if lib[sid].status is not SkillStatus.PRUNED
-        )
+        owned = sorted(execs[survivor_id].owned_skills)
         def best_utility(sid: str) -> float:
             values = [v for (key, _), (v, _) in q_skill.entries.items() if key == sid]
             return max(values) if values else 0.5
@@ -357,7 +354,7 @@ def apply_restructure(
             keep_id, drop_id = a_id, b_id
             if (best_utility(b_id), a_id) > (best_utility(a_id), b_id):
                 keep_id, drop_id = b_id, a_id
-            place_skill(lib, execs, dataclasses.replace(lib[drop_id], status=SkillStatus.PRUNED))
+            drop_skill(lib, execs, drop_id)
             new_pool.pop(drop_id, None)
             dropped.add(drop_id)
             log.append(f"consolidated {drop_id} into {keep_id}")

@@ -41,11 +41,13 @@ from .model import (
 )
 from .world import LatentSkill, Scenario
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 SNAPSHOT_HEADER = "skillmas-state"
 
 # a lone "-" is how a snapshot writes an empty set, so it is no id
 _TOKEN = re.compile(r"^(?!-$)[A-Za-z0-9_.:+-]+$")
+# the suffix of every skill id the engine mints in round R: `-r{R}`
+_MINTED = re.compile(r"-r[0-9]+$")
 
 
 class StoreError(ValueError):
@@ -328,6 +330,11 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                     id=ident, boundary=boundary, capacity=capacity, is_manager=manager
                 )
         elif kind == "skill":
+            if _MINTED.search(ident):
+                raise ScenarioError(
+                    f"seed skill id {ident!r} ends in -r<digits>, the suffix of engine-minted ids",
+                    lineno,
+                )
             fields = _parse_skill_line(body, lineno)
             with _at_line(lineno):
                 skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]

@@ -87,16 +87,15 @@ def _credit_keys(
 
 
 def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:
-    """The non-pruned skills applicable to each task id, in library order.
+    """The skills applicable to each task id, in library order.
 
     One pass over the library; a skill appears once under every task id
     its applicability names.
     """
     by_task: dict[str, list[Skill]] = {}
     for skill in library.values():
-        if skill.status is not SkillStatus.PRUNED:
-            for task_id in {pair[0] for pair in skill.applicability}:
-                by_task.setdefault(task_id, []).append(skill)
+        for task_id in {pair[0] for pair in skill.applicability}:
+            by_task.setdefault(task_id, []).append(skill)
     return by_task
 
 

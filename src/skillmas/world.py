@@ -121,11 +121,7 @@ def motif_skill(latent: LatentSkill, skill_id: str, owner: str) -> Skill:
 def realizes(skill: Skill, latent: LatentSkill) -> bool:
     """A skill realizes a latent procedure when it carries the latent's
     marker step and covers its (task, phase) pair."""
-    return (
-        skill.status is not SkillStatus.PRUNED
-        and latent.id in skill.steps
-        and latent.applicability in skill.applicability
-    )
+    return latent.id in skill.steps and latent.applicability in skill.applicability
 
 
 def realized_catalog(
@@ -134,15 +130,14 @@ def realized_catalog(
     """The latent catalog with `realized_by` resolved against a library.
 
     Realization is derived, not stored: the lexicographically smallest
-    non-pruned realizing skill wins, so the view is deterministic.  A
+    realizing skill wins, so the view is deterministic.  A
     latent's realizers carry its id as a step, so only the skills indexed
     under that step token are checked.
     """
     by_step: dict[str, list[Skill]] = {}
     for skill in library.values():
-        if skill.status is not SkillStatus.PRUNED:
-            for step in set(skill.steps):
-                by_step.setdefault(step, []).append(skill)
+        for step in set(skill.steps):
+            by_step.setdefault(step, []).append(skill)
     return tuple(
         replace(
             latent,

@@ -399,23 +399,23 @@ def _pretty(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def expand_report(report: TrajectoryReport) -> str:
+def expand_report(report: TrajectoryReport, indexes: Sequence[Sequence[int]]) -> str:
     """A trajectory report's JSON in the per-episode format: format 1, with
-    each round's `retained` re-expanded from its entries and the batch's
-    index that the report keeps."""
+    each round's `retained` re-expanded from its entries and that round's
+    batch index, `indexes[r]`."""
     payload = report.to_dict()
     assert payload["format"] == 2
     payload["format"] = 1
-    for row, r in zip(payload["rounds"], report.rounds, strict=True):
-        row["retained"] = expand_retained(r.round_index, row["retained"], r.batch_index)
+    for row, r, index in zip(payload["rounds"], report.rounds, indexes, strict=True):
+        row["retained"] = expand_retained(r.round_index, row["retained"], index)
     return _pretty(payload)
 
 
 def expand_run_dir(run_dir: Path, out: Path) -> None:
     """Copy a run directory to `out` in the per-episode format, from its
     files alone: the log re-expanded, each round's `retained` re-expanded
-    through that round's index line, `trajectory.json` format 1 and
-    `run.json` format 3; every other file as it is."""
+    through that round's index line and `trajectory.json` format 1; every
+    other file, `run.json` included, as it is."""
     shutil.copytree(run_dir, out)
     log = (run_dir / "traces.jsonl").read_text(encoding="utf-8")
     (out / "traces.jsonl").write_text(expand_log(log), encoding="utf-8")
@@ -426,10 +426,6 @@ def expand_run_dir(run_dir: Path, out: Path) -> None:
     for row in trajectory["rounds"]:
         row["retained"] = expand_retained(row["round"], row["retained"], indexes[row["round"]])
     (out / "trajectory.json").write_text(_pretty(trajectory), encoding="utf-8")
-    manifest = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-    assert manifest["format"] == 4
-    manifest["format"] = 3
-    (out / "run.json").write_text(_pretty(manifest), encoding="utf-8")
 
 
 def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Episode:
@@ -709,7 +705,10 @@ def reference_run_round(
         round_index=state.round_index + 1,
         library=library4,
         executors=executors4,
-        q_skill=q_skill_plus,
+        # a pruned skill's utility entries go with it
+        q_skill=UtilityTable(
+            {(sid, task): n for (sid, task), n in q_skill_plus.counts.items() if sid in library4}
+        ),
         q_exec=q_exec_plus,
         pool=pool4,
         policy_index=state.policy_index,
@@ -733,7 +732,6 @@ def reference_run_round(
         active_executors=len(state.executors),
         pool_size=len(state.pool),
         retained_entries={},
-        batch_index=(),
         skill_actions=tuple(_summarize_action(a) for a in delta.actions),
         restructure=_summarize_decision(decision, ownership_log),
         promotions=tuple(promotions),

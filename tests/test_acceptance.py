@@ -37,6 +37,7 @@ from skillmas.utility import learn, used_skills
 from skillmas.world import exec_round
 
 from conftest import random_scenario
+from reference import expand_retained
 
 
 def _entry_shapes() -> tuple[TraceShape, TraceShape]:
@@ -131,7 +132,11 @@ def invariant_sweep():
             # retained evidence is a subset of the round's episodes
             trace_ids = {batch.episode_id(i) for i in range(len(batch.index))}
             retained_ids = {
-                eid for ids in report.retained.values() for eid in ids
+                eid
+                for ids in expand_retained(
+                    report.round_index, report.retained_entries, batch.index
+                ).values()
+                for eid in ids
             }
             assert retained_ids <= trace_ids
 

@@ -695,21 +695,22 @@ class TestRetiredThreshold:
 
 
 class TestRunFormat:
-    """`run.json` carries format 4 and `trajectory.json` format 2; a file of
+    """`run.json` carries format 5 and `trajectory.json` format 2; a file of
     any other format, or of none, is a usage error that names the file and
-    the format it found.  A format-3 run directory wrote a line per episode
-    (format 2 wrote utility entries as floats, format 1 drew other episode
-    streams), so it replays to other bytes."""
+    the format it found.  A format-4 run directory kept pruned skills in its
+    snapshots (format 3 wrote a line per episode, format 2 utility entries
+    as floats, format 1 drew other episode streams), so it replays to other
+    bytes."""
 
-    def test_new_directories_carry_format_4(self, run_dir):
-        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 4
+    def test_new_directories_carry_the_current_formats(self, run_dir):
+        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 5
         assert json.loads((run_dir / "trajectory.json").read_text())["format"] == 2
 
     @pytest.mark.parametrize(
         "found, shown", [(1, "format 1,"), (2, "format 2,"), ("2", 'format "2",'),
                          (2.0, "format 2.0,"), (3, "format 3,"), ("3", 'format "3",'),
                          (3.0, "format 3.0,"), ("4", 'format "4",'), (4.0, "format 4.0,"),
-                         (None, "format missing,")]
+                         (4, "format 4,"), (None, "format missing,")]
     )
     @pytest.mark.parametrize("command", ["replay", "transplant"])
     def test_other_formats_are_refused(self, run_dir, capsys, command, found, shown):
@@ -721,7 +722,7 @@ class TestRunFormat:
         assert main([command, "--run", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: run directory format ")
-        assert shown in err and "not 4" in err
+        assert shown in err and "not 5" in err
 
     @pytest.mark.parametrize(
         "found, shown", [(1, "format 1,"), ("2", 'format "2",'), (2.0, "format 2.0,"),

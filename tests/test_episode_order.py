@@ -39,7 +39,7 @@ from skillmas.utility import learn
 from skillmas.world import exec_round
 
 from conftest import batch_of, make_skill
-from reference import episodes_of, expand_log, reference_learn
+from reference import episodes_of, expand_log, expand_retained, reference_learn
 
 TASK = TaskType("t", ("p",))
 SLICE = ExecutorSlice("w", "p", frozenset({"s"}), frozenset({"s"}), frozenset())
@@ -217,8 +217,9 @@ def test_retained_lists_stay_in_generation_order_past_the_width():
     pack = load_preset("tiny")
     config = pack.config.replace(episodes_per_round=ACROSS[-1] + 1)
     _, report, batch = run_round(pack.seed_state, pack.scenario, config, seed=8)
-    assert report.retained
-    for ids in report.retained.values():
+    retained = expand_retained(report.round_index, report.retained_entries, batch.index)
+    assert retained
+    for ids in retained.values():
         positions = [int(i[len("r0000e"):]) for i in ids]
         assert all(i == f"r0000e{p:05d}" for i, p in zip(ids, positions))
         assert positions == sorted(set(positions))  # generation order, each once

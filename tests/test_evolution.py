@@ -23,6 +23,7 @@ from skillmas.model import (
     ExecutorSlice,
     PolicyCard,
     SkillStatus,
+    StateError,
     TaskType,
     TraceShape,
     UtilityTable,
@@ -366,7 +367,20 @@ class TestApplyDelta:
             (SkillAction(cluster="sk", action="create", skills=("sk",),
                          new_skills=(make_skill("sk"),)),)
         )
-        with pytest.raises(Exception):
+        with pytest.raises(StateError, match="skill id 'sk' would be reused"):
+            apply_skill_delta(state.library, state.executors, state.pool, delta)
+
+    def test_id_created_twice_in_one_delta_rejected(self):
+        # two clusters' creates that mint one id in the same round
+        state = make_state([])
+        from skillmas.evolution import SkillAction
+
+        draft = make_skill("lat-r3", status=SkillStatus.POOLED)
+        delta = SkillDelta(tuple(
+            SkillAction(cluster=key, action="create", skills=("lat-r3",), new_skills=(draft,))
+            for key in ("a", "b")
+        ))
+        with pytest.raises(StateError, match="skill id 'lat-r3' would be reused"):
             apply_skill_delta(state.library, state.executors, state.pool, delta)
 
     def test_prune_removes_ownership_and_pool_entry(self):
@@ -380,7 +394,7 @@ class TestApplyDelta:
         lib, execs, pool = apply_skill_delta(
             state.library, state.executors, state.pool, delta
         )
-        assert lib["sk"].status is SkillStatus.PRUNED
+        assert "sk" not in lib
         assert "sk" not in execs["worker"].owned_skills
         assert "sk" not in pool
 
@@ -436,7 +450,7 @@ class TestPoolLifecycle:
         lib, pool, execs, outcomes = promote_pool(
             state.library, state.pool, state.executors, EngineConfig()
         )
-        assert lib["pk"].status is SkillStatus.PRUNED
+        assert "pk" not in lib and "pk" not in pool
         assert "pk" not in execs["worker"].owned_skills
         assert outcomes == [("pk", "pruned")]
 

@@ -2,8 +2,9 @@
 
 Every value below was first recorded when episode streams became BLAKE2b
 blocks, and re-recorded where it moved when utility entries became exact
-(successes, attempts) counts and when the trace log became per-round shape
-tables.  The MT_* constants at the end of the file
+(successes, attempts) counts, when the trace log became per-round shape
+tables, and when a pruned skill left the snapshots (only digests over
+snapshot bytes moved then).  The MT_* constants at the end of the file
 pin the engine on the Mersenne Twister streams that episodes read before,
 patched back in.  A change that is meant to be a pure optimisation must
 leave all of them unchanged; a change that alters behaviour on purpose must
@@ -23,7 +24,12 @@ from conftest import NOISY, random_scenario
 from reference import expand_report, expand_run_dir, mt_blocks
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
-from skillmas.orchestrator import TRANSPLANT_ROWS, transplant_variants
+from skillmas.orchestrator import (
+    TRANSPLANT_ROWS,
+    experiment_rounds,
+    trajectory_report,
+    transplant_variants,
+)
 from skillmas.presets import PRESETS
 from skillmas.store import parse_scenario, serialize_state
 from skillmas.streams import derive_seed, episode_blocks, word_random
@@ -50,17 +56,17 @@ REPORT_SHA256 = {
     ("tiny", 11): "4a77d9bdce59b9fd44384fb6d09ac49d7a480424768f922b15285bd67fd74731",
 }
 
-# generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the
-# library ends at 33 entries, 19 of them pruned
+# generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the run
+# prunes 19 skills and its library ends at 14
 WIDE_SHA256 = "c88aca36672e983c22309fc83dd589cf5489356fdacbe07ea16eec74c52e0826"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "a4dfe37f8db90efa6eeb7844802f782303673124f201029b7a85d339ca692a78"
+RUN_DIR_SHA256 = "b61229b5064d940a7679f84106007266699fc7290c0c42e84c4dceef34099081"
 
 # the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
 # failures count towards repeats, so rounds 1 and 3 retain 147 and 129
 # repeated failures where the default run retains 146 and 128
-CROSS_ROUND_RUN_DIR_SHA256 = "1861dbbd7ce8cb51193ae778f39026afbf546df9c561fd8e7b80fce79723d2f9"
+CROSS_ROUND_RUN_DIR_SHA256 = "10c6f91d06147cccfa79424bbb5a142e5c5d87cf199a2ee2f0904e67a1b30954"
 
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
@@ -72,13 +78,13 @@ CROSS_ROUND_RUN_DIR_SHA256 = "1861dbbd7ce8cb51193ae778f39026afbf546df9c561fd8e7b
 OWNERSHIP_SHA256 = {
     ("mismatch", 32, 8): (
         "a0d922479f5850d0cfd132e773ca5b6f4ceb464e74d5a6420991e82167a3f8d2",
-        "a459672c5f3807f340b25852f695c7971b37c8ead11be81fb2b666919ed1dcfe",
-        "f0a68ba19301e64830182acf8b0ca403060ca38d06e263731571e8ffbb084b2b",
+        "66b80e4c2cd789b35839967a071c9cbd68c8776fa81cd25b2c89ce6cc3b48c2b",
+        "2789b64c54dba325570b6a3ed2dba9619ca479eb533ff7497376e31e4d239dec",
     ),
     ("wide24", 27, 10): (
         "0dbb314d261ec19179d9ecd7717db52a73da01594c22c7ee9d046a0043b313b0",
-        "0ed951b12becb6be5b7227286a79c01d52509d9759afa95fc811bd81696dffcc",
-        "a690b02a3f38dce7f69297f9dcff134b6d5d42879ed4fcf95aa2a19a6771ec00",
+        "5141c26445a681f082b2e0b14fad2bb1401ca6f8b0b0007ba97dab1f9e7fc6b4",
+        "77a3e2cd733c5215241d048d5cdf591a1d1f193294fd014d8ff28449775c27e4",
     ),
 }
 
@@ -90,15 +96,16 @@ OWNERSHIP_SHA256 = {
 # then one digest over `serialize_state` of every state X_0 .. X_8.
 MERGE_SHA256 = (
     "73ef10489034bb6902dc44a5a91459a6de6ccd1e2727026b5a846d34b58845d1",
-    "7eb502372841be2395b1c0d0276051de02e0547c391a535f27d2c312d89dca70",
+    "f095243733897c9f68269f82930bc1700b69f32df1f3cc7bc2249dd73a7e757f",
 )
 
 # The per-episode format of the artifacts above, before the trace log held
-# shape tables: a log line per episode, `retained` as episode-id lists in
-# `trajectory.json` format 1, and `run.json` format 3.  These are the values
-# REPORT_SHA256, WIDE_SHA256, RUN_DIR_SHA256 and CROSS_ROUND_RUN_DIR_SHA256
-# had then; `reference.expand_report` and `reference.expand_run_dir` rebuild
-# those bytes from the new artifacts, so no information moved.
+# shape tables: a log line per episode and `retained` as episode-id lists in
+# `trajectory.json` format 1.  The report values are the ones REPORT_SHA256
+# and WIDE_SHA256 had then; `reference.expand_report` and
+# `reference.expand_run_dir` rebuild those bytes from the new artifacts, so
+# no information moved.  The run-directory values moved with the snapshots
+# when a pruned skill left them (the rest of the directory did not).
 PER_EPISODE_REPORT_SHA256 = {
     ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
     ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
@@ -117,9 +124,9 @@ PER_EPISODE_REPORT_SHA256 = {
     ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
 }
 PER_EPISODE_WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
-PER_EPISODE_RUN_DIR_SHA256 = "e5efa15b11d3afab6ba34a7859eca5e355d1858e9935aa974cea6387d6a62053"
+PER_EPISODE_RUN_DIR_SHA256 = "1e33f780e5240b42c8d4e9ae3a7fcb5e63af156512cbba55675b3d5b51f47061"
 PER_EPISODE_CROSS_ROUND_RUN_DIR_SHA256 = (
-    "c89dd4468f036a9d07e514a273921ad3d80cf49c8f304260a06d1addc7dfa6f8"
+    "1177214c6a7cefed77b5ba54b7c296b0206a226f8a9cdff7d0a6209c15ef4dc8"
 )
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
@@ -165,7 +172,7 @@ def states_digest(states) -> str:
 
 def wide_text(n_families: int, episodes: int) -> str:
     """N single-phase families with one latent each, one worker covering all
-    of them at capacity 3, so pruned tombstones pile up in the library."""
+    of them at capacity 3, so many skills are created and pruned."""
     causes = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
     families = [f"f{i}" for i in range(n_families)]
     return "\n".join(
@@ -195,6 +202,18 @@ def wide_text(n_families: int, episodes: int) -> str:
     ) + "\n"
 
 
+def report_and_indexes(pack, seed, rounds):
+    """A run's trajectory report and each round's batch index, which
+    `reference.expand_report` reads."""
+    reports, indexes = [], []
+    for _, report, batch in experiment_rounds(
+        pack.scenario, pack.seed_state, seed, rounds, pack.config
+    ):
+        reports.append(report)
+        indexes.append(batch.index)
+    return trajectory_report(pack.scenario, seed, reports), indexes
+
+
 def preset_report(preset, seed):
     pack = load_preset(preset)
     return run_experiment(pack.scenario, pack.seed_state, seed, ROUNDS, pack.config).report
@@ -207,16 +226,16 @@ def report_digest(preset, seed) -> str:
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_preset_report_hash(preset, seed):
-    report = preset_report(preset, seed)
-    assert sha256_text(expand_report(report)) == PER_EPISODE_REPORT_SHA256[(preset, seed)]
+    report, indexes = report_and_indexes(load_preset(preset), seed, ROUNDS)
+    assert sha256_text(expand_report(report, indexes)) == PER_EPISODE_REPORT_SHA256[(preset, seed)]
     assert sha256_text(report.to_json()) == REPORT_SHA256[(preset, seed)]
 
 
 def test_wide_report_hash():
     pack = parse_scenario(wide_text(24, 100), name="wide24")
-    result = run_experiment(pack.scenario, pack.seed_state, 7, 10, pack.config)
-    assert sha256_text(expand_report(result.report)) == PER_EPISODE_WIDE_SHA256
-    assert sha256_text(result.report.to_json()) == WIDE_SHA256
+    report, indexes = report_and_indexes(pack, 7, 10)
+    assert sha256_text(expand_report(report, indexes)) == PER_EPISODE_WIDE_SHA256
+    assert sha256_text(report.to_json()) == WIDE_SHA256
 
 
 @pytest.mark.parametrize("scenario, seed, rounds", sorted(OWNERSHIP_SHA256))
@@ -405,8 +424,9 @@ def test_merge_remove_run_directory(tmp_path, capsys):
 # they were BLAKE2b blocks (`reference.mt_blocks`).  When the streams changed,
 # these reproduced the goldens recorded on Mersenne Twister streams, so the
 # stream was the only behaviour change then; they were re-recorded where they
-# moved when utility entries became exact counts and when the trace log
-# became per-round shape tables.
+# moved when utility entries became exact counts, when the trace log became
+# per-round shape tables and (the run directory) when a pruned skill left
+# the snapshots.
 
 MT_REPORT_SHA256 = {
     ("calibration", 1): "90bee2d8365856de869188665adbc51c8fd0cf610bd775ce781760568e43b612",
@@ -425,7 +445,7 @@ MT_REPORT_SHA256 = {
     ("tiny", 7): "9d0c7ead53d0e0c5a1846852dc62d0430dd076beeee4947a9fcc985babefebe9",
     ("tiny", 11): "8afd5fe94fe39911026f4e389857f8d13288e699be5ca2037a58298cbda17b95",
 }
-MT_RUN_DIR_SHA256 = "3a6084a2f250885ac122a79a8d90ba3192c54db70eb4d7a5d496d40e1f95c6f7"
+MT_RUN_DIR_SHA256 = "733c7c7cd4f05992cbe7cc50f5c8670b43abedb4f3859cb875d1a96d5c198a4f"
 MT_NOISY_SHA256 = {
     "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
     "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",

@@ -7,8 +7,8 @@ and the transplant audit of that directory.  All were recorded when
 episode streams became BLAKE2b blocks; the wide96 reports and the run
 directory were re-recorded when utility entries became exact counts and
 when the trace log became per-round shape tables (the transplant audit did
-not move).  A pure optimisation must leave every value
-unchanged.
+not move), and the run directory again when a pruned skill left the
+snapshots.  A pure optimisation must leave every value unchanged.
 """
 
 from __future__ import annotations
@@ -29,14 +29,18 @@ WIDE96_SHA256 = {
     7003: "493fc814c1100fd40488c48edd6079f0e9775907e98810e94ac440360d3be1ed",
 }
 
+# the same world over 80 rounds at engine seed 7001, past the point where
+# pruned skills outnumber live ones: recorded while pruned skills were kept
+# in the library, and unmoved since they are deleted
+WIDE96_LONG_SHA256 = "9c469004937feaaf073d2cc14852a8430dbfbaf5234b13cb075d4158df42b551"
+
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "c62523e84bfa5bee66d1661934994da65e535808929f6ad74d9e7fd9ecd51108"
+RUN_DIR_SHA256 = "67d6be29651792d66cf055d59645f2467a3fa6f8d267968d0024846a5d35d0cc"
 
 # that run directory in the per-episode format, before the trace log held
-# shape tables (a log line per episode, `retained` as episode-id lists,
-# `run.json` format 3), rebuilt by `reference.expand_run_dir`: the value
-# RUN_DIR_SHA256 had then
-PER_EPISODE_RUN_DIR_SHA256 = "dd557b926f45fe6117018ff81abe359c5be18842f900084a39bc131469498418"
+# shape tables (a log line per episode, `retained` as episode-id lists),
+# rebuilt by `reference.expand_run_dir`
+PER_EPISODE_RUN_DIR_SHA256 = "4ba924a3b1410f5924faea32fd9b86ca2fa89c100597388267bf3ad573dda147"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
 # a NUL byte, then `transplant.json`
@@ -98,6 +102,12 @@ def test_wide96_report_hash(seed):
     pack = parse_scenario(wide_scenario(96, 400), name="wide96")
     result = run_experiment(pack.scenario, pack.seed_state, seed, 10, pack.config)
     assert sha256_text(result.report.to_json()) == WIDE96_SHA256[seed]
+
+
+def test_wide96_long_horizon_report_hash():
+    pack = parse_scenario(wide_scenario(96, 400), name="wide96")
+    result = run_experiment(pack.scenario, pack.seed_state, 7001, 80, pack.config)
+    assert sha256_text(result.report.to_json()) == WIDE96_LONG_SHA256
 
 
 def test_mismatch2k_run_directory_digest(tmp_path):

@@ -14,6 +14,7 @@ from skillmas.model import (
     UtilityTable,
     active_owned,
     cluster_skills,
+    drop_skill,
     place_skill,
     jaccard,
     skill_similarity,
@@ -63,11 +64,6 @@ class TestSimilarity:
     def test_empty_token_sets_share_nothing(self):
         # two executors without active skills do not overlap
         assert jaccard(frozenset(), frozenset()) == 0.0
-
-    def test_pruned_rejected(self):
-        a = make_skill("a", status=SkillStatus.PRUNED)
-        with pytest.raises(ValueError):
-            skill_similarity(a, make_skill("b"))
 
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5),
@@ -185,6 +181,12 @@ class TestStateValidation:
         with pytest.raises(StateError, match="misses pairs"):
             validate_state(state, frozenset({("t1", "p1"), ("t9", "p9")}))
 
+    def test_utility_of_an_unknown_skill_rejected(self):
+        # a pruned skill is deleted, so no utility entry may outlive it
+        state = make_state([make_skill("a")], q_skill=UtilityTable({("gone", "t1"): (1, 2)}))
+        with pytest.raises(StateError, match=r"utility \(gone,t1\) references unknown skill"):
+            validate_state(state, UNIVERSE)
+
     def test_utility_out_of_range_rejected(self):
         state = make_state([], q_skill=UtilityTable({("a", "t1"): (2, 1)}))
         with pytest.raises(StateError, match="out of"):
@@ -205,17 +207,16 @@ class TestOwnershipEdits:
         assert (execs["manager"].owned_skills, execs["worker"].owned_skills) == (
             {"a", "b"}, frozenset()
         )
-        pruned = dataclasses.replace(lib["b"], status=SkillStatus.PRUNED)
-        place_skill(lib, execs, pruned)  # a prune leaves the owned set
-        assert lib["b"] is pruned and execs["manager"].owned_skills == {"a"}
+        drop_skill(lib, execs, "b")  # a prune leaves the library and the owned set
+        assert "b" not in lib and execs["manager"].owned_skills == {"a"}
         validate_state(RoundState(1, lib, execs, UtilityTable(), UtilityTable(), {}), UNIVERSE)
         # the inputs were fresh copies: the state itself is untouched
         assert state.executors["worker"].owned_skills == {"a"}
 
     def test_active_owned_skips_pruned_and_unknown(self):
-        skills = [make_skill("a"), make_skill("p", status=SkillStatus.PRUNED)]
+        # a pruned skill's id is absent from the library, like an unknown one
         worker = Executor("worker", frozenset({("t1", "p1")}), frozenset({"a", "p", "gone"}))
-        assert [s.id for s in active_owned(worker, {s.id: s for s in skills})] == ["a"]
+        assert [s.id for s in active_owned(worker, {"a": make_skill("a")})] == ["a"]
 
 
 class TestDomainInvariants:

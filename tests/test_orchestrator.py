@@ -8,6 +8,7 @@ from skillmas.config import EngineConfig
 from skillmas.model import TaskType
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
+    experiment_rounds,
     family_rows,
     family_tally,
     render_breakdown,
@@ -19,11 +20,21 @@ from skillmas.orchestrator import (
     transplant_variants,
 )
 from skillmas.presets import load_preset
-from skillmas.store import serialize_state
+from skillmas.store import parse_scenario, serialize_state
 from skillmas.streams import derive_seed
 from skillmas.world import Scenario, exec_round
 
 from conftest import make_state, retained_shapes
+from reference import expand_retained
+from test_golden import wide_text
+
+
+def retained_per_round(scenario, state, seed, rounds, config) -> list[int]:
+    """Each round's number of retained episodes, over all categories."""
+    return [
+        sum(map(len, expand_retained(r.round_index, r.retained_entries, batch.index).values()))
+        for _, r, batch in experiment_rounds(scenario, state, seed, rounds, config)
+    ]
 
 
 def quiet_scenario():
@@ -83,6 +94,43 @@ class TestRunRound:
         with pytest.raises(RuntimeError):
             run_round(pack.seed_state, pack.scenario, pack.config, seed=1)
         assert serialize_state(pack.seed_state) == before
+
+
+def pruned_ids(report) -> set[str]:
+    """Every skill a round's report says it pruned: a cluster prune, a pool
+    prune, or a near-duplicate consolidated away by a merge."""
+    return (
+        {sid for a in report.skill_actions if a["action"] == "prune" for sid in a["skills"]}
+        | {sid for sid, outcome in report.promotions if outcome == "pruned"}
+        | {
+            entry.split()[1]
+            for entry in report.restructure.get("ownership_log", [])
+            if entry.startswith("consolidated ")
+        }
+    )
+
+
+@pytest.mark.parametrize("world, seed, rounds", [("tiny", 1, 8), ("wide24", 7, 10)])
+def test_a_prune_leaves_no_trace(world, seed, rounds):
+    # tiny seed 1 prunes a cluster, wide24 seed 7 prunes from the pool
+    if world == "wide24":
+        pack = parse_scenario(wide_text(24, 100), name=world)
+    else:
+        pack = load_preset(world)
+    result = run_experiment(pack.scenario, pack.seed_state, seed, rounds, pack.config)
+    seen = set()
+    for r, report in enumerate(result.report.rounds):
+        before, after = result.states[r], result.states[r + 1]
+        pruned = pruned_ids(report)
+        assert pruned == before.library.keys() - after.library.keys()
+        seen |= pruned
+        # gone for good: from the library, every owned set, the pool and q_skill
+        for state in result.states[r + 1 :]:
+            assert not seen & state.library.keys()
+            assert not any(seen & e.owned_skills for e in state.executors.values())
+            assert not seen & state.pool.keys()
+            assert not seen & {sid for sid, _ in state.q_skill.counts}
+    assert seen
 
 
 class TestRunExperiment:
@@ -190,20 +238,12 @@ class TestCrossRoundRepeats:
         )
         state = make_state([], tasks=(task,))
         config = EngineConfig(episodes_per_round=1, cross_round_repeats=True)
-        result = run_experiment(scenario, state, 3, 3, config)
-        retained_per_round = [
-            sum(len(ids) for ids in r.retained.values())
-            for r in result.report.rounds
-        ]
-        assert retained_per_round[0] == 0
-        assert all(n >= 1 for n in retained_per_round[1:])
+        counts = retained_per_round(scenario, state, 3, 3, config)
+        assert counts[0] == 0
+        assert all(n >= 1 for n in counts[1:])
 
         within_round = EngineConfig(episodes_per_round=1, cross_round_repeats=False)
-        result = run_experiment(scenario, state, 3, 3, within_round)
-        assert all(
-            sum(len(ids) for ids in r.retained.values()) == 0
-            for r in result.report.rounds
-        )
+        assert retained_per_round(scenario, state, 3, 3, within_round) == [0, 0, 0]
 
 
 class TestTransplant:
@@ -233,13 +273,10 @@ class TestTransplant:
         lib_seed_mas = variants["Final-library/seed-MAS"]
         assert set(lib_seed_mas.library) == set(final.library)
         assert set(lib_seed_mas.executors) == set(seed.executors)
-        # every active skill re-owned by the seed manager
+        # every skill re-owned by the seed manager
         manager = seed.manager_id()
-        from skillmas.model import SkillStatus
-
         for skill in lib_seed_mas.library.values():
-            if skill.status is not SkillStatus.PRUNED:
-                assert skill.owner == manager
+            assert skill.owner == manager
 
         mas_seed_lib = variants["Specialized-MAS/seed-skills"]
         assert set(mas_seed_lib.library) == set(seed.library)

@@ -270,7 +270,7 @@ class TestApply:
             decision, CONFIG,
         )
         assert "wb" not in execs
-        assert lib["s2"].status is SkillStatus.PRUNED
+        assert "s2" not in lib
         assert lib["s1"].status is SkillStatus.VALIDATED
         assert execs["wa"].owned_skills == {"s1"}
         assert any("consolidated s2 into s1" in entry for entry in log)
@@ -452,10 +452,7 @@ def restructure_inputs(draw):
         boundary = frozenset(PAIRS) if eid == "manager" else frozenset(
             draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4, unique=True))
         )
-        owned = frozenset(
-            s.id for s in library.values()
-            if s.owner == eid and s.status is not SkillStatus.PRUNED
-        )
+        owned = frozenset(s.id for s in library.values() if s.owner == eid)
         executors[eid] = Executor(eid, boundary, owned, capacity=draw(st.integers(1, 4)),
                                   is_manager=eid == "manager")
     attempts = st.integers(1, 9)

@@ -62,17 +62,41 @@ def test_eval_names_the_snapshot_of_a_parse_error(run_dir, capsys):
     assert f"snapshot {snapshot}:" in err and "truncated" in err
 
 
-def test_eval_names_the_format_of_a_v1_snapshot(run_dir, capsys):
+def eval_as_version(run_dir, capsys, version: str) -> None:
+    """`eval` refuses round 1's snapshot relabelled as `version`, naming both."""
     snapshot = run_dir / "snapshots" / "state_r001.txt"
     text = snapshot.read_text(encoding="utf-8")
-    assert text.startswith("skillmas-state v2\n")
-    snapshot.write_text(text.replace("v2", "v1", 1), encoding="utf-8")
+    assert text.startswith("skillmas-state v3\n")
+    snapshot.write_text(text.replace("v3", version, 1), encoding="utf-8")
     code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
                  "--episodes", "5", "--seed", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"snapshot {snapshot}: snapshot version mismatch: file v1, supported v2" in err
+    assert f"snapshot {snapshot}: snapshot version mismatch: file {version}, supported v3" in err
     assert "(byte offset 0)" in err
+
+
+def test_eval_names_the_format_of_a_v1_snapshot(run_dir, capsys):
+    eval_as_version(run_dir, capsys, "v1")
+
+
+def test_eval_names_the_format_of_a_v2_snapshot(run_dir, capsys):
+    # v2 kept pruned skills and their utility entries
+    eval_as_version(run_dir, capsys, "v2")
+
+
+def test_eval_rejects_a_utility_entry_of_an_unknown_skill(run_dir, capsys):
+    # written in the writer's order, so only the validation refuses it
+    snapshot = run_dir / "snapshots" / "state_r001.txt"
+    text = snapshot.read_text(encoding="utf-8")
+    entry = "qskill sk-fetch fetch 0 1\n"
+    assert entry in text
+    snapshot.write_text(text.replace(entry, entry + "qskill sk-gone fetch 1 2\n"), encoding="utf-8")
+    code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
+                 "--episodes", "5", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"snapshot {snapshot}: utility (sk-gone,fetch) references unknown skill 'sk-gone'" in err
 
 
 @pytest.mark.parametrize(

@@ -49,8 +49,7 @@ class TestSnapshots:
                 steps=tuple(f"a{j}" for j in range(1 + i % 3)),
                 guards=(f"g{i}",) if i % 2 else (),
                 checks=(f"c{i}",) if i % 3 else (),
-                status=[SkillStatus.SEEDED, SkillStatus.VALIDATED,
-                        SkillStatus.POOLED, SkillStatus.PRUNED][i % 4],
+                status=[SkillStatus.SEEDED, SkillStatus.VALIDATED, SkillStatus.POOLED][i % 3],
                 owner=["worker", "manager"][i % 2],
             )
             for i in range(13)
@@ -58,8 +57,7 @@ class TestSnapshots:
         universe = frozenset({("t1", "p1"), ("t1", "p2")})
         owned = {"manager": set(), "worker": set(), "extra-a": set(), "extra-b": set()}
         for s in skills:
-            if s.status is not SkillStatus.PRUNED:
-                owned[s.owner].add(s.id)
+            owned[s.owner].add(s.id)
         executors = {
             "manager": Executor("manager", universe, frozenset(owned["manager"]),
                                 capacity=9, is_manager=True),
@@ -97,8 +95,8 @@ class TestSnapshots:
 
     def test_version_mismatch_refused(self):
         state = make_state([])
-        text = serialize_state(state).replace("v2", "v3", 1)
-        with pytest.raises(StoreError, match="version mismatch.*v3.*v2") as err:
+        text = serialize_state(state).replace("v3", "v4", 1)
+        with pytest.raises(StoreError, match="version mismatch.*v4.*v3") as err:
             deserialize_state(text)
         assert err.value.offset == 0
 
@@ -109,7 +107,20 @@ class TestSnapshots:
             "executor manager manager=1 capacity=4 boundary=t1/p1 owns=-\n"
             "qexec manager t1 0.265306122449 49\nend\n"
         )
-        with pytest.raises(StoreError, match=r"file v1, supported v2 \(byte offset 0\)") as err:
+        with pytest.raises(StoreError, match=r"file v1, supported v3 \(byte offset 0\)") as err:
+            deserialize_state(text)
+        assert err.value.offset == 0
+
+    def test_a_v2_snapshot_is_refused_as_v2(self):
+        # a snapshot as format v2 wrote it, keeping a pruned skill and its utility
+        text = (
+            "skillmas-state v2\nround 3\n"
+            "skill old owner=worker status=pruned applies=t1/p1 steps=go guards=- checks=-\n"
+            "executor manager manager=1 capacity=4 boundary=t1/p1 owns=-\n"
+            "executor worker manager=0 capacity=4 boundary=t1/p1 owns=-\n"
+            "qskill old t1 0 5\nend\n"
+        )
+        with pytest.raises(StoreError, match=r"file v2, supported v3 \(byte offset 0\)") as err:
             deserialize_state(text)
         assert err.value.offset == 0
 
@@ -185,7 +196,7 @@ SNAPSHOT_DAMAGE = {
        for kind in ("skill", "executor", "qskill", "qexec", "pool", "card")},
     "unknown skill key": _append("skill", " color=red"),
     "unknown executor key": _append("executor", " color=red"),
-    "skill key given twice": _append("skill", " status=pruned"),
+    "skill key given twice": _append("skill", " status=validated"),
     "executor key given twice": _append("executor", " manager=0"),
     "manager=2": _field("executor", 2, "manager=2"),
     "capacity=010": _field("executor", 3, "capacity=010"),
@@ -400,6 +411,21 @@ class TestScenarioFiles:
             parse_scenario(text)
         assert err.value.line == lines.index(repeat, lines.index(first) + 1) + 1
         parse_scenario(text.replace(repeat + "\n", ""))  # the first entry alone is fine
+
+    @pytest.mark.parametrize("skill_id", ["ls-t0-r3", "sk-a-r12", "x-r0"])
+    def test_seed_skill_id_in_the_engine_form_rejected(self, skill_id):
+        # the engine mints `{latent}-r{R}` and `{rep}-{a|b}-r{R}` in round R;
+        # a pruned skill's id is not kept, so a seed skill must not take one
+        text = (
+            "[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+            f"skill {skill_id} = owner=m applies=t1/p1 steps=go\n"
+        )
+        message = f"seed skill id '{skill_id}' ends in -r<digits>"
+        with pytest.raises(ScenarioError, match=message) as err:
+            parse_scenario(text)
+        assert err.value.line == 5
+        pack = parse_scenario(text.replace(f"skill {skill_id} =", "skill ls-t0-r3x ="))
+        assert "ls-t0-r3x" in pack.seed_state.library
 
     def test_seed_skills_and_cards_materialize(self):
         pack = load_preset("favorable")

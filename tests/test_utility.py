@@ -147,10 +147,6 @@ class TestSelectSkills:
         chosen = select_skills(state.q_skill, state, "t1", "p1", "worker", 5)
         assert chosen == ["mine", "shared"]
 
-    def test_pruned_never_selectable(self):
-        state = make_state([make_skill("dead", status=SkillStatus.PRUNED)])
-        assert select_skills(state.q_skill, state, "t1", "p1", "worker", 3) == []
-
     def test_pooled_appended_beyond_top_k(self):
         pooled = make_skill("zz-pooled", status=SkillStatus.POOLED)
         state = make_state(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillmas.config import EngineConfig
-from skillmas.model import CauseLabel, Executor, SkillStatus, StateError, TaskType
+from skillmas.model import CauseLabel, Executor, StateError, TaskType
 from skillmas.numfmt import q12
 from skillmas.store import encode_trace_log, serialize_state, trace_to_record
 from skillmas.world import (
@@ -133,13 +133,6 @@ class TestRealization:
         b = make_skill("b", pairs=(("t1", "p1"),), steps=("lat",))
         resolved = realized_catalog(scenario, {"a": a, "b": b})
         assert resolved[0].realized_by == "a"
-
-    def test_pruned_skill_does_not_realize(self):
-        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
-        scenario = make_scenario(latents=[latent])
-        dead = make_skill("a", pairs=(("t1", "p1"),), steps=("lat",), status=SkillStatus.PRUNED)
-        resolved = realized_catalog(scenario, {"a": dead})
-        assert resolved[0].realized_by is None
 
     def test_motif_skill_realizes_its_latent(self):
         from skillmas.world import realizes
