@@ -9,6 +9,7 @@ promise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -561,6 +562,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skillmas",

@@ -1,6 +1,7 @@
-"""Bounded skill evolution: diagnosis, per-shape proposals, consolidation, pool lifecycle.
+"""Bounded skill evolution: per-shape proposals, consolidation, pool lifecycle.
 
-Each retained shape yields at most one proposal; consolidation applies at
+Each retained shape yields at most one proposal, a failure's from its
+`RetainedShape.diagnosis` (`retention.diagnose`); consolidation applies at
 most one action per implicated skill cluster per round; new or heavily
 rewritten skills sit in the validation pool until usage evidence promotes
 or prunes them.
@@ -18,11 +19,9 @@ from .model import (
     CauseLabel,
     Executor,
     PolicyCard,
-    REPAIR_TAGS,
     Skill,
     SkillStatus,
     StateError,
-    TAG_BY_CAUSE,
     TraceShape,
     UtilityTable,
     cluster_key_map,
@@ -31,33 +30,10 @@ from .model import (
     place_skill,
     skill_similarity,
 )
-from .retention import RetainedShape
+from .retention import Diagnosis, RetainedShape, diagnose  # noqa: F401 (diagnose: re-exported)
 from .utility import used_skills
 from .world import LatentSkill, Scenario, latents_by_pair, realized_catalog
 from .world import motif_skill, motif_tokens
-
-
-@dataclass(frozen=True)
-class Diagnosis:
-    """Bounded diagnosability of a retained failure: cause, uniqueness, tag."""
-
-    cause: CauseLabel
-    unique: bool
-    tag: BoundedTag
-
-    @property
-    def locally_diagnosable(self) -> bool:
-        return self.unique and self.tag in REPAIR_TAGS
-
-
-def diagnose(shape: TraceShape) -> Diagnosis:
-    """Map a failure's shape to (cause, uniqueness, bounded tag)."""
-    if shape.outcome != 0:
-        raise ValueError("diagnosis applies to failure traces only")
-    obs = shape.latent_cause_observation
-    cause = obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN
-    unique = bool(obs is not None and obs.confident)
-    return Diagnosis(cause=cause, unique=unique, tag=TAG_BY_CAUSE[cause])
 
 
 def retrieve_policy_cards(

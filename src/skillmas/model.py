@@ -145,12 +145,20 @@ class Executor:
         return pair in self.boundary
 
 
+@functools.lru_cache(maxsize=2048)
+def ratio(successes: int, attempts: int) -> float:
+    """`q12(successes / attempts)`, memoized by the integer counts.  The
+    same few hundred ratios are read thousands of times per run; the memo
+    keeps at most its `maxsize` of them, the most recently read."""
+    return q12(successes / attempts)
+
+
 @dataclass(frozen=True)
 class UtilityTable:
     """Verified outcomes keyed by (skill or executor id, task id).
 
     Every outcome is 0 or 1, so an entry is exactly its (successes,
-    attempts) counts.  Its value, the mean outcome `q12(successes /
+    attempts) counts.  Its value, the mean outcome `ratio(successes,
     attempts)`, is computed where it is read.
     """
 
@@ -164,7 +172,7 @@ class UtilityTable:
     def get(self, key: str, task_id: str) -> tuple[float, int] | None:
         """The entry's (value, attempts), or None when it has no attempt."""
         entry = self.counts.get((key, task_id))
-        return None if entry is None else (q12(entry[0] / entry[1]), entry[1])
+        return None if entry is None else (ratio(*entry), entry[1])
 
     def value(self, key: str, task_id: str, default: float = 0.5) -> float:
         entry = self.get(key, task_id)
@@ -454,8 +462,9 @@ def cluster_skills(
             x = parent[x]
         return x
 
+    tokens = {s.id: s.tokens() for s in members}  # `skill_similarity`'s token sets
     for a, b in itertools.combinations(members, 2):
-        if skill_similarity(a, b) >= threshold:
+        if jaccard(tokens[a.id], tokens[b.id]) >= threshold:
             ra, rb = find(a.id), find(b.id)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)

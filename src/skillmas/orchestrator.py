@@ -20,7 +20,6 @@ from .evolution import (
     Proposal,
     ProposalIndex,
     apply_skill_delta,
-    diagnose,
     promote_pool,
     proposal_index,
     propose,
@@ -236,12 +235,10 @@ def collect_proposals(
     """
     proposals: list[Proposal] = []
     for rt in retained:
-        shape = rt.shape
-        if shape.outcome == 0:
-            diagnosis = diagnose(shape)
-            cards = retrieve_policy_cards(state.policy_index, shape.task_type.id, diagnosis.cause)
-        else:
-            diagnosis, cards = None, ()
+        diagnosis = rt.diagnosis
+        cards = () if diagnosis is None else retrieve_policy_cards(
+            state.policy_index, rt.shape.task_type.id, diagnosis.cause
+        )
         proposal = propose(rt, diagnosis, cards, state.library, state.round_index, config, index)
         if proposal is not None:
             proposals.append(proposal)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .config import EngineConfig
-from .evolution import SkillDelta, diagnose
+from .evolution import SkillDelta
 from .model import (
     BoundedTag,
     Executor,
@@ -87,33 +87,23 @@ def build_artifacts(
 
     artifacts = []
     for task_id in sorted(failures):
-        family = failures[task_id]
-        mass = sum(rt.count - (rt.source in addressed) for rt in family)
-
-        # a failure ends at its last routed phase
-        last = [rt.shape.slices[-1] for rt in family]
-        implicated_ids = sorted({sl.executor for sl in last})
+        mass = 0
+        implicated_ids: set[str] = set()
+        failing_pairs: set[Pair] = set()
+        handoff = False
+        for rt in failures[task_id]:
+            mass += rt.count - (rt.source in addressed)
+            last = rt.shape.slices[-1]  # a failure ends at its last routed phase
+            implicated_ids.add(last.executor)
+            failing_pairs.add((task_id, last.phase))
+            handoff = handoff or rt.diagnosis.tag is BoundedTag.HANDOFF_TO_STRUCTURE
         implicated = tuple(
-            ExecutorEvidence(
-                id=eid,
-                value=q_exec_plus.value(eid, task_id),
-                count=q_exec_plus.count(eid, task_id),
-            )
-            for eid in implicated_ids
-        )
-
-        failing_pairs = tuple(sorted({(task_id, sl.phase) for sl in last}))
-        handoff = any(
-            diagnose(rt.shape).tag is BoundedTag.HANDOFF_TO_STRUCTURE for rt in family
+            # an entry with no attempt reads the 0.5 prior, as `value` does
+            ExecutorEvidence(eid, *(q_exec_plus.get(eid, task_id) or (0.5, 0)))
+            for eid in sorted(implicated_ids)
         )
         artifacts.append(
-            DiagnosticArtifact(
-                task_type=task_id,
-                failure_mass=mass,
-                implicated_executors=implicated,
-                failing_pairs=failing_pairs,
-                handoff_present=handoff,
-            )
+            DiagnosticArtifact(task_id, mass, implicated, tuple(sorted(failing_pairs)), handoff)
         )
     return artifacts
 

@@ -3,16 +3,18 @@
 The filter is a fixed rule set, not a learned controller.  A shape can carry
 several category labels, which read only the shape, the round's failure
 counts and the pre-round tables: a shape is wholly retained or not at all.
+A retained failure is diagnosed once, for every stage that reads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
+from .model import REPAIR_TAGS, TAG_BY_CAUSE, BoundedTag
 from .model import CauseLabel, Skill, SkillStatus, TraceShape, UtilityTable
 from .utility import used_skills
 
@@ -25,12 +27,42 @@ class RetentionCategory(str, Enum):
 
 
 @dataclass(frozen=True)
+class Diagnosis:
+    """Bounded diagnosability of a retained failure: cause, uniqueness, tag."""
+
+    cause: CauseLabel
+    unique: bool
+    tag: BoundedTag
+
+    @property
+    def locally_diagnosable(self) -> bool:
+        return self.unique and self.tag in REPAIR_TAGS
+
+
+def diagnose(shape: TraceShape) -> Diagnosis:
+    """Map a failure's shape to (cause, uniqueness, bounded tag)."""
+    if shape.outcome != 0:
+        raise ValueError("diagnosis applies to failure traces only")
+    obs = shape.latent_cause_observation
+    cause = obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN
+    unique = bool(obs is not None and obs.confident)
+    return Diagnosis(cause=cause, unique=unique, tag=TAG_BY_CAUSE[cause])
+
+
+@dataclass(frozen=True)
 class RetainedShape:
     """A retained shape with its number of episodes and the id of its first."""
 
     shape: TraceShape
     count: int
     source: str
+    # a failure's `diagnose`, made once for its proposal and its family's
+    # diagnostic artifact; None for a success
+    diagnosis: Diagnosis | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        diagnosis = diagnose(self.shape) if self.shape.outcome == 0 else None
+        object.__setattr__(self, "diagnosis", diagnosis)
 
 
 def _observed_cause(shape: TraceShape) -> CauseLabel:

@@ -8,12 +8,13 @@ get nothing.  Credit adds exact (successes, attempts) counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     Batch,
+    Executor,
     ExecutorSlice,
+    Pair,
     RoundState,
     Skill,
     SkillStatus,
@@ -128,8 +129,7 @@ def rank_skills(
     return chosen
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """The routing candidates of one (task, phase) pair under a fixed state.
 
     `executor_route` builds a route only for a pair some executor covers, so
@@ -140,14 +140,30 @@ class Route:
     greedy: str  # highest executor utility, smallest id on ties
 
 
+def covering_ids(executors: Mapping[str, Executor]) -> dict[Pair, list[str]]:
+    """The covering index: each covered pair's executor ids, sorted, from one
+    pass over the executors."""
+    covering: dict[Pair, list[str]] = {}
+    for eid in sorted(executors):
+        for pair in executors[eid].boundary:
+            covering.setdefault(pair, []).append(eid)
+    return covering
+
+
 def executor_route(
-    q_exec: UtilityTable, state: RoundState, task_id: str, phase: str
+    q_exec: UtilityTable,
+    state: RoundState,
+    task_id: str,
+    phase: str,
+    covering: Mapping[Pair, Sequence[str]] | None = None,
 ) -> Route:
-    """The pair's route; a pair that no executor covers is a `StateError`,
-    which `validate_state` rules out for the scenario's universe."""
-    eligible = tuple(
-        sorted(e.id for e in state.executors.values() if e.covers((task_id, phase)))
-    )
+    """The pair's route over its ids in `covering`, the state's
+    `covering_ids`, built here when not given.  A pair that no executor
+    covers is a `StateError`, which `validate_state` rules out for the
+    scenario's universe."""
+    if covering is None:
+        covering = covering_ids(state.executors)
+    eligible = tuple(covering.get((task_id, phase), ()))
     if not eligible:
         raise StateError(f"no executor covers ({task_id}, {phase})")
     greedy = min(eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid))

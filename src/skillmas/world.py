@@ -36,7 +36,7 @@ from .model import (
 )
 from .numfmt import q12
 from .streams import _TWO_M53, Blocks, episode_blocks, word_random, word_randrange
-from .utility import Route, executor_route, rank_skills, skills_by_task
+from .utility import Route, covering_ids, executor_route, rank_skills, skills_by_task
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,21 @@ class Scenario:
     def universe(self) -> frozenset[Pair]:
         return frozenset(pair for task in self.task_types for pair in task.pairs())
 
+    # Scenario-scoped views, built on first use and shared by every table.
+
+    @functools.cached_property
+    def latents_at(self) -> dict[Pair, tuple[LatentSkill, ...]]:
+        return latents_by_pair(self.latent_catalog)
+
+    @functools.cached_property
+    def task_views(self) -> tuple[tuple[TaskType, tuple[Pair, ...], tuple[float, ...]], ...]:
+        """Each task with its pairs and progress values `q12(c / n)`, c = 0..n."""
+        return tuple(
+            (task, pairs, tuple(q12(c / len(pairs)) for c in range(len(pairs) + 1)))
+            for task in self.task_types
+            for pairs in (task.pairs(),)
+        )
+
 
 def logistic(x: float) -> float:
     if x >= 0:
@@ -138,16 +153,16 @@ def realized_catalog(
     for skill in library.values():
         for step in set(skill.steps):
             by_step.setdefault(step, []).append(skill)
-    return tuple(
-        replace(
-            latent,
-            realized_by=min(
-                (s.id for s in by_step.get(latent.id, ()) if realizes(s, latent)),
-                default=None,
-            ),
+    catalog = []
+    for latent in scenario.latent_catalog:
+        realizer = min(
+            (s.id for s in by_step.get(latent.id, ()) if realizes(s, latent)), default=None
         )
-        for latent in scenario.latent_catalog
-    )
+        # a latent whose realizer did not change is the catalog's own object
+        catalog.append(
+            latent if realizer == latent.realized_by else replace(latent, realized_by=realizer)
+        )
+    return tuple(catalog)
 
 
 def latents_by_pair(
@@ -243,8 +258,7 @@ _OBSERVATIONS = {
 _UNOBSERVED = _OBSERVATIONS[CauseLabel.UNKNOWN, False]
 
 
-@dataclass(frozen=True)
-class PhaseSlot:
+class PhaseSlot(NamedTuple):
     """What one executor does at one (task, phase) pair under a fixed state."""
 
     slice: ExecutorSlice
@@ -262,14 +276,16 @@ class ExecutionTable:
     probability and dominant deficit, are filled on first use, so the order
     in which entries are filled cannot change any result.
     Slots read indexes built on first use, once per table (each task's
-    candidate skills, each pair's latents, each executor's overload excess,
-    the manager id): a slot ranks its skills through `rank_skills`, and
-    `_success_prob` and `_deficit` read the one `SuccessTerms` of its used
-    skills.
+    candidate skills, each executor's overload excess, the manager id) or
+    once per scenario (each pair's latents): a slot ranks its skills through
+    `rank_skills`, and `_success_prob` and `_deficit` read the one
+    `SuccessTerms` of its used skills.  Routes read the covering index, each
+    pair's covering executor ids, built in one pass over the executors.
 
     Outcome paths are interned.  At each bisection position of the task
     draw, `roots` holds (task, ((pair, route), ...), progress values
-    `q12(c / n)` for c = 0..n, first trie steps).  A step, keyed by the drawn
+    `q12(c / n)` for c = 0..n, first trie steps); the task's pairs and
+    progress values are the scenario's `task_views`.  A step, keyed by the drawn
     executor id, is the list [slot, the path's slices, next steps, then the
     positions in `shapes` of the shapes that end there: success, failure
     observed, unobserved].  So an episode ends at its shape with a list
@@ -288,10 +304,11 @@ class ExecutionTable:
             else scenario.routing_noise
         )
         self.tasks = scenario.task_types
-        self.total_weight = sum(scenario.task_weights[t.id] for t in self.tasks)
         self.cumulative_weights = tuple(
             itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
         )
+        # not `sum`, which adds floats with compensation from Python 3.12 on
+        self.total_weight = self.cumulative_weights[-1]
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._excess: dict[str, int] = {}
         # a draw rounding up to the total weight reaches position len(tasks)
@@ -303,8 +320,8 @@ class ExecutionTable:
         return skills_by_task(self.state.library)
 
     @functools.cached_property
-    def _latents(self) -> dict[Pair, tuple[LatentSkill, ...]]:
-        return latents_by_pair(self.scenario.latent_catalog)
+    def _covering(self) -> dict[Pair, list[str]]:
+        return covering_ids(self.state.executors)
 
     @functools.cached_property
     def _manager_id(self) -> str:
@@ -313,25 +330,23 @@ class ExecutionTable:
     def task_at(self, u: float) -> tuple:
         """The root of the task a uniform draw `u` in [0, 1) picks, each with
         probability proportional to its sampling weight, by bisection over
-        the cumulative weights.  Positions of one task share its root, built
-        on first use."""
+        the cumulative weights.  A task's root is built on first use; the one
+        position past the last task, reached by a draw rounding up to the
+        total weight, shares the last task's root."""
         position = bisect_right(self.cumulative_weights, u * self.total_weight)
         root = self.roots[position]
         if root is None:
-            task = self.tasks[min(position, len(self.tasks) - 1)]
-            n = len(task.phases)
-            root = self.roots[position] = next(
-                (r for r in self.roots if r is not None and r[0] is task), None
-            ) or (
-                task,
-                tuple((pair, self.route(pair)) for pair in task.pairs()),
-                tuple(q12(c / n) for c in range(n + 1)),
-                {},
-            )
+            k = min(position, len(self.tasks) - 1)
+            root = self.roots[k]
+            if root is None:
+                task, pairs, progress = self.scenario.task_views[k]
+                routes = tuple((pair, self.route(pair)) for pair in pairs)
+                root = self.roots[k] = (task, routes, progress, {})
+            self.roots[position] = root
         return root
 
     def route(self, pair: Pair) -> Route:
-        return executor_route(self.state.q_exec, self.state, *pair)
+        return executor_route(self.state.q_exec, self.state, *pair, self._covering)
 
     def slot(self, pair: Pair, executor_id: str) -> PhaseSlot:
         key = (pair, executor_id)
@@ -345,29 +360,28 @@ class ExecutionTable:
         and evaluate the ground-truth success probability of the result."""
         task_id, phase = pair
         library = self.state.library
-        selected = frozenset(
-            rank_skills(
-                self.state.q_skill,
-                self._candidates.get(task_id, ()),
-                {executor.id, self._manager_id},
-                task_id,
-                self.config.top_k,
-            )
+        selected = rank_skills(
+            self.state.q_skill,
+            self._candidates.get(task_id, ()),
+            {executor.id, self._manager_id},
+            task_id,
+            self.config.top_k,
         )
-        invoked = frozenset(sid for sid in selected if library[sid].applies_to(pair))
-        realized_actions = frozenset(step for sid in invoked for step in library[sid].steps)
+        invoked = frozenset(sid for sid in selected if pair in library[sid].applicability)
+        realized_actions = {step for sid in invoked for step in library[sid].steps}
         pattern_supported = frozenset(
-            sid for sid in selected - invoked if set(library[sid].steps) <= realized_actions
+            sid
+            for sid in selected
+            if sid not in invoked and realized_actions.issuperset(library[sid].steps)
         )
-        used = invoked | pattern_supported
         excess = self._excess.get(executor.id)
         if excess is None:
             excess = self._excess[executor.id] = overload_excess(executor, library)
-        terms = _terms(
-            self._latents.get(pair, ()), [library[sid] for sid in sorted(used)], excess
-        )
+        # `_terms` does not depend on the order of the used skills
+        used = [library[sid] for sid in invoked | pattern_supported]
+        terms = _terms(self.scenario.latents_at.get(pair, ()), used, excess)
         return PhaseSlot(
-            ExecutorSlice(executor.id, phase, selected, invoked, pattern_supported),
+            ExecutorSlice(executor.id, phase, frozenset(selected), invoked, pattern_supported),
             _success_prob(self.scenario, pair, terms),
             _deficit(self.scenario, terms),
         )

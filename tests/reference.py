@@ -158,6 +158,15 @@ def episode_stream(seed: int, episode: int) -> WordStream:
     return WordStream(reference_blocks(seed), episode)
 
 
+def scan_route(state: RoundState, task_id: str, phase: str) -> Route:
+    """`executor_route` over a linear scan of `state.executors`: the ids of
+    every executor whose boundary holds the pair, sorted, in place of the
+    covering index."""
+    pair = (task_id, phase)
+    eligible = sorted(e.id for e in state.executors.values() if e.covers(pair))
+    return executor_route(state.q_exec, state, task_id, phase, {pair: eligible})
+
+
 def route_draw(route: Route, rng, epsilon: float) -> str:
     """Greedy with epsilon exploration: the routing draw of one phase."""
     if rng.random() < epsilon:
@@ -441,9 +450,7 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Ep
     observation = None
     for phase in task_type.phases:
         pair = (task_type.id, phase)
-        executor_id = route_draw(
-            executor_route(state.q_exec, state, task_type.id, phase), rng, epsilon
-        )
+        executor_id = route_draw(scan_route(state, task_type.id, phase), rng, epsilon)
         executor = state.executors[executor_id]
         selected = frozenset(
             select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)

@@ -1,0 +1,189 @@
+"""Round views built once against the rules they stand for.
+
+A round reads views built once rather than at every use: the scenario's
+task views and latents by pair, each table's covering index (pair ->
+covering executor ids, sorted), the memo of exact utility ratios, the
+catalog's own latent objects where their realizer did not change, and one
+diagnosis per retained failure.  Each must give exactly what the per-use
+rule gives.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from bisect import bisect_right
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import skillmas.retention as retention
+from skillmas.cli import build_parser
+from skillmas.model import StateError, UtilityTable, ratio
+from skillmas.numfmt import q12
+from skillmas.orchestrator import run_experiment, run_round
+from skillmas.presets import load_preset
+from skillmas.restructure import RestructureDecision, apply_restructure
+from skillmas.store import parse_scenario
+from skillmas.world import ExecutionTable, realized_catalog
+
+from reference import _weighted_choice, scan_route
+from test_golden import wide_text
+from test_round_index import random_world, reference_realized_catalog
+
+
+def restructured(state, scenario, config, rng):
+    """The state after each restructuring edit that applies to it: add an
+    executor over random pairs, merge-remove two workers, narrow each worker."""
+    executors = {  # owned ids outside the library have nothing to transfer
+        eid: dataclasses.replace(e, owned_skills=e.owned_skills & state.library.keys())
+        for eid, e in state.executors.items()
+    }
+    universe = sorted(scenario.universe())
+    workers = sorted(eid for eid, e in executors.items() if not e.is_manager)
+
+    def some(pairs):
+        return frozenset(rng.sample(pairs, rng.randint(1, len(pairs))))
+
+    decisions = [RestructureDecision("add", ("exec-new",), some(universe), evidence={"p": 1})]
+    if len(workers) >= 2:
+        subjects = tuple(rng.sample(workers, 2))
+        decisions.append(RestructureDecision("merge-remove", subjects, evidence={"p": 1}))
+    for eid in workers:
+        boundary = some(sorted(executors[eid].boundary))
+        decisions.append(RestructureDecision("modify", (eid,), boundary, evidence={"p": 1}))
+    for decision in decisions:
+        library, execs, pool, _ = apply_restructure(
+            state.library, executors, state.pool, state.q_skill, decision, config
+        )
+        yield dataclasses.replace(state, library=library, executors=execs, pool=pool)
+
+
+def middle(table: ExecutionTable, k: int) -> float:
+    """A draw in the middle of task k's share of the total weight."""
+    weight = table.scenario.task_weights[table.tasks[k].id]
+    return (table.cumulative_weights[k] - weight / 2) / table.total_weight
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_table_routes_match_the_linear_scan(world_seed):
+    rng = random.Random(world_seed)
+    scenario, state, config = random_world(rng)
+    states = [state, *restructured(state, scenario, config, rng)]
+    assert len(states) >= 3  # add and at least one modify
+    for s in states:
+        table = ExecutionTable(s, scenario, config)
+        for pair in sorted(scenario.universe()):
+            assert table.route(pair) == scan_route(s, *pair)
+        for k, task in enumerate(scenario.task_types):
+            _, routes, _, _ = table.task_at(middle(table, k))
+            assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
+        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
+            table.route(("nowhere", "p"))
+        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
+            scan_route(s, "nowhere", "p")
+
+
+def test_routes_of_a_restructured_wide_run_match_the_linear_scan():
+    pack = parse_scenario(wide_text(24, 200), name="wide24")
+    result = run_experiment(pack.scenario, pack.seed_state, 7001, 8, pack.config)
+    assert len({frozenset(s.executors) for s in result.states}) > 1  # executors changed
+    for s in result.states:
+        table = ExecutionTable(s, pack.scenario, pack.config)
+        for pair in sorted(pack.scenario.universe()):
+            assert table.route(pair) == scan_route(s, *pair)
+
+
+class FixedDraw:
+    """An rng whose one draw is `u`, for `_weighted_choice`."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_a_draw_past_the_last_task_shares_its_root(world_seed, past_first):
+    scenario, state, config = random_world(random.Random(world_seed))
+    tasks = scenario.task_types
+    table = ExecutionTable(state, scenario, config)
+    # u * total at the total weight: bisection lands one past the last task
+    past, inside = FixedDraw(1.0), FixedDraw(middle(table, len(tasks) - 1))
+    assert bisect_right(table.cumulative_weights, past.u * table.total_weight) == len(tasks)
+    draws = (past, inside) if past_first else (inside, past)
+    roots = [table.task_at(d.u) for d in draws]
+    assert roots[0] is roots[1]
+    assert table.roots[len(tasks)] is table.roots[len(tasks) - 1] is roots[0]
+    for d in draws:
+        assert table.task_at(d.u)[0] is _weighted_choice(d, tasks, scenario.task_weights)
+
+
+def test_utility_values_are_exact_ratios_up_to_1000_attempts():
+    for attempts in range(1, 1001):
+        table = UtilityTable({("k", str(s)): (s, attempts) for s in range(attempts + 1)})
+        got = [table.value("k", str(s)) for s in range(attempts + 1)]
+        assert got == [q12(s / attempts) for s in range(attempts + 1)]
+
+
+@given(st.integers(1, 2**62).flatmap(lambda a: st.tuples(st.integers(0, a), st.just(a))))
+def test_utility_values_are_exact_ratios_of_large_counts(counts):
+    successes, attempts = counts
+    table = UtilityTable({("k", "t"): counts})
+    assert table.get("k", "t") == (q12(successes / attempts), attempts)
+    assert table.value("k", "t") == q12(successes / attempts)
+
+
+def test_the_ratio_memo_stays_within_its_bound_over_a_wide_panel():
+    ratio.cache_clear()
+    pack = parse_scenario(wide_text(96, 400), name="wide96")
+    for seed in range(7000, 7010):
+        run_experiment(pack.scenario, pack.seed_state, seed, 10, pack.config)
+    info = ratio.cache_info()
+    assert info.maxsize is not None
+    assert info.hits > 0
+    assert info.currsize <= info.maxsize
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_realized_catalog_matches_replacing_every_latent(world_seed):
+    rng = random.Random(world_seed)
+    scenario, state, _ = random_world(rng)
+    # a catalog naming realizers already: some right, some stale
+    resolved = reference_realized_catalog(scenario, state.library)
+    names = [*sorted(state.library), None, "gone"]
+    named = tuple(
+        dataclasses.replace(
+            latent, realized_by=r.realized_by if rng.random() < 0.5 else rng.choice(names)
+        )
+        for latent, r in zip(scenario.latent_catalog, resolved)
+    )
+    for s in (scenario, dataclasses.replace(scenario, latent_catalog=named)):
+        got = realized_catalog(s, state.library)
+        want = reference_realized_catalog(s, state.library)
+        assert got == want
+        for latent, own, new in zip(got, s.latent_catalog, want):
+            if own.realized_by == new.realized_by:
+                assert latent is own
+            else:
+                assert latent is not own
+
+
+def test_a_round_diagnoses_each_retained_failure_once(monkeypatch):
+    diagnosed = []
+    real = retention.diagnose
+    monkeypatch.setattr(retention, "diagnose", lambda shape: diagnosed.append(shape) or real(shape))
+    pack = load_preset("mismatch")
+    _, report, batch = run_round(pack.seed_state, pack.scenario, pack.config, seed=3)
+    retained = {k for entries in report.retained_entries.values() for k in entries}
+    failures = [batch.shapes[k] for k in sorted(retained) if batch.shapes[k].outcome == 0]
+    assert failures
+    assert sorted(map(id, diagnosed)) == sorted(map(id, failures))
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
