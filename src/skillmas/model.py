@@ -145,7 +145,7 @@ class Executor:
         return pair in self.boundary
 
 
-@functools.lru_cache(maxsize=2048)
+@functools.lru_cache(maxsize=1024)
 def ratio(successes: int, attempts: int) -> float:
     """`q12(successes / attempts)`, memoized by the integer counts.  The
     same few hundred ratios are read thousands of times per run; the memo

@@ -98,8 +98,7 @@ def build_artifacts(
             failing_pairs.add((task_id, last.phase))
             handoff = handoff or rt.diagnosis.tag is BoundedTag.HANDOFF_TO_STRUCTURE
         implicated = tuple(
-            # an entry with no attempt reads the 0.5 prior, as `value` does
-            ExecutorEvidence(eid, *(q_exec_plus.get(eid, task_id) or (0.5, 0)))
+            ExecutorEvidence(eid, q_exec_plus.value(eid, task_id), q_exec_plus.count(eid, task_id))
             for eid in sorted(implicated_ids)
         )
         artifacts.append(
