@@ -18,22 +18,21 @@ from .model import (
     BoundedTag,
     CauseLabel,
     Executor,
+    Pair,
     PolicyCard,
     Skill,
     SkillStatus,
     StateError,
     TraceShape,
     UtilityTable,
-    cluster_key_map,
+    cluster_skills,
     drop_skill,
     jaccard,
     place_skill,
-    skill_similarity,
 )
-from .retention import Diagnosis, RetainedShape, diagnose  # noqa: F401 (diagnose: re-exported)
+from .retention import Diagnosis, RetainedShape
 from .utility import used_skills
-from .world import LatentSkill, Scenario, latents_by_pair, realized_catalog
-from .world import motif_skill, motif_tokens
+from .world import LatentSkill, Scenario, motif_skill, motif_tokens, realizers
 
 
 def retrieve_policy_cards(
@@ -111,40 +110,47 @@ class SkillDelta:
 
 @dataclass(frozen=True)
 class ProposalIndex:
-    """Round-scoped views of one frozen library, shared by every proposal of
-    a round and by its consolidation.
+    """The round-scoped view of one frozen library, shared by every proposal
+    of a round and by its consolidation.
 
-    All of them read the same library under the same cluster threshold, so
-    building them once per round instead of once per shape changes nothing
-    but the cost.
+    Everything in it reads the same library under the same cluster
+    threshold, so building it once per round instead of once per shape
+    changes nothing but the cost.  Realization and clustering are derived
+    here and nowhere stored.
     """
 
-    keys: Mapping[str, str]  # skill id -> cluster key
-    active: tuple[Skill, ...]  # the library's skills, by id
-    latents_at: Mapping[tuple[str, str], tuple[LatentSkill, ...]]  # realized catalog by pair
+    clusters: Mapping[str, tuple[str, ...]]  # cluster key -> member ids
+    keys: Mapping[str, str]  # skill id -> cluster key, its smallest member id
+    tokens: Mapping[str, frozenset[str]]  # skill id -> `Skill.tokens`, in id order
+    realizer: Mapping[str, str]  # latent id -> smallest realizing skill id
+    latents_at: Mapping[Pair, tuple[LatentSkill, ...]]  # the scenario's, by pair
 
-    def latents(self, pair: tuple[str, str]) -> tuple[LatentSkill, ...]:
-        """The pair's latent procedures with `realized_by` resolved, in catalog order."""
-        return self.latents_at.get(pair, ())
+    def unrealized(self, pair: Pair) -> list[LatentSkill]:
+        """The pair's latent procedures no library skill realizes, in catalog order."""
+        return [l for l in self.latents_at.get(pair, ()) if l.id not in self.realizer]
 
 
 def proposal_index(
     scenario: Scenario, library: Mapping[str, Skill], config: EngineConfig
 ) -> ProposalIndex:
     """Build the proposal index of one frozen library, once per round."""
+    clusters = {c[0]: c for c in cluster_skills(library, config.cluster_threshold)}
     return ProposalIndex(
-        keys=cluster_key_map(library, config.cluster_threshold),
-        active=tuple(sorted(library.values(), key=lambda s: s.id)),
-        latents_at=latents_by_pair(realized_catalog(scenario, library)),
+        clusters=clusters,
+        keys={sid: key for key, members in clusters.items() for sid in members},
+        tokens={sid: library[sid].tokens() for sid in sorted(library)},
+        realizer=realizers(scenario, library),
+        latents_at=scenario.latents_at,
     )
 
 
 def _nearest_cluster(draft: Skill, index: ProposalIndex, threshold: float) -> str:
+    tokens = draft.tokens()
     best_id, best_sim = None, 0.0
-    for skill in index.active:
-        sim = skill_similarity(draft, skill)
+    for sid, skill_tokens in index.tokens.items():
+        sim = jaccard(tokens, skill_tokens)
         if sim > best_sim:
-            best_id, best_sim = skill.id, sim
+            best_id, best_sim = sid, sim
     if best_id is not None and best_sim >= threshold:
         return index.keys[best_id]
     return f"new:{draft.id}"
@@ -172,11 +178,7 @@ def _repair_latent(
     The first matching policy card's template takes precedence; otherwise the
     lexicographically smallest candidate.
     """
-    unrealized = [
-        l
-        for l in index.latents(pair)
-        if l.repairs_cause == cause and l.realized_by is None
-    ]
+    unrealized = [l for l in index.unrealized(pair) if l.repairs_cause == cause]
     by_id = {l.id: l for l in unrealized}
     for card in cards:
         if card.template_skill in by_id:
@@ -316,13 +318,9 @@ def propose(
             return None
         for sl in shape.slices:
             pair = (task_id, sl.phase)
-            undiscovered = sorted(
-                (l for l in index.latents(pair) if l.realized_by is None),
-                key=lambda l: l.id,
-            )
-            if not undiscovered:
+            latent = min(index.unrealized(pair), key=lambda l: l.id, default=None)
+            if latent is None:
                 continue
-            latent = undiscovered[0]
             draft = motif_skill(latent, f"{latent.id}-r{round_index}", sl.executor)
             return Proposal(
                 source_trace=retained.source,
@@ -351,7 +349,11 @@ def propose(
 
     if diagnosis.tag is BoundedTag.TIGHTEN_RETRIEVAL and latent is None:
         # target the interfering usage rather than the pair-matching skill
-        realized_here = {l.realized_by for l in index.latents(pair) if l.realized_by}
+        realized_here = {
+            index.realizer[l.id]
+            for l in index.latents_at.get(pair, ())
+            if l.id in index.realizer
+        }
         noisy = [sid for sid in candidates if sid not in realized_here]
         implicated = _pick_implicated(noisy, library, pair) or implicated
 
@@ -370,8 +372,7 @@ def propose(
 _ACTION_PRIORITY = {"prune": 0, "refine": 1, "create": 2, "hold-in-pool": 3, "no-op": 4}
 
 
-def _token_change_is_heavy(skill: Skill, edit: SkillEdit) -> bool:
-    before = skill.tokens()
+def _token_change_is_heavy(before: frozenset[str], edit: SkillEdit) -> bool:
     after = frozenset(edit.steps) | edit.guards
     return len(before ^ after) > len(before) / 2
 
@@ -379,14 +380,15 @@ def _token_change_is_heavy(skill: Skill, edit: SkillEdit) -> bool:
 def _is_duplicate(
     draft: Skill,
     library: Mapping[str, Skill],
+    index: ProposalIndex,
     policy_index: Sequence[PolicyCard],
     threshold: float,
 ) -> bool:
     """A validated skill or a policy card's template is near the draft."""
     tokens = draft.tokens()
     return any(
-        jaccard(tokens, skill.tokens()) >= threshold
-        for skill in library.values()
+        jaccard(tokens, index.tokens[sid]) >= threshold
+        for sid, skill in library.items()
         if skill.status is SkillStatus.VALIDATED
     ) or any(
         jaccard(tokens, motif_tokens(card.template_skill)) >= threshold
@@ -421,10 +423,10 @@ def skill_evolve(
     policy_index: Sequence[PolicyCard],
     q_skill: UtilityTable,
     config: EngineConfig,
+    index: ProposalIndex,
     *,
     last_round_drop: bool = False,
     last_round_edits: frozenset[str] = frozenset(),
-    cluster_keys: Mapping[str, str],
 ) -> SkillDelta:
     """Consolidate proposals into at most one action per implicated cluster.
 
@@ -433,17 +435,12 @@ def skill_evolve(
     in the pool instead of refined; clusters whose members all show enough
     low-utility evidence are pruned.  After a round-level performance drop,
     the previous round's edits are demoted to the pool first and their
-    clusters are off limits for further actions.  `cluster_keys` is
-    `cluster_key_map(library, config.cluster_threshold)`.  Proposals keep
-    the order given (`collect_proposals` emits them in table order, the
-    order of each shape's first episode), and a cluster keeps the first of
-    its highest-priority candidates.
+    clusters are off limits for further actions.  `index` is the
+    `proposal_index` of `library` under `config`.  Proposals keep the order
+    given (`collect_proposals` emits them in table order, the order of each
+    shape's first episode), and a cluster keeps the first of its
+    highest-priority candidates.
     """
-    clusters = {
-        key: tuple(sid for sid, k in cluster_keys.items() if k == key)
-        for key in set(cluster_keys.values())
-    }
-
     actions: list[SkillAction] = []
     claimed: set[str] = set()
 
@@ -456,7 +453,7 @@ def skill_evolve(
         )
         by_cluster: dict[str, list[str]] = {}
         for sid in demotable:
-            by_cluster.setdefault(cluster_keys[sid], []).append(sid)
+            by_cluster.setdefault(index.keys[sid], []).append(sid)
         for key in sorted(by_cluster):
             actions.append(
                 SkillAction(
@@ -478,7 +475,7 @@ def skill_evolve(
         group = grouped[key]
         candidates: list[SkillAction] = []
 
-        member_ids = clusters.get(key, ())
+        member_ids = index.clusters.get(key, ())
         if member_ids and _cluster_prunable(member_ids, library, q_skill, config):
             candidates.append(
                 SkillAction(
@@ -497,7 +494,7 @@ def skill_evolve(
                 fresh = tuple(
                     d
                     for d in proposal.drafts
-                    if not _is_duplicate(d, library, policy_index, config.dedup_similarity)
+                    if not _is_duplicate(d, library, index, policy_index, config.dedup_similarity)
                 )
                 if not fresh:
                     candidates.append(
@@ -527,7 +524,7 @@ def skill_evolve(
                 target = library.get(proposal.edit.target)
                 if target is None:
                     continue
-                heavy = _token_change_is_heavy(target, proposal.edit)
+                heavy = _token_change_is_heavy(index.tokens[target.id], proposal.edit)
                 candidates.append(
                     SkillAction(
                         cluster=key,
@@ -615,8 +612,8 @@ def promote_pool(
     config: EngineConfig,
 ) -> tuple[
     dict[str, Skill],
-    dict[str, tuple[int, int]],
     dict[str, Executor],
+    dict[str, tuple[int, int]],
     list[tuple[str, str]],
 ]:
     """Promote pooled skills with sufficient evidence; prune the hopeless ones."""
@@ -634,4 +631,4 @@ def promote_pool(
             drop_skill(lib, execs, sid)
             del new_pool[sid]
             outcomes.append((sid, "pruned"))
-    return lib, new_pool, execs, outcomes
+    return lib, execs, new_pool, outcomes

@@ -474,17 +474,3 @@ def cluster_skills(
         grouped.setdefault(find(s.id), []).append(s.id)
     return [tuple(sorted(ids)) for _, ids in sorted(grouped.items())]
 
-
-def cluster_key_map(
-    library: Mapping[str, Skill], threshold: float = 0.5
-) -> dict[str, str]:
-    """Map each skill id to its library-wide cluster key.
-
-    The key is the lexicographically smallest member id, so keys are stable
-    under insertion order.
-    """
-    return {
-        skill_id: cluster[0]
-        for cluster in cluster_skills(library, threshold)
-        for skill_id in cluster
-    }

@@ -297,9 +297,9 @@ def run_round(
         state.policy_index,
         q_skill_plus,
         config,
+        index,
         last_round_drop=last_round_drop,
         last_round_edits=last_round_edits,
-        cluster_keys=index.keys,
     )
     library2, executors2, pool2 = apply_skill_delta(
         state.library, state.executors, pool_counted, delta
@@ -324,7 +324,7 @@ def run_round(
         library2, executors2, pool2, q_skill_plus, decision, config
     )
 
-    library4, pool4, executors4, promotions = promote_pool(
+    library4, executors4, pool4, promotions = promote_pool(
         library3, pool3, executors3, config
     )
 

@@ -127,12 +127,20 @@ def _split_kv(text: str, line: int) -> tuple[str, str]:
 
 
 _SEED_OPT = re.compile(r"(\w[\w-]*)=(\S+)")
+# a [penalties] key -> the `Scenario` field it sets
+_PENALTY_FIELDS = {
+    "interference": "interference_weight",
+    "overload": "overload_weight",
+    "routing-noise": "routing_noise",
+    "cause-confidence": "cause_confidence",
+}
 
 
 def _parse_executor_line(
     body: str, line: int, universe: frozenset[Pair]
-) -> tuple[frozenset[Pair], int, bool]:
-    """Parse '<boundary> [capacity=N] [manager]' into (boundary, capacity, manager)."""
+) -> tuple[frozenset[Pair], dict[str, object]]:
+    """Parse '<boundary> [capacity=N] [manager]' into the boundary and the
+    options the line gives, as `Executor` keywords."""
     parts = body.split()
     if not parts:
         raise ScenarioError("executor needs '<id> = <boundary> [capacity=N] [manager]'", line)
@@ -141,17 +149,16 @@ def _parse_executor_line(
     unknown = boundary - universe
     if unknown:
         raise ScenarioError(f"boundary pairs {sorted(unknown)} not in the task space", line)
-    capacity = 4
-    manager = False
+    options: dict[str, object] = {}
     for part in parts[1:]:
         if part == "manager":
-            manager = True
+            options["is_manager"] = True
         else:
             match = _SEED_OPT.fullmatch(part)
             if not match or match.group(1) != "capacity":
                 raise ScenarioError(f"unknown executor option {part!r}", line)
-            capacity = int(match.group(2))
-    return frozenset(boundary), capacity, manager
+            options["capacity"] = int(match.group(2))
+    return frozenset(boundary), options
 
 
 def _parse_skill_line(body: str, line: int) -> dict[str, object]:
@@ -278,22 +285,16 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         with _at_line(lineno):
             latents.append(LatentSkill(key, pair, effect, cause))
 
-    penalties = {
-        "interference": 0.0,
-        "overload": 0.0,
-        "routing-noise": 0.1,
-        "cause-confidence": 0.9,
-    }
-    given_penalties: set[str] = set()
+    penalties: dict[str, float] = {}  # the values given; `Scenario` has the defaults
     for lineno, entry in sections["penalties"]:
         key, value = _split_kv(entry, lineno)
-        if key not in penalties:
+        field = _PENALTY_FIELDS.get(key)
+        if field is None:
             raise ScenarioError(f"unknown penalty {key!r}", lineno)
-        if key in given_penalties:
+        if field in penalties:
             raise ScenarioError(f"duplicate penalty {key!r}", lineno)
-        given_penalties.add(key)
         try:
-            penalties[key] = float(value)
+            penalties[field] = float(value)
         except ValueError:
             raise ScenarioError(f"bad penalty value {value!r}", lineno) from None
 
@@ -304,10 +305,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             task_weights=weights,
             base_difficulty=difficulty,
             latent_catalog=tuple(latents),
-            interference_weight=penalties["interference"],
-            overload_weight=penalties["overload"],
-            routing_noise=penalties["routing-noise"],
-            cause_confidence=penalties["cause-confidence"],
+            **penalties,
         )
 
     executors: dict[str, Executor] = {}
@@ -325,9 +323,9 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         entry_ids.add((kind, ident))
         if kind == "executor":
             with _at_line(lineno):
-                boundary, capacity, manager = _parse_executor_line(body, lineno, universe)
+                boundary, options = _parse_executor_line(body, lineno, universe)
                 executors[ident] = Executor(
-                    id=ident, boundary=boundary, capacity=capacity, is_manager=manager
+                    id=ident, boundary=boundary, **options  # type: ignore[arg-type]
                 )
         elif kind == "skill":
             if _MINTED.search(ident):

@@ -15,7 +15,6 @@ from .model import (
     Executor,
     ExecutorSlice,
     Pair,
-    RoundState,
     Skill,
     SkillStatus,
     StateError,
@@ -152,17 +151,13 @@ def covering_ids(executors: Mapping[str, Executor]) -> dict[Pair, list[str]]:
 
 def executor_route(
     q_exec: UtilityTable,
-    state: RoundState,
     task_id: str,
     phase: str,
-    covering: Mapping[Pair, Sequence[str]] | None = None,
+    covering: Mapping[Pair, Sequence[str]],
 ) -> Route:
-    """The pair's route over its ids in `covering`, the state's
-    `covering_ids`, built here when not given.  A pair that no executor
-    covers is a `StateError`, which `validate_state` rules out for the
-    scenario's universe."""
-    if covering is None:
-        covering = covering_ids(state.executors)
+    """The pair's route over its ids in `covering`, a state's `covering_ids`.
+    A pair that no executor covers is a `StateError`, which `validate_state`
+    rules out for the scenario's universe."""
     eligible = tuple(covering.get((task_id, phase), ()))
     if not eligible:
         raise StateError(f"no executor covers ({task_id}, {phase})")

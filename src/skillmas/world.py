@@ -15,7 +15,7 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
@@ -45,13 +45,14 @@ class LatentSkill:
 
     Using a library skill that realizes it adds `effect` to the phase logit;
     when it stays unrealized, failures at the pair surface `repairs_cause`.
+    Which skills realize it depends on the library, so it is never stored
+    here (`realizers`).
     """
 
     id: str
     applicability: Pair
     effect: float
     repairs_cause: CauseLabel
-    realized_by: str | None = None
 
     def __post_init__(self) -> None:
         if self.effect <= 0:
@@ -84,6 +85,8 @@ class Scenario:
             raise StateError("routing noise must be in [0, 1)")
         if not 0.0 < self.cause_confidence <= 1.0:
             raise StateError("cause observation confidence must be in (0, 1]")
+        if len({l.id for l in self.latent_catalog}) != len(self.latent_catalog):
+            raise StateError("latent procedure ids must be unique")
 
     def universe(self) -> frozenset[Pair]:
         return frozenset(pair for task in self.task_types for pair in task.pairs())
@@ -92,7 +95,11 @@ class Scenario:
 
     @functools.cached_property
     def latents_at(self) -> dict[Pair, tuple[LatentSkill, ...]]:
-        return latents_by_pair(self.latent_catalog)
+        """Each pair's latent procedures, in catalog order."""
+        by_pair: dict[Pair, list[LatentSkill]] = {}
+        for latent in self.latent_catalog:
+            by_pair.setdefault(latent.applicability, []).append(latent)
+        return {pair: tuple(latents) for pair, latents in by_pair.items()}
 
     @functools.cached_property
     def task_views(self) -> tuple[tuple[TaskType, tuple[Pair, ...], tuple[float, ...]], ...]:
@@ -139,40 +146,23 @@ def realizes(skill: Skill, latent: LatentSkill) -> bool:
     return latent.id in skill.steps and latent.applicability in skill.applicability
 
 
-def realized_catalog(
-    scenario: Scenario, library: Mapping[str, Skill]
-) -> tuple[LatentSkill, ...]:
-    """The latent catalog with `realized_by` resolved against a library.
+def realizers(scenario: Scenario, library: Mapping[str, Skill]) -> dict[str, str]:
+    """Each realized latent procedure's id with its lexicographically
+    smallest realizing skill id in `library`, in catalog order.
 
-    Realization is derived, not stored: the lexicographically smallest
-    realizing skill wins, so the view is deterministic.  A
-    latent's realizers carry its id as a step, so only the skills indexed
+    A latent's realizers carry its id as a step, so only the skills indexed
     under that step token are checked.
     """
     by_step: dict[str, list[Skill]] = {}
     for skill in library.values():
         for step in set(skill.steps):
             by_step.setdefault(step, []).append(skill)
-    catalog = []
+    found: dict[str, str] = {}
     for latent in scenario.latent_catalog:
-        realizer = min(
-            (s.id for s in by_step.get(latent.id, ()) if realizes(s, latent)), default=None
-        )
-        # a latent whose realizer did not change is the catalog's own object
-        catalog.append(
-            latent if realizer == latent.realized_by else replace(latent, realized_by=realizer)
-        )
-    return tuple(catalog)
-
-
-def latents_by_pair(
-    catalog: Iterable[LatentSkill],
-) -> dict[Pair, tuple[LatentSkill, ...]]:
-    """Each pair's latent procedures, in catalog order."""
-    by_pair: dict[Pair, list[LatentSkill]] = {}
-    for latent in catalog:
-        by_pair.setdefault(latent.applicability, []).append(latent)
-    return {pair: tuple(latents) for pair, latents in by_pair.items()}
+        ids = [s.id for s in by_step.get(latent.id, ()) if realizes(s, latent)]
+        if ids:
+            found[latent.id] = min(ids)
+    return found
 
 
 def overload_excess(executor: Executor, library: Mapping[str, Skill]) -> int:
@@ -346,7 +336,7 @@ class ExecutionTable:
         return root
 
     def route(self, pair: Pair) -> Route:
-        return executor_route(self.state.q_exec, self.state, *pair, self._covering)
+        return executor_route(self.state.q_exec, *pair, self._covering)
 
     def slot(self, pair: Pair, executor_id: str) -> PhaseSlot:
         key = (pair, executor_id)

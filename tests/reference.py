@@ -85,7 +85,6 @@ from skillmas.world import (
     _deficit,
     _success_prob,
     _terms,
-    latents_by_pair,
     overload_excess,
     sample_episode,
 )
@@ -164,7 +163,7 @@ def scan_route(state: RoundState, task_id: str, phase: str) -> Route:
     covering index."""
     pair = (task_id, phase)
     eligible = sorted(e.id for e in state.executors.values() if e.covers(pair))
-    return executor_route(state.q_exec, state, task_id, phase, {pair: eligible})
+    return executor_route(state.q_exec, task_id, phase, {pair: eligible})
 
 
 def route_draw(route: Route, rng, epsilon: float) -> str:
@@ -218,7 +217,7 @@ def success_terms(
         if skill is None:
             raise StateError(f"used skill {skill_id!r} is not in the library")
         used.append(skill)
-    latents = latents_by_pair(scenario.latent_catalog).get(pair, ())
+    latents = [l for l in scenario.latent_catalog if l.applicability == pair]
     return _terms(latents, used, overload_excess(executor, library))
 
 
@@ -687,9 +686,9 @@ def reference_run_round(
         state.policy_index,
         q_skill_plus,
         config,
+        index,
         last_round_drop=last_round_drop,
         last_round_edits=last_round_edits,
-        cluster_keys=index.keys,
     )
     library2, executors2, pool2 = apply_skill_delta(
         state.library, state.executors, pool_counted, delta
@@ -707,7 +706,7 @@ def reference_run_round(
     library3, executors3, pool3, ownership_log = apply_restructure(
         library2, executors2, pool2, q_skill_plus, decision, config
     )
-    library4, pool4, executors4, promotions = promote_pool(library3, pool3, executors3, config)
+    library4, executors4, pool4, promotions = promote_pool(library3, pool3, executors3, config)
     next_state = RoundState(
         round_index=state.round_index + 1,
         library=library4,

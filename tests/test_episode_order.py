@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from skillmas.cli import main
 from skillmas.config import EngineConfig
-from skillmas.evolution import Proposal, skill_evolve
+from skillmas.evolution import Proposal, proposal_index, skill_evolve
 from skillmas.model import (
     Batch,
     ExecutorSlice,
@@ -30,7 +30,6 @@ from skillmas.model import (
     TaskType,
     TraceShape,
     UtilityTable,
-    cluster_key_map,
 )
 from skillmas.orchestrator import run_round
 from skillmas.presets import load_preset
@@ -185,10 +184,8 @@ def test_skill_evolve_keeps_the_earliest_proposal_past_the_width():
         for source, draft in zip(("r0000e99999", "r0000e100000"), drafts)
     ]
     config = EngineConfig()
-    delta = skill_evolve(
-        proposals, {}, (), UtilityTable(), config,
-        cluster_keys=cluster_key_map({}, config.cluster_threshold),
-    )
+    index = proposal_index(load_preset("tiny").scenario, {}, config)
+    delta = skill_evolve(proposals, {}, (), UtilityTable(), config, index)
     (action,) = delta.actions
     assert action.action == "create"
     assert action.source_trace == "r0000e99999"

@@ -8,7 +8,6 @@ from skillmas.evolution import (
     Proposal,
     SkillDelta,
     apply_skill_delta,
-    diagnose,
     promote_pool,
     proposal_index,
     propose,
@@ -27,10 +26,9 @@ from skillmas.model import (
     TaskType,
     TraceShape,
     UtilityTable,
-    cluster_key_map,
 )
-from skillmas.retention import RetainedShape
-from skillmas.world import LatentSkill, Scenario, motif_skill, realized_catalog
+from skillmas.retention import RetainedShape, diagnose
+from skillmas.world import LatentSkill, Scenario, motif_skill, realizers
 
 from conftest import make_skill, make_state
 
@@ -54,11 +52,9 @@ def propose_on(rt, diagnosis, cards, scenario, library, round_index, config):
 
 
 def evolve(proposals, library, policy_index, q_skill, config, **kwargs):
-    """`skill_evolve` with the library's cluster keys."""
-    keys = cluster_key_map(library, config.cluster_threshold)
-    return skill_evolve(
-        proposals, library, policy_index, q_skill, config, cluster_keys=keys, **kwargs
-    )
+    """`skill_evolve` with the round's proposal index built from its arguments."""
+    index = proposal_index(scenario_with(), library, config)
+    return skill_evolve(proposals, library, policy_index, q_skill, config, index, **kwargs)
 
 
 def failure_shape(cause, confident=True, selected=("sk",), invoked=("sk",),
@@ -173,7 +169,7 @@ class TestPropose:
         # applying the edit makes the skill realize the latent
         edited = make_skill("sk", pairs=(("t1", "p1"),), steps=out.edit.steps,
                             guards=out.edit.guards)
-        assert realized_catalog(scenario, {"sk": edited})[0].realized_by == "sk"
+        assert realizers(scenario, {"sk": edited}) == {latent.id: "sk"}
 
     def test_success_motif_realizes_undiscovered_latent(self):
         latent = LatentSkill("lat-b", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
@@ -186,8 +182,7 @@ class TestPropose:
         assert draft.applicability == frozenset({("t1", "p1")})
         assert draft.status is SkillStatus.POOLED
         assert draft.owner == "worker"
-        resolved = realized_catalog(scenario, {**library, draft.id: draft})
-        assert resolved[0].realized_by == draft.id
+        assert realizers(scenario, {**library, draft.id: draft}) == {latent.id: draft.id}
 
     def test_success_with_pooled_skill_suppressed(self):
         latent = LatentSkill("lat-c", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
@@ -437,7 +432,7 @@ class TestPoolLifecycle:
     def test_promotion_at_threshold(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)
         state = make_state([pooled], pool={"pk": (3, 3)})
-        lib, pool, execs, outcomes = promote_pool(
+        lib, execs, pool, outcomes = promote_pool(
             state.library, state.pool, state.executors, EngineConfig()
         )
         assert lib["pk"].status is SkillStatus.VALIDATED
@@ -447,7 +442,7 @@ class TestPoolLifecycle:
     def test_prune_at_threshold(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)
         state = make_state([pooled], pool={"pk": (5, 1)})
-        lib, pool, execs, outcomes = promote_pool(
+        lib, execs, pool, outcomes = promote_pool(
             state.library, state.pool, state.executors, EngineConfig()
         )
         assert "pk" not in lib and "pk" not in pool
@@ -457,7 +452,7 @@ class TestPoolLifecycle:
     def test_insufficient_evidence_stays_pooled(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)
         state = make_state([pooled], pool={"pk": (2, 2)})
-        lib, pool, execs, outcomes = promote_pool(
+        lib, execs, pool, outcomes = promote_pool(
             state.library, state.pool, state.executors, EngineConfig()
         )
         assert lib["pk"].status is SkillStatus.POOLED

@@ -5,7 +5,7 @@ from __future__ import annotations
 from skillmas.model import CauseLabel
 from skillmas.orchestrator import run_experiment
 from skillmas.presets import load_preset
-from skillmas.world import realized_catalog
+from skillmas.world import realizers
 
 
 def test_repair_guards_point_at_the_repairing_procedure():
@@ -44,18 +44,16 @@ def test_created_motifs_become_the_realizers():
         for sid in action["skills"]
     }
     assert created, "no motif was created in six rounds"
-    resolved = realized_catalog(pack.scenario, result.final_state.library)
-    realizers = {l.realized_by for l in resolved if l.realized_by}
+    realizer_ids = set(realizers(pack.scenario, result.final_state.library).values())
     # at least one surviving created skill is the realizer of its procedure
-    assert created & result.final_state.library.keys() & realizers
+    assert created & result.final_state.library.keys() & realizer_ids
 
 
 def test_favorable_checkpoint_realizes_most_of_the_catalog():
     pack = load_preset("favorable")
     result = run_experiment(pack.scenario, pack.seed_state, 9, 6, pack.config)
-    resolved = realized_catalog(pack.scenario, result.checkpoint_state.library)
-    realized = sum(1 for l in resolved if l.realized_by is not None)
-    assert realized >= len(resolved) // 2
+    realized = realizers(pack.scenario, result.checkpoint_state.library)
+    assert len(realized) >= len(pack.scenario.latent_catalog) // 2
 
 
 def test_mismatch_restructuring_relieves_overload():

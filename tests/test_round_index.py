@@ -9,6 +9,7 @@ per-phase loop below is that reference.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -17,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from skillmas.config import EngineConfig
 from skillmas.evolution import (
-    diagnose,
     proposal_index,
     propose,
     retrieve_policy_cards,
@@ -33,12 +33,12 @@ from skillmas.model import (
     StateError,
     TaskType,
     UtilityTable,
-    cluster_key_map,
+    skill_similarity,
 )
 from skillmas.orchestrator import collect_proposals, run_experiment, run_round
 from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision
-from skillmas.retention import retain
+from skillmas.retention import diagnose, retain
 from skillmas.store import parse_scenario, serialize_state
 from skillmas.utility import used_skills
 from skillmas.world import (
@@ -46,7 +46,7 @@ from skillmas.world import (
     LatentSkill,
     Scenario,
     exec_round,
-    realized_catalog,
+    realizers,
     sample_episode,
 )
 from skillmas.streams import episode_blocks
@@ -239,32 +239,47 @@ def test_task_draw_matches_weighted_choice(weights, seed):
         assert table.task_at(a.random())[0] == _weighted_choice(b, tasks, scenario.task_weights)
 
 
-def reference_realized_catalog(scenario, library):
-    """`realized_catalog` by checking every library skill against every latent."""
-    return tuple(
-        dataclasses.replace(
-            latent,
-            realized_by=min(
-                (
-                    s.id
-                    for s in library.values()
-                    if latent.id in s.steps
-                    and latent.applicability in s.applicability
-                ),
-                default=None,
-            ),
-        )
-        for latent in scenario.latent_catalog
-    )
+def reference_realizer(scenario, library):
+    """`realizers` by checking every library skill against every latent."""
+    found = {}
+    for latent in scenario.latent_catalog:
+        ids = [
+            s.id
+            for s in library.values()
+            if latent.id in s.steps and latent.applicability in s.applicability
+        ]
+        if ids:
+            found[latent.id] = min(ids)
+    return found
+
+
+def reference_clusters(library, threshold):
+    """Single-linkage clusters, cluster key -> sorted member ids: start from
+    singletons and merge any two groups with a pair of members at least
+    `threshold` similar, until no two groups have one."""
+    groups = [{sid} for sid in library]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if any(
+                skill_similarity(library[x], library[y]) >= threshold
+                for x in groups[a]
+                for y in groups[b]
+            ):
+                groups[a] |= groups.pop(b)
+                merged = True
+                break
+    return {min(g): tuple(sorted(g)) for g in sorted(groups, key=min)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_step_indexed_catalog_matches_linear_scan(world_seed):
     scenario, state, _ = random_world(random.Random(world_seed))
-    assert realized_catalog(scenario, state.library) == reference_realized_catalog(
-        scenario, state.library
-    )
+    got = realizers(scenario, state.library)
+    assert got == reference_realizer(scenario, state.library)
+    assert list(got) == [l.id for l in scenario.latent_catalog if l.id in got]
 
 
 def test_random_world_covers_the_index_cases():
@@ -342,7 +357,7 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
     assert len(keys) >= 2 * 96
     assert scans_after[0] == scans_after[-1] == 1
 
-    realized_catalog(pack.scenario, library)
+    realizers(pack.scenario, library)
     assert library.scans == 2
 
     for pair, executor_id in keys[:: len(keys) // 7]:
@@ -361,6 +376,41 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
         )
 
 
+def test_a_round_takes_each_token_set_a_bounded_number_of_times(monkeypatch):
+    """A round's evolve stage reads the proposal index's token sets: the
+    library's are taken once for clustering and once for the index, and a
+    motif draft's by `_nearest_cluster` and `_is_duplicate`, so the count
+    grows with the library plus the drafts, not with their product."""
+    import skillmas.orchestrator as orch
+
+    pack = parse_scenario(wide_text(96, 200), name="wide96")
+    states = run_experiment(pack.scenario, pack.seed_state, 3, 10, pack.config).states
+    # restructuring compares executors' token sets on its own: keep it out
+    monkeypatch.setattr(orch, "decide_restructure", lambda *a, **k: RestructureDecision("keep"))
+    calls, proposals = [0], []
+    tokens, collect = Skill.tokens, orch.collect_proposals
+
+    def counted_tokens(skill):
+        calls[0] += 1
+        return tokens(skill)
+
+    def kept_proposals(*args, **kwargs):
+        proposals[:] = collect(*args, **kwargs)
+        return proposals
+
+    monkeypatch.setattr(Skill, "tokens", counted_tokens)
+    monkeypatch.setattr(orch, "collect_proposals", kept_proposals)
+    products = []
+    for state in states:
+        calls[0] = 0
+        run_round(state, pack.scenario, pack.config, seed=11)
+        library, drafts = len(state.library), sum(len(p.drafts) for p in proposals)
+        assert calls[0] <= 2 * (library + drafts), (state.round_index, library, drafts)
+        products.append(library * drafts - 2 * (library + drafts))
+    # some round has more library-draft pairs than the bound allows calls
+    assert max(products) > 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(20, 120))
 def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episodes):
@@ -371,11 +421,20 @@ def test_shared_proposal_index_matches_per_trace_proposals(world_seed, n_episode
     )
 
     index = proposal_index(scenario, state.library, config)
-    assert index.keys == cluster_key_map(state.library, config.cluster_threshold)
-    catalog = realized_catalog(scenario, state.library)
+    clusters = reference_clusters(state.library, config.cluster_threshold)
+    assert list(index.clusters.items()) == list(clusters.items())
+    assert index.keys == {sid: key for key, members in clusters.items() for sid in members}
+    assert index.realizer == reference_realizer(scenario, state.library)
+    assert list(index.tokens.items()) == [
+        (sid, s.tokens()) for sid, s in sorted(state.library.items())
+    ]
     for pair in scenario.universe():
-        assert index.latents(pair) == tuple(l for l in catalog if l.applicability == pair)
-    assert index.active == tuple(s for _, s in sorted(state.library.items()))
+        assert index.latents_at.get(pair, ()) == tuple(
+            l for l in scenario.latent_catalog if l.applicability == pair
+        )
+        assert index.unrealized(pair) == [
+            l for l in index.latents_at.get(pair, ()) if l.id not in index.realizer
+        ]
 
     shared = collect_proposals(retained, state, config, index)
 

@@ -2,8 +2,7 @@
 
 A round reads views built once rather than at every use: the scenario's
 task views and latents by pair, each table's covering index (pair ->
-covering executor ids, sorted), the memo of exact utility ratios, the
-catalog's own latent objects where their realizer did not change, and one
+covering executor ids, sorted), the memo of exact utility ratios, and one
 diagnosis per retained failure.  Each must give exactly what the per-use
 rule gives.
 """
@@ -25,11 +24,11 @@ from skillmas.orchestrator import run_experiment, run_round
 from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision, apply_restructure
 from skillmas.store import parse_scenario
-from skillmas.world import ExecutionTable, realized_catalog
+from skillmas.world import ExecutionTable
 
 from reference import _weighted_choice, scan_route
 from test_golden import wide_text
-from test_round_index import random_world, reference_realized_catalog
+from test_round_index import random_world
 
 
 def restructured(state, scenario, config, rng):
@@ -146,31 +145,6 @@ def test_the_ratio_memo_stays_within_its_bound_over_a_wide_panel():
     assert info.maxsize is not None
     assert info.hits > 0
     assert info.currsize <= info.maxsize
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_realized_catalog_matches_replacing_every_latent(world_seed):
-    rng = random.Random(world_seed)
-    scenario, state, _ = random_world(rng)
-    # a catalog naming realizers already: some right, some stale
-    resolved = reference_realized_catalog(scenario, state.library)
-    names = [*sorted(state.library), None, "gone"]
-    named = tuple(
-        dataclasses.replace(
-            latent, realized_by=r.realized_by if rng.random() < 0.5 else rng.choice(names)
-        )
-        for latent, r in zip(scenario.latent_catalog, resolved)
-    )
-    for s in (scenario, dataclasses.replace(scenario, latent_catalog=named)):
-        got = realized_catalog(s, state.library)
-        want = reference_realized_catalog(s, state.library)
-        assert got == want
-        for latent, own, new in zip(got, s.latent_catalog, want):
-            if own.realized_by == new.realized_by:
-                assert latent is own
-            else:
-                assert latent is not own
 
 
 def test_a_round_diagnoses_each_retained_failure_once(monkeypatch):

@@ -175,12 +175,9 @@ def test_round_stages_match_per_trace_references(world_seed, n_episodes):
     firsts = {batch.episode_id(i) for i in batch.firsts()}
     assert proposals == [p for p in want_proposals if p.source_trace in firsts]
 
-    delta = skill_evolve(
-        proposals, state.library, state.policy_index, q_skill, config, cluster_keys=index.keys
-    )
+    delta = skill_evolve(proposals, state.library, state.policy_index, q_skill, config, index)
     want_delta = skill_evolve(
-        want_proposals, state.library, state.policy_index, q_skill, config,
-        cluster_keys=index.keys,
+        want_proposals, state.library, state.policy_index, q_skill, config, index
     )
     assert delta == want_delta
     assert build_artifacts(retained, q_exec, delta) == reference_artifacts(

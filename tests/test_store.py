@@ -29,7 +29,7 @@ from skillmas.store import (
     serialize_state,
     trace_to_record,
 )
-from skillmas.world import exec_round
+from skillmas.world import Scenario, exec_round
 from skillmas.config import EngineConfig
 from skillmas.orchestrator import run_experiment
 
@@ -288,6 +288,21 @@ class TestScenarioFiles:
         assert code == 2
         assert f"{path}: file does not exist" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_omitted_values_take_the_dataclass_defaults(self):
+        text = (
+            "[tasks]\nt1 = p1 | 1.0\n[penalties]\noverload = 0.3\n"
+            "[seed-state]\nexecutor m = * manager\nexecutor w = t1/p1 capacity=2\n"
+        )
+        pack = parse_scenario(text)
+        default = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        assert pack.scenario.overload_weight == 0.3
+        for name in ("interference_weight", "routing_noise", "cause_confidence"):
+            assert getattr(pack.scenario, name) == default[name]
+        executors = pack.seed_state.executors
+        assert executors["m"].capacity == Executor("x", frozenset({("t1", "p1")})).capacity
+        assert executors["m"].is_manager and not executors["w"].is_manager
+        assert executors["w"].capacity == 2
 
     def test_error_carries_line_number(self):
         text = "[tasks]\nt1 = p1 | 1.0\n[difficulty]\nt1/p9 = 0.0\n"

@@ -16,6 +16,7 @@ from skillmas.model import (
     UtilityTable,
 )
 from skillmas.utility import (
+    covering_ids,
     executor_route,
     learn,
     used_skills,
@@ -185,17 +186,16 @@ class TestSelectExecutor:
                 Executor("narrow", universe),
             ],
         )
+        route = executor_route(state.q_exec, "t2", "p1", covering_ids(state.executors))
         for epsilon in (0.0, 0.5, 1.0):
-            assert (
-                route_draw(executor_route(state.q_exec, state, "t2", "p1"), rng, epsilon)
-                in ("manager", "narrow")
-            )
+            assert route_draw(route, rng, epsilon) in ("manager", "narrow")
         only = make_state(
             [],
             executors=[Executor("manager", frozenset({("t1", "p1"), ("t1", "p2")}),
                                 is_manager=True)],
         )
-        assert route_draw(executor_route(only.q_exec, only, "t1", "p1"), rng, 1.0) == "manager"
+        route = executor_route(only.q_exec, "t1", "p1", covering_ids(only.executors))
+        assert route_draw(route, rng, 1.0) == "manager"
 
     def test_greedy_tracks_utility_gap(self):
         state = make_state(
@@ -203,16 +203,15 @@ class TestSelectExecutor:
             q_exec=UtilityTable({("manager", "t1"): (3, 10), ("worker", "t1"): (4, 5)}),
         )
         rng = random.Random(1)
+        route = executor_route(state.q_exec, "t1", "p1", covering_ids(state.executors))
         for _ in range(50):
-            assert route_draw(executor_route(state.q_exec, state, "t1", "p1"), rng, 0.0) == "worker"
+            assert route_draw(route, rng, 0.0) == "worker"
 
     def test_full_noise_is_uniform_within_three_sigma(self):
         state = make_state([])
         rng = random.Random(12345)
         n = 10_000
-        picks = sum(
-            route_draw(executor_route(state.q_exec, state, "t1", "p1"), rng, 1.0) == "manager"
-            for _ in range(n)
-        )
+        route = executor_route(state.q_exec, "t1", "p1", covering_ids(state.executors))
+        picks = sum(route_draw(route, rng, 1.0) == "manager" for _ in range(n))
         sigma = math.sqrt(n * 0.25)
         assert abs(picks - n / 2) <= 3 * sigma

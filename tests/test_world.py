@@ -20,7 +20,7 @@ from skillmas.world import (
     logistic,
     motif_skill,
     motif_tokens,
-    realized_catalog,
+    realizers,
     sample_episode,
     walk_episode,
 )
@@ -131,8 +131,16 @@ class TestRealization:
         scenario = make_scenario(latents=[latent])
         a = make_skill("a", pairs=(("t1", "p1"),), steps=("lat",))
         b = make_skill("b", pairs=(("t1", "p1"),), steps=("lat",))
-        resolved = realized_catalog(scenario, {"a": a, "b": b})
-        assert resolved[0].realized_by == "a"
+        assert realizers(scenario, {"b": b, "a": a}) == {"lat": "a"}
+
+    def test_latent_ids_are_unique(self):
+        # `realizers` keys a latent by its id
+        latents = [
+            LatentSkill("lat", pair, 2.0, CauseLabel.MISSING_PRECONDITION)
+            for pair in (("t1", "p1"), ("t1", "p2"))
+        ]
+        with pytest.raises(StateError, match="latent procedure ids must be unique"):
+            make_scenario(latents=latents)
 
     def test_motif_skill_realizes_its_latent(self):
         from skillmas.world import realizes
