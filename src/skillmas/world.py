@@ -102,6 +102,21 @@ class Scenario:
         return {pair: tuple(latents) for pair, latents in by_pair.items()}
 
     @functools.cached_property
+    def pair_views(self) -> dict[Pair, tuple]:
+        """Each task pair's base logit, its latents in catalog order, and the
+        same latents in deficit order, `(effect, id)` descending."""
+        return {
+            pair: (
+                self.base_difficulty.get(pair, 0.0),
+                latents,
+                tuple(sorted(latents, key=lambda l: (l.effect, l.id), reverse=True)),
+            )
+            for task in self.task_types
+            for pair in task.pairs()
+            for latents in (self.latents_at.get(pair, ()),)
+        }
+
+    @functools.cached_property
     def task_views(self) -> tuple[tuple[TaskType, tuple[Pair, ...], tuple[float, ...]], ...]:
         """Each task with its pairs and progress values `q12(c / n)`, c = 0..n."""
         return tuple(
@@ -170,73 +185,43 @@ def overload_excess(executor: Executor, library: Mapping[str, Skill]) -> int:
     return max(0, len(active_owned(executor, library)) - executor.capacity)
 
 
-class SuccessTerms(NamedTuple):
-    """The terms of the success model at one routed phase."""
-
-    realized: tuple[LatentSkill, ...]  # the pair's latents some used skill realizes
-    absent: tuple[LatentSkill, ...]  # the pair's other latents, both in catalog order
-    mismatched: int  # used skills that realize none of the pair's latents
-    excess: int  # the executor's active owned skills beyond its capacity
-
-
-def _terms(
-    latents: Sequence[LatentSkill], used: Sequence[Skill], excess: int
-) -> SuccessTerms:
-    realized: list[LatentSkill] = []
-    absent: list[LatentSkill] = []
-    matching: set[str] = set()
+def slot_outcome(
+    scenario: Scenario, pair: Pair, used: Iterable[Skill], excess: int
+) -> tuple[float, tuple[CauseLabel, float] | None]:
+    """One routed phase's success probability and dominant deficit.  The
+    logit is the base difficulty, plus the effects of the latents some used
+    skill realizes (in catalog order), minus interference per used skill
+    realizing none, minus overload per owned skill over capacity.  The
+    deficit is the largest unmet term.  Among equally effective absent
+    latents the largest id wins (`pair_views` order); on exact ties an
+    absent latent beats interference, which beats overload.
+    """
+    base, latents, by_deficit = scenario.pair_views[pair]
+    realized_steps: set[str] = set()  # of the used skills realizing a latent here
+    mismatched = 0
+    for skill in used:
+        if pair in skill.applicability and any(l.id in skill.steps for l in latents):
+            realized_steps.update(skill.steps)
+        else:
+            mismatched += 1
+    logit = base
     for latent in latents:
-        realizers = [s.id for s in used if realizes(s, latent)]
-        (realized if realizers else absent).append(latent)
-        matching.update(realizers)
-    mismatched = sum(1 for s in used if s.id not in matching)
-    return SuccessTerms(tuple(realized), tuple(absent), mismatched, excess)
+        if latent.id in realized_steps:
+            logit += latent.effect
+    interference = scenario.interference_weight * mismatched
+    overload = scenario.overload_weight * excess
+    logit -= interference
+    logit -= overload
 
-
-def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
-    """logit = base difficulty
-          + effects of latent procedures realized by some used skill
-          - interference * (# used skills matching no latent here)
-          - overload * max(0, owned skills - capacity)
-    """
-    logit = scenario.base_difficulty.get(pair, 0.0)
-    for latent in terms.realized:
-        logit += latent.effect
-    logit -= scenario.interference_weight * terms.mismatched
-    logit -= scenario.overload_weight * terms.excess
-    return logistic(logit)
-
-
-def _deficit(
-    scenario: Scenario, terms: SuccessTerms
-) -> tuple[CauseLabel, float] | None:
-    """The largest unmet term of the success model, with its magnitude.
-
-    Priority on exact ties: absent latent procedure, then interference,
-    then overload.
-    """
-    candidates: list[tuple[float, int, CauseLabel]] = []
-    if terms.absent:
-        top = max(terms.absent, key=lambda l: (l.effect, l.id))
-        candidates.append((top.effect, 0, top.repairs_cause))
-
-    interference = scenario.interference_weight * terms.mismatched
-    if interference > 0:
-        cause = (
-            CauseLabel.SKILL_CONFLICT
-            if terms.mismatched >= 2
-            else CauseLabel.MISLEADING_RETRIEVAL
-        )
-        candidates.append((interference, 1, cause))
-
-    overload = scenario.overload_weight * terms.excess
-    if overload > 0:
-        candidates.append((overload, 2, CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
-
-    if not candidates:
-        return None
-    magnitude, _, cause = max(candidates, key=lambda c: (c[0], -c[1]))
-    return cause, magnitude
+    deficit = next(
+        ((l.repairs_cause, l.effect) for l in by_deficit if l.id not in realized_steps), None
+    )
+    if interference > 0 and (deficit is None or interference > deficit[1]):
+        cause = CauseLabel.SKILL_CONFLICT if mismatched >= 2 else CauseLabel.MISLEADING_RETRIEVAL
+        deficit = (cause, interference)
+    if overload > 0 and (deficit is None or overload > deficit[1]):
+        deficit = (CauseLabel.BAD_EXECUTOR_ASSIGNMENT, overload)
+    return logistic(logit), deficit
 
 
 # one shared observation per (label, confident): shapes only read them
@@ -267,9 +252,10 @@ class ExecutionTable:
     in which entries are filled cannot change any result.
     Slots read indexes built on first use, once per table (each task's
     candidate skills, each executor's overload excess, the manager id) or
-    once per scenario (each pair's latents): a slot ranks its skills through
-    `rank_skills`, and `_success_prob` and `_deficit` read the one
-    `SuccessTerms` of its used skills.  Routes read the covering index, each
+    once per scenario (`pair_views`): a slot ranks its skills through
+    `rank_skills` unless its task has no candidate skill, and `slot_outcome`
+    evaluates them in one pass (`tests/reference.py` keeps `_terms`,
+    `_success_prob` and `_deficit`).  Routes read the covering index, each
     pair's covering executor ids, built in one pass over the executors.
 
     Outcome paths are interned.  At each bisection position of the task
@@ -350,9 +336,16 @@ class ExecutionTable:
         and evaluate the ground-truth success probability of the result."""
         task_id, phase = pair
         library = self.state.library
+        excess = self._excess.get(executor.id)
+        if excess is None:
+            excess = self._excess[executor.id] = overload_excess(executor, library)
+        if task_id not in self._candidates:
+            none = frozenset()
+            nothing = ExecutorSlice(executor.id, phase, none, none, none)
+            return PhaseSlot(nothing, *slot_outcome(self.scenario, pair, (), excess))
         selected = rank_skills(
             self.state.q_skill,
-            self._candidates.get(task_id, ()),
+            self._candidates[task_id],
             {executor.id, self._manager_id},
             task_id,
             self.config.top_k,
@@ -364,16 +357,11 @@ class ExecutionTable:
             for sid in selected
             if sid not in invoked and realized_actions.issuperset(library[sid].steps)
         )
-        excess = self._excess.get(executor.id)
-        if excess is None:
-            excess = self._excess[executor.id] = overload_excess(executor, library)
-        # `_terms` does not depend on the order of the used skills
+        # `slot_outcome` does not depend on the order of the used skills
         used = [library[sid] for sid in invoked | pattern_supported]
-        terms = _terms(self.scenario.latents_at.get(pair, ()), used, excess)
         return PhaseSlot(
             ExecutorSlice(executor.id, phase, frozenset(selected), invoked, pattern_supported),
-            _success_prob(self.scenario, pair, terms),
-            _deficit(self.scenario, terms),
+            *slot_outcome(self.scenario, pair, used, excess),
         )
 
 

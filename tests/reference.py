@@ -4,7 +4,9 @@ The engine builds each rule's inputs once per round (`world.ExecutionTable`,
 `streams.episode_blocks`) and applies the rule through one shared function.
 Each function in the first part rebuilds those inputs for a single call and
 applies the same rule, so a test can compare the indexed engine against it
-call by call.
+call by call.  The success model is the exception: `_terms`,
+`_success_prob` and `_deficit` build its terms one at a time and are
+independent of `world.slot_outcome`, the engine's one-pass evaluation.
 
 The second part is a whole round, episode by episode: every stage reads a
 list of `Episode` records, which compare by value, in generation order, and
@@ -23,7 +25,7 @@ import shutil
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from skillmas.config import EngineConfig
 from skillmas.evolution import (
@@ -80,12 +82,11 @@ from skillmas.world import (
     _OBSERVATIONS,
     _UNOBSERVED,
     ExecutionTable,
+    LatentSkill,
     Scenario,
-    SuccessTerms,
-    _deficit,
-    _success_prob,
-    _terms,
+    logistic,
     overload_excess,
+    realizes,
     sample_episode,
 )
 
@@ -201,6 +202,77 @@ def select_skills(
     owners = {executor_id, state.manager_id()}
     candidates = skills_by_task(state.library).get(task_id, ())
     return rank_skills(q_skill, candidates, owners, task_id, k)
+
+
+class SuccessTerms(NamedTuple):
+    """The terms of the success model at one routed phase."""
+
+    realized: tuple[LatentSkill, ...]  # the pair's latents some used skill realizes
+    absent: tuple[LatentSkill, ...]  # the pair's other latents, both in catalog order
+    mismatched: int  # used skills that realize none of the pair's latents
+    excess: int  # the executor's active owned skills beyond its capacity
+
+
+def _terms(
+    latents: Sequence[LatentSkill], used: Sequence[Skill], excess: int
+) -> SuccessTerms:
+    """Each latent checked against every used skill, one term at a time."""
+    realized: list[LatentSkill] = []
+    absent: list[LatentSkill] = []
+    matching: set[str] = set()
+    for latent in latents:
+        realizers = [s.id for s in used if realizes(s, latent)]
+        (realized if realizers else absent).append(latent)
+        matching.update(realizers)
+    mismatched = sum(1 for s in used if s.id not in matching)
+    return SuccessTerms(tuple(realized), tuple(absent), mismatched, excess)
+
+
+def _success_prob(scenario: Scenario, pair: Pair, terms: SuccessTerms) -> float:
+    """logit = base difficulty
+          + effects of latent procedures realized by some used skill
+          - interference * (# used skills matching no latent here)
+          - overload * max(0, owned skills - capacity)
+    """
+    logit = scenario.base_difficulty.get(pair, 0.0)
+    for latent in terms.realized:
+        logit += latent.effect
+    logit -= scenario.interference_weight * terms.mismatched
+    logit -= scenario.overload_weight * terms.excess
+    return logistic(logit)
+
+
+def _deficit(
+    scenario: Scenario, terms: SuccessTerms
+) -> tuple[CauseLabel, float] | None:
+    """The largest unmet term of the success model, with its magnitude.
+
+    Among equally effective absent latents the largest id wins; on exact
+    ties between terms: absent latent procedure, then interference, then
+    overload.
+    """
+    candidates: list[tuple[float, int, CauseLabel]] = []
+    if terms.absent:
+        top = max(terms.absent, key=lambda l: (l.effect, l.id))
+        candidates.append((top.effect, 0, top.repairs_cause))
+
+    interference = scenario.interference_weight * terms.mismatched
+    if interference > 0:
+        cause = (
+            CauseLabel.SKILL_CONFLICT
+            if terms.mismatched >= 2
+            else CauseLabel.MISLEADING_RETRIEVAL
+        )
+        candidates.append((interference, 1, cause))
+
+    overload = scenario.overload_weight * terms.excess
+    if overload > 0:
+        candidates.append((overload, 2, CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
+
+    if not candidates:
+        return None
+    magnitude, _, cause = max(candidates, key=lambda c: (c[0], -c[1]))
+    return cause, magnitude
 
 
 def success_terms(

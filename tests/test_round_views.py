@@ -12,21 +12,30 @@ from __future__ import annotations
 import dataclasses
 import random
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skillmas.retention as retention
+import skillmas.world as world
 from skillmas.cli import build_parser
-from skillmas.model import StateError, UtilityTable, ratio
+from skillmas.model import ExecutorSlice, StateError, UtilityTable, ratio
 from skillmas.numfmt import q12
 from skillmas.orchestrator import run_experiment, run_round
 from skillmas.presets import load_preset
 from skillmas.restructure import RestructureDecision, apply_restructure
 from skillmas.store import parse_scenario
+from skillmas.utility import rank_skills, skills_by_task
 from skillmas.world import ExecutionTable
 
-from reference import _weighted_choice, scan_route
+from reference import (
+    _dominant_deficit,
+    _weighted_choice,
+    ground_truth_success_prob,
+    scan_route,
+    select_skills,
+)
 from test_golden import wide_text
 from test_round_index import random_world
 
@@ -92,6 +101,48 @@ def test_routes_of_a_restructured_wide_run_match_the_linear_scan():
         table = ExecutionTable(s, pack.scenario, pack.config)
         for pair in sorted(pack.scenario.universe()):
             assert table.route(pair) == scan_route(s, *pair)
+
+
+
+def test_slots_of_a_task_with_no_candidate_skill_rank_nothing(monkeypatch):
+    """Over every state of a restructured wide run, a slot whose task has no
+    candidate skill equals the per-call reference slot and never calls
+    `rank_skills`; the slots of the other tasks still call it once each."""
+    pack = parse_scenario(wide_text(24, 200), name="wide24")
+    result = run_experiment(pack.scenario, pack.seed_state, 7001, 8, pack.config)
+    assert len({frozenset(s.executors) for s in result.states}) > 1  # executors changed
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return rank_skills(*args)
+
+    monkeypatch.setattr(world, "rank_skills", counted)
+    seen = Counter()
+    for s in result.states:
+        table = ExecutionTable(s, pack.scenario, pack.config)
+        for pair in sorted(pack.scenario.universe()):
+            for executor_id in table.route(pair).eligible:
+                before = calls[0]
+                slot = table.slot(pair, executor_id)
+                if skills_by_task(s.library).get(pair[0]):
+                    assert calls[0] == before + 1
+                    seen["ranked"] += 1
+                    continue
+                assert calls[0] == before
+                seen["not ranked"] += 1
+                executor = s.executors[executor_id]
+                assert select_skills(s.q_skill, s, *pair, executor, pack.config.top_k) == []
+                assert slot.slice == ExecutorSlice(
+                    executor_id, pair[1], frozenset(), frozenset(), frozenset()
+                )
+                assert slot.success_prob == ground_truth_success_prob(
+                    pack.scenario, s.library, *pair, executor, []
+                )
+                assert slot.deficit == _dominant_deficit(
+                    pack.scenario, s.library, executor, *pair, frozenset()
+                )
+    assert seen["ranked"] > 0 and seen["not ranked"] > seen["ranked"]
 
 
 class FixedDraw:

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skillmas.config import EngineConfig
 from skillmas.model import CauseLabel, Executor, StateError, TaskType
@@ -22,12 +22,13 @@ from skillmas.world import (
     motif_tokens,
     realizers,
     sample_episode,
+    slot_outcome,
     walk_episode,
 )
 from skillmas.streams import episode_blocks, word_random
 
-from conftest import make_skill, make_state, random_scenario
-from reference import ground_truth_success_prob
+from conftest import CAUSES, make_skill, make_state, random_scenario
+from reference import _deficit, _success_prob, _terms, ground_truth_success_prob
 
 
 def make_scenario(
@@ -123,6 +124,79 @@ class TestGroundTruth:
         )
         assert with_match >= base_p
         assert with_junk <= base_p
+
+
+PAIR = ("t1", "p1")
+# dyadic weights: exact ties between latents, interference and overload
+TIED = [0.25, 0.5, 1.0]
+
+
+def slot_case(base, latents, used, interference, overload, excess):
+    """(scenario, used skills, excess) at PAIR; `latents` are (id, effect,
+    cause) in catalog order and `used` are (pairs, steps)."""
+    scenario = make_scenario(
+        base={PAIR: base},
+        latents=[LatentSkill(i, PAIR, effect, cause) for i, effect, cause in latents],
+        interference=interference,
+        overload=overload,
+    )
+    skills = [make_skill(f"s{k}", pairs, steps) for k, (pairs, steps) in enumerate(used)]
+    return scenario, skills, excess
+
+
+@st.composite
+def slot_cases(draw):
+    weights = st.one_of(st.sampled_from(TIED), st.floats(0.01, 4.0))
+    ids = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=4))
+    latents = [(f"lat-{i}", draw(weights), draw(st.sampled_from(CAUSES))) for i in ids]
+    tokens = ["go", "lat-z", *(i for i, _, _ in latents)]
+    pairs = st.sets(st.sampled_from([PAIR, ("t1", "p2")]), min_size=1)
+    steps = st.lists(st.sampled_from(tokens), min_size=1, max_size=3)
+    used = draw(st.lists(st.tuples(pairs, steps), max_size=4))
+    realized = draw(st.sets(st.sampled_from([i for i, _, _ in latents]))) if latents else ()
+    if realized:  # one skill realizing a chosen set of latents, maybe all of them
+        used.append(({PAIR}, sorted(realized)))
+    scenario, skills, excess = slot_case(
+        draw(st.one_of(st.sampled_from([0.0, -1.1]), st.floats(-3.0, 3.0))),
+        latents,
+        used,
+        draw(st.one_of(st.sampled_from([0.0, *TIED]), st.floats(0.0, 2.0))),
+        draw(st.one_of(st.sampled_from([0.0, *TIED]), st.floats(0.0, 2.0))),
+        draw(st.integers(0, 5)),
+    )
+    # a latent at the other pair is neither realized nor absent at PAIR
+    other = LatentSkill("lat-z", ("t1", "p2"), 1.0, CAUSES[0])
+    catalog = draw(st.permutations([*scenario.latent_catalog, other]))
+    return dataclasses.replace(scenario, latent_catalog=tuple(catalog)), skills, excess
+
+
+class TestSlotOutcome:
+    """`slot_outcome`, the engine's one-pass evaluation, against the
+    reference's success model built term by term."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(slot_cases())
+    # two absent latents tie: the largest id wins
+    @example(slot_case(
+        0.0, [("lat-a", 0.5, CAUSES[0]), ("lat-b", 0.5, CAUSES[1])], [], 0.0, 0.0, 0))
+    # interference ties overload: interference wins
+    @example(slot_case(0.0, [], [({PAIR}, ("go",))], 0.5, 0.25, 2))
+    # an absent latent ties both penalties: the latent wins
+    @example(slot_case(
+        0.0, [("lat-a", 1.0, CAUSES[0])], [({PAIR}, ("go",)), ({("t1", "p2")}, ("lat-a",))],
+        0.5, 0.25, 4))
+    # effects added in catalog order: (-1.1 + 0.1) + 0.3 != (-1.1 + 0.3) + 0.1
+    @example(slot_case(
+        -1.1, [("lat-a", 0.1, CAUSES[0]), ("lat-b", 0.3, CAUSES[1])],
+        [({PAIR}, ("lat-b", "lat-a"))], 0.0, 0.0, 0))
+    def test_matches_the_per_term_reference(self, case):
+        scenario, used, excess = case
+        latents = [l for l in scenario.latent_catalog if l.applicability == PAIR]
+        terms = _terms(latents, used, excess)
+        p, deficit = slot_outcome(scenario, PAIR, used, excess)
+        assert p == _success_prob(scenario, PAIR, terms)
+        assert deficit == _deficit(scenario, terms)
+        assert slot_outcome(scenario, PAIR, used[::-1], excess) == (p, deficit)
 
 
 class TestRealization:
