@@ -30,7 +30,7 @@ from .orchestrator import (
 )
 from .presets import load_preset
 from .store import ScenarioPack, parse_scenario
-from .world import LatentSkill, Scenario, exec_round, sample_episode
+from .world import LatentSkill, Scenario, exec_round
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "parse_scenario",
     "run_experiment",
     "run_round",
-    "sample_episode",
     "skill_similarity",
     "transplant_stress_test",
     "validate_state",

@@ -25,7 +25,6 @@ from .orchestrator import (
     canonical_json,
     evaluate_transplants,
     experiment_rounds,
-    family_rows,
     family_tally,
     render_breakdown,
     render_comparison,
@@ -69,9 +68,7 @@ def _read_scenario(path: Path, name: str, named_by: Path | None = None) -> Scena
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_config(
-    pack: ScenarioPack, args: argparse.Namespace, *, episodes_override: bool = False
-) -> EngineConfig:
+def _load_config(pack: ScenarioPack, args: argparse.Namespace) -> EngineConfig:
     config = pack.config
     override_path = getattr(args, "config", None)
     if override_path:
@@ -80,8 +77,6 @@ def _load_config(
             config = config_from_mapping(overrides, base=config)
         except ValueError as exc:
             raise UsageError(f"{override_path}: {exc}") from None
-    if episodes_override and args.episodes is not None:
-        config = config.replace(episodes_per_round=args.episodes)
     return config
 
 
@@ -373,7 +368,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.episodes is not None and args.episodes < 1:
         raise UsageError("--episodes must be at least 1")
     pack = _load_pack(args.scenario)
-    config = _load_config(pack, args, episodes_override=True)
+    config = _load_config(pack, args)
+    if args.episodes is not None:
+        config = config.replace(episodes_per_round=args.episodes)
     out = Path(args.out) if args.out else _default_out(pack.scenario.name, args.seed)
     table = _write_run_dir(out, pack, args.seed, args.rounds, config)
     if not args.quiet:
@@ -394,9 +391,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             [state], pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
         )
     )
-    rows = family_rows(counts)
     successes = sum(s for s, _ in counts.values())
-    print(render_breakdown(rows), end="")
+    print(render_breakdown(counts), end="")
     print(f"total: {successes}/{args.episodes}")
     if args.out:
         _write_text(
@@ -406,8 +402,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     "episodes": args.episodes,
                     "successes": successes,
                     "per_family": {
-                        r.task_type: {"successes": r.successes, "attempts": r.attempts}
-                        for r in rows
+                        task_id: {"successes": s, "attempts": a}
+                        for task_id, (s, a) in counts.items()
                     },
                 }
             ),
@@ -457,7 +453,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     best = per_round[trajectory["checkpoint"]["round"]]
     print(render_trajectory(trajectory))
     if best:
-        print(render_breakdown(family_rows(best, baseline=per_round.get(0, {}))), end="")
+        print(render_breakdown(best, baseline=per_round.get(0, {})), end="")
     return 0
 
 

@@ -8,6 +8,7 @@ accepts a JSON override file.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -80,7 +81,7 @@ def _coerce(name: str, raw: Any) -> Any:
             raise ValueError(f"cannot read {text!r} as a boolean for {name}")
         if kind == "int":
             return int(text)
-        return float(text)
+        raw = float(text)
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     if kind == "bool":
         ok, expected = isinstance(raw, bool), "a boolean"
@@ -90,6 +91,8 @@ def _coerce(name: str, raw: Any) -> Any:
         ok, expected = number or (raw is None and "None" in kind), "a number"
     if not ok:
         raise ValueError(f"{name} expects {expected}, not {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise ValueError(f"{name} expects a finite number, not {raw!r}")
     return raw
 
 

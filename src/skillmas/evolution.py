@@ -162,7 +162,7 @@ def _pick_implicated(
     """Lexicographically smallest usable skill, preferring exact-pair coverage."""
     usable = [library[sid] for sid in sorted(candidates) if sid in library]
     for skill in usable:
-        if skill.applies_to(pair):
+        if pair in skill.applicability:
             return skill
     return usable[0] if usable else None
 

@@ -121,9 +121,6 @@ class Skill:
         """Step and guard tokens, the basis of skill similarity."""
         return frozenset(self.steps) | self.guards
 
-    def applies_to(self, pair: Pair) -> bool:
-        return pair in self.applicability
-
 
 @dataclass(frozen=True)
 class Executor:
@@ -140,9 +137,6 @@ class Executor:
             raise StateError(f"executor {self.id!r} has an empty boundary")
         if self.capacity < 1:
             raise StateError(f"executor {self.id!r} has capacity < 1")
-
-    def covers(self, pair: Pair) -> bool:
-        return pair in self.boundary
 
 
 @functools.lru_cache(maxsize=1024)
@@ -174,9 +168,10 @@ class UtilityTable:
         entry = self.counts.get((key, task_id))
         return None if entry is None else (ratio(*entry), entry[1])
 
-    def value(self, key: str, task_id: str, default: float = 0.5) -> float:
+    def value(self, key: str, task_id: str) -> float:
+        """The entry's value, or the 0.5 prior when it has no attempt."""
         entry = self.get(key, task_id)
-        return entry[0] if entry is not None else default
+        return entry[0] if entry is not None else 0.5
 
     def count(self, key: str, task_id: str) -> int:
         entry = self.counts.get((key, task_id))

@@ -539,21 +539,6 @@ def evaluate_transplants(
     )
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    task_type: str
-    successes: int
-    attempts: int
-    baseline_successes: int | None = None
-    baseline_attempts: int | None = None
-
-    @property
-    def gain(self) -> int | None:
-        if self.baseline_successes is None:
-            return None
-        return self.successes - self.baseline_successes
-
-
 def family_tally(outcomes: Iterable[tuple[TaskType, int, int]]) -> dict[str, tuple[int, int]]:
     """Task id -> (successes, attempts) over (task, outcome, episodes) triples."""
     counts: dict[str, tuple[int, int]] = {}
@@ -561,23 +546,6 @@ def family_tally(outcomes: Iterable[tuple[TaskType, int, int]]) -> dict[str, tup
         s, a = counts.get(task.id, (0, 0))
         counts[task.id] = (s + outcome * episodes, a + episodes)
     return counts
-
-
-def family_rows(
-    counts: Mapping[str, tuple[int, int]],
-    baseline: Mapping[str, tuple[int, int]] | None = None,
-) -> list[FamilyRow]:
-    """One row per family of `counts` (task id -> (successes, attempts)), in
-    task-id order, with the baseline's counts (0/0 where absent) when given."""
-    rows = []
-    for task_id in sorted(counts):
-        s, a = counts[task_id]
-        if baseline is not None:
-            bs, ba = baseline.get(task_id, (0, 0))
-            rows.append(FamilyRow(task_id, s, a, bs, ba))
-        else:
-            rows.append(FamilyRow(task_id, s, a))
-    return rows
 
 
 def _ratio(successes: int, attempts: int) -> str:
@@ -606,21 +574,22 @@ def render_trajectory(report: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_breakdown(rows: Sequence[FamilyRow]) -> str:
-    has_baseline = any(r.baseline_successes is not None for r in rows)
-    if has_baseline:
-        lines = [f"{'Task family':<24} {'Seed':<16} {'Best':<16} Gain"]
-        for r in rows:
-            base = _ratio(r.baseline_successes or 0, r.baseline_attempts or 0)
-            gain = r.gain or 0
-            lines.append(
-                f"{r.task_type:<24} {base:<16} "
-                f"{_ratio(r.successes, r.attempts):<16} {gain:+d}"
-            )
-    else:
+def render_breakdown(
+    counts: Mapping[str, tuple[int, int]],
+    baseline: Mapping[str, tuple[int, int]] | None = None,
+) -> str:
+    """One row per family of `counts` (task id -> (successes, attempts)), in
+    task-id order; with a baseline, its counts (0/0 where absent) and the
+    gain in successes."""
+    if baseline is None:
         lines = [f"{'Task family':<24} Success"]
-        for r in rows:
-            lines.append(f"{r.task_type:<24} {_ratio(r.successes, r.attempts)}")
+        for task_id, (s, a) in sorted(counts.items()):
+            lines.append(f"{task_id:<24} {_ratio(s, a)}")
+    else:
+        lines = [f"{'Task family':<24} {'Seed':<16} {'Best':<16} Gain"]
+        for task_id, (s, a) in sorted(counts.items()):
+            bs, ba = baseline.get(task_id, (0, 0))
+            lines.append(f"{task_id:<24} {_ratio(bs, ba):<16} {_ratio(s, a):<16} {s - bs:+d}")
     return "\n".join(lines) + "\n"
 
 

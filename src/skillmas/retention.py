@@ -28,25 +28,25 @@ class RetentionCategory(str, Enum):
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """Bounded diagnosability of a retained failure: cause, uniqueness, tag."""
+    """Bounded diagnosability of a retained failure: cause and tag."""
 
     cause: CauseLabel
-    unique: bool
     tag: BoundedTag
 
     @property
     def locally_diagnosable(self) -> bool:
-        return self.unique and self.tag in REPAIR_TAGS
+        # a failure not confidently observed has cause UNKNOWN, tag NONE
+        return self.tag in REPAIR_TAGS
 
 
 def diagnose(shape: TraceShape) -> Diagnosis:
-    """Map a failure's shape to (cause, uniqueness, bounded tag)."""
+    """Map a failure's shape to (cause, bounded tag); the cause counts only
+    when it was observed confidently."""
     if shape.outcome != 0:
         raise ValueError("diagnosis applies to failure traces only")
     obs = shape.latent_cause_observation
     cause = obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN
-    unique = bool(obs is not None and obs.confident)
-    return Diagnosis(cause=cause, unique=unique, tag=TAG_BY_CAUSE[cause])
+    return Diagnosis(cause=cause, tag=TAG_BY_CAUSE[cause])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ back: `replay` compares its bytes, and the counts `report` shows come from
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .model import (
     TaskType,
     TraceShape,
     UtilityTable,
+    place_skill,
     validate_state,
 )
 from .world import LatentSkill, Scenario
@@ -117,6 +119,18 @@ def _parse_pairs(text: str, line: int) -> frozenset[Pair]:
     if text == "-":
         return frozenset()
     return frozenset(_parse_pair(part, line) for part in text.split(",") if part)
+
+
+def _number(text: str, what: str, line: int) -> float:
+    """`text` as a finite float: a NaN or infinite weight, difficulty,
+    effect or penalty would make every later probability meaningless."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ScenarioError(f"bad {what} {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} {text!r} is not a finite number", line)
+    return value
 
 
 def _split_kv(text: str, line: int) -> tuple[str, str]:
@@ -234,10 +248,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if not phases:
             raise ScenarioError(f"task {key!r} has no phases", lineno)
         _ids(lineno, key, *phases)
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ScenarioError(f"bad weight {weight_text.strip()!r}", lineno) from None
+        weight = _number(weight_text.strip(), "weight", lineno)
         if key in weights:
             raise ScenarioError(f"duplicate task {key!r}", lineno)
         with _at_line(lineno):
@@ -255,10 +266,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             raise ScenarioError(f"difficulty for unknown pair {key!r}", lineno)
         if pair in difficulty:
             raise ScenarioError(f"duplicate difficulty for {key!r}", lineno)
-        try:
-            difficulty[pair] = float(value)
-        except ValueError:
-            raise ScenarioError(f"bad difficulty {value!r}", lineno) from None
+        difficulty[pair] = _number(value, "difficulty", lineno)
 
     latents: list[LatentSkill] = []
     latent_ids: set[str] = set()
@@ -274,10 +282,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         pair = _parse_pair(parts[0], lineno)
         if pair not in universe:
             raise ScenarioError(f"latent pair {parts[0]!r} not in the task space", lineno)
-        try:
-            effect = float(parts[1])
-        except ValueError:
-            raise ScenarioError(f"bad effect {parts[1]!r}", lineno) from None
+        effect = _number(parts[1], "effect", lineno)
         try:
             cause = CauseLabel(parts[2])
         except ValueError:
@@ -293,10 +298,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             raise ScenarioError(f"unknown penalty {key!r}", lineno)
         if field in penalties:
             raise ScenarioError(f"duplicate penalty {key!r}", lineno)
-        try:
-            penalties[field] = float(value)
-        except ValueError:
-            raise ScenarioError(f"bad penalty value {value!r}", lineno) from None
+        penalties[field] = _number(value, "penalty value", lineno)
 
     with _at_line(1):  # the world's checks span sections
         scenario = Scenario(
@@ -356,27 +358,17 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                 )
             )
 
-    owned: dict[str, set[str]] = {eid: set() for eid in executors}
+    library: dict[str, Skill] = {}
     for skill in skills.values():
         if skill.owner not in executors:
             raise ScenarioError(f"skill {skill.id!r} owned by unknown executor", 1)
-        owned[skill.owner].add(skill.id)
-    executors = {
-        eid: Executor(
-            id=e.id,
-            boundary=e.boundary,
-            owned_skills=frozenset(owned[eid]),
-            capacity=e.capacity,
-            is_manager=e.is_manager,
-        )
-        for eid, e in executors.items()
-    }
+        place_skill(library, executors, skill)
     pool = {
-        sid: (0, 0) for sid, s in skills.items() if s.status is SkillStatus.POOLED
+        sid: (0, 0) for sid, s in library.items() if s.status is SkillStatus.POOLED
     }
     seed_state = RoundState(
         round_index=0,
-        library=skills,
+        library=library,
         executors=executors,
         q_skill=UtilityTable(),
         q_exec=UtilityTable(),

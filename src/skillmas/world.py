@@ -55,7 +55,7 @@ class LatentSkill:
     repairs_cause: CauseLabel
 
     def __post_init__(self) -> None:
-        if self.effect <= 0:
+        if not self.effect > 0:  # NaN fails too
             raise StateError(f"latent skill {self.id!r} needs a positive effect")
 
 
@@ -76,11 +76,21 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.task_types:
             raise StateError("scenario has no task types")
+        # every check is written so that a NaN fails it
+        total = 0.0  # summed as `ExecutionTable` accumulates the weights
         for task in self.task_types:
-            if self.task_weights.get(task.id, 0.0) <= 0.0:
+            weight = self.task_weights.get(task.id, 0.0)
+            if not weight > 0.0:
                 raise StateError(f"task {task.id!r} needs a positive sampling weight")
-        if self.interference_weight < 0 or self.overload_weight < 0:
-            raise StateError("penalty weights must be non-negative")
+            total += weight
+        if not math.isfinite(total):
+            raise StateError("the task sampling weights must sum to a finite total")
+        if not all(map(math.isfinite, self.base_difficulty.values())):
+            raise StateError("base difficulties must be finite")
+        if not (
+            0 <= self.interference_weight < math.inf and 0 <= self.overload_weight < math.inf
+        ):
+            raise StateError("penalty weights must be non-negative and finite")
         if not 0.0 <= self.routing_noise < 1.0:
             raise StateError("routing noise must be in [0, 1)")
         if not 0.0 < self.cause_confidence <= 1.0:
@@ -444,11 +454,6 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: Iterable[int])
             shapes.append(TraceShape(root[0], step[1], int(end == 3), root[2][completed], cause))
         index.append(k)
     return index
-
-
-def sample_episode(table: ExecutionTable, blocks: Blocks, episode: int) -> TraceShape:
-    """Run episode `episode` through `end_episodes`; its entry of `table.shapes`."""
-    return table.shapes[end_episodes(table, blocks, (episode,))[0]]
 
 
 def exec_round(

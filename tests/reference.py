@@ -84,10 +84,9 @@ from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
+    end_episodes,
     logistic,
-    overload_excess,
     realizes,
-    sample_episode,
 )
 
 
@@ -163,7 +162,7 @@ def scan_route(state: RoundState, task_id: str, phase: str) -> Route:
     every executor whose boundary holds the pair, sorted, in place of the
     covering index."""
     pair = (task_id, phase)
-    eligible = sorted(e.id for e in state.executors.values() if e.covers(pair))
+    eligible = sorted(e.id for e in state.executors.values() if pair in e.boundary)
     return executor_route(state.q_exec, task_id, phase, {pair: eligible})
 
 
@@ -290,7 +289,9 @@ def success_terms(
             raise StateError(f"used skill {skill_id!r} is not in the library")
         used.append(skill)
     latents = [l for l in scenario.latent_catalog if l.applicability == pair]
-    return _terms(latents, used, overload_excess(executor, library))
+    # owned skills present in the library beyond capacity, floored at 0
+    owned = sum(1 for skill_id in executor.owned_skills if skill_id in library)
+    return _terms(latents, used, max(0, owned - executor.capacity))
 
 
 def ground_truth_success_prob(
@@ -304,7 +305,7 @@ def ground_truth_success_prob(
     """Phase success probability under the additive-logit ground truth
     (`_success_prob`), recomputing its terms from the library."""
     pair = (task_id, phase)
-    if not executor.covers(pair):
+    if pair not in executor.boundary:
         raise StateError(f"executor {executor.id!r} routed outside its boundary {pair}")
     terms = success_terms(scenario, library, pair, executor, used_skill_ids)
     return _success_prob(scenario, pair, terms)
@@ -526,7 +527,7 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Ep
         selected = frozenset(
             select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)
         )
-        invoked = frozenset(s for s in selected if state.library[s].applies_to(pair))
+        invoked = frozenset(s for s in selected if pair in state.library[s].applicability)
         actions = frozenset(step for s in invoked for step in state.library[s].steps)
         supported = frozenset(
             s for s in selected - invoked if set(state.library[s].steps) <= actions
@@ -571,13 +572,12 @@ def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> l
     """Each episode on its own stream and its own execution table, so no
     episode shares a path or a shape with another."""
     blocks = episode_blocks(seed)
-    return [
-        episode_of(
-            f"{id_prefix}e{i:05d}",
-            sample_episode(ExecutionTable(state, scenario, config), blocks, i),
-        )
-        for i in range(n_episodes)
-    ]
+    episodes = []
+    for i in range(n_episodes):
+        table = ExecutionTable(state, scenario, config)
+        shape = table.shapes[end_episodes(table, blocks, (i,))[0]]
+        episodes.append(episode_of(f"{id_prefix}e{i:05d}", shape))
+    return episodes
 
 
 def reference_learn(q_skill, q_exec, episodes, *, known_skills=None, known_executors=None):
@@ -666,11 +666,11 @@ def reference_retain(episodes, q_exec_prior, config, library, *, prior_failure_c
 
 
 def reference_diagnosis(e: Episode) -> Diagnosis:
-    """A failure's cause, uniqueness and tag: the cause counts only when
-    observed confidently."""
+    """A failure's cause and tag: the cause counts only when observed
+    confidently."""
     confident = e.cause is not None and bool(e.cause.confident)
     cause = e.cause.cause if confident else CauseLabel.UNKNOWN
-    return Diagnosis(cause, confident, TAG_BY_CAUSE[cause])
+    return Diagnosis(cause, TAG_BY_CAUSE[cause])
 
 
 def _propose(kept: RetainedEpisode, diagnosis, cards, state, config, index):

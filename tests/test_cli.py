@@ -9,7 +9,7 @@ import pytest
 from skillmas import orchestrator
 from skillmas.cli import RUN_FORMAT, main
 from skillmas.model import StateError
-from skillmas.orchestrator import family_rows, render_breakdown, render_trajectory
+from skillmas.orchestrator import render_breakdown, render_trajectory
 from skillmas.presets import PRESETS
 
 from reference import log_rounds
@@ -147,8 +147,11 @@ class TestRun:
             (b'{"top_k": "\xff"}', "invalid JSON"),
             (b'{"top_k": 3', "invalid JSON"),
             (None, "file does not exist"),
+            # literals Python's JSON reader accepts
+            (b'{"low_estimate": NaN}', "low_estimate expects a finite number, not nan"),
+            (b'{"merge_gap": -Infinity}', "merge_gap expects a finite number, not -inf"),
         ],
-        ids=["list", "string", "non-utf8", "truncated", "missing"],
+        ids=["list", "string", "non-utf8", "truncated", "missing", "nan", "infinity"],
     )
     def test_config_file_not_an_object_is_usage_error(self, tmp_path, capsys, content, detail):
         cfg = tmp_path / "cfg.json"
@@ -426,8 +429,7 @@ def _reference_report(run_dir) -> str:
             s, a = counts.get(table[k]["task"]["id"], (0, 0))
             counts[table[k]["task"]["id"]] = (s + table[k]["outcome"] * n, a + n)
     best = by_round[trajectory["checkpoint"]["round"]]
-    rows = family_rows(best, baseline=by_round[0])
-    return render_trajectory(trajectory) + "\n" + render_breakdown(rows)
+    return render_trajectory(trajectory) + "\n" + render_breakdown(best, baseline=by_round[0])
 
 
 class TestReportFromTrajectory:
@@ -590,6 +592,9 @@ BAD_VALUES = {
                            ["cluster_threshold", "in (0, 1]"]),
     "run.config-noise": ("run.json", "replay", _set("config", "routing_noise", 1.5),
                          ["routing_noise", "in [0, 1]"]),
+    # written as the JSON literal NaN, which Python's reader accepts
+    "run.config-nan": ("run.json", "replay", _set("config", "merge_gap", float("nan")),
+                       ["merge_gap", "a finite number, not nan"]),
     "checkpoint.snapshot": ("checkpoint.json", "transplant", _set("snapshot", 3),
                             ["'snapshot'", "a string"]),
     "trajectory.scenario": ("trajectory.json", "report", _set("scenario", None),

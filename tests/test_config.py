@@ -55,6 +55,8 @@ def test_bool_coercion_from_text():
         ({"routing_noise": 1.5}, r"routing_noise must be null or in \[0, 1\]"),
         ({"routing_noise": -0.1}, r"routing_noise must be null or in \[0, 1\]"),
         ({"top-k": "0"}, "top_k must be at least 1"),
+        ({"merge_gap": float("inf")}, "merge_gap expects a finite number, not inf"),
+        ({"near-miss-progress": "nan"}, "near_miss_progress expects a finite number, not nan"),
     ],
 )
 def test_values_of_the_wrong_type_rejected(values, expected):

@@ -30,9 +30,9 @@ from skillmas.world import (
     ExecutionTable,
     PhaseSlot,
     Scenario,
+    end_episodes,
     exec_round,
     exec_shared,
-    sample_episode,
 )
 
 import reference
@@ -119,7 +119,7 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         patch.setattr(ExecutionTable, "_fill", fill)
         patch.setattr(world, "episode_blocks", lambda seed: blocks)
         table = ExecutionTable(state, scenario, config)
-        shape = sample_episode(table, blocks, 0)
+        shape = table.shapes[end_episodes(table, blocks, (0,))[0]]
         [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
     assert task is shape.task_type and flags == (shape.outcome == 1,)
     if kind == "task":  # below the first task's weight picks it
@@ -221,11 +221,11 @@ def test_sample_episode_is_the_entry_exec_round_lists(monkeypatch):
     [table] = tables
     blocks = episode_blocks(23)
     for i in range(300):
-        assert sample_episode(table, blocks, i) is batch.shapes[batch.index[i]]
+        assert table.shapes[end_episodes(table, blocks, (i,))[0]] is batch.shapes[batch.index[i]]
     assert len(table.shapes) == len(batch.shapes)
 
     # on one fresh table, episode by episode, the same entries in the same order
     fresh = ExecutionTable(pack.seed_state, pack.scenario, pack.config)
-    got = [sample_episode(fresh, blocks, i) for i in range(300)]
+    got = [fresh.shapes[end_episodes(fresh, blocks, (i,))[0]] for i in range(300)]
     assert all(shape is fresh.shapes[k] for shape, k in zip(got, batch.index))
     assert [trace_to_record(s) for s in fresh.shapes] == [trace_to_record(s) for s in batch.shapes]

@@ -16,6 +16,8 @@ from skillmas.evolution import (
     update_pool_counters,
 )
 from skillmas.model import (
+    REPAIR_TAGS,
+    TAG_BY_CAUSE,
     BoundedTag,
     CauseLabel,
     CauseObservation,
@@ -83,23 +85,35 @@ def retained_success(selected=("sk",), invoked=("sk",), phase="p1",
 class TestDiagnose:
     def test_confident_missing_precondition(self):
         d = diagnose(failure_shape(CauseLabel.MISSING_PRECONDITION))
-        assert d == Diagnosis(CauseLabel.MISSING_PRECONDITION, True, BoundedTag.ADD_GUARD)
+        assert d == Diagnosis(CauseLabel.MISSING_PRECONDITION, BoundedTag.ADD_GUARD)
         assert d.locally_diagnosable
 
     def test_unconfident_observation_is_unknown(self):
         d = diagnose(failure_shape(CauseLabel.MISSING_PRECONDITION, confident=False))
-        assert d == Diagnosis(CauseLabel.UNKNOWN, False, BoundedTag.NONE)
+        assert d == Diagnosis(CauseLabel.UNKNOWN, BoundedTag.NONE)
         assert not d.locally_diagnosable
 
     def test_bad_assignment_hands_off_to_structure(self):
         d = diagnose(failure_shape(CauseLabel.BAD_EXECUTOR_ASSIGNMENT))
         assert d.tag is BoundedTag.HANDOFF_TO_STRUCTURE
-        assert d.unique
         assert not d.locally_diagnosable  # excluded from local repair
 
     def test_success_trace_is_contract_violation(self):
         with pytest.raises(ValueError):
             diagnose(retained_success().shape)
+
+    @pytest.mark.parametrize(
+        "observation",
+        [None] + [CauseObservation(c, k) for c in CauseLabel for k in (True, False)],
+    )
+    def test_locally_diagnosable_is_a_confident_repair_tag(self, observation):
+        """Only a confidently observed cause whose tag is a repair tag allows
+        a local repair; everything else has cause UNKNOWN and tag NONE."""
+        shape = failure_shape(CauseLabel.UNKNOWN)
+        shape = TraceShape(shape.task_type, shape.slices, 0, 0.0, observation)
+        confident = observation is not None and observation.confident
+        want = confident and TAG_BY_CAUSE[observation.cause] in REPAIR_TAGS
+        assert diagnose(shape).locally_diagnosable == want
 
     def test_full_tag_table(self):
         expected = {

@@ -9,7 +9,6 @@ from skillmas.model import TaskType
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
     experiment_rounds,
-    family_rows,
     family_tally,
     render_breakdown,
     render_comparison,
@@ -312,17 +311,17 @@ class TestBreakdown:
         scenario = quiet_scenario()
         state = make_state([])
         batch = exec_round(state, scenario, 10, 3, EngineConfig())
-        rows = family_rows(tally(batch))
-        assert len(rows) == 1
-        assert rows[0].successes == rows[0].attempts == 10
+        counts = tally(batch)
+        assert list(counts.values()) == [(10, 10)]
+        [row] = render_breakdown(counts).splitlines()[1:]
+        assert row.endswith(" 10/10 (100.0%)")
 
     def test_gain_column_from_two_runs(self):
         scenario = quiet_scenario()
         state = make_state([])
         best = exec_round(state, scenario, 18, 3, EngineConfig())
         # shape check on the rendered row format
-        rows = family_rows(tally(best), baseline=tally(best))
-        text = render_breakdown(rows)
+        text = render_breakdown(tally(best), baseline=tally(best))
         assert "18/18 (100.0%)" in text
         assert "+0" in text
 
@@ -333,18 +332,20 @@ class TestBreakdown:
         assert _ratio(17, 18) == "17/18 (94.4%)"
 
     def test_gain_is_success_count_difference(self):
-        from skillmas.orchestrator import FamilyRow
-
-        row = FamilyRow("examine", 17, 18, baseline_successes=5, baseline_attempts=18)
-        assert row.gain == 12
-        assert f"{row.gain:+d}" == "+12"
+        text = render_breakdown(
+            {"examine": (17, 18), "heat": (3, 4)}, baseline={"examine": (5, 18)}
+        )
+        examine, heat = text.splitlines()[1:]
+        assert examine.split() == ["examine", "5/18", "(27.8%)", "17/18", "(94.4%)", "+12"]
+        # a family missing from the baseline counts from 0/0
+        assert heat.split() == ["heat", "0/0", "(0.0%)", "3/4", "(75.0%)", "+3"]
 
     def test_empty_family_omitted(self):
         pack = load_preset("mismatch")
         batch = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config)
-        rows = family_rows(tally(batch))
+        rows = render_breakdown(tally(batch)).splitlines()[1:]
         seen = {shape.task_type.id for shape in batch.shapes}
-        assert {r.task_type for r in rows} == seen
+        assert {row.split()[0] for row in rows} == seen
 
 
 class TestRendering:

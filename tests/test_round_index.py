@@ -45,9 +45,9 @@ from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
+    end_episodes,
     exec_round,
     realizers,
-    sample_episode,
 )
 from skillmas.streams import episode_blocks
 
@@ -205,7 +205,7 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
 def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_seed):
     scenario, state, config = random_world(random.Random(world_seed))
     table = ExecutionTable(state, scenario, config)
-    got = sample_episode(table, episode_blocks(episode_seed), 3)
+    got = table.shapes[end_episodes(table, episode_blocks(episode_seed), (3,))[0]]
     rng = episode_stream(episode_seed, 3)
     task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
     want = reference_episode(scenario, state, task, rng, "e0", config)
@@ -302,7 +302,7 @@ def test_random_world_covers_the_index_cases():
         if any(n > 1 for n in pairs.values()):
             seen["pair with several latents"] += 1
         workers = [e for e in state.executors.values() if not e.is_manager]
-        if any(not any(w.covers(pair) for w in workers) for pair in scenario.universe()):
+        if any(not any(pair in w.boundary for w in workers) for pair in scenario.universe()):
             seen["pair only the manager covers"] += 1
     assert set(seen) == {
         "pair only the manager covers",

@@ -332,10 +332,24 @@ class TestScenarioFiles:
              "skill s = owner=m applies=t1/p1 steps=go,-\n", 5, "id '-'"),
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "card pc = t1 unknown none -\n", 5, "id '-'"),
+            # a number read from the file must be finite
+            ("[tasks]\nt1 = p1 | nan\n", 2, "weight 'nan' is not a finite number"),
+            ("[tasks]\nt1 = p1 | 1.0\n[difficulty]\nt1/p1 = -inf\n", 4,
+             "difficulty '-inf' is not a finite number"),
+            ("[tasks]\nt1 = p1 | 1.0\n[latent]\nl = t1/p1 inf unknown\n", 4,
+             "effect 'inf' is not a finite number"),
+            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\noverload = NaN\n", 4,
+             "penalty value 'NaN' is not a finite number"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "[thresholds]\nnear-miss-progress = 1e999\n", 6,
+             "near_miss_progress expects a finite number, not inf"),
+            # each weight is finite, but every draw would pick the last task
+            ("[tasks]\nt1 = p1 | 1e308\nt2 = p1 | 1e308\n", 1, "sum to a finite total"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "skill-step", "routing-noise", "skill-id-dash", "step-dash",
-             "card-template-dash"],
+             "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf", "penalty-nan",
+             "threshold-overflow", "weights-total"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse

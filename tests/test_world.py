@@ -15,13 +15,13 @@ from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
+    end_episodes,
     exec_round,
     exec_shared,
     logistic,
     motif_skill,
     motif_tokens,
     realizers,
-    sample_episode,
     slot_outcome,
     walk_episode,
 )
@@ -216,6 +216,28 @@ class TestRealization:
         with pytest.raises(StateError, match="latent procedure ids must be unique"):
             make_scenario(latents=latents)
 
+    def test_a_nan_or_infinite_number_is_refused(self):
+        # a world built in code holds the checks a scenario file gets
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(StateError, match="positive effect"):
+            LatentSkill("lat", ("t1", "p1"), nan, CauseLabel.MISSING_PRECONDITION)
+        cases = [
+            ({"interference": nan}, "penalty weights"),
+            ({"overload": inf}, "penalty weights"),
+            ({"base": {("t1", "p1"): nan}}, "base difficulties must be finite"),
+            ({"base": {("t1", "p2"): -inf}}, "base difficulties must be finite"),
+            ({"noise": nan}, "routing noise"),
+            ({"confidence": nan}, "observation confidence"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(StateError, match=message):
+                make_scenario(**kwargs)
+        task = TaskType("t1", ("p1",))
+        for weights, message in (({"t1": nan}, "positive sampling weight"),
+                                 ({"t1": inf}, "finite total")):
+            with pytest.raises(StateError, match=message):
+                Scenario("test", (task,), weights, {})
+
     def test_motif_skill_realizes_its_latent(self):
         from skillmas.world import realizes
 
@@ -230,7 +252,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = sample_episode(table, episode_blocks(0), 0)
+        shape = table.shapes[end_episodes(table, episode_blocks(0), (0,))[0]]
         assert shape.outcome == 1
         assert shape.progress == 1.0
         assert shape.latent_cause_observation is None
@@ -239,7 +261,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = sample_episode(table, episode_blocks(0), 0)
+        shape = table.shapes[end_episodes(table, episode_blocks(0), (0,))[0]]
         assert shape.outcome == 0
         assert shape.progress == 0.0
         assert len(shape.slices) == 1  # the failing phase was attempted
@@ -271,7 +293,7 @@ class TestSampleEpisode:
         table = ExecutionTable(state, scenario, EngineConfig())
         blocks = episode_blocks(episode_seed)
         for i in range(30):
-            shape = sample_episode(table, blocks, i)
+            shape = table.shapes[end_episodes(table, blocks, (i,))[0]]
             words = blocks(i, 0)
             root = table.task_at(word_random(words, 0, blocks, i))
             step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
@@ -319,7 +341,7 @@ class TestExecRound:
 
         def one(i):
             table = ExecutionTable(state, scenario, config)
-            return sample_episode(table, episode_blocks(77), i)
+            return table.shapes[end_episodes(table, episode_blocks(77), (i,))[0]]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
