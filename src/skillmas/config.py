@@ -18,7 +18,6 @@ class EngineConfig:
     # Execution
     episodes_per_round: int = 40
     top_k: int = 3
-    routing_noise: float | None = None  # None -> use the scenario's value
 
     # Evidence retention
     repeat_multiplicity: int = 2
@@ -65,7 +64,6 @@ _RANGES = {
     "top_k": (lambda v: v >= 1, "at least 1"),
     "default_capacity": (lambda v: v >= 1, "at least 1"),
     "cluster_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "routing_noise": (lambda v: v is None or 0 <= v <= 1, "null or in [0, 1]"),
 }
 
 
@@ -87,8 +85,8 @@ def _coerce(name: str, raw: Any) -> Any:
         ok, expected = isinstance(raw, bool), "a boolean"
     elif kind == "int":
         ok, expected = number and isinstance(raw, int), "an integer"
-    else:  # "float", or "float | None"
-        ok, expected = number or (raw is None and "None" in kind), "a number"
+    else:
+        ok, expected = number, "a number"
     if not ok:
         raise ValueError(f"{name} expects {expected}, not {raw!r}")
     if isinstance(raw, float) and not math.isfinite(raw):

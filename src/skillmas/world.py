@@ -91,8 +91,8 @@ class Scenario:
             0 <= self.interference_weight < math.inf and 0 <= self.overload_weight < math.inf
         ):
             raise StateError("penalty weights must be non-negative and finite")
-        if not 0.0 <= self.routing_noise < 1.0:
-            raise StateError("routing noise must be in [0, 1)")
+        if not 0.0 <= self.routing_noise <= 1.0:
+            raise StateError("routing noise must be in [0, 1]")
         if not 0.0 < self.cause_confidence <= 1.0:
             raise StateError("cause observation confidence must be in (0, 1]")
         if len({l.id for l in self.latent_catalog}) != len(self.latent_catalog):
@@ -284,11 +284,6 @@ class ExecutionTable:
         self.state = state
         self.scenario = scenario
         self.config = config
-        self.epsilon = (
-            config.routing_noise
-            if config.routing_noise is not None
-            else scenario.routing_noise
-        )
         self.tasks = scenario.task_types
         self.cumulative_weights = tuple(
             itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
@@ -382,7 +377,7 @@ def walk_episode(
 
     `words` is episode `episode`'s stream from `blocks`, whose words 0-1
     drew the task of `root`.  Phases run in order; each routes an executor
-    (greedy, or with the table's exploration rate one drawn at random) and
+    (greedy, or with the scenario's exploration rate one drawn at random) and
     draws a Bernoulli success with the slot's probability.  A draw whose two
     words are in the list reads them in place by `word_random`'s rule, and
     calls `word_random` past it; an executor draw calls `word_randrange`.
@@ -390,7 +385,7 @@ def walk_episode(
     the slot that failed (None when every phase succeeded), the number of
     phases completed and the position after the last word read.
     """
-    epsilon = table.epsilon
+    epsilon = table.scenario.routing_noise
     _, phases, _, steps = root
     slices: tuple[ExecutorSlice, ...] = ()
     pos = 2

@@ -512,11 +512,7 @@ def expand_run_dir(run_dir: Path, out: Path) -> None:
 def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Episode:
     """One episode with every routing, retrieval and ground-truth value
     recomputed at each phase."""
-    epsilon = (
-        config.routing_noise
-        if config.routing_noise is not None
-        else scenario.routing_noise
-    )
+    epsilon = scenario.routing_noise
     slices = []
     completed = 0
     observation = None

@@ -115,7 +115,6 @@ class TestRun:
             ("top_k", -1),
             ("default_capacity", 0),
             ("cluster_threshold", 0),
-            ("routing_noise", 1.5),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
@@ -590,8 +589,6 @@ BAD_VALUES = {
                             ["default_capacity", "at least 1"]),
     "run.config-cluster": ("run.json", "replay", _set("config", "cluster_threshold", 0),
                            ["cluster_threshold", "in (0, 1]"]),
-    "run.config-noise": ("run.json", "replay", _set("config", "routing_noise", 1.5),
-                         ["routing_noise", "in [0, 1]"]),
     # written as the JSON literal NaN, which Python's reader accepts
     "run.config-nan": ("run.json", "replay", _set("config", "merge_gap", float("nan")),
                        ["merge_gap", "a finite number, not nan"]),
@@ -679,43 +676,62 @@ def test_bad_run_dir_value_is_usage_error(run_dir, capsys, case):
 
 
 class TestRetiredThreshold:
+    # gap_threshold left in format 2; routing_noise, a second home for the
+    # scenario's routing-noise, in format 6
     def test_manifest_naming_it_is_refused(self, run_dir, capsys):
-        # format 2 dropped the shim for manifests written while it existed
         path = run_dir / "run.json"
-        _rewrite_json(path, lambda m: {**m, "config": {**m["config"], "gap_threshold": 0.2}})
-        for command in (["replay"], ["transplant", "--episodes", "12"]):
-            assert main([command[0], "--run", str(run_dir), *command[1:]]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: ")
-            assert "unknown threshold 'gap_threshold'" in err
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("gap_threshold", "routing_noise"):
+            config = {**manifest["config"], key: 0.2}
+            path.write_text(json.dumps({**manifest, "config": config}), encoding="utf-8")
+            for command in (["replay"], ["transplant", "--episodes", "12"]):
+                assert main([command[0], "--run", str(run_dir), *command[1:]]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}: ")
+                assert f"unknown threshold '{key}'" in err
 
     def test_config_override_naming_it_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gap_threshold": 0.2}), encoding="utf-8")
-        code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
-                     "--out", str(tmp_path / "x"), "--config", str(cfg), "--quiet"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(cfg) in err and "unknown threshold 'gap_threshold'" in err
+        for key in ("gap_threshold", "routing_noise"):
+            cfg.write_text(json.dumps({key: 0.2}), encoding="utf-8")
+            code = main(["run", "--scenario", "preset:tiny", "--seed", "1", "--rounds", "1",
+                         "--out", str(tmp_path / "x"), "--config", str(cfg), "--quiet"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(cfg) in err and f"unknown threshold '{key}'" in err
+
+    def test_scenario_threshold_naming_it_is_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "retired.scn"
+        for key in ("gap-threshold", "routing-noise"):
+            scn.write_text(
+                "[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+                f"[thresholds]\n{key} = 0.2\n",
+                encoding="utf-8",
+            )
+            code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                         "--out", str(tmp_path / "x"), "--quiet"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "line 6" in err and f"unknown threshold '{key}'" in err
 
 
 class TestRunFormat:
-    """`run.json` carries format 5 and `trajectory.json` format 2; a file of
+    """`run.json` carries format 6 and `trajectory.json` format 2; a file of
     any other format, or of none, is a usage error that names the file and
-    the format it found.  A format-4 run directory kept pruned skills in its
-    snapshots (format 3 wrote a line per episode, format 2 utility entries
-    as floats, format 1 drew other episode streams), so it replays to other
-    bytes."""
+    the format it found.  A format-5 config held `routing_noise` (format 4
+    kept pruned skills in its snapshots, format 3 wrote a line per episode,
+    format 2 utility entries as floats, format 1 drew other episode
+    streams), so an older directory replays to other bytes."""
 
     def test_new_directories_carry_the_current_formats(self, run_dir):
-        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 5
+        assert json.loads((run_dir / "run.json").read_text())["format"] == RUN_FORMAT == 6
         assert json.loads((run_dir / "trajectory.json").read_text())["format"] == 2
 
     @pytest.mark.parametrize(
         "found, shown", [(1, "format 1,"), (2, "format 2,"), ("2", 'format "2",'),
                          (2.0, "format 2.0,"), (3, "format 3,"), ("3", 'format "3",'),
                          (3.0, "format 3.0,"), ("4", 'format "4",'), (4.0, "format 4.0,"),
-                         (4, "format 4,"), (None, "format missing,")]
+                         (4, "format 4,"), (5, "format 5,"), (None, "format missing,")]
     )
     @pytest.mark.parametrize("command", ["replay", "transplant"])
     def test_other_formats_are_refused(self, run_dir, capsys, command, found, shown):
@@ -727,7 +743,7 @@ class TestRunFormat:
         assert main([command, "--run", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: run directory format ")
-        assert shown in err and "not 5" in err
+        assert shown in err and "not 6" in err
 
     @pytest.mark.parametrize(
         "found, shown", [(1, "format 1,"), ("2", 'format "2",'), (2.0, "format 2.0,"),

@@ -45,15 +45,15 @@ def test_bool_coercion_from_text():
         ({"top_k": 3.0}, "top_k expects an integer"),
         ({"episodes_per_round": True}, "episodes_per_round expects an integer"),
         ({"merge_gap": None}, "merge_gap expects a number"),
-        ({"routing_noise": {}}, "routing_noise expects a number"),
+        ({"near_miss_progress": {}}, "near_miss_progress expects a number"),
         ({"cross_round_repeats": 1}, "cross_round_repeats expects a boolean"),
         ({"episodes_per_round": 0}, "episodes_per_round must be at least 1"),
         ({"top_k": -1}, "top_k must be at least 1"),
         ({"default_capacity": 0}, "default_capacity must be at least 1"),
         ({"cluster_threshold": 0}, r"cluster_threshold must be in \(0, 1\]"),
         ({"cluster_threshold": 1.5}, r"cluster_threshold must be in \(0, 1\]"),
-        ({"routing_noise": 1.5}, r"routing_noise must be null or in \[0, 1\]"),
-        ({"routing_noise": -0.1}, r"routing_noise must be null or in \[0, 1\]"),
+        ({"cluster_threshold": -0.1}, r"cluster_threshold must be in \(0, 1\]"),
+        ({"cluster-threshold": "0"}, r"cluster_threshold must be in \(0, 1\]"),
         ({"top-k": "0"}, "top_k must be at least 1"),
         ({"merge_gap": float("inf")}, "merge_gap expects a finite number, not inf"),
         ({"near-miss-progress": "nan"}, "near_miss_progress expects a finite number, not nan"),
@@ -73,7 +73,6 @@ def test_values_of_the_wrong_type_rejected(values, expected):
         ("top_k", 0, "top_k must be at least 1"),
         ("default_capacity", 0, "default_capacity must be at least 1"),
         ("cluster_threshold", 0.0, r"cluster_threshold must be in \(0, 1\]"),
-        ("routing_noise", 1.5, r"routing_noise must be null or in \[0, 1\]"),
     ],
 )
 def test_direct_construction_checks_ranges(name, value, expected):
@@ -85,19 +84,14 @@ def test_direct_construction_checks_ranges(name, value, expected):
 
 
 def test_range_edges_accepted():
-    config = config_from_mapping(
-        {"top_k": 1, "cluster_threshold": 1, "routing_noise": 1.0, "default_capacity": 1}
-    )
-    assert (config.top_k, config.cluster_threshold, config.routing_noise) == (1, 1, 1.0)
-    assert config_from_mapping({"routing_noise": 0}).routing_noise == 0
+    config = config_from_mapping({"top_k": 1, "cluster_threshold": 1, "default_capacity": 1})
+    assert (config.top_k, config.cluster_threshold, config.default_capacity) == (1, 1, 1)
 
 
 def test_typed_values_accepted():
-    config = config_from_mapping(
-        {"top_k": 5, "merge_gap": 1, "routing_noise": None, "cross_round_repeats": True}
-    )
+    config = config_from_mapping({"top_k": 5, "merge_gap": 1, "cross_round_repeats": True})
     assert (config.top_k, config.merge_gap) == (5, 1)
-    assert config.routing_noise is None and config.cross_round_repeats
+    assert config.cross_round_repeats
 
 
 def test_unknown_key_rejected():
@@ -105,7 +99,9 @@ def test_unknown_key_rejected():
         config_from_mapping({"wibble": 1})
 
 
-@pytest.mark.parametrize("key", ["gap_threshold", "gap-threshold"])
+@pytest.mark.parametrize(
+    "key", ["gap_threshold", "gap-threshold", "routing_noise", "routing-noise"]
+)
 def test_retired_key_rejected(key):
     # a threshold no rule reads any more is just an unknown key
     with pytest.raises(ValueError, match="unknown threshold"):

@@ -90,6 +90,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
         task_types=tasks[: len(weights)],
         task_weights=weights,
         base_difficulty={},
+        routing_noise=epsilon,
     )
     state = make_state(tasks=tasks[: len(weights)])
 
@@ -100,7 +101,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     def blocks(episode, index):
         return words[16 * index : 16 * index + 16] if index < 2 else [0] * 16
 
-    return scenario, state, EngineConfig(routing_noise=epsilon), fill, blocks
+    return scenario, state, EngineConfig(), fill, blocks
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,7 +164,7 @@ def boundary_blocks(rejects: int, fetched: list):
 @pytest.mark.parametrize("world_seed", range(6))
 def test_reads_past_the_first_block_match_the_reference(rejects, world_seed, monkeypatch):
     scenario, state, config = random_world(random.Random(world_seed))
-    config = dataclasses.replace(config, routing_noise=0.8)
+    scenario = dataclasses.replace(scenario, routing_noise=0.8)
     state = dataclasses.replace(state, round_index=1)
     fetched: list = []
     make = boundary_blocks(rejects, fetched)

@@ -4,7 +4,8 @@ Every value below was first recorded when episode streams became BLAKE2b
 blocks, and re-recorded where it moved when utility entries became exact
 (successes, attempts) counts, when the trace log became per-round shape
 tables, and when a pruned skill left the snapshots (only digests over
-snapshot bytes moved then).  The MT_* constants at the end of the file
+snapshot bytes moved then).  The run-directory digests moved again when
+`run.json`'s config lost `routing_noise` (format 6).  The MT_* constants at the end of the file
 pin the engine on the Mersenne Twister streams that episodes read before,
 patched back in.  A change that is meant to be a pure optimisation must
 leave all of them unchanged; a change that alters behaviour on purpose must
@@ -61,12 +62,12 @@ REPORT_SHA256 = {
 WIDE_SHA256 = "c88aca36672e983c22309fc83dd589cf5489356fdacbe07ea16eec74c52e0826"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
-RUN_DIR_SHA256 = "b61229b5064d940a7679f84106007266699fc7290c0c42e84c4dceef34099081"
+RUN_DIR_SHA256 = "c1b624ae1311f4af0d7fc8cc87db4227e8d2422bf9e3dcd72a1394678bd47bba"
 
 # the same run with `--config` {"cross-round-repeats": true}: earlier rounds'
 # failures count towards repeats, so rounds 1 and 3 retain 147 and 129
 # repeated failures where the default run retains 146 and 128
-CROSS_ROUND_RUN_DIR_SHA256 = "10c6f91d06147cccfa79424bbb5a142e5c5d87cf199a2ee2f0904e67a1b30954"
+CROSS_ROUND_RUN_DIR_SHA256 = "877bf75f986d54777bfb5d0e4d3fb3881bc1bdf815539bdf14d012b2cc746d5f"
 
 # runs whose rounds fire `modify` (the goldens above fire only keep and add),
 # by (scenario, seed, rounds): the report, one digest over `serialize_state`
@@ -105,7 +106,8 @@ MERGE_SHA256 = (
 # and WIDE_SHA256 had then; `reference.expand_report` and
 # `reference.expand_run_dir` rebuild those bytes from the new artifacts, so
 # no information moved.  The run-directory values moved with the snapshots
-# when a pruned skill left them (the rest of the directory did not).
+# when a pruned skill left them (the rest of the directory did not), and with
+# `run.json` when its config lost `routing_noise`.
 PER_EPISODE_REPORT_SHA256 = {
     ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
     ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
@@ -124,9 +126,9 @@ PER_EPISODE_REPORT_SHA256 = {
     ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
 }
 PER_EPISODE_WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
-PER_EPISODE_RUN_DIR_SHA256 = "1e33f780e5240b42c8d4e9ae3a7fcb5e63af156512cbba55675b3d5b51f47061"
+PER_EPISODE_RUN_DIR_SHA256 = "5a4f2ce87ff85715664d725a327e4fd6acb83300cea6887c4c7887a1d636884f"
 PER_EPISODE_CROSS_ROUND_RUN_DIR_SHA256 = (
-    "1177214c6a7cefed77b5ba54b7c296b0206a226f8a9cdff7d0a6209c15ef4dc8"
+    "7724e9179db06189af3757afe7746a35e45a12c69eced7349bd795ee65707947"
 )
 
 # `skillmas transplant --episodes 200` on the RUN_DIR_SHA256 directory
@@ -426,7 +428,7 @@ def test_merge_remove_run_directory(tmp_path, capsys):
 # stream was the only behaviour change then; they were re-recorded where they
 # moved when utility entries became exact counts, when the trace log became
 # per-round shape tables and (the run directory) when a pruned skill left
-# the snapshots.
+# the snapshots and when `run.json`'s config lost `routing_noise`.
 
 MT_REPORT_SHA256 = {
     ("calibration", 1): "90bee2d8365856de869188665adbc51c8fd0cf610bd775ce781760568e43b612",
@@ -445,7 +447,7 @@ MT_REPORT_SHA256 = {
     ("tiny", 7): "9d0c7ead53d0e0c5a1846852dc62d0430dd076beeee4947a9fcc985babefebe9",
     ("tiny", 11): "8afd5fe94fe39911026f4e389857f8d13288e699be5ca2037a58298cbda17b95",
 }
-MT_RUN_DIR_SHA256 = "733c7c7cd4f05992cbe7cc50f5c8670b43abedb4f3859cb875d1a96d5c198a4f"
+MT_RUN_DIR_SHA256 = "f7a2fea61c4c145cc1af1c1cd2ae7c0852a928a2d1820ffe88096bcf168d24f2"
 MT_NOISY_SHA256 = {
     "transplant": "1ab8b4add5fe7bc67691593849300bf0ca84774a5e565c8196f9101090b72ce2",
     "eval": "c967fc64bcde66078134c6aa48170cf3d125e75c5f6db5e139f469f0d04d82c6",

@@ -8,7 +8,8 @@ episode streams became BLAKE2b blocks; the wide96 reports and the run
 directory were re-recorded when utility entries became exact counts and
 when the trace log became per-round shape tables (the transplant audit did
 not move), and the run directory again when a pruned skill left the
-snapshots.  A pure optimisation must leave every value unchanged.
+snapshots and when `run.json`'s config lost `routing_noise`.  A pure
+optimisation must leave every value unchanged.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ WIDE96_SHA256 = {
 WIDE96_LONG_SHA256 = "9c469004937feaaf073d2cc14852a8430dbfbaf5234b13cb075d4158df42b551"
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "67d6be29651792d66cf055d59645f2467a3fa6f8d267968d0024846a5d35d0cc"
+RUN_DIR_SHA256 = "1b8f6f29683162f0bebc52528b5f50408ce39e698cc68329e93ae840521c5caa"
 
 # that run directory in the per-episode format, before the trace log held
 # shape tables (a log line per episode, `retained` as episode-id lists),
 # rebuilt by `reference.expand_run_dir`
-PER_EPISODE_RUN_DIR_SHA256 = "4ba924a3b1410f5924faea32fd9b86ca2fa89c100597388267bf3ad573dda147"
+PER_EPISODE_RUN_DIR_SHA256 = "700b0d516bfc3c807fbcd4796addb29612afbc39230a861af1e6e85fc7e62ff7"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
 # a NUL byte, then `transplant.json`

@@ -179,9 +179,12 @@ def random_world(rng: random.Random) -> tuple[Scenario, RoundState, EngineConfig
         pool=pool,
         policy_index=cards,
     )
+    top_k = rng.randint(1, 3)
+    noise = rng.choice([None, 0.0, 0.3, 1.0])  # None keeps the drawn rate
+    if noise is not None:
+        scenario = dataclasses.replace(scenario, routing_noise=noise)
     config = EngineConfig(
-        top_k=rng.randint(1, 3),
-        routing_noise=rng.choice([None, 0.0, 0.3, 1.0]),
+        top_k=top_k,
         cluster_threshold=rng.choice([0.3, 0.5]),
         near_miss_progress=rng.choice([0.0, 0.5]),
     )

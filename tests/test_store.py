@@ -324,7 +324,7 @@ class TestScenarioFiles:
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill s = owner=m applies=t1/p1 steps=a,b\xe9\n", 5, "id 'b\xe9'"),
             ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 1,
-             "routing noise must be in [0, 1)"),
+             "routing noise must be in [0, 1]"),
             # a lone "-" is how snapshots write an empty set
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill - = owner=m applies=t1/p1 steps=go\n", 5, "id '-'"),
