@@ -308,7 +308,7 @@ def run_round(
     artifacts = build_artifacts(retained, q_exec_plus, delta)
     decision = decide_restructure(
         artifacts,
-        state.executors,
+        executors2,
         q_exec_plus,
         config,
         round_index=state.round_index,

@@ -763,7 +763,7 @@ def reference_run_round(
     )
     decision = decide_restructure(
         reference_artifacts(retained, q_exec_plus, delta),
-        state.executors,
+        executors2,
         q_exec_plus,
         config,
         round_index=state.round_index,

@@ -718,7 +718,8 @@ class TestRetiredThreshold:
 class TestRunFormat:
     """`run.json` carries format 6 and `trajectory.json` format 2; a file of
     any other format, or of none, is a usage error that names the file and
-    the format it found.  A format-5 config held `routing_noise` (format 4
+    the format it found.  A format-5 config held `routing_noise` and its
+    modify predicate judged the pre-delta executors (format 4
     kept pruned skills in its snapshots, format 3 wrote a line per episode,
     format 2 utility entries as floats, format 1 drew other episode
     streams), so an older directory replays to other bytes."""

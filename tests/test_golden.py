@@ -5,7 +5,9 @@ blocks, and re-recorded where it moved when utility entries became exact
 (successes, attempts) counts, when the trace log became per-round shape
 tables, and when a pruned skill left the snapshots (only digests over
 snapshot bytes moved then).  The run-directory digests moved again when
-`run.json`'s config lost `routing_noise` (format 6).  The MT_* constants at the end of the file
+`run.json`'s config lost `routing_noise` (format 6), and the wide24
+reports moved when the modify predicate began to see the post-delta
+organization (its evidence's owned-skill count).  The MT_* constants at the end of the file
 pin the engine on the Mersenne Twister streams that episodes read before,
 patched back in.  A change that is meant to be a pure optimisation must
 leave all of them unchanged; a change that alters behaviour on purpose must
@@ -59,7 +61,7 @@ REPORT_SHA256 = {
 
 # generated wide world, N = 24, 100 episodes x 10 rounds, seed 7: the run
 # prunes 19 skills and its library ends at 14
-WIDE_SHA256 = "c88aca36672e983c22309fc83dd589cf5489356fdacbe07ea16eec74c52e0826"
+WIDE_SHA256 = "dc2fc8f701d56b53691555c6ee3f79e572e35bbe0023ae05689590c758b49bf9"
 
 # `skillmas run --scenario preset:mismatch --seed 7 --rounds 4 --episodes 200`
 RUN_DIR_SHA256 = "c1b624ae1311f4af0d7fc8cc87db4227e8d2422bf9e3dcd72a1394678bd47bba"
@@ -83,7 +85,7 @@ OWNERSHIP_SHA256 = {
         "2789b64c54dba325570b6a3ed2dba9619ca479eb533ff7497376e31e4d239dec",
     ),
     ("wide24", 27, 10): (
-        "0dbb314d261ec19179d9ecd7717db52a73da01594c22c7ee9d046a0043b313b0",
+        "9469d82f3a423ef1439ac2d646a8030afc756f084f324b071b5af514f9061531",
         "5141c26445a681f082b2e0b14fad2bb1401ca6f8b0b0007ba97dab1f9e7fc6b4",
         "77a3e2cd733c5215241d048d5cdf591a1d1f193294fd014d8ff28449775c27e4",
     ),
@@ -107,7 +109,9 @@ MERGE_SHA256 = (
 # `reference.expand_run_dir` rebuild those bytes from the new artifacts, so
 # no information moved.  The run-directory values moved with the snapshots
 # when a pruned skill left them (the rest of the directory did not), and with
-# `run.json` when its config lost `routing_noise`.
+# `run.json` when its config lost `routing_noise`; the wide value moved with
+# WIDE_SHA256 when the modify predicate began to see the post-delta
+# organization.
 PER_EPISODE_REPORT_SHA256 = {
     ("calibration", 1): "af6508b36cc242f995b765fad7b18b3a389155dc8a3f033971f9070da1256ff9",
     ("calibration", 7): "ab0cfdff1f7148d7f074d730f38bc951bdf408909146a55a55d296268e8b3239",
@@ -125,7 +129,7 @@ PER_EPISODE_REPORT_SHA256 = {
     ("tiny", 7): "47d13fa3675bfd813b45ddb371571814de218b4a9ff127d7e002a868a187a36f",
     ("tiny", 11): "2df12caf9156ff35f254a1da4ee224b905251588dbbfbd4f7b0396b70c4affc3",
 }
-PER_EPISODE_WIDE_SHA256 = "83269322f43bd5814899c2380383467b4af3b25448a4e6a9e314aa1a931f5129"
+PER_EPISODE_WIDE_SHA256 = "23184b4e2ac2dcf23d43eaa6d7beda7efd8d2b563f68c76ad15b566a89604266"
 PER_EPISODE_RUN_DIR_SHA256 = "5a4f2ce87ff85715664d725a327e4fd6acb83300cea6887c4c7887a1d636884f"
 PER_EPISODE_CROSS_ROUND_RUN_DIR_SHA256 = (
     "7724e9179db06189af3757afe7746a35e45a12c69eced7349bd795ee65707947"

@@ -8,8 +8,11 @@ episode streams became BLAKE2b blocks; the wide96 reports and the run
 directory were re-recorded when utility entries became exact counts and
 when the trace log became per-round shape tables (the transplant audit did
 not move), and the run directory again when a pruned skill left the
-snapshots and when `run.json`'s config lost `routing_noise`.  A pure
-optimisation must leave every value unchanged.
+snapshots and when `run.json`'s config lost `routing_noise`.  The
+80-round wide96 report, the run directory and the transplant audit moved
+when the modify predicate began to see the post-delta organization (the
+10-round wide96 reports did not).  A pure optimisation must leave every
+value unchanged.
 """
 
 from __future__ import annotations
@@ -32,20 +35,22 @@ WIDE96_SHA256 = {
 
 # the same world over 80 rounds at engine seed 7001, past the point where
 # pruned skills outnumber live ones: recorded while pruned skills were kept
-# in the library, and unmoved since they are deleted
-WIDE96_LONG_SHA256 = "9c469004937feaaf073d2cc14852a8430dbfbaf5234b13cb075d4158df42b551"
+# in the library, unmoved when they were deleted, and re-recorded when the
+# modify predicate began to see the post-delta organization (round 11 and
+# 35 modify where they kept)
+WIDE96_LONG_SHA256 = "6cbe16d3188529477c7f756163091802b55e17689382898702f7f51e26f51429"
 
 # `skillmas run --scenario preset:mismatch --seed=7001 --rounds 8 --episodes 2000`
-RUN_DIR_SHA256 = "1b8f6f29683162f0bebc52528b5f50408ce39e698cc68329e93ae840521c5caa"
+RUN_DIR_SHA256 = "dcef76ff6375b1c823c081153cef888f33edae081fb5eb8a41f9551b4fc88d05"
 
 # that run directory in the per-episode format, before the trace log held
 # shape tables (a log line per episode, `retained` as episode-id lists),
 # rebuilt by `reference.expand_run_dir`
-PER_EPISODE_RUN_DIR_SHA256 = "700b0d516bfc3c807fbcd4796addb29612afbc39230a861af1e6e85fc7e62ff7"
+PER_EPISODE_RUN_DIR_SHA256 = "467588d200d8a47f19b233627ad99bf16de73abfd317cd528b05d5794fafea8f"
 
 # `skillmas transplant --episodes 2000` on that run directory: its stdout,
 # a NUL byte, then `transplant.json`
-TRANSPLANT_SHA256 = "bdd2045ce0235437476576fbe3540f1c068eaa74407de20dbba5443e9cffa665"
+TRANSPLANT_SHA256 = "c07b44a79b40e263478503bd335a9f427de8277bb72863f4c05c809253e49ef3"
 
 WIDE_CAUSES = ("missing-precondition", "misleading-retrieval", "wrong-action-order")
 

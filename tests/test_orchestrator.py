@@ -132,6 +132,27 @@ def test_a_prune_leaves_no_trace(world, seed, rounds):
     assert seen
 
 
+def test_restructuring_sees_the_post_delta_organization(monkeypatch):
+    # the executors `decide_restructure` judges own every skill of the
+    # library it is given, this round's drafts too (wide24 seed 7 drafts in
+    # most rounds)
+    import skillmas.orchestrator as orch
+
+    calls = []
+
+    def spy(artifacts, executors, q_exec, config, **kwargs):
+        library = kwargs["library"]
+        owned = {sid for e in executors.values() for sid in e.owned_skills}
+        calls.append(owned == library.keys())
+        return decide_restructure(artifacts, executors, q_exec, config, **kwargs)
+
+    decide_restructure = orch.decide_restructure
+    monkeypatch.setattr(orch, "decide_restructure", spy)
+    pack = parse_scenario(wide_text(24, 100), name="wide24")
+    run_experiment(pack.scenario, pack.seed_state, 7, 10, pack.config)
+    assert calls == [True] * 10
+
+
 class TestRunExperiment:
     def test_single_round_trajectory(self):
         pack = load_preset("tiny")
