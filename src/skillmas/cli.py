@@ -93,7 +93,8 @@ TRACE_LOG = "traces.jsonl"
 # `run.json`'s format: 6 since the config has no `routing_noise` and the
 # modify predicate sees the post-delta organization (5: a pruned skill
 # leaves the snapshots, 4: the log holds shape tables, 3: utility entries as
-# exact counts, 2: BLAKE2b episode streams).  A run directory of any other format replays to other bytes.
+# exact counts, 2: BLAKE2b episode streams).  A run directory of any other
+# format replays to other bytes.
 RUN_FORMAT = 6
 _SNAPSHOT = re.compile(r"state_r[0-9]+\.txt")
 

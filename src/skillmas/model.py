@@ -438,9 +438,7 @@ def skill_similarity(a: Skill, b: Skill) -> float:
     return jaccard(a.tokens(), b.tokens())
 
 
-def cluster_skills(
-    library: Mapping[str, Skill], threshold: float = 0.5
-) -> list[tuple[str, ...]]:
+def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple[str, ...]]:
     """Single-linkage clusters of the library's skills under skill_similarity.
 
     Clusters and their members are in lexicographic id order, so the result

@@ -104,7 +104,7 @@ class TestClustering:
         assert clusters == [("a", "b", "c")]
 
     def test_empty_applicable_set(self):
-        assert cluster_skills({}) == []
+        assert cluster_skills({}, 0.5) == []
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):

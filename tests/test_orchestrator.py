@@ -139,14 +139,13 @@ def test_restructuring_sees_the_post_delta_organization(monkeypatch):
     import skillmas.orchestrator as orch
 
     calls = []
+    decide = orch.decide_restructure
 
     def spy(artifacts, executors, q_exec, config, **kwargs):
-        library = kwargs["library"]
         owned = {sid for e in executors.values() for sid in e.owned_skills}
-        calls.append(owned == library.keys())
-        return decide_restructure(artifacts, executors, q_exec, config, **kwargs)
+        calls.append(owned == kwargs["library"].keys())
+        return decide(artifacts, executors, q_exec, config, **kwargs)
 
-    decide_restructure = orch.decide_restructure
     monkeypatch.setattr(orch, "decide_restructure", spy)
     pack = parse_scenario(wide_text(24, 100), name="wide24")
     run_experiment(pack.scenario, pack.seed_state, 7, 10, pack.config)
