@@ -29,6 +29,7 @@ from .model import (
     drop_skill,
     jaccard,
     place_skill,
+    token_holders,
 )
 from .retention import Diagnosis, RetainedShape
 from .utility import used_skills
@@ -122,6 +123,7 @@ class ProposalIndex:
     clusters: Mapping[str, tuple[str, ...]]  # cluster key -> member ids
     keys: Mapping[str, str]  # skill id -> cluster key, its smallest member id
     tokens: Mapping[str, frozenset[str]]  # skill id -> `Skill.tokens`, in id order
+    holders: Mapping[str, list[str]]  # token -> ids of the skills holding it, in id order
     realizer: Mapping[str, str]  # latent id -> smallest realizing skill id
     latents_at: Mapping[Pair, tuple[LatentSkill, ...]]  # the scenario's, by pair
 
@@ -135,20 +137,25 @@ def proposal_index(
 ) -> ProposalIndex:
     """Build the proposal index of one frozen library, once per round."""
     clusters = {c[0]: c for c in cluster_skills(library, config.cluster_threshold)}
+    tokens = {sid: library[sid].tokens() for sid in sorted(library)}
     return ProposalIndex(
         clusters=clusters,
         keys={sid: key for key, members in clusters.items() for sid in members},
-        tokens={sid: library[sid].tokens() for sid in sorted(library)},
+        tokens=tokens,
+        holders=token_holders(tokens),
         realizer=realizers(scenario, library),
         latents_at=scenario.latents_at,
     )
 
 
 def _nearest_cluster(draft: Skill, index: ProposalIndex, threshold: float) -> str:
+    """The cluster of the first skill in id order most similar to the draft,
+    if that similarity reaches the threshold; a skill sharing no token with
+    the draft has similarity 0 and is never read."""
     tokens = draft.tokens()
     best_id, best_sim = None, 0.0
-    for sid, skill_tokens in index.tokens.items():
-        sim = jaccard(tokens, skill_tokens)
+    for sid in sorted({sid for token in tokens for sid in index.holders.get(token, ())}):
+        sim = jaccard(tokens, index.tokens[sid])
         if sim > best_sim:
             best_id, best_sim = sid, sim
     if best_id is not None and best_sim >= threshold:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import operator
 from array import array
 from collections import Counter
@@ -438,11 +437,22 @@ def skill_similarity(a: Skill, b: Skill) -> float:
     return jaccard(a.tokens(), b.tokens())
 
 
+def token_holders(tokens: Mapping[str, frozenset[str]]) -> dict[str, list[str]]:
+    """Each token with the ids whose token set holds it, in `tokens` order."""
+    holders: dict[str, list[str]] = {}
+    for sid, held in tokens.items():
+        for token in held:
+            holders.setdefault(token, []).append(sid)
+    return holders
+
+
 def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple[str, ...]]:
     """Single-linkage clusters of the library's skills under skill_similarity.
 
     Clusters and their members are in lexicographic id order, so the result
-    is order-independent.
+    is order-independent.  A threshold in (0, 1] never links two skills
+    that share no token, so only pairs found through `token_holders` are
+    compared.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("clustering threshold must be in (0, 1]")
@@ -456,14 +466,16 @@ def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple
         return x
 
     tokens = {s.id: s.tokens() for s in members}  # `skill_similarity`'s token sets
-    for a, b in itertools.combinations(members, 2):
-        if jaccard(tokens[a.id], tokens[b.id]) >= threshold:
-            ra, rb = find(a.id), find(b.id)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    holders = token_holders(tokens)
+    for a, held in tokens.items():
+        # the root of a component is its smallest id, whatever the link order
+        for b in {b for token in held for b in holders[token] if b > a}:
+            if jaccard(held, tokens[b]) >= threshold:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
 
     grouped: dict[str, list[str]] = {}
     for s in members:
         grouped.setdefault(find(s.id), []).append(s.id)
     return [tuple(sorted(ids)) for _, ids in sorted(grouped.items())]
-

@@ -99,9 +99,14 @@ class Scenario:
             raise StateError("latent procedure ids must be unique")
 
     def universe(self) -> frozenset[Pair]:
-        return frozenset(pair for task in self.task_types for pair in task.pairs())
+        """Every task pair, the set `validate_state` checks coverage of."""
+        return self._universe
 
     # Scenario-scoped views, built on first use and shared by every table.
+
+    @functools.cached_property
+    def _universe(self) -> frozenset[Pair]:
+        return frozenset(pair for task in self.task_types for pair in task.pairs())
 
     @functools.cached_property
     def latents_at(self) -> dict[Pair, tuple[LatentSkill, ...]]:
@@ -223,9 +228,11 @@ def slot_outcome(
     logit -= interference
     logit -= overload
 
-    deficit = next(
-        ((l.repairs_cause, l.effect) for l in by_deficit if l.id not in realized_steps), None
-    )
+    deficit = None
+    for latent in by_deficit:
+        if latent.id not in realized_steps:
+            deficit = (latent.repairs_cause, latent.effect)
+            break
     if interference > 0 and (deficit is None or interference > deficit[1]):
         cause = CauseLabel.SKILL_CONFLICT if mismatched >= 2 else CauseLabel.MISLEADING_RETRIEVAL
         deficit = (cause, interference)
@@ -257,16 +264,19 @@ class ExecutionTable:
 
     Every entry is a pure function of (state, scenario, config), which stay
     fixed while a batch executes, so an episode only reads its stream words
-    and looks the rest up.  A task's routes and phase slots, each with its success
-    probability and dominant deficit, are filled on first use, so the order
-    in which entries are filled cannot change any result.
-    Slots read indexes built on first use, once per table (each task's
-    candidate skills, each executor's overload excess, the manager id) or
-    once per scenario (`pair_views`): a slot ranks its skills through
-    `rank_skills` unless its task has no candidate skill, and `slot_outcome`
-    evaluates them in one pass (`tests/reference.py` keeps `_terms`,
-    `_success_prob` and `_deficit`).  Routes read the covering index, each
-    pair's covering executor ids, built in one pass over the executors.
+    and looks the rest up.  The table is built before the batch's first
+    episode: every task's root, in task order, with its routes and the
+    greedy executor's first step, whose slot is filled then.  Explore steps
+    and later phases fill their slots on first use; the order in which
+    entries are filled cannot change any result.
+    Slots read indexes built once per table (each task's candidate skills,
+    each executor's overload excess, one empty slice per (executor, phase),
+    the manager id) or once per scenario (`pair_views`): a slot ranks its
+    skills through `rank_skills` unless its task has no candidate skill,
+    and `slot_outcome` evaluates them in one pass (`tests/reference.py`
+    keeps `_terms`, `_success_prob` and `_deficit`).  Routes read the
+    covering index, each pair's covering executor ids, built in one pass
+    over the executors.
 
     Outcome paths are interned.  At each bisection position of the task
     draw, `roots` holds (task, ((pair, route), ...), progress values
@@ -292,39 +302,34 @@ class ExecutionTable:
         self.total_weight = self.cumulative_weights[-1]
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._excess: dict[str, int] = {}
-        # a draw rounding up to the total weight reaches position len(tasks)
-        self.roots: list[tuple | None] = [None] * (len(self.tasks) + 1)
+        self._empty: dict[tuple[str, str], ExecutorSlice] = {}
+        self._candidates = skills_by_task(state.library)
+        self._covering = covering_ids(state.executors)
         self.shapes: list[TraceShape] = []
-
-    @functools.cached_property
-    def _candidates(self) -> dict[str, list[Skill]]:
-        return skills_by_task(self.state.library)
-
-    @functools.cached_property
-    def _covering(self) -> dict[Pair, list[str]]:
-        return covering_ids(self.state.executors)
+        self.roots = self._roots()
 
     @functools.cached_property
     def _manager_id(self) -> str:
         return self.state.manager_id()
 
+    def _roots(self) -> list[tuple]:
+        """Every task's root in task order, then the last task's again: a
+        draw rounding up to the total weight bisects to position len(tasks)."""
+        roots = []
+        for task, pairs, progress in self.scenario.task_views:
+            routes = tuple((pair, self.route(pair)) for pair in pairs)
+            pair, route = routes[0]
+            slot = self.slot(pair, route.greedy)
+            first = {route.greedy: [slot, (slot.slice,), {}, None, None, None]}
+            roots.append((task, routes, progress, first))
+        roots.append(roots[-1])
+        return roots
+
     def task_at(self, u: float) -> tuple:
         """The root of the task a uniform draw `u` in [0, 1) picks, each with
         probability proportional to its sampling weight, by bisection over
-        the cumulative weights.  A task's root is built on first use; the one
-        position past the last task, reached by a draw rounding up to the
-        total weight, shares the last task's root."""
-        position = bisect_right(self.cumulative_weights, u * self.total_weight)
-        root = self.roots[position]
-        if root is None:
-            k = min(position, len(self.tasks) - 1)
-            root = self.roots[k]
-            if root is None:
-                task, pairs, progress = self.scenario.task_views[k]
-                routes = tuple((pair, self.route(pair)) for pair in pairs)
-                root = self.roots[k] = (task, routes, progress, {})
-            self.roots[position] = root
-        return root
+        the cumulative weights."""
+        return self.roots[bisect_right(self.cumulative_weights, u * self.total_weight)]
 
     def route(self, pair: Pair) -> Route:
         return executor_route(self.state.q_exec, *pair, self._covering)
@@ -345,8 +350,12 @@ class ExecutionTable:
         if excess is None:
             excess = self._excess[executor.id] = overload_excess(executor, library)
         if task_id not in self._candidates:
-            none = frozenset()
-            nothing = ExecutorSlice(executor.id, phase, none, none, none)
+            nothing = self._empty.get((executor.id, phase))
+            if nothing is None:
+                none = frozenset()
+                nothing = self._empty[executor.id, phase] = ExecutorSlice(
+                    executor.id, phase, none, none, none
+                )
             return PhaseSlot(nothing, *slot_outcome(self.scenario, pair, (), excess))
         selected = rank_skills(
             self.state.q_skill,
@@ -425,14 +434,14 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: Iterable[int])
     scenario's observation probability; with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
-    roots, task_at, shapes = table.roots, table.task_at, table.shapes
+    roots, shapes = table.roots, table.shapes
     cumulative, total = table.cumulative_weights, table.total_weight
     confidence = table.scenario.cause_confidence
     index = array("L")
     for i in episodes:
         words = blocks(i, 0)
         u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
-        root = roots[bisect_right(cumulative, u * total)] or task_at(u)
+        root = roots[bisect_right(cumulative, u * total)]
         step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
         if failed is None:
             end = 3
@@ -503,8 +512,5 @@ def exec_shared(
         words = blocks(i, 0)
         u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
         position = bisect_right(cumulative, u * total)
-        flags = [
-            walk_episode(t, t.roots[position] or t.task_at(u), words, blocks, i)[1] is None
-            for t in tables
-        ]
-        yield tables[0].roots[position][0], tuple(flags)  # type: ignore[index]
+        flags = [walk_episode(t, t.roots[position], words, blocks, i)[1] is None for t in tables]
+        yield tables[0].roots[position][0], tuple(flags)

@@ -7,6 +7,9 @@ applies the same rule, so a test can compare the indexed engine against it
 call by call.  The success model is the exception: `_terms`,
 `_success_prob` and `_deficit` build its terms one at a time and are
 independent of `world.slot_outcome`, the engine's one-pass evaluation.
+So are `all_pairs_clusters` and `scan_nearest_cluster`, which compare
+every library skill where the engine compares only those that share a
+token.
 
 The second part is a whole round, episode by episode: every stage reads a
 list of `Episode` records, which compare by value, in generation order, and
@@ -19,6 +22,7 @@ engine code calls any of them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import shutil
@@ -53,6 +57,7 @@ from skillmas.model import (
     TaskType,
     TraceShape,
     UtilityTable,
+    jaccard,
     validate_state,
 )
 from skillmas.numfmt import q12
@@ -164,6 +169,47 @@ def scan_route(state: RoundState, task_id: str, phase: str) -> Route:
     pair = (task_id, phase)
     eligible = sorted(e.id for e in state.executors.values() if pair in e.boundary)
     return executor_route(state.q_exec, task_id, phase, {pair: eligible})
+
+
+def all_pairs_clusters(library: Mapping[str, Skill], threshold: float) -> list[tuple[str, ...]]:
+    """`cluster_skills` comparing every pair of skills, in place of the
+    pairs that share a token."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("clustering threshold must be in (0, 1]")
+    members = sorted(library.values(), key=lambda s: s.id)
+    parent = {s.id: s.id for s in members}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tokens = {s.id: s.tokens() for s in members}
+    for a, b in itertools.combinations(members, 2):
+        if jaccard(tokens[a.id], tokens[b.id]) >= threshold:
+            ra, rb = find(a.id), find(b.id)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+
+    grouped: dict[str, list[str]] = {}
+    for s in members:
+        grouped.setdefault(find(s.id), []).append(s.id)
+    return [tuple(sorted(ids)) for _, ids in sorted(grouped.items())]
+
+
+def scan_nearest_cluster(draft: Skill, index, threshold: float) -> str:
+    """`evolution._nearest_cluster` scanning every library skill's tokens
+    in id order, in place of the skills that share a token with the draft."""
+    tokens = draft.tokens()
+    best_id, best_sim = None, 0.0
+    for sid, skill_tokens in index.tokens.items():
+        sim = jaccard(tokens, skill_tokens)
+        if sim > best_sim:
+            best_id, best_sim = sid, sim
+    if best_id is not None and best_sim >= threshold:
+        return index.keys[best_id]
+    return f"new:{draft.id}"
 
 
 def route_draw(route: Route, rng, epsilon: float) -> str:
@@ -509,6 +555,25 @@ def expand_run_dir(run_dir: Path, out: Path) -> None:
     (out / "trajectory.json").write_text(_pretty(trajectory), encoding="utf-8")
 
 
+def reference_slot(scenario, state, pair, executor_id, config):
+    """One routed phase's slice, success probability and dominant deficit,
+    with retrieval and every ground-truth term recomputed."""
+    task_id, phase = pair
+    executor = state.executors[executor_id]
+    selected = frozenset(
+        select_skills(state.q_skill, state, task_id, phase, executor, config.top_k)
+    )
+    invoked = frozenset(s for s in selected if pair in state.library[s].applicability)
+    actions = frozenset(step for s in invoked for step in state.library[s].steps)
+    supported = frozenset(s for s in selected - invoked if set(state.library[s].steps) <= actions)
+    used = invoked | supported
+    return (
+        ExecutorSlice(executor_id, phase, selected, invoked, supported),
+        ground_truth_success_prob(scenario, state.library, task_id, phase, executor, sorted(used)),
+        _dominant_deficit(scenario, state.library, executor, task_id, phase, used),
+    )
+
+
 def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Episode:
     """One episode with every routing, retrieval and ground-truth value
     recomputed at each phase."""
@@ -519,26 +584,11 @@ def reference_episode(scenario, state, task_type, rng, episode_id, config) -> Ep
     for phase in task_type.phases:
         pair = (task_type.id, phase)
         executor_id = route_draw(scan_route(state, task_type.id, phase), rng, epsilon)
-        executor = state.executors[executor_id]
-        selected = frozenset(
-            select_skills(state.q_skill, state, task_type.id, phase, executor, config.top_k)
-        )
-        invoked = frozenset(s for s in selected if pair in state.library[s].applicability)
-        actions = frozenset(step for s in invoked for step in state.library[s].steps)
-        supported = frozenset(
-            s for s in selected - invoked if set(state.library[s].steps) <= actions
-        )
-        used = invoked | supported
-        slices.append(ExecutorSlice(executor_id, phase, selected, invoked, supported))
-        p = ground_truth_success_prob(
-            scenario, state.library, task_type.id, phase, executor, sorted(used)
-        )
+        sl, p, deficit = reference_slot(scenario, state, pair, executor_id, config)
+        slices.append(sl)
         if rng.random() < p:
             completed += 1
             continue
-        deficit = _dominant_deficit(
-            scenario, state.library, executor, task_type.id, phase, used
-        )
         observation = observe_cause(deficit, rng, scenario.cause_confidence)
         break
     outcome = 1 if completed == len(task_type.phases) else 0

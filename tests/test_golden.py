@@ -71,8 +71,9 @@ RUN_DIR_SHA256 = "c1b624ae1311f4af0d7fc8cc87db4227e8d2422bf9e3dcd72a1394678bd47b
 # repeated failures where the default run retains 146 and 128
 CROSS_ROUND_RUN_DIR_SHA256 = "877bf75f986d54777bfb5d0e4d3fb3881bc1bdf815539bdf14d012b2cc746d5f"
 
-# runs whose rounds fire `modify` (the goldens above fire only keep and add),
-# by (scenario, seed, rounds): the report, one digest over `serialize_state`
+# runs whose rounds fire `modify` before their last round (of the goldens
+# above, only the wide run modifies, at its last round, 9), by (scenario,
+# seed, rounds): the report, one digest over `serialize_state`
 # of every state X_0 .. X_R, and one over the four transplant variants of
 # the checkpoint.  mismatch seed 32 modifies at round 5 and wide24 seed 27
 # at round 7: of seeds 1 up, the first of each that modified before its last

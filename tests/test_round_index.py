@@ -346,7 +346,7 @@ def test_slot_fills_scan_the_library_a_constant_number_of_times():
     library = CountingLibrary(state.library)
     counted = dataclasses.replace(state, library=library)
     table = ExecutionTable(counted, pack.scenario, pack.config)
-    assert library.scans == 0  # indexes are built on first use
+    assert library.scans == 1  # the candidate index, built with the roots' first slots
 
     keys = [
         (pair, executor_id)

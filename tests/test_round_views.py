@@ -2,9 +2,10 @@
 
 A round reads views built once rather than at every use: the scenario's
 task views and latents by pair, each table's covering index (pair ->
-covering executor ids, sorted), the memo of exact utility ratios, and one
-diagnosis per retained failure.  Each must give exactly what the per-use
-rule gives.
+covering executor ids, sorted) and its roots with their greedy first
+slots, the memo of exact utility ratios, the proposal index's token
+holders, and one diagnosis per retained failure.  Each must give exactly
+what the per-use rule gives.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 import skillmas.retention as retention
 import skillmas.world as world
 from skillmas.cli import build_parser
-from skillmas.model import ExecutorSlice, StateError, UtilityTable, ratio
+from skillmas.config import EngineConfig
+from skillmas.evolution import _nearest_cluster, proposal_index
+from skillmas.model import ExecutorSlice, StateError, UtilityTable, cluster_skills, ratio
 from skillmas.numfmt import q12
 from skillmas.orchestrator import run_experiment, run_round
 from skillmas.presets import load_preset
@@ -29,13 +32,18 @@ from skillmas.store import parse_scenario
 from skillmas.utility import rank_skills, skills_by_task
 from skillmas.world import ExecutionTable
 
+from conftest import make_skill
 from reference import (
     _dominant_deficit,
     _weighted_choice,
+    all_pairs_clusters,
     ground_truth_success_prob,
+    reference_slot,
+    scan_nearest_cluster,
     scan_route,
     select_skills,
 )
+from test_evolution import scenario_with
 from test_golden import wide_text
 from test_round_index import random_world
 
@@ -93,6 +101,30 @@ def test_table_routes_match_the_linear_scan(world_seed):
             scan_route(s, "nowhere", "p")
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_each_root_is_built_with_its_greedy_first_slot(world_seed):
+    """Before any episode, every task has its root, in task order, and the
+    root's one first step is the greedy executor's, holding the reference
+    slot of its first pair."""
+    rng = random.Random(world_seed)
+    scenario, state, config = random_world(rng)
+    for s in [state, *restructured(state, scenario, config, rng)]:
+        table = ExecutionTable(s, scenario, config)
+        assert table.shapes == [] and len(table.roots) == len(scenario.task_types) + 1
+        assert table.roots[-1] is table.roots[-2]
+        for root, task in zip(table.roots, scenario.task_types):
+            root_task, routes, _, steps = root
+            assert root_task is task
+            assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
+            pair, route = routes[0]
+            assert list(steps) == [route.greedy]
+            slot, slices, next_steps, *ends = steps[route.greedy]
+            assert (slices, next_steps, ends) == ((slot.slice,), {}, [None, None, None])
+            assert slot is table.slot(pair, route.greedy)
+            assert tuple(slot) == reference_slot(scenario, s, pair, route.greedy, config)
+
+
 def test_routes_of_a_restructured_wide_run_match_the_linear_scan():
     pack = parse_scenario(wide_text(24, 200), name="wide24")
     result = run_experiment(pack.scenario, pack.seed_state, 7001, 8, pack.config)
@@ -106,30 +138,31 @@ def test_routes_of_a_restructured_wide_run_match_the_linear_scan():
 def test_slots_of_a_task_with_no_candidate_skill_rank_nothing(monkeypatch):
     """Over every state of a restructured wide run, a slot whose task has no
     candidate skill equals the per-call reference slot and never calls
-    `rank_skills`; the slots of the other tasks still call it once each."""
+    `rank_skills`; the slots of the other tasks still call it once each,
+    whether the table filled them when it was built or on their lookup."""
     pack = parse_scenario(wide_text(24, 200), name="wide24")
     result = run_experiment(pack.scenario, pack.seed_state, 7001, 8, pack.config)
     assert len({frozenset(s.executors) for s in result.states}) > 1  # executors changed
-    calls = [0]
+    ranked_tasks = Counter()
 
-    def counted(*args):
-        calls[0] += 1
-        return rank_skills(*args)
+    def counted(q_skill, candidates, owners, task_id, k):
+        ranked_tasks[task_id] += 1
+        return rank_skills(q_skill, candidates, owners, task_id, k)
 
     monkeypatch.setattr(world, "rank_skills", counted)
     seen = Counter()
     for s in result.states:
+        ranked_tasks.clear()
         table = ExecutionTable(s, pack.scenario, pack.config)
         candidates = skills_by_task(s.library)
+        want = Counter()
         for pair in sorted(pack.scenario.universe()):
             for executor_id in table.route(pair).eligible:
-                before = calls[0]
                 slot = table.slot(pair, executor_id)
                 if pair[0] in candidates:
-                    assert calls[0] == before + 1
+                    want[pair[0]] += 1
                     seen["ranked"] += 1
                     continue
-                assert calls[0] == before
                 seen["not ranked"] += 1
                 executor = s.executors[executor_id]
                 assert select_skills(s.q_skill, s, *pair, executor, pack.config.top_k) == []
@@ -142,6 +175,7 @@ def test_slots_of_a_task_with_no_candidate_skill_rank_nothing(monkeypatch):
                 assert slot.deficit == _dominant_deficit(
                     pack.scenario, s.library, executor, *pair, frozenset()
                 )
+        assert ranked_tasks == want
     assert seen["ranked"] > 0 and seen["not ranked"] > seen["ranked"]
 
 
@@ -170,6 +204,42 @@ def test_a_draw_past_the_last_task_shares_its_root(world_seed, past_first):
     assert table.roots[len(tasks)] is table.roots[len(tasks) - 1] is roots[0]
     for d in draws:
         assert table.task_at(d.u)[0] is _weighted_choice(d, tasks, scenario.task_weights)
+
+
+def libraries(tokens):
+    """Libraries over few tokens, so skills often share some, with ids in
+    any insertion order."""
+    skill = st.builds(
+        lambda steps, guards: (tuple(steps), tuple(guards)),
+        st.lists(st.sampled_from(tokens), min_size=1, max_size=4),
+        st.lists(st.sampled_from(("g0", "g1")), max_size=2),
+    )
+    return st.dictionaries(st.sampled_from([f"s{i}" for i in range(12)]), skill).map(
+        lambda drawn: {
+            sid: make_skill(sid, steps=steps, guards=guards)
+            for sid, (steps, guards) in drawn.items()
+        }
+    )
+
+
+thresholds = st.sampled_from((0.5, 1.0)) | st.floats(0.01, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(libraries("abcdef"), thresholds)
+def test_clusters_through_token_holders_equal_the_all_pairs_clusters(library, threshold):
+    assert cluster_skills(library, threshold) == all_pairs_clusters(library, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(libraries("abcdef"), st.lists(st.sampled_from("abcdefxyz"), min_size=1, max_size=4), thresholds)
+def test_nearest_cluster_through_token_holders_equals_the_scan(library, steps, threshold):
+    config = dataclasses.replace(EngineConfig(), cluster_threshold=threshold)
+    index = proposal_index(scenario_with(), library, config)
+    draft = make_skill("draft", steps=steps)
+    assert _nearest_cluster(draft, index, threshold) == scan_nearest_cluster(
+        draft, index, threshold
+    )
 
 
 def test_utility_values_are_exact_ratios_up_to_1000_attempts():
