@@ -102,7 +102,7 @@ class Scenario:
         """Every task pair, the set `validate_state` checks coverage of."""
         return self._universe
 
-    # Scenario-scoped views, built on first use and shared by every table.
+    # Scenario-scoped views, built on first use and shared by every table and round.
 
     @functools.cached_property
     def _universe(self) -> frozenset[Pair]:

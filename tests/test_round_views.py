@@ -3,7 +3,7 @@
 A round reads views built once rather than at every use: the scenario's
 task views and latents by pair, each table's covering index (pair ->
 covering executor ids, sorted) and its roots with their greedy first
-slots, the memo of exact utility ratios, the proposal index's token
+slots, built before any episode, the memo of exact utility ratios, the proposal index's token
 holders, and one diagnosis per retained failure.  Each must give exactly
 what the per-use rule gives.
 """
@@ -89,33 +89,13 @@ def test_table_routes_match_the_linear_scan(world_seed):
     states = [state, *restructured(state, scenario, config, rng)]
     assert len(states) >= 3  # add and at least one modify
     for s in states:
+        # before any episode, every task has its root, whose one first step
+        # is the greedy executor's, holding the reference slot of its first pair
         table = ExecutionTable(s, scenario, config)
-        for pair in sorted(scenario.universe()):
-            assert table.route(pair) == scan_route(s, *pair)
+        assert table.shapes == [] and table.roots[-1] is table.roots[-2]
         for k, task in enumerate(scenario.task_types):
-            _, routes, _, _ = table.task_at(middle(table, k))
-            assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
-        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
-            table.route(("nowhere", "p"))
-        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
-            scan_route(s, "nowhere", "p")
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_each_root_is_built_with_its_greedy_first_slot(world_seed):
-    """Before any episode, every task has its root, in task order, and the
-    root's one first step is the greedy executor's, holding the reference
-    slot of its first pair."""
-    rng = random.Random(world_seed)
-    scenario, state, config = random_world(rng)
-    for s in [state, *restructured(state, scenario, config, rng)]:
-        table = ExecutionTable(s, scenario, config)
-        assert table.shapes == [] and len(table.roots) == len(scenario.task_types) + 1
-        assert table.roots[-1] is table.roots[-2]
-        for root, task in zip(table.roots, scenario.task_types):
-            root_task, routes, _, steps = root
-            assert root_task is task
+            root_task, routes, _, steps = table.roots[k]
+            assert root_task is task and table.task_at(middle(table, k)) is table.roots[k]
             assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
             pair, route = routes[0]
             assert list(steps) == [route.greedy]
@@ -123,6 +103,12 @@ def test_each_root_is_built_with_its_greedy_first_slot(world_seed):
             assert (slices, next_steps, ends) == ((slot.slice,), {}, [None, None, None])
             assert slot is table.slot(pair, route.greedy)
             assert tuple(slot) == reference_slot(scenario, s, pair, route.greedy, config)
+        for pair in sorted(scenario.universe()):
+            assert table.route(pair) == scan_route(s, *pair)
+        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
+            table.route(("nowhere", "p"))
+        with pytest.raises(StateError, match=r"^no executor covers \(nowhere, p\)$"):
+            scan_route(s, "nowhere", "p")
 
 
 def test_routes_of_a_restructured_wide_run_match_the_linear_scan():
