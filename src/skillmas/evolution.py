@@ -136,13 +136,14 @@ def proposal_index(
     scenario: Scenario, library: Mapping[str, Skill], config: EngineConfig
 ) -> ProposalIndex:
     """Build the proposal index of one frozen library, once per round."""
-    clusters = {c[0]: c for c in cluster_skills(library, config.cluster_threshold)}
     tokens = {sid: library[sid].tokens() for sid in sorted(library)}
+    holders = token_holders(tokens)
+    clusters = {c[0]: c for c in cluster_skills(tokens, holders, config.cluster_threshold)}
     return ProposalIndex(
         clusters=clusters,
         keys={sid: key for key, members in clusters.items() for sid in members},
         tokens=tokens,
-        holders=token_holders(tokens),
+        holders=holders,
         realizer=realizers(scenario, library),
         latents_at=scenario.latents_at,
     )

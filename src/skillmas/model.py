@@ -446,18 +446,20 @@ def token_holders(tokens: Mapping[str, frozenset[str]]) -> dict[str, list[str]]:
     return holders
 
 
-def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple[str, ...]]:
-    """Single-linkage clusters of the library's skills under skill_similarity.
+def cluster_skills(
+    tokens: Mapping[str, frozenset[str]], holders: Mapping[str, list[str]], threshold: float
+) -> list[tuple[str, ...]]:
+    """Single-linkage clusters of skills under skill_similarity, from each
+    skill id's token set (`Skill.tokens`) and their `token_holders`.
 
     Clusters and their members are in lexicographic id order, so the result
     is order-independent.  A threshold in (0, 1] never links two skills
-    that share no token, so only pairs found through `token_holders` are
+    that share no token, so only pairs found through `holders` are
     compared.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("clustering threshold must be in (0, 1]")
-    members = sorted(library.values(), key=lambda s: s.id)
-    parent = {s.id: s.id for s in members}
+    parent = {sid: sid for sid in tokens}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -465,8 +467,6 @@ def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple
             x = parent[x]
         return x
 
-    tokens = {s.id: s.tokens() for s in members}  # `skill_similarity`'s token sets
-    holders = token_holders(tokens)
     for a, held in tokens.items():
         # the root of a component is its smallest id, whatever the link order
         for b in {b for token in held for b in holders[token] if b > a}:
@@ -476,6 +476,6 @@ def cluster_skills(library: Mapping[str, Skill], threshold: float) -> list[tuple
                     parent[max(ra, rb)] = min(ra, rb)
 
     grouped: dict[str, list[str]] = {}
-    for s in members:
-        grouped.setdefault(find(s.id), []).append(s.id)
-    return [tuple(sorted(ids)) for _, ids in sorted(grouped.items())]
+    for sid in sorted(tokens):
+        grouped.setdefault(find(sid), []).append(sid)
+    return [tuple(ids) for _, ids in sorted(grouped.items())]

@@ -517,8 +517,10 @@ def evaluate_transplants(
     """Each transplant variant's successes over one fresh evaluation batch.
 
     The variants run on the same episode streams, each stream seeded once
-    for all four (`exec_shared`), which walks each episode to its outcome
-    and looks up no shape; successes are counted as episodes finish.
+    for all four (`exec_shared`), which reads each greedy phase's draws
+    once for every variant still running, walks a variant only from a
+    routing draw that explores, and looks up no shape; successes are
+    counted as episodes finish.
     """
     variants = transplant_variants(final_state, seed_state)
     successes = [0] * len(TRANSPLANT_ROWS)

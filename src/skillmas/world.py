@@ -319,8 +319,7 @@ class ExecutionTable:
         for task, pairs, progress in self.scenario.task_views:
             routes = tuple((pair, self.route(pair)) for pair in pairs)
             pair, route = routes[0]
-            slot = self.slot(pair, route.greedy)
-            first = {route.greedy: [slot, (slot.slice,), {}, None, None, None]}
+            first = {route.greedy: trie_step(self.slot(pair, route.greedy), ())}
             roots.append((task, routes, progress, first))
         roots.append(roots[-1])
         return roots
@@ -379,6 +378,12 @@ class ExecutionTable:
         )
 
 
+def trie_step(slot: PhaseSlot, slices: tuple[ExecutorSlice, ...]) -> list:
+    """A new trie step at `slot`, after the path's earlier `slices`: no next
+    steps and no shapes yet."""
+    return [slot, (*slices, slot.slice), {}, None, None, None]
+
+
 def walk_episode(
     table: ExecutionTable, root: tuple, words: list[int], blocks: Blocks, episode: int
 ) -> tuple[tuple, PhaseSlot | None, int, int]:
@@ -411,8 +416,7 @@ def walk_episode(
             pos += 2
         step = steps.get(executor_id)
         if step is None:
-            slot = table.slot(pair, executor_id)
-            step = steps[executor_id] = [slot, (*slices, slot.slice), {}, None, None, None]
+            step = steps[executor_id] = trie_step(table.slot(pair, executor_id), slices)
         slot, slices, steps, _, _, _ = step
         if pos + 2 <= len(words):
             u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
@@ -484,6 +488,21 @@ def exec_round(
     return Batch(state.round_index, tuple(table.shapes), index)
 
 
+def greedy_chain(table: ExecutionTable, root: tuple) -> list[float]:
+    """The success probability of each slot on `root`'s all-greedy path,
+    filled through the trie steps `walk_episode` makes on that path."""
+    _, phases, _, steps = root
+    slices: tuple[ExecutorSlice, ...] = ()
+    chain = []
+    for pair, route in phases:
+        step = steps.get(route.greedy)
+        if step is None:
+            step = steps[route.greedy] = trie_step(table.slot(pair, route.greedy), slices)
+        slot, slices, steps, _, _, _ = step
+        chain.append(slot.success_prob)
+    return chain
+
+
 def exec_shared(
     states: Sequence[RoundState],
     scenario: Scenario,
@@ -498,8 +517,19 @@ def exec_shared(
     equal to the task and outcome of episode i of `exec_round(state,
     scenario, n_episodes, seed, config)`.  Episode i's first block is
     derived once; the task is drawn once, from words 0-1, since the states
-    share the scenario; then `walk_episode` walks each state to its outcome
-    on the one word list.  No shape is looked up and no cause is observed.
+    share the scenario.  No shape is looked up and no cause is observed.
+
+    The states then run in lockstep along the all-greedy path.  The
+    exploration rate is the scenario's, so every state that has only taken
+    greedy steps reads phase j's routing draw at word 2 + 4j and its success
+    draw at word 4 + 4j: each draw is read once for all of them, in place
+    while both its words are in the list and by `word_random` past it.  A
+    routing draw that does not explore leaves each state still running to
+    compare the success draw with its greedy chain (`greedy_chain`, built
+    once per task position); a state not below its probability fails and
+    stops.  A routing draw that explores re-walks each state still running
+    from its root with `walk_episode` on the same word list, since a
+    `word_randrange` draw may move the positions of the later draws.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
@@ -507,10 +537,37 @@ def exec_shared(
         raise ValueError("frozen evaluation needs at least one state")
     tables = [ExecutionTable(state, scenario, config) for state in states]
     cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
+    epsilon = scenario.routing_noise
+    chains: list[list[tuple[float, ...]] | None] = [None] * len(tables[0].roots)
     blocks = episode_blocks(seed)
     for i in range(n_episodes):
         words = blocks(i, 0)
         u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
         position = bisect_right(cumulative, u * total)
-        flags = [walk_episode(t, t.roots[position], words, blocks, i)[1] is None for t in tables]
+        chain = chains[position]
+        if chain is None:  # phase by phase, each state's probability
+            chain = chains[position] = list(
+                zip(*(greedy_chain(t, t.roots[position]) for t in tables))
+            )
+        flags = [True] * len(tables)
+        pos = 2
+        for probabilities in chain:
+            if pos + 2 <= len(words):
+                u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
+            else:
+                u = word_random(words, pos, blocks, i)
+            if u < epsilon:
+                flags = [
+                    running and walk_episode(t, t.roots[position], words, blocks, i)[1] is None
+                    for running, t in zip(flags, tables)
+                ]
+                break
+            if pos + 4 <= len(words):
+                u = ((words[pos + 2] >> 5) * 67108864.0 + (words[pos + 3] >> 6)) * _TWO_M53
+            else:
+                u = word_random(words, pos + 2, blocks, i)
+            pos += 4
+            flags = [running and u < p for running, p in zip(flags, probabilities)]
+            if True not in flags:
+                break
         yield tables[0].roots[position][0], tuple(flags)

@@ -15,6 +15,8 @@ from skillmas.model import (
     SkillStatus,
     TaskType,
     UtilityTable,
+    cluster_skills,
+    token_holders,
 )
 from skillmas.retention import RetainedShape
 from skillmas.world import LatentSkill, Scenario
@@ -40,6 +42,12 @@ def make_skill(
         status=status,
         owner=owner,
     )
+
+
+def library_clusters(library, threshold):
+    """`cluster_skills` over a library's token sets and their holders."""
+    tokens = {sid: skill.tokens() for sid, skill in library.items()}
+    return cluster_skills(tokens, token_holders(tokens), threshold)
 
 
 def make_state(

@@ -1,10 +1,11 @@
 """The episode walk: draws read in place, a fallback at a block's end, and
 episodes that end at their table entry.
 
-`world.walk_episode`, which `exec_round` and `exec_shared` share, reads a
-draw's two words in place while they are in the episode's list, by
-`streams.word_random`'s rule, and past the list calls `word_random` or
-`word_randrange`, which append the next block.  The task draw reads words
+`world.walk_episode`, which `exec_round` and `exec_shared` share, and
+`exec_shared`'s lockstep over greedy phases read a draw's two words in
+place while they are in the episode's list, by `streams.word_random`'s
+rule, and past the list call `word_random` or `word_randrange`, which
+append the next block.  The task draw reads words
 0-1 in place too.  `end_episodes` ends each episode at the shape its last
 trie step holds.  These tests pin the in-place reads to the word rule at
 every position of a block where a draw can start, run the fallback on
@@ -56,34 +57,43 @@ def routing_words(length: int) -> list[int]:
 
 # (draw, position of its first word): every place in the first block where
 # the task draw, a routing draw or a success draw can start with both its
-# words in the block
+# words in the block, and the success draws of later phases after greedy ones
 PROBES = (
     [("task", 0), ("route", 2)]
     + [("route", p) for p in range(6, 15)]
     + [("success", p) for p in range(4, 15)]
+    + [("later", 8), ("later", 12)]
 )
 
 
 def probe_world(kind: str, p: int, words: list[int], threshold: float):
     """A world whose walk makes its `kind` draw at word `p` of `words` and
     compares it with `threshold`.  Every other success draw is certain, and
-    the stream's first 32 words are `words`, with the steering words set."""
+    the stream's first 32 words are `words`, with the steering words set.
+    A `later` draw is the success draw of phase (p - 4) / 4, every phase
+    routed greedy."""
     words = list(words)
     weights = {"a": 1.0}
     epsilon = 0.5
-    probability = {("a", "p0"): 1.0, ("a", "p1"): 1.0}
+    probability = {}
+    phases = ("p0",)
     if kind == "task":
         weights = {"a": threshold, "b": 1.0 - threshold}  # the total is 1.0 exactly
         words[0] |= 1 << 31  # a draw in [0.5, 1), where 1 - threshold is exact
     elif kind == "route":
         epsilon = threshold
         if p > 2:  # a certain phase first
+            phases = ("p0", "p1")
             words[2 : p - 2] = routing_words(p - 4)
         words[p + 2] = 1 << 30  # exploring draws executor index 1 of 2
+    elif kind == "later":
+        phases = tuple(f"p{j}" for j in range((p - 4) // 4 + 1))
+        for j in range(len(phases)):
+            words[2 + 4 * j : 4 + 4 * j] = routing_words(2)
+        probability = {("a", phases[-1]): threshold}
     else:
         words[2:p] = routing_words(p - 2)
         probability = {("a", "p0"): threshold}
-    phases = ("p0", "p1") if kind == "route" and p > 2 else ("p0",)
     tasks = (TaskType("a", phases), TaskType("b", ("p0",)))
     scenario = Scenario(
         name="probe",
@@ -121,6 +131,8 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         patch.setattr(world, "episode_blocks", lambda seed: blocks)
         table = ExecutionTable(state, scenario, config)
         shape = table.shapes[end_episodes(table, blocks, (0,))[0]]
+        if kind == "later":  # read in lockstep, with no walk
+            patch.setattr(world, "walk_episode", None)
         [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
     assert task is shape.task_type and flags == (shape.outcome == 1,)
     if kind == "task":  # below the first task's weight picks it
@@ -131,7 +143,10 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         assert route.eligible[1] != route.greedy and shape.slices[-1].executor == want
         assert shape.outcome == 1
     else:  # below the success probability succeeds
-        assert shape.outcome == int(above) and len(shape.slices) == 1
+        phases = (p - 4) // 4 + 1 if kind == "later" else 1
+        assert shape.outcome == int(above) and len(shape.slices) == phases
+        if kind == "later":
+            assert all(s.executor == table.route(("a", s.phase)).greedy for s in shape.slices)
 
 
 def boundary_blocks(rejects: int, fetched: list):

@@ -13,7 +13,6 @@ from skillmas.model import (
     TaskType,
     UtilityTable,
     active_owned,
-    cluster_skills,
     drop_skill,
     place_skill,
     jaccard,
@@ -21,7 +20,7 @@ from skillmas.model import (
     validate_state,
 )
 
-from conftest import make_skill, make_state
+from conftest import library_clusters, make_skill, make_state
 
 
 def brute_force_single_linkage(skills, threshold):
@@ -79,7 +78,7 @@ class TestSimilarity:
 class TestClustering:
     def test_identical_skills_one_cluster(self):
         skills = [make_skill(i, steps=("x", "y")) for i in ("a", "b", "c")]
-        clusters = cluster_skills({s.id: s for s in skills}, 0.5)
+        clusters = library_clusters({s.id: s for s in skills}, 0.5)
         assert clusters == [("a", "b", "c")]
 
     def test_low_similarity_singletons(self):
@@ -87,7 +86,7 @@ class TestClustering:
         a = make_skill("a", steps=("x", "y", "z", "w", "q"))
         b = make_skill("b", steps=("x", "v", "u", "r", "s"))
         assert skill_similarity(a, b) < 0.5
-        clusters = cluster_skills({"a": a, "b": b}, 0.5)
+        clusters = library_clusters({"a": a, "b": b}, 0.5)
         assert clusters == [("a",), ("b",)]
 
     def test_chain_links_through_middle(self):
@@ -99,16 +98,16 @@ class TestClustering:
         assert skill_similarity(b, c) >= 0.5
         assert skill_similarity(a, c) < 0.5
         library = {"a": a, "b": b, "c": c}
-        clusters = cluster_skills(library, 0.5)
+        clusters = library_clusters(library, 0.5)
         assert clusters == brute_force_single_linkage([a, b, c], 0.5)
         assert clusters == [("a", "b", "c")]
 
     def test_empty_applicable_set(self):
-        assert cluster_skills({}, 0.5) == []
+        assert library_clusters({}, 0.5) == []
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            cluster_skills({}, 0.0)
+            library_clusters({}, 0.0)
 
     @given(st.data())
     def test_partition_property(self, data):
@@ -120,7 +119,7 @@ class TestClustering:
             )
             skills.append(make_skill(f"s{i}", steps=tuple(steps)))
         library = {s.id: s for s in skills}
-        clusters = cluster_skills(library, 0.5)
+        clusters = library_clusters(library, 0.5)
         flattened = [sid for cluster in clusters for sid in cluster]
         assert sorted(flattened) == sorted(library)
         assert len(set(flattened)) == len(flattened)

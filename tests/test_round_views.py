@@ -23,7 +23,7 @@ import skillmas.world as world
 from skillmas.cli import build_parser
 from skillmas.config import EngineConfig
 from skillmas.evolution import _nearest_cluster, proposal_index
-from skillmas.model import ExecutorSlice, StateError, UtilityTable, cluster_skills, ratio
+from skillmas.model import ExecutorSlice, StateError, UtilityTable, ratio
 from skillmas.numfmt import q12
 from skillmas.orchestrator import run_experiment, run_round
 from skillmas.presets import load_preset
@@ -32,7 +32,7 @@ from skillmas.store import parse_scenario
 from skillmas.utility import rank_skills, skills_by_task
 from skillmas.world import ExecutionTable
 
-from conftest import make_skill
+from conftest import library_clusters, make_skill
 from reference import (
     _dominant_deficit,
     _weighted_choice,
@@ -214,7 +214,7 @@ thresholds = st.sampled_from((0.5, 1.0)) | st.floats(0.01, 1.0)
 @settings(max_examples=300, deadline=None)
 @given(libraries("abcdef"), thresholds)
 def test_clusters_through_token_holders_equal_the_all_pairs_clusters(library, threshold):
-    assert cluster_skills(library, threshold) == all_pairs_clusters(library, threshold)
+    assert library_clusters(library, threshold) == all_pairs_clusters(library, threshold)
 
 
 @settings(max_examples=300, deadline=None)

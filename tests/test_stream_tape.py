@@ -1,10 +1,12 @@
 """Shared episode streams: one word list, several readers.
 
 `exec_shared` derives each episode's first block of 16 words once (the
-episode's tape), draws the task once, and walks every frozen state to its
+episode's tape), draws the task once, and runs every frozen state to its
 outcome by reading that list by index through the word rules
-`streams.word_random` and `streams.word_randrange`.  A read past the list
-appends the episode's next block.  A reader must draw what an independent
+`streams.word_random` and `streams.word_randrange`: the states read each
+greedy phase's draws once, in lockstep, and are walked one by one only
+from a routing draw that explores.  A read past the list appends the
+episode's next block.  A reader must draw what an independent
 reader of the same words draws, whatever the other readers have read, and
 every state's tasks and success flags must equal the tasks and outcomes of
 `exec_round` on that state.
@@ -12,6 +14,7 @@ every state's tasks and success flags must equal the tasks and outcomes of
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -208,6 +211,41 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
         alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
         assert any(len(set(shape.executors())) > 1 for shape in alone.shapes)
         assert any(not flags[0] for _, flags in shared)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1.0, None])
+@pytest.mark.parametrize("name", ["favorable", "mismatch", "noisy"])
+def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
+    # in lockstep, the states read each greedy phase's draws once; an
+    # episode is walked state by state only once its routing draw explores
+    pack, states = frozen_states(WORLDS[name], name)
+    scenario = pack.scenario
+    if noise is not None:
+        scenario = dataclasses.replace(scenario, routing_noise=noise)
+    walked = []
+    walk = world.walk_episode
+
+    def counting(table, root, words, blocks, episode):
+        walked.append(episode)
+        return walk(table, root, words, blocks, episode)
+
+    monkeypatch.setattr(world, "walk_episode", counting)
+    n = 200
+    shared = list(exec_shared(states, scenario, n, 9001, pack.config))
+    calls = list(walked)
+    for k, state in enumerate(states):
+        alone = exec_round(state, scenario, n, 9001, pack.config)
+        assert [(task, flags[k]) for task, flags in shared] == [
+            (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
+        ]
+    if noise == 0.0:
+        assert calls == []
+    elif noise == 1.0:  # every first routing draw explores
+        assert calls == [i for i in range(n) for _ in states]
+    else:
+        assert 0 < len(calls) < n * len(states)
+    if name == "favorable":  # two phases each: some states run past the first
+        assert any(len(shape.slices) == 2 for shape in alone.shapes)
 
 
 @settings(max_examples=25, deadline=None)
