@@ -14,9 +14,9 @@ here: `word_random` takes 53 bits from two words, and `word_randrange(n)`
 takes the top `n.bit_length()` bits of one word per try, rejecting values
 >= n.  `world`'s task draws, episode walk and frozen-evaluation lockstep
 read `word_random`'s rule in place while both words are in the list (tests
-pin them to it) and call it past the list.  A rule that reads past the list appends the episode's next
-block, so the list always holds a prefix of the stream, whatever each
-reader has read.
+pin them to it) and call it past the list.  A rule that reads past the
+list appends the episode's next block, so the list always holds a prefix
+of the stream, whatever each reader has read.
 """
 
 from __future__ import annotations

@@ -523,13 +523,15 @@ def exec_shared(
     exploration rate is the scenario's, so every state that has only taken
     greedy steps reads phase j's routing draw at word 2 + 4j and its success
     draw at word 4 + 4j: each draw is read once for all of them, in place
-    while both its words are in the list and by `word_random` past it.  A
-    routing draw that does not explore leaves each state still running to
-    compare the success draw with its greedy chain (`greedy_chain`, built
-    once per task position); a state not below its probability fails and
-    stops.  A routing draw that explores re-walks each state still running
-    from its root with `walk_episode` on the same word list, since a
-    `word_randrange` draw may move the positions of the later draws.
+    while both its words are in the list and by `word_random` past it (a
+    routing draw's words are always in the list, since no block ends inside
+    or right before them).  A routing draw that does not explore leaves
+    each state still running to compare the success draw with its greedy
+    chain (`greedy_chain`, built once per task position); a state not below
+    its probability fails and stops.  A routing draw that explores re-walks
+    each state still running from its root with `walk_episode` on the same
+    word list, since a `word_randrange` draw may move the positions of the
+    later draws.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
@@ -552,10 +554,9 @@ def exec_shared(
         flags = [True] * len(tables)
         pos = 2
         for probabilities in chain:
-            if pos + 2 <= len(words):
-                u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
-            else:
-                u = word_random(words, pos, blocks, i)
+            # in place: word pos - 1 (1 mod 4) was read, and the list holds
+            # whole blocks of sixteen words, so it holds word pos + 1 too
+            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
             if u < epsilon:
                 flags = [
                     running and walk_episode(t, t.roots[position], words, blocks, i)[1] is None

@@ -57,21 +57,28 @@ def routing_words(length: int) -> list[int]:
 
 # (draw, position of its first word): every place in the first block where
 # the task draw, a routing draw or a success draw can start with both its
-# words in the block, and the success draws of later phases after greedy ones
+# words in the block, and `later` draws after greedy phases only, which
+# `exec_shared` reads in lockstep, in the first block and past it
 PROBES = (
     [("task", 0), ("route", 2)]
     + [("route", p) for p in range(6, 15)]
     + [("success", p) for p in range(4, 15)]
-    + [("later", 8), ("later", 12)]
+    + [("later", p) for p in (8, 12, 16, 18, 20)]
 )
+
+
+def drawn(kind: str, p: int) -> str:
+    """What a probe draws: a `later` draw at word p is phase (p - 2) // 4's
+    routing draw when p - 2 is a multiple of 4, else its success draw."""
+    if kind != "later":
+        return kind
+    return "route" if p % 4 == 2 else "success"
 
 
 def probe_world(kind: str, p: int, words: list[int], threshold: float):
     """A world whose walk makes its `kind` draw at word `p` of `words` and
     compares it with `threshold`.  Every other success draw is certain, and
-    the stream's first 32 words are `words`, with the steering words set.
-    A `later` draw is the success draw of phase (p - 4) / 4, every phase
-    routed greedy."""
+    the stream's first 32 words are `words`, with the steering words set."""
     words = list(words)
     weights = {"a": 1.0}
     epsilon = 0.5
@@ -80,17 +87,21 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     if kind == "task":
         weights = {"a": threshold, "b": 1.0 - threshold}  # the total is 1.0 exactly
         words[0] |= 1 << 31  # a draw in [0.5, 1), where 1 - threshold is exact
+    elif kind == "later":  # certain phases first, each routed greedy
+        phases = tuple(f"p{j}" for j in range((p - 2) // 4 + 1))
+        for q in range(2, p, 4):
+            words[q : q + 2] = routing_words(2)
+        if drawn(kind, p) == "route":
+            epsilon = threshold
+            words[p + 2] = 1 << 30
+        else:
+            probability = {("a", phases[-1]): threshold}
     elif kind == "route":
         epsilon = threshold
         if p > 2:  # a certain phase first
             phases = ("p0", "p1")
             words[2 : p - 2] = routing_words(p - 4)
         words[p + 2] = 1 << 30  # exploring draws executor index 1 of 2
-    elif kind == "later":
-        phases = tuple(f"p{j}" for j in range((p - 4) // 4 + 1))
-        for j in range(len(phases)):
-            words[2 + 4 * j : 4 + 4 * j] = routing_words(2)
-        probability = {("a", phases[-1]): threshold}
     else:
         words[2:p] = routing_words(p - 2)
         probability = {("a", "p0"): threshold}
@@ -106,6 +117,9 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
 
     def fill(table, pair, executor):
         slice_ = ExecutorSlice(executor.id, pair[1], frozenset(), frozenset(), frozenset())
+        if drawn(kind, p) == "route" and pair == ("a", phases[-1]):
+            # the probed phase fails exactly when it explores, so outcomes show the route
+            return PhaseSlot(slice_, float(executor.id == table.route(pair).greedy), None)
         return PhaseSlot(slice_, probability.get(pair, 1.0), None)
 
     def blocks(episode, index):
@@ -131,22 +145,23 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         patch.setattr(world, "episode_blocks", lambda seed: blocks)
         table = ExecutionTable(state, scenario, config)
         shape = table.shapes[end_episodes(table, blocks, (0,))[0]]
-        if kind == "later":  # read in lockstep, with no walk
-            patch.setattr(world, "walk_episode", None)
+        if kind == "later" and not (drawn(kind, p) == "route" and above):
+            patch.setattr(world, "walk_episode", None)  # read in lockstep, with no walk
         [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
     assert task is shape.task_type and flags == (shape.outcome == 1,)
+    greedy = [s.executor == table.route(("a", s.phase)).greedy for s in shape.slices]
+    if kind == "later":  # every phase before the probed one routed greedy
+        assert len(shape.slices) == (p - 2) // 4 + 1 and all(greedy[:-1])
     if kind == "task":  # below the first task's weight picks it
         assert shape.task_type.id == ("a" if above else "b")
-    elif kind == "route":  # below the exploration rate explores
+    elif drawn(kind, p) == "route":  # below the exploration rate explores
         route = table.route(("a", shape.slices[-1].phase))
         want = route.eligible[1] if above else route.greedy
         assert route.eligible[1] != route.greedy and shape.slices[-1].executor == want
-        assert shape.outcome == 1
+        assert shape.outcome == int(not above)
     else:  # below the success probability succeeds
-        phases = (p - 4) // 4 + 1 if kind == "later" else 1
-        assert shape.outcome == int(above) and len(shape.slices) == phases
-        if kind == "later":
-            assert all(s.executor == table.route(("a", s.phase)).greedy for s in shape.slices)
+        assert shape.outcome == int(above)
+        assert greedy[-1] if kind == "later" else len(shape.slices) == 1
 
 
 def boundary_blocks(rejects: int, fetched: list):
