@@ -284,8 +284,8 @@ class ExecutionTable:
     progress values are the scenario's `task_views`.  A step, keyed by the drawn
     executor id, is the list [slot, the path's slices, next steps, then the
     positions in `shapes` of the shapes that end there: success, failure
-    observed, unobserved].  So an episode ends at its shape with a list
-    lookup.  `shapes` lists each shape once, in order of first
+    observed, unobserved], built by `trie_step`.  So an episode ends at its
+    shape with a list lookup.  `shapes` lists each shape once, in order of first
     appearance (the batch's table), checked once, when it is added.
     The table lives for one `exec_round` and is never shared between states.
     """

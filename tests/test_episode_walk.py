@@ -5,11 +5,11 @@ episodes that end at their table entry.
 `exec_shared`'s lockstep over greedy phases read a draw's two words in
 place while they are in the episode's list, by `streams.word_random`'s
 rule, and past the list call `word_random` or `word_randrange`, which
-append the next block.  The task draw reads words
-0-1 in place too.  `end_episodes` ends each episode at the shape its last
-trie step holds.  These tests pin the in-place reads to the word rule at
-every position of a block where a draw can start, run the fallback on
-streams that cross a block's end, and count what a round builds and derives.
+append the next block.  The task draw reads words 0-1 in place too.
+`end_episodes` ends each episode at the shape its last trie step holds.
+These tests pin the in-place reads to the word rule at every position of a
+block where a draw can start, run the fallback on streams that cross a
+block's end, and count what a round builds and derives.
 """
 
 from __future__ import annotations

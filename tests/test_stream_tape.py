@@ -6,9 +6,9 @@ outcome by reading that list by index through the word rules
 `streams.word_random` and `streams.word_randrange`: the states read each
 greedy phase's draws once, in lockstep, and are walked one by one only
 from a routing draw that explores.  A read past the list appends the
-episode's next block.  A reader must draw what an independent
-reader of the same words draws, whatever the other readers have read, and
-every state's tasks and success flags must equal the tasks and outcomes of
+episode's next block.  A reader must draw what an independent reader of
+the same words draws, whatever the other readers have read, and every
+state's tasks and success flags must equal the tasks and outcomes of
 `exec_round` on that state.
 """
 
