@@ -519,24 +519,25 @@ def evaluate_transplants(
     The variants run on the same episode streams, each stream seeded once
     for all four (`exec_shared`), which reads each greedy phase's draws
     once for every variant still running, walks a variant only from a
-    routing draw that explores, and looks up no shape; successes are
-    counted as episodes finish.
+    routing draw that explores, and looks up no shape.  Episodes are
+    counted by their tuple of flags, at most 2**4 keys, and each variant's
+    successes summed from those counts.
     """
     variants = transplant_variants(final_state, seed_state)
-    successes = [0] * len(TRANSPLANT_ROWS)
-    for _, flags in exec_shared(
-        [variants[label] for label in TRANSPLANT_ROWS],
-        scenario,
-        eval_episodes,
-        derive_seed(seed, "transplant-eval"),
-        config,
-    ):
-        for k, flag in enumerate(flags):
-            successes[k] += flag
+    outcomes = Counter(
+        flags
+        for _, flags in exec_shared(
+            [variants[label] for label in TRANSPLANT_ROWS],
+            scenario,
+            eval_episodes,
+            derive_seed(seed, "transplant-eval"),
+            config,
+        )
+    )
     return ComparisonTable(
         tuple(
-            ComparisonRow(label, count, eval_episodes)
-            for label, count in zip(TRANSPLANT_ROWS, successes)
+            ComparisonRow(label, sum(n for flags, n in outcomes.items() if flags[k]), eval_episodes)
+            for k, label in enumerate(TRANSPLANT_ROWS)
         )
     )
 

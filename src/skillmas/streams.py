@@ -7,14 +7,18 @@ round therefore produce identical trace sets.
 
 Episode streams are counter-based, after Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3" (SC 2011): episode i's stream is a list of
-32-bit words in blocks of sixteen, and block b, `episode_blocks(seed)(i,
-b)`, is one BLAKE2b digest of (seed, i, b), a pure function of the three.
-Readers read the list by index through two word rules, each defined once
-here: `word_random` takes 53 bits from two words, and `word_randrange(n)`
-takes the top `n.bit_length()` bits of one word per try, rejecting values
->= n.  `world`'s task draws, episode walk and frozen-evaluation lockstep
-read `word_random`'s rule in place while both words are in the list (tests
-pin them to it) and call it past the list.  A rule that reads past the
+32-bit words in blocks of sixteen, and block b is one BLAKE2b digest of
+(seed, i, b), a pure function of the three.  So block b of a run of
+consecutive episodes can be derived in one call: `episode_blocks(seed)(i,
+b, count)` returns block b of episodes i to i + count - 1, concatenated,
+and `(i, b)` returns episode i's block b alone.  Readers read the words by
+index through two word rules, each defined once here: `word_random` takes
+53 bits from two words, and `word_randrange(n)` takes the top
+`n.bit_length()` bits of one word per try, rejecting values >= n.
+`world`'s task draws, episode walk and frozen-evaluation lockstep read
+`word_random`'s rule in place while both words are in the list, and
+adaptation reads a chunk's first draws as columns of its words (tests pin
+them to it); past the list they call the rule.  A rule that reads past the
 list appends the episode's next block, so the list always holds a prefix
 of the stream, whatever each reader has read.
 """
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable
+import sys
+from array import array
+from typing import Callable, MutableSequence
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -35,27 +41,44 @@ def derive_seed(*parts: int | str) -> int:
 
 _BLOCK = struct.Struct("<16I")
 _COUNTER = struct.Struct("<QQ")
-Blocks = Callable[[int, int], list[int]]  # (episode, block) -> sixteen words
+# (first episode, block, count=1) -> 16 * count words, episode by episode
+Blocks = Callable[..., MutableSequence[int]]
 
 
 def episode_blocks(seed: int) -> Blocks:
-    """`(i, b) -> ` block b of episode i's stream: the BLAKE2b-512 digest of
-    the label path `(seed, "episode")`, a separator, then i and b as two
-    little-endian 64-bit integers, read as sixteen little-endian 32-bit words.
+    """`(first, index, count=1) -> ` block `index` of episodes `first` to
+    `first + count - 1` (count >= 1), sixteen words each, concatenated in
+    episode order.  Block b of episode i is the BLAKE2b-512 digest of the
+    label path `(seed, "episode")`, a separator, then i and b as two
+    little-endian 64-bit integers, read as sixteen little-endian 32-bit
+    words on any byte order.
 
-    The prefix is hashed once: BLAKE2b consumes its input in order, so a copy
-    of the prefix state fed the counters yields the digest of the whole
-    message.  A block depends on nothing but (seed, i, b).
+    One block is a list, read word by word; a run of blocks is one
+    `array("I")`, converted from the joined digests at once, from which a
+    reader slices columns.  The prefix is hashed once: BLAKE2b consumes its
+    input in order, so a copy of the prefix state fed the counters yields
+    the digest of the whole message.  A block depends on nothing but (seed,
+    i, b).
     """
-    head = hashlib.blake2b(f"{seed}\x1fepisode\x1f".encode("utf-8"))
+    copy = hashlib.blake2b(f"{seed}\x1fepisode\x1f".encode("utf-8")).copy
     counter, unpack = _COUNTER.pack, _BLOCK.unpack
 
-    def block(episode: int, index: int) -> list[int]:
-        digest = head.copy()
-        digest.update(counter(episode, index))
-        return list(unpack(digest.digest()))
+    def blocks(first: int, index: int, count: int = 1) -> MutableSequence[int]:
+        digest = copy()
+        digest.update(counter(first, index))
+        if count == 1:
+            return list(unpack(digest.digest()))
+        digests = [digest.digest()]
+        for episode in range(first + 1, first + count):
+            digest = copy()
+            digest.update(counter(episode, index))
+            digests.append(digest.digest())
+        words = array("I", b"".join(digests))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
 
-    return block
+    return blocks
 
 
 _TWO_M53 = 1.0 / 9007199254740992.0  # 2 ** -53

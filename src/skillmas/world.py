@@ -428,39 +428,91 @@ def walk_episode(
     return step, None, len(slices), pos
 
 
-def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: Iterable[int]) -> array:
-    """Run `episodes` against the ground truth with the table's state fixed,
-    each on its stream from `blocks`; returns their positions in `table.shapes`.
+CHUNK = 1024  # consecutive episodes whose first blocks `end_episodes` derives in one call
 
-    Words 0-1 draw the task and `walk_episode` makes the routing and success
-    draws.  On failure the episode then draws its last value: the failing
-    slot's dominant deficit is observed as the cause, confidently with the
+
+def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> array:
+    """Run the consecutive `episodes` against the ground truth with the
+    table's state fixed, each on its stream from `blocks`; returns their
+    positions in `table.shapes`.
+
+    Block 0 of up to `CHUNK` episodes at a time comes from one `blocks`
+    call.  Each episode's draws are read from it in place by `word_random`'s
+    rule: words 0-1 draw the task, and the first phase's routing, success
+    and cause draws (words 2-3, 4-5, 6-7) are read as columns of the chunk.
+    An episode that routes greedy ends on its task position's greedy chain
+    (`greedy_chain`, built once per position) with no call, reading a later
+    phase's draws at words 2 + 4j on while they are in its block.  An
+    episode whose routing draw explores, or that would read past its first
+    block, is walked by `walk_episode` on a list of its sixteen words.  On
+    failure the episode then draws its last value: the failing slot's
+    dominant deficit is observed as the cause, confidently with the
     scenario's observation probability; with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
     roots, shapes = table.roots, table.shapes
     cumulative, total = table.cumulative_weights, table.total_weight
+    epsilon = table.scenario.routing_noise
     confidence = table.scenario.cause_confidence
+    chains: list[tuple | None] = [None] * len(roots)  # (first step, later steps)
     index = array("L")
-    for i in episodes:
-        words = blocks(i, 0)
-        u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
-        root = roots[bisect_right(cumulative, u * total)]
-        step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
-        if failed is None:
-            end = 3
-        elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
-            end = 4
-        else:
-            end = 5
-        k = step[end]
-        if k is None:
-            k = step[end] = len(shapes)
-            cause = None if end == 3 else _UNOBSERVED if end == 5 else (
-                _OBSERVATIONS[failed.deficit[0], True]  # type: ignore[union-attr]
-            )
-            shapes.append(TraceShape(root[0], step[1], int(end == 3), root[2][completed], cause))
-        index.append(k)
+    for first in range(episodes.start, episodes.stop, CHUNK):
+        w = blocks(first, 0, min(CHUNK, episodes.stop - first))
+        draws = zip(w[0::16], w[1::16], w[2::16], w[3::16], w[4::16], w[5::16], w[6::16], w[7::16])
+        for k, (t0, t1, r0, r1, s0, s1, c0, c1) in enumerate(draws):
+            u = ((t0 >> 5) * 67108864.0 + (t1 >> 6)) * _TWO_M53
+            position = bisect_right(cumulative, u * total)
+            chain = chains[position]
+            if chain is None:
+                steps = greedy_chain(table, roots[position])
+                chain = chains[position] = (steps[0], steps[1:])
+            step, later = chain
+            end = None  # walked
+            if not ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon:
+                slot = step[0]
+                if not ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53 < slot.success_prob:
+                    u = ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53
+                    end = 4 if slot.deficit is not None and u < confidence else 5
+                else:
+                    pos = 16 * k + 6  # phase 1's routing draw
+                    stop = pos + 10  # the next episode's block
+                    for step in later:
+                        # the phase's routing, success and cause words
+                        if pos + 6 > stop:
+                            break
+                        u = ((w[pos] >> 5) * 67108864.0 + (w[pos + 1] >> 6)) * _TWO_M53
+                        if u < epsilon:
+                            break
+                        slot = step[0]
+                        u = ((w[pos + 2] >> 5) * 67108864.0 + (w[pos + 3] >> 6)) * _TWO_M53
+                        if not u < slot.success_prob:
+                            u = ((w[pos + 4] >> 5) * 67108864.0 + (w[pos + 5] >> 6)) * _TWO_M53
+                            end = 4 if slot.deficit is not None and u < confidence else 5
+                            break
+                        pos += 4
+                    else:
+                        end = 3
+            if end is None:
+                i = first + k
+                words = list(w[16 * k : 16 * k + 16])
+                step, failed, _, pos = walk_episode(table, roots[position], words, blocks, i)
+                if failed is None:
+                    end = 3
+                elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
+                    end = 4
+                else:
+                    end = 5
+            shape = step[end]
+            if shape is None:
+                shape = step[end] = len(shapes)
+                root = roots[position]
+                slices = step[1]
+                cause = None if end == 3 else _UNOBSERVED if end == 5 else (
+                    _OBSERVATIONS[step[0].deficit[0], True]
+                )
+                completed = len(slices) - (end != 3)
+                shapes.append(TraceShape(root[0], slices, int(end == 3), root[2][completed], cause))
+            index.append(shape)
     return index
 
 
@@ -475,7 +527,8 @@ def exec_round(
 
     Execution is read-only over the state.  Episode i reads its own stream,
     `episode_blocks(seed)` at i, so the batch is reproducible and safe to
-    parallelize.  The batch is round `state.round_index`'s: the table's
+    parallelize; `end_episodes` derives the first blocks `CHUNK` episodes at
+    a time.  The batch is round `state.round_index`'s: the table's
     shapes, in order of first appearance, and episode i's position among
     them at `index[i]`.  Adaptation runs its rounds here, since learning
     reads every episode; frozen evaluation only counts outcomes and runs
@@ -488,9 +541,9 @@ def exec_round(
     return Batch(state.round_index, tuple(table.shapes), index)
 
 
-def greedy_chain(table: ExecutionTable, root: tuple) -> list[float]:
-    """The success probability of each slot on `root`'s all-greedy path,
-    filled through the trie steps `walk_episode` makes on that path."""
+def greedy_chain(table: ExecutionTable, root: tuple) -> list[list]:
+    """The trie steps of `root`'s all-greedy path, one per phase, made as
+    `walk_episode` makes them on that path."""
     _, phases, _, steps = root
     slices: tuple[ExecutorSlice, ...] = ()
     chain = []
@@ -498,8 +551,8 @@ def greedy_chain(table: ExecutionTable, root: tuple) -> list[float]:
         step = steps.get(route.greedy)
         if step is None:
             step = steps[route.greedy] = trie_step(table.slot(pair, route.greedy), slices)
-        slot, slices, steps, _, _, _ = step
-        chain.append(slot.success_prob)
+        chain.append(step)
+        slices, steps = step[1], step[2]
     return chain
 
 
@@ -526,12 +579,12 @@ def exec_shared(
     while both its words are in the list and by `word_random` past it (a
     routing draw's words are always in the list, since no block ends inside
     or right before them).  A routing draw that does not explore leaves
-    each state still running to compare the success draw with its greedy
-    chain (`greedy_chain`, built once per task position); a state not below
-    its probability fails and stops.  A routing draw that explores re-walks
-    each state still running from its root with `walk_episode` on the same
-    word list, since a `word_randrange` draw may move the positions of the
-    later draws.
+    each state still running to compare the success draw with the success
+    probability of its greedy chain's slot (`greedy_chain`, built once per
+    task position); a state not below it fails and stops.  A routing draw
+    that explores re-walks each state still running from its root with
+    `walk_episode` on the same word list, since a `word_randrange` draw may
+    move the positions of the later draws.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
@@ -548,9 +601,8 @@ def exec_shared(
         position = bisect_right(cumulative, u * total)
         chain = chains[position]
         if chain is None:  # phase by phase, each state's probability
-            chain = chains[position] = list(
-                zip(*(greedy_chain(t, t.roots[position]) for t in tables))
-            )
+            steps = zip(*(greedy_chain(t, t.roots[position]) for t in tables))
+            chain = chains[position] = [tuple(s[0].success_prob for s in phase) for phase in steps]
         flags = [True] * len(tables)
         pos = 2
         for probabilities in chain:

@@ -96,7 +96,8 @@ from skillmas.world import (
 
 
 def mt_blocks(seed: int):
-    """`(i, b) -> ` block b of episode i's stream on the Mersenne Twister:
+    """`(first, b, count=1) -> ` block b of episodes `first` to `first +
+    count - 1` on the Mersenne Twister, concatenated: episode i's block b is
     the 32-bit words 16b to 16b + 15 of `random.Random(derive_seed(seed,
     "episode", i))`."""
 
@@ -105,7 +106,10 @@ def mt_blocks(seed: int):
         words = [rng.getrandbits(32) for _ in range(16 * (index + 1))]
         return words[16 * index :]
 
-    return block
+    def blocks(first: int, index: int, count: int = 1) -> list[int]:
+        return [w for episode in range(first, first + count) for w in block(episode, index)]
+
+    return blocks
 
 
 class WordStream:
@@ -621,7 +625,7 @@ def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> l
     episodes = []
     for i in range(n_episodes):
         table = ExecutionTable(state, scenario, config)
-        shape = table.shapes[end_episodes(table, blocks, (i,))[0]]
+        shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
         episodes.append(episode_of(f"{id_prefix}e{i:05d}", shape))
     return episodes
 

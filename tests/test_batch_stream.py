@@ -4,7 +4,8 @@ Episode i's stream is a list of blocks of sixteen 32-bit words, and block b
 is a pure function of (seed, i, b): `streams.episode_blocks` hashes the
 `(seed, "episode")` prefix once, so every block must equal the reference
 derivation whatever was derived before it, and distinct triples must give
-distinct blocks.
+distinct blocks.  Block b of a run of consecutive episodes, derived in one
+call, must be their blocks b in episode order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from skillmas.streams import episode_blocks
+from skillmas.world import CHUNK
 
 from reference import reference_blocks
 
@@ -36,3 +38,11 @@ def test_a_block_does_not_depend_on_earlier_calls(seed, calls):
 def test_distinct_triples_give_distinct_blocks(triples):
     derived = {tuple(episode_blocks(seed)(i, b)) for seed, i, b in triples}
     assert len(derived) == len(triples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, INDEXES, st.integers(0, 1), st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]))
+def test_a_run_of_blocks_is_each_episode_block_in_order(seed, first, b, count):
+    spec = reference_blocks(seed)
+    words = episode_blocks(seed)(first, b, count)
+    assert list(words) == [w for i in range(first, first + count) for w in spec(i, b)]

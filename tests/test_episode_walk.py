@@ -1,15 +1,17 @@
 """The episode walk: draws read in place, a fallback at a block's end, and
 episodes that end at their table entry.
 
-`world.walk_episode`, which `exec_round` and `exec_shared` share, and
-`exec_shared`'s lockstep over greedy phases read a draw's two words in
-place while they are in the episode's list, by `streams.word_random`'s
-rule, and past the list call `word_random` or `word_randrange`, which
-append the next block.  The task draw reads words 0-1 in place too.
-`end_episodes` ends each episode at the shape its last trie step holds.
-These tests pin the in-place reads to the word rule at every position of a
-block where a draw can start, run the fallback on streams that cross a
-block's end, and count what a round builds and derives.
+`world.walk_episode`, which `exec_round` and `exec_shared` share,
+`exec_shared`'s lockstep over greedy phases and `end_episodes`' greedy
+chain read a draw's two words in place while they are in the episode's
+first block, by `streams.word_random`'s rule, and past it call
+`word_random` or `word_randrange`, which append the next block.  The task
+draw reads words 0-1 in place too.  `end_episodes` derives the first
+blocks of `CHUNK` episodes at a time and ends each episode at the shape its
+last trie step holds.  These tests pin the in-place reads to the word rule
+at every position of a block where a draw can start, run the fallback on
+streams that cross a block's end, run rounds on either side of a chunk's
+end, and count what a round builds and derives.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import skillmas.world as world
 from skillmas.config import EngineConfig
-from skillmas.model import ExecutorSlice, TaskType, TraceShape, UtilityTable
+from skillmas.model import CauseLabel, ExecutorSlice, TaskType, TraceShape, UtilityTable
 from skillmas.presets import load_preset
 from skillmas.store import parse_scenario, trace_to_record
 from skillmas.streams import episode_blocks, word_random
 from skillmas.world import (
+    CHUNK,
     ExecutionTable,
     PhaseSlot,
     Scenario,
@@ -57,13 +60,16 @@ def routing_words(length: int) -> list[int]:
 
 # (draw, position of its first word): every place in the first block where
 # the task draw, a routing draw or a success draw can start with both its
-# words in the block, and `later` draws after greedy phases only, which
-# `exec_shared` reads in lockstep, in the first block and past it
+# words in the block; `later` draws after greedy phases only, which
+# `exec_shared` reads in lockstep and `end_episodes` in place, in the first
+# block and past it; and the `cause` draw after greedy phases, the last of
+# which fails
 PROBES = (
     [("task", 0), ("route", 2)]
     + [("route", p) for p in range(6, 15)]
     + [("success", p) for p in range(4, 15)]
-    + [("later", p) for p in (8, 12, 16, 18, 20)]
+    + [("later", p) for p in (8, 10, 12, 14, 16, 18, 20)]
+    + [("cause", p) for p in (6, 10, 14, 18)]
 )
 
 
@@ -75,6 +81,18 @@ def drawn(kind: str, p: int) -> str:
     return "route" if p % 4 == 2 else "success"
 
 
+def runs_in_place(kind: str, p: int, above: bool) -> bool:
+    """Whether `end_episodes` ends a probe's episode with no walk: its routing
+    draws are all greedy, and its last phase's routing, success and cause
+    words are in block 0."""
+    if kind == "task" or (kind == "route" and p > 6) or (kind == "success" and p > 4):
+        return False  # routing not steered, or steered to explore first
+    if drawn(kind, p) == "route" and above:
+        return False  # the probed draw explores
+    last = p - 4 if kind == "cause" else p if drawn(kind, p) == "route" else p - 2
+    return last + 6 <= 16
+
+
 def probe_world(kind: str, p: int, words: list[int], threshold: float):
     """A world whose walk makes its `kind` draw at word `p` of `words` and
     compares it with `threshold`.  Every other success draw is certain, and
@@ -82,6 +100,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     words = list(words)
     weights = {"a": 1.0}
     epsilon = 0.5
+    confidence = 0.9
     probability = {}
     phases = ("p0",)
     if kind == "task":
@@ -96,6 +115,12 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
             words[p + 2] = 1 << 30
         else:
             probability = {("a", phases[-1]): threshold}
+    elif kind == "cause":  # certain phases first, each routed greedy, then one that fails
+        phases = tuple(f"p{j}" for j in range((p - 2) // 4))
+        for q in range(2, p - 2, 4):
+            words[q : q + 2] = routing_words(2)
+        probability = {("a", phases[-1]): 0.0}
+        confidence = threshold
     elif kind == "route":
         epsilon = threshold
         if p > 2:  # a certain phase first
@@ -112,6 +137,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
         task_weights=weights,
         base_difficulty={},
         routing_noise=epsilon,
+        cause_confidence=confidence,
     )
     state = make_state(tasks=tasks[: len(weights)])
 
@@ -120,10 +146,13 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
         if drawn(kind, p) == "route" and pair == ("a", phases[-1]):
             # the probed phase fails exactly when it explores, so outcomes show the route
             return PhaseSlot(slice_, float(executor.id == table.route(pair).greedy), None)
+        if kind == "cause" and pair == ("a", phases[-1]):
+            return PhaseSlot(slice_, 0.0, (CauseLabel.WRONG_ACTION_ORDER, 1.0))
         return PhaseSlot(slice_, probability.get(pair, 1.0), None)
 
-    def blocks(episode, index):
-        return words[16 * index : 16 * index + 16] if index < 2 else [0] * 16
+    def blocks(first, index, count=1):
+        # every episode's stream is `words`, then zeros
+        return (words[16 * index : 16 * index + 16] if index < 2 else [0] * 16) * count
 
     return scenario, state, EngineConfig(), fill, blocks
 
@@ -144,15 +173,23 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         patch.setattr(ExecutionTable, "_fill", fill)
         patch.setattr(world, "episode_blocks", lambda seed: blocks)
         table = ExecutionTable(state, scenario, config)
-        shape = table.shapes[end_episodes(table, blocks, (0,))[0]]
-        if kind == "later" and not (drawn(kind, p) == "route" and above):
+        if runs_in_place(kind, p, above):
+            patch.setattr(world, "walk_episode", None)  # read in place, with no walk
+        shape = table.shapes[end_episodes(table, blocks, range(1))[0]]
+        if kind in ("later", "cause") and not (drawn(kind, p) == "route" and above):
             patch.setattr(world, "walk_episode", None)  # read in lockstep, with no walk
         [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
     assert task is shape.task_type and flags == (shape.outcome == 1,)
     greedy = [s.executor == table.route(("a", s.phase)).greedy for s in shape.slices]
     if kind == "later":  # every phase before the probed one routed greedy
         assert len(shape.slices) == (p - 2) // 4 + 1 and all(greedy[:-1])
-    if kind == "task":  # below the first task's weight picks it
+    if kind == "cause":  # every phase routed greedy, and the last failed
+        assert len(shape.slices) == (p - 2) // 4 and all(greedy) and shape.outcome == 0
+        # below the observation probability observes the deficit confidently
+        want = (CauseLabel.WRONG_ACTION_ORDER, True) if above else (CauseLabel.UNKNOWN, False)
+        observed = shape.latent_cause_observation
+        assert (observed.cause, observed.confident) == want
+    elif kind == "task":  # below the first task's weight picks it
         assert shape.task_type.id == ("a" if above else "b")
     elif drawn(kind, p) == "route":  # below the exploration rate explores
         route = table.route(("a", shape.slices[-1].phase))
@@ -170,7 +207,7 @@ def boundary_blocks(rejects: int, fetched: list):
     word 4 on, then accept index 0 while still in the block.  The reads and
     the next success draw run past word 15.  The other words are
     `reference_blocks`'.  Each (episode, block) derived is appended to
-    `fetched`."""
+    `fetched`, episode by episode over a call's count."""
 
     def make(seed):
         real = reference_blocks(seed)
@@ -185,7 +222,10 @@ def boundary_blocks(rejects: int, fetched: list):
                     words[4 + rejects] = 0
             return words
 
-        return block
+        def blocks(first, index, count=1):
+            return [w for episode in range(first, first + count) for w in block(episode, index)]
+
+        return blocks
 
     return make
 
@@ -216,6 +256,34 @@ def test_reads_past_the_first_block_match_the_reference(rejects, world_seed, mon
         assert [(task, flags[k]) for task, flags in shared] == [
             (e.task_type, e.outcome == 1) for e in want
         ]
+
+
+@pytest.mark.parametrize("noise", [None, 0.0, 1.0])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunked_rounds_match_the_reference_episode_by_episode(n, noise, monkeypatch):
+    # a round's first blocks come CHUNK episodes at a time; every episode,
+    # on either side of a chunk's end, is the one the reference draws alone
+    pack = parse_scenario(NOISY, name="noisy")
+    scenario = pack.scenario
+    if noise is not None:
+        scenario = dataclasses.replace(scenario, routing_noise=noise)
+    state = dataclasses.replace(pack.seed_state, round_index=1)
+    walked = []
+    walk = world.walk_episode
+
+    def counting(table, root, words, blocks, episode):
+        walked.append(episode)
+        return walk(table, root, words, blocks, episode)
+
+    monkeypatch.setattr(world, "walk_episode", counting)
+    batch = exec_round(state, scenario, n, 5, pack.config)
+    assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, pack.config, "r0001")
+    if noise == 0.0:  # every draw of a greedy path of at most 3 phases is in block 0
+        assert walked == []
+    elif noise == 1.0:  # every first routing draw explores
+        assert walked == list(range(n))
+    else:
+        assert 0 < len(walked) < n
 
 
 @pytest.mark.parametrize("name", ["mismatch", "noisy"])
@@ -252,11 +320,12 @@ def test_sample_episode_is_the_entry_exec_round_lists(monkeypatch):
     [table] = tables
     blocks = episode_blocks(23)
     for i in range(300):
-        assert table.shapes[end_episodes(table, blocks, (i,))[0]] is batch.shapes[batch.index[i]]
+        shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
+        assert shape is batch.shapes[batch.index[i]]
     assert len(table.shapes) == len(batch.shapes)
 
     # on one fresh table, episode by episode, the same entries in the same order
     fresh = ExecutionTable(pack.seed_state, pack.scenario, pack.config)
-    got = [fresh.shapes[end_episodes(fresh, blocks, (i,))[0]] for i in range(300)]
+    got = [fresh.shapes[end_episodes(fresh, blocks, range(i, i + 1))[0]] for i in range(300)]
     assert all(shape is fresh.shapes[k] for shape, k in zip(got, batch.index))
     assert [trace_to_record(s) for s in fresh.shapes] == [trace_to_record(s) for s in batch.shapes]

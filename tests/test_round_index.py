@@ -208,7 +208,7 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
 def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_seed):
     scenario, state, config = random_world(random.Random(world_seed))
     table = ExecutionTable(state, scenario, config)
-    got = table.shapes[end_episodes(table, episode_blocks(episode_seed), (3,))[0]]
+    got = table.shapes[end_episodes(table, episode_blocks(episode_seed), range(3, 4))[0]]
     rng = episode_stream(episode_seed, 3)
     task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
     want = reference_episode(scenario, state, task, rng, "e0", config)

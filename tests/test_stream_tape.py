@@ -176,12 +176,18 @@ WORLDS = dict(PRESETS) | {"noisy": NOISY}
 
 
 def counted_blocks(monkeypatch) -> list:
-    """Record every (episode, block) the engine derives from here on."""
+    """Record every (episode, block) the engine derives from here on, each
+    episode a call covers in order."""
     fetched = []
 
     def counting(seed):
         blocks = episode_blocks(seed)
-        return lambda i, b: (fetched.append((i, b)), blocks(i, b))[1]
+
+        def counted(first, b, count=1):
+            fetched.extend((i, b) for i in range(first, first + count))
+            return blocks(first, b, count)
+
+        return counted
 
     monkeypatch.setattr(world, "episode_blocks", counting)
     return fetched

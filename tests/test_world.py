@@ -252,7 +252,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = table.shapes[end_episodes(table, episode_blocks(0), (0,))[0]]
+        shape = table.shapes[end_episodes(table, episode_blocks(0), range(1))[0]]
         assert shape.outcome == 1
         assert shape.progress == 1.0
         assert shape.latent_cause_observation is None
@@ -261,7 +261,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = table.shapes[end_episodes(table, episode_blocks(0), (0,))[0]]
+        shape = table.shapes[end_episodes(table, episode_blocks(0), range(1))[0]]
         assert shape.outcome == 0
         assert shape.progress == 0.0
         assert len(shape.slices) == 1  # the failing phase was attempted
@@ -293,7 +293,7 @@ class TestSampleEpisode:
         table = ExecutionTable(state, scenario, EngineConfig())
         blocks = episode_blocks(episode_seed)
         for i in range(30):
-            shape = table.shapes[end_episodes(table, blocks, (i,))[0]]
+            shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
             words = blocks(i, 0)
             root = table.task_at(word_random(words, 0, blocks, i))
             step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
@@ -341,7 +341,7 @@ class TestExecRound:
 
         def one(i):
             table = ExecutionTable(state, scenario, config)
-            return table.shapes[end_episodes(table, episode_blocks(77), (i,))[0]]
+            return table.shapes[end_episodes(table, episode_blocks(77), range(i, i + 1))[0]]
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
