@@ -386,7 +386,7 @@ def trie_step(slot: PhaseSlot, slices: tuple[ExecutorSlice, ...]) -> list:
 
 def walk_episode(
     table: ExecutionTable, root: tuple, words: list[int], blocks: Blocks, episode: int
-) -> tuple[tuple, PhaseSlot | None, int, int]:
+) -> tuple[list, PhaseSlot | None, int]:
     """Make one episode's routing and success draws, up to its outcome.
 
     `words` is episode `episode`'s stream from `blocks`, whose words 0-1
@@ -396,8 +396,8 @@ def walk_episode(
     words are in the list reads them in place by `word_random`'s rule, and
     calls `word_random` past it; an executor draw calls `word_randrange`.
     The walk stops at the first phase that fails and returns the last step,
-    the slot that failed (None when every phase succeeded), the number of
-    phases completed and the position after the last word read.
+    the slot that failed (None when every phase succeeded) and the position
+    after the last word read.
     """
     epsilon = table.scenario.routing_noise
     _, phases, _, steps = root
@@ -424,8 +424,8 @@ def walk_episode(
             u = word_random(words, pos, blocks, episode)
         pos += 2
         if not u < slot.success_prob:
-            return step, slot, len(slices) - 1, pos
-    return step, None, len(slices), pos
+            return step, slot, pos
+    return step, None, pos
 
 
 CHUNK = 1024  # consecutive episodes whose first blocks `end_episodes` derives in one call
@@ -467,18 +467,16 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> arra
                 steps = greedy_chain(table, roots[position])
                 chain = chains[position] = (steps[0], steps[1:])
             step, later = chain
-            end = None  # walked
+            end = None  # none yet: the episode is walked
             if not ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon:
                 slot = step[0]
                 if not ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53 < slot.success_prob:
                     u = ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53
                     end = 4 if slot.deficit is not None and u < confidence else 5
                 else:
-                    pos = 16 * k + 6  # phase 1's routing draw
-                    stop = pos + 10  # the next episode's block
+                    pos, stop = 16 * k + 6, 16 * k + 16  # phase 1's routing draw, the block's end
                     for step in later:
-                        # the phase's routing, success and cause words
-                        if pos + 6 > stop:
+                        if pos + 6 > stop:  # the phase's routing, success and cause words
                             break
                         u = ((w[pos] >> 5) * 67108864.0 + (w[pos + 1] >> 6)) * _TWO_M53
                         if u < epsilon:
@@ -495,7 +493,7 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> arra
             if end is None:
                 i = first + k
                 words = list(w[16 * k : 16 * k + 16])
-                step, failed, _, pos = walk_episode(table, roots[position], words, blocks, i)
+                step, failed, pos = walk_episode(table, roots[position], words, blocks, i)
                 if failed is None:
                     end = 3
                 elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:

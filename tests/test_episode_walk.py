@@ -43,7 +43,7 @@ import reference
 from conftest import NOISY, make_state
 from reference import episodes_of, reference_blocks, reference_exec_round
 from test_round_index import random_world
-from test_stream_tape import counted_blocks
+from test_stream_tape import counted_blocks, counted_walks
 
 TOP = 0xFFFFFFFF  # read in place as 1 - 2**-53, and rejected by every word_randrange(n)
 WORD = st.integers(0, TOP)
@@ -268,14 +268,7 @@ def test_chunked_rounds_match_the_reference_episode_by_episode(n, noise, monkeyp
     if noise is not None:
         scenario = dataclasses.replace(scenario, routing_noise=noise)
     state = dataclasses.replace(pack.seed_state, round_index=1)
-    walked = []
-    walk = world.walk_episode
-
-    def counting(table, root, words, blocks, episode):
-        walked.append(episode)
-        return walk(table, root, words, blocks, episode)
-
-    monkeypatch.setattr(world, "walk_episode", counting)
+    walked = counted_walks(monkeypatch)
     batch = exec_round(state, scenario, n, 5, pack.config)
     assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, pack.config, "r0001")
     if noise == 0.0:  # every draw of a greedy path of at most 3 phases is in block 0

@@ -367,7 +367,7 @@ def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
         for i in range(300):
             words = blocks(i, 0)
             task = table.task_at(word_random(words, 0, blocks, i))
-            read.append(walk_episode(table, task, words, blocks, i)[3])
+            read.append(walk_episode(table, task, words, blocks, i)[2])
         assert max(read) > 16
 
 

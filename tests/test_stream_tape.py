@@ -193,6 +193,19 @@ def counted_blocks(monkeypatch) -> list:
     return fetched
 
 
+def counted_walks(monkeypatch) -> list:
+    """Record the episode of every `walk_episode` call from here on."""
+    walked = []
+    walk = world.walk_episode
+
+    def counting(table, root, words, blocks, episode):
+        walked.append(episode)
+        return walk(table, root, words, blocks, episode)
+
+    monkeypatch.setattr(world, "walk_episode", counting)
+    return walked
+
+
 def frozen_states(text, name):
     pack = parse_scenario(text, name=name)
     result = run_experiment(pack.scenario, pack.seed_state, 11, 3, pack.config)
@@ -228,14 +241,7 @@ def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
     scenario = pack.scenario
     if noise is not None:
         scenario = dataclasses.replace(scenario, routing_noise=noise)
-    walked = []
-    walk = world.walk_episode
-
-    def counting(table, root, words, blocks, episode):
-        walked.append(episode)
-        return walk(table, root, words, blocks, episode)
-
-    monkeypatch.setattr(world, "walk_episode", counting)
+    walked = counted_walks(monkeypatch)
     n = 200
     shared = list(exec_shared(states, scenario, n, 9001, pack.config))
     calls = list(walked)

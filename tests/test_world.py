@@ -296,14 +296,13 @@ class TestSampleEpisode:
             shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
             words = blocks(i, 0)
             root = table.task_at(word_random(words, 0, blocks, i))
-            step, failed, completed, pos = walk_episode(table, root, words, blocks, i)
-            task, slices, progress = root[0], step[1], root[2][completed]
-            assert shape.task_type is task
-            assert shape.slices is slices and shape.progress == progress
+            step, failed, pos = walk_episode(table, root, words, blocks, i)
+            task, slices = root[0], step[1]
+            assert shape.task_type is task and shape.slices is slices
             assert shape.outcome == (failed is None)
             # phases completed: those routed, less the one that failed
             completed = len(slices) - (failed is not None)
-            assert progress == q12(completed / len(task.phases))
+            assert shape.progress == root[2][completed] == q12(completed / len(task.phases))
             if failed is None:
                 assert shape.latent_cause_observation is None
             else:
