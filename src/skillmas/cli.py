@@ -275,6 +275,18 @@ def _read_json_object(path: Path, required: dict[str, type]) -> dict:
 _ROW_COUNTS = ("round", "episodes", "successes", "active_skills", "active_executors")
 
 
+def _successes(path: Path, entry: dict, where: str, total: str) -> tuple[int, int]:
+    """An entry's integer `successes` and `total` count, with 0 <= successes <= total."""
+    successes = _typed(path, entry, "successes", int, where)
+    count = _typed(path, entry, total, int, where)
+    if not 0 <= successes <= count:
+        raise UsageError(
+            f"{path}: '{where}successes' needs 0 <= successes <= {total}, "
+            f"not {successes}/{count}"
+        )
+    return successes, count
+
+
 def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, int]]]]:
     """`trajectory.json` with every value `report` reads checked, and each
     round's per-family counts (task id -> (successes, attempts)) by round."""
@@ -290,6 +302,7 @@ def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, i
             raise UsageError(f"{path}: 'rounds[{index}]' must be an object")
         for key in _ROW_COUNTS:
             _typed(path, row, key, int, where)
+        _successes(path, row, where, "episodes")
         restructure = _typed(path, row, "restructure", dict, where)
         if "action" in restructure:
             _typed(path, restructure, "action", str, where + "restructure.")
@@ -303,14 +316,7 @@ def _read_trajectory(path: Path) -> tuple[dict, dict[int, dict[str, tuple[int, i
             at = f"{where}per_family[{json.dumps(task_id)}]"
             if not isinstance(entry, dict):
                 raise UsageError(f"{path}: {at!r} must be an object")
-            successes = _typed(path, entry, "successes", int, at + ".")
-            attempts = _typed(path, entry, "attempts", int, at + ".")
-            if not 0 <= successes <= attempts:
-                raise UsageError(
-                    f"{path}: {at!r} needs 0 <= successes <= attempts, "
-                    f"not {successes}/{attempts}"
-                )
-            counts[task_id] = (successes, attempts)
+            counts[task_id] = _successes(path, entry, at + ".", "attempts")
         if row["round"] in per_round:
             raise UsageError(f"{path}: '{where}round' {row['round']} appears twice")
         per_round[row["round"]] = counts

@@ -166,12 +166,15 @@ def _parse_executor_line(
     options: dict[str, object] = {}
     for part in parts[1:]:
         if part == "manager":
-            options["is_manager"] = True
+            key, value = "is_manager", True
         else:
             match = _SEED_OPT.fullmatch(part)
             if not match or match.group(1) != "capacity":
                 raise ScenarioError(f"unknown executor option {part!r}", line)
-            options["capacity"] = int(match.group(2))
+            key, value = "capacity", int(match.group(2))
+        if key in options:
+            raise ScenarioError(f"repeated executor option {part.partition('=')[0]!r}", line)
+        options[key] = value
     return frozenset(boundary), options
 
 
@@ -181,11 +184,15 @@ def _parse_skill_line(body: str, line: int) -> dict[str, object]:
         "checks": frozenset(),
         "status": SkillStatus.SEEDED,
     }
+    given: set[str] = set()
     for part in body.split():
         match = _SEED_OPT.fullmatch(part)
         if not match:
             raise ScenarioError(f"expected key=value, got {part!r}", line)
         key, value = match.group(1), match.group(2)
+        if key in given:
+            raise ScenarioError(f"repeated skill option {key!r}", line)
+        given.add(key)
         if key == "owner":
             _ids(line, value)
             fields["owner"] = value

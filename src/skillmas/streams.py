@@ -15,12 +15,13 @@ and `(i, b)` returns episode i's block b alone.  Readers read the words by
 index through two word rules, each defined once here: `word_random` takes
 53 bits from two words, and `word_randrange(n)` takes the top
 `n.bit_length()` bits of one word per try, rejecting values >= n.
-`world`'s task draws, episode walk and frozen-evaluation lockstep read
-`word_random`'s rule in place while both words are in the list, and
-adaptation reads a chunk's first draws as columns of its words (tests pin
-them to it); past the list they call the rule.  A rule that reads past the
-list appends the episode's next block, so the list always holds a prefix
-of the stream, whatever each reader has read.
+`world`'s task draws and episode walk read `word_random`'s rule in place
+while both words are in the list; the fast paths read phase 0's draws in
+place, adaptation as columns of a chunk's words, and leave the rest to the
+walk (tests pin every in-place read to the rule); past the list they call
+the rule.  A rule that reads past the list appends the episode's next
+block, so the list always holds a prefix of the stream, whatever each
+reader has read.
 """
 
 from __future__ import annotations

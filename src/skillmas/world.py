@@ -280,13 +280,16 @@ class ExecutionTable:
 
     Outcome paths are interned.  At each bisection position of the task
     draw, `roots` holds (task, ((pair, route), ...), progress values
-    `q12(c / n)` for c = 0..n, first trie steps); the task's pairs and
-    progress values are the scenario's `task_views`.  A step, keyed by the drawn
-    executor id, is the list [slot, the path's slices, next steps, then the
-    positions in `shapes` of the shapes that end there: success, failure
-    observed, unobserved], built by `trie_step`.  So an episode ends at its
-    shape with a list lookup.  `shapes` lists each shape once, in order of first
-    appearance (the batch's table), checked once, when it is added.
+    `q12(c / n)` for c = 0..n, first trie steps, the greedy first step); the
+    task's pairs and progress values are the scenario's `task_views`.  The
+    fast paths, `end_episodes` and `exec_shared`, read phase 0 only, at the
+    greedy first step, and `walk_episode` reads the rest.  A step, keyed by
+    the drawn executor id, is the list [slot, the path's slices, next steps,
+    then the positions in `shapes` of the shapes that end there: success,
+    failure observed, unobserved], built by `trie_step`.  So an episode ends
+    at its shape with a list lookup.  `shapes` lists each shape once, in
+    order of first appearance (the batch's table), checked once, when it is
+    added.
     The table lives for one `exec_round` and is never shared between states.
     """
 
@@ -314,13 +317,15 @@ class ExecutionTable:
 
     def _roots(self) -> list[tuple]:
         """Every task's root in task order, then the last task's again: a
-        draw rounding up to the total weight bisects to position len(tasks)."""
+        draw rounding up to the total weight bisects to position len(tasks).
+        A root's last item is its greedy first step, the one the fast paths
+        read."""
         roots = []
         for task, pairs, progress in self.scenario.task_views:
             routes = tuple((pair, self.route(pair)) for pair in pairs)
             pair, route = routes[0]
-            first = {route.greedy: trie_step(self.slot(pair, route.greedy), ())}
-            roots.append((task, routes, progress, first))
+            greedy = trie_step(self.slot(pair, route.greedy), ())
+            roots.append((task, routes, progress, {route.greedy: greedy}, greedy))
         roots.append(roots[-1])
         return roots
 
@@ -400,7 +405,7 @@ def walk_episode(
     after the last word read.
     """
     epsilon = table.scenario.routing_noise
-    _, phases, _, steps = root
+    _, phases, _, steps, _ = root
     slices: tuple[ExecutorSlice, ...] = ()
     pos = 2
     for pair, route in phases:
@@ -438,15 +443,13 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> arra
 
     Block 0 of up to `CHUNK` episodes at a time comes from one `blocks`
     call.  Each episode's draws are read from it in place by `word_random`'s
-    rule: words 0-1 draw the task, and the first phase's routing, success
-    and cause draws (words 2-3, 4-5, 6-7) are read as columns of the chunk.
-    An episode that routes greedy ends on its task position's greedy chain
-    (`greedy_chain`, built once per position) with no call, reading a later
-    phase's draws at words 2 + 4j on while they are in its block.  An
-    episode whose routing draw explores, or that would read past its first
-    block, is walked by `walk_episode` on a list of its sixteen words.  On
-    failure the episode then draws its last value: the failing slot's
-    dominant deficit is observed as the cause, confidently with the
+    rule: words 0-1 draw the task, and phase 0's routing, success and cause
+    draws (words 2-3, 4-5, 6-7) are read as columns of the chunk.  An
+    episode whose phase 0 routes greedy ends on its root's greedy first step
+    with no call when that phase fails, or succeeds on a single-phase task.
+    Every other episode is walked by `walk_episode` on a list of its sixteen
+    words.  On failure the episode then draws its last value: the failing
+    slot's dominant deficit is observed as the cause, confidently with the
     scenario's observation probability; with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
@@ -454,46 +457,26 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> arra
     cumulative, total = table.cumulative_weights, table.total_weight
     epsilon = table.scenario.routing_noise
     confidence = table.scenario.cause_confidence
-    chains: list[tuple | None] = [None] * len(roots)  # (first step, later steps)
     index = array("L")
     for first in range(episodes.start, episodes.stop, CHUNK):
         w = blocks(first, 0, min(CHUNK, episodes.stop - first))
         draws = zip(w[0::16], w[1::16], w[2::16], w[3::16], w[4::16], w[5::16], w[6::16], w[7::16])
         for k, (t0, t1, r0, r1, s0, s1, c0, c1) in enumerate(draws):
             u = ((t0 >> 5) * 67108864.0 + (t1 >> 6)) * _TWO_M53
-            position = bisect_right(cumulative, u * total)
-            chain = chains[position]
-            if chain is None:
-                steps = greedy_chain(table, roots[position])
-                chain = chains[position] = (steps[0], steps[1:])
-            step, later = chain
+            root = roots[bisect_right(cumulative, u * total)]
+            step = root[4]
             end = None  # none yet: the episode is walked
-            if not ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon:
+            if not ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon:  # greedy
                 slot = step[0]
                 if not ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53 < slot.success_prob:
                     u = ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53
                     end = 4 if slot.deficit is not None and u < confidence else 5
-                else:
-                    pos, stop = 16 * k + 6, 16 * k + 16  # phase 1's routing draw, the block's end
-                    for step in later:
-                        if pos + 6 > stop:  # the phase's routing, success and cause words
-                            break
-                        u = ((w[pos] >> 5) * 67108864.0 + (w[pos + 1] >> 6)) * _TWO_M53
-                        if u < epsilon:
-                            break
-                        slot = step[0]
-                        u = ((w[pos + 2] >> 5) * 67108864.0 + (w[pos + 3] >> 6)) * _TWO_M53
-                        if not u < slot.success_prob:
-                            u = ((w[pos + 4] >> 5) * 67108864.0 + (w[pos + 5] >> 6)) * _TWO_M53
-                            end = 4 if slot.deficit is not None and u < confidence else 5
-                            break
-                        pos += 4
-                    else:
-                        end = 3
+                elif len(root[1]) == 1:
+                    end = 3
             if end is None:
                 i = first + k
                 words = list(w[16 * k : 16 * k + 16])
-                step, failed, pos = walk_episode(table, roots[position], words, blocks, i)
+                step, failed, pos = walk_episode(table, root, words, blocks, i)
                 if failed is None:
                     end = 3
                 elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
@@ -503,7 +486,6 @@ def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> arra
             shape = step[end]
             if shape is None:
                 shape = step[end] = len(shapes)
-                root = roots[position]
                 slices = step[1]
                 cause = None if end == 3 else _UNOBSERVED if end == 5 else (
                     _OBSERVATIONS[step[0].deficit[0], True]
@@ -539,21 +521,6 @@ def exec_round(
     return Batch(state.round_index, tuple(table.shapes), index)
 
 
-def greedy_chain(table: ExecutionTable, root: tuple) -> list[list]:
-    """The trie steps of `root`'s all-greedy path, one per phase, made as
-    `walk_episode` makes them on that path."""
-    _, phases, _, steps = root
-    slices: tuple[ExecutorSlice, ...] = ()
-    chain = []
-    for pair, route in phases:
-        step = steps.get(route.greedy)
-        if step is None:
-            step = steps[route.greedy] = trie_step(table.slot(pair, route.greedy), slices)
-        chain.append(step)
-        slices, steps = step[1], step[2]
-    return chain
-
-
 def exec_shared(
     states: Sequence[RoundState],
     scenario: Scenario,
@@ -570,19 +537,14 @@ def exec_shared(
     derived once; the task is drawn once, from words 0-1, since the states
     share the scenario.  No shape is looked up and no cause is observed.
 
-    The states then run in lockstep along the all-greedy path.  The
-    exploration rate is the scenario's, so every state that has only taken
-    greedy steps reads phase j's routing draw at word 2 + 4j and its success
-    draw at word 4 + 4j: each draw is read once for all of them, in place
-    while both its words are in the list and by `word_random` past it (a
-    routing draw's words are always in the list, since no block ends inside
-    or right before them).  A routing draw that does not explore leaves
-    each state still running to compare the success draw with the success
-    probability of its greedy chain's slot (`greedy_chain`, built once per
-    task position); a state not below it fails and stops.  A routing draw
-    that explores re-walks each state still running from its root with
-    `walk_episode` on the same word list, since a `word_randrange` draw may
-    move the positions of the later draws.
+    The exploration rate is the scenario's too, so phase 0's routing draw
+    (words 2-3) and, when it does not explore, its success draw (words 4-5)
+    are read in place once for all states.  A state whose draw is not below
+    its greedy first slot's success probability fails; one that succeeds on
+    a single-phase task succeeds.  `walk_episode` walks each other state
+    from its root on the same word list: every state when the routing draw
+    explores, and each state that succeeds at phase 0 of a task with more
+    phases.
     """
     if n_episodes < 1:
         raise ValueError("a round needs at least one episode")
@@ -591,34 +553,29 @@ def exec_shared(
     tables = [ExecutionTable(state, scenario, config) for state in states]
     cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
     epsilon = scenario.routing_noise
-    chains: list[list[tuple[float, ...]] | None] = [None] * len(tables[0].roots)
+    # at each task position: the task, whether it has later phases, and
+    # each state's root and greedy first success probability
+    positions = [
+        (roots[0][0], len(roots[0][1]) > 1, roots, [root[4][0].success_prob for root in roots])
+        for roots in zip(*[t.roots for t in tables])
+    ]
     blocks = episode_blocks(seed)
     for i in range(n_episodes):
         words = blocks(i, 0)
         u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
-        position = bisect_right(cumulative, u * total)
-        chain = chains[position]
-        if chain is None:  # phase by phase, each state's probability
-            steps = zip(*(greedy_chain(t, t.roots[position]) for t in tables))
-            chain = chains[position] = [tuple(s[0].success_prob for s in phase) for phase in steps]
-        flags = [True] * len(tables)
-        pos = 2
-        for probabilities in chain:
-            # in place: word pos - 1 (1 mod 4) was read, and the list holds
-            # whole blocks of sixteen words, so it holds word pos + 1 too
-            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
-            if u < epsilon:
+        task, later, roots, probabilities = positions[bisect_right(cumulative, u * total)]
+        if ((words[2] >> 5) * 67108864.0 + (words[3] >> 6)) * _TWO_M53 < epsilon:
+            flags = [
+                walk_episode(t, root, words, blocks, i)[1] is None
+                for t, root in zip(tables, roots)
+            ]
+        else:
+            u = ((words[4] >> 5) * 67108864.0 + (words[5] >> 6)) * _TWO_M53
+            if later:
                 flags = [
-                    running and walk_episode(t, t.roots[position], words, blocks, i)[1] is None
-                    for running, t in zip(flags, tables)
+                    u < p and walk_episode(t, root, words, blocks, i)[1] is None
+                    for t, root, p in zip(tables, roots, probabilities)
                 ]
-                break
-            if pos + 4 <= len(words):
-                u = ((words[pos + 2] >> 5) * 67108864.0 + (words[pos + 3] >> 6)) * _TWO_M53
             else:
-                u = word_random(words, pos + 2, blocks, i)
-            pos += 4
-            flags = [running and u < p for running, p in zip(flags, probabilities)]
-            if True not in flags:
-                break
-        yield tables[0].roots[position][0], tuple(flags)
+                flags = [u < p for p in probabilities]
+        yield task, tuple(flags)

@@ -630,6 +630,14 @@ BAD_VALUES = {
     "trajectory.rounds[i].successes": ("trajectory.json", "report",
                                        _set("rounds", 0, "successes", None),
                                        ["'rounds[0].successes'", "an integer"]),
+    "trajectory.rounds[i].successes>episodes": ("trajectory.json", "report",
+                                                _set("rounds", 1, "successes", 5000),
+                                                ["'rounds[1].successes'",
+                                                 "0 <= successes <= episodes", "5000/"]),
+    "trajectory.rounds[i].episodes<0": ("trajectory.json", "report",
+                                        _set("rounds", 1, "episodes", -3),
+                                        ["'rounds[1].successes'",
+                                         "0 <= successes <= episodes", "/-3"]),
     "trajectory.rounds[i].active_skills": ("trajectory.json", "report",
                                            _set("rounds", 0, "active_skills", False),
                                            ["'rounds[0].active_skills'", "boolean"]),

@@ -1,17 +1,18 @@
 """The episode walk: draws read in place, a fallback at a block's end, and
 episodes that end at their table entry.
 
-`world.walk_episode`, which `exec_round` and `exec_shared` share,
-`exec_shared`'s lockstep over greedy phases and `end_episodes`' greedy
-chain read a draw's two words in place while they are in the episode's
-first block, by `streams.word_random`'s rule, and past it call
-`word_random` or `word_randrange`, which append the next block.  The task
-draw reads words 0-1 in place too.  `end_episodes` derives the first
-blocks of `CHUNK` episodes at a time and ends each episode at the shape its
-last trie step holds.  These tests pin the in-place reads to the word rule
-at every position of a block where a draw can start, run the fallback on
-streams that cross a block's end, run rounds on either side of a chunk's
-end, and count what a round builds and derives.
+`world.walk_episode`, which `exec_round` and `exec_shared` share, reads a
+draw's two words in place while they are in the episode's first block, by
+`streams.word_random`'s rule, and past it calls `word_random` or
+`word_randrange`, which append the next block.  The fast paths,
+`end_episodes` and `exec_shared`, read the task draw (words 0-1) and phase
+0's draws in place and hand every episode that goes on past phase 0 to the
+walk.  `end_episodes` derives the first blocks of `CHUNK` episodes at a
+time and ends each episode at the shape its last trie step holds.  These
+tests pin the in-place reads to the word rule at every position of a block
+where a draw can start, run the fallback on streams that cross a block's
+end, run rounds on either side of a chunk's end, and count what a round
+builds and derives.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ def routing_words(length: int) -> list[int]:
 
 # (draw, position of its first word): every place in the first block where
 # the task draw, a routing draw or a success draw can start with both its
-# words in the block; `later` draws after greedy phases only, which
-# `exec_shared` reads in lockstep and `end_episodes` in place, in the first
+# words in the block; `later` draws after greedy phases only, in the first
 # block and past it; and the `cause` draw after greedy phases, the last of
 # which fails
 PROBES = (
@@ -82,15 +82,10 @@ def drawn(kind: str, p: int) -> str:
 
 
 def runs_in_place(kind: str, p: int, above: bool) -> bool:
-    """Whether `end_episodes` ends a probe's episode with no walk: its routing
-    draws are all greedy, and its last phase's routing, success and cause
-    words are in block 0."""
-    if kind == "task" or (kind == "route" and p > 6) or (kind == "success" and p > 4):
-        return False  # routing not steered, or steered to explore first
-    if drawn(kind, p) == "route" and above:
-        return False  # the probed draw explores
-    last = p - 4 if kind == "cause" else p if drawn(kind, p) == "route" else p - 2
-    return last + 6 <= 16
+    """Whether the fast paths end a probe's episode with no walk: it routes
+    greedy at phase 0 and ends there, by failing or by succeeding at a
+    single-phase task.  Every other probe reads past phase 0."""
+    return (kind, p) in (("success", 4), ("cause", 6)) or (kind, p, above) == ("route", 2, False)
 
 
 def probe_world(kind: str, p: int, words: list[int], threshold: float):
@@ -176,8 +171,6 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
         if runs_in_place(kind, p, above):
             patch.setattr(world, "walk_episode", None)  # read in place, with no walk
         shape = table.shapes[end_episodes(table, blocks, range(1))[0]]
-        if kind in ("later", "cause") and not (drawn(kind, p) == "route" and above):
-            patch.setattr(world, "walk_episode", None)  # read in lockstep, with no walk
         [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
     assert task is shape.task_type and flags == (shape.outcome == 1,)
     greedy = [s.executor == table.route(("a", s.phase)).greedy for s in shape.slices]
@@ -271,8 +264,10 @@ def test_chunked_rounds_match_the_reference_episode_by_episode(n, noise, monkeyp
     walked = counted_walks(monkeypatch)
     batch = exec_round(state, scenario, n, 5, pack.config)
     assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, pack.config, "r0001")
-    if noise == 0.0:  # every draw of a greedy path of at most 3 phases is in block 0
-        assert walked == []
+    if noise == 0.0:  # every route is greedy: exactly the episodes past phase 0 are walked
+        ends = [batch.shapes[j] for j in batch.index]
+        assert walked == [i for i, shape in enumerate(ends) if len(shape.slices) >= 2]
+        assert 0 < len(walked) < n
     elif noise == 1.0:  # every first routing draw explores
         assert walked == list(range(n))
     else:

@@ -74,7 +74,7 @@ def test_stored_progress_values_are_quantized_fractions(world_seed):
         # the middle of the task's share of the draw
         weight = scenario.task_weights[task.id]
         u = (table.cumulative_weights[k] - weight / 2) / table.total_weight
-        root_task, phases, progress, _ = table.task_at(u)
+        root_task, phases, progress, _, _ = table.task_at(u)
         assert root_task is task
         n = len(task.phases)
         assert [pair for pair, _ in phases] == list(task.pairs())

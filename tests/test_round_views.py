@@ -90,15 +90,16 @@ def test_table_routes_match_the_linear_scan(world_seed):
     assert len(states) >= 3  # add and at least one modify
     for s in states:
         # before any episode, every task has its root, whose one first step
-        # is the greedy executor's, holding the reference slot of its first pair
+        # is the greedy executor's, holding the reference slot of its first
+        # pair; the root's item 4 is that step
         table = ExecutionTable(s, scenario, config)
         assert table.shapes == [] and table.roots[-1] is table.roots[-2]
         for k, task in enumerate(scenario.task_types):
-            root_task, routes, _, steps = table.roots[k]
+            root_task, routes, _, steps, greedy = table.roots[k]
             assert root_task is task and table.task_at(middle(table, k)) is table.roots[k]
             assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
             pair, route = routes[0]
-            assert list(steps) == [route.greedy]
+            assert list(steps) == [route.greedy] and greedy is steps[route.greedy]
             slot, slices, next_steps, *ends = steps[route.greedy]
             assert (slices, next_steps, ends) == ((slot.slice,), {}, [None, None, None])
             assert slot is table.slot(pair, route.greedy)

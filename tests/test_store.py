@@ -345,11 +345,21 @@ class TestScenarioFiles:
              "near_miss_progress expects a finite number, not inf"),
             # each weight is finite, but every draw would pick the last task
             ("[tasks]\nt1 = p1 | 1e308\nt2 = p1 | 1e308\n", 1, "sum to a finite total"),
+            # an option given twice on one line, where the last would win
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\n"
+             "executor m = * manager capacity=3 capacity=9\n", 4,
+             "repeated executor option 'capacity'"),
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager manager\n", 4,
+             "repeated executor option 'manager'"),
+            ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\nexecutor w = t/a\n"
+             "skill s1 = owner=w applies=t/a steps=x owner=m steps=y\n", 6,
+             "repeated skill option 'owner'"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "skill-step", "routing-noise", "skill-id-dash", "step-dash",
              "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf", "penalty-nan",
-             "threshold-overflow", "weights-total"],
+             "threshold-overflow", "weights-total", "executor-option-repeated",
+             "manager-repeated", "skill-option-repeated"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse

@@ -3,9 +3,9 @@
 `exec_shared` derives each episode's first block of 16 words once (the
 episode's tape), draws the task once, and runs every frozen state to its
 outcome by reading that list by index through the word rules
-`streams.word_random` and `streams.word_randrange`: the states read each
-greedy phase's draws once, in lockstep, and are walked one by one only
-from a routing draw that explores.  A read past the list appends the
+`streams.word_random` and `streams.word_randrange`: the states read phase
+0's routing and success draws once, and are walked one by one from a
+routing draw that explores or past phase 0.  A read past the list appends the
 episode's next block.  A reader must draw what an independent reader of
 the same words draws, whatever the other readers have read, and every
 state's tasks and success flags must equal the tasks and outcomes of
@@ -235,8 +235,9 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 1.0, None])
 @pytest.mark.parametrize("name", ["favorable", "mismatch", "noisy"])
 def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
-    # in lockstep, the states read each greedy phase's draws once; an
-    # episode is walked state by state only once its routing draw explores
+    # the states read phase 0's draws once; an episode is walked state by
+    # state when its first routing draw explores, and otherwise for each
+    # state that succeeds at phase 0 of a task with more phases
     pack, states = frozen_states(WORLDS[name], name)
     scenario = pack.scenario
     if noise is not None:
@@ -245,13 +246,20 @@ def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
     n = 200
     shared = list(exec_shared(states, scenario, n, 9001, pack.config))
     calls = list(walked)
+    ends = []  # each state's shape of each episode
     for k, state in enumerate(states):
+        walked.clear()
         alone = exec_round(state, scenario, n, 9001, pack.config)
         assert [(task, flags[k]) for task, flags in shared] == [
             (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
         ]
-    if noise == 0.0:
-        assert calls == []
+        ends.append([alone.shapes[j] for j in alone.index])
+        if noise == 0.0:  # `exec_round` walks the same episodes of this state
+            assert walked == [i for i, shape in enumerate(ends[k]) if len(shape.slices) >= 2]
+    if noise == 0.0:  # every route is greedy: exactly the states past phase 0 are walked
+        assert calls == [i for i in range(n) for shapes in ends if len(shapes[i].slices) >= 2]
+        if name != "mismatch":  # mismatch's tasks have one phase each
+            assert calls
     elif noise == 1.0:  # every first routing draw explores
         assert calls == [i for i in range(n) for _ in states]
     else:
