@@ -42,7 +42,7 @@ from .store import (
     serialize_state,
 )
 from .streams import derive_seed
-from .world import Scenario, exec_shared
+from .world import Scenario, exec_round
 
 
 class UsageError(Exception):
@@ -348,6 +348,11 @@ def _load_run_dir(run_dir: Path) -> tuple[ScenarioPack, int, int, EngineConfig]:
         config = config_from_mapping(manifest["config"])
     except ValueError as exc:
         raise UsageError(f"{manifest_path}: {exc}") from None
+    # the writer stores every field, so a missing one is not a default
+    given = {key.replace("-", "_") for key in manifest["config"]}
+    for name in config.to_dict():
+        if name not in given:
+            raise UsageError(f"{manifest_path}: missing key {'config.' + name!r}")
     return pack, manifest["seed"], manifest["rounds"], config
 
 
@@ -393,12 +398,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pack = _load_pack(args.scenario)
     config = _load_config(pack, args)
     state = _load_snapshot(Path(args.state), pack.scenario)
-    counts = family_tally(
-        (task, success, 1)
-        for task, (success,) in exec_shared(
-            [state], pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
-        )
+    batch = exec_round(
+        state, pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
     )
+    counts = family_tally((shape.task_type, shape.outcome, count) for shape, count in batch.tally())
     successes = sum(s for s, _ in counts.values())
     print(render_breakdown(counts), end="")
     print(f"total: {successes}/{args.episodes}")

@@ -97,12 +97,17 @@ def _coerce(name: str, raw: Any) -> Any:
 def config_from_mapping(
     values: Mapping[str, Any], base: EngineConfig | None = None
 ) -> EngineConfig:
-    """Build a config from override values; keys may be kebab- or snake-case."""
+    """Build a config from override values; keys may be kebab- or snake-case,
+    but one threshold may be given only once."""
     config = base or EngineConfig()
     overrides: dict[str, Any] = {}
+    spelled: dict[str, str] = {}
     for key, raw in values.items():
         name = key.replace("-", "_")
         if name not in _FIELD_TYPES:
             raise ValueError(f"unknown threshold {key!r}")
+        if name in spelled:
+            raise ValueError(f"duplicate threshold {spelled[name]!r} and {key!r}")
+        spelled[name] = key
         overrides[name] = _coerce(name, raw)
     return config.replace(**overrides)

@@ -516,28 +516,24 @@ def evaluate_transplants(
 ) -> ComparisonTable:
     """Each transplant variant's successes over one fresh evaluation batch.
 
-    The variants run on the same episode streams, each stream seeded once
-    for all four (`exec_shared`), which reads each greedy phase's draws
-    once for every variant still running, walks a variant only from a
-    routing draw that explores, and looks up no shape.  Episodes are
-    counted by their tuple of flags, at most 2**4 keys, and each variant's
-    successes summed from those counts.
+    The variants run on the same episode streams, seeded once for all four,
+    in one `exec_shared` call; each variant's successes are summed from its
+    batch's tally, as `run_round` sums a round's.
     """
     variants = transplant_variants(final_state, seed_state)
-    outcomes = Counter(
-        flags
-        for _, flags in exec_shared(
-            [variants[label] for label in TRANSPLANT_ROWS],
-            scenario,
-            eval_episodes,
-            derive_seed(seed, "transplant-eval"),
-            config,
-        )
+    batches = exec_shared(
+        [variants[label] for label in TRANSPLANT_ROWS],
+        scenario,
+        eval_episodes,
+        derive_seed(seed, "transplant-eval"),
+        config,
     )
     return ComparisonTable(
         tuple(
-            ComparisonRow(label, sum(n for flags, n in outcomes.items() if flags[k]), eval_episodes)
-            for k, label in enumerate(TRANSPLANT_ROWS)
+            ComparisonRow(
+                label, sum(shape.outcome * count for shape, count in batch.tally()), eval_episodes
+            )
+            for label, batch in zip(TRANSPLANT_ROWS, batches)
         )
     )
 

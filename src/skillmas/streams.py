@@ -15,11 +15,11 @@ and `(i, b)` returns episode i's block b alone.  Readers read the words by
 index through two word rules, each defined once here: `word_random` takes
 53 bits from two words, and `word_randrange(n)` takes the top
 `n.bit_length()` bits of one word per try, rejecting values >= n.
-`world`'s task draws and episode walk read `word_random`'s rule in place
-while both words are in the list; the fast paths read phase 0's draws in
-place, adaptation as columns of a chunk's words, and leave the rest to the
-walk (tests pin every in-place read to the rule); past the list they call
-the rule.  A rule that reads past the list appends the episode's next
+`world`'s one fast path, `end_episodes`, reads the task draw and phase 0's
+draws by `word_random`'s rule in place, as columns of a chunk's first
+blocks, and its episode walk reads the rule in place while both words are
+in the list (tests pin every in-place read to the rule); past the list they
+call the rule.  A rule that reads past the list appends the episode's next
 block, so the list always holds a prefix of the stream, whatever each
 reader has read.
 """

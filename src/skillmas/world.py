@@ -16,7 +16,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -278,19 +278,19 @@ class ExecutionTable:
     covering index, each pair's covering executor ids, built in one pass
     over the executors.
 
-    Outcome paths are interned.  At each bisection position of the task
-    draw, `roots` holds (task, ((pair, route), ...), progress values
-    `q12(c / n)` for c = 0..n, first trie steps, the greedy first step); the
-    task's pairs and progress values are the scenario's `task_views`.  The
-    fast paths, `end_episodes` and `exec_shared`, read phase 0 only, at the
-    greedy first step, and `walk_episode` reads the rest.  A step, keyed by
-    the drawn executor id, is the list [slot, the path's slices, next steps,
+    Outcome paths are interned.  At each position of the task draw's
+    bisection over `cumulative_weights`, `roots` holds (task, ((pair,
+    route), ...), progress values `q12(c / n)` for c = 0..n, first trie
+    steps, the greedy first step); the task's pairs and progress values are
+    the scenario's `task_views`.  `end_episodes` reads phase 0 at the greedy
+    first step, and `walk_episode` reads the rest.  A step, keyed by the
+    drawn executor id, is the list [slot, the path's slices, next steps,
     then the positions in `shapes` of the shapes that end there: success,
     failure observed, unobserved], built by `trie_step`.  So an episode ends
     at its shape with a list lookup.  `shapes` lists each shape once, in
     order of first appearance (the batch's table), checked once, when it is
     added.
-    The table lives for one `exec_round` and is never shared between states.
+    A table lives for one `exec_shared` call and belongs to one state.
     """
 
     def __init__(self, state: RoundState, scenario: Scenario, config: EngineConfig):
@@ -318,8 +318,8 @@ class ExecutionTable:
     def _roots(self) -> list[tuple]:
         """Every task's root in task order, then the last task's again: a
         draw rounding up to the total weight bisects to position len(tasks).
-        A root's last item is its greedy first step, the one the fast paths
-        read."""
+        A root's last item is its greedy first step, the one `end_episodes`
+        reads."""
         roots = []
         for task, pairs, progress in self.scenario.task_views:
             routes = tuple((pair, self.route(pair)) for pair in pairs)
@@ -328,12 +328,6 @@ class ExecutionTable:
             roots.append((task, routes, progress, {route.greedy: greedy}, greedy))
         roots.append(roots[-1])
         return roots
-
-    def task_at(self, u: float) -> tuple:
-        """The root of the task a uniform draw `u` in [0, 1) picks, each with
-        probability proportional to its sampling weight, by bisection over
-        the cumulative weights."""
-        return self.roots[bisect_right(self.cumulative_weights, u * self.total_weight)]
 
     def route(self, pair: Pair) -> Route:
         return executor_route(self.state.q_exec, *pair, self._covering)
@@ -436,64 +430,127 @@ def walk_episode(
 CHUNK = 1024  # consecutive episodes whose first blocks `end_episodes` derives in one call
 
 
-def end_episodes(table: ExecutionTable, blocks: Blocks, episodes: range) -> array:
-    """Run the consecutive `episodes` against the ground truth with the
-    table's state fixed, each on its stream from `blocks`; returns their
-    positions in `table.shapes`.
+def end_episodes(
+    tables: Sequence[ExecutionTable], blocks: Blocks, episodes: range
+) -> list[array]:
+    """Run the consecutive `episodes` against the ground truth once for each
+    table, its state fixed, each episode on its stream from `blocks`;
+    returns, per table, the episodes' positions in its `shapes`.
 
-    Block 0 of up to `CHUNK` episodes at a time comes from one `blocks`
-    call.  Each episode's draws are read from it in place by `word_random`'s
-    rule: words 0-1 draw the task, and phase 0's routing, success and cause
-    draws (words 2-3, 4-5, 6-7) are read as columns of the chunk.  An
+    The tables share the scenario, so they share the task draw and the
+    exploration rate.  Block 0 of up to `CHUNK` episodes at a time comes
+    from one `blocks` call, and its draws are read once for every table, in
+    place by `word_random`'s rule, as columns of the chunk: words 0-1 draw
+    the task, and phase 0's routing, success and cause draws are words 2-3,
+    4-5 and 6-7.  Then each table runs the chunk's episodes in order.  An
     episode whose phase 0 routes greedy ends on its root's greedy first step
     with no call when that phase fails, or succeeds on a single-phase task.
     Every other episode is walked by `walk_episode` on a list of its sixteen
-    words.  On failure the episode then draws its last value: the failing
+    words, one list per episode for all tables, so no block is derived
+    twice.  On failure the episode then draws its last value: the failing
     slot's dominant deficit is observed as the cause, confidently with the
     scenario's observation probability; with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
-    roots, shapes = table.roots, table.shapes
-    cumulative, total = table.cumulative_weights, table.total_weight
-    epsilon = table.scenario.routing_noise
-    confidence = table.scenario.cause_confidence
-    index = array("L")
+    scenario = tables[0].scenario
+    cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
+    epsilon, confidence = scenario.routing_noise, scenario.cause_confidence
+    indexes = [array("L") for _ in tables]
     for first in range(episodes.start, episodes.stop, CHUNK):
-        w = blocks(first, 0, min(CHUNK, episodes.stop - first))
-        draws = zip(w[0::16], w[1::16], w[2::16], w[3::16], w[4::16], w[5::16], w[6::16], w[7::16])
-        for k, (t0, t1, r0, r1, s0, s1, c0, c1) in enumerate(draws):
-            u = ((t0 >> 5) * 67108864.0 + (t1 >> 6)) * _TWO_M53
-            root = roots[bisect_right(cumulative, u * total)]
-            step = root[4]
-            end = None  # none yet: the episode is walked
-            if not ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon:  # greedy
-                slot = step[0]
-                if not ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53 < slot.success_prob:
-                    u = ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53
-                    end = 4 if slot.deficit is not None and u < confidence else 5
-                elif len(root[1]) == 1:
-                    end = 3
-            if end is None:
-                i = first + k
-                words = list(w[16 * k : 16 * k + 16])
-                step, failed, pos = walk_episode(table, root, words, blocks, i)
-                if failed is None:
-                    end = 3
-                elif failed.deficit is not None and word_random(words, pos, blocks, i) < confidence:
-                    end = 4
-                else:
-                    end = 5
-            shape = step[end]
-            if shape is None:
-                shape = step[end] = len(shapes)
-                slices = step[1]
-                cause = None if end == 3 else _UNOBSERVED if end == 5 else (
-                    _OBSERVATIONS[step[0].deficit[0], True]
-                )
-                completed = len(slices) - (end != 3)
-                shapes.append(TraceShape(root[0], slices, int(end == 3), root[2][completed], cause))
-            index.append(shape)
-    return index
+        stop = min(first + CHUNK, episodes.stop)
+        w = blocks(first, 0, stop - first)
+        positions = [
+            bisect_right(cumulative, ((t0 >> 5) * 67108864.0 + (t1 >> 6)) * _TWO_M53 * total)
+            for t0, t1 in zip(w[0::16], w[1::16])
+        ]
+        # phase 0's success draw, or None when its routing draw explores
+        successes = [
+            None
+            if ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon
+            else ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53
+            for r0, r1, s0, s1 in zip(w[2::16], w[3::16], w[4::16], w[5::16])
+        ]
+        observed = [
+            ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53 < confidence
+            for c0, c1 in zip(w[6::16], w[7::16])
+        ]
+        lists: dict[int, list[int]] = {}  # each walked episode's words
+        for table, index in zip(tables, indexes):
+            roots, shapes = table.roots, table.shapes
+            ends: list[int] = []  # the chunk's positions in `shapes`
+            # at each task position: the greedy first step, its success
+            # probability, the ends of a failure there (unobserved, then
+            # observed) and whether the task has one phase
+            greedy = [
+                (step, slot.success_prob, (5, 5 if slot.deficit is None else 4), len(phases) == 1)
+                for _, phases, _, _, step in roots
+                for slot in (step[0],)
+            ]
+            for i, position, u, seen in zip(range(first, stop), positions, successes, observed):
+                step, p, fails, single = greedy[position]
+                end = None  # none yet: the episode is walked
+                if u is not None:
+                    if not u < p:
+                        end = fails[seen]
+                    elif single:
+                        end = 3
+                if end is None:
+                    words = lists.get(i)
+                    if words is None:
+                        k = 16 * (i - first)
+                        words = lists[i] = list(w[k : k + 16])
+                    step, failed, pos = walk_episode(table, roots[position], words, blocks, i)
+                    if failed is None:
+                        end = 3
+                    elif failed.deficit is None:
+                        end = 5
+                    else:  # the cause draw
+                        end = 4 if word_random(words, pos, blocks, i) < confidence else 5
+                shape = step[end]
+                if shape is None:
+                    shape = step[end] = len(shapes)
+                    slices = step[1]
+                    cause = None if end == 3 else _UNOBSERVED if end == 5 else (
+                        _OBSERVATIONS[step[0].deficit[0], True]
+                    )
+                    completed = len(slices) - (end != 3)
+                    task, _, progress, _, _ = roots[position]
+                    shapes.append(
+                        TraceShape(task, slices, int(end == 3), progress[completed], cause)
+                    )
+                ends.append(shape)
+            index.fromlist(ends)
+    return indexes
+
+
+def exec_shared(
+    states: Sequence[RoundState],
+    scenario: Scenario,
+    n_episodes: int,
+    seed: int,
+    config: EngineConfig,
+) -> list[Batch]:
+    """Execute one batch of episodes against each of several frozen states,
+    all on the same streams; returns one batch per state, in order.
+
+    Episode i reads its own stream, `episode_blocks(seed)` at i, so the
+    batches are reproducible and safe to parallelize, and each state's batch
+    is the one it would get alone: `exec_round(state, ...)`.  Each batch is
+    round `state.round_index`'s: its table's shapes, in order of first
+    appearance, and episode i's position among them at `index[i]`.
+    `end_episodes` runs the episodes for every state's table in one pass, so
+    the draws the states share are derived and read once.
+    """
+    if n_episodes < 1:
+        raise ValueError("a round needs at least one episode")
+    if not states:
+        raise ValueError("frozen evaluation needs at least one state")
+    tables = [ExecutionTable(state, scenario, config) for state in states]
+    indexes = end_episodes(tables, episode_blocks(seed), range(n_episodes))
+    return [
+        Batch(table.state.round_index, tuple(table.shapes), index)
+        for table, index in zip(tables, indexes)
+    ]
 
 
 def exec_round(
@@ -503,79 +560,9 @@ def exec_round(
     seed: int,
     config: EngineConfig,
 ) -> Batch:
-    """Execute a batch of episodes with the state held fixed.
-
-    Execution is read-only over the state.  Episode i reads its own stream,
-    `episode_blocks(seed)` at i, so the batch is reproducible and safe to
-    parallelize; `end_episodes` derives the first blocks `CHUNK` episodes at
-    a time.  The batch is round `state.round_index`'s: the table's
-    shapes, in order of first appearance, and episode i's position among
-    them at `index[i]`.  Adaptation runs its rounds here, since learning
-    reads every episode; frozen evaluation only counts outcomes and runs
-    `exec_shared`.
-    """
-    if n_episodes < 1:
-        raise ValueError("a round needs at least one episode")
-    table = ExecutionTable(state, scenario, config)
-    index = end_episodes(table, episode_blocks(seed), range(n_episodes))
-    return Batch(state.round_index, tuple(table.shapes), index)
-
-
-def exec_shared(
-    states: Sequence[RoundState],
-    scenario: Scenario,
-    n_episodes: int,
-    seed: int,
-    config: EngineConfig,
-) -> Iterator[tuple[TaskType, tuple[bool, ...]]]:
-    """Count outcomes of one batch against several frozen states on the same
-    streams.
-
-    Yields episode i's task and one success flag per state in order, each
-    equal to the task and outcome of episode i of `exec_round(state,
-    scenario, n_episodes, seed, config)`.  Episode i's first block is
-    derived once; the task is drawn once, from words 0-1, since the states
-    share the scenario.  No shape is looked up and no cause is observed.
-
-    The exploration rate is the scenario's too, so phase 0's routing draw
-    (words 2-3) and, when it does not explore, its success draw (words 4-5)
-    are read in place once for all states.  A state whose draw is not below
-    its greedy first slot's success probability fails; one that succeeds on
-    a single-phase task succeeds.  `walk_episode` walks each other state
-    from its root on the same word list: every state when the routing draw
-    explores, and each state that succeeds at phase 0 of a task with more
-    phases.
-    """
-    if n_episodes < 1:
-        raise ValueError("a round needs at least one episode")
-    if not states:
-        raise ValueError("frozen evaluation needs at least one state")
-    tables = [ExecutionTable(state, scenario, config) for state in states]
-    cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
-    epsilon = scenario.routing_noise
-    # at each task position: the task, whether it has later phases, and
-    # each state's root and greedy first success probability
-    positions = [
-        (roots[0][0], len(roots[0][1]) > 1, roots, [root[4][0].success_prob for root in roots])
-        for roots in zip(*[t.roots for t in tables])
-    ]
-    blocks = episode_blocks(seed)
-    for i in range(n_episodes):
-        words = blocks(i, 0)
-        u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * _TWO_M53
-        task, later, roots, probabilities = positions[bisect_right(cumulative, u * total)]
-        if ((words[2] >> 5) * 67108864.0 + (words[3] >> 6)) * _TWO_M53 < epsilon:
-            flags = [
-                walk_episode(t, root, words, blocks, i)[1] is None
-                for t, root in zip(tables, roots)
-            ]
-        else:
-            u = ((words[4] >> 5) * 67108864.0 + (words[5] >> 6)) * _TWO_M53
-            if later:
-                flags = [
-                    u < p and walk_episode(t, root, words, blocks, i)[1] is None
-                    for t, root, p in zip(tables, roots, probabilities)
-                ]
-            else:
-                flags = [u < p for p in probabilities]
-        yield task, tuple(flags)
+    """Execute a batch of episodes with the state held fixed: the batch of
+    `exec_shared` on this one state.  Execution is read-only over the
+    state.  Adaptation runs its rounds here; frozen evaluation of one state
+    too."""
+    [batch] = exec_shared([state], scenario, n_episodes, seed, config)
+    return batch

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 
 import pytest
 
@@ -14,12 +15,13 @@ from skillmas.model import (
     Skill,
     SkillStatus,
     TaskType,
+    TraceShape,
     UtilityTable,
     cluster_skills,
     token_holders,
 )
 from skillmas.retention import RetainedShape
-from skillmas.world import LatentSkill, Scenario
+from skillmas.world import ExecutionTable, LatentSkill, Scenario, end_episodes
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
 
@@ -87,6 +89,19 @@ def batch_of(shapes, round_index: int = 0) -> Batch:
     position = {}
     index = array("L", [position.setdefault(shape, len(position)) for shape in shapes])
     return Batch(round_index, tuple(position), index)
+
+
+def task_at(table: ExecutionTable, u: float) -> tuple:
+    """The root of the task a uniform draw `u` in [0, 1) picks, each with
+    probability proportional to its sampling weight: the bisection over the
+    table's cumulative weights that `end_episodes` makes."""
+    return table.roots[bisect_right(table.cumulative_weights, u * table.total_weight)]
+
+
+def episode_shape(table: ExecutionTable, blocks, i: int) -> TraceShape:
+    """Episode i's shape, ended by `end_episodes` on `table` alone."""
+    [index] = end_episodes([table], blocks, range(i, i + 1))
+    return table.shapes[index[0]]
 
 
 def retained_shapes(batch: Batch, labels) -> list[RetainedShape]:

@@ -1,0 +1,142 @@
+"""Apply each fast-path mutant below to a copy of the tree and run the test
+files named for it; a mutant survives when they all pass.
+
+The fast paths, `world.end_episodes` and `world.walk_episode`, and the
+stream rules in `streams.py` copy `word_random`'s threshold tests and word
+positions in several places, and a fault there changes results only at a
+rare draw.  Each entry is (file, old text, new text, test files, kind):
+`kind` is "fault", which some named test must catch, or "equivalent: "
+followed by the reason no test can.  Run from the repository root:
+
+    python tests/mutants.py
+
+It exits 1 when a fault survives, or when an entry's old text does not
+occur exactly once in its file (a refactor must update the list), else 0.
+pytest does not collect this file, since its name does not start with
+`test_`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WALK_TESTS = ("tests/test_episode_walk.py", "tests/test_stream_tape.py")
+STREAM_TESTS = ("tests/test_streams.py", "tests/test_stream_tape.py", "tests/test_episode_walk.py")
+WORLD = "src/skillmas/world.py"
+STREAMS = "src/skillmas/streams.py"
+
+MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
+    # end_episodes: the columns of a chunk's first blocks
+    (WORLD, "for t0, t1 in zip(w[0::16], w[1::16])", "for t0, t1 in zip(w[1::16], w[0::16])",
+     WALK_TESTS, "fault"),
+    (WORLD, "(r1 >> 6)) * _TWO_M53 < epsilon", "(r1 >> 6)) * _TWO_M53 <= epsilon",
+     WALK_TESTS, "fault"),
+    (WORLD, "(c1 >> 6)) * _TWO_M53 < confidence", "(c1 >> 6)) * _TWO_M53 <= confidence",
+     WALK_TESTS, "fault"),
+    (WORLD, "else ((s0 >> 5) * 67108864.0 + (s1 >> 6))",
+     "else ((s0 >> 5) * 67108864.0 + (s1 >> 5))", WALK_TESTS, "fault"),
+    (WORLD, "stop = min(first + CHUNK, episodes.stop)",
+     "stop = min(first + CHUNK - 1, episodes.stop)", WALK_TESTS, "fault"),
+    # end_episodes: each table's ending at its greedy first step
+    (WORLD, "                    if not u < p:", "                    if not u <= p:",
+     WALK_TESTS, "fault"),
+    (WORLD, "(5, 5 if slot.deficit is None else 4)", "(4, 5 if slot.deficit is None else 4)",
+     WALK_TESTS, "fault"),
+    (WORLD, "                    elif single:", "                    elif False:",
+     WALK_TESTS, "fault"),
+    (WORLD, "                if u is not None:", "                if u is not None and False:",
+     WALK_TESTS, "fault"),
+    # end_episodes: walked episodes
+    (WORLD, "words = lists[i] = list(w[k : k + 16])", "words = lists[i] = list(w[k : k + 15])",
+     WALK_TESTS, "fault"),
+    (WORLD, "words = lists.get(i)", "words = None", WALK_TESTS, "fault"),
+    (WORLD, "word_random(words, pos, blocks, i) < confidence",
+     "word_random(words, pos, blocks, i) <= confidence", WALK_TESTS, "fault"),
+    (WORLD, "completed = len(slices) - (end != 3)", "completed = len(slices) - (end == 5)",
+     WALK_TESTS, "fault"),
+    # walk_episode
+    (WORLD,
+     "    for pair, route in phases:\n        if pos + 2 <= len(words):",
+     "    for pair, route in phases:\n        if pos + 2 < len(words):",
+     WALK_TESTS,
+     "equivalent: at pos + 2 == len(words), `word_random` reads the same two words in the list"),
+    (WORLD, "        if u < epsilon:", "        if u <= epsilon:", WALK_TESTS, "fault"),
+    (WORLD, "        if not u < slot.success_prob:", "        if not u <= slot.success_prob:",
+     WALK_TESTS, "fault"),
+    (WORLD, "            executor_id = route.greedy\n            pos += 2",
+     "            executor_id = route.greedy\n            pos += 1", WALK_TESTS, "fault"),
+    (WORLD, "    slices: tuple[ExecutorSlice, ...] = ()\n    pos = 2",
+     "    slices: tuple[ExecutorSlice, ...] = ()\n    pos = 4", WALK_TESTS, "fault"),
+    # the stream rules
+    (STREAMS, "    while pos + 2 > len(words):", "    if pos + 2 > len(words):", STREAM_TESTS,
+     "equivalent: readers read in order, so a draw starts at most at the list's end and one "
+     "more block always holds its two words"),
+    (STREAMS, "    return ((words[pos] >> 5) * 67108864.0",
+     "    return ((words[pos] >> 6) * 67108864.0", STREAM_TESTS, "fault"),
+    (STREAMS, "    shift = 32 - n.bit_length()", "    shift = 31 - n.bit_length()",
+     STREAM_TESTS, "fault"),
+    (STREAMS, "        if value < n:", "        if value <= n:", STREAM_TESTS, "fault"),
+    (STREAMS, "        if pos >= len(words):", "        if pos > len(words):", STREAM_TESTS,
+     "fault"),
+    (STREAMS, "for episode in range(first + 1, first + count):",
+     "for episode in range(first + 1, first + count - 1):", STREAM_TESTS, "fault"),
+    (STREAMS, 'if sys.byteorder == "big":', 'if sys.byteorder == "little":', STREAM_TESTS,
+     "fault"),
+)
+
+
+def survives(tree: Path, tests: tuple[str, ...]) -> bool:
+    """Whether every test in `tests` passes on `tree`.  No bytecode is
+    written: a mutant of the same size as its source, written within the
+    same second, would otherwise load the other's cached code."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False,
+    )
+    return result.returncode == 0
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "tree"
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        for file, old, new, tests, kind in MUTANTS:
+            path = tree / file
+            text = path.read_text(encoding="utf-8")
+            where = f"{file}: {old.strip().splitlines()[-1].strip()!r}"
+            if text.count(old) != 1:
+                failures += 1
+                print(f"STALE     {where}: old text occurs {text.count(old)} times")
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            try:
+                survived = survives(tree, tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            if kind == "fault" and survived:
+                failures += 1
+                print(f"SURVIVED  {where}")
+            elif kind == "fault":
+                print(f"killed    {where}")
+            else:
+                outcome = "survived" if survived else "killed"
+                print(f"{outcome:<9} {where} ({kind})")
+    print(f"{len(MUTANTS)} mutants, {failures} failing")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

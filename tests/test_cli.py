@@ -569,6 +569,20 @@ def _set(*path):
     return edit
 
 
+def _drop(*path):
+    """An edit that deletes the key at `path`."""
+    *keys, last = path
+
+    def edit(payload):
+        target = payload
+        for key in keys:
+            target = target[key]
+        del target[last]
+        return payload
+
+    return edit
+
+
 def _first_family(edit_entry):
     def edit(payload):
         per_family = payload["rounds"][0]["per_family"]
@@ -601,6 +615,13 @@ BAD_VALUES = {
     # written as the JSON literal NaN, which Python's reader accepts
     "run.config-nan": ("run.json", "replay", _set("config", "merge_gap", float("nan")),
                        ["merge_gap", "a finite number, not nan"]),
+    # a stored config holds every field: a missing one is not filled from the defaults
+    "run.config-top_k-absent": ("run.json", "transplant", _drop("config", "top_k"),
+                                ["missing key 'config.top_k'"]),
+    "run.config-merge_gap-absent": ("run.json", "replay", _drop("config", "merge_gap"),
+                                    ["missing key 'config.merge_gap'"]),
+    "run.config-both-spellings": ("run.json", "replay", _set("config", "top-k", 1),
+                                  ["duplicate threshold 'top_k' and 'top-k'"]),
     "checkpoint.snapshot": ("checkpoint.json", "transplant", _set("snapshot", 3),
                             ["'snapshot'", "a string"]),
     "trajectory.scenario": ("trajectory.json", "report", _set("scenario", None),

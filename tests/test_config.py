@@ -31,6 +31,14 @@ def test_kebab_and_snake_keys_accepted():
     assert config.mass_threshold == 4
 
 
+@pytest.mark.parametrize("values", [{"top-k": 2, "top_k": 5}, {"top_k": 5, "top-k": 2}])
+def test_both_spellings_of_one_threshold_refused(values):
+    # neither spelling may silently win, in either order
+    first, second = values
+    with pytest.raises(ValueError, match=f"duplicate threshold '{first}' and '{second}'"):
+        config_from_mapping(values)
+
+
 def test_bool_coercion_from_text():
     assert config_from_mapping({"cross-round-repeats": "true"}).cross_round_repeats
     assert not config_from_mapping({"cross-round-repeats": "false"}).cross_round_repeats

@@ -1,18 +1,18 @@
 """The episode walk: draws read in place, a fallback at a block's end, and
 episodes that end at their table entry.
 
-`world.walk_episode`, which `exec_round` and `exec_shared` share, reads a
-draw's two words in place while they are in the episode's first block, by
+`world.end_episodes` is the one fast path, for adaptation and frozen
+evaluation alike.  It derives the first blocks of `CHUNK` episodes at a
+time, reads the task draw (words 0-1) and phase 0's draws in place once for
+all its tables, and hands every episode that goes on past phase 0, or
+explores there, to `world.walk_episode`.  The walk reads a draw's two words
+in place while they are in the episode's first block, by
 `streams.word_random`'s rule, and past it calls `word_random` or
-`word_randrange`, which append the next block.  The fast paths,
-`end_episodes` and `exec_shared`, read the task draw (words 0-1) and phase
-0's draws in place and hand every episode that goes on past phase 0 to the
-walk.  `end_episodes` derives the first blocks of `CHUNK` episodes at a
-time and ends each episode at the shape its last trie step holds.  These
-tests pin the in-place reads to the word rule at every position of a block
-where a draw can start, run the fallback on streams that cross a block's
-end, run rounds on either side of a chunk's end, and count what a round
-builds and derives.
+`word_randrange`, which append the next block.  Each episode ends at the
+shape its last trie step holds.  These tests pin the in-place reads to the
+word rule at every position of a block where a draw can start, on every
+run, run the fallback on streams that cross a block's end, run rounds on
+either side of a chunk's end, and count what a round builds and derives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import skillmas.world as world
 from skillmas.config import EngineConfig
@@ -41,13 +41,15 @@ from skillmas.world import (
 )
 
 import reference
-from conftest import NOISY, make_state
+from conftest import NOISY, episode_shape, make_state
 from reference import episodes_of, reference_blocks, reference_exec_round
 from test_round_index import random_world
 from test_stream_tape import counted_blocks, counted_walks
 
 TOP = 0xFFFFFFFF  # read in place as 1 - 2**-53, and rejected by every word_randrange(n)
 WORD = st.integers(0, TOP)
+# 32 words whose draws at every probe lie strictly inside (0, 1 - 2**-53)
+SPREAD = [(0x9E3779B9 * (k + 1)) & TOP for k in range(32)]
 
 
 def routing_words(length: int) -> list[int]:
@@ -152,11 +154,17 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     return scenario, state, EngineConfig(), fill, blocks
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(PROBES), st.lists(WORD, min_size=32, max_size=32), st.booleans())
-def test_in_place_reads_follow_word_random_at_every_position(probe, words, above):
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("probe", PROBES, ids=[f"{kind}{p}" for kind, p in PROBES])
+@settings(max_examples=8, deadline=None)
+@given(words=st.lists(WORD, min_size=32, max_size=32))
+@example(words=SPREAD)
+def test_in_place_reads_follow_word_random_at_every_position(probe, above, words):
     """A draw read in place compares with a threshold as `word_random` of
-    the same words does: at the value it is not below, one float above it is."""
+    the same words does: at the value it is not below, one float above it
+    is.  Every probe runs at and above its threshold on every run; only the
+    words are drawn."""
+    words = list(words)
     kind, p = probe
     if kind == "task":
         words[0] |= 1 << 31
@@ -166,13 +174,13 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, words, above
     scenario, state, config, fill, blocks = probe_world(kind, p, words, threshold)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ExecutionTable, "_fill", fill)
-        patch.setattr(world, "episode_blocks", lambda seed: blocks)
-        table = ExecutionTable(state, scenario, config)
+        # a second table of the same state reads the same shared draws
+        table, twin = (ExecutionTable(state, scenario, config) for _ in range(2))
         if runs_in_place(kind, p, above):
             patch.setattr(world, "walk_episode", None)  # read in place, with no walk
-        shape = table.shapes[end_episodes(table, blocks, range(1))[0]]
-        [(task, flags)] = exec_shared([state], scenario, 1, 0, config)
-    assert task is shape.task_type and flags == (shape.outcome == 1,)
+        [k], [j] = end_episodes([table, twin], blocks, range(1))
+    shape = table.shapes[k]
+    assert trace_to_record(twin.shapes[j]) == trace_to_record(shape)
     greedy = [s.executor == table.route(("a", s.phase)).greedy for s in shape.slices]
     if kind == "later":  # every phase before the probed one routed greedy
         assert len(shape.slices) == (p - 2) // 4 + 1 and all(greedy[:-1])
@@ -243,12 +251,8 @@ def test_reads_past_the_first_block_match_the_reference(rejects, world_seed, mon
         assert any(len(shape.slices) > 1 for shape in batch.shapes)
 
     states = [state, dataclasses.replace(state, q_exec=UtilityTable())]
-    shared = list(exec_shared(states, scenario, n, 5, config))
-    for k, frozen in enumerate(states):
-        want = reference_exec_round(frozen, scenario, n, 5, config, "r0001")
-        assert [(task, flags[k]) for task, flags in shared] == [
-            (e.task_type, e.outcome == 1) for e in want
-        ]
+    for frozen, shared in zip(states, exec_shared(states, scenario, n, 5, config)):
+        assert episodes_of(shared) == reference_exec_round(frozen, scenario, n, 5, config, "r0001")
 
 
 @pytest.mark.parametrize("noise", [None, 0.0, 1.0])
@@ -264,6 +268,7 @@ def test_chunked_rounds_match_the_reference_episode_by_episode(n, noise, monkeyp
     walked = counted_walks(monkeypatch)
     batch = exec_round(state, scenario, n, 5, pack.config)
     assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, pack.config, "r0001")
+    walked = [i for i, _ in walked]
     if noise == 0.0:  # every route is greedy: exactly the episodes past phase 0 are walked
         ends = [batch.shapes[j] for j in batch.index]
         assert walked == [i for i, shape in enumerate(ends) if len(shape.slices) >= 2]
@@ -308,12 +313,11 @@ def test_sample_episode_is_the_entry_exec_round_lists(monkeypatch):
     [table] = tables
     blocks = episode_blocks(23)
     for i in range(300):
-        shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
-        assert shape is batch.shapes[batch.index[i]]
+        assert episode_shape(table, blocks, i) is batch.shapes[batch.index[i]]
     assert len(table.shapes) == len(batch.shapes)
 
     # on one fresh table, episode by episode, the same entries in the same order
     fresh = ExecutionTable(pack.seed_state, pack.scenario, pack.config)
-    got = [fresh.shapes[end_episodes(fresh, blocks, range(i, i + 1))[0]] for i in range(300)]
+    got = [episode_shape(fresh, blocks, i) for i in range(300)]
     assert all(shape is fresh.shapes[k] for shape, k in zip(got, batch.index))
     assert [trace_to_record(s) for s in fresh.shapes] == [trace_to_record(s) for s in batch.shapes]

@@ -23,7 +23,7 @@ import random
 import pytest
 
 import skillmas.world as world
-from conftest import NOISY, random_scenario
+from conftest import NOISY, random_scenario, task_at
 from reference import expand_report, expand_run_dir, mt_blocks
 from skillmas import EngineConfig, load_preset, run_experiment
 from skillmas.cli import main
@@ -366,7 +366,7 @@ def test_noisy_transplant_and_eval_digests(tmp_path, capsys):
         read = []
         for i in range(300):
             words = blocks(i, 0)
-            task = table.task_at(word_random(words, 0, blocks, i))
+            task = task_at(table, word_random(words, 0, blocks, i))
             read.append(walk_episode(table, task, words, blocks, i)[2])
         assert max(read) > 16
 

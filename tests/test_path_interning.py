@@ -18,13 +18,25 @@ from hypothesis import given, settings, strategies as st
 from skillmas.numfmt import q12
 from skillmas.presets import load_preset
 from skillmas.store import encode_trace_log, trace_to_record
+from skillmas.streams import episode_blocks
 from skillmas.world import ExecutionTable, exec_round
 
-from conftest import batch_of
-from reference import Episode, episodes_of, expand_log, fresh_table_round
+from conftest import batch_of, episode_shape, task_at
+from reference import Episode, episode_of, episodes_of, expand_log
 from test_round_index import random_world
 
 FIELDS = [f.name for f in dataclasses.fields(Episode)]
+
+
+def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix):
+    """Each episode on its own stream and its own execution table, so no
+    episode shares a path or a shape with another."""
+    blocks = episode_blocks(seed)
+    return [
+        episode_of(f"{id_prefix}e{i:05d}", episode_shape(table, blocks, i))
+        for i in range(n_episodes)
+        for table in (ExecutionTable(state, scenario, config),)
+    ]
 
 
 def executed(world_seed, n_episodes):
@@ -74,12 +86,12 @@ def test_stored_progress_values_are_quantized_fractions(world_seed):
         # the middle of the task's share of the draw
         weight = scenario.task_weights[task.id]
         u = (table.cumulative_weights[k] - weight / 2) / table.total_weight
-        root_task, phases, progress, _, _ = table.task_at(u)
+        root_task, phases, progress, _, _ = task_at(table, u)
         assert root_task is task
         n = len(task.phases)
         assert [pair for pair, _ in phases] == list(task.pairs())
         assert [repr(p) for p in progress] == [repr(q12(c / n)) for c in range(n + 1)]
-        assert table.task_at(u)[2] is progress
+        assert task_at(table, u)[2] is progress
 
 
 @settings(max_examples=100, deadline=None)

@@ -45,7 +45,6 @@ from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
-    end_episodes,
     exec_round,
     realizers,
 )
@@ -62,7 +61,7 @@ from reference import (
     reference_exec_round,
     select_skills,
 )
-from conftest import make_state, retained_shapes
+from conftest import episode_shape, make_state, retained_shapes, task_at
 from test_golden import wide_text
 
 CAUSES = [c for c in CauseLabel if c is not CauseLabel.UNKNOWN]
@@ -208,7 +207,7 @@ def test_exec_round_matches_per_phase_reference(world_seed, n_episodes):
 def test_sample_episode_on_a_fresh_table_matches_reference(world_seed, episode_seed):
     scenario, state, config = random_world(random.Random(world_seed))
     table = ExecutionTable(state, scenario, config)
-    got = table.shapes[end_episodes(table, episode_blocks(episode_seed), range(3, 4))[0]]
+    got = episode_shape(table, episode_blocks(episode_seed), 3)
     rng = episode_stream(episode_seed, 3)
     task = _weighted_choice(rng, scenario.task_types, scenario.task_weights)
     want = reference_episode(scenario, state, task, rng, "e0", config)
@@ -239,7 +238,7 @@ def test_task_draw_matches_weighted_choice(weights, seed):
     table = ExecutionTable(make_state(tasks=tasks), scenario, EngineConfig())
     a, b = random.Random(seed), random.Random(seed)
     for _ in range(50):
-        assert table.task_at(a.random())[0] == _weighted_choice(b, tasks, scenario.task_weights)
+        assert task_at(table, a.random())[0] == _weighted_choice(b, tasks, scenario.task_weights)
 
 
 def reference_realizer(scenario, library):

@@ -32,7 +32,7 @@ from skillmas.store import parse_scenario
 from skillmas.utility import rank_skills, skills_by_task
 from skillmas.world import ExecutionTable
 
-from conftest import library_clusters, make_skill
+from conftest import library_clusters, make_skill, task_at
 from reference import (
     _dominant_deficit,
     _weighted_choice,
@@ -96,7 +96,7 @@ def test_table_routes_match_the_linear_scan(world_seed):
         assert table.shapes == [] and table.roots[-1] is table.roots[-2]
         for k, task in enumerate(scenario.task_types):
             root_task, routes, _, steps, greedy = table.roots[k]
-            assert root_task is task and table.task_at(middle(table, k)) is table.roots[k]
+            assert root_task is task and task_at(table, middle(table, k)) is table.roots[k]
             assert routes == tuple((pair, scan_route(s, *pair)) for pair in task.pairs())
             pair, route = routes[0]
             assert list(steps) == [route.greedy] and greedy is steps[route.greedy]
@@ -186,11 +186,11 @@ def test_a_draw_past_the_last_task_shares_its_root(world_seed, past_first):
     past, inside = FixedDraw(1.0), FixedDraw(middle(table, len(tasks) - 1))
     assert bisect_right(table.cumulative_weights, past.u * table.total_weight) == len(tasks)
     draws = (past, inside) if past_first else (inside, past)
-    roots = [table.task_at(d.u) for d in draws]
+    roots = [task_at(table, d.u) for d in draws]
     assert roots[0] is roots[1]
     assert table.roots[len(tasks)] is table.roots[len(tasks) - 1] is roots[0]
     for d in draws:
-        assert table.task_at(d.u)[0] is _weighted_choice(d, tasks, scenario.task_weights)
+        assert task_at(table, d.u)[0] is _weighted_choice(d, tasks, scenario.task_weights)
 
 
 def libraries(tokens):

@@ -1,20 +1,22 @@
 """Shared episode streams: one word list, several readers.
 
-`exec_shared` derives each episode's first block of 16 words once (the
-episode's tape), draws the task once, and runs every frozen state to its
-outcome by reading that list by index through the word rules
-`streams.word_random` and `streams.word_randrange`: the states read phase
-0's routing and success draws once, and are walked one by one from a
-routing draw that explores or past phase 0.  A read past the list appends the
-episode's next block.  A reader must draw what an independent reader of
-the same words draws, whatever the other readers have read, and every
-state's tasks and success flags must equal the tasks and outcomes of
-`exec_round` on that state.
+Frozen evaluation runs several states on the same streams in one
+`exec_shared` call, whose `end_episodes` derives each chunk's first blocks
+once, reads the task draw and phase 0's draws once for every state, and
+hands each state that goes on past phase 0, or explores there, to
+`walk_episode` on the episode's one word list.  Readers read that list by
+index through the word rules `streams.word_random` and
+`streams.word_randrange`; a read past the list appends the episode's next
+block.  A reader must draw what an independent reader of the same words
+draws, whatever the other readers have read, and every state's batch must
+equal `exec_round`'s batch on that state, record by record and index by
+index.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -22,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 import skillmas.world as world
 from skillmas.config import EngineConfig
-from skillmas.model import TraceShape
 from skillmas.orchestrator import (
     TRANSPLANT_ROWS,
     evaluate_transplants,
@@ -30,9 +31,9 @@ from skillmas.orchestrator import (
     transplant_variants,
 )
 from skillmas.presets import PRESETS, load_preset
-from skillmas.store import parse_scenario
+from skillmas.store import parse_scenario, trace_to_record
 from skillmas.streams import derive_seed, episode_blocks, word_random, word_randrange
-from skillmas.world import exec_round, exec_shared
+from skillmas.world import CHUNK, exec_round, exec_shared
 
 from conftest import NOISY, random_scenario
 from reference import episode_stream, mt_blocks, reference_blocks
@@ -194,78 +195,113 @@ def counted_blocks(monkeypatch) -> list:
 
 
 def counted_walks(monkeypatch) -> list:
-    """Record the episode of every `walk_episode` call from here on."""
+    """Record (episode, state) of every `walk_episode` call from here on."""
     walked = []
     walk = world.walk_episode
 
     def counting(table, root, words, blocks, episode):
-        walked.append(episode)
+        walked.append((episode, table.state))
         return walk(table, root, words, blocks, episode)
 
     monkeypatch.setattr(world, "walk_episode", counting)
     return walked
 
 
-def frozen_states(text, name):
-    pack = parse_scenario(text, name=name)
+@functools.lru_cache(maxsize=None)
+def frozen_states(name):
+    """The pack of world `name` and its four transplant variants after a
+    short run, each a distinct object, so a walk's state names its variant."""
+    pack = parse_scenario(WORLDS[name], name=name)
     result = run_experiment(pack.scenario, pack.seed_state, 11, 3, pack.config)
     variants = transplant_variants(result.checkpoint_state, pack.seed_state)
-    return pack, [variants[label] for label in TRANSPLANT_ROWS]
+    return pack, [dataclasses.replace(variants[label]) for label in TRANSPLANT_ROWS]
+
+
+def walked_pairs(walked, states) -> list:
+    """Each recorded walk as (episode, position of its state), sorted."""
+    return sorted((i, next(k for k, s in enumerate(states) if s is state)) for i, state in walked)
+
+
+def assert_same_batch(shared, alone):
+    assert shared.round_index == alone.round_index
+    assert [trace_to_record(s) for s in shared.shapes] == [trace_to_record(s) for s in alone.shapes]
+    assert shared.index == alone.index
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
-    pack, states = frozen_states(WORLDS[name], name)
+    pack, states = frozen_states(name)
     fetched = counted_blocks(monkeypatch)
-    shared = list(exec_shared(states, pack.scenario, 300, 9001, pack.config))
+    shared = exec_shared(states, pack.scenario, 300, 9001, pack.config)
     extended = [b for _, b in fetched if b > 0]
-    assert len(shared) == 300 and all(len(flags) == len(states) for _, flags in shared)
-    for k, state in enumerate(states):
-        alone = exec_round(state, pack.scenario, 300, 9001, pack.config)
-        assert [(task, flags[k]) for task, flags in shared] == [
-            (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
-        ]
+    assert len(shared) == len(states) and all(len(b.index) == 300 for b in shared)
+    for batch, state in zip(shared, states):
+        assert_same_batch(batch, exec_round(state, pack.scenario, 300, 9001, pack.config))
     if name == "noisy":
         assert extended  # walks ran past an episode's first block
-        alone = exec_round(states[0], pack.scenario, 300, 9001, pack.config)
-        assert any(len(set(shape.executors())) > 1 for shape in alone.shapes)
-        assert any(not flags[0] for _, flags in shared)
+        assert any(len(set(shape.executors())) > 1 for shape in shared[0].shapes)
+        assert any(shape.outcome == 0 for shape in shared[0].shapes)
 
 
 @pytest.mark.parametrize("noise", [0.0, 1.0, None])
 @pytest.mark.parametrize("name", ["favorable", "mismatch", "noisy"])
 def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
-    # the states read phase 0's draws once; an episode is walked state by
+    # the states read phase 0's draws once; an episode is walked for every
     # state when its first routing draw explores, and otherwise for each
     # state that succeeds at phase 0 of a task with more phases
-    pack, states = frozen_states(WORLDS[name], name)
+    pack, states = frozen_states(name)
     scenario = pack.scenario
     if noise is not None:
         scenario = dataclasses.replace(scenario, routing_noise=noise)
     walked = counted_walks(monkeypatch)
     n = 200
-    shared = list(exec_shared(states, scenario, n, 9001, pack.config))
-    calls = list(walked)
-    ends = []  # each state's shape of each episode
+    shared = exec_shared(states, scenario, n, 9001, pack.config)
+    calls = walked_pairs(walked, states)
+    ends = [[batch.shapes[j] for j in batch.index] for batch in shared]
     for k, state in enumerate(states):
         walked.clear()
         alone = exec_round(state, scenario, n, 9001, pack.config)
-        assert [(task, flags[k]) for task, flags in shared] == [
-            (alone.shapes[j].task_type, alone.shapes[j].outcome == 1) for j in alone.index
-        ]
-        ends.append([alone.shapes[j] for j in alone.index])
+        assert_same_batch(shared[k], alone)
         if noise == 0.0:  # `exec_round` walks the same episodes of this state
-            assert walked == [i for i, shape in enumerate(ends[k]) if len(shape.slices) >= 2]
+            assert [i for i, _ in walked] == [
+                i for i, shape in enumerate(ends[k]) if len(shape.slices) >= 2
+            ]
     if noise == 0.0:  # every route is greedy: exactly the states past phase 0 are walked
-        assert calls == [i for i in range(n) for shapes in ends if len(shapes[i].slices) >= 2]
+        assert calls == [
+            (i, k) for i in range(n) for k, shapes in enumerate(ends) if len(shapes[i].slices) >= 2
+        ]
         if name != "mismatch":  # mismatch's tasks have one phase each
             assert calls
     elif noise == 1.0:  # every first routing draw explores
-        assert calls == [i for i in range(n) for _ in states]
+        assert calls == [(i, k) for i in range(n) for k in range(len(states))]
     else:
         assert 0 < len(calls) < n * len(states)
     if name == "favorable":  # two phases each: some states run past the first
-        assert any(len(shape.slices) == 2 for shape in alone.shapes)
+        assert any(len(shape.slices) == 2 for shape in ends[0])
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("noise", [None, 0.0, 1.0])
+@pytest.mark.parametrize("name", sorted(WORLDS))
+def test_every_batch_is_exec_round_s_across_chunks(name, noise, n, monkeypatch):
+    # on either side of a chunk's end, each state's batch is the one it
+    # gets alone, and at noise 0 exactly the states past phase 0 are walked
+    pack, states = frozen_states(name)
+    scenario = pack.scenario
+    if noise is not None:
+        scenario = dataclasses.replace(scenario, routing_noise=noise)
+    walked = counted_walks(monkeypatch)
+    shared = exec_shared(states, scenario, n, 9001, pack.config)
+    calls = walked_pairs(walked, states)
+    for batch, state in zip(shared, states):
+        assert_same_batch(batch, exec_round(state, scenario, n, 9001, pack.config))
+    if noise == 0.0:
+        assert calls == [
+            (i, k)
+            for i in range(n)
+            for k, batch in enumerate(shared)
+            if len(batch.shapes[batch.index[i]].slices) >= 2
+        ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,32 +338,19 @@ def test_transplant_counts_are_exec_round_sums(world_seed, seed, episodes):
 def test_exec_shared_refuses_an_empty_state_list():
     pack = load_preset("tiny")
     with pytest.raises(ValueError, match="at least one state"):
-        next(exec_shared([], pack.scenario, 3, 1, pack.config))
+        exec_shared([], pack.scenario, 3, 1, pack.config)
     with pytest.raises(ValueError, match="at least one episode"):
-        next(exec_shared([pack.seed_state], pack.scenario, 0, 1, pack.config))
+        exec_shared([pack.seed_state], pack.scenario, 0, 1, pack.config)
 
 
 @pytest.mark.parametrize("n_states", [1, 4])
 def test_exec_shared_derives_each_block_once(n_states, monkeypatch):
-    pack, states = frozen_states(NOISY, "noisy")
+    pack, states = frozen_states("noisy")
     fetched = counted_blocks(monkeypatch)
-    shared = list(exec_shared(states[:n_states], pack.scenario, 50, 9001, pack.config))
+    shared = exec_shared(states[:n_states], pack.scenario, 50, 9001, pack.config)
     # every state reads one list per episode: no block is derived twice
-    assert len(shared) == 50 and len(set(fetched)) == len(fetched)
-    assert [i for i, b in fetched if b == 0] == list(range(50))
-    # episode by episode, each block after the one before it
-    assert [i for i, _ in fetched] == sorted(i for i, _ in fetched)
+    assert len(shared) == n_states and len(set(fetched)) == len(fetched)
+    # the chunk's first blocks at once, then each block after the one before it
+    assert fetched[:50] == [(i, 0) for i in range(50)]
     assert all(fetched.index((i, b - 1)) < k for k, (i, b) in enumerate(fetched) if b > 0)
-
-
-def test_exec_shared_builds_no_trace(monkeypatch):
-    pack, states = frozen_states(NOISY, "noisy")
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"built a {type(self).__name__}")
-
-    monkeypatch.setattr(TraceShape, "__init__", refuse)
-    shared = list(exec_shared(states, pack.scenario, 100, 9001, pack.config))
-    assert len(shared) == 100 and any(not all(flags) for _, flags in shared)
-    with pytest.raises(AssertionError, match="built a"):
-        exec_round(states[0], pack.scenario, 100, 9001, pack.config)
+    assert any(b > 0 for _, b in fetched)

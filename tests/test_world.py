@@ -15,7 +15,6 @@ from skillmas.world import (
     ExecutionTable,
     LatentSkill,
     Scenario,
-    end_episodes,
     exec_round,
     exec_shared,
     logistic,
@@ -27,7 +26,7 @@ from skillmas.world import (
 )
 from skillmas.streams import episode_blocks, word_random
 
-from conftest import CAUSES, make_skill, make_state, random_scenario
+from conftest import CAUSES, episode_shape, make_skill, make_state, random_scenario, task_at
 from reference import _deficit, _success_prob, _terms, ground_truth_success_prob
 
 
@@ -252,7 +251,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): 50.0, ("t1", "p2"): 50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = table.shapes[end_episodes(table, episode_blocks(0), range(1))[0]]
+        shape = episode_shape(table, episode_blocks(0), 0)
         assert shape.outcome == 1
         assert shape.progress == 1.0
         assert shape.latent_cause_observation is None
@@ -261,7 +260,7 @@ class TestSampleEpisode:
         scenario = make_scenario(base={("t1", "p1"): -50.0})
         state = make_state([])
         table = ExecutionTable(state, scenario, EngineConfig())
-        shape = table.shapes[end_episodes(table, episode_blocks(0), range(1))[0]]
+        shape = episode_shape(table, episode_blocks(0), 0)
         assert shape.outcome == 0
         assert shape.progress == 0.0
         assert len(shape.slices) == 1  # the failing phase was attempted
@@ -293,9 +292,9 @@ class TestSampleEpisode:
         table = ExecutionTable(state, scenario, EngineConfig())
         blocks = episode_blocks(episode_seed)
         for i in range(30):
-            shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
+            shape = episode_shape(table, blocks, i)
             words = blocks(i, 0)
-            root = table.task_at(word_random(words, 0, blocks, i))
+            root = task_at(table, word_random(words, 0, blocks, i))
             step, failed, pos = walk_episode(table, root, words, blocks, i)
             task, slices = root[0], step[1]
             assert shape.task_type is task and shape.slices is slices
@@ -340,7 +339,7 @@ class TestExecRound:
 
         def one(i):
             table = ExecutionTable(state, scenario, config)
-            return table.shapes[end_episodes(table, episode_blocks(77), range(i, i + 1))[0]]
+            return episode_shape(table, episode_blocks(77), i)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = tuple(pool.map(one, reversed(range(24))))
