@@ -63,6 +63,8 @@ _RANGES = {
     "episodes_per_round": (lambda v: v >= 1, "at least 1"),
     "top_k": (lambda v: v >= 1, "at least 1"),
     "default_capacity": (lambda v: v >= 1, "at least 1"),
+    "promote_min_uses": (lambda v: v >= 1, "at least 1"),
+    "pool_prune_min_uses": (lambda v: v >= 1, "at least 1"),
     "cluster_threshold": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 

@@ -32,7 +32,7 @@ from .model import (
     token_holders,
 )
 from .retention import Diagnosis, RetainedShape
-from .utility import used_skills
+from .utility import pooled_used, used_skills
 from .world import LatentSkill, Scenario, motif_skill, motif_tokens, realizers
 
 
@@ -318,11 +318,7 @@ def propose(
     keys = index.keys
 
     if shape.outcome == 1:
-        if any(
-            sid in library and library[sid].status is SkillStatus.POOLED
-            for sl in shape.slices
-            for sid in used_skills(sl)
-        ):
+        if pooled_used(shape, library):
             return None
         for sl in shape.slices:
             pair = (task_id, sl.phase)

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
 from .model import REPAIR_TAGS, TAG_BY_CAUSE, BoundedTag
-from .model import CauseLabel, Skill, SkillStatus, TraceShape, UtilityTable
-from .utility import used_skills
+from .model import CauseLabel, Skill, TraceShape, UtilityTable
+from .utility import pooled_used, used_skills
 
 
 class RetentionCategory(str, Enum):
@@ -115,18 +115,12 @@ def retain(
             if shape.progress >= config.near_miss_progress:
                 categories.add(RetentionCategory.NEAR_MISS)
         else:
-            pooled_used = any(
-                library[sid].status is SkillStatus.POOLED
-                for sl in shape.slices
-                for sid in used_skills(sl)
-                if sid in library
-            )
             weak_executor = any(
                 q_exec_prior.count(eid, task_id) >= 1
                 and q_exec_prior.value(eid, task_id) < config.low_estimate
                 for eid in shape.executors()
             )
-            if pooled_used or weak_executor:
+            if pooled_used(shape, library) or weak_executor:
                 categories.add(RetentionCategory.REUSABLE_SUCCESS)
 
         if any(sl.selected - used_skills(sl) for sl in shape.slices):

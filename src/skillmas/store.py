@@ -48,7 +48,7 @@ SNAPSHOT_HEADER = "skillmas-state"
 
 # a lone "-" is how a snapshot writes an empty set, so it is no id
 _TOKEN = re.compile(r"^(?!-$)[A-Za-z0-9_.:+-]+$")
-# the suffix of every skill id the engine mints in round R: `-r{R}`
+# the suffix of every skill and executor id the engine mints in round R: `-r{R}`
 _MINTED = re.compile(r"-r[0-9]+$")
 
 
@@ -330,6 +330,11 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if (kind, ident) in entry_ids:
             raise ScenarioError(f"duplicate {kind} {ident!r}", lineno)
         entry_ids.add((kind, ident))
+        if kind != "card" and _MINTED.search(ident):
+            raise ScenarioError(
+                f"seed {kind} id {ident!r} ends in -r<digits>, the suffix of engine-minted ids",
+                lineno,
+            )
         if kind == "executor":
             with _at_line(lineno):
                 boundary, options = _parse_executor_line(body, lineno, universe)
@@ -337,11 +342,6 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                     id=ident, boundary=boundary, **options  # type: ignore[arg-type]
                 )
         elif kind == "skill":
-            if _MINTED.search(ident):
-                raise ScenarioError(
-                    f"seed skill id {ident!r} ends in -r<digits>, the suffix of engine-minted ids",
-                    lineno,
-                )
             fields = _parse_skill_line(body, lineno)
             with _at_line(lineno):
                 skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]

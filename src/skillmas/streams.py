@@ -10,16 +10,15 @@ Numbers: As Easy as 1, 2, 3" (SC 2011): episode i's stream is a list of
 32-bit words in blocks of sixteen, and block b is one BLAKE2b digest of
 (seed, i, b), a pure function of the three.  So block b of a run of
 consecutive episodes can be derived in one call: `episode_blocks(seed)(i,
-b, count)` returns block b of episodes i to i + count - 1, concatenated,
-and `(i, b)` returns episode i's block b alone.  Readers read the words by
-index through two word rules, each defined once here: `word_random` takes
-53 bits from two words, and `word_randrange(n)` takes the top
-`n.bit_length()` bits of one word per try, rejecting values >= n.
+b, count)` returns block b of episodes i to i + count - 1, concatenated in
+one `array("I")`, and `(i, b)` returns episode i's block b alone.  Readers
+read the words by index through two word rules, each defined once here:
+`word_random` takes 53 bits from two words, and `word_randrange(n)` takes
+the top `n.bit_length()` bits of one word per try, rejecting values >= n.
 `world`'s one fast path, `end_episodes`, reads the task draw and phase 0's
 draws by `word_random`'s rule in place, as columns of a chunk's first
-blocks, and its episode walk reads the rule in place while both words are
-in the list (tests pin every in-place read to the rule); past the list they
-call the rule.  A rule that reads past the list appends the episode's next
+blocks (tests pin every in-place read to the rule); its episode walk calls
+the rules.  A rule that reads past the list appends the episode's next
 block, so the list always holds a prefix of the stream, whatever each
 reader has read.
 """
@@ -30,7 +29,7 @@ import hashlib
 import struct
 import sys
 from array import array
-from typing import Callable, MutableSequence
+from typing import Callable
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -40,10 +39,9 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-_BLOCK = struct.Struct("<16I")
 _COUNTER = struct.Struct("<QQ")
 # (first episode, block, count=1) -> 16 * count words, episode by episode
-Blocks = Callable[..., MutableSequence[int]]
+Blocks = Callable[..., array]
 
 
 def episode_blocks(seed: int) -> Blocks:
@@ -54,23 +52,18 @@ def episode_blocks(seed: int) -> Blocks:
     little-endian 64-bit integers, read as sixteen little-endian 32-bit
     words on any byte order.
 
-    One block is a list, read word by word; a run of blocks is one
-    `array("I")`, converted from the joined digests at once, from which a
-    reader slices columns.  The prefix is hashed once: BLAKE2b consumes its
-    input in order, so a copy of the prefix state fed the counters yields
-    the digest of the whole message.  A block depends on nothing but (seed,
-    i, b).
+    The words are one `array("I")`, converted from the joined digests at
+    once: a reader appends them to an episode's list or slices columns
+    from them.  The prefix is hashed once: BLAKE2b consumes its input in
+    order, so a copy of the prefix state fed the counters yields the digest
+    of the whole message.  A block depends on nothing but (seed, i, b).
     """
     copy = hashlib.blake2b(f"{seed}\x1fepisode\x1f".encode("utf-8")).copy
-    counter, unpack = _COUNTER.pack, _BLOCK.unpack
+    counter = _COUNTER.pack
 
-    def blocks(first: int, index: int, count: int = 1) -> MutableSequence[int]:
-        digest = copy()
-        digest.update(counter(first, index))
-        if count == 1:
-            return list(unpack(digest.digest()))
-        digests = [digest.digest()]
-        for episode in range(first + 1, first + count):
+    def blocks(first: int, index: int, count: int = 1) -> array:
+        digests = []
+        for episode in range(first, first + count):
             digest = copy()
             digest.update(counter(episode, index))
             digests.append(digest.digest())

@@ -18,6 +18,7 @@ from .model import (
     Skill,
     SkillStatus,
     StateError,
+    TraceShape,
     UtilityTable,
 )
 
@@ -25,6 +26,15 @@ from .model import (
 def used_skills(sl: ExecutorSlice) -> frozenset[str]:
     """Skills that actually participated in the slice: invoked or pattern-supported."""
     return sl.invoked | sl.pattern_supported
+
+
+def pooled_used(shape: TraceShape, library: Mapping[str, Skill]) -> bool:
+    """Whether a pooled skill of `library` took part in some slice of `shape`."""
+    return any(
+        sid in library and library[sid].status is SkillStatus.POOLED
+        for sl in shape.slices
+        for sid in used_skills(sl)
+    )
 
 
 def learn(

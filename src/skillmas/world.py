@@ -391,9 +391,9 @@ def walk_episode(
     `words` is episode `episode`'s stream from `blocks`, whose words 0-1
     drew the task of `root`.  Phases run in order; each routes an executor
     (greedy, or with the scenario's exploration rate one drawn at random) and
-    draws a Bernoulli success with the slot's probability.  A draw whose two
-    words are in the list reads them in place by `word_random`'s rule, and
-    calls `word_random` past it; an executor draw calls `word_randrange`.
+    draws a Bernoulli success with the slot's probability.  Each routing and
+    success draw is a `word_random` call, and an executor draw a
+    `word_randrange` call, so the rules extend `words` past its end.
     The walk stops at the first phase that fails and returns the last step,
     the slot that failed (None when every phase succeeded) and the position
     after the last word read.
@@ -403,11 +403,7 @@ def walk_episode(
     slices: tuple[ExecutorSlice, ...] = ()
     pos = 2
     for pair, route in phases:
-        if pos + 2 <= len(words):
-            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
-        else:
-            u = word_random(words, pos, blocks, episode)
-        if u < epsilon:
+        if word_random(words, pos, blocks, episode) < epsilon:
             index, pos = word_randrange(words, pos + 2, len(route.eligible), blocks, episode)
             executor_id = route.eligible[index]
         else:
@@ -417,10 +413,7 @@ def walk_episode(
         if step is None:
             step = steps[executor_id] = trie_step(table.slot(pair, executor_id), slices)
         slot, slices, steps, _, _, _ = step
-        if pos + 2 <= len(words):
-            u = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
-        else:
-            u = word_random(words, pos, blocks, episode)
+        u = word_random(words, pos, blocks, episode)
         pos += 2
         if not u < slot.success_prob:
             return step, slot, pos
@@ -440,11 +433,12 @@ def end_episodes(
     The tables share the scenario, so they share the task draw and the
     exploration rate.  Block 0 of up to `CHUNK` episodes at a time comes
     from one `blocks` call, and its draws are read once for every table, in
-    place by `word_random`'s rule, as columns of the chunk: words 0-1 draw
-    the task, and phase 0's routing, success and cause draws are words 2-3,
-    4-5 and 6-7.  Then each table runs the chunk's episodes in order.  An
-    episode whose phase 0 routes greedy ends on its root's greedy first step
-    with no call when that phase fails, or succeeds on a single-phase task.
+    place by `word_random`'s rule, as columns of the chunk (the one copy of
+    the rule outside `streams`): words 0-1 draw the task, and phase 0's
+    routing, success and cause draws are words 2-3, 4-5 and 6-7.  Then each
+    table runs the chunk's episodes in order.  An episode whose phase 0
+    routes greedy ends on its root's greedy first step with no call when
+    that phase fails, or succeeds on a single-phase task.
     Every other episode is walked by `walk_episode` on a list of its sixteen
     words, one list per episode for all tables, so no block is derived
     twice.  On failure the episode then draws its last value: the failing

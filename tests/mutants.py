@@ -2,11 +2,12 @@
 files named for it; a mutant survives when they all pass.
 
 The fast paths, `world.end_episodes` and `world.walk_episode`, and the
-stream rules in `streams.py` copy `word_random`'s threshold tests and word
-positions in several places, and a fault there changes results only at a
-rare draw.  Each entry is (file, old text, new text, test files, kind):
-`kind` is "fault", which some named test must catch, or "equivalent: "
-followed by the reason no test can.  Run from the repository root:
+stream rules in `streams.py` test draws against thresholds and read words
+at fixed positions (`end_episodes` through its own copy of `word_random`'s
+rule), and a fault there changes results only at a rare draw.  Each entry
+is (file, old text, new text, test files, kind): `kind` is "fault", which
+some named test must catch, or "equivalent: " followed by the reason no
+test can.  Run from the repository root:
 
     python tests/mutants.py
 
@@ -62,12 +63,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     (WORLD, "completed = len(slices) - (end != 3)", "completed = len(slices) - (end == 5)",
      WALK_TESTS, "fault"),
     # walk_episode
-    (WORLD,
-     "    for pair, route in phases:\n        if pos + 2 <= len(words):",
-     "    for pair, route in phases:\n        if pos + 2 < len(words):",
-     WALK_TESTS,
-     "equivalent: at pos + 2 == len(words), `word_random` reads the same two words in the list"),
-    (WORLD, "        if u < epsilon:", "        if u <= epsilon:", WALK_TESTS, "fault"),
+    (WORLD, "        if word_random(words, pos, blocks, episode) < epsilon:",
+     "        if word_random(words, pos, blocks, episode) <= epsilon:", WALK_TESTS, "fault"),
     (WORLD, "        if not u < slot.success_prob:", "        if not u <= slot.success_prob:",
      WALK_TESTS, "fault"),
     (WORLD, "            executor_id = route.greedy\n            pos += 2",
@@ -85,8 +82,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     (STREAMS, "        if value < n:", "        if value <= n:", STREAM_TESTS, "fault"),
     (STREAMS, "        if pos >= len(words):", "        if pos > len(words):", STREAM_TESTS,
      "fault"),
-    (STREAMS, "for episode in range(first + 1, first + count):",
-     "for episode in range(first + 1, first + count - 1):", STREAM_TESTS, "fault"),
+    (STREAMS, "for episode in range(first, first + count):",
+     "for episode in range(first, first + count - 1):", STREAM_TESTS, "fault"),
     (STREAMS, 'if sys.byteorder == "big":', 'if sys.byteorder == "little":', STREAM_TESTS,
      "fault"),
 )

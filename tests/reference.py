@@ -75,7 +75,7 @@ from skillmas.restructure import (
     evidence_holds,
 )
 from skillmas.retention import RetainedShape, RetentionCategory
-from skillmas.streams import derive_seed, episode_blocks
+from skillmas.streams import derive_seed
 from skillmas.utility import (
     Route,
     executor_route,
@@ -86,10 +86,8 @@ from skillmas.utility import (
 from skillmas.world import (
     _OBSERVATIONS,
     _UNOBSERVED,
-    ExecutionTable,
     LatentSkill,
     Scenario,
-    end_episodes,
     logistic,
     realizes,
 )
@@ -615,18 +613,6 @@ def reference_exec_round(state, scenario, n_episodes, seed, config, id_prefix) -
         episodes.append(
             reference_episode(scenario, state, task, rng, f"{id_prefix}e{i:05d}", config)
         )
-    return episodes
-
-
-def fresh_table_round(state, scenario, n_episodes, seed, config, id_prefix) -> list[Episode]:
-    """Each episode on its own stream and its own execution table, so no
-    episode shares a path or a shape with another."""
-    blocks = episode_blocks(seed)
-    episodes = []
-    for i in range(n_episodes):
-        table = ExecutionTable(state, scenario, config)
-        shape = table.shapes[end_episodes(table, blocks, range(i, i + 1))[0]]
-        episodes.append(episode_of(f"{id_prefix}e{i:05d}", shape))
     return episodes
 
 

@@ -116,6 +116,8 @@ class TestRun:
             ("top_k", -1),
             ("default_capacity", 0),
             ("cluster_threshold", 0),
+            ("promote_min_uses", 0),
+            ("pool_prune_min_uses", -1),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
@@ -610,6 +612,11 @@ BAD_VALUES = {
                          ["top_k", "at least 1"]),
     "run.config-capacity": ("run.json", "replay", _set("config", "default_capacity", 0),
                             ["default_capacity", "at least 1"]),
+    "run.config-promote": ("run.json", "replay", _set("config", "promote_min_uses", 0),
+                           ["promote_min_uses", "at least 1"]),
+    "run.config-pool-prune": ("run.json", "transplant",
+                              _set("config", "pool_prune_min_uses", 0),
+                              ["pool_prune_min_uses", "at least 1"]),
     "run.config-cluster": ("run.json", "replay", _set("config", "cluster_threshold", 0),
                            ["cluster_threshold", "in (0, 1]"]),
     # written as the JSON literal NaN, which Python's reader accepts

@@ -65,6 +65,8 @@ def test_bool_coercion_from_text():
         ({"top-k": "0"}, "top_k must be at least 1"),
         ({"merge_gap": float("inf")}, "merge_gap expects a finite number, not inf"),
         ({"near-miss-progress": "nan"}, "near_miss_progress expects a finite number, not nan"),
+        ({"promote_min_uses": 0}, "promote_min_uses must be at least 1"),
+        ({"pool-prune-min-uses": "-2"}, "pool_prune_min_uses must be at least 1"),
     ],
 )
 def test_values_of_the_wrong_type_rejected(values, expected):
@@ -80,6 +82,8 @@ def test_values_of_the_wrong_type_rejected(values, expected):
         ("episodes_per_round", 0, "episodes_per_round must be at least 1"),
         ("top_k", 0, "top_k must be at least 1"),
         ("default_capacity", 0, "default_capacity must be at least 1"),
+        ("promote_min_uses", 0, "promote_min_uses must be at least 1"),
+        ("pool_prune_min_uses", 0, "pool_prune_min_uses must be at least 1"),
         ("cluster_threshold", 0.0, r"cluster_threshold must be in \(0, 1\]"),
     ],
 )

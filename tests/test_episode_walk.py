@@ -5,14 +5,13 @@ episodes that end at their table entry.
 evaluation alike.  It derives the first blocks of `CHUNK` episodes at a
 time, reads the task draw (words 0-1) and phase 0's draws in place once for
 all its tables, and hands every episode that goes on past phase 0, or
-explores there, to `world.walk_episode`.  The walk reads a draw's two words
-in place while they are in the episode's first block, by
-`streams.word_random`'s rule, and past it calls `word_random` or
-`word_randrange`, which append the next block.  Each episode ends at the
-shape its last trie step holds.  These tests pin the in-place reads to the
-word rule at every position of a block where a draw can start, on every
-run, run the fallback on streams that cross a block's end, run rounds on
-either side of a chunk's end, and count what a round builds and derives.
+explores there, to `world.walk_episode`.  The walk reads every draw by a
+call to `streams.word_random` or `word_randrange`, which append the next
+block past the episode's list.  Each episode ends at the shape its last
+trie step holds.  These tests pin the in-place reads to the word rule at
+every position of a block where a draw can start, on every run, run the
+fallback on streams that cross a block's end, run rounds on either side of
+a chunk's end, and count what a round builds and derives.
 """
 
 from __future__ import annotations

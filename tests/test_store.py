@@ -321,6 +321,10 @@ class TestScenarioFiles:
              "invalid literal"),
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * capacity=0 manager\n", 4,
              "capacity < 1"),
+            # restructuring mints `exec-{task}-r{R}` in round R
+            ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "executor exec-t1-r2 = t1/p1 capacity=2\n", 5,
+             "seed executor id 'exec-t1-r2' ends in -r<digits>"),
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill s = owner=m applies=t1/p1 steps=a,b\xe9\n", 5, "id 'b\xe9'"),
             ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 1,
@@ -356,9 +360,9 @@ class TestScenarioFiles:
              "repeated skill option 'owner'"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
-             "capacity-zero", "skill-step", "routing-noise", "skill-id-dash", "step-dash",
-             "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf", "penalty-nan",
-             "threshold-overflow", "weights-total", "executor-option-repeated",
+             "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
+             "step-dash", "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf",
+             "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
              "manager-repeated", "skill-option-repeated"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):

@@ -111,7 +111,7 @@ def test_each_episode_list_reads_as_its_stream(seed, indexes, ops):
         ref = episode_stream(seed, i)
         assert ahead == [draw(ref, op) for op in ops]
         assert behind == ahead[: len(behind)]
-        assert words == stream_prefix(reference_blocks(seed), i, len(words))
+        assert list(words) == stream_prefix(reference_blocks(seed), i, len(words))
 
 
 def test_reads_far_past_the_tape_extend_one_word_list():
