@@ -401,7 +401,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     batch = exec_round(
         state, pack.scenario, args.episodes, derive_seed(args.seed, "eval"), config
     )
-    counts = family_tally((shape.task_type, shape.outcome, count) for shape, count in batch.tally())
+    counts = family_tally(batch.tally())
     successes = sum(s for s, _ in counts.values())
     print(render_breakdown(counts), end="")
     print(f"total: {successes}/{args.episodes}")

@@ -26,9 +26,7 @@ from .model import (
     TraceShape,
     UtilityTable,
     cluster_skills,
-    drop_skill,
     jaccard,
-    place_skill,
     token_holders,
 )
 from .retention import Diagnosis, RetainedShape
@@ -564,18 +562,18 @@ def apply_skill_delta(
     pool: Mapping[str, tuple[int, int]],
     delta: SkillDelta,
 ) -> tuple[dict[str, Skill], dict[str, Executor], dict[str, tuple[int, int]]]:
-    """Apply consolidated actions, keeping ownership and pool maps consistent."""
+    """Apply consolidated actions, keeping the pool map consistent.  Drafts
+    name their owner, so the executors are returned as given."""
     lib = dict(library)
-    execs = dict(executors)
     new_pool = dict(pool)
     for action in delta.actions:
         if action.action == "create":
             for draft in action.new_skills:
                 if draft.id in lib:
                     raise StateError(f"skill id {draft.id!r} would be reused")
-                if draft.owner not in execs:
+                if draft.owner not in executors:
                     raise StateError(f"draft {draft.id!r} owned by unknown executor")
-                place_skill(lib, execs, draft)
+                lib[draft.id] = draft
                 new_pool[draft.id] = (0, 0)
         elif action.action == "refine":
             edit = action.edit
@@ -590,9 +588,9 @@ def apply_skill_delta(
                 new_pool[sid] = (0, 0)
         elif action.action == "prune":
             for sid in action.skills:
-                drop_skill(lib, execs, sid)
+                del lib[sid]
                 new_pool.pop(sid, None)
-    return lib, execs, new_pool
+    return lib, executors, new_pool
 
 
 def update_pool_counters(
@@ -620,9 +618,9 @@ def promote_pool(
     dict[str, tuple[int, int]],
     list[tuple[str, str]],
 ]:
-    """Promote pooled skills with sufficient evidence; prune the hopeless ones."""
+    """Promote pooled skills with sufficient evidence; prune the hopeless ones.
+    The executors are returned as given."""
     lib = dict(library)
-    execs = dict(executors)
     new_pool = dict(pool)
     outcomes: list[tuple[str, str]] = []
     for sid in sorted(pool):
@@ -632,7 +630,7 @@ def promote_pool(
             del new_pool[sid]
             outcomes.append((sid, "validated"))
         elif uses >= config.pool_prune_min_uses and successes / uses < config.pool_prune_max_ratio:
-            drop_skill(lib, execs, sid)
+            del lib[sid]
             del new_pool[sid]
             outcomes.append((sid, "pruned"))
-    return lib, execs, new_pool, outcomes
+    return lib, executors, new_pool, outcomes

@@ -8,7 +8,6 @@ the sequential round update.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 from array import array
@@ -123,11 +122,11 @@ class Skill:
 
 @dataclass(frozen=True)
 class Executor:
-    """An agent role with a responsibility boundary and an owned skill set."""
+    """An agent role with a responsibility boundary.  Its skills are the
+    library's skills that name it as owner (`owned_by`)."""
 
     id: str
     boundary: frozenset[Pair]
-    owned_skills: frozenset[str] = frozenset()
     capacity: int = 4
     is_manager: bool = False
 
@@ -325,41 +324,13 @@ class RoundState:
         return len(self.library)
 
 
-def active_owned(executor: Executor, library: Mapping[str, Skill]) -> list[Skill]:
-    """The executor's owned skills that are in the library."""
-    return [skill for sid in executor.owned_skills if (skill := library.get(sid)) is not None]
-
-
-def drop_skill(
-    library: dict[str, Skill], executors: dict[str, Executor], skill_id: str
-) -> None:
-    """Delete a skill from a round's fresh library and from the owned set of
-    whoever holds it: a pruned skill leaves no trace.  Both dicts are edited
-    in place."""
-    old = library.pop(skill_id)
-    holder = executors.get(old.owner)
-    if holder is not None and skill_id in holder.owned_skills:
-        executors[old.owner] = dataclasses.replace(
-            holder, owned_skills=holder.owned_skills - {skill_id}
-        )
-
-
-def place_skill(
-    library: dict[str, Skill], executors: dict[str, Executor], skill: Skill
-) -> None:
-    """Store `skill` in a round's fresh library and keep ownership in step.
-
-    Its previous version, if any, is dropped first (`drop_skill`), and the
-    skill joins its owner's owned set.  Both dicts are edited in place; the
-    owner must be in `executors`.
-    """
-    if skill.id in library:
-        drop_skill(library, executors, skill.id)
-    library[skill.id] = skill
-    owner = executors[skill.owner]
-    executors[skill.owner] = dataclasses.replace(
-        owner, owned_skills=owner.owned_skills | {skill.id}
-    )
+def owned_by(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:
+    """Each owner id with its skills, in library order.  `Skill.owner` is
+    the one record of ownership, so an executor's skills are derived here."""
+    owned: dict[str, list[Skill]] = {}
+    for skill in library.values():
+        owned.setdefault(skill.owner, []).append(skill)
+    return owned
 
 
 def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
@@ -367,6 +338,8 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
 
     The manager's boundary must cover `universe`, the scenario's full
     (task, phase) space, so every pair an episode reaches can be routed.
+    Ownership is stored once, as `Skill.owner`, so the one ownership rule
+    is that every owner is an executor of the state.
     """
     problems: list[str] = []
     if state.round_index < 0:
@@ -381,23 +354,9 @@ def validate_state(state: RoundState, universe: frozenset[Pair]) -> None:
         if missing:
             problems.append(f"manager boundary misses pairs {missing!r}")
 
-    owner_of: dict[str, str] = {}
-    for executor in state.executors.values():
-        for skill_id in executor.owned_skills:
-            if skill_id in owner_of:
-                problems.append(
-                    f"skill {skill_id!r} owned by both {owner_of[skill_id]!r} "
-                    f"and {executor.id!r}"
-                )
-            owner_of[skill_id] = executor.id
-            if skill_id not in state.library:
-                problems.append(f"{executor.id!r} owns unknown skill {skill_id!r}")
-
     for skill in state.library.values():
         if skill.owner not in state.executors:
             problems.append(f"skill {skill.id!r} has orphan owner {skill.owner!r}")
-        elif owner_of.get(skill.id) != skill.owner:
-            problems.append(f"skill {skill.id!r} missing from owner's skill set")
         if skill.status is SkillStatus.POOLED and skill.id not in state.pool:
             problems.append(f"pooled skill {skill.id!r} absent from pool map")
 

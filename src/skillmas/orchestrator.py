@@ -32,9 +32,8 @@ from .model import (
     CauseLabel,
     RoundState,
     StateError,
-    TaskType,
+    TraceShape,
     UtilityTable,
-    place_skill,
     validate_state,
 )
 from .numfmt import q12
@@ -350,7 +349,7 @@ def run_round(
         round_index=state.round_index,
         episodes=len(batch.index),
         successes=sum(shape.outcome * count for shape, count in tally),
-        per_family=family_tally((shape.task_type, shape.outcome, count) for shape, count in tally),
+        per_family=family_tally(tally),
         active_skills=state.active_skill_count(),
         active_executors=len(state.executors),
         pool_size=len(state.pool),
@@ -450,19 +449,16 @@ def _reowned(
 ) -> RoundState:
     """Cross-combine one state's library side with another's executor side."""
     manager_id = mas_source.manager_id()
-    executors = {
-        eid: dataclasses.replace(e, owned_skills=frozenset())
-        for eid, e in mas_source.executors.items()
-    }
-    library = {}
-    for skill in library_source.library.values():
-        if reown_all_to_manager or skill.owner not in executors:
-            skill = dataclasses.replace(skill, owner=manager_id)
-        place_skill(library, executors, skill)
+    executors = mas_source.executors
     return RoundState(
         round_index=0,
-        library=library,
-        executors=executors,
+        library={
+            sid: skill
+            if skill.owner in executors and not reown_all_to_manager
+            else dataclasses.replace(skill, owner=manager_id)
+            for sid, skill in library_source.library.items()
+        },
+        executors=dict(executors),
         q_skill=library_source.q_skill,
         q_exec=mas_source.q_exec,
         pool=dict(library_source.pool),
@@ -538,12 +534,13 @@ def evaluate_transplants(
     )
 
 
-def family_tally(outcomes: Iterable[tuple[TaskType, int, int]]) -> dict[str, tuple[int, int]]:
-    """Task id -> (successes, attempts) over (task, outcome, episodes) triples."""
+def family_tally(tally: Iterable[tuple[TraceShape, int]]) -> dict[str, tuple[int, int]]:
+    """Task id -> (successes, attempts) over a batch's (shape, episodes) pairs."""
     counts: dict[str, tuple[int, int]] = {}
-    for task, outcome, episodes in outcomes:
-        s, a = counts.get(task.id, (0, 0))
-        counts[task.id] = (s + outcome * episodes, a + episodes)
+    for shape, episodes in tally:
+        task_id = shape.task_type.id
+        s, a = counts.get(task_id, (0, 0))
+        counts[task_id] = (s + shape.outcome * episodes, a + episodes)
     return counts
 
 

@@ -22,10 +22,8 @@ from .model import (
     SkillStatus,
     StateError,
     UtilityTable,
-    active_owned,
-    drop_skill,
     jaccard,
-    place_skill,
+    owned_by,
     skill_similarity,
 )
 from .numfmt import q12
@@ -63,8 +61,8 @@ class RestructureDecision:
             raise StateError("a non-keep decision requires evidence")
 
 
-def _executor_tokens(executor: Executor, library: Mapping[str, Skill]) -> frozenset[str]:
-    return frozenset(t for skill in active_owned(executor, library) for t in skill.tokens())
+def _executor_tokens(owned: Mapping[str, Sequence[Skill]], executor_id: str) -> frozenset[str]:
+    return frozenset(t for skill in owned.get(executor_id, ()) for t in skill.tokens())
 
 
 def build_artifacts(
@@ -190,6 +188,8 @@ def decide_restructure(
             evidence=evidence,
         )
 
+    owned = owned_by(library)
+
     # (2) merge-remove
     workers = sorted(eid for eid, e in executors.items() if not e.is_manager)
     for a_id, b_id in itertools.combinations(workers, 2):
@@ -213,7 +213,7 @@ def decide_restructure(
             "survivor": a_id,
             "removed": b_id,
             "skill_overlap": q12(
-                jaccard(_executor_tokens(a, library), _executor_tokens(b, library))
+                jaccard(_executor_tokens(owned, a_id), _executor_tokens(owned, b_id))
             ),
             "overlap_threshold": config.overlap_threshold,
             "utility_gaps": {t: q12(abs(ea[0] - eb[0])) for t, ea, eb in entries},
@@ -229,7 +229,7 @@ def decide_restructure(
         executor = executors[eid]
         if executor.is_manager:
             continue
-        owned_active = active_owned(executor, library)
+        skills = owned.get(eid, [])
         for task_id in sorted({p[0] for p in executor.boundary}):
             entry = q_exec_plus.get(eid, task_id)
             if entry is None:
@@ -237,7 +237,7 @@ def decide_restructure(
             evidence = {
                 "predicate": "modify",
                 "executor": eid,
-                "owned_skills": len(owned_active),
+                "owned_skills": len(skills),
                 "capacity": executor.capacity,
                 "weak_family": task_id,
                 "utility": entry[0],
@@ -251,7 +251,7 @@ def decide_restructure(
             if not new_boundary:
                 continue
             transferred = tuple(
-                sorted(s.id for s in owned_active if not s.applicability & new_boundary)
+                sorted(s.id for s in skills if not s.applicability & new_boundary)
             )
             return RestructureDecision(
                 action="modify",
@@ -296,7 +296,7 @@ def apply_restructure(
     manager_id = next(eid for eid, e in execs.items() if e.is_manager)
 
     def reassign(skill_id: str, new_owner: str) -> None:
-        place_skill(lib, execs, dataclasses.replace(lib[skill_id], owner=new_owner))
+        lib[skill_id] = dataclasses.replace(lib[skill_id], owner=new_owner)
         log.append(f"transferred {skill_id} to {new_owner}")
 
     if decision.action == "keep":
@@ -310,7 +310,6 @@ def apply_restructure(
         execs[new_id] = Executor(
             id=new_id,
             boundary=decision.new_boundary,
-            owned_skills=frozenset(),
             capacity=config.default_capacity,
         )
         for sid in decision.transferred_skills:
@@ -325,11 +324,12 @@ def apply_restructure(
         execs[survivor_id] = dataclasses.replace(
             survivor, boundary=survivor.boundary | removed.boundary
         )
-        for sid in sorted(removed.owned_skills):
+        for sid in sorted(s.id for s in owned_by(lib).get(removed_id, ())):
             reassign(sid, survivor_id)
 
         # consolidate near-duplicates down to the higher-utility copy
-        owned = sorted(execs[survivor_id].owned_skills)
+        owned = sorted(s.id for s in owned_by(lib).get(survivor_id, ()))
+
         def best_utility(sid: str) -> float:
             values = [v for (key, _), (v, _) in q_skill.entries.items() if key == sid]
             return max(values) if values else 0.5
@@ -343,7 +343,7 @@ def apply_restructure(
             keep_id, drop_id = a_id, b_id
             if (best_utility(b_id), a_id) > (best_utility(a_id), b_id):
                 keep_id, drop_id = b_id, a_id
-            drop_skill(lib, execs, drop_id)
+            del lib[drop_id]
             new_pool.pop(drop_id, None)
             dropped.add(drop_id)
             log.append(f"consolidated {drop_id} into {keep_id}")

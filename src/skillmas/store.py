@@ -7,12 +7,13 @@ attempts), and `serialize_state` is the one definition of their format: a
 snapshot is read only as the writer writes it.  The reader builds a state
 from the records and refuses the first line that differs from the writer's
 line for that state, or a count that `UtilityTable.check` refuses, at its
-byte offset.  A trace log holds each round's batch as it is held: one JSON
-line per entry of the round's shape table, then one line of the episodes'
-entries in generation order, so each outcome path is written once per
-round and each episode is one number.  Nothing in the engine reads a log
-back: `replay` compares its bytes, and the counts `report` shows come from
-`trajectory.json`.
+byte offset.  An executor's `owns=` is derived, the skills that name it as
+owner, so the reader only compares it.  A trace log holds each round's
+batch as it is held: one JSON line per entry of the round's shape table,
+then one line of the episodes' entries in generation order, so each
+outcome path is written once per round and each episode is one number.
+Nothing in the engine reads a log back: `replay` compares its bytes, and
+the counts `report` shows come from `trajectory.json`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .model import (
     TaskType,
     TraceShape,
     UtilityTable,
-    place_skill,
+    owned_by,
     validate_state,
 )
 from .world import LatentSkill, Scenario
@@ -282,6 +283,9 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if key in latent_ids:
             raise ScenarioError(f"duplicate latent {key!r}", lineno)
         _ids(lineno, key)
+        if key.endswith(("-a", "-b")):  # a motif is `{L}-r{R}`, a split half `{S}-a-r{R}`
+            message = f"latent id {key!r} ends in -a or -b, so a motif id could be a split half's"
+            raise ScenarioError(message, lineno)
         latent_ids.add(key)
         parts = value.split()
         if len(parts) != 3:
@@ -318,7 +322,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         )
 
     executors: dict[str, Executor] = {}
-    skills: dict[str, Skill] = {}
+    library: dict[str, Skill] = {}
+    skill_lines: dict[str, int] = {}
     cards: list[PolicyCard] = []
     entry_ids: set[tuple[str, str]] = set()
     for lineno, entry in sections["seed-state"]:
@@ -344,7 +349,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         elif kind == "skill":
             fields = _parse_skill_line(body, lineno)
             with _at_line(lineno):
-                skills[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
+                library[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
+            skill_lines[ident] = lineno
         else:
             parts = body.split()
             if len(parts) not in (3, 4):
@@ -365,11 +371,10 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                 )
             )
 
-    library: dict[str, Skill] = {}
-    for skill in skills.values():
+    for sid, skill in library.items():  # an executor may be declared after its skills
         if skill.owner not in executors:
-            raise ScenarioError(f"skill {skill.id!r} owned by unknown executor", 1)
-        place_skill(library, executors, skill)
+            message = f"skill {sid!r} owned by unknown executor {skill.owner!r}"
+            raise ScenarioError(message, skill_lines[sid])
     pool = {
         sid: (0, 0) for sid, s in library.items() if s.status is SkillStatus.POOLED
     }
@@ -434,12 +439,13 @@ def _records(state: RoundState) -> Iterator[str]:
             f"status={s.status.value} applies={_join_pairs(s.applicability)} "
             f"steps={steps} guards={_join(s.guards)} checks={_join(s.checks)}"
         )
+    owned = owned_by(state.library)
     for eid in sorted(state.executors):
         e = state.executors[eid]
         yield (
             f"executor {_check_token(eid)} manager={int(e.is_manager)} "
             f"capacity={e.capacity} boundary={_join_pairs(e.boundary)} "
-            f"owns={_join(e.owned_skills)}"
+            f"owns={_join(skill.id for skill in owned.get(eid, ()))}"
         )
     for kind, table in (("qskill", state.q_skill), ("qexec", state.q_exec)):
         for (key, task_id), (successes, attempts) in sorted(table.counts.items()):
@@ -523,7 +529,6 @@ def deserialize_state(text: str) -> RoundState:
                 executors.setdefault(rest[0], Executor(
                     id=rest[0],
                     boundary=_split_pairs(opts["boundary"]),
-                    owned_skills=_split_set(opts["owns"]),
                     capacity=int(opts["capacity"]),
                     is_manager=bool(int(opts["manager"])),
                 ))

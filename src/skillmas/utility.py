@@ -8,6 +8,7 @@ get nothing.  Credit adds exact (successes, attempts) counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
@@ -96,14 +97,19 @@ def _credit_keys(
     return skill_keys, [(eid, task_id) for eid in used_by]
 
 
-def skills_by_task(library: Mapping[str, Skill]) -> dict[str, list[Skill]]:
+def skills_by_task(
+    library: Mapping[str, Skill], owned: Counter[str] | None = None
+) -> dict[str, list[Skill]]:
     """The skills applicable to each task id, in library order.
 
     One pass over the library; a skill appears once under every task id
-    its applicability names.
+    its applicability names.  Given `owned`, the same pass also counts
+    each owner's skills into it.
     """
     by_task: dict[str, list[Skill]] = {}
     for skill in library.values():
+        if owned is not None:
+            owned[skill.owner] += 1
         for task_id in {pair[0] for pair in skill.applicability}:
             by_task.setdefault(task_id, []).append(skill)
     return by_task

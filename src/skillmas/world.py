@@ -15,6 +15,7 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -32,7 +33,6 @@ from .model import (
     StateError,
     TaskType,
     TraceShape,
-    active_owned,
 )
 from .numfmt import q12
 from .streams import _TWO_M53, Blocks, episode_blocks, word_random, word_randrange
@@ -195,11 +195,6 @@ def realizers(scenario: Scenario, library: Mapping[str, Skill]) -> dict[str, str
     return found
 
 
-def overload_excess(executor: Executor, library: Mapping[str, Skill]) -> int:
-    """The executor's active owned skills beyond its capacity."""
-    return max(0, len(active_owned(executor, library)) - executor.capacity)
-
-
 def slot_outcome(
     scenario: Scenario, pair: Pair, used: Iterable[Skill], excess: int
 ) -> tuple[float, tuple[CauseLabel, float] | None]:
@@ -269,12 +264,13 @@ class ExecutionTable:
     greedy executor's first step, whose slot is filled then.  Explore steps
     and later phases fill their slots on first use; the order in which
     entries are filled cannot change any result.
-    Slots read indexes built once per table (each task's candidate skills,
-    each executor's overload excess, one empty slice per (executor, phase),
-    the manager id) or once per scenario (`pair_views`): a slot ranks its
-    skills through `rank_skills` unless its task has no candidate skill,
-    and `slot_outcome` evaluates them in one pass (`tests/reference.py`
-    keeps `_terms`, `_success_prob` and `_deficit`).  Routes read the
+    Slots read indexes built once per table (each task's candidate skills
+    and each owner's skill count, from one pass over the library; one empty
+    slice per (executor, phase); the manager id) or once per scenario
+    (`pair_views`): a slot ranks its skills through `rank_skills` unless its
+    task has no candidate skill, and `slot_outcome` evaluates them in one
+    pass (`tests/reference.py` keeps `_terms`, `_success_prob` and
+    `_deficit`).  Routes read the
     covering index, each pair's covering executor ids, built in one pass
     over the executors.
 
@@ -304,9 +300,9 @@ class ExecutionTable:
         # not `sum`, which adds floats with compensation from Python 3.12 on
         self.total_weight = self.cumulative_weights[-1]
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
-        self._excess: dict[str, int] = {}
         self._empty: dict[tuple[str, str], ExecutorSlice] = {}
-        self._candidates = skills_by_task(state.library)
+        self._owned: Counter[str] = Counter()
+        self._candidates = skills_by_task(state.library, self._owned)
         self._covering = covering_ids(state.executors)
         self.shapes: list[TraceShape] = []
         self.roots = self._roots()
@@ -344,9 +340,7 @@ class ExecutionTable:
         and evaluate the ground-truth success probability of the result."""
         task_id, phase = pair
         library = self.state.library
-        excess = self._excess.get(executor.id)
-        if excess is None:
-            excess = self._excess[executor.id] = overload_excess(executor, library)
+        excess = max(0, self._owned[executor.id] - executor.capacity)
         if task_id not in self._candidates:
             nothing = self._empty.get((executor.id, phase))
             if nothing is None:

@@ -65,12 +65,9 @@ def make_state(
     universe = frozenset(pair for task in tasks for pair in task.pairs())
     library = {s.id: s for s in skills}
     if executors is None:
-        owned = frozenset(s.id for s in skills if s.owner == "worker")
         executors = [
-            Executor("manager", universe, frozenset(
-                s.id for s in skills if s.owner == "manager"
-            ), capacity=8, is_manager=True),
-            Executor("worker", universe, owned, capacity=8),
+            Executor("manager", universe, capacity=8, is_manager=True),
+            Executor("worker", universe, capacity=8),
         ]
     return RoundState(
         round_index=round_index,
@@ -151,8 +148,7 @@ def random_scenario(rng: random.Random, name: str = "fuzz") -> tuple[Scenario, R
 
     executors = {
         "manager": Executor(
-            "manager", frozenset(universe), frozenset(), capacity=rng.randint(2, 6),
-            is_manager=True,
+            "manager", frozenset(universe), capacity=rng.randint(2, 6), is_manager=True
         )
     }
     n_workers = rng.randint(1, 2)
@@ -160,7 +156,6 @@ def random_scenario(rng: random.Random, name: str = "fuzz") -> tuple[Scenario, R
     for w in range(n_workers):
         wid = f"worker{w}"
         region = frozenset(rng.sample(universe, rng.randint(1, len(universe))))
-        owned = set()
         for s in range(rng.randint(0, 2)):
             sid = f"seed-{wid}-{s}"
             pairs = frozenset(rng.sample(sorted(region), rng.randint(1, len(region))))
@@ -172,10 +167,7 @@ def random_scenario(rng: random.Random, name: str = "fuzz") -> tuple[Scenario, R
                 status=SkillStatus.SEEDED,
                 owner=wid,
             )
-            owned.add(sid)
-        executors[wid] = Executor(
-            wid, region, frozenset(owned), capacity=rng.randint(1, 5)
-        )
+        executors[wid] = Executor(wid, region, capacity=rng.randint(1, 5))
     state = RoundState(
         round_index=0,
         library=library,

@@ -337,8 +337,8 @@ def success_terms(
             raise StateError(f"used skill {skill_id!r} is not in the library")
         used.append(skill)
     latents = [l for l in scenario.latent_catalog if l.applicability == pair]
-    # owned skills present in the library beyond capacity, floored at 0
-    owned = sum(1 for skill_id in executor.owned_skills if skill_id in library)
+    # library skills whose owner is this executor, beyond capacity, floored at 0
+    owned = sum(1 for skill in library.values() if skill.owner == executor.id)
     return _terms(latents, used, max(0, owned - executor.capacity))
 
 

@@ -34,6 +34,33 @@ def run_dir(tmp_path):
     return out
 
 
+# a world where the seed skill `sk` gets split; its latent `lq` is line 9
+SPLIT_WORLD = """\
+[tasks]
+t = p p2 | 1.0
+u = q | 1.0
+[difficulty]
+t/p = -1.0
+t/p2 = 1.0
+u/q = -0.5
+[latent]
+lq = u/q 2.0 missing-precondition
+lx = t/p 2.0 wrong-action-order
+[penalties]
+interference = 1.1
+overload = 0.0
+routing-noise = 0.1
+cause-confidence = 1.0
+[seed-state]
+executor manager = * capacity=10 manager
+skill sk = owner=manager applies=t/p,t/p2 steps=x
+skill sk2 = owner=manager applies=t/p steps=y
+[thresholds]
+episodes-per-round = 60
+prune-min-count = 1000
+"""
+
+
 class TestRun:
     def test_artifacts_on_disk(self, run_dir):
         assert (run_dir / "trajectory.json").exists()
@@ -107,6 +134,33 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scn}: line 8: duplicate threshold 'top-k'")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "line, replacement, detail",
+        [
+            # with latent `sk-a`, seed 1 splits `sk` in round 1 into `sk-a-r1`,
+            # the id of that latent's motif
+            (9, "sk-a = u/q 2.0 missing-precondition", "latent id 'sk-a' ends in -a or -b"),
+            (18, "skill sk = owner=ghost applies=t/p,t/p2 steps=x",
+             "skill 'sk' owned by unknown executor 'ghost'"),
+        ],
+        ids=["latent-split", "skill-owner"],
+    )
+    def test_seed_refusal_names_file_line_and_id(
+        self, tmp_path, capsys, line, replacement, detail
+    ):
+        scn = tmp_path / "d.scn"
+        scn.write_text(SPLIT_WORLD)
+        assert main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "1",
+                     "--out", str(tmp_path / "ok"), "--quiet"]) == 0
+        text = SPLIT_WORLD.splitlines()
+        text[line - 1] = replacement
+        scn.write_text("\n".join(text) + "\n")
+        code = main(["run", "--scenario", str(scn), "--seed", "1", "--rounds", "4",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {scn}: line {line}: {detail}")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(

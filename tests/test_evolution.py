@@ -365,7 +365,7 @@ class TestApplyDelta:
             state.library, state.executors, state.pool, delta
         )
         assert lib["new"].status is SkillStatus.POOLED
-        assert "new" in execs["worker"].owned_skills
+        assert lib["new"].owner == "worker" and execs is state.executors
         assert pool["new"] == (0, 0)
 
     def test_id_reuse_rejected(self):
@@ -404,7 +404,7 @@ class TestApplyDelta:
             state.library, state.executors, state.pool, delta
         )
         assert "sk" not in lib
-        assert "sk" not in execs["worker"].owned_skills
+        assert execs is state.executors
         assert "sk" not in pool
 
 
@@ -460,7 +460,7 @@ class TestPoolLifecycle:
             state.library, state.pool, state.executors, EngineConfig()
         )
         assert "pk" not in lib and "pk" not in pool
-        assert "pk" not in execs["worker"].owned_skills
+        assert execs is state.executors
         assert outcomes == [("pk", "pruned")]
 
     def test_insufficient_evidence_stays_pooled(self):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from skillmas.model import CauseLabel
+from skillmas.model import CauseLabel, owned_by
 from skillmas.orchestrator import run_experiment
 from skillmas.presets import load_preset
 from skillmas.world import realizers
@@ -75,5 +75,5 @@ def test_mismatch_restructuring_relieves_overload():
             if new_id not in final.executors:
                 continue  # may have been merged away later
             specialist = final.executors[new_id]
-            assert len(specialist.owned_skills) <= specialist.capacity
+            assert len(owned_by(final.library).get(new_id, ())) <= specialist.capacity
     assert hits >= 3, "restructuring fired too rarely on the mismatch world"

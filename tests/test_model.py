@@ -12,10 +12,8 @@ from skillmas.model import (
     StateError,
     TaskType,
     UtilityTable,
-    active_owned,
-    drop_skill,
-    place_skill,
     jaccard,
+    owned_by,
     skill_similarity,
     validate_state,
 )
@@ -139,23 +137,6 @@ class TestStateValidation:
         with pytest.raises(StateError, match="orphan owner"):
             validate_state(state, UNIVERSE)
 
-    def test_duplicate_ownership_rejected(self):
-        skill = make_skill("a", owner="worker")
-        universe = frozenset({("t1", "p1")})
-        state = RoundState(
-            round_index=0,
-            library={"a": skill},
-            executors={
-                "manager": Executor("manager", universe, frozenset({"a"}), is_manager=True),
-                "worker": Executor("worker", universe, frozenset({"a"})),
-            },
-            q_skill=UtilityTable(),
-            q_exec=UtilityTable(),
-            pool={},
-        )
-        with pytest.raises(StateError, match="owned by both"):
-            validate_state(state, universe)
-
     def test_pooled_skill_missing_from_pool_rejected(self):
         state = make_state([make_skill("a", status=SkillStatus.POOLED)])
         with pytest.raises(StateError, match="absent from pool"):
@@ -192,30 +173,18 @@ class TestStateValidation:
             validate_state(state, UNIVERSE)
 
 
-class TestOwnershipEdits:
-    def test_place_skill_keeps_owned_sets_in_step(self):
-        import dataclasses
-
-        a = make_skill("a", owner="worker")
-        state = make_state([a])
-        lib, execs = dict(state.library), dict(state.executors)
-        b = make_skill("b", owner="manager")
-        place_skill(lib, execs, b)  # a new skill joins its owner
-        assert execs["manager"].owned_skills == {"b"}
-        place_skill(lib, execs, dataclasses.replace(a, owner="manager"))  # a move
-        assert (execs["manager"].owned_skills, execs["worker"].owned_skills) == (
-            {"a", "b"}, frozenset()
-        )
-        drop_skill(lib, execs, "b")  # a prune leaves the library and the owned set
-        assert "b" not in lib and execs["manager"].owned_skills == {"a"}
-        validate_state(RoundState(1, lib, execs, UtilityTable(), UtilityTable(), {}), UNIVERSE)
-        # the inputs were fresh copies: the state itself is untouched
-        assert state.executors["worker"].owned_skills == {"a"}
-
-    def test_active_owned_skips_pruned_and_unknown(self):
-        # a pruned skill's id is absent from the library, like an unknown one
-        worker = Executor("worker", frozenset({("t1", "p1")}), frozenset({"a", "p", "gone"}))
-        assert [s.id for s in active_owned(worker, {"a": make_skill("a")})] == ["a"]
+class TestOwnership:
+    def test_owned_by_groups_each_owners_skills_in_library_order(self):
+        library = {
+            sid: make_skill(sid, owner=owner)
+            for sid, owner in (("c", "worker"), ("a", "manager"), ("b", "worker"))
+        }
+        owned = owned_by(library)
+        assert {eid: [s.id for s in skills] for eid, skills in owned.items()} == {
+            "worker": ["c", "b"],
+            "manager": ["a"],
+        }
+        assert owned_by({}) == {}
 
 
 class TestDomainInvariants:

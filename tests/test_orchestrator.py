@@ -123,27 +123,25 @@ def test_a_prune_leaves_no_trace(world, seed, rounds):
         pruned = pruned_ids(report)
         assert pruned == before.library.keys() - after.library.keys()
         seen |= pruned
-        # gone for good: from the library, every owned set, the pool and q_skill
+        # gone for good: from the library (and so every owned set), the pool and q_skill
         for state in result.states[r + 1 :]:
             assert not seen & state.library.keys()
-            assert not any(seen & e.owned_skills for e in state.executors.values())
             assert not seen & state.pool.keys()
             assert not seen & {sid for sid, _ in state.q_skill.counts}
     assert seen
 
 
 def test_restructuring_sees_the_post_delta_organization(monkeypatch):
-    # the executors `decide_restructure` judges own every skill of the
-    # library it is given, this round's drafts too (wide24 seed 7 drafts in
-    # most rounds)
+    # every skill of the library `decide_restructure` is given, this round's
+    # drafts too, is owned by one of the executors it judges (wide24 seed 7
+    # drafts in most rounds)
     import skillmas.orchestrator as orch
 
     calls = []
     decide = orch.decide_restructure
 
     def spy(artifacts, executors, q_exec, config, **kwargs):
-        owned = {sid for e in executors.values() for sid in e.owned_skills}
-        calls.append(owned == kwargs["library"].keys())
+        calls.append(all(s.owner in executors for s in kwargs["library"].values()))
         return decide(artifacts, executors, q_exec, config, **kwargs)
 
     monkeypatch.setattr(orch, "decide_restructure", spy)
@@ -320,18 +318,12 @@ class TestTransplant:
         assert all(0 <= row.successes <= 15 for row in table.rows)
 
 
-def tally(batch):
-    return family_tally(
-        (shape.task_type, shape.outcome, count) for shape, count in batch.tally()
-    )
-
-
 class TestBreakdown:
     def test_all_success_single_family(self):
         scenario = quiet_scenario()
         state = make_state([])
         batch = exec_round(state, scenario, 10, 3, EngineConfig())
-        counts = tally(batch)
+        counts = family_tally(batch.tally())
         assert list(counts.values()) == [(10, 10)]
         [row] = render_breakdown(counts).splitlines()[1:]
         assert row.endswith(" 10/10 (100.0%)")
@@ -341,7 +333,7 @@ class TestBreakdown:
         state = make_state([])
         best = exec_round(state, scenario, 18, 3, EngineConfig())
         # shape check on the rendered row format
-        text = render_breakdown(tally(best), baseline=tally(best))
+        text = render_breakdown(family_tally(best.tally()), baseline=family_tally(best.tally()))
         assert "18/18 (100.0%)" in text
         assert "+0" in text
 
@@ -363,7 +355,7 @@ class TestBreakdown:
     def test_empty_family_omitted(self):
         pack = load_preset("mismatch")
         batch = exec_round(pack.seed_state, pack.scenario, 5, 1, pack.config)
-        rows = render_breakdown(tally(batch)).splitlines()[1:]
+        rows = render_breakdown(family_tally(batch.tally())).splitlines()[1:]
         seen = {shape.task_type.id for shape in batch.shapes}
         assert {row.split()[0] for row in rows} == seen
 

@@ -11,7 +11,6 @@ the reference's own.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -34,17 +33,9 @@ ROUNDS = 5
 
 
 def chained_world(world_seed: int, repeats: bool):
-    """A `random_world` whose executors own only library skills, as
-    `validate_state` requires of a seed state, with low thresholds so that
-    rounds retain, repair and restructure."""
+    """A `random_world` with low thresholds so that rounds retain, repair
+    and restructure."""
     scenario, state, config = random_world(random.Random(world_seed))
-    executors = {
-        eid: dataclasses.replace(
-            e,
-            owned_skills=frozenset(sid for sid in e.owned_skills if sid in state.library),
-        )
-        for eid, e in state.executors.items()
-    }
     rng = random.Random(world_seed ^ 0x2A)
     config = config.replace(
         episodes_per_round=rng.randint(10, 60),
@@ -54,7 +45,7 @@ def chained_world(world_seed: int, repeats: bool):
         min_count=rng.randint(1, 5),
         promote_min_uses=rng.randint(1, 3),
     )
-    return scenario, dataclasses.replace(state, executors=executors), config
+    return scenario, state, config
 
 
 def chained_rounds(world_seed: int, repeats: bool):

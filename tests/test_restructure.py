@@ -139,9 +139,9 @@ class TestDecide:
         state = make_state(
             [twin_a, twin_b],
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("wa", universe, frozenset({"twin-a"})),
-                Executor("wb", universe, frozenset({"twin-b"})),
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
             ],
         )
         q = UtilityTable({("wa", "t1"): (5, 9), ("wb", "t1"): (4, 7)})
@@ -158,9 +158,9 @@ class TestDecide:
         state = make_state(
             [twin_a, twin_b],
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("wa", universe, frozenset({"twin-a"})),
-                Executor("wb", universe, frozenset({"twin-b"})),
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
             ],
         )
         q = UtilityTable({("wa", "t1"): (8, 9), ("wb", "t1"): (3, 7)})
@@ -174,9 +174,8 @@ class TestDecide:
         state = make_state(
             skills,
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("worker", universe,
-                         frozenset(s.id for s in skills), capacity=2),
+                Executor("manager", universe, is_manager=True),
+                Executor("worker", universe, capacity=2),
             ],
         )
         q = UtilityTable({("worker", "t1"): (1, 6)})
@@ -195,9 +194,9 @@ class TestDecide:
         state = make_state(
             [twin_a, twin_b],
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("wa", universe, frozenset({"twin-a"})),
-                Executor("wb", universe, frozenset({"twin-b"})),
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
             ],
         )
         q = UtilityTable({("wa", "t1"): (4, 9), ("wb", "t1"): (3, 7)})
@@ -237,8 +236,6 @@ class TestApply:
             decision, CONFIG,
         )
         assert lib["val"].owner == "exec-t1-r0"
-        assert "val" in execs["exec-t1-r0"].owned_skills
-        assert "val" not in execs["worker"].owned_skills
         assert lib["other"].owner == "worker"
         assert execs["exec-t1-r0"].capacity == CONFIG.default_capacity
 
@@ -255,9 +252,9 @@ class TestApply:
         state = make_state(
             [s1, s2],
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("wa", universe, frozenset({"s1"})),
-                Executor("wb", universe, frozenset({"s2"})),
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
             ],
             q_skill=UtilityTable({("s1", "t1"): (4, 5), ("s2", "t1"): (3, 5)}),
         )
@@ -272,7 +269,7 @@ class TestApply:
         assert "wb" not in execs
         assert "s2" not in lib
         assert lib["s1"].status is SkillStatus.VALIDATED
-        assert execs["wa"].owned_skills == {"s1"}
+        assert lib["s1"].owner == "wa"
         assert any("consolidated s2 into s1" in entry for entry in log)
 
     def test_modify_narrows_and_hands_to_manager(self):
@@ -281,8 +278,8 @@ class TestApply:
         state = make_state(
             [stray],
             executors=[
-                Executor("manager", universe, frozenset(), is_manager=True),
-                Executor("worker", universe, frozenset({"stray"})),
+                Executor("manager", universe, is_manager=True),
+                Executor("worker", universe),
             ],
         )
         decision = RestructureDecision(
@@ -297,7 +294,6 @@ class TestApply:
         )
         assert execs["worker"].boundary == frozenset({("t2", "p1")})
         assert lib["stray"].owner == "manager"
-        assert "stray" in execs["manager"].owned_skills
 
     def test_manager_cannot_be_merged_away(self):
         state = make_state([])
@@ -390,9 +386,9 @@ def one_third_world(overlap_threshold):
         [make_skill("sa", steps=("x", "y"), owner="wa"),
          make_skill("sb", steps=("y", "z"), owner="wb")],
         executors=[
-            Executor("manager", universe, frozenset(), is_manager=True),
-            Executor("wa", universe, frozenset({"sa"})),
-            Executor("wb", universe, frozenset({"sb"})),
+            Executor("manager", universe, is_manager=True),
+            Executor("wa", universe),
+            Executor("wb", universe),
         ],
     )
     q = UtilityTable({("wa", "t1"): (6, 10), ("wb", "t1"): (11, 19)})
@@ -452,8 +448,7 @@ def restructure_inputs(draw):
         boundary = frozenset(PAIRS) if eid == "manager" else frozenset(
             draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=4, unique=True))
         )
-        owned = frozenset(s.id for s in library.values() if s.owner == eid)
-        executors[eid] = Executor(eid, boundary, owned, capacity=draw(st.integers(1, 4)),
+        executors[eid] = Executor(eid, boundary, capacity=draw(st.integers(1, 4)),
                                   is_manager=eid == "manager")
     attempts = st.integers(1, 9)
     q = UtilityTable({

@@ -51,12 +51,8 @@ from test_round_index import random_world
 def restructured(state, scenario, config, rng):
     """The state after each restructuring edit that applies to it: add an
     executor over random pairs, merge-remove two workers, narrow each worker."""
-    executors = {  # owned ids outside the library have nothing to transfer
-        eid: dataclasses.replace(e, owned_skills=e.owned_skills & state.library.keys())
-        for eid, e in state.executors.items()
-    }
     universe = sorted(scenario.universe())
-    workers = sorted(eid for eid, e in executors.items() if not e.is_manager)
+    workers = sorted(eid for eid, e in state.executors.items() if not e.is_manager)
 
     def some(pairs):
         return frozenset(rng.sample(pairs, rng.randint(1, len(pairs))))
@@ -66,11 +62,11 @@ def restructured(state, scenario, config, rng):
         subjects = tuple(rng.sample(workers, 2))
         decisions.append(RestructureDecision("merge-remove", subjects, evidence={"p": 1}))
     for eid in workers:
-        boundary = some(sorted(executors[eid].boundary))
+        boundary = some(sorted(state.executors[eid].boundary))
         decisions.append(RestructureDecision("modify", (eid,), boundary, evidence={"p": 1}))
     for decision in decisions:
         library, execs, pool, _ = apply_restructure(
-            state.library, executors, state.pool, state.q_skill, decision, config
+            state.library, state.executors, state.pool, state.q_skill, decision, config
         )
         yield dataclasses.replace(state, library=library, executors=execs, pool=pool)
 

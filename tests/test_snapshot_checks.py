@@ -25,28 +25,34 @@ def run_dir(tmp_path):
     return out
 
 
-def orphan_owner(snapshot) -> None:
-    """sk-fetch keeps owner worker-a, but worker-a no longer owns it."""
+def disown(snapshot) -> int:
+    """Hand-edit worker-a's `owns=` to drop sk-fetch, whose owner stays
+    worker-a; return the byte offset of worker-a's line."""
     text = snapshot.read_text(encoding="utf-8")
     assert "owns=sk-fetch" in text
     snapshot.write_text(text.replace("owns=sk-fetch", "owns=-"), encoding="utf-8")
+    return len(text[: text.index("executor worker-a ")].encode("utf-8"))
 
 
 def test_eval_rejects_an_invalid_snapshot(run_dir, capsys):
+    # `owns=` is derived from the skills' owners, so the writer comparison
+    # refuses the edited line at its offset
     snapshot = run_dir / "snapshots" / "state_r000.txt"
-    orphan_owner(snapshot)
+    offset = disown(snapshot)
     code = main(["eval", "--scenario", "preset:tiny", "--state", str(snapshot),
                  "--episodes", "5", "--seed", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert f"snapshot {snapshot}:" in captured.err
-    assert "missing from owner's skill set" in captured.err
+    assert "owns=-" in captured.err and "where the writer writes" in captured.err
+    assert "owns=sk-fetch\\n'" in captured.err
+    assert f"(byte offset {offset})" in captured.err
     assert "total:" not in captured.out
 
 
 def test_transplant_rejects_an_invalid_seed_snapshot(run_dir, capsys):
     snapshot = run_dir / "snapshots" / "state_r000.txt"
-    orphan_owner(snapshot)
+    disown(snapshot)
     assert main(["transplant", "--run", str(run_dir), "--episodes", "5"]) == 2
     assert f"snapshot {snapshot}:" in capsys.readouterr().err
     assert not (run_dir / "transplant.json").exists()

@@ -6,6 +6,7 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skillmas.cli import main
 from skillmas.model import (
@@ -55,15 +56,11 @@ class TestSnapshots:
             for i in range(13)
         ]
         universe = frozenset({("t1", "p1"), ("t1", "p2")})
-        owned = {"manager": set(), "worker": set(), "extra-a": set(), "extra-b": set()}
-        for s in skills:
-            owned[s.owner].add(s.id)
         executors = {
-            "manager": Executor("manager", universe, frozenset(owned["manager"]),
-                                capacity=9, is_manager=True),
-            "worker": Executor("worker", universe, frozenset(owned["worker"])),
-            "extra-a": Executor("extra-a", frozenset({("t1", "p1")}), frozenset()),
-            "extra-b": Executor("extra-b", frozenset({("t1", "p2")}), frozenset()),
+            "manager": Executor("manager", universe, capacity=9, is_manager=True),
+            "worker": Executor("worker", universe),
+            "extra-a": Executor("extra-a", frozenset({("t1", "p1")})),
+            "extra-b": Executor("extra-b", frozenset({("t1", "p2")})),
         }
         # utility entries are (successes, attempts) counts
         q_skill = UtilityTable({("sk00", "t1"): (2, 3), ("sk01", "t1"): (1, 4)})
@@ -244,6 +241,24 @@ def test_snapshot_reader_refuses_what_the_writer_never_writes(evolved_snapshot, 
     assert err.value.offset == sum(len(line) + 1 for line in lines[:at])
 
 
+# low thresholds, so that chained rounds create, prune and move skills
+CHAIN = EngineConfig(episodes_per_round=30, mass_threshold=1, min_count=1, promote_min_uses=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_owns_lists_the_skills_that_name_the_executor(world_seed):
+    scenario, seed_state = random_scenario(random.Random(world_seed))
+    for state in run_experiment(scenario, seed_state, world_seed, 4, CHAIN).states:
+        text = serialize_state(state)
+        for line in text.splitlines():
+            if line.startswith("executor "):
+                eid, owns = line.split()[1], line.rpartition(" owns=")[2]
+                owned = sorted(sid for sid, skill in state.library.items() if skill.owner == eid)
+                assert owns == (",".join(owned) or "-")
+        assert serialize_state(deserialize_state(text)) == text
+
+
 class TestTraceLog:
     """The log is write-only: per round, one `trace_to_record` line per
     shape-table entry, then the index in generation order."""
@@ -358,12 +373,23 @@ class TestScenarioFiles:
             ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\nexecutor w = t/a\n"
              "skill s1 = owner=w applies=t/a steps=x owner=m steps=y\n", 6,
              "repeated skill option 'owner'"),
+            # a motif of latent L is minted `L-r{R}`, a split of skill S
+            # `S-a-r{R}` and `S-b-r{R}`: equal when L is S-a or S-b
+            ("[tasks]\nt1 = p1 | 1.0\n[latent]\nl = t1/p1 1.0 unknown\n"
+             "sk-a = t1/p1 2.0 unknown\n", 5, "latent id 'sk-a' ends in -a or -b"),
+            ("[tasks]\nt1 = p1 | 1.0\n[latent]\nsk-b = t1/p1 2.0 unknown\n", 4,
+             "latent id 'sk-b' ends in -a or -b"),
+            # owners are checked once every executor is read, at the skill's own line
+            ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "skill s0 = owner=w applies=t/a steps=x\nskill s1 = owner=ghost applies=t/a steps=x\n"
+             "executor w = t/a\n", 6, "skill 's1' owned by unknown executor 'ghost'"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
              "step-dash", "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf",
              "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
-             "manager-repeated", "skill-option-repeated"],
+             "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
+             "skill-owner-unknown"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse
@@ -371,6 +397,14 @@ class TestScenarioFiles:
             parse_scenario(body)
         assert err.value.line == line
         assert detail in str(err.value)
+
+    def test_a_skill_may_name_an_executor_declared_after_it(self):
+        pack = parse_scenario(
+            "[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\n"
+            "skill s = owner=w applies=t/a steps=x\nexecutor w = t/a\n"
+        )
+        assert pack.seed_state.library["s"].owner == "w"
+        assert "owns=s\n" in serialize_state(pack.seed_state)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
@@ -474,6 +508,5 @@ class TestScenarioFiles:
         pack = load_preset("favorable")
         state = pack.seed_state
         assert state.library["sk-probe"].owner == "worker-a"
-        assert "sk-probe" in state.executors["worker-a"].owned_skills
         assert state.policy_index[0].template_skill == "ls-exam-scan"
         assert state.executors["manager"].boundary == pack.scenario.universe()

@@ -137,12 +137,9 @@ class TestSelectSkills:
         state = make_state(
             [mine, theirs, shared],
             executors=[
-                Executor("manager", frozenset({("t1", "p1"), ("t1", "p2")}),
-                         frozenset({"shared"}), is_manager=True),
-                Executor("worker", frozenset({("t1", "p1"), ("t1", "p2")}),
-                         frozenset({"mine"})),
-                Executor("other", frozenset({("t1", "p1"), ("t1", "p2")}),
-                         frozenset({"theirs"})),
+                Executor("manager", frozenset({("t1", "p1"), ("t1", "p2")}), is_manager=True),
+                Executor("worker", frozenset({("t1", "p1"), ("t1", "p2")})),
+                Executor("other", frozenset({("t1", "p1"), ("t1", "p2")})),
             ],
         )
         chosen = select_skills(state.q_skill, state, "t1", "p1", "worker", 5)

@@ -52,8 +52,9 @@ def make_scenario(
     )
 
 
-def plain_executor(universe=(("t1", "p1"), ("t1", "p2")), capacity=8, owned=()):
-    return Executor("e1", frozenset(universe), frozenset(owned), capacity=capacity)
+def plain_executor(universe=(("t1", "p1"), ("t1", "p2")), capacity=8):
+    """The owner `make_skill` names by default."""
+    return Executor("worker", frozenset(universe), capacity=capacity)
 
 
 class TestGroundTruth:
@@ -68,7 +69,7 @@ class TestGroundTruth:
         skill = make_skill("s1", pairs=(("t1", "p1"),), steps=("lat", "go"))
         scenario = make_scenario(latents=[latent])
         p = ground_truth_success_prob(
-            scenario, {"s1": skill}, "t1", "p1", plain_executor(owned=("s1",)), ["s1"]
+            scenario, {"s1": skill}, "t1", "p1", plain_executor(), ["s1"]
         )
         expected = 1.0 / (1.0 + math.exp(-2.0))
         assert p == pytest.approx(expected, abs=1e-12)
@@ -78,7 +79,7 @@ class TestGroundTruth:
         skill = make_skill("s1", pairs=(("t1", "p1"),), steps=("go",))
         scenario = make_scenario(interference=1.0)
         p = ground_truth_success_prob(
-            scenario, {"s1": skill}, "t1", "p1", plain_executor(owned=("s1",)), ["s1"]
+            scenario, {"s1": skill}, "t1", "p1", plain_executor(), ["s1"]
         )
         expected = 1.0 / (1.0 + math.exp(1.0))
         assert p == pytest.approx(expected, abs=1e-12)
@@ -86,7 +87,7 @@ class TestGroundTruth:
 
     def test_overload_penalty(self):
         skills = {f"s{i}": make_skill(f"s{i}") for i in range(4)}
-        executor = plain_executor(capacity=2, owned=tuple(skills))
+        executor = plain_executor(capacity=2)
         scenario = make_scenario(overload=0.5)
         p = ground_truth_success_prob(scenario, skills, "t1", "p1", executor, [])
         assert p == pytest.approx(logistic(-0.5 * 2), abs=1e-12)
@@ -110,7 +111,7 @@ class TestGroundTruth:
         realizer = make_skill("match", pairs=(("t1", "p1"),), steps=("lat",))
         junk = make_skill("junk", pairs=(("t1", "p1"),), steps=("noise",))
         library = {"match": realizer, "junk": junk}
-        executor = plain_executor(owned=("match", "junk"))
+        executor = plain_executor()
         subset = data.draw(st.sets(st.sampled_from(["junk"])))
         base_p = ground_truth_success_prob(
             scenario, library, "t1", "p1", executor, sorted(subset)
