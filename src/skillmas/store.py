@@ -326,6 +326,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
     skill_lines: dict[str, int] = {}
     cards: list[PolicyCard] = []
     entry_ids: set[tuple[str, str]] = set()
+    manager: str | None = None
     for lineno, entry in sections["seed-state"]:
         kind, rest = (entry.split(None, 1) + [""])[:2]
         if kind not in ("executor", "skill", "card"):
@@ -346,6 +347,13 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                 executors[ident] = Executor(
                     id=ident, boundary=boundary, **options  # type: ignore[arg-type]
                 )
+            if options.get("is_manager"):
+                if manager is not None:
+                    raise ScenarioError(f"second manager {ident!r}: {manager!r} is one", lineno)
+                manager = ident
+                missing = sorted(universe - boundary)
+                if missing:
+                    raise ScenarioError(f"manager boundary misses pairs {missing!r}", lineno)
         elif kind == "skill":
             fields = _parse_skill_line(body, lineno)
             with _at_line(lineno):

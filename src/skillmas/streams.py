@@ -15,21 +15,30 @@ one `array("I")`, and `(i, b)` returns episode i's block b alone.  Readers
 read the words by index through two word rules, each defined once here:
 `word_random` takes 53 bits from two words, and `word_randrange(n)` takes
 the top `n.bit_length()` bits of one word per try, rejecting values >= n.
-`world`'s one fast path, `end_episodes`, reads the task draw and phase 0's
-draws by `word_random`'s rule in place, as columns of a chunk's first
-blocks (tests pin every in-place read to the rule); its episode walk calls
-the rules.  A rule that reads past the list appends the episode's next
-block, so the list always holds a prefix of the stream, whatever each
-reader has read.
+A rule that reads past the list appends the episode's next block, so the
+list always holds a prefix of the stream, whatever each reader has read.
+
+A draw is a pure function of its words, so comparing words with integer
+thresholds gives `word_random`'s decisions exactly.  The draw from words a
+and b is `x * 2**-53` for x = `(a >> 5) << 26 | b >> 6`, below a threshold
+t exactly when x < T = `word_cut(t)` = ceil(t * 2**53), and a first word
+outside `word_window(T)`, 32 words from lo = `(T >> 26) << 5`, decides that
+alone; `word_cells` does the same for a sorted list of cuts, such as the
+task draw's.  `world`'s one fast path, `end_episodes`, decides the task draw
+and phase 0's draws from their first words this way, and walks an episode
+whose first word falls in a window, calling the rules (tests pin the
+decisions to `word_random` at every window's edges).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import sys
 from array import array
-from typing import Callable
+from bisect import bisect_right
+from typing import Callable, Sequence
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -84,6 +93,39 @@ def word_random(words: list[int], pos: int, blocks: Blocks, episode: int) -> flo
     while pos + 2 > len(words):
         words += blocks(episode, len(words) >> 4)
     return ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * _TWO_M53
+
+
+def word_cut(threshold: float) -> int:
+    """T = ceil(threshold * 2**53), for a threshold in [0, 1]: the draw
+    `word_random` makes from words a and b is `x * 2**-53` for the integer
+    x = `(a >> 5) << 26 | b >> 6`, so it is below the threshold exactly
+    when x < T."""
+    return math.ceil(threshold * 9007199254740992.0)
+
+
+def word_window(cut: int) -> tuple[int, int]:
+    """The window [lo, hi) of first words that cannot decide a draw's x <
+    `cut` alone: a first word below lo draws below the cut and one at or
+    above hi does not, whatever the second word, and a first word in the
+    window leaves it to the second."""
+    lo = (cut >> 26) << 5
+    return lo, lo + 32
+
+
+def word_cells(cuts: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(bounds, cells) for ascending `cuts`: a draw whose first word is a
+    has `bisect_right(cuts, x) == cells[bisect_right(bounds, a)]`, whatever
+    its second word, unless that cell is -1, when a is in a cut's window.
+    Windows are aligned runs of 32 words, so two are equal or disjoint, and
+    `bounds` lists each distinct one's ends."""
+    windows = [word_window(cut) for cut in cuts]
+    his = [hi for _, hi in windows]
+    bounds = [end for window in sorted(set(windows)) for end in window]
+    cells = []  # below each window, the cuts whose windows end there or below; in it, -1
+    for lo in bounds[::2]:
+        cells += (bisect_right(his, lo), -1)
+    cells.append(len(cuts))
+    return bounds, cells
 
 
 def word_randrange(

@@ -35,7 +35,16 @@ from .model import (
     TraceShape,
 )
 from .numfmt import q12
-from .streams import _TWO_M53, Blocks, episode_blocks, word_random, word_randrange
+from .streams import (
+    _TWO_M53,
+    Blocks,
+    episode_blocks,
+    word_cells,
+    word_cut,
+    word_random,
+    word_randrange,
+    word_window,
+)
 from .utility import Route, covering_ids, executor_route, rank_skills, skills_by_task
 
 
@@ -77,13 +86,10 @@ class Scenario:
         if not self.task_types:
             raise StateError("scenario has no task types")
         # every check is written so that a NaN fails it
-        total = 0.0  # summed as `ExecutionTable` accumulates the weights
         for task in self.task_types:
-            weight = self.task_weights.get(task.id, 0.0)
-            if not weight > 0.0:
+            if not self.task_weights.get(task.id, 0.0) > 0.0:
                 raise StateError(f"task {task.id!r} needs a positive sampling weight")
-            total += weight
-        if not math.isfinite(total):
+        if not math.isfinite(self.cumulative_weights[-1]):
             raise StateError("the task sampling weights must sum to a finite total")
         if not all(map(math.isfinite, self.base_difficulty.values())):
             raise StateError("base difficulties must be finite")
@@ -130,6 +136,41 @@ class Scenario:
             for pair in task.pairs()
             for latents in (self.latents_at.get(pair, ()),)
         }
+
+    @functools.cached_property
+    def cumulative_weights(self) -> tuple[float, ...]:
+        """The task weights' running sums, in task order; the last is the
+        total (not `sum`, which adds floats with compensation from Python
+        3.12 on).  The task draw u picks the task at `bisect_right(
+        cumulative_weights, u * total)`, or len(tasks) when u * total
+        rounds up to the total."""
+        return tuple(itertools.accumulate(self.task_weights[t.id] for t in self.task_types))
+
+    @functools.cached_property
+    def task_cuts(self) -> tuple[int, ...]:
+        """For each cumulative weight c, the least k in [0, 2**53] with
+        `k * 2**-53 * total >= c`, the product rounded as the task draw
+        rounds it.  The product rises with k, so the draw `x * 2**-53`
+        picks the task at `bisect_right(task_cuts, x)`: each cut is to the
+        task draw what `streams.word_cut` is to a threshold."""
+        total = self.cumulative_weights[-1]
+        cuts = []
+        for c in self.cumulative_weights:
+            lo, hi = 0, 1 << 53  # at 2**53 the product is the total
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if mid * _TWO_M53 * total >= c:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            cuts.append(lo)
+        return tuple(cuts)
+
+    @functools.cached_property
+    def task_cells(self) -> tuple[list[int], list[int]]:
+        """`streams.word_cells(task_cuts)`: the task position decided by a
+        draw's first word, or -1 in a cut's window."""
+        return word_cells(self.task_cuts)
 
     @functools.cached_property
     def task_views(self) -> tuple[tuple[TaskType, tuple[Pair, ...], tuple[float, ...]], ...]:
@@ -275,9 +316,9 @@ class ExecutionTable:
     over the executors.
 
     Outcome paths are interned.  At each position of the task draw's
-    bisection over `cumulative_weights`, `roots` holds (task, ((pair,
-    route), ...), progress values `q12(c / n)` for c = 0..n, first trie
-    steps, the greedy first step); the task's pairs and progress values are
+    bisection over the scenario's `cumulative_weights`, `roots` holds (task,
+    ((pair, route), ...), progress values `q12(c / n)` for c = 0..n, first
+    trie steps, the greedy first step); the task's pairs and progress values are
     the scenario's `task_views`.  `end_episodes` reads phase 0 at the greedy
     first step, and `walk_episode` reads the rest.  A step, keyed by the
     drawn executor id, is the list [slot, the path's slices, next steps,
@@ -294,11 +335,6 @@ class ExecutionTable:
         self.scenario = scenario
         self.config = config
         self.tasks = scenario.task_types
-        self.cumulative_weights = tuple(
-            itertools.accumulate(scenario.task_weights[t.id] for t in self.tasks)
-        )
-        # not `sum`, which adds floats with compensation from Python 3.12 on
-        self.total_weight = self.cumulative_weights[-1]
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._empty: dict[tuple[str, str], ExecutorSlice] = {}
         self._owned: Counter[str] = Counter()
@@ -426,67 +462,68 @@ def end_episodes(
 
     The tables share the scenario, so they share the task draw and the
     exploration rate.  Block 0 of up to `CHUNK` episodes at a time comes
-    from one `blocks` call, and its draws are read once for every table, in
-    place by `word_random`'s rule, as columns of the chunk (the one copy of
-    the rule outside `streams`): words 0-1 draw the task, and phase 0's
-    routing, success and cause draws are words 2-3, 4-5 and 6-7.  Then each
-    table runs the chunk's episodes in order.  An episode whose phase 0
-    routes greedy ends on its root's greedy first step with no call when
-    that phase fails, or succeeds on a single-phase task.
+    from one `blocks` call, and its draws are read once for every table, as
+    columns of the chunk: words 0-1 draw the task, and phase 0's routing,
+    success and cause draws are words 2-3, 4-5 and 6-7.  Each draw is
+    decided from its first word alone, against its threshold's
+    `streams.word_window`, or the task cuts' `Scenario.task_cells`; a first
+    word in a window decides nothing.  Then each table runs the chunk's
+    episodes in order.  An episode whose phase 0 routes greedy ends on its
+    root's greedy first step with no call when that phase fails, or
+    succeeds on a single-phase task, as far as the first words tell.
     Every other episode is walked by `walk_episode` on a list of its sixteen
     words, one list per episode for all tables, so no block is derived
-    twice.  On failure the episode then draws its last value: the failing
-    slot's dominant deficit is observed as the cause, confidently with the
-    scenario's observation probability; with no deficit nothing is drawn.
+    twice; the walk reads every draw by `word_random`'s rule, and a task
+    left undecided is drawn by that rule first.  On failure the episode then
+    draws its last value: the failing slot's dominant deficit is observed as
+    the cause, confidently with the scenario's observation probability;
+    with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
     scenario = tables[0].scenario
-    cumulative, total = tables[0].cumulative_weights, tables[0].total_weight
-    epsilon, confidence = scenario.routing_noise, scenario.cause_confidence
+    cumulative, confidence = scenario.cumulative_weights, scenario.cause_confidence
+    bounds, cells = scenario.task_cells
+    greedy_from = word_window(word_cut(scenario.routing_noise))[1]
+    observe_lo, observe_hi = word_window(word_cut(confidence))
     indexes = [array("L") for _ in tables]
     for first in range(episodes.start, episodes.stop, CHUNK):
         stop = min(first + CHUNK, episodes.stop)
         w = blocks(first, 0, stop - first)
-        positions = [
-            bisect_right(cumulative, ((t0 >> 5) * 67108864.0 + (t1 >> 6)) * _TWO_M53 * total)
-            for t0, t1 in zip(w[0::16], w[1::16])
-        ]
-        # phase 0's success draw, or None when its routing draw explores
-        successes = [
-            None
-            if ((r0 >> 5) * 67108864.0 + (r1 >> 6)) * _TWO_M53 < epsilon
-            else ((s0 >> 5) * 67108864.0 + (s1 >> 6)) * _TWO_M53
-            for r0, r1, s0, s1 in zip(w[2::16], w[3::16], w[4::16], w[5::16])
-        ]
-        observed = [
-            ((c0 >> 5) * 67108864.0 + (c1 >> 6)) * _TWO_M53 < confidence
-            for c0, c1 in zip(w[6::16], w[7::16])
-        ]
+        positions = [cells[bisect_right(bounds, a)] for a in w[0::16]]
+        # phase 0's success word, or None when its routing draw may explore
+        successes = [None if r < greedy_from else s for r, s in zip(w[2::16], w[4::16])]
+        # the cause draw observes (0), may (1) or does not (2)
+        observed = [0 if c < observe_lo else 2 if c >= observe_hi else 1 for c in w[6::16]]
         lists: dict[int, list[int]] = {}  # each walked episode's words
         for table, index in zip(tables, indexes):
             roots, shapes = table.roots, table.shapes
             ends: list[int] = []  # the chunk's positions in `shapes`
             # at each task position: the greedy first step, its success
-            # probability, the ends of a failure there (unobserved, then
-            # observed) and whether the task has one phase
+            # draw's window, the ends of a failure there by `observed` and
+            # whether the task has one phase; at -1, an entry that ends none
             greedy = [
-                (step, slot.success_prob, (5, 5 if slot.deficit is None else 4), len(phases) == 1)
+                (step, *word_window(word_cut(slot.success_prob)), fails, len(phases) == 1)
                 for _, phases, _, _, step in roots
                 for slot in (step[0],)
+                for fails in ((5, 5, 5) if slot.deficit is None else (4, None, 5),)
             ]
-            for i, position, u, seen in zip(range(first, stop), positions, successes, observed):
-                step, p, fails, single = greedy[position]
+            greedy.append((None, 0, 1 << 32, None, False))
+            for i, position, s, seen in zip(range(first, stop), positions, successes, observed):
+                step, lo, hi, fails, single = greedy[position]
                 end = None  # none yet: the episode is walked
-                if u is not None:
-                    if not u < p:
+                if s is not None:
+                    if s >= hi:
                         end = fails[seen]
-                    elif single:
+                    elif s < lo and single:
                         end = 3
                 if end is None:
                     words = lists.get(i)
                     if words is None:
                         k = 16 * (i - first)
                         words = lists[i] = list(w[k : k + 16])
+                    if position < 0:
+                        u = word_random(words, 0, blocks, i)
+                        position = bisect_right(cumulative, u * cumulative[-1])
                     step, failed, pos = walk_episode(table, roots[position], words, blocks, i)
                     if failed is None:
                         end = 3

@@ -92,7 +92,8 @@ def task_at(table: ExecutionTable, u: float) -> tuple:
     """The root of the task a uniform draw `u` in [0, 1) picks, each with
     probability proportional to its sampling weight: the bisection over the
     table's cumulative weights that `end_episodes` makes."""
-    return table.roots[bisect_right(table.cumulative_weights, u * table.total_weight)]
+    cumulative = table.scenario.cumulative_weights
+    return table.roots[bisect_right(cumulative, u * cumulative[-1])]
 
 
 def episode_shape(table: ExecutionTable, blocks, i: int) -> TraceShape:

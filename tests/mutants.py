@@ -3,8 +3,9 @@ files named for it; a mutant survives when they all pass.
 
 The fast paths, `world.end_episodes` and `world.walk_episode`, and the
 stream rules in `streams.py` test draws against thresholds and read words
-at fixed positions (`end_episodes` through its own copy of `word_random`'s
-rule), and a fault there changes results only at a rare draw.  Each entry
+at fixed positions (`end_episodes` by first words against integer
+thresholds, `streams.word_cut` and `word_window`, and the task cuts), and a
+fault there changes results only at a rare draw.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -34,25 +35,21 @@ WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
-    # end_episodes: the columns of a chunk's first blocks
-    (WORLD, "for t0, t1 in zip(w[0::16], w[1::16])", "for t0, t1 in zip(w[1::16], w[0::16])",
+    # end_episodes: the columns of a chunk's first blocks, read by their first words
+    (WORLD, "for a in w[0::16]]", "for a in w[1::16]]", WALK_TESTS, "fault"),
+    (WORLD, "greedy_from = word_window(word_cut(scenario.routing_noise))[1]",
+     "greedy_from = word_window(word_cut(scenario.routing_noise))[0]", WALK_TESTS, "fault"),
+    (WORLD, "0 if c < observe_lo else", "0 if c <= observe_lo else", WALK_TESTS, "fault"),
+    (WORLD, "for r, s in zip(w[2::16], w[4::16])", "for r, s in zip(w[2::16], w[5::16])",
      WALK_TESTS, "fault"),
-    (WORLD, "(r1 >> 6)) * _TWO_M53 < epsilon", "(r1 >> 6)) * _TWO_M53 <= epsilon",
-     WALK_TESTS, "fault"),
-    (WORLD, "(c1 >> 6)) * _TWO_M53 < confidence", "(c1 >> 6)) * _TWO_M53 <= confidence",
-     WALK_TESTS, "fault"),
-    (WORLD, "else ((s0 >> 5) * 67108864.0 + (s1 >> 6))",
-     "else ((s0 >> 5) * 67108864.0 + (s1 >> 5))", WALK_TESTS, "fault"),
     (WORLD, "stop = min(first + CHUNK, episodes.stop)",
      "stop = min(first + CHUNK - 1, episodes.stop)", WALK_TESTS, "fault"),
     # end_episodes: each table's ending at its greedy first step
-    (WORLD, "                    if not u < p:", "                    if not u <= p:",
-     WALK_TESTS, "fault"),
-    (WORLD, "(5, 5 if slot.deficit is None else 4)", "(4, 5 if slot.deficit is None else 4)",
-     WALK_TESTS, "fault"),
-    (WORLD, "                    elif single:", "                    elif False:",
-     WALK_TESTS, "fault"),
-    (WORLD, "                if u is not None:", "                if u is not None and False:",
+    (WORLD, "                    if s >= hi:", "                    if s > hi:", WALK_TESTS,
+     "fault"),
+    (WORLD, "else (4, None, 5),)", "else (4, 4, 5),)", WALK_TESTS, "fault"),
+    (WORLD, "elif s < lo and single:", "elif s < lo:", WALK_TESTS, "fault"),
+    (WORLD, "                if s is not None:", "                if s is not None and False:",
      WALK_TESTS, "fault"),
     # end_episodes: walked episodes
     (WORLD, "words = lists[i] = list(w[k : k + 16])", "words = lists[i] = list(w[k : k + 15])",
@@ -71,6 +68,14 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "            executor_id = route.greedy\n            pos += 1", WALK_TESTS, "fault"),
     (WORLD, "    slices: tuple[ExecutorSlice, ...] = ()\n    pos = 2",
      "    slices: tuple[ExecutorSlice, ...] = ()\n    pos = 4", WALK_TESTS, "fault"),
+    # end_episodes: a first word in a window, and the task cuts
+    (WORLD, "elif s < lo and single:", "elif s <= lo and single:", WALK_TESTS, "fault"),
+    (WORLD, "                    if position < 0:", "                    if False:", WALK_TESTS,
+     "fault"),
+    (WORLD, "            cuts.append(lo)", "            cuts.append(lo + 1)", STREAM_TESTS,
+     "fault"),
+    (STREAMS, "        cells += (bisect_right(his, lo), -1)",
+     "        cells += (bisect_right(his, lo), 0)", STREAM_TESTS, "fault"),
     # the stream rules
     (STREAMS, "    while pos + 2 > len(words):", "    if pos + 2 > len(words):", STREAM_TESTS,
      "equivalent: readers read in order, so a draw starts at most at the list's end and one "
@@ -85,6 +90,12 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     (STREAMS, "for episode in range(first, first + count):",
      "for episode in range(first, first + count - 1):", STREAM_TESTS, "fault"),
     (STREAMS, 'if sys.byteorder == "big":', 'if sys.byteorder == "little":', STREAM_TESTS,
+     "fault"),
+    (STREAMS, "    return math.ceil(threshold", "    return math.floor(threshold", STREAM_TESTS,
+     "fault"),
+    (STREAMS, "    lo = (cut >> 26) << 5", "    lo = ((cut >> 26) << 5) + 1", STREAM_TESTS,
+     "fault"),
+    (STREAMS, "    lo = (cut >> 26) << 5", "    lo = ((cut >> 26) << 5) - 1", STREAM_TESTS,
      "fault"),
 )
 

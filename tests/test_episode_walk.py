@@ -1,17 +1,19 @@
-"""The episode walk: draws read in place, a fallback at a block's end, and
-episodes that end at their table entry.
+"""The episode walk: draws decided in place, a fallback at a block's end,
+and episodes that end at their table entry.
 
 `world.end_episodes` is the one fast path, for adaptation and frozen
 evaluation alike.  It derives the first blocks of `CHUNK` episodes at a
-time, reads the task draw (words 0-1) and phase 0's draws in place once for
-all its tables, and hands every episode that goes on past phase 0, or
-explores there, to `world.walk_episode`.  The walk reads every draw by a
-call to `streams.word_random` or `word_randrange`, which append the next
-block past the episode's list.  Each episode ends at the shape its last
-trie step holds.  These tests pin the in-place reads to the word rule at
-every position of a block where a draw can start, on every run, run the
-fallback on streams that cross a block's end, run rounds on either side of
-a chunk's end, and count what a round builds and derives.
+time, decides the task draw (words 0-1) and phase 0's draws from their
+first words once for all its tables, and hands every episode that goes on
+past phase 0, explores there, or has a first word in its threshold's
+window, to `world.walk_episode`.  The walk reads every draw by a call to
+`streams.word_random` or `word_randrange`, which append the next block past
+the episode's list.  Each episode ends at the shape its last trie step
+holds.  These tests pin the first-word decisions to the word rule at every
+window's edges, and every draw to it at every position of a block where a
+draw can start, on every run; they run the fallback on streams that cross
+a block's end, run rounds on either side of a chunk's end, and count what
+a round builds and derives.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from skillmas.config import EngineConfig
 from skillmas.model import CauseLabel, ExecutorSlice, TaskType, TraceShape, UtilityTable
 from skillmas.presets import load_preset
 from skillmas.store import parse_scenario, trace_to_record
-from skillmas.streams import episode_blocks, word_random
+from skillmas.streams import episode_blocks, word_cut, word_random, word_window
 from skillmas.world import (
     CHUNK,
     ExecutionTable,
@@ -82,13 +84,6 @@ def drawn(kind: str, p: int) -> str:
     return "route" if p % 4 == 2 else "success"
 
 
-def runs_in_place(kind: str, p: int, above: bool) -> bool:
-    """Whether the fast paths end a probe's episode with no walk: it routes
-    greedy at phase 0 and ends there, by failing or by succeeding at a
-    single-phase task.  Every other probe reads past phase 0."""
-    return (kind, p) in (("success", 4), ("cause", 6)) or (kind, p, above) == ("route", 2, False)
-
-
 def probe_world(kind: str, p: int, words: list[int], threshold: float):
     """A world whose walk makes its `kind` draw at word `p` of `words` and
     compares it with `threshold`.  Every other success draw is certain, and
@@ -100,8 +95,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     probability = {}
     phases = ("p0",)
     if kind == "task":
-        weights = {"a": threshold, "b": 1.0 - threshold}  # the total is 1.0 exactly
-        words[0] |= 1 << 31  # a draw in [0.5, 1), where 1 - threshold is exact
+        weights = {"a": threshold, "b": 1.0 - threshold}  # exactly 1.0 for a threshold >= 0.5
     elif kind == "later":  # certain phases first, each routed greedy
         phases = tuple(f"p{j}" for j in range((p - 2) // 4 + 1))
         for q in range(2, p, 4):
@@ -153,30 +147,18 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     return scenario, state, EngineConfig(), fill, blocks
 
 
-@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
-@pytest.mark.parametrize("probe", PROBES, ids=[f"{kind}{p}" for kind, p in PROBES])
-@settings(max_examples=8, deadline=None)
-@given(words=st.lists(WORD, min_size=32, max_size=32))
-@example(words=SPREAD)
-def test_in_place_reads_follow_word_random_at_every_position(probe, above, words):
-    """A draw read in place compares with a threshold as `word_random` of
-    the same words does: at the value it is not below, one float above it
-    is.  Every probe runs at and above its threshold on every run; only the
-    words are drawn."""
-    words = list(words)
-    kind, p = probe
-    if kind == "task":
-        words[0] |= 1 << 31
-    u = word_random(list(words), p, None, 0)
-    assume(0.0 < u < 1.0 - 2.0**-53)
-    threshold = math.nextafter(u, 1.0) if above else u
+def run_probe(kind: str, p: int, words: list[int], threshold: float, walks: bool) -> None:
+    """Run a probe's episode on two tables of one state, and check its shape
+    against `word_random(words, p) < threshold`.  With `walks` false, the
+    episode must end in place, with no walk."""
+    below = word_random(list(words), p, None, 0) < threshold
     scenario, state, config, fill, blocks = probe_world(kind, p, words, threshold)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ExecutionTable, "_fill", fill)
         # a second table of the same state reads the same shared draws
         table, twin = (ExecutionTable(state, scenario, config) for _ in range(2))
-        if runs_in_place(kind, p, above):
-            patch.setattr(world, "walk_episode", None)  # read in place, with no walk
+        if not walks:
+            patch.setattr(world, "walk_episode", None)
         [k], [j] = end_episodes([table, twin], blocks, range(1))
     shape = table.shapes[k]
     assert trace_to_record(twin.shapes[j]) == trace_to_record(shape)
@@ -186,19 +168,76 @@ def test_in_place_reads_follow_word_random_at_every_position(probe, above, words
     if kind == "cause":  # every phase routed greedy, and the last failed
         assert len(shape.slices) == (p - 2) // 4 and all(greedy) and shape.outcome == 0
         # below the observation probability observes the deficit confidently
-        want = (CauseLabel.WRONG_ACTION_ORDER, True) if above else (CauseLabel.UNKNOWN, False)
+        want = (CauseLabel.WRONG_ACTION_ORDER, True) if below else (CauseLabel.UNKNOWN, False)
         observed = shape.latent_cause_observation
         assert (observed.cause, observed.confident) == want
     elif kind == "task":  # below the first task's weight picks it
-        assert shape.task_type.id == ("a" if above else "b")
+        assert shape.task_type.id == ("a" if below else "b")
     elif drawn(kind, p) == "route":  # below the exploration rate explores
         route = table.route(("a", shape.slices[-1].phase))
-        want = route.eligible[1] if above else route.greedy
+        want = route.eligible[1] if below else route.greedy
         assert route.eligible[1] != route.greedy and shape.slices[-1].executor == want
-        assert shape.outcome == int(not above)
+        assert shape.outcome == int(not below)
     else:  # below the success probability succeeds
-        assert shape.outcome == int(above)
+        assert shape.outcome == int(below)
         assert greedy[-1] if kind == "later" else len(shape.slices) == 1
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("probe", PROBES, ids=[f"{kind}{p}" for kind, p in PROBES])
+@settings(max_examples=8, deadline=None)
+@given(words=st.lists(WORD, min_size=32, max_size=32))
+@example(words=SPREAD)
+def test_in_place_reads_follow_word_random_at_every_position(probe, above, words):
+    """A draw compares with a threshold as `word_random` of the same words
+    does: at the value it is not below, one float above it is.  Every probe
+    runs at and above its threshold on every run; only the words are drawn.
+    A threshold this close to the draw almost always puts the first word in
+    its window, so these episodes are walked;
+    `test_first_words_decide_phase_0_in_place` probes the first words that
+    decide."""
+    words = list(words)
+    kind, p = probe
+    if kind == "task":
+        words[0] |= 1 << 31  # a draw in [0.5, 1)
+    u = word_random(list(words), p, None, 0)
+    assume(0.0 < u < 1.0 - 2.0**-53)
+    run_probe(kind, p, words, math.nextafter(u, 1.0) if above else u, walks=True)
+
+
+# thresholds of every phase-0 draw: the task draw's needs one in [0.5, 1),
+# where the second weight 1 - t is exact; the cause draw's one in (0, 1]
+THRESHOLDS = {
+    "task": [0.5, math.nextafter(0.5, 1.0), 0.6180339887498949, math.nextafter(1.0, 0.0)],
+    "route": [0.0, 2.0**-53, 0.1, math.nextafter(0.5, 0.0), 0.5, 1.0],
+    "success": [0.0, 2.0**-53, 0.3, 0.5, math.nextafter(0.5, 1.0), 1.0],
+    "cause": [2.0**-53, 0.9, math.nextafter(0.5, 0.0), 1.0],
+}
+
+
+def edge_words(threshold: float):
+    """(first, second) words at a threshold's window edges, lo - 1, lo,
+    hi - 1 and hi, each with a second word of 0, of all ones, and of the
+    low bits of T - 1 and of T."""
+    cut = word_cut(threshold)
+    lo, hi = word_window(cut)
+    seconds = [0, TOP] + [(c & (2**26 - 1)) << 6 for c in (cut - 1, cut)]
+    return [(a, b) for a in (lo - 1, lo, hi - 1, hi) if 0 <= a <= TOP for b in seconds]
+
+
+@pytest.mark.parametrize("kind, p", [("task", 0), ("route", 2), ("success", 4), ("cause", 6)])
+def test_first_words_decide_phase_0_in_place(kind, p):
+    """A phase-0 draw whose first word is outside its threshold's window ends
+    the episode in place, as `word_random` decides; one in the window is
+    walked, and the second word decides.  An exploring episode is walked."""
+    for threshold in THRESHOLDS[kind]:
+        lo, hi = word_window(word_cut(threshold))
+        for a, b in edge_words(threshold):
+            words = list(SPREAD)
+            words[p : p + 2] = [a, b]
+            below = word_random(list(words), p, None, 0) < threshold
+            walks = lo <= a < hi or (kind == "route" and below)
+            run_probe(kind, p, words, threshold, walks)
 
 
 def boundary_blocks(rejects: int, fetched: list):

@@ -85,7 +85,8 @@ def test_stored_progress_values_are_quantized_fractions(world_seed):
     for k, task in enumerate(scenario.task_types):
         # the middle of the task's share of the draw
         weight = scenario.task_weights[task.id]
-        u = (table.cumulative_weights[k] - weight / 2) / table.total_weight
+        cumulative = scenario.cumulative_weights
+        u = (cumulative[k] - weight / 2) / cumulative[-1]
         root_task, phases, progress, _, _ = task_at(table, u)
         assert root_task is task
         n = len(task.phases)

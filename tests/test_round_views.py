@@ -74,7 +74,8 @@ def restructured(state, scenario, config, rng):
 def middle(table: ExecutionTable, k: int) -> float:
     """A draw in the middle of task k's share of the total weight."""
     weight = table.scenario.task_weights[table.tasks[k].id]
-    return (table.cumulative_weights[k] - weight / 2) / table.total_weight
+    cumulative = table.scenario.cumulative_weights
+    return (cumulative[k] - weight / 2) / cumulative[-1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,7 +181,8 @@ def test_a_draw_past_the_last_task_shares_its_root(world_seed, past_first):
     table = ExecutionTable(state, scenario, config)
     # u * total at the total weight: bisection lands one past the last task
     past, inside = FixedDraw(1.0), FixedDraw(middle(table, len(tasks) - 1))
-    assert bisect_right(table.cumulative_weights, past.u * table.total_weight) == len(tasks)
+    cumulative = scenario.cumulative_weights
+    assert bisect_right(cumulative, past.u * cumulative[-1]) == len(tasks)
     draws = (past, inside) if past_first else (inside, past)
     roots = [task_at(table, d.u) for d in draws]
     assert roots[0] is roots[1]

@@ -383,13 +383,18 @@ class TestScenarioFiles:
             ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill s0 = owner=w applies=t/a steps=x\nskill s1 = owner=ghost applies=t/a steps=x\n"
              "executor w = t/a\n", 6, "skill 's1' owned by unknown executor 'ghost'"),
+            # a manager is checked at its own line, not at the seed state's
+            ("[tasks]\nt = a b | 1.0\n[seed-state]\nexecutor w = t/a,t/b\n"
+             "executor m = t/a manager\n", 5, "manager boundary misses pairs [('t', 'b')]"),
+            ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\nexecutor w = t/a\n"
+             "executor n = * manager\n", 6, "second manager 'n': 'm' is one"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
              "step-dash", "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf",
              "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
              "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
-             "skill-owner-unknown"],
+             "skill-owner-unknown", "manager-boundary", "manager-second"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import ast
+import math
+from bisect import bisect_right
 from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 import skillmas
+from skillmas.model import TaskType
 from skillmas.numfmt import q12
-from skillmas.streams import derive_seed, episode_blocks
+from skillmas.streams import derive_seed, episode_blocks, word_cut, word_random, word_window
+from skillmas.world import Scenario
 
 
 def test_derived_seeds_are_stable():
@@ -54,3 +61,80 @@ def test_no_engine_module_imports_random():
                 names = [node.module] if node.module else [a.name for a in node.names]
                 imported |= {(path.name, name.split(".")[0]) for name in names}
     assert imported and not {(f, m) for f, m in imported if m in ("random", "_random")}
+
+
+def cut_thresholds():
+    """Thresholds at the ends of [0, 1], at 0.5, at the presets' 0.1 and 0.9,
+    each with its `nextafter` neighbours, or any float in [0, 1]."""
+    fixed = [0.0, 2.0**-53, 0.5, 1.0, 0.1, 0.9]
+    near = [math.nextafter(t, d) for t in fixed for d in (0.0, 1.0)]
+    return st.sampled_from(sorted({t for t in fixed + near if 0.0 <= t <= 1.0})) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_thresholds(), st.sampled_from([-1, 0, 31, 32]), st.integers(0, 2**32 - 1))
+def test_first_word_decides_a_threshold_outside_its_window(threshold, edge, second):
+    """`word_random(words, pos) < t` holds exactly when the draw's 53-bit
+    integer is below T = word_cut(t); a first word below the window is below
+    t, one at or above its end is not, and one in it leaves the decision to
+    the two words' integer.  First words sit at lo - 1, lo, hi - 1 and hi."""
+    cut = word_cut(threshold)
+    lo, hi = word_window(cut)
+    first = lo + edge
+    assume(0 <= first < 2**32)
+    below = word_random([first, second], 0, None, 0) < threshold
+    assert below == (((first >> 5) << 26 | second >> 6) < cut)
+    if first < lo:
+        assert below
+    elif first >= hi:
+        assert not below
+
+
+def weighted_scenario(weights):
+    tasks = tuple(TaskType(f"t{j}", ("p",)) for j in range(len(weights)))
+    return Scenario(
+        name="cuts",
+        task_types=tasks,
+        task_weights={t.id: w for t, w in zip(tasks, weights)},
+        base_difficulty={},
+    )
+
+
+CUT_WEIGHTS = {
+    "equal96": [1.0] * 96,
+    "uneven": [0.5, 3.25, 1e-9, 7.0, 0.1, 2.0**-30, 11.0],
+    "rounding": [0.1, 0.2, 0.3, 0.7, 1.1],  # cumulative 0.1 + 0.2 != 0.3, total rounds
+    "close": [1.0, 2.0**-40, 2.0**-40, 1.0],  # cuts sharing one window
+}
+
+
+@pytest.mark.parametrize("name", CUT_WEIGHTS)
+def test_task_cuts_bisect_as_the_weights_do(name):
+    """At k = K_j - 1 and K_j, and at both ends, `bisect_right(task_cuts, k)`
+    is the task position the draw `k * 2**-53` picks from the cumulative
+    weights.  A first word at a cut window's edges picks it through
+    `task_cells`, whatever the second word, unless it is in a window."""
+    scenario = weighted_scenario(CUT_WEIGHTS[name])
+    cumulative = scenario.cumulative_weights
+    total = cumulative[-1]
+    cuts = scenario.task_cuts
+    assert list(cuts) == sorted(cuts) and len(cuts) == len(cumulative)
+    ks = {0, 2**53 - 1} | {k for cut in cuts for k in (cut - 1, cut) if 0 <= k < 2**53}
+    for k in ks:
+        assert bisect_right(cuts, k) == bisect_right(cumulative, k * 2.0**-53 * total)
+
+    bounds, cells = scenario.task_cells
+    windows = {word_window(cut) for cut in cuts}
+    if name == "close":
+        assert len(windows) < len(cuts)
+    for lo, hi in windows:
+        for first in (lo - 1, lo, hi - 1, hi):
+            if not 0 <= first < 2**32:
+                continue
+            cell = cells[bisect_right(bounds, first)]
+            if any(l <= first < h for l, h in windows):
+                assert cell == -1
+                continue
+            for second in (0, 2**32 - 1):
+                u = word_random([first, second], 0, None, 0)
+                assert cell == bisect_right(cumulative, u * total)
