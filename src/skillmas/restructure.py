@@ -1,8 +1,10 @@
-"""Evidence-gated restructuring: diagnostic artifacts and the single bounded edit.
+"""Evidence-gated restructuring: per-family evidence and the single bounded edit.
 
 The decision operator returns exactly one of keep/add/merge-remove/modify
 per round, and anything other than keep must carry evidence that
-re-evaluates true on the recorded values.
+re-evaluates true on the recorded values.  Each predicate's evidence is
+built once, as the plain dict the report records, and `_fires` decides on
+that dict alone.
 """
 
 from __future__ import annotations
@@ -31,24 +33,6 @@ from .retention import RetainedShape
 
 
 @dataclass(frozen=True)
-class ExecutorEvidence:
-    id: str
-    value: float
-    count: int
-
-
-@dataclass(frozen=True)
-class DiagnosticArtifact:
-    """Structural evidence for one task family with retained failures."""
-
-    task_type: str
-    failure_mass: int
-    implicated_executors: tuple[ExecutorEvidence, ...]
-    failing_pairs: tuple[Pair, ...]
-    handoff_present: bool
-
-
-@dataclass(frozen=True)
 class RestructureDecision:
     action: str  # keep | add | merge-remove | modify
     subjects: tuple[str, ...] = ()
@@ -61,16 +45,17 @@ class RestructureDecision:
             raise StateError("a non-keep decision requires evidence")
 
 
-def _executor_tokens(owned: Mapping[str, Sequence[Skill]], executor_id: str) -> frozenset[str]:
-    return frozenset(t for skill in owned.get(executor_id, ()) for t in skill.tokens())
-
-
 def build_artifacts(
     retained: Sequence[RetainedShape],
     q_exec_plus: UtilityTable,
     skill_delta: SkillDelta,
-) -> list[DiagnosticArtifact]:
-    """One artifact per task family holding retained failures.
+) -> list[tuple[dict[str, object], frozenset[Pair]]]:
+    """One `(facts, boundary)` pair per task family holding retained
+    failures, in task-id order: `facts` holds the values the add evidence
+    records (`task_type`, `failure_mass`, `executors`, the utility entry
+    `{"id", "value", "count"}` of each executor a failure ended at, in id
+    order, and `handoff_present`), and `boundary` the pairs where the
+    family's failures ended, an added specialist's boundary.
 
     Failure mass counts a retained failure shape's episodes, less the first
     when its proposal already became a pending create or refine this round
@@ -86,22 +71,26 @@ def build_artifacts(
     artifacts = []
     for task_id in sorted(failures):
         mass = 0
-        implicated_ids: set[str] = set()
-        failing_pairs: set[Pair] = set()
+        implicated: set[str] = set()
+        boundary: set[Pair] = set()
         handoff = False
         for rt in failures[task_id]:
             mass += rt.count - (rt.source in addressed)
             last = rt.shape.slices[-1]  # a failure ends at its last routed phase
-            implicated_ids.add(last.executor)
-            failing_pairs.add((task_id, last.phase))
+            implicated.add(last.executor)
+            boundary.add((task_id, last.phase))
             handoff = handoff or rt.diagnosis.tag is BoundedTag.HANDOFF_TO_STRUCTURE
-        implicated = tuple(
-            ExecutorEvidence(eid, q_exec_plus.value(eid, task_id), q_exec_plus.count(eid, task_id))
-            for eid in sorted(implicated_ids)
-        )
-        artifacts.append(
-            DiagnosticArtifact(task_id, mass, implicated, tuple(sorted(failing_pairs)), handoff)
-        )
+        facts = {
+            "task_type": task_id,
+            "failure_mass": mass,
+            "executors": [
+                {"id": eid, "value": q_exec_plus.value(eid, task_id),
+                 "count": q_exec_plus.count(eid, task_id)}
+                for eid in sorted(implicated)
+            ],
+            "handoff_present": handoff,
+        }
+        artifacts.append((facts, frozenset(boundary)))
     return artifacts
 
 
@@ -135,7 +124,7 @@ def _fires(ev: Mapping[str, object]) -> bool:
 
 
 def decide_restructure(
-    artifacts: Sequence[DiagnosticArtifact],
+    artifacts: Sequence[tuple[Mapping[str, object], frozenset[Pair]]],
     executors: Mapping[str, Executor],
     q_exec_plus: UtilityTable,
     config: EngineConfig,
@@ -151,38 +140,28 @@ def decide_restructure(
     non-manager executors with overlapping boundaries, near-identical skill
     content, and indistinguishable utility on every shared family;
     (3) modify an over-capacity executor with a demonstrably weak family by
-    narrowing its boundary; otherwise (4) keep.  Each candidate's evidence
-    is built as it would be recorded, and `_fires` decides on it, so every
-    decision re-evaluates true on its own evidence.
+    narrowing its boundary; otherwise (4) keep.  `artifacts` are
+    `build_artifacts`' pairs: an add's evidence is a family's facts with
+    the thresholds added.  Each candidate's evidence is built as it would
+    be recorded, and `_fires` decides on it, so every decision re-evaluates
+    true on its own evidence.
     """
     # (1) add
-    for artifact in artifacts:
+    for facts, boundary in artifacts:
         evidence = {
             "predicate": "add",
-            "task_type": artifact.task_type,
-            "failure_mass": artifact.failure_mass,
+            **facts,
             "mass_threshold": config.mass_threshold,
-            "executors": [
-                {"id": e.id, "value": e.value, "count": e.count}
-                for e in artifact.implicated_executors
-            ],
             "weak_utility": config.weak_executor_utility,
             "min_count": config.min_count,
-            "handoff_present": artifact.handoff_present,
         }
         if not _fires(evidence):
             continue
-        boundary = frozenset(artifact.failing_pairs)
-        transferred = tuple(
-            sorted(
-                s.id
-                for s in library.values()
-                if s.status is SkillStatus.VALIDATED and s.applicability & boundary
-            )
-        )
+        validated = (s for s in library.values() if s.status is SkillStatus.VALIDATED)
+        transferred = tuple(sorted(s.id for s in validated if s.applicability & boundary))
         return RestructureDecision(
             action="add",
-            subjects=(f"exec-{artifact.task_type}-r{round_index}",),
+            subjects=(f"exec-{facts['task_type']}-r{round_index}",),
             new_boundary=boundary,
             transferred_skills=transferred,
             evidence=evidence,
@@ -192,13 +171,12 @@ def decide_restructure(
 
     # (2) merge-remove
     workers = sorted(eid for eid, e in executors.items() if not e.is_manager)
+    tokens = {eid: frozenset(t for s in owned.get(eid, ()) for t in s.tokens()) for eid in workers}
     for a_id, b_id in itertools.combinations(workers, 2):
         a, b = executors[a_id], executors[b_id]
         if not a.boundary & b.boundary:
             continue
-        shared_families = sorted(
-            {p[0] for p in a.boundary} & {p[0] for p in b.boundary}
-        )
+        shared_families = sorted({p[0] for p in a.boundary} & {p[0] for p in b.boundary})
         entries = [
             (task_id, q_exec_plus.get(a_id, task_id), q_exec_plus.get(b_id, task_id))
             for task_id in shared_families
@@ -212,9 +190,7 @@ def decide_restructure(
             "predicate": "merge-remove",
             "survivor": a_id,
             "removed": b_id,
-            "skill_overlap": q12(
-                jaccard(_executor_tokens(owned, a_id), _executor_tokens(owned, b_id))
-            ),
+            "skill_overlap": q12(jaccard(tokens[a_id], tokens[b_id])),
             "overlap_threshold": config.overlap_threshold,
             "utility_gaps": {t: q12(abs(ea[0] - eb[0])) for t, ea, eb in entries},
             "merge_gap": config.merge_gap,
@@ -329,10 +305,9 @@ def apply_restructure(
 
         # consolidate near-duplicates down to the higher-utility copy
         owned = sorted(s.id for s in owned_by(lib).get(survivor_id, ()))
-
-        def best_utility(sid: str) -> float:
-            values = [v for (key, _), (v, _) in q_skill.entries.items() if key == sid]
-            return max(values) if values else 0.5
+        best: dict[str, float] = {}  # each skill's highest utility, 0.5 with no entry
+        for (sid, _), (value, _) in q_skill.entries.items():
+            best[sid] = max(value, best.get(sid, value))
 
         dropped: set[str] = set()
         for a_id, b_id in itertools.combinations(owned, 2):
@@ -341,7 +316,7 @@ def apply_restructure(
             if skill_similarity(lib[a_id], lib[b_id]) < config.dedup_similarity:
                 continue
             keep_id, drop_id = a_id, b_id
-            if (best_utility(b_id), a_id) > (best_utility(a_id), b_id):
+            if (best.get(b_id, 0.5), a_id) > (best.get(a_id, 0.5), b_id):
                 keep_id, drop_id = b_id, a_id
             del lib[drop_id]
             new_pool.pop(drop_id, None)

@@ -42,7 +42,7 @@ from .model import (
     owned_by,
     validate_state,
 )
-from .world import LatentSkill, Scenario
+from .world import LatentSkill, Scenario, check_range
 
 SNAPSHOT_VERSION = 3
 SNAPSHOT_HEADER = "skillmas-state"
@@ -116,10 +116,14 @@ def _parse_pair(text: str, line: int) -> Pair:
     return (task, phase)
 
 
-def _parse_pairs(text: str, line: int) -> frozenset[Pair]:
-    if text == "-":
-        return frozenset()
-    return frozenset(_parse_pair(part, line) for part in text.split(",") if part)
+def _parse_pairs(text: str, line: int, universe: frozenset[Pair]) -> frozenset[Pair]:
+    """Comma-separated pairs, or "-" for none, each in the task space `universe`."""
+    parts = () if text == "-" else [part for part in text.split(",") if part]
+    pairs = frozenset(_parse_pair(part, line) for part in parts)
+    unknown = pairs - universe
+    if unknown:
+        raise ScenarioError(f"pairs {sorted(unknown)} not in the task space", line)
+    return pairs
 
 
 def _number(text: str, what: str, line: int) -> float:
@@ -160,10 +164,7 @@ def _parse_executor_line(
     if not parts:
         raise ScenarioError("executor needs '<id> = <boundary> [capacity=N] [manager]'", line)
     boundary_text = parts[0]
-    boundary = universe if boundary_text == "*" else _parse_pairs(boundary_text, line)
-    unknown = boundary - universe
-    if unknown:
-        raise ScenarioError(f"boundary pairs {sorted(unknown)} not in the task space", line)
+    boundary = universe if boundary_text == "*" else _parse_pairs(boundary_text, line, universe)
     options: dict[str, object] = {}
     for part in parts[1:]:
         if part == "manager":
@@ -179,7 +180,7 @@ def _parse_executor_line(
     return frozenset(boundary), options
 
 
-def _parse_skill_line(body: str, line: int) -> dict[str, object]:
+def _parse_skill_line(body: str, line: int, universe: frozenset[Pair]) -> dict[str, object]:
     fields: dict[str, object] = {
         "guards": frozenset(),
         "checks": frozenset(),
@@ -198,7 +199,7 @@ def _parse_skill_line(body: str, line: int) -> dict[str, object]:
             _ids(line, value)
             fields["owner"] = value
         elif key == "applies":
-            fields["applicability"] = _parse_pairs(value, line)
+            fields["applicability"] = _parse_pairs(value, line, universe)
         elif key == "steps":
             fields["steps"] = tuple(t for t in value.split(",") if t)
             _ids(line, *fields["steps"])
@@ -260,6 +261,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if key in weights:
             raise ScenarioError(f"duplicate task {key!r}", lineno)
         with _at_line(lineno):
+            check_range("task_weights", weight, key)
             tasks.append(TaskType(key, phases))
         weights[key] = weight
     if not tasks:
@@ -310,6 +312,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if field in penalties:
             raise ScenarioError(f"duplicate penalty {key!r}", lineno)
         penalties[field] = _number(value, "penalty value", lineno)
+        with _at_line(lineno):
+            check_range(field, penalties[field])
 
     with _at_line(1):  # the world's checks span sections
         scenario = Scenario(
@@ -355,7 +359,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                 if missing:
                     raise ScenarioError(f"manager boundary misses pairs {missing!r}", lineno)
         elif kind == "skill":
-            fields = _parse_skill_line(body, lineno)
+            fields = _parse_skill_line(body, lineno, universe)
             with _at_line(lineno):
                 library[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
             skill_lines[ident] = lineno

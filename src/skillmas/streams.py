@@ -23,8 +23,9 @@ thresholds gives `word_random`'s decisions exactly.  The draw from words a
 and b is `x * 2**-53` for x = `(a >> 5) << 26 | b >> 6`, below a threshold
 t exactly when x < T = `word_cut(t)` = ceil(t * 2**53), and a first word
 outside `word_window(T)`, 32 words from lo = `(T >> 26) << 5`, decides that
-alone; `word_cells` does the same for a sorted list of cuts, such as the
-task draw's.  `world`'s one fast path, `end_episodes`, decides the task draw
+alone.  A weighted draw has one cut per running sum, `weight_cuts`, and
+`word_cells` does the same for such a sorted list of cuts, the task draw's
+among them.  `world`'s one fast path, `end_episodes`, decides the task draw
 and phase 0's draws from their first words this way, and walks an episode
 whose first word falls in a window, calling the rules (tests pin the
 decisions to `word_random` at every window's edges).
@@ -37,7 +38,7 @@ import math
 import struct
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 
@@ -101,6 +102,20 @@ def word_cut(threshold: float) -> int:
     x = `(a >> 5) << 26 | b >> 6`, so it is below the threshold exactly
     when x < T."""
     return math.ceil(threshold * 9007199254740992.0)
+
+
+def weight_cuts(cumulative: Sequence[float]) -> tuple[int, ...]:
+    """For each running sum c of weights totalling the last, the least k in
+    [0, 2**53] with `k * 2**-53 * total >= c`, rounded as `word_random`
+    rounds it: the product rises with k, so the draw `x * 2**-53` picks
+    position `bisect_right(cuts, x)`, as `bisect_right(cumulative, u *
+    total)` does.  Each cut is to a weighted draw what `word_cut` is to a
+    threshold."""
+    total = cumulative[-1]
+    return tuple(
+        bisect_left(range(2**53 + 1), True, key=lambda k: k * _TWO_M53 * total >= c)
+        for c in cumulative
+    )
 
 
 def word_window(cut: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .config import EngineConfig
 from .model import (
@@ -36,9 +36,9 @@ from .model import (
 )
 from .numfmt import q12
 from .streams import (
-    _TWO_M53,
     Blocks,
     episode_blocks,
+    weight_cuts,
     word_cells,
     word_cut,
     word_random,
@@ -68,6 +68,28 @@ class LatentSkill:
             raise StateError(f"latent skill {self.id!r} needs a positive effect")
 
 
+# Each ranged `Scenario` value's test (a NaN fails each) and the message that
+# refuses it; `Scenario` and the scenario parser, at the value's line, check here.
+_PENALTY = (lambda v: 0.0 <= v < math.inf, "penalty weights must be non-negative and finite")
+_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "task_weights": (lambda v: v > 0.0, "task {} needs a positive sampling weight"),
+    "interference_weight": _PENALTY,
+    "overload_weight": _PENALTY,
+    "routing_noise": (lambda v: 0.0 <= v <= 1.0, "routing noise must be in [0, 1]"),
+    "cause_confidence": (
+        lambda v: 0.0 < v <= 1.0, "cause observation confidence must be in (0, 1]"
+    ),
+}
+
+
+def check_range(field: str, value: float, task_id: str = "") -> None:
+    """Refuse `value` for the `Scenario` field `field` when it is outside
+    the field's range; a task weight's message names the task."""
+    test, message = _RANGES[field]
+    if not test(value):
+        raise StateError(message.format(repr(task_id)))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Ground-truth model of one synthetic task world."""
@@ -87,20 +109,14 @@ class Scenario:
             raise StateError("scenario has no task types")
         # every check is written so that a NaN fails it
         for task in self.task_types:
-            if not self.task_weights.get(task.id, 0.0) > 0.0:
-                raise StateError(f"task {task.id!r} needs a positive sampling weight")
+            check_range("task_weights", self.task_weights.get(task.id, 0.0), task.id)
         if not math.isfinite(self.cumulative_weights[-1]):
             raise StateError("the task sampling weights must sum to a finite total")
         if not all(map(math.isfinite, self.base_difficulty.values())):
             raise StateError("base difficulties must be finite")
-        if not (
-            0 <= self.interference_weight < math.inf and 0 <= self.overload_weight < math.inf
-        ):
-            raise StateError("penalty weights must be non-negative and finite")
-        if not 0.0 <= self.routing_noise <= 1.0:
-            raise StateError("routing noise must be in [0, 1]")
-        if not 0.0 < self.cause_confidence <= 1.0:
-            raise StateError("cause observation confidence must be in (0, 1]")
+        for field in ("interference_weight", "overload_weight", "routing_noise",
+                      "cause_confidence"):
+            check_range(field, getattr(self, field))
         if len({l.id for l in self.latent_catalog}) != len(self.latent_catalog):
             raise StateError("latent procedure ids must be unique")
 
@@ -148,23 +164,8 @@ class Scenario:
 
     @functools.cached_property
     def task_cuts(self) -> tuple[int, ...]:
-        """For each cumulative weight c, the least k in [0, 2**53] with
-        `k * 2**-53 * total >= c`, the product rounded as the task draw
-        rounds it.  The product rises with k, so the draw `x * 2**-53`
-        picks the task at `bisect_right(task_cuts, x)`: each cut is to the
-        task draw what `streams.word_cut` is to a threshold."""
-        total = self.cumulative_weights[-1]
-        cuts = []
-        for c in self.cumulative_weights:
-            lo, hi = 0, 1 << 53  # at 2**53 the product is the total
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if mid * _TWO_M53 * total >= c:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            cuts.append(lo)
-        return tuple(cuts)
+        """The task draw's cuts, `streams.weight_cuts(cumulative_weights)`."""
+        return weight_cuts(self.cumulative_weights)
 
     @functools.cached_property
     def task_cells(self) -> tuple[list[int], list[int]]:
@@ -334,7 +335,6 @@ class ExecutionTable:
         self.state = state
         self.scenario = scenario
         self.config = config
-        self.tasks = scenario.task_types
         self._slots: dict[tuple[Pair, str], PhaseSlot] = {}
         self._empty: dict[tuple[str, str], ExecutorSlice] = {}
         self._owned: Counter[str] = Counter()

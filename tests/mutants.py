@@ -1,11 +1,14 @@
-"""Apply each fast-path mutant below to a copy of the tree and run the test
-files named for it; a mutant survives when they all pass.
+"""Apply each mutant below to a copy of the tree and run the test files
+named for it; a mutant survives when they all pass.
 
 The fast paths, `world.end_episodes` and `world.walk_episode`, and the
 stream rules in `streams.py` test draws against thresholds and read words
 at fixed positions (`end_episodes` by first words against integer
 thresholds, `streams.word_cut` and `word_window`, and the task cuts), and a
-fault there changes results only at a rare draw.  Each entry
+fault there changes results only at a rare draw.  The restructuring
+predicates in `restructure.py` test recorded values against thresholds,
+and a fault there changes a decision only when a value meets its threshold
+exactly.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -31,8 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 WALK_TESTS = ("tests/test_episode_walk.py", "tests/test_stream_tape.py")
 STREAM_TESTS = ("tests/test_streams.py", "tests/test_stream_tape.py", "tests/test_episode_walk.py")
+RESTRUCTURE_TESTS = ("tests/test_restructure.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
+RESTRUCTURE = "src/skillmas/restructure.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
@@ -72,8 +77,8 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     (WORLD, "elif s < lo and single:", "elif s <= lo and single:", WALK_TESTS, "fault"),
     (WORLD, "                    if position < 0:", "                    if False:", WALK_TESTS,
      "fault"),
-    (WORLD, "            cuts.append(lo)", "            cuts.append(lo + 1)", STREAM_TESTS,
-     "fault"),
+    (STREAMS, "bisect_left(range(2**53 + 1), True,", "bisect_left(range(1, 2**53 + 1), True,",
+     STREAM_TESTS, "fault"),
     (STREAMS, "        cells += (bisect_right(his, lo), -1)",
      "        cells += (bisect_right(his, lo), 0)", STREAM_TESTS, "fault"),
     # the stream rules
@@ -97,6 +102,18 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "fault"),
     (STREAMS, "    lo = (cut >> 26) << 5", "    lo = ((cut >> 26) << 5) - 1", STREAM_TESTS,
      "fault"),
+    # the restructuring predicates, each at its threshold
+    (RESTRUCTURE, 'e["value"] < ev["weak_utility"]', 'e["value"] <= ev["weak_utility"]',
+     RESTRUCTURE_TESTS, "fault"),
+    (RESTRUCTURE, 'gap < ev["merge_gap"]', 'gap <= ev["merge_gap"]', RESTRUCTURE_TESTS,
+     "fault"),
+    (RESTRUCTURE, 'ev["utility"] < ev["weak_utility"]', 'ev["utility"] <= ev["weak_utility"]',
+     RESTRUCTURE_TESTS, "fault"),
+    (RESTRUCTURE, 'ev["count"] >= ev["min_count"]', 'ev["count"] > ev["min_count"]',
+     RESTRUCTURE_TESTS, "fault"),
+    # a merge's consolidation keeps the copy with the higher best utility
+    (RESTRUCTURE, "best[sid] = max(value, best.get(sid, value))",
+     "best[sid] = min(value, best.get(sid, value))", RESTRUCTURE_TESTS, "fault"),
 )
 
 

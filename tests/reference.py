@@ -68,8 +68,6 @@ from skillmas.orchestrator import (
     _summarize_decision,
 )
 from skillmas.restructure import (
-    DiagnosticArtifact,
-    ExecutorEvidence,
     apply_restructure,
     decide_restructure,
     evidence_holds,
@@ -741,21 +739,19 @@ def reference_artifacts(retained, q_exec_plus, skill_delta):
     for task_id in sorted(failures):
         family = failures[task_id]
         last = [e.slices[-1] for e in family]
-        implicated = tuple(
-            ExecutorEvidence(eid, q_exec_plus.value(eid, task_id), q_exec_plus.count(eid, task_id))
-            for eid in sorted({sl.executor for sl in last})
-        )
-        artifacts.append(
-            DiagnosticArtifact(
-                task_type=task_id,
-                failure_mass=sum(1 for e in family if e.episode_id not in addressed),
-                implicated_executors=implicated,
-                failing_pairs=tuple(sorted({(task_id, sl.phase) for sl in last})),
-                handoff_present=any(
-                    reference_diagnosis(e).tag is BoundedTag.HANDOFF_TO_STRUCTURE for e in family
-                ),
-            )
-        )
+        facts = {
+            "task_type": task_id,
+            "failure_mass": sum(1 for e in family if e.episode_id not in addressed),
+            "executors": [
+                {"id": eid, "value": q_exec_plus.value(eid, task_id),
+                 "count": q_exec_plus.count(eid, task_id)}
+                for eid in sorted({sl.executor for sl in last})
+            ],
+            "handoff_present": any(
+                reference_diagnosis(e).tag is BoundedTag.HANDOFF_TO_STRUCTURE for e in family
+            ),
+        }
+        artifacts.append((facts, frozenset((task_id, sl.phase) for sl in last)))
     return artifacts
 
 

@@ -1,9 +1,9 @@
-"""`tests/mutants.py`'s list stays in step with the fast paths it mutates.
+"""`tests/mutants.py`'s list stays in step with the code it mutates.
 
 Each entry's old text must occur exactly once in its file and differ from
 its new text, and the test files it names must exist, so a refactor of
-`world.py` or `streams.py` that leaves the list stale fails here in
-milliseconds.  No mutant is run: `python tests/mutants.py` runs them.
+`world.py`, `streams.py` or `restructure.py` that leaves the list stale
+fails here in milliseconds.  No mutant is run: `python tests/mutants.py` runs them.
 """
 
 from __future__ import annotations

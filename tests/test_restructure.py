@@ -18,8 +18,6 @@ from skillmas.model import (
     validate_state,
 )
 from skillmas.restructure import (
-    DiagnosticArtifact,
-    ExecutorEvidence,
     RestructureDecision,
     apply_restructure,
     build_artifacts,
@@ -57,7 +55,7 @@ class TestBuildArtifacts:
         )
         out = build_artifacts(failures, UtilityTable(), delta)
         assert len(out) == 1
-        assert out[0].failure_mass == 3
+        assert out[0][0]["failure_mass"] == 3
 
     def test_mass_counts_every_episode_of_a_shape(self):
         failures = [retained_failure("e0", count=4), retained_failure("e4", count=2)]
@@ -67,30 +65,30 @@ class TestBuildArtifacts:
         )
         out = build_artifacts(failures, UtilityTable(), delta)
         # the addressed source is the first of its shape's four episodes
-        assert out[0].failure_mass == 5
+        assert out[0][0]["failure_mass"] == 5
 
     def test_handoff_flag_from_diagnoses(self):
         failures = [retained_failure("e0", cause=CauseLabel.BAD_EXECUTOR_ASSIGNMENT),
                     retained_failure("e1")]
         out = build_artifacts(failures, UtilityTable(), SkillDelta())
-        assert out[0].handoff_present
+        assert out[0][0]["handoff_present"]
 
     def test_deterministic_task_order(self):
         t2 = TaskType("t0", ("p1",))
         failures = [retained_failure("e0"), retained_failure("e1", task=t2)]
         out = build_artifacts(failures, UtilityTable(), SkillDelta())
-        assert [a.task_type for a in out] == ["t0", "t1"]
+        assert [facts["task_type"] for facts, _ in out] == ["t0", "t1"]
 
 
 def artifact(mass=4, executors=(("worker", 0.3, 8),), handoff=True,
              pairs=(("t1", "p1"),), task="t1"):
-    return DiagnosticArtifact(
-        task_type=task,
-        failure_mass=mass,
-        implicated_executors=tuple(ExecutorEvidence(*e) for e in executors),
-        failing_pairs=tuple(pairs),
-        handoff_present=handoff,
-    )
+    facts = {
+        "task_type": task,
+        "failure_mass": mass,
+        "executors": [{"id": i, "value": v, "count": n} for i, v, n in executors],
+        "handoff_present": handoff,
+    }
+    return facts, frozenset(pairs)
 
 
 class TestDecide:
@@ -206,6 +204,63 @@ class TestDecide:
         )
         assert decision.action == "add"
 
+    @pytest.mark.parametrize(
+        "mass, value, count, action",
+        [(3, 0.3, 8, "add"), (4, 0.3, 5, "add"), (4, 0.5, 8, "keep"), (2, 0.3, 8, "keep")],
+        ids=["mass-at-threshold", "count-at-min", "value-at-weak", "mass-below"],
+    )
+    def test_add_at_its_thresholds(self, mass, value, count, action):
+        # mass_threshold 3, min_count 5 and weak_utility 0.5 are each met at
+        # the threshold, except the utility, which must be strictly below it
+        state = make_state([])
+        decision = decide_restructure(
+            [artifact(mass=mass, executors=(("worker", value, count),))], state.executors,
+            UtilityTable(), CONFIG, round_index=0, library=state.library,
+        )
+        assert decision.action == action
+        assert evidence_holds(decision)
+
+    @pytest.mark.parametrize("counts_b, action", [((5, 10), "keep"), ((11, 20), "merge-remove")])
+    def test_merge_gap_must_be_below_the_threshold(self, counts_b, action):
+        # wa's utility is 0.6: a gap of 0.1 (wb at 0.5) equals merge_gap, 0.05 is below it
+        universe = frozenset(TASK.pairs())
+        state = make_state(
+            [make_skill("twin-a", steps=("x", "y"), owner="wa"),
+             make_skill("twin-b", steps=("x", "y"), owner="wb")],
+            executors=[
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
+            ],
+        )
+        q = UtilityTable({("wa", "t1"): (6, 10), ("wb", "t1"): counts_b})
+        decision = decide_restructure([], state.executors, q, CONFIG,
+                                      round_index=0, library=state.library)
+        assert decision.action == action
+        assert evidence_holds(decision)
+
+    @pytest.mark.parametrize(
+        "counts, action",
+        [((1, 5), "modify"), ((1, 4), "keep"), ((3, 6), "keep"), ((2, 6), "modify")],
+        ids=["count-at-min", "count-below-min", "utility-at-weak", "utility-below-weak"],
+    )
+    def test_modify_at_its_thresholds(self, counts, action):
+        # min_count 5 is met at the threshold; weak_utility 0.5 is not
+        universe = frozenset(TASK.pairs()) | frozenset({("t2", "p1")})
+        skills = [make_skill(f"s{i}", pairs=(("t1", "p1"),)) for i in range(3)]
+        state = make_state(
+            skills,
+            executors=[
+                Executor("manager", universe, is_manager=True),
+                Executor("worker", universe, capacity=2),
+            ],
+        )
+        q = UtilityTable({("worker", "t1"): counts})
+        decision = decide_restructure([], state.executors, q, CONFIG,
+                                      round_index=0, library=state.library)
+        assert decision.action == action
+        assert evidence_holds(decision)
+
 
 class TestApply:
     def test_keep_is_identity(self):
@@ -271,6 +326,43 @@ class TestApply:
         assert lib["s1"].status is SkillStatus.VALIDATED
         assert lib["s1"].owner == "wa"
         assert any("consolidated s2 into s1" in entry for entry in log)
+
+    @pytest.mark.parametrize(
+        "q_skill, kept",
+        [
+            # s1's best, 0.8, beats s2's 0.6, though s1's worst is below s2's
+            ({("s1", "t1"): (4, 5), ("s1", "t2"): (1, 5), ("s2", "t1"): (3, 5),
+              ("s2", "t2"): (3, 5)}, "s1"),
+            ({("s1", "t1"): (2, 5), ("s1", "t2"): (1, 5), ("s2", "t1"): (3, 5),
+              ("s2", "t2"): (4, 5)}, "s2"),
+            # a skill with no entry counts 0.5, above s2's 0.4
+            ({("s2", "t1"): (2, 5)}, "s1"),
+        ],
+        ids=["best-of-several", "other-best", "no-entry"],
+    )
+    def test_merge_keeps_the_copy_whose_utility_peaks_higher(self, q_skill, kept):
+        universe = frozenset(TASK.pairs())
+        s1 = make_skill("s1", steps=("a", "b", "c", "d", "e"), owner="wa")
+        s2 = make_skill("s2", steps=("a", "b", "c", "d"), owner="wb")
+        state = make_state(
+            [s1, s2],
+            executors=[
+                Executor("manager", universe, is_manager=True),
+                Executor("wa", universe),
+                Executor("wb", universe),
+            ],
+            q_skill=UtilityTable(q_skill),
+        )
+        decision = RestructureDecision(
+            action="merge-remove", subjects=("wa", "wb"),
+            evidence={"predicate": "merge-remove"},
+        )
+        lib, _, _, log = apply_restructure(
+            state.library, state.executors, state.pool, state.q_skill, decision, CONFIG,
+        )
+        dropped = ({"s1", "s2"} - {kept}).pop()
+        assert sorted(lib) == [kept]
+        assert log[-1] == f"consolidated {dropped} into {kept}"
 
     def test_modify_narrows_and_hands_to_manager(self):
         universe = frozenset(TASK.pairs()) | frozenset({("t2", "p1")})
@@ -429,7 +521,7 @@ PAIRS = [(t, p) for t in ("t0", "t1") for p in ("p0", "p1")]
 @st.composite
 def restructure_inputs(draw):
     """A manager and up to three workers over two families, their skills,
-    an executor utility table, diagnostic artifacts and thresholds."""
+    an executor utility table, per-family facts and thresholds."""
     workers = [f"w{i}" for i in range(draw(st.integers(1, 3)))]
     everyone = ["manager", *workers]
     library = {}
@@ -457,18 +549,18 @@ def restructure_inputs(draw):
         for n in [draw(attempts)]
     })
     artifacts = [
-        DiagnosticArtifact(
-            task_type=task,
-            failure_mass=draw(st.integers(0, 6)),
-            implicated_executors=tuple(
-                ExecutorEvidence(eid, draw(RATIO), draw(st.integers(0, 9)))
+        artifact(
+            task=task,
+            mass=draw(st.integers(0, 6)),
+            executors=[
+                (eid, draw(RATIO), draw(st.integers(0, 9)))
                 for eid in draw(st.lists(st.sampled_from(everyone), min_size=1,
                                          max_size=2, unique=True))
-            ),
-            failing_pairs=tuple(sorted(draw(st.lists(
+            ],
+            pairs=draw(st.lists(
                 st.sampled_from([(task, "p0"), (task, "p1")]), min_size=1, unique=True
-            )))),
-            handoff_present=draw(st.booleans()),
+            )),
+            handoff=draw(st.booleans()),
         )
         for task in draw(st.lists(st.sampled_from(["t0", "t1"]), unique=True))
     ]

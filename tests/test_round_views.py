@@ -73,7 +73,7 @@ def restructured(state, scenario, config, rng):
 
 def middle(table: ExecutionTable, k: int) -> float:
     """A draw in the middle of task k's share of the total weight."""
-    weight = table.scenario.task_weights[table.tasks[k].id]
+    weight = table.scenario.task_weights[table.scenario.task_types[k].id]
     cumulative = table.scenario.cumulative_weights
     return (cumulative[k] - weight / 2) / cumulative[-1]
 

@@ -342,7 +342,7 @@ class TestScenarioFiles:
              "seed executor id 'exec-t1-r2' ends in -r<digits>"),
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill s = owner=m applies=t1/p1 steps=a,b\xe9\n", 5, "id 'b\xe9'"),
-            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 1,
+            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\nrouting-noise = 1.5\n", 4,
              "routing noise must be in [0, 1]"),
             # a lone "-" is how snapshots write an empty set
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
@@ -388,13 +388,25 @@ class TestScenarioFiles:
              "executor m = t/a manager\n", 5, "manager boundary misses pairs [('t', 'b')]"),
             ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\nexecutor w = t/a\n"
              "executor n = * manager\n", 6, "second manager 'n': 'm' is one"),
+            # a ranged scenario value is refused at its own line
+            ("[tasks]\nt1 = p1 | 1.0\nt2 = p1 | 0\n", 3,
+             "task 't2' needs a positive sampling weight"),
+            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\noverload = 0.5\ninterference = -1\n", 5,
+             "penalty weights must be non-negative and finite"),
+            ("[tasks]\nt1 = p1 | 1.0\n[penalties]\ncause-confidence = 0\n", 4,
+             "cause observation confidence must be in (0, 1]"),
+            # so is a seed skill for a pair outside the task space
+            ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\n"
+             "skill s = owner=m applies=t/a,zz/q steps=x\n", 5,
+             "pairs [('zz', 'q')] not in the task space"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
              "step-dash", "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf",
              "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
              "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
-             "skill-owner-unknown", "manager-boundary", "manager-second"],
+             "skill-owner-unknown", "manager-boundary", "manager-second", "weight-zero",
+             "interference-negative", "confidence-zero", "skill-applies-unknown"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse
