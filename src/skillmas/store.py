@@ -370,6 +370,11 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
                     "card needs '<task> <cause> <tag> [template]'", lineno
                 )
             _ids(lineno, parts[0], *parts[3:])
+            if parts[0] not in scenario.task_weights:
+                raise ScenarioError(f"card task {parts[0]!r} is not a task type", lineno)
+            if parts[3:] and parts[3] not in latent_ids:
+                message = f"card template {parts[3]!r} names no latent procedure"
+                raise ScenarioError(message, lineno)
             with _at_line(lineno):
                 cause = CauseLabel(parts[1])
                 tag = BoundedTag(parts[2])

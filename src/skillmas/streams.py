@@ -26,9 +26,11 @@ outside `word_window(T)`, 32 words from lo = `(T >> 26) << 5`, decides that
 alone.  A weighted draw has one cut per running sum, `weight_cuts`, and
 `word_cells` does the same for such a sorted list of cuts, the task draw's
 among them.  `world`'s one fast path, `end_episodes`, decides the task draw
-and phase 0's draws from their first words this way, and walks an episode
-whose first word falls in a window, calling the rules (tests pin the
-decisions to `word_random` at every window's edges).
+and phase 0's draws from their first words this way, an exploring phase's
+executor draw by `word_randrange`'s rule on the words of block 0, and
+walks an episode when a first word it needs falls in its window, or every
+executor try in block 0 is rejected, calling the rules (tests pin the
+decisions to the rules at every window's edges).
 """
 
 from __future__ import annotations

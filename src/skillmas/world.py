@@ -320,9 +320,9 @@ class ExecutionTable:
     bisection over the scenario's `cumulative_weights`, `roots` holds (task,
     ((pair, route), ...), progress values `q12(c / n)` for c = 0..n, first
     trie steps, the greedy first step); the task's pairs and progress values are
-    the scenario's `task_views`.  `end_episodes` reads phase 0 at the greedy
-    first step, and `walk_episode` reads the rest.  A step, keyed by the
-    drawn executor id, is the list [slot, the path's slices, next steps,
+    the scenario's `task_views`.  `end_episodes` reads phase 0 at its first
+    step, greedy or explored, and `walk_episode` reads the rest.  A step,
+    keyed by the drawn executor id, is the list [slot, the path's slices, next steps,
     then the positions in `shapes` of the shapes that end there: success,
     failure observed, unobserved], built by `trie_step`.  So an episode ends
     at its shape with a list lookup.  `shapes` lists each shape once, in
@@ -450,6 +450,14 @@ def walk_episode(
     return step, None, pos
 
 
+def _ending(step: list) -> tuple:
+    """A phase-0 trie step, its success draw's window, and the ends of a
+    failure there by the cause draw's column: observes, undecided, does not."""
+    slot = step[0]
+    fails = (5, 5, 5) if slot.deficit is None else (4, None, 5)
+    return (step, *word_window(word_cut(slot.success_prob)), fails)
+
+
 CHUNK = 1024  # consecutive episodes whose first blocks `end_episodes` derives in one call
 
 
@@ -463,18 +471,24 @@ def end_episodes(
     The tables share the scenario, so they share the task draw and the
     exploration rate.  Block 0 of up to `CHUNK` episodes at a time comes
     from one `blocks` call, and its draws are read once for every table, as
-    columns of the chunk: words 0-1 draw the task, and phase 0's routing,
-    success and cause draws are words 2-3, 4-5 and 6-7.  Each draw is
-    decided from its first word alone, against its threshold's
+    columns of the chunk: words 0-1 draw the task, and a greedy phase 0's
+    routing, success and cause draws are words 2-3, 4-5 and 6-7.  Each draw
+    is decided from its first word alone, against its threshold's
     `streams.word_window`, or the task cuts' `Scenario.task_cells`; a first
     word in a window decides nothing.  Then each table runs the chunk's
-    episodes in order.  An episode whose phase 0 routes greedy ends on its
-    root's greedy first step with no call when that phase fails, or
-    succeeds on a single-phase task, as far as the first words tell.
-    Every other episode is walked by `walk_episode` on a list of its sixteen
-    words, one list per episode for all tables, so no block is derived
-    twice; the walk reads every draw by `word_random`'s rule, and a task
-    left undecided is drawn by that rule first.  On failure the episode then
+    episodes in order.  An episode whose phase 0 surely explores (its
+    routing word is below the window) draws its executor by
+    `word_randrange`'s rule on words 4 to 12, the first top-bits value
+    below n taken, with each table's shift; its success and cause draws
+    start one and three words after the one taken.  An episode ends on its
+    phase-0 step (the root's greedy first step, or the explored executor's,
+    filled on first use) with no call when that phase fails, or succeeds on
+    a single-phase task, as far as the first words tell.  Every other
+    episode, and one whose executor tries in block 0 are all rejected, is
+    walked by `walk_episode` on a list of its sixteen words, one list per
+    episode for all tables, so no block is derived twice; the walk reads
+    every draw by the word rules, and a task left undecided is drawn by
+    `word_random`'s rule first.  On failure the episode then
     draws its last value: the failing slot's dominant deficit is observed as
     the cause, confidently with the scenario's observation probability;
     with no deficit nothing is drawn.
@@ -483,7 +497,7 @@ def end_episodes(
     scenario = tables[0].scenario
     cumulative, confidence = scenario.cumulative_weights, scenario.cause_confidence
     bounds, cells = scenario.task_cells
-    greedy_from = word_window(word_cut(scenario.routing_noise))[1]
+    explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))
     observe_lo, observe_hi = word_window(word_cut(confidence))
     indexes = [array("L") for _ in tables]
     for first in range(episodes.start, episodes.stop, CHUNK):
@@ -498,18 +512,40 @@ def end_episodes(
         for table, index in zip(tables, indexes):
             roots, shapes = table.roots, table.shapes
             ends: list[int] = []  # the chunk's positions in `shapes`
-            # at each task position: the greedy first step, its success
-            # draw's window, the ends of a failure there by `observed` and
+            # at each task position: the greedy first step's `_ending` and
             # whether the task has one phase; at -1, an entry that ends none
-            greedy = [
-                (step, *word_window(word_cut(slot.success_prob)), fails, len(phases) == 1)
-                for _, phases, _, _, step in roots
-                for slot in (step[0],)
-                for fails in ((5, 5, 5) if slot.deficit is None else (4, None, 5),)
-            ]
+            greedy = [(*_ending(step), len(phases) == 1) for _, phases, _, _, step in roots]
             greedy.append((None, 0, 1 << 32, None, False))
+            # at each task position, once an episode explores there: phase
+            # 0's pair, eligible executors, the executor draw's shift, the
+            # root's steps and, per executor index, its first step's `_ending`
+            explore: list = [None] * len(roots)
             for i, position, s, seen in zip(range(first, stop), positions, successes, observed):
                 step, lo, hi, fails, single = greedy[position]
+                if s is None and position >= 0:  # the routing draw may explore
+                    k = 16 * (i - first)
+                    if w[k + 2] < explore_below:  # it does
+                        if explore[position] is None:
+                            _, ((pair, route), *_), _, steps, _ = roots[position]
+                            n = len(route.eligible)
+                            explore[position] = (pair, route.eligible, 32 - n.bit_length(),
+                                                 steps, [None] * n)
+                        pair, eligible, shift, steps, cached = explore[position]
+                        # `word_randrange`'s tries from word 4, up to the
+                        # last whose cause draw starts in block 0
+                        for j in range(k + 4, k + 13):
+                            x = w[j] >> shift
+                            if x < len(eligible):
+                                entry = cached[x]
+                                if entry is None:
+                                    eid = eligible[x]
+                                    if eid not in steps:
+                                        steps[eid] = trie_step(table.slot(pair, eid), ())
+                                    entry = cached[x] = _ending(steps[eid])
+                                step, lo, hi, fails = entry
+                                s, c = w[j + 1], w[j + 3]
+                                seen = 0 if c < observe_lo else 2 if c >= observe_hi else 1
+                                break
                 end = None  # none yet: the episode is walked
                 if s is not None:
                     if s >= hi:

@@ -42,9 +42,11 @@ RESTRUCTURE = "src/skillmas/restructure.py"
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
     (WORLD, "for a in w[0::16]]", "for a in w[1::16]]", WALK_TESTS, "fault"),
-    (WORLD, "greedy_from = word_window(word_cut(scenario.routing_noise))[1]",
-     "greedy_from = word_window(word_cut(scenario.routing_noise))[0]", WALK_TESTS, "fault"),
-    (WORLD, "0 if c < observe_lo else", "0 if c <= observe_lo else", WALK_TESTS, "fault"),
+    (WORLD, "explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))",
+     "explore_below = greedy_from = word_window(word_cut(scenario.routing_noise))[0]",
+     WALK_TESTS, "fault"),
+    (WORLD, "observed = [0 if c < observe_lo else", "observed = [0 if c <= observe_lo else",
+     WALK_TESTS, "fault"),
     (WORLD, "for r, s in zip(w[2::16], w[4::16])", "for r, s in zip(w[2::16], w[5::16])",
      WALK_TESTS, "fault"),
     (WORLD, "stop = min(first + CHUNK, episodes.stop)",
@@ -52,10 +54,32 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: each table's ending at its greedy first step
     (WORLD, "                    if s >= hi:", "                    if s > hi:", WALK_TESTS,
      "fault"),
-    (WORLD, "else (4, None, 5),)", "else (4, 4, 5),)", WALK_TESTS, "fault"),
+    (WORLD, "else (4, None, 5)", "else (4, 4, 5)", WALK_TESTS, "fault"),
     (WORLD, "elif s < lo and single:", "elif s < lo:", WALK_TESTS, "fault"),
     (WORLD, "                if s is not None:", "                if s is not None and False:",
      WALK_TESTS, "fault"),
+    # end_episodes: an exploring phase 0, its executor tried from word 4
+    (WORLD, "explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))",
+     "explore_below = greedy_from = word_window(word_cut(scenario.routing_noise))[1]",
+     WALK_TESTS, "fault"),
+    (WORLD, "if s is None and position >= 0:", "if s is None:", WALK_TESTS, "fault"),
+    (WORLD, "if w[k + 2] < explore_below:", "if w[k + 2] <= explore_below:", WALK_TESTS,
+     "fault"),
+    (WORLD, "(pair, route.eligible, 32 - n.bit_length(),",
+     "(pair, route.eligible, 31 - n.bit_length(),", WALK_TESTS, "fault"),
+    (WORLD, "if x < len(eligible):", "if x <= len(eligible):", WALK_TESTS, "fault"),
+    (WORLD, "s, c = w[j + 1], w[j + 3]", "s, c = w[j], w[j + 3]", WALK_TESTS, "fault"),
+    (WORLD, "s, c = w[j + 1], w[j + 3]", "s, c = w[j + 2], w[j + 3]", WALK_TESTS, "fault"),
+    (WORLD, "s, c = w[j + 1], w[j + 3]", "s, c = w[j + 1], w[j + 2]", WALK_TESTS, "fault"),
+    (WORLD, "seen = 0 if c < observe_lo else", "seen = 0 if c <= observe_lo else", WALK_TESTS,
+     "fault"),
+    # the last try at word k + 12: at k + 13 the cause is read from the next
+    # episode's word 0; at k + 11 an episode the first words decide is
+    # walked, which the walk spies see
+    (WORLD, "for j in range(k + 4, k + 13):", "for j in range(k + 4, k + 14):", WALK_TESTS,
+     "fault"),
+    (WORLD, "for j in range(k + 4, k + 13):", "for j in range(k + 4, k + 12):",
+     ("tests/test_stream_tape.py",), "fault"),
     # end_episodes: walked episodes
     (WORLD, "words = lists[i] = list(w[k : k + 16])", "words = lists[i] = list(w[k : k + 15])",
      WALK_TESTS, "fault"),
@@ -142,6 +166,7 @@ def main() -> int:
             path = tree / file
             text = path.read_text(encoding="utf-8")
             where = f"{file}: {old.strip().splitlines()[-1].strip()!r}"
+            where += f" -> {new.strip().splitlines()[-1].strip()!r}"
             if text.count(old) != 1:
                 failures += 1
                 print(f"STALE     {where}: old text occurs {text.count(old)} times")

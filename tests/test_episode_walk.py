@@ -4,11 +4,12 @@ and episodes that end at their table entry.
 `world.end_episodes` is the one fast path, for adaptation and frozen
 evaluation alike.  It derives the first blocks of `CHUNK` episodes at a
 time, decides the task draw (words 0-1) and phase 0's draws from their
-first words once for all its tables, and hands every episode that goes on
-past phase 0, explores there, or has a first word in its threshold's
-window, to `world.walk_episode`.  The walk reads every draw by a call to
-`streams.word_random` or `word_randrange`, which append the next block past
-the episode's list.  Each episode ends at the shape its last trie step
+first words once for all its tables, an exploring phase 0's executor draw
+by `word_randrange`'s rule on the words of block 0, and hands every episode
+that goes on past phase 0, has a first word in its threshold's window, or
+has every executor try in block 0 rejected, to `world.walk_episode`.  The
+walk reads every draw by a call to `streams.word_random` or
+`word_randrange`, which append the next block past the episode's list.  Each episode ends at the shape its last trie step
 holds.  These tests pin the first-word decisions to the word rule at every
 window's edges, and every draw to it at every position of a block where a
 draw can start, on every run; they run the fallback on streams that cross
@@ -19,6 +20,7 @@ a round builds and derives.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -27,13 +29,21 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import skillmas.world as world
 from skillmas.config import EngineConfig
-from skillmas.model import CauseLabel, ExecutorSlice, TaskType, TraceShape, UtilityTable
+from skillmas.model import (
+    CauseLabel,
+    Executor,
+    ExecutorSlice,
+    TaskType,
+    TraceShape,
+    UtilityTable,
+)
 from skillmas.presets import load_preset
 from skillmas.store import parse_scenario, trace_to_record
 from skillmas.streams import episode_blocks, word_cut, word_random, word_window
 from skillmas.world import (
     CHUNK,
     ExecutionTable,
+    LatentSkill,
     PhaseSlot,
     Scenario,
     end_episodes,
@@ -45,7 +55,7 @@ import reference
 from conftest import NOISY, episode_shape, make_state
 from reference import episodes_of, reference_blocks, reference_exec_round
 from test_round_index import random_world
-from test_stream_tape import counted_blocks, counted_walks
+from test_stream_tape import counted_blocks, counted_walks, undecided, undecided_walks
 
 TOP = 0xFFFFFFFF  # read in place as 1 - 2**-53, and rejected by every word_randrange(n)
 WORD = st.integers(0, TOP)
@@ -96,6 +106,7 @@ def probe_world(kind: str, p: int, words: list[int], threshold: float):
     phases = ("p0",)
     if kind == "task":
         weights = {"a": threshold, "b": 1.0 - threshold}  # exactly 1.0 for a threshold >= 0.5
+        probability = {("b", "p0"): 0.0}  # b fails at phase 0, so it ends in place from any route
     elif kind == "later":  # certain phases first, each routed greedy
         phases = tuple(f"p{j}" for j in range((p - 2) // 4 + 1))
         for q in range(2, p, 4):
@@ -229,15 +240,125 @@ def edge_words(threshold: float):
 def test_first_words_decide_phase_0_in_place(kind, p):
     """A phase-0 draw whose first word is outside its threshold's window ends
     the episode in place, as `word_random` decides; one in the window is
-    walked, and the second word decides.  An exploring episode is walked."""
+    walked, and the second word decides.  An exploring episode here draws
+    an executor at word 4 that fails for certain, so it ends in place too."""
+    # a task draw runs before a greedy phase 0, and before an exploring one
+    routes = (SPREAD[2], 0) if kind == "task" else (SPREAD[2],)
     for threshold in THRESHOLDS[kind]:
         lo, hi = word_window(word_cut(threshold))
-        for a, b in edge_words(threshold):
+        for (a, b), route in itertools.product(edge_words(threshold), routes):
             words = list(SPREAD)
+            words[2] = route
             words[p : p + 2] = [a, b]
-            below = word_random(list(words), p, None, 0) < threshold
-            walks = lo <= a < hi or (kind == "route" and below)
-            run_probe(kind, p, words, threshold, walks)
+            run_probe(kind, p, words, threshold, walks=lo <= a < hi)
+
+
+def explore_world(n: int, phases: tuple[str, ...]):
+    """One task, `a` with `phases`, whose phase 0 has n eligible executors
+    e0 (the manager, routed greedy) to e{n-1}, routing noise 0.5 and an
+    unrealized latent there, so a failure at phase 0 has a deficit."""
+    task = TaskType("a", phases)
+    universe = frozenset(task.pairs())
+    scenario = Scenario(
+        name="explore",
+        task_types=(task,),
+        task_weights={"a": 1.0},
+        base_difficulty={("a", "p0"): 0.3},
+        latent_catalog=(LatentSkill("fix", ("a", "p0"), 1.0, CauseLabel.MISSING_PRECONDITION),),
+        routing_noise=0.5,
+        cause_confidence=0.9,
+    )
+    executors = [Executor(f"e{k}", universe, capacity=8, is_manager=k == 0) for k in range(n)]
+    return scenario, make_state(executors=executors, tasks=(task,), round_index=1)
+
+
+def explore_cases(n: int, single: bool, success: tuple, cause: tuple):
+    """(name, block 0, walked) for an episode whose routing word 0 explores:
+    `word_randrange(n)`'s tries from word 4, the success and cause first
+    words one and three words after the one taken, each at its window's
+    edges (`success` and `cause` are (lo, hi)), and whether it is walked."""
+    shift = 32 - n.bit_length()
+    last, over = (n - 1) << shift, n << shift  # the largest value taken, the least rejected
+    lo, hi = success
+    clo, chi = cause
+
+    def block(tries, s, c, seconds=(0, 0)):
+        words = list(SPREAD[:16])
+        words[2] = 0
+        words[4 : 4 + len(tries)] = tries
+        j = 3 + len(tries)  # the word taken
+        for k, word in ((j + 1, s), (j + 2, seconds[0]), (j + 3, c), (j + 4, seconds[1])):
+            if k < 16:
+                words[k] = word
+        return words
+
+    def walks(s, c):
+        return lo <= s < hi or (s < lo and not single) or (s >= hi and clo <= c < chi)
+
+    for s in (lo - 1, lo, hi - 1, hi):
+        yield f"n-1 at word 4, success {s - lo:+}", block([last], s, 0), walks(s, 0)
+        for second in (0, TOP):  # after a retried word
+            case = block([over, last], s, 0, (second, 0))
+            yield f"success {s - lo:+}/{second}", case, walks(s, 0)
+    for c in (clo - 1, clo, chi - 1, chi):
+        for second in (0, TOP):
+            case = block([over, last], hi, c, (0, second))
+            yield f"cause {c - clo:+}/{second}", case, walks(hi, c)
+    for rejects in (1, 2, 8):
+        for s, c in ((lo - 1, 0), (hi, 0), (hi, chi)):
+            case = block([TOP] * rejects + [last - (n > 1)], s, c)
+            yield f"{rejects} rejected, {s - lo:+} {c - clo:+}", case, walks(s, c)
+    # words 4 to 12 rejected: the walk takes word 13, fails at words 14-15
+    # and draws the cause from block 1
+    yield "words 4-12 rejected", block([over] + [TOP] * 8 + [0], hi, 0), True
+
+
+@pytest.mark.parametrize("single", [True, False], ids=["one-phase", "two-phase"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exploring_draws_are_decided_from_first_words(n, single):
+    """An exploring phase 0 draws its executor by `word_randrange`'s rule on
+    words 4 to 12 and its success and cause draws from the first words
+    after it, as the reference draws them; the episode is walked exactly
+    when a first word is in its window, every try in block 0 is rejected,
+    or phase 0 succeeds on a task with more phases."""
+    scenario, state = explore_world(n, ("p0",) if single else ("p0", "p1"))
+    config = EngineConfig()
+    table = ExecutionTable(state, scenario, config)
+    success = word_window(word_cut(table.slot(("a", "p0"), "e0").success_prob))
+    cause = word_window(word_cut(scenario.cause_confidence))
+    cases = list(explore_cases(n, single, success, cause))
+    # the routing word at its window's edges, an executor taken at word 4
+    rlo, rhi = word_window(word_cut(scenario.routing_noise))
+    for route in (rlo - 1, rlo, rhi - 1, rhi):
+        for second in (0, TOP):
+            words = list(cases[0][1])
+            words[2:4] = [route, second]
+            cases.append((f"route {route - rlo:+}/{second}", words, None))
+    for name, words, walks in cases:
+        assert walks in (None, undecided(table, words)), name  # the rule agrees with the case
+        walks = undecided(table, words)
+        fetched: list = []
+
+        def make(seed):
+            def blocks(first, index, count=1):
+                fetched.append(index)
+                return (words if index == 0 else SPREAD[16:] if index == 1 else [0] * 16) * count
+
+            return blocks
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(world, "episode_blocks", make)
+            patch.setattr(reference, "reference_blocks", make)
+            want = reference_exec_round(state, scenario, 1, 5, config, "r0001")
+            fetched.clear()
+            walked = counted_walks(patch)
+            if not walks:
+                patch.setattr(world, "walk_episode", None)
+            batch = exec_round(state, scenario, 1, 5, config)
+        assert episodes_of(batch) == want, name
+        assert len(walked) == walks, name
+        if name == "words 4-12 rejected":
+            assert fetched == [0, 1]
 
 
 def boundary_blocks(rejects: int, fetched: list):
@@ -306,15 +427,13 @@ def test_chunked_rounds_match_the_reference_episode_by_episode(n, noise, monkeyp
     walked = counted_walks(monkeypatch)
     batch = exec_round(state, scenario, n, 5, pack.config)
     assert episodes_of(batch) == reference_exec_round(state, scenario, n, 5, pack.config, "r0001")
-    walked = [i for i, _ in walked]
+    walked = [(i, 0) for i, _ in walked]
+    # exactly the episodes whose first words leave them undecided are walked
+    assert walked == undecided_walks([state], scenario, pack.config, 5, n)
+    assert 0 < len(walked) < n
     if noise == 0.0:  # every route is greedy: exactly the episodes past phase 0 are walked
         ends = [batch.shapes[j] for j in batch.index]
-        assert walked == [i for i, shape in enumerate(ends) if len(shape.slices) >= 2]
-        assert 0 < len(walked) < n
-    elif noise == 1.0:  # every first routing draw explores
-        assert walked == list(range(n))
-    else:
-        assert 0 < len(walked) < n
+        assert walked == [(i, 0) for i, shape in enumerate(ends) if len(shape.slices) >= 2]
 
 
 @pytest.mark.parametrize("name", ["mismatch", "noisy"])

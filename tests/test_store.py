@@ -399,6 +399,15 @@ class TestScenarioFiles:
             ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "skill s = owner=m applies=t/a,zz/q steps=x\n", 5,
              "pairs [('zz', 'q')] not in the task space"),
+            # and a policy card naming a task or template the world lacks
+            ("[tasks]\nt = a | 1.0\n[latent]\nl = t/a 1.0 missing-precondition\n"
+             "[seed-state]\nexecutor m = * manager\n"
+             "card c = zz missing-precondition add-guard l\n", 7,
+             "card task 'zz' is not a task type"),
+            ("[tasks]\nt = a | 1.0\n[latent]\nl = t/a 1.0 missing-precondition\n"
+             "[seed-state]\nexecutor m = * manager\n"
+             "card c = t missing-precondition add-guard ghost\n", 7,
+             "card template 'ghost' names no latent procedure"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
@@ -406,7 +415,8 @@ class TestScenarioFiles:
              "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
              "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
              "skill-owner-unknown", "manager-boundary", "manager-second", "weight-zero",
-             "interference-negative", "confidence-zero", "skill-applies-unknown"],
+             "interference-negative", "confidence-zero", "skill-applies-unknown", "card-task",
+             "card-template"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse

@@ -3,7 +3,7 @@
 Frozen evaluation runs several states on the same streams in one
 `exec_shared` call, whose `end_episodes` derives each chunk's first blocks
 once, reads the task draw and phase 0's draws once for every state, and
-hands each state that goes on past phase 0, or explores there, to
+hands each state whose first words leave the episode undecided to
 `walk_episode` on the episode's one word list.  Readers read that list by
 index through the word rules `streams.word_random` and
 `streams.word_randrange`; a read past the list appends the episode's next
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +33,15 @@ from skillmas.orchestrator import (
 )
 from skillmas.presets import PRESETS, load_preset
 from skillmas.store import parse_scenario, trace_to_record
-from skillmas.streams import derive_seed, episode_blocks, word_random, word_randrange
-from skillmas.world import CHUNK, exec_round, exec_shared
+from skillmas.streams import (
+    derive_seed,
+    episode_blocks,
+    word_cut,
+    word_random,
+    word_randrange,
+    word_window,
+)
+from skillmas.world import CHUNK, ExecutionTable, exec_round, exec_shared
 
 from conftest import NOISY, random_scenario
 from reference import episode_stream, mt_blocks, reference_blocks
@@ -207,6 +215,53 @@ def counted_walks(monkeypatch) -> list:
     return walked
 
 
+def undecided(table, words) -> bool:
+    """Whether `end_episodes` must walk an episode whose first block is
+    `words` on `table`, by the rule, from the raw words: the task cell is
+    -1; a first word that phase 0 needs is in its threshold's window; every
+    executor try of an exploring phase 0 up to word 12 is rejected; or
+    phase 0 succeeds on a task with more phases."""
+    scenario = table.scenario
+
+    def window(threshold):
+        lo, hi = word_window(word_cut(threshold))
+        return range(lo, hi)
+
+    bounds, cells = scenario.task_cells
+    position = cells[bisect_right(bounds, words[0])]
+    routing = window(scenario.routing_noise)
+    if position < 0 or words[2] in routing:
+        return True
+    _, phases, _, _, _ = table.roots[position]
+    pair, route = phases[0]
+    executor, success = route.greedy, 4
+    if words[2] < routing.start:  # phase 0 explores: word_randrange's tries
+        n = len(route.eligible)
+        shift = 32 - n.bit_length()
+        tries = [j for j in range(4, 13) if words[j] >> shift < n]
+        if not tries:
+            return True
+        executor, success = route.eligible[words[tries[0]] >> shift], tries[0] + 1
+    slot = table.slot(pair, executor)
+    s, succeeds = words[success], window(slot.success_prob)
+    if s in succeeds:
+        return True
+    if s < succeeds.start:
+        return len(phases) > 1
+    return slot.deficit is not None and words[success + 2] in window(scenario.cause_confidence)
+
+
+def undecided_walks(states, scenario, config, seed, n) -> list:
+    """(episode, position of its state) for every episode of `exec_shared(
+    states, ...)` that `undecided` says is walked, sorted."""
+    tables = [ExecutionTable(state, scenario, config) for state in states]
+    blocks = episode_blocks(seed)
+    return [
+        (i, k) for i in range(n) for k, table in enumerate(tables)
+        if undecided(table, blocks(i, 0))
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def frozen_states(name):
     """The pack of world `name` and its four transplant variants after a
@@ -246,9 +301,9 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 1.0, None])
 @pytest.mark.parametrize("name", ["favorable", "mismatch", "noisy"])
 def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
-    # the states read phase 0's draws once; an episode is walked for every
-    # state when its first routing draw explores, and otherwise for each
-    # state that succeeds at phase 0 of a task with more phases
+    # the states read phase 0's draws once, exploring ones included; an
+    # episode is walked for exactly the states its first words leave
+    # undecided, most of them succeeding at phase 0 of a task with more phases
     pack, states = frozen_states(name)
     scenario = pack.scenario
     if noise is not None:
@@ -266,15 +321,12 @@ def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
             assert [i for i, _ in walked] == [
                 i for i, shape in enumerate(ends[k]) if len(shape.slices) >= 2
             ]
+    assert calls == undecided_walks(states, scenario, pack.config, 9001, n)
     if noise == 0.0:  # every route is greedy: exactly the states past phase 0 are walked
         assert calls == [
             (i, k) for i in range(n) for k, shapes in enumerate(ends) if len(shapes[i].slices) >= 2
         ]
-        if name != "mismatch":  # mismatch's tasks have one phase each
-            assert calls
-    elif noise == 1.0:  # every first routing draw explores
-        assert calls == [(i, k) for i in range(n) for k in range(len(states))]
-    else:
+    if name != "mismatch":  # mismatch's tasks have one phase each
         assert 0 < len(calls) < n * len(states)
     if name == "favorable":  # two phases each: some states run past the first
         assert any(len(shape.slices) == 2 for shape in ends[0])
@@ -285,7 +337,7 @@ def test_states_walk_only_from_an_exploring_draw(name, noise, monkeypatch):
 @pytest.mark.parametrize("name", sorted(WORLDS))
 def test_every_batch_is_exec_round_s_across_chunks(name, noise, n, monkeypatch):
     # on either side of a chunk's end, each state's batch is the one it
-    # gets alone, and at noise 0 exactly the states past phase 0 are walked
+    # gets alone, and exactly the undecided states are walked
     pack, states = frozen_states(name)
     scenario = pack.scenario
     if noise is not None:
@@ -295,13 +347,7 @@ def test_every_batch_is_exec_round_s_across_chunks(name, noise, n, monkeypatch):
     calls = walked_pairs(walked, states)
     for batch, state in zip(shared, states):
         assert_same_batch(batch, exec_round(state, scenario, n, 9001, pack.config))
-    if noise == 0.0:
-        assert calls == [
-            (i, k)
-            for i in range(n)
-            for k, batch in enumerate(shared)
-            if len(batch.shapes[batch.index[i]].slices) >= 2
-        ]
+    assert calls == undecided_walks(states, scenario, pack.config, 9001, n)
 
 
 @settings(max_examples=25, deadline=None)
