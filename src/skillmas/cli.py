@@ -1,9 +1,9 @@
 """Command-line surface: run, eval, transplant, report, replay.
 
 Every artifact a run writes is a deterministic function of (scenario, seed,
-config); `replay` re-executes a run directory and diffs the regenerated
-bytes against what is on disk, so determinism is an executable check, not a
-promise.
+config); `replay` re-executes a run directory and compares each regenerated
+piece with the stored file's bytes, each file read once, whole, so
+determinism is an executable check, not a promise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, NoReturn
 
@@ -25,6 +25,7 @@ from .orchestrator import (
     canonical_json,
     evaluate_transplants,
     experiment_rounds,
+    family_records,
     family_tally,
     render_breakdown,
     render_comparison,
@@ -412,10 +413,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 {
                     "episodes": args.episodes,
                     "successes": successes,
-                    "per_family": {
-                        task_id: {"successes": s, "attempts": a}
-                        for task_id, (s, a) in counts.items()
-                    },
+                    "per_family": family_records(counts),
                 }
             ),
         )
@@ -472,100 +470,64 @@ class _Divergence(Exception):
     """A run directory differs from its re-execution; the message says where."""
 
 
-@contextmanager
-def _reading(rel: str) -> Iterator[None]:
-    """Every `OSError` inside is a replay divergence naming the artifact."""
+def _stored(run_dir: Path, rel: str) -> bytes:
+    """A stored artifact's bytes, read once, whole; a file that cannot be
+    read is a divergence naming it."""
     try:
-        yield
+        return (run_dir / rel).read_bytes()
     except FileNotFoundError:
-        raise _Divergence(
-            f"replay divergence: {rel} is missing from the run directory"
-        ) from None
+        raise _Divergence(f"replay divergence: {rel} is missing from the run directory") from None
     except OSError as exc:
         raise _Divergence(
             f"replay divergence in {rel}: cannot read: {exc.strerror or exc}"
         ) from None
 
 
-class _StoredArtifact:
-    """A stored file of a run directory, compared with its regenerated text
-    piece by piece, each piece at the byte offset where the last one ended."""
+def _diverge(rel: str, stored: bytes, expected: bytes) -> NoReturn:
+    """Report the first byte where `stored` and `expected` differ (the
+    shorter one's length when one is a prefix of the other), the 1-based
+    line that holds it, and each side's line, or "(end of file)" for a side
+    that has no such byte."""
+    byte = next(
+        (i for i, (a, b) in enumerate(zip(stored, expected)) if a != b),
+        min(len(stored), len(expected)),
+    )
 
-    def __init__(self, run_dir: Path, rel: str) -> None:
-        self.rel = rel
-        self.handle = (run_dir / rel).open("rb")
-        self.at = 0  # bytes matched
+    def shown(data: bytes) -> str:
+        if byte >= len(data):
+            return "(end of file)"
+        start, end = data.rfind(b"\n", 0, byte) + 1, data.find(b"\n", byte) + 1 or len(data)
+        return repr(data[start:end].decode("utf-8", "backslashreplace"))
 
-    def close(self) -> None:
-        self.handle.close()
-
-    def compare(self, text: str) -> None:
-        """The next piece."""
-        want = text.encode("utf-8")
-        got = self.handle.read(len(want))
-        if got != want:
-            self._diverge(got, want)
-        self.at += len(want)
-
-    def finish(self) -> None:
-        """After the file's last piece: nothing may follow it."""
-        if got := self.handle.read(1):
-            self._diverge(got, b"")
-
-    def _diverge(self, got: bytes, want: bytes) -> NoReturn:
-        """Report the first byte where the stored bytes `got` and the expected
-        bytes `want`, both read from the matched prefix on, differ (a file
-        that ends early differs at its length), with each side's line that
-        holds it."""
-        offset = next(
-            (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
-        )
-        byte = self.at + offset
-        self.handle.seek(0)
-        head = self.handle.read(byte)  # the same on both sides
-        line = head.count(b"\n") + 1
-        start = head[head.rfind(b"\n") + 1 :]
-        stored = self.handle.readline()
-        expected = b"".join(want[offset:].partition(b"\n")[:2])
-        raise _Divergence(
-            f"replay divergence in {self.rel} at line {line}: byte {byte}\n"
-            f"  stored:   {_shown_line(start, stored)}\n"
-            f"  expected: {_shown_line(start, expected)}"
-        )
-
-
-def _shown_line(start: bytes, rest: bytes) -> str:
-    """A line whose bytes before the divergence are `start` and from it on
-    `rest`; no `rest` means the file ends there."""
-    if not rest:
-        return "(end of file)"
-    return repr((start + rest).decode("utf-8", "backslashreplace"))
+    line = stored.count(b"\n", 0, byte) + 1
+    raise _Divergence(
+        f"replay divergence in {rel} at line {line}: byte {byte}\n"
+        f"  stored:   {shown(stored)}\n"
+        f"  expected: {shown(expected)}"
+    )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     pack, seed, rounds, config = _load_run_dir(run_dir)
-    pieces = artifact_pieces(pack, seed, rounds, config)
-    compared: set[str] = set()
+    stored: dict[str, bytes] = {}
+    matched: dict[str, int] = {}  # bytes of each file its pieces have matched
     try:
-        with ExitStack() as stack:
-            log = None
-            for rel, text in pieces:
-                compared.add(rel)
-                with _reading(rel):
-                    if rel == TRACE_LOG:
-                        log = log or stack.enter_context(closing(_StoredArtifact(run_dir, rel)))
-                        log.compare(text)
-                        continue
-                    with closing(_StoredArtifact(run_dir, rel)) as stored:
-                        stored.compare(text)
-                        stored.finish()
-            with _reading(TRACE_LOG):
-                log.finish()  # every run has a round, so a log
+        for rel, text in artifact_pieces(pack, seed, rounds, config):
+            if rel not in stored:
+                stored[rel] = _stored(run_dir, rel)
+            data, at, piece = stored[rel], matched.get(rel, 0), text.encode("utf-8")
+            matched[rel] = end = at + len(piece)
+            # every file but the log is one piece, so it ends where its piece does
+            if data[at:end] != piece or (rel != TRACE_LOG and len(data) != end):
+                _diverge(rel, data, data[:at] + piece)
+        log = stored[TRACE_LOG]  # every run has a round, so a log
+        if len(log) != matched[TRACE_LOG]:
+            _diverge(TRACE_LOG, log, log[: matched[TRACE_LOG]])
     except _Divergence as divergence:
         print(divergence)
         return 1
-    print(f"replay clean: {len(compared)} artifacts match")
+    print(f"replay clean: {len(stored)} artifacts match")
     return 0
 
 

@@ -85,10 +85,7 @@ class RoundReport:
             "episodes": self.episodes,
             "successes": self.successes,
             "success_rate": self.success_rate,
-            "per_family": {
-                task: {"successes": s, "attempts": a}
-                for task, (s, a) in sorted(self.per_family.items())
-            },
+            "per_family": family_records(self.per_family),
             "active_skills": self.active_skills,
             "active_executors": self.active_executors,
             "pool_size": self.pool_size,
@@ -542,6 +539,12 @@ def family_tally(tally: Iterable[tuple[TraceShape, int]]) -> dict[str, tuple[int
         s, a = counts.get(task_id, (0, 0))
         counts[task_id] = (s + shape.outcome * episodes, a + episodes)
     return counts
+
+
+def family_records(counts: Mapping[str, tuple[int, int]]) -> dict[str, dict[str, int]]:
+    """Per-family counts as every report records them: task id ->
+    {"successes": s, "attempts": a}, in task-id order."""
+    return {task: {"successes": s, "attempts": a} for task, (s, a) in sorted(counts.items())}
 
 
 def _ratio(successes: int, attempts: int) -> str:

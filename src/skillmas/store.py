@@ -233,6 +233,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         "thresholds": [],
     }
     section: str | None = None
+    headers: dict[str, int] = {}  # each section's first header line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -241,6 +242,7 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             section = stripped[1:-1].strip()
             if section not in sections:
                 raise ScenarioError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ScenarioError("content before the first section header", lineno)
@@ -392,6 +394,8 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
         if skill.owner not in executors:
             message = f"skill {sid!r} owned by unknown executor {skill.owner!r}"
             raise ScenarioError(message, skill_lines[sid])
+    if manager is None:
+        raise ScenarioError("seed state defines no manager", headers.get("seed-state", 1))
     pool = {
         sid: (0, 0) for sid, s in library.items() if s.status is SkillStatus.POOLED
     }

@@ -8,7 +8,9 @@ thresholds, `streams.word_cut` and `word_window`, and the task cuts), and a
 fault there changes results only at a rare draw.  The restructuring
 predicates in `restructure.py` test recorded values against thresholds,
 and a fault there changes a decision only when a value meets its threshold
-exactly.  Each entry
+exactly.  `replay` in `cli.py` reports the first byte where a stored file
+and its expected bytes differ, its line and each side's line, and a fault
+there shows only for damage at a file's or a line's end.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -35,9 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WALK_TESTS = ("tests/test_episode_walk.py", "tests/test_stream_tape.py")
 STREAM_TESTS = ("tests/test_streams.py", "tests/test_stream_tape.py", "tests/test_episode_walk.py")
 RESTRUCTURE_TESTS = ("tests/test_restructure.py",)
+REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 RESTRUCTURE = "src/skillmas/restructure.py"
+CLI = "src/skillmas/cli.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
@@ -138,6 +142,21 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # a merge's consolidation keeps the copy with the higher best utility
     (RESTRUCTURE, "best[sid] = max(value, best.get(sid, value))",
      "best[sid] = min(value, best.get(sid, value))", RESTRUCTURE_TESTS, "fault"),
+    # replay's report: the first differing byte, its line and each side's line
+    (CLI, "min(len(stored), len(expected))", "max(len(stored), len(expected))", REPLAY_TESTS,
+     "fault"),
+    (CLI, 'line = stored.count(b"\\n", 0, byte) + 1', 'line = stored.count(b"\\n", 0, byte)',
+     REPLAY_TESTS, "fault"),
+    (CLI, 'line = stored.count(b"\\n", 0, byte) + 1',
+     'line = stored.count(b"\\n", 0, byte + 1) + 1', REPLAY_TESTS, "fault"),
+    (CLI, "if byte >= len(data):", "if byte > len(data):", REPLAY_TESTS, "fault"),
+    # replay's comparison: each piece at its offset, and each file's end
+    (CLI, "if data[at:end] != piece or (rel != TRACE_LOG and len(data) != end):",
+     "if data[at:end] != piece:", REPLAY_TESTS, "fault"),
+    (CLI, "        if len(log) != matched[TRACE_LOG]:", "        if False:", REPLAY_TESTS,
+     "fault"),
+    (CLI, "_diverge(rel, data, data[:at] + piece)", "_diverge(rel, data, piece)", REPLAY_TESTS,
+     "fault"),
 )
 
 

@@ -4,6 +4,7 @@ import gc
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -418,6 +419,46 @@ class TestReplay:
         log.write_text(first.replace('"shape":0,', '"shape":9,', 1) + "\n" + rest)
         assert main(["replay", "--run", str(run_dir)]) == 1
         assert capsys.readouterr().out.startswith("replay divergence in traces.jsonl at line 1:")
+
+    def test_a_damaged_snapshot_stops_the_replay_at_its_round(self, tmp_path, monkeypatch,
+                                                              capsys):
+        out = tmp_path / "run"
+        assert main(["run", "--scenario", "preset:tiny", "--seed", "42", "--rounds", "4",
+                     "--out", str(out), "--quiet"]) == 0
+        with (out / "snapshots" / "state_r001.txt").open("a") as handle:
+            handle.write("junk\n")
+        calls = []
+        run_round = orchestrator.run_round
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].round_index)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "run_round", counted)
+        capsys.readouterr()
+        assert main(["replay", "--run", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "replay divergence in snapshots/state_r001.txt at line "
+        )
+        assert calls == [0]  # round 1's snapshot is compared before round 2 runs
+
+    def test_clean_replay_reads_each_stored_file_once(self, run_dir, monkeypatch, capsys):
+        opened = Counter()
+        open_ = Path.open
+
+        def counted(self, *args, **kwargs):
+            opened[self.relative_to(run_dir).as_posix()] += 1
+            return open_(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)  # `read_bytes` and `read_text` open through it
+        assert main(["replay", "--run", str(run_dir)]) == 0
+        monkeypatch.undo()
+        snapshots = [f"snapshots/state_r00{r}.txt" for r in range(4)]
+        assert opened == Counter(
+            ["run.json", "scenario.scn", "traces.jsonl", "trajectory.json", "trajectory.txt",
+             "checkpoint.json", *snapshots]
+        )
+        assert capsys.readouterr().out == "replay clean: 8 artifacts match\n"
 
     def test_byte_identical_across_runs(self, tmp_path):
         outs = []

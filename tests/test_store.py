@@ -408,6 +408,10 @@ class TestScenarioFiles:
              "[seed-state]\nexecutor m = * manager\n"
              "card c = t missing-precondition add-guard ghost\n", 7,
              "card template 'ghost' names no latent procedure"),
+            # a seed state without a manager at its header, as a world without tasks
+            ("[tasks]\nt = a | 1.0\n[seed-state]\nexecutor w = t/a\n", 3,
+             "seed state defines no manager"),
+            ("[tasks]\nt = a | 1.0\n", 1, "seed state defines no manager"),
         ],
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
@@ -416,7 +420,7 @@ class TestScenarioFiles:
              "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
              "skill-owner-unknown", "manager-boundary", "manager-second", "weight-zero",
              "interference-negative", "confidence-zero", "skill-applies-unknown", "card-task",
-             "card-template"],
+             "card-template", "manager-none", "seed-state-absent"],
     )
     def test_bad_entry_names_its_line(self, body, line, detail):
         # every id ends up in snapshots, and every object's own checks run at parse
