@@ -151,7 +151,9 @@ class UtilityTable:
 
     Every outcome is 0 or 1, so an entry is exactly its (successes,
     attempts) counts.  Its value, the mean outcome `ratio(successes,
-    attempts)`, is computed where it is read.
+    attempts)`, is computed where it is read: `value`, which routing and
+    ranking call once per candidate, reads `counts` directly, and `get`
+    also gives the attempts.
     """
 
     counts: dict[tuple[str, str], tuple[int, int]] = field(default_factory=dict)
@@ -167,9 +169,10 @@ class UtilityTable:
         return None if entry is None else (ratio(*entry), entry[1])
 
     def value(self, key: str, task_id: str) -> float:
-        """The entry's value, or the 0.5 prior when it has no attempt."""
-        entry = self.get(key, task_id)
-        return entry[0] if entry is not None else 0.5
+        """The entry's value, `get`'s first item, or the 0.5 prior when it
+        has no attempt."""
+        entry = self.counts.get((key, task_id))
+        return 0.5 if entry is None else ratio(*entry)
 
     def count(self, key: str, task_id: str) -> int:
         entry = self.counts.get((key, task_id))

@@ -39,14 +39,17 @@ class Diagnosis:
         return self.tag in REPAIR_TAGS
 
 
+# one shared diagnosis per cause: a diagnosis is a pure function of its cause
+_DIAGNOSES = {cause: Diagnosis(cause, tag) for cause, tag in TAG_BY_CAUSE.items()}
+
+
 def diagnose(shape: TraceShape) -> Diagnosis:
     """Map a failure's shape to (cause, bounded tag); the cause counts only
     when it was observed confidently."""
     if shape.outcome != 0:
         raise ValueError("diagnosis applies to failure traces only")
     obs = shape.latent_cause_observation
-    cause = obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN
-    return Diagnosis(cause=cause, tag=TAG_BY_CAUSE[cause])
+    return _DIAGNOSES[obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN]
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,10 @@ def rank_skills(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    value = q_skill.value
     ranked = sorted(
         (s for s in candidates if s.owner in owners),
-        key=lambda s: (-q_skill.value(s.id, task_id), s.id),
+        key=lambda s: (-value(s.id, task_id), s.id),
     )
     chosen = [s.id for s in ranked[:k]]
     for s in ranked:
@@ -173,9 +174,16 @@ def executor_route(
 ) -> Route:
     """The pair's route over its ids in `covering`, a state's `covering_ids`.
     A pair that no executor covers is a `StateError`, which `validate_state`
-    rules out for the scenario's universe."""
+    rules out for the scenario's universe.  One pass reads each eligible
+    id's value once and keeps the highest, the smallest id on ties, in
+    whatever order the ids come."""
     eligible = tuple(covering.get((task_id, phase), ()))
     if not eligible:
         raise StateError(f"no executor covers ({task_id}, {phase})")
-    greedy = min(eligible, key=lambda eid: (-q_exec.value(eid, task_id), eid))
+    value = q_exec.value
+    greedy, best = eligible[0], value(eligible[0], task_id)
+    for eid in eligible[1:]:
+        v = value(eid, task_id)
+        if v > best or v == best and eid < greedy:
+            greedy, best = eid, v
     return Route(eligible, greedy)

@@ -376,7 +376,7 @@ class ExecutionTable:
         and evaluate the ground-truth success probability of the result."""
         task_id, phase = pair
         library = self.state.library
-        excess = max(0, self._owned[executor.id] - executor.capacity)
+        excess = max(0, self._owned.get(executor.id, 0) - executor.capacity)
         if task_id not in self._candidates:
             nothing = self._empty.get((executor.id, phase))
             if nothing is None:

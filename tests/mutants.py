@@ -10,7 +10,10 @@ predicates in `restructure.py` test recorded values against thresholds,
 and a fault there changes a decision only when a value meets its threshold
 exactly.  `replay` in `cli.py` reports the first byte where a stored file
 and its expected bytes differ, its line and each side's line, and a fault
-there shows only for damage at a file's or a line's end.  Each entry
+there shows only for damage at a file's or a line's end.  The route's one
+pass in `utility.py` and the shared diagnoses in `retention.py` each stand
+for a plainer rule that `tests/test_route_rules.py` states, and a fault
+there shows only at an exact tie or for one cause.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -38,10 +41,13 @@ WALK_TESTS = ("tests/test_episode_walk.py", "tests/test_stream_tape.py")
 STREAM_TESTS = ("tests/test_streams.py", "tests/test_stream_tape.py", "tests/test_episode_walk.py")
 RESTRUCTURE_TESTS = ("tests/test_restructure.py",)
 REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
+RULE_TESTS = ("tests/test_route_rules.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 RESTRUCTURE = "src/skillmas/restructure.py"
 CLI = "src/skillmas/cli.py"
+UTILITY = "src/skillmas/utility.py"
+RETENTION = "src/skillmas/retention.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
@@ -157,6 +163,16 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "fault"),
     (CLI, "_diverge(rel, data, data[:at] + piece)", "_diverge(rel, data, piece)", REPLAY_TESTS,
      "fault"),
+    # the route's one pass: the highest value, the smallest id on ties
+    (UTILITY, "if v > best or v == best and eid < greedy:",
+     "if v >= best or v == best and eid < greedy:", RULE_TESTS, "fault"),
+    (UTILITY, "if v > best or v == best and eid < greedy:",
+     "if v > best or v == best and eid > greedy:", RULE_TESTS, "fault"),
+    # one shared diagnosis per cause, its tag from TAG_BY_CAUSE
+    (RETENTION, "{cause: Diagnosis(cause, tag) for cause, tag in TAG_BY_CAUSE.items()}",
+     "{cause: Diagnosis(cause, BoundedTag.REORDER_STEP if cause is "
+     "CauseLabel.MISSING_PRECONDITION else tag) for cause, tag in TAG_BY_CAUSE.items()}",
+     RULE_TESTS, "fault"),
 )
 
 
