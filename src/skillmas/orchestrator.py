@@ -170,7 +170,7 @@ class ComparisonTable:
         }
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2)
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
 
 
 def canonical_json(payload: object) -> str:

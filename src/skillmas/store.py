@@ -599,7 +599,8 @@ def deserialize_state(text: str) -> RoundState:
 # ---------------------------------------------------------------------------
 # trace logs
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# every payload is a freshly built tree, so no reference cycle can occur
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def trace_to_record(shape: TraceShape) -> dict[str, object]:
@@ -627,10 +628,14 @@ def trace_to_record(shape: TraceShape) -> dict[str, object]:
 def encode_trace_log(batch: Batch) -> str:
     """A batch as JSON lines, as it is held: per entry k of its shape table,
     the shape's `trace_to_record` plus `"round"` and `"shape": k`; then the
-    line `{"index": [...], "round": ...}` that gives episode i's entry."""
+    line `{"index": [...], "round": ...}` that gives episode i's entry.
+    That line is `_ENCODER`'s with an empty index, the episodes' entries
+    joined into its brackets from a table of the entries' strings."""
     lines = [
         _ENCODER.encode({**trace_to_record(shape), "round": batch.round_index, "shape": k})
         for k, shape in enumerate(batch.shapes)
     ]
-    lines.append(_ENCODER.encode({"index": batch.index.tolist(), "round": batch.round_index}))
+    head, _, tail = _ENCODER.encode({"index": [], "round": batch.round_index}).partition("[]")
+    ids = list(map(str, range(len(batch.shapes))))
+    lines.append(f"{head}[{','.join(map(ids.__getitem__, batch.index))}]{tail}")
     return "\n".join(lines) + "\n"

@@ -25,9 +25,10 @@ t exactly when x < T = `word_cut(t)` = ceil(t * 2**53), and a first word
 outside `word_window(T)`, 32 words from lo = `(T >> 26) << 5`, decides that
 alone.  A weighted draw has one cut per running sum, `weight_cuts`, and
 `word_cells` does the same for such a sorted list of cuts, the task draw's
-among them.  `world`'s one fast path, `end_episodes`, decides the task draw
-and phase 0's draws from their first words this way, an exploring phase's
-executor draw by `word_randrange`'s rule on the words of block 0, and
+among them (`world` tables its cells by a first word's top 12 bits).
+`world`'s one fast path, `end_episodes`, decides the task draw and phase
+0's draws from their first words this way, an exploring phase's executor
+draw by `word_randrange`'s rule on the words of block 0, and
 walks an episode when a first word it needs falls in its window, or every
 executor try in block 0 is rejected, calling the rules (tests pin the
 decisions to the rules at every window's edges).

@@ -174,6 +174,19 @@ class Scenario:
         return word_cells(self.task_cuts)
 
     @functools.cached_property
+    def task_buckets(self) -> list[int]:
+        """Per first word's top 12 bits, the `task_cells` cell that covers
+        that bucket of 2**20 words whole, or -2 when a bound falls inside it.
+        A cell [e, f) covers buckets ceil(e / 2**20) to f // 2**20 - 1."""
+        bounds, cells = self.task_cells
+        buckets = [-2] * 4096
+        edges = [0, *bounds, 2**32]
+        for cell, e, f in zip(cells, edges, edges[1:]):
+            lo, hi = -(-e >> 20), f >> 20
+            buckets[lo:hi] = [cell] * (hi - lo)
+        return buckets
+
+    @functools.cached_property
     def task_views(self) -> tuple[tuple[TaskType, tuple[Pair, ...], tuple[float, ...]], ...]:
         """Each task with its pairs and progress values `q12(c / n)`, c = 0..n."""
         return tuple(
@@ -474,10 +487,11 @@ def end_episodes(
     columns of the chunk: words 0-1 draw the task, and a greedy phase 0's
     routing, success and cause draws are words 2-3, 4-5 and 6-7.  Each draw
     is decided from its first word alone, against its threshold's
-    `streams.word_window`, or the task cuts' `Scenario.task_cells`; a first
-    word in a window decides nothing.  Then each table runs the chunk's
-    episodes in order.  An episode whose phase 0 surely explores (its
-    routing word is below the window) draws its executor by
+    `streams.word_window`, or the task cuts' `Scenario.task_cells`, read
+    through `Scenario.task_buckets` and bisected only in a bucket a bound
+    falls in; a first word in a window decides nothing.  Then each table
+    runs the chunk's episodes in order.  An episode whose phase 0 surely
+    explores (its routing word is below the window) draws its executor by
     `word_randrange`'s rule on words 4 to 12, the first top-bits value
     below n taken, with each table's shift; its success and cause draws
     start one and three words after the one taken.  An episode ends on its
@@ -497,13 +511,17 @@ def end_episodes(
     scenario = tables[0].scenario
     cumulative, confidence = scenario.cumulative_weights, scenario.cause_confidence
     bounds, cells = scenario.task_cells
+    buckets = scenario.task_buckets
     explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))
     observe_lo, observe_hi = word_window(word_cut(confidence))
     indexes = [array("L") for _ in tables]
     for first in range(episodes.start, episodes.stop, CHUNK):
         stop = min(first + CHUNK, episodes.stop)
         w = blocks(first, 0, stop - first)
-        positions = [cells[bisect_right(bounds, a)] for a in w[0::16]]
+        positions = [
+            t if (t := buckets[a >> 20]) != -2 else cells[bisect_right(bounds, a)]
+            for a in w[0::16]
+        ]
         # phase 0's success word, or None when its routing draw may explore
         successes = [None if r < greedy_from else s for r, s in zip(w[2::16], w[4::16])]
         # the cause draw observes (0), may (1) or does not (2)

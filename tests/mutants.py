@@ -4,8 +4,9 @@ named for it; a mutant survives when they all pass.
 The fast paths, `world.end_episodes` and `world.walk_episode`, and the
 stream rules in `streams.py` test draws against thresholds and read words
 at fixed positions (`end_episodes` by first words against integer
-thresholds, `streams.word_cut` and `word_window`, and the task cuts), and a
-fault there changes results only at a rare draw.  The restructuring
+thresholds, `streams.word_cut` and `word_window`, and the task cuts and
+their bucket table, `Scenario.task_buckets`), and a fault there changes
+results only at a rare draw, or only costs a fallback.  The restructuring
 predicates in `restructure.py` test recorded values against thresholds,
 and a fault there changes a decision only when a value meets its threshold
 exactly.  `replay` in `cli.py` reports the first byte where a stored file
@@ -13,7 +14,9 @@ and its expected bytes differ, its line and each side's line, and a fault
 there shows only for damage at a file's or a line's end.  The route's one
 pass in `utility.py` and the shared diagnoses in `retention.py` each stand
 for a plainer rule that `tests/test_route_rules.py` states, and a fault
-there shows only at an exact tie or for one cause.  Each entry
+there shows only at an exact tie or for one cause.  The trace log's index
+line in `store.py` is joined from a table of strings, and a fault there
+shows only against `_ENCODER`'s line.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -42,16 +45,21 @@ STREAM_TESTS = ("tests/test_streams.py", "tests/test_stream_tape.py", "tests/tes
 RESTRUCTURE_TESTS = ("tests/test_restructure.py",)
 REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
 RULE_TESTS = ("tests/test_route_rules.py",)
+CODEC_TESTS = ("tests/test_trace_codec.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 RESTRUCTURE = "src/skillmas/restructure.py"
 CLI = "src/skillmas/cli.py"
 UTILITY = "src/skillmas/utility.py"
 RETENTION = "src/skillmas/retention.py"
+STORE = "src/skillmas/store.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
-    (WORLD, "for a in w[0::16]]", "for a in w[1::16]]", WALK_TESTS, "fault"),
+    (WORLD, "for a in w[0::16]", "for a in w[1::16]", WALK_TESTS, "fault"),
+    # the task draw: a first word's bucket, its entry, or a bisection at -2
+    (WORLD, "buckets[a >> 20]", "buckets[a >> 21]", WALK_TESTS, "fault"),
+    (WORLD, ") != -2 else cells[", ") != -1 else cells[", WALK_TESTS, "fault"),
     (WORLD, "explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))",
      "explore_below = greedy_from = word_window(word_cut(scenario.routing_noise))[0]",
      WALK_TESTS, "fault"),
@@ -113,6 +121,11 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "fault"),
     (STREAMS, "bisect_left(range(2**53 + 1), True,", "bisect_left(range(1, 2**53 + 1), True,",
      STREAM_TESTS, "fault"),
+    # the task buckets: a cell fills the buckets it covers whole
+    (WORLD, "lo, hi = -(-e >> 20), f >> 20", "lo, hi = e >> 20, f >> 20", STREAM_TESTS,
+     "fault"),
+    (WORLD, "lo, hi = -(-e >> 20), f >> 20", "lo, hi = -(-e >> 20), (f >> 20) + 1",
+     STREAM_TESTS, "fault"),
     (STREAMS, "        cells += (bisect_right(his, lo), -1)",
      "        cells += (bisect_right(his, lo), 0)", STREAM_TESTS, "fault"),
     # the stream rules
@@ -136,6 +149,9 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "fault"),
     (STREAMS, "    lo = (cut >> 26) << 5", "    lo = ((cut >> 26) << 5) - 1", STREAM_TESTS,
      "fault"),
+    # the trace log's index line, joined from the entries' strings
+    (STORE, "ids = list(map(str, range(len(batch.shapes))))",
+     "ids = list(map(str, range(1, len(batch.shapes) + 1)))", CODEC_TESTS, "fault"),
     # the restructuring predicates, each at its threshold
     (RESTRUCTURE, 'e["value"] < ev["weak_utility"]', 'e["value"] <= ev["weak_utility"]',
      RESTRUCTURE_TESTS, "fault"),

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import skillmas
 from skillmas.model import TaskType
 from skillmas.numfmt import q12
+from skillmas.presets import PRESETS, load_preset
 from skillmas.streams import derive_seed, episode_blocks, word_cut, word_random, word_window
 from skillmas.world import Scenario
 
@@ -138,3 +139,46 @@ def test_task_cuts_bisect_as_the_weights_do(name):
             for second in (0, 2**32 - 1):
                 u = word_random([first, second], 0, None, 0)
                 assert cell == bisect_right(cumulative, u * total)
+
+
+BUCKET = 2**20  # the words a `task_buckets` entry covers, by their top 12 bits
+BUCKET_WEIGHTS = {
+    **CUT_WEIGHTS,
+    "subnormal": [2.0**-1074, 1.0, 3 * 2.0**-1074, 1e-300],
+    "edge": [0.25, 0.75],  # the cut 2**51: its window starts on bucket 1024's first word
+    "wide5000": [1.0 + k % 7 for k in range(5000)],  # more tasks than buckets
+}
+
+
+def check_buckets(scenario: Scenario) -> None:
+    """Each of the 4096 `task_buckets` entries is -2 exactly when a bound of
+    `task_cells` falls inside its bucket; any other entry is the cell
+    `task_cells` gives at the bucket's first and last word, and at each
+    bound - 1, + 0 and + 1 in it."""
+    bounds, cells = scenario.task_cells
+    buckets = scenario.task_buckets
+    assert len(buckets) == 4096
+    inside = {x // BUCKET for x in bounds if x % BUCKET and x < 2**32}
+    assert {b for b, t in enumerate(buckets) if t == -2} == inside
+    words = {w for b in range(4096) for w in (b * BUCKET, (b + 1) * BUCKET - 1)}
+    words |= {x + d for x in bounds for d in (-1, 0, 1) if 0 <= x + d < 2**32}
+    for a in words:
+        if (t := buckets[a >> 20]) != -2:
+            assert t == cells[bisect_right(bounds, a)], a
+
+
+@pytest.mark.parametrize("name", [*PRESETS, *BUCKET_WEIGHTS])
+def test_task_buckets_of_presets_and_named_weights(name):
+    scenario = (
+        load_preset(name).scenario if name in PRESETS else weighted_scenario(BUCKET_WEIGHTS[name])
+    )
+    if name == "edge":
+        assert 1024 * BUCKET in scenario.task_cells[0]
+    check_buckets(scenario)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(2.0**-1074, 1e300) | st.sampled_from([2.0**-1074, 1e-9, 0.25, 1.0]),
+                min_size=1, max_size=40))
+def test_task_buckets_of_any_weights(weights):
+    check_buckets(weighted_scenario(weights))

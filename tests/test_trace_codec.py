@@ -23,7 +23,7 @@ from skillmas.model import (
     TaskType,
     TraceShape,
 )
-from skillmas.store import encode_trace_log
+from skillmas.store import _ENCODER, encode_trace_log
 
 from conftest import batch_of
 from reference import episodes_of, expand_log, reference_log
@@ -155,6 +155,22 @@ def test_equal_scalars_of_other_types_encode_apart_in_one_batch():
     batch = batch_of(shapes * 2)
     assert len(batch.shapes) == len(shapes)
     assert expand_log(encode_trace_log(batch)) == record_lines(batch)
+
+
+@pytest.mark.parametrize("round_index", [0, 7, 9999, 10_000, 123_456])
+@pytest.mark.parametrize("n_shapes", [1, 10, 101, 1234])
+def test_index_line_is_the_encoder_s(n_shapes, round_index):
+    """The index line joined from the entries' strings is `_ENCODER`'s
+    line, past 25 shapes and past four-digit rounds."""
+    task = TaskType("t", ("p",))
+    slices = (ExecutorSlice("w", "p", frozenset(), frozenset(), frozenset()),)
+    table = [TraceShape(task, slices, 1, 1.0) for _ in range(n_shapes)]
+    # each entry first in order, then all in reverse, then the first half again
+    shapes = table + table[::-1] + table[: n_shapes // 2]
+    batch = batch_of(shapes, round_index=round_index)
+    assert len(batch.shapes) == n_shapes
+    line = encode_trace_log(batch).splitlines()[-1]
+    assert line == _ENCODER.encode({"index": batch.index.tolist(), "round": round_index})
 
 
 # ---------------------------------------------------------------------------
