@@ -24,14 +24,14 @@ and b is `x * 2**-53` for x = `(a >> 5) << 26 | b >> 6`, below a threshold
 t exactly when x < T = `word_cut(t)` = ceil(t * 2**53), and a first word
 outside `word_window(T)`, 32 words from lo = `(T >> 26) << 5`, decides that
 alone.  A weighted draw has one cut per running sum, `weight_cuts`, and
-`word_cells` does the same for such a sorted list of cuts, the task draw's
-among them (`world` tables its cells by a first word's top 12 bits).
-`world`'s one fast path, `end_episodes`, decides the task draw and phase
-0's draws from their first words this way, an exploring phase's executor
-draw by `word_randrange`'s rule on the words of block 0, and
-walks an episode when a first word it needs falls in its window, or every
-executor try in block 0 is rejected, calling the rules (tests pin the
-decisions to the rules at every window's edges).
+picks position `bisect_right(cuts, x)`; `world` tables that position by
+the first word's top 12 bits, the top 12 of x's 53, and bisects x only
+in a bucket a cut falls inside.  `world`'s one fast path, `end_episodes`,
+decides the task draw so, phase 0's draws from their first words, an
+exploring phase's executor draw by `word_randrange`'s rule on the words of
+block 0, and walks an episode when a first word it needs falls in its
+window, or every executor try in block 0 is rejected, calling the rules
+(tests pin the decisions to the rules at every window's edges).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 import struct
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 
@@ -128,22 +128,6 @@ def word_window(cut: int) -> tuple[int, int]:
     window leaves it to the second."""
     lo = (cut >> 26) << 5
     return lo, lo + 32
-
-
-def word_cells(cuts: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(bounds, cells) for ascending `cuts`: a draw whose first word is a
-    has `bisect_right(cuts, x) == cells[bisect_right(bounds, a)]`, whatever
-    its second word, unless that cell is -1, when a is in a cut's window.
-    Windows are aligned runs of 32 words, so two are equal or disjoint, and
-    `bounds` lists each distinct one's ends."""
-    windows = [word_window(cut) for cut in cuts]
-    his = [hi for _, hi in windows]
-    bounds = [end for window in sorted(set(windows)) for end in window]
-    cells = []  # below each window, the cuts whose windows end there or below; in it, -1
-    for lo in bounds[::2]:
-        cells += (bisect_right(his, lo), -1)
-    cells.append(len(cuts))
-    return bounds, cells
 
 
 def word_randrange(

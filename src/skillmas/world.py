@@ -39,7 +39,6 @@ from .streams import (
     Blocks,
     episode_blocks,
     weight_cuts,
-    word_cells,
     word_cut,
     word_random,
     word_randrange,
@@ -168,22 +167,18 @@ class Scenario:
         return weight_cuts(self.cumulative_weights)
 
     @functools.cached_property
-    def task_cells(self) -> tuple[list[int], list[int]]:
-        """`streams.word_cells(task_cuts)`: the task position decided by a
-        draw's first word, or -1 in a cut's window."""
-        return word_cells(self.task_cuts)
-
-    @functools.cached_property
     def task_buckets(self) -> list[int]:
-        """Per first word's top 12 bits, the `task_cells` cell that covers
-        that bucket of 2**20 words whole, or -2 when a bound falls inside it.
-        A cell [e, f) covers buckets ceil(e / 2**20) to f // 2**20 - 1."""
-        bounds, cells = self.task_cells
-        buckets = [-2] * 4096
-        edges = [0, *bounds, 2**32]
-        for cell, e, f in zip(cells, edges, edges[1:]):
-            lo, hi = -(-e >> 20), f >> 20
-            buckets[lo:hi] = [cell] * (hi - lo)
+        """Per first word's top 12 bits, the task position of every draw in
+        that bucket, or -1 when a cut falls strictly inside it.  Bucket b
+        holds the draws x in [b * 2**41, (b + 1) * 2**41), whose first words
+        have top 12 bits b (x >> 41 is the first word >> 20), and position p
+        picks x in [e, f), its cuts' span, so it fills buckets ceil(e /
+        2**41) to f // 2**41 - 1."""
+        buckets = [-1] * 4096
+        edges = [0, *self.task_cuts, 2**53]
+        for position, (e, f) in enumerate(zip(edges, edges[1:])):
+            lo, hi = -(-e >> 41), f >> 41
+            buckets[lo:hi] = [position] * (hi - lo)
         return buckets
 
     @functools.cached_property
@@ -329,11 +324,11 @@ class ExecutionTable:
     covering index, each pair's covering executor ids, built in one pass
     over the executors.
 
-    Outcome paths are interned.  At each position of the task draw's
-    bisection over the scenario's `cumulative_weights`, `roots` holds (task,
-    ((pair, route), ...), progress values `q12(c / n)` for c = 0..n, first
-    trie steps, the greedy first step); the task's pairs and progress values are
-    the scenario's `task_views`.  `end_episodes` reads phase 0 at its first
+    Outcome paths are interned.  At each position the task draw picks from
+    the scenario's `task_cuts`, `roots` holds (task, ((pair, route), ...),
+    progress values `q12(c / n)` for c = 0..n, first trie steps, the greedy
+    first step); the task's pairs and progress values are the scenario's
+    `task_views`.  `end_episodes` reads phase 0 at its first
     step, greedy or explored, and `walk_episode` reads the rest.  A step,
     keyed by the drawn executor id, is the list [slot, the path's slices, next steps,
     then the positions in `shapes` of the shapes that end there: success,
@@ -362,7 +357,7 @@ class ExecutionTable:
 
     def _roots(self) -> list[tuple]:
         """Every task's root in task order, then the last task's again: a
-        draw rounding up to the total weight bisects to position len(tasks).
+        draw at or past the last cut picks position len(tasks).
         A root's last item is its greedy first step, the one `end_episodes`
         reads."""
         roots = []
@@ -485,43 +480,42 @@ def end_episodes(
     exploration rate.  Block 0 of up to `CHUNK` episodes at a time comes
     from one `blocks` call, and its draws are read once for every table, as
     columns of the chunk: words 0-1 draw the task, and a greedy phase 0's
-    routing, success and cause draws are words 2-3, 4-5 and 6-7.  Each draw
-    is decided from its first word alone, against its threshold's
-    `streams.word_window`, or the task cuts' `Scenario.task_cells`, read
-    through `Scenario.task_buckets` and bisected only in a bucket a bound
-    falls in; a first word in a window decides nothing.  Then each table
-    runs the chunk's episodes in order.  An episode whose phase 0 surely
-    explores (its routing word is below the window) draws its executor by
-    `word_randrange`'s rule on words 4 to 12, the first top-bits value
-    below n taken, with each table's shift; its success and cause draws
-    start one and three words after the one taken.  An episode ends on its
+    routing, success and cause draws are words 2-3, 4-5 and 6-7.  Every
+    task is decided here: the first word's entry in `Scenario.task_buckets`,
+    or, in a bucket a cut falls inside, `bisect_right(task_cuts, x)` of the
+    draw's x.  Each phase-0 draw is decided from its first word alone,
+    against its threshold's `streams.word_window`; a first word in a window
+    decides nothing.  Then each table runs the chunk's episodes in order.
+    An episode whose phase 0 surely explores (its routing word is below the
+    window) draws its executor by `word_randrange`'s rule on words 4 to 12,
+    the first top-bits value below n taken, with each table's shift; its
+    success and cause draws start one and three words after the one taken.  An episode ends on its
     phase-0 step (the root's greedy first step, or the explored executor's,
     filled on first use) with no call when that phase fails, or succeeds on
     a single-phase task, as far as the first words tell.  Every other
     episode, and one whose executor tries in block 0 are all rejected, is
     walked by `walk_episode` on a list of its sixteen words, one list per
     episode for all tables, so no block is derived twice; the walk reads
-    every draw by the word rules, and a task left undecided is drawn by
-    `word_random`'s rule first.  On failure the episode then
-    draws its last value: the failing slot's dominant deficit is observed as
-    the cause, confidently with the scenario's observation probability;
-    with no deficit nothing is drawn.
+    every draw after the task's by the word rules.  On failure the episode
+    then draws its last value: the failing slot's dominant deficit is
+    observed as the cause, confidently with the scenario's observation
+    probability; with no deficit nothing is drawn.
     The episode's shape is the one its last trie step holds for that ending.
     """
     scenario = tables[0].scenario
-    cumulative, confidence = scenario.cumulative_weights, scenario.cause_confidence
-    bounds, cells = scenario.task_cells
-    buckets = scenario.task_buckets
+    cuts, buckets = scenario.task_cuts, scenario.task_buckets
+    confidence = scenario.cause_confidence
     explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))
     observe_lo, observe_hi = word_window(word_cut(confidence))
     indexes = [array("L") for _ in tables]
     for first in range(episodes.start, episodes.stop, CHUNK):
         stop = min(first + CHUNK, episodes.stop)
         w = blocks(first, 0, stop - first)
-        positions = [
-            t if (t := buckets[a >> 20]) != -2 else cells[bisect_right(bounds, a)]
-            for a in w[0::16]
-        ]
+        positions = [buckets[a >> 20] for a in w[0::16]]
+        k = -1  # a task left at -1, in a bucket a cut falls inside, by its draw's x
+        for _ in range(positions.count(-1)):
+            k = positions.index(-1, k + 1)
+            positions[k] = bisect_right(cuts, (w[16 * k] >> 5) << 26 | w[16 * k + 1] >> 6)
         # phase 0's success word, or None when its routing draw may explore
         successes = [None if r < greedy_from else s for r, s in zip(w[2::16], w[4::16])]
         # the cause draw observes (0), may (1) or does not (2)
@@ -531,16 +525,15 @@ def end_episodes(
             roots, shapes = table.roots, table.shapes
             ends: list[int] = []  # the chunk's positions in `shapes`
             # at each task position: the greedy first step's `_ending` and
-            # whether the task has one phase; at -1, an entry that ends none
+            # whether the task has one phase
             greedy = [(*_ending(step), len(phases) == 1) for _, phases, _, _, step in roots]
-            greedy.append((None, 0, 1 << 32, None, False))
             # at each task position, once an episode explores there: phase
             # 0's pair, eligible executors, the executor draw's shift, the
             # root's steps and, per executor index, its first step's `_ending`
             explore: list = [None] * len(roots)
             for i, position, s, seen in zip(range(first, stop), positions, successes, observed):
                 step, lo, hi, fails, single = greedy[position]
-                if s is None and position >= 0:  # the routing draw may explore
+                if s is None:  # the routing draw may explore
                     k = 16 * (i - first)
                     if w[k + 2] < explore_below:  # it does
                         if explore[position] is None:
@@ -575,9 +568,6 @@ def end_episodes(
                     if words is None:
                         k = 16 * (i - first)
                         words = lists[i] = list(w[k : k + 16])
-                    if position < 0:
-                        u = word_random(words, 0, blocks, i)
-                        position = bisect_right(cumulative, u * cumulative[-1])
                     step, failed, pos = walk_episode(table, roots[position], words, blocks, i)
                     if failed is None:
                         end = 3

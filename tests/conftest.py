@@ -91,7 +91,8 @@ def batch_of(shapes, round_index: int = 0) -> Batch:
 def task_at(table: ExecutionTable, u: float) -> tuple:
     """The root of the task a uniform draw `u` in [0, 1) picks, each with
     probability proportional to its sampling weight: the bisection over the
-    table's cumulative weights that `end_episodes` makes."""
+    table's cumulative weights that `end_episodes`' integer task draw
+    agrees with."""
     cumulative = table.scenario.cumulative_weights
     return table.roots[bisect_right(cumulative, u * cumulative[-1])]
 

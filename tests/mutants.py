@@ -57,9 +57,10 @@ STORE = "src/skillmas/store.py"
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
     (WORLD, "for a in w[0::16]", "for a in w[1::16]", WALK_TESTS, "fault"),
-    # the task draw: a first word's bucket, its entry, or a bisection at -2
+    # the task draw: a first word's bucket, or at -1 the bisection of its draw's x
     (WORLD, "buckets[a >> 20]", "buckets[a >> 21]", WALK_TESTS, "fault"),
-    (WORLD, ") != -2 else cells[", ") != -1 else cells[", WALK_TESTS, "fault"),
+    (WORLD, "w[16 * k + 1] >> 6)", "w[16 * k + 3] >> 6)", WALK_TESTS, "fault"),
+    (WORLD, "(w[16 * k] >> 5) << 26", "(w[16 * k] >> 5) << 27", WALK_TESTS, "fault"),
     (WORLD, "explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))",
      "explore_below = greedy_from = word_window(word_cut(scenario.routing_noise))[0]",
      WALK_TESTS, "fault"),
@@ -80,7 +81,6 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     (WORLD, "explore_below, greedy_from = word_window(word_cut(scenario.routing_noise))",
      "explore_below = greedy_from = word_window(word_cut(scenario.routing_noise))[1]",
      WALK_TESTS, "fault"),
-    (WORLD, "if s is None and position >= 0:", "if s is None:", WALK_TESTS, "fault"),
     (WORLD, "if w[k + 2] < explore_below:", "if w[k + 2] <= explore_below:", WALK_TESTS,
      "fault"),
     (WORLD, "(pair, route.eligible, 32 - n.bit_length(),",
@@ -117,17 +117,17 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "    slices: tuple[ExecutorSlice, ...] = ()\n    pos = 4", WALK_TESTS, "fault"),
     # end_episodes: a first word in a window, and the task cuts
     (WORLD, "elif s < lo and single:", "elif s <= lo and single:", WALK_TESTS, "fault"),
-    (WORLD, "                    if position < 0:", "                    if False:", WALK_TESTS,
-     "fault"),
     (STREAMS, "bisect_left(range(2**53 + 1), True,", "bisect_left(range(1, 2**53 + 1), True,",
      STREAM_TESTS, "fault"),
-    # the task buckets: a cell fills the buckets it covers whole
-    (WORLD, "lo, hi = -(-e >> 20), f >> 20", "lo, hi = e >> 20, f >> 20", STREAM_TESTS,
+    # the task buckets: a position fills the buckets its cuts' span covers
+    # whole, and the rest hold -1
+    (WORLD, "lo, hi = -(-e >> 41), f >> 41", "lo, hi = e >> 41, f >> 41", STREAM_TESTS,
      "fault"),
-    (WORLD, "lo, hi = -(-e >> 20), f >> 20", "lo, hi = -(-e >> 20), (f >> 20) + 1",
+    (WORLD, "lo, hi = -(-e >> 41), f >> 41", "lo, hi = -(-e >> 41), (f >> 41) + 1",
      STREAM_TESTS, "fault"),
-    (STREAMS, "        cells += (bisect_right(his, lo), -1)",
-     "        cells += (bisect_right(his, lo), 0)", STREAM_TESTS, "fault"),
+    (WORLD, "lo, hi = -(-e >> 41), f >> 41", "lo, hi = -(-e >> 40), f >> 40", STREAM_TESTS,
+     "fault"),
+    (WORLD, "buckets = [-1] * 4096", "buckets = [-2] * 4096", STREAM_TESTS, "fault"),
     # the stream rules
     (STREAMS, "    while pos + 2 > len(words):", "    if pos + 2 > len(words):", STREAM_TESTS,
      "equivalent: readers read in order, so a draw starts at most at the list's end and one "

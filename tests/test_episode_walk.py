@@ -3,9 +3,10 @@ and episodes that end at their table entry.
 
 `world.end_episodes` is the one fast path, for adaptation and frozen
 evaluation alike.  It derives the first blocks of `CHUNK` episodes at a
-time, decides the task draw (words 0-1) and phase 0's draws from their
-first words once for all its tables, an exploring phase 0's executor draw
-by `word_randrange`'s rule on the words of block 0, and hands every episode
+time, decides the task draw (words 0-1, from the bucket table or the task
+cuts) and phase 0's draws from their first words once for all its tables,
+an exploring phase 0's executor draw by `word_randrange`'s rule on the
+words of block 0, and hands every episode
 that goes on past phase 0, has a first word in its threshold's window, or
 has every executor try in block 0 rejected, to `world.walk_episode`.  The
 walk reads every draw by a call to `streams.word_random` or
@@ -251,6 +252,74 @@ def test_first_words_decide_phase_0_in_place(kind, p):
             words[2] = route
             words[p : p + 2] = [a, b]
             run_probe(kind, p, words, threshold, walks=lo <= a < hi)
+
+
+# single-phase tasks whose cuts 2**50 and 2**51 start buckets 512 and 1024,
+# and whose other two fall strictly inside buckets 170 and 2218
+TASK_WEIGHTS = [0.1, 0.2, 0.3, 0.7, 1.1]
+
+
+def task_draw_cases(cuts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(first, second) words of task draws around each cut below 2**53:
+    first words at its window's edges and middle, each with a second word
+    of 0, of all ones, and of the low bits of K - 1 and of K, and first
+    words at the ends of the cut's bucket and next to it."""
+    cases = []
+    for cut in cuts:
+        if cut == 2**53:
+            continue
+        lo, hi = word_window(cut)
+        bucket = cut >> 41
+        seconds = [0, TOP] + [(c & (2**26 - 1)) << 6 for c in (cut - 1, cut)]
+        cases += [(a, b) for a in (lo - 1, lo, lo + 16, hi - 1, hi) for b in seconds]
+        ends = (bucket << 20, (bucket + 1 << 20) - 1, (bucket << 20) - 1, bucket + 1 << 20)
+        cases += [(a, b) for a in ends for b in (0, TOP)]
+    return [(a, b) for a, b in cases if 0 <= a <= TOP]
+
+
+def test_every_task_draw_is_decided_in_the_chunk(monkeypatch):
+    """Every episode's task is decided from its chunk's columns, first words
+    in a bucket a cut falls inside and in a cut's window included, as the
+    reference's float draw picks it: on a task that fails at its greedy
+    phase 0 with no deficit, no episode is walked.  The cases run in
+    consecutive episodes, over a chunk's first and last episodes and into
+    the next chunk."""
+    tasks = tuple(TaskType(f"t{j}", ("p0",)) for j in range(len(TASK_WEIGHTS)))
+    scenario = Scenario(
+        name="task-draw",
+        task_types=tasks,
+        task_weights={t.id: w for t, w in zip(tasks, TASK_WEIGHTS)},
+        base_difficulty={pair: -1000.0 for task in tasks for pair in task.pairs()},
+        routing_noise=0.0,
+    )
+    state = make_state(tasks=tasks, round_index=1)
+    config = EngineConfig()
+    cases = task_draw_cases(scenario.task_cuts)
+    windows = [word_window(cut) for cut in scenario.task_cuts]
+    assert any(lo <= a < hi for a, _ in cases for lo, hi in windows)
+    mixed = {cut >> 41 for cut in scenario.task_cuts if cut % 2**41}
+    assert len(mixed) == 2 and any(a >> 20 in mixed for a, _ in cases)
+    n = CHUNK + len(cases)
+
+    def make(seed):
+        def blocks(first, index, count=1):
+            # the task draw's words, then a greedy route and a failing success draw
+            return [
+                w for i in range(first, first + count)
+                for w in ([*cases[i % len(cases)], TOP, TOP, TOP] + [0] * 11 if index == 0
+                          else [0] * 16)
+            ]
+
+        return blocks
+
+    monkeypatch.setattr(world, "episode_blocks", make)
+    monkeypatch.setattr(reference, "reference_blocks", make)
+    want = reference_exec_round(state, scenario, n, 5, config, "r0001")
+    walked = counted_walks(monkeypatch)
+    batch = exec_round(state, scenario, n, 5, config)
+    assert episodes_of(batch) == want
+    assert walked == []
+    assert len({e.task_type.id for e in want}) == len(tasks)
 
 
 def explore_world(n: int, phases: tuple[str, ...]):

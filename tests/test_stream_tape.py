@@ -217,20 +217,20 @@ def counted_walks(monkeypatch) -> list:
 
 def undecided(table, words) -> bool:
     """Whether `end_episodes` must walk an episode whose first block is
-    `words` on `table`, by the rule, from the raw words: the task cell is
-    -1; a first word that phase 0 needs is in its threshold's window; every
-    executor try of an exploring phase 0 up to word 12 is rejected; or
-    phase 0 succeeds on a task with more phases."""
+    `words` on `table`, by the rule, from the raw words: a first word that
+    phase 0 needs is in its threshold's window; every executor try of an
+    exploring phase 0 up to word 12 is rejected; or phase 0 succeeds on a
+    task with more phases.  The task is the one the float draw picks."""
     scenario = table.scenario
 
     def window(threshold):
         lo, hi = word_window(word_cut(threshold))
         return range(lo, hi)
 
-    bounds, cells = scenario.task_cells
-    position = cells[bisect_right(bounds, words[0])]
+    cumulative = scenario.cumulative_weights
+    position = bisect_right(cumulative, word_random(words, 0, None, 0) * cumulative[-1])
     routing = window(scenario.routing_noise)
-    if position < 0 or words[2] in routing:
+    if words[2] in routing:
         return True
     _, phases, _, _, _ = table.roots[position]
     pair, route = phases[0]

@@ -113,8 +113,9 @@ CUT_WEIGHTS = {
 def test_task_cuts_bisect_as_the_weights_do(name):
     """At k = K_j - 1 and K_j, and at both ends, `bisect_right(task_cuts, k)`
     is the task position the draw `k * 2**-53` picks from the cumulative
-    weights.  A first word at a cut window's edges picks it through
-    `task_cells`, whatever the second word, unless it is in a window."""
+    weights.  A first word at either end of a bucket whose `task_buckets`
+    entry is not -1 picks that entry from the cumulative weights, whatever
+    the second word."""
     scenario = weighted_scenario(CUT_WEIGHTS[name])
     cumulative = scenario.cumulative_weights
     total = cumulative[-1]
@@ -124,47 +125,42 @@ def test_task_cuts_bisect_as_the_weights_do(name):
     for k in ks:
         assert bisect_right(cuts, k) == bisect_right(cumulative, k * 2.0**-53 * total)
 
-    bounds, cells = scenario.task_cells
-    windows = {word_window(cut) for cut in cuts}
-    if name == "close":
-        assert len(windows) < len(cuts)
-    for lo, hi in windows:
-        for first in (lo - 1, lo, hi - 1, hi):
-            if not 0 <= first < 2**32:
-                continue
-            cell = cells[bisect_right(bounds, first)]
-            if any(l <= first < h for l, h in windows):
-                assert cell == -1
-                continue
+    if name == "close":  # cuts in one window, so in one bucket
+        assert len({cut >> 41 for cut in cuts}) < len(cuts)
+    for b, position in enumerate(scenario.task_buckets):
+        if position == -1:
+            continue
+        for first in (b * WORDS, (b + 1) * WORDS - 1):
             for second in (0, 2**32 - 1):
                 u = word_random([first, second], 0, None, 0)
-                assert cell == bisect_right(cumulative, u * total)
+                assert position == bisect_right(cumulative, u * total), (b, first, second)
 
 
-BUCKET = 2**20  # the words a `task_buckets` entry covers, by their top 12 bits
+WORDS = 2**20  # the first words a `task_buckets` entry covers, by their top 12 bits
+BUCKET = 2**41  # the draws x it covers, x >> 41 being the first word's top 12 bits
 BUCKET_WEIGHTS = {
     **CUT_WEIGHTS,
     "subnormal": [2.0**-1074, 1.0, 3 * 2.0**-1074, 1e-300],
-    "edge": [0.25, 0.75],  # the cut 2**51: its window starts on bucket 1024's first word
+    "edge": [0.25, 0.75],  # the cut 2**51: bucket 1024's first draw
     "wide5000": [1.0 + k % 7 for k in range(5000)],  # more tasks than buckets
 }
 
 
 def check_buckets(scenario: Scenario) -> None:
-    """Each of the 4096 `task_buckets` entries is -2 exactly when a bound of
-    `task_cells` falls inside its bucket; any other entry is the cell
-    `task_cells` gives at the bucket's first and last word, and at each
-    bound - 1, + 0 and + 1 in it."""
-    bounds, cells = scenario.task_cells
+    """Each of the 4096 `task_buckets` entries is -1 exactly when a cut
+    falls strictly inside its bucket of draws x; any other entry is
+    `bisect_right(task_cuts, x)` at the bucket's first and last x, and at
+    each cut - 1, + 0 and + 1 in it."""
+    cuts = scenario.task_cuts
     buckets = scenario.task_buckets
     assert len(buckets) == 4096
-    inside = {x // BUCKET for x in bounds if x % BUCKET and x < 2**32}
-    assert {b for b, t in enumerate(buckets) if t == -2} == inside
-    words = {w for b in range(4096) for w in (b * BUCKET, (b + 1) * BUCKET - 1)}
-    words |= {x + d for x in bounds for d in (-1, 0, 1) if 0 <= x + d < 2**32}
-    for a in words:
-        if (t := buckets[a >> 20]) != -2:
-            assert t == cells[bisect_right(bounds, a)], a
+    inside = {x // BUCKET for x in cuts if x % BUCKET and x < 2**53}
+    assert {b for b, t in enumerate(buckets) if t == -1} == inside
+    xs = {x for b in range(4096) for x in (b * BUCKET, (b + 1) * BUCKET - 1)}
+    xs |= {x + d for x in cuts for d in (-1, 0, 1) if 0 <= x + d < 2**53}
+    for x in xs:
+        if (t := buckets[x >> 41]) != -1:
+            assert t == bisect_right(cuts, x), x
 
 
 @pytest.mark.parametrize("name", [*PRESETS, *BUCKET_WEIGHTS])
@@ -173,7 +169,7 @@ def test_task_buckets_of_presets_and_named_weights(name):
         load_preset(name).scenario if name in PRESETS else weighted_scenario(BUCKET_WEIGHTS[name])
     )
     if name == "edge":
-        assert 1024 * BUCKET in scenario.task_cells[0]
+        assert 1024 * BUCKET in scenario.task_cuts
     check_buckets(scenario)
 
 
