@@ -1,10 +1,11 @@
 """Bounded skill evolution: per-shape proposals, consolidation, pool lifecycle.
 
 Each retained shape yields at most one proposal, a failure's from its
-`RetainedShape.diagnosis` (`retention.diagnose`); consolidation applies at
-most one action per implicated skill cluster per round; new or heavily
-rewritten skills sit in the validation pool until usage evidence promotes
-or prunes them.
+`RetainedShape.diagnosis` (`retention.diagnose`), and a proposal holds
+exactly one change: new drafts or an edit of one skill.  Consolidation
+makes one candidate action per proposal and applies at most one action per
+implicated skill cluster per round; new or heavily rewritten skills sit in
+the validation pool until usage evidence promotes or prunes them.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def apply_edit(skill: Skill, edit: SkillEdit) -> Skill:
 @dataclass(frozen=True)
 class Proposal:
     """At most one per retained shape, whose first episode is the source:
-    a success motif or a failure repair."""
+    a success motif or a failure repair.  It holds exactly one change, its
+    drafts or its edit."""
 
     source_trace: str
     target_cluster: str
@@ -79,6 +81,11 @@ class Proposal:
     cause: CauseLabel | None = None
     drafts: tuple[Skill, ...] = ()
     edit: SkillEdit | None = None
+
+    def __post_init__(self) -> None:
+        if bool(self.drafts) == (self.edit is not None):
+            held = "both drafts and an edit" if self.drafts else "neither drafts nor an edit"
+            raise StateError(f"proposal from {self.source_trace!r} holds {held}")
 
 
 @dataclass(frozen=True)
@@ -224,30 +231,26 @@ def _repair_edit(
             applicability = applicability - {pair}
         else:
             guards = guards | {f"scope:{pair[0]}:{pair[1]}"}
-    else:
-        return None
 
-    edit = SkillEdit(tag, skill.id, steps, guards, checks, applicability)
     unchanged = (
         steps == skill.steps
         and guards == skill.guards
         and checks == skill.checks
         and applicability == skill.applicability
     )
-    return None if unchanged else edit
+    return None if unchanged else SkillEdit(tag, skill.id, steps, guards, checks, applicability)
 
 
-def _split_proposal(
-    retained: RetainedShape,
+def _split(
     rep: Skill,
     latent: LatentSkill | None,
     pair: tuple[str, str],
     cause: CauseLabel,
-    keys: Mapping[str, str],
     round_index: int,
-) -> Proposal:
+) -> tuple[tuple[Skill, ...], SkillEdit | None]:
     """Two narrower drafts partitioning the representative's applicability,
-    or an isolating refine when there is nothing to partition."""
+    or an isolating refine when there is nothing to partition: (drafts,
+    None) or ((), edit)."""
     if len(rep.applicability) >= 2:
         pairs = sorted(rep.applicability)
         halves = (pairs[: len(pairs) // 2], pairs[len(pairs) // 2 :])
@@ -267,30 +270,17 @@ def _split_proposal(
                     owner=rep.owner,
                 )
             )
-        return Proposal(
-            source_trace=retained.source,
-            target_cluster=keys[rep.id],
-            task_type=retained.shape.task_type.id,
-            cause=cause,
-            drafts=tuple(drafts),
-        )
+        return tuple(drafts), None
     steps = rep.steps
     if latent is not None and latent.id not in steps:
         steps = steps + (latent.id,)
-    edit = SkillEdit(
+    return (), SkillEdit(
         BoundedTag.SPLIT_SKILL,
         rep.id,
         steps,
         rep.guards,
         rep.checks | {f"isolate:{cause.value}"},
         rep.applicability,
-    )
-    return Proposal(
-        source_trace=retained.source,
-        target_cluster=keys[rep.id],
-        task_type=retained.shape.task_type.id,
-        cause=cause,
-        edit=edit,
     )
 
 
@@ -313,7 +303,6 @@ def propose(
     """
     shape = retained.shape
     task_id = shape.task_type.id
-    keys = index.keys
 
     if shape.outcome == 1:
         if pooled_used(shape, library):
@@ -345,28 +334,26 @@ def propose(
         return None
 
     if diagnosis.tag is BoundedTag.SPLIT_SKILL:
-        return _split_proposal(
-            retained, implicated, latent, pair, cause, keys, round_index
-        )
-
-    if diagnosis.tag is BoundedTag.TIGHTEN_RETRIEVAL and latent is None:
-        # target the interfering usage rather than the pair-matching skill
-        realized_here = {
-            index.realizer[l.id]
-            for l in index.latents_at.get(pair, ())
-            if l.id in index.realizer
-        }
-        noisy = [sid for sid in candidates if sid not in realized_here]
-        implicated = _pick_implicated(noisy, library, pair) or implicated
-
-    edit = _repair_edit(diagnosis.tag, implicated, latent, cause, pair)
-    if edit is None:
-        return None
+        drafts, edit = _split(implicated, latent, pair, cause, round_index)
+    else:
+        if diagnosis.tag is BoundedTag.TIGHTEN_RETRIEVAL and latent is None:
+            # target the interfering usage rather than the pair-matching skill
+            realized_here = {
+                index.realizer[l.id]
+                for l in index.latents_at.get(pair, ())
+                if l.id in index.realizer
+            }
+            noisy = [sid for sid in candidates if sid not in realized_here]
+            implicated = _pick_implicated(noisy, library, pair) or implicated
+        drafts, edit = (), _repair_edit(diagnosis.tag, implicated, latent, cause, pair)
+        if edit is None:
+            return None
     return Proposal(
         source_trace=retained.source,
-        target_cluster=keys[implicated.id],
+        target_cluster=index.keys[implicated.id],
         task_type=task_id,
         cause=cause,
+        drafts=drafts,
         edit=edit,
     )
 
@@ -440,8 +427,8 @@ def skill_evolve(
     clusters are off limits for further actions.  `index` is the
     `proposal_index` of `library` under `config`.  Proposals keep the order
     given (`collect_proposals` emits them in table order, the order of each
-    shape's first episode), and a cluster keeps the first of its
-    highest-priority candidates.
+    shape's first episode).  Each proposal makes one candidate action, and
+    a cluster keeps the first of its highest-priority candidates.
     """
     actions: list[SkillAction] = []
     claimed: set[str] = set()
@@ -491,60 +478,37 @@ def skill_evolve(
             )
 
         for proposal in group:
-            cause = proposal.cause.value if proposal.cause else None
-            if proposal.drafts:
-                fresh = tuple(
-                    d
-                    for d in proposal.drafts
-                    if not _is_duplicate(d, library, index, policy_index, config.dedup_similarity)
-                )
-                if not fresh:
-                    candidates.append(
-                        SkillAction(
-                            cluster=key,
-                            action="no-op",
-                            skills=tuple(d.id for d in proposal.drafts),
-                            source_trace=proposal.source_trace,
-                            task_type=proposal.task_type,
-                            cause=cause,
-                            note="duplicate of an existing validated skill or template",
-                        )
-                    )
-                else:
-                    candidates.append(
-                        SkillAction(
-                            cluster=key,
-                            action="create",
-                            skills=tuple(d.id for d in fresh),
-                            source_trace=proposal.source_trace,
-                            task_type=proposal.task_type,
-                            cause=cause,
-                            new_skills=fresh,
-                        )
-                    )
-            elif proposal.edit is not None:
-                target = library.get(proposal.edit.target)
-                if target is None:
-                    continue
-                heavy = _token_change_is_heavy(index.tokens[target.id], proposal.edit)
-                candidates.append(
-                    SkillAction(
-                        cluster=key,
-                        action="hold-in-pool" if heavy else "refine",
-                        skills=(target.id,),
-                        source_trace=proposal.source_trace,
-                        task_type=proposal.task_type,
-                        cause=cause,
-                        note="rewrite beyond half the tokens" if heavy else "",
-                        edit=proposal.edit,
-                    )
-                )
+            made = {
+                "cluster": key,
+                "source_trace": proposal.source_trace,
+                "task_type": proposal.task_type,
+                "cause": proposal.cause.value if proposal.cause else None,
+            }
+            edit = proposal.edit
+            if edit is not None:
+                heavy = _token_change_is_heavy(index.tokens[edit.target], edit)
+                candidates.append(SkillAction(
+                    action="hold-in-pool" if heavy else "refine", skills=(edit.target,),
+                    note="rewrite beyond half the tokens" if heavy else "", edit=edit, **made,
+                ))
+                continue
+            fresh = tuple(
+                d
+                for d in proposal.drafts
+                if not _is_duplicate(d, library, index, policy_index, config.dedup_similarity)
+            )
+            if fresh:
+                candidates.append(SkillAction(
+                    action="create", skills=tuple(d.id for d in fresh), new_skills=fresh, **made
+                ))
+            else:
+                candidates.append(SkillAction(
+                    action="no-op", skills=tuple(d.id for d in proposal.drafts),
+                    note="duplicate of an existing validated skill or template", **made,
+                ))
 
-        if not candidates:
-            continue
         distinct = {a.action for a in candidates}
-        candidates.sort(key=lambda a: _ACTION_PRIORITY[a.action])
-        chosen = candidates[0]
+        chosen = min(candidates, key=lambda a: _ACTION_PRIORITY[a.action])
         if len(distinct) > 1:
             note = f"conflicting candidates {sorted(distinct)}; kept {chosen.action}"
             chosen = dataclasses.replace(
@@ -561,9 +525,10 @@ def apply_skill_delta(
     executors: Mapping[str, Executor],
     pool: Mapping[str, tuple[int, int]],
     delta: SkillDelta,
-) -> tuple[dict[str, Skill], dict[str, Executor], dict[str, tuple[int, int]]]:
-    """Apply consolidated actions, keeping the pool map consistent.  Drafts
-    name their owner, so the executors are returned as given."""
+) -> tuple[dict[str, Skill], dict[str, tuple[int, int]]]:
+    """Apply consolidated actions, keeping the pool map consistent: the new
+    library and pool.  Drafts name their owner, which must be one of
+    `executors`; the executors themselves do not change."""
     lib = dict(library)
     new_pool = dict(pool)
     for action in delta.actions:
@@ -590,7 +555,7 @@ def apply_skill_delta(
             for sid in action.skills:
                 del lib[sid]
                 new_pool.pop(sid, None)
-    return lib, executors, new_pool
+    return lib, new_pool
 
 
 def update_pool_counters(

@@ -297,14 +297,12 @@ def run_round(
         last_round_drop=last_round_drop,
         last_round_edits=last_round_edits,
     )
-    library2, executors2, pool2 = apply_skill_delta(
-        state.library, state.executors, pool_counted, delta
-    )
+    library2, pool2 = apply_skill_delta(state.library, state.executors, pool_counted, delta)
 
     artifacts = build_artifacts(retained, q_exec_plus, delta)
     decision = decide_restructure(
         artifacts,
-        executors2,
+        state.executors,
         q_exec_plus,
         config,
         round_index=state.round_index,
@@ -317,7 +315,7 @@ def run_round(
             f"(predicate {decision.evidence.get('predicate', decision.action)!r})"
         )
     library3, executors3, pool3, ownership_log = apply_restructure(
-        library2, executors2, pool2, q_skill_plus, decision, config
+        library2, state.executors, pool2, q_skill_plus, decision, config
     )
 
     library4, executors4, pool4, promotions = promote_pool(

@@ -16,7 +16,11 @@ pass in `utility.py` and the shared diagnoses in `retention.py` each stand
 for a plainer rule that `tests/test_route_rules.py` states, and a fault
 there shows only at an exact tie or for one cause.  The trace log's index
 line in `store.py` is joined from a table of strings, and a fault there
-shows only against `_ENCODER`'s line.  Each entry
+shows only against `_ENCODER`'s line.  Skill evolution in `evolution.py`
+picks a cluster, a target skill and a split half by tie-breaks and
+preferences, and dedups and prunes against thresholds, and a fault there
+shows only at an exact tie or at a threshold; so does the merge's
+attempt count in `restructure.py`.  Each entry
 is (file, old text, new text, test files, kind): `kind` is "fault", which
 some named test must catch, or "equivalent: " followed by the reason no
 test can.  Run from the repository root:
@@ -46,6 +50,7 @@ RESTRUCTURE_TESTS = ("tests/test_restructure.py",)
 REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
 RULE_TESTS = ("tests/test_route_rules.py",)
 CODEC_TESTS = ("tests/test_trace_codec.py",)
+EVOLUTION_TESTS = ("tests/test_evolution.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 RESTRUCTURE = "src/skillmas/restructure.py"
@@ -53,6 +58,7 @@ CLI = "src/skillmas/cli.py"
 UTILITY = "src/skillmas/utility.py"
 RETENTION = "src/skillmas/retention.py"
 STORE = "src/skillmas/store.py"
+EVOLUTION = "src/skillmas/evolution.py"
 
 MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
     # end_episodes: the columns of a chunk's first blocks, read by their first words
@@ -189,6 +195,31 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "{cause: Diagnosis(cause, BoundedTag.REORDER_STEP if cause is "
      "CauseLabel.MISSING_PRECONDITION else tag) for cause, tag in TAG_BY_CAUSE.items()}",
      RULE_TESTS, "fault"),
+    # a merge needs min_count attempts of each executor, met at the threshold
+    (RESTRUCTURE, "min(ea[1], eb[1]) >= config.min_count", "min(ea[1], eb[1]) > config.min_count",
+     RESTRUCTURE_TESTS, "fault"),
+    # skill evolution: a motif joins the first of its equally near clusters
+    (EVOLUTION, "if sim > best_sim:", "if sim >= best_sim:", EVOLUTION_TESTS, "fault"),
+    # a repair targets a skill covering the failing pair when there is one
+    (EVOLUTION, "if pair in skill.applicability:", "if pair not in skill.applicability:",
+     EVOLUTION_TESTS, "fault"),
+    # a split gives the latent step to the half holding the failing pair, or
+    # adds it to the one-pair skill it isolates
+    (EVOLUTION, "pair in half", "pair not in half", EVOLUTION_TESTS, "fault"),
+    (EVOLUTION, "    if latent is not None and latent.id not in steps:\n"
+     "        steps = steps + (latent.id,)\n    return ()",
+     "    if latent is not None and latent.id in steps:\n"
+     "        steps = steps + (latent.id,)\n    return ()", EVOLUTION_TESTS, "fault"),
+    # dedup and prune, each at its threshold
+    (EVOLUTION, "jaccard(tokens, index.tokens[sid]) >= threshold",
+     "jaccard(tokens, index.tokens[sid]) > threshold", EVOLUTION_TESTS, "fault"),
+    (EVOLUTION, "jaccard(tokens, motif_tokens(card.template_skill)) >= threshold",
+     "jaccard(tokens, motif_tokens(card.template_skill)) > threshold", EVOLUTION_TESTS,
+     "fault"),
+    (EVOLUTION, "count < config.prune_min_count", "count <= config.prune_min_count",
+     EVOLUTION_TESTS, "fault"),
+    (EVOLUTION, "value >= config.prune_max_utility", "value > config.prune_max_utility",
+     EVOLUTION_TESTS, "fault"),
 )
 
 

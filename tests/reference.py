@@ -794,12 +794,10 @@ def reference_run_round(
         last_round_drop=last_round_drop,
         last_round_edits=last_round_edits,
     )
-    library2, executors2, pool2 = apply_skill_delta(
-        state.library, state.executors, pool_counted, delta
-    )
+    library2, pool2 = apply_skill_delta(state.library, state.executors, pool_counted, delta)
     decision = decide_restructure(
         reference_artifacts(retained, q_exec_plus, delta),
-        executors2,
+        state.executors,
         q_exec_plus,
         config,
         round_index=state.round_index,
@@ -808,7 +806,7 @@ def reference_run_round(
     if not evidence_holds(decision):
         raise StateError(f"round {state.round_index}: {decision.action!r} fails its evidence")
     library3, executors3, pool3, ownership_log = apply_restructure(
-        library2, executors2, pool2, q_skill_plus, decision, config
+        library2, state.executors, pool2, q_skill_plus, decision, config
     )
     library4, executors4, pool4, promotions = promote_pool(library3, pool3, executors3, config)
     next_state = RoundState(

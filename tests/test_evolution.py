@@ -6,7 +6,9 @@ from skillmas.config import EngineConfig
 from skillmas.evolution import (
     Diagnosis,
     Proposal,
+    SkillAction,
     SkillDelta,
+    SkillEdit,
     apply_skill_delta,
     promote_pool,
     proposal_index,
@@ -234,6 +236,66 @@ class TestPropose:
         assert out is not None and out.edit is not None
         assert out.edit.applicability == frozenset({("t1", "p2")})
 
+    def test_motif_joins_the_first_of_equally_near_clusters(self):
+        # "a" and "b" each share 2 of the draft's 3 tokens (2/3 >= 0.5) but
+        # only 1 of their 3 with each other, so they are two clusters
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
+        library = {
+            "a": make_skill("a", pairs=(("t1", "p2"),), steps=("lat", "lat:verify")),
+            "b": make_skill("b", pairs=(("t1", "p2"),), steps=("lat:verify",),
+                            guards=("lat:guard",)),
+        }
+        rt = retained_success(selected=(), invoked=())
+        out = propose_on(rt, None, (), scenario_with([latent]), library, 1, EngineConfig())
+        assert out is not None and out.target_cluster == "a"
+
+    def test_repair_prefers_the_skill_covering_the_failing_pair(self):
+        library = {
+            "a": make_skill("a", pairs=(("t1", "p2"),)),
+            "b": make_skill("b", pairs=(("t1", "p1"),), steps=("x", "y")),
+        }
+        rt = retained_failure(CauseLabel.MISSING_PRECONDITION, selected=("a", "b"),
+                              invoked=("a", "b"))
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), library, 0,
+                         EngineConfig())
+        assert out is not None and out.edit.target == "b" and out.target_cluster == "b"
+
+    def test_split_gives_the_latent_step_to_the_failing_pair_half(self):
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.SKILL_CONFLICT)
+        wide = make_skill("wide", pairs=(("t1", "p1"), ("t1", "p2")))
+        rt = retained_failure(CauseLabel.SKILL_CONFLICT, selected=("wide",),
+                              invoked=("wide",))
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]),
+                         {"wide": wide}, 3, EngineConfig())
+        assert out is not None and out.edit is None
+        assert [(d.id, d.applicability, d.steps) for d in out.drafts] == [
+            ("wide-a-r3", frozenset({("t1", "p1")}), wide.steps + ("lat",)),
+            ("wide-b-r3", frozenset({("t1", "p2")}), wide.steps),
+        ]
+
+    def test_split_of_a_one_pair_skill_isolates_it_with_the_latent_step(self):
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.SKILL_CONFLICT)
+        narrow = make_skill("narrow")
+        rt = retained_failure(CauseLabel.SKILL_CONFLICT, selected=("narrow",),
+                              invoked=("narrow",))
+        out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]),
+                         {"narrow": narrow}, 3, EngineConfig())
+        assert out is not None and out.drafts == ()
+        assert out.edit == SkillEdit(
+            BoundedTag.SPLIT_SKILL, "narrow", narrow.steps + ("lat",), narrow.guards,
+            frozenset({"isolate:skill-conflict"}), narrow.applicability,
+        )
+
+    def test_proposal_holds_exactly_one_change(self):
+        skill = make_skill("sk")
+        edit = SkillEdit(BoundedTag.ADD_GUARD, "sk", skill.steps, frozenset({"require:x"}),
+                         skill.checks, skill.applicability)
+        with pytest.raises(StateError, match="proposal from 'e0' holds neither"):
+            Proposal(source_trace="e0", target_cluster="sk", task_type="t1")
+        with pytest.raises(StateError, match="proposal from 'e0' holds both"):
+            Proposal(source_trace="e0", target_cluster="sk", task_type="t1",
+                     drafts=(make_skill("d", status=SkillStatus.POOLED),), edit=edit)
+
 
 class TestSkillEvolve:
     def test_no_proposals_empty_delta(self):
@@ -290,14 +352,7 @@ class TestSkillEvolve:
     def test_low_utility_cluster_pruned(self):
         bad = make_skill("bad")
         q = UtilityTable({("bad", "t1"): (1, 8)})
-        proposal = Proposal(
-            source_trace="e0", target_cluster="bad",
-            task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,
-            edit=None,
-        )
         # a refine proposal on the same cluster loses to the prune predicate
-        from skillmas.evolution import SkillEdit
-
         proposal = Proposal(
             source_trace="e0", target_cluster="bad",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,
@@ -308,9 +363,44 @@ class TestSkillEvolve:
         assert [a.action for a in delta.actions] == ["prune"]
         assert "conflicting candidates" in delta.actions[0].note
 
+    @pytest.mark.parametrize(
+        "counts, action",
+        [((1, 5), "prune"), ((1, 4), "refine"), ((3, 10), "refine"), ((2, 10), "prune")],
+        ids=["count-at-min", "count-below-min", "utility-at-max", "utility-below-max"],
+    )
+    def test_prune_at_its_thresholds(self, counts, action):
+        # prune_min_count 5 is met at the threshold; prune_max_utility 0.3 is not
+        bad = make_skill("bad")
+        edit = SkillEdit(BoundedTag.ADD_GUARD, "bad", bad.steps, frozenset({"require:x"}),
+                         bad.checks, bad.applicability)
+        proposal = Proposal(source_trace="e0", target_cluster="bad", task_type="t1",
+                            cause=CauseLabel.MISSING_PRECONDITION, edit=edit)
+        q = UtilityTable({("bad", "t1"): counts})
+        delta = evolve((proposal,), {"bad": bad}, (), q, EngineConfig())
+        assert [a.action for a in delta.actions] == [action]
+
+    @pytest.mark.parametrize("source", ["validated", "template"])
+    def test_dedup_at_exactly_the_threshold(self, source):
+        # the draft holds the 3 motif tokens of "lat" and one more: similarity 3/4
+        config = EngineConfig(dedup_similarity=0.75)
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
+        motif = motif_skill(latent, "lat-r1", "worker")
+        draft = make_skill("lat-r1", steps=motif.steps + ("extra",), guards=motif.guards,
+                           status=SkillStatus.POOLED)
+        library, cards = {}, ()
+        if source == "validated":
+            library = {"old": make_skill("old", steps=motif.steps, guards=motif.guards,
+                                         status=SkillStatus.VALIDATED)}
+        else:
+            cards = (PolicyCard("pc", CauseLabel.MISSING_PRECONDITION, "t1",
+                                BoundedTag.ADD_GUARD, template_skill="lat"),)
+        proposal = Proposal(source_trace="e0", target_cluster="new:lat-r1", task_type="t1",
+                            drafts=(draft,))
+        delta = evolve((proposal,), library, cards, UtilityTable(), config)
+        assert [a.action for a in delta.actions] == ["no-op"]
+
     def test_heavy_rewrite_held_in_pool(self):
         skill = make_skill("sk", steps=("a", "b"))
-        from skillmas.evolution import SkillEdit
 
         edit = SkillEdit(
             BoundedTag.ADD_GUARD, "sk", ("a", "b", "x", "y"),
@@ -326,7 +416,6 @@ class TestSkillEvolve:
 
     def test_per_cluster_action_bound(self):
         skill = make_skill("sk", steps=("a", "b", "c", "d"))
-        from skillmas.evolution import SkillEdit
 
         light = SkillEdit(BoundedTag.ADD_GUARD, "sk", skill.steps,
                           frozenset({"require:x"}), frozenset(), skill.applicability)
@@ -355,22 +444,18 @@ class TestApplyDelta:
     def test_create_adds_pooled_skill_with_ownership(self):
         state = make_state([])
         draft = make_skill("new", status=SkillStatus.POOLED, owner="worker")
-        from skillmas.evolution import SkillAction
 
         delta = SkillDelta(
             (SkillAction(cluster="new:new", action="create", skills=("new",),
                          new_skills=(draft,)),)
         )
-        lib, execs, pool = apply_skill_delta(
-            state.library, state.executors, state.pool, delta
-        )
+        lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
         assert lib["new"].status is SkillStatus.POOLED
-        assert lib["new"].owner == "worker" and execs is state.executors
+        assert lib["new"].owner == "worker"
         assert pool["new"] == (0, 0)
 
     def test_id_reuse_rejected(self):
         state = make_state([make_skill("sk")])
-        from skillmas.evolution import SkillAction
 
         delta = SkillDelta(
             (SkillAction(cluster="sk", action="create", skills=("sk",),
@@ -382,7 +467,6 @@ class TestApplyDelta:
     def test_id_created_twice_in_one_delta_rejected(self):
         # two clusters' creates that mint one id in the same round
         state = make_state([])
-        from skillmas.evolution import SkillAction
 
         draft = make_skill("lat-r3", status=SkillStatus.POOLED)
         delta = SkillDelta(tuple(
@@ -395,16 +479,12 @@ class TestApplyDelta:
     def test_prune_removes_ownership_and_pool_entry(self):
         pooled = make_skill("sk", status=SkillStatus.POOLED)
         state = make_state([pooled], pool={"sk": (2, 0)})
-        from skillmas.evolution import SkillAction
 
         delta = SkillDelta(
             (SkillAction(cluster="sk", action="prune", skills=("sk",)),)
         )
-        lib, execs, pool = apply_skill_delta(
-            state.library, state.executors, state.pool, delta
-        )
+        lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
         assert "sk" not in lib
-        assert execs is state.executors
         assert "sk" not in pool
 
 

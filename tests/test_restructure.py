@@ -220,9 +220,13 @@ class TestDecide:
         assert decision.action == action
         assert evidence_holds(decision)
 
-    @pytest.mark.parametrize("counts_b, action", [((5, 10), "keep"), ((11, 20), "merge-remove")])
+    @pytest.mark.parametrize(
+        "counts_b, action",
+        [((5, 10), "keep"), ((11, 20), "merge-remove"), ((3, 5), "merge-remove")],
+    )
     def test_merge_gap_must_be_below_the_threshold(self, counts_b, action):
-        # wa's utility is 0.6: a gap of 0.1 (wb at 0.5) equals merge_gap, 0.05 is below it
+        # wa's utility is 0.6: a gap of 0.1 (wb at 0.5) equals merge_gap, 0.05 is below it;
+        # wb at (3, 5) has no gap and exactly min_count attempts, which is enough
         universe = frozenset(TASK.pairs())
         state = make_state(
             [make_skill("twin-a", steps=("x", "y"), owner="wa"),
