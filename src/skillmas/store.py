@@ -1,13 +1,19 @@
 """Persistence: scenario files, state snapshots, trace logs.
 
 Scenario files are a line-oriented sectioned text format so parse errors can
-point at the offending line.  Snapshots are a versioned record stream with
-records sorted by id and no floats (a utility entry is its successes and
-attempts), and `serialize_state` is the one definition of their format: a
-snapshot is read only as the writer writes it.  The reader builds a state
-from the records and refuses the first line that differs from the writer's
-line for that state, or a count that `UtilityTable.check` refuses, at its
-byte offset.  An executor's `owns=` is derived, the skills that name it as
+point at the offending line: the parser reads each entry line in one `try`,
+so any check of that line refuses it at its line, and so does the one rule
+for an entry repeated in its section.  Only the checks that span lines name
+one by hand: a skill's unknown owner at the skill's line, a missing manager
+at the `[seed-state]` header, and the world's own checks at line 1.
+
+Snapshots are a versioned record stream with records sorted by id and no
+floats (a utility entry is its successes and attempts), and
+`serialize_state` is the one definition of their format: a snapshot is
+read only as the writer writes it.  The reader builds a state from the
+records and refuses the first line that differs from the writer's line for
+that state, or a count that `UtilityTable.check` refuses, at its byte
+offset.  An executor's `owns=` is derived, the skills that name it as
 owner, so the reader only compares it.  A trace log holds each round's
 batch as it is held: one JSON line per entry of the round's shape table,
 then one line of the episodes' entries in generation order, so each
@@ -21,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,7 +47,7 @@ from .model import (
     owned_by,
     validate_state,
 )
-from .world import LatentSkill, Scenario, check_range
+from .world import LatentSkill, Scenario, add_effect, check_range
 
 SNAPSHOT_VERSION = 3
 SNAPSHOT_HEADER = "skillmas-state"
@@ -85,64 +90,55 @@ class ScenarioPack:
 # scenario files
 
 
-@contextmanager
-def _at_line(line: int):
-    """A ValueError raised while building one line's object (a StateError
-    included) becomes a ScenarioError at that line."""
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc), line) from None
-
-
-def _ids(line: int, *texts: str) -> None:
+def _ids(*texts: str) -> None:
     """Every id ends up in snapshots, so each must be a snapshot token."""
     for text in texts:
         if not _TOKEN.fullmatch(text):
-            raise ScenarioError(
-                f"id {text!r} must be letters, digits and _.:+-, and not a lone '-'", line
-            )
+            raise ValueError(f"id {text!r} must be letters, digits and _.:+-, and not a lone '-'")
 
 
-def _parse_pair(text: str, line: int) -> Pair:
-    if text.count("/") != 1:
-        raise ScenarioError(f"expected task/phase, got {text!r}", line)
-    task, phase = text.split("/")
-    if not task or not phase:
-        raise ScenarioError(f"expected task/phase, got {text!r}", line)
-    _ids(line, task, phase)
+def _parse_pair(text: str) -> Pair:
+    task, _, phase = text.partition("/")
+    if not task or not phase or "/" in phase:
+        raise ValueError(f"expected task/phase, got {text!r}")
+    _ids(task, phase)
     return (task, phase)
 
 
-def _parse_pairs(text: str, line: int, universe: frozenset[Pair]) -> frozenset[Pair]:
+def _parse_pairs(text: str, universe: set[Pair]) -> frozenset[Pair]:
     """Comma-separated pairs, or "-" for none, each in the task space `universe`."""
     parts = () if text == "-" else [part for part in text.split(",") if part]
-    pairs = frozenset(_parse_pair(part, line) for part in parts)
+    pairs = frozenset(_parse_pair(part) for part in parts)
     unknown = pairs - universe
     if unknown:
-        raise ScenarioError(f"pairs {sorted(unknown)} not in the task space", line)
+        raise ValueError(f"pairs {sorted(unknown)} not in the task space")
     return pairs
 
 
-def _number(text: str, what: str, line: int) -> float:
+def _number(text: str, what: str) -> float:
     """`text` as a finite float: a NaN or infinite weight, difficulty,
     effect or penalty would make every later probability meaningless."""
     try:
         value = float(text)
     except ValueError:
-        raise ScenarioError(f"bad {what} {text!r}", line) from None
+        raise ValueError(f"bad {what} {text!r}") from None
     if not math.isfinite(value):
-        raise ScenarioError(f"{what} {text!r} is not a finite number", line)
+        raise ValueError(f"{what} {text!r} is not a finite number")
     return value
 
 
-def _split_kv(text: str, line: int) -> tuple[str, str]:
+def _split_kv(text: str) -> tuple[str, str]:
     if "=" not in text:
-        raise ScenarioError(f"expected 'key = value', got {text!r}", line)
+        raise ValueError(f"expected 'key = value', got {text!r}")
     key, value = text.split("=", 1)
     return key.strip(), value.strip()
+
+
+def _seed_id(kind: str, ident: str) -> None:
+    _ids(ident)
+    if _MINTED.search(ident):
+        message = f"seed {kind} id {ident!r} ends in -r<digits>, the suffix of engine-minted ids"
+        raise ValueError(message)
 
 
 _SEED_OPT = re.compile(r"(\w[\w-]*)=(\S+)")
@@ -153,85 +149,188 @@ _PENALTY_FIELDS = {
     "routing-noise": "routing_noise",
     "cause-confidence": "cause_confidence",
 }
+# the sections in the order they are read, each with the noun a repeated
+# entry is refused by (`duplicate task 't1'`); a seed-state entry names its
+# kind first, executor, skill or card
+_NOUNS = {"tasks": "task", "difficulty": "difficulty for", "latent": "latent",
+          "penalties": "penalty", "seed-state": None, "thresholds": "threshold"}
 
 
-def _parse_executor_line(
-    body: str, line: int, universe: frozenset[Pair]
-) -> tuple[frozenset[Pair], dict[str, object]]:
-    """Parse '<boundary> [capacity=N] [manager]' into the boundary and the
-    options the line gives, as `Executor` keywords."""
-    parts = body.split()
-    if not parts:
-        raise ScenarioError("executor needs '<id> = <boundary> [capacity=N] [manager]'", line)
-    boundary_text = parts[0]
-    boundary = universe if boundary_text == "*" else _parse_pairs(boundary_text, line, universe)
-    options: dict[str, object] = {}
-    for part in parts[1:]:
-        if part == "manager":
-            key, value = "is_manager", True
-        else:
+class _Reader:
+    """What a scenario's entries build so far, with one method per kind of
+    entry.  Each reads an entry's key and value and raises a plain
+    ValueError at a bad one; `parse_scenario` names its line."""
+
+    def __init__(self) -> None:
+        self.tasks: list[TaskType] = []
+        self.weights: dict[str, float] = {}
+        self.total = 0.0  # the weights' running sum, as `cumulative_weights` adds them
+        self.universe: set[Pair] = set()
+        self.difficulty: dict[Pair, float] = {}
+        self.logits: dict[Pair, float] = {}  # each difficulty plus its latents' effects
+        self.latents: dict[str, LatentSkill] = {}
+        self.penalties: dict[str, float] = {}  # the values given; `Scenario` has the defaults
+        self.executors: dict[str, Executor] = {}
+        self.manager: str | None = None
+        self.library: dict[str, Skill] = {}
+        self.cards: list[PolicyCard] = []
+        self.config = EngineConfig()
+
+    def task(self, key: str, value: str) -> None:
+        phases_text, bar, weight_text = value.rpartition("|")
+        phases = tuple(phases_text.split())
+        if not bar:
+            raise ValueError("task needs '<phases...> | <weight>'")
+        if not phases:
+            raise ValueError(f"task {key!r} has no phases")
+        _ids(key, *phases)
+        weight = _number(weight_text.strip(), "weight")
+        check_range("task_weights", weight, key)
+        task = TaskType(key, phases)
+        self.total += weight
+        check_range("cumulative_weights", self.total)
+        self.tasks.append(task)
+        self.weights[key] = weight
+        self.universe.update(task.pairs())
+
+    def difficulty_for(self, key: str, value: str) -> None:
+        pair = _parse_pair(key)
+        if pair not in self.universe:
+            raise ValueError(f"difficulty for unknown pair {key!r}")
+        self.difficulty[pair] = self.logits[pair] = _number(value, "difficulty")
+
+    def latent(self, key: str, value: str) -> None:
+        _ids(key)
+        if key.endswith(("-a", "-b")):  # a motif is `{L}-r{R}`, a split half `{S}-a-r{R}`
+            message = f"latent id {key!r} ends in -a or -b, so a motif id could be a split half's"
+            raise ValueError(message)
+        parts = value.split()
+        if len(parts) != 3:
+            raise ValueError("latent needs '<task/phase> <effect> <cause>'")
+        pair = _parse_pair(parts[0])
+        if pair not in self.universe:
+            raise ValueError(f"latent pair {parts[0]!r} not in the task space")
+        effect = _number(parts[1], "effect")
+        try:
+            cause = CauseLabel(parts[2])
+        except ValueError:
+            raise ValueError(f"unknown cause {parts[2]!r}") from None
+        self.latents[key] = LatentSkill(key, pair, effect, cause)
+        add_effect(self.logits, self.latents[key])
+
+    def penalty(self, key: str, value: str) -> None:
+        field = _PENALTY_FIELDS.get(key)
+        if field is None:
+            raise ValueError(f"unknown penalty {key!r}")
+        self.penalties[field] = _number(value, "penalty value")
+        check_range(field, self.penalties[field])
+
+    def executor(self, ident: str, body: str) -> None:
+        """'<boundary> [capacity=N] [manager]'."""
+        _seed_id("executor", ident)
+        parts = body.split()
+        if not parts:
+            raise ValueError("executor needs '<id> = <boundary> [capacity=N] [manager]'")
+        universe = self.universe
+        boundary = frozenset(universe) if parts[0] == "*" else _parse_pairs(parts[0], universe)
+        options: dict[str, object] = {}
+        for part in parts[1:]:
+            if part == "manager":
+                key, value = "is_manager", True
+            else:
+                match = _SEED_OPT.fullmatch(part)
+                if not match or match.group(1) != "capacity":
+                    raise ValueError(f"unknown executor option {part!r}")
+                key, value = "capacity", int(match.group(2))
+            if key in options:
+                raise ValueError(f"repeated executor option {part.partition('=')[0]!r}")
+            options[key] = value
+        self.executors[ident] = Executor(ident, boundary, **options)  # type: ignore[arg-type]
+        if options.get("is_manager"):
+            if self.manager is not None:
+                raise ValueError(f"second manager {ident!r}: {self.manager!r} is one")
+            self.manager = ident
+            missing = sorted(universe - boundary)
+            if missing:
+                raise ValueError(f"manager boundary misses pairs {missing!r}")
+
+    def skill(self, ident: str, body: str) -> None:
+        """'owner=E applies=PAIRS steps=S,.. [guards=..] [checks=..] [status=..]'."""
+        _seed_id("skill", ident)
+        fields: dict[str, object] = {
+            "guards": frozenset(), "checks": frozenset(), "status": SkillStatus.SEEDED
+        }
+        given: set[str] = set()
+        for part in body.split():
             match = _SEED_OPT.fullmatch(part)
-            if not match or match.group(1) != "capacity":
-                raise ScenarioError(f"unknown executor option {part!r}", line)
-            key, value = "capacity", int(match.group(2))
-        if key in options:
-            raise ScenarioError(f"repeated executor option {part.partition('=')[0]!r}", line)
-        options[key] = value
-    return frozenset(boundary), options
+            if not match:
+                raise ValueError(f"expected key=value, got {part!r}")
+            key, value = match.group(1), match.group(2)
+            if key in given:
+                raise ValueError(f"repeated skill option {key!r}")
+            given.add(key)
+            if key == "owner":
+                _ids(value)
+                fields["owner"] = value  # an executor that may be declared later
+            elif key == "applies":
+                fields["applicability"] = _parse_pairs(value, self.universe)
+            elif key == "steps":
+                fields["steps"] = tuple(t for t in value.split(",") if t)
+                _ids(*fields["steps"])
+            elif key in ("guards", "checks"):
+                fields[key] = frozenset(t for t in value.split(",") if t and t != "-")
+                _ids(*fields[key])
+            elif key == "status":
+                try:
+                    fields["status"] = SkillStatus(value)
+                except ValueError:
+                    raise ValueError(f"unknown skill status {value!r}") from None
+            else:
+                raise ValueError(f"unknown skill option {key!r}")
+        for required in ("owner", "applicability", "steps"):
+            if required not in fields:
+                raise ValueError(f"skill line missing {required!r}")
+        self.library[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
+
+    def card(self, ident: str, body: str) -> None:
+        """'<task> <cause> <tag> [template]'."""
+        parts = body.split()
+        if len(parts) not in (3, 4):
+            raise ValueError("card needs '<task> <cause> <tag> [template]'")
+        _ids(ident, parts[0], *parts[3:])
+        if parts[0] not in self.weights:
+            raise ValueError(f"card task {parts[0]!r} is not a task type")
+        if parts[3:] and parts[3] not in self.latents:
+            raise ValueError(f"card template {parts[3]!r} names no latent procedure")
+        self.cards.append(
+            PolicyCard(
+                id=ident,
+                task_type=parts[0],
+                cause=CauseLabel(parts[1]),
+                recommended_tag=BoundedTag(parts[2]),
+                template_skill=parts[3] if len(parts) == 4 else None,
+            )
+        )
+
+    def threshold(self, key: str, value: str) -> None:
+        self.config = config_from_mapping({key: value}, base=self.config)
 
 
-def _parse_skill_line(body: str, line: int, universe: frozenset[Pair]) -> dict[str, object]:
-    fields: dict[str, object] = {
-        "guards": frozenset(),
-        "checks": frozenset(),
-        "status": SkillStatus.SEEDED,
-    }
-    given: set[str] = set()
-    for part in body.split():
-        match = _SEED_OPT.fullmatch(part)
-        if not match:
-            raise ScenarioError(f"expected key=value, got {part!r}", line)
-        key, value = match.group(1), match.group(2)
-        if key in given:
-            raise ScenarioError(f"repeated skill option {key!r}", line)
-        given.add(key)
-        if key == "owner":
-            _ids(line, value)
-            fields["owner"] = value
-        elif key == "applies":
-            fields["applicability"] = _parse_pairs(value, line, universe)
-        elif key == "steps":
-            fields["steps"] = tuple(t for t in value.split(",") if t)
-            _ids(line, *fields["steps"])
-        elif key == "guards":
-            fields["guards"] = frozenset(t for t in value.split(",") if t and t != "-")
-            _ids(line, *fields["guards"])
-        elif key == "checks":
-            fields["checks"] = frozenset(t for t in value.split(",") if t and t != "-")
-            _ids(line, *fields["checks"])
-        elif key == "status":
-            try:
-                fields["status"] = SkillStatus(value)
-            except ValueError:
-                raise ScenarioError(f"unknown skill status {value!r}", line) from None
-        else:
-            raise ScenarioError(f"unknown skill option {key!r}", line)
-    for required in ("owner", "applicability", "steps"):
-        if required not in fields:
-            raise ScenarioError(f"skill line missing {required!r}", line)
-    return fields
+# an entry's noun -> the `_Reader` method that reads it
+_READ = {noun: getattr(_Reader, noun.replace(" ", "_")) for noun in (
+    "task", "difficulty for", "latent", "penalty", "executor", "skill", "card", "threshold")}
 
 
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
-    """Parse a scenario document into (world, seed state, thresholds)."""
-    sections = {
-        "tasks": [],
-        "difficulty": [],
-        "latent": [],
-        "penalties": [],
-        "seed-state": [],
-        "thresholds": [],
-    }
+    """Parse a scenario document into (world, seed state, thresholds).
+
+    The sections are read in `_NOUNS` order, whatever their order in the
+    text, and each entry line in one `try`: any ValueError its reading
+    raises (a StateError included) is refused at that line, and so is an
+    entry whose noun and key an earlier line gave.  Only the checks that
+    span lines name a line by hand.
+    """
+    entries: dict[str, list[tuple[int, str]]] = {section: [] for section in _NOUNS}
     section: str | None = None
     headers: dict[str, int] = {}  # each section's first header line
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,191 +339,62 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioPack:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in sections:
+            if section not in entries:
                 raise ScenarioError(f"unknown section [{section}]", lineno)
             headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ScenarioError("content before the first section header", lineno)
-        sections[section].append((lineno, stripped))
+        entries[section].append((lineno, stripped))
 
-    tasks: list[TaskType] = []
-    weights: dict[str, float] = {}
-    for lineno, entry in sections["tasks"]:
-        key, value = _split_kv(entry, lineno)
-        if "|" not in value:
-            raise ScenarioError("task needs '<phases...> | <weight>'", lineno)
-        phases_text, weight_text = value.rsplit("|", 1)
-        phases = tuple(phases_text.split())
-        if not phases:
-            raise ScenarioError(f"task {key!r} has no phases", lineno)
-        _ids(lineno, key, *phases)
-        weight = _number(weight_text.strip(), "weight", lineno)
-        if key in weights:
-            raise ScenarioError(f"duplicate task {key!r}", lineno)
-        with _at_line(lineno):
-            check_range("task_weights", weight, key)
-            tasks.append(TaskType(key, phases))
-        weights[key] = weight
-    if not tasks:
-        raise ScenarioError("scenario defines no tasks", 1)
-    universe = frozenset(pair for t in tasks for pair in t.pairs())
+    reader = _Reader()
+    lines: dict[tuple[str, str], int] = {}  # each entry's line, by its noun and key
+    for section, noun in _NOUNS.items():
+        for lineno, entry in entries[section]:
+            try:
+                kind = noun
+                if kind is None:
+                    kind, entry = (entry.split(None, 1) + [""])[:2]
+                    if kind not in ("executor", "skill", "card"):
+                        raise ValueError(f"unknown seed-state entry {kind!r}")
+                key, value = _split_kv(entry)
+                seen = (kind, key.replace("-", "_") if kind == "threshold" else key)
+                if seen in lines:
+                    raise ValueError(f"duplicate {kind} {key!r}")
+                lines[seen] = lineno
+                _READ[kind](reader, key, value)
+            except ValueError as exc:
+                raise ScenarioError(str(exc), lineno) from None
 
-    difficulty: dict[Pair, float] = {}
-    for lineno, entry in sections["difficulty"]:
-        key, value = _split_kv(entry, lineno)
-        pair = _parse_pair(key, lineno)
-        if pair not in universe:
-            raise ScenarioError(f"difficulty for unknown pair {key!r}", lineno)
-        if pair in difficulty:
-            raise ScenarioError(f"duplicate difficulty for {key!r}", lineno)
-        difficulty[pair] = _number(value, "difficulty", lineno)
-
-    latents: list[LatentSkill] = []
-    latent_ids: set[str] = set()
-    for lineno, entry in sections["latent"]:
-        key, value = _split_kv(entry, lineno)
-        if key in latent_ids:
-            raise ScenarioError(f"duplicate latent {key!r}", lineno)
-        _ids(lineno, key)
-        if key.endswith(("-a", "-b")):  # a motif is `{L}-r{R}`, a split half `{S}-a-r{R}`
-            message = f"latent id {key!r} ends in -a or -b, so a motif id could be a split half's"
-            raise ScenarioError(message, lineno)
-        latent_ids.add(key)
-        parts = value.split()
-        if len(parts) != 3:
-            raise ScenarioError("latent needs '<task/phase> <effect> <cause>'", lineno)
-        pair = _parse_pair(parts[0], lineno)
-        if pair not in universe:
-            raise ScenarioError(f"latent pair {parts[0]!r} not in the task space", lineno)
-        effect = _number(parts[1], "effect", lineno)
-        try:
-            cause = CauseLabel(parts[2])
-        except ValueError:
-            raise ScenarioError(f"unknown cause {parts[2]!r}", lineno) from None
-        with _at_line(lineno):
-            latents.append(LatentSkill(key, pair, effect, cause))
-
-    penalties: dict[str, float] = {}  # the values given; `Scenario` has the defaults
-    for lineno, entry in sections["penalties"]:
-        key, value = _split_kv(entry, lineno)
-        field = _PENALTY_FIELDS.get(key)
-        if field is None:
-            raise ScenarioError(f"unknown penalty {key!r}", lineno)
-        if field in penalties:
-            raise ScenarioError(f"duplicate penalty {key!r}", lineno)
-        penalties[field] = _number(value, "penalty value", lineno)
-        with _at_line(lineno):
-            check_range(field, penalties[field])
-
-    with _at_line(1):  # the world's checks span sections
+    library = reader.library
+    for sid, skill in library.items():  # an executor may be declared after its skills
+        if skill.owner not in reader.executors:
+            message = f"skill {sid!r} owned by unknown executor {skill.owner!r}"
+            raise ScenarioError(message, lines["skill", sid])
+    if reader.manager is None:
+        raise ScenarioError("seed state defines no manager", headers.get("seed-state", 1))
+    try:  # the checks that span sections, at line 1
         scenario = Scenario(
             name=name,
-            task_types=tuple(tasks),
-            task_weights=weights,
-            base_difficulty=difficulty,
-            latent_catalog=tuple(latents),
-            **penalties,
+            task_types=tuple(reader.tasks),
+            task_weights=reader.weights,
+            base_difficulty=reader.difficulty,
+            latent_catalog=tuple(reader.latents.values()),
+            **reader.penalties,
         )
-
-    executors: dict[str, Executor] = {}
-    library: dict[str, Skill] = {}
-    skill_lines: dict[str, int] = {}
-    cards: list[PolicyCard] = []
-    entry_ids: set[tuple[str, str]] = set()
-    manager: str | None = None
-    for lineno, entry in sections["seed-state"]:
-        kind, rest = (entry.split(None, 1) + [""])[:2]
-        if kind not in ("executor", "skill", "card"):
-            raise ScenarioError(f"unknown seed-state entry {kind!r}", lineno)
-        ident, body = _split_kv(rest, lineno)
-        _ids(lineno, ident)
-        if (kind, ident) in entry_ids:
-            raise ScenarioError(f"duplicate {kind} {ident!r}", lineno)
-        entry_ids.add((kind, ident))
-        if kind != "card" and _MINTED.search(ident):
-            raise ScenarioError(
-                f"seed {kind} id {ident!r} ends in -r<digits>, the suffix of engine-minted ids",
-                lineno,
-            )
-        if kind == "executor":
-            with _at_line(lineno):
-                boundary, options = _parse_executor_line(body, lineno, universe)
-                executors[ident] = Executor(
-                    id=ident, boundary=boundary, **options  # type: ignore[arg-type]
-                )
-            if options.get("is_manager"):
-                if manager is not None:
-                    raise ScenarioError(f"second manager {ident!r}: {manager!r} is one", lineno)
-                manager = ident
-                missing = sorted(universe - boundary)
-                if missing:
-                    raise ScenarioError(f"manager boundary misses pairs {missing!r}", lineno)
-        elif kind == "skill":
-            fields = _parse_skill_line(body, lineno, universe)
-            with _at_line(lineno):
-                library[ident] = Skill(id=ident, **fields)  # type: ignore[arg-type]
-            skill_lines[ident] = lineno
-        else:
-            parts = body.split()
-            if len(parts) not in (3, 4):
-                raise ScenarioError(
-                    "card needs '<task> <cause> <tag> [template]'", lineno
-                )
-            _ids(lineno, parts[0], *parts[3:])
-            if parts[0] not in scenario.task_weights:
-                raise ScenarioError(f"card task {parts[0]!r} is not a task type", lineno)
-            if parts[3:] and parts[3] not in latent_ids:
-                message = f"card template {parts[3]!r} names no latent procedure"
-                raise ScenarioError(message, lineno)
-            with _at_line(lineno):
-                cause = CauseLabel(parts[1])
-                tag = BoundedTag(parts[2])
-            cards.append(
-                PolicyCard(
-                    id=ident,
-                    task_type=parts[0],
-                    cause=cause,
-                    recommended_tag=tag,
-                    template_skill=parts[3] if len(parts) == 4 else None,
-                )
-            )
-
-    for sid, skill in library.items():  # an executor may be declared after its skills
-        if skill.owner not in executors:
-            message = f"skill {sid!r} owned by unknown executor {skill.owner!r}"
-            raise ScenarioError(message, skill_lines[sid])
-    if manager is None:
-        raise ScenarioError("seed state defines no manager", headers.get("seed-state", 1))
-    pool = {
-        sid: (0, 0) for sid, s in library.items() if s.status is SkillStatus.POOLED
-    }
-    seed_state = RoundState(
-        round_index=0,
-        library=library,
-        executors=executors,
-        q_skill=UtilityTable(),
-        q_exec=UtilityTable(),
-        pool=pool,
-        policy_index=tuple(sorted(cards, key=lambda c: c.id)),
-    )
-    try:
+        seed_state = RoundState(
+            round_index=0,
+            library=library,
+            executors=reader.executors,
+            q_skill=UtilityTable(),
+            q_exec=UtilityTable(),
+            pool={sid: (0, 0) for sid, s in library.items() if s.status is SkillStatus.POOLED},
+            policy_index=tuple(sorted(reader.cards, key=lambda c: c.id)),
+        )
         validate_state(seed_state, scenario.universe())
-    except Exception as exc:
-        raise ScenarioError(f"seed state invalid: {exc}", 1) from None
-
-    config = EngineConfig()
-    given_thresholds: set[str] = set()
-    for lineno, entry in sections["thresholds"]:
-        key, value = _split_kv(entry, lineno)
-        name = key.replace("-", "_")
-        if name in given_thresholds:
-            raise ScenarioError(f"duplicate threshold {key!r}", lineno)
-        given_thresholds.add(name)
-        with _at_line(lineno):
-            config = config_from_mapping({key: value}, base=config)
-
-    return ScenarioPack(scenario=scenario, seed_state=seed_state, config=config, text=text)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), 1) from None
+    return ScenarioPack(scenario=scenario, seed_state=seed_state, config=reader.config, text=text)
 
 
 # ---------------------------------------------------------------------------

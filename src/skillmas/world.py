@@ -72,6 +72,10 @@ class LatentSkill:
 _PENALTY = (lambda v: 0.0 <= v < math.inf, "penalty weights must be non-negative and finite")
 _RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
     "task_weights": (lambda v: v > 0.0, "task {} needs a positive sampling weight"),
+    # their total, `cumulative_weights[-1]`: at infinity every draw picks the last task
+    "cumulative_weights": (
+        lambda v: v < math.inf, "the task sampling weights must sum to a finite total"
+    ),
     "interference_weight": _PENALTY,
     "overload_weight": _PENALTY,
     "routing_noise": (lambda v: 0.0 <= v <= 1.0, "routing noise must be in [0, 1]"),
@@ -87,6 +91,18 @@ def check_range(field: str, value: float, task_id: str = "") -> None:
     test, message = _RANGES[field]
     if not test(value):
         raise StateError(message.format(repr(task_id)))
+
+
+def add_effect(logits: dict[Pair, float], latent: LatentSkill) -> None:
+    """Add `latent`'s effect to its pair's logit in `logits` (0 when absent).
+    A pair's base difficulty plus all its latents' effects, added in catalog
+    order, must be finite: the effects are positive, so no realized subset
+    overflows, and an infinite penalty then gives a logit of -inf, not NaN.
+    `Scenario` and the scenario parser, at the latent's line, add here."""
+    pair = latent.applicability
+    logits[pair] = logit = logits.get(pair, 0.0) + latent.effect
+    if not math.isfinite(logit):
+        raise StateError(f"the difficulty of {'/'.join(pair)!r} plus its latent effects overflows")
 
 
 @dataclass(frozen=True)
@@ -109,10 +125,12 @@ class Scenario:
         # every check is written so that a NaN fails it
         for task in self.task_types:
             check_range("task_weights", self.task_weights.get(task.id, 0.0), task.id)
-        if not math.isfinite(self.cumulative_weights[-1]):
-            raise StateError("the task sampling weights must sum to a finite total")
+        check_range("cumulative_weights", self.cumulative_weights[-1])
         if not all(map(math.isfinite, self.base_difficulty.values())):
             raise StateError("base difficulties must be finite")
+        logits = dict(self.base_difficulty)
+        for latent in self.latent_catalog:
+            add_effect(logits, latent)
         for field in ("interference_weight", "overload_weight", "routing_noise",
                       "cause_confidence"):
             check_range(field, getattr(self, field))

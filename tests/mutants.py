@@ -20,10 +20,13 @@ shows only against `_ENCODER`'s line.  Skill evolution in `evolution.py`
 picks a cluster, a target skill and a split half by tie-breaks and
 preferences, and dedups and prunes against thresholds, and a fault there
 shows only at an exact tie or at a threshold; so does the merge's
-attempt count in `restructure.py`.  Each entry
-is (file, old text, new text, test files, kind): `kind` is "fault", which
-some named test must catch, or "equivalent: " followed by the reason no
-test can.  Run from the repository root:
+attempt count in `restructure.py`.  The scenario parser in `store.py`
+reads each entry line in one `try`, refuses a repeated entry by one rule,
+and keeps two running sums, the task weights' total and each pair's
+logit, and a fault there shows only as an input refused at the wrong
+line.  Each entry is (file, old text, new text, test files, kind): `kind`
+is "fault", which some named test must catch, or "equivalent: " followed
+by the reason no test can.  Run from the repository root:
 
     python tests/mutants.py
 
@@ -51,6 +54,7 @@ REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
 RULE_TESTS = ("tests/test_route_rules.py",)
 CODEC_TESTS = ("tests/test_trace_codec.py",)
 EVOLUTION_TESTS = ("tests/test_evolution.py",)
+PARSER_TESTS = ("tests/test_store.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
 RESTRUCTURE = "src/skillmas/restructure.py"
@@ -220,6 +224,15 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      EVOLUTION_TESTS, "fault"),
     (EVOLUTION, "value >= config.prune_max_utility", "value > config.prune_max_utility",
      EVOLUTION_TESTS, "fault"),
+    # the scenario parser: one repeated-entry rule, each refusal at its line
+    (STORE, "if seen in lines:", "if seen in ():", PARSER_TESTS, "fault"),
+    (STORE, "raise ScenarioError(str(exc), lineno) from None",
+     "raise ScenarioError(str(exc), lineno + 1) from None", PARSER_TESTS, "fault"),
+    # the running sums, each refused at the line where it overflows
+    (STORE, '        check_range("cumulative_weights", self.total)\n', "        pass\n",
+     PARSER_TESTS, "fault"),
+    (STORE, "        add_effect(self.logits, self.latents[key])\n", "        pass\n",
+     PARSER_TESTS, "fault"),
 )
 
 

@@ -3,9 +3,10 @@
 Each entry's old text must occur exactly once in its file and differ from
 its new text, and the test files it names must exist, so a refactor of
 `world.py`, `streams.py`, `restructure.py`, `cli.py`'s replay, the route
-in `utility.py`, the diagnoses in `retention.py`, the index line in
-`store.py` or skill evolution in `evolution.py` that leaves the list stale
-fails here in milliseconds.  No mutant is run: `python tests/mutants.py` runs them.
+in `utility.py`, the diagnoses in `retention.py`, the index line or the
+scenario parser in `store.py`, or skill evolution in `evolution.py` that
+leaves the list stale fails here in milliseconds.  No mutant is run:
+`python tests/mutants.py` runs them.
 """
 
 from __future__ import annotations

@@ -362,8 +362,18 @@ class TestScenarioFiles:
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\nexecutor m = * manager\n"
              "[thresholds]\nnear-miss-progress = 1e999\n", 6,
              "near_miss_progress expects a finite number, not inf"),
-            # each weight is finite, but every draw would pick the last task
-            ("[tasks]\nt1 = p1 | 1e308\nt2 = p1 | 1e308\n", 1, "sum to a finite total"),
+            # each weight is finite, but every draw would pick the last task: the
+            # running total is refused at the task line where it overflows
+            ("[tasks]\nt1 = p1 | 1e308\nt2 = p1 | 1e308\nt3 = p1 | 1.0\n", 3,
+             "sum to a finite total"),
+            # each number is finite, but the pair's logit overflows, and an
+            # infinite penalty would take it to NaN: refused at the latent line
+            ("[tasks]\nt = p | 1.0\n[difficulty]\nt/p = 1e308\n[latent]\n"
+             "l = t/p 1e308 missing-precondition\n", 6,
+             "the difficulty of 't/p' plus its latent effects overflows"),
+            ("[tasks]\nt = p | 1.0\n[latent]\nl1 = t/p 1e308 missing-precondition\n"
+             "l2 = t/p 1e308 wrong-action-order\n", 5,
+             "the difficulty of 't/p' plus its latent effects overflows"),
             # an option given twice on one line, where the last would win
             ("[tasks]\nt1 = p1 | 1.0\n[seed-state]\n"
              "executor m = * manager capacity=3 capacity=9\n", 4,
@@ -416,7 +426,8 @@ class TestScenarioFiles:
         ids=["task-id", "phase-repeated", "latent-id", "latent-effect", "capacity-literal",
              "capacity-zero", "executor-minted", "skill-step", "routing-noise", "skill-id-dash",
              "step-dash", "card-template-dash", "weight-nan", "difficulty-inf", "effect-inf",
-             "penalty-nan", "threshold-overflow", "weights-total", "executor-option-repeated",
+             "penalty-nan", "threshold-overflow", "weights-total", "logit-difficulty",
+             "logit-effects", "executor-option-repeated",
              "manager-repeated", "skill-option-repeated", "latent-split-a", "latent-split-b",
              "skill-owner-unknown", "manager-boundary", "manager-second", "weight-zero",
              "interference-negative", "confidence-zero", "skill-applies-unknown", "card-task",

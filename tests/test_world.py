@@ -238,6 +238,25 @@ class TestRealization:
             with pytest.raises(StateError, match=message):
                 Scenario("test", (task,), weights, {})
 
+    def test_a_pair_logit_that_overflows_is_refused(self):
+        # base plus effects at inf, minus an infinite overload, would be NaN
+        def latent(name, effect):
+            return LatentSkill(name, ("t1", "p1"), effect, CauseLabel.MISSING_PRECONDITION)
+
+        message = "the difficulty of 't1/p1' plus its latent effects overflows"
+        with pytest.raises(StateError, match=message):
+            make_scenario(base={("t1", "p1"): 1e308}, latents=[latent("l", 1e308)])
+        with pytest.raises(StateError, match=message):
+            make_scenario(latents=[latent("l1", 1e308), latent("l2", 1e308)])
+        # a finite sum is enough: an infinite penalty then gives probability 0
+        scenario = make_scenario(
+            base={("t1", "p1"): -1e308}, latents=[latent("l1", 1e308), latent("l2", 1e308)],
+            overload=1e308,
+        )
+        used = [make_skill("a", pairs=(("t1", "p1"),), steps=("l1", "l2"))]
+        for skills in ([], used):
+            assert slot_outcome(scenario, ("t1", "p1"), skills, 2)[0] == 0.0
+
     def test_motif_skill_realizes_its_latent(self):
         from skillmas.world import realizes
 
