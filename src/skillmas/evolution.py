@@ -2,10 +2,11 @@
 
 Each retained shape yields at most one proposal, a failure's from its
 `RetainedShape.diagnosis` (`retention.diagnose`), and a proposal holds
-exactly one change: new drafts or an edit of one skill.  Consolidation
-makes one candidate action per proposal and applies at most one action per
-implicated skill cluster per round; new or heavily rewritten skills sit in
-the validation pool until usage evidence promotes or prunes them.
+exactly one change: new drafts, or an edit, which is the edited skill
+itself.  Consolidation makes one candidate action per proposal and
+applies at most one action per implicated skill cluster per round; new or
+heavily rewritten skills sit in the validation pool until usage evidence
+promotes or prunes them.
 """
 
 from __future__ import annotations
@@ -47,40 +48,17 @@ def retrieve_policy_cards(
 
 
 @dataclass(frozen=True)
-class SkillEdit:
-    """A bounded token change to one existing skill."""
-
-    tag: BoundedTag
-    target: str
-    steps: tuple[str, ...]
-    guards: frozenset[str]
-    checks: frozenset[str]
-    applicability: frozenset[tuple[str, str]]
-
-
-def apply_edit(skill: Skill, edit: SkillEdit) -> Skill:
-    """The skill with the edit's token sets in place of its own."""
-    return dataclasses.replace(
-        skill,
-        steps=edit.steps,
-        guards=edit.guards,
-        checks=edit.checks,
-        applicability=edit.applicability,
-    )
-
-
-@dataclass(frozen=True)
 class Proposal:
     """At most one per retained shape, whose first episode is the source:
     a success motif or a failure repair.  It holds exactly one change, its
-    drafts or its edit."""
+    drafts or its edit, the edited library skill."""
 
     source_trace: str
     target_cluster: str
     task_type: str
     cause: CauseLabel | None = None
     drafts: tuple[Skill, ...] = ()
-    edit: SkillEdit | None = None
+    edit: Skill | None = None
 
     def __post_init__(self) -> None:
         if bool(self.drafts) == (self.edit is not None):
@@ -90,6 +68,9 @@ class Proposal:
 
 @dataclass(frozen=True)
 class SkillAction:
+    """One consolidated action on a cluster.  `written` holds the skills it
+    stores: a create's drafts, or a refine's or held edit's edited skill."""
+
     cluster: str
     action: str  # create | refine | prune | hold-in-pool | no-op
     skills: tuple[str, ...]
@@ -97,8 +78,7 @@ class SkillAction:
     task_type: str | None = None
     cause: str | None = None
     note: str = ""
-    new_skills: tuple[Skill, ...] = ()
-    edit: SkillEdit | None = None
+    written: tuple[Skill, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -205,11 +185,10 @@ def _repair_edit(
     latent: LatentSkill | None,
     cause: CauseLabel,
     pair: tuple[str, str],
-) -> SkillEdit | None:
-    steps = skill.steps
-    guards = skill.guards
-    checks = skill.checks
-    applicability = skill.applicability
+) -> Skill | None:
+    """The skill with the tag's repair applied, or None when it changes nothing."""
+    steps, guards = skill.steps, skill.guards
+    checks, applicability = skill.checks, skill.applicability
 
     if tag is BoundedTag.ADD_GUARD:
         if latent is not None and latent.id not in steps:
@@ -232,13 +211,9 @@ def _repair_edit(
         else:
             guards = guards | {f"scope:{pair[0]}:{pair[1]}"}
 
-    unchanged = (
-        steps == skill.steps
-        and guards == skill.guards
-        and checks == skill.checks
-        and applicability == skill.applicability
-    )
-    return None if unchanged else SkillEdit(tag, skill.id, steps, guards, checks, applicability)
+    edited = dataclasses.replace(skill, steps=steps, guards=guards, checks=checks,
+                                 applicability=applicability)
+    return None if edited == skill else edited
 
 
 def _split(
@@ -247,7 +222,7 @@ def _split(
     pair: tuple[str, str],
     cause: CauseLabel,
     round_index: int,
-) -> tuple[tuple[Skill, ...], SkillEdit | None]:
+) -> tuple[tuple[Skill, ...], Skill | None]:
     """Two narrower drafts partitioning the representative's applicability,
     or an isolating refine when there is nothing to partition: (drafts,
     None) or ((), edit)."""
@@ -259,29 +234,15 @@ def _split(
             steps = rep.steps
             if latent is not None and pair in half and latent.id not in steps:
                 steps = steps + (latent.id,)
-            drafts.append(
-                Skill(
-                    id=f"{rep.id}-{suffix}-r{round_index}",
-                    applicability=frozenset(half),
-                    steps=steps,
-                    guards=rep.guards,
-                    checks=rep.checks,
-                    status=SkillStatus.POOLED,
-                    owner=rep.owner,
-                )
-            )
+            drafts.append(dataclasses.replace(
+                rep, id=f"{rep.id}-{suffix}-r{round_index}", applicability=frozenset(half),
+                steps=steps, status=SkillStatus.POOLED,
+            ))
         return tuple(drafts), None
     steps = rep.steps
     if latent is not None and latent.id not in steps:
         steps = steps + (latent.id,)
-    return (), SkillEdit(
-        BoundedTag.SPLIT_SKILL,
-        rep.id,
-        steps,
-        rep.guards,
-        rep.checks | {f"isolate:{cause.value}"},
-        rep.applicability,
-    )
+    return (), dataclasses.replace(rep, steps=steps, checks=rep.checks | {f"isolate:{cause.value}"})
 
 
 def propose(
@@ -361,9 +322,8 @@ def propose(
 _ACTION_PRIORITY = {"prune": 0, "refine": 1, "create": 2, "hold-in-pool": 3, "no-op": 4}
 
 
-def _token_change_is_heavy(before: frozenset[str], edit: SkillEdit) -> bool:
-    after = frozenset(edit.steps) | edit.guards
-    return len(before ^ after) > len(before) / 2
+def _token_change_is_heavy(before: frozenset[str], edit: Skill) -> bool:
+    return len(before ^ edit.tokens()) > len(before) / 2
 
 
 def _is_duplicate(
@@ -486,10 +446,10 @@ def skill_evolve(
             }
             edit = proposal.edit
             if edit is not None:
-                heavy = _token_change_is_heavy(index.tokens[edit.target], edit)
+                heavy = _token_change_is_heavy(index.tokens[edit.id], edit)
                 candidates.append(SkillAction(
-                    action="hold-in-pool" if heavy else "refine", skills=(edit.target,),
-                    note="rewrite beyond half the tokens" if heavy else "", edit=edit, **made,
+                    action="hold-in-pool" if heavy else "refine", skills=(edit.id,),
+                    note="rewrite beyond half the tokens" if heavy else "", written=(edit,), **made,
                 ))
                 continue
             fresh = tuple(
@@ -499,7 +459,7 @@ def skill_evolve(
             )
             if fresh:
                 candidates.append(SkillAction(
-                    action="create", skills=tuple(d.id for d in fresh), new_skills=fresh, **made
+                    action="create", skills=tuple(d.id for d in fresh), written=fresh, **made
                 ))
             else:
                 candidates.append(SkillAction(
@@ -527,29 +487,28 @@ def apply_skill_delta(
     delta: SkillDelta,
 ) -> tuple[dict[str, Skill], dict[str, tuple[int, int]]]:
     """Apply consolidated actions, keeping the pool map consistent: the new
-    library and pool.  Drafts name their owner, which must be one of
-    `executors`; the executors themselves do not change."""
+    library and pool.  Each written skill is stored under its id: a draft
+    under a fresh one, owned by one of `executors`, an edited skill in place
+    of the library skill, whose owner and status it keeps.  The executors
+    themselves do not change."""
     lib = dict(library)
     new_pool = dict(pool)
     for action in delta.actions:
-        if action.action == "create":
-            for draft in action.new_skills:
-                if draft.id in lib:
-                    raise StateError(f"skill id {draft.id!r} would be reused")
-                if draft.owner not in executors:
-                    raise StateError(f"draft {draft.id!r} owned by unknown executor")
-                lib[draft.id] = draft
-                new_pool[draft.id] = (0, 0)
-        elif action.action == "refine":
-            edit = action.edit
-            assert edit is not None
-            lib[edit.target] = apply_edit(lib[edit.target], edit)
-        elif action.action == "hold-in-pool":
+        for skill in action.written:
+            if action.action == "create":
+                if skill.id in lib:
+                    raise StateError(f"skill id {skill.id!r} would be reused")
+                if skill.owner not in executors:
+                    raise StateError(f"draft {skill.id!r} owned by unknown executor")
+                new_pool[skill.id] = (0, 0)
+            elif skill.id not in lib:
+                raise StateError(f"edited skill {skill.id!r} is not in the library")
+            elif (skill.owner, skill.status) != (lib[skill.id].owner, lib[skill.id].status):
+                raise StateError(f"edited skill {skill.id!r} changes its owner or status")
+            lib[skill.id] = skill
+        if action.action == "hold-in-pool":
             for sid in action.skills:
-                skill = lib[sid]
-                if action.edit is not None and action.edit.target == sid:
-                    skill = apply_edit(skill, action.edit)
-                lib[sid] = dataclasses.replace(skill, status=SkillStatus.POOLED)
+                lib[sid] = dataclasses.replace(lib[sid], status=SkillStatus.POOLED)
                 new_pool[sid] = (0, 0)
         elif action.action == "prune":
             for sid in action.skills:

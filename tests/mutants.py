@@ -18,15 +18,17 @@ there shows only at an exact tie or for one cause.  The trace log's index
 line in `store.py` is joined from a table of strings, and a fault there
 shows only against `_ENCODER`'s line.  Skill evolution in `evolution.py`
 picks a cluster, a target skill and a split half by tie-breaks and
-preferences, and dedups and prunes against thresholds, and a fault there
-shows only at an exact tie or at a threshold; so does the merge's
-attempt count in `restructure.py`.  The scenario parser in `store.py`
-reads each entry line in one `try`, refuses a repeated entry by one rule,
-and keeps two running sums, the task weights' total and each pair's
-logit, and a fault there shows only as an input refused at the wrong
-line.  Each entry is (file, old text, new text, test files, kind): `kind`
-is "fault", which some named test must catch, or "equivalent: " followed
-by the reason no test can.  Run from the repository root:
+preferences, drops a repair that changes nothing, and dedups, holds heavy
+rewrites in the pool and prunes against thresholds, and a fault there
+shows only at an exact tie, for a repair already in place or at a
+threshold; so does the merge's attempt count in `restructure.py`.  The
+scenario parser in `store.py` reads each entry line in one `try`, refuses
+a repeated entry by one rule, and keeps two running sums, the task
+weights' total and each pair's logit, and a fault there shows only as an
+input refused at the wrong line.  Each entry is (file, old text, new
+text, test files, kind): `kind` is "fault", which some named test must
+catch, or "equivalent: " followed by the reason no test can.  Run from
+the repository root:
 
     python tests/mutants.py
 
@@ -214,7 +216,12 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      "        steps = steps + (latent.id,)\n    return ()",
      "    if latent is not None and latent.id in steps:\n"
      "        steps = steps + (latent.id,)\n    return ()", EVOLUTION_TESTS, "fault"),
-    # dedup and prune, each at its threshold
+    # a repair that changes nothing proposes nothing
+    (EVOLUTION, "return None if edited == skill else edited", "return edited", EVOLUTION_TESTS,
+     "fault"),
+    # dedup, the heavy-rewrite hold and prune, each at its threshold
+    (EVOLUTION, "len(before ^ edit.tokens()) > len(before) / 2",
+     "len(before ^ edit.tokens()) >= len(before) / 2", EVOLUTION_TESTS, "fault"),
     (EVOLUTION, "jaccard(tokens, index.tokens[sid]) >= threshold",
      "jaccard(tokens, index.tokens[sid]) > threshold", EVOLUTION_TESTS, "fault"),
     (EVOLUTION, "jaccard(tokens, motif_tokens(card.template_skill)) >= threshold",

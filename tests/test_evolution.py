@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from skillmas.config import EngineConfig
@@ -8,7 +10,6 @@ from skillmas.evolution import (
     Proposal,
     SkillAction,
     SkillDelta,
-    SkillEdit,
     apply_skill_delta,
     promote_pool,
     proposal_index,
@@ -177,15 +178,14 @@ class TestPropose:
         card = PolicyCard("pc", CauseLabel.MISSING_PRECONDITION, "t1",
                           BoundedTag.ADD_GUARD, template_skill="lat-a")
         out = propose_on(rt, diagnose(rt.shape), (card,), scenario, library, 1, EngineConfig())
-        assert out is not None and out.edit is not None
-        assert out.edit.tag is BoundedTag.ADD_GUARD
-        # the guard token carries the latent whose repairs_cause matched
-        assert f"require:{latent.id}" in out.edit.guards
-        assert latent.id in out.edit.steps
-        # applying the edit makes the skill realize the latent
-        edited = make_skill("sk", pairs=(("t1", "p1"),), steps=out.edit.steps,
-                            guards=out.edit.guards)
-        assert realizers(scenario, {"sk": edited}) == {latent.id: "sk"}
+        # the latent's step is added, and the guard token carries the latent
+        # whose repairs_cause matched
+        assert out is not None and out.edit == make_skill(
+            "sk", pairs=(("t1", "p1"),), steps=("go", "do", latent.id),
+            guards=(f"require:{latent.id}",),
+        )
+        # the edited skill realizes the latent
+        assert realizers(scenario, {"sk": out.edit}) == {latent.id: "sk"}
 
     def test_success_motif_realizes_undiscovered_latent(self):
         latent = LatentSkill("lat-b", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
@@ -258,7 +258,7 @@ class TestPropose:
                               invoked=("a", "b"))
         out = propose_on(rt, diagnose(rt.shape), (), scenario_with(), library, 0,
                          EngineConfig())
-        assert out is not None and out.edit.target == "b" and out.target_cluster == "b"
+        assert out is not None and out.edit.id == "b" and out.target_cluster == "b"
 
     def test_split_gives_the_latent_step_to_the_failing_pair_half(self):
         latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.SKILL_CONFLICT)
@@ -281,15 +281,23 @@ class TestPropose:
         out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]),
                          {"narrow": narrow}, 3, EngineConfig())
         assert out is not None and out.drafts == ()
-        assert out.edit == SkillEdit(
-            BoundedTag.SPLIT_SKILL, "narrow", narrow.steps + ("lat",), narrow.guards,
-            frozenset({"isolate:skill-conflict"}), narrow.applicability,
-        )
+        assert out.edit == make_skill("narrow", steps=narrow.steps + ("lat",),
+                                      checks=("isolate:skill-conflict",))
+
+    def test_repair_that_changes_nothing_proposes_nothing(self):
+        # reorder-step moves the unrealized latent's step to the front, where
+        # it already is ("sk" covers another pair, so it does not realize the
+        # latent); from second place, the same repair proposes an edit
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.WRONG_ACTION_ORDER)
+        rt = retained_failure(CauseLabel.WRONG_ACTION_ORDER)
+        for steps, edited in ((("lat", "go"), None), (("go", "lat"), ("lat", "go"))):
+            library = {"sk": make_skill("sk", pairs=(("t1", "p2"),), steps=steps)}
+            out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]), library, 0,
+                             EngineConfig())
+            assert (out and out.edit.steps) == edited
 
     def test_proposal_holds_exactly_one_change(self):
-        skill = make_skill("sk")
-        edit = SkillEdit(BoundedTag.ADD_GUARD, "sk", skill.steps, frozenset({"require:x"}),
-                         skill.checks, skill.applicability)
+        edit = make_skill("sk", guards=("require:x",))
         with pytest.raises(StateError, match="proposal from 'e0' holds neither"):
             Proposal(source_trace="e0", target_cluster="sk", task_type="t1")
         with pytest.raises(StateError, match="proposal from 'e0' holds both"):
@@ -356,8 +364,7 @@ class TestSkillEvolve:
         proposal = Proposal(
             source_trace="e0", target_cluster="bad",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION,
-            edit=SkillEdit(BoundedTag.ADD_GUARD, "bad", bad.steps,
-                           bad.guards | {"require:x"}, bad.checks, bad.applicability),
+            edit=dataclasses.replace(bad, guards=bad.guards | {"require:x"}),
         )
         delta = evolve((proposal,), {"bad": bad}, (), q, EngineConfig())
         assert [a.action for a in delta.actions] == ["prune"]
@@ -371,8 +378,7 @@ class TestSkillEvolve:
     def test_prune_at_its_thresholds(self, counts, action):
         # prune_min_count 5 is met at the threshold; prune_max_utility 0.3 is not
         bad = make_skill("bad")
-        edit = SkillEdit(BoundedTag.ADD_GUARD, "bad", bad.steps, frozenset({"require:x"}),
-                         bad.checks, bad.applicability)
+        edit = dataclasses.replace(bad, guards=frozenset({"require:x"}))
         proposal = Proposal(source_trace="e0", target_cluster="bad", task_type="t1",
                             cause=CauseLabel.MISSING_PRECONDITION, edit=edit)
         q = UtilityTable({("bad", "t1"): counts})
@@ -402,23 +408,33 @@ class TestSkillEvolve:
     def test_heavy_rewrite_held_in_pool(self):
         skill = make_skill("sk", steps=("a", "b"))
 
-        edit = SkillEdit(
-            BoundedTag.ADD_GUARD, "sk", ("a", "b", "x", "y"),
-            frozenset({"g1", "g2"}), frozenset(), skill.applicability,
-        )
+        edit = dataclasses.replace(skill, steps=("a", "b", "x", "y"),
+                                   guards=frozenset({"g1", "g2"}))
         proposal = Proposal(
             source_trace="e0", target_cluster="sk",
             task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=edit,
         )
         delta = evolve((proposal,), {"sk": skill}, (), UtilityTable(),
                              EngineConfig())
-        assert [a.action for a in delta.actions] == ["hold-in-pool"]
+        assert [(a.action, a.written) for a in delta.actions] == [("hold-in-pool", (edit,))]
+
+    @pytest.mark.parametrize(
+        "guards, action", [(("g1", "g2"), "refine"), (("g1", "g2", "g3"), "hold-in-pool")],
+        ids=["half-the-tokens", "one-more"],
+    )
+    def test_heavy_rewrite_at_its_threshold(self, guards, action):
+        # of the skill's 4 tokens, adding 2 changes exactly half of them
+        skill = make_skill("sk", steps=("a", "b", "c", "d"))
+        edit = dataclasses.replace(skill, guards=frozenset(guards))
+        proposal = Proposal(source_trace="e0", target_cluster="sk", task_type="t1",
+                            cause=CauseLabel.MISSING_PRECONDITION, edit=edit)
+        delta = evolve((proposal,), {"sk": skill}, (), UtilityTable(), EngineConfig())
+        assert [a.action for a in delta.actions] == [action]
 
     def test_per_cluster_action_bound(self):
         skill = make_skill("sk", steps=("a", "b", "c", "d"))
 
-        light = SkillEdit(BoundedTag.ADD_GUARD, "sk", skill.steps,
-                          frozenset({"require:x"}), frozenset(), skill.applicability)
+        light = dataclasses.replace(skill, guards=frozenset({"require:x"}))
         proposals = [
             Proposal(source_trace=f"e{i}", target_cluster="sk",
                      task_type="t1", cause=CauseLabel.MISSING_PRECONDITION, edit=light)
@@ -447,7 +463,7 @@ class TestApplyDelta:
 
         delta = SkillDelta(
             (SkillAction(cluster="new:new", action="create", skills=("new",),
-                         new_skills=(draft,)),)
+                         written=(draft,)),)
         )
         lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
         assert lib["new"].status is SkillStatus.POOLED
@@ -459,7 +475,7 @@ class TestApplyDelta:
 
         delta = SkillDelta(
             (SkillAction(cluster="sk", action="create", skills=("sk",),
-                         new_skills=(make_skill("sk"),)),)
+                         written=(make_skill("sk"),)),)
         )
         with pytest.raises(StateError, match="skill id 'sk' would be reused"):
             apply_skill_delta(state.library, state.executors, state.pool, delta)
@@ -470,10 +486,67 @@ class TestApplyDelta:
 
         draft = make_skill("lat-r3", status=SkillStatus.POOLED)
         delta = SkillDelta(tuple(
-            SkillAction(cluster=key, action="create", skills=("lat-r3",), new_skills=(draft,))
+            SkillAction(cluster=key, action="create", skills=("lat-r3",), written=(draft,))
             for key in ("a", "b")
         ))
         with pytest.raises(StateError, match="skill id 'lat-r3' would be reused"):
+            apply_skill_delta(state.library, state.executors, state.pool, delta)
+
+    def test_refine_writes_the_content_and_keeps_owner_status_and_pool(self):
+        skill = make_skill("sk", status=SkillStatus.POOLED)
+        state = make_state([skill], pool={"sk": (3, 2)})
+        edited = dataclasses.replace(skill, steps=("go", "do", "lat"), guards=frozenset({"g"}))
+        delta = SkillDelta(
+            (SkillAction(cluster="sk", action="refine", skills=("sk",), written=(edited,)),)
+        )
+        lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
+        assert lib == {"sk": edited}
+        assert pool == {"sk": (3, 2)}
+
+    def test_held_edit_writes_the_content_into_the_pool(self):
+        skill = make_skill("sk", status=SkillStatus.VALIDATED)
+        state = make_state([skill])
+        edited = dataclasses.replace(skill, steps=("a", "b", "x", "y"), guards=frozenset({"g"}))
+        delta = SkillDelta(
+            (SkillAction(cluster="sk", action="hold-in-pool", skills=("sk",),
+                         written=(edited,)),)
+        )
+        lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
+        assert lib == {"sk": dataclasses.replace(edited, status=SkillStatus.POOLED)}
+        assert pool == {"sk": (0, 0)}
+
+    def test_demotion_hold_keeps_the_content(self):
+        skill = make_skill("sk", guards=("g",), checks=("c",), status=SkillStatus.VALIDATED)
+        state = make_state([skill])
+        delta = SkillDelta(
+            (SkillAction(cluster="sk", action="hold-in-pool", skills=("sk",)),)
+        )
+        lib, pool = apply_skill_delta(state.library, state.executors, state.pool, delta)
+        assert lib == {"sk": dataclasses.replace(skill, status=SkillStatus.POOLED)}
+        assert pool == {"sk": (0, 0)}
+
+    @pytest.mark.parametrize("action", ["refine", "hold-in-pool"])
+    def test_edit_of_a_skill_not_in_the_library_rejected(self, action):
+        state = make_state([make_skill("sk")])
+        delta = SkillDelta(
+            (SkillAction(cluster="sk", action=action, skills=("ghost",),
+                         written=(make_skill("ghost"),)),)
+        )
+        with pytest.raises(StateError, match="edited skill 'ghost' is not in the library"):
+            apply_skill_delta(state.library, state.executors, state.pool, delta)
+
+    @pytest.mark.parametrize("action", ["refine", "hold-in-pool"])
+    @pytest.mark.parametrize(
+        "change", [{"owner": "manager"}, {"status": SkillStatus.POOLED}], ids=["owner", "status"]
+    )
+    def test_edit_that_changes_owner_or_status_rejected(self, action, change):
+        skill = make_skill("sk", status=SkillStatus.VALIDATED)
+        state = make_state([skill])
+        edited = dataclasses.replace(skill, guards=frozenset({"g"}), **change)
+        delta = SkillDelta(
+            (SkillAction(cluster="sk", action=action, skills=("sk",), written=(edited,)),)
+        )
+        with pytest.raises(StateError, match="edited skill 'sk' changes its owner or status"):
             apply_skill_delta(state.library, state.executors, state.pool, delta)
 
     def test_prune_removes_ownership_and_pool_entry(self):
