@@ -286,13 +286,12 @@ def propose(
         return None
     failing = shape.slices[-1]
     pair = (task_id, failing.phase)
-    cause = diagnosis.cause
-    latent = _repair_latent(index, pair, cause, cards)
-
     candidates = sorted(used_skills(failing)) or sorted(failing.selected)
     implicated = _pick_implicated(candidates, library, pair)
-    if implicated is None:
+    if implicated is None:  # no library skill to repair, so no latent to look up
         return None
+    cause = diagnosis.cause
+    latent = _repair_latent(index, pair, cause, cards)
 
     if diagnosis.tag is BoundedTag.SPLIT_SKILL:
         drafts, edit = _split(implicated, latent, pair, cause, round_index)
@@ -522,10 +521,15 @@ def update_pool_counters(
 ) -> dict[str, tuple[int, int]]:
     """Advance usage/success counters for pooled skills that saw real use,
     over a batch's (shape, count) pairs: each episode of a shape uses the
-    shape's skills once."""
+    shape's skills once.  A shape whose slices used no skill counts nothing."""
     new_pool = dict(pool)
+    if not pool:
+        return new_pool
     for shape, count in tally:
-        for sid in {sid for sl in shape.slices for sid in used_skills(sl)} & pool.keys():
+        used = [used_skills(sl) for sl in shape.slices if sl.invoked or sl.pattern_supported]
+        if not used:
+            continue
+        for sid in pool.keys() & frozenset().union(*used):
             uses, successes = new_pool[sid]
             new_pool[sid] = (uses + count, successes + shape.outcome * count)
     return new_pool

@@ -248,13 +248,6 @@ class TraceShape:
         if tuple(map(_PHASE, slices)) != self.task_type.phases[: len(slices)]:
             raise StateError("slices must cover the attempted phases in order")
 
-    def executors(self) -> tuple[str, ...]:
-        """Routed executors in first-appearance order."""
-        seen: dict[str, None] = {}
-        for sl in self.slices:
-            seen.setdefault(sl.executor, None)
-        return tuple(seen)
-
 
 @dataclass(frozen=True, slots=True)
 class Batch:
@@ -278,7 +271,7 @@ class Batch:
 
     def episode_id(self, i: int) -> str:
         """The id of episode i, the one format of an episode id."""
-        return f"r{self.round_index:04d}e{i:05d}"
+        return "r%04de%05d" % (self.round_index, i)
 
     def tally(self) -> list[tuple[TraceShape, int]]:
         """Each shape with its number of episodes, in table order."""

@@ -30,6 +30,7 @@ from .evolution import (
 from .model import (
     Batch,
     CauseLabel,
+    PolicyCard,
     RoundState,
     StateError,
     TraceShape,
@@ -225,16 +226,18 @@ def collect_proposals(
 ) -> list[Proposal]:
     """At most one local proposal per retained shape, in the order given.
 
-    Failures go through diagnosis and policy-card retrieval first; successes
-    go straight to motif extraction.  Every proposal reads `index`, the
-    `proposal_index` of the round's frozen library.
+    Failures go through diagnosis first, and only a locally diagnosable
+    one through policy-card retrieval; successes go straight to motif
+    extraction.  Every proposal reads `index`, the `proposal_index` of the
+    round's frozen library.
     """
     proposals: list[Proposal] = []
     for rt in retained:
         diagnosis = rt.diagnosis
-        cards = () if diagnosis is None else retrieve_policy_cards(
-            state.policy_index, rt.shape.task_type.id, diagnosis.cause
-        )
+        cards: Sequence[PolicyCard] = ()
+        if diagnosis is not None and diagnosis.locally_diagnosable:
+            task_id = rt.shape.task_type.id
+            cards = retrieve_policy_cards(state.policy_index, task_id, diagnosis.cause)
         proposal = propose(rt, diagnosis, cards, state.library, state.round_index, config, index)
         if proposal is not None:
             proposals.append(proposal)

@@ -8,14 +8,14 @@ A retained failure is diagnosed once, for every stage that reads it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .config import EngineConfig
 from .model import REPAIR_TAGS, TAG_BY_CAUSE, BoundedTag
-from .model import CauseLabel, Skill, TraceShape, UtilityTable
+from .model import CauseLabel, Skill, TraceShape, UtilityTable, ratio
 from .utility import pooled_used, used_skills
 
 
@@ -24,6 +24,15 @@ class RetentionCategory(str, Enum):
     NEAR_MISS = "near-miss"
     REUSABLE_SUCCESS = "reusable-success"
     RETRIEVAL_MISMATCH = "retrieval-mismatch"
+
+
+# a label set as a bit mask of its categories, in declaration order, and
+# the one frozenset of each mask, shared by every shape that carries it
+_REPEATED_FAILURE, _NEAR_MISS, _REUSABLE_SUCCESS, _RETRIEVAL_MISMATCH = 1, 2, 4, 8
+_LABEL_SETS = tuple(
+    frozenset(c for bit, c in enumerate(RetentionCategory) if mask >> bit & 1)
+    for mask in range(16)
+)
 
 
 @dataclass(frozen=True)
@@ -52,20 +61,17 @@ def diagnose(shape: TraceShape) -> Diagnosis:
     return _DIAGNOSES[obs.cause if obs is not None and obs.confident else CauseLabel.UNKNOWN]
 
 
-@dataclass(frozen=True)
-class RetainedShape:
-    """A retained shape with its number of episodes and the id of its first."""
+class RetainedShape(namedtuple("RetainedShape", "shape count source diagnosis")):
+    """A retained shape with its number of episodes, the id of its first,
+    and, for a failure, its `diagnose`, made once when the record is built,
+    for its proposal and its family's diagnostic artifact (None for a
+    success).  Built as `RetainedShape(shape, count, source)`."""
 
-    shape: TraceShape
-    count: int
-    source: str
-    # a failure's `diagnose`, made once for its proposal and its family's
-    # diagnostic artifact; None for a success
-    diagnosis: Diagnosis | None = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        diagnosis = diagnose(self.shape) if self.shape.outcome == 0 else None
-        object.__setattr__(self, "diagnosis", diagnosis)
+    def __new__(cls, shape: TraceShape, count: int, source: str) -> "RetainedShape":
+        diagnosis = diagnose(shape) if shape.outcome == 0 else None
+        return tuple.__new__(cls, (shape, count, source, diagnosis))
 
 
 def _observed_cause(shape: TraceShape) -> CauseLabel:
@@ -78,7 +84,8 @@ def failure_counts(tally: Iterable[tuple[TraceShape, int]]) -> Counter[tuple[str
     counts: Counter[tuple[str, CauseLabel]] = Counter()
     for shape, count in tally:
         if shape.outcome == 0:
-            counts[shape.task_type.id, _observed_cause(shape)] += count
+            key = shape.task_type.id, _observed_cause(shape)
+            counts[key] = counts.get(key, 0) + count
     return counts
 
 
@@ -97,37 +104,39 @@ def retain(
     the configured multiplicity — within the round by default, with
     cross-round history folded in when provided; (b) near misses by progress;
     (c) reusable successes, either exercising a pooled skill or succeeding
-    where the routed executor's pre-round estimate was still weak;
-    (d) retrieval/execution mismatches, any slice that selected more than it
-    used.  `q_exec_prior` is the pre-round executor table, so rule (c) reads
-    the estimate the router acted on.
+    where a routed executor's pre-round estimate was still weak (at least
+    one attempt, value below `low_estimate`); (d) retrieval/execution
+    mismatches, any slice that selected more than it used.  `q_exec_prior`
+    is the pre-round executor table, so rule (c) reads the estimate the
+    router acted on.  Equal label sets are one shared frozenset.
     """
     failure_keys = failure_counts(tally)
     if prior_failure_counts:
         for key, count in prior_failure_counts.items():
             failure_keys[key] += count
-
-    def label(shape: TraceShape) -> frozenset[RetentionCategory]:
-        categories: set[RetentionCategory] = set()
+    repeat, near_miss = config.repeat_multiplicity, config.near_miss_progress
+    low_estimate, prior = config.low_estimate, q_exec_prior.counts
+    labels: list[frozenset[RetentionCategory]] = []
+    for shape, _ in tally:
         task_id = shape.task_type.id
-
+        mask = 0
         if shape.outcome == 0:
-            key = (task_id, _observed_cause(shape))
-            if failure_keys[key] >= config.repeat_multiplicity:
-                categories.add(RetentionCategory.REPEATED_FAILURE)
-            if shape.progress >= config.near_miss_progress:
-                categories.add(RetentionCategory.NEAR_MISS)
-        else:
-            weak_executor = any(
-                q_exec_prior.count(eid, task_id) >= 1
-                and q_exec_prior.value(eid, task_id) < config.low_estimate
-                for eid in shape.executors()
-            )
-            if pooled_used(shape, library) or weak_executor:
-                categories.add(RetentionCategory.REUSABLE_SUCCESS)
-
-        if any(sl.selected - used_skills(sl) for sl in shape.slices):
-            categories.add(RetentionCategory.RETRIEVAL_MISMATCH)
-        return frozenset(categories)
-
-    return [label(shape) for shape, _ in tally]
+            if failure_keys[task_id, _observed_cause(shape)] >= repeat:
+                mask |= _REPEATED_FAILURE
+            if shape.progress >= near_miss:
+                mask |= _NEAR_MISS
+        elif pooled_used(shape, library) or any(
+            (entry := prior.get((sl.executor, task_id))) is not None
+            and entry[1] >= 1
+            and ratio(*entry) < low_estimate
+            for sl in shape.slices
+        ):
+            mask |= _REUSABLE_SUCCESS
+        for sl in shape.slices:
+            # used skills are a subset of the selected ones, so the sizes
+            # tell whether the slice selected a skill it did not use
+            if sl.selected and len(sl.selected) > len(used_skills(sl)):
+                mask |= _RETRIEVAL_MISMATCH
+                break
+        labels.append(_LABEL_SETS[mask])
+    return labels

@@ -50,12 +50,13 @@ def learn(
 
     Each credit key of a table entry seen k times gains (outcome x k, k),
     so the result depends only on `batch.tally()`, not on the episodes'
-    order.  A key is credited once per executor that used it: a skill used
-    in two executors' slices of one episode gains two attempts.  Entries
-    never touched stay as they were.  The membership checks run once per
-    table entry, in table order: the first shape with an unknown id is the
-    shape of the first episode that has one, and the error names that
-    episode.
+    order.  One loop over an entry's slices credits each executor once, at
+    its first slice, with the union of its slices' used skills, by id: a
+    skill used in two slices of one executor gains one attempt per episode,
+    and one used in two executors' slices gains two.  Entries never touched
+    stay as they were.  The membership checks run in table order, slice by
+    slice: the first shape with an unknown id is the shape of the first
+    episode that has one, and the error names that episode.
     """
     skill_ids = frozenset(known_skills) if known_skills is not None else None
     executor_ids = frozenset(known_executors) if known_executors is not None else None
@@ -65,36 +66,30 @@ def learn(
         if not seen:  # a table entry that no episode takes credits nothing
             continue
         won = shape.outcome * seen
-        skill_keys, executor_keys = _credit_keys(batch, k, skill_ids, executor_ids)
-        for counts, keys in ((s_counts, skill_keys), (a_counts, executor_keys)):
-            for key in keys:
-                successes, attempts = counts.get(key, (0, 0))
-                counts[key] = (successes + won, attempts + seen)
+        task_id = shape.task_type.id
+        slices = shape.slices
+        for j, sl in enumerate(slices):
+            eid = sl.executor
+            problem = None
+            if executor_ids is not None and eid not in executor_ids:
+                problem = f"routes unknown executor {eid!r}"
+            elif skill_ids is not None and not sl.selected <= skill_ids:
+                problem = f"references unknown skills {sorted(sl.selected - skill_ids)}"
+            if problem is not None:
+                raise StateError(f"trace {batch.episode_id(batch.index.index(k))} {problem}")
+            if j and any(earlier.executor == eid for earlier in slices[:j]):
+                continue  # credited at its first slice
+            used = used_skills(sl)
+            if j + 1 < len(slices):  # its later slices' skills join the union
+                for later in slices[j + 1 :]:
+                    if later.executor == eid:
+                        used |= used_skills(later)
+            for sid in sorted(used) if used else ():
+                successes, attempts = s_counts.get((sid, task_id), (0, 0))
+                s_counts[sid, task_id] = (successes + won, attempts + seen)
+            successes, attempts = a_counts.get((eid, task_id), (0, 0))
+            a_counts[eid, task_id] = (successes + won, attempts + seen)
     return UtilityTable(s_counts), UtilityTable(a_counts)
-
-
-def _credit_keys(
-    batch: Batch,
-    k: int,
-    skill_ids: frozenset[str] | None,
-    executor_ids: frozenset[str] | None,
-) -> tuple[list, list]:
-    """Table entry k's skill and executor credit keys (executors by first
-    appearance, each one's used skills by id)."""
-    shape = batch.shapes[k]
-    used_by: dict[str, frozenset[str]] = {}
-    for sl in shape.slices:
-        problem = None
-        if executor_ids is not None and sl.executor not in executor_ids:
-            problem = f"routes unknown executor {sl.executor!r}"
-        elif skill_ids is not None and not sl.selected <= skill_ids:
-            problem = f"references unknown skills {sorted(sl.selected - skill_ids)}"
-        if problem is not None:
-            raise StateError(f"trace {batch.episode_id(batch.index.index(k))} {problem}")
-        used_by[sl.executor] = used_by.get(sl.executor, frozenset()) | used_skills(sl)
-    task_id = shape.task_type.id
-    skill_keys = [(sid, task_id) for used in used_by.values() for sid in sorted(used)]
-    return skill_keys, [(eid, task_id) for eid in used_by]
 
 
 def skills_by_task(

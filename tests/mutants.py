@@ -14,18 +14,28 @@ and its expected bytes differ, its line and each side's line, and a fault
 there shows only for damage at a file's or a line's end.  The route's one
 pass in `utility.py` and the shared diagnoses in `retention.py` each stand
 for a plainer rule that `tests/test_route_rules.py` states, and a fault
-there shows only at an exact tie or for one cause.  The trace log's index
-line in `store.py` is joined from a table of strings, and a fault there
-shows only against `_ENCODER`'s line.  Skill evolution in `evolution.py`
-picks a cluster, a target skill and a split half by tie-breaks and
-preferences, drops a repair that changes nothing, and dedups, holds heavy
-rewrites in the pool and prunes against thresholds, and a fault there
-shows only at an exact tie, for a repair already in place or at a
-threshold; so does the merge's attempt count in `restructure.py`.  The
-scenario parser in `store.py` reads each entry line in one `try`, refuses
-a repeated entry by one rule, and keeps two running sums, the task
-weights' total and each pair's logit, and a fault there shows only as an
-input refused at the wrong line.  Each entry is (file, old text, new
+there shows only at an exact tie or for one cause.  `learn`'s one credit
+loop in `utility.py` credits an executor once per entry with the union of
+its slices' skills, and a fault there shows only for an executor holding
+two slices of one episode; `retain`'s labels in `retention.py` test rule
+(c) and a retrieval mismatch against thresholds and set sizes, and a fault
+there shows only at a threshold or for a slice that used all it selected.
+The trace log's index line in `store.py` is joined from a table of
+strings, and a fault there shows only against `_ENCODER`'s line.  Skill
+evolution in `evolution.py` picks a cluster, a target skill and a split
+half by tie-breaks and preferences, drops a repair that changes nothing,
+and dedups, holds heavy rewrites in the pool and prunes against
+thresholds, and a fault there shows only at an exact tie, for a repair
+already in place or at a threshold; so does the merge's attempt count in
+`restructure.py`.
+`propose` exits before the latent lookup when no library skill is
+implicated, and the pool counters skip a shape whose slices used no skill,
+and a fault there shows only for a failure with no library skill or a
+pooled skill used by pattern alone.  The scenario parser in `store.py`
+reads each entry line in one `try`, refuses a repeated entry by one rule,
+and keeps two running sums, the task weights' total and each pair's
+logit, and a fault there shows only as an input refused at the wrong
+line.  Each entry is (file, old text, new
 text, test files, kind): `kind` is "fault", which some named test must
 catch, or "equivalent: " followed by the reason no test can.  Run from
 the repository root:
@@ -56,6 +66,8 @@ REPLAY_TESTS = ("tests/test_replay_stream.py", "tests/test_cli.py")
 RULE_TESTS = ("tests/test_route_rules.py",)
 CODEC_TESTS = ("tests/test_trace_codec.py",)
 EVOLUTION_TESTS = ("tests/test_evolution.py",)
+UTILITY_TESTS = ("tests/test_utility.py",)
+RETENTION_TESTS = ("tests/test_retention.py",)
 PARSER_TESTS = ("tests/test_store.py",)
 WORLD = "src/skillmas/world.py"
 STREAMS = "src/skillmas/streams.py"
@@ -240,6 +252,25 @@ MUTANTS: tuple[tuple[str, str, str, tuple[str, ...], str], ...] = (
      PARSER_TESTS, "fault"),
     (STORE, "        add_effect(self.logits, self.latents[key])\n", "        pass\n",
      PARSER_TESTS, "fault"),
+    # learn's one credit loop: each executor once per entry, with the union
+    # of its slices' skills, and a failure's episodes as attempts only
+    (UTILITY, "if j and any(earlier.executor == eid for earlier in slices[:j]):",
+     "if False:", UTILITY_TESTS, "fault"),
+    (UTILITY, "won = shape.outcome * seen", "won = seen", UTILITY_TESTS, "fault"),
+    # retention's labels: a weak executor below low_estimate with an attempt,
+    # and a retrieval mismatch by the sizes of a slice's selected and used skills
+    (RETENTION, "and entry[1] >= 1", "and entry[1] > 1", RETENTION_TESTS, "fault"),
+    (RETENTION, "ratio(*entry) < low_estimate", "ratio(*entry) <= low_estimate",
+     RETENTION_TESTS, "fault"),
+    (RETENTION, "len(sl.selected) > len(used_skills(sl))",
+     "len(sl.selected) >= len(used_skills(sl))", RETENTION_TESTS, "fault"),
+    # propose exits before the latent lookup when no library skill is implicated
+    (EVOLUTION, "    if implicated is None:  # no library skill to repair, so no latent to look "
+     "up\n        return None\n", "    if implicated is None:  # no library skill to repair, "
+     "so no latent to look up\n        pass\n", EVOLUTION_TESTS, "fault"),
+    # the pool counters skip only a shape whose slices used no skill
+    (EVOLUTION, "for sl in shape.slices if sl.invoked or sl.pattern_supported]",
+     "for sl in shape.slices if sl.invoked]", EVOLUTION_TESTS, "fault"),
 )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from skillmas import evolution
 from skillmas.config import EngineConfig
 from skillmas.evolution import (
     Diagnosis,
@@ -295,6 +296,24 @@ class TestPropose:
             out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]), library, 0,
                              EngineConfig())
             assert (out and out.edit.steps) == edited
+
+    @pytest.mark.parametrize("selected", [(), ("gone",)])
+    def test_failure_with_no_library_skill_proposes_nothing(self, monkeypatch, selected):
+        """A locally diagnosable failure whose failing slice selected no
+        library skill has nothing to repair: it proposes nothing, without
+        looking up the latent the repair would target."""
+        def unreachable(*args):
+            raise AssertionError("_repair_latent called")
+
+        monkeypatch.setattr(evolution, "_repair_latent", unreachable)
+        latent = LatentSkill("lat", ("t1", "p1"), 2.0, CauseLabel.MISSING_PRECONDITION)
+        library = {"sk": make_skill("sk")}
+        for cause in (CauseLabel.MISSING_PRECONDITION, CauseLabel.SKILL_CONFLICT):
+            rt = retained_failure(cause, selected=selected, invoked=())
+            assert diagnose(rt.shape).locally_diagnosable
+            out = propose_on(rt, diagnose(rt.shape), (), scenario_with([latent]), library, 0,
+                             EngineConfig())
+            assert out is None
 
     def test_proposal_holds_exactly_one_change(self):
         edit = make_skill("sk", guards=("require:x",))
@@ -595,6 +614,29 @@ class TestPoolLifecycle:
         )
         pool = update_pool_counters({"pk": (2, 1), "idle": (1, 0)}, [(used, 3), (failed, 2)])
         assert pool == {"pk": (7, 4), "idle": (1, 0)}
+
+    def test_counters_count_a_pooled_skill_used_by_pattern_only(self):
+        """A slice that invoked nothing still uses its pattern-supported
+        skills, so a shape using a pooled skill only that way counts; a shape
+        whose slices used no skill counts nothing."""
+        supported = TraceShape(
+            TASK,
+            (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset(), frozenset()),
+             ExecutorSlice("w", "p2", frozenset({"pk"}), frozenset(), frozenset({"pk"}))),
+            0, 0.5,
+        )
+        unused = TraceShape(
+            TASK,
+            (ExecutorSlice("w", "p1", frozenset({"pk"}), frozenset(), frozenset()),),
+            1, 1.0,
+        )
+        pool = update_pool_counters({"pk": (1, 1)}, [(supported, 2), (unused, 3)])
+        assert pool == {"pk": (3, 1)}
+
+    def test_empty_pool_counts_nothing_and_is_a_copy(self):
+        pool = {}
+        counted = update_pool_counters(pool, [(retained_success().shape, 4)])
+        assert counted == {} and counted is not pool
 
     def test_promotion_at_threshold(self):
         pooled = make_skill("pk", status=SkillStatus.POOLED)

@@ -120,6 +120,43 @@ class TestRetainRules:
         # the 0.5 prior is not "below 0.5": fresh tables retain nothing
         assert run_retain([shape(1)], q_exec_prior=UtilityTable()) == [frozenset()]
 
+    def test_weak_executor_at_its_edges(self):
+        """Rule (c) retains a success only on an entry below `low_estimate`
+        (1/2) with at least one attempt: exactly 1/2 retains nothing, 1/3 and
+        a single failed attempt do, and an entry of no attempt is never weak."""
+        def retained(counts):
+            return run_retain([shape(1)], q_exec_prior=UtilityTable({("w", "t1"): counts}))
+
+        assert retained((1, 2)) == [frozenset()]
+        assert retained((1, 3)) == [{RetentionCategory.REUSABLE_SUCCESS}]
+        assert retained((0, 1)) == [{RetentionCategory.REUSABLE_SUCCESS}]
+        assert retained((0, 0)) == [frozenset()]
+
+    def test_one_weak_executor_of_two_retains_a_success(self):
+        prior = UtilityTable({("w", "t1"): (3, 4), ("v", "t1"): (1, 4)})
+        slices = (
+            ExecutorSlice("w", "p1", frozenset({"s1"}), frozenset({"s1"}), frozenset()),
+            ExecutorSlice("v", "p2", frozenset({"s1"}), frozenset({"s1"}), frozenset()),
+        )
+        two = TraceShape(TASK, slices, 1, 1.0)
+        assert run_retain([two], q_exec_prior=prior) == [{RetentionCategory.REUSABLE_SUCCESS}]
+        strong = UtilityTable({("w", "t1"): (3, 4), ("v", "t1"): (2, 4)})
+        assert run_retain([two], q_exec_prior=strong) == [frozenset()]
+
+    def test_selected_skills_all_pattern_supported_are_no_mismatch(self):
+        supported = shape(1, selected=("s1", "s2"), invoked=(), pattern=("s1", "s2"))
+        mixed = shape(1, selected=("s1", "s2"), invoked=("s1",), pattern=("s2",))
+        one_short = shape(1, selected=("s1", "s2"), invoked=(), pattern=("s2",))
+        assert run_retain([supported, mixed, one_short]) == [
+            frozenset(), frozenset(), {RetentionCategory.RETRIEVAL_MISMATCH}
+        ]
+
+    def test_equal_label_sets_are_one_object(self):
+        shapes = [shape(1, selected=("s1", "pooled"), invoked=("s1",)) for _ in range(3)]
+        labels = run_retain(shapes + [shape(1)])
+        assert labels[0] is labels[1] is labels[2]
+        assert labels[3] == frozenset()
+
     def test_retrieval_mismatch(self):
         shapes = [shape(1, selected=("s1", "pooled"), invoked=("s1",))]
         labels = run_retain(shapes)

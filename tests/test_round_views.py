@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skillmas.orchestrator as orchestrator
 import skillmas.retention as retention
 import skillmas.world as world
 from skillmas.cli import build_parser
@@ -263,6 +264,29 @@ def test_a_round_diagnoses_each_retained_failure_once(monkeypatch):
     failures = [batch.shapes[k] for k in sorted(retained) if batch.shapes[k].outcome == 0]
     assert failures
     assert sorted(map(id, diagnosed)) == sorted(map(id, failures))
+
+
+def test_a_round_retrieves_cards_only_for_locally_diagnosable_failures(monkeypatch):
+    """`collect_proposals` looks up policy cards once per retained failure
+    whose diagnosis allows a local repair, and for no other shape."""
+    asked = []
+    real = orchestrator.retrieve_policy_cards
+    monkeypatch.setattr(
+        orchestrator, "retrieve_policy_cards",
+        lambda index, task_id, cause: asked.append((task_id, cause)) or real(index, task_id, cause),
+    )
+    pack = load_preset("favorable")
+    _, report, batch = run_round(pack.seed_state, pack.scenario, pack.config, seed=1)
+    retained = sorted({k for entries in report.retained_entries.values() for k in entries})
+    want = [
+        (batch.shapes[k].task_type.id, d.cause)
+        for k in retained
+        if batch.shapes[k].outcome == 0
+        for d in [retention.diagnose(batch.shapes[k])]
+        if d.locally_diagnosable
+    ]
+    assert want and len(want) < len(retained)
+    assert asked == want
 
 
 def test_the_parser_is_built_once():

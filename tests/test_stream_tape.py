@@ -294,7 +294,7 @@ def test_each_state_reads_what_exec_round_reads(name, monkeypatch):
         assert_same_batch(batch, exec_round(state, pack.scenario, 300, 9001, pack.config))
     if name == "noisy":
         assert extended  # walks ran past an episode's first block
-        assert any(len(set(shape.executors())) > 1 for shape in shared[0].shapes)
+        assert any(len({sl.executor for sl in shape.slices}) > 1 for shape in shared[0].shapes)
         assert any(shape.outcome == 0 for shape in shared[0].shapes)
 
 

@@ -99,6 +99,45 @@ class TestLearn:
         assert q_s.counts == {("s1", "t1"): (6, 6)}
         assert q_a.counts == {("w", "t1"): (3, 3), ("v", "t1"): (3, 3)}
 
+    def test_executor_with_two_slices_is_credited_once_per_episode(self):
+        """One executor's slices of an episode credit the union of their
+        skills once: the skill it used in both, and the executor, gain one
+        attempt per episode, in both tables' first-appearance order."""
+        task = TaskType("t1", ("p1", "p2", "p3"))
+        shape = make_shape(
+            [
+                sl("w", {"s1", "s2"}, {"s2"}, {"s1"}),
+                sl("v", {"s3"}, {"s3"}, phase="p2"),
+                sl("w", {"s1", "s0"}, {"s1", "s0"}, phase="p3"),
+            ],
+            0,
+            task,
+        )
+        q_s, q_a = learn(UtilityTable(), UtilityTable(), batch_of([shape] * 2))
+        assert list(q_s.counts.items()) == [
+            (("s0", "t1"), (0, 2)),
+            (("s1", "t1"), (0, 2)),
+            (("s2", "t1"), (0, 2)),
+            (("s3", "t1"), (0, 2)),
+        ]
+        assert list(q_a.counts.items()) == [(("w", "t1"), (0, 2)), (("v", "t1"), (0, 2))]
+
+    def test_first_unknown_id_names_its_first_episode(self):
+        """The checks run in table order and slice order: the error names the
+        first episode of the first entry with an unknown id."""
+        task = TaskType("t1", ("p1", "p2"))
+        clean = make_shape([sl("w", {"s1"}, {"s1"})], 1)
+        ghost_skill = make_shape([sl("w", {"s1"}, {"s1"}), sl("w", {"ghost"}, set(), phase="p2")],
+                                 0, task)
+        ghost_executor = make_shape([sl("x", set(), set())], 0)
+        batch = batch_of([clean, ghost_skill, clean, ghost_executor, ghost_skill])
+        with pytest.raises(StateError, match=r"trace r0000e00001 references unknown skills"):
+            learn(UtilityTable(), UtilityTable(), batch, known_skills=["s1"],
+                  known_executors=["w"])
+        with pytest.raises(StateError, match=r"trace r0000e00003 routes unknown executor 'x'"):
+            learn(UtilityTable(), UtilityTable(), batch, known_skills=["s1", "ghost"],
+                  known_executors=["w"])
+
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=60))
     @settings(max_examples=50)
     def test_running_mean_identity(self, outcomes):
